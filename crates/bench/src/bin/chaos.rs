@@ -118,6 +118,9 @@ enum Class {
     DoubleCascade,
 }
 
+/// Order matters beyond this file: schedule `i` runs class `i % len`, and
+/// CI's blocking `chaos-recovery` shard selects the first twelve (the
+/// Migration rounds and the Rebirth phases) by that index.
 fn classes() -> Vec<Class> {
     let mut v: Vec<Class> = (1..=8).map(Class::MigrationRound).collect();
     v.extend([

@@ -340,6 +340,43 @@ fn main() {
         }
     }
 
+    // Migration round 2 (apply promotions, rewrite position-addressed
+    // consumer tables, compute replica requests) at N and 4N lost masters:
+    // a 4-node cluster losing one node of this graph and of one 4x larger.
+    // Its promotion lookups are indexed, so the time must grow with what
+    // was lost (~4x), not with masters x promotions (~16x). Four nodes, not
+    // `opts.nodes`: the fewer survivors share the lost masters, the longer
+    // each one's promotion list and the plainer the difference.
+    for (suffix, factor) in [("n", 1usize), ("4n", 4)] {
+        let g = gen::power_law(verts * factor, 2.0, 10, opts.seed);
+        let cut = HashEdgeCut.partition(&g, 4);
+        let cfg = RunConfig {
+            num_nodes: 4,
+            max_iters: 8,
+            ft: FtMode::Replication {
+                tolerance: 1,
+                selfish_opt: false,
+                recovery: RecoveryStrategy::Migration,
+            },
+            threads_per_node: 1,
+            ..RunConfig::default()
+        };
+        let mut best = f64::INFINITY;
+        for _ in 0..reps() {
+            let s = run_ec(
+                Workload::PageRank,
+                &g,
+                &cut,
+                cfg,
+                vec![crash(1, 5)],
+                ramfs(),
+            );
+            let round2 = s.recoveries[0].phases.get("migration_round2");
+            best = best.min(round2.expect("migration records its rounds").as_secs_f64());
+        }
+        record(&format!("migration_round2_{suffix}"), best);
+    }
+
     // Failure detection: observed heartbeat latency (crash → confirmed
     // death, as counted by the detector itself in silence ticks) and the
     // wire cost of the liveness traffic. p50 should sit near the configured

@@ -316,10 +316,10 @@ impl NetLayer {
     }
 
     /// Resolves one frame at its destination: suppresses duplicates and
-    /// stale-sender frames, counts it delivered, and enqueues it into the
-    /// destination inbox unless the destination slot was re-identified
-    /// since the frame was stamped (in which case the message is lost,
-    /// exactly like a send into a crashed node's rotting inbox).
+    /// stale-sender frames, enqueues it into the destination inbox unless
+    /// the destination slot was re-identified since the frame was stamped
+    /// (in which case the message is lost, exactly like a send into a
+    /// crashed node's rotting inbox), and then counts it delivered.
     fn resolve<M>(
         &self,
         fabric: &Fabric<M>,
@@ -342,11 +342,13 @@ impl NetLayer {
             comm.record_redelivered(1);
             return;
         }
-        l.delivered += 1;
-        drop(l);
         if frame.dst_epoch == cur_dst {
             fabric.push_cached(cache, to, frame.env);
         }
+        // Counted only now, under the link lock a flushing sender reads
+        // `delivered` through: its fence must not release the barrier while
+        // the frame is still on its way into the inbox.
+        l.delivered += 1;
     }
 }
 

@@ -131,18 +131,120 @@ pub(crate) struct Mig<X> {
     pub extra: X,
 }
 
-/// Read-only migration context handed to model hooks.
+/// Read-only migration context handed to model hooks, with O(1) promotion
+/// lookups: an episode's R2 asks "did I promote the master at this
+/// position?" once per local master and "where did the consumer at this
+/// vacated position go?" once per consumer link into a crashed node, so
+/// both are dense tables of indices into the promotion lists rather than
+/// scans or hashed `(node, position)` keys.
 pub(crate) struct MigEnv<'a> {
     /// The crashed nodes.
     pub dead: &'a [NodeId],
     /// This node.
     pub me: NodeId,
     /// Promotions performed *by this node* in R1.
-    pub promotions: &'a [Promotion],
-    /// Every promotion in the cluster, indexed by the crashed
-    /// `(node, position)` it vacated — for rewriting position-addressed
-    /// consumer tables.
-    pub promo_by_old: &'a HashMap<(NodeId, u32), Promotion>,
+    own: &'a [Promotion],
+    /// Every promotion in the cluster.
+    all: &'a [Promotion],
+    /// Local position → index into `own`.
+    own_at: Vec<u32>,
+    /// Per crashed node (indexed like `dead`): vacated position → index
+    /// into `all`.
+    vacated: Vec<Vec<u32>>,
+}
+
+/// Vacant slot of a [`MigEnv`] index table.
+const NO_PROMOTION: u32 = u32::MAX;
+
+fn index_put(table: &mut Vec<u32>, key: u32, idx: usize) {
+    let key = key as usize;
+    if table.len() <= key {
+        table.resize(key + 1, NO_PROMOTION);
+    }
+    table[key] = idx as u32;
+}
+
+fn index_get<'p>(table: &[u32], key: u32, promos: &'p [Promotion]) -> Option<&'p Promotion> {
+    match table.get(key as usize) {
+        Some(&i) if i != NO_PROMOTION => Some(&promos[i as usize]),
+        _ => None,
+    }
+}
+
+impl<'a> MigEnv<'a> {
+    /// Indexes `own` (this node's R1 promotions, or none under the
+    /// checkpoint fallback) by the position they promoted, and `all` by the
+    /// crashed `(node, position)` they vacated. Positions need not arrive
+    /// sorted: adopted partitions promote into appended slots.
+    pub(crate) fn new(
+        dead: &'a [NodeId],
+        me: NodeId,
+        own: &'a [Promotion],
+        all: &'a [Promotion],
+    ) -> Self {
+        let mut own_at = Vec::new();
+        for (i, p) in own.iter().enumerate() {
+            index_put(&mut own_at, p.new_pos, i);
+        }
+        let mut vacated = vec![Vec::new(); dead.len()];
+        for (i, p) in all.iter().enumerate() {
+            let d = dead.iter().position(|&d| d == p.old_node);
+            debug_assert!(d.is_some(), "promotion of {} vacates a live node", p.vid);
+            if let Some(d) = d {
+                index_put(&mut vacated[d], p.old_pos, i);
+            }
+        }
+        MigEnv {
+            dead,
+            me,
+            own,
+            all,
+            own_at,
+            vacated,
+        }
+    }
+
+    /// This node's own R1 promotion of the master now at local `pos`.
+    pub(crate) fn own_promotion_at(&self, pos: u32) -> Option<&Promotion> {
+        index_get(&self.own_at, pos, self.own)
+    }
+
+    /// The promotion recorded for the slot `(node, old_pos)` of a crashed
+    /// layout, if any — the indexed form of a `(node, position)` map lookup.
+    fn promoted_from(&self, node: NodeId, old_pos: u32) -> Option<&Promotion> {
+        let d = self.dead.iter().position(|&d| d == node)?;
+        index_get(&self.vacated[d], old_pos, self.all)
+    }
+
+    /// Where the master that a position-addressed table still places at
+    /// `(node, pos)` lives now: `None` while `node` is alive (nothing
+    /// moved), its promotion when `node` crashed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `node` crashed and nothing was promoted out of `pos`: a
+    /// master lost with no surviving mirror cannot be recovered.
+    pub(crate) fn relocated(&self, node: NodeId, pos: u32) -> Option<&Promotion> {
+        if !self.dead.contains(&node) {
+            return None;
+        }
+        let p = self.promoted_from(node, pos);
+        Some(p.unwrap_or_else(|| panic!("master at {node}:{pos} lost with no promotion")))
+    }
+}
+
+/// A copy of `list` with room for `extra` more elements, as one fresh
+/// allocation. Migration grows a survivor's loader-built tables through
+/// this rather than in place: the loader thread allocated every node's
+/// graph, so survivors growing those blocks at the same time (`Vec::push`
+/// → `realloc`) serialise on that one thread's allocator arena — 25 ms
+/// against 2 ms per survivor for round 2's 8 k pushes on the benchmark's
+/// Migration workload. One process per machine would never see this; the
+/// simulated cluster does.
+pub(crate) fn regrown<T: Copy>(list: &[T], extra: usize) -> Vec<T> {
+    let mut grown = Vec::with_capacity(list.len() + extra);
+    grown.extend_from_slice(list);
+    grown
 }
 
 /// What grafting one dead partition onto this node produced
@@ -226,10 +328,17 @@ fn fail_here<M: ComputeModel>(
 /// aborted one never ran: the local graph (values, copy kinds, metas, edge
 /// wiring) and every piece of node state the recovery paths mutate.
 ///
-/// Captured once when the episode starts; `restore` clones out of it, so an
+/// The node state is captured when the episode starts. The graph — the one
+/// deep copy that costs real time — is captured **lazily**, by
+/// [`Undo::capture_graph`], which every attempt path calls before its first
+/// `graph_mut` (`migrate`, and the two callers of `ckpt_reload_survivor`).
+/// A Rebirth attempt only reads its graph, so an episode that never degrades
+/// copies and frees nothing. Nothing between episode entry and the capture
+/// touches the graph, so the lazy copy equals the one an eager capture would
+/// have taken; once taken it is kept, and `restore` clones out of it, so an
 /// episode can abort any number of times.
 struct Undo<M: ComputeModel> {
-    lg: M::Graph,
+    lg: Option<M::Graph>,
     overlay: HashMap<Vid, NodeId>,
     mirror_assign: Vec<usize>,
     alive: Vec<bool>,
@@ -242,10 +351,14 @@ struct Undo<M: ComputeModel> {
     suppressed_timeline: Vec<(u64, u64)>,
 }
 
+/// Graph deep copies taken by [`Undo::capture_graph`], process-wide.
+#[cfg(test)]
+static GRAPH_CAPTURES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
 impl<M: ComputeModel> Undo<M> {
-    fn capture(lg: &M::Graph, st: &St<M>) -> Self {
+    fn capture(st: &St<M>) -> Self {
         Undo {
-            lg: lg.clone(),
+            lg: None,
             overlay: st.overlay.clone(),
             mirror_assign: st.mirror_assign.clone(),
             alive: st.alive.clone(),
@@ -259,8 +372,26 @@ impl<M: ComputeModel> Undo<M> {
         }
     }
 
+    /// Snapshots the pre-episode graph unless an earlier attempt of this
+    /// episode already did (its abort restored `lg` to exactly that state).
+    /// Must precede the attempt's first `graph_mut`. Returns the time the
+    /// copy took.
+    fn capture_graph(&mut self, lg: &M::Graph) -> Duration {
+        if self.lg.is_some() {
+            return Duration::ZERO;
+        }
+        let sw = Stopwatch::start();
+        self.lg = Some(lg.clone());
+        #[cfg(test)]
+        GRAPH_CAPTURES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        sw.elapsed()
+    }
+
     fn restore(&self, lg: &mut M::Graph, st: &mut St<M>) {
-        *lg = self.lg.clone();
+        // No snapshot means no attempt got as far as mutating the graph.
+        if let Some(saved) = &self.lg {
+            *lg = saved.clone();
+        }
         st.overlay = self.overlay.clone();
         st.mirror_assign = self.mirror_assign.clone();
         st.alive = self.alive.clone();
@@ -283,8 +414,12 @@ impl<M: ComputeModel> Undo<M> {
 /// *this node* crashed at an injected recovery-phase fail point (the caller
 /// must exit like any other crashed node).
 ///
-/// Time spent fencing aborted attempts accumulates into the successful
-/// report's `fence` phase — it is wall-clock the episode really cost.
+/// The successful attempt's report is closed here, so that what the episode
+/// costs outside the attempt is inside [`RecoveryReport::total`] too: the
+/// model's `after_recovery` hook and releasing the undo snapshot are booked
+/// to `reconstruct` (phase key `after_recovery`). Time spent fencing aborted
+/// attempts accumulates into the report's `fence` phase — it is wall-clock
+/// the episode really cost.
 pub(crate) fn recover<M: ComputeModel>(
     ctx: &Ctx<M>,
     lg: &mut Arc<M::Graph>,
@@ -303,7 +438,7 @@ pub(crate) fn recover<M: ComputeModel>(
         // elsewhere. Exit like a crash; do not fight the fence.
         return true;
     }
-    let undo: Undo<M> = Undo::capture(&**lg, st);
+    let mut undo: Undo<M> = Undo::capture(st);
     let mut episode: Vec<NodeId> = dead.to_vec();
     episode.sort_unstable();
     episode.dedup();
@@ -314,12 +449,12 @@ pub(crate) fn recover<M: ComputeModel>(
         let attempt = match shared.cfg.ft {
             FtMode::None => unreachable!(),
             FtMode::Checkpoint { .. } => {
-                ckpt_recover_survivor(ctx, lg, shared, st, &episode, resume_iter, pool)
+                ckpt_recover_survivor(ctx, lg, shared, st, &mut undo, &episode, resume_iter, pool)
             }
             FtMode::Replication {
                 recovery: RecoveryStrategy::Rebirth,
                 ..
-            } => rebirth_survivor(ctx, lg, shared, st, &episode, resume_iter, pool),
+            } => rebirth_survivor(ctx, lg, shared, st, &mut undo, &episode, resume_iter, pool),
             FtMode::Replication {
                 recovery: RecoveryStrategy::Migration,
                 ..
@@ -328,6 +463,7 @@ pub(crate) fn recover<M: ComputeModel>(
                 lg,
                 shared,
                 st,
+                &mut undo,
                 &episode,
                 resume_iter,
                 "migration",
@@ -338,8 +474,13 @@ pub(crate) fn recover<M: ComputeModel>(
             Ok(mut report) => {
                 report.counters = counters;
                 report.phases.record("fence", fence_time);
-                st.recoveries.push(report);
+                let sw = Stopwatch::start();
                 shared.model.after_recovery(graph_mut(lg));
+                drop(undo);
+                let tail = sw.elapsed();
+                report.reconstruct += tail;
+                report.phases.record("after_recovery", tail);
+                st.recoveries.push(report);
                 return false;
             }
             Err(Abort::Crashed) => return true,
@@ -496,6 +637,7 @@ fn rebirth_survivor<M: ComputeModel>(
     lg: &mut Arc<M::Graph>,
     shared: &Arc<Shared<M>>,
     st: &mut St<M>,
+    undo: &mut Undo<M>,
     dead: &[NodeId],
     resume_iter: u64,
     pool: &WorkerPool,
@@ -516,6 +658,7 @@ fn rebirth_survivor<M: ComputeModel>(
             lg,
             shared,
             st,
+            undo,
             dead,
             resume_iter,
             "rebirth→migration",
@@ -780,6 +923,7 @@ fn migrate<M: ComputeModel>(
     lg: &mut Arc<M::Graph>,
     shared: &Arc<Shared<M>>,
     st: &mut St<M>,
+    undo: &mut Undo<M>,
     dead: &[NodeId],
     resume_iter: u64,
     strategy: &'static str,
@@ -794,8 +938,10 @@ fn migrate<M: ComputeModel>(
     };
     let mut mig: Mig<M::MigExtra> = Mig::default();
     let mut phases = PhaseTimes::new();
-    let mut sw_round = Stopwatch::start();
     let sw_total = Stopwatch::start();
+    // Every round below rewrites the graph: snapshot it for undo first.
+    phases.record("undo_capture", undo.capture_graph(lg));
+    let mut sw_round = Stopwatch::start();
 
     // ---- R1: promote local mirrors whose master died (the responsible
     //      mirror wins), purge crashed locations, announce promotions.
@@ -911,7 +1057,6 @@ fn migrate<M: ComputeModel>(
     // ---- R2: apply promotions everywhere; let the model fix its location
     //      tables and compute the replica requests it must send.
     fail_here(ctx, shared, resume_iter, FailPoint::MigrationRound(2))?;
-    let mut promo_by_old: HashMap<(NodeId, u32), Promotion> = HashMap::new();
     let mut all_promos: Vec<Promotion> = promotions.clone();
     for env in round_msgs::<M>(ctx, st) {
         match env.msg {
@@ -924,7 +1069,6 @@ fn migrate<M: ComputeModel>(
     }
     let g = graph_mut(lg);
     for p in &all_promos {
-        promo_by_old.insert((p.old_node, p.old_pos), *p);
         st.overlay.insert(p.vid, p.new_master);
         if p.new_master == me {
             continue; // own promotions already fixed in R1
@@ -940,12 +1084,7 @@ fn migrate<M: ComputeModel>(
             }
         }
     }
-    let menv = MigEnv {
-        dead,
-        me,
-        promotions: &promotions,
-        promo_by_old: &promo_by_old,
-    };
+    let menv = MigEnv::new(dead, me, &promotions, &all_promos);
     let mut requests = shared
         .model
         .migration_requests(g, shared, st, &mut mig, &menv);
@@ -995,6 +1134,8 @@ fn migrate<M: ComputeModel>(
     }
     barrier_ok(ctx)?;
     phases.record("migration_round3", sw_round.lap());
+    // Reload (identify, request, grant) ends here; R4-R8 reconstruct.
+    let reload = sw_total.elapsed();
 
     // ---- R4: place granted replicas, let the model wire edges (promoted
     //      masters' in-edges / adopted edge-ckpt edges), report placements.
@@ -1299,8 +1440,8 @@ fn migrate<M: ComputeModel>(
     Ok(RecoveryReport {
         strategy,
         failed_nodes: dead.len(),
-        reload: sw_total.elapsed(),
-        reconstruct: Duration::ZERO,
+        reload,
+        reconstruct: sw_total.elapsed() - reload,
         replay: Duration::ZERO,
         vertices_recovered: recovered,
         edges_recovered,
@@ -1377,6 +1518,7 @@ fn ckpt_recover_survivor<M: ComputeModel>(
     lg: &mut Arc<M::Graph>,
     shared: &Arc<Shared<M>>,
     st: &mut St<M>,
+    undo: &mut Undo<M>,
     dead: &[NodeId],
     resume_iter: u64,
     pool: &WorkerPool,
@@ -1389,7 +1531,17 @@ fn ckpt_recover_survivor<M: ComputeModel>(
     // survivors instead of panicking.
     let vote = dispatch_vote(ctx, st, dead);
     if barrier_sum_ok(ctx, vote)? == 0 {
-        return ckpt_fallback(ctx, lg, shared, st, dead, resume_iter, &survivors, pool);
+        return ckpt_fallback(
+            ctx,
+            lg,
+            shared,
+            st,
+            undo,
+            dead,
+            resume_iter,
+            &survivors,
+            pool,
+        );
     }
     fail_here(ctx, shared, resume_iter, FailPoint::RebirthReload)?;
 
@@ -1406,9 +1558,12 @@ fn ckpt_recover_survivor<M: ComputeModel>(
             ..
         }
     );
+    // The rollback rewrites the graph: snapshot it for undo first.
+    let captured = undo.capture_graph(lg);
+    phases.record("undo_capture", captured);
     let snap_iter = ckpt_reload_survivor(lg, shared, st, dead, me, incremental, pool);
     let reload = sw.elapsed();
-    phases.record("reload", reload);
+    phases.record("reload", reload - captured);
     let sw = Stopwatch::start();
     barrier_ok(ctx)?;
     phases.record("fence", sw.elapsed());
@@ -1470,6 +1625,7 @@ fn ckpt_fallback<M: ComputeModel>(
     lg: &mut Arc<M::Graph>,
     shared: &Arc<Shared<M>>,
     st: &mut St<M>,
+    undo: &mut Undo<M>,
     dead: &[NodeId],
     resume_iter: u64,
     survivors: &[NodeId],
@@ -1499,6 +1655,9 @@ fn ckpt_fallback<M: ComputeModel>(
     // ---- Round 1: roll back, graft assigned dead partitions, announce.
     fail_here(ctx, shared, resume_iter, FailPoint::MigrationRound(1))?;
     let sw = Stopwatch::start();
+    // The rollback and the grafts rewrite the graph: snapshot it for undo.
+    let captured = undo.capture_graph(lg);
+    phases.record("undo_capture", captured);
     let snap_iter = ckpt_reload_survivor(lg, shared, st, dead, me, incremental, pool);
     {
         // The dead nodes are gone for good: purge them from every
@@ -1519,7 +1678,7 @@ fn ckpt_fallback<M: ComputeModel>(
         }
     }
     let reload = sw.elapsed();
-    phases.record("reload", reload);
+    phases.record("reload", reload - captured);
     let sw = Stopwatch::start();
     let mut promotions: Vec<Promotion> = Vec::new();
     let mut placements: Vec<(NodeId, Vid, u32)> = Vec::new();
@@ -1572,7 +1731,6 @@ fn ckpt_fallback<M: ComputeModel>(
     // ---- Round 2: apply promotions, resolve orphans, rewrite consumer
     //      tables, report replica placements to surviving masters.
     fail_here(ctx, shared, resume_iter, FailPoint::MigrationRound(2))?;
-    let mut promo_by_old: HashMap<(NodeId, u32), Promotion> = HashMap::new();
     let mut promo_by_vid: HashMap<Vid, Promotion> = HashMap::new();
     let mut all_promos: Vec<Promotion> = promotions.clone();
     for env in round_msgs::<M>(ctx, st) {
@@ -1586,7 +1744,6 @@ fn ckpt_fallback<M: ComputeModel>(
     }
     let g = graph_mut(lg);
     for p in &all_promos {
-        promo_by_old.insert((p.old_node, p.old_pos), *p);
         promo_by_vid.insert(p.vid, *p);
         st.overlay.insert(p.vid, p.new_master);
         if p.new_master == me {
@@ -1619,12 +1776,7 @@ fn ckpt_fallback<M: ComputeModel>(
     // Rewrite position-addressed consumer tables that still point at the
     // dead layouts. Under checkpoint FT the adopted partitions arrive
     // complete, so the models generate no replica requests here.
-    let menv = MigEnv {
-        dead,
-        me,
-        promotions: &[],
-        promo_by_old: &promo_by_old,
-    };
+    let menv = MigEnv::new(dead, me, &[], &all_promos);
     let requests = shared
         .model
         .migration_requests(g, shared, st, &mut mig, &menv);
@@ -1926,3 +2078,6 @@ fn apply_snapshot_chain<M: ComputeModel>(
     }
     snap_iter
 }
+
+#[cfg(test)]
+mod tests;

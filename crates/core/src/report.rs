@@ -22,9 +22,12 @@ pub struct RecoveryReport {
     /// Number of crashed nodes handled in this episode.
     pub failed_nodes: usize,
     /// Reloading: moving state — recovery messages from survivors, snapshot
-    /// or edge-ckpt reads from the DFS.
+    /// or edge-ckpt reads from the DFS; for Migration the undo snapshot plus
+    /// rounds 1-3 (identify, request, grant).
     pub reload: Duration,
-    /// Reconstruction: rebuilding graph topology and runtime state.
+    /// Reconstruction: rebuilding graph topology and runtime state; for
+    /// Migration rounds 4-8. Every strategy closes it with the model's
+    /// post-recovery hook and the release of the undo snapshot.
     pub reconstruct: Duration,
     /// Replay: re-running lost work — activation fix-ups for
     /// replication-based recovery, whole lost iterations for checkpointing.
@@ -45,10 +48,12 @@ pub struct RecoveryReport {
     /// How many attempts the episode took and how many were aborted by
     /// failures arriving mid-recovery (cascading failures, §5.3).
     pub counters: RecoveryCounters,
-    /// Fine-grained phase breakdown in protocol order: `reload` /
-    /// `reconstruct` / `replay` plus `fence` (barrier waits and abort
-    /// fences) and `migration_round1..8`. Merged per-phase maxima across
-    /// nodes, like the coarse three-phase fields above.
+    /// Fine-grained phase breakdown in protocol order: `undo_capture` (the
+    /// graph copy a mutating attempt takes first), `reload` / `reconstruct`
+    /// / `replay`, `fence` (barrier waits and abort fences),
+    /// `migration_round1..8`, and `after_recovery` (post-recovery hook and
+    /// snapshot release). Merged per-phase maxima across nodes, like the
+    /// coarse three-phase fields above.
     pub phases: PhaseTimes,
     /// Failure-detector activity as of the end of this episode: suspicions
     /// raised, retracted (false positives caught in time), confirmed, and
@@ -59,7 +64,9 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Total recovery time (sum of the three phases).
+    /// Total recovery time (sum of the three phases): the successful
+    /// attempt from its start to the moment the node resumes, plus the
+    /// replayed iterations.
     pub fn total(&self) -> Duration {
         self.reload + self.reconstruct + self.replay
     }

@@ -26,7 +26,7 @@ use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome
 use crate::msg::Promotion;
 use crate::msg::{EcRecoverEntry, MirrorUpdate, ReplicaGrant, VertexSync};
 use crate::plan::compute_ft_plan;
-use crate::recovery::{Adoption, Mig, MigEnv};
+use crate::recovery::{regrown, Adoption, Mig, MigEnv};
 use crate::report::RunReport;
 use crate::{FtMode, RunConfig};
 
@@ -529,54 +529,43 @@ where
         // node follow the consumer to its promotion target; entries landing
         // on this node become local links (wired in R4). (b) A freshly
         // promoted master's old co-located consumers (positions on the
-        // crashed node) become remote links too.
-        for pos in 0..lg.verts.len() {
-            if !lg.verts[pos].is_master() {
+        // crashed node) become remote links too, unless promoted here.
+        for (pos, v) in lg.verts.iter_mut().enumerate() {
+            if !v.is_master() {
                 continue;
             }
-            let vid = lg.verts[pos].vid;
-            let out_local_now = lg.verts[pos].out_local.clone();
-            let own_promo = env.promotions.iter().find(|p| p.vid == vid).copied();
-            let meta = lg.verts[pos]
+            let meta = v
                 .meta
                 .as_mut()
-                .unwrap_or_else(|| panic!("master {vid} has no full state"));
+                .unwrap_or_else(|| panic!("master {} has no full state", v.vid));
             let mut dirty = false;
             meta.out_remote.retain_mut(|r| {
-                if env.dead.contains(&r.node) {
-                    let p = env
-                        .promo_by_old
-                        .get(&(r.node, r.pos))
-                        .unwrap_or_else(|| panic!("consumer {} lost with no promotion", r.target));
-                    debug_assert_eq!(p.vid, r.target);
-                    dirty = true;
-                    if p.new_master == me {
-                        return false; // becomes a local link, wired in R4
-                    }
-                    r.node = p.new_master;
-                    r.pos = p.new_pos;
-                }
-                true
-            });
-            if let Some(p) = own_promo {
+                let Some(p) = env.relocated(r.node, r.pos) else {
+                    return true;
+                };
+                debug_assert_eq!(p.vid, r.target);
                 dirty = true;
-                let old_out_local = std::mem::take(&mut meta.out_local_owner);
-                meta.out_local_owner = out_local_now;
+                (r.node, r.pos) = (p.new_master, p.new_pos);
+                p.new_master != me
+            });
+            if let Some(p) = env.own_promotion_at(pos as u32) {
+                dirty = true;
+                let old_out_local =
+                    std::mem::replace(&mut meta.out_local_owner, v.out_local.clone());
+                let mut out_remote = regrown(&meta.out_remote, old_out_local.len());
                 for old in old_out_local {
                     let c = env
-                        .promo_by_old
-                        .get(&(p.old_node, old))
-                        .expect("co-located consumer promoted");
+                        .relocated(p.old_node, old)
+                        .expect("own promotion vacated a crashed node");
                     if c.new_master != me {
-                        meta.out_remote.push(imitator_engine::RemoteEdge {
+                        out_remote.push(imitator_engine::RemoteEdge {
                             target: c.vid,
                             node: c.new_master,
                             pos: c.new_pos,
                         });
                     }
-                    // Consumers promoted onto this node become local links
-                    // in R4.
                 }
+                meta.out_remote = out_remote;
             }
             if dirty {
                 mig.dirty_masters.insert(pos as u32);
@@ -622,6 +611,8 @@ where
     /// R4: wire promoted masters' in-edges from the captured sources (all
     /// local after grant placement) and replay their activation (§5.2.3).
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<EcMigExtra>, resume: u64) {
+        // (source, promoted consumer) for every wired edge, in wiring order.
+        let mut links: Vec<(u32, u32)> = Vec::new();
         for (pos, srcs) in &mig.extra.pending_wire {
             let mut in_edges = Vec::with_capacity(srcs.len());
             for &(src, w) in srcs {
@@ -629,20 +620,9 @@ where
                     .position(src)
                     .expect("all sources local after grant placement");
                 in_edges.push((spos, w));
-                lg.verts[spos as usize].out_local.push(*pos);
-                mig.edges_recovered += 1;
-                // Keep local masters' full state in sync with their
-                // out_local.
-                let sv = &mut lg.verts[spos as usize];
-                if sv.is_master() {
-                    let out_local = sv.out_local.clone();
-                    sv.meta
-                        .as_mut()
-                        .unwrap_or_else(|| panic!("master {} has no full state", sv.vid))
-                        .out_local_owner = out_local;
-                    mig.dirty_masters.insert(spos);
-                }
+                links.push((spos, *pos));
             }
+            mig.edges_recovered += in_edges.len() as u64;
             // Activation replay (§5.2.3): a promoted master is active iff
             // one of its in-neighbours' last committed scatter bits says so
             // — or, when resuming at iteration 0 (no committed scatter bits
@@ -660,6 +640,25 @@ where
                 .as_mut()
                 .unwrap_or_else(|| panic!("promoted master {} has no full state", v.vid));
             meta.in_edges_owner = in_edges;
+        }
+        // Extend each source's consumer list once, and sync a local master's
+        // full-state copy once per source — a hub feeding many promoted
+        // masters would otherwise re-copy its whole list per edge. The
+        // stable sort keeps a source's new consumers in wiring order.
+        links.sort_by_key(|&(spos, _)| spos);
+        for group in links.chunk_by(|a, b| a.0 == b.0) {
+            let spos = group[0].0;
+            let sv = &mut lg.verts[spos as usize];
+            let mut out_local = regrown(&sv.out_local, group.len());
+            out_local.extend(group.iter().map(|&(_, pos)| pos));
+            if sv.is_master() {
+                sv.meta
+                    .as_mut()
+                    .unwrap_or_else(|| panic!("master {} has no full state", sv.vid))
+                    .out_local_owner = out_local.clone();
+                mig.dirty_masters.insert(spos);
+            }
+            sv.out_local = out_local;
         }
     }
 

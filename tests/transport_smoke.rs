@@ -8,11 +8,11 @@
 
 use std::sync::Arc;
 
-use imitator_repro::algos::PageRank;
+use imitator_repro::algos::{PageRank, RankValue};
 use imitator_repro::cluster::{FailPoint, FailurePlan, NodeId};
 use imitator_repro::engine::{Degrees, VertexProgram};
 use imitator_repro::ft::{
-    run_edge_cut, run_vertex_cut, FtMode, RecoveryStrategy, RunConfig, TransportKind,
+    run_edge_cut, run_vertex_cut, FtMode, RecoveryStrategy, RunConfig, RunReport, TransportKind,
 };
 use imitator_repro::graph::{gen, Graph, Vid};
 use imitator_repro::partition::{
@@ -135,4 +135,32 @@ fn tcp_vertex_cut_recovery_matches_channel() {
         tcp.recoveries[0].comm.bytes,
         channel.recoveries[0].comm.bytes
     );
+}
+
+/// The pre-barrier fence must not release a sender while one of its frames
+/// is still between the reader thread and the destination inbox (a frame
+/// counted delivered before it was enqueued let ≈1 op in 450 of the
+/// benchmark's TCP workload commit a superstep without it). One seed, many
+/// short runs: every run lands on the channel run's values, bit for bit.
+#[test]
+fn tcp_edge_cut_repeats_bit_identical() {
+    let g = smoke_graph(120, 600, 13);
+    let cut = HashEdgeCut.partition(&g, 3);
+    let run = |transport| {
+        run_edge_cut(
+            &g,
+            &cut,
+            Arc::new(PageRank::new(0.85, 0.0)),
+            cfg(transport, FtMode::None, 0),
+            vec![],
+            Dfs::new(DfsConfig::instant()),
+        )
+    };
+    let bits = |r: RunReport<RankValue>| -> Vec<u64> {
+        r.values.iter().map(|v| v.rank.to_bits()).collect()
+    };
+    let want = bits(run(TransportKind::Channel));
+    for rep in 0..50 {
+        assert_eq!(bits(run(TransportKind::Tcp)), want, "TCP run {rep}");
+    }
 }
