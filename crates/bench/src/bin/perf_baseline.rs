@@ -9,18 +9,21 @@
 //!
 //! Honours `IMITATOR_SCALE` / `IMITATOR_NODES` / `IMITATOR_SEED` /
 //! `IMITATOR_REPEAT` like every other harness binary. Kernel timings keep
-//! the best of `reps()` passes; the JSON is a flat name → seconds map so a
-//! later run can be diffed field by field.
+//! the best of `reps()` passes; the load-path rows ([`LOAD_ROWS`]) are the
+//! median of five samples, each taken by a child process of this binary
+//! (`perf_baseline --load-row <name>`). The JSON is a flat name → seconds
+//! map so a later run can be diffed field by field.
 
 use std::time::{Duration, Instant};
 
+use imitator::plan::{compute_ft_plan, ReplicaView};
 use imitator::{DetectorKind, FtMode, RecoveryStrategy, RunConfig};
 use imitator_algos::PageRank;
 use imitator_bench::{banner, best_of, crash, ramfs, reps, run_ec, run_vc, BenchOpts, Workload};
 use imitator_cluster::{Cluster, NodeId, TransportKind, TICKS_PER_MS};
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, ec_compute, ec_compute_par, ec_compute_scan,
-    vc_partial_gather, vc_partial_gather_par, Degrees, FtPlan, VcGatherIndex,
+    vc_partial_gather, vc_partial_gather_par, Degrees, FtPlan, VcGatherIndex, VertexProgram,
 };
 use imitator_graph::gen;
 use imitator_metrics::CommKind;
@@ -37,8 +40,96 @@ fn time_best<F: FnMut()>(n: usize, mut f: F) -> f64 {
     best
 }
 
+/// The load path, one row per piece: building every node's local graph
+/// (both engines, with and without an FT plan), freeing the edge-cut graphs
+/// on the caller's thread as `run_edge_cut` does when a job ends, and
+/// computing the FT plan. All on the graph `benchmark/`'s PageRank
+/// workloads load — five times this suite's kernel graph, on four nodes.
+const LOAD_ROWS: [&str; 7] = [
+    "build_ec_graphs_base",
+    "build_ec_graphs_ft",
+    "build_vc_graphs_base",
+    "build_vc_graphs_ft",
+    "teardown_ec_base",
+    "teardown_ec_ft",
+    "ft_plan",
+];
+
+/// Samples per load row; the row records their median.
+const LOAD_SAMPLES: usize = 5;
+
+/// One sample of load row `row`, in seconds. Runs as the only measurement
+/// of its process: these rows allocate and free a few million blocks, and
+/// whatever the allocator was left holding by an earlier row moves them by
+/// a third.
+fn load_row_sample(row: &str, opts: &BenchOpts) -> f64 {
+    fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+        let t = Instant::now();
+        let out = std::hint::black_box(f());
+        (out, t.elapsed().as_secs_f64())
+    }
+    let verts = ((100_000.0 * opts.scale) as usize).max(1_000);
+    let g = gen::power_law(verts, 2.0, 10, opts.seed);
+    let degrees = Degrees::of(&g);
+    let pr = PageRank::new(0.85, 0.0);
+    // The plan the runners compute for `FtMode::Replication` with one
+    // mirror and the selfish optimisation on.
+    let ft_plan =
+        |view: &dyn ReplicaView| compute_ft_plan(&g, view, 1, true, pr.selfish_compatible(), 0xF7);
+    let plan = |view: &dyn ReplicaView| {
+        if row.ends_with("_ft") {
+            ft_plan(view)
+        } else {
+            FtPlan::none(g.num_vertices())
+        }
+    };
+    if row.starts_with("build_vc_graphs_") {
+        let cut = RandomVertexCut.partition(&g, 4);
+        let plan = plan(&cut);
+        return timed(|| build_vertex_cut_graphs(&g, &cut, &plan, &pr, &degrees)).1;
+    }
+    let cut = HashEdgeCut.partition(&g, 4);
+    if row == "ft_plan" {
+        return timed(|| ft_plan(&cut)).1;
+    }
+    let plan = plan(&cut);
+    let (lgs, build_s) = timed(|| build_edge_cut_graphs(&g, &cut, &plan, &pr, &degrees));
+    match row {
+        "build_ec_graphs_base" | "build_ec_graphs_ft" => build_s,
+        "teardown_ec_base" | "teardown_ec_ft" => timed(|| drop(lgs)).1,
+        _ => panic!("unknown load row `{row}`"),
+    }
+}
+
+/// Median of [`LOAD_SAMPLES`] samples of `row`, each from a fresh child
+/// process.
+fn load_row(row: &str) -> f64 {
+    let exe = std::env::current_exe().expect("own path");
+    let mut samples: Vec<f64> = (0..LOAD_SAMPLES)
+        .map(|_| {
+            let out = std::process::Command::new(&exe)
+                .args(["--load-row", row])
+                .output()
+                .expect("spawn load-row child");
+            assert!(out.status.success(), "load-row child for `{row}` failed");
+            String::from_utf8_lossy(&out.stdout)
+                .trim()
+                .parse()
+                .expect("load-row child prints seconds")
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
+    samples[samples.len() / 2]
+}
+
 fn main() {
     let opts = BenchOpts::from_env();
+    let mut args = std::env::args().skip(1);
+    if args.next().as_deref() == Some("--load-row") {
+        let row = args.next().expect("--load-row takes a row name");
+        println!("{}", load_row_sample(&row, &opts));
+        return;
+    }
     banner(
         "perf_baseline",
         "engine kernel + end-to-end baseline",
@@ -72,6 +163,10 @@ fn main() {
     let degrees = Degrees::of(&g);
     let plan = FtPlan::none(g.num_vertices());
     let pr = PageRank::new(0.85, 0.0);
+
+    for row in LOAD_ROWS {
+        record(row, load_row(row));
+    }
 
     // Edge-cut kernels: one node's slice of a dense superstep.
     let cut = HashEdgeCut.partition(&g, opts.nodes);

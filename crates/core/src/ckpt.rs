@@ -23,7 +23,8 @@
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
-    CopyKind, EcLocalGraph, EcVertex, MasterMeta, VcEdge, VcLocalGraph, VcMeta, VcVertex,
+    CopyKind, EcLocalGraph, EcVertex, InlineList, MasterMeta, VcEdge, VcLocalGraph, VcMeta,
+    VcVertex,
 };
 use imitator_graph::{PosIndex, Vid};
 use imitator_storage::codec::{
@@ -135,14 +136,14 @@ pub(crate) fn enc_meta(m: &MasterMeta, buf: &mut Vec<u8>) {
 pub(crate) fn dec_meta(r: &mut Reader<'_>) -> Result<MasterMeta, DecodeError> {
     let master_pos = dec_u32(r)?;
     let nr = dec_count(r)?;
-    let mut replica_nodes = Vec::with_capacity(nr);
-    let mut replica_positions = Vec::with_capacity(nr);
+    let mut replica_nodes = InlineList::with_capacity(nr);
+    let mut replica_positions = InlineList::with_capacity(nr);
     for _ in 0..nr {
         replica_nodes.push(dec_node(r)?);
         replica_positions.push(dec_u32(r)?);
     }
     let nm = dec_count(r)?;
-    let mut mirror_nodes = Vec::with_capacity(nm);
+    let mut mirror_nodes = InlineList::with_capacity(nm);
     for _ in 0..nm {
         mirror_nodes.push(dec_node(r)?);
     }
@@ -370,14 +371,14 @@ pub(crate) fn enc_vc_meta(m: &VcMeta, buf: &mut Vec<u8>) {
 pub(crate) fn dec_vc_meta(r: &mut Reader<'_>) -> Result<VcMeta, DecodeError> {
     let master_pos = dec_u32(r)?;
     let nr = dec_count(r)?;
-    let mut replica_nodes = Vec::with_capacity(nr);
-    let mut replica_positions = Vec::with_capacity(nr);
+    let mut replica_nodes = InlineList::with_capacity(nr);
+    let mut replica_positions = InlineList::with_capacity(nr);
     for _ in 0..nr {
         replica_nodes.push(dec_node(r)?);
         replica_positions.push(dec_u32(r)?);
     }
     let nm = dec_count(r)?;
-    let mut mirror_nodes = Vec::with_capacity(nm);
+    let mut mirror_nodes = InlineList::with_capacity(nm);
     for _ in 0..nm {
         mirror_nodes.push(dec_node(r)?);
     }

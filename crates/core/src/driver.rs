@@ -421,18 +421,23 @@ where
     report.pipeline = cfg.pipeline;
     report.delta_sync = cfg.delta_sync;
     report.suspicion = cluster.coordinator().suspicion_stats();
-    let mut values: Vec<Option<M::Value>> = vec![None; num_vertices];
-    for lg in &graphs {
+    // Where each vertex's master ended up: (graph, position).
+    const NO_MASTER: (u32, u32) = (u32::MAX, 0);
+    let mut masters = vec![NO_MASTER; num_vertices];
+    for (at, lg) in graphs.iter().enumerate() {
         for pos in 0..lg.len() as u32 {
             if lg.is_master(pos) {
-                values[lg.vid(pos).index()] = Some(lg.value(pos).clone());
+                masters[lg.vid(pos).index()] = (at as u32, pos);
             }
         }
     }
-    report.values = values
-        .into_iter()
+    report.values = masters
+        .iter()
         .enumerate()
-        .map(|(i, v)| v.unwrap_or_else(|| panic!("vertex v{i} has no master after run")))
+        .map(|(i, &(at, pos))| {
+            assert!(at != NO_MASTER.0, "vertex v{i} has no master after run");
+            graphs[at as usize].value(pos).clone()
+        })
         .collect();
     report
 }

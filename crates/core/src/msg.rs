@@ -733,9 +733,9 @@ mod tests {
     fn wire_codec_roundtrips_every_variant() {
         let meta = MasterMeta {
             master_pos: 3,
-            replica_nodes: vec![NodeId::new(1), NodeId::new(2)],
-            replica_positions: vec![9, 11],
-            mirror_nodes: vec![NodeId::new(2)],
+            replica_nodes: [NodeId::new(1), NodeId::new(2)].into_iter().collect(),
+            replica_positions: [9, 11].into_iter().collect(),
+            mirror_nodes: [NodeId::new(2)].into_iter().collect(),
             in_edges_owner: vec![(4, 0.5), (6, -1.25)],
             in_edge_srcs: vec![Vid::new(40), Vid::new(60)],
             out_local_owner: vec![1, 2],
@@ -743,9 +743,9 @@ mod tests {
         };
         let vc_meta = VcMeta {
             master_pos: 5,
-            replica_nodes: vec![NodeId::new(3)],
-            replica_positions: vec![0],
-            mirror_nodes: vec![NodeId::new(3)],
+            replica_nodes: [NodeId::new(3)].into_iter().collect(),
+            replica_positions: [0].into_iter().collect(),
+            mirror_nodes: [NodeId::new(3)].into_iter().collect(),
         };
         roundtrip_ec(&EcMsg::Sync(vec![
             VertexSync {

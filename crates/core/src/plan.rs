@@ -203,12 +203,14 @@ pub fn compute_ft_plan(
         "cannot tolerate {tolerance} failures with {parts} nodes"
     );
     let n = g.num_vertices();
-    let mut out_deg = vec![0u32; n];
-    for e in g.edges() {
-        out_deg[e.src.index()] += 1;
-    }
-
     let mut plan = FtPlan::none(n);
+    if selfish_enabled && program_selfish_ok {
+        // Selfish = no out-edge: every vertex until an edge names it source.
+        plan.selfish.fill(true);
+        for e in g.edges() {
+            plan.selfish[e.src.index()] = false;
+        }
+    }
     // Per-node load trackers for balanced placement.
     let mut mirror_count = vec![0usize; parts];
     let mut copy_count = vec![0usize; parts];
@@ -224,18 +226,21 @@ pub fn compute_ft_plan(
     for i in 0..n {
         let v = Vid::from_index(i);
         let owner = view.master_part(v);
-        plan.selfish[i] = selfish_enabled && program_selfish_ok && out_deg[i] == 0;
 
         // Greedy mirror choice among existing replicas: least-mirrored
-        // machines first (ties by node ID for determinism).
-        let mut candidates: Vec<usize> =
-            view.replica_parts(v).iter().map(|&p| p as usize).collect();
-        candidates.sort_by_key(|&p| (mirror_count[p], p));
-        let mut mirrors: Vec<NodeId> = candidates
-            .iter()
-            .take(tolerance)
-            .map(|&p| NodeId::from_index(p))
-            .collect();
+        // machines first (ties by node ID for determinism). `tolerance`
+        // scans for the next-smallest key, not a sort of a copied list.
+        let replicas = view.replica_parts(v);
+        let mut mirrors: Vec<NodeId> = Vec::with_capacity(tolerance);
+        for _ in 0..tolerance.min(replicas.len()) {
+            let next = replicas
+                .iter()
+                .map(|&p| p as usize)
+                .filter(|&p| !mirrors.contains(&NodeId::from_index(p)))
+                .min_by_key(|&p| (mirror_count[p], p))
+                .expect("fewer mirrors chosen than replicas exist");
+            mirrors.push(NodeId::from_index(next));
+        }
 
         // Not enough replicas: create extra FT replicas (§4.1). Draw a few
         // random candidates and keep the least-loaded one.
@@ -245,7 +250,7 @@ pub fn compute_ft_plan(
                 let p = rng.gen_range(0..parts);
                 if p == owner
                     || mirrors.contains(&NodeId::from_index(p))
-                    || view.replica_parts(v).contains(&(p as u32))
+                    || replicas.contains(&(p as u32))
                 {
                     continue;
                 }
@@ -266,7 +271,7 @@ pub fn compute_ft_plan(
                     .filter(|&p| {
                         p != owner
                             && !mirrors.contains(&NodeId::from_index(p))
-                            && !view.replica_parts(v).contains(&(p as u32))
+                            && !replicas.contains(&(p as u32))
                     })
                     .min_by_key(|&p| (copy_count[p] + mirror_count[p], p))
                     .expect("tolerance < parts guarantees an eligible node")
@@ -407,7 +412,7 @@ mod tests {
         MasterMeta {
             master_pos: 0,
             replica_nodes: mirrors.iter().map(|&m| NodeId::from_index(m)).collect(),
-            replica_positions: vec![0; mirrors.len()],
+            replica_positions: mirrors.iter().map(|_| 0).collect(),
             mirror_nodes: mirrors.iter().map(|&m| NodeId::from_index(m)).collect(),
             in_edges_owner: Vec::new(),
             in_edge_srcs: Vec::new(),
@@ -442,6 +447,127 @@ mod tests {
             responsible_mirror(&meta, &alive),
             Some(NodeId::from_index(1))
         );
+    }
+
+    /// `compute_ft_plan` as of PR 12: a sorted copy of the replica list per
+    /// vertex. The K-min scan that replaced it must place every mirror and
+    /// extra replica identically, drawing the same random numbers.
+    #[allow(clippy::needless_range_loop)] // loops pair the index with Vid::from_index(i)
+    fn reference_ft_plan(
+        g: &Graph,
+        view: &dyn ReplicaView,
+        tolerance: usize,
+        selfish_enabled: bool,
+        program_selfish_ok: bool,
+        seed: u64,
+    ) -> FtPlan {
+        let parts = view.num_parts();
+        assert!(tolerance > 0, "tolerance must be at least 1");
+        assert!(
+            tolerance < parts,
+            "cannot tolerate {tolerance} failures with {parts} nodes"
+        );
+        let n = g.num_vertices();
+        let mut out_deg = vec![0u32; n];
+        for e in g.edges() {
+            out_deg[e.src.index()] += 1;
+        }
+
+        let mut plan = FtPlan::none(n);
+        // Per-node load trackers for balanced placement.
+        let mut mirror_count = vec![0usize; parts];
+        let mut copy_count = vec![0usize; parts];
+        for i in 0..n {
+            let v = Vid::from_index(i);
+            copy_count[view.master_part(v)] += 1;
+            for &p in view.replica_parts(v) {
+                copy_count[p as usize] += 1;
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+
+        for i in 0..n {
+            let v = Vid::from_index(i);
+            let owner = view.master_part(v);
+            plan.selfish[i] = selfish_enabled && program_selfish_ok && out_deg[i] == 0;
+
+            // Greedy mirror choice among existing replicas: least-mirrored
+            // machines first (ties by node ID for determinism).
+            let mut candidates: Vec<usize> =
+                view.replica_parts(v).iter().map(|&p| p as usize).collect();
+            candidates.sort_by_key(|&p| (mirror_count[p], p));
+            let mut mirrors: Vec<NodeId> = candidates
+                .iter()
+                .take(tolerance)
+                .map(|&p| NodeId::from_index(p))
+                .collect();
+
+            // Not enough replicas: create extra FT replicas (§4.1). Draw a few
+            // random candidates and keep the least-loaded one.
+            while mirrors.len() < tolerance {
+                let mut best: Option<usize> = None;
+                for _ in 0..8 {
+                    let p = rng.gen_range(0..parts);
+                    if p == owner
+                        || mirrors.contains(&NodeId::from_index(p))
+                        || view.replica_parts(v).contains(&(p as u32))
+                    {
+                        continue;
+                    }
+                    best = Some(match best {
+                        None => p,
+                        Some(b)
+                            if copy_count[p] + mirror_count[p]
+                                < copy_count[b] + mirror_count[b] =>
+                        {
+                            p
+                        }
+                        Some(b) => b,
+                    });
+                }
+                // Random draws can all collide on small clusters; fall back to a
+                // deterministic scan for any eligible node.
+                let chosen = best.unwrap_or_else(|| {
+                    (0..parts)
+                        .filter(|&p| {
+                            p != owner
+                                && !mirrors.contains(&NodeId::from_index(p))
+                                && !view.replica_parts(v).contains(&(p as u32))
+                        })
+                        .min_by_key(|&p| (copy_count[p] + mirror_count[p], p))
+                        .expect("tolerance < parts guarantees an eligible node")
+                });
+                mirrors.push(NodeId::from_index(chosen));
+                plan.extra_replicas[i].push(NodeId::from_index(chosen));
+                copy_count[chosen] += 1;
+            }
+
+            for m in &mirrors {
+                mirror_count[m.index()] += 1;
+            }
+            plan.mirror[i] = mirrors;
+        }
+        plan
+    }
+
+    #[test]
+    fn plan_equals_the_sorting_reference() {
+        for seed in 0..50u64 {
+            let g = gen::power_law_selfish(600, 2.0, 5, 0.2, seed);
+            let parts = 2 + (seed as usize % 7);
+            let tolerance = 1 + (seed as usize % 3).min(parts - 2);
+            let selfish = seed % 2 == 0;
+            let ec = HashEdgeCut.partition(&g, parts);
+            let vc = RandomVertexCut.partition(&g, parts);
+            let views: [&dyn ReplicaView; 2] = [&ec, &vc];
+            for view in views {
+                assert_eq!(
+                    compute_ft_plan(&g, view, tolerance, selfish, true, seed),
+                    reference_ft_plan(&g, view, tolerance, selfish, true, seed),
+                    "seed {seed}, {parts} parts, tolerance {tolerance}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -233,20 +233,6 @@ impl<'a> MigEnv<'a> {
     }
 }
 
-/// A copy of `list` with room for `extra` more elements, as one fresh
-/// allocation. Migration grows a survivor's loader-built tables through
-/// this rather than in place: the loader thread allocated every node's
-/// graph, so survivors growing those blocks at the same time (`Vec::push`
-/// → `realloc`) serialise on that one thread's allocator arena — 25 ms
-/// against 2 ms per survivor for round 2's 8 k pushes on the benchmark's
-/// Migration workload. One process per machine would never see this; the
-/// simulated cluster does.
-pub(crate) fn regrown<T: Copy>(list: &[T], extra: usize) -> Vec<T> {
-    let mut grown = Vec::with_capacity(list.len() + extra);
-    grown.extend_from_slice(list);
-    grown
-}
-
 /// What grafting one dead partition onto this node produced
 /// (checkpoint-fallback recovery, [`ComputeModel::adopt_partition`]).
 #[derive(Default)]

@@ -26,7 +26,7 @@ use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome
 use crate::msg::Promotion;
 use crate::msg::{EcRecoverEntry, MirrorUpdate, ReplicaGrant, VertexSync};
 use crate::plan::compute_ft_plan;
-use crate::recovery::{regrown, Adoption, Mig, MigEnv};
+use crate::recovery::{Adoption, Mig, MigEnv};
 use crate::report::RunReport;
 use crate::{FtMode, RunConfig};
 
@@ -552,20 +552,19 @@ where
                 dirty = true;
                 let old_out_local =
                     std::mem::replace(&mut meta.out_local_owner, v.out_local.clone());
-                let mut out_remote = regrown(&meta.out_remote, old_out_local.len());
+                meta.out_remote.reserve(old_out_local.len());
                 for old in old_out_local {
                     let c = env
                         .relocated(p.old_node, old)
                         .expect("own promotion vacated a crashed node");
                     if c.new_master != me {
-                        out_remote.push(imitator_engine::RemoteEdge {
+                        meta.out_remote.push(imitator_engine::RemoteEdge {
                             target: c.vid,
                             node: c.new_master,
                             pos: c.new_pos,
                         });
                     }
                 }
-                meta.out_remote = out_remote;
             }
             if dirty {
                 mig.dirty_masters.insert(pos as u32);
@@ -649,16 +648,14 @@ where
         for group in links.chunk_by(|a, b| a.0 == b.0) {
             let spos = group[0].0;
             let sv = &mut lg.verts[spos as usize];
-            let mut out_local = regrown(&sv.out_local, group.len());
-            out_local.extend(group.iter().map(|&(_, pos)| pos));
+            sv.out_local.extend(group.iter().map(|&(_, pos)| pos));
             if sv.is_master() {
                 sv.meta
                     .as_mut()
                     .unwrap_or_else(|| panic!("master {} has no full state", sv.vid))
-                    .out_local_owner = out_local.clone();
+                    .out_local_owner = sv.out_local.clone();
                 mig.dirty_masters.insert(spos);
             }
-            sv.out_local = out_local;
         }
     }
 

@@ -1,11 +1,13 @@
 //! Edge-cut local graphs (the Cyclops runtime representation).
 
 use imitator_cluster::NodeId;
-use imitator_graph::{Graph, PosIndex, Vid};
+use imitator_graph::{Csr, Graph, PosIndex, Vid};
 use imitator_metrics::MemSize;
 use imitator_partition::EdgeCut;
 
 use crate::ftplan::FtPlan;
+use crate::inline_list::InlineList;
+use crate::load::{build_per_node, collect_exact, copy_kind, Layout};
 use crate::program::{Degrees, VertexProgram};
 
 /// The role of a local vertex copy.
@@ -47,15 +49,15 @@ pub struct MasterMeta {
     pub master_pos: u32,
     /// Every node holding a replica of this vertex (computation replicas,
     /// mirrors, and extra FT replicas), excluding the owner. Sorted.
-    pub replica_nodes: Vec<NodeId>,
+    pub replica_nodes: InlineList<NodeId>,
     /// The array position of the replica copy on each node of
     /// `replica_nodes` (parallel vector) — position-addressed recovery of
     /// lost replicas needs the crashed node's layout (§5.1.2).
-    pub replica_positions: Vec<u32>,
+    pub replica_positions: InlineList<u32>,
     /// The mirror nodes, ordered by mirror ID: on failure the surviving
     /// mirror with the lowest ID recovers the master without any election
     /// traffic (§5.3.1).
-    pub mirror_nodes: Vec<NodeId>,
+    pub mirror_nodes: InlineList<NodeId>,
     /// The master's in-edges in owner-local `(source position, weight)`
     /// form (edge-cut replicates edges into the mirror's full state, §4.3).
     pub in_edges_owner: Vec<(u32, f32)>,
@@ -114,9 +116,9 @@ impl MasterMeta {
 impl MemSize for MasterMeta {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<MasterMeta>()
-            + self.replica_nodes.capacity() * std::mem::size_of::<NodeId>()
-            + self.replica_positions.capacity() * std::mem::size_of::<u32>()
-            + self.mirror_nodes.capacity() * std::mem::size_of::<NodeId>()
+            + self.replica_nodes.heap_bytes()
+            + self.replica_positions.heap_bytes()
+            + self.mirror_nodes.heap_bytes()
             + self.in_edges_owner.capacity() * std::mem::size_of::<(u32, f32)>()
             + self.in_edge_srcs.capacity() * std::mem::size_of::<Vid>()
             + self.out_local_owner.capacity() * std::mem::size_of::<u32>()
@@ -366,17 +368,18 @@ impl<V: MemSize> MemSize for EcLocalGraph<V> {
 
 /// Builds every node's [`EcLocalGraph`] from a partitioning and an FT plan.
 ///
-/// This performs, centrally and deterministically, what the distributed
-/// loading phase of §4 performs with message exchanges: replica creation,
-/// mirror designation with full-state replication, extra-FT-replica
-/// creation, and the position/location exchange that enables
-/// position-addressed recovery.
+/// This performs, deterministically, what the distributed loading phase of
+/// §4 performs with message exchanges: replica creation, mirror designation
+/// with full-state replication, extra-FT-replica creation, and the
+/// position/location exchange that enables position-addressed recovery.
+/// Once the copy positions are known, each node's graph is built on a
+/// thread of its own from the input graph's CSR views, every per-vertex
+/// list allocated once at its final length.
 ///
 /// # Panics
 ///
 /// Panics if the plan's vertex count disagrees with the graph, or if a
 /// mirror is placed on a node without a copy (plan bug).
-#[allow(clippy::needless_range_loop)] // loops pair the index with Vid::from_index(i)
 pub fn build_edge_cut_graphs<P: VertexProgram>(
     g: &Graph,
     cut: &EdgeCut,
@@ -386,150 +389,137 @@ pub fn build_edge_cut_graphs<P: VertexProgram>(
 ) -> Vec<EcLocalGraph<P::Value>> {
     assert_eq!(plan.num_vertices(), g.num_vertices(), "plan size mismatch");
     let parts = cut.num_parts();
-    let n = g.num_vertices();
-
-    // 1. Copy sets per node: masters ∪ computation replicas ∪ extra FT replicas.
-    let mut copies: Vec<Vec<Vid>> = vec![Vec::new(); parts];
-    for i in 0..n {
-        let v = Vid::from_index(i);
-        copies[cut.owner(v)].push(v);
-        for &p in cut.replica_parts(v) {
-            copies[p as usize].push(v);
-        }
-        for &node in &plan.extra_replicas[i] {
-            copies[node.index()].push(v);
-        }
+    let layout = Layout::new(parts, plan, |v| (cut.owner(v), cut.replica_parts(v)));
+    let loader = EcLoader {
+        cut,
+        plan,
+        prog,
+        degrees,
+        layout: &layout,
+        in_csr: g.in_csr(),
+        out_csr: g.out_csr(),
+    };
+    let mut graphs = build_per_node(parts, |p| loader.node_graph(p));
+    for (lg, index) in graphs.iter_mut().zip(layout.pos_maps) {
+        lg.index = index;
     }
+    graphs
+}
 
-    // 2. Deterministic positions: sorted by vid on each node.
-    let mut pos_maps: Vec<PosIndex> = Vec::with_capacity(parts);
-    for list in &mut copies {
-        list.sort_unstable();
-        list.dedup();
-        pos_maps.push(PosIndex::from_sorted_vids(list));
-    }
+/// The read-only inputs every node's builder thread shares.
+struct EcLoader<'a, P> {
+    cut: &'a EdgeCut,
+    plan: &'a FtPlan,
+    prog: &'a P,
+    degrees: &'a Degrees,
+    layout: &'a Layout,
+    /// `dst → [(src, weight)]` and `src → [dst]`, each vertex's edges in
+    /// edge-list order.
+    in_csr: Csr,
+    out_csr: Csr,
+}
 
-    // 3. Vertex entries.
-    let mut graphs: Vec<EcLocalGraph<P::Value>> = (0..parts)
-        .map(|p| {
-            let node = NodeId::from_index(p);
-            let verts = copies[p]
-                .iter()
-                .map(|&v| {
-                    let owner = NodeId::from_index(cut.owner(v));
-                    let kind = if owner == node {
-                        CopyKind::Master
-                    } else if plan.mirror[v.index()].contains(&node) {
-                        CopyKind::Mirror
+impl<P: VertexProgram> EcLoader<'_, P> {
+    /// Node `p`'s graph, without its position index (the caller moves the
+    /// layout's in). Allocates in three passes — the edge lists of every
+    /// copy, then the masters' full state, then the mirrors' — so that what
+    /// a superstep reads is dense in the heap and laid out the same with
+    /// and without fault tolerance, with the mirrors' cold copies behind it
+    /// (DESIGN.md, "Load path and heap layout").
+    fn node_graph(&self, p: usize) -> EcLocalGraph<P::Value> {
+        let node = NodeId::from_index(p);
+        let mut verts: Vec<EcVertex<P::Value>> = self.layout.copies[p]
+            .iter()
+            .map(|&v| {
+                let owner = NodeId::from_index(self.cut.owner(v));
+                let kind = copy_kind(node, owner, self.plan.mirrors(v));
+                let is_master = kind == CopyKind::Master;
+                EcVertex {
+                    vid: v,
+                    kind,
+                    master_node: owner,
+                    value: self.prog.init(v, self.degrees),
+                    active: is_master && self.prog.initially_active(v),
+                    next_active: false,
+                    last_activate: false,
+                    // Every edge lives on its consumer's owner.
+                    in_edges: if is_master {
+                        self.in_edges_at(v, p)
                     } else {
-                        CopyKind::Replica
-                    };
-                    EcVertex {
-                        vid: v,
-                        kind,
-                        master_node: owner,
-                        value: prog.init(v, degrees),
-                        active: kind == CopyKind::Master && prog.initially_active(v),
-                        next_active: false,
-                        last_activate: false,
-                        in_edges: Vec::new(),
-                        out_local: Vec::new(),
-                        meta: None,
-                    }
-                })
-                .collect();
-            EcLocalGraph {
-                node,
-                verts,
-                index: pos_maps[p].clone(),
-                active_frontier: Vec::new(),
-            }
-        })
-        .collect();
-
-    // 4. Edges: every edge lives on the consumer's owner; the producer's
-    //    local copy there feeds the consumer.
-    for e in g.edges() {
-        let p = cut.owner(e.dst);
-        let dst_pos = pos_maps[p].at(e.dst) as usize;
-        let src_pos = pos_maps[p].at(e.src);
-        graphs[p].verts[dst_pos].in_edges.push((src_pos, e.weight));
-        graphs[p].verts[src_pos as usize]
-            .out_local
-            .push(dst_pos as u32);
-    }
-
-    // 5. Full state (masters + mirrors). One pass over edges collects each
-    //    vertex's remote out-edges (O(|E|), not O(|V|·|E|)).
-    let mut out_remote_by_src: Vec<Vec<RemoteEdge>> = vec![Vec::new(); n];
-    for e in g.edges() {
-        let owner = cut.owner(e.src);
-        let consumer = cut.owner(e.dst);
-        if consumer != owner {
-            let node = NodeId::from_index(consumer);
-            out_remote_by_src[e.src.index()].push(RemoteEdge {
-                target: e.dst,
-                node,
-                pos: pos_maps[consumer].at(e.dst),
-            });
-        }
-    }
-    for i in 0..n {
-        let v = Vid::from_index(i);
-        let owner = cut.owner(v);
-        let master_pos = pos_maps[owner].at(v);
-        let mut replica_nodes: Vec<NodeId> = cut
-            .replica_parts(v)
-            .iter()
-            .map(|&p| NodeId::new(p))
+                        Vec::new()
+                    },
+                    out_local: self.out_local_at(v, p),
+                    meta: None,
+                }
+            })
             .collect();
-        for &extra in &plan.extra_replicas[i] {
-            if !replica_nodes.contains(&extra) {
-                replica_nodes.push(extra);
+        for kind in [CopyKind::Master, CopyKind::Mirror] {
+            for vert in verts.iter_mut().filter(|vert| vert.kind == kind) {
+                vert.meta = Some(Box::new(self.full_state(vert.vid)));
             }
         }
-        replica_nodes.sort_unstable();
-        let replica_positions: Vec<u32> = replica_nodes
-            .iter()
-            .map(|n| pos_maps[n.index()].at(v))
-            .collect();
-        let mirror_nodes = plan.mirror[i].clone();
-        for m in &mirror_nodes {
-            assert!(
-                replica_nodes.contains(m),
-                "mirror of {v} on {m} has no copy there"
-            );
-        }
-        let master = &graphs[owner].verts[master_pos as usize];
-        let in_edge_srcs: Vec<Vid> = master
-            .in_edges
-            .iter()
-            .map(|&(src, _)| graphs[owner].verts[src as usize].vid)
-            .collect();
-        let out_remote = std::mem::take(&mut out_remote_by_src[i]);
-        let meta = MasterMeta {
-            master_pos,
+        let mut lg = EcLocalGraph {
+            node,
+            verts,
+            index: PosIndex::new(),
+            active_frontier: Vec::new(),
+        };
+        lg.rebuild_active_frontier();
+        lg.active_frontier.shrink_to_fit();
+        lg
+    }
+
+    /// `v`'s in-edges as `(source position on node p, weight)`.
+    fn in_edges_at(&self, v: Vid, p: usize) -> Vec<(u32, f32)> {
+        let at = &self.layout.pos_maps[p];
+        collect_exact(
+            self.in_csr.degree(v),
+            self.in_csr.neighbors(v).map(|(src, w)| (at.at(src), w)),
+        )
+    }
+
+    /// Positions on node `p` of the consumers `v`'s copy there feeds: the
+    /// targets of `v`'s out-edges that `p` masters.
+    fn out_local_at(&self, v: Vid, p: usize) -> Vec<u32> {
+        let at = &self.layout.pos_maps[p];
+        let fed = || {
+            let targets = self.out_csr.neighbor_slice(v).iter();
+            targets.filter(move |&&t| self.cut.owner(t) == p)
+        };
+        collect_exact(fed().count(), fed().map(|&t| at.at(t)))
+    }
+
+    /// The full state `v`'s master shares with its mirrors.
+    fn full_state(&self, v: Vid) -> MasterMeta {
+        let owner = self.cut.owner(v);
+        let (replica_nodes, replica_positions, mirror_nodes) =
+            self.layout
+                .locations(v, self.cut.replica_parts(v), self.plan);
+        let remote = || {
+            let targets = self.out_csr.neighbor_slice(v).iter();
+            targets.filter(move |&&t| self.cut.owner(t) != owner)
+        };
+        MasterMeta {
+            master_pos: self.layout.pos_maps[owner].at(v),
             replica_nodes,
             replica_positions,
-            mirror_nodes: mirror_nodes.clone(),
-            in_edges_owner: master.in_edges.clone(),
-            in_edge_srcs,
-            out_local_owner: master.out_local.clone(),
-            out_remote,
-        };
-        let boxed = Box::new(meta);
-        graphs[owner].verts[master_pos as usize].meta = Some(boxed.clone());
-        for m in &mirror_nodes {
-            let pos = pos_maps[m.index()].at(v) as usize;
-            graphs[m.index()].verts[pos].meta = Some(boxed.clone());
+            mirror_nodes,
+            in_edges_owner: self.in_edges_at(v, owner),
+            in_edge_srcs: self.in_csr.neighbor_slice(v).to_vec(),
+            out_local_owner: self.out_local_at(v, owner),
+            out_remote: collect_exact(
+                remote().count(),
+                remote().map(|&target| {
+                    let consumer = self.cut.owner(target);
+                    RemoteEdge {
+                        target,
+                        node: NodeId::from_index(consumer),
+                        pos: self.layout.pos_maps[consumer].at(target),
+                    }
+                }),
+            ),
         }
     }
-
-    for lg in &mut graphs {
-        lg.rebuild_active_frontier();
-    }
-
-    graphs
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@ use imitator_graph::Vid;
 /// crate only carries them into graph construction.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FtPlan {
-    /// Per vertex: the node hosting the mirror (`None` = no fault tolerance
-    /// for this vertex).
+    /// Per vertex: the nodes hosting its mirrors, in mirror-ID order (empty
+    /// = no fault tolerance for this vertex).
     pub mirror: Vec<Vec<NodeId>>,
     /// Per vertex: nodes that get an *extra* FT replica (a copy that normal
     /// computation did not require). Always a subset of `mirror` locations.

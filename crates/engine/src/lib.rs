@@ -27,6 +27,8 @@
 mod compute;
 mod ecut;
 mod ftplan;
+mod inline_list;
+mod load;
 mod par;
 mod pool;
 mod program;
@@ -38,6 +40,7 @@ pub use compute::{
 };
 pub use ecut::{build_edge_cut_graphs, CopyKind, EcLocalGraph, EcVertex, MasterMeta, RemoteEdge};
 pub use ftplan::FtPlan;
+pub use inline_list::{InlineList, INLINE_ITEMS};
 pub use par::{
     chunk_ranges, ec_compute_par, vc_apply_par, vc_partial_gather_par, weighted_ranges,
     VcGatherIndex,

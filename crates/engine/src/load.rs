@@ -1,0 +1,126 @@
+//! What the edge-cut and vertex-cut loaders share: which vertices each node
+//! holds a copy of and at which position, a vertex's replica-location
+//! tables, and the fan-out that builds every node's graph on a thread of
+//! its own (§4: each machine creates its replicas, mirrors and full state
+//! itself).
+
+use imitator_cluster::NodeId;
+use imitator_graph::{PosIndex, Vid};
+
+use crate::ecut::CopyKind;
+use crate::ftplan::FtPlan;
+use crate::inline_list::InlineList;
+
+/// Every node's copy set and position index, the one thing a node's loader
+/// needs to know about the *other* nodes: full state records where each
+/// replica sits on its host and where each remote consumer sits on its
+/// owner (§5.1.2).
+pub(crate) struct Layout {
+    /// Per node, the vertices it holds a copy of (master ∪ computation
+    /// replicas ∪ extra FT replicas), ascending: a copy's position is its
+    /// index here.
+    pub copies: Vec<Vec<Vid>>,
+    /// Per node, vertex → position.
+    pub pos_maps: Vec<PosIndex>,
+}
+
+impl Layout {
+    /// Lays the plan's vertices out over `parts` nodes; `place(v)` is the
+    /// partitioning's `(master part, replica parts)` of `v`.
+    pub fn new<'c>(parts: usize, plan: &FtPlan, place: impl Fn(Vid) -> (usize, &'c [u32])) -> Self {
+        let mut copies: Vec<Vec<Vid>> = vec![Vec::new(); parts];
+        for (i, extras) in plan.extra_replicas.iter().enumerate() {
+            let v = Vid::from_index(i);
+            let (master, replicas) = place(v);
+            let hosts = std::iter::once(master)
+                .chain(replicas.iter().map(|&p| p as usize))
+                .chain(extras.iter().map(|n| n.index()));
+            for p in hosts {
+                // Vertices arrive ascending, so a list stays sorted and a
+                // part named twice for `v` finds `v` already last.
+                if copies[p].last() != Some(&v) {
+                    copies[p].push(v);
+                }
+            }
+        }
+        let pos_maps = copies
+            .iter()
+            .map(|vids| PosIndex::from_sorted_vids(vids))
+            .collect();
+        Layout { copies, pos_maps }
+    }
+
+    /// The location tables of `v`'s full state: `replica_nodes` (sorted,
+    /// without the owner), the copy's position on each of them, and the
+    /// mirror nodes in mirror-ID order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan puts a mirror on a node without a copy.
+    pub fn locations(
+        &self,
+        v: Vid,
+        replica_parts: &[u32],
+        plan: &FtPlan,
+    ) -> (InlineList<NodeId>, InlineList<u32>, InlineList<NodeId>) {
+        let extras = &plan.extra_replicas[v.index()];
+        let mut replica_nodes = InlineList::with_capacity(replica_parts.len() + extras.len());
+        for &p in replica_parts {
+            replica_nodes.push(NodeId::new(p));
+        }
+        for &extra in extras {
+            if !replica_nodes.contains(&extra) {
+                replica_nodes.push(extra);
+            }
+        }
+        replica_nodes.sort_unstable();
+        // Only a plan naming an existing replica as "extra" leaves room.
+        replica_nodes.shrink_to_fit();
+        let replica_positions = replica_nodes
+            .iter()
+            .map(|n| self.pos_maps[n.index()].at(v))
+            .collect();
+        let mirror_nodes = InlineList::from(plan.mirrors(v));
+        for m in &mirror_nodes {
+            assert!(
+                replica_nodes.contains(m),
+                "mirror of {v} on {m} has no copy there"
+            );
+        }
+        (replica_nodes, replica_positions, mirror_nodes)
+    }
+}
+
+/// The role of `v`'s copy on `node`, given `v`'s owner and mirror nodes.
+pub(crate) fn copy_kind(node: NodeId, owner: NodeId, mirrors: &[NodeId]) -> CopyKind {
+    if owner == node {
+        CopyKind::Master
+    } else if mirrors.contains(&node) {
+        CopyKind::Mirror
+    } else {
+        CopyKind::Replica
+    }
+}
+
+/// Collects `items` into a `Vec` allocated once, at its final length
+/// `len`: per-vertex lists carry no growth slack.
+pub(crate) fn collect_exact<T>(len: usize, items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut list = Vec::with_capacity(len);
+    list.extend(items);
+    debug_assert_eq!(list.len(), len, "list length miscounted");
+    list
+}
+
+/// Builds every node's graph on its own thread. A node needs nothing from
+/// another node's builder, only the shared read-only inputs `build` borrows;
+/// a builder's panic resurfaces on the caller.
+pub(crate) fn build_per_node<G: Send>(parts: usize, build: impl Fn(usize) -> G + Sync) -> Vec<G> {
+    let build = &build;
+    std::thread::scope(|scope| {
+        let builders: Vec<_> = (0..parts).map(|p| scope.spawn(move || build(p))).collect();
+        builders
+            .into_iter()
+            .map(|b| b.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}

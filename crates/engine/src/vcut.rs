@@ -7,6 +7,8 @@ use imitator_partition::VertexCut;
 
 use crate::ecut::CopyKind;
 use crate::ftplan::FtPlan;
+use crate::inline_list::InlineList;
+use crate::load::{build_per_node, collect_exact, copy_kind, Layout};
 use crate::program::{Degrees, VertexProgram};
 
 /// The vertex state a vertex-cut master shares with its mirrors.
@@ -19,12 +21,12 @@ pub struct VcMeta {
     /// The master's array position on its owner node.
     pub master_pos: u32,
     /// Every node holding a copy of this vertex, excluding the owner. Sorted.
-    pub replica_nodes: Vec<NodeId>,
+    pub replica_nodes: InlineList<NodeId>,
     /// The copy's array position on each node of `replica_nodes` (parallel
     /// vector) — position-addressed recovery needs the crashed layout.
-    pub replica_positions: Vec<u32>,
+    pub replica_positions: InlineList<u32>,
     /// Mirror nodes ordered by mirror ID (lowest surviving recovers, §5.3.1).
-    pub mirror_nodes: Vec<NodeId>,
+    pub mirror_nodes: InlineList<NodeId>,
 }
 
 impl VcMeta {
@@ -61,9 +63,9 @@ impl VcMeta {
 impl MemSize for VcMeta {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<VcMeta>()
-            + self.replica_nodes.capacity() * std::mem::size_of::<NodeId>()
-            + self.replica_positions.capacity() * std::mem::size_of::<u32>()
-            + self.mirror_nodes.capacity() * std::mem::size_of::<NodeId>()
+            + self.replica_nodes.heap_bytes()
+            + self.replica_positions.heap_bytes()
+            + self.mirror_nodes.heap_bytes()
     }
 }
 
@@ -247,7 +249,8 @@ impl<V: MemSize> MemSize for VcLocalGraph<V> {
 
 /// Builds every node's [`VcLocalGraph`] from a vertex-cut placement and an
 /// FT plan — copies for every adjacent vertex, locally owned edges, and
-/// full-state metadata on masters and mirrors.
+/// full-state metadata on masters and mirrors. Once the copy positions are
+/// known, each node's graph is built on a thread of its own.
 ///
 /// # Panics
 ///
@@ -262,110 +265,64 @@ pub fn build_vertex_cut_graphs<P: VertexProgram>(
 ) -> Vec<VcLocalGraph<P::Value>> {
     assert_eq!(plan.num_vertices(), g.num_vertices(), "plan size mismatch");
     let parts = cut.num_parts();
-    let n = g.num_vertices();
+    let layout = Layout::new(parts, plan, |v| (cut.master(v), cut.replica_parts(v)));
 
-    // 1. Copy sets: master ∪ edge-adjacency replicas ∪ extra FT replicas.
-    let mut copies: Vec<Vec<Vid>> = vec![Vec::new(); parts];
-    for i in 0..n {
-        let v = Vid::from_index(i);
-        copies[cut.master(v)].push(v);
-        for &p in cut.replica_parts(v) {
-            copies[p as usize].push(v);
-        }
-        for &node in &plan.extra_replicas[i] {
-            copies[node.index()].push(v);
-        }
-    }
-    let mut pos_maps: Vec<PosIndex> = Vec::with_capacity(parts);
-    for list in &mut copies {
-        list.sort_unstable();
-        list.dedup();
-        pos_maps.push(PosIndex::from_sorted_vids(list));
-    }
-
-    // 2. Vertex entries.
-    let mut graphs: Vec<VcLocalGraph<P::Value>> = (0..parts)
-        .map(|p| {
-            let node = NodeId::from_index(p);
-            let verts = copies[p]
-                .iter()
-                .map(|&v| {
-                    let owner = NodeId::from_index(cut.master(v));
-                    let kind = if owner == node {
-                        CopyKind::Master
-                    } else if plan.mirror[v.index()].contains(&node) {
-                        CopyKind::Mirror
-                    } else {
-                        CopyKind::Replica
-                    };
-                    VcVertex {
-                        vid: v,
-                        kind,
-                        master_node: owner,
-                        value: prog.init(v, degrees),
-                        meta: None,
-                    }
-                })
-                .collect();
-            VcLocalGraph {
-                node,
-                verts,
-                index: pos_maps[p].clone(),
-                edges: Vec::new(),
-            }
-        })
-        .collect();
-
-    // 3. Edges onto their owner parts.
-    for (e, &p) in g.edges().iter().zip(cut.edge_owner()) {
-        let p = p as usize;
-        graphs[p].edges.push(VcEdge {
-            src: pos_maps[p].at(e.src),
-            dst: pos_maps[p].at(e.dst),
-            weight: e.weight,
-        });
-    }
-
-    // 4. Full state.
-    for i in 0..n {
-        let v = Vid::from_index(i);
-        let owner = cut.master(v);
-        let mut replica_nodes: Vec<NodeId> = cut
-            .replica_parts(v)
+    // Node `p`'s graph, without its position index. Allocation order as in
+    // the edge-cut loader: copies and edges, the masters' full state, then
+    // the mirrors'.
+    let node_graph = |p: usize| {
+        let node = NodeId::from_index(p);
+        let at = &layout.pos_maps[p];
+        let mut verts: Vec<VcVertex<P::Value>> = layout.copies[p]
             .iter()
-            .map(|&p| NodeId::new(p))
+            .map(|&v| {
+                let owner = NodeId::from_index(cut.master(v));
+                VcVertex {
+                    vid: v,
+                    kind: copy_kind(node, owner, plan.mirrors(v)),
+                    master_node: owner,
+                    value: prog.init(v, degrees),
+                    meta: None,
+                }
+            })
             .collect();
-        for &extra in &plan.extra_replicas[i] {
-            if !replica_nodes.contains(&extra) {
-                replica_nodes.push(extra);
+        let owned = || {
+            let placed = g.edges().iter().zip(cut.edge_owner());
+            placed.filter(|&(_, &owner)| owner as usize == p)
+        };
+        let edges = collect_exact(
+            owned().count(),
+            owned().map(|(e, _)| VcEdge {
+                src: at.at(e.src),
+                dst: at.at(e.dst),
+                weight: e.weight,
+            }),
+        );
+        for kind in [CopyKind::Master, CopyKind::Mirror] {
+            for vert in verts.iter_mut().filter(|vert| vert.kind == kind) {
+                let v = vert.vid;
+                let (replica_nodes, replica_positions, mirror_nodes) =
+                    layout.locations(v, cut.replica_parts(v), plan);
+                vert.meta = Some(Box::new(VcMeta {
+                    master_pos: layout.pos_maps[cut.master(v)].at(v),
+                    replica_nodes,
+                    replica_positions,
+                    mirror_nodes,
+                }));
             }
         }
-        replica_nodes.sort_unstable();
-        let replica_positions: Vec<u32> = replica_nodes
-            .iter()
-            .map(|n| pos_maps[n.index()].at(v))
-            .collect();
-        let mirror_nodes = plan.mirror[i].clone();
-        for m in &mirror_nodes {
-            assert!(
-                replica_nodes.contains(m),
-                "mirror of {v} on {m} has no copy there"
-            );
+        VcLocalGraph {
+            node,
+            verts,
+            index: PosIndex::new(),
+            edges,
         }
-        let meta = Box::new(VcMeta {
-            master_pos: pos_maps[owner].at(v),
-            replica_nodes,
-            replica_positions,
-            mirror_nodes: mirror_nodes.clone(),
-        });
-        let mpos = pos_maps[owner].at(v) as usize;
-        graphs[owner].verts[mpos].meta = Some(meta.clone());
-        for m in &mirror_nodes {
-            let pos = pos_maps[m.index()].at(v) as usize;
-            graphs[m.index()].verts[pos].meta = Some(meta.clone());
-        }
-    }
+    };
 
+    let mut graphs = build_per_node(parts, node_graph);
+    for (lg, index) in graphs.iter_mut().zip(layout.pos_maps) {
+        lg.index = index;
+    }
     graphs
 }
 

@@ -1,0 +1,535 @@
+//! The loaders against the builders they replaced. `reference_*` are the
+//! single-threaded, push-as-you-go builders the library shipped before the
+//! load path was rebuilt from CSR, kept here as the specification (verbatim
+//! but for the location tables' conversion to `InlineList`):
+//! the library's builders must return graphs `==` to theirs, on any graph,
+//! partitioning and plan, and must leave no capacity slack behind.
+
+use proptest::prelude::*;
+
+use imitator_cluster::NodeId;
+use imitator_engine::{
+    build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
+    FtPlan, InlineList, MasterMeta, RemoteEdge, VcEdge, VcLocalGraph, VcMeta, VcVertex,
+    VertexProgram, INLINE_ITEMS,
+};
+use imitator_graph::{gen, Edge, Graph, PosIndex, Vid};
+use imitator_partition::{
+    EdgeCut, EdgeCutPartitioner, HashEdgeCut, HybridVertexCut, RandomVertexCut, VertexCut,
+    VertexCutPartitioner,
+};
+
+/// The edge-cut builder as of PR 12.
+#[allow(clippy::needless_range_loop)] // loops pair the index with Vid::from_index(i)
+fn reference_edge_cut_graphs<P: VertexProgram>(
+    g: &Graph,
+    cut: &EdgeCut,
+    plan: &FtPlan,
+    prog: &P,
+    degrees: &Degrees,
+) -> Vec<EcLocalGraph<P::Value>> {
+    assert_eq!(plan.num_vertices(), g.num_vertices(), "plan size mismatch");
+    let parts = cut.num_parts();
+    let n = g.num_vertices();
+
+    // 1. Copy sets per node: masters ∪ computation replicas ∪ extra FT replicas.
+    let mut copies: Vec<Vec<Vid>> = vec![Vec::new(); parts];
+    for i in 0..n {
+        let v = Vid::from_index(i);
+        copies[cut.owner(v)].push(v);
+        for &p in cut.replica_parts(v) {
+            copies[p as usize].push(v);
+        }
+        for &node in &plan.extra_replicas[i] {
+            copies[node.index()].push(v);
+        }
+    }
+
+    // 2. Deterministic positions: sorted by vid on each node.
+    let mut pos_maps: Vec<PosIndex> = Vec::with_capacity(parts);
+    for list in &mut copies {
+        list.sort_unstable();
+        list.dedup();
+        pos_maps.push(PosIndex::from_sorted_vids(list));
+    }
+
+    // 3. Vertex entries.
+    let mut graphs: Vec<EcLocalGraph<P::Value>> = (0..parts)
+        .map(|p| {
+            let node = NodeId::from_index(p);
+            let verts = copies[p]
+                .iter()
+                .map(|&v| {
+                    let owner = NodeId::from_index(cut.owner(v));
+                    let kind = if owner == node {
+                        CopyKind::Master
+                    } else if plan.mirror[v.index()].contains(&node) {
+                        CopyKind::Mirror
+                    } else {
+                        CopyKind::Replica
+                    };
+                    EcVertex {
+                        vid: v,
+                        kind,
+                        master_node: owner,
+                        value: prog.init(v, degrees),
+                        active: kind == CopyKind::Master && prog.initially_active(v),
+                        next_active: false,
+                        last_activate: false,
+                        in_edges: Vec::new(),
+                        out_local: Vec::new(),
+                        meta: None,
+                    }
+                })
+                .collect();
+            EcLocalGraph {
+                node,
+                verts,
+                index: pos_maps[p].clone(),
+                active_frontier: Vec::new(),
+            }
+        })
+        .collect();
+
+    // 4. Edges: every edge lives on the consumer's owner; the producer's
+    //    local copy there feeds the consumer.
+    for e in g.edges() {
+        let p = cut.owner(e.dst);
+        let dst_pos = pos_maps[p].at(e.dst) as usize;
+        let src_pos = pos_maps[p].at(e.src);
+        graphs[p].verts[dst_pos].in_edges.push((src_pos, e.weight));
+        graphs[p].verts[src_pos as usize]
+            .out_local
+            .push(dst_pos as u32);
+    }
+
+    // 5. Full state (masters + mirrors). One pass over edges collects each
+    //    vertex's remote out-edges (O(|E|), not O(|V|·|E|)).
+    let mut out_remote_by_src: Vec<Vec<RemoteEdge>> = vec![Vec::new(); n];
+    for e in g.edges() {
+        let owner = cut.owner(e.src);
+        let consumer = cut.owner(e.dst);
+        if consumer != owner {
+            let node = NodeId::from_index(consumer);
+            out_remote_by_src[e.src.index()].push(RemoteEdge {
+                target: e.dst,
+                node,
+                pos: pos_maps[consumer].at(e.dst),
+            });
+        }
+    }
+    for i in 0..n {
+        let v = Vid::from_index(i);
+        let owner = cut.owner(v);
+        let master_pos = pos_maps[owner].at(v);
+        let mut replica_nodes: Vec<NodeId> = cut
+            .replica_parts(v)
+            .iter()
+            .map(|&p| NodeId::new(p))
+            .collect();
+        for &extra in &plan.extra_replicas[i] {
+            if !replica_nodes.contains(&extra) {
+                replica_nodes.push(extra);
+            }
+        }
+        replica_nodes.sort_unstable();
+        let replica_positions: Vec<u32> = replica_nodes
+            .iter()
+            .map(|n| pos_maps[n.index()].at(v))
+            .collect();
+        let mirror_nodes = plan.mirror[i].clone();
+        for m in &mirror_nodes {
+            assert!(
+                replica_nodes.contains(m),
+                "mirror of {v} on {m} has no copy there"
+            );
+        }
+        let master = &graphs[owner].verts[master_pos as usize];
+        let in_edge_srcs: Vec<Vid> = master
+            .in_edges
+            .iter()
+            .map(|&(src, _)| graphs[owner].verts[src as usize].vid)
+            .collect();
+        let out_remote = std::mem::take(&mut out_remote_by_src[i]);
+        let meta = MasterMeta {
+            master_pos,
+            replica_nodes: replica_nodes.as_slice().into(),
+            replica_positions: replica_positions.as_slice().into(),
+            mirror_nodes: mirror_nodes.as_slice().into(),
+            in_edges_owner: master.in_edges.clone(),
+            in_edge_srcs,
+            out_local_owner: master.out_local.clone(),
+            out_remote,
+        };
+        let boxed = Box::new(meta);
+        graphs[owner].verts[master_pos as usize].meta = Some(boxed.clone());
+        for m in &mirror_nodes {
+            let pos = pos_maps[m.index()].at(v) as usize;
+            graphs[m.index()].verts[pos].meta = Some(boxed.clone());
+        }
+    }
+
+    for lg in &mut graphs {
+        lg.rebuild_active_frontier();
+    }
+
+    graphs
+}
+
+/// The vertex-cut builder as of PR 12.
+fn reference_vertex_cut_graphs<P: VertexProgram>(
+    g: &Graph,
+    cut: &VertexCut,
+    plan: &FtPlan,
+    prog: &P,
+    degrees: &Degrees,
+) -> Vec<VcLocalGraph<P::Value>> {
+    assert_eq!(plan.num_vertices(), g.num_vertices(), "plan size mismatch");
+    let parts = cut.num_parts();
+    let n = g.num_vertices();
+
+    // 1. Copy sets: master ∪ edge-adjacency replicas ∪ extra FT replicas.
+    let mut copies: Vec<Vec<Vid>> = vec![Vec::new(); parts];
+    for i in 0..n {
+        let v = Vid::from_index(i);
+        copies[cut.master(v)].push(v);
+        for &p in cut.replica_parts(v) {
+            copies[p as usize].push(v);
+        }
+        for &node in &plan.extra_replicas[i] {
+            copies[node.index()].push(v);
+        }
+    }
+    let mut pos_maps: Vec<PosIndex> = Vec::with_capacity(parts);
+    for list in &mut copies {
+        list.sort_unstable();
+        list.dedup();
+        pos_maps.push(PosIndex::from_sorted_vids(list));
+    }
+
+    // 2. Vertex entries.
+    let mut graphs: Vec<VcLocalGraph<P::Value>> = (0..parts)
+        .map(|p| {
+            let node = NodeId::from_index(p);
+            let verts = copies[p]
+                .iter()
+                .map(|&v| {
+                    let owner = NodeId::from_index(cut.master(v));
+                    let kind = if owner == node {
+                        CopyKind::Master
+                    } else if plan.mirror[v.index()].contains(&node) {
+                        CopyKind::Mirror
+                    } else {
+                        CopyKind::Replica
+                    };
+                    VcVertex {
+                        vid: v,
+                        kind,
+                        master_node: owner,
+                        value: prog.init(v, degrees),
+                        meta: None,
+                    }
+                })
+                .collect();
+            VcLocalGraph {
+                node,
+                verts,
+                index: pos_maps[p].clone(),
+                edges: Vec::new(),
+            }
+        })
+        .collect();
+
+    // 3. Edges onto their owner parts.
+    for (e, &p) in g.edges().iter().zip(cut.edge_owner()) {
+        let p = p as usize;
+        graphs[p].edges.push(VcEdge {
+            src: pos_maps[p].at(e.src),
+            dst: pos_maps[p].at(e.dst),
+            weight: e.weight,
+        });
+    }
+
+    // 4. Full state.
+    for i in 0..n {
+        let v = Vid::from_index(i);
+        let owner = cut.master(v);
+        let mut replica_nodes: Vec<NodeId> = cut
+            .replica_parts(v)
+            .iter()
+            .map(|&p| NodeId::new(p))
+            .collect();
+        for &extra in &plan.extra_replicas[i] {
+            if !replica_nodes.contains(&extra) {
+                replica_nodes.push(extra);
+            }
+        }
+        replica_nodes.sort_unstable();
+        let replica_positions: Vec<u32> = replica_nodes
+            .iter()
+            .map(|n| pos_maps[n.index()].at(v))
+            .collect();
+        let mirror_nodes = plan.mirror[i].clone();
+        for m in &mirror_nodes {
+            assert!(
+                replica_nodes.contains(m),
+                "mirror of {v} on {m} has no copy there"
+            );
+        }
+        let meta = Box::new(VcMeta {
+            master_pos: pos_maps[owner].at(v),
+            replica_nodes: replica_nodes.as_slice().into(),
+            replica_positions: replica_positions.as_slice().into(),
+            mirror_nodes: mirror_nodes.as_slice().into(),
+        });
+        let mpos = pos_maps[owner].at(v) as usize;
+        graphs[owner].verts[mpos].meta = Some(meta.clone());
+        for m in &mirror_nodes {
+            let pos = pos_maps[m.index()].at(v) as usize;
+            graphs[m.index()].verts[pos].meta = Some(meta.clone());
+        }
+    }
+
+    graphs
+}
+
+/// Values and activity that depend on the vertex, so a copy built for the
+/// wrong vertex cannot compare equal.
+struct Labelled;
+
+impl VertexProgram for Labelled {
+    type Value = u64;
+    type Accum = u64;
+
+    fn init(&self, vid: Vid, d: &Degrees) -> u64 {
+        u64::from(vid.raw()) << 32 | u64::from(d.out_degree(vid))
+    }
+
+    fn gather(&self, _w: f32, src: &u64) -> u64 {
+        *src
+    }
+
+    fn combine(&self, a: u64, b: u64) -> u64 {
+        a.min(b)
+    }
+
+    fn apply(&self, _v: Vid, old: &u64, _acc: Option<u64>, _d: &Degrees) -> u64 {
+        *old
+    }
+
+    fn scatter(&self, _v: Vid, _old: &u64, _new: &u64) -> bool {
+        false
+    }
+
+    fn initially_active(&self, vid: Vid) -> bool {
+        !vid.raw().is_multiple_of(3)
+    }
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Small multigraphs: endpoints are drawn modulo `n`, so self-loops and
+/// duplicate edges are common, vertices without edges appear whenever the
+/// pair list is short, and every edge has its own weight (a list built in
+/// the wrong order compares unequal).
+fn arb_graph() -> impl Strategy<Value = Graph> {
+    (
+        1usize..48,
+        proptest::collection::vec((any::<u32>(), any::<u32>()), 0..160),
+    )
+        .prop_map(|(n, pairs)| {
+            let mut edges: Vec<Edge> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, b))| {
+                    Edge::weighted(Vid::new(a % n as u32), Vid::new(b % n as u32), i as f32)
+                })
+                .collect();
+            // Always at least one self-loop and one repeated edge.
+            edges.push(Edge::weighted(Vid::new(0), Vid::new(0), -1.0));
+            let again = edges[0];
+            edges.push(again);
+            Graph::from_edges(n, edges)
+        })
+}
+
+/// A plan giving every vertex `k` mirrors on distinct nodes other than its
+/// master's, drawn at random: existing replicas and fresh nodes mixed in any
+/// order (a fresh node becomes an extra FT replica), selfish flags on or off.
+fn random_plan(
+    g: &Graph,
+    parts: usize,
+    k: usize,
+    selfish: bool,
+    seed: u64,
+    place: impl Fn(Vid) -> (usize, Vec<u32>),
+) -> FtPlan {
+    let mut plan = FtPlan::none(g.num_vertices());
+    let mut rng = seed;
+    for v in g.vertices() {
+        let (master, replicas) = place(v);
+        let mut nodes: Vec<usize> = (0..parts).filter(|&p| p != master).collect();
+        for _ in 0..k {
+            let node = nodes.swap_remove(splitmix(&mut rng) as usize % nodes.len());
+            plan.mirror[v.index()].push(NodeId::from_index(node));
+            if !replicas.contains(&(node as u32)) {
+                plan.extra_replicas[v.index()].push(NodeId::from_index(node));
+            }
+        }
+        plan.selfish[v.index()] = selfish && splitmix(&mut rng).is_multiple_of(2);
+    }
+    plan
+}
+
+fn ec_plan(g: &Graph, cut: &EdgeCut, k: usize, selfish: bool, seed: u64) -> FtPlan {
+    random_plan(g, cut.num_parts(), k, selfish, seed, |v| {
+        (cut.owner(v), cut.replica_parts(v).to_vec())
+    })
+}
+
+fn vc_plan(g: &Graph, cut: &VertexCut, k: usize, selfish: bool, seed: u64) -> FtPlan {
+    random_plan(g, cut.num_parts(), k, selfish, seed, |v| {
+        (cut.master(v), cut.replica_parts(v).to_vec())
+    })
+}
+
+/// Tolerance `k` needs `k` nodes besides the master's.
+fn arb_shape() -> impl Strategy<Value = (usize, usize, bool, u64)> {
+    (1usize..=8, 0usize..=3, any::<bool>(), any::<u64>())
+        .prop_map(|(parts, k, selfish, seed)| (parts, k.min(parts - 1), selfish, seed))
+}
+
+proptest! {
+    #[test]
+    fn edge_cut_loader_equals_reference(
+        (g, (parts, k, selfish, seed)) in (arb_graph(), arb_shape())
+    ) {
+        let cut = HashEdgeCut.partition(&g, parts);
+        let plan = ec_plan(&g, &cut, k, selfish, seed);
+        let degrees = Degrees::of(&g);
+        let built = build_edge_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
+        let want = reference_edge_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
+        prop_assert_eq!(&built, &want);
+        for lg in &built {
+            lg.debug_validate();
+            assert_ec_exact(lg);
+        }
+    }
+
+    #[test]
+    fn vertex_cut_loader_equals_reference(
+        (g, (parts, k, selfish, seed), hybrid) in (arb_graph(), arb_shape(), any::<bool>())
+    ) {
+        let cut = if hybrid {
+            HybridVertexCut::with_threshold(4).partition(&g, parts)
+        } else {
+            RandomVertexCut.partition(&g, parts)
+        };
+        let plan = vc_plan(&g, &cut, k, selfish, seed);
+        let degrees = Degrees::of(&g);
+        let built = build_vertex_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
+        let want = reference_vertex_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
+        prop_assert_eq!(&built, &want);
+        for lg in &built {
+            lg.debug_validate();
+            assert_vc_exact(lg);
+        }
+    }
+}
+
+fn assert_exact<T>(list: &Vec<T>, what: &str, vid: Vid) {
+    assert_eq!(
+        list.capacity(),
+        list.len(),
+        "{what} of {vid} carries capacity slack"
+    );
+}
+
+/// A location table owns no heap while it fits inline, and exactly its
+/// items beyond that.
+fn assert_table_exact<T>(list: &InlineList<T>, what: &str, vid: Vid)
+where
+    T: Copy + Default,
+{
+    let spilled = list.len() > INLINE_ITEMS;
+    assert_eq!(
+        list.heap_bytes(),
+        if spilled {
+            std::mem::size_of_val(&**list)
+        } else {
+            0
+        },
+        "{what} of {vid} carries capacity slack"
+    );
+}
+
+fn assert_ec_exact(lg: &EcLocalGraph<u64>) {
+    assert_eq!(lg.verts.capacity(), lg.verts.len(), "verts");
+    assert_eq!(
+        lg.active_frontier.capacity(),
+        lg.active_frontier.len(),
+        "active_frontier"
+    );
+    for v in &lg.verts {
+        assert_exact(&v.in_edges, "in_edges", v.vid);
+        assert_exact(&v.out_local, "out_local", v.vid);
+        let Some(meta) = &v.meta else { continue };
+        assert_table_exact(&meta.replica_nodes, "replica_nodes", v.vid);
+        assert_table_exact(&meta.replica_positions, "replica_positions", v.vid);
+        assert_table_exact(&meta.mirror_nodes, "mirror_nodes", v.vid);
+        assert_exact(&meta.in_edges_owner, "in_edges_owner", v.vid);
+        assert_exact(&meta.in_edge_srcs, "in_edge_srcs", v.vid);
+        assert_exact(&meta.out_local_owner, "out_local_owner", v.vid);
+        assert_exact(&meta.out_remote, "out_remote", v.vid);
+    }
+}
+
+fn assert_vc_exact(lg: &VcLocalGraph<u64>) {
+    assert_eq!(lg.verts.capacity(), lg.verts.len(), "verts");
+    assert_eq!(lg.edges.capacity(), lg.edges.len(), "edges");
+    for v in &lg.verts {
+        let Some(meta) = &v.meta else { continue };
+        assert_table_exact(&meta.replica_nodes, "replica_nodes", v.vid);
+        assert_table_exact(&meta.replica_positions, "replica_positions", v.vid);
+        assert_table_exact(&meta.mirror_nodes, "mirror_nodes", v.vid);
+    }
+}
+
+/// The benchmark's PageRank shape at a tenth of its size, both engines,
+/// with one mirror per vertex: equal to the reference, and exact-size.
+#[test]
+fn power_law_graphs_equal_reference_and_carry_no_slack() {
+    let g = gen::power_law(10_000, 2.0, 10, 3);
+    let degrees = Degrees::of(&g);
+
+    let cut = HashEdgeCut.partition(&g, 4);
+    let plan = ec_plan(&g, &cut, 1, true, 7);
+    let built = build_edge_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
+    assert!(built == reference_edge_cut_graphs(&g, &cut, &plan, &Labelled, &degrees));
+    built.iter().for_each(assert_ec_exact);
+
+    let cut = RandomVertexCut.partition(&g, 4);
+    let plan = vc_plan(&g, &cut, 1, true, 7);
+    let built = build_vertex_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
+    assert!(built == reference_vertex_cut_graphs(&g, &cut, &plan, &Labelled, &degrees));
+    built.iter().for_each(assert_vc_exact);
+}
+
+/// A mirror on a node that holds no copy is a plan bug; the builder thread's
+/// panic reaches the caller with its message.
+#[test]
+#[should_panic(expected = "has no copy there")]
+fn mirror_without_a_copy_panics_on_the_caller() {
+    let g = gen::from_pairs(3, &[(0, 1), (1, 0)]); // v2 isolated: no replicas
+    let cut = HashEdgeCut.partition(&g, 2);
+    let other = NodeId::from_index(1 - cut.owner(Vid::new(2)));
+    let mut plan = FtPlan::none(3);
+    plan.mirror[2] = vec![other];
+    build_edge_cut_graphs(&g, &cut, &plan, &Labelled, &Degrees::of(&g));
+}

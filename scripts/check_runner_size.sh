@@ -32,7 +32,10 @@ cd "$(dirname "$0")/.."
 #   1652 — first step down: Migration's promotion lookups (and their
 #          "lost with no promotion" check) moved behind recovery::MigEnv.
 #          From here the budget only ratchets down.
-BUDGET=1652
+#   1649 — Migration grows `out_remote`/`out_local` in place again
+#          (`recovery::regrown` gone: each node's graph now lives in its
+#          own builder thread's arena, DESIGN.md §4.5).
+BUDGET=1649
 EC=crates/core/src/runner_ec.rs
 VC=crates/core/src/runner_vc.rs
 

@@ -190,6 +190,38 @@ fn replication_memory_grows_with_tolerance() {
     }
 }
 
+/// `mem_bytes` of the benchmark's `pr_ec` job (seed 3: 100k-vertex
+/// power-law graph, four nodes, PageRank values) as the builders before the
+/// load path was rebuilt reported it, capacity slack included. Local graphs
+/// are exact-size now; the figure may only fall.
+#[test]
+fn pr_ec_graph_memory_stays_below_the_recorded_value() {
+    use imitator_repro::algos::PageRank;
+    use imitator_repro::engine::{build_edge_cut_graphs, FtPlan};
+    use imitator_repro::metrics::MemSize;
+
+    const RECORDED_BASE: usize = 86_672_788;
+    const RECORDED_FT: usize = 129_701_260;
+    let g = gen::power_law(100_000, 2.0, 10, 3);
+    let cut = HashEdgeCut.partition(&g, 4);
+    let degrees = Degrees::of(&g);
+    let pr = PageRank::new(0.85, 0.0);
+    let ft = compute_ft_plan(&g, &cut, 1, true, pr.selfish_compatible(), 0xF7);
+    for (plan, recorded) in [
+        (FtPlan::none(g.num_vertices()), RECORDED_BASE),
+        (ft, RECORDED_FT),
+    ] {
+        let total: usize = build_edge_cut_graphs(&g, &cut, &plan, &pr, &degrees)
+            .iter()
+            .map(MemSize::mem_bytes)
+            .sum();
+        assert!(
+            total <= recorded,
+            "local graphs hold {total} B, more than the {recorded} B recorded"
+        );
+    }
+}
+
 #[test]
 fn dfs_sees_checkpoints_and_edge_ckpt_files() {
     let g = gen::power_law(500, 2.0, 5, 13);
