@@ -400,7 +400,14 @@ fn main() {
     // Recovery latency: one crash mid-run under replication FT, per strategy
     // and thread count. The recorded figure is the recovery episode's wall
     // time (reload + reconstruct + replay), not the whole run — the quantity
-    // the parallel recovery paths are supposed to shrink.
+    // the parallel recovery paths are supposed to shrink. The single-thread
+    // Migration scenario also yields what its undo snapshot costs to take
+    // (`undo_capture`) and to let go (`undo_release`: the `after_recovery`
+    // phase, i.e. the model's post-recovery hook plus the release), and the
+    // recovery-bytes gauge: everything the eight rounds put on the wire,
+    // exact for a given graph, partitioning and crash.
+    let mut undo = (f64::INFINITY, f64::INFINITY);
+    let mut recovery_migration_bytes = 0.0;
     for (name, strategy, standbys) in [
         ("recovery_rebirth_e2e", RecoveryStrategy::Rebirth, 1usize),
         ("recovery_migration_e2e", RecoveryStrategy::Migration, 0),
@@ -430,10 +437,19 @@ fn main() {
                 );
                 assert_eq!(s.recoveries.len(), 1, "crash must trigger one episode");
                 best = best.min(s.recovery_total().as_secs_f64());
+                if strategy == RecoveryStrategy::Migration && threads == 1 {
+                    let ep = &s.recoveries[0];
+                    let phase = |key| ep.phases.get(key).map_or(0.0, |d| d.as_secs_f64());
+                    undo.0 = undo.0.min(phase("undo_capture"));
+                    undo.1 = undo.1.min(phase("after_recovery"));
+                    recovery_migration_bytes = ep.comm.bytes as f64;
+                }
             }
             record(&format!("{name}_t{threads}"), best);
         }
     }
+    record("undo_capture", undo.0);
+    record("undo_release", undo.1);
 
     // Migration round 2 (apply promotions, rewrite position-addressed
     // consumer tables, compute replica requests) at N and 4N lost masters:
@@ -583,17 +599,25 @@ fn main() {
         json.push_str(&format!("    \"{name}\": {secs:.6}{comma}\n"));
     }
     json.push_str("  },\n");
-    // Wire-size gauges: deterministic byte counts (not timings), tracked by
-    // the non-blocking CI bytes-regression step.
+    // Wire-size gauges: byte counts, not timings. All but the heartbeat
+    // total repeat exactly and are held by the blocking CI bytes-regression
+    // step; heartbeats are paced by the clock, so theirs follows wall time.
     json.push_str("  \"bytes\": {\n");
     json.push_str(&format!("    \"bytes_per_sync\": {bytes_per_sync:.4},\n"));
     json.push_str(&format!("    \"bytes_per_ckpt\": {bytes_per_ckpt:.1},\n"));
+    json.push_str(&format!(
+        "    \"recovery_migration\": {recovery_migration_bytes:.1},\n"
+    ));
     json.push_str(&format!(
         "    \"hb_overhead_bytes\": {hb_overhead_bytes:.1}\n"
     ));
     json.push_str("  }\n}\n");
     println!("  {:<40} {bytes_per_sync:>10.4} B", "bytes_per_sync");
     println!("  {:<40} {bytes_per_ckpt:>10.1} B", "bytes_per_ckpt");
+    println!(
+        "  {:<40} {recovery_migration_bytes:>10.1} B",
+        "recovery_migration"
+    );
     println!("  {:<40} {hb_overhead_bytes:>10.1} B", "hb_overhead_bytes");
     std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");
     println!("wrote BENCH_engine.json ({} entries)", results.len());

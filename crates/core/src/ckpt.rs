@@ -182,14 +182,43 @@ pub(crate) fn dec_meta(r: &mut Reader<'_>) -> Result<MasterMeta, DecodeError> {
     })
 }
 
+/// Bytes a varint position, vertex ID or list length usually takes in a
+/// graph snapshot (graphs up to 2M copies per node) — sizing only.
+const HINT_VARINT: usize = 3;
+
+/// Roughly what [`encode_ec_graph`] will write, from the list lengths alone:
+/// the buffer is allocated once at about its final size instead of regrowing
+/// to ~10 MB by doubling. A low guess only costs a regrow.
+fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
+    let fixed = 4 * HINT_VARINT + 2 + std::mem::size_of::<V>();
+    let edge = HINT_VARINT + 4;
+    lg.verts
+        .iter()
+        .map(|v| {
+            let meta = v.meta.as_ref().map_or(0, |m| {
+                6 * HINT_VARINT
+                    + (1 + HINT_VARINT) * m.replica_nodes.len()
+                    + m.mirror_nodes.len()
+                    + (edge + HINT_VARINT) * m.in_edges_owner.len()
+                    + HINT_VARINT * m.out_local_owner.len()
+                    + (2 * HINT_VARINT + 1) * m.out_remote.len()
+            });
+            fixed + edge * v.in_edges.len() + HINT_VARINT * v.out_local.len() + meta
+        })
+        .sum()
+}
+
 /// Encodes an edge-cut local graph (topology + current state) as a
-/// metadata snapshot.
+/// metadata snapshot — every field but `next_active`, which is false
+/// whenever a graph is encoded (load, and between supersteps: `ec_commit`
+/// clears it before returning) and decodes as false.
 pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(ec_graph_size_hint(lg));
     enc_u32(lg.node.raw(), &mut buf);
     enc_uv(lg.verts.len() as u64, &mut buf);
     let mut prev_vid = 0u32;
     for v in &lg.verts {
+        debug_assert!(!v.next_active, "{} encoded mid-commit", v.vid);
         enc_delta(v.vid.raw(), &mut prev_vid, &mut buf);
         // kind (2b) | active | last_activate | has-meta in one byte.
         let flags = kind_bits(v.kind)
@@ -390,9 +419,18 @@ pub(crate) fn dec_vc_meta(r: &mut Reader<'_>) -> Result<VcMeta, DecodeError> {
     })
 }
 
-/// Encodes a vertex-cut local graph as a metadata snapshot.
+/// Encodes a vertex-cut local graph as a metadata snapshot. The buffer is
+/// pre-sized like [`encode_ec_graph`]'s.
 pub fn encode_vc_graph<V: Encode>(lg: &VcLocalGraph<V>) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let vertex = 3 * HINT_VARINT + 2 + std::mem::size_of::<V>();
+    let metas: usize = lg
+        .verts
+        .iter()
+        .filter_map(|v| v.meta.as_ref())
+        .map(|m| 3 * HINT_VARINT + (1 + HINT_VARINT) * m.replica_nodes.len() + m.mirror_nodes.len())
+        .sum();
+    let hint = vertex * lg.verts.len() + metas + (2 * HINT_VARINT + 4) * lg.edges.len();
+    let mut buf = Vec::with_capacity(hint);
     enc_u32(lg.node.raw(), &mut buf);
     enc_uv(lg.verts.len() as u64, &mut buf);
     let mut prev_vid = 0u32;
@@ -654,13 +692,15 @@ pub fn decode_edge_ckpt(bytes: &[u8]) -> Result<Vec<(Vid, Vid, f32)>, DecodeErro
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::plan::{compute_ft_plan, ReplicaView};
     use imitator_engine::{build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, FtPlan};
-    use imitator_graph::gen;
+    use imitator_graph::{gen, Edge, Graph};
     use imitator_partition::{
         EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
     };
+    use proptest::prelude::*;
 
     struct P;
     impl imitator_engine::VertexProgram for P {
@@ -694,6 +734,102 @@ mod tests {
             let bytes = encode_ec_graph(lg);
             let back: EcLocalGraph<f64> = decode_ec_graph(&bytes).unwrap();
             assert_eq!(&back, lg);
+        }
+    }
+
+    /// Small multigraphs: endpoints drawn modulo `n`, so self-loops and
+    /// duplicate edges are common and short pair lists leave vertices
+    /// isolated; every edge has its own weight.
+    pub(crate) fn arb_graph() -> impl Strategy<Value = Graph> {
+        (
+            1usize..48,
+            proptest::collection::vec((any::<u32>(), any::<u32>()), 0..160),
+        )
+            .prop_map(|(n, pairs)| {
+                let mut edges: Vec<Edge> = pairs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(a, b))| {
+                        Edge::weighted(Vid::new(a % n as u32), Vid::new(b % n as u32), i as f32)
+                    })
+                    .collect();
+                edges.push(Edge::weighted(Vid::new(0), Vid::new(0), -1.0));
+                let again = edges[0];
+                edges.push(again);
+                Graph::from_edges(n, edges)
+            })
+    }
+
+    /// `(parts, tolerance, selfish)`; tolerance `k` needs `k` other nodes.
+    fn arb_shape() -> impl Strategy<Value = (usize, usize, bool)> {
+        (1usize..=8, 0usize..=3, any::<bool>())
+            .prop_map(|(parts, k, selfish)| (parts, k.min(parts - 1), selfish))
+    }
+
+    /// The plan the runners load with at tolerance `k` (none at 0).
+    fn plan_for(g: &Graph, view: &dyn ReplicaView, k: usize, selfish: bool) -> FtPlan {
+        if k == 0 {
+            FtPlan::none(g.num_vertices())
+        } else {
+            compute_ft_plan(g, view, k, selfish, true, 0xF7)
+        }
+    }
+
+    proptest! {
+        /// The undo snapshot *is* this codec: whatever the loaders build —
+        /// any partition count, FT level, selfish flags, duplicate edges,
+        /// isolated vertices — must come back equal, field for field.
+        #[test]
+        fn loader_built_ec_graphs_roundtrip((g, (parts, k, selfish)) in (arb_graph(), arb_shape())) {
+            let cut = HashEdgeCut.partition(&g, parts);
+            let plan = plan_for(&g, &cut, k, selfish);
+            let d = Degrees::of(&g);
+            for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
+                let back: EcLocalGraph<f64> = decode_ec_graph(&encode_ec_graph(&lg)).unwrap();
+                prop_assert_eq!(&back, &lg);
+            }
+        }
+
+        #[test]
+        fn loader_built_vc_graphs_roundtrip((g, (parts, k, selfish)) in (arb_graph(), arb_shape())) {
+            let cut = RandomVertexCut.partition(&g, parts);
+            let plan = plan_for(&g, &cut, k, selfish);
+            let d = Degrees::of(&g);
+            for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
+                let back: VcLocalGraph<f64> = decode_vc_graph(&encode_vc_graph(&lg)).unwrap();
+                prop_assert_eq!(&back, &lg);
+            }
+        }
+    }
+
+    /// The encoders allocate once: the size guessed from the list lengths
+    /// covers the encoding without doubling it.
+    #[test]
+    fn graph_encoders_presize_their_buffer() {
+        let g = gen::power_law(5_000, 2.0, 10, 3);
+        let d = Degrees::of(&g);
+        let cut = HashEdgeCut.partition(&g, 4);
+        let plan = compute_ft_plan(&g, &cut, 1, true, true, 0xF7);
+        for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
+            let bytes = encode_ec_graph(&lg);
+            let hint = ec_graph_size_hint(&lg);
+            assert!(
+                bytes.len() <= hint && hint < 2 * bytes.len(),
+                "edge-cut: guessed {hint} B for {} B",
+                bytes.len()
+            );
+            assert_eq!(bytes.capacity(), hint, "no regrow");
+        }
+        let cut = RandomVertexCut.partition(&g, 4);
+        let plan = compute_ft_plan(&g, &cut, 1, true, true, 0xF7);
+        for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
+            let bytes = encode_vc_graph(&lg);
+            assert!(
+                bytes.len() <= bytes.capacity() && bytes.capacity() < 2 * bytes.len(),
+                "vertex-cut: {} B in a {} B buffer",
+                bytes.len(),
+                bytes.capacity()
+            );
         }
     }
 

@@ -170,15 +170,10 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// Rebirth recovery entry.
     type Entry: Send + 'static;
     /// Replica metadata.
-    type Meta: ReplicaMeta + Clone + Send + 'static;
+    type Meta: ReplicaMeta + Clone + PartialEq + Send + 'static;
     /// Local graph. `Sync` because recovery's read-only scans share it with
     /// pool workers behind an `Arc` (both engines' graphs are plain data).
-    type Graph: ModelGraph<Value = Self::Value, Meta = Self::Meta>
-        + MemSize
-        + Clone
-        + Send
-        + Sync
-        + 'static;
+    type Graph: ModelGraph<Value = Self::Value, Meta = Self::Meta> + MemSize + Send + Sync + 'static;
     /// Per-node steady-state scratch reused across iterations.
     type Scratch: Send;
     /// Migration bookkeeping the model threads between rounds.
@@ -338,6 +333,40 @@ pub(crate) fn run<M: ComputeModel>(
     dfs: Dfs,
 ) -> RunReport<M::Value>
 where
+    Msg<M>: Clone + WireCodec,
+{
+    run_keeping_graphs(
+        model,
+        num_vertices,
+        lgs,
+        degrees,
+        plan,
+        owners,
+        cfg,
+        failures,
+        dfs,
+    )
+    .0
+}
+
+/// The graphs the live nodes hand back when a run ends, by node.
+pub(crate) type FinalGraphs<M> = Vec<(NodeId, <M as ComputeModel>::Graph)>;
+
+/// [`run`], also handing back each live node's final graph (tests inspect
+/// what recovery left behind).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_keeping_graphs<M: ComputeModel>(
+    model: M,
+    num_vertices: usize,
+    lgs: Vec<M::Graph>,
+    degrees: Arc<Degrees>,
+    plan: Arc<FtPlan>,
+    owners: Arc<Vec<u32>>,
+    cfg: RunConfig,
+    failures: Vec<FailurePlan>,
+    dfs: Dfs,
+) -> (RunReport<M::Value>, FinalGraphs<M>)
+where
     // The model's wire protocol must cross every transport backend: owned
     // moves (channel), cloned duplicates (lossy), and encoded frames (TCP).
     Msg<M>: Clone + WireCodec,
@@ -397,7 +426,7 @@ where
         standby_handles.push(std::thread::spawn(move || standby_main(&cluster, &shared)));
     }
 
-    let mut outcomes: Vec<NodeOutcome<M::Graph>> = handles
+    let mut outcomes: Vec<NodeOutcome<(NodeId, M::Graph)>> = handles
         .into_iter()
         .map(|h| h.join().expect("node thread panicked"))
         .collect();
@@ -421,10 +450,15 @@ where
     report.pipeline = cfg.pipeline;
     report.delta_sync = cfg.delta_sync;
     report.suspicion = cluster.coordinator().suspicion_stats();
+    if cfg!(debug_assertions) {
+        if let FtMode::Replication { tolerance, .. } = cfg.ft {
+            check_mirrors::<M>(&graphs, tolerance, &shared.plan);
+        }
+    }
     // Where each vertex's master ended up: (graph, position).
     const NO_MASTER: (u32, u32) = (u32::MAX, 0);
     let mut masters = vec![NO_MASTER; num_vertices];
-    for (at, lg) in graphs.iter().enumerate() {
+    for (at, (_, lg)) in graphs.iter().enumerate() {
         for pos in 0..lg.len() as u32 {
             if lg.is_master(pos) {
                 masters[lg.vid(pos).index()] = (at as u32, pos);
@@ -436,10 +470,75 @@ where
         .enumerate()
         .map(|(i, &(at, pos))| {
             assert!(at != NO_MASTER.0, "vertex v{i} has no master after run");
-            graphs[at as usize].value(pos).clone()
+            graphs[at as usize].1.value(pos).clone()
         })
         .collect();
-    report
+    (report, graphs)
+}
+
+/// The replication invariants recovery exists to restore, checked on the
+/// graphs the live nodes hand back (debug builds only, so every test run
+/// fails at the first stale mirror rather than at a wrong value after the
+/// *next* failure): every master has `min(K, live − 1)` mirrors, on distinct
+/// live nodes other than its own, and each mirror sits at the position the
+/// master's table records, points back at the master's node, and holds the
+/// master's full state and value. Selfish masters never sync (§4.4), so
+/// their mirrors' values are stale by design and are not compared.
+///
+/// # Panics
+///
+/// Panics on the first violation.
+fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usize, plan: &FtPlan) {
+    let live = |n: NodeId| graphs.iter().find(|(id, _)| *id == n).map(|(_, lg)| lg);
+    let want = tolerance.min(graphs.len().saturating_sub(1));
+    // Bit equality: a NaN a program got stuck on is still synced.
+    let same_bits = |a: &M::Value, b: &M::Value| {
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        a.encode(&mut x);
+        b.encode(&mut y);
+        x == y
+    };
+    for (node, lg) in graphs {
+        for pos in (0..lg.len() as u32).filter(|&p| lg.is_master(p)) {
+            let vid = lg.vid(pos);
+            let meta = lg
+                .meta(pos)
+                .unwrap_or_else(|| panic!("master {vid} on {node} has no full state"));
+            let selfish = plan.selfish.get(vid.index()).copied().unwrap_or(false);
+            let mirrors = meta.mirror_nodes();
+            assert_eq!(
+                mirrors.len(),
+                want,
+                "mirrors of {vid} on {node}: {mirrors:?}"
+            );
+            for (i, &m) in mirrors.iter().enumerate() {
+                assert!(
+                    m != *node && !mirrors[..i].contains(&m),
+                    "mirrors of {vid} on {node} are not distinct remote nodes: {mirrors:?}"
+                );
+                let mg = live(m).unwrap_or_else(|| panic!("mirror of {vid} on dead node {m}"));
+                let at = meta
+                    .replica_position_on(m)
+                    .filter(|&at| (at as usize) < mg.len() && mg.vid(at) == vid)
+                    .unwrap_or_else(|| {
+                        panic!("mirror of {vid} not where {node} records it on {m}")
+                    });
+                assert!(
+                    mg.kind(at) == CopyKind::Mirror && mg.master_node(at) == *node,
+                    "copy of {vid} on {m} is not a mirror of {node}'s master"
+                );
+                assert!(
+                    mg.meta(at) == Some(meta),
+                    "mirror of {vid} on {m} holds a stale full state"
+                );
+                let (mine, theirs) = (lg.value(pos), mg.value(at));
+                assert!(
+                    selfish || mine == theirs || same_bits(mine, theirs),
+                    "mirror of {vid} on {m} holds {theirs:?}, master {mine:?}"
+                );
+            }
+        }
+    }
 }
 
 /// Hot-standby entry: block until the coordinator hands over a crashed
@@ -447,7 +546,7 @@ where
 fn standby_main<M: ComputeModel>(
     cluster: &Cluster<Msg<M>>,
     shared: &Arc<Shared<M>>,
-) -> Option<NodeOutcome<M::Graph>> {
+) -> Option<NodeOutcome<(NodeId, M::Graph)>> {
     let ctx = cluster.wait_standby(Duration::from_secs(600))?;
     let mut st = NodeState::new(
         shared.cfg.num_nodes,
@@ -482,7 +581,7 @@ fn node_main<M: ComputeModel>(
     shared: &Arc<Shared<M>>,
     mut st: St<M>,
     pool: WorkerPool,
-) -> NodeOutcome<M::Graph> {
+) -> NodeOutcome<(NodeId, M::Graph)> {
     let me = ctx.id();
     st.sync_filter.set_domain(lg.len() as u32);
     let mut scratch = shared.model.init_scratch(&lg, shared);
@@ -524,8 +623,7 @@ fn node_main<M: ComputeModel>(
                     // Keep recovery messages that may already have arrived from
                     // faster peers; discard the failed iteration's data traffic.
                     stash_non_data::<M>(&ctx, &mut st);
-                    let resume = st.iter;
-                    if recovery::recover(&ctx, &mut lg, shared, &mut st, &dead, resume, &pool) {
+                    if recover_booked(&ctx, &mut lg, shared, &mut st, &dead, &pool) {
                         absorb_pool(&mut st, &pool);
                         return NodeOutcome::from_state(None, st);
                     }
@@ -603,8 +701,7 @@ fn node_main<M: ComputeModel>(
         if let BarrierOutcome::Failed(dead) = outcome {
             // Failure after commit: no rollback.
             stash_non_data::<M>(&ctx, &mut st);
-            let resume = st.iter;
-            if recovery::recover(&ctx, &mut lg, shared, &mut st, &dead, resume, &pool) {
+            if recover_booked(&ctx, &mut lg, shared, &mut st, &dead, &pool) {
                 absorb_pool(&mut st, &pool);
                 return NodeOutcome::from_state(None, st);
             }
@@ -629,7 +726,26 @@ fn node_main<M: ComputeModel>(
     }
     absorb_pool(&mut st, &pool);
     let lg = Arc::try_unwrap(lg).unwrap_or_else(|_| panic!("graph still shared at node exit"));
-    NodeOutcome::from_state(Some(lg), st)
+    NodeOutcome::from_state(Some((me, lg)), st)
+}
+
+/// Runs the recovery episode for `dead`, resuming at the current iteration,
+/// and books its wall time as the run phase `recovery` — the stall belongs
+/// to the run's phase budget like compute and barrier do. Returns whether
+/// this node crashed inside it.
+fn recover_booked<M: ComputeModel>(
+    ctx: &Ctx<M>,
+    lg: &mut Arc<M::Graph>,
+    shared: &Arc<Shared<M>>,
+    st: &mut St<M>,
+    dead: &[NodeId],
+    pool: &WorkerPool,
+) -> bool {
+    let sw = Stopwatch::start();
+    let resume = st.iter;
+    let crashed = recovery::recover(ctx, lg, shared, st, dead, resume, pool);
+    st.phases.record("recovery", sw.elapsed());
+    crashed
 }
 
 /// Exclusive access to the node's graph between phases. Pool workers drop

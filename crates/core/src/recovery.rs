@@ -117,7 +117,10 @@ fn mirror_frame_bytes<M: ComputeModel>(
 /// about).
 #[derive(Default)]
 pub(crate) struct Mig<X> {
-    /// Masters whose meta changed (need a final meta refresh in R7).
+    /// Masters some mirror of which does not hold their current meta: R7
+    /// refreshes exactly these. A round that changes a master's tables
+    /// inserts it; R5 removes it when every mirror it has was designated
+    /// there (and so was sent the final tables).
     pub dirty_masters: HashSet<u32>,
     /// Vertex copies recovered (promotions + placed replicas).
     pub recovered: u64,
@@ -314,17 +317,21 @@ fn fail_here<M: ComputeModel>(
 /// aborted one never ran: the local graph (values, copy kinds, metas, edge
 /// wiring) and every piece of node state the recovery paths mutate.
 ///
-/// The node state is captured when the episode starts. The graph — the one
-/// deep copy that costs real time — is captured **lazily**, by
-/// [`Undo::capture_graph`], which every attempt path calls before its first
-/// `graph_mut` (`migrate`, and the two callers of `ckpt_reload_survivor`).
-/// A Rebirth attempt only reads its graph, so an episode that never degrades
-/// copies and frees nothing. Nothing between episode entry and the capture
-/// touches the graph, so the lazy copy equals the one an eager capture would
-/// have taken; once taken it is kept, and `restore` clones out of it, so an
-/// episode can abort any number of times.
-struct Undo<M: ComputeModel> {
-    lg: Option<M::Graph>,
+/// The node state is captured when the episode starts. The graph is captured
+/// **lazily** and **as bytes**: [`Undo::capture_graph`], which every attempt
+/// path calls before its first `graph_mut` (`migrate`, and the two callers of
+/// `ckpt_reload_survivor`), encodes it with the model's metadata-snapshot
+/// codec — one sequential pass into one allocation, released by one `free`
+/// when the episode ends. Only an abort pays for rebuilding a graph
+/// ([`Undo::restore`] decodes), and aborts are rare while every mutating
+/// episode pays for capture and release. A Rebirth attempt only reads its
+/// graph, so an episode that never degrades encodes and frees nothing.
+/// Nothing between episode entry and the capture touches the graph, so the
+/// lazy snapshot equals the one an eager capture would have taken; once
+/// taken it is kept, and `restore` only reads it, so an episode can abort
+/// any number of times.
+struct Undo {
+    lg: Option<Vec<u8>>,
     overlay: HashMap<Vid, NodeId>,
     mirror_assign: Vec<usize>,
     alive: Vec<bool>,
@@ -337,12 +344,19 @@ struct Undo<M: ComputeModel> {
     suppressed_timeline: Vec<(u64, u64)>,
 }
 
-/// Graph deep copies taken by [`Undo::capture_graph`], process-wide.
+/// Graph snapshots taken by [`Undo::capture_graph`], process-wide.
 #[cfg(test)]
 static GRAPH_CAPTURES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
-impl<M: ComputeModel> Undo<M> {
-    fn capture(st: &St<M>) -> Self {
+/// One entry per survivor per Migration attempt that reached R7: masters
+/// the attempt touched (dirty at some point, or given a mirror), those of
+/// them R5 took out of the dirty set and R7 did not re-mark, and the refresh
+/// records R7 shipped.
+#[cfg(test)]
+static R7_TALLY: std::sync::Mutex<Vec<[usize; 3]>> = std::sync::Mutex::new(Vec::new());
+
+impl Undo {
+    fn capture<T>(st: &crate::rt::NodeState<T>) -> Self {
         Undo {
             lg: None,
             overlay: st.overlay.clone(),
@@ -361,22 +375,22 @@ impl<M: ComputeModel> Undo<M> {
     /// Snapshots the pre-episode graph unless an earlier attempt of this
     /// episode already did (its abort restored `lg` to exactly that state).
     /// Must precede the attempt's first `graph_mut`. Returns the time the
-    /// copy took.
-    fn capture_graph(&mut self, lg: &M::Graph) -> Duration {
+    /// encode took.
+    fn capture_graph<M: ComputeModel>(&mut self, model: &M, lg: &M::Graph) -> Duration {
         if self.lg.is_some() {
             return Duration::ZERO;
         }
         let sw = Stopwatch::start();
-        self.lg = Some(lg.clone());
+        self.lg = Some(model.encode_graph(lg));
         #[cfg(test)]
         GRAPH_CAPTURES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         sw.elapsed()
     }
 
-    fn restore(&self, lg: &mut M::Graph, st: &mut St<M>) {
+    fn restore<M: ComputeModel>(&self, model: &M, lg: &mut M::Graph, st: &mut St<M>) {
         // No snapshot means no attempt got as far as mutating the graph.
-        if let Some(saved) = &self.lg {
-            *lg = saved.clone();
+        if let Some(bytes) = &self.lg {
+            *lg = model.decode_graph(bytes);
         }
         st.overlay = self.overlay.clone();
         st.mirror_assign = self.mirror_assign.clone();
@@ -424,7 +438,7 @@ pub(crate) fn recover<M: ComputeModel>(
         // elsewhere. Exit like a crash; do not fight the fence.
         return true;
     }
-    let mut undo: Undo<M> = Undo::capture(st);
+    let mut undo = Undo::capture(st);
     let mut episode: Vec<NodeId> = dead.to_vec();
     episode.sort_unstable();
     episode.dedup();
@@ -478,7 +492,7 @@ pub(crate) fn recover<M: ComputeModel>(
                     }
                 }
                 episode.sort_unstable();
-                undo.restore(graph_mut(lg), st);
+                undo.restore(&shared.model, graph_mut(lg), st);
                 // The aborted attempt may have re-persisted load-time DFS
                 // state (edge-ckpt files) from a since-reverted graph;
                 // re-derive it from the restored one.
@@ -623,7 +637,7 @@ fn rebirth_survivor<M: ComputeModel>(
     lg: &mut Arc<M::Graph>,
     shared: &Arc<Shared<M>>,
     st: &mut St<M>,
-    undo: &mut Undo<M>,
+    undo: &mut Undo,
     dead: &[NodeId],
     resume_iter: u64,
     pool: &WorkerPool,
@@ -909,7 +923,7 @@ fn migrate<M: ComputeModel>(
     lg: &mut Arc<M::Graph>,
     shared: &Arc<Shared<M>>,
     st: &mut St<M>,
-    undo: &mut Undo<M>,
+    undo: &mut Undo,
     dead: &[NodeId],
     resume_iter: u64,
     strategy: &'static str,
@@ -926,7 +940,7 @@ fn migrate<M: ComputeModel>(
     let mut phases = PhaseTimes::new();
     let sw_total = Stopwatch::start();
     // Every round below rewrites the graph: snapshot it for undo first.
-    phases.record("undo_capture", undo.capture_graph(lg));
+    phases.record("undo_capture", undo.capture_graph(&shared.model, lg));
     let mut sw_round = Stopwatch::start();
 
     // ---- R1: promote local mirrors whose master died (the responsible
@@ -1170,6 +1184,11 @@ fn migrate<M: ComputeModel>(
     //      replicas where no replica is available. This round stays serial:
     //      each designation reads and bumps the least-assigned counters
     //      (`st.mirror_assign`), so later choices depend on earlier ones.
+    //      A new mirror's full state travels here and only here: a master's
+    //      updates are built once its designations are final, so each carries
+    //      the final tables, and a master all of whose mirrors are new leaves
+    //      the dirty set — R7 has nothing to add for it unless a fresh
+    //      replica's position, registered there, re-marks it.
     fail_here(ctx, shared, resume_iter, FailPoint::MigrationRound(5))?;
     let g = graph_mut(lg);
     for env in round_msgs::<M>(ctx, st) {
@@ -1196,18 +1215,20 @@ fn migrate<M: ComputeModel>(
     // mirror needs a distinct node other than the master's.
     let restorable = tolerance.min(survivors.len().saturating_sub(1));
     let mut mirror_updates: MirrorUpdates<M> = HashMap::new();
+    // This master's designations: (target, whether its replica is fresh).
+    let mut designated: Vec<(NodeId, bool)> = Vec::new();
+    #[cfg(test)]
+    let mut spared: Vec<u32> = Vec::new();
     for pos in 0..g.len() as u32 {
         if !g.is_master(pos) {
             continue;
         }
-        loop {
-            let vid = g.vid(pos);
-            let meta = g
-                .meta(pos)
-                .unwrap_or_else(|| panic!("master {vid} has no full state"));
-            if meta.mirror_nodes().len() >= restorable {
-                break;
-            }
+        let vid = g.vid(pos);
+        let meta = g
+            .meta_mut(pos)
+            .unwrap_or_else(|| panic!("master {vid} has no full state to designate a mirror"));
+        designated.clear();
+        while meta.mirror_nodes().len() < restorable {
             // Prefer upgrading an existing replica; otherwise create a new
             // FT replica on the least-assigned survivor.
             let candidate = meta
@@ -1222,31 +1243,44 @@ fn migrate<M: ComputeModel>(
                     let n = survivors
                         .iter()
                         .copied()
-                        .filter(|&n| n != me && !meta.replica_nodes().contains(&n))
+                        .filter(|&n| {
+                            n != me
+                                && !meta.replica_nodes().contains(&n)
+                                && !meta.mirror_nodes().contains(&n)
+                        })
                         .min_by_key(|n| (st.mirror_assign[n.index()], n.index()))
                         .expect("enough survivors to restore the FT level");
                     (n, true)
                 }
             };
             st.mirror_assign[target.index()] += 1;
-            let scatter = shared.model.scatter_bit(g, pos);
-            let meta = g
-                .meta_mut(pos)
-                .unwrap_or_else(|| panic!("master {vid} has no full state to designate a mirror"));
             meta.add_mirror(target);
-            let boxed = Box::new(meta.clone());
+            designated.push((target, fresh));
+        }
+        if designated.is_empty() {
+            continue;
+        }
+        if designated.len() == meta.mirror_nodes().len() {
+            mig.dirty_masters.remove(&pos);
+            #[cfg(test)]
+            spared.push(pos);
+        } else {
+            mig.dirty_masters.insert(pos);
+        }
+        let meta = g.meta(pos).expect("full state checked above");
+        let scatter = shared.model.scatter_bit(g, pos);
+        for &(target, fresh) in &designated {
             mirror_updates
                 .entry(target)
                 .or_default()
                 .push(MirrorUpdate {
                     vid,
-                    meta: boxed,
+                    meta: Box::new(meta.clone()),
                     // Position is reported back in R6 for fresh replicas.
                     value: fresh.then(|| g.value(pos).clone()),
                     last_activate: scatter,
                     master_node: me,
                 });
-            mig.dirty_masters.insert(pos);
         }
     }
     for &n in &others {
@@ -1305,7 +1339,11 @@ fn migrate<M: ComputeModel>(
     phases.record("migration_round6", sw_round.lap());
 
     // ---- R7: register fresh placements; push the final full state to every
-    //      mirror of each dirty master. Building the refresh batches clones
+    //      mirror of each master still dirty — one whose mirror predates the
+    //      episode and has not seen this episode's table changes, or whose
+    //      tables moved after R5 (a fresh replica's position, registered
+    //      just below). Masters whose every mirror received the final state
+    //      in R5 are not in the set. Building the refresh batches clones
     //      whole metas — the bulkiest per-vertex work in the protocol — so
     //      it fans out over the sorted dirty set (sorting also replaces the
     //      serial version's arbitrary hash order; each vid carries at most
@@ -1375,6 +1413,14 @@ fn migrate<M: ComputeModel>(
         for (n, u) in chunk {
             refreshes.entry(n).or_default().push(u);
         }
+    }
+    #[cfg(test)]
+    {
+        spared.retain(|pos| !mig.dirty_masters.contains(pos));
+        let records = refreshes.values().map(Vec::len).sum();
+        let touched = mig.dirty_masters.len() + spared.len();
+        let mut tally = R7_TALLY.lock().unwrap_or_else(|e| e.into_inner());
+        tally.push([touched, spared.len(), records]);
     }
     for &n in &others {
         let ups = refreshes.remove(&n).unwrap_or_default();
@@ -1504,7 +1550,7 @@ fn ckpt_recover_survivor<M: ComputeModel>(
     lg: &mut Arc<M::Graph>,
     shared: &Arc<Shared<M>>,
     st: &mut St<M>,
-    undo: &mut Undo<M>,
+    undo: &mut Undo,
     dead: &[NodeId],
     resume_iter: u64,
     pool: &WorkerPool,
@@ -1545,7 +1591,7 @@ fn ckpt_recover_survivor<M: ComputeModel>(
         }
     );
     // The rollback rewrites the graph: snapshot it for undo first.
-    let captured = undo.capture_graph(lg);
+    let captured = undo.capture_graph(&shared.model, lg);
     phases.record("undo_capture", captured);
     let snap_iter = ckpt_reload_survivor(lg, shared, st, dead, me, incremental, pool);
     let reload = sw.elapsed();
@@ -1611,7 +1657,7 @@ fn ckpt_fallback<M: ComputeModel>(
     lg: &mut Arc<M::Graph>,
     shared: &Arc<Shared<M>>,
     st: &mut St<M>,
-    undo: &mut Undo<M>,
+    undo: &mut Undo,
     dead: &[NodeId],
     resume_iter: u64,
     survivors: &[NodeId],
@@ -1642,7 +1688,7 @@ fn ckpt_fallback<M: ComputeModel>(
     fail_here(ctx, shared, resume_iter, FailPoint::MigrationRound(1))?;
     let sw = Stopwatch::start();
     // The rollback and the grafts rewrite the graph: snapshot it for undo.
-    let captured = undo.capture_graph(lg);
+    let captured = undo.capture_graph(&shared.model, lg);
     phases.record("undo_capture", captured);
     let snap_iter = ckpt_reload_survivor(lg, shared, st, dead, me, incremental, pool);
     {

@@ -49,7 +49,7 @@ pub struct RecoveryReport {
     /// failures arriving mid-recovery (cascading failures, §5.3).
     pub counters: RecoveryCounters,
     /// Fine-grained phase breakdown in protocol order: `undo_capture` (the
-    /// graph copy a mutating attempt takes first), `reload` / `reconstruct`
+    /// graph snapshot a mutating attempt encodes first), `reload` / `reconstruct`
     /// / `replay`, `fence` (barrier waits and abort fences),
     /// `migration_round1..8`, and `after_recovery` (post-recovery hook and
     /// snapshot release). Merged per-phase maxima across nodes, like the
