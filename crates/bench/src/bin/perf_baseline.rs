@@ -12,7 +12,9 @@
 //! the best of `reps()` passes; the load-path rows ([`LOAD_ROWS`]) are the
 //! median of five samples, each taken by a child process of this binary
 //! (`perf_baseline --load-row <name>`). The JSON is a flat name → seconds
-//! map so a later run can be diffed field by field.
+//! map so a later run can be diffed field by field, plus a `bytes` map of
+//! exact gauges (wire sizes, and the memory the load scenario's replicated
+//! edge-cut graphs hold) that CI holds against the committed file.
 
 use std::time::{Duration, Instant};
 
@@ -26,7 +28,7 @@ use imitator_engine::{
     vc_partial_gather, vc_partial_gather_par, Degrees, FtPlan, VcGatherIndex, VertexProgram,
 };
 use imitator_graph::gen;
-use imitator_metrics::CommKind;
+use imitator_metrics::{CommKind, MemSize};
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
 
 /// Best-of-`n` wall time of `f`, in seconds.
@@ -58,10 +60,14 @@ const LOAD_ROWS: [&str; 7] = [
 /// Samples per load row; the row records their median.
 const LOAD_SAMPLES: usize = 5;
 
-/// One sample of load row `row`, in seconds. Runs as the only measurement
-/// of its process: these rows allocate and free a few million blocks, and
-/// whatever the allocator was left holding by an earlier row moves them by
-/// a third.
+/// Not a timing: `mem_bytes` summed over the graphs `build_ec_graphs_ft`
+/// builds. Exact for a given scale and seed, so it is a `bytes` gauge.
+const MEM_EC_FT: &str = "mem_ec_ft";
+
+/// One sample of load row `row`, in seconds (bytes for [`MEM_EC_FT`]). A
+/// timed row runs as the only measurement of its process: these rows
+/// allocate and free a few million blocks, and whatever the allocator was
+/// left holding by an earlier row moves them by a third.
 fn load_row_sample(row: &str, opts: &BenchOpts) -> f64 {
     fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
         let t = Instant::now();
@@ -97,6 +103,7 @@ fn load_row_sample(row: &str, opts: &BenchOpts) -> f64 {
     match row {
         "build_ec_graphs_base" | "build_ec_graphs_ft" => build_s,
         "teardown_ec_base" | "teardown_ec_ft" => timed(|| drop(lgs)).1,
+        MEM_EC_FT => lgs.iter().map(MemSize::mem_bytes).sum::<usize>() as f64,
         _ => panic!("unknown load row `{row}`"),
     }
 }
@@ -167,6 +174,7 @@ fn main() {
     for row in LOAD_ROWS {
         record(row, load_row(row));
     }
+    let mem_ec_ft = load_row_sample(MEM_EC_FT, &opts);
 
     // Edge-cut kernels: one node's slice of a dense superstep.
     let cut = HashEdgeCut.partition(&g, opts.nodes);
@@ -599,15 +607,17 @@ fn main() {
         json.push_str(&format!("    \"{name}\": {secs:.6}{comma}\n"));
     }
     json.push_str("  },\n");
-    // Wire-size gauges: byte counts, not timings. All but the heartbeat
-    // total repeat exactly and are held by the blocking CI bytes-regression
-    // step; heartbeats are paced by the clock, so theirs follows wall time.
+    // Byte gauges — wire sizes and the load scenario's graph memory — not
+    // timings. All but the heartbeat total repeat exactly and are held by
+    // the blocking CI bytes-regression step; heartbeats are paced by the
+    // clock, so theirs follows wall time.
     json.push_str("  \"bytes\": {\n");
     json.push_str(&format!("    \"bytes_per_sync\": {bytes_per_sync:.4},\n"));
     json.push_str(&format!("    \"bytes_per_ckpt\": {bytes_per_ckpt:.1},\n"));
     json.push_str(&format!(
         "    \"recovery_migration\": {recovery_migration_bytes:.1},\n"
     ));
+    json.push_str(&format!("    \"{MEM_EC_FT}\": {mem_ec_ft:.1},\n"));
     json.push_str(&format!(
         "    \"hb_overhead_bytes\": {hb_overhead_bytes:.1}\n"
     ));
@@ -618,6 +628,7 @@ fn main() {
         "  {:<40} {recovery_migration_bytes:>10.1} B",
         "recovery_migration"
     );
+    println!("  {:<40} {mem_ec_ft:>10.1} B", MEM_EC_FT);
     println!("  {:<40} {hb_overhead_bytes:>10.1} B", "hb_overhead_bytes");
     std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");
     println!("wrote BENCH_engine.json ({} entries)", results.len());

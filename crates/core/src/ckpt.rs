@@ -23,8 +23,8 @@
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
-    CopyKind, EcLocalGraph, EcVertex, InlineList, MasterMeta, VcEdge, VcLocalGraph, VcMeta,
-    VcVertex,
+    ColumnLens, CopyKind, EcLocalGraph, EcVertex, FullStateRef, InlineList, Locations, MasterMeta,
+    RemoteEdge, VcEdge, VcLocalGraph, VcVertex,
 };
 use imitator_graph::{PosIndex, Vid};
 use imitator_storage::codec::{
@@ -65,8 +65,10 @@ fn enc_delta(cur: u32, prev: &mut u32, buf: &mut Vec<u8>) {
 }
 
 fn dec_delta(r: &mut Reader<'_>, prev: &mut u32) -> Result<u32, DecodeError> {
-    let cur = i64::from(*prev) + unzigzag64(read_uvarint(r)?);
-    let cur = u32::try_from(cur).map_err(|_| DecodeError::Corrupt("delta column"))?;
+    let cur = i64::from(*prev)
+        .checked_add(unzigzag64(read_uvarint(r)?))
+        .and_then(|cur| u32::try_from(cur).ok())
+        .ok_or(DecodeError::Corrupt("delta column"))?;
     *prev = cur;
     Ok(cur)
 }
@@ -104,36 +106,22 @@ pub(crate) fn kind_from_bits(b: u8) -> Result<CopyKind, DecodeError> {
     }
 }
 
-pub(crate) fn enc_meta(m: &MasterMeta, buf: &mut Vec<u8>) {
-    enc_u32(m.master_pos, buf);
-    enc_uv(m.replica_nodes.len() as u64, buf);
-    for (&n, &p) in m.replica_nodes.iter().zip(&m.replica_positions) {
+/// The replica-location tables: all of a vertex-cut copy's full state, and
+/// the head of an edge-cut copy's.
+pub(crate) fn enc_locations(m: &Locations, buf: &mut Vec<u8>) {
+    enc_u32(m.master_pos(), buf);
+    enc_uv(m.replica_nodes().len() as u64, buf);
+    for (&n, &p) in m.replica_nodes().iter().zip(m.replica_positions()) {
         enc_node(n, buf);
         enc_u32(p, buf);
     }
-    enc_uv(m.mirror_nodes.len() as u64, buf);
-    for &n in &m.mirror_nodes {
+    enc_uv(m.mirror_nodes().len() as u64, buf);
+    for &n in m.mirror_nodes() {
         enc_node(n, buf);
-    }
-    enc_uv(m.in_edges_owner.len() as u64, buf);
-    for (&(pos, w), &src) in m.in_edges_owner.iter().zip(&m.in_edge_srcs) {
-        enc_u32(pos, buf);
-        w.encode(buf);
-        enc_vid(src, buf);
-    }
-    enc_uv(m.out_local_owner.len() as u64, buf);
-    for &p in &m.out_local_owner {
-        enc_u32(p, buf);
-    }
-    enc_uv(m.out_remote.len() as u64, buf);
-    for r in &m.out_remote {
-        enc_vid(r.target, buf);
-        enc_node(r.node, buf);
-        enc_u32(r.pos, buf);
     }
 }
 
-pub(crate) fn dec_meta(r: &mut Reader<'_>) -> Result<MasterMeta, DecodeError> {
+pub(crate) fn dec_locations(r: &mut Reader<'_>) -> Result<Locations, DecodeError> {
     let master_pos = dec_u32(r)?;
     let nr = dec_count(r)?;
     let mut replica_nodes = InlineList::with_capacity(nr);
@@ -147,39 +135,84 @@ pub(crate) fn dec_meta(r: &mut Reader<'_>) -> Result<MasterMeta, DecodeError> {
     for _ in 0..nm {
         mirror_nodes.push(dec_node(r)?);
     }
-    let ne = dec_count(r)?;
-    let mut in_edges_owner = Vec::with_capacity(ne);
-    let mut in_edge_srcs = Vec::with_capacity(ne);
-    for _ in 0..ne {
-        let pos = dec_u32(r)?;
-        let w = f32::decode(r)?;
-        in_edges_owner.push((pos, w));
-        in_edge_srcs.push(dec_vid(r)?);
-    }
-    let nl = dec_count(r)?;
-    let mut out_local_owner = Vec::with_capacity(nl);
-    for _ in 0..nl {
-        out_local_owner.push(dec_u32(r)?);
-    }
-    let nor = dec_count(r)?;
-    let mut out_remote = Vec::with_capacity(nor);
-    for _ in 0..nor {
-        out_remote.push(imitator_engine::RemoteEdge {
-            target: dec_vid(r)?,
-            node: dec_node(r)?,
-            pos: dec_u32(r)?,
-        });
-    }
-    Ok(MasterMeta {
+    Ok(Locations::new(
         master_pos,
         replica_nodes,
         replica_positions,
         mirror_nodes,
-        in_edges_owner,
-        in_edge_srcs,
-        out_local_owner,
-        out_remote,
+    ))
+}
+
+fn enc_out_remote(edges: &[RemoteEdge], buf: &mut Vec<u8>) {
+    enc_uv(edges.len() as u64, buf);
+    for r in edges {
+        enc_vid(r.target, buf);
+        enc_node(r.node, buf);
+        enc_u32(r.pos, buf);
+    }
+}
+
+/// Decodes a list into `out`, which it empties first and sizes once.
+fn dec_list_into<T>(
+    r: &mut Reader<'_>,
+    out: &mut Vec<T>,
+    dec: impl Fn(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<(), DecodeError> {
+    let n = dec_count(r)?;
+    out.clear();
+    out.reserve_exact(n);
+    for _ in 0..n {
+        out.push(dec(r)?);
+    }
+    Ok(())
+}
+
+fn dec_remote_edge(r: &mut Reader<'_>) -> Result<RemoteEdge, DecodeError> {
+    Ok(RemoteEdge {
+        target: dec_vid(r)?,
+        node: dec_node(r)?,
+        pos: dec_u32(r)?,
     })
+}
+
+/// An edge-cut copy's full state as messages carry it.
+pub(crate) fn enc_meta(m: FullStateRef<'_>, buf: &mut Vec<u8>) {
+    enc_locations(m.locations, buf);
+    enc_uv(m.in_edges_owner.len() as u64, buf);
+    for (&(pos, w), &src) in m.in_edges_owner.iter().zip(m.in_edge_srcs) {
+        enc_u32(pos, buf);
+        w.encode(buf);
+        enc_vid(src, buf);
+    }
+    enc_uv(m.out_local_owner.len() as u64, buf);
+    for &p in m.out_local_owner {
+        enc_u32(p, buf);
+    }
+    enc_out_remote(m.out_remote, buf);
+}
+
+/// [`dec_meta`] into `m`, reusing its lists' allocations.
+fn dec_meta_into(r: &mut Reader<'_>, m: &mut MasterMeta) -> Result<(), DecodeError> {
+    m.locations = dec_locations(r)?;
+    let ne = dec_count(r)?;
+    m.in_edges_owner.clear();
+    m.in_edges_owner.reserve_exact(ne);
+    m.in_edge_srcs.clear();
+    m.in_edge_srcs.reserve_exact(ne);
+    for _ in 0..ne {
+        let pos = dec_u32(r)?;
+        let w = f32::decode(r)?;
+        m.in_edges_owner.push((pos, w));
+        m.in_edge_srcs.push(dec_vid(r)?);
+    }
+    dec_list_into(r, &mut m.out_local_owner, dec_u32)?;
+    dec_list_into(r, &mut m.out_remote, dec_remote_edge)
+}
+
+pub(crate) fn dec_meta(r: &mut Reader<'_>) -> Result<MasterMeta, DecodeError> {
+    let mut m = MasterMeta::default();
+    dec_meta_into(r, &mut m)?;
+    Ok(m)
 }
 
 /// Bytes a varint position, vertex ID or list length usually takes in a
@@ -192,32 +225,48 @@ const HINT_VARINT: usize = 3;
 fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
     let fixed = 4 * HINT_VARINT + 2 + std::mem::size_of::<V>();
     let edge = HINT_VARINT + 4;
-    lg.verts
+    let copies: usize = lg
+        .verts
         .iter()
-        .map(|v| {
-            let meta = v.meta.as_ref().map_or(0, |m| {
-                6 * HINT_VARINT
-                    + (1 + HINT_VARINT) * m.replica_nodes.len()
-                    + m.mirror_nodes.len()
-                    + (edge + HINT_VARINT) * m.in_edges_owner.len()
-                    + HINT_VARINT * m.out_local_owner.len()
-                    + (2 * HINT_VARINT + 1) * m.out_remote.len()
-            });
-            fixed + edge * v.in_edges.len() + HINT_VARINT * v.out_local.len() + meta
-        })
-        .sum()
+        .map(|v| fixed + edge * v.in_edges.len() + HINT_VARINT * v.out_local.len())
+        .sum();
+    // Full state from the store's column lengths: a few location entries
+    // and list headers per slot, then the entries.
+    let (slots, lens) = lg.full_state_lens();
+    copies
+        + (8 * HINT_VARINT + 3) * slots
+        + edge * lens.in_edges
+        + HINT_VARINT * (lens.in_srcs + lens.out_local)
+        + (2 * HINT_VARINT + 1) * lens.out_remote
 }
 
 /// Encodes an edge-cut local graph (topology + current state) as a
 /// metadata snapshot — every field but `next_active`, which is false
 /// whenever a graph is encoded (load, and between supersteps: `ec_commit`
 /// clears it before returning) and decodes as false.
+///
+/// Full state is written as the graph stores it: a mirror's whole (the
+/// message form, [`enc_meta`]), a master's without the two lists that are
+/// its own `in_edges` and `out_local`, already written. The format is
+/// internal — undo buffers and the `ec/meta/<node>` files of one run.
 pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(ec_graph_size_hint(lg));
     enc_u32(lg.node.raw(), &mut buf);
     enc_uv(lg.verts.len() as u64, &mut buf);
+    // The prologue: what the decoder's store will hold (runs no slot points
+    // at any more are not encoded), so it sizes each column once.
+    let (slots, lens) = lg.live_full_state_lens();
+    for total in [
+        slots,
+        lens.in_edges,
+        lens.in_srcs,
+        lens.out_local,
+        lens.out_remote,
+    ] {
+        enc_uv(total as u64, &mut buf);
+    }
     let mut prev_vid = 0u32;
-    for v in &lg.verts {
+    for (pos, v) in lg.verts.iter().enumerate() {
         debug_assert!(!v.next_active, "{} encoded mid-commit", v.vid);
         enc_delta(v.vid.raw(), &mut prev_vid, &mut buf);
         // kind (2b) | active | last_activate | has-meta in one byte.
@@ -237,26 +286,61 @@ pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
         for &t in &v.out_local {
             enc_u32(t, &mut buf);
         }
-        if let Some(m) = &v.meta {
-            enc_meta(m, &mut buf);
+        match lg.full_state(pos as u32) {
+            Some(state) if v.is_master() => {
+                enc_locations(state.locations, &mut buf);
+                enc_uv(state.in_edge_srcs.len() as u64, &mut buf);
+                for &src in state.in_edge_srcs {
+                    enc_vid(src, &mut buf);
+                }
+                enc_out_remote(state.out_remote, &mut buf);
+            }
+            Some(state) => enc_meta(state, &mut buf),
+            None => {}
         }
     }
     buf
 }
 
-/// Decodes an edge-cut metadata snapshot.
+/// Decodes an edge-cut metadata snapshot. The prologue's totals size the
+/// full-state store once; the graph that comes back holds exactly them and
+/// passes [`EcLocalGraph::validate`].
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on truncated or corrupt input.
+/// Returns a [`DecodeError`] on truncated or corrupt input, including input
+/// that decodes to a graph breaking a structural invariant.
 pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, DecodeError> {
     let mut r = Reader::new(bytes);
-    let node = NodeId::new(dec_u32(&mut r)?);
+    let mut lg = EcLocalGraph::empty(NodeId::new(dec_u32(&mut r)?));
     let n = dec_count(&mut r)?;
-    let mut verts = Vec::with_capacity(n);
+    let slots = dec_count(&mut r)?;
+    let lens = ColumnLens {
+        in_edges: dec_count(&mut r)?,
+        in_srcs: dec_count(&mut r)?,
+        out_local: dec_count(&mut r)?,
+        out_remote: dec_count(&mut r)?,
+    };
+    // Every copy, slot and column entry costs a byte of its own, so what is
+    // reserved below is within a constant of the input's size.
+    let counted = [
+        n,
+        slots,
+        lens.in_edges,
+        lens.in_srcs,
+        lens.out_local,
+        lens.out_remote,
+    ];
+    if counted.iter().sum::<usize>() > r.remaining() {
+        return Err(DecodeError::Corrupt("counts exceed input"));
+    }
+    lg.verts.reserve_exact(n);
+    lg.reserve_full_state(slots, lens);
     let mut pairs = Vec::with_capacity(n);
     let mut prev_vid = 0u32;
-    for pos in 0..n {
+    // One copy's full state at a time, its lists' allocations reused.
+    let mut meta = MasterMeta::default();
+    for pos in 0..n as u32 {
         let vid = Vid::new(dec_delta(&mut r, &mut prev_vid)?);
         let flags = r.take(1)?[0];
         if flags & !0b1_1111 != 0 {
@@ -265,25 +349,13 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
         let kind = kind_from_bits(flags & 0b11)?;
         let master_node = dec_node(&mut r)?;
         let value = V::decode(&mut r)?;
-        let ne = dec_count(&mut r)?;
-        let mut in_edges = Vec::with_capacity(ne);
-        for _ in 0..ne {
-            let s = dec_u32(&mut r)?;
-            let w = f32::decode(&mut r)?;
-            in_edges.push((s, w));
-        }
-        let nl = dec_count(&mut r)?;
-        let mut out_local = Vec::with_capacity(nl);
-        for _ in 0..nl {
-            out_local.push(dec_u32(&mut r)?);
-        }
-        let meta = if flags & 0b1_0000 != 0 {
-            Some(Box::new(dec_meta(&mut r)?))
-        } else {
-            None
-        };
-        pairs.push((vid, pos as u32));
-        verts.push(EcVertex {
+        let (mut in_edges, mut out_local) = (Vec::new(), Vec::new());
+        dec_list_into(&mut r, &mut in_edges, |r| {
+            Ok((dec_u32(r)?, f32::decode(r)?))
+        })?;
+        dec_list_into(&mut r, &mut out_local, dec_u32)?;
+        pairs.push((vid, pos));
+        lg.verts.push(EcVertex {
             vid,
             kind,
             master_node,
@@ -293,19 +365,31 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
             last_activate: flags & 0b1000 != 0,
             in_edges,
             out_local,
-            meta,
+            meta: None,
         });
+        if flags & 0b1_0000 == 0 {
+            continue;
+        }
+        if kind == CopyKind::Master {
+            meta.locations = dec_locations(&mut r)?;
+            dec_list_into(&mut r, &mut meta.in_edge_srcs, dec_vid)?;
+            dec_list_into(&mut r, &mut meta.out_remote, dec_remote_edge)?;
+        } else {
+            dec_meta_into(&mut r, &mut meta)?;
+        }
+        lg.set_full_state(pos, meta.view());
     }
     if r.remaining() > 0 {
         return Err(DecodeError::TrailingBytes(r.remaining()));
     }
-    let mut lg = EcLocalGraph {
-        node,
-        verts,
-        index: PosIndex::from_pairs(pairs),
-        active_frontier: Vec::new(),
-    };
+    if lg.full_state_lens() != (slots, lens) {
+        return Err(DecodeError::Corrupt("full-state totals"));
+    }
+    lg.index = PosIndex::from_pairs(pairs);
     lg.rebuild_active_frontier();
+    if lg.validate().is_err() {
+        return Err(DecodeError::Corrupt("graph invariants"));
+    }
     Ok(lg)
 }
 
@@ -384,41 +468,6 @@ pub fn apply_ec_snapshot<V: Decode>(
     Ok(iter)
 }
 
-pub(crate) fn enc_vc_meta(m: &VcMeta, buf: &mut Vec<u8>) {
-    enc_u32(m.master_pos, buf);
-    enc_uv(m.replica_nodes.len() as u64, buf);
-    for (&n, &p) in m.replica_nodes.iter().zip(&m.replica_positions) {
-        enc_node(n, buf);
-        enc_u32(p, buf);
-    }
-    enc_uv(m.mirror_nodes.len() as u64, buf);
-    for &n in &m.mirror_nodes {
-        enc_node(n, buf);
-    }
-}
-
-pub(crate) fn dec_vc_meta(r: &mut Reader<'_>) -> Result<VcMeta, DecodeError> {
-    let master_pos = dec_u32(r)?;
-    let nr = dec_count(r)?;
-    let mut replica_nodes = InlineList::with_capacity(nr);
-    let mut replica_positions = InlineList::with_capacity(nr);
-    for _ in 0..nr {
-        replica_nodes.push(dec_node(r)?);
-        replica_positions.push(dec_u32(r)?);
-    }
-    let nm = dec_count(r)?;
-    let mut mirror_nodes = InlineList::with_capacity(nm);
-    for _ in 0..nm {
-        mirror_nodes.push(dec_node(r)?);
-    }
-    Ok(VcMeta {
-        master_pos,
-        replica_nodes,
-        replica_positions,
-        mirror_nodes,
-    })
-}
-
 /// Encodes a vertex-cut local graph as a metadata snapshot. The buffer is
 /// pre-sized like [`encode_ec_graph`]'s.
 pub fn encode_vc_graph<V: Encode>(lg: &VcLocalGraph<V>) -> Vec<u8> {
@@ -427,7 +476,9 @@ pub fn encode_vc_graph<V: Encode>(lg: &VcLocalGraph<V>) -> Vec<u8> {
         .verts
         .iter()
         .filter_map(|v| v.meta.as_ref())
-        .map(|m| 3 * HINT_VARINT + (1 + HINT_VARINT) * m.replica_nodes.len() + m.mirror_nodes.len())
+        .map(|m| {
+            3 * HINT_VARINT + (1 + HINT_VARINT) * m.replica_nodes().len() + m.mirror_nodes().len()
+        })
         .sum();
     let hint = vertex * lg.verts.len() + metas + (2 * HINT_VARINT + 4) * lg.edges.len();
     let mut buf = Vec::with_capacity(hint);
@@ -441,7 +492,7 @@ pub fn encode_vc_graph<V: Encode>(lg: &VcLocalGraph<V>) -> Vec<u8> {
         enc_node(v.master_node, &mut buf);
         v.value.encode(&mut buf);
         if let Some(m) = &v.meta {
-            enc_vc_meta(m, &mut buf);
+            enc_locations(m, &mut buf);
         }
     }
     enc_uv(lg.edges.len() as u64, &mut buf);
@@ -476,7 +527,7 @@ pub fn decode_vc_graph<V: Decode>(bytes: &[u8]) -> Result<VcLocalGraph<V>, Decod
         let master_node = dec_node(&mut r)?;
         let value = V::decode(&mut r)?;
         let meta = if flags & 0b100 != 0 {
-            Some(Box::new(dec_vc_meta(&mut r)?))
+            Some(Box::new(dec_locations(&mut r)?))
         } else {
             None
         };
@@ -697,6 +748,7 @@ pub(crate) mod tests {
     use crate::plan::{compute_ft_plan, ReplicaView};
     use imitator_engine::{build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, FtPlan};
     use imitator_graph::{gen, Edge, Graph};
+    use imitator_metrics::MemSize;
     use imitator_partition::{
         EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
     };
@@ -775,7 +827,73 @@ pub(crate) mod tests {
         }
     }
 
+    /// What [`hostile_ec_graph_bytes_never_panic`] does to a snapshot.
+    #[derive(Debug, Clone)]
+    enum Damage {
+        Truncate(usize),
+        FlipBit(usize, u8),
+        /// Copy `len` bytes from one offset into the buffer at another.
+        Splice {
+            from: usize,
+            to: usize,
+            len: usize,
+        },
+    }
+
+    fn arb_damage() -> impl Strategy<Value = Damage> {
+        prop_oneof![
+            any::<usize>().prop_map(Damage::Truncate),
+            (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Damage::FlipBit(at, bit)),
+            (any::<usize>(), any::<usize>(), 1usize..24)
+                .prop_map(|(from, to, len)| Damage::Splice { from, to, len }),
+        ]
+    }
+
+    fn damaged(mut bytes: Vec<u8>, damage: &[Damage]) -> Vec<u8> {
+        for d in damage {
+            if bytes.is_empty() {
+                break;
+            }
+            let n = bytes.len();
+            match *d {
+                Damage::Truncate(at) => bytes.truncate(at % n),
+                Damage::FlipBit(at, bit) => bytes[at % n] ^= 1 << bit,
+                Damage::Splice { from, to, len } => {
+                    let from = from % n;
+                    let run = bytes[from..(from + len).min(n)].to_vec();
+                    let to = to % n;
+                    bytes.splice(to..to, run);
+                }
+            }
+        }
+        bytes
+    }
+
     proptest! {
+        /// The decoder is the abort path of every Migration and the reload
+        /// path of every checkpoint recovery: truncated, bit-flipped and
+        /// spliced snapshots of loader-built graphs must come back as an
+        /// error or as a graph that holds together — never a panic, never
+        /// a span past its column, never memory out of proportion to the
+        /// input.
+        #[test]
+        fn hostile_ec_graph_bytes_never_panic(
+            (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
+            damage in proptest::collection::vec(arb_damage(), 1..4),
+        ) {
+            let cut = HashEdgeCut.partition(&g, parts);
+            let plan = plan_for(&g, &cut, k, selfish);
+            let d = Degrees::of(&g);
+            for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
+                let bad = damaged(encode_ec_graph(&lg), &damage);
+                if let Ok(back) = decode_ec_graph::<f64>(&bad) {
+                    back.debug_validate();
+                    // A slot is the largest thing a counted byte can stand for.
+                    prop_assert!(back.mem_bytes() <= 1024 + 128 * bad.len());
+                }
+            }
+        }
+
         /// The undo snapshot *is* this codec: whatever the loaders build —
         /// any partition count, FT level, selfish flags, duplicate edges,
         /// isolated vertices — must come back equal, field for field.
@@ -798,6 +916,86 @@ pub(crate) mod tests {
             for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
                 let back: VcLocalGraph<f64> = decode_vc_graph(&encode_vc_graph(&lg)).unwrap();
                 prop_assert_eq!(&back, &lg);
+            }
+        }
+    }
+
+    /// A graph comes back from a snapshot without the dead runs Migration
+    /// left in its store, in columns of exactly the prologue's totals.
+    #[test]
+    fn decoding_drops_dead_runs() {
+        let g = gen::power_law(400, 2.0, 6, 3);
+        let cut = HashEdgeCut.partition(&g, 3);
+        let plan = compute_ft_plan(&g, &cut, 1, false, true, 0xF7);
+        let d = Degrees::of(&g);
+        let mut lg = build_edge_cut_graphs(&g, &cut, &plan, &P, &d).remove(1);
+        let loaded = lg.full_state_lens();
+        assert_eq!(lg.live_full_state_lens(), loaded, "a fresh store has none");
+        // Grow every mirror's remote out-edges by one: each list moves to
+        // its column's tail and leaves its old run behind.
+        let mirrors: Vec<u32> = (0..lg.len() as u32)
+            .filter(|&pos| lg.verts[pos as usize].kind == CopyKind::Mirror)
+            .collect();
+        assert!(!mirrors.is_empty());
+        for &pos in &mirrors {
+            lg.extend_out_remote(pos, &[RemoteEdge::default()]);
+        }
+        let live = lg.live_full_state_lens();
+        assert_eq!(live.1.out_remote, loaded.1.out_remote + mirrors.len());
+        assert!(lg.full_state_lens().1.out_remote > live.1.out_remote);
+        let back: EcLocalGraph<f64> = decode_ec_graph(&encode_ec_graph(&lg)).unwrap();
+        assert_eq!(back, lg);
+        assert_eq!(back.full_state_lens(), live);
+    }
+
+    /// What a master exports is the full state the loaders used to build
+    /// and box for it — derived here from the input graph alone — byte for
+    /// byte on the wire, although its slot stores neither owner-local list.
+    #[test]
+    fn a_master_exports_the_full_state_it_used_to_store() {
+        let g = gen::power_law(300, 2.0, 6, 21);
+        let cut = HashEdgeCut.partition(&g, 4);
+        let plan = compute_ft_plan(&g, &cut, 2, false, true, 0xF7);
+        let d = Degrees::of(&g);
+        let lgs = build_edge_cut_graphs(&g, &cut, &plan, &P, &d);
+        for (p, lg) in lgs.iter().enumerate() {
+            let mirrors = lg.verts.iter().filter(|v| v.kind == CopyKind::Mirror);
+            let mirrored: usize = mirrors
+                .map(|v| {
+                    lgs[v.master_node.index()].verts[..]
+                        .iter()
+                        .find(|m| m.vid == v.vid)
+                })
+                .map(|m| m.expect("a mirror has a master").in_edges.len())
+                .sum();
+            assert_eq!(lg.full_state_lens().1.in_edges, mirrored, "mirrors' only");
+            for pos in lg.master_positions() {
+                let v = lg.verts[pos as usize].vid;
+                let mut want = MasterMeta {
+                    locations: lg.locations(pos).unwrap().clone(),
+                    ..MasterMeta::default()
+                };
+                for e in g.edges() {
+                    if e.dst == v {
+                        want.in_edges_owner
+                            .push((lg.position(e.src).unwrap(), e.weight));
+                        want.in_edge_srcs.push(e.src);
+                    }
+                    if e.src == v && cut.owner(e.dst) == p {
+                        want.out_local_owner.push(lg.position(e.dst).unwrap());
+                    } else if e.src == v {
+                        let node = NodeId::from_index(cut.owner(e.dst));
+                        want.out_remote.push(RemoteEdge {
+                            target: e.dst,
+                            node,
+                            pos: lgs[node.index()].position(e.dst).unwrap(),
+                        });
+                    }
+                }
+                let (mut ours, mut theirs) = (Vec::new(), Vec::new());
+                enc_meta(lg.full_state(pos).unwrap(), &mut ours);
+                enc_meta(want.view(), &mut theirs);
+                assert_eq!(ours, theirs, "{v} on node {p}");
             }
         }
     }

@@ -19,14 +19,13 @@ use imitator_cluster::{
     BarrierOutcome, Cluster, Envelope, FailPoint, FailureInjector, FailurePlan, NodeCtx, NodeId,
     WireCodec,
 };
-use imitator_engine::{CopyKind, Degrees, FtPlan, InOrder, MasterUpdate, WorkerPool};
+use imitator_engine::{CopyKind, Degrees, FtPlan, InOrder, Locations, MasterUpdate, WorkerPool};
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_storage::codec::{Decode, Encode};
 use imitator_storage::{epoch, Dfs, EpochKind};
 
 use crate::msg::{ProtoMsg, ReplicaGrant, VertexSync};
-use crate::plan::ReplicaMeta;
 use crate::recovery::{self, Adoption, Mig, MigEnv};
 use crate::report::RunReport;
 use crate::rt::{merge_outcomes, NodeOutcome, NodeState};
@@ -131,8 +130,8 @@ impl<V> SyncBufs<V> {
 pub(crate) trait ModelGraph {
     /// The vertex value type.
     type Value;
-    /// The full-state (master/mirror) metadata type.
-    type Meta: ReplicaMeta;
+    /// A master's or mirror's full state in the owned form messages carry.
+    type Meta;
 
     fn len(&self) -> usize;
     #[allow(dead_code)]
@@ -147,8 +146,13 @@ pub(crate) trait ModelGraph {
     fn master_node(&self, pos: u32) -> NodeId;
     fn set_master_node(&mut self, pos: u32, node: NodeId);
     fn value(&self, pos: u32) -> &Self::Value;
-    fn meta(&self, pos: u32) -> Option<&Self::Meta>;
-    fn meta_mut(&mut self, pos: u32) -> Option<&mut Self::Meta>;
+    /// The replica-location tables of the full-state copy at `pos`: the
+    /// part of full state recovery reads and rewrites in place.
+    fn meta(&self, pos: u32) -> Option<&Locations>;
+    fn meta_mut(&mut self, pos: u32) -> Option<&mut Locations>;
+    /// The full state of the copy at `pos` as it ships to another node.
+    fn export_meta(&self, pos: u32) -> Option<Self::Meta>;
+    /// Adopts full state shipped by another node for the copy at `pos`.
     fn set_meta(&mut self, pos: u32, meta: Box<Self::Meta>);
     fn is_master(&self, pos: u32) -> bool {
         self.kind(pos) == CopyKind::Master
@@ -170,7 +174,7 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// Rebirth recovery entry.
     type Entry: Send + 'static;
     /// Replica metadata.
-    type Meta: ReplicaMeta + Clone + PartialEq + Send + 'static;
+    type Meta: Clone + PartialEq + Send + 'static;
     /// Local graph. `Sync` because recovery's read-only scans share it with
     /// pool workers behind an `Arc` (both engines' graphs are plain data).
     type Graph: ModelGraph<Value = Self::Value, Meta = Self::Meta> + MemSize + Send + Sync + 'static;
@@ -482,8 +486,10 @@ where
 /// *next* failure): every master has `min(K, live − 1)` mirrors, on distinct
 /// live nodes other than its own, and each mirror sits at the position the
 /// master's table records, points back at the master's node, and holds the
-/// master's full state and value. Selfish masters never sync (§4.4), so
-/// their mirrors' values are stale by design and are not compared.
+/// master's full state and value. Full state is compared as each side would
+/// export it ([`ModelGraph::export_meta`]): the two store it differently.
+/// Selfish masters never sync (§4.4), so their mirrors' values are stale by
+/// design and are not compared.
 ///
 /// # Panics
 ///
@@ -505,6 +511,7 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
                 .meta(pos)
                 .unwrap_or_else(|| panic!("master {vid} on {node} has no full state"));
             let selfish = plan.selfish.get(vid.index()).copied().unwrap_or(false);
+            let full_state = lg.export_meta(pos);
             let mirrors = meta.mirror_nodes();
             assert_eq!(
                 mirrors.len(),
@@ -528,7 +535,7 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
                     "copy of {vid} on {m} is not a mirror of {node}'s master"
                 );
                 assert!(
-                    mg.meta(at) == Some(meta),
+                    mg.export_meta(at) == full_state,
                     "mirror of {vid} on {m} holds a stale full state"
                 );
                 let (mine, theirs) = (lg.value(pos), mg.value(at));

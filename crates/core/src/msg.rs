@@ -11,11 +11,11 @@
 //! `accounted_sizes_match_codec` test pins both equalities.
 
 use imitator_cluster::{NodeId, WireCodec};
-use imitator_engine::{CopyKind, MasterMeta, VcMeta};
+use imitator_engine::{CopyKind, Locations, MasterMeta};
 use imitator_graph::Vid;
 use imitator_storage::codec::{read_uvarint, write_uvarint, Decode, DecodeError, Encode, Reader};
 
-use crate::ckpt::{dec_meta, dec_vc_meta, enc_meta, enc_vc_meta, kind_bits, kind_from_bits};
+use crate::ckpt::{dec_locations, dec_meta, enc_locations, enc_meta, kind_bits, kind_from_bits};
 use crate::wire::{
     decode_gather_frame, decode_sync_frame, encode_gather_frame, encode_sync_frame, SyncRecEnc,
     GATHER_FRAME_TAG, SYNC_FRAME_TAG,
@@ -173,7 +173,7 @@ pub struct RebirthBatch<E> {
 pub type EcMsg<V> = ProtoMsg<V, (), EcRecoverEntry<V>, MasterMeta>;
 
 /// Vertex-cut cluster messages.
-pub type VcMsg<V, A> = ProtoMsg<V, A, VcRecoverEntry<V>, VcMeta>;
+pub type VcMsg<V, A> = ProtoMsg<V, A, VcRecoverEntry<V>, Locations>;
 
 /// A vertex-cut recovered copy (no edges — those come from edge-ckpt files).
 #[derive(Debug, Clone, PartialEq)]
@@ -189,7 +189,7 @@ pub struct VcRecoverEntry<V> {
     /// Last committed value.
     pub value: V,
     /// Full state (masters and mirrors).
-    pub meta: Option<Box<VcMeta>>,
+    pub meta: Option<Box<Locations>>,
 }
 
 impl<V> VcRecoverEntry<V> {
@@ -326,7 +326,7 @@ fn enc_ec_entry<V: Encode>(e: &EcRecoverEntry<V>, buf: &mut Vec<u8>) {
     match &e.meta {
         Some(m) => {
             true.encode(buf);
-            enc_meta(m, buf);
+            enc_meta(m.view(), buf);
         }
         None => false.encode(buf),
     }
@@ -358,7 +358,7 @@ fn enc_vc_entry<V: Encode>(e: &VcRecoverEntry<V>, buf: &mut Vec<u8>) {
     match &e.meta {
         Some(m) => {
             true.encode(buf);
-            enc_vc_meta(m, buf);
+            enc_locations(m, buf);
         }
         None => false.encode(buf),
     }
@@ -372,7 +372,7 @@ fn dec_vc_entry<V: Decode>(r: &mut Reader<'_>) -> Result<VcRecoverEntry<V>, Deco
         master_node: dec_node(r)?,
         value: V::decode(r)?,
         meta: bool::decode(r)?
-            .then(|| dec_vc_meta(r).map(Box::new))
+            .then(|| dec_locations(r).map(Box::new))
             .transpose()?,
     })
 }
@@ -525,7 +525,7 @@ impl<V: Encode + Decode> WireCodec for EcMsg<V> {
             }
             ProtoMsg::MirrorUpdate(us) => {
                 buf.push(TAG_MIRROR_UPDATE);
-                enc_mirror_updates(us, buf, enc_meta);
+                enc_mirror_updates(us, buf, |m, buf| enc_meta(m.view(), buf));
             }
         }
     }
@@ -583,7 +583,7 @@ impl<V: Encode + Decode, A: Encode + Decode + Clone> WireCodec for VcMsg<V, A> {
             }
             ProtoMsg::MirrorUpdate(us) => {
                 buf.push(TAG_MIRROR_UPDATE);
-                enc_mirror_updates(us, buf, enc_vc_meta);
+                enc_mirror_updates(us, buf, enc_locations);
             }
         }
     }
@@ -604,7 +604,7 @@ impl<V: Encode + Decode, A: Encode + Decode + Clone> WireCodec for VcMsg<V, A> {
                     TAG_REPLICA_GRANT => ProtoMsg::ReplicaGrant(dec_grants(&mut r).ok()?),
                     TAG_REPLICA_PLACED => ProtoMsg::ReplicaPlaced(dec_placed(&mut r).ok()?),
                     TAG_MIRROR_UPDATE => {
-                        ProtoMsg::MirrorUpdate(dec_mirror_updates(&mut r, dec_vc_meta).ok()?)
+                        ProtoMsg::MirrorUpdate(dec_mirror_updates(&mut r, dec_locations).ok()?)
                     }
                     _ => return None,
                 };
@@ -732,21 +732,23 @@ mod tests {
     #[test]
     fn wire_codec_roundtrips_every_variant() {
         let meta = MasterMeta {
-            master_pos: 3,
-            replica_nodes: [NodeId::new(1), NodeId::new(2)].into_iter().collect(),
-            replica_positions: [9, 11].into_iter().collect(),
-            mirror_nodes: [NodeId::new(2)].into_iter().collect(),
+            locations: Locations::new(
+                3,
+                [NodeId::new(1), NodeId::new(2)].into_iter().collect(),
+                [9, 11].into_iter().collect(),
+                [NodeId::new(2)].into_iter().collect(),
+            ),
             in_edges_owner: vec![(4, 0.5), (6, -1.25)],
             in_edge_srcs: vec![Vid::new(40), Vid::new(60)],
             out_local_owner: vec![1, 2],
             out_remote: vec![],
         };
-        let vc_meta = VcMeta {
-            master_pos: 5,
-            replica_nodes: [NodeId::new(3)].into_iter().collect(),
-            replica_positions: [0].into_iter().collect(),
-            mirror_nodes: [NodeId::new(3)].into_iter().collect(),
-        };
+        let vc_meta = Locations::new(
+            5,
+            [NodeId::new(3)].into_iter().collect(),
+            [0].into_iter().collect(),
+            [NodeId::new(3)].into_iter().collect(),
+        );
         roundtrip_ec(&EcMsg::Sync(vec![
             VertexSync {
                 pos: 7,

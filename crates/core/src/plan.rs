@@ -14,123 +14,18 @@
 //!   but are never synchronised during normal execution.
 
 use imitator_cluster::NodeId;
-use imitator_engine::{FtPlan, MasterMeta, VcMeta};
+use imitator_engine::{FtPlan, Locations};
 use imitator_graph::{Graph, Vid};
 use imitator_partition::{EdgeCut, VertexCut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A vertex copy's full-state view of its replica set, abstracting over the
-/// edge-cut [`MasterMeta`] and vertex-cut [`VcMeta`] so replica-placement
-/// decisions (mirror responsibility, promotion, FT restoration) are written
-/// once in the model-generic recovery state machine.
-pub trait ReplicaMeta {
-    /// The master's array position on its own node.
-    fn master_pos(&self) -> u32;
-    /// Records a new master array position (after a Migration promotion).
-    fn set_master_pos(&mut self, pos: u32);
-    /// Nodes holding a replica of this vertex (excluding the master's).
-    fn replica_nodes(&self) -> &[NodeId];
-    /// The replica's array position on each node of [`Self::replica_nodes`],
-    /// parallel to it.
-    fn replica_positions(&self) -> &[u32];
-    /// The subset of replica nodes upgraded to full-state mirrors, in
-    /// responsibility order (§5.3.1).
-    fn mirror_nodes(&self) -> &[NodeId];
-    /// Designates `node` as an additional mirror (appended last in
-    /// responsibility order).
-    fn add_mirror(&mut self, node: NodeId);
-    /// The replica's array position on `node`, if one exists there.
-    fn replica_position_on(&self, node: NodeId) -> Option<u32>;
-    /// Forgets every replica/mirror located on `node` (it crashed or was
-    /// promoted).
-    fn purge_node(&mut self, node: NodeId);
-    /// Registers (or repositions) a replica of this vertex on `node`.
-    fn register_replica(&mut self, node: NodeId, pos: u32);
-}
-
-impl ReplicaMeta for MasterMeta {
-    fn master_pos(&self) -> u32 {
-        self.master_pos
-    }
-
-    fn set_master_pos(&mut self, pos: u32) {
-        self.master_pos = pos;
-    }
-
-    fn replica_nodes(&self) -> &[NodeId] {
-        &self.replica_nodes
-    }
-
-    fn replica_positions(&self) -> &[u32] {
-        &self.replica_positions
-    }
-
-    fn mirror_nodes(&self) -> &[NodeId] {
-        &self.mirror_nodes
-    }
-
-    fn add_mirror(&mut self, node: NodeId) {
-        self.mirror_nodes.push(node);
-    }
-
-    fn replica_position_on(&self, node: NodeId) -> Option<u32> {
-        MasterMeta::replica_position_on(self, node)
-    }
-
-    fn purge_node(&mut self, node: NodeId) {
-        MasterMeta::purge_node(self, node);
-    }
-
-    fn register_replica(&mut self, node: NodeId, pos: u32) {
-        MasterMeta::register_replica(self, node, pos);
-    }
-}
-
-impl ReplicaMeta for VcMeta {
-    fn master_pos(&self) -> u32 {
-        self.master_pos
-    }
-
-    fn set_master_pos(&mut self, pos: u32) {
-        self.master_pos = pos;
-    }
-
-    fn replica_nodes(&self) -> &[NodeId] {
-        &self.replica_nodes
-    }
-
-    fn replica_positions(&self) -> &[u32] {
-        &self.replica_positions
-    }
-
-    fn mirror_nodes(&self) -> &[NodeId] {
-        &self.mirror_nodes
-    }
-
-    fn add_mirror(&mut self, node: NodeId) {
-        self.mirror_nodes.push(node);
-    }
-
-    fn replica_position_on(&self, node: NodeId) -> Option<u32> {
-        VcMeta::replica_position_on(self, node)
-    }
-
-    fn purge_node(&mut self, node: NodeId) {
-        VcMeta::purge_node(self, node);
-    }
-
-    fn register_replica(&mut self, node: NodeId, pos: u32) {
-        VcMeta::register_replica(self, node, pos);
-    }
-}
 
 /// First surviving node in `meta`'s mirror-ID order — the one responsible
 /// for recovering the master without any election traffic (§5.3.1).
 ///
 /// Returns `None` when every mirror is dead (an unrecoverable episode under
 /// replication FT — more simultaneous failures than the tolerance level).
-pub fn responsible_mirror<M: ReplicaMeta + ?Sized>(meta: &M, alive: &[bool]) -> Option<NodeId> {
+pub fn responsible_mirror(meta: &Locations, alive: &[bool]) -> Option<NodeId> {
     meta.mirror_nodes()
         .iter()
         .copied()
@@ -408,17 +303,9 @@ mod tests {
         assert!(extra_replica_fraction(&plan) < 0.02);
     }
 
-    fn meta_with_mirrors(mirrors: &[usize]) -> MasterMeta {
-        MasterMeta {
-            master_pos: 0,
-            replica_nodes: mirrors.iter().map(|&m| NodeId::from_index(m)).collect(),
-            replica_positions: mirrors.iter().map(|_| 0).collect(),
-            mirror_nodes: mirrors.iter().map(|&m| NodeId::from_index(m)).collect(),
-            in_edges_owner: Vec::new(),
-            in_edge_srcs: Vec::new(),
-            out_local_owner: Vec::new(),
-            out_remote: Vec::new(),
-        }
+    fn meta_with_mirrors(mirrors: &[usize]) -> Locations {
+        let nodes = || mirrors.iter().map(|&m| NodeId::from_index(m)).collect();
+        Locations::new(0, nodes(), mirrors.iter().map(|_| 0).collect(), nodes())
     }
 
     #[test]

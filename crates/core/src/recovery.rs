@@ -70,7 +70,7 @@ use crate::driver::{
     RECOVERY_PATIENCE,
 };
 use crate::msg::{MirrorUpdate, Promotion, ProtoMsg, RebirthBatch, ReplicaGrant, VertexSync};
-use crate::plan::{responsible_mirror, ReplicaMeta};
+use crate::plan::responsible_mirror;
 use crate::report::RecoveryReport;
 use crate::suppress::SyncFilter;
 use crate::{FtMode, RecoveryStrategy};
@@ -1267,15 +1267,15 @@ fn migrate<M: ComputeModel>(
         } else {
             mig.dirty_masters.insert(pos);
         }
-        let meta = g.meta(pos).expect("full state checked above");
         let scatter = shared.model.scatter_bit(g, pos);
         for &(target, fresh) in &designated {
+            let meta = g.export_meta(pos).expect("full state checked above");
             mirror_updates
                 .entry(target)
                 .or_default()
                 .push(MirrorUpdate {
                     vid,
-                    meta: Box::new(meta.clone()),
+                    meta: Box::new(meta),
                     // Position is reported back in R6 for fresh replicas.
                     value: fresh.then(|| g.value(pos).clone()),
                     last_activate: scatter,
@@ -1392,11 +1392,12 @@ fn migrate<M: ComputeModel>(
                         .meta(pos)
                         .unwrap_or_else(|| panic!("master {} has no full state", lg.vid(pos)));
                     for &m in meta.mirror_nodes() {
+                        let exported = lg.export_meta(pos).expect("full state checked above");
                         ups.push((
                             m,
                             MirrorUpdate {
                                 vid: lg.vid(pos),
-                                meta: Box::new(meta.clone()),
+                                meta: Box::new(exported),
                                 value: None,
                                 last_activate: shared.model.scatter_bit(&lg, pos),
                                 master_node: me,

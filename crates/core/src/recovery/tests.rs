@@ -408,17 +408,17 @@ fn migration_with_one_old_and_one_new_mirror_leaves_both_current() {
     assert_eq!(run.report.values, golden.values);
     let mut mixed = 0;
     for lg in run.loaded.iter().filter(|lg| lg.node != dead) {
-        for v in lg.verts.iter().filter(|v| v.is_master()) {
-            let before = &v
-                .meta
-                .as_ref()
+        for at in lg.master_positions() {
+            let v = &lg.verts[at as usize];
+            let before = lg
+                .locations(at)
                 .expect("masters carry full state")
-                .mirror_nodes;
+                .mirror_nodes();
             if !before.contains(&dead) {
                 continue;
             }
             let (_, mg, pos) = master_of(&run.graphs, v.vid);
-            let after = &mg.verts[pos as usize].meta.as_ref().unwrap().mirror_nodes;
+            let after = mg.locations(pos).unwrap().mirror_nodes();
             assert_eq!(after.len(), 2, "{}: FT level restored", v.vid);
             let kept = after.iter().filter(|n| before.contains(n)).count();
             assert_eq!(kept, 1, "{}: one mirror predates the episode", v.vid);
@@ -458,13 +458,17 @@ fn fresh_ft_replica_position_registered_in_round_7_reaches_the_mirror() {
         assert_eq!(copies.len(), 2, "{vid}: a master and its one mirror");
         let (mnode, mg, mpos) = master_of(&run.graphs, vid);
         let &(rnode, rpos) = copies.iter().find(|(n, _)| *n != mnode).unwrap();
-        let meta = mg.verts[mpos as usize].meta.as_ref().unwrap();
-        assert_eq!(&*meta.mirror_nodes, &[rnode], "{vid}");
+        let meta = mg.locations(mpos).unwrap();
+        assert_eq!(**meta.mirror_nodes(), [rnode], "{vid}");
         assert_eq!(meta.replica_position_on(rnode), Some(rpos), "{vid}");
         let (_, rg) = run.graphs.iter().find(|(n, _)| *n == rnode).unwrap();
         let mirror = &rg.verts[rpos as usize];
         assert_eq!(mirror.kind, CopyKind::Mirror, "{vid}");
-        assert_eq!(mirror.meta.as_ref(), Some(meta), "{vid}: mirror's table");
+        assert_eq!(
+            rg.full_state(rpos),
+            mg.full_state(mpos),
+            "{vid}: mirror's table"
+        );
         if lost_a_copy {
             // Appended past the loaded layout: placed by round 6.
             assert!(rpos as usize >= run.loaded[rnode.index()].len(), "{vid}");
@@ -499,12 +503,11 @@ fn second_migration_promotes_mirrors_the_first_one_designated() {
     );
     assert_eq!(run.report.values, golden.values);
     assert_eq!(run.report.recoveries.len(), 2);
-    let first_mirror_died: Vec<Vid> = run.loaded[2]
-        .verts
-        .iter()
-        .filter(|v| v.is_master())
-        .filter(|v| *v.meta.as_ref().unwrap().mirror_nodes == [NodeId::from_index(1)])
-        .map(|v| v.vid)
+    let loaded = &run.loaded[2];
+    let first_mirror_died: Vec<Vid> = loaded
+        .master_positions()
+        .filter(|&at| **loaded.locations(at).unwrap().mirror_nodes() == [NodeId::from_index(1)])
+        .map(|at| loaded.verts[at as usize].vid)
         .collect();
     assert!(!first_mirror_died.is_empty());
     let promoted = &run.report.recoveries[1].promoted;

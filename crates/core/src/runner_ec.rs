@@ -13,7 +13,7 @@ use std::sync::Arc;
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
     chunk_ranges, ec_commit, ec_compute_chunks, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan,
-    MasterMeta, VertexProgram, WorkerPool,
+    FullStateRef, Locations, MasterMeta, RemoteEdge, VertexProgram, WorkerPool,
 };
 use imitator_graph::{Graph, Vid};
 use imitator_metrics::{MemSize, Stopwatch};
@@ -97,11 +97,20 @@ pub(crate) struct EcModel<P: VertexProgram> {
     pub(crate) prog: Arc<P>,
 }
 
-/// Migration state the generic rounds don't know about: promoted masters'
-/// in-edge sources, captured at promotion and wired after grant placement.
+/// Migration state the generic rounds don't know about: what each promoted
+/// master's slot gave up at promotion.
 #[derive(Default)]
 pub(crate) struct EcMigExtra {
-    pending_wire: Vec<(u32, Vec<(Vid, f32)>)>,
+    pending_wire: Vec<Promoted>,
+}
+
+struct Promoted {
+    pos: u32,
+    /// In-edge sources and weights, wired in R4 after grant placement.
+    srcs: Vec<(Vid, f32)>,
+    /// The old owner's co-located consumers (positions on the crashed
+    /// node), turned into remote links in R2.
+    old_out_local: Vec<u32>,
 }
 
 impl<V> ModelGraph for EcLocalGraph<V> {
@@ -135,14 +144,17 @@ impl<V> ModelGraph for EcLocalGraph<V> {
     fn value(&self, pos: u32) -> &V {
         &self.verts[pos as usize].value
     }
-    fn meta(&self, pos: u32) -> Option<&MasterMeta> {
-        self.verts[pos as usize].meta.as_deref()
+    fn meta(&self, pos: u32) -> Option<&Locations> {
+        self.locations(pos)
     }
-    fn meta_mut(&mut self, pos: u32) -> Option<&mut MasterMeta> {
-        self.verts[pos as usize].meta.as_deref_mut()
+    fn meta_mut(&mut self, pos: u32) -> Option<&mut Locations> {
+        self.locations_mut(pos)
+    }
+    fn export_meta(&self, pos: u32) -> Option<MasterMeta> {
+        self.full_state(pos).map(|state| state.to_meta())
     }
     fn set_meta(&mut self, pos: u32, meta: Box<MasterMeta>) {
-        self.verts[pos as usize].meta = Some(meta);
+        self.set_full_state(pos, meta.view());
     }
 }
 
@@ -281,9 +293,8 @@ where
         kind: CopyKind,
     ) -> Self::Entry {
         let v = &lg.verts[pos as usize];
-        let meta = v
-            .meta
-            .as_ref()
+        let state = lg
+            .full_state(pos)
             .unwrap_or_else(|| panic!("full-state copy of {} has no meta", v.vid));
         EcRecoverEntry {
             vid: v.vid,
@@ -294,28 +305,27 @@ where
             last_activate: v.last_activate,
             active: false,
             in_edges: Vec::new(),
-            out_local: meta.replica_out_local_on(dead_node),
-            meta: (kind == CopyKind::Mirror).then(|| meta.clone()),
+            out_local: state.replica_out_local_on(dead_node),
+            meta: (kind == CopyKind::Mirror).then(|| Box::new(state.to_meta())),
         }
     }
 
     fn master_entry(&self, lg: &Self::Graph, pos: u32) -> Self::Entry {
         let v = &lg.verts[pos as usize];
-        let meta = v
-            .meta
-            .as_ref()
+        let state = lg
+            .full_state(pos)
             .unwrap_or_else(|| panic!("mirror {} has no full state", v.vid));
         EcRecoverEntry {
             vid: v.vid,
-            pos: meta.master_pos,
+            pos: state.locations.master_pos(),
             kind: CopyKind::Master,
             master_node: v.master_node,
             value: v.value.clone(),
             last_activate: v.last_activate,
             active: false,
-            in_edges: meta.in_edges_owner.clone(),
-            out_local: meta.out_local_owner.clone(),
-            meta: Some(meta.clone()),
+            in_edges: state.in_edges_owner.to_vec(),
+            out_local: state.out_local_owner.to_vec(),
+            meta: Some(Box::new(state.to_meta())),
         }
     }
 
@@ -343,9 +353,12 @@ where
                 last_activate: e.last_activate,
                 in_edges: e.in_edges,
                 out_local: e.out_local,
-                meta: e.meta,
+                meta: None,
             },
         );
+        if let Some(meta) = e.meta {
+            lg.set_full_state(e.pos, meta.view());
+        }
     }
 
     fn validate(&self, lg: &Self::Graph) {
@@ -496,21 +509,23 @@ where
 
     /// A promoted master recomputes; its in-edges are rewired in R4 from
     /// the sources captured here (the full-state copy records them by vid).
+    /// From here on the copy's own `in_edges` / `out_local` are its
+    /// owner-local lists, so its slot gives the old owner's up.
     fn on_promote(&self, lg: &mut Self::Graph, pos: u32, mig: &mut Mig<EcMigExtra>) {
-        let v = &mut lg.verts[pos as usize];
-        v.active = false;
-        let meta = v
-            .meta
-            .as_mut()
-            .unwrap_or_else(|| panic!("promoted mirror {} has no full state", v.vid));
-        let srcs: Vec<(Vid, f32)> = meta
+        lg.verts[pos as usize].active = false;
+        let (in_edges_owner, old_out_local) = lg.take_owner_lists(pos);
+        let state = lg.full_state(pos).expect("its lists were just taken");
+        let srcs = state
             .in_edge_srcs
             .iter()
-            .zip(&meta.in_edges_owner)
+            .zip(&in_edges_owner)
             .map(|(&s, &(_, w))| (s, w))
             .collect();
-        meta.in_edges_owner.clear();
-        mig.extra.pending_wire.push((pos, srcs));
+        mig.extra.pending_wire.push(Promoted {
+            pos,
+            srcs,
+            old_out_local,
+        });
     }
 
     /// R2: fix position-addressed consumer tables against the promotion
@@ -530,16 +545,12 @@ where
         // on this node become local links (wired in R4). (b) A freshly
         // promoted master's old co-located consumers (positions on the
         // crashed node) become remote links too, unless promoted here.
-        for (pos, v) in lg.verts.iter_mut().enumerate() {
-            if !v.is_master() {
+        for pos in 0..lg.verts.len() as u32 {
+            if !lg.verts[pos as usize].is_master() {
                 continue;
             }
-            let meta = v
-                .meta
-                .as_mut()
-                .unwrap_or_else(|| panic!("master {} has no full state", v.vid));
             let mut dirty = false;
-            meta.out_remote.retain_mut(|r| {
+            lg.retain_out_remote(pos, |r| {
                 let Some(p) = env.relocated(r.node, r.pos) else {
                     return true;
                 };
@@ -548,33 +559,32 @@ where
                 (r.node, r.pos) = (p.new_master, p.new_pos);
                 p.new_master != me
             });
-            if let Some(p) = env.own_promotion_at(pos as u32) {
-                dirty = true;
-                let old_out_local =
-                    std::mem::replace(&mut meta.out_local_owner, v.out_local.clone());
-                meta.out_remote.reserve(old_out_local.len());
-                for old in old_out_local {
-                    let c = env
-                        .relocated(p.old_node, old)
-                        .expect("own promotion vacated a crashed node");
-                    if c.new_master != me {
-                        meta.out_remote.push(imitator_engine::RemoteEdge {
-                            target: c.vid,
-                            node: c.new_master,
-                            pos: c.new_pos,
-                        });
-                    }
-                }
-            }
             if dirty {
-                mig.dirty_masters.insert(pos as u32);
+                mig.dirty_masters.insert(pos);
             }
+        }
+        for promoted in &mig.extra.pending_wire {
+            let p = env
+                .own_promotion_at(promoted.pos)
+                .expect("pending wiring belongs to an own promotion");
+            let moved = promoted.old_out_local.iter().filter_map(|&old| {
+                let c = env
+                    .relocated(p.old_node, old)
+                    .expect("own promotion vacated a crashed node");
+                (c.new_master != me).then_some(RemoteEdge {
+                    target: c.vid,
+                    node: c.new_master,
+                    pos: c.new_pos,
+                })
+            });
+            lg.extend_out_remote(promoted.pos, &moved.collect::<Vec<_>>());
+            mig.dirty_masters.insert(promoted.pos);
         }
         // Replica requests for missing sources.
         let mut requests: HashMap<NodeId, Vec<Vid>> = HashMap::new();
         let mut requested: HashSet<Vid> = HashSet::new();
-        for (_, srcs) in &mig.extra.pending_wire {
-            for &(src, _) in srcs {
+        for promoted in &mig.extra.pending_wire {
+            for &(src, _) in &promoted.srcs {
                 if lg.position(src).is_none() && requested.insert(src) {
                     let owner = st
                         .overlay
@@ -612,7 +622,7 @@ where
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<EcMigExtra>, resume: u64) {
         // (source, promoted consumer) for every wired edge, in wiring order.
         let mut links: Vec<(u32, u32)> = Vec::new();
-        for (pos, srcs) in &mig.extra.pending_wire {
+        for Promoted { pos, srcs, .. } in &mig.extra.pending_wire {
             let mut in_edges = Vec::with_capacity(srcs.len());
             for &(src, w) in srcs {
                 let spos = lg
@@ -631,18 +641,12 @@ where
                 .any(|&(s, _)| lg.verts[s as usize].last_activate)
                 || (resume == 0 && self.prog.initially_active(lg.verts[*pos as usize].vid));
             let v = &mut lg.verts[*pos as usize];
-            v.in_edges = in_edges.clone();
+            v.in_edges = in_edges;
             v.active = active;
             v.next_active = false;
-            let meta = v
-                .meta
-                .as_mut()
-                .unwrap_or_else(|| panic!("promoted master {} has no full state", v.vid));
-            meta.in_edges_owner = in_edges;
         }
-        // Extend each source's consumer list once, and sync a local master's
-        // full-state copy once per source — a hub feeding many promoted
-        // masters would otherwise re-copy its whole list per edge. The
+        // Extend each source's consumer list once. A master's consumer list
+        // is part of the full state its mirrors hold, so it goes dirty. The
         // stable sort keeps a source's new consumers in wiring order.
         links.sort_by_key(|&(spos, _)| spos);
         for group in links.chunk_by(|a, b| a.0 == b.0) {
@@ -650,10 +654,6 @@ where
             let sv = &mut lg.verts[spos as usize];
             sv.out_local.extend(group.iter().map(|&(_, pos)| pos));
             if sv.is_master() {
-                sv.meta
-                    .as_mut()
-                    .unwrap_or_else(|| panic!("master {} has no full state", sv.vid))
-                    .out_local_owner = sv.out_local.clone();
                 mig.dirty_masters.insert(spos);
             }
         }
@@ -677,8 +677,9 @@ where
             last_activate: update.last_activate,
             in_edges: Vec::new(),
             out_local: Vec::new(),
-            meta: Some(update.meta),
+            meta: None,
         });
+        lg.set_full_state(pos, update.meta.view());
         pos
     }
 
@@ -719,39 +720,48 @@ where
             })
             .collect();
         let mut out = Adoption::default();
-        for (dp, mut dv) in dead_lg.verts.into_iter().enumerate() {
+        for (dp, dv) in dead_lg.verts.iter().enumerate() {
             let new_pos = map[dp];
-            for e in dv.in_edges.iter_mut() {
-                e.0 = map[e.0 as usize];
-            }
+            let in_edges: Vec<(u32, f32)> = dv
+                .in_edges
+                .iter()
+                .map(|&(s, w)| (map[s as usize], w))
+                .collect();
             let mut out_local: Vec<u32> = dv.out_local.iter().map(|&t| map[t as usize]).collect();
             match dv.kind {
                 CopyKind::Master => {
-                    let mut meta = dv
-                        .meta
-                        .take()
+                    let state = dead_lg
+                        .full_state(dp as u32)
                         .unwrap_or_else(|| panic!("adopted master {} has no full state", dv.vid));
-                    meta.master_pos = new_pos;
-                    meta.purge_node(me);
+                    let mut locations = state.locations.clone();
+                    locations.set_master_pos(new_pos);
+                    locations.purge_node(me);
                     for &x in episode {
-                        meta.purge_node(x);
-                    }
-                    for e in meta.in_edges_owner.iter_mut() {
-                        e.0 = map[e.0 as usize];
-                    }
-                    for t in meta.out_local_owner.iter_mut() {
-                        *t = map[*t as usize];
+                        locations.purge_node(x);
                     }
                     // Consumers that were remote-on-the-dead-node but live
                     // *here* become plain local links.
-                    meta.out_remote.retain(|r| {
+                    let mut out_remote = state.out_remote.to_vec();
+                    out_remote.retain(|r| {
                         if r.node == me {
                             out_local.push(r.pos);
                             return false;
                         }
                         true
                     });
-                    mig.edges_recovered += dv.in_edges.len() as u64;
+                    mig.edges_recovered += in_edges.len() as u64;
+                    let master = EcVertex {
+                        vid: dv.vid,
+                        kind: CopyKind::Master,
+                        master_node: me,
+                        value: dv.value.clone(),
+                        active: dv.active,
+                        next_active: false,
+                        last_activate: dv.last_activate,
+                        in_edges,
+                        out_local,
+                        meta: None,
+                    };
                     if new_pos < base {
                         // Upgrade the pre-existing ghost copy in place,
                         // keeping the consumer links it already knew about.
@@ -761,39 +771,23 @@ where
                             CopyKind::Replica,
                             "checkpoint FT keeps no mirrors"
                         );
-                        v.kind = CopyKind::Master;
-                        v.master_node = me;
-                        v.value = dv.value;
-                        v.active = dv.active;
-                        v.next_active = false;
-                        v.last_activate = dv.last_activate;
-                        v.in_edges = dv.in_edges;
-                        out_local.extend(&v.out_local);
-                        out_local.sort_unstable();
-                        out_local.dedup();
-                        v.out_local = out_local.clone();
-                        meta.out_local_owner = out_local;
-                        v.meta = Some(meta);
+                        let known = std::mem::replace(v, master).out_local;
+                        v.out_local.extend(known);
                     } else {
-                        out_local.sort_unstable();
-                        out_local.dedup();
-                        meta.out_local_owner = out_local.clone();
-                        lg.insert_at(
-                            new_pos,
-                            EcVertex {
-                                vid: dv.vid,
-                                kind: CopyKind::Master,
-                                master_node: me,
-                                value: dv.value,
-                                active: dv.active,
-                                next_active: false,
-                                last_activate: dv.last_activate,
-                                in_edges: dv.in_edges,
-                                out_local,
-                                meta: Some(meta),
-                            },
-                        );
+                        lg.insert_at(new_pos, master);
                     }
+                    let v = &mut lg.verts[new_pos as usize];
+                    v.out_local.sort_unstable();
+                    v.out_local.dedup();
+                    // The master's own edge lists are its owner-local lists.
+                    lg.set_full_state(
+                        new_pos,
+                        FullStateRef {
+                            locations: &locations,
+                            out_remote: &out_remote,
+                            ..state
+                        },
+                    );
                     out.promotions.push(Promotion {
                         vid: dv.vid,
                         new_master: me,
@@ -811,13 +805,6 @@ where
                         v.out_local.extend(out_local);
                         v.out_local.sort_unstable();
                         v.out_local.dedup();
-                        if v.is_master() {
-                            let merged = v.out_local.clone();
-                            v.meta
-                                .as_mut()
-                                .unwrap_or_else(|| panic!("master {} has no full state", v.vid))
-                                .out_local_owner = merged;
-                        }
                     } else {
                         let master_node = dv.master_node;
                         lg.insert_at(
@@ -826,11 +813,11 @@ where
                                 vid: dv.vid,
                                 kind: CopyKind::Replica,
                                 master_node,
-                                value: dv.value,
+                                value: dv.value.clone(),
                                 active: false,
                                 next_active: false,
                                 last_activate: dv.last_activate,
-                                in_edges: dv.in_edges,
+                                in_edges,
                                 out_local,
                                 meta: None,
                             },

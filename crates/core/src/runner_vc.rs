@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, Envelope, FailurePlan, NodeId};
 use imitator_engine::{
-    vc_apply_chunks, vc_commit, vc_gather_chunks, CopyKind, Degrees, FtPlan, VcEdge, VcGatherIndex,
-    VcLocalGraph, VcMeta, VcVertex, VertexProgram, WorkerPool,
+    vc_apply_chunks, vc_commit, vc_gather_chunks, CopyKind, Degrees, FtPlan, Locations, VcEdge,
+    VcGatherIndex, VcLocalGraph, VcVertex, VertexProgram, WorkerPool,
 };
 use imitator_graph::{Graph, Vid};
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
@@ -125,7 +125,7 @@ pub(crate) struct VcMigExtra {
 
 impl<V> ModelGraph for VcLocalGraph<V> {
     type Value = V;
-    type Meta = VcMeta;
+    type Meta = Locations;
 
     fn len(&self) -> usize {
         self.verts.len()
@@ -154,13 +154,16 @@ impl<V> ModelGraph for VcLocalGraph<V> {
     fn value(&self, pos: u32) -> &V {
         &self.verts[pos as usize].value
     }
-    fn meta(&self, pos: u32) -> Option<&VcMeta> {
+    fn meta(&self, pos: u32) -> Option<&Locations> {
         self.verts[pos as usize].meta.as_deref()
     }
-    fn meta_mut(&mut self, pos: u32) -> Option<&mut VcMeta> {
+    fn meta_mut(&mut self, pos: u32) -> Option<&mut Locations> {
         self.verts[pos as usize].meta.as_deref_mut()
     }
-    fn set_meta(&mut self, pos: u32, meta: Box<VcMeta>) {
+    fn export_meta(&self, pos: u32) -> Option<Locations> {
+        self.meta(pos).cloned()
+    }
+    fn set_meta(&mut self, pos: u32, meta: Box<Locations>) {
         self.verts[pos as usize].meta = Some(meta);
     }
 }
@@ -214,7 +217,7 @@ where
     type Value = P::Value;
     type Accum = P::Accum;
     type Entry = VcRecoverEntry<P::Value>;
-    type Meta = VcMeta;
+    type Meta = Locations;
     type Graph = VcLocalGraph<P::Value>;
     type Scratch = VcScratch<P>;
     type MigExtra = VcMigExtra;
@@ -475,7 +478,7 @@ where
             .unwrap_or_else(|| panic!("mirror {} has no full state", v.vid));
         VcRecoverEntry {
             vid: v.vid,
-            pos: meta.master_pos,
+            pos: meta.master_pos(),
             kind: CopyKind::Master,
             master_node: v.master_node,
             value: v.value.clone(),
@@ -679,7 +682,7 @@ where
                         .meta
                         .take()
                         .unwrap_or_else(|| panic!("adopted master {} has no full state", dv.vid));
-                    meta.master_pos = new_pos;
+                    meta.set_master_pos(new_pos);
                     meta.purge_node(me);
                     for &x in episode {
                         meta.purge_node(x);
@@ -777,7 +780,7 @@ fn write_edge_ckpt_files<V>(lg: &VcLocalGraph<V>, dfs: &Dfs) {
                 .meta
                 .as_ref()
                 .unwrap_or_else(|| panic!("local master {} has meta", dst_v.vid));
-            meta.mirror_nodes
+            meta.mirror_nodes()
                 .first()
                 .copied()
                 .unwrap_or(dst_v.master_node)

@@ -6,8 +6,9 @@ use imitator_metrics::MemSize;
 use imitator_partition::EdgeCut;
 
 use crate::ftplan::FtPlan;
-use crate::inline_list::InlineList;
-use crate::load::{build_per_node, collect_exact, copy_kind, Layout};
+use crate::full_state::{ColumnLens, FullState, FullStateRef, RemoteEdge, Slot, SlotId, Span};
+use crate::load::{collect_exact, copy_kind, per_node, Layout};
+use crate::locations::Locations;
 use crate::program::{Degrees, VertexProgram};
 
 /// The role of a local vertex copy.
@@ -17,117 +18,13 @@ pub enum CopyKind {
     Master,
     /// A computation replica providing local read access to the value.
     Replica,
-    /// A full-state replica (§4.2) able to recover its master — carries
-    /// [`MasterMeta`]. Extra FT replicas (§4.1) are always mirrors.
+    /// A full-state replica (§4.2) able to recover its master — carries the
+    /// master's full state. Extra FT replicas (§4.1) are always mirrors.
     Mirror,
 }
 
-/// An out-edge whose consumer (target master) lives on another node.
-///
-/// The position is the target's array index on its owner — the *enhanced
-/// edge information* of §5.1.2 that makes reconstruction position-addressed
-/// and lock-free.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RemoteEdge {
-    /// The target vertex.
-    pub target: Vid,
-    /// The node mastering the target.
-    pub node: NodeId,
-    /// The target's array position on that node.
-    pub pos: u32,
-}
-
-/// The full state a master shares with its mirrors (§4.2).
-///
-/// Static fields, replicated once during graph loading: everything needed to
-/// rebuild the master (and any of its replicas) *at the same array
-/// positions* on a replacement node, plus the replica-location table that
-/// recovery consults to find what was lost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MasterMeta {
-    /// The master's array position on its owner node.
-    pub master_pos: u32,
-    /// Every node holding a replica of this vertex (computation replicas,
-    /// mirrors, and extra FT replicas), excluding the owner. Sorted.
-    pub replica_nodes: InlineList<NodeId>,
-    /// The array position of the replica copy on each node of
-    /// `replica_nodes` (parallel vector) — position-addressed recovery of
-    /// lost replicas needs the crashed node's layout (§5.1.2).
-    pub replica_positions: InlineList<u32>,
-    /// The mirror nodes, ordered by mirror ID: on failure the surviving
-    /// mirror with the lowest ID recovers the master without any election
-    /// traffic (§5.3.1).
-    pub mirror_nodes: InlineList<NodeId>,
-    /// The master's in-edges in owner-local `(source position, weight)`
-    /// form (edge-cut replicates edges into the mirror's full state, §4.3).
-    pub in_edges_owner: Vec<(u32, f32)>,
-    /// Global source IDs of the in-edges (parallel to `in_edges_owner`):
-    /// Migration rebuilds the promoted master's edges on a *different* node,
-    /// where the owner-local positions mean nothing (§5.2.1).
-    pub in_edge_srcs: Vec<Vid>,
-    /// Owner-local positions of out-neighbours mastered on the owner.
-    pub out_local_owner: Vec<u32>,
-    /// Out-edges whose consumer is mastered remotely; grouped by node these
-    /// give each replica's local out-edge lists on that node.
-    pub out_remote: Vec<RemoteEdge>,
-}
-
-impl MasterMeta {
-    /// Owner-local positions this vertex's replica on `node` feeds
-    /// (used to rebuild a replica's `out_local` during recovery).
-    pub fn replica_out_local_on(&self, node: NodeId) -> Vec<u32> {
-        self.out_remote
-            .iter()
-            .filter(|r| r.node == node)
-            .map(|r| r.pos)
-            .collect()
-    }
-
-    /// The recorded position of this vertex's replica copy on `node`.
-    pub fn replica_position_on(&self, node: NodeId) -> Option<u32> {
-        self.replica_nodes
-            .iter()
-            .position(|&n| n == node)
-            .map(|i| self.replica_positions[i])
-    }
-
-    /// Removes `node` from the replica/mirror location tables (it crashed).
-    pub fn purge_node(&mut self, node: NodeId) {
-        if let Some(i) = self.replica_nodes.iter().position(|&n| n == node) {
-            self.replica_nodes.remove(i);
-            self.replica_positions.remove(i);
-        }
-        self.mirror_nodes.retain(|&n| n != node);
-    }
-
-    /// Registers (or re-registers) a replica copy of this vertex at
-    /// `node`/`pos`, keeping `replica_nodes` sorted.
-    pub fn register_replica(&mut self, node: NodeId, pos: u32) {
-        if let Some(i) = self.replica_nodes.iter().position(|&n| n == node) {
-            self.replica_positions[i] = pos;
-            return;
-        }
-        let i = self.replica_nodes.partition_point(|&n| n < node);
-        self.replica_nodes.insert(i, node);
-        self.replica_positions.insert(i, pos);
-    }
-}
-
-impl MemSize for MasterMeta {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<MasterMeta>()
-            + self.replica_nodes.heap_bytes()
-            + self.replica_positions.heap_bytes()
-            + self.mirror_nodes.heap_bytes()
-            + self.in_edges_owner.capacity() * std::mem::size_of::<(u32, f32)>()
-            + self.in_edge_srcs.capacity() * std::mem::size_of::<Vid>()
-            + self.out_local_owner.capacity() * std::mem::size_of::<u32>()
-            + self.out_remote.capacity() * std::mem::size_of::<RemoteEdge>()
-    }
-}
-
 /// One local vertex copy in an edge-cut partition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct EcVertex<V> {
     /// Global vertex ID.
     pub vid: Vid,
@@ -148,8 +45,10 @@ pub struct EcVertex<V> {
     pub in_edges: Vec<(u32, f32)>,
     /// Local positions of consumers this copy feeds (activation targets).
     pub out_local: Vec<u32>,
-    /// Full state for recovery (masters and mirrors).
-    pub meta: Option<Box<MasterMeta>>,
+    /// Where the graph's store keeps this copy's full state (masters and
+    /// mirrors): read it with [`EcLocalGraph::full_state`], write it with
+    /// [`EcLocalGraph::set_full_state`].
+    pub meta: Option<SlotId>,
 }
 
 impl<V> EcVertex<V> {
@@ -164,13 +63,33 @@ impl<V> EcVertex<V> {
     }
 }
 
+/// Copies are equal when their own fields are and both or neither carry
+/// full state. *Which* slot holds it is the store's business: two equal
+/// graphs may number their slots differently, and [`EcLocalGraph`]'s
+/// equality compares the full state itself.
+impl<V: PartialEq> PartialEq for EcVertex<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.vid == other.vid
+            && self.kind == other.kind
+            && self.master_node == other.master_node
+            && self.value == other.value
+            && self.active == other.active
+            && self.next_active == other.next_active
+            && self.last_activate == other.last_activate
+            && self.in_edges == other.in_edges
+            && self.out_local == other.out_local
+            && self.meta.is_some() == other.meta.is_some()
+    }
+}
+
 impl<V: MemSize> MemSize for EcVertex<V> {
+    /// The copy and its own edge lists; its full state is counted by the
+    /// graph, whose store owns it.
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<EcVertex<V>>()
             + self.value.heap_bytes()
             + self.in_edges.capacity() * std::mem::size_of::<(u32, f32)>()
             + self.out_local.capacity() * std::mem::size_of::<u32>()
-            + self.meta.as_ref().map_or(0, |m| m.mem_bytes())
     }
 }
 
@@ -179,7 +98,15 @@ impl<V: MemSize> MemSize for EcVertex<V> {
 /// Vertices live in a position-stable array: recovery reproduces a crashed
 /// node's array layout exactly, so edges (stored as positions) stay valid —
 /// the paper's lock-free, parallel reconstruction (§5.1.2).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// What a superstep reads — values, activity, `in_edges`, `out_local` — is
+/// in the vertex array. Full state lives beside it in one columnar store per
+/// node (see [`crate::full_state`]'s module documentation), and of a
+/// *master's* full state only what its own edge lists do not already say:
+/// the replica locations, the in-edge source IDs and the remote out-edges.
+/// Its owner-local in-edges and consumers *are* `in_edges` and `out_local`,
+/// and [`EcLocalGraph::full_state`] hands them out as such.
+#[derive(Debug, Clone)]
 pub struct EcLocalGraph<V> {
     /// The hosting node.
     pub node: NodeId,
@@ -194,6 +121,22 @@ pub struct EcLocalGraph<V> {
     /// Recovery paths that set `active` bits directly must call
     /// [`EcLocalGraph::rebuild_active_frontier`] before the next superstep.
     pub active_frontier: Vec<u32>,
+    /// Full state of the masters and mirrors in `verts`.
+    pub(crate) full: FullState,
+}
+
+/// Graphs are equal when they hold equal copies with equal full state at
+/// every position. Full state is compared as [`EcLocalGraph::full_state`]
+/// returns it, so slot numbering and the dead runs a store accumulates do
+/// not count.
+impl<V: PartialEq> PartialEq for EcLocalGraph<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.node == other.node
+            && self.index == other.index
+            && self.active_frontier == other.active_frontier
+            && self.verts == other.verts
+            && (0..self.verts.len() as u32).all(|pos| self.full_state(pos) == other.full_state(pos))
+    }
 }
 
 impl<V> EcLocalGraph<V> {
@@ -204,6 +147,7 @@ impl<V> EcLocalGraph<V> {
             verts: Vec::new(),
             index: PosIndex::new(),
             active_frontier: Vec::new(),
+            full: FullState::default(),
         }
     }
 
@@ -262,6 +206,138 @@ impl<V> EcLocalGraph<V> {
         }
     }
 
+    /// The replica-location tables of the copy at `pos`, if it carries
+    /// full state.
+    pub fn locations(&self, pos: u32) -> Option<&Locations> {
+        let slot = self.verts[pos as usize].meta?;
+        Some(self.full.locations(slot))
+    }
+
+    /// The replica-location tables of the copy at `pos`, for rewriting.
+    pub fn locations_mut(&mut self, pos: u32) -> Option<&mut Locations> {
+        let slot = self.verts[pos as usize].meta?;
+        Some(self.full.locations_mut(slot))
+    }
+
+    /// The full state of the copy at `pos` as it would travel to another
+    /// node — a master's owner-local lists read from its own edge lists, a
+    /// mirror's from the store — or `None` for a plain replica. A master's
+    /// and its mirrors' compare equal whenever the mirrors are up to date;
+    /// [`FullStateRef::to_meta`] makes it owned.
+    pub fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>> {
+        let v = &self.verts[pos as usize];
+        let stored = self.full.get(v.meta?);
+        Some(if v.is_master() {
+            FullStateRef {
+                in_edges_owner: &v.in_edges,
+                out_local_owner: &v.out_local,
+                ..stored
+            }
+        } else {
+            stored
+        })
+    }
+
+    /// Makes `state` the full state of the copy at `pos`, in a new slot if
+    /// it had none. The copy's `kind` decides what is kept: a master's
+    /// owner-local lists are its own `in_edges` and `out_local` (which the
+    /// caller sets), so those of `state` are not stored a second time.
+    /// Lists that outgrow their run move to the column's tail.
+    pub fn set_full_state(&mut self, pos: u32, state: FullStateRef<'_>) {
+        let v = &mut self.verts[pos as usize];
+        let state = if v.is_master() {
+            FullStateRef {
+                in_edges_owner: &[],
+                out_local_owner: &[],
+                ..state
+            }
+        } else {
+            state
+        };
+        match v.meta {
+            Some(slot) => self.full.set(slot, state),
+            None => v.meta = Some(self.full.push(state)),
+        }
+    }
+
+    /// Removes and returns the owner-local `(in_edges_owner,
+    /// out_local_owner)` lists stored for the copy at `pos`: a mirror just
+    /// promoted to master stops keeping them (its own edge lists take over
+    /// once Migration has rebuilt them from these).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the copy carries no full state.
+    pub fn take_owner_lists(&mut self, pos: u32) -> (Vec<(u32, f32)>, Vec<u32>) {
+        let slot = self.slot_at(pos);
+        let stored = self.full.get(slot);
+        let lists = (
+            stored.in_edges_owner.to_vec(),
+            stored.out_local_owner.to_vec(),
+        );
+        self.full.clear_owner_lists(slot);
+        lists
+    }
+
+    /// Keeps the remote out-edges of the copy at `pos` that `keep` accepts
+    /// (it may rewrite them), in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the copy carries no full state.
+    pub fn retain_out_remote(&mut self, pos: u32, keep: impl FnMut(&mut RemoteEdge) -> bool) {
+        self.full.retain_out_remote(self.slot_at(pos), keep);
+    }
+
+    /// Appends `edges` to the remote out-edges of the copy at `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the copy carries no full state.
+    pub fn extend_out_remote(&mut self, pos: u32, edges: &[RemoteEdge]) {
+        self.full.extend_out_remote(self.slot_at(pos), edges);
+    }
+
+    fn slot_at(&self, pos: u32) -> SlotId {
+        let v = &self.verts[pos as usize];
+        v.meta
+            .unwrap_or_else(|| panic!("copy of {} at {pos} carries no full state", v.vid))
+    }
+
+    /// Makes room for `slots` more full-state slots holding `lens` more
+    /// column entries, one allocation each: a decoder that knows the totals
+    /// builds exact-size columns.
+    pub fn reserve_full_state(&mut self, slots: usize, lens: ColumnLens) {
+        self.full.reserve_exact(slots, lens);
+    }
+
+    /// `(slots, entries per column)` the full-state store holds, runs no
+    /// slot points at any more included.
+    pub fn full_state_lens(&self) -> (usize, ColumnLens) {
+        (self.full.slots.len(), self.full.column_lens())
+    }
+
+    /// `(slots, entries per column)` the copies' full state adds up to: what
+    /// [`EcLocalGraph::full_state_lens`] reports for a store without dead
+    /// runs, and what a store rebuilt from these copies will hold. A
+    /// master's owner-local lists are its own edge lists and add nothing.
+    pub fn live_full_state_lens(&self) -> (usize, ColumnLens) {
+        let (mut slots, mut lens) = (0, ColumnLens::default());
+        for (pos, v) in self.verts.iter().enumerate() {
+            let Some(state) = self.full_state(pos as u32) else {
+                continue;
+            };
+            slots += 1;
+            lens.in_srcs += state.in_edge_srcs.len();
+            lens.out_remote += state.out_remote.len();
+            if !v.is_master() {
+                lens.in_edges += state.in_edges_owner.len();
+                lens.out_local += state.out_local_owner.len();
+            }
+        }
+        (slots, lens)
+    }
+
     /// Inserts `vertex` at `pos`, growing the array as needed (recovery
     /// path: position-addressed, no reindexing of existing entries).
     ///
@@ -302,52 +378,78 @@ impl<V> EcLocalGraph<V> {
         self.verts[p] = vertex;
     }
 
-    /// Checks structural invariants (test/debug aid): index agrees with the
-    /// array, no placeholder holes remain, and edge positions are in range.
+    /// Checks structural invariants: the index agrees with the array, no
+    /// placeholder holes remain, edge positions are in range, consumers are
+    /// masters, every master carries full state naming one source per
+    /// in-edge, no span reaches past its column, and the active frontier
+    /// matches the `active` bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        macro_rules! ensure {
+            ($ok:expr, $($violation:tt)*) => {
+                if !$ok {
+                    return Err(format!($($violation)*));
+                }
+            };
+        }
+        let n = self.verts.len();
+        self.full.validate()?;
+        for (i, v) in self.verts.iter().enumerate() {
+            ensure!(v.vid != Vid::new(u32::MAX), "hole at position {i}");
+            ensure!(
+                self.index.get(v.vid) == Some(i as u32),
+                "index mismatch at {i}"
+            );
+            for &(src, _) in &v.in_edges {
+                ensure!((src as usize) < n, "in-edge src out of range");
+            }
+            for &t in &v.out_local {
+                ensure!((t as usize) < n, "out-edge target out of range");
+                ensure!(
+                    self.verts[t as usize].is_master(),
+                    "activation target at {t} is not a master"
+                );
+            }
+            let slot = v.meta.map(SlotId::index);
+            ensure!(
+                slot.is_none_or(|slot| slot < self.full.slots.len()),
+                "full state of {} is in no slot",
+                v.vid
+            );
+            if v.is_master() {
+                let srcs = self.full_state(i as u32).map(|state| state.in_edge_srcs);
+                ensure!(srcs.is_some(), "master {} lacks full state", v.vid);
+                ensure!(
+                    srcs.is_some_and(|srcs| srcs.len() == v.in_edges.len()),
+                    "master {} does not name one source per in-edge",
+                    v.vid
+                );
+            }
+        }
+        ensure!(self.index.len() == n, "index size mismatch");
+        let expected = (0..n as u32).filter(|&p| {
+            let v = &self.verts[p as usize];
+            v.is_master() && v.active
+        });
+        ensure!(
+            self.active_frontier.iter().copied().eq(expected),
+            "active frontier out of sync with active bits"
+        );
+        Ok(())
+    }
+
+    /// [`EcLocalGraph::validate`] as an assertion (test/debug aid).
     ///
     /// # Panics
     ///
     /// Panics on any violation.
     pub fn debug_validate(&self) {
-        for (i, v) in self.verts.iter().enumerate() {
-            assert_ne!(v.vid, Vid::new(u32::MAX), "hole at position {i}");
-            assert_eq!(
-                self.index.get(v.vid),
-                Some(i as u32),
-                "index mismatch at {i}"
-            );
-            for &(src, _) in &v.in_edges {
-                assert!(
-                    (src as usize) < self.verts.len(),
-                    "in-edge src out of range"
-                );
-            }
-            for &t in &v.out_local {
-                assert!(
-                    (t as usize) < self.verts.len(),
-                    "out-edge target out of range"
-                );
-                assert!(
-                    self.verts[t as usize].is_master(),
-                    "activation target at {t} is not a master"
-                );
-            }
-            if v.is_master() {
-                assert!(v.meta.is_some(), "master {} lacks full state", v.vid);
-            }
+        if let Err(violation) = self.validate() {
+            panic!("{violation}");
         }
-        assert_eq!(self.index.len(), self.verts.len(), "index size mismatch");
-        let expected: Vec<u32> = self
-            .verts
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_master() && v.active)
-            .map(|(i, _)| i as u32)
-            .collect();
-        assert_eq!(
-            self.active_frontier, expected,
-            "active frontier out of sync with active bits"
-        );
     }
 }
 
@@ -362,7 +464,7 @@ impl<V: MemSize> MemSize for EcLocalGraph<V> {
                 .sum::<usize>();
         let index = self.index.mem_bytes();
         let frontier = self.active_frontier.capacity() * std::mem::size_of::<u32>();
-        std::mem::size_of::<NodeId>() + verts + index + frontier
+        std::mem::size_of::<NodeId>() + verts + index + frontier + self.full.mem_bytes()
     }
 }
 
@@ -373,8 +475,11 @@ impl<V: MemSize> MemSize for EcLocalGraph<V> {
 /// with full-state replication, extra-FT-replica creation, and the
 /// position/location exchange that enables position-addressed recovery.
 /// Once the copy positions are known, each node's graph is built on a
-/// thread of its own from the input graph's CSR views, every per-vertex
-/// list allocated once at its final length.
+/// thread of its own from the input graph's CSR views, in two passes: every
+/// node builds its copies, their edge lists and its masters' full state,
+/// then every node copies its mirrors' full state out of what the owners
+/// built (DESIGN.md, "Load path and heap layout"). Every list and every
+/// full-state column is allocated once, at its final length.
 ///
 /// # Panics
 ///
@@ -399,7 +504,9 @@ pub fn build_edge_cut_graphs<P: VertexProgram>(
         in_csr: g.in_csr(),
         out_csr: g.out_csr(),
     };
-    let mut graphs = build_per_node(parts, |p| loader.node_graph(p));
+    let built = per_node(vec![(); parts], |p, ()| loader.node_graph(p));
+    let (mut graphs, masters): (Vec<_>, Vec<_>) = built.into_iter().unzip();
+    loader.fill_mirrors(&mut graphs, &masters);
     for (lg, index) in graphs.iter_mut().zip(layout.pos_maps) {
         lg.index = index;
     }
@@ -419,16 +526,60 @@ struct EcLoader<'a, P> {
     out_csr: Csr,
 }
 
+/// Where the masters' part of a freshly built store ends: its masters' slots
+/// and their column entries come first, the mirrors' follow.
+#[derive(Clone, Copy)]
+struct MasterPart {
+    slots: usize,
+    lens: ColumnLens,
+}
+
+/// What the other nodes' second-pass threads read of a node: its copies
+/// (for a master's own edge lists) and the masters' part of its store.
+struct OwnerView<'g, V> {
+    verts: &'g [EcVertex<V>],
+    slots: &'g [Slot],
+    in_srcs: &'g [Vid],
+    out_remote: &'g [RemoteEdge],
+}
+
+/// What a node's second-pass thread writes: the mirrors' part of its store,
+/// allocated by the first pass.
+struct MirrorPart<'g> {
+    /// Column entries before each part (spans are column-relative).
+    base: ColumnLens,
+    slots: &'g mut [Slot],
+    in_edges: &'g mut [(u32, f32)],
+    in_srcs: &'g mut [Vid],
+    out_local: &'g mut [u32],
+    out_remote: &'g mut [RemoteEdge],
+}
+
+/// Copies `items` to `part[*at..]`, advancing `*at`; returns the run's span
+/// in the whole column, whose first `base` entries precede `part`.
+fn fill<T: Copy>(part: &mut [T], at: &mut usize, base: usize, items: &[T]) -> Span {
+    part[*at..*at + items.len()].copy_from_slice(items);
+    let span = Span::new(base + *at, items.len());
+    *at += items.len();
+    span
+}
+
 impl<P: VertexProgram> EcLoader<'_, P> {
-    /// Node `p`'s graph, without its position index (the caller moves the
-    /// layout's in). Allocates in three passes — the edge lists of every
-    /// copy, then the masters' full state, then the mirrors' — so that what
-    /// a superstep reads is dense in the heap and laid out the same with
-    /// and without fault tolerance, with the mirrors' cold copies behind it
-    /// (DESIGN.md, "Load path and heap layout").
-    fn node_graph(&self, p: usize) -> EcLocalGraph<P::Value> {
+    /// First pass: node `p`'s graph without its position index (the caller
+    /// moves the layout's in), and where the masters' part of its store
+    /// ends. Allocates the edge lists of every copy, then the store at its
+    /// final size — a slot table and four columns, counted before they are
+    /// filled — so that what a superstep reads is dense in the heap and laid
+    /// out the same with and without fault tolerance. The masters' slots are
+    /// filled here; the mirrors' are left blank for
+    /// [`EcLoader::fill_mirrors`].
+    fn node_graph(&self, p: usize) -> (EcLocalGraph<P::Value>, MasterPart) {
         let node = NodeId::from_index(p);
-        let mut verts: Vec<EcVertex<P::Value>> = self.layout.copies[p]
+        let copies = &self.layout.copies[p];
+        // Slots in position order, the masters' before the mirrors'.
+        let num_masters = copies.iter().filter(|&&v| self.cut.owner(v) == p).count();
+        let (mut master_slots, mut mirror_slots) = (0..num_masters, num_masters..);
+        let verts: Vec<EcVertex<P::Value>> = copies
             .iter()
             .map(|&v| {
                 let owner = NodeId::from_index(self.cut.owner(v));
@@ -449,24 +600,184 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                         Vec::new()
                     },
                     out_local: self.out_local_at(v, p),
-                    meta: None,
+                    meta: match kind {
+                        CopyKind::Master => master_slots.next(),
+                        CopyKind::Mirror => mirror_slots.next(),
+                        CopyKind::Replica => None,
+                    }
+                    .map(SlotId::from_index),
                 }
             })
             .collect();
-        for kind in [CopyKind::Master, CopyKind::Mirror] {
-            for vert in verts.iter_mut().filter(|vert| vert.kind == kind) {
-                vert.meta = Some(Box::new(self.full_state(vert.vid)));
+
+        // Count. A master's slot keeps its in-edge sources and its remote
+        // out-edges (the out-edges its own `out_local` does not cover); a
+        // mirror's keeps all four lists.
+        let (mut masters, mut total) = (ColumnLens::default(), ColumnLens::default());
+        for vert in &verts {
+            let (ins, outs) = (self.in_csr.degree(vert.vid), self.out_csr.degree(vert.vid));
+            match vert.kind {
+                CopyKind::Master => {
+                    masters.in_srcs += ins;
+                    masters.out_remote += outs - vert.out_local.len();
+                }
+                CopyKind::Mirror => {
+                    let owner = vert.master_node.index();
+                    let targets = self.out_csr.neighbor_slice(vert.vid).iter();
+                    let local = targets.filter(|&&t| self.cut.owner(t) == owner).count();
+                    total.in_edges += ins;
+                    total.in_srcs += ins;
+                    total.out_local += local;
+                    total.out_remote += outs - local;
+                }
+                CopyKind::Replica => {}
             }
         }
+        total.in_srcs += masters.in_srcs;
+        total.out_remote += masters.out_remote;
+        let num_slots = mirror_slots.start;
+
+        // Fill the masters' part, then blank the mirrors'.
+        let mut full = FullState::default();
+        full.reserve_exact(num_slots, total);
+        for vert in verts.iter().filter(|vert| vert.is_master()) {
+            let v = vert.vid;
+            let remote = self.out_csr.neighbor_slice(v).iter().filter_map(|&target| {
+                let consumer = self.cut.owner(target);
+                (consumer != p).then(|| RemoteEdge {
+                    target,
+                    node: NodeId::from_index(consumer),
+                    pos: self.layout.pos_maps[consumer].at(target),
+                })
+            });
+            let slot = Slot {
+                loc: self
+                    .layout
+                    .locations(v, p, self.cut.replica_parts(v), self.plan),
+                in_srcs: full
+                    .in_srcs
+                    .append(self.in_csr.neighbor_slice(v).iter().copied()),
+                out_remote: full.out_remote.append(remote),
+                ..Slot::default()
+            };
+            full.slots.push(slot);
+        }
+        debug_assert_eq!(full.column_lens(), masters, "masters' columns miscounted");
+        full.slots.resize_with(num_slots, Slot::default);
+        full.in_edges.0.resize(total.in_edges, Default::default());
+        full.in_srcs.0.resize(total.in_srcs, Default::default());
+        full.out_local.0.resize(total.out_local, Default::default());
+        full.out_remote
+            .0
+            .resize(total.out_remote, Default::default());
+
         let mut lg = EcLocalGraph {
             node,
             verts,
             index: PosIndex::new(),
             active_frontier: Vec::new(),
+            full,
         };
         lg.rebuild_active_frontier();
         lg.active_frontier.shrink_to_fit();
-        lg
+        let masters = MasterPart {
+            slots: num_masters,
+            lens: masters,
+        };
+        (lg, masters)
+    }
+
+    /// Second pass: fills every node's mirror slots. A mirror's full state
+    /// *is* its master's — the owner-local lists are the master's own
+    /// `in_edges` and `out_local`, the rest is in the masters' part of the
+    /// owner's store — so each list is one `memcpy` out of what the owner's
+    /// first pass built, not a second derivation edge by edge. Each node's
+    /// thread writes the mirrors' part of its own store and reads the
+    /// others' copies and masters' parts.
+    fn fill_mirrors(&self, graphs: &mut [EcLocalGraph<P::Value>], masters: &[MasterPart]) {
+        let (mut owners, mut mirrors) = (Vec::new(), Vec::new());
+        for (lg, part) in graphs.iter_mut().zip(masters) {
+            let full = &mut lg.full;
+            let (master_slots, slots) = full.slots.split_at_mut(part.slots);
+            let (_, in_edges) = full.in_edges.0.split_at_mut(part.lens.in_edges);
+            let (master_srcs, in_srcs) = full.in_srcs.0.split_at_mut(part.lens.in_srcs);
+            let (_, out_local) = full.out_local.0.split_at_mut(part.lens.out_local);
+            let (master_remote, out_remote) = full.out_remote.0.split_at_mut(part.lens.out_remote);
+            owners.push(OwnerView {
+                verts: &lg.verts[..],
+                slots: &*master_slots,
+                in_srcs: &*master_srcs,
+                out_remote: &*master_remote,
+            });
+            mirrors.push(MirrorPart {
+                base: part.lens,
+                slots,
+                in_edges,
+                in_srcs,
+                out_local,
+                out_remote,
+            });
+        }
+        if mirrors.iter().all(|m| m.slots.is_empty()) {
+            return;
+        }
+        let owners = &owners;
+        per_node(mirrors, |q, part| self.fill_node_mirrors(q, part, owners));
+    }
+
+    fn fill_node_mirrors(
+        &self,
+        q: usize,
+        part: MirrorPart<'_>,
+        owners: &[OwnerView<'_, P::Value>],
+    ) {
+        let MirrorPart {
+            base,
+            slots,
+            in_edges,
+            in_srcs,
+            out_local,
+            out_remote,
+        } = part;
+        let mut at = ColumnLens::default();
+        let mirrors = owners[q]
+            .verts
+            .iter()
+            .filter(|vert| vert.kind == CopyKind::Mirror);
+        for (slot, vert) in slots.iter_mut().zip(mirrors) {
+            let o = vert.master_node.index();
+            let master = &owners[o].verts[self.layout.pos_maps[o].at(vert.vid) as usize];
+            let theirs = &owners[o].slots[master.meta.expect("masters carry full state").index()];
+            *slot = Slot {
+                loc: theirs.loc.clone(),
+                in_edges: fill(in_edges, &mut at.in_edges, base.in_edges, &master.in_edges),
+                in_srcs: fill(
+                    in_srcs,
+                    &mut at.in_srcs,
+                    base.in_srcs,
+                    &owners[o].in_srcs[theirs.in_srcs.range()],
+                ),
+                out_local: fill(
+                    out_local,
+                    &mut at.out_local,
+                    base.out_local,
+                    &master.out_local,
+                ),
+                out_remote: fill(
+                    out_remote,
+                    &mut at.out_remote,
+                    base.out_remote,
+                    &owners[o].out_remote[theirs.out_remote.range()],
+                ),
+            };
+        }
+        let room = ColumnLens {
+            in_edges: in_edges.len(),
+            in_srcs: in_srcs.len(),
+            out_local: out_local.len(),
+            out_remote: out_remote.len(),
+        };
+        assert_eq!(at, room, "mirrors' columns miscounted on node {q}");
     }
 
     /// `v`'s in-edges as `(source position on node p, weight)`.
@@ -488,43 +799,12 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         };
         collect_exact(fed().count(), fed().map(|&t| at.at(t)))
     }
-
-    /// The full state `v`'s master shares with its mirrors.
-    fn full_state(&self, v: Vid) -> MasterMeta {
-        let owner = self.cut.owner(v);
-        let (replica_nodes, replica_positions, mirror_nodes) =
-            self.layout
-                .locations(v, self.cut.replica_parts(v), self.plan);
-        let remote = || {
-            let targets = self.out_csr.neighbor_slice(v).iter();
-            targets.filter(move |&&t| self.cut.owner(t) != owner)
-        };
-        MasterMeta {
-            master_pos: self.layout.pos_maps[owner].at(v),
-            replica_nodes,
-            replica_positions,
-            mirror_nodes,
-            in_edges_owner: self.in_edges_at(v, owner),
-            in_edge_srcs: self.in_csr.neighbor_slice(v).to_vec(),
-            out_local_owner: self.out_local_at(v, owner),
-            out_remote: collect_exact(
-                remote().count(),
-                remote().map(|&target| {
-                    let consumer = self.cut.owner(target);
-                    RemoteEdge {
-                        target,
-                        node: NodeId::from_index(consumer),
-                        pos: self.layout.pos_maps[consumer].at(target),
-                    }
-                }),
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::full_state::MasterMeta;
     use imitator_graph::gen;
     use imitator_partition::{EdgeCutPartitioner, HashEdgeCut};
 
@@ -605,16 +885,17 @@ mod tests {
         let g = gen::power_law(400, 2.0, 6, 11);
         let (cut, lgs) = build(&g, 4);
         for lg in &lgs {
-            for v in lg.verts.iter().filter(|v| v.is_master()) {
-                let meta = v.meta.as_ref().unwrap();
-                assert_eq!(meta.master_pos, lg.position(v.vid).unwrap());
-                for r in &meta.out_remote {
+            for pos in lg.master_positions() {
+                let v = &lg.verts[pos as usize];
+                let state = lg.full_state(pos).unwrap();
+                assert_eq!(state.locations.master_pos(), pos);
+                for r in state.out_remote {
                     let remote = &lgs[r.node.index()];
                     assert_eq!(remote.position(r.target), Some(r.pos));
                     assert!(remote.verts[r.pos as usize].is_master());
                 }
                 // replica_nodes point at real copies
-                for n in &meta.replica_nodes {
+                for n in state.locations.replica_nodes() {
                     assert!(lgs[n.index()].position(v.vid).is_some());
                     assert_ne!(*n, v.master_node);
                 }
@@ -623,33 +904,258 @@ mod tests {
         }
     }
 
+    /// Right after load a mirror's full state is its master's, at every
+    /// tolerance level: mirror every vertex on its first `k` replica nodes.
     #[test]
     fn mirrors_carry_full_state() {
         let g = gen::power_law(300, 2.0, 5, 13);
-        let cut = HashEdgeCut.partition(&g, 3);
-        let mut plan = FtPlan::none(g.num_vertices());
-        // mirror every vertex that has a replica, on its first replica node
-        for v in g.vertices() {
-            if let Some(&first) = cut.replica_parts(v).first() {
-                plan.mirror[v.index()] = vec![NodeId::new(first)];
-            }
-        }
+        let cut = HashEdgeCut.partition(&g, 4);
         let degrees = Degrees::of(&g);
-        let lgs = build_edge_cut_graphs(&g, &cut, &plan, &Count, &degrees);
-        let mut mirrors = 0;
-        for lg in &lgs {
-            for v in &lg.verts {
-                if v.kind == CopyKind::Mirror {
+        for k in 1..=3 {
+            let mut plan = FtPlan::none(g.num_vertices());
+            for v in g.vertices() {
+                let hosts = cut.replica_parts(v).iter().take(k);
+                plan.mirror[v.index()] = hosts.map(|&p| NodeId::new(p)).collect();
+            }
+            let lgs = build_edge_cut_graphs(&g, &cut, &plan, &Count, &degrees);
+            let mut mirrors = 0;
+            for lg in &lgs {
+                lg.debug_validate();
+                for (pos, v) in lg.verts.iter().enumerate() {
+                    if v.kind != CopyKind::Mirror {
+                        assert_eq!(v.has_full_state(), v.is_master());
+                        continue;
+                    }
                     mirrors += 1;
-                    let meta = v.meta.as_ref().unwrap();
-                    // mirror's meta equals the master's meta
                     let owner = &lgs[v.master_node.index()];
-                    let mpos = owner.position(v.vid).unwrap() as usize;
-                    assert_eq!(owner.verts[mpos].meta.as_deref(), Some(meta.as_ref()));
+                    let mpos = owner.position(v.vid).unwrap();
+                    let (mine, theirs) = (lg.full_state(pos as u32), owner.full_state(mpos));
+                    assert!(
+                        mine.is_some() && mine == theirs,
+                        "k={k}: mirror of {}",
+                        v.vid
+                    );
+                    assert_eq!(mine.unwrap().to_meta(), theirs.unwrap().to_meta());
                 }
             }
+            let planned: usize = plan.mirror.iter().map(Vec::len).sum();
+            assert!(mirrors > 0 && mirrors == planned, "k={k}");
         }
-        assert!(mirrors > 0);
+    }
+
+    /// The loader sizes the store once: every column, and the slot table, is
+    /// as long as it is large and holds no run no slot points at.
+    #[test]
+    fn loaded_stores_carry_no_slack() {
+        let g = gen::power_law(600, 2.0, 6, 19);
+        let cut = HashEdgeCut.partition(&g, 4);
+        let mut plan = FtPlan::none(g.num_vertices());
+        for v in g.vertices() {
+            let hosts = cut.replica_parts(v).iter().take(2);
+            plan.mirror[v.index()] = hosts.map(|&p| NodeId::new(p)).collect();
+        }
+        let degrees = Degrees::of(&g);
+        for lg in build_edge_cut_graphs(&g, &cut, &plan, &Count, &degrees) {
+            let full = &lg.full;
+            assert_eq!(full.slots.capacity(), full.slots.len());
+            assert_eq!(full.in_edges.0.capacity(), full.in_edges.0.len());
+            assert_eq!(full.in_srcs.0.capacity(), full.in_srcs.0.len());
+            assert_eq!(full.out_local.0.capacity(), full.out_local.0.len());
+            assert_eq!(full.out_remote.0.capacity(), full.out_remote.0.len());
+            let mut live = ColumnLens::default();
+            for slot in &full.slots {
+                live.in_edges += slot.in_edges.len();
+                live.in_srcs += slot.in_srcs.len();
+                live.out_local += slot.out_local.len();
+                live.out_remote += slot.out_remote.len();
+            }
+            assert_eq!(full.column_lens(), live);
+        }
+    }
+
+    /// A master's slot holds none of the `(position, weight)` and consumer
+    /// entries its own edge lists already carry, and what it exports is
+    /// still the full state a mirror stores.
+    #[test]
+    fn masters_keep_their_edge_lists_once() {
+        let g = gen::power_law(300, 2.0, 5, 17);
+        let (_cut, lgs) = build(&g, 3);
+        for lg in &lgs {
+            // No mirrors in this plan: both columns are the masters' alone.
+            let (slots, lens) = lg.full_state_lens();
+            assert_eq!(slots, lg.num_masters());
+            assert_eq!((lens.in_edges, lens.out_local), (0, 0));
+            let in_edges: usize = lg.verts.iter().map(|v| v.in_edges.len()).sum();
+            assert_eq!(lens.in_srcs, in_edges);
+            for pos in lg.master_positions() {
+                let v = &lg.verts[pos as usize];
+                let state = lg.full_state(pos).unwrap();
+                assert_eq!(state.in_edges_owner, &v.in_edges[..]);
+                assert_eq!(state.out_local_owner, &v.out_local[..]);
+                let srcs = v.in_edges.iter().map(|&(s, _)| lg.verts[s as usize].vid);
+                assert!(state.in_edge_srcs.iter().copied().eq(srcs));
+            }
+        }
+    }
+
+    fn state(tag: u32, edges: usize) -> MasterMeta {
+        MasterMeta {
+            locations: Locations::new(
+                tag,
+                [NodeId::new(tag)][..].into(),
+                [tag][..].into(),
+                Default::default(),
+            ),
+            in_edges_owner: (0..edges as u32).map(|i| (tag + i, i as f32)).collect(),
+            in_edge_srcs: (0..edges as u32).map(|i| Vid::new(tag * 100 + i)).collect(),
+            out_local_owner: (0..edges as u32).map(|i| tag * 10 + i).collect(),
+            out_remote: (0..edges as u32)
+                .map(|i| RemoteEdge {
+                    target: Vid::new(tag + i),
+                    node: NodeId::new(i),
+                    pos: tag * 7 + i,
+                })
+                .collect(),
+        }
+    }
+
+    /// Three mirrors (so the store keeps all four lists) with 3, 0 and 2
+    /// edges; the empty one sits between the other two in every column.
+    fn three_mirrors() -> (EcLocalGraph<u64>, [MasterMeta; 3]) {
+        let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(9));
+        let metas = [state(1, 3), state(2, 0), state(3, 2)];
+        for (pos, meta) in metas.iter().enumerate() {
+            lg.insert_at(
+                pos as u32,
+                EcVertex {
+                    kind: CopyKind::Mirror,
+                    master_node: NodeId::new(0),
+                    ..copy(pos as u32)
+                },
+            );
+            lg.set_full_state(pos as u32, meta.view());
+        }
+        (lg, metas)
+    }
+
+    fn copy(vid: u32) -> EcVertex<u64> {
+        EcVertex {
+            vid: Vid::new(vid),
+            kind: CopyKind::Master,
+            master_node: NodeId::new(0),
+            value: 0u64,
+            active: false,
+            next_active: false,
+            last_activate: false,
+            in_edges: Vec::new(),
+            out_local: Vec::new(),
+            meta: None,
+        }
+    }
+
+    /// Replacing (longer, shorter, equal), narrowing and extending one
+    /// slot's lists leaves every other slot's lists bit-identical.
+    #[test]
+    fn mutating_one_slot_leaves_the_others_alone() {
+        let (mut lg, metas) = three_mirrors();
+        let others = |lg: &EcLocalGraph<u64>| {
+            assert_eq!(lg.full_state(1).unwrap().to_meta(), metas[1]);
+            assert_eq!(lg.full_state(2).unwrap().to_meta(), metas[2]);
+            lg.debug_validate();
+        };
+        others(&lg);
+        let before = lg.full_state_lens().1;
+        for edges in [5, 1, 1, 0, 4] {
+            let next = state(8, edges);
+            lg.set_full_state(0, next.view());
+            assert_eq!(lg.full_state(0).unwrap().to_meta(), next);
+            others(&lg);
+        }
+        // Only the two replacements that outgrew their run appended.
+        assert_eq!(lg.full_state_lens().1.in_edges, before.in_edges + 5 + 4);
+        assert_eq!(lg.full_state_lens().0, 3, "replacing reuses the slot");
+
+        // Narrow slot 2's remote out-edges in place, rewriting the survivor.
+        let lens = lg.full_state_lens().1;
+        lg.retain_out_remote(2, |r| {
+            r.pos += 1;
+            r.node == NodeId::new(1)
+        });
+        let kept = RemoteEdge {
+            pos: metas[2].out_remote[1].pos + 1,
+            ..metas[2].out_remote[1]
+        };
+        assert_eq!(lg.full_state(2).unwrap().out_remote, [kept]);
+        assert_eq!(lg.full_state_lens().1, lens, "narrowing appends nothing");
+        assert_eq!(lg.full_state(1).unwrap().to_meta(), metas[1]);
+
+        // Extend the empty slot in the middle: it moves to the tail.
+        lg.extend_out_remote(1, &[kept, kept]);
+        assert_eq!(lg.full_state(1).unwrap().out_remote, [kept, kept]);
+        assert_eq!(lg.full_state(2).unwrap().out_remote, [kept]);
+        // Extending the list that already ends the column moves nothing.
+        let lens = lg.full_state_lens().1;
+        lg.extend_out_remote(1, &[kept]);
+        assert_eq!(lg.full_state(1).unwrap().out_remote, [kept, kept, kept]);
+        assert_eq!(lg.full_state_lens().1.out_remote, lens.out_remote + 1);
+        lg.debug_validate();
+    }
+
+    /// Equality reads lists through their spans: a graph that replaced a
+    /// list and back equals one that never did, dead runs or not.
+    #[test]
+    fn equality_ignores_dead_runs_and_slot_numbers() {
+        let (mut lg, metas) = three_mirrors();
+        let (pristine, _) = three_mirrors();
+        lg.set_full_state(0, state(8, 6).view());
+        assert_ne!(lg, pristine);
+        lg.set_full_state(0, metas[0].view());
+        assert_ne!(lg.full_state_lens(), pristine.full_state_lens());
+        assert_eq!(lg, pristine);
+
+        // The same copies given their slots in the opposite order.
+        let mut reversed: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(9));
+        for pos in 0..3 {
+            let v = pristine.verts[pos].clone();
+            reversed.insert_at(pos as u32, EcVertex { meta: None, ..v });
+        }
+        for pos in (0..3).rev() {
+            reversed.set_full_state(pos, metas[pos as usize].view());
+        }
+        assert_ne!(reversed.verts[0].meta, pristine.verts[0].meta);
+        assert_eq!(reversed, pristine);
+    }
+
+    /// A promoted mirror gives up its owner-local lists; as a master it
+    /// exports its own edge lists in their place, and importing full state
+    /// into a master stores neither list again.
+    #[test]
+    fn a_master_slot_stores_no_owner_lists() {
+        let (mut lg, metas) = three_mirrors();
+        lg.verts[0].kind = CopyKind::Master;
+        let (in_edges, out_local) = lg.take_owner_lists(0);
+        assert_eq!(in_edges, metas[0].in_edges_owner);
+        assert_eq!(out_local, metas[0].out_local_owner);
+        let exported = lg.full_state(0).unwrap();
+        assert!(exported.in_edges_owner.is_empty() && exported.out_local_owner.is_empty());
+        assert_eq!(exported.in_edge_srcs, &metas[0].in_edge_srcs[..]);
+
+        lg.verts[0].in_edges = vec![(2, 0.5)];
+        let lens = lg.full_state_lens().1;
+        lg.set_full_state(0, state(4, 9).view());
+        let grown = lg.full_state_lens().1;
+        assert_eq!(
+            (grown.in_edges, grown.out_local),
+            (lens.in_edges, lens.out_local)
+        );
+        assert_eq!(lg.full_state(0).unwrap().in_edges_owner, [(2, 0.5)]);
+        assert_eq!(lg.full_state(0).unwrap().in_edge_srcs.len(), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than u32::MAX entries")]
+    fn a_run_past_u32_max_is_refused() {
+        Span::new(u32::MAX as usize - 1, 2);
     }
 
     #[test]
@@ -672,18 +1178,7 @@ mod tests {
     #[test]
     fn insert_at_reproduces_layout() {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(0));
-        let mk = |vid: u32| EcVertex {
-            vid: Vid::new(vid),
-            kind: CopyKind::Master,
-            master_node: NodeId::new(0),
-            value: 0u64,
-            active: false,
-            next_active: false,
-            last_activate: false,
-            in_edges: Vec::new(),
-            out_local: Vec::new(),
-            meta: None,
-        };
+        let mk = copy;
         lg.insert_at(2, mk(20));
         lg.insert_at(0, mk(5));
         lg.insert_at(1, mk(11));
@@ -696,18 +1191,7 @@ mod tests {
     #[should_panic(expected = "already holds")]
     fn insert_at_conflict_panics() {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(0));
-        let mk = |vid: u32| EcVertex {
-            vid: Vid::new(vid),
-            kind: CopyKind::Master,
-            master_node: NodeId::new(0),
-            value: 0u64,
-            active: false,
-            next_active: false,
-            last_activate: false,
-            in_edges: Vec::new(),
-            out_local: Vec::new(),
-            meta: None,
-        };
+        let mk = copy;
         lg.insert_at(0, mk(1));
         lg.insert_at(0, mk(2));
     }

@@ -27,8 +27,10 @@
 mod compute;
 mod ecut;
 mod ftplan;
+mod full_state;
 mod inline_list;
 mod load;
+mod locations;
 mod par;
 mod pool;
 mod program;
@@ -38,13 +40,15 @@ pub use compute::{
     ec_commit, ec_compute, ec_compute_scan, vc_apply, vc_commit, vc_partial_gather, CommitStats,
     MasterUpdate,
 };
-pub use ecut::{build_edge_cut_graphs, CopyKind, EcLocalGraph, EcVertex, MasterMeta, RemoteEdge};
+pub use ecut::{build_edge_cut_graphs, CopyKind, EcLocalGraph, EcVertex};
 pub use ftplan::FtPlan;
+pub use full_state::{ColumnLens, FullStateRef, MasterMeta, RemoteEdge, SlotId};
 pub use inline_list::{InlineList, INLINE_ITEMS};
+pub use locations::Locations;
 pub use par::{
     chunk_ranges, ec_compute_par, vc_apply_par, vc_partial_gather_par, weighted_ranges,
     VcGatherIndex,
 };
 pub use pool::{ec_compute_chunks, vc_apply_chunks, vc_gather_chunks, InOrder, WorkerPool};
 pub use program::{Degrees, VertexProgram};
-pub use vcut::{build_vertex_cut_graphs, VcEdge, VcLocalGraph, VcMeta, VcVertex};
+pub use vcut::{build_vertex_cut_graphs, VcEdge, VcLocalGraph, VcVertex};

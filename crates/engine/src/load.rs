@@ -10,6 +10,7 @@ use imitator_graph::{PosIndex, Vid};
 use crate::ecut::CopyKind;
 use crate::ftplan::FtPlan;
 use crate::inline_list::InlineList;
+use crate::locations::Locations;
 
 /// Every node's copy set and position index, the one thing a node's loader
 /// needs to know about the *other* nodes: full state records where each
@@ -50,9 +51,9 @@ impl Layout {
         Layout { copies, pos_maps }
     }
 
-    /// The location tables of `v`'s full state: `replica_nodes` (sorted,
-    /// without the owner), the copy's position on each of them, and the
-    /// mirror nodes in mirror-ID order.
+    /// The location tables of `v`'s full state, mastered on part `owner`:
+    /// `replica_nodes` (sorted, without the owner), the copy's position on
+    /// each of them, and the mirror nodes in mirror-ID order.
     ///
     /// # Panics
     ///
@@ -60,9 +61,10 @@ impl Layout {
     pub fn locations(
         &self,
         v: Vid,
+        owner: usize,
         replica_parts: &[u32],
         plan: &FtPlan,
-    ) -> (InlineList<NodeId>, InlineList<u32>, InlineList<NodeId>) {
+    ) -> Locations {
         let extras = &plan.extra_replicas[v.index()];
         let mut replica_nodes = InlineList::with_capacity(replica_parts.len() + extras.len());
         for &p in replica_parts {
@@ -87,7 +89,12 @@ impl Layout {
                 "mirror of {v} on {m} has no copy there"
             );
         }
-        (replica_nodes, replica_positions, mirror_nodes)
+        Locations::new(
+            self.pos_maps[owner].at(v),
+            replica_nodes,
+            replica_positions,
+            mirror_nodes,
+        )
     }
 }
 
@@ -111,16 +118,24 @@ pub(crate) fn collect_exact<T>(len: usize, items: impl Iterator<Item = T>) -> Ve
     list
 }
 
-/// Builds every node's graph on its own thread. A node needs nothing from
-/// another node's builder, only the shared read-only inputs `build` borrows;
-/// a builder's panic resurfaces on the caller.
-pub(crate) fn build_per_node<G: Send>(parts: usize, build: impl Fn(usize) -> G + Sync) -> Vec<G> {
-    let build = &build;
+/// Runs `work(p, inputs[p])` for every node `p` on a thread of its own and
+/// returns the results in node order. A node needs nothing from another
+/// node's thread, only its own input and the shared read-only state `work`
+/// borrows; a thread's panic resurfaces on the caller.
+pub(crate) fn per_node<T: Send, G: Send>(
+    inputs: Vec<T>,
+    work: impl Fn(usize, T) -> G + Sync,
+) -> Vec<G> {
+    let work = &work;
     std::thread::scope(|scope| {
-        let builders: Vec<_> = (0..parts).map(|p| scope.spawn(move || build(p))).collect();
-        builders
+        let threads: Vec<_> = inputs
             .into_iter()
-            .map(|b| b.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .enumerate()
+            .map(|(p, input)| scope.spawn(move || work(p, input)))
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     })
 }

@@ -7,67 +7,9 @@ use imitator_partition::VertexCut;
 
 use crate::ecut::CopyKind;
 use crate::ftplan::FtPlan;
-use crate::inline_list::InlineList;
-use crate::load::{build_per_node, collect_exact, copy_kind, Layout};
+use crate::load::{collect_exact, copy_kind, per_node, Layout};
+use crate::locations::Locations;
 use crate::program::{Degrees, VertexProgram};
-
-/// The vertex state a vertex-cut master shares with its mirrors.
-///
-/// Unlike edge-cut, vertex-cut full state carries **no edges**: edges are
-/// persisted to edge-ckpt files on the DFS during loading (§4.3) because no
-/// single node holds all of a vertex's edges.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VcMeta {
-    /// The master's array position on its owner node.
-    pub master_pos: u32,
-    /// Every node holding a copy of this vertex, excluding the owner. Sorted.
-    pub replica_nodes: InlineList<NodeId>,
-    /// The copy's array position on each node of `replica_nodes` (parallel
-    /// vector) — position-addressed recovery needs the crashed layout.
-    pub replica_positions: InlineList<u32>,
-    /// Mirror nodes ordered by mirror ID (lowest surviving recovers, §5.3.1).
-    pub mirror_nodes: InlineList<NodeId>,
-}
-
-impl VcMeta {
-    /// The recorded position of this vertex's copy on `node`.
-    pub fn replica_position_on(&self, node: NodeId) -> Option<u32> {
-        self.replica_nodes
-            .iter()
-            .position(|&n| n == node)
-            .map(|i| self.replica_positions[i])
-    }
-
-    /// Removes `node` from the replica/mirror location tables (it crashed).
-    pub fn purge_node(&mut self, node: NodeId) {
-        if let Some(i) = self.replica_nodes.iter().position(|&n| n == node) {
-            self.replica_nodes.remove(i);
-            self.replica_positions.remove(i);
-        }
-        self.mirror_nodes.retain(|&n| n != node);
-    }
-
-    /// Registers (or re-registers) a copy of this vertex at `node`/`pos`,
-    /// keeping `replica_nodes` sorted.
-    pub fn register_replica(&mut self, node: NodeId, pos: u32) {
-        if let Some(i) = self.replica_nodes.iter().position(|&n| n == node) {
-            self.replica_positions[i] = pos;
-            return;
-        }
-        let i = self.replica_nodes.partition_point(|&n| n < node);
-        self.replica_nodes.insert(i, node);
-        self.replica_positions.insert(i, pos);
-    }
-}
-
-impl MemSize for VcMeta {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<VcMeta>()
-            + self.replica_nodes.heap_bytes()
-            + self.replica_positions.heap_bytes()
-            + self.mirror_nodes.heap_bytes()
-    }
-}
 
 /// One local vertex copy in a vertex-cut partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,8 +22,11 @@ pub struct VcVertex<V> {
     pub master_node: NodeId,
     /// Current committed value.
     pub value: V,
-    /// Full state for recovery (masters and mirrors).
-    pub meta: Option<Box<VcMeta>>,
+    /// Full state for recovery (masters and mirrors). Unlike edge-cut,
+    /// vertex-cut full state carries **no edges**: those are persisted to
+    /// edge-ckpt files on the DFS during loading (§4.3), because no single
+    /// node holds all of a vertex's edges.
+    pub meta: Option<Box<Locations>>,
 }
 
 impl<V> VcVertex<V> {
@@ -301,14 +246,8 @@ pub fn build_vertex_cut_graphs<P: VertexProgram>(
         for kind in [CopyKind::Master, CopyKind::Mirror] {
             for vert in verts.iter_mut().filter(|vert| vert.kind == kind) {
                 let v = vert.vid;
-                let (replica_nodes, replica_positions, mirror_nodes) =
-                    layout.locations(v, cut.replica_parts(v), plan);
-                vert.meta = Some(Box::new(VcMeta {
-                    master_pos: layout.pos_maps[cut.master(v)].at(v),
-                    replica_nodes,
-                    replica_positions,
-                    mirror_nodes,
-                }));
+                let locations = layout.locations(v, cut.master(v), cut.replica_parts(v), plan);
+                vert.meta = Some(Box::new(locations));
             }
         }
         VcLocalGraph {
@@ -319,7 +258,7 @@ pub fn build_vertex_cut_graphs<P: VertexProgram>(
         }
     };
 
-    let mut graphs = build_per_node(parts, node_graph);
+    let mut graphs = per_node(vec![(); parts], |p, ()| node_graph(p));
     for (lg, index) in graphs.iter_mut().zip(layout.pos_maps) {
         lg.index = index;
     }

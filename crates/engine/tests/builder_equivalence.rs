@@ -1,8 +1,11 @@
 //! The loaders against the builders they replaced. `reference_*` are the
 //! single-threaded, push-as-you-go builders the library shipped before the
 //! load path was rebuilt from CSR, kept here as the specification (verbatim
-//! but for the location tables' conversion to `InlineList`):
-//! the library's builders must return graphs `==` to theirs, on any graph,
+//! but for the location tables' conversion to `Locations`, and for the
+//! edge-cut one handing back each copy's full state as the owned
+//! `MasterMeta` it builds instead of boxing it onto the vertex): the
+//! library's builders must return graphs equal to theirs — every copy, and
+//! the full state every master and mirror exports — on any graph,
 //! partitioning and plan, and must leave no capacity slack behind.
 
 use proptest::prelude::*;
@@ -10,7 +13,7 @@ use proptest::prelude::*;
 use imitator_cluster::NodeId;
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
-    FtPlan, InlineList, MasterMeta, RemoteEdge, VcEdge, VcLocalGraph, VcMeta, VcVertex,
+    FtPlan, InlineList, Locations, MasterMeta, RemoteEdge, VcEdge, VcLocalGraph, VcVertex,
     VertexProgram, INLINE_ITEMS,
 };
 use imitator_graph::{gen, Edge, Graph, PosIndex, Vid};
@@ -18,6 +21,13 @@ use imitator_partition::{
     EdgeCut, EdgeCutPartitioner, HashEdgeCut, HybridVertexCut, RandomVertexCut, VertexCut,
     VertexCutPartitioner,
 };
+
+/// One node as the reference builds it: its copies, none of them given a
+/// slot, and per position the full state that copy holds.
+struct ReferenceEc<V> {
+    lg: EcLocalGraph<V>,
+    metas: Vec<Option<MasterMeta>>,
+}
 
 /// The edge-cut builder as of PR 12.
 #[allow(clippy::needless_range_loop)] // loops pair the index with Vid::from_index(i)
@@ -27,7 +37,7 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
     plan: &FtPlan,
     prog: &P,
     degrees: &Degrees,
-) -> Vec<EcLocalGraph<P::Value>> {
+) -> Vec<ReferenceEc<P::Value>> {
     assert_eq!(plan.num_vertices(), g.num_vertices(), "plan size mismatch");
     let parts = cut.num_parts();
     let n = g.num_vertices();
@@ -82,14 +92,14 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
                     }
                 })
                 .collect();
-            EcLocalGraph {
-                node,
-                verts,
-                index: pos_maps[p].clone(),
-                active_frontier: Vec::new(),
-            }
+            let mut lg = EcLocalGraph::empty(node);
+            lg.verts = verts;
+            lg.index = pos_maps[p].clone();
+            lg
         })
         .collect();
+    let mut metas: Vec<Vec<Option<MasterMeta>>> =
+        graphs.iter().map(|lg| vec![None; lg.len()]).collect();
 
     // 4. Edges: every edge lives on the consumer's owner; the producer's
     //    local copy there feeds the consumer.
@@ -152,21 +162,22 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
             .collect();
         let out_remote = std::mem::take(&mut out_remote_by_src[i]);
         let meta = MasterMeta {
-            master_pos,
-            replica_nodes: replica_nodes.as_slice().into(),
-            replica_positions: replica_positions.as_slice().into(),
-            mirror_nodes: mirror_nodes.as_slice().into(),
+            locations: Locations::new(
+                master_pos,
+                replica_nodes.as_slice().into(),
+                replica_positions.as_slice().into(),
+                mirror_nodes.as_slice().into(),
+            ),
             in_edges_owner: master.in_edges.clone(),
             in_edge_srcs,
             out_local_owner: master.out_local.clone(),
             out_remote,
         };
-        let boxed = Box::new(meta);
-        graphs[owner].verts[master_pos as usize].meta = Some(boxed.clone());
         for m in &mirror_nodes {
             let pos = pos_maps[m.index()].at(v) as usize;
-            graphs[m.index()].verts[pos].meta = Some(boxed.clone());
+            metas[m.index()][pos] = Some(meta.clone());
         }
+        metas[owner][master_pos as usize] = Some(meta);
     }
 
     for lg in &mut graphs {
@@ -174,6 +185,32 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
     }
 
     graphs
+        .into_iter()
+        .zip(metas)
+        .map(|(lg, metas)| ReferenceEc { lg, metas })
+        .collect()
+}
+
+/// The library's graph for one node against the reference's: the same
+/// copies at the same positions, and the same full state exported by each.
+fn assert_ec_equals_reference(built: &EcLocalGraph<u64>, want: &ReferenceEc<u64>) {
+    assert_eq!(built.node, want.lg.node);
+    assert_eq!(built.index, want.lg.index, "index of {}", built.node);
+    assert_eq!(built.active_frontier, want.lg.active_frontier);
+    assert_eq!(built.len(), want.lg.len(), "copies on {}", built.node);
+    for (pos, (ours, theirs)) in built.verts.iter().zip(&want.lg.verts).enumerate() {
+        let copy = EcVertex {
+            meta: None,
+            ..ours.clone()
+        };
+        assert_eq!(&copy, theirs, "copy at {pos} on {}", built.node);
+        let exported = built.full_state(pos as u32).map(|state| state.to_meta());
+        assert_eq!(
+            exported, want.metas[pos],
+            "full state of {} on {}",
+            ours.vid, built.node
+        );
+    }
 }
 
 /// The vertex-cut builder as of PR 12.
@@ -276,12 +313,12 @@ fn reference_vertex_cut_graphs<P: VertexProgram>(
                 "mirror of {v} on {m} has no copy there"
             );
         }
-        let meta = Box::new(VcMeta {
-            master_pos: pos_maps[owner].at(v),
-            replica_nodes: replica_nodes.as_slice().into(),
-            replica_positions: replica_positions.as_slice().into(),
-            mirror_nodes: mirror_nodes.as_slice().into(),
-        });
+        let meta = Box::new(Locations::new(
+            pos_maps[owner].at(v),
+            replica_nodes.as_slice().into(),
+            replica_positions.as_slice().into(),
+            mirror_nodes.as_slice().into(),
+        ));
         let mpos = pos_maps[owner].at(v) as usize;
         graphs[owner].verts[mpos].meta = Some(meta.clone());
         for m in &mirror_nodes {
@@ -415,8 +452,9 @@ proptest! {
         let degrees = Degrees::of(&g);
         let built = build_edge_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
         let want = reference_edge_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
-        prop_assert_eq!(&built, &want);
-        for lg in &built {
+        prop_assert_eq!(built.len(), want.len());
+        for (lg, want) in built.iter().zip(&want) {
+            assert_ec_equals_reference(lg, want);
             lg.debug_validate();
             assert_ec_exact(lg);
         }
@@ -476,18 +514,29 @@ fn assert_ec_exact(lg: &EcLocalGraph<u64>) {
         lg.active_frontier.len(),
         "active_frontier"
     );
-    for v in &lg.verts {
+    for (pos, v) in lg.verts.iter().enumerate() {
         assert_exact(&v.in_edges, "in_edges", v.vid);
         assert_exact(&v.out_local, "out_local", v.vid);
-        let Some(meta) = &v.meta else { continue };
-        assert_table_exact(&meta.replica_nodes, "replica_nodes", v.vid);
-        assert_table_exact(&meta.replica_positions, "replica_positions", v.vid);
-        assert_table_exact(&meta.mirror_nodes, "mirror_nodes", v.vid);
-        assert_exact(&meta.in_edges_owner, "in_edges_owner", v.vid);
-        assert_exact(&meta.in_edge_srcs, "in_edge_srcs", v.vid);
-        assert_exact(&meta.out_local_owner, "out_local_owner", v.vid);
-        assert_exact(&meta.out_remote, "out_remote", v.vid);
+        let Some(state) = lg.full_state(pos as u32) else {
+            continue;
+        };
+        assert_table_exact(state.locations.replica_nodes(), "replica_nodes", v.vid);
+        assert_table_exact(
+            state.locations.replica_positions(),
+            "replica_positions",
+            v.vid,
+        );
+        assert_table_exact(state.locations.mirror_nodes(), "mirror_nodes", v.vid);
     }
+    // The store holds what the copies' full state adds up to and not an
+    // entry more. (That the columns' capacity is their length is asserted
+    // where it can be seen, in the engine's unit tests.)
+    assert_eq!(
+        lg.full_state_lens(),
+        lg.live_full_state_lens(),
+        "store of {}",
+        lg.node
+    );
 }
 
 fn assert_vc_exact(lg: &VcLocalGraph<u64>) {
@@ -495,9 +544,9 @@ fn assert_vc_exact(lg: &VcLocalGraph<u64>) {
     assert_eq!(lg.edges.capacity(), lg.edges.len(), "edges");
     for v in &lg.verts {
         let Some(meta) = &v.meta else { continue };
-        assert_table_exact(&meta.replica_nodes, "replica_nodes", v.vid);
-        assert_table_exact(&meta.replica_positions, "replica_positions", v.vid);
-        assert_table_exact(&meta.mirror_nodes, "mirror_nodes", v.vid);
+        assert_table_exact(meta.replica_nodes(), "replica_nodes", v.vid);
+        assert_table_exact(meta.replica_positions(), "replica_positions", v.vid);
+        assert_table_exact(meta.mirror_nodes(), "mirror_nodes", v.vid);
     }
 }
 
@@ -511,8 +560,12 @@ fn power_law_graphs_equal_reference_and_carry_no_slack() {
     let cut = HashEdgeCut.partition(&g, 4);
     let plan = ec_plan(&g, &cut, 1, true, 7);
     let built = build_edge_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
-    assert!(built == reference_edge_cut_graphs(&g, &cut, &plan, &Labelled, &degrees));
-    built.iter().for_each(assert_ec_exact);
+    let want = reference_edge_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
+    assert_eq!(built.len(), want.len());
+    for (lg, want) in built.iter().zip(&want) {
+        assert_ec_equals_reference(lg, want);
+        assert_ec_exact(lg);
+    }
 
     let cut = RandomVertexCut.partition(&g, 4);
     let plan = vc_plan(&g, &cut, 1, true, 7);

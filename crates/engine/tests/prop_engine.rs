@@ -123,15 +123,13 @@ proptest! {
                 .iter()
                 .filter(|v| v.kind == CopyKind::Mirror)
                 .count();
-            // Every mirror carries meta identical to its master's.
-            for v in &lg.verts {
+            // Every mirror carries full state identical to its master's.
+            for (pos, v) in lg.verts.iter().enumerate() {
                 if v.kind == CopyKind::Mirror {
                     let owner = &lgs[v.master_node.index()];
-                    let mpos = owner.position(v.vid).unwrap() as usize;
-                    prop_assert_eq!(
-                        v.meta.as_deref(),
-                        owner.verts[mpos].meta.as_deref()
-                    );
+                    let mpos = owner.position(v.vid).unwrap();
+                    prop_assert!(lg.full_state(pos as u32).is_some());
+                    prop_assert_eq!(lg.full_state(pos as u32), owner.full_state(mpos));
                 }
             }
         }
@@ -189,7 +187,7 @@ proptest! {
             for (p, ups) in all.iter().enumerate() {
                 for u in ups {
                     let v = &lgs[p].verts[u.local as usize];
-                    for r in &v.meta.as_ref().unwrap().replica_nodes {
+                    for r in lgs[p].locations(u.local).unwrap().replica_nodes() {
                         let pos = lgs[r.index()].position(v.vid).unwrap();
                         incoming[r.index()].push((pos, u.value, u.activate));
                     }
@@ -243,7 +241,7 @@ proptest! {
             for (p, ups) in all.iter().enumerate() {
                 for u in ups {
                     let v = &lgs[p].verts[u.local as usize];
-                    for r in &v.meta.as_ref().unwrap().replica_nodes {
+                    for r in v.meta.as_ref().unwrap().replica_nodes() {
                         let pos = lgs[r.index()].position(v.vid).unwrap();
                         incoming[r.index()].push((pos, u.value));
                     }

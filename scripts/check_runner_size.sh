@@ -35,7 +35,11 @@ cd "$(dirname "$0")/.."
 #   1649 — Migration grows `out_remote`/`out_local` in place again
 #          (`recovery::regrown` gone: each node's graph now lives in its
 #          own builder thread's arena, DESIGN.md §4.5).
-BUDGET=1649
+#   1639 — edge-cut full state lives in the graph's columnar store; a
+#          master's `in_edges`/`out_local` are its owner-local lists, so
+#          the eight sites in runner_ec.rs that kept a second copy equal
+#          are gone (DESIGN.md §4.9).
+BUDGET=1639
 EC=crates/core/src/runner_ec.rs
 VC=crates/core/src/runner_vc.rs
 
