@@ -13,8 +13,9 @@
 //! median of five samples, each taken by a child process of this binary
 //! (`perf_baseline --load-row <name>`). The JSON is a flat name → seconds
 //! map so a later run can be diffed field by field, plus a `bytes` map of
-//! exact gauges (wire sizes, and the memory the load scenario's replicated
-//! edge-cut graphs hold) that CI holds against the committed file.
+//! exact gauges (wire sizes, a Migration's undo journal, and the memory the
+//! load scenario's replicated edge-cut graphs hold) that CI holds against the
+//! committed file.
 
 use std::time::{Duration, Instant};
 
@@ -25,7 +26,8 @@ use imitator_bench::{banner, best_of, crash, ramfs, reps, run_ec, run_vc, BenchO
 use imitator_cluster::{Cluster, NodeId, TransportKind, TICKS_PER_MS};
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, ec_compute, ec_compute_par, ec_compute_scan,
-    vc_partial_gather, vc_partial_gather_par, Degrees, FtPlan, VcGatherIndex, VertexProgram,
+    vc_partial_gather, vc_partial_gather_par, CopyKind, Degrees, Episode, FtPlan, FullState,
+    VcGatherIndex, VertexProgram,
 };
 use imitator_graph::gen;
 use imitator_metrics::{CommKind, MemSize};
@@ -409,13 +411,15 @@ fn main() {
     // and thread count. The recorded figure is the recovery episode's wall
     // time (reload + reconstruct + replay), not the whole run — the quantity
     // the parallel recovery paths are supposed to shrink. The single-thread
-    // Migration scenario also yields what its undo snapshot costs to take
+    // Migration scenario also yields what its undo journal costs to set up
     // (`undo_capture`) and to let go (`undo_release`: the `after_recovery`
-    // phase, i.e. the model's post-recovery hook plus the release), and the
-    // recovery-bytes gauge: everything the eight rounds put on the wire,
-    // exact for a given graph, partitioning and crash.
+    // phase, i.e. the model's post-recovery hook plus dropping the journal),
+    // and two byte gauges, exact for a given graph, partitioning and crash:
+    // everything the eight rounds put on the wire, and the journal the
+    // survivors held between them when the attempt finished.
     let mut undo = (f64::INFINITY, f64::INFINITY);
     let mut recovery_migration_bytes = 0.0;
+    let mut undo_journal_bytes = 0.0;
     for (name, strategy, standbys) in [
         ("recovery_rebirth_e2e", RecoveryStrategy::Rebirth, 1usize),
         ("recovery_migration_e2e", RecoveryStrategy::Migration, 0),
@@ -451,6 +455,7 @@ fn main() {
                     undo.0 = undo.0.min(phase("undo_capture"));
                     undo.1 = undo.1.min(phase("after_recovery"));
                     recovery_migration_bytes = ep.comm.bytes as f64;
+                    undo_journal_bytes = ep.journal_bytes as f64;
                 }
             }
             record(&format!("{name}_t{threads}"), best);
@@ -458,6 +463,51 @@ fn main() {
     }
     record("undo_capture", undo.0);
     record("undo_release", undo.1);
+
+    // What Migration's rounds 5/7 and 6 do with full state, as kernels: node
+    // 0 fills one destination's mirror batch with the full state of every
+    // master node 1 holds a plain replica of (`mirror_batch_build`), and
+    // node 1, those replicas upgraded to mirrors inside an episode, takes
+    // the batch in (`mirror_batch_adopt`).
+    {
+        let plan = compute_ft_plan(&g, &cut, 1, false, pr.selfish_compatible(), 0xF7);
+        let lgs = build_edge_cut_graphs(&g, &cut, &plan, &pr, &degrees);
+        let (sender, receiver) = (&lgs[0], &lgs[1]);
+        let (from, to): (Vec<u32>, Vec<u32>) = sender
+            .master_positions()
+            .filter_map(|pos| {
+                let at = receiver.position(sender.verts[pos as usize].vid)?;
+                (receiver.verts[at as usize].kind == CopyKind::Replica).then_some((pos, at))
+            })
+            .unzip();
+        let build = || {
+            let mut batch = FullState::default();
+            for &pos in &from {
+                batch.push(sender.full_state(pos).expect("masters carry full state"));
+            }
+            batch
+        };
+        record(
+            "mirror_batch_build",
+            time_best(n, || {
+                std::hint::black_box(build());
+            }),
+        );
+        let batch = build();
+        let mut best = f64::INFINITY;
+        for _ in 0..n {
+            let mut lg = receiver.clone();
+            lg.begin_episode();
+            for &at in &to {
+                lg.set_kind(at, CopyKind::Mirror);
+            }
+            let t = Instant::now();
+            lg.adopt_full_states(&[(&to, &batch)]);
+            best = best.min(t.elapsed().as_secs_f64());
+            std::hint::black_box(lg);
+        }
+        record("mirror_batch_adopt", best);
+    }
 
     // Migration round 2 (apply promotions, rewrite position-addressed
     // consumer tables, compute replica requests) at N and 4N lost masters:
@@ -607,8 +657,8 @@ fn main() {
         json.push_str(&format!("    \"{name}\": {secs:.6}{comma}\n"));
     }
     json.push_str("  },\n");
-    // Byte gauges — wire sizes and the load scenario's graph memory — not
-    // timings. All but the heartbeat total repeat exactly and are held by
+    // Byte gauges — wire sizes, the Migration scenario's undo journal and
+    // the load scenario's graph memory — not timings. All but the heartbeat total repeat exactly and are held by
     // the blocking CI bytes-regression step; heartbeats are paced by the
     // clock, so theirs follows wall time.
     json.push_str("  \"bytes\": {\n");
@@ -617,6 +667,7 @@ fn main() {
     json.push_str(&format!(
         "    \"recovery_migration\": {recovery_migration_bytes:.1},\n"
     ));
+    json.push_str(&format!("    \"undo_journal\": {undo_journal_bytes:.1},\n"));
     json.push_str(&format!("    \"{MEM_EC_FT}\": {mem_ec_ft:.1},\n"));
     json.push_str(&format!(
         "    \"hb_overhead_bytes\": {hb_overhead_bytes:.1}\n"
@@ -628,6 +679,7 @@ fn main() {
         "  {:<40} {recovery_migration_bytes:>10.1} B",
         "recovery_migration"
     );
+    println!("  {:<40} {undo_journal_bytes:>10.1} B", "undo_journal");
     println!("  {:<40} {mem_ec_ft:>10.1} B", MEM_EC_FT);
     println!("  {:<40} {hb_overhead_bytes:>10.1} B", "hb_overhead_bytes");
     std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");

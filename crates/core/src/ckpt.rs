@@ -90,20 +90,11 @@ fn dec_node(r: &mut Reader<'_>) -> Result<NodeId, DecodeError> {
 }
 
 pub(crate) fn kind_bits(k: CopyKind) -> u8 {
-    match k {
-        CopyKind::Master => 0,
-        CopyKind::Replica => 1,
-        CopyKind::Mirror => 2,
-    }
+    k.bits()
 }
 
 pub(crate) fn kind_from_bits(b: u8) -> Result<CopyKind, DecodeError> {
-    match b {
-        0 => Ok(CopyKind::Master),
-        1 => Ok(CopyKind::Replica),
-        2 => Ok(CopyKind::Mirror),
-        _ => Err(DecodeError::Corrupt("copy kind")),
-    }
+    CopyKind::from_bits(b).ok_or(DecodeError::Corrupt("copy kind"))
 }
 
 /// The replica-location tables: all of a vertex-cut copy's full state, and
@@ -141,6 +132,30 @@ pub(crate) fn dec_locations(r: &mut Reader<'_>) -> Result<Locations, DecodeError
         replica_positions,
         mirror_nodes,
     ))
+}
+
+/// The four column totals of a full-state store, ahead of the store itself
+/// so that a decoder sizes each column once.
+pub(crate) fn enc_column_lens(lens: ColumnLens, buf: &mut Vec<u8>) {
+    for total in [lens.in_edges, lens.in_srcs, lens.out_local, lens.out_remote] {
+        enc_uv(total as u64, buf);
+    }
+}
+
+/// Reads [`enc_column_lens`] back. Every column entry costs a byte of its
+/// own, so each total — and their sum — is held to the input that remains:
+/// what a caller reserves from them is within a constant of the input.
+pub(crate) fn dec_column_lens(r: &mut Reader<'_>) -> Result<ColumnLens, DecodeError> {
+    let lens = ColumnLens {
+        in_edges: dec_count(r)?,
+        in_srcs: dec_count(r)?,
+        out_local: dec_count(r)?,
+        out_remote: dec_count(r)?,
+    };
+    if lens.total() > r.remaining() {
+        return Err(DecodeError::Corrupt("column totals exceed input"));
+    }
+    Ok(lens)
 }
 
 fn enc_out_remote(edges: &[RemoteEdge], buf: &mut Vec<u8>) {
@@ -192,7 +207,7 @@ pub(crate) fn enc_meta(m: FullStateRef<'_>, buf: &mut Vec<u8>) {
 }
 
 /// [`dec_meta`] into `m`, reusing its lists' allocations.
-fn dec_meta_into(r: &mut Reader<'_>, m: &mut MasterMeta) -> Result<(), DecodeError> {
+pub(crate) fn dec_meta_into(r: &mut Reader<'_>, m: &mut MasterMeta) -> Result<(), DecodeError> {
     m.locations = dec_locations(r)?;
     let ne = dec_count(r)?;
     m.in_edges_owner.clear();
@@ -256,15 +271,8 @@ pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
     // The prologue: what the decoder's store will hold (runs no slot points
     // at any more are not encoded), so it sizes each column once.
     let (slots, lens) = lg.live_full_state_lens();
-    for total in [
-        slots,
-        lens.in_edges,
-        lens.in_srcs,
-        lens.out_local,
-        lens.out_remote,
-    ] {
-        enc_uv(total as u64, &mut buf);
-    }
+    enc_uv(slots as u64, &mut buf);
+    enc_column_lens(lens, &mut buf);
     let mut prev_vid = 0u32;
     for (pos, v) in lg.verts.iter().enumerate() {
         debug_assert!(!v.next_active, "{} encoded mid-commit", v.vid);
@@ -315,23 +323,10 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
     let mut lg = EcLocalGraph::empty(NodeId::new(dec_u32(&mut r)?));
     let n = dec_count(&mut r)?;
     let slots = dec_count(&mut r)?;
-    let lens = ColumnLens {
-        in_edges: dec_count(&mut r)?,
-        in_srcs: dec_count(&mut r)?,
-        out_local: dec_count(&mut r)?,
-        out_remote: dec_count(&mut r)?,
-    };
-    // Every copy, slot and column entry costs a byte of its own, so what is
-    // reserved below is within a constant of the input's size.
-    let counted = [
-        n,
-        slots,
-        lens.in_edges,
-        lens.in_srcs,
-        lens.out_local,
-        lens.out_remote,
-    ];
-    if counted.iter().sum::<usize>() > r.remaining() {
+    let lens = dec_column_lens(&mut r)?;
+    // Every copy and slot costs a byte of its own, like every column entry,
+    // so what is reserved below is within a constant of the input's size.
+    if n + slots + lens.total() > r.remaining() {
         return Err(DecodeError::Corrupt("counts exceed input"));
     }
     lg.verts.reserve_exact(n);
@@ -553,12 +548,12 @@ pub fn decode_vc_graph<V: Decode>(bytes: &[u8]) -> Result<VcLocalGraph<V>, Decod
     if r.remaining() > 0 {
         return Err(DecodeError::TrailingBytes(r.remaining()));
     }
-    Ok(VcLocalGraph {
+    Ok(VcLocalGraph::new(
         node,
         verts,
-        index: PosIndex::from_pairs(pairs),
+        PosIndex::from_pairs(pairs),
         edges,
-    })
+    ))
 }
 
 /// Encodes a vertex-cut data snapshot: masters' values behind an ascending
@@ -754,7 +749,7 @@ pub(crate) mod tests {
     };
     use proptest::prelude::*;
 
-    struct P;
+    pub(crate) struct P;
     impl imitator_engine::VertexProgram for P {
         type Value = f64;
         type Accum = f64;
@@ -813,13 +808,13 @@ pub(crate) mod tests {
     }
 
     /// `(parts, tolerance, selfish)`; tolerance `k` needs `k` other nodes.
-    fn arb_shape() -> impl Strategy<Value = (usize, usize, bool)> {
+    pub(crate) fn arb_shape() -> impl Strategy<Value = (usize, usize, bool)> {
         (1usize..=8, 0usize..=3, any::<bool>())
             .prop_map(|(parts, k, selfish)| (parts, k.min(parts - 1), selfish))
     }
 
     /// The plan the runners load with at tolerance `k` (none at 0).
-    fn plan_for(g: &Graph, view: &dyn ReplicaView, k: usize, selfish: bool) -> FtPlan {
+    pub(crate) fn plan_for(g: &Graph, view: &dyn ReplicaView, k: usize, selfish: bool) -> FtPlan {
         if k == 0 {
             FtPlan::none(g.num_vertices())
         } else {
@@ -829,7 +824,7 @@ pub(crate) mod tests {
 
     /// What [`hostile_ec_graph_bytes_never_panic`] does to a snapshot.
     #[derive(Debug, Clone)]
-    enum Damage {
+    pub(crate) enum Damage {
         Truncate(usize),
         FlipBit(usize, u8),
         /// Copy `len` bytes from one offset into the buffer at another.
@@ -840,7 +835,7 @@ pub(crate) mod tests {
         },
     }
 
-    fn arb_damage() -> impl Strategy<Value = Damage> {
+    pub(crate) fn arb_damage() -> impl Strategy<Value = Damage> {
         prop_oneof![
             any::<usize>().prop_map(Damage::Truncate),
             (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Damage::FlipBit(at, bit)),
@@ -849,7 +844,7 @@ pub(crate) mod tests {
         ]
     }
 
-    fn damaged(mut bytes: Vec<u8>, damage: &[Damage]) -> Vec<u8> {
+    pub(crate) fn damaged(mut bytes: Vec<u8>, damage: &[Damage]) -> Vec<u8> {
         for d in damage {
             if bytes.is_empty() {
                 break;
@@ -870,8 +865,8 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// The decoder is the abort path of every Migration and the reload
-        /// path of every checkpoint recovery: truncated, bit-flipped and
+        /// The decoder is the reload path of every checkpoint recovery and
+        /// the abort path of the two that snapshot for undo: truncated, bit-flipped and
         /// spliced snapshots of loader-built graphs must come back as an
         /// error or as a graph that holds together — never a panic, never
         /// a span past its column, never memory out of proportion to the

@@ -19,7 +19,9 @@ use imitator_cluster::{
     BarrierOutcome, Cluster, Envelope, FailPoint, FailureInjector, FailurePlan, NodeCtx, NodeId,
     WireCodec,
 };
-use imitator_engine::{CopyKind, Degrees, FtPlan, InOrder, Locations, MasterUpdate, WorkerPool};
+use imitator_engine::{
+    CopyKind, Degrees, Episode, FtPlan, InOrder, Locations, MasterUpdate, WorkerPool,
+};
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_storage::codec::{Decode, Encode};
@@ -58,7 +60,7 @@ pub(crate) type Msg<M> = ProtoMsg<
     <M as ComputeModel>::Value,
     <M as ComputeModel>::Accum,
     <M as ComputeModel>::Entry,
-    <M as ComputeModel>::Meta,
+    <M as ComputeModel>::Metas,
 >;
 pub(crate) type Ctx<M> = NodeCtx<Msg<M>>;
 pub(crate) type St<M> = NodeState<Msg<M>>;
@@ -127,11 +129,16 @@ impl<V> SyncBufs<V> {
 /// Uniform positional access to a model's local graph, so the recovery
 /// state machine can read and rewrite vertex copies without knowing the
 /// concrete vertex layout.
-pub(crate) trait ModelGraph {
+///
+/// Recovery undoes an aborted Migration attempt through the graph's
+/// [`Episode`]: `begin_episode` before the attempt's first write, `rollback`
+/// on abort, `commit` on success.
+pub(crate) trait ModelGraph: Episode {
     /// The vertex value type.
     type Value;
-    /// A master's or mirror's full state in the owned form messages carry.
-    type Meta;
+    /// Full states of many copies in the form a mirror batch carries them:
+    /// a store of the graph's own shape.
+    type Metas;
 
     fn len(&self) -> usize;
     #[allow(dead_code)]
@@ -150,10 +157,19 @@ pub(crate) trait ModelGraph {
     /// part of full state recovery reads and rewrites in place.
     fn meta(&self, pos: u32) -> Option<&Locations>;
     fn meta_mut(&mut self, pos: u32) -> Option<&mut Locations>;
-    /// The full state of the copy at `pos` as it ships to another node.
-    fn export_meta(&self, pos: u32) -> Option<Self::Meta>;
-    /// Adopts full state shipped by another node for the copy at `pos`.
-    fn set_meta(&mut self, pos: u32, meta: Box<Self::Meta>);
+    /// The full state of the copies at `positions`, in that order, as it
+    /// ships to another node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of them carries none.
+    fn export_metas(&self, positions: &[u32]) -> Self::Metas;
+    /// Adopts full state shipped by other nodes: for each `(positions,
+    /// batch)`, the `i`-th of `batch` for the copy at `positions[i]`.
+    fn adopt_metas(&mut self, batches: &[(&[u32], &Self::Metas)]);
+    /// Whether the copy at `pos` and the copy at `at` in `other` would
+    /// export the same full state.
+    fn same_full_state(&self, pos: u32, other: &Self, at: u32) -> bool;
     fn is_master(&self, pos: u32) -> bool {
         self.kind(pos) == CopyKind::Master
     }
@@ -173,11 +189,15 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     type Accum: Clone + Send + 'static;
     /// Rebirth recovery entry.
     type Entry: Send + 'static;
-    /// Replica metadata.
-    type Meta: Clone + PartialEq + Send + 'static;
+    /// The full-state store of a mirror batch.
+    type Metas: Clone + PartialEq + Send + 'static;
     /// Local graph. `Sync` because recovery's read-only scans share it with
     /// pool workers behind an `Arc` (both engines' graphs are plain data).
-    type Graph: ModelGraph<Value = Self::Value, Meta = Self::Meta> + MemSize + Send + Sync + 'static;
+    type Graph: ModelGraph<Value = Self::Value, Metas = Self::Metas>
+        + MemSize
+        + Send
+        + Sync
+        + 'static;
     /// Per-node steady-state scratch reused across iterations.
     type Scratch: Send;
     /// Migration bookkeeping the model threads between rounds.
@@ -283,19 +303,14 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
         mig: &mut Mig<Self::MigExtra>,
         env: &MigEnv<'_>,
     ) -> std::collections::HashMap<NodeId, Vec<Vid>>;
-    /// Places a granted replica, returning its local position.
+    /// Places a granted replica (R4) or the copy a fresh FT replica starts
+    /// as (R6), returning its local position.
     fn place_granted(&self, lg: &mut Self::Graph, grant: ReplicaGrant<Self::Value>) -> u32;
     /// Migration R4: wire promoted masters' edges / adopt reloaded edges.
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<Self::MigExtra>, resume: u64);
-    /// Places a brand-new FT replica from a mirror update, returning its
-    /// local position.
-    fn place_fresh_mirror(
-        &self,
-        lg: &mut Self::Graph,
-        update: crate::msg::MirrorUpdate<Self::Value, Self::Meta>,
-    ) -> u32;
-    /// Accounted wire size of one mirror-update / meta-refresh record.
-    fn meta_update_bytes(&self, meta: &Self::Meta) -> u64;
+    /// Accounted wire size of record `i` of a mirror batch's full-state
+    /// store, its vertex ID aside (see `MirrorBatch::frame_bytes`).
+    fn meta_update_bytes(&self, metas: &Self::Metas, i: usize) -> u64;
     /// Checkpoint-fallback recovery (no standbys left): graft a crashed
     /// node's reconstructed partition wholesale into this survivor's graph.
     /// Every master becomes local (a promotion); replica copies either
@@ -487,7 +502,7 @@ where
 /// live nodes other than its own, and each mirror sits at the position the
 /// master's table records, points back at the master's node, and holds the
 /// master's full state and value. Full state is compared as each side would
-/// export it ([`ModelGraph::export_meta`]): the two store it differently.
+/// export it ([`ModelGraph::same_full_state`]): the two store it differently.
 /// Selfish masters never sync (§4.4), so their mirrors' values are stale by
 /// design and are not compared.
 ///
@@ -511,7 +526,6 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
                 .meta(pos)
                 .unwrap_or_else(|| panic!("master {vid} on {node} has no full state"));
             let selfish = plan.selfish.get(vid.index()).copied().unwrap_or(false);
-            let full_state = lg.export_meta(pos);
             let mirrors = meta.mirror_nodes();
             assert_eq!(
                 mirrors.len(),
@@ -535,7 +549,7 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
                     "copy of {vid} on {m} is not a mirror of {node}'s master"
                 );
                 assert!(
-                    mg.export_meta(at) == full_state,
+                    lg.same_full_state(pos, mg, at),
                     "mirror of {vid} on {m} holds a stale full state"
                 );
                 let (mine, theirs) = (lg.value(pos), mg.value(at));

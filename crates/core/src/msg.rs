@@ -11,11 +11,14 @@
 //! `accounted_sizes_match_codec` test pins both equalities.
 
 use imitator_cluster::{NodeId, WireCodec};
-use imitator_engine::{CopyKind, Locations, MasterMeta};
+use imitator_engine::{CopyKind, FullState, Locations, MasterMeta};
 use imitator_graph::Vid;
 use imitator_storage::codec::{read_uvarint, write_uvarint, Decode, DecodeError, Encode, Reader};
 
-use crate::ckpt::{dec_locations, dec_meta, enc_locations, enc_meta, kind_bits, kind_from_bits};
+use crate::ckpt::{
+    dec_column_lens, dec_locations, dec_meta, dec_meta_into, enc_column_lens, enc_locations,
+    enc_meta, kind_bits, kind_from_bits,
+};
 use crate::wire::{
     decode_gather_frame, decode_sync_frame, encode_gather_frame, encode_sync_frame, SyncRecEnc,
     GATHER_FRAME_TAG, SYNC_FRAME_TAG,
@@ -112,25 +115,50 @@ pub struct ReplicaGrant<V> {
     pub master_node: NodeId,
 }
 
-/// Migration rounds 5-7: mirror designation / full-state refresh. When
-/// `value` is `Some`, the receiver has no copy yet and creates one (a brand
-/// new FT replica); otherwise it upgrades or refreshes the existing copy.
+/// Migration rounds 5-7: the mirror designations / full-state refreshes one
+/// master node sends one destination, as parallel columns — record `i` is
+/// `vids[i]`, `last_activate[i]` and the `i`-th full state of `metas`. The
+/// receiver upgrades or refreshes its copy of each vertex; where it has none
+/// it creates one (a brand new FT replica) from the value `values` carries
+/// for that record.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MirrorUpdate<V, M> {
-    /// The vertex.
-    pub vid: Vid,
-    /// The refreshed full state.
-    pub meta: Box<M>,
-    /// Value for receivers without a copy.
-    pub value: Option<V>,
-    /// Last committed scatter bit.
-    pub last_activate: bool,
-    /// The sending master's node.
+pub struct MirrorBatch<V, S> {
+    /// The vertices, in the sender's position order.
+    pub vids: Vec<Vid>,
+    /// `(record, value)` for the records whose receiver has no copy yet,
+    /// ascending by record.
+    pub values: Vec<(u32, V)>,
+    /// Last committed scatter bit, per record.
+    pub last_activate: Vec<bool>,
+    /// The sending masters' node.
     pub master_node: NodeId,
+    /// The full states, in a store of the model's own shape (edge-cut: a
+    /// columnar [`FullState`]; vertex-cut: the location tables).
+    pub metas: S,
+}
+
+impl<V, S> MirrorBatch<V, S> {
+    /// Accounted bytes of the batch as one mirror frame: frame header,
+    /// vertex-ID column (zigzag deltas between consecutive records), and
+    /// `meta_bytes(i)` — the model's meta/value payload estimate — per
+    /// record. Empty batches — pure barrier traffic — are free.
+    pub fn frame_bytes(&self, meta_bytes: impl Fn(usize) -> u64) -> u64 {
+        if self.vids.is_empty() {
+            return 0;
+        }
+        let mut prev = 0u32;
+        let mut bytes = crate::wire::small_frame_overhead(self.vids.len() as u64);
+        for (i, vid) in self.vids.iter().enumerate() {
+            bytes += crate::wire::col_delta_bytes(vid.raw(), prev) + meta_bytes(i);
+            prev = vid.raw();
+        }
+        bytes
+    }
 }
 
 /// The model-generic cluster protocol, parameterized by value `V`, gather
-/// accumulator `A`, Rebirth recovery entry `E`, and replica meta `M`.
+/// accumulator `A`, Rebirth recovery entry `E`, and mirror-batch full-state
+/// store `M`.
 ///
 /// Both compute models speak this one protocol; the [`EcMsg`] and [`VcMsg`]
 /// aliases pin the type parameters per model (the edge-cut model never
@@ -152,8 +180,8 @@ pub enum ProtoMsg<V, A, E, M> {
     ReplicaGrant(Vec<ReplicaGrant<V>>),
     /// Migration R4/R6: `(vid, pos)` placements to record in master meta.
     ReplicaPlaced(Vec<(Vid, u32)>),
-    /// Migration R5/R7: mirror designation / meta refresh.
-    MirrorUpdate(Vec<MirrorUpdate<V, M>>),
+    /// Migration R5/R7: mirror designations / full-state refreshes.
+    MirrorUpdate(Box<MirrorBatch<V, M>>),
 }
 
 /// A survivor's complete contribution to one Rebirth reconstruction.
@@ -170,10 +198,10 @@ pub struct RebirthBatch<E> {
 
 /// Edge-cut cluster messages ([`ProtoMsg`] instantiated for the edge-cut
 /// model; the unused `Gather` accumulator is `()`).
-pub type EcMsg<V> = ProtoMsg<V, (), EcRecoverEntry<V>, MasterMeta>;
+pub type EcMsg<V> = ProtoMsg<V, (), EcRecoverEntry<V>, FullState>;
 
 /// Vertex-cut cluster messages.
-pub type VcMsg<V, A> = ProtoMsg<V, A, VcRecoverEntry<V>, Locations>;
+pub type VcMsg<V, A> = ProtoMsg<V, A, VcRecoverEntry<V>, Vec<Locations>>;
 
 /// A vertex-cut recovered copy (no edges — those come from edge-ckpt files).
 #[derive(Debug, Clone, PartialEq)]
@@ -427,37 +455,110 @@ fn dec_grants<V: Decode>(r: &mut Reader<'_>) -> Result<Vec<ReplicaGrant<V>>, Dec
     Ok(out)
 }
 
-fn enc_mirror_updates<V: Encode, M>(
-    us: &[MirrorUpdate<V, M>],
+/// A mirror batch on the wire: record count, sender, the vertex-ID and
+/// scatter-bit columns, the sparse value column, then the model's full-state
+/// store (`enc_s`).
+fn enc_mirror_batch<V: Encode, S>(
+    b: &MirrorBatch<V, S>,
     buf: &mut Vec<u8>,
-    enc_m: impl Fn(&M, &mut Vec<u8>),
+    enc_s: impl Fn(&S, &mut Vec<u8>),
 ) {
-    write_uvarint(buf, us.len() as u64);
-    for u in us {
-        u.vid.raw().encode(buf);
-        enc_m(&u.meta, buf);
-        u.value.encode(buf);
-        u.last_activate.encode(buf);
-        u.master_node.raw().encode(buf);
+    write_uvarint(buf, b.vids.len() as u64);
+    b.master_node.raw().encode(buf);
+    for v in &b.vids {
+        v.raw().encode(buf);
+    }
+    for &bit in &b.last_activate {
+        bit.encode(buf);
+    }
+    write_uvarint(buf, b.values.len() as u64);
+    for (record, value) in &b.values {
+        record.encode(buf);
+        value.encode(buf);
+    }
+    enc_s(&b.metas, buf);
+}
+
+/// Decodes a mirror batch; `dec_s` is handed the record count and must come
+/// back with exactly that many full states.
+fn dec_mirror_batch<V: Decode, S>(
+    r: &mut Reader<'_>,
+    dec_s: impl Fn(&mut Reader<'_>, usize) -> Result<S, DecodeError>,
+) -> Result<MirrorBatch<V, S>, DecodeError> {
+    let n = dec_len(r)?;
+    let master_node = dec_node(r)?;
+    // Each record costs four bytes of vertex ID, one of scatter bit and at
+    // least one of full state: whatever is reserved from here on is within a
+    // constant of the input's size.
+    if n.saturating_mul(6) > r.remaining() {
+        return Err(DecodeError::Corrupt("record count exceeds payload"));
+    }
+    let mut vids = Vec::with_capacity(n);
+    for _ in 0..n {
+        vids.push(dec_vid(r)?);
+    }
+    let mut last_activate = Vec::with_capacity(n);
+    for _ in 0..n {
+        last_activate.push(bool::decode(r)?);
+    }
+    let fresh = dec_len(r)?;
+    if fresh > n {
+        return Err(DecodeError::Corrupt("more values than records"));
+    }
+    let mut values: Vec<(u32, V)> = Vec::with_capacity(fresh);
+    for _ in 0..fresh {
+        let record = u32::decode(r)?;
+        let in_order = values.last().is_none_or(|&(prev, _)| prev < record);
+        if record as usize >= n || !in_order {
+            return Err(DecodeError::Corrupt("value column"));
+        }
+        values.push((record, V::decode(r)?));
+    }
+    Ok(MirrorBatch {
+        vids,
+        values,
+        last_activate,
+        master_node,
+        metas: dec_s(r, n)?,
+    })
+}
+
+/// An edge-cut batch's store: the four column totals, so that the decoder
+/// sizes each column once, then every slot's full state in message form.
+fn enc_full_state_batch(metas: &FullState, buf: &mut Vec<u8>) {
+    enc_column_lens(metas.column_lens(), buf);
+    for i in 0..metas.len() {
+        enc_meta(metas.nth(i), buf);
     }
 }
 
-fn dec_mirror_updates<V: Decode, M>(
-    r: &mut Reader<'_>,
-    dec_m: impl Fn(&mut Reader<'_>) -> Result<M, DecodeError>,
-) -> Result<Vec<MirrorUpdate<V, M>>, DecodeError> {
-    let n = dec_len(r)?;
-    let mut out = Vec::with_capacity(n);
+fn dec_full_state_batch(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError> {
+    let lens = dec_column_lens(r)?;
+    let mut metas = FullState::default();
+    metas.reserve_exact(n, lens);
+    let mut meta = MasterMeta::default();
     for _ in 0..n {
-        out.push(MirrorUpdate {
-            vid: dec_vid(r)?,
-            meta: Box::new(dec_m(r)?),
-            value: Option::<V>::decode(r)?,
-            last_activate: bool::decode(r)?,
-            master_node: dec_node(r)?,
-        });
+        dec_meta_into(r, &mut meta)?;
+        metas.push(meta.view());
     }
-    Ok(out)
+    if metas.column_lens() != lens {
+        return Err(DecodeError::Corrupt("column totals"));
+    }
+    Ok(metas)
+}
+
+fn enc_locations_batch(metas: &[Locations], buf: &mut Vec<u8>) {
+    for m in metas {
+        enc_locations(m, buf);
+    }
+}
+
+fn dec_locations_batch(r: &mut Reader<'_>, n: usize) -> Result<Vec<Locations>, DecodeError> {
+    let mut metas = Vec::with_capacity(n);
+    for _ in 0..n {
+        metas.push(dec_locations(r)?);
+    }
+    Ok(metas)
 }
 
 fn enc_vids(vids: &[Vid], buf: &mut Vec<u8>) {
@@ -523,9 +624,9 @@ impl<V: Encode + Decode> WireCodec for EcMsg<V> {
                 buf.push(TAG_REPLICA_PLACED);
                 enc_placed(ps, buf);
             }
-            ProtoMsg::MirrorUpdate(us) => {
+            ProtoMsg::MirrorUpdate(b) => {
                 buf.push(TAG_MIRROR_UPDATE);
-                enc_mirror_updates(us, buf, |m, buf| enc_meta(m.view(), buf));
+                enc_mirror_batch(b, buf, enc_full_state_batch);
             }
         }
     }
@@ -546,7 +647,8 @@ impl<V: Encode + Decode> WireCodec for EcMsg<V> {
                     TAG_REPLICA_GRANT => ProtoMsg::ReplicaGrant(dec_grants(&mut r).ok()?),
                     TAG_REPLICA_PLACED => ProtoMsg::ReplicaPlaced(dec_placed(&mut r).ok()?),
                     TAG_MIRROR_UPDATE => {
-                        ProtoMsg::MirrorUpdate(dec_mirror_updates(&mut r, dec_meta).ok()?)
+                        let batch = dec_mirror_batch(&mut r, dec_full_state_batch).ok()?;
+                        ProtoMsg::MirrorUpdate(Box::new(batch))
                     }
                     _ => return None,
                 };
@@ -581,9 +683,9 @@ impl<V: Encode + Decode, A: Encode + Decode + Clone> WireCodec for VcMsg<V, A> {
                 buf.push(TAG_REPLICA_PLACED);
                 enc_placed(ps, buf);
             }
-            ProtoMsg::MirrorUpdate(us) => {
+            ProtoMsg::MirrorUpdate(b) => {
                 buf.push(TAG_MIRROR_UPDATE);
-                enc_mirror_updates(us, buf, enc_locations);
+                enc_mirror_batch(b, buf, |metas, buf| enc_locations_batch(metas, buf));
             }
         }
     }
@@ -604,7 +706,8 @@ impl<V: Encode + Decode, A: Encode + Decode + Clone> WireCodec for VcMsg<V, A> {
                     TAG_REPLICA_GRANT => ProtoMsg::ReplicaGrant(dec_grants(&mut r).ok()?),
                     TAG_REPLICA_PLACED => ProtoMsg::ReplicaPlaced(dec_placed(&mut r).ok()?),
                     TAG_MIRROR_UPDATE => {
-                        ProtoMsg::MirrorUpdate(dec_mirror_updates(&mut r, dec_locations).ok()?)
+                        let batch = dec_mirror_batch(&mut r, dec_locations_batch).ok()?;
+                        ProtoMsg::MirrorUpdate(Box::new(batch))
                     }
                     _ => return None,
                 };
@@ -617,7 +720,12 @@ impl<V: Encode + Decode, A: Encode + Decode + Clone> WireCodec for VcMsg<V, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::tests::{arb_damage, arb_graph, arb_shape, damaged, plan_for, P};
+    use imitator_engine::{build_edge_cut_graphs, Degrees, RemoteEdge};
+    use imitator_metrics::MemSize;
+    use imitator_partition::{EdgeCutPartitioner, HashEdgeCut};
     use imitator_storage::codec::Encode;
+    use proptest::prelude::*;
 
     #[test]
     fn messages_are_cloneable_and_comparable() {
@@ -808,13 +916,15 @@ mod tests {
             master_node: NodeId::new(1),
         }]));
         roundtrip_ec(&EcMsg::ReplicaPlaced(vec![(Vid::new(5), 77)]));
-        roundtrip_ec(&EcMsg::MirrorUpdate(vec![MirrorUpdate {
-            vid: Vid::new(6),
-            meta: Box::new(meta),
-            value: Some(3.5),
-            last_activate: false,
+        let mut metas = FullState::default();
+        metas.push(meta.view());
+        roundtrip_ec(&EcMsg::MirrorUpdate(Box::new(MirrorBatch {
+            vids: vec![Vid::new(6)],
+            values: vec![(0, 3.5)],
+            last_activate: vec![false],
             master_node: NodeId::new(2),
-        }]));
+            metas,
+        })));
         roundtrip_vc(&VcMsg::Gather(vec![
             (Vid::new(4), 0.75),
             (Vid::new(5), -2.0),
@@ -831,13 +941,176 @@ mod tests {
                 meta: Some(Box::new(vc_meta.clone())),
             }],
         })));
-        roundtrip_vc(&VcMsg::MirrorUpdate(vec![MirrorUpdate {
-            vid: Vid::new(10),
-            meta: Box::new(vc_meta),
-            value: None,
-            last_activate: true,
+        roundtrip_vc(&VcMsg::MirrorUpdate(Box::new(MirrorBatch {
+            vids: vec![Vid::new(10)],
+            values: vec![],
+            last_activate: vec![true],
             master_node: NodeId::new(3),
-        }]));
+            metas: vec![vc_meta],
+        })));
+    }
+
+    fn empty_batch<S: Default>(master_node: NodeId) -> MirrorBatch<f64, S> {
+        MirrorBatch {
+            vids: Vec::new(),
+            values: Vec::new(),
+            last_activate: Vec::new(),
+            master_node,
+            metas: S::default(),
+        }
+    }
+
+    fn meta(tag: u32, in_edges: u32, mirrors: &[u32]) -> MasterMeta {
+        MasterMeta {
+            locations: Locations::new(
+                tag,
+                mirrors.iter().map(|&n| NodeId::new(n)).collect(),
+                mirrors.iter().map(|&n| tag + n).collect(),
+                mirrors.iter().map(|&n| NodeId::new(n)).collect(),
+            ),
+            in_edges_owner: (0..in_edges).map(|i| (tag + i, i as f32)).collect(),
+            in_edge_srcs: (0..in_edges).map(|i| Vid::new(tag * 10 + i)).collect(),
+            out_local_owner: (0..tag % 3).collect(),
+            out_remote: (0..tag % 4)
+                .map(|i| RemoteEdge {
+                    target: Vid::new(tag + i),
+                    node: NodeId::new(i),
+                    pos: tag * 7 + i,
+                })
+                .collect(),
+        }
+    }
+
+    /// An edge-cut batch of `(vid, in-edges, value for a fresh copy)`
+    /// records, every master mirrored on nodes 1 and 3 (K = 2).
+    fn ec_batch(records: &[(u32, u32, Option<f64>)]) -> MirrorBatch<f64, FullState> {
+        let mut batch: MirrorBatch<f64, FullState> = empty_batch(NodeId::new(2));
+        for (i, &(vid, in_edges, value)) in records.iter().enumerate() {
+            batch.vids.push(Vid::new(vid));
+            batch.values.extend(value.map(|v| (i as u32, v)));
+            batch.last_activate.push(vid % 2 == 0);
+            batch.metas.push(meta(vid, in_edges, &[1, 3]).view());
+        }
+        batch
+    }
+
+    /// Batches cross the TCP backend whole: none at all (an empty round is
+    /// still a message), designations of fresh copies mixed with upgrades,
+    /// and tables naming two mirrors, for both engines.
+    #[test]
+    fn mirror_batches_roundtrip() {
+        roundtrip_ec(&EcMsg::MirrorUpdate(Box::new(ec_batch(&[]))));
+        let mixed = [
+            (6, 2, Some(3.5)),
+            (300, 0, None),
+            (70_000, 5, Some(f64::NAN.copysign(-1.0))),
+        ];
+        let mut buf = Vec::new();
+        let sent = ec_batch(&mixed);
+        EcMsg::MirrorUpdate(Box::new(sent.clone())).encode_wire(&mut buf);
+        let Some(EcMsg::<f64>::MirrorUpdate(got)) = EcMsg::decode_wire(&buf) else {
+            panic!("a mirror batch decodes to a mirror batch");
+        };
+        // Not `==`: one value is a NaN.
+        assert_eq!(got.vids, sent.vids);
+        assert_eq!(got.last_activate, sent.last_activate);
+        assert_eq!(got.master_node, sent.master_node);
+        assert!(got.metas == sent.metas);
+        assert_eq!(got.metas.column_lens(), sent.metas.column_lens());
+        let bits = |b: &MirrorBatch<f64, FullState>| -> Vec<(u32, u64)> {
+            b.values.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+        };
+        assert_eq!(bits(&got), bits(&sent));
+        roundtrip_ec(&EcMsg::MirrorUpdate(Box::new(ec_batch(&[
+            (9, 1, None),
+            (4, 3, Some(0.25)),
+        ]))));
+
+        let vc_batch = |records: &[(u32, Option<f64>)]| {
+            let mut batch: MirrorBatch<f64, Vec<Locations>> = empty_batch(NodeId::new(0));
+            for (i, &(vid, value)) in records.iter().enumerate() {
+                batch.vids.push(Vid::new(vid));
+                batch.values.extend(value.map(|v| (i as u32, v)));
+                batch.last_activate.push(false);
+                batch.metas.push(meta(vid, 0, &[1, 2, 5]).locations);
+            }
+            VcMsg::<f64, f64>::MirrorUpdate(Box::new(batch))
+        };
+        roundtrip_vc(&vc_batch(&[]));
+        roundtrip_vc(&vc_batch(&[
+            (10, None),
+            (11, Some(-1.5)),
+            (2_000_000, None),
+        ]));
+    }
+
+    /// A batch is accounted as the mirror frame of the table above, record
+    /// by record: what the per-record messages it replaced were charged.
+    /// (End to end, the `rec` totals pinned in
+    /// `tests/prop_recovery_equivalence.rs` hold the same sum.)
+    #[test]
+    fn a_batch_is_accounted_like_its_records() {
+        let batch = ec_batch(&[(6, 2, Some(3.5)), (300, 0, None), (70_000, 5, None)]);
+        let estimate = |i: usize| 56 + 8 * batch.metas.nth(i).in_edges_owner.len() as u64;
+        // Header: tag + count. Vid deltas 6, 294 and 69 700 zigzag to one,
+        // two and three varint bytes. Metas: 56 + 8 per in-edge.
+        let pinned = (1 + 1) + (1 + 2 + 3) + (72 + 56 + 96);
+        assert_eq!(batch.frame_bytes(estimate), pinned);
+        let single = |vid, in_edges| ec_batch(&[(vid, in_edges, None)]).frame_bytes(|_| 0);
+        assert_eq!(single(6, 2), 2 + 1, "header and one vid byte");
+        assert_eq!(
+            ec_batch(&[]).frame_bytes(|_| 99),
+            0,
+            "an empty round is free"
+        );
+    }
+
+    proptest! {
+        /// A mirror batch off a socket is input like any other: truncated,
+        /// bit-flipped and spliced frames of batches built from loader-built
+        /// graphs decode to `None` or to a message that holds together —
+        /// never a panic, never a span past its column, never a record
+        /// without its columns, never memory out of proportion to the input.
+        #[test]
+        fn hostile_mirror_batch_bytes_never_panic(
+            (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
+            damage in proptest::collection::vec(arb_damage(), 1..4),
+        ) {
+            let cut = HashEdgeCut.partition(&g, parts);
+            let plan = plan_for(&g, &cut, k, selfish);
+            let d = Degrees::of(&g);
+            for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
+                let mut batch: MirrorBatch<f64, FullState> = empty_batch(lg.node);
+                for pos in lg.master_positions() {
+                    let v = &lg.verts[pos as usize];
+                    if pos % 3 == 0 {
+                        batch.values.push((batch.vids.len() as u32, v.value));
+                    }
+                    batch.vids.push(v.vid);
+                    batch.last_activate.push(v.last_activate);
+                    batch.metas.push(lg.full_state(pos).unwrap());
+                }
+                let mut frame = Vec::new();
+                EcMsg::MirrorUpdate(Box::new(batch.clone())).encode_wire(&mut frame);
+                prop_assert_eq!(
+                    EcMsg::<f64>::decode_wire(&frame),
+                    Some(EcMsg::MirrorUpdate(Box::new(batch)))
+                );
+                let bad = damaged(frame, &damage);
+                let Some(EcMsg::<f64>::MirrorUpdate(back)) = EcMsg::decode_wire(&bad) else {
+                    continue;
+                };
+                let n = back.vids.len();
+                prop_assert_eq!((back.last_activate.len(), back.metas.len()), (n, n));
+                prop_assert!(back.values.iter().all(|&(i, _)| (i as usize) < n));
+                prop_assert!(back.metas.validate().is_ok());
+                let held = back.metas.mem_bytes()
+                    + back.vids.capacity() * 4
+                    + back.last_activate.capacity()
+                    + back.values.capacity() * 16;
+                prop_assert!(held <= 1024 + 128 * bad.len(), "{held} B for {}", bad.len());
+            }
+        }
     }
 
     #[test]

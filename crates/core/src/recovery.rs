@@ -14,7 +14,8 @@
 //! Nodes can crash *while recovery itself is running*. Every barrier inside
 //! a recovery attempt therefore doubles as a failure detector: if it reports
 //! new failures, the attempt **aborts** — each survivor restores the exact
-//! pre-episode state it captured on entry ([`Undo`]), unions the newly
+//! pre-episode state ([`Undo`]: node state from a copy taken on entry, the
+//! graph from the journal of what the attempt changed), unions the newly
 //! crashed nodes into the episode's failure set, runs the [`abort_fence`]
 //! (drain stale traffic, re-synchronise on a clean barrier), and restarts
 //! the attempt from scratch. Because every attempt starts from the same
@@ -35,7 +36,8 @@
 //!
 //! The heavy, *read-only* recovery phases fan out over the node's persistent
 //! [`WorkerPool`] in contiguous position chunks: the Rebirth reload scan,
-//! Migration's R1 promotion/purge identification and R7 meta-refresh build,
+//! Migration's R1 promotion/purge identification and R5/R7 mirror-batch build
+//! (one job per destination),
 //! snapshot-chain part reads, checkpoint-fallback partition reconstruction,
 //! and the sparse engine's replay recompute. Chunk results are consumed
 //! strictly in submission order ([`imitator_engine::InOrder`]), which is
@@ -58,8 +60,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use imitator_cluster::{BarrierOutcome, Envelope, FailPoint, NodeCtx, NodeId};
-use imitator_engine::{chunk_ranges, CopyKind, WorkerPool};
-use imitator_graph::Vid;
+use imitator_engine::{chunk_ranges, CopyKind, Episode, PosSet, WorkerPool};
+use imitator_graph::{Vid, VidMap};
 use imitator_metrics::{
     CommKind, CommStats, PhaseTimes, RecoveryCounters, Stopwatch, SuspicionStats,
 };
@@ -69,47 +71,109 @@ use crate::driver::{
     collect_syncs, graph_mut, round_msgs, ComputeModel, Ctx, ModelGraph, Shared, St,
     RECOVERY_PATIENCE,
 };
-use crate::msg::{MirrorUpdate, Promotion, ProtoMsg, RebirthBatch, ReplicaGrant, VertexSync};
+use crate::msg::{MirrorBatch, Promotion, ProtoMsg, RebirthBatch, ReplicaGrant, VertexSync};
 use crate::plan::responsible_mirror;
 use crate::report::RecoveryReport;
 use crate::suppress::SyncFilter;
 use crate::{FtMode, RecoveryStrategy};
 
-/// Per-destination batches of mirror designations / full-state refreshes
-/// (migration R5/R7).
-type MirrorUpdates<M> =
-    HashMap<NodeId, Vec<MirrorUpdate<<M as ComputeModel>::Value, <M as ComputeModel>::Meta>>>;
+/// One destination's mirror designations / full-state refreshes (migration
+/// R5/R7).
+type Mirrors<M> = MirrorBatch<<M as ComputeModel>::Value, <M as ComputeModel>::Metas>;
 
 /// One rebirth reload-scan chunk's output: per-crashed-node entry batches
 /// (indexed like the episode's `dead` slice) plus the vids this node
 /// recovers as master.
 type ScanChunk<M> = (Vec<Vec<<M as ComputeModel>::Entry>>, Vec<Vid>);
 
-/// One migration R7 refresh destined for a mirror node.
-type Refresh<M> = (
-    NodeId,
-    MirrorUpdate<<M as ComputeModel>::Value, <M as ComputeModel>::Meta>,
-);
+/// What a round sends one destination, before it is a batch: `(position of
+/// the master, whether the receiver must create the copy)`, in position
+/// order.
+type MirrorRecords = Vec<(u32, bool)>;
 
-/// Accounted bytes of one mirror-update frame (migration R5/R7): frame
-/// header, vertex-ID column (zigzag deltas between consecutive records),
-/// and the model's per-record meta/value payload estimate. Empty rounds —
-/// pure barrier traffic — stay free, as under the scalar codec.
-fn mirror_frame_bytes<M: ComputeModel>(
-    shared: &Shared<M>,
-    ups: &[MirrorUpdate<M::Value, M::Meta>],
-) -> u64 {
-    if ups.is_empty() {
-        return 0;
+/// Builds and sends every other survivor its mirror batch (migration R5/R7)
+/// from `records`, indexed by destination node; a destination without
+/// records gets an empty batch, pure barrier traffic. Copying whole full
+/// states is the bulkiest per-vertex work in the protocol, so it fans out,
+/// one job per destination: each sizes its batch from its records, once, and
+/// fills it column by column.
+fn ship_mirror_batches<M: ComputeModel>(
+    ctx: &Ctx<M>,
+    lg: &Arc<M::Graph>,
+    shared: &Arc<Shared<M>>,
+    pool: &WorkerPool,
+    comm: &mut CommStats,
+    others: &[NodeId],
+    mut records: Vec<MirrorRecords>,
+) {
+    let me = ctx.id();
+    let jobs = others
+        .iter()
+        .map(|n| {
+            let records = std::mem::take(&mut records[n.index()]);
+            let lg = Arc::clone(lg);
+            let shared = Arc::clone(shared);
+            Box::new(move || {
+                let (g, model) = (&*lg, &shared.model);
+                let at: Vec<u32> = records.iter().map(|&(pos, _)| pos).collect();
+                let fresh = records.iter().enumerate().filter(|(_, &(_, fresh))| fresh);
+                MirrorBatch {
+                    vids: at.iter().map(|&pos| g.vid(pos)).collect(),
+                    // Position is reported back in R6 for fresh replicas.
+                    values: fresh
+                        .map(|(i, &(pos, _))| (i as u32, g.value(pos).clone()))
+                        .collect(),
+                    last_activate: at.iter().map(|&pos| model.scatter_bit(g, pos)).collect(),
+                    master_node: me,
+                    metas: g.export_metas(&at),
+                }
+            }) as Box<dyn FnOnce() -> Mirrors<M> + Send>
+        })
+        .collect();
+    for (&n, batch) in others.iter().zip(pool.dispatch(jobs)) {
+        let bytes = batch.frame_bytes(|i| shared.model.meta_update_bytes(&batch.metas, i));
+        comm.record(1, bytes);
+        let msg = ProtoMsg::MirrorUpdate(Box::new(batch));
+        ctx.send_kind(n, msg, bytes, CommKind::Recovery);
     }
-    let mut prev = 0u32;
-    let mut bytes = crate::wire::small_frame_overhead(ups.len() as u64);
-    for u in ups {
-        bytes += crate::wire::col_delta_bytes(u.vid.raw(), prev);
-        bytes += shared.model.meta_update_bytes(&u.meta);
-        prev = u.vid.raw();
+}
+
+/// The mirror batches this round's messages brought, one per sender;
+/// anything else is stashed.
+fn round_mirror_batches<M: ComputeModel>(ctx: &Ctx<M>, st: &mut St<M>) -> Vec<Box<Mirrors<M>>> {
+    let mut batches = Vec::new();
+    for env in round_msgs::<M>(ctx, st) {
+        match env.msg {
+            ProtoMsg::MirrorUpdate(batch) => batches.push(batch),
+            other => st.stash.push(Envelope {
+                from: env.from,
+                msg: other,
+            }),
+        }
     }
-    bytes
+    batches
+}
+
+/// Makes every vertex of every batch a mirror of the sender's master,
+/// holding the full state the batch brings (migration R6/R8). Every vertex
+/// has a local copy by now: R6 creates the missing ones first.
+fn adopt_mirror_batches<M: ComputeModel>(g: &mut M::Graph, batches: &[Box<Mirrors<M>>]) {
+    let mut mirror = |batch: &Mirrors<M>, vid: Vid| {
+        let pos = g.position(vid);
+        let pos = pos
+            .unwrap_or_else(|| panic!("mirror update for {vid}: no copy here and no value sent"));
+        debug_assert!(!g.is_master(pos), "mirror update addressed to the master");
+        g.set_kind(pos, CopyKind::Mirror);
+        g.set_master_node(pos, batch.master_node);
+        pos
+    };
+    let positions: Vec<Vec<u32>> = batches
+        .iter()
+        .map(|batch| batch.vids.iter().map(|&vid| mirror(batch, vid)).collect())
+        .collect();
+    let adopted = positions.iter().zip(batches);
+    let adopted: Vec<(&[u32], &M::Metas)> = adopted.map(|(at, b)| (&at[..], &b.metas)).collect();
+    g.adopt_metas(&adopted);
 }
 
 /// Shared migration bookkeeping, threaded through the rounds. `extra` is
@@ -117,11 +181,12 @@ fn mirror_frame_bytes<M: ComputeModel>(
 /// about).
 #[derive(Default)]
 pub(crate) struct Mig<X> {
-    /// Masters some mirror of which does not hold their current meta: R7
-    /// refreshes exactly these. A round that changes a master's tables
-    /// inserts it; R5 removes it when every mirror it has was designated
-    /// there (and so was sent the final tables).
-    pub dirty_masters: HashSet<u32>,
+    /// Positions of the masters some mirror of which does not hold their
+    /// current meta: R7 refreshes exactly these, in position order, and
+    /// takes the set. A round that changes a master's tables inserts it; R5
+    /// removes it when every mirror it has was designated there (and so was
+    /// sent the final tables).
+    pub dirty_masters: PosSet,
     /// Vertex copies recovered (promotions + placed replicas).
     pub recovered: u64,
     /// Edges recovered (model-wired).
@@ -314,25 +379,36 @@ fn fail_here<M: ComputeModel>(
 }
 
 /// Everything a survivor must restore to retry a recovery attempt as if the
-/// aborted one never ran: the local graph (values, copy kinds, metas, edge
-/// wiring) and every piece of node state the recovery paths mutate.
+/// aborted one never ran: the local graph (copy kinds, metas, edge wiring,
+/// appended copies) and every piece of node state the recovery paths mutate.
 ///
-/// The node state is captured when the episode starts. The graph is captured
-/// **lazily** and **as bytes**: [`Undo::capture_graph`], which every attempt
-/// path calls before its first `graph_mut` (`migrate`, and the two callers of
-/// `ckpt_reload_survivor`), encodes it with the model's metadata-snapshot
-/// codec — one sequential pass into one allocation, released by one `free`
-/// when the episode ends. Only an abort pays for rebuilding a graph
-/// ([`Undo::restore`] decodes), and aborts are rare while every mutating
-/// episode pays for capture and release. A Rebirth attempt only reads its
-/// graph, so an episode that never degrades encodes and frees nothing.
-/// Nothing between episode entry and the capture touches the graph, so the
-/// lazy snapshot equals the one an eager capture would have taken; once
-/// taken it is kept, and `restore` only reads it, so an episode can abort
-/// any number of times.
+/// The node state is copied when the episode starts. The graph is undone one
+/// of two ways, by what the attempt does to it:
+///
+/// * **Migration journals.** `migrate` opens an episode on the graph
+///   ([`Undo::open_journal`], before its first `graph_mut`): the graph's
+///   stores only grow from there, and its mutators save what they overwrite
+///   (`imitator_engine`'s `episode` module). [`Undo::restore`] rolls the
+///   episode back; success commits it. Both cost what the attempt changed —
+///   a few percent of a partition — and setting up costs nothing.
+/// * **Checkpoint recovery snapshots.** The two checkpoint paths roll every
+///   value back and graft whole partitions: the whole graph *is* their
+///   change set, so [`Undo::capture_graph`] encodes it once with the model's
+///   metadata-snapshot codec, right before `ckpt_reload_survivor`, and
+///   `restore` decodes.
+///
+/// A Rebirth attempt only reads its graph, so an episode that never degrades
+/// journals and encodes nothing. Either undo takes the graph back to exactly
+/// its pre-episode state, so an episode can abort any number of times.
+///
+/// Debug builds check the journal against the codec it replaced: `migrate`
+/// *also* takes the encoded snapshot, and a rollback must leave a graph that
+/// encodes to the same bytes (bytes, not `==`: programs stuck on NaN).
 struct Undo {
     lg: Option<Vec<u8>>,
-    overlay: HashMap<Vid, NodeId>,
+    #[cfg(debug_assertions)]
+    oracle: Option<Vec<u8>>,
+    overlay: VidMap<NodeId>,
     mirror_assign: Vec<usize>,
     alive: Vec<bool>,
     sync_filter: SyncFilter,
@@ -343,10 +419,6 @@ struct Undo {
     suppressed_syncs: u64,
     suppressed_timeline: Vec<(u64, u64)>,
 }
-
-/// Graph snapshots taken by [`Undo::capture_graph`], process-wide.
-#[cfg(test)]
-static GRAPH_CAPTURES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// One entry per survivor per Migration attempt that reached R7: masters
 /// the attempt touched (dirty at some point, or given a mirror), those of
@@ -359,6 +431,8 @@ impl Undo {
     fn capture<T>(st: &crate::rt::NodeState<T>) -> Self {
         Undo {
             lg: None,
+            #[cfg(debug_assertions)]
+            oracle: None,
             overlay: st.overlay.clone(),
             mirror_assign: st.mirror_assign.clone(),
             alive: st.alive.clone(),
@@ -372,6 +446,19 @@ impl Undo {
         }
     }
 
+    /// Opens the attempt's episode on `lg`. Must precede the attempt's
+    /// first write to the graph. Returns the time it took.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn open_journal<M: ComputeModel>(&mut self, model: &M, lg: &mut M::Graph) -> Duration {
+        #[cfg(debug_assertions)]
+        if self.oracle.is_none() {
+            self.oracle = Some(model.encode_graph(lg));
+        }
+        let sw = Stopwatch::start();
+        lg.begin_episode();
+        sw.elapsed()
+    }
+
     /// Snapshots the pre-episode graph unless an earlier attempt of this
     /// episode already did (its abort restored `lg` to exactly that state).
     /// Must precede the attempt's first `graph_mut`. Returns the time the
@@ -382,15 +469,21 @@ impl Undo {
         }
         let sw = Stopwatch::start();
         self.lg = Some(model.encode_graph(lg));
-        #[cfg(test)]
-        GRAPH_CAPTURES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         sw.elapsed()
     }
 
     fn restore<M: ComputeModel>(&self, model: &M, lg: &mut M::Graph, st: &mut St<M>) {
-        // No snapshot means no attempt got as far as mutating the graph.
-        if let Some(bytes) = &self.lg {
-            *lg = model.decode_graph(bytes);
+        match &self.lg {
+            Some(bytes) => *lg = model.decode_graph(bytes),
+            // No snapshot: the attempt journaled, or never wrote the graph.
+            None => lg.rollback(),
+        }
+        #[cfg(debug_assertions)]
+        if let Some(oracle) = &self.oracle {
+            assert!(
+                model.encode_graph(lg) == *oracle,
+                "the rolled-back graph does not encode to the pre-episode snapshot"
+            );
         }
         st.overlay = self.overlay.clone();
         st.mirror_assign = self.mirror_assign.clone();
@@ -416,8 +509,9 @@ impl Undo {
 ///
 /// The successful attempt's report is closed here, so that what the episode
 /// costs outside the attempt is inside [`RecoveryReport::total`] too: the
-/// model's `after_recovery` hook and releasing the undo snapshot are booked
-/// to `reconstruct` (phase key `after_recovery`). Time spent fencing aborted
+/// model's `after_recovery` hook and letting the undo go — committing the
+/// journal, freeing a snapshot — are booked to `reconstruct` (phase key
+/// `after_recovery`). Time spent fencing aborted
 /// attempts accumulates into the report's `fence` phase — it is wall-clock
 /// the episode really cost.
 pub(crate) fn recover<M: ComputeModel>(
@@ -475,7 +569,9 @@ pub(crate) fn recover<M: ComputeModel>(
                 report.counters = counters;
                 report.phases.record("fence", fence_time);
                 let sw = Stopwatch::start();
-                shared.model.after_recovery(graph_mut(lg));
+                let g = graph_mut(lg);
+                shared.model.after_recovery(g);
+                g.commit();
                 drop(undo);
                 let tail = sw.elapsed();
                 report.reconstruct += tail;
@@ -766,6 +862,7 @@ fn rebirth_survivor<M: ComputeModel>(
         counters: RecoveryCounters::default(),
         phases,
         suspicion: suspicion_now(ctx),
+        journal_bytes: 0,
     })
 }
 
@@ -907,6 +1004,7 @@ pub(crate) fn rebirth_newbie<M: ComputeModel>(
         },
         phases,
         suspicion: suspicion_now(ctx),
+        journal_bytes: 0,
     });
     let lg =
         Arc::try_unwrap(lg).unwrap_or_else(|_| panic!("newbie graph still shared by pool workers"));
@@ -939,8 +1037,9 @@ fn migrate<M: ComputeModel>(
     let mut mig: Mig<M::MigExtra> = Mig::default();
     let mut phases = PhaseTimes::new();
     let sw_total = Stopwatch::start();
-    // Every round below rewrites the graph: snapshot it for undo first.
-    phases.record("undo_capture", undo.capture_graph(&shared.model, lg));
+    // Every round below rewrites the graph: journal from here on.
+    let opened = undo.open_journal(&shared.model, graph_mut(lg));
+    phases.record("undo_capture", opened);
     let mut sw_round = Stopwatch::start();
 
     // ---- R1: promote local mirrors whose master died (the responsible
@@ -1214,7 +1313,7 @@ fn migrate<M: ComputeModel>(
     // The FT level cannot exceed the surviving cluster's capacity: each
     // mirror needs a distinct node other than the master's.
     let restorable = tolerance.min(survivors.len().saturating_sub(1));
-    let mut mirror_updates: MirrorUpdates<M> = HashMap::new();
+    let mut designations: Vec<MirrorRecords> = vec![Vec::new(); shared.cfg.num_nodes];
     // This master's designations: (target, whether its replica is fresh).
     let mut designated: Vec<(NodeId, bool)> = Vec::new();
     #[cfg(test)]
@@ -1223,10 +1322,15 @@ fn migrate<M: ComputeModel>(
         if !g.is_master(pos) {
             continue;
         }
-        let vid = g.vid(pos);
-        let meta = g
-            .meta_mut(pos)
-            .unwrap_or_else(|| panic!("master {vid} has no full state to designate a mirror"));
+        let meta = g.meta(pos).unwrap_or_else(|| {
+            let vid = g.vid(pos);
+            panic!("master {vid} has no full state to designate a mirror")
+        });
+        // Only a master short of mirrors is written to (and journaled).
+        if meta.mirror_nodes().len() >= restorable {
+            continue;
+        }
+        let meta = g.meta_mut(pos).expect("full state checked above");
         designated.clear();
         while meta.mirror_nodes().len() < restorable {
             // Prefer upgrading an existing replica; otherwise create a new
@@ -1257,78 +1361,54 @@ fn migrate<M: ComputeModel>(
             meta.add_mirror(target);
             designated.push((target, fresh));
         }
-        if designated.is_empty() {
-            continue;
-        }
         if designated.len() == meta.mirror_nodes().len() {
-            mig.dirty_masters.remove(&pos);
+            mig.dirty_masters.remove(pos);
             #[cfg(test)]
             spared.push(pos);
         } else {
             mig.dirty_masters.insert(pos);
         }
-        let scatter = shared.model.scatter_bit(g, pos);
         for &(target, fresh) in &designated {
-            let meta = g.export_meta(pos).expect("full state checked above");
-            mirror_updates
-                .entry(target)
-                .or_default()
-                .push(MirrorUpdate {
-                    vid,
-                    meta: Box::new(meta),
-                    // Position is reported back in R6 for fresh replicas.
-                    value: fresh.then(|| g.value(pos).clone()),
-                    last_activate: scatter,
-                    master_node: me,
-                });
+            designations[target.index()].push((pos, fresh));
         }
     }
-    for &n in &others {
-        let ups = mirror_updates.remove(&n).unwrap_or_default();
-        let bytes = mirror_frame_bytes(shared, &ups);
-        mig.comm.record(1, bytes);
-        ctx.send_kind(n, ProtoMsg::MirrorUpdate(ups), bytes, CommKind::Recovery);
-    }
+    ship_mirror_batches(ctx, lg, shared, pool, &mut mig.comm, &others, designations);
     barrier_ok(ctx)?;
     phases.record("migration_round5", sw_round.lap());
 
     // ---- R6: adopt mirror designations; report fresh FT-replica positions.
     fail_here(ctx, shared, resume_iter, FailPoint::MigrationRound(6))?;
     let mut fresh_placements: HashMap<NodeId, Vec<(Vid, u32)>> = HashMap::new();
+    let mut batches = round_mirror_batches::<M>(ctx, st);
     let g = graph_mut(lg);
     // Same arrival-order hazard as R4: fresh mirrors append to the local
-    // graph, so collect them across senders and place in vid order.
-    let mut fresh: Vec<MirrorUpdate<M::Value, M::Meta>> = Vec::new();
-    for env in round_msgs::<M>(ctx, st) {
-        match env.msg {
-            ProtoMsg::MirrorUpdate(ups) => {
-                for u in ups {
-                    match g.position(u.vid) {
-                        Some(pos) => {
-                            g.set_kind(pos, CopyKind::Mirror);
-                            g.set_meta(pos, u.meta);
-                            g.set_master_node(pos, u.master_node);
-                        }
-                        None => fresh.push(u),
-                    }
-                }
+    // graph, so collect them across senders and place in vid order. Each
+    // starts as the replica a grant would have placed; adopting its batch
+    // below makes it a mirror.
+    let mut fresh: Vec<ReplicaGrant<M::Value>> = Vec::new();
+    for batch in &mut batches {
+        for (record, value) in batch.values.drain(..) {
+            let vid = batch.vids[record as usize];
+            if g.position(vid).is_none() {
+                fresh.push(ReplicaGrant {
+                    vid,
+                    value,
+                    last_activate: batch.last_activate[record as usize],
+                    master_node: batch.master_node,
+                });
             }
-            other => st.stash.push(Envelope {
-                from: env.from,
-                msg: other,
-            }),
         }
     }
-    fresh.sort_unstable_by_key(|u| u.vid);
-    for u in fresh {
-        let vid = u.vid;
-        let master_node = u.master_node;
-        let pos = shared.model.place_fresh_mirror(g, u);
+    fresh.sort_unstable_by_key(|gr| gr.vid);
+    for gr in fresh {
+        let (vid, master_node) = (gr.vid, gr.master_node);
+        let pos = shared.model.place_granted(g, gr);
         fresh_placements
             .entry(master_node)
             .or_default()
             .push((vid, pos));
     }
+    adopt_mirror_batches::<M>(g, &batches);
     for &n in &others {
         let p = fresh_placements.remove(&n).unwrap_or_default();
         let bytes = (p.len() * 8) as u64;
@@ -1343,12 +1423,7 @@ fn migrate<M: ComputeModel>(
     //      episode and has not seen this episode's table changes, or whose
     //      tables moved after R5 (a fresh replica's position, registered
     //      just below). Masters whose every mirror received the final state
-    //      in R5 are not in the set. Building the refresh batches clones
-    //      whole metas — the bulkiest per-vertex work in the protocol — so
-    //      it fans out over the sorted dirty set (sorting also replaces the
-    //      serial version's arbitrary hash order; each vid carries at most
-    //      one refresh per destination, so batch order within a destination
-    //      is unobservable).
+    //      in R5 are not in the set, which is walked in position order.
     fail_here(ctx, shared, resume_iter, FailPoint::MigrationRound(7))?;
     {
         let g = graph_mut(lg);
@@ -1372,87 +1447,34 @@ fn migrate<M: ComputeModel>(
             }
         }
     }
-    let mut dirty: Vec<u32> = mig.dirty_masters.iter().copied().collect();
-    dirty.sort_unstable();
-    let dirty: Arc<Vec<u32>> = Arc::new(dirty);
-    let jobs = chunk_ranges(dirty.len(), pool.threads())
-        .into_iter()
-        .map(|r| {
-            let lg = Arc::clone(lg);
-            let shared = Arc::clone(shared);
-            let dirty = Arc::clone(&dirty);
-            Box::new(move || {
-                let mut ups: Vec<Refresh<M>> = Vec::new();
-                for i in r {
-                    let pos = dirty[i];
-                    if !lg.is_master(pos) {
-                        continue;
-                    }
-                    let meta = lg
-                        .meta(pos)
-                        .unwrap_or_else(|| panic!("master {} has no full state", lg.vid(pos)));
-                    for &m in meta.mirror_nodes() {
-                        let exported = lg.export_meta(pos).expect("full state checked above");
-                        ups.push((
-                            m,
-                            MirrorUpdate {
-                                vid: lg.vid(pos),
-                                meta: Box::new(exported),
-                                value: None,
-                                last_activate: shared.model.scatter_bit(&lg, pos),
-                                master_node: me,
-                            },
-                        ));
-                    }
-                }
-                ups
-            }) as Box<dyn FnOnce() -> Vec<Refresh<M>> + Send>
-        })
-        .collect();
-    let mut refreshes: MirrorUpdates<M> = HashMap::new();
-    for chunk in pool.dispatch(jobs) {
-        for (n, u) in chunk {
-            refreshes.entry(n).or_default().push(u);
+    let dirty = std::mem::take(&mut mig.dirty_masters);
+    let mut refreshes: Vec<MirrorRecords> = vec![Vec::new(); shared.cfg.num_nodes];
+    for pos in dirty.iter().filter(|&pos| lg.is_master(pos)) {
+        let meta = lg
+            .meta(pos)
+            .unwrap_or_else(|| panic!("master {} has no full state", lg.vid(pos)));
+        for &m in meta.mirror_nodes() {
+            refreshes[m.index()].push((pos, false));
         }
     }
     #[cfg(test)]
     {
-        spared.retain(|pos| !mig.dirty_masters.contains(pos));
-        let records = refreshes.values().map(Vec::len).sum();
-        let touched = mig.dirty_masters.len() + spared.len();
+        spared.retain(|&pos| !dirty.contains(pos));
+        let records = refreshes.iter().map(Vec::len).sum();
+        let touched = dirty.len() + spared.len();
         let mut tally = R7_TALLY.lock().unwrap_or_else(|e| e.into_inner());
         tally.push([touched, spared.len(), records]);
     }
-    for &n in &others {
-        let ups = refreshes.remove(&n).unwrap_or_default();
-        let bytes = mirror_frame_bytes(shared, &ups);
-        mig.comm.record(1, bytes);
-        ctx.send_kind(n, ProtoMsg::MirrorUpdate(ups), bytes, CommKind::Recovery);
-    }
+    ship_mirror_batches(ctx, lg, shared, pool, &mut mig.comm, &others, refreshes);
     barrier_ok(ctx)?;
     phases.record("migration_round7", sw_round.lap());
 
     // ---- R8: adopt refreshed metas; let the model re-persist invalidated
     //      state; leader acknowledges the recovery.
     fail_here(ctx, shared, resume_iter, FailPoint::MigrationRound(8))?;
+    let batches = round_mirror_batches::<M>(ctx, st);
     let g = graph_mut(lg);
-    for env in round_msgs::<M>(ctx, st) {
-        match env.msg {
-            ProtoMsg::MirrorUpdate(ups) => {
-                for u in ups {
-                    let pos = g.position(u.vid).expect("meta refresh for unknown copy");
-                    debug_assert!(!g.is_master(pos), "meta refresh addressed to the master");
-                    g.set_kind(pos, CopyKind::Mirror);
-                    g.set_master_node(pos, u.master_node);
-                    g.set_meta(pos, u.meta);
-                }
-            }
-            other => st.stash.push(Envelope {
-                from: env.from,
-                msg: other,
-            }),
-        }
-    }
+    adopt_mirror_batches::<M>(g, &batches);
     shared.model.migration_finish(g, shared, &mig);
     if me == st.leader() {
         for &d in dead {
@@ -1484,6 +1506,7 @@ fn migrate<M: ComputeModel>(
         counters: RecoveryCounters::default(),
         phases,
         suspicion: suspicion_now(ctx),
+        journal_bytes: lg.journal_bytes() as u64,
     })
 }
 
@@ -1626,6 +1649,7 @@ fn ckpt_recover_survivor<M: ComputeModel>(
         counters: RecoveryCounters::default(),
         phases,
         suspicion: suspicion_now(ctx),
+        journal_bytes: 0,
     })
 }
 
@@ -1893,6 +1917,7 @@ fn ckpt_fallback<M: ComputeModel>(
         counters: RecoveryCounters::default(),
         phases,
         suspicion: suspicion_now(ctx),
+        journal_bytes: 0,
     })
 }
 
@@ -1988,6 +2013,7 @@ pub(crate) fn ckpt_newbie<M: ComputeModel>(
         },
         phases,
         suspicion: suspicion_now(ctx),
+        journal_bytes: 0,
     });
     Some(lg)
 }

@@ -1,11 +1,11 @@
-//! Unit tests for the recovery state machine's internals: when the undo
-//! snapshot is taken and that it restores any number of times, what
+//! Unit tests for the recovery state machine's internals: what the undo
+//! journal holds and that it rolls back any number of times (debug builds
+//! check every rollback against the encoded snapshot it replaced), what
 //! Migration's rounds 5 and 7 send to whom, and that the [`MigEnv`]
 //! promotion indices answer exactly like the scans and hash maps they
 //! replaced.
 
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use imitator_cluster::{FailPoint, FailurePlan, NodeId};
@@ -18,7 +18,7 @@ use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, Verte
 use imitator_storage::{Dfs, DfsConfig};
 use proptest::prelude::*;
 
-use super::{MigEnv, GRAPH_CAPTURES, R7_TALLY};
+use super::{MigEnv, R7_TALLY};
 use crate::ckpt::{self, tests::arb_graph};
 use crate::driver::{run_keeping_graphs, ModelGraph};
 use crate::msg::Promotion;
@@ -53,9 +53,8 @@ impl VertexProgram for MinLabel {
 
 const NODES: usize = 4;
 
-/// `GRAPH_CAPTURES` and `R7_TALLY` are process-wide and the test harness
-/// runs tests on parallel threads: every test that runs a recovery holds
-/// this lock.
+/// `R7_TALLY` is process-wide and the test harness runs tests on parallel
+/// threads: every test that runs a recovery holds this lock.
 static CAPTURE_TESTS: Mutex<()> = Mutex::new(());
 
 fn graph() -> Graph {
@@ -152,31 +151,23 @@ fn run_vc(
     )
 }
 
-/// Runs MinLabel on `nodes` nodes and returns the report with the number of
-/// graph snapshots the run's undo took.
+/// Runs MinLabel over [`graph`] on `nodes` nodes.
 fn run_on(
     nodes: usize,
     edge_cut: bool,
     ft: FtMode,
     standbys: usize,
     failures: Vec<FailurePlan>,
-) -> (RunReport<u32>, usize) {
+) -> RunReport<u32> {
     let g = graph();
-    let before = GRAPH_CAPTURES.load(Ordering::Relaxed);
-    let report = if edge_cut {
+    if edge_cut {
         run_ec(&g, nodes, ft, standbys, failures).report
     } else {
         run_vc(&g, nodes, ft, standbys, failures).0
-    };
-    (report, GRAPH_CAPTURES.load(Ordering::Relaxed) - before)
+    }
 }
 
-fn run(
-    edge_cut: bool,
-    ft: FtMode,
-    standbys: usize,
-    failures: Vec<FailurePlan>,
-) -> (RunReport<u32>, usize) {
+fn run(edge_cut: bool, ft: FtMode, standbys: usize, failures: Vec<FailurePlan>) -> RunReport<u32> {
     run_on(NODES, edge_cut, ft, standbys, failures)
 }
 
@@ -196,65 +187,106 @@ fn replication(tolerance: usize, recovery: RecoveryStrategy) -> FtMode {
     }
 }
 
-/// A Rebirth attempt only reads the survivors' graphs: no snapshot. Every
-/// path that rewrites them — Migration, Rebirth degrading to Migration, both
-/// checkpoint paths — encodes one per survivor, before its first mutation.
+/// A Migration's journal holds what the attempt changed, not the partition:
+/// on a 20 k-vertex power-law graph it stays under a quarter of what the
+/// encoded snapshot it replaced weighed. Of the five strategies, the two
+/// that run `migrate` journal; the checkpoint paths book an encoded snapshot
+/// under the same `undo_capture` key; a clean Rebirth only reads its
+/// survivors' graphs and keeps nothing.
 #[test]
-fn undo_copies_the_graph_only_where_an_attempt_mutates_it() {
+fn journal_is_proportional_to_the_change_set() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let ckpt = FtMode::Checkpoint {
         interval: 2,
         incremental: true,
     };
-    let cases: [(&str, FtMode, usize, usize); 5] = [
-        ("rebirth", replication(1, RecoveryStrategy::Rebirth), 1, 0),
+    // (strategy, mode, standbys, journals, books `undo_capture`).
+    let cases: [(&str, FtMode, usize, bool, bool); 5] = [
+        (
+            "rebirth",
+            replication(1, RecoveryStrategy::Rebirth),
+            1,
+            false,
+            false,
+        ),
         (
             "migration",
             replication(1, RecoveryStrategy::Migration),
             0,
-            NODES - 1,
+            true,
+            true,
         ),
         (
             "rebirth→migration",
             replication(1, RecoveryStrategy::Rebirth),
             0,
-            NODES - 1,
+            true,
+            true,
         ),
-        ("checkpoint", ckpt, 1, NODES - 1),
-        ("checkpoint→migration", ckpt, 0, NODES - 1),
+        ("checkpoint", ckpt, 1, false, true),
+        ("checkpoint→migration", ckpt, 0, false, true),
     ];
     for edge_cut in [true, false] {
-        let (golden, copies) = run(edge_cut, FtMode::None, 0, vec![]);
-        assert_eq!(copies, 0, "no episode, no undo");
-        for (strategy, ft, standbys, want) in cases {
+        let golden = run(edge_cut, FtMode::None, 0, vec![]);
+        for (strategy, ft, standbys, journals, undoable) in cases {
             let plan = vec![crash(1, 3, FailPoint::BeforeBarrier)];
-            let (r, copies) = run(edge_cut, ft, standbys, plan);
+            let r = run(edge_cut, ft, standbys, plan);
             assert_eq!(r.values, golden.values, "edge_cut={edge_cut} {strategy}");
             assert_eq!(r.recoveries.len(), 1, "edge_cut={edge_cut} {strategy}");
-            assert_eq!(r.recoveries[0].strategy, strategy, "edge_cut={edge_cut}");
-            assert_eq!(copies, want, "edge_cut={edge_cut} {strategy}");
-            let booked = r.recoveries[0].phases.get("undo_capture").is_some();
-            assert_eq!(booked, want > 0, "edge_cut={edge_cut} {strategy}");
+            let ep = &r.recoveries[0];
+            assert_eq!(ep.strategy, strategy, "edge_cut={edge_cut}");
+            assert_eq!(
+                ep.journal_bytes > 0,
+                journals,
+                "edge_cut={edge_cut} {strategy}"
+            );
+            let booked = ep.phases.get("undo_capture").is_some();
+            assert_eq!(booked, undoable, "edge_cut={edge_cut} {strategy}");
         }
     }
+
+    let g = gen::power_law(20_000, 2.0, 8, 17);
+    let ft = replication(1, RecoveryStrategy::Migration);
+    let dead = NodeId::from_index(1);
+    let plan = vec![crash(1, 2, FailPoint::BeforeBarrier)];
+    let ec = run_ec(&g, NODES, ft, 0, plan.clone());
+    let survivors = ec.loaded.iter().filter(|lg| lg.node != dead);
+    let encoded: usize = survivors.map(|lg| ckpt::encode_ec_graph(lg).len()).sum();
+    let journal = ec.report.recoveries[0].journal_bytes as usize;
+    assert!(
+        0 < journal && 4 * journal < encoded,
+        "edge-cut: journal {journal} B against {encoded} B encoded"
+    );
+    let cut = RandomVertexCut.partition(&g, NODES);
+    let degrees = Degrees::of(&g);
+    let loaded = build_vertex_cut_graphs(&g, &cut, &load_plan(&g, &cut, ft), &MinLabel, &degrees);
+    let survivors = loaded.iter().filter(|lg| lg.node != dead);
+    let encoded: usize = survivors.map(|lg| ckpt::encode_vc_graph(lg).len()).sum();
+    let journal = run_vc(&g, NODES, ft, 0, plan).0.recoveries[0].journal_bytes as usize;
+    // A vertex-cut snapshot is mostly 9-byte edges and a Migration rewrites
+    // the location tables of nearly every master and mirror: a third.
+    assert!(
+        0 < journal && 2 * journal < encoded,
+        "vertex-cut: journal {journal} B against {encoded} B encoded"
+    );
 }
 
-/// An attempt aborted at the start of any Migration round restores from the
-/// lazily captured snapshot and the retry finishes bit-identical to the
-/// failure-free run. The snapshot is taken once: the retry starts from the
-/// restored graph, which is the captured one.
+/// An attempt aborted at the start of any Migration round rolls its journal
+/// back and the retry finishes bit-identical to the failure-free run. (In
+/// this build `Undo::restore` also holds the rolled-back graph against the
+/// encoded pre-episode snapshot, byte for byte.)
 #[test]
-fn abort_at_every_migration_round_restores_from_the_lazy_snapshot() {
+fn abort_at_every_migration_round_rolls_back_and_retries() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     for edge_cut in [true, false] {
-        let (golden, _) = run(edge_cut, FtMode::None, 0, vec![]);
+        let golden = run(edge_cut, FtMode::None, 0, vec![]);
         for round in 1..=8u8 {
             let plan = vec![
                 crash(1, 2, FailPoint::BeforeBarrier),
                 crash(2, 2, FailPoint::MigrationRound(round)),
             ];
             let ft = replication(2, RecoveryStrategy::Migration);
-            let (r, copies) = run(edge_cut, ft, 0, plan);
+            let r = run(edge_cut, ft, 0, plan);
             assert_eq!(r.values, golden.values, "edge_cut={edge_cut} round={round}");
             let ep = &r.recoveries[0];
             assert_eq!(
@@ -262,45 +294,42 @@ fn abort_at_every_migration_round_restores_from_the_lazy_snapshot() {
                 (2, 1),
                 "edge_cut={edge_cut} round={round}"
             );
-            // The three first-attempt survivors copy (the second victim
-            // dies after its copy); nobody copies again for the retry.
-            assert_eq!(copies, NODES - 1, "edge_cut={edge_cut} round={round}");
         }
     }
 }
 
 /// A Rebirth attempt that aborts before anyone mutated anything restores
-/// without a graph snapshot; the retry that degrades to Migration (standbys
-/// spent) takes the episode's one copy then.
+/// node state only; the retry that degrades to Migration (standbys spent)
+/// opens the episode's journal then.
 #[test]
-fn aborted_rebirth_restores_without_a_snapshot() {
+fn aborted_rebirth_restores_without_a_journal() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     for edge_cut in [true, false] {
-        let (golden, _) = run(edge_cut, FtMode::None, 0, vec![]);
+        let golden = run(edge_cut, FtMode::None, 0, vec![]);
         let plan = vec![
             crash(1, 2, FailPoint::BeforeBarrier),
             crash(2, 2, FailPoint::RebirthReload),
         ];
         let ft = replication(2, RecoveryStrategy::Rebirth);
         // One standby: spent by the aborted attempt, so the retry migrates.
-        let (r, copies) = run(edge_cut, ft, 1, plan);
+        let r = run(edge_cut, ft, 1, plan);
         assert_eq!(r.values, golden.values, "edge_cut={edge_cut}");
         let ep = &r.recoveries[0];
         assert_eq!(ep.strategy, "rebirth→migration", "edge_cut={edge_cut}");
         assert_eq!((ep.counters.attempts, ep.counters.aborts), (2, 1));
-        assert_eq!(copies, NODES - 2, "edge_cut={edge_cut}");
+        assert!(ep.journal_bytes > 0, "edge_cut={edge_cut}");
     }
 }
 
-/// Two aborts in one episode: both restores decode the same bytes (taken
-/// once, in the first attempt), and the third attempt finishes bit-identical
-/// to the failure-free run.
+/// Two aborts in one episode: each attempt journals afresh and each rollback
+/// lands on the same pre-episode graph, and the third attempt finishes
+/// bit-identical to the failure-free run.
 #[test]
-fn aborting_twice_restores_twice_from_the_same_snapshot() {
+fn aborting_twice_restores_twice_to_the_same_graph() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     const FIVE: usize = 5;
     for edge_cut in [true, false] {
-        let (golden, _) = run_on(FIVE, edge_cut, FtMode::None, 0, vec![]);
+        let golden = run_on(FIVE, edge_cut, FtMode::None, 0, vec![]);
         for (first, second) in [(3u8, 6u8), (8, 1), (5, 5)] {
             let plan = vec![
                 crash(1, 2, FailPoint::BeforeBarrier),
@@ -308,7 +337,7 @@ fn aborting_twice_restores_twice_from_the_same_snapshot() {
                 crash(3, 2, FailPoint::MigrationRound(second)),
             ];
             let ft = replication(3, RecoveryStrategy::Migration);
-            let (r, snapshots) = run_on(FIVE, edge_cut, ft, 0, plan);
+            let r = run_on(FIVE, edge_cut, ft, 0, plan);
             let case = format!("edge_cut={edge_cut} rounds={first},{second}");
             assert_eq!(r.values, golden.values, "{case}");
             let ep = &r.recoveries[0];
@@ -321,9 +350,48 @@ fn aborting_twice_restores_twice_from_the_same_snapshot() {
                 (aborts + 1, aborts),
                 "{case}"
             );
-            // Every first-attempt survivor snapshots once, the victims
-            // included; no retry snapshots again.
-            assert_eq!(snapshots, FIVE - 1, "{case}");
+        }
+    }
+}
+
+/// An attempt that aborts leaves the graph — every store of it — as if it
+/// had never run: a Migration that loses node 2 *during* the recovery of
+/// node 1, at any round, ends with the survivors' graphs exactly where a
+/// Migration that lost both at once puts them. Copies appended by the retry
+/// sit at the positions the aborted attempt had used, and no column holds a
+/// run the rollback failed to cut off.
+#[test]
+fn a_second_episode_after_a_rollback_appends_where_the_first_did() {
+    let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let g = graph();
+    let ft = replication(2, RecoveryStrategy::Migration);
+    let at_once = vec![
+        crash(1, 2, FailPoint::BeforeBarrier),
+        crash(2, 2, FailPoint::BeforeBarrier),
+    ];
+    let ec_once = run_ec(&g, 5, ft, 0, at_once.clone());
+    let (vc_report, vc_once) = run_vc(&g, 5, ft, 0, at_once);
+    for round in 1..=8u8 {
+        let staggered = vec![
+            crash(1, 2, FailPoint::BeforeBarrier),
+            crash(2, 2, FailPoint::MigrationRound(round)),
+        ];
+        let ec = run_ec(&g, 5, ft, 0, staggered.clone());
+        assert_eq!(ec.report.values, ec_once.report.values, "round={round}");
+        assert_eq!(ec.report.recoveries[0].counters.aborts, 1, "round={round}");
+        assert_eq!(ec.graphs.len(), ec_once.graphs.len());
+        for ((node, lg), (_, once)) in ec.graphs.iter().zip(&ec_once.graphs) {
+            assert!(lg == once, "round={round}: edge-cut graph of {node}");
+            assert_eq!(
+                (lg.len(), lg.index.len(), lg.full_state_lens()),
+                (once.len(), once.index.len(), once.full_state_lens()),
+                "round={round}: stores of {node}"
+            );
+        }
+        let (report, graphs) = run_vc(&g, 5, ft, 0, staggered);
+        assert_eq!(report.values, vc_report.values, "round={round}");
+        for ((node, lg), (_, once)) in graphs.iter().zip(&vc_once) {
+            assert!(lg == once, "round={round}: vertex-cut graph of {node}");
         }
     }
 }
@@ -530,7 +598,7 @@ fn round_7_refreshes_only_what_round_5_left_dirty() {
         R7_TALLY.lock().unwrap_or_else(|e| e.into_inner()).clear();
         let plan = vec![crash(1, 3, FailPoint::BeforeBarrier)];
         let ft = replication(1, RecoveryStrategy::Migration);
-        let (r, _) = run(edge_cut, ft, 0, plan);
+        let r = run(edge_cut, ft, 0, plan);
         assert_eq!(r.recoveries.len(), 1);
         let tally = std::mem::take(&mut *R7_TALLY.lock().unwrap_or_else(|e| e.into_inner()));
         assert_eq!(tally.len(), NODES - 1, "one entry per survivor");

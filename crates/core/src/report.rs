@@ -22,12 +22,12 @@ pub struct RecoveryReport {
     /// Number of crashed nodes handled in this episode.
     pub failed_nodes: usize,
     /// Reloading: moving state — recovery messages from survivors, snapshot
-    /// or edge-ckpt reads from the DFS; for Migration the undo snapshot plus
-    /// rounds 1-3 (identify, request, grant).
+    /// or edge-ckpt reads from the DFS; for Migration opening the undo
+    /// journal plus rounds 1-3 (identify, request, grant).
     pub reload: Duration,
     /// Reconstruction: rebuilding graph topology and runtime state; for
     /// Migration rounds 4-8. Every strategy closes it with the model's
-    /// post-recovery hook and the release of the undo snapshot.
+    /// post-recovery hook and the release of the undo journal or snapshot.
     pub reconstruct: Duration,
     /// Replay: re-running lost work — activation fix-ups for
     /// replication-based recovery, whole lost iterations for checkpointing.
@@ -48,11 +48,12 @@ pub struct RecoveryReport {
     /// How many attempts the episode took and how many were aborted by
     /// failures arriving mid-recovery (cascading failures, §5.3).
     pub counters: RecoveryCounters,
-    /// Fine-grained phase breakdown in protocol order: `undo_capture` (the
-    /// graph snapshot a mutating attempt encodes first), `reload` / `reconstruct`
-    /// / `replay`, `fence` (barrier waits and abort fences),
-    /// `migration_round1..8`, and `after_recovery` (post-recovery hook and
-    /// snapshot release). Merged per-phase maxima across nodes, like the
+    /// Fine-grained phase breakdown in protocol order: `undo_capture` (what
+    /// a mutating attempt does first to be undoable: Migration opens its
+    /// journal, checkpoint recovery encodes a graph snapshot), `reload` /
+    /// `reconstruct` / `replay`, `fence` (barrier waits and abort fences),
+    /// `migration_round1..8`, and `after_recovery` (post-recovery hook, and
+    /// letting the journal or snapshot go). Merged per-phase maxima across nodes, like the
     /// coarse three-phase fields above.
     pub phases: PhaseTimes,
     /// Failure-detector activity as of the end of this episode: suspicions
@@ -61,6 +62,11 @@ pub struct RecoveryReport {
     /// under the oracle detector. Nodes snapshot one shared detector, so
     /// the merge takes element-wise maxima rather than sums.
     pub suspicion: SuspicionStats,
+    /// Bytes of undo journal the successful attempt held when it finished,
+    /// summed over the survivors: what a Migration keeps to be able to take
+    /// its graph changes back (0 for the strategies that journal nothing).
+    /// Exact for a given graph, partitioning and crash.
+    pub journal_bytes: u64,
 }
 
 impl RecoveryReport {
@@ -93,6 +99,7 @@ impl RecoveryReport {
         self.counters.merge(&other.counters);
         self.phases.merge_max(&other.phases);
         self.suspicion.merge(&other.suspicion);
+        self.journal_bytes += other.journal_bytes;
     }
 }
 
@@ -204,6 +211,7 @@ mod tests {
             },
             phases: PhaseTimes::new(),
             suspicion: SuspicionStats::default(),
+            journal_bytes: 0,
         }
     }
 

@@ -1,10 +1,10 @@
 //! Runtime state shared by the edge-cut and vertex-cut node main loops.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use imitator_cluster::{Envelope, NodeId};
-use imitator_graph::Vid;
+use imitator_graph::VidMap;
 use imitator_metrics::{CommBreakdown, CommStats, PhaseTimes, PoolStats};
 
 use crate::report::{RecoveryReport, RunReport};
@@ -19,7 +19,7 @@ pub(crate) struct NodeState<M> {
     /// outcomes (deterministic, unlike racy coordinator queries).
     pub alive: Vec<bool>,
     /// Master-location overrides learned from Migration promotions.
-    pub overlay: HashMap<Vid, NodeId>,
+    pub overlay: VidMap<NodeId>,
     /// Normal-execution traffic.
     pub comm: CommStats,
     /// The fault-tolerance-only share of `comm`.
@@ -63,7 +63,7 @@ impl<M> NodeState<M> {
         NodeState {
             iter: 0,
             alive: vec![true; num_nodes],
-            overlay: HashMap::new(),
+            overlay: VidMap::default(),
             comm: CommStats::default(),
             ft_comm: CommStats::default(),
             phases: PhaseTimes::new(),

@@ -7,15 +7,15 @@
 //! no edge-ckpt files), in-edge rewiring for promoted masters, activation
 //! replay from synchronised scatter bits, and selfish-master recompute.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
     chunk_ranges, ec_commit, ec_compute_chunks, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan,
-    FullStateRef, Locations, MasterMeta, RemoteEdge, VertexProgram, WorkerPool,
+    FullState, FullStateRef, Locations, RemoteEdge, VertexProgram, WorkerPool,
 };
-use imitator_graph::{Graph, Vid};
+use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{MemSize, Stopwatch};
 use imitator_partition::EdgeCut;
 use imitator_storage::codec::{Decode, Encode};
@@ -24,7 +24,7 @@ use imitator_storage::Dfs;
 use crate::ckpt;
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
 use crate::msg::Promotion;
-use crate::msg::{EcRecoverEntry, MirrorUpdate, ReplicaGrant, VertexSync};
+use crate::msg::{EcRecoverEntry, ReplicaGrant, VertexSync};
 use crate::plan::compute_ft_plan;
 use crate::recovery::{Adoption, Mig, MigEnv};
 use crate::report::RunReport;
@@ -115,7 +115,7 @@ struct Promoted {
 
 impl<V> ModelGraph for EcLocalGraph<V> {
     type Value = V;
-    type Meta = MasterMeta;
+    type Metas = FullState;
 
     fn len(&self) -> usize {
         self.verts.len()
@@ -133,13 +133,13 @@ impl<V> ModelGraph for EcLocalGraph<V> {
         self.verts[pos as usize].kind
     }
     fn set_kind(&mut self, pos: u32, kind: CopyKind) {
-        self.verts[pos as usize].kind = kind;
+        EcLocalGraph::set_kind(self, pos, kind);
     }
     fn master_node(&self, pos: u32) -> NodeId {
         self.verts[pos as usize].master_node
     }
     fn set_master_node(&mut self, pos: u32, node: NodeId) {
-        self.verts[pos as usize].master_node = node;
+        EcLocalGraph::set_master_node(self, pos, node);
     }
     fn value(&self, pos: u32) -> &V {
         &self.verts[pos as usize].value
@@ -150,11 +150,14 @@ impl<V> ModelGraph for EcLocalGraph<V> {
     fn meta_mut(&mut self, pos: u32) -> Option<&mut Locations> {
         self.locations_mut(pos)
     }
-    fn export_meta(&self, pos: u32) -> Option<MasterMeta> {
-        self.full_state(pos).map(|state| state.to_meta())
+    fn export_metas(&self, positions: &[u32]) -> FullState {
+        self.export_full_states(positions)
     }
-    fn set_meta(&mut self, pos: u32, meta: Box<MasterMeta>) {
-        self.set_full_state(pos, meta.view());
+    fn adopt_metas(&mut self, batches: &[(&[u32], &FullState)]) {
+        self.adopt_full_states(batches);
+    }
+    fn same_full_state(&self, pos: u32, other: &Self, at: u32) -> bool {
+        self.full_state(pos) == other.full_state(at)
     }
 }
 
@@ -166,7 +169,7 @@ where
     type Value = P::Value;
     type Accum = ();
     type Entry = EcRecoverEntry<P::Value>;
-    type Meta = MasterMeta;
+    type Metas = FullState;
     type Graph = EcLocalGraph<P::Value>;
     type Scratch = SyncBufs<P::Value>;
     type MigExtra = EcMigExtra;
@@ -512,7 +515,7 @@ where
     /// From here on the copy's own `in_edges` / `out_local` are its
     /// owner-local lists, so its slot gives the old owner's up.
     fn on_promote(&self, lg: &mut Self::Graph, pos: u32, mig: &mut Mig<EcMigExtra>) {
-        lg.verts[pos as usize].active = false;
+        lg.set_active(pos, false);
         let (in_edges_owner, old_out_local) = lg.take_owner_lists(pos);
         let state = lg.full_state(pos).expect("its lists were just taken");
         let srcs = state
@@ -549,13 +552,11 @@ where
             if !lg.verts[pos as usize].is_master() {
                 continue;
             }
-            let mut dirty = false;
-            lg.retain_out_remote(pos, |r| {
+            let dirty = lg.retain_out_remote(pos, |r| {
                 let Some(p) = env.relocated(r.node, r.pos) else {
                     return true;
                 };
                 debug_assert_eq!(p.vid, r.target);
-                dirty = true;
                 (r.node, r.pos) = (p.new_master, p.new_pos);
                 p.new_master != me
             });
@@ -582,10 +583,10 @@ where
         }
         // Replica requests for missing sources.
         let mut requests: HashMap<NodeId, Vec<Vid>> = HashMap::new();
-        let mut requested: HashSet<Vid> = HashSet::new();
+        let mut requested: VidMap<()> = VidMap::default();
         for promoted in &mig.extra.pending_wire {
             for &(src, _) in &promoted.srcs {
-                if lg.position(src).is_none() && requested.insert(src) {
+                if lg.position(src).is_none() && requested.insert(src, ()).is_none() {
                     let owner = st
                         .overlay
                         .get(&src)
@@ -600,9 +601,7 @@ where
     }
 
     fn place_granted(&self, lg: &mut Self::Graph, grant: ReplicaGrant<Self::Value>) -> u32 {
-        let pos = lg.verts.len() as u32;
-        lg.index.insert(grant.vid, pos);
-        lg.verts.push(EcVertex {
+        lg.push_copy(EcVertex {
             vid: grant.vid,
             kind: CopyKind::Replica,
             master_node: grant.master_node,
@@ -613,8 +612,7 @@ where
             in_edges: Vec::new(),
             out_local: Vec::new(),
             meta: None,
-        });
-        pos
+        })
     }
 
     /// R4: wire promoted masters' in-edges from the captured sources (all
@@ -640,10 +638,8 @@ where
                 .iter()
                 .any(|&(s, _)| lg.verts[s as usize].last_activate)
                 || (resume == 0 && self.prog.initially_active(lg.verts[*pos as usize].vid));
-            let v = &mut lg.verts[*pos as usize];
-            v.in_edges = in_edges;
-            v.active = active;
-            v.next_active = false;
+            lg.set_in_edges(*pos, in_edges);
+            lg.set_active(*pos, active);
         }
         // Extend each source's consumer list once. A master's consumer list
         // is part of the full state its mirrors hold, so it goes dirty. The
@@ -651,42 +647,17 @@ where
         links.sort_by_key(|&(spos, _)| spos);
         for group in links.chunk_by(|a, b| a.0 == b.0) {
             let spos = group[0].0;
-            let sv = &mut lg.verts[spos as usize];
-            sv.out_local.extend(group.iter().map(|&(_, pos)| pos));
-            if sv.is_master() {
+            lg.extend_out_local(spos, group.iter().map(|&(_, pos)| pos));
+            if lg.verts[spos as usize].is_master() {
                 mig.dirty_masters.insert(spos);
             }
         }
     }
 
-    fn place_fresh_mirror(
-        &self,
-        lg: &mut Self::Graph,
-        update: MirrorUpdate<Self::Value, Self::Meta>,
-    ) -> u32 {
-        let value = update.value.expect("fresh FT replica carries its value");
-        let pos = lg.verts.len() as u32;
-        lg.index.insert(update.vid, pos);
-        lg.verts.push(EcVertex {
-            vid: update.vid,
-            kind: CopyKind::Mirror,
-            master_node: update.master_node,
-            value,
-            active: false,
-            next_active: false,
-            last_activate: update.last_activate,
-            in_edges: Vec::new(),
-            out_local: Vec::new(),
-            meta: None,
-        });
-        lg.set_full_state(pos, update.meta.view());
-        pos
-    }
-
-    fn meta_update_bytes(&self, meta: &Self::Meta) -> u64 {
+    fn meta_update_bytes(&self, metas: &FullState, i: usize) -> u64 {
         // Payload estimate excluding the vertex ID, which ships as a varint
-        // in the mirror frame's vid column (see `recovery::mirror_frame_bytes`).
-        56 + meta.in_edges_owner.len() as u64 * 8
+        // in the mirror frame's vid column (see `MirrorBatch::frame_bytes`).
+        56 + metas.nth(i).in_edges_owner.len() as u64 * 8
     }
 
     /// Checkpoint-fallback graft: splice the whole reconstructed partition

@@ -8,7 +8,7 @@
 //! its owned edges to per-receiver **edge-ckpt files** on the DFS at load,
 //! which Migration reloads in parallel and Rebirth replays on the newbie.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, Envelope, FailurePlan, NodeId};
@@ -16,7 +16,7 @@ use imitator_engine::{
     vc_apply_chunks, vc_commit, vc_gather_chunks, CopyKind, Degrees, FtPlan, Locations, VcEdge,
     VcGatherIndex, VcLocalGraph, VcVertex, VertexProgram, WorkerPool,
 };
-use imitator_graph::{Graph, Vid};
+use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_partition::VertexCut;
 use imitator_storage::codec::{Decode, Encode};
@@ -24,7 +24,7 @@ use imitator_storage::Dfs;
 
 use crate::ckpt;
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
-use crate::msg::{MirrorUpdate, Promotion, ProtoMsg, ReplicaGrant, VcRecoverEntry, VertexSync};
+use crate::msg::{Promotion, ProtoMsg, ReplicaGrant, VcRecoverEntry, VertexSync};
 use crate::plan::compute_ft_plan;
 use crate::recovery::{Adoption, Mig, MigEnv};
 use crate::report::RunReport;
@@ -125,7 +125,7 @@ pub(crate) struct VcMigExtra {
 
 impl<V> ModelGraph for VcLocalGraph<V> {
     type Value = V;
-    type Meta = Locations;
+    type Metas = Vec<Locations>;
 
     fn len(&self) -> usize {
         self.verts.len()
@@ -143,13 +143,13 @@ impl<V> ModelGraph for VcLocalGraph<V> {
         self.verts[pos as usize].kind
     }
     fn set_kind(&mut self, pos: u32, kind: CopyKind) {
-        self.verts[pos as usize].kind = kind;
+        VcLocalGraph::set_kind(self, pos, kind);
     }
     fn master_node(&self, pos: u32) -> NodeId {
         self.verts[pos as usize].master_node
     }
     fn set_master_node(&mut self, pos: u32, node: NodeId) {
-        self.verts[pos as usize].master_node = node;
+        VcLocalGraph::set_master_node(self, pos, node);
     }
     fn value(&self, pos: u32) -> &V {
         &self.verts[pos as usize].value
@@ -158,13 +158,19 @@ impl<V> ModelGraph for VcLocalGraph<V> {
         self.verts[pos as usize].meta.as_deref()
     }
     fn meta_mut(&mut self, pos: u32) -> Option<&mut Locations> {
-        self.verts[pos as usize].meta.as_deref_mut()
+        self.locations_mut(pos)
     }
-    fn export_meta(&self, pos: u32) -> Option<Locations> {
-        self.meta(pos).cloned()
+    fn export_metas(&self, positions: &[u32]) -> Vec<Locations> {
+        let tables = |&pos| self.meta(pos).expect("exported copies carry full state");
+        positions.iter().map(tables).cloned().collect()
     }
-    fn set_meta(&mut self, pos: u32, meta: Box<Locations>) {
-        self.verts[pos as usize].meta = Some(meta);
+    fn adopt_metas(&mut self, batches: &[(&[u32], &Vec<Locations>)]) {
+        for (&pos, locations) in batches.iter().flat_map(|&(at, batch)| at.iter().zip(batch)) {
+            self.set_locations(pos, locations);
+        }
+    }
+    fn same_full_state(&self, pos: u32, other: &Self, at: u32) -> bool {
+        self.meta(pos) == other.meta(at)
     }
 }
 
@@ -217,7 +223,7 @@ where
     type Value = P::Value;
     type Accum = P::Accum;
     type Entry = VcRecoverEntry<P::Value>;
-    type Meta = Locations;
+    type Metas = Vec<Locations>;
     type Graph = VcLocalGraph<P::Value>;
     type Scratch = VcScratch<P>;
     type MigExtra = VcMigExtra;
@@ -571,10 +577,10 @@ where
             }
         }
         let mut requests: HashMap<NodeId, Vec<Vid>> = HashMap::new();
-        let mut requested: HashSet<Vid> = HashSet::new();
+        let mut requested: VidMap<()> = VidMap::default();
         for &(s, d, _) in &adopted {
             for vid in [s, d] {
-                if lg.position(vid).is_none() && requested.insert(vid) {
+                if lg.position(vid).is_none() && requested.insert(vid, ()).is_none() {
                     let owner = st
                         .overlay
                         .get(&vid)
@@ -619,24 +625,9 @@ where
         }
     }
 
-    fn place_fresh_mirror(
-        &self,
-        lg: &mut Self::Graph,
-        update: MirrorUpdate<Self::Value, Self::Meta>,
-    ) -> u32 {
-        let value = update.value.expect("fresh FT replica carries its value");
-        lg.insert_or_position(VcVertex {
-            vid: update.vid,
-            kind: CopyKind::Mirror,
-            master_node: update.master_node,
-            value,
-            meta: Some(update.meta),
-        })
-    }
-
-    fn meta_update_bytes(&self, _meta: &Self::Meta) -> u64 {
+    fn meta_update_bytes(&self, _metas: &Vec<Locations>, _i: usize) -> u64 {
         // Payload estimate excluding the vertex ID, which ships as a varint
-        // in the mirror frame's vid column (see `recovery::mirror_frame_bytes`).
+        // in the mirror frame's vid column (see `MirrorBatch::frame_bytes`).
         56
     }
 

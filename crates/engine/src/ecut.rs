@@ -5,8 +5,11 @@ use imitator_graph::{Csr, Graph, PosIndex, Vid};
 use imitator_metrics::MemSize;
 use imitator_partition::EdgeCut;
 
+use crate::episode::EcJournal;
 use crate::ftplan::FtPlan;
-use crate::full_state::{ColumnLens, FullState, FullStateRef, RemoteEdge, Slot, SlotId, Span};
+use crate::full_state::{
+    ColumnLens, FullState, FullStateRef, RemoteEdge, Slot, SlotId, Span, COLUMNS,
+};
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
 use crate::locations::Locations;
 use crate::program::{Degrees, VertexProgram};
@@ -21,6 +24,27 @@ pub enum CopyKind {
     /// A full-state replica (§4.2) able to recover its master — carries the
     /// master's full state. Extra FT replicas (§4.1) are always mirrors.
     Mirror,
+}
+
+impl CopyKind {
+    /// The role as the two bits snapshots and journals store.
+    pub fn bits(self) -> u8 {
+        match self {
+            CopyKind::Master => 0,
+            CopyKind::Replica => 1,
+            CopyKind::Mirror => 2,
+        }
+    }
+
+    /// The role [`CopyKind::bits`] encodes as `bits`, if any.
+    pub fn from_bits(bits: u8) -> Option<CopyKind> {
+        match bits {
+            0 => Some(CopyKind::Master),
+            1 => Some(CopyKind::Replica),
+            2 => Some(CopyKind::Mirror),
+            _ => None,
+        }
+    }
 }
 
 /// One local vertex copy in an edge-cut partition.
@@ -106,6 +130,13 @@ impl<V: MemSize> MemSize for EcVertex<V> {
 /// the replica locations, the in-edge source IDs and the remote out-edges.
 /// Its owner-local in-edges and consumers *are* `in_edges` and `out_local`,
 /// and [`EcLocalGraph::full_state`] hands them out as such.
+///
+/// The fields are public and a superstep writes them directly. A recovery
+/// attempt that may have to be undone writes through the mutators instead
+/// (`set_kind`, `set_master_node`, `set_active`, `set_in_edges`,
+/// `extend_out_local`, `push_copy`, and everything that touches full state):
+/// while an episode is open ([`crate::Episode`]) they journal what they
+/// change, and cost a branch when none is.
 #[derive(Debug, Clone)]
 pub struct EcLocalGraph<V> {
     /// The hosting node.
@@ -123,12 +154,15 @@ pub struct EcLocalGraph<V> {
     pub active_frontier: Vec<u32>,
     /// Full state of the masters and mirrors in `verts`.
     pub(crate) full: FullState,
+    /// What the open recovery episode has changed, if one is open (see
+    /// [`crate::episode`]).
+    pub(crate) journal: Option<Box<EcJournal>>,
 }
 
 /// Graphs are equal when they hold equal copies with equal full state at
 /// every position. Full state is compared as [`EcLocalGraph::full_state`]
 /// returns it, so slot numbering and the dead runs a store accumulates do
-/// not count.
+/// not count; neither does an open episode's journal.
 impl<V: PartialEq> PartialEq for EcLocalGraph<V> {
     fn eq(&self, other: &Self) -> bool {
         self.node == other.node
@@ -148,6 +182,7 @@ impl<V> EcLocalGraph<V> {
             index: PosIndex::new(),
             active_frontier: Vec::new(),
             full: FullState::default(),
+            journal: None,
         }
     }
 
@@ -216,6 +251,7 @@ impl<V> EcLocalGraph<V> {
     /// The replica-location tables of the copy at `pos`, for rewriting.
     pub fn locations_mut(&mut self, pos: u32) -> Option<&mut Locations> {
         let slot = self.verts[pos as usize].meta?;
+        self.touch_tables(slot);
         Some(self.full.locations_mut(slot))
     }
 
@@ -238,13 +274,38 @@ impl<V> EcLocalGraph<V> {
         })
     }
 
+    /// The full state of the copies at `positions`, a slot each in that
+    /// order, in a store sized for them once: what a Migration mirror batch
+    /// carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of the copies carries no full state.
+    pub fn export_full_states(&self, positions: &[u32]) -> FullState {
+        let exported = |&pos: &u32| {
+            let state = self.full_state(pos);
+            state.unwrap_or_else(|| panic!("copy at {pos} carries no full state to export"))
+        };
+        let mut lens = ColumnLens::default();
+        for state in positions.iter().map(exported) {
+            lens += state.lens();
+        }
+        let mut batch = FullState::default();
+        batch.reserve_exact(positions.len(), lens);
+        for state in positions.iter().map(exported) {
+            batch.push(state);
+        }
+        batch
+    }
+
     /// Makes `state` the full state of the copy at `pos`, in a new slot if
     /// it had none. The copy's `kind` decides what is kept: a master's
     /// owner-local lists are its own `in_edges` and `out_local` (which the
     /// caller sets), so those of `state` are not stored a second time.
-    /// Lists that outgrow their run move to the column's tail.
+    /// Lists that outgrow their run, or whose run an open episode may not
+    /// overwrite, move to the column's tail.
     pub fn set_full_state(&mut self, pos: u32, state: FullStateRef<'_>) {
-        let v = &mut self.verts[pos as usize];
+        let v = &self.verts[pos as usize];
         let state = if v.is_master() {
             FullStateRef {
                 in_edges_owner: &[],
@@ -255,8 +316,63 @@ impl<V> EcLocalGraph<V> {
             state
         };
         match v.meta {
-            Some(slot) => self.full.set(slot, state),
-            None => v.meta = Some(self.full.push(state)),
+            Some(slot) => {
+                if self.full.locations(slot) != state.locations {
+                    self.touch_tables(slot);
+                }
+                let (before, floor) = (self.spans_at(slot), self.floor());
+                self.full.set(slot, state, &floor);
+                self.note_spans(slot, before);
+            }
+            None => {
+                self.touch_copy(pos);
+                self.verts[pos as usize].meta = Some(self.full.push(state));
+            }
+        }
+    }
+
+    /// Adopts batches of full state: for each `(positions, batch)`, the
+    /// `i`-th slot of `batch` becomes the full state of the copy at
+    /// `positions[i]`. A batch none of whose copies holds a slot yet —
+    /// replicas just upgraded to mirrors, fresh mirrors — is taken whole: one
+    /// copy per column, the spans moved along, after room for all such
+    /// batches has been made once. Any other is taken record by record, as
+    /// [`EcLocalGraph::set_full_state`] does (a refresh mostly finds the
+    /// lists it brings already stored, and those are left where they are).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch and its positions differ in length.
+    pub fn adopt_full_states(&mut self, batches: &[(&[u32], &FullState)]) {
+        let slotless_mirror = |&pos: &u32| {
+            let v = &self.verts[pos as usize];
+            v.meta.is_none() && !v.is_master()
+        };
+        let mut room = (0, ColumnLens::default());
+        let whole: Vec<bool> = batches
+            .iter()
+            .map(|(positions, batch)| {
+                assert_eq!(positions.len(), batch.len(), "one position per slot");
+                let whole = positions.iter().all(slotless_mirror);
+                if whole {
+                    room.0 += batch.len();
+                    room.1 += batch.column_lens();
+                }
+                whole
+            })
+            .collect();
+        self.reserve_full_state(room.0, room.1);
+        for (&(positions, batch), whole) in batches.iter().zip(whole) {
+            let first = whole.then(|| self.full.extend_from(batch));
+            for (i, &pos) in positions.iter().enumerate() {
+                match first {
+                    Some(first) => {
+                        self.touch_copy(pos);
+                        self.verts[pos as usize].meta = Some(SlotId::from_index(first + i));
+                    }
+                    None => self.set_full_state(pos, batch.nth(i)),
+                }
+            }
         }
     }
 
@@ -275,18 +391,30 @@ impl<V> EcLocalGraph<V> {
             stored.in_edges_owner.to_vec(),
             stored.out_local_owner.to_vec(),
         );
+        let before = self.spans_at(slot);
         self.full.clear_owner_lists(slot);
+        self.note_spans(slot, before);
         lists
     }
 
     /// Keeps the remote out-edges of the copy at `pos` that `keep` accepts
-    /// (it may rewrite them), in order.
+    /// (it may rewrite them), in order, and says whether the list changed.
     ///
     /// # Panics
     ///
     /// Panics if the copy carries no full state.
-    pub fn retain_out_remote(&mut self, pos: u32, keep: impl FnMut(&mut RemoteEdge) -> bool) {
-        self.full.retain_out_remote(self.slot_at(pos), keep);
+    pub fn retain_out_remote(
+        &mut self,
+        pos: u32,
+        keep: impl FnMut(&mut RemoteEdge) -> bool,
+    ) -> bool {
+        let slot = self.slot_at(pos);
+        let (before, floor) = (self.spans_at(slot), self.floor().out_remote);
+        let changed = self.full.retain_out_remote(slot, floor, keep);
+        if changed {
+            self.note_spans(slot, before);
+        }
+        changed
     }
 
     /// Appends `edges` to the remote out-edges of the copy at `pos`.
@@ -295,7 +423,61 @@ impl<V> EcLocalGraph<V> {
     ///
     /// Panics if the copy carries no full state.
     pub fn extend_out_remote(&mut self, pos: u32, edges: &[RemoteEdge]) {
-        self.full.extend_out_remote(self.slot_at(pos), edges);
+        let slot = self.slot_at(pos);
+        let before = self.spans_at(slot);
+        self.full.extend_out_remote(slot, edges);
+        self.note_spans(slot, before);
+    }
+
+    /// Changes the role of the copy at `pos`.
+    pub fn set_kind(&mut self, pos: u32, kind: CopyKind) {
+        if self.verts[pos as usize].kind != kind {
+            self.touch_copy(pos);
+            self.verts[pos as usize].kind = kind;
+        }
+    }
+
+    /// Records which node masters the vertex of the copy at `pos`.
+    pub fn set_master_node(&mut self, pos: u32, node: NodeId) {
+        if self.verts[pos as usize].master_node != node {
+            self.touch_copy(pos);
+            self.verts[pos as usize].master_node = node;
+        }
+    }
+
+    /// Sets whether the copy at `pos` computes next; nothing stays staged.
+    /// The caller owes a [`EcLocalGraph::rebuild_active_frontier`].
+    pub fn set_active(&mut self, pos: u32, active: bool) {
+        let v = &self.verts[pos as usize];
+        if (v.active, v.next_active) != (active, false) {
+            self.touch_copy(pos);
+            let v = &mut self.verts[pos as usize];
+            (v.active, v.next_active) = (active, false);
+        }
+    }
+
+    /// Replaces the in-edges of the copy at `pos`.
+    pub fn set_in_edges(&mut self, pos: u32, in_edges: Vec<(u32, f32)>) {
+        self.touch_in_edges(pos);
+        self.verts[pos as usize].in_edges = in_edges;
+    }
+
+    /// Appends `consumers` to the positions the copy at `pos` feeds.
+    pub fn extend_out_local(&mut self, pos: u32, consumers: impl IntoIterator<Item = u32>) {
+        self.touch_copy(pos);
+        self.verts[pos as usize].out_local.extend(consumers);
+    }
+
+    /// Appends `vertex` as a new copy and returns its position.
+    pub fn push_copy(&mut self, vertex: EcVertex<V>) -> u32 {
+        let pos = self.verts.len() as u32;
+        self.index.insert(vertex.vid, pos);
+        self.verts.push(vertex);
+        pos
+    }
+
+    fn spans_at(&self, slot: SlotId) -> [Span; COLUMNS] {
+        self.full.slots[slot.index()].spans()
     }
 
     fn slot_at(&self, pos: u32) -> SlotId {
@@ -677,6 +859,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             index: PosIndex::new(),
             active_frontier: Vec::new(),
             full,
+            journal: None,
         };
         lg.rebuild_active_frontier();
         lg.active_frontier.shrink_to_fit();
@@ -804,6 +987,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::episode::Episode;
     use crate::full_state::MasterMeta;
     use imitator_graph::gen;
     use imitator_partition::{EdgeCutPartitioner, HashEdgeCut};
@@ -1099,6 +1283,79 @@ mod tests {
         assert_eq!(lg.full_state(1).unwrap().out_remote, [kept, kept, kept]);
         assert_eq!(lg.full_state_lens().1.out_remote, lens.out_remote + 1);
         lg.debug_validate();
+    }
+
+    /// Outside an episode a list that fits is overwritten where it is and a
+    /// narrowed one shrinks where it is. Inside one the entries a column held
+    /// at `begin_episode` are frozen: the same calls write at the tail and
+    /// repoint, a list that does not change is not written at all, and a run
+    /// the episode itself wrote is overwritten again — so rollback is a
+    /// truncation plus the saved spans, and leaves the graph it started from.
+    #[test]
+    fn an_episode_writes_changed_lists_at_the_tail() {
+        let (mut lg, metas) = three_mirrors();
+        let loaded = lg.full_state_lens().1;
+        lg.set_full_state(2, state(8, 2).view());
+        assert!(lg.retain_out_remote(2, |r| r.node == NodeId::new(1)));
+        assert!(!lg.retain_out_remote(2, |_| true), "nothing to drop");
+        assert_eq!(
+            lg.full_state_lens().1,
+            loaded,
+            "in place outside an episode"
+        );
+
+        let before = lg.clone();
+        let frozen = |lg: &EcLocalGraph<u64>| {
+            let (full, was) = (&lg.full, &before.full);
+            full.in_edges.0[..loaded.in_edges] == was.in_edges.0[..]
+                && full.in_srcs.0[..loaded.in_srcs] == was.in_srcs.0[..]
+                && full.out_local.0[..loaded.out_local] == was.out_local.0[..]
+                && full.out_remote.0[..loaded.out_remote] == was.out_remote.0[..]
+        };
+        lg.begin_episode();
+        // Equal lists: nothing written, nothing journaled but the marks.
+        let idle = lg.journal_bytes();
+        lg.set_full_state(0, metas[0].view());
+        lg.set_full_state(2, before.full_state(2).unwrap().to_meta().view());
+        assert!(!lg.retain_out_remote(0, |_| true));
+        assert_eq!((lg.full_state_lens().1, lg.journal_bytes()), (loaded, idle));
+
+        // Narrowing a frozen run copies what is kept to the tail: the items
+        // before the first change unchanged, the rest as `keep` leaves them.
+        let all = &metas[0].out_remote;
+        assert!(lg.retain_out_remote(0, |r| {
+            r.pos += u32::from(r.node == NodeId::new(2));
+            r.node != NodeId::new(1)
+        }));
+        let moved = RemoteEdge {
+            pos: all[2].pos + 1,
+            ..all[2]
+        };
+        assert_eq!(lg.full_state(0).unwrap().out_remote, [all[0], moved]);
+        let grown = lg.full_state_lens().1;
+        assert_eq!(grown.out_remote, loaded.out_remote + 2);
+        // A replacement that would fit its frozen run goes to the tail all
+        // the same; the run the episode wrote is overwritten where it is.
+        let next = state(9, 2);
+        lg.set_full_state(0, next.view());
+        assert_eq!(lg.full_state(0).unwrap().to_meta(), next);
+        let lens = lg.full_state_lens().1;
+        assert_eq!(lens.in_edges, loaded.in_edges + 2);
+        assert_eq!(lens.out_remote, grown.out_remote);
+        lg.set_full_state(0, state(7, 1).view());
+        assert_eq!(lg.full_state_lens().1, lens);
+        // The empty list in mid-column moves to the tail to grow.
+        lg.extend_out_remote(1, &[moved, moved]);
+        assert_eq!(lg.full_state(1).unwrap().out_remote, [moved, moved]);
+        lg.debug_validate();
+        assert!(frozen(&lg) && lg != before && lg.journal_bytes() > idle);
+
+        lg.rollback();
+        assert_eq!(lg.journal_bytes(), 0);
+        assert!(lg == before && lg.full_state_lens().1 == loaded && frozen(&lg));
+        // And in place again.
+        lg.set_full_state(0, state(9, 2).view());
+        assert_eq!(lg.full_state_lens().1, loaded);
     }
 
     /// Equality reads lists through their spans: a graph that replaced a

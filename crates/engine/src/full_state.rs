@@ -13,8 +13,18 @@
 //! it is *appended at the column's tail* and the span repointed (the old run
 //! goes dead). Recovery rewrites a small part of a partition once per
 //! failure, so dead runs stay a small part of a column, and a graph decoded
-//! from a snapshot — an aborted attempt's restore, a checkpoint reload — is
-//! rebuilt without any.
+//! from a snapshot — a checkpoint reload — is rebuilt without any.
+//!
+//! Inside a recovery *episode* (see [`crate::episode`]) the entries a column
+//! held when the episode began are frozen: every writer below takes that
+//! length as its `floor`, leaves a run starting under it untouched, and
+//! writes the new list at the tail instead. Undoing the episode is then a
+//! truncation plus the slots' saved spans; outside an episode the floor is 0
+//! and lists are overwritten in place as before.
+//!
+//! A store also travels: Migration ships the full state of many copies to
+//! one node as one store filled by [`FullState::push`], and the receiver
+//! takes it in whole ([`FullState::extend_from`]) or record by record.
 
 use std::num::NonZeroU32;
 use std::ops::Range;
@@ -106,6 +116,16 @@ impl FullStateRef<'_> {
         }
     }
 
+    /// How many entries this full state adds to each column of a store.
+    pub fn lens(&self) -> ColumnLens {
+        ColumnLens {
+            in_edges: self.in_edges_owner.len(),
+            in_srcs: self.in_edge_srcs.len(),
+            out_local: self.out_local_owner.len(),
+            out_remote: self.out_remote.len(),
+        }
+    }
+
     /// Owner-local positions this vertex's replica on `node` feeds
     /// (used to rebuild a replica's `out_local` during recovery).
     pub fn replica_out_local_on(&self, node: NodeId) -> Vec<u32> {
@@ -170,6 +190,11 @@ impl Span {
     pub(crate) fn len(self) -> usize {
         self.len as usize
     }
+
+    /// This run in a column that `base` more entries now precede.
+    fn rebased(self, base: usize) -> Span {
+        Span::new(self.start as usize + base, self.len())
+    }
 }
 
 /// One column: the lists of every slot back to back, each found through its
@@ -177,7 +202,7 @@ impl Span {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Column<T>(pub(crate) Vec<T>);
 
-impl<T: Copy> Column<T> {
+impl<T: Copy + PartialEq> Column<T> {
     fn get(&self, span: Span) -> &[T] {
         &self.0[span.range()]
     }
@@ -190,12 +215,13 @@ impl<T: Copy> Column<T> {
     }
 
     /// Makes `items` the list behind `span`: over the old run when they fit
-    /// in it, at the tail otherwise.
-    fn replace(&mut self, span: &mut Span, items: &[T]) {
-        if items.len() <= span.len() {
+    /// in it and it starts at or past `floor`, at the tail otherwise. A run
+    /// that already reads `items` is left alone.
+    fn replace(&mut self, span: &mut Span, items: &[T], floor: usize) {
+        if items.len() <= span.len() && span.range().start >= floor {
             span.len = items.len() as u32;
             self.0[span.range()].copy_from_slice(items);
-        } else {
+        } else if self.get(*span) != items {
             *span = self.append(items.iter().copied());
         }
     }
@@ -216,19 +242,58 @@ impl<T: Copy> Column<T> {
         *span = Span::new(span.range().start, span.len() + items.len());
     }
 
-    /// Keeps the items `keep` accepts (it may rewrite them), in order, at
-    /// the front of the run; the span narrows to them.
-    fn retain_mut(&mut self, span: &mut Span, mut keep: impl FnMut(&mut T) -> bool) {
-        let run = &mut self.0[span.range()];
-        let mut kept = 0;
-        for i in 0..run.len() {
-            let mut item = run[i];
-            if keep(&mut item) {
-                run[kept] = item;
-                kept += 1;
+    /// Keeps the items `keep` accepts (it may rewrite them), in order, and
+    /// says whether the list changed. Nothing is written up to the first
+    /// dropped or rewritten item; a run starting under `floor` is then copied
+    /// to the tail, and the kept items move to the front of the run. `keep`
+    /// sees every item once, in order.
+    fn retain_mut(
+        &mut self,
+        span: &mut Span,
+        floor: usize,
+        mut keep: impl FnMut(&mut T) -> bool,
+    ) -> bool {
+        let mut judge = |item: T| {
+            let mut judged = item;
+            keep(&mut judged).then_some(judged)
+        };
+        let run = span.range();
+        let mut at = run.start;
+        let first = loop {
+            if at == run.end {
+                return false;
             }
+            let judged = judge(self.0[at]);
+            if judged != Some(self.0[at]) {
+                break judged;
+            }
+            at += 1;
+        };
+        let frozen = run.start < floor;
+        if frozen {
+            let moved = self.0.len();
+            self.0.extend_from_within(run.clone());
+            *span = Span::new(moved, run.len());
+            at += moved - run.start;
         }
-        span.len = kept as u32;
+        let run = span.range();
+        let mut to = at;
+        let mut put = |column: &mut Vec<T>, judged: Option<T>| {
+            if let Some(judged) = judged {
+                column[to] = judged;
+                to += 1;
+            }
+        };
+        put(&mut self.0, first);
+        for from in at + 1..run.end {
+            let judged = judge(self.0[from]);
+            put(&mut self.0, judged);
+        }
+        span.len = (to - run.start) as u32;
+        if frozen {
+            self.0.truncate(to);
+        }
+        true
     }
 
     fn capacity_bytes(&self) -> usize {
@@ -246,6 +311,28 @@ pub(crate) struct Slot {
     pub(crate) out_remote: Span,
 }
 
+/// Columns of a [`FullState`], and spans of a [`Slot`].
+pub(crate) const COLUMNS: usize = 4;
+
+impl Slot {
+    /// The slot's span in every column, in the columns' order.
+    pub(crate) fn spans(&self) -> [Span; COLUMNS] {
+        [self.in_edges, self.in_srcs, self.out_local, self.out_remote]
+    }
+
+    /// The slot's span in the `column`-th column, in the order of
+    /// [`Slot::spans`].
+    pub(crate) fn span_mut(&mut self, column: usize) -> &mut Span {
+        match column {
+            0 => &mut self.in_edges,
+            1 => &mut self.in_srcs,
+            2 => &mut self.out_local,
+            3 => &mut self.out_remote,
+            _ => panic!("a slot has {COLUMNS} spans, not a {column}th"),
+        }
+    }
+}
+
 /// How many entries each column of a [`FullState`] holds, or is to hold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColumnLens {
@@ -259,9 +346,26 @@ pub struct ColumnLens {
     pub out_remote: usize,
 }
 
-/// A node's full-state store: see the module documentation.
+impl ColumnLens {
+    /// Entries in the four columns together.
+    pub fn total(&self) -> usize {
+        self.in_edges + self.in_srcs + self.out_local + self.out_remote
+    }
+}
+
+impl std::ops::AddAssign for ColumnLens {
+    fn add_assign(&mut self, more: ColumnLens) {
+        self.in_edges += more.in_edges;
+        self.in_srcs += more.in_srcs;
+        self.out_local += more.out_local;
+        self.out_remote += more.out_remote;
+    }
+}
+
+/// A full-state store: see the module documentation. A local graph keeps
+/// one; a Migration mirror batch carries one, a slot per record.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FullState {
+pub struct FullState {
     pub(crate) slots: Vec<Slot>,
     pub(crate) in_edges: Column<(u32, f32)>,
     pub(crate) in_srcs: Column<Vid>,
@@ -269,15 +373,42 @@ pub(crate) struct FullState {
     pub(crate) out_remote: Column<RemoteEdge>,
 }
 
+/// Stores are equal when they hold equal full states slot for slot, wherever
+/// in the columns each keeps them.
+impl PartialEq for FullState {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && (0..self.len()).all(|i| self.nth(i) == other.nth(i))
+    }
+}
+
 impl FullState {
+    /// Slots in the store.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the store holds no slot.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
     /// Entries in each column, dead runs included.
-    pub(crate) fn column_lens(&self) -> ColumnLens {
+    pub fn column_lens(&self) -> ColumnLens {
         ColumnLens {
             in_edges: self.in_edges.0.len(),
             in_srcs: self.in_srcs.0.len(),
             out_local: self.out_local.0.len(),
             out_remote: self.out_remote.0.len(),
         }
+    }
+
+    /// The full state in the `i`-th slot, exactly as stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store holds no such slot.
+    pub fn nth(&self, i: usize) -> FullStateRef<'_> {
+        self.get(SlotId::from_index(i))
     }
 
     /// The full state in `slot`, exactly as stored.
@@ -301,7 +432,7 @@ impl FullState {
     }
 
     /// Stores `state` in a new slot, its lists at the column tails.
-    pub(crate) fn push(&mut self, state: FullStateRef<'_>) -> SlotId {
+    pub fn push(&mut self, state: FullStateRef<'_>) -> SlotId {
         let slot = SlotId::from_index(self.slots.len());
         self.slots.push(Slot {
             loc: state.locations.clone(),
@@ -313,15 +444,38 @@ impl FullState {
         slot
     }
 
-    /// Replaces what `slot` holds by `state`.
-    pub(crate) fn set(&mut self, slot: SlotId, state: FullStateRef<'_>) {
+    /// Appends every slot of `other`, in order, and returns the index the
+    /// first of them got: each column grows by `other`'s whole column — one
+    /// copy apiece, dead runs and all — and the slots' spans move with it.
+    pub fn extend_from(&mut self, other: &FullState) -> usize {
+        let (first, base) = (self.slots.len(), self.column_lens());
+        self.in_edges.0.extend_from_slice(&other.in_edges.0);
+        self.in_srcs.0.extend_from_slice(&other.in_srcs.0);
+        self.out_local.0.extend_from_slice(&other.out_local.0);
+        self.out_remote.0.extend_from_slice(&other.out_remote.0);
+        self.slots.extend(other.slots.iter().map(|s| Slot {
+            loc: s.loc.clone(),
+            in_edges: s.in_edges.rebased(base.in_edges),
+            in_srcs: s.in_srcs.rebased(base.in_srcs),
+            out_local: s.out_local.rebased(base.out_local),
+            out_remote: s.out_remote.rebased(base.out_remote),
+        }));
+        first
+    }
+
+    /// Replaces what `slot` holds by `state`; runs starting under `floor`
+    /// are not overwritten.
+    pub(crate) fn set(&mut self, slot: SlotId, state: FullStateRef<'_>, floor: &ColumnLens) {
         let s = &mut self.slots[slot.index()];
         s.loc.clone_from(state.locations);
-        self.in_edges.replace(&mut s.in_edges, state.in_edges_owner);
-        self.in_srcs.replace(&mut s.in_srcs, state.in_edge_srcs);
+        self.in_edges
+            .replace(&mut s.in_edges, state.in_edges_owner, floor.in_edges);
+        self.in_srcs
+            .replace(&mut s.in_srcs, state.in_edge_srcs, floor.in_srcs);
         self.out_local
-            .replace(&mut s.out_local, state.out_local_owner);
-        self.out_remote.replace(&mut s.out_remote, state.out_remote);
+            .replace(&mut s.out_local, state.out_local_owner, floor.out_local);
+        self.out_remote
+            .replace(&mut s.out_remote, state.out_remote, floor.out_remote);
     }
 
     /// Empties `slot`'s `(position, weight)` and consumer lists: what a
@@ -334,14 +488,16 @@ impl FullState {
     }
 
     /// Keeps the remote out-edges of `slot` that `keep` accepts (it may
-    /// rewrite them), in order.
+    /// rewrite them), in order — at the tail if the run starts under
+    /// `floor` — and says whether the list changed.
     pub(crate) fn retain_out_remote(
         &mut self,
         slot: SlotId,
+        floor: usize,
         keep: impl FnMut(&mut RemoteEdge) -> bool,
-    ) {
+    ) -> bool {
         let s = &mut self.slots[slot.index()];
-        self.out_remote.retain_mut(&mut s.out_remote, keep);
+        self.out_remote.retain_mut(&mut s.out_remote, floor, keep)
     }
 
     /// Appends `edges` to the remote out-edges of `slot`.
@@ -353,7 +509,7 @@ impl FullState {
     /// # Errors
     ///
     /// Names the first slot with a span reaching past its column.
-    pub(crate) fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), String> {
         let inside = |s: &Slot| {
             s.in_edges.range().end <= self.in_edges.0.len()
                 && s.in_srcs.range().end <= self.in_srcs.0.len()
@@ -367,12 +523,22 @@ impl FullState {
     }
 
     /// Makes room for `slots` more slots and `lens` more column entries.
-    pub(crate) fn reserve_exact(&mut self, slots: usize, lens: ColumnLens) {
+    pub fn reserve_exact(&mut self, slots: usize, lens: ColumnLens) {
         self.slots.reserve_exact(slots);
         self.in_edges.0.reserve_exact(lens.in_edges);
         self.in_srcs.0.reserve_exact(lens.in_srcs);
         self.out_local.0.reserve_exact(lens.out_local);
         self.out_remote.0.reserve_exact(lens.out_remote);
+    }
+
+    /// Cuts the store back to its first `slots` slots and `lens` column
+    /// entries (undoing an episode's appends).
+    pub(crate) fn truncate(&mut self, slots: usize, lens: ColumnLens) {
+        self.slots.truncate(slots);
+        self.in_edges.0.truncate(lens.in_edges);
+        self.in_srcs.0.truncate(lens.in_srcs);
+        self.out_local.0.truncate(lens.out_local);
+        self.out_remote.0.truncate(lens.out_remote);
     }
 }
 

@@ -14,6 +14,10 @@
 //!   full-state *mirror*, where extra FT replicas go, which vertices are
 //!   *selfish*); computed by the `imitator` crate's policy algorithms (§4)
 //!   and consumed by the builders here;
+//! * [`Episode`] — the journal a local graph keeps while a recovery attempt
+//!   that may still abort rewrites it, so that undoing the attempt costs
+//!   what it changed; [`FullState`] — the columnar store edge-cut full state
+//!   is kept in, and travels in between nodes;
 //! * pure, single-node compute steps ([`ec_compute`], [`ec_commit`],
 //!   [`vc_partial_gather`], …) that the distributed runner in the
 //!   `imitator` crate drives via the simulated cluster.
@@ -26,6 +30,7 @@
 
 mod compute;
 mod ecut;
+mod episode;
 mod ftplan;
 mod full_state;
 mod inline_list;
@@ -41,8 +46,9 @@ pub use compute::{
     MasterUpdate,
 };
 pub use ecut::{build_edge_cut_graphs, CopyKind, EcLocalGraph, EcVertex};
+pub use episode::{Episode, PosSet};
 pub use ftplan::FtPlan;
-pub use full_state::{ColumnLens, FullStateRef, MasterMeta, RemoteEdge, SlotId};
+pub use full_state::{ColumnLens, FullState, FullStateRef, MasterMeta, RemoteEdge, SlotId};
 pub use inline_list::{InlineList, INLINE_ITEMS};
 pub use locations::Locations;
 pub use par::{

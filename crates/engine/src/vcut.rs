@@ -6,6 +6,7 @@ use imitator_metrics::MemSize;
 use imitator_partition::VertexCut;
 
 use crate::ecut::CopyKind;
+use crate::episode::VcJournal;
 use crate::ftplan::FtPlan;
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
 use crate::locations::Locations;
@@ -67,7 +68,12 @@ impl MemSize for VcEdge {
 
 /// One node's local partition under vertex-cut: the edges it owns plus a
 /// copy of every adjacent vertex.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The fields are public; a recovery attempt that may have to be undone
+/// changes existing copies through `set_kind`, `set_master_node`,
+/// `locations_mut` and `set_locations`, which journal while an episode is
+/// open ([`crate::Episode`]), and otherwise only appends.
+#[derive(Debug, Clone)]
 pub struct VcLocalGraph<V> {
     /// The hosting node.
     pub node: NodeId,
@@ -75,18 +81,39 @@ pub struct VcLocalGraph<V> {
     pub verts: Vec<VcVertex<V>>,
     /// Global-ID → position index.
     pub index: PosIndex,
-    /// Locally owned edges.
+    /// Locally owned edges. Recovery only ever appends to them.
     pub edges: Vec<VcEdge>,
+    /// What the open recovery episode has changed, if one is open (see
+    /// [`crate::episode`]).
+    pub(crate) journal: Option<Box<VcJournal>>,
+}
+
+/// Graphs are equal when their copies, index and edges are; an open
+/// episode's journal does not count.
+impl<V: PartialEq> PartialEq for VcLocalGraph<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.node == other.node
+            && self.verts == other.verts
+            && self.index == other.index
+            && self.edges == other.edges
+    }
 }
 
 impl<V> VcLocalGraph<V> {
     /// Creates an empty local graph for `node`.
     pub fn empty(node: NodeId) -> Self {
+        VcLocalGraph::new(node, Vec::new(), PosIndex::new(), Vec::new())
+    }
+
+    /// A local graph for `node` holding `verts` (found through `index`) and
+    /// `edges`.
+    pub fn new(node: NodeId, verts: Vec<VcVertex<V>>, index: PosIndex, edges: Vec<VcEdge>) -> Self {
         VcLocalGraph {
             node,
-            verts: Vec::new(),
-            index: PosIndex::new(),
-            edges: Vec::new(),
+            verts,
+            index,
+            edges,
+            journal: None,
         }
     }
 
@@ -113,6 +140,42 @@ impl<V> VcLocalGraph<V> {
     /// Number of local replica copies (incl. mirrors).
     pub fn num_replicas(&self) -> usize {
         self.verts.len() - self.num_masters()
+    }
+
+    /// Changes the role of the copy at `pos`.
+    pub fn set_kind(&mut self, pos: u32, kind: CopyKind) {
+        if self.verts[pos as usize].kind != kind {
+            self.touch_copy(pos);
+            self.verts[pos as usize].kind = kind;
+        }
+    }
+
+    /// Records which node masters the vertex of the copy at `pos`.
+    pub fn set_master_node(&mut self, pos: u32, node: NodeId) {
+        if self.verts[pos as usize].master_node != node {
+            self.touch_copy(pos);
+            self.verts[pos as usize].master_node = node;
+        }
+    }
+
+    /// The replica-location tables of the copy at `pos`, for rewriting.
+    pub fn locations_mut(&mut self, pos: u32) -> Option<&mut Locations> {
+        if self.verts[pos as usize].meta.is_some() {
+            self.touch_copy(pos);
+        }
+        self.verts[pos as usize].meta.as_deref_mut()
+    }
+
+    /// Makes `locations` the full state of the copy at `pos`.
+    pub fn set_locations(&mut self, pos: u32, locations: &Locations) {
+        if self.verts[pos as usize].meta.as_deref() == Some(locations) {
+            return;
+        }
+        self.touch_copy(pos);
+        match &mut self.verts[pos as usize].meta {
+            Some(meta) => (**meta).clone_from(locations),
+            none => *none = Some(Box::new(locations.clone())),
+        }
     }
 
     /// Inserts `vertex` at `pos`, growing the array with placeholder holes
@@ -250,12 +313,7 @@ pub fn build_vertex_cut_graphs<P: VertexProgram>(
                 vert.meta = Some(Box::new(locations));
             }
         }
-        VcLocalGraph {
-            node,
-            verts,
-            index: PosIndex::new(),
-            edges,
-        }
+        VcLocalGraph::new(node, verts, PosIndex::new(), edges)
     };
 
     let mut graphs = per_node(vec![(); parts], |p, ()| node_graph(p));

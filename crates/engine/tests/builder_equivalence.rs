@@ -268,12 +268,7 @@ fn reference_vertex_cut_graphs<P: VertexProgram>(
                     }
                 })
                 .collect();
-            VcLocalGraph {
-                node,
-                verts,
-                index: pos_maps[p].clone(),
-                edges: Vec::new(),
-            }
+            VcLocalGraph::new(node, verts, pos_maps[p].clone(), Vec::new())
         })
         .collect();
 

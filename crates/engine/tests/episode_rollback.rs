@@ -1,0 +1,265 @@
+//! A recovery episode on loader-built graphs, driven through every mutator
+//! Migration uses, then rolled back: the graph must come back equal and every
+//! store — copies, index, slot table, full-state columns, vertex-cut edges —
+//! at exactly the length it had, for both engines at K = 1 and 2. (What the
+//! real protocol does inside an episode is checked in the `imitator` crate,
+//! whose debug builds hold every rollback against an encoded snapshot.)
+
+use imitator_cluster::NodeId;
+use imitator_engine::{
+    build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
+    Episode, FtPlan, FullState, RemoteEdge, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
+};
+use imitator_graph::{gen, Graph, Vid};
+use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
+
+struct Count;
+
+impl VertexProgram for Count {
+    type Value = u64;
+    type Accum = u64;
+    fn init(&self, v: Vid, _d: &Degrees) -> u64 {
+        u64::from(v.raw())
+    }
+    fn gather(&self, _w: f32, src: &u64) -> u64 {
+        *src
+    }
+    fn combine(&self, a: u64, b: u64) -> u64 {
+        a + b
+    }
+    fn apply(&self, _v: Vid, old: &u64, acc: Option<u64>, _d: &Degrees) -> u64 {
+        acc.unwrap_or(*old)
+    }
+    fn scatter(&self, _v: Vid, old: &u64, new: &u64) -> bool {
+        old != new
+    }
+}
+
+const NODES: usize = 4;
+/// The crashed node.
+fn dead() -> NodeId {
+    NodeId::new(1)
+}
+
+fn graph() -> Graph {
+    gen::power_law(600, 2.0, 6, 23)
+}
+
+/// Every vertex mirrored on its first `k` replica nodes.
+fn plan(g: &Graph, k: usize, replica_parts: impl Fn(Vid) -> Vec<u32>) -> FtPlan {
+    let mut plan = FtPlan::none(g.num_vertices());
+    for v in g.vertices() {
+        let hosts = replica_parts(v).into_iter().take(k);
+        plan.mirror[v.index()] = hosts.map(NodeId::new).collect();
+    }
+    plan
+}
+
+/// The lengths of every store of an edge-cut graph.
+fn ec_lens(lg: &EcLocalGraph<u64>) -> impl PartialEq + std::fmt::Debug {
+    (lg.len(), lg.index.len(), lg.full_state_lens())
+}
+
+/// What a survivor of that crash does to its graph in a Migration, in
+/// the protocol's order and through the same calls, on whatever the graph
+/// offers: promotes the dead node's mirrors, purges it from the masters' tables and
+/// re-points their remote consumers, places new copies, wires in-edges and
+/// consumers, upgrades replicas with a batch of full state taken whole and
+/// refreshes mirrors with one taken record by record. Returns how many
+/// things it changed.
+fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usize) -> usize {
+    let me = lg.node;
+    let loaded = lg.len() as u32;
+    let mut changed = 0;
+    for pos in 0..loaded {
+        let v = &lg.verts[pos as usize];
+        let (kind, master_node) = (v.kind, v.master_node);
+        match kind {
+            CopyKind::Mirror if master_node == dead() => {
+                lg.set_kind(pos, CopyKind::Master);
+                lg.set_master_node(pos, me);
+                let tables = lg.locations_mut(pos).expect("mirrors carry full state");
+                tables.set_master_pos(pos);
+                tables.purge_node(me);
+                tables.purge_node(dead());
+                lg.set_active(pos, false);
+                let (in_edges, consumers) = lg.take_owner_lists(pos);
+                lg.extend_out_remote(
+                    pos,
+                    &consumers
+                        .iter()
+                        .map(|&c| RemoteEdge {
+                            target: Vid::new(c),
+                            node: NodeId::new(2),
+                            pos: c,
+                        })
+                        .collect::<Vec<_>>(),
+                );
+                lg.set_in_edges(pos, in_edges.iter().map(|&(_, w)| (pos, w)).collect());
+                lg.set_active(pos, true);
+                changed += 1;
+            }
+            CopyKind::Master => {
+                lg.locations_mut(pos).unwrap().purge_node(dead());
+                changed += usize::from(lg.retain_out_remote(pos, |r| {
+                    let moved = r.node == dead();
+                    if moved {
+                        (r.node, r.pos) = (NodeId::new(3), r.pos + 1);
+                    }
+                    !(moved && r.pos % 2 == 0)
+                }));
+                lg.extend_out_local(pos, [pos]);
+                lg.locations_mut(pos).unwrap().add_mirror(NodeId::new(3));
+            }
+            CopyKind::Replica if master_node == dead() => lg.set_master_node(pos, NodeId::new(2)),
+            _ => {}
+        }
+    }
+    // Grants and fresh mirrors: vertices this node holds no copy of.
+    let absent = (0..n as u32).map(Vid::new);
+    let absent: Vec<Vid> = absent
+        .filter(|&v| lg.position(v).is_none())
+        .take(9)
+        .collect();
+    let placed: Vec<u32> = absent
+        .into_iter()
+        .map(|vid| {
+            lg.push_copy(EcVertex {
+                vid,
+                kind: CopyKind::Replica,
+                master_node: NodeId::new(2),
+                value: 7,
+                active: false,
+                next_active: false,
+                last_activate: true,
+                in_edges: Vec::new(),
+                out_local: Vec::new(),
+                meta: None,
+            })
+        })
+        .collect();
+    changed += placed.len();
+    // Upgrades (a loaded replica, the placed copies): a batch taken whole.
+    let replica = (0..loaded).find(|&p| lg.verts[p as usize].kind == CopyKind::Replica);
+    let upgraded: Vec<u32> = replica.into_iter().chain(placed).collect();
+    let mut batch = FullState::default();
+    for pos in donor.master_positions().take(upgraded.len()) {
+        batch.push(donor.full_state(pos).unwrap());
+    }
+    assert_eq!(
+        batch.len(),
+        upgraded.len(),
+        "the donor has masters to spare"
+    );
+    for &pos in &upgraded {
+        lg.set_kind(pos, CopyKind::Mirror);
+    }
+    lg.adopt_full_states(&[(&upgraded, &batch)]);
+    // Refreshes of loaded mirrors: record by record, some lists as stored.
+    let mirrors: Vec<u32> = (0..loaded)
+        .filter(|&p| lg.verts[p as usize].kind == CopyKind::Mirror)
+        .take(upgraded.len())
+        .collect();
+    let mut refresh = FullState::default();
+    for (i, &pos) in mirrors.iter().enumerate() {
+        let own = lg.full_state(pos).unwrap().to_meta();
+        let other = batch.nth(i).to_meta();
+        refresh.push(if i % 2 == 0 { own.view() } else { other.view() });
+    }
+    lg.adopt_full_states(&[(&mirrors, &refresh)]);
+    changed + mirrors.len()
+}
+
+#[test]
+fn rollback_leaves_no_trace_in_any_store() {
+    let g = graph();
+    let degrees = Degrees::of(&g);
+    for k in 1..=2 {
+        let cut = HashEdgeCut.partition(&g, NODES);
+        let ft = plan(&g, k, |v| cut.replica_parts(v).to_vec());
+        let lgs = build_edge_cut_graphs(&g, &cut, &ft, &Count, &degrees);
+        let donor = &lgs[dead().index()];
+        for before in lgs.iter().filter(|lg| lg.node != dead()) {
+            let mut lg = before.clone();
+            lg.begin_episode();
+            assert!(
+                migrate_by_hand(&mut lg, donor, g.num_vertices()) > 50,
+                "k={k}"
+            );
+            assert!(lg != *before && ec_lens(&lg) != ec_lens(before), "k={k}");
+            let journal = lg.journal_bytes();
+            assert!(journal > 0, "k={k}");
+            lg.rollback();
+            assert!(lg == *before, "k={k}: graph of {} differs", lg.node);
+            assert_eq!(
+                ec_lens(&lg),
+                ec_lens(before),
+                "k={k}: stores of {}",
+                lg.node
+            );
+            lg.debug_validate();
+            // The next attempt starts where this one did, and may keep its work.
+            lg.begin_episode();
+            migrate_by_hand(&mut lg, donor, g.num_vertices());
+            assert_eq!(lg.journal_bytes(), journal, "k={k}: equal episodes");
+            let kept = lg.clone();
+            lg.commit();
+            assert_eq!(lg.journal_bytes(), 0);
+            lg.rollback();
+            assert!(lg == kept, "k={k}: nothing to roll back after a commit");
+        }
+
+        let cut = RandomVertexCut.partition(&g, NODES);
+        let ft = plan(&g, k, |v| cut.replica_parts(v).to_vec());
+        let lgs = build_vertex_cut_graphs(&g, &cut, &ft, &Count, &degrees);
+        for before in lgs.iter().filter(|lg| lg.node != dead()) {
+            let mut lg: VcLocalGraph<u64> = before.clone();
+            let me = lg.node;
+            lg.begin_episode();
+            for pos in 0..before.len() as u32 {
+                let v = &lg.verts[pos as usize];
+                match (v.kind, v.master_node == dead()) {
+                    (CopyKind::Mirror, true) => {
+                        lg.set_kind(pos, CopyKind::Master);
+                        lg.set_master_node(pos, me);
+                        let tables = lg.locations_mut(pos).unwrap();
+                        tables.set_master_pos(pos);
+                        tables.purge_node(me);
+                    }
+                    (CopyKind::Master, _) => lg.locations_mut(pos).unwrap().purge_node(dead()),
+                    (CopyKind::Replica, true) => {
+                        lg.set_master_node(pos, NodeId::new(2));
+                        lg.set_kind(pos, CopyKind::Mirror);
+                        let tables = before.verts.iter().find_map(|v| v.meta.as_deref());
+                        lg.set_locations(pos, tables.expect("some copy has tables"));
+                    }
+                    _ => {}
+                }
+            }
+            let absent = (0..g.num_vertices() as u32).map(Vid::new);
+            for vid in absent.filter(|&v| before.position(v).is_none()).take(5) {
+                let pos = lg.insert_or_position(VcVertex {
+                    vid,
+                    kind: CopyKind::Replica,
+                    master_node: NodeId::new(3),
+                    value: 1,
+                    meta: None,
+                });
+                lg.edges.push(VcEdge {
+                    src: pos,
+                    dst: 0,
+                    weight: 1.0,
+                });
+            }
+            assert!(lg != *before && lg.journal_bytes() > 0, "k={k}");
+            lg.rollback();
+            assert!(lg == *before, "k={k}: graph of {me} differs");
+            assert_eq!(
+                (lg.len(), lg.index.len(), lg.edges.len()),
+                (before.len(), before.index.len(), before.edges.len()),
+                "k={k}: stores of {me}"
+            );
+            lg.debug_validate();
+        }
+    }
+}

@@ -169,6 +169,20 @@ impl PosIndex {
         }
     }
 
+    /// Forgets `vid`'s mapping, returning the position it had. The
+    /// representation stays as it is: a dense table keeps its length.
+    pub fn remove(&mut self, vid: Vid) -> Option<u32> {
+        let old = match &mut self.repr {
+            Repr::Dense(t) => t
+                .get_mut(vid.index())
+                .map(|p| std::mem::replace(p, u32::MAX))
+                .filter(|&p| p != u32::MAX),
+            Repr::Sparse(m) => m.remove(&vid),
+        };
+        self.len -= usize::from(old.is_some());
+        old
+    }
+
     /// Number of mapped vertex IDs.
     pub fn len(&self) -> usize {
         self.len
@@ -260,6 +274,25 @@ mod tests {
         assert_eq!(idx.len(), 4);
         for (vid, pos) in [(0, 0), (2, 9), (500, 7), (3_000_000, 1)] {
             assert_eq!(idx.get(Vid::new(vid)), Some(pos), "v{vid} after demotion");
+        }
+    }
+
+    #[test]
+    fn remove_forgets_one_mapping_in_either_representation() {
+        let dense = PosIndex::from_sorted_vids(&[Vid::new(1), Vid::new(3), Vid::new(4)]);
+        let mut sparse = PosIndex::new();
+        for (vid, pos) in dense.iter() {
+            sparse.insert(vid, pos);
+        }
+        for mut idx in [dense, sparse] {
+            assert_eq!(idx.remove(Vid::new(3)), Some(1));
+            assert_eq!(idx.remove(Vid::new(3)), None, "already gone");
+            assert_eq!(idx.remove(Vid::new(900)), None, "never there");
+            assert_eq!(idx.len(), 2);
+            assert_eq!(idx.get(Vid::new(3)), None);
+            assert_eq!(idx.get(Vid::new(4)), Some(2));
+            idx.insert(Vid::new(3), 7);
+            assert_eq!((idx.len(), idx.get(Vid::new(3))), (3, Some(7)));
         }
     }
 

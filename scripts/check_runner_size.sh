@@ -39,7 +39,13 @@ cd "$(dirname "$0")/.."
 #          master's `in_edges`/`out_local` are its owner-local lists, so
 #          the eight sites in runner_ec.rs that kept a second copy equal
 #          are gone (DESIGN.md §4.9).
-BUDGET=1639
+#   1601 — Migration's undo is a journal kept by the graphs themselves
+#          (engine `Episode`) and full state ships as one column batch per
+#          destination: the hooks' direct `lg.verts[..]` surgery moved into
+#          journaling graph mutators, `place_fresh_mirror` folded into
+#          `place_granted`, and the per-record meta import/export became
+#          batch calls the engine implements (DESIGN.md §4.3, §4.5).
+BUDGET=1601
 EC=crates/core/src/runner_ec.rs
 VC=crates/core/src/runner_vc.rs
 
