@@ -20,7 +20,7 @@
 use std::time::{Duration, Instant};
 
 use imitator::plan::{compute_ft_plan, ReplicaView};
-use imitator::{DetectorKind, FtMode, RecoveryStrategy, RunConfig};
+use imitator::{edge_ckpt_files, DetectorKind, FtMode, RecoveryStrategy, RunConfig};
 use imitator_algos::PageRank;
 use imitator_bench::{banner, best_of, crash, ramfs, reps, run_ec, run_vc, BenchOpts, Workload};
 use imitator_cluster::{Cluster, NodeId, TransportKind, TICKS_PER_MS};
@@ -44,19 +44,25 @@ fn time_best<F: FnMut()>(n: usize, mut f: F) -> f64 {
     best
 }
 
-/// The load path, one row per piece: building every node's local graph
-/// (both engines, with and without an FT plan), freeing the edge-cut graphs
-/// on the caller's thread as `run_edge_cut` does when a job ends, and
-/// computing the FT plan. All on the graph `benchmark/`'s PageRank
-/// workloads load — five times this suite's kernel graph, on four nodes.
-const LOAD_ROWS: [&str; 7] = [
+/// The load path, one row per piece: partitioning under either cut,
+/// computing the FT plan, building every node's local graph (both engines,
+/// with and without the plan), encoding the four vertex-cut nodes' edge-ckpt
+/// files one node after another (what replication adds to a vertex-cut
+/// job's first superstep), and freeing the edge-cut graphs on the caller's
+/// thread as `run_edge_cut` does when a job ends. All on the graph
+/// `benchmark/`'s PageRank workloads load — five times this suite's kernel
+/// graph, on four nodes.
+const LOAD_ROWS: [&str; 10] = [
+    "cut_ec",
+    "cut_vc",
+    "ft_plan",
     "build_ec_graphs_base",
     "build_ec_graphs_ft",
     "build_vc_graphs_base",
     "build_vc_graphs_ft",
+    "eckpt_group_vc",
     "teardown_ec_base",
     "teardown_ec_ft",
-    "ft_plan",
 ];
 
 /// Samples per load row; the row records their median.
@@ -85,18 +91,28 @@ fn load_row_sample(row: &str, opts: &BenchOpts) -> f64 {
     let ft_plan =
         |view: &dyn ReplicaView| compute_ft_plan(&g, view, 1, true, pr.selfish_compatible(), 0xF7);
     let plan = |view: &dyn ReplicaView| {
-        if row.ends_with("_ft") {
+        if row.ends_with("_ft") || row == "eckpt_group_vc" {
             ft_plan(view)
         } else {
             FtPlan::none(g.num_vertices())
         }
     };
-    if row.starts_with("build_vc_graphs_") {
-        let cut = RandomVertexCut.partition(&g, 4);
+    if row.ends_with("_vc") || row.starts_with("build_vc_graphs_") {
+        let (cut, cut_s) = timed(|| RandomVertexCut.partition(&g, 4));
+        if row == "cut_vc" {
+            return cut_s;
+        }
         let plan = plan(&cut);
-        return timed(|| build_vertex_cut_graphs(&g, &cut, &plan, &pr, &degrees)).1;
+        let (lgs, build_s) = timed(|| build_vertex_cut_graphs(&g, &cut, &plan, &pr, &degrees));
+        return match row {
+            "eckpt_group_vc" => timed(|| lgs.iter().map(edge_ckpt_files).collect::<Vec<_>>()).1,
+            _ => build_s,
+        };
     }
-    let cut = HashEdgeCut.partition(&g, 4);
+    let (cut, cut_s) = timed(|| HashEdgeCut.partition(&g, 4));
+    if row == "cut_ec" {
+        return cut_s;
+    }
     if row == "ft_plan" {
         return timed(|| ft_plan(&cut)).1;
     }

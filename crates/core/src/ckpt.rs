@@ -240,13 +240,10 @@ const HINT_VARINT: usize = 3;
 fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
     let fixed = 4 * HINT_VARINT + 2 + std::mem::size_of::<V>();
     let edge = HINT_VARINT + 4;
-    let copies: usize = lg
-        .verts
-        .iter()
-        .map(|v| fixed + edge * v.in_edges.len() + HINT_VARINT * v.out_local.len())
-        .sum();
-    // Full state from the store's column lengths: a few location entries
-    // and list headers per slot, then the entries.
+    // Edge lists and full state from the columns' lengths: a few location
+    // entries and list headers per slot, then the entries.
+    let (in_edges, out_local) = lg.edge_list_lens();
+    let copies = fixed * lg.len() + edge * in_edges + HINT_VARINT * out_local;
     let (slots, lens) = lg.full_state_lens();
     copies
         + (8 * HINT_VARINT + 3) * slots
@@ -262,7 +259,7 @@ fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
 ///
 /// Full state is written as the graph stores it: a mirror's whole (the
 /// message form, [`enc_meta`]), a master's without the two lists that are
-/// its own `in_edges` and `out_local`, already written. The format is
+/// its own in-edges and consumers, already written. The format is
 /// internal — undo buffers and the `ec/meta/<node>` files of one run.
 pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(ec_graph_size_hint(lg));
@@ -285,13 +282,14 @@ pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
         buf.push(flags);
         enc_node(v.master_node, &mut buf);
         v.value.encode(&mut buf);
-        enc_uv(v.in_edges.len() as u64, &mut buf);
-        for &(s, w) in &v.in_edges {
+        let (in_edges, out_local) = (lg.in_edges(pos as u32), lg.out_local(pos as u32));
+        enc_uv(in_edges.len() as u64, &mut buf);
+        for &(s, w) in in_edges {
             enc_u32(s, &mut buf);
             w.encode(&mut buf);
         }
-        enc_uv(v.out_local.len() as u64, &mut buf);
-        for &t in &v.out_local {
+        enc_uv(out_local.len() as u64, &mut buf);
+        for &t in out_local {
             enc_u32(t, &mut buf);
         }
         match lg.full_state(pos as u32) {
@@ -331,9 +329,15 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
     }
     lg.verts.reserve_exact(n);
     lg.reserve_full_state(slots, lens);
+    // The masters' in-edges are the in-edge sources no mirror accounts for,
+    // and every in-edge has its consumer entry: exact for a graph as loaded,
+    // a first guess for one recovery has rewired.
+    let hot = lens.in_srcs.saturating_sub(lens.in_edges);
+    lg.reserve_edge_lists(hot, hot);
     let mut pairs = Vec::with_capacity(n);
     let mut prev_vid = 0u32;
-    // One copy's full state at a time, its lists' allocations reused.
+    // One copy's lists and full state at a time, their allocations reused.
+    let (mut in_edges, mut out_local) = (Vec::new(), Vec::new());
     let mut meta = MasterMeta::default();
     for pos in 0..n as u32 {
         let vid = Vid::new(dec_delta(&mut r, &mut prev_vid)?);
@@ -344,24 +348,16 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
         let kind = kind_from_bits(flags & 0b11)?;
         let master_node = dec_node(&mut r)?;
         let value = V::decode(&mut r)?;
-        let (mut in_edges, mut out_local) = (Vec::new(), Vec::new());
         dec_list_into(&mut r, &mut in_edges, |r| {
             Ok((dec_u32(r)?, f32::decode(r)?))
         })?;
         dec_list_into(&mut r, &mut out_local, dec_u32)?;
         pairs.push((vid, pos));
-        lg.verts.push(EcVertex {
-            vid,
-            kind,
-            master_node,
-            value,
-            active: flags & 0b100 != 0,
-            next_active: false,
-            last_activate: flags & 0b1000 != 0,
-            in_edges,
-            out_local,
-            meta: None,
-        });
+        let mut copy = EcVertex::new(vid, kind, master_node, value);
+        (copy.active, copy.last_activate) = (flags & 0b100 != 0, flags & 0b1000 != 0);
+        lg.verts.push(copy);
+        lg.set_in_edges(pos, &in_edges);
+        lg.set_out_local(pos, &out_local);
         if flags & 0b1_0000 == 0 {
             continue;
         }
@@ -701,19 +697,90 @@ pub fn apply_vc_snapshot_inc<V: Decode>(
     apply_vc_snapshot(lg, bytes)
 }
 
-/// Encodes an edge-ckpt file: global `(src, dst, weight)` triples, IDs as
-/// two zigzag delta columns interleaved per record (consecutive edges in a
-/// partition share sources, so most steps are one byte).
-pub fn encode_edge_ckpt(edges: &[(Vid, Vid, f32)]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    enc_uv(edges.len() as u64, &mut buf);
-    let (mut prev_src, mut prev_dst) = (0u32, 0u32);
-    for &(s, d, w) in edges {
-        enc_delta(s.raw(), &mut prev_src, &mut buf);
-        enc_delta(d.raw(), &mut prev_dst, &mut buf);
-        w.encode(&mut buf);
+/// An edge-ckpt file, written one edge at a time: the edge count, then
+/// global `(src, dst, weight)` triples, IDs as two zigzag delta columns
+/// interleaved per record (consecutive edges in a partition share sources,
+/// so most steps are one byte). The count heads the file, so a writer is
+/// told it up front — the caller pushes exactly that many edges — and
+/// encodes straight from wherever the edges are, without a list of triples
+/// in between.
+struct EdgeCkptWriter {
+    buf: Vec<u8>,
+    prev_src: u32,
+    prev_dst: u32,
+}
+
+impl EdgeCkptWriter {
+    /// A file that will hold `edges` edges.
+    fn with_edges(edges: usize) -> Self {
+        // Two ID steps of up to three bytes (graphs up to 1M vertices; a
+        // vertex-cut's edges come in no order, so steps are long), then the
+        // weight: room that is not written is not touched.
+        let mut buf = Vec::with_capacity(HINT_VARINT + edges * (2 * HINT_VARINT + 4));
+        enc_uv(edges as u64, &mut buf);
+        EdgeCkptWriter {
+            buf,
+            prev_src: 0,
+            prev_dst: 0,
+        }
     }
-    buf
+
+    fn push(&mut self, src: Vid, dst: Vid, weight: f32) {
+        enc_delta(src.raw(), &mut self.prev_src, &mut self.buf);
+        enc_delta(dst.raw(), &mut self.prev_dst, &mut self.buf);
+        weight.encode(&mut self.buf);
+    }
+}
+
+/// The edge-ckpt files a vertex-cut node persists: its edges split by
+/// receiving node, `(receiver, file)` in node order. An edge goes to the file
+/// of the node hosting the target's master, or of the master's first mirror
+/// when the master is this very node (§4.3). The receiver is looked up once
+/// per local copy, not per edge; each receiver's edges are counted, then
+/// every file is encoded straight from the edge list, in its order: files
+/// are found by node index, and no list of triples is grown in between.
+///
+/// # Panics
+///
+/// Panics if a local master that is an edge's target carries no location
+/// tables.
+pub fn edge_ckpt_files<V>(lg: &VcLocalGraph<V>) -> Vec<(NodeId, Vec<u8>)> {
+    let me = lg.node;
+    // Per copy, who receives the edges it is the target of (`None`: a local
+    // master without tables, which no edge may point at).
+    let receivers: Vec<Option<NodeId>> = lg
+        .verts
+        .iter()
+        .map(|v| match &v.meta {
+            _ if v.master_node != me => Some(v.master_node),
+            Some(tables) => Some(tables.mirror_nodes().first().copied().unwrap_or(me)),
+            None => None,
+        })
+        .collect();
+    let receiver = |dst: u32| {
+        let r = receivers[dst as usize];
+        r.unwrap_or_else(|| panic!("local master {} has meta", lg.verts[dst as usize].vid))
+    };
+    let mut counts: Vec<usize> = Vec::new();
+    for e in &lg.edges {
+        let r = receiver(e.dst).index();
+        if r >= counts.len() {
+            counts.resize(r + 1, 0);
+        }
+        counts[r] += 1;
+    }
+    let file = |&edges: &usize| (edges > 0).then(|| EdgeCkptWriter::with_edges(edges));
+    let mut files: Vec<Option<EdgeCkptWriter>> = counts.iter().map(file).collect();
+    for e in &lg.edges {
+        let file = files[receiver(e.dst).index()].as_mut();
+        let (src, dst) = (&lg.verts[e.src as usize], &lg.verts[e.dst as usize]);
+        file.expect("counted above")
+            .push(src.vid, dst.vid, e.weight);
+    }
+    let files = files.into_iter().enumerate();
+    files
+        .filter_map(|(r, file)| Some((NodeId::from_index(r), file?.buf)))
+        .collect()
 }
 
 /// Decodes an edge-ckpt file.
@@ -915,6 +982,54 @@ pub(crate) mod tests {
         }
     }
 
+    /// FNV-1a over a byte string.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Loader-built graphs encode to the bytes they encoded to when every
+    /// copy owned its two edge lists as `Vec`s and the loader filtered them
+    /// out of two global CSRs (lengths and hashes recorded at commit
+    /// 81ee3c5): the items of every list, and their order, are what they
+    /// were, without fault tolerance and with one and two mirrors a vertex.
+    #[test]
+    fn loader_built_graphs_encode_to_the_recorded_bytes() {
+        const RECORDED: [[(usize, u64); 4]; 3] = [
+            [
+                (0x1bd30, 0xf63c_978e_34e2_00b2),
+                (0x1b66b, 0x56ea_e353_3555_00f7),
+                (0x1cfe9, 0xaad6_c355_7cd0_2d54),
+                (0x1c0fa, 0x11aa_1299_85c6_7bc7),
+            ],
+            [
+                (0x30f01, 0x35a9_8317_491c_5235),
+                (0x305e2, 0xee6f_7427_68d4_f81e),
+                (0x3155e, 0x33e9_e394_b413_918b),
+                (0x31696, 0x1853_0e4b_75c6_5f6c),
+            ],
+            [
+                (0x46d0b, 0x6596_8f18_2605_8f19),
+                (0x475a4, 0x9ae1_053f_9072_ef8c),
+                (0x471db, 0xccc9_4eea_4ac8_7dd2),
+                (0x48295, 0x8561_a015_2eef_a4cc),
+            ],
+        ];
+        let g = gen::power_law_selfish(3_000, 2.0, 8, 0.2, 11);
+        let cut = HashEdgeCut.partition(&g, 4);
+        let d = Degrees::of(&g);
+        for (k, recorded) in RECORDED.iter().enumerate() {
+            let plan = plan_for(&g, &cut, k, true);
+            let lgs = build_edge_cut_graphs(&g, &cut, &plan, &P, &d);
+            let encoded = lgs.iter().map(|lg| {
+                let bytes = encode_ec_graph(lg);
+                (bytes.len(), fnv(&bytes))
+            });
+            assert!(encoded.eq(recorded.iter().copied()), "K = {k}");
+        }
+    }
+
     /// A graph comes back from a snapshot without the dead runs Migration
     /// left in its store, in columns of exactly the prologue's totals.
     #[test]
@@ -957,11 +1072,10 @@ pub(crate) mod tests {
             let mirrors = lg.verts.iter().filter(|v| v.kind == CopyKind::Mirror);
             let mirrored: usize = mirrors
                 .map(|v| {
-                    lgs[v.master_node.index()].verts[..]
-                        .iter()
-                        .find(|m| m.vid == v.vid)
+                    let owner = &lgs[v.master_node.index()];
+                    let master = owner.position(v.vid).expect("a mirror has a master");
+                    owner.in_edges(master).len()
                 })
-                .map(|m| m.expect("a mirror has a master").in_edges.len())
                 .sum();
             assert_eq!(lg.full_state_lens().1.in_edges, mirrored, "mirrors' only");
             for pos in lg.master_positions() {
@@ -1171,14 +1285,84 @@ pub(crate) mod tests {
         }
     }
 
+    /// An edge-ckpt file as it was encoded from a list of triples, before
+    /// [`EdgeCkptWriter`] took the edges one at a time.
+    fn encode_edge_ckpt(edges: &[(Vid, Vid, f32)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        enc_uv(edges.len() as u64, &mut buf);
+        let (mut prev_src, mut prev_dst) = (0u32, 0u32);
+        for &(s, d, w) in edges {
+            enc_delta(s.raw(), &mut prev_src, &mut buf);
+            enc_delta(d.raw(), &mut prev_dst, &mut buf);
+            w.encode(&mut buf);
+        }
+        buf
+    }
+
     #[test]
     fn edge_ckpt_roundtrips() {
         let edges = vec![
             (Vid::new(0), Vid::new(1), 1.5),
             (Vid::new(7), Vid::new(3), -2.0),
         ];
-        let bytes = encode_edge_ckpt(&edges);
-        assert_eq!(decode_edge_ckpt(&bytes).unwrap(), edges);
+        let mut file = EdgeCkptWriter::with_edges(edges.len());
+        for &(s, d, w) in &edges {
+            file.push(s, d, w);
+        }
+        assert_eq!(file.buf, encode_edge_ckpt(&edges));
+        assert_eq!(decode_edge_ckpt(&file.buf).unwrap(), edges);
+    }
+
+    /// The per-receiver files a vertex-cut node writes hold, path for path
+    /// and byte for byte, what grouping its edges by receiver in a map of
+    /// triple lists and encoding each list used to produce.
+    #[test]
+    fn edge_ckpt_files_equal_the_grouped_lists() {
+        use std::collections::HashMap;
+        let g = gen::power_law_selfish(1_500, 2.0, 7, 0.2, 9);
+        let cut = RandomVertexCut.partition(&g, 5);
+        let d = Degrees::of(&g);
+        for k in 1..=2 {
+            let plan = plan_for(&g, &cut, k, true);
+            for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
+                let me = lg.node;
+                let dfs = imitator_storage::Dfs::new(imitator_storage::DfsConfig::instant());
+                // A stale file from an earlier write must not survive.
+                dfs.write(&format!("vc/eckpt/{}/99", me.raw()), vec![1]);
+                crate::runner_vc::write_edge_ckpt_files(&lg, &dfs);
+                let mut per_receiver: HashMap<NodeId, Vec<(Vid, Vid, f32)>> = HashMap::new();
+                for e in &lg.edges {
+                    let src = lg.verts[e.src as usize].vid;
+                    let dst_v = &lg.verts[e.dst as usize];
+                    let receiver = if dst_v.master_node != me {
+                        dst_v.master_node
+                    } else {
+                        let mirrors = dst_v.meta.as_ref().unwrap().mirror_nodes();
+                        mirrors.first().copied().unwrap_or(dst_v.master_node)
+                    };
+                    let edges = per_receiver.entry(receiver).or_default();
+                    edges.push((src, dst_v.vid, e.weight));
+                }
+                let mut want: Vec<(String, Vec<u8>)> = per_receiver
+                    .iter()
+                    .map(|(r, edges)| {
+                        let path = format!("vc/eckpt/{}/{}", me.raw(), r.raw());
+                        (path, encode_edge_ckpt(edges))
+                    })
+                    .collect();
+                want.sort();
+                assert!(want.len() > 1, "k={k}: {me} feeds several receivers");
+                let written: Vec<(String, Vec<u8>)> = dfs
+                    .list(&format!("vc/eckpt/{}/", me.raw()))
+                    .into_iter()
+                    .map(|path| {
+                        let bytes = dfs.read(&path).expect("listed");
+                        (path, bytes.to_vec())
+                    })
+                    .collect();
+                assert_eq!(written, want, "k={k}: files of {me}");
+            }
+        }
     }
 
     #[test]

@@ -844,12 +844,8 @@ pub(crate) fn stage_update_syncs<M: ComputeModel>(
             bufs.batch_bytes[n] += bytes;
             bufs.tot_entries[n] += 1;
             bufs.tot_bytes[n] += bytes;
-            let extra = shared
-                .plan
-                .extra_replicas
-                .get(i)
-                .is_some_and(|e| e.contains(&node));
-            if extra {
+            let plan = &shared.plan;
+            if i < plan.num_vertices() && plan.extra_replicas.row(i).contains(&node) {
                 bufs.tot_ft[n] += 1;
             }
         }

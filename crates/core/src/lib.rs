@@ -58,6 +58,7 @@ mod runner_vc;
 mod suppress;
 pub mod wire;
 
+pub use ckpt::edge_ckpt_files;
 pub use imitator_cluster::{DetectorConfig, DetectorKind, LinkFaults, NetFaults, TransportKind};
 pub use msg::{EcMsg, VcMsg, VertexSync};
 pub use report::{RecoveryReport, RunReport};

@@ -15,7 +15,7 @@
 
 use imitator_cluster::NodeId;
 use imitator_engine::{FtPlan, Locations};
-use imitator_graph::{Graph, Vid};
+use imitator_graph::{Graph, Ragged, Vid};
 use imitator_partition::{EdgeCut, VertexCut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,35 +98,45 @@ pub fn compute_ft_plan(
         "cannot tolerate {tolerance} failures with {parts} nodes"
     );
     let n = g.num_vertices();
-    let mut plan = FtPlan::none(n);
+    let mut selfish = vec![false; n];
     if selfish_enabled && program_selfish_ok {
         // Selfish = no out-edge: every vertex until an edge names it source.
-        plan.selfish.fill(true);
+        selfish.fill(true);
         for e in g.edges() {
-            plan.selfish[e.src.index()] = false;
+            selfish[e.src.index()] = false;
         }
     }
-    // Per-node load trackers for balanced placement.
+    // Per-node load trackers for balanced placement, and how many extra
+    // replicas there will be: every vertex short of `tolerance` replicas
+    // gets the difference, so both tables are allocated at their final size.
     let mut mirror_count = vec![0usize; parts];
     let mut copy_count = vec![0usize; parts];
+    let mut extras = 0;
     for i in 0..n {
         let v = Vid::from_index(i);
         copy_count[view.master_part(v)] += 1;
-        for &p in view.replica_parts(v) {
+        let replicas = view.replica_parts(v);
+        for &p in replicas {
             copy_count[p as usize] += 1;
         }
+        extras += tolerance.saturating_sub(replicas.len());
     }
+    let mut mirror = Ragged::with_capacity(n, n * tolerance);
+    let mut extra_replicas = Ragged::with_capacity(n, extras);
     let mut rng = StdRng::seed_from_u64(seed);
 
+    // One vertex's mirrors, in mirror-ID order: first those chosen among its
+    // replicas, then the extra replicas created for it.
+    let mut mirrors: Vec<NodeId> = Vec::with_capacity(tolerance);
     for i in 0..n {
         let v = Vid::from_index(i);
         let owner = view.master_part(v);
+        mirrors.clear();
 
         // Greedy mirror choice among existing replicas: least-mirrored
         // machines first (ties by node ID for determinism). `tolerance`
         // scans for the next-smallest key, not a sort of a copied list.
         let replicas = view.replica_parts(v);
-        let mut mirrors: Vec<NodeId> = Vec::with_capacity(tolerance);
         for _ in 0..tolerance.min(replicas.len()) {
             let next = replicas
                 .iter()
@@ -136,6 +146,7 @@ pub fn compute_ft_plan(
                 .expect("fewer mirrors chosen than replicas exist");
             mirrors.push(NodeId::from_index(next));
         }
+        let among_replicas = mirrors.len();
 
         // Not enough replicas: create extra FT replicas (§4.1). Draw a few
         // random candidates and keep the least-loaded one.
@@ -172,16 +183,20 @@ pub fn compute_ft_plan(
                     .expect("tolerance < parts guarantees an eligible node")
             });
             mirrors.push(NodeId::from_index(chosen));
-            plan.extra_replicas[i].push(NodeId::from_index(chosen));
             copy_count[chosen] += 1;
         }
 
         for m in &mirrors {
             mirror_count[m.index()] += 1;
         }
-        plan.mirror[i] = mirrors;
+        extra_replicas.push_row(mirrors[among_replicas..].iter().copied());
+        mirror.push_row(mirrors.iter().copied());
     }
-    plan
+    FtPlan {
+        mirror,
+        extra_replicas,
+        selfish,
+    }
 }
 
 /// Fraction of vertices that needed an extra FT replica, excluding selfish
@@ -192,7 +207,7 @@ pub fn extra_replica_fraction(plan: &FtPlan) -> f64 {
         return 0.0;
     }
     let extra = (0..n)
-        .filter(|&i| !plan.extra_replicas[i].is_empty() && !plan.selfish[i])
+        .filter(|&i| plan.extra_replicas.row_len(i) > 0 && !plan.selfish[i])
         .count();
     extra as f64 / n as f64
 }
@@ -231,9 +246,9 @@ mod tests {
         let (g, cut, plan) = plan_for(8, 1);
         for v in g.vertices() {
             if cut.replica_parts(v).is_empty() {
-                assert_eq!(plan.extra_replicas[v.index()].len(), 1);
+                assert_eq!(plan.extras(v).len(), 1);
             } else {
-                assert!(plan.extra_replicas[v.index()].is_empty());
+                assert!(plan.extras(v).is_empty());
             }
         }
     }
@@ -337,8 +352,9 @@ mod tests {
     }
 
     /// `compute_ft_plan` as of PR 12: a sorted copy of the replica list per
-    /// vertex. The K-min scan that replaced it must place every mirror and
-    /// extra replica identically, drawing the same random numbers.
+    /// vertex, a mirror list and an extra-replica list per vertex. The K-min
+    /// scan into two flat tables that replaced it must place every mirror
+    /// and extra replica identically, drawing the same random numbers.
     #[allow(clippy::needless_range_loop)] // loops pair the index with Vid::from_index(i)
     fn reference_ft_plan(
         g: &Graph,
@@ -360,7 +376,8 @@ mod tests {
             out_deg[e.src.index()] += 1;
         }
 
-        let mut plan = FtPlan::none(n);
+        let (mut mirror, mut extra_replicas) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+        let mut selfish = vec![false; n];
         // Per-node load trackers for balanced placement.
         let mut mirror_count = vec![0usize; parts];
         let mut copy_count = vec![0usize; parts];
@@ -376,7 +393,7 @@ mod tests {
         for i in 0..n {
             let v = Vid::from_index(i);
             let owner = view.master_part(v);
-            plan.selfish[i] = selfish_enabled && program_selfish_ok && out_deg[i] == 0;
+            selfish[i] = selfish_enabled && program_selfish_ok && out_deg[i] == 0;
 
             // Greedy mirror choice among existing replicas: least-mirrored
             // machines first (ties by node ID for determinism).
@@ -425,16 +442,20 @@ mod tests {
                         .expect("tolerance < parts guarantees an eligible node")
                 });
                 mirrors.push(NodeId::from_index(chosen));
-                plan.extra_replicas[i].push(NodeId::from_index(chosen));
+                extra_replicas[i].push(NodeId::from_index(chosen));
                 copy_count[chosen] += 1;
             }
 
             for m in &mirrors {
                 mirror_count[m.index()] += 1;
             }
-            plan.mirror[i] = mirrors;
+            mirror[i] = mirrors;
         }
-        plan
+        FtPlan {
+            mirror: Ragged::from_rows(&mirror),
+            extra_replicas: Ragged::from_rows(&extra_replicas),
+            selfish,
+        }
     }
 
     #[test]

@@ -344,21 +344,9 @@ where
     }
 
     fn insert_entry(&self, lg: &mut Self::Graph, e: Self::Entry) {
-        lg.insert_at(
-            e.pos,
-            EcVertex {
-                vid: e.vid,
-                kind: e.kind,
-                master_node: e.master_node,
-                value: e.value,
-                active: e.active,
-                next_active: false,
-                last_activate: e.last_activate,
-                in_edges: e.in_edges,
-                out_local: e.out_local,
-                meta: None,
-            },
-        );
+        let mut copy = EcVertex::new(e.vid, e.kind, e.master_node, e.value);
+        (copy.active, copy.last_activate) = (e.active, e.last_activate);
+        lg.insert_at(e.pos, copy, &e.in_edges, &e.out_local);
         if let Some(meta) = e.meta {
             lg.set_full_state(e.pos, meta.view());
         }
@@ -404,7 +392,7 @@ where
                     for pos in r {
                         let v = &lg.verts[pos];
                         if v.last_activate {
-                            acts.extend_from_slice(&v.out_local);
+                            acts.extend_from_slice(lg.out_local(pos as u32));
                         }
                         if v.is_master() && *plan.selfish.get(v.vid.index()).unwrap_or(&false) {
                             selfish.push(pos as u32);
@@ -436,10 +424,8 @@ where
             selfish_mask[pos as usize] = true;
         }
         let independent = selfish_positions.iter().all(|&pos| {
-            lg.verts[pos as usize]
-                .in_edges
-                .iter()
-                .all(|&(src, _)| !selfish_mask[src as usize])
+            let mut srcs = lg.in_edges(pos).iter();
+            srcs.all(|&(src, _)| !selfish_mask[src as usize])
         });
         if independent {
             let selfish: Arc<Vec<u32>> = Arc::new(selfish_positions);
@@ -456,7 +442,7 @@ where
                             let pos = selfish[i];
                             let v = &lg.verts[pos as usize];
                             let mut acc: Option<P::Accum> = None;
-                            for &(src, w) in &v.in_edges {
+                            for &(src, w) in lg.in_edges(pos) {
                                 let c = prog.gather(w, &lg.verts[src as usize].value);
                                 acc = Some(match acc {
                                     None => c,
@@ -482,7 +468,7 @@ where
             for pos in selfish_positions {
                 let v = &g.verts[pos as usize];
                 let mut acc: Option<P::Accum> = None;
-                for &(src, w) in &v.in_edges {
+                for &(src, w) in g.in_edges(pos) {
                     let c = self.prog.gather(w, &g.verts[src as usize].value);
                     acc = Some(match acc {
                         None => c,
@@ -498,10 +484,8 @@ where
     }
 
     fn graph_stats(&self, lg: &Self::Graph) -> (u64, u64) {
-        (
-            lg.verts.len() as u64,
-            lg.verts.iter().map(|v| v.in_edges.len() as u64).sum(),
-        )
+        let in_edges = (0..lg.verts.len() as u32).map(|pos| lg.in_edges(pos).len() as u64);
+        (lg.verts.len() as u64, in_edges.sum())
     }
 
     /// Every recovery path may touch `active` bits directly; restore the
@@ -601,18 +585,9 @@ where
     }
 
     fn place_granted(&self, lg: &mut Self::Graph, grant: ReplicaGrant<Self::Value>) -> u32 {
-        lg.push_copy(EcVertex {
-            vid: grant.vid,
-            kind: CopyKind::Replica,
-            master_node: grant.master_node,
-            value: grant.value,
-            active: false,
-            next_active: false,
-            last_activate: grant.last_activate,
-            in_edges: Vec::new(),
-            out_local: Vec::new(),
-            meta: None,
-        })
+        let mut copy = EcVertex::new(grant.vid, CopyKind::Replica, grant.master_node, grant.value);
+        copy.last_activate = grant.last_activate;
+        lg.push_copy(copy)
     }
 
     /// R4: wire promoted masters' in-edges from the captured sources (all
@@ -638,16 +613,19 @@ where
                 .iter()
                 .any(|&(s, _)| lg.verts[s as usize].last_activate)
                 || (resume == 0 && self.prog.initially_active(lg.verts[*pos as usize].vid));
-            lg.set_in_edges(*pos, in_edges);
+            lg.set_in_edges(*pos, &in_edges);
             lg.set_active(*pos, active);
         }
         // Extend each source's consumer list once. A master's consumer list
         // is part of the full state its mirrors hold, so it goes dirty. The
         // stable sort keeps a source's new consumers in wiring order.
         links.sort_by_key(|&(spos, _)| spos);
+        let consumers: Vec<u32> = links.iter().map(|&(_, pos)| pos).collect();
+        let mut wired = 0;
         for group in links.chunk_by(|a, b| a.0 == b.0) {
             let spos = group[0].0;
-            lg.extend_out_local(spos, group.iter().map(|&(_, pos)| pos));
+            lg.extend_out_local(spos, &consumers[wired..wired + group.len()]);
+            wired += group.len();
             if lg.verts[spos as usize].is_master() {
                 mig.dirty_masters.insert(spos);
             }
@@ -693,12 +671,10 @@ where
         let mut out = Adoption::default();
         for (dp, dv) in dead_lg.verts.iter().enumerate() {
             let new_pos = map[dp];
-            let in_edges: Vec<(u32, f32)> = dv
-                .in_edges
-                .iter()
-                .map(|&(s, w)| (map[s as usize], w))
-                .collect();
-            let mut out_local: Vec<u32> = dv.out_local.iter().map(|&t| map[t as usize]).collect();
+            let in_edges = dead_lg.in_edges(dp as u32).iter();
+            let in_edges: Vec<(u32, f32)> = in_edges.map(|&(s, w)| (map[s as usize], w)).collect();
+            let out_local = dead_lg.out_local(dp as u32).iter();
+            let mut out_local: Vec<u32> = out_local.map(|&t| map[t as usize]).collect();
             match dv.kind {
                 CopyKind::Master => {
                     let state = dead_lg
@@ -721,35 +697,21 @@ where
                         true
                     });
                     mig.edges_recovered += in_edges.len() as u64;
-                    let master = EcVertex {
-                        vid: dv.vid,
-                        kind: CopyKind::Master,
-                        master_node: me,
-                        value: dv.value.clone(),
-                        active: dv.active,
-                        next_active: false,
-                        last_activate: dv.last_activate,
-                        in_edges,
-                        out_local,
-                        meta: None,
-                    };
+                    let mut master = EcVertex::new(dv.vid, CopyKind::Master, me, dv.value.clone());
+                    (master.active, master.last_activate) = (dv.active, dv.last_activate);
                     if new_pos < base {
                         // Upgrade the pre-existing ghost copy in place,
                         // keeping the consumer links it already knew about.
-                        let v = &mut lg.verts[new_pos as usize];
                         debug_assert_eq!(
-                            v.kind,
+                            lg.verts[new_pos as usize].kind,
                             CopyKind::Replica,
                             "checkpoint FT keeps no mirrors"
                         );
-                        let known = std::mem::replace(v, master).out_local;
-                        v.out_local.extend(known);
-                    } else {
-                        lg.insert_at(new_pos, master);
+                        out_local.extend_from_slice(lg.out_local(new_pos));
                     }
-                    let v = &mut lg.verts[new_pos as usize];
-                    v.out_local.sort_unstable();
-                    v.out_local.dedup();
+                    out_local.sort_unstable();
+                    out_local.dedup();
+                    lg.insert_at(new_pos, master, &in_edges, &out_local);
                     // The master's own edge lists are its owner-local lists.
                     lg.set_full_state(
                         new_pos,
@@ -772,27 +734,16 @@ where
                     if new_pos < base {
                         // Already hosted here: merge the dead layout's local
                         // consumer links into the existing copy.
-                        let v = &mut lg.verts[new_pos as usize];
-                        v.out_local.extend(out_local);
-                        v.out_local.sort_unstable();
-                        v.out_local.dedup();
+                        out_local.extend_from_slice(lg.out_local(new_pos));
+                        out_local.sort_unstable();
+                        out_local.dedup();
+                        lg.set_out_local(new_pos, &out_local);
                     } else {
                         let master_node = dv.master_node;
-                        lg.insert_at(
-                            new_pos,
-                            EcVertex {
-                                vid: dv.vid,
-                                kind: CopyKind::Replica,
-                                master_node,
-                                value: dv.value.clone(),
-                                active: false,
-                                next_active: false,
-                                last_activate: dv.last_activate,
-                                in_edges,
-                                out_local,
-                                meta: None,
-                            },
-                        );
+                        let mut copy =
+                            EcVertex::new(dv.vid, CopyKind::Replica, master_node, dv.value.clone());
+                        copy.last_activate = dv.last_activate;
+                        lg.insert_at(new_pos, copy, &in_edges, &out_local);
                         if episode.contains(&master_node) {
                             out.orphans.push(new_pos);
                         } else {

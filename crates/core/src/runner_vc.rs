@@ -748,43 +748,18 @@ where
     }
 }
 
-/// Splits this node's edges into one edge-ckpt file per receiving node: an
-/// edge goes to the file of the node hosting the target's master (or its
-/// first mirror when the master is this very node), so each survivor reloads
-/// exactly one file in parallel during Migration (§4.3).
-fn write_edge_ckpt_files<V>(lg: &VcLocalGraph<V>, dfs: &Dfs) {
-    let me = lg.node;
+/// Persists this node's edges as one edge-ckpt file per receiving node
+/// ([`ckpt::edge_ckpt_files`]), so each survivor reloads exactly one file in
+/// parallel during Migration (§4.3).
+pub(crate) fn write_edge_ckpt_files<V>(lg: &VcLocalGraph<V>, dfs: &Dfs) {
+    let me = lg.node.raw();
     // Receivers shift between rewrites (promotions re-home masters), so a
     // stale per-receiver file from an earlier write — or from an aborted
     // recovery attempt — must not survive: replace the whole prefix.
-    for path in dfs.list(&format!("vc/eckpt/{}/", me.raw())) {
+    for path in dfs.list(&format!("vc/eckpt/{me}/")) {
         dfs.delete(&path);
     }
-    let mut per_receiver: HashMap<NodeId, Vec<(Vid, Vid, f32)>> = HashMap::new();
-    for e in &lg.edges {
-        let src = lg.verts[e.src as usize].vid;
-        let dst_v = &lg.verts[e.dst as usize];
-        let receiver = if dst_v.master_node != me {
-            dst_v.master_node
-        } else {
-            let meta = dst_v
-                .meta
-                .as_ref()
-                .unwrap_or_else(|| panic!("local master {} has meta", dst_v.vid));
-            meta.mirror_nodes()
-                .first()
-                .copied()
-                .unwrap_or(dst_v.master_node)
-        };
-        per_receiver
-            .entry(receiver)
-            .or_default()
-            .push((src, dst_v.vid, e.weight));
-    }
-    for (receiver, edges) in per_receiver {
-        dfs.write(
-            &format!("vc/eckpt/{}/{}", me.raw(), receiver.raw()),
-            ckpt::encode_edge_ckpt(&edges),
-        );
+    for (receiver, file) in ckpt::edge_ckpt_files(lg) {
+        dfs.write(&format!("vc/eckpt/{me}/{}", receiver.raw()), file);
     }
 }

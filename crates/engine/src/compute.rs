@@ -73,7 +73,7 @@ pub(crate) fn ec_compute_frontier<P: VertexProgram>(
             "frontier entry not active master"
         );
         let mut acc: Option<P::Accum> = None;
-        for &(src, w) in &v.in_edges {
+        for &(src, w) in lg.in_edges(pos) {
             let contribution = prog.gather(w, &lg.verts[src as usize].value);
             acc = Some(match acc {
                 None => contribution,
@@ -107,7 +107,7 @@ pub fn ec_compute_scan<P: VertexProgram>(
             continue;
         }
         let mut acc: Option<P::Accum> = None;
-        for &(src, w) in &v.in_edges {
+        for &(src, w) in lg.in_edges(pos as u32) {
             let contribution = prog.gather(w, &lg.verts[src as usize].value);
             acc = Some(match acc {
                 None => contribution,
@@ -184,18 +184,17 @@ fn commit_update<V>(
     activate: bool,
     touched: &mut Vec<u32>,
 ) {
-    lg.verts[pos].value = value;
-    lg.verts[pos].last_activate = activate;
+    let v = &mut lg.verts[pos];
+    v.value = value;
+    v.last_activate = activate;
     if activate {
-        let targets = std::mem::take(&mut lg.verts[pos].out_local);
-        for &t in &targets {
+        for &t in lg.hot_out.get(v.out_local) {
             let target = &mut lg.verts[t as usize];
             if !target.next_active {
                 target.next_active = true;
                 touched.push(t);
             }
         }
-        lg.verts[pos].out_local = targets;
     }
 }
 

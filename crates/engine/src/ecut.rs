@@ -1,14 +1,14 @@
 //! Edge-cut local graphs (the Cyclops runtime representation).
 
 use imitator_cluster::NodeId;
-use imitator_graph::{Csr, Graph, PosIndex, Vid};
+use imitator_graph::{Edge, Graph, PosIndex, Vid};
 use imitator_metrics::MemSize;
 use imitator_partition::EdgeCut;
 
-use crate::episode::EcJournal;
+use crate::episode::{EcJournal, PosSet};
 use crate::ftplan::FtPlan;
 use crate::full_state::{
-    ColumnLens, FullState, FullStateRef, RemoteEdge, Slot, SlotId, Span, COLUMNS,
+    Column, ColumnLens, FullState, FullStateRef, RemoteEdge, Slot, SlotId, Span, COLUMNS,
 };
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
 use crate::locations::Locations;
@@ -48,6 +48,11 @@ impl CopyKind {
 }
 
 /// One local vertex copy in an edge-cut partition.
+///
+/// A copy's edge lists — its in-edges (masters only) and the positions of
+/// the consumers it feeds — are runs of its graph's two hot columns, read
+/// with [`EcLocalGraph::in_edges`] and [`EcLocalGraph::out_local`]: a copy
+/// owns no heap block of its own.
 #[derive(Debug, Clone)]
 pub struct EcVertex<V> {
     /// Global vertex ID.
@@ -65,10 +70,12 @@ pub struct EcVertex<V> {
     /// The last scatter bit synchronised from the master (mirrors record it
     /// for activation replay at recovery, §5.1.3).
     pub last_activate: bool,
-    /// In-edges as `(local source position, weight)` (masters only).
-    pub in_edges: Vec<(u32, f32)>,
-    /// Local positions of consumers this copy feeds (activation targets).
-    pub out_local: Vec<u32>,
+    /// Where the graph's hot columns keep this copy's in-edges and
+    /// consumers. Only the graph's own mutators write these: a run is
+    /// meaningful in the columns of the graph holding the copy and nowhere
+    /// else.
+    pub(crate) in_edges: Span,
+    pub(crate) out_local: Span,
     /// Where the graph's store keeps this copy's full state (masters and
     /// mirrors): read it with [`EcLocalGraph::full_state`], write it with
     /// [`EcLocalGraph::set_full_state`].
@@ -76,6 +83,34 @@ pub struct EcVertex<V> {
 }
 
 impl<V> EcVertex<V> {
+    /// A copy with no edges, no full state and every activation flag clear:
+    /// what [`EcLocalGraph::push_copy`] and [`EcLocalGraph::insert_at`]
+    /// take. Its lists are set once it has a position.
+    pub fn new(vid: Vid, kind: CopyKind, master_node: NodeId, value: V) -> Self {
+        EcVertex {
+            vid,
+            kind,
+            master_node,
+            value,
+            active: false,
+            next_active: false,
+            last_activate: false,
+            in_edges: Span::default(),
+            out_local: Span::default(),
+            meta: None,
+        }
+    }
+
+    /// This copy without edge lists: a run means something in the columns
+    /// of the graph it was written for and nowhere else.
+    fn unlisted(self) -> Self {
+        EcVertex {
+            in_edges: Span::default(),
+            out_local: Span::default(),
+            ..self
+        }
+    }
+
     /// Whether this copy is the authoritative master.
     pub fn is_master(&self) -> bool {
         self.kind == CopyKind::Master
@@ -88,9 +123,10 @@ impl<V> EcVertex<V> {
 }
 
 /// Copies are equal when their own fields are and both or neither carry
-/// full state. *Which* slot holds it is the store's business: two equal
-/// graphs may number their slots differently, and [`EcLocalGraph`]'s
-/// equality compares the full state itself.
+/// full state. *Where* the graph keeps a copy's lists and full state is the
+/// graph's business: two equal graphs may lay their columns out and number
+/// their slots differently, and [`EcLocalGraph`]'s equality compares the
+/// lists and the full state themselves.
 impl<V: PartialEq> PartialEq for EcVertex<V> {
     fn eq(&self, other: &Self) -> bool {
         self.vid == other.vid
@@ -100,20 +136,7 @@ impl<V: PartialEq> PartialEq for EcVertex<V> {
             && self.active == other.active
             && self.next_active == other.next_active
             && self.last_activate == other.last_activate
-            && self.in_edges == other.in_edges
-            && self.out_local == other.out_local
             && self.meta.is_some() == other.meta.is_some()
-    }
-}
-
-impl<V: MemSize> MemSize for EcVertex<V> {
-    /// The copy and its own edge lists; its full state is counted by the
-    /// graph, whose store owns it.
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<EcVertex<V>>()
-            + self.value.heap_bytes()
-            + self.in_edges.capacity() * std::mem::size_of::<(u32, f32)>()
-            + self.out_local.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -123,20 +146,29 @@ impl<V: MemSize> MemSize for EcVertex<V> {
 /// node's array layout exactly, so edges (stored as positions) stay valid —
 /// the paper's lock-free, parallel reconstruction (§5.1.2).
 ///
-/// What a superstep reads — values, activity, `in_edges`, `out_local` — is
-/// in the vertex array. Full state lives beside it in one columnar store per
-/// node (see [`crate::full_state`]'s module documentation), and of a
+/// What a superstep reads is the vertex array — values, activity — and two
+/// *hot* columns beside it: every copy's in-edges `(local source position,
+/// weight)` back to back in one, every copy's consumer positions in the
+/// other, each copy's run found through the two spans it carries. Full
+/// state lives in a second, *cold* columnar store per node (see
+/// [`crate::full_state`]'s module documentation) — separate allocations, so
+/// that a superstep never strides over the mirrors' state — and of a
 /// *master's* full state only what its own edge lists do not already say:
 /// the replica locations, the in-edge source IDs and the remote out-edges.
-/// Its owner-local in-edges and consumers *are* `in_edges` and `out_local`,
+/// Its owner-local in-edges and consumers *are* its runs of the hot columns,
 /// and [`EcLocalGraph::full_state`] hands them out as such.
 ///
-/// The fields are public and a superstep writes them directly. A recovery
-/// attempt that may have to be undone writes through the mutators instead
-/// (`set_kind`, `set_master_node`, `set_active`, `set_in_edges`,
-/// `extend_out_local`, `push_copy`, and everything that touches full state):
-/// while an episode is open ([`crate::Episode`]) they journal what they
-/// change, and cost a branch when none is.
+/// The hot columns follow the cold columns' rules: a list shrinks in place
+/// or is rewritten at the column's tail, the columns are never compacted,
+/// and inside a recovery episode the entries a column held when it began
+/// are frozen.
+///
+/// The vertex fields are public and a superstep writes them directly. A
+/// recovery attempt that may have to be undone writes through the mutators
+/// instead (`set_kind`, `set_master_node`, `set_active`, `set_in_edges`,
+/// `set_out_local`, `extend_out_local`, `push_copy`, and everything that
+/// touches full state): while an episode is open ([`crate::Episode`]) they
+/// journal what they change, and cost a branch when none is.
 #[derive(Debug, Clone)]
 pub struct EcLocalGraph<V> {
     /// The hosting node.
@@ -152,6 +184,10 @@ pub struct EcLocalGraph<V> {
     /// Recovery paths that set `active` bits directly must call
     /// [`EcLocalGraph::rebuild_active_frontier`] before the next superstep.
     pub active_frontier: Vec<u32>,
+    /// The in-edges of every copy, `(local source position, weight)`.
+    pub(crate) hot_in: Column<(u32, f32)>,
+    /// The consumer positions of every copy.
+    pub(crate) hot_out: Column<u32>,
     /// Full state of the masters and mirrors in `verts`.
     pub(crate) full: FullState,
     /// What the open recovery episode has changed, if one is open (see
@@ -159,17 +195,21 @@ pub struct EcLocalGraph<V> {
     pub(crate) journal: Option<Box<EcJournal>>,
 }
 
-/// Graphs are equal when they hold equal copies with equal full state at
-/// every position. Full state is compared as [`EcLocalGraph::full_state`]
-/// returns it, so slot numbering and the dead runs a store accumulates do
-/// not count; neither does an open episode's journal.
+/// Graphs are equal when they hold equal copies with equal edge lists and
+/// equal full state at every position. Lists and full state are compared as
+/// the accessors return them, so slot numbering and the dead runs a column
+/// accumulates do not count; neither does an open episode's journal.
 impl<V: PartialEq> PartialEq for EcLocalGraph<V> {
     fn eq(&self, other: &Self) -> bool {
         self.node == other.node
             && self.index == other.index
             && self.active_frontier == other.active_frontier
             && self.verts == other.verts
-            && (0..self.verts.len() as u32).all(|pos| self.full_state(pos) == other.full_state(pos))
+            && (0..self.verts.len() as u32).all(|pos| {
+                self.in_edges(pos) == other.in_edges(pos)
+                    && self.out_local(pos) == other.out_local(pos)
+                    && self.full_state(pos) == other.full_state(pos)
+            })
     }
 }
 
@@ -181,6 +221,8 @@ impl<V> EcLocalGraph<V> {
             verts: Vec::new(),
             index: PosIndex::new(),
             active_frontier: Vec::new(),
+            hot_in: Column::default(),
+            hot_out: Column::default(),
             full: FullState::default(),
             journal: None,
         }
@@ -189,6 +231,20 @@ impl<V> EcLocalGraph<V> {
     /// Position of `vid`'s local copy, if present.
     pub fn position(&self, vid: Vid) -> Option<u32> {
         self.index.get(vid)
+    }
+
+    /// The in-edges of the copy at `pos` as `(local source position,
+    /// weight)`, in the order they fold (masters only; empty otherwise).
+    #[inline]
+    pub fn in_edges(&self, pos: u32) -> &[(u32, f32)] {
+        self.hot_in.get(self.verts[pos as usize].in_edges)
+    }
+
+    /// Local positions of the consumers the copy at `pos` feeds (its
+    /// activation targets).
+    #[inline]
+    pub fn out_local(&self, pos: u32) -> &[u32] {
+        self.hot_out.get(self.verts[pos as usize].out_local)
     }
 
     /// Number of local copies.
@@ -265,8 +321,8 @@ impl<V> EcLocalGraph<V> {
         let stored = self.full.get(v.meta?);
         Some(if v.is_master() {
             FullStateRef {
-                in_edges_owner: &v.in_edges,
-                out_local_owner: &v.out_local,
+                in_edges_owner: self.hot_in.get(v.in_edges),
+                out_local_owner: self.hot_out.get(v.out_local),
                 ..stored
             }
         } else {
@@ -300,7 +356,7 @@ impl<V> EcLocalGraph<V> {
 
     /// Makes `state` the full state of the copy at `pos`, in a new slot if
     /// it had none. The copy's `kind` decides what is kept: a master's
-    /// owner-local lists are its own `in_edges` and `out_local` (which the
+    /// owner-local lists are its own in-edges and consumers (which the
     /// caller sets), so those of `state` are not stored a second time.
     /// Lists that outgrow their run, or whose run an open episode may not
     /// overwrite, move to the column's tail.
@@ -320,7 +376,7 @@ impl<V> EcLocalGraph<V> {
                 if self.full.locations(slot) != state.locations {
                     self.touch_tables(slot);
                 }
-                let (before, floor) = (self.spans_at(slot), self.floor());
+                let (before, floor) = (self.spans_at(slot), self.floor().cold);
                 self.full.set(slot, state, &floor);
                 self.note_spans(slot, before);
             }
@@ -409,7 +465,7 @@ impl<V> EcLocalGraph<V> {
         keep: impl FnMut(&mut RemoteEdge) -> bool,
     ) -> bool {
         let slot = self.slot_at(pos);
-        let (before, floor) = (self.spans_at(slot), self.floor().out_remote);
+        let (before, floor) = (self.spans_at(slot), self.floor().cold.out_remote);
         let changed = self.full.retain_out_remote(slot, floor, keep);
         if changed {
             self.note_spans(slot, before);
@@ -424,8 +480,8 @@ impl<V> EcLocalGraph<V> {
     /// Panics if the copy carries no full state.
     pub fn extend_out_remote(&mut self, pos: u32, edges: &[RemoteEdge]) {
         let slot = self.slot_at(pos);
-        let before = self.spans_at(slot);
-        self.full.extend_out_remote(slot, edges);
+        let (before, floor) = (self.spans_at(slot), self.floor().cold.out_remote);
+        self.full.extend_out_remote(slot, floor, edges);
         self.note_spans(slot, before);
     }
 
@@ -457,22 +513,35 @@ impl<V> EcLocalGraph<V> {
     }
 
     /// Replaces the in-edges of the copy at `pos`.
-    pub fn set_in_edges(&mut self, pos: u32, in_edges: Vec<(u32, f32)>) {
-        self.touch_in_edges(pos);
-        self.verts[pos as usize].in_edges = in_edges;
+    pub fn set_in_edges(&mut self, pos: u32, in_edges: &[(u32, f32)]) {
+        let (floor, v) = (self.floor().hot_in, &mut self.verts[pos as usize]);
+        let before = v.in_edges;
+        self.hot_in.replace(&mut v.in_edges, in_edges, floor);
+        self.note_copy_span(pos, 0, before);
+    }
+
+    /// Replaces the positions the copy at `pos` feeds.
+    pub fn set_out_local(&mut self, pos: u32, consumers: &[u32]) {
+        let (floor, v) = (self.floor().hot_out, &mut self.verts[pos as usize]);
+        let before = v.out_local;
+        self.hot_out.replace(&mut v.out_local, consumers, floor);
+        self.note_copy_span(pos, 1, before);
     }
 
     /// Appends `consumers` to the positions the copy at `pos` feeds.
-    pub fn extend_out_local(&mut self, pos: u32, consumers: impl IntoIterator<Item = u32>) {
-        self.touch_copy(pos);
-        self.verts[pos as usize].out_local.extend(consumers);
+    pub fn extend_out_local(&mut self, pos: u32, consumers: &[u32]) {
+        let (floor, v) = (self.floor().hot_out, &mut self.verts[pos as usize]);
+        let before = v.out_local;
+        self.hot_out.extend(&mut v.out_local, consumers, floor);
+        self.note_copy_span(pos, 1, before);
     }
 
-    /// Appends `vertex` as a new copy and returns its position.
+    /// Appends `vertex` as a new copy and returns its position. The copy
+    /// starts without edges, whatever graph `vertex` was taken from.
     pub fn push_copy(&mut self, vertex: EcVertex<V>) -> u32 {
         let pos = self.verts.len() as u32;
         self.index.insert(vertex.vid, pos);
-        self.verts.push(vertex);
+        self.verts.push(vertex.unlisted());
         pos
     }
 
@@ -491,6 +560,19 @@ impl<V> EcLocalGraph<V> {
     /// builds exact-size columns.
     pub fn reserve_full_state(&mut self, slots: usize, lens: ColumnLens) {
         self.full.reserve_exact(slots, lens);
+    }
+
+    /// Makes room for `in_edges` more in-edge entries and `out_local` more
+    /// consumer entries in the hot columns, one allocation each.
+    pub fn reserve_edge_lists(&mut self, in_edges: usize, out_local: usize) {
+        self.hot_in.0.reserve_exact(in_edges);
+        self.hot_out.0.reserve_exact(out_local);
+    }
+
+    /// Entries the two hot columns hold — `(in-edges, consumers)` — runs no
+    /// copy points at any more included.
+    pub fn edge_list_lens(&self) -> (usize, usize) {
+        (self.hot_in.0.len(), self.hot_out.0.len())
     }
 
     /// `(slots, entries per column)` the full-state store holds, runs no
@@ -520,14 +602,21 @@ impl<V> EcLocalGraph<V> {
         (slots, lens)
     }
 
-    /// Inserts `vertex` at `pos`, growing the array as needed (recovery
-    /// path: position-addressed, no reindexing of existing entries).
+    /// Inserts `vertex` at `pos` with the edge lists `in_edges` and
+    /// `out_local`, growing the array as needed (recovery path:
+    /// position-addressed, no reindexing of existing entries). Whatever
+    /// lists `vertex` had in the graph it was taken from are not taken over.
     ///
     /// # Panics
     ///
     /// Panics if `pos` is already occupied by a different vertex.
-    pub fn insert_at(&mut self, pos: u32, vertex: EcVertex<V>)
-    where
+    pub fn insert_at(
+        &mut self,
+        pos: u32,
+        vertex: EcVertex<V>,
+        in_edges: &[(u32, f32)],
+        out_local: &[u32],
+    ) where
         V: Clone,
     {
         let p = pos as usize;
@@ -535,21 +624,11 @@ impl<V> EcLocalGraph<V> {
             // Holes are filled by later recovery messages; a hole that
             // survives recovery would indicate a protocol bug and is caught
             // by `debug_validate`.
-            self.verts.reserve(p + 1 - self.verts.len());
-            while self.verts.len() <= p {
-                self.verts.push(EcVertex {
-                    vid: Vid::new(u32::MAX),
-                    kind: CopyKind::Replica,
-                    master_node: self.node,
-                    value: vertex.value.clone(),
-                    active: false,
-                    next_active: false,
-                    last_activate: false,
-                    in_edges: Vec::new(),
-                    out_local: Vec::new(),
-                    meta: None,
-                });
-            }
+            let hole = || {
+                let value = vertex.value.clone();
+                EcVertex::new(Vid::new(u32::MAX), CopyKind::Replica, self.node, value)
+            };
+            self.verts.resize_with(p + 1, hole);
         }
         assert!(
             self.verts[p].vid == Vid::new(u32::MAX) || self.verts[p].vid == vertex.vid,
@@ -557,13 +636,17 @@ impl<V> EcLocalGraph<V> {
             self.verts[p].vid
         );
         self.index.insert(vertex.vid, pos);
-        self.verts[p] = vertex;
+        self.verts[p] = EcVertex {
+            in_edges: self.hot_in.append(in_edges.iter().copied()),
+            out_local: self.hot_out.append(out_local.iter().copied()),
+            ..vertex
+        };
     }
 
     /// Checks structural invariants: the index agrees with the array, no
-    /// placeholder holes remain, edge positions are in range, consumers are
-    /// masters, every master carries full state naming one source per
-    /// in-edge, no span reaches past its column, and the active frontier
+    /// placeholder holes remain, no run reaches past its column, edge
+    /// positions are in range, consumers are masters, every master carries
+    /// full state naming one source per in-edge, and the active frontier
     /// matches the `active` bits.
     ///
     /// # Errors
@@ -585,10 +668,16 @@ impl<V> EcLocalGraph<V> {
                 self.index.get(v.vid) == Some(i as u32),
                 "index mismatch at {i}"
             );
-            for &(src, _) in &v.in_edges {
+            ensure!(
+                v.in_edges.range().end <= self.hot_in.0.len()
+                    && v.out_local.range().end <= self.hot_out.0.len(),
+                "an edge list of {} reaches past its column",
+                v.vid
+            );
+            for &(src, _) in self.in_edges(i as u32) {
                 ensure!((src as usize) < n, "in-edge src out of range");
             }
-            for &t in &v.out_local {
+            for &t in self.out_local(i as u32) {
                 ensure!((t as usize) < n, "out-edge target out of range");
                 ensure!(
                     self.verts[t as usize].is_master(),
@@ -636,17 +725,21 @@ impl<V> EcLocalGraph<V> {
 }
 
 impl<V: MemSize> MemSize for EcLocalGraph<V> {
+    /// The vertex array, the two hot columns, the index, the frontier and
+    /// the full-state store: a handful of capacities, plus whatever heap the
+    /// values own.
     fn mem_bytes(&self) -> usize {
         let verts: usize = std::mem::size_of::<Vec<EcVertex<V>>>()
             + self.verts.capacity() * std::mem::size_of::<EcVertex<V>>()
             + self
                 .verts
                 .iter()
-                .map(|v| v.mem_bytes() - std::mem::size_of::<EcVertex<V>>())
+                .map(|v| v.value.heap_bytes())
                 .sum::<usize>();
+        let hot = self.hot_in.capacity_bytes() + self.hot_out.capacity_bytes();
         let index = self.index.mem_bytes();
         let frontier = self.active_frontier.capacity() * std::mem::size_of::<u32>();
-        std::mem::size_of::<NodeId>() + verts + index + frontier + self.full.mem_bytes()
+        std::mem::size_of::<NodeId>() + verts + hot + index + frontier + self.full.mem_bytes()
     }
 }
 
@@ -657,16 +750,17 @@ impl<V: MemSize> MemSize for EcLocalGraph<V> {
 /// with full-state replication, extra-FT-replica creation, and the
 /// position/location exchange that enables position-addressed recovery.
 /// Once the copy positions are known, each node's graph is built on a
-/// thread of its own from the input graph's CSR views, in two passes: every
-/// node builds its copies, their edge lists and its masters' full state,
-/// then every node copies its mirrors' full state out of what the owners
-/// built (DESIGN.md, "Load path and heap layout"). Every list and every
-/// full-state column is allocated once, at its final length.
+/// thread of its own, in two passes: every node builds its copies, their
+/// edge lists and its masters' full state from the edges it takes part in
+/// — two scans of the edge list, count then fill — then every node copies
+/// its mirrors' full state out of what the owners built (DESIGN.md, "Load
+/// path and heap layout"). Every column is allocated once, at its final
+/// length, and a node's graph is a dozen allocations whatever its size.
 ///
 /// # Panics
 ///
-/// Panics if the plan's vertex count disagrees with the graph, or if a
-/// mirror is placed on a node without a copy (plan bug).
+/// Panics if the plan's or the degree table's vertex count disagrees with
+/// the graph, or if a mirror is placed on a node without a copy (plan bug).
 pub fn build_edge_cut_graphs<P: VertexProgram>(
     g: &Graph,
     cut: &EdgeCut,
@@ -675,16 +769,21 @@ pub fn build_edge_cut_graphs<P: VertexProgram>(
     degrees: &Degrees,
 ) -> Vec<EcLocalGraph<P::Value>> {
     assert_eq!(plan.num_vertices(), g.num_vertices(), "plan size mismatch");
+    assert_eq!(
+        degrees.num_vertices(),
+        g.num_vertices(),
+        "degree table size mismatch"
+    );
     let parts = cut.num_parts();
     let layout = Layout::new(parts, plan, |v| (cut.owner(v), cut.replica_parts(v)));
     let loader = EcLoader {
+        g,
+        ends: edge_ends(g, cut),
         cut,
         plan,
         prog,
         degrees,
         layout: &layout,
-        in_csr: g.in_csr(),
-        out_csr: g.out_csr(),
     };
     let built = per_node(vec![(); parts], |p, ()| loader.node_graph(p));
     let (mut graphs, masters): (Vec<_>, Vec<_>) = built.into_iter().unzip();
@@ -695,17 +794,60 @@ pub fn build_edge_cut_graphs<P: VertexProgram>(
     graphs
 }
 
+/// The nodes mastering an edge's two endpoints.
+#[derive(Clone, Copy, Default)]
+struct Ends {
+    from: u16,
+    to: u16,
+}
+
+/// [`Ends`] of every edge of `g`, in edge-list order. Every node's builder
+/// reads the whole edge list twice to pick out the edges it takes part in;
+/// looked up here — once per edge, a slice of the list per thread — the
+/// owners cost those scans two sequential bytes apiece instead of two
+/// random reads of the ownership table.
+///
+/// # Panics
+///
+/// Panics on a cut of more than 65 536 parts.
+fn edge_ends(g: &Graph, cut: &EdgeCut) -> Vec<Ends> {
+    let parts = cut.num_parts();
+    assert!(
+        parts <= 1 << 16,
+        "{parts} parts: node numbers must fit 16 bits"
+    );
+    let mut ends = vec![Ends::default(); g.num_edges()];
+    let share = g.num_edges().div_ceil(parts).max(1);
+    let shares = g
+        .edges()
+        .chunks(share)
+        .zip(ends.chunks_mut(share))
+        .collect();
+    per_node(shares, |_, (edges, ends): (&[Edge], &mut [Ends])| {
+        for (e, ends) in edges.iter().zip(ends) {
+            *ends = Ends {
+                from: cut.owner(e.src) as u16,
+                to: cut.owner(e.dst) as u16,
+            };
+        }
+    });
+    ends
+}
+
 /// The read-only inputs every node's builder thread shares.
 struct EcLoader<'a, P> {
+    /// Its edge list is the one order every list follows: a vertex's
+    /// in-edges, consumers and remote out-edges are the edges naming it, in
+    /// edge-list order, which is the order contributions fold in and the
+    /// order snapshots and recovery messages carry.
+    g: &'a Graph,
+    /// Parallel to the edge list.
+    ends: Vec<Ends>,
     cut: &'a EdgeCut,
     plan: &'a FtPlan,
     prog: &'a P,
     degrees: &'a Degrees,
     layout: &'a Layout,
-    /// `dst → [(src, weight)]` and `src → [dst]`, each vertex's edges in
-    /// edge-list order.
-    in_csr: Csr,
-    out_csr: Csr,
 }
 
 /// Where the masters' part of a freshly built store ends: its masters' slots
@@ -716,10 +858,13 @@ struct MasterPart {
     lens: ColumnLens,
 }
 
-/// What the other nodes' second-pass threads read of a node: its copies
-/// (for a master's own edge lists) and the masters' part of its store.
+/// What the other nodes' second-pass threads read of a node: its copies and
+/// hot columns (a master's own edge lists) and the masters' part of its
+/// store.
 struct OwnerView<'g, V> {
     verts: &'g [EcVertex<V>],
+    hot_in: &'g Column<(u32, f32)>,
+    hot_out: &'g Column<u32>,
     slots: &'g [Slot],
     in_srcs: &'g [Vid],
     out_remote: &'g [RemoteEdge],
@@ -737,6 +882,13 @@ struct MirrorPart<'g> {
     out_remote: &'g mut [RemoteEdge],
 }
 
+/// Moves a counting sort's cursor on by one entry and returns where it stood.
+fn advance(cursor: &mut u32) -> usize {
+    let at = *cursor;
+    *cursor += 1;
+    at as usize
+}
+
 /// Copies `items` to `part[*at..]`, advancing `*at`; returns the run's span
 /// in the whole column, whose first `base` entries precede `part`.
 fn fill<T: Copy>(part: &mut [T], at: &mut usize, base: usize, items: &[T]) -> Span {
@@ -749,120 +901,180 @@ fn fill<T: Copy>(part: &mut [T], at: &mut usize, base: usize, items: &[T]) -> Sp
 impl<P: VertexProgram> EcLoader<'_, P> {
     /// First pass: node `p`'s graph without its position index (the caller
     /// moves the layout's in), and where the masters' part of its store
-    /// ends. Allocates the edge lists of every copy, then the store at its
-    /// final size — a slot table and four columns, counted before they are
-    /// filled — so that what a superstep reads is dense in the heap and laid
-    /// out the same with and without fault tolerance. The masters' slots are
-    /// filled here; the mirrors' are left blank for
-    /// [`EcLoader::fill_mirrors`].
+    /// ends.
+    ///
+    /// Every list is a stable counting sort of the edges the node takes
+    /// part in. An edge whose consumer is mastered here is an in-edge of
+    /// that master, a consumer of its source's copy here and an in-edge
+    /// source in the master's slot; an edge whose source is mastered here
+    /// and whose consumer is not is a remote out-edge in the source's slot.
+    /// One scan of the edge list counts, every column is allocated at its
+    /// final length — the two hot columns, then the store's slot table and
+    /// four columns with the mirrors' part blank for
+    /// [`EcLoader::fill_mirrors`] — and a second scan fills each run from
+    /// its start, so that what a superstep reads is dense in the heap and
+    /// laid out the same with and without fault tolerance.
     fn node_graph(&self, p: usize) -> (EcLocalGraph<P::Value>, MasterPart) {
         let node = NodeId::from_index(p);
         let copies = &self.layout.copies[p];
-        // Slots in position order, the masters' before the mirrors'.
+        let at = &self.layout.pos_maps[p];
+        let edges = || self.g.edges().iter().zip(&self.ends);
+        let here = p as u16;
+        let in_degree = |v: Vid| self.degrees.in_degree(v);
+        let out_degree = |v: Vid| self.degrees.out_degree(v);
+
+        // Copies; slots in position order, the masters' before the mirrors'.
+        // The mirrors' part of the store holds a mirror's whole in- and
+        // out-degree between its columns.
         let num_masters = copies.iter().filter(|&&v| self.cut.owner(v) == p).count();
         let (mut master_slots, mut mirror_slots) = (0..num_masters, num_masters..);
-        let verts: Vec<EcVertex<P::Value>> = copies
+        let (mut mirror_ins, mut mirror_outs) = (0, 0);
+        let mut mirrored = PosSet::covering(copies.last().map_or(0, |v| v.raw() + 1));
+        let mut verts: Vec<EcVertex<P::Value>> = copies
             .iter()
             .map(|&v| {
                 let owner = NodeId::from_index(self.cut.owner(v));
                 let kind = copy_kind(node, owner, self.plan.mirrors(v));
-                let is_master = kind == CopyKind::Master;
-                EcVertex {
-                    vid: v,
-                    kind,
-                    master_node: owner,
-                    value: self.prog.init(v, self.degrees),
-                    active: is_master && self.prog.initially_active(v),
-                    next_active: false,
-                    last_activate: false,
-                    // Every edge lives on its consumer's owner.
-                    in_edges: if is_master {
-                        self.in_edges_at(v, p)
-                    } else {
-                        Vec::new()
-                    },
-                    out_local: self.out_local_at(v, p),
-                    meta: match kind {
-                        CopyKind::Master => master_slots.next(),
-                        CopyKind::Mirror => mirror_slots.next(),
-                        CopyKind::Replica => None,
+                let mut vert = EcVertex::new(v, kind, owner, self.prog.init(v, self.degrees));
+                match kind {
+                    CopyKind::Master => {
+                        vert.active = self.prog.initially_active(v);
+                        vert.meta = master_slots.next().map(SlotId::from_index);
                     }
-                    .map(SlotId::from_index),
+                    CopyKind::Mirror => {
+                        mirrored.insert(v.raw());
+                        mirror_ins += in_degree(v) as usize;
+                        mirror_outs += out_degree(v) as usize;
+                        vert.meta = mirror_slots.next().map(SlotId::from_index);
+                    }
+                    CopyKind::Replica => {}
                 }
+                vert
             })
             .collect();
-
-        // Count. A master's slot keeps its in-edge sources and its remote
-        // out-edges (the out-edges its own `out_local` does not cover); a
-        // mirror's keeps all four lists.
-        let (mut masters, mut total) = (ColumnLens::default(), ColumnLens::default());
-        for vert in &verts {
-            let (ins, outs) = (self.in_csr.degree(vert.vid), self.out_csr.degree(vert.vid));
-            match vert.kind {
-                CopyKind::Master => {
-                    masters.in_srcs += ins;
-                    masters.out_remote += outs - vert.out_local.len();
-                }
-                CopyKind::Mirror => {
-                    let owner = vert.master_node.index();
-                    let targets = self.out_csr.neighbor_slice(vert.vid).iter();
-                    let local = targets.filter(|&&t| self.cut.owner(t) == owner).count();
-                    total.in_edges += ins;
-                    total.in_srcs += ins;
-                    total.out_local += local;
-                    total.out_remote += outs - local;
-                }
-                CopyKind::Replica => {}
-            }
-        }
-        total.in_srcs += masters.in_srcs;
-        total.out_remote += masters.out_remote;
         let num_slots = mirror_slots.start;
 
-        // Fill the masters' part, then blank the mirrors'.
-        let mut full = FullState::default();
-        full.reserve_exact(num_slots, total);
-        for vert in verts.iter().filter(|vert| vert.is_master()) {
-            let v = vert.vid;
-            let remote = self.out_csr.neighbor_slice(v).iter().filter_map(|&target| {
-                let consumer = self.cut.owner(target);
-                (consumer != p).then(|| RemoteEdge {
-                    target,
-                    node: NodeId::from_index(consumer),
-                    pos: self.layout.pos_maps[consumer].at(target),
-                })
-            });
-            let slot = Slot {
-                loc: self
-                    .layout
-                    .locations(v, p, self.cut.replica_parts(v), self.plan),
-                in_srcs: full
-                    .in_srcs
-                    .append(self.in_csr.neighbor_slice(v).iter().copied()),
-                out_remote: full.out_remote.append(remote),
-                ..Slot::default()
-            };
-            full.slots.push(slot);
+        // Count: consumers per copy, and how many of the mirrors' out-edges
+        // stay on their owner.
+        let mut out_at = vec![0u32; verts.len()];
+        let mut mirror_out_local = 0;
+        for (e, ends) in edges() {
+            if ends.to == here {
+                out_at[at.at(e.src) as usize] += 1;
+            } else if ends.from == ends.to && mirrored.contains(e.src.raw()) {
+                mirror_out_local += 1;
+            }
         }
-        debug_assert_eq!(full.column_lens(), masters, "masters' columns miscounted");
-        full.slots.resize_with(num_slots, Slot::default);
-        full.in_edges.0.resize(total.in_edges, Default::default());
-        full.in_srcs.0.resize(total.in_srcs, Default::default());
-        full.out_local.0.resize(total.out_local, Default::default());
-        full.out_remote
-            .0
-            .resize(total.out_remote, Default::default());
 
-        let mut lg = EcLocalGraph {
+        // Where each copy's run starts in every column it has one in: runs
+        // lie in position order, a master's in-edge run as long as its
+        // in-degree, its remote out-edges the out-edges it does not feed
+        // here. A master's in-edge sources sit in its slot exactly where
+        // its in-edges sit in the hot column.
+        let (mut in_at, mut remote_at) = (vec![0u32; verts.len()], vec![0u32; verts.len()]);
+        let (mut ins, mut fed, mut remote) = (0u32, 0u32, 0u32);
+        let past = "a column holds < 2^32 entries";
+        for (pos, vert) in verts.iter().enumerate() {
+            let consumers = std::mem::replace(&mut out_at[pos], fed);
+            fed = fed.checked_add(consumers).expect(past);
+            (in_at[pos], remote_at[pos]) = (ins, remote);
+            if vert.is_master() {
+                let remote_out = out_degree(vert.vid).checked_sub(consumers);
+                let remote_out = remote_out.expect("degree table disagrees with the graph");
+                ins = ins.checked_add(in_degree(vert.vid)).expect(past);
+                remote = remote.checked_add(remote_out).expect(past);
+            }
+        }
+        assert_eq!(fed, ins, "degree table disagrees with the graph");
+        let (hot_len, remote) = (ins as usize, remote as usize);
+        let masters = ColumnLens {
+            in_srcs: hot_len,
+            out_remote: remote,
+            ..ColumnLens::default()
+        };
+        let total = ColumnLens {
+            in_edges: mirror_ins,
+            in_srcs: hot_len + mirror_ins,
+            out_local: mirror_out_local,
+            out_remote: remote + mirror_outs - mirror_out_local,
+        };
+        let mut full = FullState::default();
+        full.slots.reserve_exact(num_slots);
+        full.in_edges.0 = vec![Default::default(); total.in_edges];
+        full.in_srcs.0 = vec![Default::default(); total.in_srcs];
+        full.out_local.0 = vec![Default::default(); total.out_local];
+        full.out_remote.0 = vec![Default::default(); total.out_remote];
+        let mut hot_in = Column(vec![Default::default(); hot_len]);
+        let mut hot_out = Column(vec![Default::default(); hot_len]);
+
+        // Fill, in edge-list order: every cursor moves from its run's start
+        // to the next run's.
+        for (e, ends) in edges() {
+            if ends.to == here {
+                let (src, dst) = (at.at(e.src), at.at(e.dst));
+                let i = advance(&mut in_at[dst as usize]);
+                hot_in.0[i] = (src, e.weight);
+                full.in_srcs.0[i] = e.src;
+                hot_out.0[advance(&mut out_at[src as usize])] = dst;
+            } else if ends.from == here {
+                let i = advance(&mut remote_at[at.at(e.src) as usize]);
+                full.out_remote.0[i] = RemoteEdge {
+                    target: e.dst,
+                    node: NodeId::new(u32::from(ends.to)),
+                    pos: self.layout.pos_maps[usize::from(ends.to)].at(e.dst),
+                };
+            }
+        }
+
+        // Every cursor now stands where the next run begins, or a degree
+        // was wrong: the runs are the stretches between them.
+        let (mut ins, mut fed, mut remote) = (0, 0, 0);
+        for (pos, vert) in verts.iter_mut().enumerate() {
+            let run = |from: &mut usize, to: u32| {
+                let start = std::mem::replace(from, to as usize);
+                Span::new(start, to as usize - start)
+            };
+            vert.in_edges = run(&mut ins, in_at[pos]);
+            vert.out_local = run(&mut fed, out_at[pos]);
+            let out_remote = run(&mut remote, remote_at[pos]);
+            if vert.is_master() {
+                let v = vert.vid;
+                assert_eq!(
+                    (vert.in_edges.len(), out_remote.len()),
+                    (
+                        in_degree(v) as usize,
+                        out_degree(v) as usize - vert.out_local.len()
+                    ),
+                    "degree table disagrees with the graph at {v}"
+                );
+                full.slots.push(Slot {
+                    loc: self
+                        .layout
+                        .locations(v, p, self.cut.replica_parts(v), self.plan),
+                    in_srcs: vert.in_edges,
+                    out_remote,
+                    ..Slot::default()
+                });
+            }
+        }
+        full.slots.resize_with(num_slots, Slot::default);
+
+        let active = |vert: &EcVertex<P::Value>| vert.is_master() && vert.active;
+        let frontier = (0u32..).zip(&verts).filter(|(_, vert)| active(vert));
+        let active_frontier = collect_exact(
+            verts.iter().filter(|vert| active(vert)).count(),
+            frontier.map(|(pos, _)| pos),
+        );
+        let lg = EcLocalGraph {
             node,
             verts,
             index: PosIndex::new(),
-            active_frontier: Vec::new(),
+            active_frontier,
+            hot_in,
+            hot_out,
             full,
             journal: None,
         };
-        lg.rebuild_active_frontier();
-        lg.active_frontier.shrink_to_fit();
         let masters = MasterPart {
             slots: num_masters,
             lens: masters,
@@ -871,12 +1083,12 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     }
 
     /// Second pass: fills every node's mirror slots. A mirror's full state
-    /// *is* its master's — the owner-local lists are the master's own
-    /// `in_edges` and `out_local`, the rest is in the masters' part of the
+    /// *is* its master's — the owner-local lists are the master's own runs
+    /// of the owner's hot columns, the rest is in the masters' part of the
     /// owner's store — so each list is one `memcpy` out of what the owner's
     /// first pass built, not a second derivation edge by edge. Each node's
     /// thread writes the mirrors' part of its own store and reads the
-    /// others' copies and masters' parts.
+    /// others' copies, hot columns and masters' parts.
     fn fill_mirrors(&self, graphs: &mut [EcLocalGraph<P::Value>], masters: &[MasterPart]) {
         let (mut owners, mut mirrors) = (Vec::new(), Vec::new());
         for (lg, part) in graphs.iter_mut().zip(masters) {
@@ -888,6 +1100,8 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             let (master_remote, out_remote) = full.out_remote.0.split_at_mut(part.lens.out_remote);
             owners.push(OwnerView {
                 verts: &lg.verts[..],
+                hot_in: &lg.hot_in,
+                hot_out: &lg.hot_out,
                 slots: &*master_slots,
                 in_srcs: &*master_srcs,
                 out_remote: &*master_remote,
@@ -928,29 +1142,35 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             .iter()
             .filter(|vert| vert.kind == CopyKind::Mirror);
         for (slot, vert) in slots.iter_mut().zip(mirrors) {
-            let o = vert.master_node.index();
-            let master = &owners[o].verts[self.layout.pos_maps[o].at(vert.vid) as usize];
-            let theirs = &owners[o].slots[master.meta.expect("masters carry full state").index()];
+            let owner = &owners[vert.master_node.index()];
+            let at_owner = &self.layout.pos_maps[vert.master_node.index()];
+            let master = &owner.verts[at_owner.at(vert.vid) as usize];
+            let theirs = &owner.slots[master.meta.expect("masters carry full state").index()];
             *slot = Slot {
                 loc: theirs.loc.clone(),
-                in_edges: fill(in_edges, &mut at.in_edges, base.in_edges, &master.in_edges),
+                in_edges: fill(
+                    in_edges,
+                    &mut at.in_edges,
+                    base.in_edges,
+                    owner.hot_in.get(master.in_edges),
+                ),
                 in_srcs: fill(
                     in_srcs,
                     &mut at.in_srcs,
                     base.in_srcs,
-                    &owners[o].in_srcs[theirs.in_srcs.range()],
+                    &owner.in_srcs[theirs.in_srcs.range()],
                 ),
                 out_local: fill(
                     out_local,
                     &mut at.out_local,
                     base.out_local,
-                    &master.out_local,
+                    owner.hot_out.get(master.out_local),
                 ),
                 out_remote: fill(
                     out_remote,
                     &mut at.out_remote,
                     base.out_remote,
-                    &owners[o].out_remote[theirs.out_remote.range()],
+                    &owner.out_remote[theirs.out_remote.range()],
                 ),
             };
         }
@@ -962,26 +1182,6 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         };
         assert_eq!(at, room, "mirrors' columns miscounted on node {q}");
     }
-
-    /// `v`'s in-edges as `(source position on node p, weight)`.
-    fn in_edges_at(&self, v: Vid, p: usize) -> Vec<(u32, f32)> {
-        let at = &self.layout.pos_maps[p];
-        collect_exact(
-            self.in_csr.degree(v),
-            self.in_csr.neighbors(v).map(|(src, w)| (at.at(src), w)),
-        )
-    }
-
-    /// Positions on node `p` of the consumers `v`'s copy there feeds: the
-    /// targets of `v`'s out-edges that `p` masters.
-    fn out_local_at(&self, v: Vid, p: usize) -> Vec<u32> {
-        let at = &self.layout.pos_maps[p];
-        let fed = || {
-            let targets = self.out_csr.neighbor_slice(v).iter();
-            targets.filter(move |&&t| self.cut.owner(t) == p)
-        };
-        collect_exact(fed().count(), fed().map(|&t| at.at(t)))
-    }
 }
 
 #[cfg(test)]
@@ -989,7 +1189,7 @@ mod tests {
     use super::*;
     use crate::episode::Episode;
     use crate::full_state::MasterMeta;
-    use imitator_graph::gen;
+    use imitator_graph::{gen, Ragged};
     use imitator_partition::{EdgeCutPartitioner, HashEdgeCut};
 
     struct Count;
@@ -1010,6 +1210,16 @@ mod tests {
         }
         fn scatter(&self, _v: Vid, old: &u64, new: &u64) -> bool {
             old != new
+        }
+    }
+
+    /// A plan mirroring every vertex on its first `k` replica nodes.
+    fn mirrored_on_first_replicas(g: &Graph, cut: &EdgeCut, k: usize) -> FtPlan {
+        let hosts = |v| cut.replica_parts(v).iter().take(k).map(|&p| NodeId::new(p));
+        let rows: Vec<Vec<NodeId>> = g.vertices().map(|v| hosts(v).collect()).collect();
+        FtPlan {
+            mirror: Ragged::from_rows(&rows),
+            ..FtPlan::none(g.num_vertices())
         }
     }
 
@@ -1039,14 +1249,14 @@ mod tests {
         let mut counted = 0usize;
         for e in g.edges() {
             let lg = &lgs[cut.owner(e.dst)];
-            let dst = lg.position(e.dst).unwrap() as usize;
+            let dst = lg.position(e.dst).unwrap();
             let src = lg.position(e.src).unwrap();
-            assert!(lg.verts[dst].in_edges.iter().any(|&(s, _)| s == src));
+            assert!(lg.in_edges(dst).iter().any(|&(s, _)| s == src));
             counted += 1;
         }
         let total: usize = lgs
             .iter()
-            .flat_map(|lg| lg.verts.iter().map(|v| v.in_edges.len()))
+            .flat_map(|lg| (0..lg.len() as u32).map(|pos| lg.in_edges(pos).len()))
             .sum();
         assert_eq!(total, counted);
     }
@@ -1056,8 +1266,8 @@ mod tests {
         let g = gen::power_law(500, 2.0, 5, 9);
         let (_cut, lgs) = build(&g, 4);
         for lg in &lgs {
-            for v in &lg.verts {
-                for &t in &v.out_local {
+            for pos in 0..lg.len() as u32 {
+                for &t in lg.out_local(pos) {
                     assert!(lg.verts[t as usize].is_master());
                 }
             }
@@ -1096,11 +1306,7 @@ mod tests {
         let cut = HashEdgeCut.partition(&g, 4);
         let degrees = Degrees::of(&g);
         for k in 1..=3 {
-            let mut plan = FtPlan::none(g.num_vertices());
-            for v in g.vertices() {
-                let hosts = cut.replica_parts(v).iter().take(k);
-                plan.mirror[v.index()] = hosts.map(|&p| NodeId::new(p)).collect();
-            }
+            let plan = mirrored_on_first_replicas(&g, &cut, k);
             let lgs = build_edge_cut_graphs(&g, &cut, &plan, &Count, &degrees);
             let mut mirrors = 0;
             for lg in &lgs {
@@ -1122,7 +1328,7 @@ mod tests {
                     assert_eq!(mine.unwrap().to_meta(), theirs.unwrap().to_meta());
                 }
             }
-            let planned: usize = plan.mirror.iter().map(Vec::len).sum();
+            let planned = plan.mirror.num_items();
             assert!(mirrors > 0 && mirrors == planned, "k={k}");
         }
     }
@@ -1133,13 +1339,16 @@ mod tests {
     fn loaded_stores_carry_no_slack() {
         let g = gen::power_law(600, 2.0, 6, 19);
         let cut = HashEdgeCut.partition(&g, 4);
-        let mut plan = FtPlan::none(g.num_vertices());
-        for v in g.vertices() {
-            let hosts = cut.replica_parts(v).iter().take(2);
-            plan.mirror[v.index()] = hosts.map(|&p| NodeId::new(p)).collect();
-        }
+        let plan = mirrored_on_first_replicas(&g, &cut, 2);
         let degrees = Degrees::of(&g);
         for lg in build_edge_cut_graphs(&g, &cut, &plan, &Count, &degrees) {
+            assert_eq!(lg.hot_in.0.capacity(), lg.hot_in.0.len());
+            assert_eq!(lg.hot_out.0.capacity(), lg.hot_out.0.len());
+            let edges = |span: fn(&EcVertex<u64>) -> Span| -> usize {
+                lg.verts.iter().map(|v| span(v).len()).sum()
+            };
+            assert_eq!(edges(|v| v.in_edges), lg.hot_in.0.len());
+            assert_eq!(edges(|v| v.out_local), lg.hot_out.0.len());
             let full = &lg.full;
             assert_eq!(full.slots.capacity(), full.slots.len());
             assert_eq!(full.in_edges.0.capacity(), full.in_edges.0.len());
@@ -1169,14 +1378,15 @@ mod tests {
             let (slots, lens) = lg.full_state_lens();
             assert_eq!(slots, lg.num_masters());
             assert_eq!((lens.in_edges, lens.out_local), (0, 0));
-            let in_edges: usize = lg.verts.iter().map(|v| v.in_edges.len()).sum();
-            assert_eq!(lens.in_srcs, in_edges);
+            assert_eq!(lens.in_srcs, lg.hot_in.0.len());
             for pos in lg.master_positions() {
-                let v = &lg.verts[pos as usize];
                 let state = lg.full_state(pos).unwrap();
-                assert_eq!(state.in_edges_owner, &v.in_edges[..]);
-                assert_eq!(state.out_local_owner, &v.out_local[..]);
-                let srcs = v.in_edges.iter().map(|&(s, _)| lg.verts[s as usize].vid);
+                assert_eq!(state.in_edges_owner, lg.in_edges(pos));
+                assert_eq!(state.out_local_owner, lg.out_local(pos));
+                let srcs = lg
+                    .in_edges(pos)
+                    .iter()
+                    .map(|&(s, _)| lg.verts[s as usize].vid);
                 assert!(state.in_edge_srcs.iter().copied().eq(srcs));
             }
         }
@@ -1209,32 +1419,18 @@ mod tests {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(9));
         let metas = [state(1, 3), state(2, 0), state(3, 2)];
         for (pos, meta) in metas.iter().enumerate() {
-            lg.insert_at(
-                pos as u32,
-                EcVertex {
-                    kind: CopyKind::Mirror,
-                    master_node: NodeId::new(0),
-                    ..copy(pos as u32)
-                },
-            );
+            let mirror = EcVertex {
+                kind: CopyKind::Mirror,
+                ..copy(pos as u32)
+            };
+            lg.insert_at(pos as u32, mirror, &[], &[]);
             lg.set_full_state(pos as u32, meta.view());
         }
         (lg, metas)
     }
 
     fn copy(vid: u32) -> EcVertex<u64> {
-        EcVertex {
-            vid: Vid::new(vid),
-            kind: CopyKind::Master,
-            master_node: NodeId::new(0),
-            value: 0u64,
-            active: false,
-            next_active: false,
-            last_activate: false,
-            in_edges: Vec::new(),
-            out_local: Vec::new(),
-            meta: None,
-        }
+        EcVertex::new(Vid::new(vid), CopyKind::Master, NodeId::new(0), 0u64)
     }
 
     /// Replacing (longer, shorter, equal), narrowing and extending one
@@ -1358,6 +1554,96 @@ mod tests {
         assert_eq!(lg.full_state_lens().1, loaded);
     }
 
+    /// The two hot columns follow the same rules as the store's four: in
+    /// place outside an episode; inside one nothing under the mark is written
+    /// — a changed list goes to the tail, an unchanged one nowhere, a list
+    /// the episode wrote is written over, only the list ending its column
+    /// grows where it is — and rollback is the saved spans plus a truncation.
+    #[test]
+    fn an_episode_writes_changed_edge_lists_at_the_tail() {
+        let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(0));
+        for pos in 0..3 {
+            lg.insert_at(pos, copy(pos), &[], &[]);
+        }
+        lg.set_in_edges(0, &[(1, 0.5), (2, 1.5)]);
+        lg.set_in_edges(1, &[(0, 2.5)]);
+        for (pos, fed) in [(0, 1), (1, 0), (2, 0)] {
+            lg.set_out_local(pos, &[fed]);
+        }
+        lg.set_in_edges(0, &[(2, 9.0)]);
+        lg.set_out_local(1, &[2]);
+        assert_eq!(lg.edge_list_lens(), (3, 3), "in place outside an episode");
+        // An empty list sitting exactly at the column's end, as the loader
+        // leaves one wherever a copy without consumers falls last.
+        lg.insert_at(3, copy(3), &[], &[]);
+        assert_eq!(lg.verts[3].out_local, Span::new(3, 0));
+
+        let before = lg.clone();
+        let frozen = |lg: &EcLocalGraph<u64>| {
+            lg.hot_in.0[..3] == before.hot_in.0[..] && lg.hot_out.0[..3] == before.hot_out.0[..]
+        };
+        lg.begin_episode();
+        let idle = lg.journal_bytes();
+        lg.set_in_edges(1, &[(0, 2.5)]);
+        lg.set_out_local(2, &[0]);
+        lg.extend_out_local(2, &[]);
+        assert_eq!(
+            (lg.edge_list_lens(), lg.journal_bytes()),
+            ((3, 3), idle),
+            "equal lists are neither written nor journaled"
+        );
+
+        // A replacement that would fit its frozen run goes to the tail all
+        // the same; the run the episode wrote is overwritten where it is.
+        lg.set_in_edges(0, &[(1, 4.0)]);
+        assert_eq!(
+            (lg.in_edges(0), lg.edge_list_lens()),
+            (&[(1, 4.0)][..], (4, 3))
+        );
+        let one_image = lg.journal_bytes();
+        lg.set_in_edges(0, &[(0, 5.0)]);
+        assert_eq!(
+            (lg.in_edges(0), lg.edge_list_lens()),
+            (&[(0, 5.0)][..], (4, 3))
+        );
+        assert_eq!(lg.journal_bytes(), one_image, "one image per span");
+        // The empty list at the mark looks like the first list the episode
+        // wrote: growing twice it is saved twice, and goes back to the first.
+        lg.extend_out_local(3, &[0]);
+        lg.extend_out_local(3, &[1, 2]);
+        assert_eq!(
+            (lg.out_local(3), lg.edge_list_lens()),
+            (&[0, 1, 2][..], (4, 6))
+        );
+        // A list in mid-column moves to the tail to grow; there it grows
+        // where it is.
+        lg.extend_out_local(0, &[2]);
+        assert_eq!(
+            (lg.out_local(0), lg.edge_list_lens()),
+            (&[1, 2][..], (4, 8))
+        );
+        lg.extend_out_local(0, &[1]);
+        assert_eq!(
+            (lg.out_local(0), lg.edge_list_lens()),
+            (&[1, 2, 1][..], (4, 9))
+        );
+        // A copy the episode appends is not journaled: it goes with the mark.
+        let journaled = lg.journal_bytes();
+        let appended = lg.push_copy(copy(7));
+        lg.extend_out_local(appended, &[0]);
+        lg.set_in_edges(appended, &[(2, 1.0)]);
+        assert_eq!(lg.journal_bytes(), journaled);
+        assert!(frozen(&lg) && lg != before && journaled > one_image);
+
+        lg.rollback();
+        assert!(lg == before && lg.edge_list_lens() == (3, 3) && frozen(&lg));
+        assert_eq!(lg.verts[3].out_local, Span::new(3, 0));
+        assert_eq!((lg.len(), lg.position(Vid::new(7))), (4, None));
+        // And in place again.
+        lg.set_in_edges(1, &[(2, 1.0)]);
+        assert_eq!(lg.edge_list_lens(), (3, 3));
+    }
+
     /// Equality reads lists through their spans: a graph that replaced a
     /// list and back equals one that never did, dead runs or not.
     #[test]
@@ -1374,7 +1660,7 @@ mod tests {
         let mut reversed: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(9));
         for pos in 0..3 {
             let v = pristine.verts[pos].clone();
-            reversed.insert_at(pos as u32, EcVertex { meta: None, ..v });
+            reversed.insert_at(pos as u32, EcVertex { meta: None, ..v }, &[], &[]);
         }
         for pos in (0..3).rev() {
             reversed.set_full_state(pos, metas[pos as usize].view());
@@ -1397,7 +1683,7 @@ mod tests {
         assert!(exported.in_edges_owner.is_empty() && exported.out_local_owner.is_empty());
         assert_eq!(exported.in_edge_srcs, &metas[0].in_edge_srcs[..]);
 
-        lg.verts[0].in_edges = vec![(2, 0.5)];
+        lg.set_in_edges(0, &[(2, 0.5)]);
         let lens = lg.full_state_lens().1;
         lg.set_full_state(0, state(4, 9).view());
         let grown = lg.full_state_lens().1;
@@ -1421,24 +1707,32 @@ mod tests {
         let cut = HashEdgeCut.partition(&g, 2);
         let v2 = Vid::new(2);
         let other = NodeId::from_index(1 - cut.owner(v2));
-        let mut plan = FtPlan::none(3);
-        plan.mirror[2] = vec![other];
-        plan.extra_replicas[2] = vec![other];
+        let on_other = Ragged::from_rows(&[vec![], vec![], vec![other]]);
+        let plan = FtPlan {
+            mirror: on_other.clone(),
+            extra_replicas: on_other,
+            ..FtPlan::none(3)
+        };
         let degrees = Degrees::of(&g);
         let lgs = build_edge_cut_graphs(&g, &cut, &plan, &Count, &degrees);
         let lg = &lgs[other.index()];
         let pos = lg.position(v2).expect("extra replica exists");
         assert_eq!(lg.verts[pos as usize].kind, CopyKind::Mirror);
-        assert!(lg.verts[pos as usize].out_local.is_empty());
+        assert!(lg.out_local(pos).is_empty());
     }
 
     #[test]
     fn insert_at_reproduces_layout() {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(0));
         let mk = copy;
-        lg.insert_at(2, mk(20));
-        lg.insert_at(0, mk(5));
-        lg.insert_at(1, mk(11));
+        lg.insert_at(2, mk(20), &[(0, 1.0)], &[]);
+        lg.insert_at(0, mk(5), &[], &[2, 2]);
+        lg.insert_at(1, mk(11), &[], &[]);
+        assert_eq!(
+            (lg.in_edges(2), lg.out_local(0)),
+            (&[(0, 1.0)][..], &[2, 2][..])
+        );
+        assert_eq!(lg.edge_list_lens(), (1, 2));
         assert_eq!(lg.position(Vid::new(20)), Some(2));
         assert_eq!(lg.position(Vid::new(5)), Some(0));
         assert_eq!(lg.len(), 3);
@@ -1449,7 +1743,7 @@ mod tests {
     fn insert_at_conflict_panics() {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(0));
         let mk = copy;
-        lg.insert_at(0, mk(1));
-        lg.insert_at(0, mk(2));
+        lg.insert_at(0, mk(1), &[], &[]);
+        lg.insert_at(0, mk(2), &[], &[]);
     }
 }

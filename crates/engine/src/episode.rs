@@ -10,19 +10,22 @@
 //! [`commit`](Episode::commit) a graph therefore keeps a *journal*:
 //!
 //! * **Marks.** Where every store ended when the episode began. Stores only
-//!   grow inside an episode: copies and slots are appended, and the
-//!   full-state columns leave the entries under their mark untouched — a
-//!   list that changes is written at the tail and its span repointed (see
-//!   [`crate::full_state`]).
+//!   grow inside an episode: copies and slots are appended, and every
+//!   column — the two hot columns of edge lists and the four of full state
+//!   — leaves the entries under its mark untouched: a list that changes is
+//!   written at the tail and its span repointed (see [`crate::full_state`]).
 //! * **Before-images.** The first change to something that predates the
 //!   episode saves what it was: a copy's header — kind, master node,
-//!   activation flags, slot — with the length of its consumer list (which
-//!   only grows); a slot's location tables; a slot's span in one column; an
-//!   in-edge list that is replaced. Images are packed into one byte log
-//!   (LEB128 words behind a tag byte), a dozen bytes apiece: an episode
-//!   touches the header or the tables of about every second copy, and at
-//!   the size of the structs it saves the journal would weigh half of what
-//!   an encoded snapshot of the partition does.
+//!   activation flags, slot; a slot's location tables; a span — of a copy in
+//!   a hot column or of a slot in a cold one, one kind of image for all six
+//!   columns, since the entries it names are still where they were. Two
+//!   bitmaps say whose header and whose tables are saved; a span says so
+//!   itself — what an episode writes starts at or past its column's mark,
+//!   so a span that starts under the mark is still the one to save. Images
+//!   are packed into one byte log (LEB128 words behind a tag byte), a dozen
+//!   bytes apiece: an episode touches the header or the tables of about
+//!   every second copy, and at the size of the structs it saves the journal
+//!   would weigh half of what an encoded snapshot of the partition does.
 //!
 //! [`rollback`](Episode::rollback) writes the images back, takes the
 //! appended vertex IDs out of the index and truncates every store to its
@@ -52,6 +55,14 @@ pub struct PosSet {
 }
 
 impl PosSet {
+    /// An empty set with room for the positions under `len` already made:
+    /// inserting them allocates nothing more.
+    pub fn covering(len: u32) -> Self {
+        PosSet {
+            words: vec![0; (len as usize).div_ceil(64)],
+        }
+    }
+
     /// Adds `pos`; says whether it was absent.
     pub fn insert(&mut self, pos: u32) -> bool {
         let (word, bit) = (pos as usize / 64, 1u64 << (pos % 64));
@@ -105,9 +116,10 @@ impl PosSet {
     }
 }
 
-/// Before-images, packed: each record a tag byte and LEB128 words. Every
-/// record is the *first* image of what it names (the journals' seen-sets see
-/// to that), so reading them back in any order restores the same state.
+/// Before-images, packed: each record a tag byte and LEB128 words. A header
+/// or tables record is the *first* image of what it names (the journals'
+/// seen-sets see to that); a span may be imaged again, and whoever reads the
+/// log back lets a span's first image win.
 #[derive(Debug, Clone, Default)]
 struct Log(Vec<u8>);
 
@@ -185,13 +197,28 @@ fn kind_from_bits(bits: u32) -> CopyKind {
     CopyKind::from_bits(bits as u8).expect("journaled copy kind")
 }
 
-/// Record tags. `COPY`: a copy's header. `IN_EDGES`: a copy's replaced
-/// in-edge list. `TABLES`: a slot's location tables. `SPAN`: a slot's span
-/// in one column.
+/// Record tags. `COPY`: a copy's header. `TABLES`: a slot's location tables.
+/// `SPAN + column`: a span in that one of the graph's [`SPANS`] columns.
 const COPY: u8 = 0;
-const IN_EDGES: u8 = 1;
-const TABLES: u8 = 2;
-const SPAN: u8 = 3;
+const TABLES: u8 = 1;
+const SPAN: u8 = 2;
+
+/// The columns a span can lie in: a copy's two hot columns (in-edges,
+/// consumers), then a slot's [`COLUMNS`] cold ones in [`Slot::spans`] order.
+/// A span record's tag names the column, its first word the span's owner —
+/// a copy's position for a hot column, a slot's index for a cold one.
+///
+/// [`Slot::spans`]: crate::full_state::Slot::spans
+const HOT_COLUMNS: usize = 2;
+const SPANS: usize = HOT_COLUMNS + COLUMNS;
+
+/// The column lengths an episode's writers may not overwrite under.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Floor {
+    pub(crate) hot_in: usize,
+    pub(crate) hot_out: usize,
+    pub(crate) cold: ColumnLens,
+}
 
 /// What an open episode remembers of an [`EcLocalGraph`]: see the module
 /// documentation.
@@ -201,13 +228,26 @@ pub(crate) struct EcJournal {
     /// episode began.
     verts: usize,
     slots: usize,
-    cols: ColumnLens,
-    /// What is already imaged: per copy under the mark its header (`2 × pos`)
-    /// and its in-edges (`2 × pos + 1`); per slot under the mark its tables
-    /// (`(1 + COLUMNS) × slot`) and its span in each column (the keys after).
+    cols: Floor,
+    /// What is already imaged: the copies under the mark whose header is,
+    /// and the slots under the mark whose tables are. Spans need no such
+    /// sets: see [`predates`].
     seen_copies: PosSet,
     seen_slots: PosSet,
     log: Log,
+}
+
+/// Whether `span`, a moment ago the span of a copy or slot that predates the
+/// episode, may be the one the episode found there, given the mark `floor`
+/// of its column. The column writers never write under the mark and place
+/// what they write inside an episode at or past it (see
+/// [`crate::full_state`]): a span starting under the mark has not been
+/// written in this episode, one starting past it has. Exactly *at* the mark
+/// sit both an empty list the episode found at the column's end and the
+/// first list it wrote; those are saved each time they change, and
+/// [`Episode::rollback`] lets the first image of a span win.
+fn predates(span: Span, floor: usize) -> bool {
+    span.range().start <= floor
 }
 
 /// A local graph that journals recovery episodes: see the module
@@ -238,11 +278,15 @@ pub trait Episode {
 impl<V> Episode for EcLocalGraph<V> {
     fn begin_episode(&mut self) {
         assert!(self.journal.is_none(), "an episode is already open");
-        let (slots, cols) = self.full_state_lens();
+        let (slots, cold) = self.full_state_lens();
         self.journal = Some(Box::new(EcJournal {
             verts: self.verts.len(),
             slots,
-            cols,
+            cols: Floor {
+                hot_in: self.hot_in.0.len(),
+                hot_out: self.hot_out.0.len(),
+                cold,
+            },
             seen_copies: PosSet::default(),
             seen_slots: PosSet::default(),
             log: Log::default(),
@@ -257,6 +301,8 @@ impl<V> Episode for EcLocalGraph<V> {
         let Some(journal) = self.journal.take() else {
             return;
         };
+        // The few spans imaged twice (see `predates`) go back to their first.
+        let mut restored = PosSet::default();
         let mut log = journal.log.read();
         while let Some(tag) = log.tag() {
             let at = log.get() as usize;
@@ -271,25 +317,30 @@ impl<V> Episode for EcLocalGraph<V> {
                     v.master_node = NodeId::new(log.get());
                     let slot = log.get().checked_sub(1);
                     v.meta = slot.map(|i| SlotId::from_index(i as usize));
-                    v.out_local.truncate(log.get() as usize);
-                }
-                IN_EDGES => {
-                    let edges = (0..log.get()).map(|_| (log.get(), f32::from_bits(log.get())));
-                    self.verts[at].in_edges = edges.collect();
                 }
                 TABLES => self.full.slots[at].loc = log.get_locations(),
-                SPAN => {
+                _ => {
                     let span = Span::new(log.get() as usize, log.get() as usize);
-                    *self.full.slots[at / COLUMNS].span_mut(at % COLUMNS) = span;
+                    let column = usize::from(tag - SPAN);
+                    let spot = match column {
+                        0 => &mut self.verts[at].in_edges,
+                        1 => &mut self.verts[at].out_local,
+                        cold if cold < SPANS => self.full.slots[at].span_mut(cold - HOT_COLUMNS),
+                        _ => unreachable!("journal record tag {tag}"),
+                    };
+                    if restored.insert((at * SPANS + column) as u32) {
+                        *spot = span;
+                    }
                 }
-                _ => unreachable!("journal record tag {tag}"),
             }
         }
         for v in &self.verts[journal.verts..] {
             self.index.remove(v.vid);
         }
         self.verts.truncate(journal.verts);
-        self.full.truncate(journal.slots, journal.cols);
+        self.hot_in.0.truncate(journal.cols.hot_in);
+        self.hot_out.0.truncate(journal.cols.hot_out);
+        self.full.truncate(journal.slots, journal.cols.cold);
     }
 
     fn journal_bytes(&self) -> usize {
@@ -302,10 +353,22 @@ impl<V> Episode for EcLocalGraph<V> {
     }
 }
 
+impl EcJournal {
+    /// Saves `old`, the span `owner` had in `column` (numbered as in
+    /// [`SPANS`]) a moment ago. The caller has checked that it is the span
+    /// the episode found.
+    fn put_span(&mut self, owner: usize, column: usize, old: Span) {
+        let run = old.range();
+        self.log.0.push(SPAN + column as u8);
+        self.log
+            .put_all([owner as u32, run.start as u32, run.len() as u32]);
+    }
+}
+
 impl<V> EcLocalGraph<V> {
     /// The column lengths no writer may overwrite under: the episode's marks,
     /// or zero.
-    pub(crate) fn floor(&self) -> ColumnLens {
+    pub(crate) fn floor(&self) -> Floor {
         self.journal
             .as_deref()
             .map_or_else(Default::default, |j| j.cols)
@@ -317,7 +380,7 @@ impl<V> EcLocalGraph<V> {
         let Some(j) = self.journal.as_deref_mut() else {
             return;
         };
-        if (pos as usize) < j.verts && j.seen_copies.insert(2 * pos) {
+        if (pos as usize) < j.verts && j.seen_copies.insert(pos) {
             let v = &self.verts[pos as usize];
             let bits = u32::from(v.kind.bits())
                 | u32::from(v.active) << 2
@@ -325,29 +388,23 @@ impl<V> EcLocalGraph<V> {
                 | u32::from(v.last_activate) << 4;
             let slot = v.meta.map_or(0, |slot| slot.index() as u32 + 1);
             j.log.0.push(COPY);
-            j.log.put_all([
-                pos,
-                bits,
-                v.master_node.raw(),
-                slot,
-                v.out_local.len() as u32,
-            ]);
+            j.log.put_all([pos, bits, v.master_node.raw(), slot]);
         }
     }
 
-    /// Saves the in-edges of the copy at `pos` before their first
-    /// replacement in an episode the copy predates.
-    pub(crate) fn touch_in_edges(&mut self, pos: u32) {
+    /// Saves `before`, the span the copy at `pos` had in hot column `column`
+    /// (0: in-edges, 1: consumers) a moment ago, if it has changed and is the
+    /// one the episode found: call right after writing a list of a copy the
+    /// episode may predate.
+    pub(crate) fn note_copy_span(&mut self, pos: u32, column: usize, before: Span) {
         let Some(j) = self.journal.as_deref_mut() else {
             return;
         };
-        if (pos as usize) < j.verts && j.seen_copies.insert(2 * pos + 1) {
-            let edges = &self.verts[pos as usize].in_edges;
-            j.log.0.push(IN_EDGES);
-            j.log.put_all([pos, edges.len() as u32]);
-            for &(src, weight) in edges {
-                j.log.put_all([src, weight.to_bits()]);
-            }
+        let v = &self.verts[pos as usize];
+        let after = [v.in_edges, v.out_local][column];
+        let floor = [j.cols.hot_in, j.cols.hot_out][column];
+        if (pos as usize) < j.verts && before != after && predates(before, floor) {
+            j.put_span(pos as usize, column, before);
         }
     }
 
@@ -357,8 +414,7 @@ impl<V> EcLocalGraph<V> {
         let Some(j) = self.journal.as_deref_mut() else {
             return;
         };
-        let key = (slot.index() * (1 + COLUMNS)) as u32;
-        if slot.index() < j.slots && j.seen_slots.insert(key) {
+        if slot.index() < j.slots && j.seen_slots.insert(slot.index() as u32) {
             j.log.0.push(TABLES);
             j.log.put(slot.index() as u32);
             j.log.put_locations(&self.full.slots[slot.index()].loc);
@@ -366,7 +422,7 @@ impl<V> EcLocalGraph<V> {
     }
 
     /// Saves every span of `slot` that differs from what it was in `before`
-    /// (a moment ago), unless an image of it exists: call right after
+    /// (a moment ago) and is the one the episode found: call right after
     /// writing a slot the episode may predate.
     pub(crate) fn note_spans(&mut self, slot: SlotId, before: [Span; COLUMNS]) {
         let Some(j) = self.journal.as_deref_mut() else {
@@ -376,16 +432,10 @@ impl<V> EcLocalGraph<V> {
             return;
         }
         let after = self.full.slots[slot.index()].spans();
+        let floors = j.cols.cold.per_column();
         for (col, (old, new)) in before.into_iter().zip(after).enumerate() {
-            let key = (slot.index() * (1 + COLUMNS) + 1 + col) as u32;
-            if old != new && j.seen_slots.insert(key) {
-                let run = old.range();
-                j.log.0.push(SPAN);
-                j.log.put_all([
-                    (slot.index() * COLUMNS + col) as u32,
-                    run.start as u32,
-                    run.len() as u32,
-                ]);
+            if old != new && predates(old, floors[col]) {
+                j.put_span(slot.index(), HOT_COLUMNS + col, old);
             }
         }
     }

@@ -19,8 +19,11 @@
 //! held when the episode began are frozen: every writer below takes that
 //! length as its `floor`, leaves a run starting under it untouched, and
 //! writes the new list at the tail instead. Undoing the episode is then a
-//! truncation plus the slots' saved spans; outside an episode the floor is 0
-//! and lists are overwritten in place as before.
+//! truncation plus the saved spans; outside an episode the floor is 0 and
+//! lists are overwritten in place as before. The writers keep one more
+//! promise the journal relies on: **a span they write inside an episode
+//! starts at or past the floor** — so a span that starts under it is the
+//! span the episode found, and needs saving exactly when it changes.
 //!
 //! A store also travels: Migration ships the full state of many copies to
 //! one node as one store filled by [`FullState::push`], and the receiver
@@ -203,7 +206,7 @@ impl Span {
 pub(crate) struct Column<T>(pub(crate) Vec<T>);
 
 impl<T: Copy + PartialEq> Column<T> {
-    fn get(&self, span: Span) -> &[T] {
+    pub(crate) fn get(&self, span: Span) -> &[T] {
         &self.0[span.range()]
     }
 
@@ -217,7 +220,7 @@ impl<T: Copy + PartialEq> Column<T> {
     /// Makes `items` the list behind `span`: over the old run when they fit
     /// in it and it starts at or past `floor`, at the tail otherwise. A run
     /// that already reads `items` is left alone.
-    fn replace(&mut self, span: &mut Span, items: &[T], floor: usize) {
+    pub(crate) fn replace(&mut self, span: &mut Span, items: &[T], floor: usize) {
         if items.len() <= span.len() && span.range().start >= floor {
             span.len = items.len() as u32;
             self.0[span.range()].copy_from_slice(items);
@@ -227,12 +230,12 @@ impl<T: Copy + PartialEq> Column<T> {
     }
 
     /// Appends `items` to the list behind `span`, which moves to the tail
-    /// first unless it already ends there.
-    fn extend(&mut self, span: &mut Span, items: &[T]) {
+    /// first unless it already ends there and starts at or past `floor`.
+    pub(crate) fn extend(&mut self, span: &mut Span, items: &[T], floor: usize) {
         if items.is_empty() {
             return;
         }
-        if span.range().end != self.0.len() {
+        if span.range().end != self.0.len() || span.range().start < floor {
             self.0.reserve(span.len() + items.len());
             let moved = self.0.len();
             self.0.extend_from_within(span.range());
@@ -296,7 +299,7 @@ impl<T: Copy + PartialEq> Column<T> {
         true
     }
 
-    fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.0.capacity() * std::mem::size_of::<T>()
     }
 }
@@ -350,6 +353,11 @@ impl ColumnLens {
     /// Entries in the four columns together.
     pub fn total(&self) -> usize {
         self.in_edges + self.in_srcs + self.out_local + self.out_remote
+    }
+
+    /// The four lengths in the columns' order (that of [`Slot::spans`]).
+    pub(crate) fn per_column(&self) -> [usize; COLUMNS] {
+        [self.in_edges, self.in_srcs, self.out_local, self.out_remote]
     }
 }
 
@@ -480,11 +488,12 @@ impl FullState {
 
     /// Empties `slot`'s `(position, weight)` and consumer lists: what a
     /// mirror's slot must lose when the copy becomes a master, whose own
-    /// edge lists are those lists from then on.
+    /// edge lists are those lists from then on. The empty runs are placed at
+    /// the column tails (a span written in an episode starts past its floor).
     pub(crate) fn clear_owner_lists(&mut self, slot: SlotId) {
         let s = &mut self.slots[slot.index()];
-        s.in_edges = Span::default();
-        s.out_local = Span::default();
+        s.in_edges = Span::new(self.in_edges.0.len(), 0);
+        s.out_local = Span::new(self.out_local.0.len(), 0);
     }
 
     /// Keeps the remote out-edges of `slot` that `keep` accepts (it may
@@ -500,10 +509,11 @@ impl FullState {
         self.out_remote.retain_mut(&mut s.out_remote, floor, keep)
     }
 
-    /// Appends `edges` to the remote out-edges of `slot`.
-    pub(crate) fn extend_out_remote(&mut self, slot: SlotId, edges: &[RemoteEdge]) {
+    /// Appends `edges` to the remote out-edges of `slot`, at the tail if the
+    /// run starts under `floor`.
+    pub(crate) fn extend_out_remote(&mut self, slot: SlotId, floor: usize, edges: &[RemoteEdge]) {
         let s = &mut self.slots[slot.index()];
-        self.out_remote.extend(&mut s.out_remote, edges);
+        self.out_remote.extend(&mut s.out_remote, edges, floor);
     }
 
     /// # Errors

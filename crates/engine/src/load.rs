@@ -29,14 +29,22 @@ impl Layout {
     /// Lays the plan's vertices out over `parts` nodes; `place(v)` is the
     /// partitioning's `(master part, replica parts)` of `v`.
     pub fn new<'c>(parts: usize, plan: &FtPlan, place: impl Fn(Vid) -> (usize, &'c [u32])) -> Self {
-        let mut copies: Vec<Vec<Vid>> = vec![Vec::new(); parts];
-        for (i, extras) in plan.extra_replicas.iter().enumerate() {
-            let v = Vid::from_index(i);
+        let hosts = |v: Vid| {
             let (master, replicas) = place(v);
-            let hosts = std::iter::once(master)
+            std::iter::once(master)
                 .chain(replicas.iter().map(|&p| p as usize))
-                .chain(extras.iter().map(|n| n.index()));
-            for p in hosts {
+                .chain(plan.extras(v).iter().map(|n| n.index()))
+        };
+        let vertices = || (0..plan.num_vertices()).map(Vid::from_index);
+        // Count (a part named twice for a vertex counts twice: room, not
+        // length), so that each list is allocated once.
+        let mut room = vec![0usize; parts];
+        for p in vertices().flat_map(hosts) {
+            room[p] += 1;
+        }
+        let mut copies: Vec<Vec<Vid>> = room.into_iter().map(Vec::with_capacity).collect();
+        for v in vertices() {
+            for p in hosts(v) {
                 // Vertices arrive ascending, so a list stays sorted and a
                 // part named twice for `v` finds `v` already last.
                 if copies[p].last() != Some(&v) {
@@ -65,7 +73,7 @@ impl Layout {
         replica_parts: &[u32],
         plan: &FtPlan,
     ) -> Locations {
-        let extras = &plan.extra_replicas[v.index()];
+        let extras = plan.extras(v);
         let mut replica_nodes = InlineList::with_capacity(replica_parts.len() + extras.len());
         for &p in replica_parts {
             replica_nodes.push(NodeId::new(p));

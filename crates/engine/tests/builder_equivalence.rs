@@ -1,12 +1,13 @@
 //! The loaders against the builders they replaced. `reference_*` are the
 //! single-threaded, push-as-you-go builders the library shipped before the
-//! load path was rebuilt from CSR, kept here as the specification (verbatim
-//! but for the location tables' conversion to `Locations`, and for the
-//! edge-cut one handing back each copy's full state as the owned
-//! `MasterMeta` it builds instead of boxing it onto the vertex): the
-//! library's builders must return graphs equal to theirs — every copy, and
-//! the full state every master and mirror exports — on any graph,
-//! partitioning and plan, and must leave no capacity slack behind.
+//! load path was rebuilt, kept here as the specification (verbatim but for
+//! the location tables' conversion to `Locations`, and for the edge-cut one
+//! handing back each copy's edge lists and full state as the owned `Vec`s
+//! and `MasterMeta` it builds instead of hanging them onto the vertex): the
+//! library's builders must return graphs equal to theirs — every copy, every
+//! edge list item for item in the same order, and the full state every
+//! master and mirror exports — on any graph, partitioning and plan, and must
+//! leave no slack behind.
 
 use proptest::prelude::*;
 
@@ -16,16 +17,19 @@ use imitator_engine::{
     FtPlan, InlineList, Locations, MasterMeta, RemoteEdge, VcEdge, VcLocalGraph, VcVertex,
     VertexProgram, INLINE_ITEMS,
 };
-use imitator_graph::{gen, Edge, Graph, PosIndex, Vid};
+use imitator_graph::{gen, Edge, Graph, PosIndex, Ragged, Vid};
 use imitator_partition::{
     EdgeCut, EdgeCutPartitioner, HashEdgeCut, HybridVertexCut, RandomVertexCut, VertexCut,
     VertexCutPartitioner,
 };
 
-/// One node as the reference builds it: its copies, none of them given a
-/// slot, and per position the full state that copy holds.
+/// One node as the reference builds it: its copies, none of them given an
+/// edge list or a slot, and per position the in-edges, consumers and full
+/// state that copy holds.
 struct ReferenceEc<V> {
     lg: EcLocalGraph<V>,
+    in_edges: Vec<Vec<(u32, f32)>>,
+    out_local: Vec<Vec<u32>>,
     metas: Vec<Option<MasterMeta>>,
 }
 
@@ -50,7 +54,7 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
         for &p in cut.replica_parts(v) {
             copies[p as usize].push(v);
         }
-        for &node in &plan.extra_replicas[i] {
+        for &node in plan.extras(v) {
             copies[node.index()].push(v);
         }
     }
@@ -73,23 +77,14 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
                     let owner = NodeId::from_index(cut.owner(v));
                     let kind = if owner == node {
                         CopyKind::Master
-                    } else if plan.mirror[v.index()].contains(&node) {
+                    } else if plan.mirrors(v).contains(&node) {
                         CopyKind::Mirror
                     } else {
                         CopyKind::Replica
                     };
-                    EcVertex {
-                        vid: v,
-                        kind,
-                        master_node: owner,
-                        value: prog.init(v, degrees),
-                        active: kind == CopyKind::Master && prog.initially_active(v),
-                        next_active: false,
-                        last_activate: false,
-                        in_edges: Vec::new(),
-                        out_local: Vec::new(),
-                        meta: None,
-                    }
+                    let mut copy = EcVertex::new(v, kind, owner, prog.init(v, degrees));
+                    copy.active = kind == CopyKind::Master && prog.initially_active(v);
+                    copy
                 })
                 .collect();
             let mut lg = EcLocalGraph::empty(node);
@@ -100,6 +95,10 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
         .collect();
     let mut metas: Vec<Vec<Option<MasterMeta>>> =
         graphs.iter().map(|lg| vec![None; lg.len()]).collect();
+    let mut in_edges: Vec<Vec<Vec<(u32, f32)>>> =
+        graphs.iter().map(|lg| vec![Vec::new(); lg.len()]).collect();
+    let mut out_local: Vec<Vec<Vec<u32>>> =
+        graphs.iter().map(|lg| vec![Vec::new(); lg.len()]).collect();
 
     // 4. Edges: every edge lives on the consumer's owner; the producer's
     //    local copy there feeds the consumer.
@@ -107,10 +106,8 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
         let p = cut.owner(e.dst);
         let dst_pos = pos_maps[p].at(e.dst) as usize;
         let src_pos = pos_maps[p].at(e.src);
-        graphs[p].verts[dst_pos].in_edges.push((src_pos, e.weight));
-        graphs[p].verts[src_pos as usize]
-            .out_local
-            .push(dst_pos as u32);
+        in_edges[p][dst_pos].push((src_pos, e.weight));
+        out_local[p][src_pos as usize].push(dst_pos as u32);
     }
 
     // 5. Full state (masters + mirrors). One pass over edges collects each
@@ -137,7 +134,7 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
             .iter()
             .map(|&p| NodeId::new(p))
             .collect();
-        for &extra in &plan.extra_replicas[i] {
+        for &extra in plan.extras(v) {
             if !replica_nodes.contains(&extra) {
                 replica_nodes.push(extra);
             }
@@ -147,16 +144,15 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
             .iter()
             .map(|n| pos_maps[n.index()].at(v))
             .collect();
-        let mirror_nodes = plan.mirror[i].clone();
+        let mirror_nodes = plan.mirrors(v).to_vec();
         for m in &mirror_nodes {
             assert!(
                 replica_nodes.contains(m),
                 "mirror of {v} on {m} has no copy there"
             );
         }
-        let master = &graphs[owner].verts[master_pos as usize];
-        let in_edge_srcs: Vec<Vid> = master
-            .in_edges
+        let master_in_edges = &in_edges[owner][master_pos as usize];
+        let in_edge_srcs: Vec<Vid> = master_in_edges
             .iter()
             .map(|&(src, _)| graphs[owner].verts[src as usize].vid)
             .collect();
@@ -168,9 +164,9 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
                 replica_positions.as_slice().into(),
                 mirror_nodes.as_slice().into(),
             ),
-            in_edges_owner: master.in_edges.clone(),
+            in_edges_owner: master_in_edges.clone(),
             in_edge_srcs,
-            out_local_owner: master.out_local.clone(),
+            out_local_owner: out_local[owner][master_pos as usize].clone(),
             out_remote,
         };
         for m in &mirror_nodes {
@@ -184,26 +180,53 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
         lg.rebuild_active_frontier();
     }
 
+    let lists = in_edges.into_iter().zip(out_local);
     graphs
         .into_iter()
+        .zip(lists)
         .zip(metas)
-        .map(|(lg, metas)| ReferenceEc { lg, metas })
+        .map(|((lg, (in_edges, out_local)), metas)| ReferenceEc {
+            lg,
+            in_edges,
+            out_local,
+            metas,
+        })
         .collect()
 }
 
 /// The library's graph for one node against the reference's: the same
-/// copies at the same positions, and the same full state exported by each.
+/// copies at the same positions, the same edge lists in the same order
+/// behind the accessors, and the same full state exported by each.
 fn assert_ec_equals_reference(built: &EcLocalGraph<u64>, want: &ReferenceEc<u64>) {
     assert_eq!(built.node, want.lg.node);
     assert_eq!(built.index, want.lg.index, "index of {}", built.node);
     assert_eq!(built.active_frontier, want.lg.active_frontier);
     assert_eq!(built.len(), want.lg.len(), "copies on {}", built.node);
     for (pos, (ours, theirs)) in built.verts.iter().zip(&want.lg.verts).enumerate() {
-        let copy = EcVertex {
-            meta: None,
-            ..ours.clone()
+        let header = |v: &EcVertex<u64>| {
+            let flags = (v.active, v.next_active, v.last_activate);
+            (v.vid, v.kind, v.master_node, v.value, flags)
         };
-        assert_eq!(&copy, theirs, "copy at {pos} on {}", built.node);
+        assert_eq!(
+            header(ours),
+            header(theirs),
+            "copy at {pos} on {}",
+            built.node
+        );
+        assert_eq!(
+            built.in_edges(pos as u32),
+            &want.in_edges[pos][..],
+            "in-edges of {} on {}",
+            ours.vid,
+            built.node
+        );
+        assert_eq!(
+            built.out_local(pos as u32),
+            &want.out_local[pos][..],
+            "consumers of {} on {}",
+            ours.vid,
+            built.node
+        );
         let exported = built.full_state(pos as u32).map(|state| state.to_meta());
         assert_eq!(
             exported, want.metas[pos],
@@ -233,7 +256,7 @@ fn reference_vertex_cut_graphs<P: VertexProgram>(
         for &p in cut.replica_parts(v) {
             copies[p as usize].push(v);
         }
-        for &node in &plan.extra_replicas[i] {
+        for &node in plan.extras(v) {
             copies[node.index()].push(v);
         }
     }
@@ -254,7 +277,7 @@ fn reference_vertex_cut_graphs<P: VertexProgram>(
                     let owner = NodeId::from_index(cut.master(v));
                     let kind = if owner == node {
                         CopyKind::Master
-                    } else if plan.mirror[v.index()].contains(&node) {
+                    } else if plan.mirrors(v).contains(&node) {
                         CopyKind::Mirror
                     } else {
                         CopyKind::Replica
@@ -291,7 +314,7 @@ fn reference_vertex_cut_graphs<P: VertexProgram>(
             .iter()
             .map(|&p| NodeId::new(p))
             .collect();
-        for &extra in &plan.extra_replicas[i] {
+        for &extra in plan.extras(v) {
             if !replica_nodes.contains(&extra) {
                 replica_nodes.push(extra);
             }
@@ -301,7 +324,7 @@ fn reference_vertex_cut_graphs<P: VertexProgram>(
             .iter()
             .map(|n| pos_maps[n.index()].at(v))
             .collect();
-        let mirror_nodes = plan.mirror[i].clone();
+        let mirror_nodes = plan.mirrors(v).to_vec();
         for m in &mirror_nodes {
             assert!(
                 replica_nodes.contains(m),
@@ -402,21 +425,27 @@ fn random_plan(
     seed: u64,
     place: impl Fn(Vid) -> (usize, Vec<u32>),
 ) -> FtPlan {
-    let mut plan = FtPlan::none(g.num_vertices());
+    let n = g.num_vertices();
+    let (mut mirror, mut extra_replicas) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+    let mut flags = vec![false; n];
     let mut rng = seed;
     for v in g.vertices() {
         let (master, replicas) = place(v);
         let mut nodes: Vec<usize> = (0..parts).filter(|&p| p != master).collect();
         for _ in 0..k {
             let node = nodes.swap_remove(splitmix(&mut rng) as usize % nodes.len());
-            plan.mirror[v.index()].push(NodeId::from_index(node));
+            mirror[v.index()].push(NodeId::from_index(node));
             if !replicas.contains(&(node as u32)) {
-                plan.extra_replicas[v.index()].push(NodeId::from_index(node));
+                extra_replicas[v.index()].push(NodeId::from_index(node));
             }
         }
-        plan.selfish[v.index()] = selfish && splitmix(&mut rng).is_multiple_of(2);
+        flags[v.index()] = selfish && splitmix(&mut rng).is_multiple_of(2);
     }
-    plan
+    FtPlan {
+        mirror: Ragged::from_rows(&mirror),
+        extra_replicas: Ragged::from_rows(&extra_replicas),
+        selfish: flags,
+    }
 }
 
 fn ec_plan(g: &Graph, cut: &EdgeCut, k: usize, selfish: bool, seed: u64) -> FtPlan {
@@ -476,14 +505,6 @@ proptest! {
     }
 }
 
-fn assert_exact<T>(list: &Vec<T>, what: &str, vid: Vid) {
-    assert_eq!(
-        list.capacity(),
-        list.len(),
-        "{what} of {vid} carries capacity slack"
-    );
-}
-
 /// A location table owns no heap while it fits inline, and exactly its
 /// items beyond that.
 fn assert_table_exact<T>(list: &InlineList<T>, what: &str, vid: Vid)
@@ -510,8 +531,6 @@ fn assert_ec_exact(lg: &EcLocalGraph<u64>) {
         "active_frontier"
     );
     for (pos, v) in lg.verts.iter().enumerate() {
-        assert_exact(&v.in_edges, "in_edges", v.vid);
-        assert_exact(&v.out_local, "out_local", v.vid);
         let Some(state) = lg.full_state(pos as u32) else {
             continue;
         };
@@ -523,9 +542,21 @@ fn assert_ec_exact(lg: &EcLocalGraph<u64>) {
         );
         assert_table_exact(state.locations.mirror_nodes(), "mirror_nodes", v.vid);
     }
-    // The store holds what the copies' full state adds up to and not an
-    // entry more. (That the columns' capacity is their length is asserted
-    // where it can be seen, in the engine's unit tests.)
+    // The hot columns hold the copies' edge lists, the store what their full
+    // state adds up to, and not an entry more. (That the columns' capacity
+    // is their length is asserted where it can be seen, in the engine's unit
+    // tests.)
+    let positions = 0..lg.len() as u32;
+    let listed = |len: &dyn Fn(u32) -> usize| positions.clone().map(len).sum::<usize>();
+    assert_eq!(
+        lg.edge_list_lens(),
+        (
+            listed(&|pos| lg.in_edges(pos).len()),
+            listed(&|pos| lg.out_local(pos).len())
+        ),
+        "hot columns of {}",
+        lg.node
+    );
     assert_eq!(
         lg.full_state_lens(),
         lg.live_full_state_lens(),
@@ -577,7 +608,9 @@ fn mirror_without_a_copy_panics_on_the_caller() {
     let g = gen::from_pairs(3, &[(0, 1), (1, 0)]); // v2 isolated: no replicas
     let cut = HashEdgeCut.partition(&g, 2);
     let other = NodeId::from_index(1 - cut.owner(Vid::new(2)));
-    let mut plan = FtPlan::none(3);
-    plan.mirror[2] = vec![other];
+    let plan = FtPlan {
+        mirror: Ragged::from_rows(&[vec![], vec![], vec![other]]),
+        ..FtPlan::none(3)
+    };
     build_edge_cut_graphs(&g, &cut, &plan, &Labelled, &Degrees::of(&g));
 }

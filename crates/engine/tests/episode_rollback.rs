@@ -1,16 +1,17 @@
 //! A recovery episode on loader-built graphs, driven through every mutator
 //! Migration uses, then rolled back: the graph must come back equal and every
-//! store — copies, index, slot table, full-state columns, vertex-cut edges —
-//! at exactly the length it had, for both engines at K = 1 and 2. (What the
-//! real protocol does inside an episode is checked in the `imitator` crate,
-//! whose debug builds hold every rollback against an encoded snapshot.)
+//! store — copies, index, the two hot edge-list columns, slot table,
+//! full-state columns, vertex-cut edges — at exactly the length it had, for
+//! both engines at K = 1 and 2. (What the real protocol does inside an
+//! episode is checked in the `imitator` crate, whose debug builds hold every
+//! rollback against an encoded snapshot.)
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
     Episode, FtPlan, FullState, RemoteEdge, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
 };
-use imitator_graph::{gen, Graph, Vid};
+use imitator_graph::{gen, Graph, Ragged, Vid};
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
 
 struct Count;
@@ -47,17 +48,22 @@ fn graph() -> Graph {
 
 /// Every vertex mirrored on its first `k` replica nodes.
 fn plan(g: &Graph, k: usize, replica_parts: impl Fn(Vid) -> Vec<u32>) -> FtPlan {
-    let mut plan = FtPlan::none(g.num_vertices());
-    for v in g.vertices() {
-        let hosts = replica_parts(v).into_iter().take(k);
-        plan.mirror[v.index()] = hosts.map(NodeId::new).collect();
+    let hosts = |v| replica_parts(v).into_iter().take(k).map(NodeId::new);
+    let rows: Vec<Vec<NodeId>> = g.vertices().map(|v| hosts(v).collect()).collect();
+    FtPlan {
+        mirror: Ragged::from_rows(&rows),
+        ..FtPlan::none(g.num_vertices())
     }
-    plan
 }
 
 /// The lengths of every store of an edge-cut graph.
 fn ec_lens(lg: &EcLocalGraph<u64>) -> impl PartialEq + std::fmt::Debug {
-    (lg.len(), lg.index.len(), lg.full_state_lens())
+    (
+        lg.len(),
+        lg.index.len(),
+        lg.edge_list_lens(),
+        lg.full_state_lens(),
+    )
 }
 
 /// What a survivor of that crash does to its graph in a Migration, in
@@ -95,7 +101,8 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
                         })
                         .collect::<Vec<_>>(),
                 );
-                lg.set_in_edges(pos, in_edges.iter().map(|&(_, w)| (pos, w)).collect());
+                let rewired: Vec<(u32, f32)> = in_edges.iter().map(|&(_, w)| (pos, w)).collect();
+                lg.set_in_edges(pos, &rewired);
                 lg.set_active(pos, true);
                 changed += 1;
             }
@@ -108,7 +115,14 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
                     }
                     !(moved && r.pos % 2 == 0)
                 }));
-                lg.extend_out_local(pos, [pos]);
+                lg.extend_out_local(pos, &[pos]);
+                if pos % 3 == 0 {
+                    // Replaced shorter, equal and longer: a run that predates
+                    // the episode is never written over.
+                    let fed = lg.out_local(pos).to_vec();
+                    lg.set_out_local(pos, &fed[1..]);
+                    lg.set_out_local(pos, &fed);
+                }
                 lg.locations_mut(pos).unwrap().add_mirror(NodeId::new(3));
             }
             CopyKind::Replica if master_node == dead() => lg.set_master_node(pos, NodeId::new(2)),
@@ -124,18 +138,11 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
     let placed: Vec<u32> = absent
         .into_iter()
         .map(|vid| {
-            lg.push_copy(EcVertex {
-                vid,
-                kind: CopyKind::Replica,
-                master_node: NodeId::new(2),
-                value: 7,
-                active: false,
-                next_active: false,
-                last_activate: true,
-                in_edges: Vec::new(),
-                out_local: Vec::new(),
-                meta: None,
-            })
+            let mut granted = EcVertex::new(vid, CopyKind::Replica, NodeId::new(2), 7);
+            granted.last_activate = true;
+            let pos = lg.push_copy(granted);
+            lg.extend_out_local(pos, &[0, 1]);
+            pos
         })
         .collect();
     changed += placed.len();

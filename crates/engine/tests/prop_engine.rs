@@ -10,7 +10,7 @@ use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, ec_commit, ec_compute, vc_apply, vc_commit,
     vc_partial_gather, CopyKind, Degrees, FtPlan, VertexProgram,
 };
-use imitator_graph::{gen, Graph, Vid};
+use imitator_graph::{gen, Graph, Ragged, Vid};
 use imitator_partition::{
     EdgeCutPartitioner, HashEdgeCut, HybridVertexCut, RandomVertexCut, VertexCutPartitioner,
 };
@@ -60,7 +60,7 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 /// replica locations, extras round-robin).
 fn naive_plan(g: &Graph, cut: &imitator_partition::EdgeCut, k: usize) -> FtPlan {
     let parts = cut.num_parts();
-    let mut plan = FtPlan::none(g.num_vertices());
+    let (mut mirror, mut extra_replicas) = (Vec::new(), Vec::new());
     for v in g.vertices() {
         let mut mirrors: Vec<NodeId> = cut
             .replica_parts(v)
@@ -68,6 +68,7 @@ fn naive_plan(g: &Graph, cut: &imitator_partition::EdgeCut, k: usize) -> FtPlan 
             .take(k)
             .map(|&p| NodeId::new(p))
             .collect();
+        let mut extras = Vec::new();
         let mut candidate = 0usize;
         while mirrors.len() < k {
             let node = NodeId::from_index(candidate % parts);
@@ -75,12 +76,17 @@ fn naive_plan(g: &Graph, cut: &imitator_partition::EdgeCut, k: usize) -> FtPlan 
             if node.index() == cut.owner(v) || mirrors.contains(&node) {
                 continue;
             }
-            plan.extra_replicas[v.index()].push(node);
+            extras.push(node);
             mirrors.push(node);
         }
-        plan.mirror[v.index()] = mirrors;
+        mirror.push(mirrors);
+        extra_replicas.push(extras);
     }
-    plan
+    FtPlan {
+        mirror: Ragged::from_rows(&mirror),
+        extra_replicas: Ragged::from_rows(&extra_replicas),
+        selfish: vec![false; g.num_vertices()],
+    }
 }
 
 fn min_label_reference(g: &Graph, iters: usize) -> Vec<u32> {
@@ -140,7 +146,7 @@ proptest! {
         // Total in-edges across nodes equals |E|.
         let in_edges: usize = lgs
             .iter()
-            .flat_map(|lg| lg.verts.iter().map(|v| v.in_edges.len()))
+            .flat_map(|lg| (0..lg.len() as u32).map(|pos| lg.in_edges(pos).len()))
             .sum();
         prop_assert_eq!(in_edges, g.num_edges());
     }

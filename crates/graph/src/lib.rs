@@ -29,6 +29,7 @@ mod graph;
 mod ids;
 mod io;
 mod pos_index;
+mod ragged;
 mod stats;
 
 pub use csr::Csr;
@@ -36,4 +37,5 @@ pub use graph::{Edge, Graph, GraphBuilder};
 pub use ids::{Vid, VidHasher, VidMap};
 pub use io::ParseGraphError;
 pub use pos_index::PosIndex;
+pub use ragged::{BitRows, Ragged};
 pub use stats::GraphStats;

@@ -71,9 +71,30 @@ impl PosIndex {
 
     /// Builds the index mapping each vid to its slice position. `vids` must
     /// be strictly ascending (the natural order of partition copy lists).
+    /// The table (dense or sparse) is filled straight from the slice.
     pub fn from_sorted_vids(vids: &[Vid]) -> Self {
         debug_assert!(vids.windows(2).all(|w| w[0] < w[1]), "vids not ascending");
-        PosIndex::from_pairs(vids.iter().enumerate().map(|(pos, &vid)| (vid, pos as u32)))
+        debug_assert!(
+            vids.len() < u32::MAX as usize,
+            "u32::MAX is the absent sentinel"
+        );
+        let max_raw = vids.last().map_or(0, |v| v.raw());
+        let positions = vids.iter().zip(0u32..);
+        let repr = if dense_ok(max_raw, vids.len()) {
+            let mut table = vec![u32::MAX; max_raw as usize + 1];
+            for (vid, pos) in positions {
+                table[vid.index()] = pos;
+            }
+            Repr::Dense(table)
+        } else {
+            let mut map = VidMap::with_capacity_and_hasher(vids.len(), Default::default());
+            map.extend(positions.map(|(&vid, pos)| (vid, pos)));
+            Repr::Sparse(map)
+        };
+        PosIndex {
+            repr,
+            len: vids.len(),
+        }
     }
 
     /// Builds the index from arbitrary `(vid, position)` pairs (later pairs
@@ -249,6 +270,20 @@ mod tests {
         }
         assert_eq!(idx.get(Vid::new(1)), None);
         assert_eq!(idx.get(Vid::new(100_000)), None);
+    }
+
+    /// Filling the table from the slice gives what the pair constructor
+    /// gives, representation included.
+    #[test]
+    fn sorted_vids_equal_their_pairs() {
+        for step in [1usize, 7, 5_000] {
+            let vids: Vec<Vid> = (0..40_000).step_by(step).map(Vid::new).collect();
+            let direct = PosIndex::from_sorted_vids(&vids);
+            let pairs = PosIndex::from_pairs(vids.iter().copied().zip(0u32..));
+            assert_eq!(is_dense(&direct), is_dense(&pairs), "step {step}");
+            assert_eq!(direct, pairs);
+            assert_eq!(direct.heap_bytes(), pairs.heap_bytes());
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Edge-cut placements (Cyclops model).
 
-use imitator_graph::{Graph, Vid};
+use imitator_graph::{BitRows, Graph, Ragged, Vid};
 use imitator_metrics::MemSize;
 
 use crate::mix64;
@@ -28,7 +28,9 @@ use crate::mix64;
 pub struct EdgeCut {
     num_parts: usize,
     owner: Vec<u32>,
-    replicas: Vec<Vec<u32>>,
+    /// Per vertex, its replica parts ascending: one flat table, collected
+    /// as a bitset row per vertex (an `|=` per edge, no per-vertex list).
+    replicas: Ragged<u32>,
 }
 
 impl EdgeCut {
@@ -46,18 +48,14 @@ impl EdgeCut {
             assert!((o as usize) < num_parts, "owner {o} out of range");
         }
         // replica parts of u = owners of u's out-neighbours, minus owner(u)
-        let mut replicas: Vec<Vec<u32>> = vec![Vec::new(); g.num_vertices()];
+        let mut seen = BitRows::new(g.num_vertices(), num_parts);
         for e in g.edges() {
-            let consumer = owner[e.dst.index()];
-            let src = e.src.index();
-            if consumer != owner[src] && !replicas[src].contains(&consumer) {
-                replicas[src].push(consumer);
-            }
+            seen.insert(e.src.index(), owner[e.dst.index()]);
         }
-        for r in &mut replicas {
-            r.sort_unstable();
-            r.shrink_to_fit();
+        for (v, &o) in owner.iter().enumerate() {
+            seen.remove(v, o);
         }
+        let replicas = seen.to_ragged();
         EdgeCut {
             num_parts,
             owner,
@@ -83,12 +81,12 @@ impl EdgeCut {
     /// Parts holding a computation replica of `v` (sorted, never contains
     /// the owner).
     pub fn replica_parts(&self, v: Vid) -> &[u32] {
-        &self.replicas[v.index()]
+        self.replicas.row(v.index())
     }
 
     /// Whether `v` has at least one computation replica.
     pub fn has_replica(&self, v: Vid) -> bool {
-        !self.replicas[v.index()].is_empty()
+        self.replicas.row_len(v.index()) > 0
     }
 
     /// Iterates vertices mastered on `part`.
@@ -115,7 +113,7 @@ impl EdgeCut {
         if self.owner.is_empty() {
             return 0.0;
         }
-        let copies: usize = self.replicas.iter().map(|r| 1 + r.len()).sum();
+        let copies = self.owner.len() + self.replicas.num_items();
         copies as f64 / self.owner.len() as f64
     }
 
@@ -126,7 +124,7 @@ impl EdgeCut {
         if self.owner.is_empty() {
             return 0.0;
         }
-        let none = self.replicas.iter().filter(|r| r.is_empty()).count();
+        let none = self.replicas.rows().filter(|r| r.is_empty()).count();
         none as f64 / self.owner.len() as f64
     }
 }
@@ -178,9 +176,56 @@ impl EdgeCutPartitioner for HashEdgeCut {
 mod tests {
     use super::*;
     use imitator_graph::gen;
+    use proptest::prelude::*;
 
     fn sample() -> Graph {
         gen::power_law(2_000, 2.0, 6, 17)
+    }
+
+    /// The replica table as `from_owner` built it before it was flat: a
+    /// list per vertex grown by `contains` + `push`, then sorted.
+    fn reference_replicas(g: &Graph, owner: &[u32]) -> Vec<Vec<u32>> {
+        let mut replicas: Vec<Vec<u32>> = vec![Vec::new(); g.num_vertices()];
+        for e in g.edges() {
+            let consumer = owner[e.dst.index()];
+            let src = e.src.index();
+            if consumer != owner[src] && !replicas[src].contains(&consumer) {
+                replicas[src].push(consumer);
+            }
+        }
+        for r in &mut replicas {
+            r.sort_unstable();
+        }
+        replicas
+    }
+
+    proptest! {
+        /// Any multigraph (self-loops, repeated edges, vertices no edge
+        /// names), any ownership, part counts on both sides of a bitset
+        /// word: the flat table holds the reference's lists.
+        #[test]
+        fn flat_table_equals_the_list_per_vertex_reference(
+            n in 1usize..40,
+            parts in 1usize..=70,
+            pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..120),
+            salt in any::<u64>(),
+        ) {
+            let pairs: Vec<(u32, u32)> =
+                pairs.iter().map(|&(a, b)| (a % n as u32, b % n as u32)).collect();
+            let g = gen::from_pairs(n, &pairs);
+            let owner: Vec<u32> =
+                (0..n as u64).map(|v| (mix64(v ^ salt) % parts as u64) as u32).collect();
+            let cut = EdgeCut::from_owner(&g, parts, owner.clone());
+            let want = reference_replicas(&g, &owner);
+            for v in g.vertices() {
+                prop_assert_eq!(cut.replica_parts(v), &want[v.index()][..]);
+                prop_assert_eq!(cut.has_replica(v), !want[v.index()].is_empty());
+            }
+            let copies: usize = want.iter().map(|r| 1 + r.len()).sum();
+            prop_assert_eq!(cut.replication_factor(), copies as f64 / n as f64);
+            let none = want.iter().filter(|r| r.is_empty()).count();
+            prop_assert_eq!(cut.fraction_without_replicas(), none as f64 / n as f64);
+        }
     }
 
     #[test]

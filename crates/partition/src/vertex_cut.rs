@@ -1,6 +1,6 @@
 //! Vertex-cut placements (PowerLyra model, §6.10).
 
-use imitator_graph::{Graph, Vid};
+use imitator_graph::{BitRows, Graph, Ragged, Vid};
 use imitator_metrics::MemSize;
 
 use crate::mix64;
@@ -24,7 +24,8 @@ pub struct VertexCut {
     num_parts: usize,
     edge_owner: Vec<u32>,
     master: Vec<u32>,
-    replicas: Vec<Vec<u32>>,
+    /// Per vertex, its non-master parts ascending, in one flat table.
+    replicas: Ragged<u32>,
 }
 
 impl VertexCut {
@@ -56,35 +57,32 @@ impl VertexCut {
             assert!((o as usize) < num_parts, "edge owner {o} out of range");
         }
         let n = g.num_vertices();
-        // present[v] = sorted parts holding an edge adjacent to v
-        let mut present: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // present[v] = the parts holding an edge adjacent to v, one bitset
+        // row per vertex; what is left of it once the master's bit is taken
+        // out are the replica parts.
+        let mut present = BitRows::new(n, num_parts);
         for (e, &p) in g.edges().iter().zip(&edge_owner) {
-            for v in [e.src, e.dst] {
-                let list = &mut present[v.index()];
-                if !list.contains(&p) {
-                    list.push(p);
-                }
-            }
+            present.insert(e.src.index(), p);
+            present.insert(e.dst.index(), p);
         }
         let mut master = vec![0u32; n];
-        let mut replicas = vec![Vec::new(); n];
-        for i in 0..n {
+        for (i, master) in master.iter_mut().enumerate() {
             let v = Vid::from_index(i);
-            present[i].sort_unstable();
+            let copies = present.count(i);
             let m = if let Some(f) = force_master {
                 f(v) as u32
-            } else if present[i].is_empty() {
+            } else if copies == 0 {
                 (mix64(u64::from(v.raw())) % num_parts as u64) as u32
             } else {
                 // Deterministic pseudo-random choice among present parts.
-                let k = mix64(u64::from(v.raw()) ^ 0x5151_5151) as usize % present[i].len();
-                present[i][k]
+                let k = mix64(u64::from(v.raw()) ^ 0x5151_5151) as usize % copies;
+                present.nth(i, k).expect("k < copies")
             };
             assert!((m as usize) < num_parts, "master out of range");
-            master[i] = m;
-            replicas[i] = present[i].iter().copied().filter(|&p| p != m).collect();
-            replicas[i].shrink_to_fit();
+            *master = m;
+            present.remove(i, m);
         }
+        let replicas = present.to_ragged();
         VertexCut {
             num_parts,
             edge_owner,
@@ -115,12 +113,12 @@ impl VertexCut {
 
     /// Parts holding a (non-master) replica of `v`, sorted.
     pub fn replica_parts(&self, v: Vid) -> &[u32] {
-        &self.replicas[v.index()]
+        self.replicas.row(v.index())
     }
 
     /// Whether `v` has at least one replica besides its master.
     pub fn has_replica(&self, v: Vid) -> bool {
-        !self.replicas[v.index()].is_empty()
+        self.replicas.row_len(v.index()) > 0
     }
 
     /// Number of edges owned by each part (load-balance view — vertex-cut
@@ -139,7 +137,7 @@ impl VertexCut {
         if self.master.is_empty() {
             return 0.0;
         }
-        let copies: usize = self.replicas.iter().map(|r| 1 + r.len()).sum();
+        let copies = self.master.len() + self.replicas.num_items();
         copies as f64 / self.master.len() as f64
     }
 
@@ -148,7 +146,7 @@ impl VertexCut {
         if self.master.is_empty() {
             return 0.0;
         }
-        let none = self.replicas.iter().filter(|r| r.is_empty()).count();
+        let none = self.replicas.rows().filter(|r| r.is_empty()).count();
         none as f64 / self.master.len() as f64
     }
 }
@@ -303,9 +301,84 @@ impl VertexCutPartitioner for HybridVertexCut {
 mod tests {
     use super::*;
     use imitator_graph::gen;
+    use proptest::prelude::*;
 
     fn skewed() -> imitator_graph::Graph {
         gen::power_law(3_000, 1.9, 12, 21)
+    }
+
+    /// `(master, replicas)` as `from_edge_owner` built them before the
+    /// table was flat: a `present` list per vertex grown by `contains` +
+    /// `push`, sorted, the master picked by index, the rest filtered out.
+    fn reference_placement(
+        g: &Graph,
+        num_parts: usize,
+        edge_owner: &[u32],
+        force_master: Option<&dyn Fn(Vid) -> usize>,
+    ) -> (Vec<u32>, Vec<Vec<u32>>) {
+        let n = g.num_vertices();
+        let mut present: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (e, &p) in g.edges().iter().zip(edge_owner) {
+            for v in [e.src, e.dst] {
+                let list = &mut present[v.index()];
+                if !list.contains(&p) {
+                    list.push(p);
+                }
+            }
+        }
+        let mut master = vec![0u32; n];
+        let mut replicas = vec![Vec::new(); n];
+        for i in 0..n {
+            let v = Vid::from_index(i);
+            present[i].sort_unstable();
+            let m = if let Some(f) = force_master {
+                f(v) as u32
+            } else if present[i].is_empty() {
+                (mix64(u64::from(v.raw())) % num_parts as u64) as u32
+            } else {
+                let k = mix64(u64::from(v.raw()) ^ 0x5151_5151) as usize % present[i].len();
+                present[i][k]
+            };
+            master[i] = m;
+            replicas[i] = present[i].iter().copied().filter(|&p| p != m).collect();
+        }
+        (master, replicas)
+    }
+
+    proptest! {
+        /// Any multigraph (self-loops, repeated edges, vertices no edge
+        /// names), any edge ownership, part counts on both sides of a
+        /// bitset word, masters elected or forced (onto a part the vertex
+        /// may not be present on): the flat table holds the reference's
+        /// masters and lists.
+        #[test]
+        fn flat_table_equals_the_list_per_vertex_reference(
+            n in 1usize..40,
+            parts in 1usize..=70,
+            pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..120),
+            salt in any::<u64>(),
+            forced in any::<bool>(),
+        ) {
+            let pairs: Vec<(u32, u32)> =
+                pairs.iter().map(|&(a, b)| (a % n as u32, b % n as u32)).collect();
+            let g = gen::from_pairs(n, &pairs);
+            let edge_owner: Vec<u32> = (0..pairs.len() as u64)
+                .map(|e| (mix64(e ^ salt) % parts as u64) as u32)
+                .collect();
+            let force = move |v: Vid| (mix64(u64::from(v.raw()) ^ !salt) % parts as u64) as usize;
+            let force: Option<&dyn Fn(Vid) -> usize> = forced.then_some(&force);
+            let cut = VertexCut::from_edge_owner(&g, parts, edge_owner.clone(), force);
+            let (master, replicas) = reference_placement(&g, parts, &edge_owner, force);
+            for v in g.vertices() {
+                prop_assert_eq!(cut.master(v), master[v.index()] as usize);
+                prop_assert_eq!(cut.replica_parts(v), &replicas[v.index()][..]);
+                prop_assert_eq!(cut.has_replica(v), !replicas[v.index()].is_empty());
+            }
+            let copies: usize = replicas.iter().map(|r| 1 + r.len()).sum();
+            prop_assert_eq!(cut.replication_factor(), copies as f64 / n as f64);
+            let none = replicas.iter().filter(|r| r.is_empty()).count();
+            prop_assert_eq!(cut.fraction_without_replicas(), none as f64 / n as f64);
+        }
     }
 
     #[test]

@@ -45,7 +45,13 @@ cd "$(dirname "$0")/.."
 #          journaling graph mutators, `place_fresh_mirror` folded into
 #          `place_granted`, and the per-record meta import/export became
 #          batch calls the engine implements (DESIGN.md §4.3, §4.5).
-BUDGET=1601
+#   1527 — a copy's edge lists are runs of its graph's two hot columns
+#          (DESIGN.md §4.9): the struct literals that spelled out two empty
+#          `Vec`s per copy became `EcVertex::new`, the checkpoint graft's
+#          `std::mem::replace(..).out_local` splice became one
+#          `set_out_local`, and grouping a node's edges per edge-ckpt
+#          receiver moved to `ckpt::edge_ckpt_files`, beside the codec.
+BUDGET=1527
 EC=crates/core/src/runner_ec.rs
 VC=crates/core/src/runner_vc.rs
 
