@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use imitator_algos::{CommunityDetection, PageRank, Sssp};
 use imitator_engine::{
-    build_edge_cut_graphs, build_vertex_cut_graphs, ec_compute, ec_compute_par, ec_compute_scan,
-    vc_partial_gather, vc_partial_gather_par, Degrees, FtPlan, VcGatherIndex, VertexProgram,
+    build_edge_cut_graphs, build_vertex_cut_graphs, ec_compute, ec_compute_scan, vc_partial_gather,
+    Degrees, FtPlan, VertexProgram,
 };
 use imitator_graph::{gen, Vid};
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
@@ -37,8 +37,8 @@ fn bench_ec_compute(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sparse frontier vs the historical full scan, and the scoped-thread pool
-/// vs serial, on the same dense PageRank superstep.
+/// Sparse frontier vs the historical full scan on the same dense PageRank
+/// superstep.
 fn bench_ec_variants(c: &mut Criterion) {
     let g = gen::power_law(20_000, 2.0, 10, 3);
     let cut = HashEdgeCut.partition(&g, 4);
@@ -53,11 +53,6 @@ fn bench_ec_variants(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("pagerank", "frontier"), |b| {
         b.iter(|| ec_compute(&lgs[0], &pr, &degrees, 0))
     });
-    for threads in [1usize, 2, 4] {
-        group.bench_function(BenchmarkId::new("pagerank-par", threads), |b| {
-            b.iter(|| ec_compute_par(&lgs[0], &pr, &degrees, 0, threads))
-        });
-    }
     group.finish();
 }
 
@@ -71,16 +66,6 @@ fn bench_vc_gather(c: &mut Criterion) {
     c.bench_function("vc_partial_gather/pagerank", |b| {
         b.iter(|| vc_partial_gather(&lgs[0], &pr))
     });
-    // Dst-grouped zero-alloc gather, serial and parallel.
-    let index = VcGatherIndex::build(&lgs[0]);
-    let mut group = c.benchmark_group("vc_gather_variants");
-    for threads in [1usize, 2, 4] {
-        let mut partials = Vec::new();
-        group.bench_function(BenchmarkId::new("pagerank-grouped", threads), |b| {
-            b.iter(|| vc_partial_gather_par(&lgs[0], &pr, &index, threads, &mut partials))
-        });
-    }
-    group.finish();
 }
 
 fn bench_build(c: &mut Criterion) {

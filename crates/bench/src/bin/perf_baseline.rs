@@ -1,5 +1,5 @@
 //! Performance baseline: times the engine's compute kernels (serial scan,
-//! sparse frontier, scoped-thread pool, dst-grouped gather) and one
+//! sparse frontier, edge-order gather, gather-index build) and one
 //! end-to-end PageRank run per engine, then writes the numbers to
 //! `BENCH_engine.json` for regression tracking.
 //!
@@ -25,9 +25,8 @@ use imitator_algos::PageRank;
 use imitator_bench::{banner, best_of, crash, ramfs, reps, run_ec, run_vc, BenchOpts, Workload};
 use imitator_cluster::{Cluster, NodeId, TransportKind, TICKS_PER_MS};
 use imitator_engine::{
-    build_edge_cut_graphs, build_vertex_cut_graphs, ec_compute, ec_compute_par, ec_compute_scan,
-    vc_partial_gather, vc_partial_gather_par, CopyKind, Degrees, Episode, FtPlan, FullState,
-    VcGatherIndex, VertexProgram,
+    build_edge_cut_graphs, build_vertex_cut_graphs, ec_compute, ec_compute_scan, vc_partial_gather,
+    CopyKind, Degrees, Episode, FtPlan, FullState, VcGatherIndex, VertexProgram,
 };
 use imitator_graph::gen;
 use imitator_metrics::{CommKind, MemSize};
@@ -209,14 +208,6 @@ fn main() {
             ec_compute(&lgs[0], &pr, &degrees, 0);
         }),
     );
-    for threads in [1usize, 2, 4] {
-        record(
-            &format!("ec_compute_par_t{threads}"),
-            time_best(n, || {
-                ec_compute_par(&lgs[0], &pr, &degrees, 0, threads);
-            }),
-        );
-    }
 
     // Vertex-cut kernels.
     let vcut = RandomVertexCut.partition(&g, opts.nodes);
@@ -227,22 +218,12 @@ fn main() {
             vc_partial_gather(&vlgs[0], &pr);
         }),
     );
-    let index = VcGatherIndex::build(&vlgs[0]);
     record(
         "vc_gather_index_build",
         time_best(n, || {
             VcGatherIndex::build(&vlgs[0]);
         }),
     );
-    let mut partials = Vec::new();
-    for threads in [1usize, 2, 4] {
-        record(
-            &format!("vc_gather_grouped_t{threads}"),
-            time_best(n, || {
-                vc_partial_gather_par(&vlgs[0], &pr, &index, threads, &mut partials);
-            }),
-        );
-    }
 
     // Communication fabric: lock-free send + O(1) drain throughput, and the
     // barrier round trip every superstep pays.

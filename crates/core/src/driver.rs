@@ -20,7 +20,7 @@ use imitator_cluster::{
     WireCodec,
 };
 use imitator_engine::{
-    CopyKind, Degrees, Episode, FtPlan, InOrder, Locations, MasterUpdate, WorkerPool,
+    chunk_ranges, CopyKind, Degrees, Episode, FtPlan, InOrder, Locations, MasterUpdate, WorkerPool,
 };
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
@@ -28,7 +28,7 @@ use imitator_storage::codec::{Decode, Encode};
 use imitator_storage::{epoch, Dfs, EpochKind};
 
 use crate::msg::{ProtoMsg, ReplicaGrant, VertexSync};
-use crate::recovery::{self, Adoption, Mig, MigEnv};
+use crate::recovery::{self, Abort, Adoption, Mig, MigEnv};
 use crate::report::RunReport;
 use crate::rt::{merge_outcomes, NodeOutcome, NodeState};
 use crate::{FtMode, RunConfig};
@@ -141,10 +141,6 @@ pub(crate) trait ModelGraph: Episode {
     type Metas;
 
     fn len(&self) -> usize;
-    #[allow(dead_code)]
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
     fn position(&self, vid: Vid) -> Option<u32>;
     fn num_masters(&self) -> usize;
     fn vid(&self, pos: u32) -> Vid;
@@ -173,6 +169,27 @@ pub(crate) trait ModelGraph: Episode {
     fn is_master(&self, pos: u32) -> bool {
         self.kind(pos) == CopyKind::Master
     }
+    /// [`ModelGraph::meta`] of a copy that must carry full state: a master
+    /// or a mirror.
+    ///
+    /// # Panics
+    ///
+    /// Panics if it carries none.
+    fn full(&self, pos: u32) -> &Locations {
+        self.meta(pos)
+            .unwrap_or_else(|| no_full_state(self.vid(pos), self.kind(pos)))
+    }
+    /// [`ModelGraph::full`], for rewriting.
+    fn full_mut(&mut self, pos: u32) -> &mut Locations {
+        let (vid, kind) = (self.vid(pos), self.kind(pos));
+        self.meta_mut(pos)
+            .unwrap_or_else(|| no_full_state(vid, kind))
+    }
+}
+
+/// Reports a master or mirror found without the full state it must carry.
+pub(crate) fn no_full_state(vid: Vid, kind: CopyKind) -> ! {
+    panic!("{kind:?} copy of {vid} has no full state")
 }
 
 /// One computation model (edge-cut Cyclops or vertex-cut PowerLyra GAS),
@@ -336,45 +353,15 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     }
 }
 
-/// Runs `model` over pre-built local graphs on a simulated cluster: spawns
-/// one thread per node plus the configured hot standbys, joins them, and
-/// assembles the merged [`RunReport`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run<M: ComputeModel>(
-    model: M,
-    num_vertices: usize,
-    lgs: Vec<M::Graph>,
-    degrees: Arc<Degrees>,
-    plan: Arc<FtPlan>,
-    owners: Arc<Vec<u32>>,
-    cfg: RunConfig,
-    failures: Vec<FailurePlan>,
-    dfs: Dfs,
-) -> RunReport<M::Value>
-where
-    Msg<M>: Clone + WireCodec,
-{
-    run_keeping_graphs(
-        model,
-        num_vertices,
-        lgs,
-        degrees,
-        plan,
-        owners,
-        cfg,
-        failures,
-        dfs,
-    )
-    .0
-}
-
 /// The graphs the live nodes hand back when a run ends, by node.
 pub(crate) type FinalGraphs<M> = Vec<(NodeId, <M as ComputeModel>::Graph)>;
 
-/// [`run`], also handing back each live node's final graph (tests inspect
-/// what recovery left behind).
+/// Runs `model` over pre-built local graphs on a simulated cluster: spawns
+/// one thread per node plus the configured hot standbys, joins them, and
+/// assembles the merged [`RunReport`]. Each live node's final graph comes
+/// back with it (tests inspect what recovery left behind).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_keeping_graphs<M: ComputeModel>(
+pub(crate) fn run<M: ComputeModel>(
     model: M,
     num_vertices: usize,
     lgs: Vec<M::Graph>,
@@ -522,9 +509,7 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
     for (node, lg) in graphs {
         for pos in (0..lg.len() as u32).filter(|&p| lg.is_master(p)) {
             let vid = lg.vid(pos);
-            let meta = lg
-                .meta(pos)
-                .unwrap_or_else(|| panic!("master {vid} on {node} has no full state"));
+            let meta = lg.full(pos);
             let selfish = plan.selfish.get(vid.index()).copied().unwrap_or(false);
             let mirrors = meta.mirror_nodes();
             assert_eq!(
@@ -577,19 +562,25 @@ fn standby_main<M: ComputeModel>(
     // The newbie's reload/reconstruct/replay phases fan out on the same
     // worker pool the node keeps for compute once it joins the main loop.
     let pool = WorkerPool::new(shared.cfg.threads_per_node);
-    let lg = match shared.cfg.ft {
+    let reborn = match shared.cfg.ft {
         FtMode::Replication { .. } => recovery::rebirth_newbie(&ctx, shared, &mut st, &pool),
         FtMode::Checkpoint { .. } => recovery::ckpt_newbie(&ctx, shared, &mut st, &pool),
         FtMode::None => unreachable!("standbys are never dispatched without fault tolerance"),
     };
-    // `None`: the recovery attempt this newbie was dispatched for aborted
-    // (or the newbie hit an injected fail point) and it crashed itself; its
-    // phase/comm accounting still belongs in the merged report.
-    let Some(lg) = lg else {
-        absorb_pool(&mut st, &pool);
-        return Some(NodeOutcome::from_state(None, st));
-    };
-    Some(node_main(ctx, lg, shared, st, pool))
+    match reborn {
+        Ok(lg) => Some(node_main(ctx, lg, shared, st, pool)),
+        Err(abort) => {
+            // The attempt this newbie was dispatched for aborted, and it has
+            // no pre-episode state to restore: it crashes itself (one that
+            // hit an injected fail point already has) and the next attempt
+            // takes a fresh standby. Its accounting still merges.
+            if let Abort::Failures(_) = abort {
+                ctx.crash();
+            }
+            absorb_pool(&mut st, &pool);
+            Some(NodeOutcome::from_state(None, st))
+        }
+    }
 }
 
 /// Algorithm 1: the synchronous execution flow with failure handling —
@@ -777,6 +768,21 @@ pub(crate) fn graph_mut<G>(lg: &mut Arc<G>) -> &mut G {
     Arc::get_mut(lg).expect("local graph still shared by pool workers")
 }
 
+/// Fans `chunk` out on the pool over `0..len` in contiguous ranges, whose
+/// outputs arrive in submission — ascending — order. A job drops its clone
+/// of `chunk`, captured `Arc`s and all, before its output is published.
+pub(crate) fn fan_out<T: Send + 'static>(
+    pool: &WorkerPool,
+    len: usize,
+    chunk: impl Fn(std::ops::Range<usize>) -> T + Clone + Send + 'static,
+) -> InOrder<T> {
+    let jobs = chunk_ranges(len, pool.threads()).into_iter().map(|r| {
+        let chunk = chunk.clone();
+        Box::new(move || chunk(r)) as Box<dyn FnOnce() -> T + Send>
+    });
+    pool.dispatch(jobs.collect())
+}
+
 /// Reads the pool's lifetime counters into the node state before it is
 /// frozen into an outcome.
 fn absorb_pool<T>(st: &mut NodeState<T>, pool: &WorkerPool) {
@@ -813,7 +819,7 @@ pub(crate) fn stage_update_syncs<M: ComputeModel>(
         if *shared.plan.selfish.get(i).unwrap_or(&false) {
             continue;
         }
-        let meta = lg.meta(u.local).expect("masters always carry full state");
+        let meta = lg.full(u.local);
         let staged = st
             .sync_filter
             .stage(u.local, &u.value, stage_scatter && u.activate);
@@ -966,34 +972,54 @@ pub(crate) fn note_dirty<M: ComputeModel>(
     cfg: &RunConfig,
     updates: &[MasterUpdate<M::Value>],
 ) {
-    if matches!(
-        cfg.ft,
-        FtMode::Checkpoint {
-            incremental: true,
-            ..
-        }
-    ) {
+    if cfg.ft.is_incremental_ckpt() {
         st.dirty.extend(updates.iter().map(|u| u.local));
     }
 }
 
-/// Drains stashed + queued sync records (position-addressed by the sender,
-/// so no ID lookup happens here), stashing everything else for later.
+/// Selects one [`ProtoMsg`] variant for [`take`]: the payload of a message
+/// of that variant, any other message back.
+macro_rules! kind {
+    ($variant:ident) => {
+        |msg| match msg {
+            $crate::msg::ProtoMsg::$variant(payload) => Ok(payload),
+            other => Err(other),
+        }
+    };
+}
+pub(crate) use kind;
+
+/// Takes the stashed + queued messages of one `kind` with their senders,
+/// stashing everything else in arrival order. Barrier-separated rounds
+/// (supersteps and recovery rounds alike) find everything sent for the
+/// current round already queued.
+pub(crate) fn take<M: ComputeModel, T>(
+    ctx: &Ctx<M>,
+    st: &mut St<M>,
+    kind: impl Fn(Msg<M>) -> Result<T, Msg<M>>,
+) -> Vec<(NodeId, T)> {
+    let mut pending = std::mem::take(&mut st.stash);
+    pending.extend(ctx.drain());
+    let mut taken = Vec::new();
+    for Envelope { from, msg } in pending {
+        match kind(msg) {
+            Ok(payload) => taken.push((from, payload)),
+            Err(msg) => st.stash.push(Envelope { from, msg }),
+        }
+    }
+    taken
+}
+
+/// This round's sync records (position-addressed by the sender, so no ID
+/// lookup happens here).
 pub(crate) fn collect_syncs<M: ComputeModel>(
     ctx: &Ctx<M>,
     st: &mut St<M>,
 ) -> Vec<VertexSync<M::Value>> {
-    let mut out = Vec::new();
-    let mut pending = std::mem::take(&mut st.stash);
-    pending.extend(ctx.drain());
-    for env in pending {
-        match env.msg {
-            ProtoMsg::Sync(batch) => out.extend(batch),
-            other => st.stash.push(Envelope {
-                from: env.from,
-                msg: other,
-            }),
-        }
+    let batches = take::<M, _>(ctx, st, kind!(Sync));
+    let mut out = Vec::with_capacity(batches.iter().map(|(_, batch)| batch.len()).sum());
+    for (_, batch) in batches {
+        out.extend(batch);
     }
     out
 }
@@ -1007,12 +1033,4 @@ pub(crate) fn stash_non_data<M: ComputeModel>(ctx: &Ctx<M>, st: &mut St<M>) {
             st.stash.push(env);
         }
     }
-}
-
-/// Pulls stashed + queued messages (recovery rounds are barrier-separated,
-/// so everything for the current round is already queued).
-pub(crate) fn round_msgs<M: ComputeModel>(ctx: &Ctx<M>, st: &mut St<M>) -> Vec<Envelope<Msg<M>>> {
-    let mut v = std::mem::take(&mut st.stash);
-    v.extend(ctx.drain());
-    v
 }

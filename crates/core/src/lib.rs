@@ -115,6 +115,15 @@ impl FtMode {
     pub fn is_replication(&self) -> bool {
         matches!(self, FtMode::Replication { .. })
     }
+
+    /// Whether checkpoints are incremental: only dirtied masters are tracked
+    /// and written, and recovery replays the base + delta chain.
+    pub(crate) fn is_incremental_ckpt(&self) -> bool {
+        match self {
+            FtMode::Checkpoint { incremental, .. } => *incremental,
+            _ => false,
+        }
+    }
 }
 
 /// Configuration of one distributed run.

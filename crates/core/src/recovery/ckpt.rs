@@ -1,0 +1,423 @@
+//! Checkpoint recovery (§2.2-2.3): every node rolls back to the newest
+//! complete snapshot epoch and the lost iterations re-run — onto hot
+//! standbys, or, with none left, onto the survivors.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use imitator_cluster::NodeId;
+use imitator_engine::WorkerPool;
+use imitator_graph::Vid;
+use imitator_metrics::{CommKind, Stopwatch};
+use imitator_storage::{epoch, EpochChain, EpochError, EpochKind};
+
+use super::migration::{
+    announce_promotions, collect_promotions, register_placements, report_placements, Mig, MigEnv,
+    Placements,
+};
+use super::rounds::{barrier_ok, AttemptCx, MIGRATION_ROUNDS, RELOAD};
+use super::{Attempt, Undo};
+use crate::driver::{collect_syncs, graph_mut, ComputeModel, Ctx, ModelGraph, Shared, St};
+use crate::msg::{Promotion, ProtoMsg, VertexSync};
+use crate::report::RecoveryReport;
+
+/// What grafting dead partitions onto this node produced
+/// (checkpoint-fallback recovery, [`ComputeModel::adopt_partition`]).
+#[derive(Default)]
+pub(crate) struct Adoption {
+    /// Masters this node now hosts (announced cluster-wide in round 1 of
+    /// the fallback).
+    pub promotions: Vec<Promotion>,
+    /// Adopted replica copies whose *surviving* master must learn the new
+    /// location: `(master's node, vid, local position here)`.
+    pub placements: Vec<(NodeId, Vid, u32)>,
+    /// Local positions of adopted replica copies whose master died too —
+    /// resolved against the cluster-wide promotion set in round 2.
+    pub orphans: Vec<u32>,
+}
+
+/// Rolls a survivor back to its newest recoverable snapshot state and
+/// returns the iteration the graph now sits at: the newest complete epoch
+/// in full mode, the initial state under the complete snapshot chain (base
+/// full epoch + later deltas; see [`epoch::recovery_chain`]) in incremental
+/// mode, the initial state alone while no complete epoch exists.
+fn roll_back<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut Arc<M::Graph>) -> u64 {
+    let me = cx.me();
+    let (shared, st, g) = (cx.shared, &mut *cx.st, graph_mut(lg));
+    let chain = epoch::recovery_chain(&shared.dfs, M::PREFIX, me.raw()).ok();
+    if chain.is_none() || shared.cfg.ft.is_incremental_ckpt() {
+        // The masters no longer hold their last-shipped values, so the
+        // suppression filter's entries describe nothing anymore.
+        shared.model.reset_to_initial(g, shared);
+        st.sync_filter.clear();
+    } else {
+        // A full snapshot (full mode writes nothing else, so the chain is
+        // the newest complete epoch alone) restores masters only; surviving
+        // replicas keep exactly the state our last syncs installed, so the
+        // filter stays valid toward survivors and only the crashed
+        // destinations are invalidated (their replacements are rebuilt from
+        // snapshots — everything must be re-shipped there).
+        for &d in cx.dead {
+            st.sync_filter.invalidate_dest(d);
+        }
+    }
+    let snap_iter = chain.map_or(0, |chain| {
+        apply_snapshot_chain::<M>(g, shared, me, &chain, Some(cx.pool))
+    });
+    st.dirty.clear();
+    st.last_snapshot_iter = snap_iter;
+    snap_iter
+}
+
+pub(super) fn ckpt_survivor<M: ComputeModel>(
+    cx: &mut AttemptCx<'_, M>,
+    lg: &mut Arc<M::Graph>,
+    undo: &mut Undo,
+) -> Attempt<RecoveryReport> {
+    // An exhausted standby pool grafts the dead partitions' snapshots onto
+    // the survivors instead of panicking.
+    if !cx.standbys_dispatched()? {
+        return ckpt_fallback(cx, lg, undo);
+    }
+
+    // Reload: every node (survivors too) rolls back to the newest *sealed,
+    // roster-complete* epoch — a crash mid-checkpoint leaves a torn part
+    // behind, and a torn epoch must never be loaded. For incremental mode,
+    // roll back to the initial state plus the complete snapshot chain.
+    let snap_iter = cx.phase(&RELOAD, |cx| {
+        // The rollback rewrites the graph: snapshot it for undo first.
+        undo.capture_graph(&cx.shared.model, lg);
+        cx.mark("undo_capture");
+        Ok(roll_back(cx, lg))
+    })?;
+    cx.fence()?;
+
+    // Reconstruct: replica values are not in snapshots; masters rebroadcast.
+    full_sync(cx, graph_mut(lg))?;
+    cx.mark("reconstruct");
+
+    cx.st.iter = snap_iter;
+    cx.st.replay_until = cx.resume_iter;
+    for d in cx.dead {
+        cx.st.alive[d.index()] = true;
+    }
+    // `replay` accumulates as the lost iterations re-run.
+    let mut report = cx.report("checkpoint");
+    report.vertices_recovered = lg.num_masters() as u64;
+    Ok(report)
+}
+
+/// Checkpoint recovery without standbys: the survivors adopt the dead
+/// partitions wholesale from the DFS. Three barrier-separated graft rounds
+/// (the first three rows of the Migration table), then the usual full-sync.
+///
+/// Round 1 — every survivor rolls back to the snapshot epoch; the
+/// round-robin adopter of each dead partition reconstructs it from the dead
+/// node's metadata snapshot plus its snapshot chain (exactly what a standby
+/// would have done) and grafts it into its own graph via
+/// [`ComputeModel::adopt_partition`]; promotions are announced. An adopter
+/// of several partitions reconstructs them concurrently on the worker pool
+/// (each reconstruction reads and decodes an independent dead graph); the
+/// grafts themselves replay serially in partition order.
+/// Round 2 — promotions are applied everywhere, adopted copies whose master
+/// also died are re-pointed at the promoted location, and position-addressed
+/// consumer tables are rewritten ([`ComputeModel::migration_requests`] with
+/// an empty promotion set of our own — under checkpoint FT every adopted
+/// master arrives complete, so no replica requests are generated).
+/// Round 3 — replica placements are registered with their surviving
+/// masters and the leader acknowledges the episode; the closing full-sync
+/// then refreshes every (old and adopted) replica from its master's
+/// rolled-back value. Finally each survivor re-persists its metadata
+/// snapshot: its layout grew, and a *later* episode must be able to
+/// reconstruct it including the adopted positions.
+fn ckpt_fallback<M: ComputeModel>(
+    cx: &mut AttemptCx<'_, M>,
+    lg: &mut Arc<M::Graph>,
+    undo: &mut Undo,
+) -> Attempt<RecoveryReport> {
+    let (model, me) = (&cx.shared.model, cx.me());
+    let mut mig: Mig<M::MigExtra> = Mig::default();
+    let [r1, r2, r3, ..] = &MIGRATION_ROUNDS;
+    // `undo_capture`, `reload` and `reconstruct`, booked across the rounds.
+    let mut sw = Stopwatch::start();
+
+    // ---- Round 1: roll back, graft assigned dead partitions, announce.
+    let (snap_iter, adopted) = cx.round(r1, |cx| {
+        // The rollback and the grafts rewrite the graph: snapshot it for undo.
+        undo.capture_graph(model, lg);
+        cx.phases.record("undo_capture", sw.lap());
+        let snap_iter = roll_back(cx, lg);
+        // The dead nodes are gone for good: purge them from every
+        // pre-existing master's replica tables (the adopters purge their
+        // grafted masters' tables inside `adopt_partition`).
+        let g = graph_mut(lg);
+        for pos in 0..g.len() as u32 {
+            if g.is_master(pos) {
+                g.full_mut(pos).purge_nodes(cx.dead);
+            }
+        }
+        cx.phases.record("reload", sw.lap());
+        let adopted = graft_partitions(cx, lg, &mut mig);
+        announce_promotions(cx, &adopted.promotions);
+        (snap_iter, adopted)
+    })?;
+
+    // ---- Round 2: apply promotions, resolve orphans, rewrite consumer
+    //      tables, report replica placements to surviving masters.
+    cx.round(r2, |cx| {
+        let g = graph_mut(lg);
+        let all_promos = collect_promotions(cx, g, &adopted.promotions);
+        let mut placed = Placements::new();
+        for (master, vid, pos) in adopted.placements {
+            placed.entry(master).or_default().push((vid, pos));
+        }
+        // Orphans: adopted replica copies whose master died too. If a later
+        // graft of our own promoted the vertex here it is already a master;
+        // otherwise the promotions just applied point it at the promoted
+        // location, where it registers.
+        for pos in adopted.orphans.into_iter().filter(|&pos| !g.is_master(pos)) {
+            let (vid, master) = (g.vid(pos), g.master_node(pos));
+            let promoted = cx.st.alive[master.index()];
+            assert!(promoted, "orphaned copy of {vid} has no promotion");
+            placed.entry(master).or_default().push((vid, pos));
+        }
+        // Rewrite position-addressed consumer tables that still point at the
+        // dead layouts. Under checkpoint FT the adopted partitions arrive
+        // complete, so the models generate no replica requests here.
+        let menv = MigEnv::new(cx.dead, me, &[], &all_promos);
+        let requests = model.migration_requests(g, cx.shared, cx.st, &mut mig, &menv);
+        debug_assert!(
+            requests.values().all(Vec::is_empty),
+            "checkpoint fallback must not need replica grants"
+        );
+        // Adoption grafted masters whose `active` bits came straight from the
+        // snapshot; restore derived activation state before validating.
+        model.after_recovery(g);
+        model.validate(g);
+        report_placements(cx, placed);
+    })?;
+
+    // ---- Round 3: register placements; leader acknowledges; full-sync
+    //      refreshes every replica (its barriers close this round).
+    cx.phase(r3, |cx| {
+        let g = graph_mut(lg);
+        register_placements(cx, g, None);
+        cx.ack_recovered();
+        full_sync(cx, g)?;
+        // Re-persist the metadata snapshot: this node's layout changed, and
+        // any later reconstruction of *this* node must include the adopted
+        // positions. Placed after the last abortable barrier, so an aborted
+        // attempt never leaves a revised meta behind.
+        let meta = format!("{}/meta/{}", M::PREFIX, me.raw());
+        cx.shared.dfs.write(&meta, model.encode_graph(g));
+        Ok(())
+    })?;
+    cx.phases.record("reconstruct", sw.lap());
+
+    cx.st.iter = snap_iter;
+    cx.st.replay_until = cx.resume_iter;
+    mig.promoted.sort_unstable();
+    // `replay` accumulates as the lost iterations re-run.
+    let mut report = cx.report("checkpoint→migration");
+    (report.vertices_recovered, report.edges_recovered) = (mig.recovered, mig.edges_recovered);
+    (report.promoted, report.contacted) = (mig.promoted, cx.others.clone());
+    Ok(report)
+}
+
+/// Round 1's grafts of the dead partitions assigned to this node
+/// (deterministically, round-robin over the survivors). Reconstructing one
+/// is self-contained DFS reads + decode, so they fan out; the grafts follow
+/// serially in the same deterministic order.
+fn graft_partitions<M: ComputeModel>(
+    cx: &mut AttemptCx<'_, M>,
+    lg: &mut Arc<M::Graph>,
+    mig: &mut Mig<M::MigExtra>,
+) -> Adoption {
+    let adopters = cx.survivors.iter().cycle();
+    let mine = cx.dead.iter().zip(adopters).filter(|(_, &s)| s == cx.me());
+    let mine: Vec<NodeId> = mine.map(|(&d, _)| d).collect();
+    let jobs = mine
+        .iter()
+        .map(|&d| {
+            let shared = Arc::clone(cx.shared);
+            // A job must never dispatch onto the pool it runs on: the
+            // chain is applied inline.
+            Box::new(move || reconstruct_partition::<M>(&shared, d, None).0)
+                as Box<dyn FnOnce() -> M::Graph + Send>
+        })
+        .collect();
+    let mut adopted = Adoption::default();
+    for (&d, dead_lg) in mine.iter().zip(cx.pool.run(jobs)) {
+        let model = &cx.shared.model;
+        let graft = model.adopt_partition(graph_mut(lg), dead_lg, d, cx.dead, mig);
+        for p in &graft.promotions {
+            cx.st.overlay.insert(p.vid, p.new_master);
+            mig.promoted.push(p.vid);
+        }
+        adopted.promotions.extend(graft.promotions);
+        adopted.placements.extend(graft.placements);
+        adopted.orphans.extend(graft.orphans);
+    }
+    if !mine.is_empty() {
+        // The graft grew (and rewrote) this node's layout: the filter's
+        // position-keyed entries are meaningless now. Re-seeding re-ships
+        // everything in the full sync, which the grafted copies need anyway.
+        cx.st.sync_filter.set_domain(lg.len() as u32);
+        cx.st.sync_filter.clear();
+    }
+    adopted
+}
+
+/// Rebuilds a crashed node's partition from the DFS — the immutable
+/// topology from its metadata snapshot, then its snapshot chain up to the
+/// newest complete epoch — and returns it with the iteration it sits at (0
+/// when no complete epoch exists).
+fn reconstruct_partition<M: ComputeModel>(
+    shared: &Shared<M>,
+    d: NodeId,
+    pool: Option<&WorkerPool>,
+) -> (M::Graph, u64) {
+    let meta_bytes = shared
+        .dfs
+        .read(&format!("{}/meta/{}", M::PREFIX, d.raw()))
+        .expect("metadata snapshot written at load");
+    let mut dg = shared.model.decode_graph(&meta_bytes);
+    let chain = epoch::recovery_chain(&shared.dfs, M::PREFIX, d.raw());
+    let snap_iter = chain.map_or(0, |chain| {
+        apply_snapshot_chain::<M>(&mut dg, shared, d, &chain, pool)
+    });
+    (dg, snap_iter)
+}
+
+/// A standby reconstructing a crashed identity from the DFS, its epoch parts
+/// read concurrently on the newbie's worker pool.
+///
+/// Fails when the attempt aborted (suicide-on-abort, as in
+/// [`super::rebirth_newbie`] — every blocking point here is a barrier, so no
+/// liveness poll is needed).
+pub(crate) fn ckpt_newbie<M: ComputeModel>(
+    ctx: &Ctx<M>,
+    shared: &Arc<Shared<M>>,
+    st: &mut St<M>,
+    pool: &WorkerPool,
+) -> Attempt<M::Graph> {
+    let me = [ctx.id()];
+    let cx = &mut AttemptCx::new(ctx, shared, st, pool, &me, 0);
+    // Membership barrier (the survivors' decision barrier).
+    cx.decide(0)?;
+    let (mut lg, snap_iter) = reconstruct_partition::<M>(shared, ctx.id(), Some(pool));
+    // The newbie does not know the episode's resume iteration (that lives
+    // in the survivors' state); its reload fail point keys on the snapshot
+    // epoch it reloaded to instead.
+    cx.resume_iter = snap_iter;
+    cx.fail_here(RELOAD.1)?;
+    cx.mark(RELOAD.0);
+    cx.fence()?;
+
+    full_sync(cx, &mut lg)?;
+    cx.mark("reconstruct");
+
+    cx.st.iter = snap_iter;
+    cx.st.last_snapshot_iter = snap_iter;
+    let mut report = cx.report("checkpoint");
+    (report.vertices_recovered, report.edges_recovered) = shared.model.graph_stats(&lg);
+    cx.st.recoveries.push(report);
+    Ok(lg)
+}
+
+/// Post-reload replica refresh: every master pushes its restored state to
+/// all of its replicas (one full sync round with its own barriers).
+///
+/// Records already installed on a destination by our last regular syncs are
+/// suppressed (surviving replicas were not rolled back — snapshots hold
+/// masters only), which is where redundant-sync suppression pays off most:
+/// only vertices that changed since the snapshot are re-shipped to
+/// survivors. The round's barriers can abort like any other recovery
+/// barrier; an aborted attempt restores the whole filter from its undo
+/// snapshot, so the early `commit` here is safe.
+fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> Attempt<()> {
+    let (model, st) = (&cx.shared.model, &mut *cx.st);
+    let mut batches: HashMap<NodeId, Vec<VertexSync<M::Value>>> = HashMap::new();
+    let mut suppressed = 0u64;
+    for pos in (0..lg.len() as u32).filter(|&pos| lg.is_master(pos)) {
+        let scatter = model.scatter_bit(lg, pos);
+        let staged = st.sync_filter.stage(pos, lg.value(pos), scatter);
+        let meta = lg.full(pos);
+        for (&node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
+            if st.sync_filter.suppress(staged, node) {
+                suppressed += 1;
+                continue;
+            }
+            batches.entry(node).or_default().push(VertexSync {
+                pos: rpos,
+                value: lg.value(pos).clone(),
+                activate: scatter,
+            });
+        }
+    }
+    st.sync_filter.commit();
+    st.note_suppressed(suppressed);
+    for (node, batch) in batches {
+        // One columnar sync frame per destination: frame header plus
+        // position-delta and value columns (full values — no delta base is
+        // assumed across a recovery).
+        let mut prev = 0u32;
+        let mut bytes = crate::wire::sync_frame_overhead(batch.len() as u64);
+        for s in &batch {
+            let value_bytes = model.value_wire_bytes(&s.value);
+            bytes += crate::wire::sync_record_bytes(s.pos, prev, value_bytes, None);
+            prev = s.pos;
+        }
+        cx.ctx
+            .send_kind(node, ProtoMsg::Sync(batch), bytes, CommKind::Recovery);
+    }
+    barrier_ok(cx.ctx)?;
+    let incoming = collect_syncs::<M>(cx.ctx, st);
+    model.apply_full_sync(lg, incoming);
+    barrier_ok(cx.ctx)?;
+    st.sync_filter.revalidate_all();
+    Ok(())
+}
+
+/// Applies `node`'s parts of its recovery `chain` — the newest complete full
+/// epoch plus every later complete delta epoch — in ascending order,
+/// returning the last applied iteration. An ungrounded chain (deltas with no
+/// full base) is grounded at the caller's initial state, which every caller
+/// has just reset to or freshly decoded; see `recovery_chain`'s rewind
+/// argument for why the deltas then cover everything since.
+///
+/// Part *reads* fan out on the worker pool when one is supplied — each
+/// epoch part is an independent DFS read paying modelled latency, so
+/// concurrent reads overlap it — while *application* stays serial and
+/// in-order (deltas layer on their base). Callers that already run on a
+/// pool worker (checkpoint-fallback partition reconstruction) pass `None`:
+/// dispatching onto the bounded pool from inside one of its jobs could
+/// deadlock.
+fn apply_snapshot_chain<M: ComputeModel>(
+    lg: &mut M::Graph,
+    shared: &Shared<M>,
+    node: NodeId,
+    chain: &EpochChain,
+    pool: Option<&WorkerPool>,
+) -> u64 {
+    type Read = Result<Arc<Vec<u8>>, EpochError>;
+    let read = |&(e, _): &(u64, EpochKind)| {
+        let (dfs, n) = (shared.dfs.clone(), node.raw());
+        Box::new(move || epoch::read_verified(&dfs, M::PREFIX, e, n))
+            as Box<dyn FnOnce() -> Read + Send>
+    };
+    let jobs = chain.epochs.iter().map(read);
+    let reads: Vec<Read> = match pool {
+        Some(pool) => pool.run(jobs.collect()),
+        None => jobs.map(|job| job()).collect(),
+    };
+    let mut snap_iter = 0;
+    for (&(_, kind), bytes) in chain.epochs.iter().zip(reads) {
+        let bytes = bytes.expect("rostered part verified");
+        snap_iter = match kind {
+            EpochKind::Full => shared.model.apply_snapshot(lg, &bytes),
+            EpochKind::Delta => shared.model.apply_snapshot_inc(lg, &bytes),
+        };
+    }
+    snap_iter
+}

@@ -1,0 +1,219 @@
+//! Rebirth (§5.1): the survivors reload a hot standby with the crashed
+//! node's copies, in the crashed layout, and the standby replays.
+
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use imitator_cluster::Envelope;
+use imitator_engine::{CopyKind, WorkerPool};
+use imitator_graph::Vid;
+use imitator_metrics::CommKind;
+
+use super::migration::migrate;
+use super::rounds::{barrier_ok, AttemptCx, ScanEnv, RECONSTRUCT, RELOAD, REPLAY};
+use super::{Abort, Attempt, Undo};
+use crate::driver::{ComputeModel, Ctx, ModelGraph, Shared, St, RECOVERY_PATIENCE};
+use crate::msg::{ProtoMsg, RebirthBatch};
+use crate::plan::responsible_mirror;
+use crate::report::RecoveryReport;
+
+/// Classifies the positions of one chunk for the reload scan: per-crashed-node
+/// entry batches (indexed like the episode's `dead` slice) plus the vids this
+/// node recovers as master. Pure reads — runs from any worker thread; merging
+/// chunks in submission order reproduces the serial ascending-position scan
+/// exactly.
+fn reload_scan<M: ComputeModel>(
+    env: &ScanEnv<M>,
+    positions: Range<u32>,
+) -> (Vec<Vec<M::Entry>>, Vec<Vid>) {
+    let (lg, model, dead) = (&*env.lg, &env.shared.model, &env.dead);
+    let mut out: Vec<Vec<M::Entry>> = dead.iter().map(|_| Vec::new()).collect();
+    let mut promoted = Vec::new();
+    for pos in positions {
+        // The crashed node whose master this copy stands in for, if any.
+        let stands_in = match lg.kind(pos) {
+            CopyKind::Master => None,
+            CopyKind::Mirror => {
+                let master = lg.master_node(pos);
+                let Some(mi) = dead.iter().position(|&d| d == master) else {
+                    continue;
+                };
+                if responsible_mirror(lg.full(pos), &env.alive) != Some(env.me) {
+                    continue;
+                }
+                // Recover the master at its original position...
+                out[mi].push(model.master_entry(lg, pos));
+                promoted.push(lg.vid(pos));
+                Some(mi)
+            }
+            CopyKind::Replica => continue,
+        };
+        // ...and every master recovers its own lost replicas — a recovered
+        // one, under multiple failures, those lost on *other* crashed nodes.
+        let meta = lg.full(pos);
+        let others = dead
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| Some(i) != stands_in);
+        for (i, &d) in others {
+            let Some(rpos) = meta.replica_position_on(d) else {
+                continue;
+            };
+            let kind = if meta.mirror_nodes().contains(&d) {
+                CopyKind::Mirror
+            } else {
+                CopyKind::Replica
+            };
+            out[i].push(model.replica_entry(lg, pos, d, rpos, kind));
+        }
+    }
+    (out, promoted)
+}
+
+pub(super) fn rebirth_survivor<M: ComputeModel>(
+    cx: &mut AttemptCx<'_, M>,
+    lg: &mut Arc<M::Graph>,
+    undo: &mut Undo,
+) -> Attempt<RecoveryReport> {
+    // An empty standby pool degrades to Migration onto the survivors.
+    if !cx.standbys_dispatched()? {
+        return migrate(cx, lg, undo, "rebirth→migration");
+    }
+
+    // Reloading (§5.1.1): scan local masters and mirrors, build one batch
+    // per crashed node. The responsible mirror (first surviving node in
+    // mirror-ID order) recovers the master; every master recovers its own
+    // lost replicas. The scan is pure reads over a stable failure set, so
+    // it fans out in position chunks; chunks merge in submission order,
+    // keeping every batch in the serial ascending-position order.
+    let (recovered, recovered_edges, mut promoted) = cx.phase(&RELOAD, |cx| {
+        let model = &cx.shared.model;
+        let mut batches: Vec<Vec<M::Entry>> = cx.dead.iter().map(|_| Vec::new()).collect();
+        let mut promoted: Vec<Vid> = Vec::new();
+        for (chunk, promo) in cx.scan(lg, reload_scan::<M>) {
+            for (b, c) in batches.iter_mut().zip(chunk) {
+                b.extend(c);
+            }
+            promoted.extend(promo);
+        }
+        let (mut recovered, mut recovered_edges) = (0u64, 0u64);
+        let num_survivors = cx.survivors.len() as u32;
+        // Every crashed node gets a batch, even an empty one — the newbie
+        // counts `num_survivors` batches before it considers itself reloaded.
+        for (&d, entries) in cx.dead.iter().zip(batches) {
+            recovered += entries.len() as u64;
+            recovered_edges += entries.iter().map(|e| model.entry_edges(e)).sum::<u64>();
+            let bytes: u64 = entries.iter().map(|e| model.entry_wire_bytes(e)).sum();
+            cx.comm.record(1, bytes);
+            let batch = RebirthBatch {
+                resume_iter: cx.resume_iter,
+                num_survivors,
+                entries,
+            };
+            let msg = ProtoMsg::Rebirth(Box::new(batch));
+            cx.ctx.send_kind(d, msg, bytes, CommKind::Recovery);
+        }
+        Ok((recovered, recovered_edges, promoted))
+    })?;
+    cx.fence()?;
+
+    // Membership restored: the newbies carry the crashed identities.
+    for d in cx.dead {
+        cx.st.alive[d.index()] = true;
+    }
+    promoted.sort_unstable();
+    let mut report = cx.report("rebirth");
+    (report.vertices_recovered, report.edges_recovered) = (recovered, recovered_edges);
+    (report.promoted, report.contacted) = (promoted, cx.dead.to_vec());
+    Ok(report)
+}
+
+/// A newbie reconstructing a crashed identity: receive one batch from every
+/// survivor (placement is position-addressed, so reconstruction happens on
+/// the fly, §5.1.2), reload any model-specific extra state, validate, and
+/// replay (§5.1.3). Replay runs the model's fan-out on the newbie's own
+/// worker pool (the graph travels behind an `Arc` that is uniquely held
+/// again once the replay's chunks are drained).
+///
+/// Fails when the attempt aborted: the newbie has no pre-episode state to
+/// restore, so its caller crashes it (suicide-on-abort) and the next attempt
+/// consumes a fresh standby. It detects aborts two ways — a failed barrier,
+/// or (while blocked waiting for batches a crashed survivor will never send)
+/// the coordinator reporting an unrecovered failure, upon which it joins the
+/// survivors' next barrier to observe the failure officially.
+pub(crate) fn rebirth_newbie<M: ComputeModel>(
+    ctx: &Ctx<M>,
+    shared: &Arc<Shared<M>>,
+    st: &mut St<M>,
+    pool: &WorkerPool,
+) -> Attempt<M::Graph> {
+    let me = [ctx.id()];
+    let cx = &mut AttemptCx::new(ctx, shared, st, pool, &me, 0);
+    let model = &shared.model;
+    // Membership barrier (the survivors' decision barrier).
+    cx.decide(0)?;
+
+    let mut lg = model.empty_graph(ctx.id());
+    let mut got = 0u32;
+    let mut expected: Option<u32> = None;
+    let deadline = Instant::now() + RECOVERY_PATIENCE;
+    while expected.is_none_or(|e| got < e) {
+        let Some(env) = ctx.recv_timeout(Duration::from_millis(1)) else {
+            if ctx.cluster().coordinator().has_unrecovered_failure() {
+                // A survivor crashed mid-attempt; its batch will never
+                // arrive. Enter the barrier the survivors are converging on
+                // (it must report the failure) and abort with them.
+                barrier_ok(ctx)?;
+                return Err(Abort::Failures(Vec::new()));
+            }
+            assert!(
+                Instant::now() < deadline,
+                "rebirth batch from survivor (recovery wedged)"
+            );
+            continue;
+        };
+        match env.msg {
+            ProtoMsg::Rebirth(batch) => {
+                got += 1;
+                for e in batch.entries {
+                    model.insert_entry(&mut lg, e);
+                }
+                if expected.replace(batch.num_survivors).is_none() {
+                    // The first batch tells the newbie where the episode
+                    // resumes, which its fail points key on.
+                    cx.resume_iter = batch.resume_iter;
+                    cx.fail_here(RELOAD.1)?;
+                }
+            }
+            other => cx.st.stash.push(Envelope {
+                from: env.from,
+                msg: other,
+            }),
+        }
+    }
+    model.rebirth_reload_extra(&mut lg, shared);
+    cx.mark(RELOAD.0);
+
+    // Reconstruction is implicit; validate the rebuilt layout, then run the
+    // model's replay (activation fix-ups for the sparse engine; the dense
+    // engine's next apply refreshes everything, so its replay is zero).
+    cx.phase(&RECONSTRUCT, |_| {
+        model.validate(&lg);
+        Ok(())
+    })?;
+    let mut lg = Arc::new(lg);
+    cx.fail_here(REPLAY.1)?;
+    let replayed = model.rebirth_replay(&mut lg, shared, cx.resume_iter, pool);
+    let replay = cx.lap();
+    let replay = if replayed { replay } else { Duration::ZERO };
+    cx.phases.record(REPLAY.0, replay);
+
+    cx.st.iter = cx.resume_iter;
+    // Reconstruction barrier: only a clean outcome makes the rebirth real.
+    cx.fence()?;
+    let mut report = cx.report("rebirth");
+    (report.vertices_recovered, report.edges_recovered) = model.graph_stats(&lg);
+    cx.st.recoveries.push(report);
+    Ok(Arc::try_unwrap(lg).unwrap_or_else(|_| panic!("newbie graph still shared by pool workers")))
+}

@@ -7,8 +7,9 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-use imitator_cluster::{FailPoint, FailurePlan, NodeId};
+use imitator_cluster::{Cluster, Envelope, FailPoint, FailurePlan, NodeId};
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, FtPlan,
     VcLocalGraph, VertexProgram,
@@ -20,10 +21,11 @@ use proptest::prelude::*;
 
 use super::{MigEnv, R7_TALLY};
 use crate::ckpt::{self, tests::arb_graph};
-use crate::driver::{run_keeping_graphs, ModelGraph};
-use crate::msg::Promotion;
+use crate::driver::{self, ModelGraph};
+use crate::msg::{Promotion, ProtoMsg, ReplicaGrant};
 use crate::plan::{compute_ft_plan, ReplicaView};
 use crate::report::RunReport;
+use crate::rt::NodeState;
 use crate::runner_ec::EcModel;
 use crate::runner_vc::VcModel;
 use crate::{FtMode, RecoveryStrategy, RunConfig};
@@ -103,7 +105,7 @@ fn run_ec(
     let plan = Arc::new(load_plan(g, &cut, ft));
     let loaded = build_edge_cut_graphs(g, &cut, &plan, &MinLabel, &degrees);
     let owners = Arc::new(g.vertices().map(|v| cut.owner(v) as u32).collect());
-    let (report, graphs) = run_keeping_graphs(
+    let (report, graphs) = driver::run(
         EcModel {
             prog: Arc::new(MinLabel),
         },
@@ -136,7 +138,7 @@ fn run_vc(
     let plan = Arc::new(load_plan(g, &cut, ft));
     let lgs = build_vertex_cut_graphs(g, &cut, &plan, &MinLabel, &degrees);
     let owners = Arc::new(g.vertices().map(|v| cut.master(v) as u32).collect());
-    run_keeping_graphs(
+    driver::run(
         VcModel {
             prog: Arc::new(MinLabel),
         },
@@ -694,4 +696,115 @@ proptest! {
             }
         }
     }
+}
+
+/// The merged [`RecoveryReport::phases`] keys of every strategy, in the order
+/// the protocol books them — `benchmark/` and the chaos harness read them by
+/// name — and the grouping `report.rs` documents for the coarse phases. A
+/// node's coarse phase is the sum of its keys (plus, for Migration, the few
+/// instructions between two stopwatches); the merge takes per-key maxima, so
+/// the merged coarse phase lies between the largest key of its group and the
+/// group's sum.
+#[test]
+fn every_strategy_books_its_phase_keys_in_protocol_order() {
+    // Keys in booking order — survivors first (node 0 merges first), then
+    // what only the newbie books — each tagged with the coarse phase that
+    // holds it: `<` reload, `>` reconstruct, `-` neither.
+    const MIGRATION: &str = "<undo_capture <migration_round1 <migration_round2 <migration_round3 \
+        >migration_round4 >migration_round5 >migration_round6 >migration_round7 \
+        >migration_round8 -fence >after_recovery";
+    const REBIRTH: &str = "<reload -fence >after_recovery >reconstruct -replay";
+    const CHECKPOINT: &str = "<undo_capture <reload -fence >reconstruct >after_recovery";
+    const FALLBACK: &str = "<undo_capture <reload -migration_round1 -migration_round2 \
+        -migration_round3 >reconstruct -fence >after_recovery";
+    // What separates two stopwatches of one thread: no barrier, no I/O.
+    const GAPS: Duration = Duration::from_millis(1);
+
+    let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let rebirth = replication(1, RecoveryStrategy::Rebirth);
+    let migration = replication(1, RecoveryStrategy::Migration);
+    let ckpt = |incremental| FtMode::Checkpoint {
+        interval: 2,
+        incremental,
+    };
+    // (strategy, mode, standbys, keys).
+    let cases = [
+        ("rebirth", rebirth, 1, REBIRTH),
+        ("migration", migration, 0, MIGRATION),
+        ("rebirth→migration", rebirth, 0, MIGRATION),
+        ("checkpoint", ckpt(false), 1, CHECKPOINT),
+        ("checkpoint", ckpt(true), 1, CHECKPOINT),
+        ("checkpoint→migration", ckpt(false), 0, FALLBACK),
+        ("checkpoint→migration", ckpt(true), 0, FALLBACK),
+    ];
+    for edge_cut in [true, false] {
+        for (strategy, ft, standbys, keys) in cases {
+            let case = format!("edge_cut={edge_cut} {strategy} {ft:?}");
+            let plan = vec![crash(1, 3, FailPoint::BeforeBarrier)];
+            let r = run(edge_cut, ft, standbys, plan);
+            assert_eq!(r.recoveries.len(), 1, "{case}");
+            let ep = &r.recoveries[0];
+            assert_eq!(ep.strategy, strategy, "{case}");
+            let keys: Vec<_> = keys.split_whitespace().map(|k| k.split_at(1)).collect();
+            let booked: Vec<&str> = ep.phases.iter().map(|(key, _)| key).collect();
+            let expected: Vec<&str> = keys.iter().map(|&(_, key)| key).collect();
+            assert_eq!(booked, expected, "{case}");
+            for (coarse, tag) in [(ep.reload, "<"), (ep.reconstruct, ">")] {
+                let group = keys.iter().filter(|(held_by, _)| *held_by == tag);
+                let times = group.map(|(_, key)| ep.phases.get(key).unwrap());
+                let (largest, sum) = (times.clone().max().unwrap(), times.sum::<Duration>());
+                assert!(
+                    largest <= coarse && coarse <= sum + GAPS,
+                    "{case}: {tag} is {coarse:?}, outside [{largest:?}, {sum:?}]"
+                );
+            }
+        }
+    }
+}
+
+/// `take` hands over the messages of the kind asked for with their senders
+/// and leaves everything else — stashed earlier or arriving around them —
+/// in the stash in arrival order, where a later `take` finds it.
+#[test]
+fn take_leaves_the_other_kinds_stashed_in_arrival_order() {
+    type M = EcModel<MinLabel>;
+    let cluster: Cluster<driver::Msg<M>> = Cluster::new(3, 0, Duration::ZERO);
+    let nodes: Vec<_> = (0..3u32)
+        .map(|n| cluster.take_ctx(NodeId::new(n)))
+        .collect();
+    let (me, one, two) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+    let mut st: driver::St<M> = NodeState::new(3, Instant::now(), true);
+    let request = |vid| ProtoMsg::ReplicaRequest(vec![Vid::new(vid)]);
+    let placed = |vid| ProtoMsg::ReplicaPlaced(vec![(Vid::new(vid), 7)]);
+    let grant = |vid| {
+        ProtoMsg::ReplicaGrant(vec![ReplicaGrant {
+            vid: Vid::new(vid),
+            value: 0,
+            last_activate: false,
+            master_node: one,
+        }])
+    };
+    // One message stashed by an earlier drain, the rest queued.
+    let (from, msg) = (two, request(10));
+    st.stash.push(Envelope { from, msg });
+    nodes[1].send(me, placed(11));
+    nodes[2].send(me, grant(12));
+    nodes[1].send(me, request(13));
+    nodes[1].send(me, grant(14));
+    nodes[2].send(me, placed(15));
+
+    let grants = driver::take::<M, _>(&nodes[0], &mut st, driver::kind!(ReplicaGrant));
+    let grants: Vec<_> = grants.iter().map(|(from, g)| (*from, g[0].vid)).collect();
+    assert_eq!(grants, [(two, Vid::new(12)), (one, Vid::new(14))]);
+    let stashed: Vec<_> = st.stash.iter().map(|env| env.from).collect();
+    assert_eq!(stashed, [two, one, one, two]);
+    assert!(matches!(st.stash[1].msg, ProtoMsg::ReplicaPlaced(_)));
+
+    let requests = driver::take::<M, _>(&nodes[0], &mut st, driver::kind!(ReplicaRequest));
+    let ten_then_thirteen = [(two, vec![Vid::new(10)]), (one, vec![Vid::new(13)])];
+    assert_eq!(requests, ten_then_thirteen);
+    let placements = driver::take::<M, _>(&nodes[0], &mut st, driver::kind!(ReplicaPlaced));
+    let (first, second) = (vec![(Vid::new(11), 7)], vec![(Vid::new(15), 7)]);
+    assert_eq!(placements, [(one, first), (two, second)]);
+    assert!(st.stash.is_empty());
 }

@@ -13,7 +13,7 @@ use imitator_metrics::{
 ///
 /// Each node measures its own phases; the driver merges per-phase maxima
 /// (recovery finishes when the slowest participant finishes).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Strategy that actually executed: "rebirth", "migration", "checkpoint",
     /// or a degraded form ("rebirth→migration", "checkpoint→migration") when
@@ -70,6 +70,15 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
+    /// The report of one attempt by `strategy` at recovering `failed_nodes`
+    /// crashed nodes that has recovered nothing and taken no time yet.
+    pub fn new(strategy: &'static str, failed_nodes: usize) -> Self {
+        let mut report = RecoveryReport::default();
+        (report.strategy, report.failed_nodes) = (strategy, failed_nodes);
+        report.counters.attempts = 1;
+        report
+    }
+
     /// Total recovery time (sum of the three phases): the successful
     /// attempt from its start to the moment the node resumes, plus the
     /// replayed iterations.
@@ -195,8 +204,6 @@ mod tests {
 
     fn rr(reload: u64, reconstruct: u64, replay: u64) -> RecoveryReport {
         RecoveryReport {
-            strategy: "rebirth",
-            failed_nodes: 1,
             reload: Duration::from_millis(reload),
             reconstruct: Duration::from_millis(reconstruct),
             replay: Duration::from_millis(replay),
@@ -205,13 +212,7 @@ mod tests {
             comm: CommStats::new(1, 100),
             promoted: vec![Vid::new(3)],
             contacted: vec![NodeId::new(1)],
-            counters: RecoveryCounters {
-                attempts: 1,
-                aborts: 0,
-            },
-            phases: PhaseTimes::new(),
-            suspicion: SuspicionStats::default(),
-            journal_bytes: 0,
+            ..RecoveryReport::new("rebirth", 1)
         }
     }
 

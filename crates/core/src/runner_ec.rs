@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
-    chunk_ranges, ec_commit, ec_compute_chunks, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan,
-    FullState, FullStateRef, Locations, RemoteEdge, VertexProgram, WorkerPool,
+    ec_commit, ec_compute_chunks, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan, FullState,
+    FullStateRef, Locations, RemoteEdge, VertexProgram, WorkerPool,
 };
 use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{MemSize, Stopwatch};
@@ -89,6 +89,7 @@ where
         failures,
         dfs,
     )
+    .0
 }
 
 /// The edge-cut compute model: fused gather-apply at masters over the
@@ -159,6 +160,25 @@ impl<V> ModelGraph for EcLocalGraph<V> {
     fn same_full_state(&self, pos: u32, other: &Self, at: u32) -> bool {
         self.full_state(pos) == other.full_state(at)
     }
+}
+
+/// A selfish master's value recomputed from its in-neighbours' (§4.4).
+fn recompute<P: VertexProgram>(
+    lg: &EcLocalGraph<P::Value>,
+    prog: &P,
+    degrees: &Degrees,
+    pos: u32,
+) -> P::Value {
+    let v = &lg.verts[pos as usize];
+    let mut acc: Option<P::Accum> = None;
+    for &(src, w) in lg.in_edges(pos) {
+        let c = prog.gather(w, &lg.verts[src as usize].value);
+        acc = Some(match acc {
+            None => c,
+            Some(a) => prog.combine(a, c),
+        });
+    }
+    prog.apply(v.vid, &v.value, acc, degrees)
 }
 
 impl<P> ComputeModel for EcModel<P>
@@ -298,7 +318,7 @@ where
         let v = &lg.verts[pos as usize];
         let state = lg
             .full_state(pos)
-            .unwrap_or_else(|| panic!("full-state copy of {} has no meta", v.vid));
+            .unwrap_or_else(|| driver::no_full_state(v.vid, v.kind));
         EcRecoverEntry {
             vid: v.vid,
             pos: rpos,
@@ -317,7 +337,7 @@ where
         let v = &lg.verts[pos as usize];
         let state = lg
             .full_state(pos)
-            .unwrap_or_else(|| panic!("mirror {} has no full state", v.vid));
+            .unwrap_or_else(|| driver::no_full_state(v.vid, v.kind));
         EcRecoverEntry {
             vid: v.vid,
             pos: state.locations.master_pos(),
@@ -381,28 +401,22 @@ where
         // serial loop (which mutated only `active`) observed.
         let mut activations: Vec<u32> = Vec::new();
         let mut selfish_positions: Vec<u32> = Vec::new();
-        let jobs = chunk_ranges(lg.verts.len(), pool.threads())
-            .into_iter()
-            .map(|r| {
-                let lg = Arc::clone(lg);
-                let plan = Arc::clone(&shared.plan);
-                Box::new(move || {
-                    let mut acts: Vec<u32> = Vec::new();
-                    let mut selfish: Vec<u32> = Vec::new();
-                    for pos in r {
-                        let v = &lg.verts[pos];
-                        if v.last_activate {
-                            acts.extend_from_slice(lg.out_local(pos as u32));
-                        }
-                        if v.is_master() && *plan.selfish.get(v.vid.index()).unwrap_or(&false) {
-                            selfish.push(pos as u32);
-                        }
-                    }
-                    (acts, selfish)
-                }) as Box<dyn FnOnce() -> (Vec<u32>, Vec<u32>) + Send>
-            })
-            .collect();
-        for (acts, selfish) in pool.dispatch(jobs) {
+        let (g, plan) = (Arc::clone(lg), Arc::clone(&shared.plan));
+        let scan = driver::fan_out(pool, lg.verts.len(), move |r| {
+            let mut acts: Vec<u32> = Vec::new();
+            let mut selfish: Vec<u32> = Vec::new();
+            for pos in r {
+                let v = &g.verts[pos];
+                if v.last_activate {
+                    acts.extend_from_slice(g.out_local(pos as u32));
+                }
+                if v.is_master() && *plan.selfish.get(v.vid.index()).unwrap_or(&false) {
+                    selfish.push(pos as u32);
+                }
+            }
+            (acts, selfish)
+        });
+        for (acts, selfish) in scan {
             activations.extend(acts);
             selfish_positions.extend(selfish);
         }
@@ -429,36 +443,13 @@ where
         });
         if independent {
             let selfish: Arc<Vec<u32>> = Arc::new(selfish_positions);
-            let jobs = chunk_ranges(selfish.len(), pool.threads())
-                .into_iter()
-                .map(|r| {
-                    let lg = Arc::clone(lg);
-                    let prog = Arc::clone(&self.prog);
-                    let degrees = Arc::clone(&shared.degrees);
-                    let selfish = Arc::clone(&selfish);
-                    Box::new(move || {
-                        let mut out: Vec<(u32, P::Value)> = Vec::with_capacity(r.len());
-                        for i in r {
-                            let pos = selfish[i];
-                            let v = &lg.verts[pos as usize];
-                            let mut acc: Option<P::Accum> = None;
-                            for &(src, w) in lg.in_edges(pos) {
-                                let c = prog.gather(w, &lg.verts[src as usize].value);
-                                acc = Some(match acc {
-                                    None => c,
-                                    Some(a) => prog.combine(a, c),
-                                });
-                            }
-                            out.push((pos, prog.apply(v.vid, &v.value, acc, &degrees)));
-                        }
-                        out
-                    }) as Box<dyn FnOnce() -> Vec<(u32, P::Value)> + Send>
-                })
-                .collect();
-            let mut updates: Vec<(u32, P::Value)> = Vec::new();
-            for chunk in pool.dispatch(jobs) {
-                updates.extend(chunk);
-            }
+            let (g, prog) = (Arc::clone(lg), Arc::clone(&self.prog));
+            let (degrees, at) = (Arc::clone(&shared.degrees), Arc::clone(&selfish));
+            let recomputed = driver::fan_out(pool, selfish.len(), move |r| {
+                let new = |&pos: &u32| (pos, recompute(&g, &*prog, &degrees, pos));
+                at[r].iter().map(new).collect::<Vec<_>>()
+            });
+            let updates: Vec<(u32, P::Value)> = recomputed.flatten().collect();
             let g = driver::graph_mut(lg);
             for (pos, new) in updates {
                 g.verts[pos as usize].value = new;
@@ -466,17 +457,7 @@ where
         } else {
             let g = driver::graph_mut(lg);
             for pos in selfish_positions {
-                let v = &g.verts[pos as usize];
-                let mut acc: Option<P::Accum> = None;
-                for &(src, w) in g.in_edges(pos) {
-                    let c = self.prog.gather(w, &g.verts[src as usize].value);
-                    acc = Some(match acc {
-                        None => c,
-                        Some(a) => self.prog.combine(a, c),
-                    });
-                }
-                let new = self.prog.apply(v.vid, &v.value, acc, &shared.degrees);
-                g.verts[pos as usize].value = new;
+                g.verts[pos as usize].value = recompute(g, &*self.prog, &shared.degrees, pos);
             }
         }
         driver::graph_mut(lg).rebuild_active_frontier();
@@ -679,13 +660,11 @@ where
                 CopyKind::Master => {
                     let state = dead_lg
                         .full_state(dp as u32)
-                        .unwrap_or_else(|| panic!("adopted master {} has no full state", dv.vid));
+                        .unwrap_or_else(|| driver::no_full_state(dv.vid, dv.kind));
                     let mut locations = state.locations.clone();
                     locations.set_master_pos(new_pos);
                     locations.purge_node(me);
-                    for &x in episode {
-                        locations.purge_node(x);
-                    }
+                    locations.purge_nodes(episode);
                     // Consumers that were remote-on-the-dead-node but live
                     // *here* become plain local links.
                     let mut out_remote = state.out_remote.to_vec();

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use imitator_cluster::{BarrierOutcome, Envelope, FailurePlan, NodeId};
+use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
     vc_apply_chunks, vc_commit, vc_gather_chunks, CopyKind, Degrees, FtPlan, Locations, VcEdge,
     VcGatherIndex, VcLocalGraph, VcVertex, VertexProgram, WorkerPool,
@@ -88,6 +88,7 @@ where
         failures,
         dfs,
     )
+    .0
 }
 
 /// The vertex-cut compute model: distributed gather → apply at masters →
@@ -342,21 +343,11 @@ where
         // Apply: fold remote partials (from the stash + queue) into the
         // local ones. Sort by (position, sender) so combine order is
         // deterministic regardless of arrival order.
-        let mut pending = std::mem::take(&mut st.stash);
-        pending.extend(ctx.drain());
-        for env in pending {
-            match env.msg {
-                ProtoMsg::Gather(batch) => {
-                    for (vid, acc) in batch {
-                        let pos = lg.position(vid).expect("gather for unknown vertex");
-                        debug_assert!(lg.verts[pos as usize].is_master());
-                        scratch.contribs.push((pos, env.from, acc));
-                    }
-                }
-                other => st.stash.push(Envelope {
-                    from: env.from,
-                    msg: other,
-                }),
+        for (from, batch) in driver::take::<Self, _>(ctx, st, driver::kind!(Gather)) {
+            for (vid, acc) in batch {
+                let pos = lg.position(vid).expect("gather for unknown vertex");
+                debug_assert!(lg.verts[pos as usize].is_master());
+                scratch.contribs.push((pos, from, acc));
             }
         }
         scratch
@@ -461,34 +452,26 @@ where
         rpos: u32,
         kind: CopyKind,
     ) -> Self::Entry {
-        let v = &lg.verts[pos as usize];
-        let meta = v
-            .meta
-            .as_ref()
-            .unwrap_or_else(|| panic!("full-state copy of {} has no meta", v.vid));
+        let (v, meta) = (&lg.verts[pos as usize], lg.full(pos));
         VcRecoverEntry {
             vid: v.vid,
             pos: rpos,
             kind,
             master_node: v.master_node,
             value: v.value.clone(),
-            meta: (kind == CopyKind::Mirror).then(|| meta.clone()),
+            meta: (kind == CopyKind::Mirror).then(|| Box::new(meta.clone())),
         }
     }
 
     fn master_entry(&self, lg: &Self::Graph, pos: u32) -> Self::Entry {
-        let v = &lg.verts[pos as usize];
-        let meta = v
-            .meta
-            .as_ref()
-            .unwrap_or_else(|| panic!("mirror {} has no full state", v.vid));
+        let (v, meta) = (&lg.verts[pos as usize], lg.full(pos));
         VcRecoverEntry {
             vid: v.vid,
             pos: meta.master_pos(),
             kind: CopyKind::Master,
             master_node: v.master_node,
             value: v.value.clone(),
-            meta: Some(meta.clone()),
+            meta: Some(Box::new(meta.clone())),
         }
     }
 
@@ -672,12 +655,10 @@ where
                     let mut meta = dv
                         .meta
                         .take()
-                        .unwrap_or_else(|| panic!("adopted master {} has no full state", dv.vid));
+                        .unwrap_or_else(|| driver::no_full_state(dv.vid, dv.kind));
                     meta.set_master_pos(new_pos);
                     meta.purge_node(me);
-                    for &x in episode {
-                        meta.purge_node(x);
-                    }
+                    meta.purge_nodes(episode);
                     if new_pos < base {
                         let v = &mut lg.verts[new_pos as usize];
                         debug_assert_eq!(

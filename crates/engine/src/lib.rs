@@ -51,10 +51,7 @@ pub use ftplan::FtPlan;
 pub use full_state::{ColumnLens, FullState, FullStateRef, MasterMeta, RemoteEdge, SlotId};
 pub use inline_list::{InlineList, INLINE_ITEMS};
 pub use locations::Locations;
-pub use par::{
-    chunk_ranges, ec_compute_par, vc_apply_par, vc_partial_gather_par, weighted_ranges,
-    VcGatherIndex,
-};
+pub use par::{chunk_ranges, weighted_ranges, VcGatherIndex};
 pub use pool::{ec_compute_chunks, vc_apply_chunks, vc_gather_chunks, InOrder, WorkerPool};
 pub use program::{Degrees, VertexProgram};
 pub use vcut::{build_vertex_cut_graphs, VcEdge, VcLocalGraph, VcVertex};

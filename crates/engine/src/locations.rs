@@ -104,6 +104,11 @@ impl Locations {
         self.mirror_nodes.retain(|&n| n != node);
     }
 
+    /// [`Locations::purge_node`] for each of `nodes`.
+    pub fn purge_nodes(&mut self, nodes: &[NodeId]) {
+        nodes.iter().for_each(|&node| self.purge_node(node));
+    }
+
     /// Registers (or re-registers) a copy of this vertex at `node`/`pos`,
     /// keeping `replica_nodes` sorted.
     pub fn register_replica(&mut self, node: NodeId, pos: u32) {

@@ -1,30 +1,25 @@
-//! Intra-node parallel supersteps.
+//! Deterministic work splitting for the intra-node compute pool.
 //!
-//! The paper's evaluation runs multiple worker threads per node; this module
-//! provides the same multicore compute pool for the pure per-node phases
-//! while preserving the engine's bit-determinism contract (recovery must
-//! reproduce the clean run's values exactly, see `ec_commit`).
-//!
-//! The scheme is the same for every phase:
+//! The paper's evaluation runs multiple worker threads per node;
+//! [`crate::WorkerPool`] runs the pure per-node phases on them while
+//! preserving the engine's bit-determinism contract (recovery must reproduce
+//! the clean run's values exactly, see `ec_commit`). The scheme is the same
+//! for every phase, and this module holds its first step:
 //!
 //! 1. split the node's work (frontier slice / destination range / position
-//!    range) into **disjoint contiguous chunks**,
-//! 2. run each chunk on a scoped worker thread (`std::thread::scope`, no
-//!    extra dependencies and no `unsafe`), each staging into its own buffer,
-//! 3. concatenate the per-chunk buffers **in chunk order**.
+//!    range) into **disjoint contiguous chunks** ([`chunk_ranges`], or
+//!    [`weighted_ranges`] over a [`VcGatherIndex`] to balance by edge count),
+//! 2. run each chunk as a pool job staging into its own buffer,
+//! 3. consume the per-chunk buffers **in chunk order**.
 //!
 //! Since every serial phase processes positions in ascending order and folds
 //! each vertex's contributions in a fixed edge order, chunk-order
 //! concatenation reproduces the serial output byte for byte, for any thread
-//! count. Workers never share mutable state (destination ranges are carved
-//! out of the accumulator table with `split_at_mut`), so no atomics or locks
-//! appear on the hot path.
+//! count. Workers never share mutable state, so no atomics or locks appear
+//! on the hot path.
 
 use std::ops::Range;
 
-use crate::compute::{ec_compute_frontier, MasterUpdate};
-use crate::ecut::EcLocalGraph;
-use crate::program::{Degrees, VertexProgram};
 use crate::vcut::VcLocalGraph;
 
 /// Splits `0..len` into at most `chunks` non-empty contiguous ranges of
@@ -78,44 +73,6 @@ pub fn weighted_ranges(prefix: &[u32], chunks: usize) -> Vec<Range<usize>> {
     }
     debug_assert_eq!(out.last().map(|r| r.end), Some(n));
     out
-}
-
-/// Parallel edge-cut compute: the sorted activation frontier is split into
-/// contiguous chunks, each computed on a scoped worker, and the staged
-/// updates are concatenated in chunk order — bit-identical to
-/// [`crate::ec_compute`] for any `threads >= 1`.
-pub fn ec_compute_par<P: VertexProgram>(
-    lg: &EcLocalGraph<P::Value>,
-    prog: &P,
-    degrees: &Degrees,
-    step: u64,
-    threads: usize,
-) -> Vec<MasterUpdate<P::Value>> {
-    let frontier = &lg.active_frontier;
-    let ranges = chunk_ranges(frontier.len(), threads.max(1));
-    if ranges.len() <= 1 {
-        return crate::ec_compute(lg, prog, degrees, step);
-    }
-    let mut outs: Vec<Vec<MasterUpdate<P::Value>>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                let chunk = &frontier[r];
-                s.spawn(move || {
-                    let mut ups = Vec::new();
-                    ec_compute_frontier(lg, prog, degrees, step, chunk, &mut ups);
-                    ups
-                })
-            })
-            .collect();
-        outs.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked")),
-        );
-    });
-    concat_in_order(outs)
 }
 
 /// Destination-grouped view of a [`VcLocalGraph`]'s edge list (CSR-like).
@@ -183,134 +140,14 @@ impl VcGatherIndex {
     }
 }
 
-/// Parallel vertex-cut local gather into a caller-owned accumulator table
-/// (cleared and resized here — reuse it across iterations for a zero-alloc
-/// steady state). Workers own disjoint contiguous destination ranges
-/// (balanced by edge count) carved out of `partials` with `split_at_mut`;
-/// each destination folds its edges in original edge-list order, so the
-/// table is bit-identical to [`crate::vc_partial_gather`]'s output.
-pub fn vc_partial_gather_par<P: VertexProgram>(
-    lg: &VcLocalGraph<P::Value>,
-    prog: &P,
-    index: &VcGatherIndex,
-    threads: usize,
-    partials: &mut Vec<Option<P::Accum>>,
-) {
-    assert!(index.is_valid_for(lg), "stale gather index for this graph");
-    partials.clear();
-    partials.resize(lg.verts.len(), None);
-    let ranges = weighted_ranges(&index.offsets, threads.max(1));
-    let gather_range = |range: Range<usize>, slots: &mut [Option<P::Accum>]| {
-        for (slot, d) in slots.iter_mut().zip(range) {
-            for &ei in index.edges_for(d) {
-                let e = &lg.edges[ei as usize];
-                let contribution = prog.gather(e.weight, &lg.verts[e.src as usize].value);
-                *slot = Some(match slot.take() {
-                    None => contribution,
-                    Some(a) => prog.combine(a, contribution),
-                });
-            }
-        }
-    };
-    if ranges.len() <= 1 {
-        if let Some(r) = ranges.into_iter().next() {
-            gather_range(r, partials);
-        }
-        return;
-    }
-    std::thread::scope(|s| {
-        let mut rest: &mut [Option<P::Accum>] = partials;
-        let mut carved = 0usize;
-        for r in ranges {
-            debug_assert_eq!(r.start, carved);
-            let (chunk, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            carved = r.end;
-            let gather_range = &gather_range;
-            s.spawn(move || gather_range(r, chunk));
-        }
-    });
-}
-
-/// Parallel vertex-cut apply: contiguous position ranges per worker, each
-/// consuming its slice of the accumulator table (masters `take()` their
-/// slot, exactly like the serial path) and staging updates; chunk-order
-/// concatenation reproduces [`crate::vc_apply`]'s ascending-position output.
-pub fn vc_apply_par<P: VertexProgram>(
-    lg: &VcLocalGraph<P::Value>,
-    prog: &P,
-    acc: &mut [Option<P::Accum>],
-    degrees: &Degrees,
-    step: u64,
-    threads: usize,
-) -> Vec<MasterUpdate<P::Value>> {
-    assert_eq!(acc.len(), lg.verts.len(), "accumulator table size mismatch");
-    let ranges = chunk_ranges(lg.verts.len(), threads.max(1));
-    let apply_range = |range: Range<usize>, slots: &mut [Option<P::Accum>]| {
-        let mut ups = Vec::new();
-        for (slot, pos) in slots.iter_mut().zip(range) {
-            let v = &lg.verts[pos];
-            if !v.is_master() {
-                continue;
-            }
-            let new = prog.apply_step(v.vid, &v.value, slot.take(), degrees, step);
-            if new != v.value {
-                let activate = prog.scatter(v.vid, &v.value, &new);
-                ups.push(MasterUpdate {
-                    local: pos as u32,
-                    value: new,
-                    activate,
-                });
-            }
-        }
-        ups
-    };
-    if ranges.len() <= 1 {
-        return match ranges.into_iter().next() {
-            Some(r) => apply_range(r, acc),
-            None => Vec::new(),
-        };
-    }
-    let mut outs: Vec<Vec<MasterUpdate<P::Value>>> = Vec::with_capacity(ranges.len());
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut rest: &mut [Option<P::Accum>] = acc;
-        for r in ranges {
-            let (chunk, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            let apply_range = &apply_range;
-            handles.push(s.spawn(move || apply_range(r, chunk)));
-        }
-        outs.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked")),
-        );
-    });
-    concat_in_order(outs)
-}
-
-fn concat_in_order<T>(outs: Vec<Vec<T>>) -> Vec<T> {
-    let total = outs.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    for o in outs {
-        merged.extend(o);
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ecut::build_edge_cut_graphs;
     use crate::ftplan::FtPlan;
     use crate::program::Degrees;
     use crate::vcut::build_vertex_cut_graphs;
-    use crate::{ec_commit, ec_compute, ec_compute_scan, vc_apply, vc_partial_gather};
     use imitator_graph::{gen, Vid};
-    use imitator_partition::{
-        EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
-    };
+    use imitator_partition::{RandomVertexCut, VertexCutPartitioner};
 
     struct MinLabel;
     impl crate::VertexProgram for MinLabel {
@@ -394,62 +231,6 @@ mod tests {
                 seen += slice.len();
             }
             assert_eq!(seen, lg.edges.len());
-        }
-    }
-
-    #[test]
-    fn parallel_ec_compute_matches_serial_and_scan() {
-        let g = gen::power_law(600, 2.0, 6, 43);
-        let cut = HashEdgeCut.partition(&g, 3);
-        let plan = FtPlan::none(g.num_vertices());
-        let degrees = Degrees::of(&g);
-        let mut lgs = build_edge_cut_graphs(&g, &cut, &plan, &MinLabel, &degrees);
-        for step in 0..4 {
-            let mut all_updates = Vec::new();
-            for lg in &lgs {
-                let serial = ec_compute(lg, &MinLabel, &degrees, step);
-                let scan = ec_compute_scan(lg, &MinLabel, &degrees, step);
-                assert_eq!(serial, scan, "frontier path diverged from full scan");
-                for t in 1..=8 {
-                    let par = ec_compute_par(lg, &MinLabel, &degrees, step, t);
-                    assert_eq!(par, serial, "threads={t} diverged");
-                }
-                all_updates.push(serial);
-            }
-            for (lg, ups) in lgs.iter_mut().zip(all_updates) {
-                ec_commit(lg, &MinLabel, ups, Vec::new());
-                lg.debug_validate();
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_vc_gather_and_apply_match_serial() {
-        let g = gen::power_law(500, 2.0, 5, 47);
-        let cut = RandomVertexCut.partition(&g, 4);
-        let plan = FtPlan::none(g.num_vertices());
-        let degrees = Degrees::of(&g);
-        let lgs = build_vertex_cut_graphs(&g, &cut, &plan, &MinLabel, &degrees);
-        for lg in &lgs {
-            let serial = vc_partial_gather(lg, &MinLabel);
-            let idx = VcGatherIndex::build(lg);
-            let mut table = Vec::new();
-            for t in 1..=8 {
-                vc_partial_gather_par(lg, &MinLabel, &idx, t, &mut table);
-                assert_eq!(table, serial, "gather threads={t} diverged");
-            }
-            let serial_ups = vc_apply(lg, &MinLabel, serial.clone(), &degrees, 0);
-            for t in 1..=8 {
-                let mut acc = serial.clone();
-                let par_ups = vc_apply_par(lg, &MinLabel, &mut acc, &degrees, 0, t);
-                assert_eq!(par_ups, serial_ups, "apply threads={t} diverged");
-                // masters consumed their slots, exactly like the serial path
-                for (pos, v) in lg.verts.iter().enumerate() {
-                    if v.is_master() {
-                        assert!(acc[pos].is_none());
-                    }
-                }
-            }
         }
     }
 }

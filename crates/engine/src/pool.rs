@@ -1,8 +1,7 @@
 //! Persistent per-node worker pool.
 //!
-//! [`crate::ec_compute_par`] and friends spawn a fresh `std::thread::scope`
-//! every phase of every superstep; at PageRank-iteration granularity the
-//! spawn/join cost rivals the compute itself (ROADMAP open item 4). A
+//! Spawning threads every phase of every superstep costs, at
+//! PageRank-iteration granularity, what the compute itself does. A
 //! [`WorkerPool`] is spawned **once per node per run** instead: workers park
 //! on a blocking channel between phases and wake only when a superstep
 //! dispatches chunk jobs, so steady-state supersteps pay one enqueue per
@@ -377,7 +376,7 @@ mod tests {
     use crate::ftplan::FtPlan;
     use crate::par::weighted_ranges;
     use crate::vcut::build_vertex_cut_graphs;
-    use crate::{ec_compute, vc_apply, vc_partial_gather};
+    use crate::{ec_commit, ec_compute, ec_compute_scan, vc_apply, vc_partial_gather};
     use imitator_graph::{gen, Vid};
     use imitator_partition::{
         EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
@@ -500,16 +499,23 @@ mod tests {
         let degrees = Arc::new(Degrees::of(&g));
         let prog = Arc::new(MinLabel);
         let lgs = build_edge_cut_graphs(&g, &cut, &plan, &*prog, &degrees);
-        for lg in lgs {
-            let serial = ec_compute(&lg, &*prog, &degrees, 0);
-            let mut lg = Arc::new(lg);
-            for t in [1usize, 2, 3, 8] {
-                let pool = WorkerPool::new(t);
-                let chunks = ec_compute_chunks(&pool, &lg, &prog, &degrees, 0);
-                let merged: Vec<_> = chunks.flatten().collect();
-                assert_eq!(merged, serial, "threads={t} diverged");
-                // Every worker dropped its Arc clone before publishing.
-                assert!(Arc::get_mut(&mut lg).is_some(), "graph still shared");
+        let mut lgs: Vec<_> = lgs.into_iter().map(Arc::new).collect();
+        for step in 0..4 {
+            for lg in &mut lgs {
+                let serial = ec_compute(lg, &*prog, &degrees, step);
+                let scan = ec_compute_scan(lg, &*prog, &degrees, step);
+                assert_eq!(serial, scan, "frontier path diverged from full scan");
+                for t in [1usize, 2, 3, 8] {
+                    let pool = WorkerPool::new(t);
+                    let chunks = ec_compute_chunks(&pool, lg, &prog, &degrees, step);
+                    let merged: Vec<_> = chunks.flatten().collect();
+                    assert_eq!(merged, serial, "threads={t} diverged");
+                    // Every worker dropped its Arc clone before publishing.
+                    assert!(Arc::get_mut(lg).is_some(), "graph still shared");
+                }
+                let lg = Arc::get_mut(lg).expect("graph still shared");
+                ec_commit(lg, &*prog, serial, Vec::new());
+                lg.debug_validate();
             }
         }
     }

@@ -14,7 +14,9 @@
 //! (or, for a corrupted store, fails verification), so loaders skip the
 //! epoch and fall back to the most recent complete one.
 //!
-//! An epoch is *complete* when every node's part verifies against its seal.
+//! An epoch is *complete* when its roster — the sealed list of the nodes
+//! that took part in it — verifies and every rostered node's part verifies
+//! against its seal.
 //!
 //! Epochs come in two kinds. A **full** epoch's parts carry every master's
 //! state; a **delta** epoch's parts carry only the vertices dirtied since
@@ -248,33 +250,6 @@ pub fn read_roster(
     Ok((kind, nodes))
 }
 
-/// Whether `epoch` is complete by its own roster: the roster verifies and
-/// every rostered node's part verifies.
-pub fn epoch_complete_rostered(dfs: &Dfs, prefix: &str, epoch: u64) -> bool {
-    match read_roster(dfs, prefix, epoch) {
-        Ok((_, nodes)) => epoch_complete_for(dfs, prefix, epoch, &nodes),
-        Err(_) => false,
-    }
-}
-
-/// All roster-complete epochs under `prefix`, ascending.
-pub fn complete_epochs_rostered(dfs: &Dfs, prefix: &str) -> Vec<u64> {
-    listed_epochs(dfs, prefix)
-        .into_iter()
-        .filter(|&e| epoch_complete_rostered(dfs, prefix, e))
-        .collect()
-}
-
-/// The newest roster-complete epoch, or a clear error when none exists.
-pub fn latest_complete_rostered(dfs: &Dfs, prefix: &str) -> Result<u64, EpochError> {
-    complete_epochs_rostered(dfs, prefix)
-        .last()
-        .copied()
-        .ok_or_else(|| EpochError::NoCompleteEpoch {
-            prefix: prefix.to_string(),
-        })
-}
-
 /// The base+delta chain node `node` should load: the newest complete full
 /// epoch whose roster contains `node`, plus every complete later epoch
 /// (deltas) in order. Incomplete epochs — torn parts, missing seals, stale
@@ -293,8 +268,10 @@ pub fn recovery_chain(dfs: &Dfs, prefix: &str, node: u32) -> Result<EpochChain, 
         .into_iter()
         .filter_map(|e| {
             let (kind, nodes) = read_roster(dfs, prefix, e).ok()?;
-            (nodes.contains(&node) && epoch_complete_for(dfs, prefix, e, &nodes))
-                .then_some((e, kind))
+            // Complete by its own roster: every rostered node's part
+            // verifies against its seal.
+            let sealed = |&n: &u32| read_verified(dfs, prefix, e, n).is_ok();
+            (nodes.contains(&node) && nodes.iter().all(sealed)).then_some((e, kind))
         })
         .collect();
     if complete.is_empty() {
@@ -317,24 +294,6 @@ pub fn recovery_chain(dfs: &Dfs, prefix: &str, node: u32) -> Result<EpochChain, 
     })
 }
 
-/// Whether every node's part in `epoch` verifies against its seal.
-pub fn epoch_complete(dfs: &Dfs, prefix: &str, epoch: u64, num_nodes: u32) -> bool {
-    (0..num_nodes).all(|n| read_verified(dfs, prefix, epoch, n).is_ok())
-}
-
-/// Like [`epoch_complete`], but judged against an explicit node set.
-///
-/// After a recovery episode shrinks the cluster (migration onto survivors),
-/// completeness can no longer be judged against `0..num_nodes`: dead nodes
-/// will never seal another part, yet older epochs they did seal remain
-/// loadable. Callers pass the set of nodes whose parts the *load* actually
-/// needs.
-pub fn epoch_complete_for(dfs: &Dfs, prefix: &str, epoch: u64, nodes: &[u32]) -> bool {
-    nodes
-        .iter()
-        .all(|&n| read_verified(dfs, prefix, epoch, n).is_ok())
-}
-
 fn listed_epochs(dfs: &Dfs, prefix: &str) -> Vec<u64> {
     let dir = format!("{prefix}/ckpt/");
     let mut epochs: Vec<u64> = dfs
@@ -347,42 +306,6 @@ fn listed_epochs(dfs: &Dfs, prefix: &str) -> Vec<u64> {
     epochs
 }
 
-/// All complete epochs under `prefix`, ascending.
-pub fn complete_epochs(dfs: &Dfs, prefix: &str, num_nodes: u32) -> Vec<u64> {
-    listed_epochs(dfs, prefix)
-        .into_iter()
-        .filter(|&e| epoch_complete(dfs, prefix, e, num_nodes))
-        .collect()
-}
-
-/// All epochs whose parts verify for every node in `nodes`, ascending.
-pub fn complete_epochs_for(dfs: &Dfs, prefix: &str, nodes: &[u32]) -> Vec<u64> {
-    listed_epochs(dfs, prefix)
-        .into_iter()
-        .filter(|&e| epoch_complete_for(dfs, prefix, e, nodes))
-        .collect()
-}
-
-/// The newest complete epoch, or a clear error when none exists.
-pub fn latest_complete(dfs: &Dfs, prefix: &str, num_nodes: u32) -> Result<u64, EpochError> {
-    complete_epochs(dfs, prefix, num_nodes)
-        .last()
-        .copied()
-        .ok_or_else(|| EpochError::NoCompleteEpoch {
-            prefix: prefix.to_string(),
-        })
-}
-
-/// The newest epoch complete for `nodes`, or a clear error when none exists.
-pub fn latest_complete_for(dfs: &Dfs, prefix: &str, nodes: &[u32]) -> Result<u64, EpochError> {
-    complete_epochs_for(dfs, prefix, nodes)
-        .last()
-        .copied()
-        .ok_or_else(|| EpochError::NoCompleteEpoch {
-            prefix: prefix.to_string(),
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,15 +315,30 @@ mod tests {
         Dfs::new(DfsConfig::instant())
     }
 
+    /// Writes a complete epoch: every node's part plus a sealed roster.
+    fn complete_epoch(d: &Dfs, prefix: &str, epoch: u64, kind: EpochKind, nodes: &[u32]) {
+        for &n in nodes {
+            write_part(d, prefix, epoch, n, vec![epoch as u8; 8]);
+        }
+        write_roster(d, prefix, epoch, kind, nodes);
+    }
+
+    /// The epochs of `node`'s recovery chain, none when no epoch is complete.
+    fn chain_epochs(d: &Dfs, prefix: &str, node: u32) -> Vec<u64> {
+        let chain = recovery_chain(d, prefix, node).map(|chain| chain.epochs);
+        let epochs = chain.unwrap_or_default();
+        epochs.into_iter().map(|(e, _)| e).collect()
+    }
+
     #[test]
     fn sealed_epoch_round_trips() {
         let d = dfs();
         for n in 0..3 {
             write_part(&d, "ec", 4, n, vec![n as u8; 10]);
         }
-        assert!(epoch_complete(&d, "ec", 4, 3));
+        write_roster(&d, "ec", 4, EpochKind::Full, &[0, 1, 2]);
         assert_eq!(read_verified(&d, "ec", 4, 1).unwrap().as_ref(), &[1u8; 10]);
-        assert_eq!(latest_complete(&d, "ec", 3), Ok(4));
+        assert_eq!(chain_epochs(&d, "ec", 1), [4]);
     }
 
     #[test]
@@ -409,7 +347,8 @@ mod tests {
         write_part(&d, "ec", 4, 0, vec![7; 4]);
         write_part(&d, "ec", 4, 1, vec![7; 4]);
         write_part_torn(&d, "ec", 4, 2, vec![7; 4]);
-        assert!(!epoch_complete(&d, "ec", 4, 3));
+        write_roster(&d, "ec", 4, EpochKind::Full, &[0, 1, 2]);
+        assert!(chain_epochs(&d, "ec", 0).is_empty());
         assert!(matches!(
             read_verified(&d, "ec", 4, 2),
             Err(EpochError::TornPart { .. })
@@ -434,33 +373,39 @@ mod tests {
     #[test]
     fn loader_falls_back_to_newest_complete_epoch() {
         let d = dfs();
-        for n in 0..2 {
-            write_part(&d, "vc", 3, n, vec![3; 8]);
-        }
-        for n in 0..2 {
-            write_part(&d, "vc", 6, n, vec![6; 8]);
-        }
+        complete_epoch(&d, "vc", 3, EpochKind::Full, &[0, 1]);
+        complete_epoch(&d, "vc", 6, EpochKind::Full, &[0, 1]);
         // Epoch 9 is torn: node 1 died before sealing its part.
         write_part(&d, "vc", 9, 0, vec![9; 8]);
         write_part_torn(&d, "vc", 9, 1, vec![9; 8]);
-        assert_eq!(complete_epochs(&d, "vc", 2), vec![3, 6]);
-        assert_eq!(latest_complete(&d, "vc", 2), Ok(6));
+        write_roster(&d, "vc", 9, EpochKind::Full, &[0, 1]);
+        // Both nodes fall back to the newest complete epoch, 6; epoch 3 is
+        // complete too, as the deltas of a chain grounded on it show.
+        assert_eq!(chain_epochs(&d, "vc", 0), [6]);
+        assert_eq!(chain_epochs(&d, "vc", 1), [6]);
+        write_roster(&d, "vc", 6, EpochKind::Delta, &[0, 1]);
+        assert_eq!(chain_epochs(&d, "vc", 0), [3, 6]);
     }
 
     #[test]
     fn zero_complete_epochs_is_a_clear_error() {
         let d = dfs();
-        let err = latest_complete(&d, "ec", 3).unwrap_err();
+        let err = recovery_chain(&d, "ec", 0).unwrap_err();
         assert!(matches!(err, EpochError::NoCompleteEpoch { .. }));
         assert!(err.to_string().contains("no complete checkpoint epoch"));
 
         // A lone torn epoch still yields the same clear error, not a decode
-        // attempt on the torn bytes.
+        // attempt on the torn bytes — rostered or not.
         write_part_torn(&d, "ec", 5, 0, vec![0xFF; 16]);
-        assert!(matches!(
-            latest_complete(&d, "ec", 3),
-            Err(EpochError::NoCompleteEpoch { .. })
-        ));
+        for rostered in [false, true] {
+            if rostered {
+                write_roster(&d, "ec", 5, EpochKind::Full, &[0]);
+            }
+            assert!(matches!(
+                recovery_chain(&d, "ec", 0),
+                Err(EpochError::NoCompleteEpoch { .. })
+            ));
+        }
     }
 
     #[test]
@@ -468,21 +413,20 @@ mod tests {
         let d = dfs();
         // Epoch 3 was sealed by all of {0, 1, 2}; then node 2 died and the
         // shrunken cluster {0, 1} sealed epoch 6 alone.
-        for n in 0..3 {
-            write_part(&d, "ec", 3, n, vec![3; 8]);
-        }
+        complete_epoch(&d, "ec", 3, EpochKind::Full, &[0, 1, 2]);
         for n in 0..2 {
             write_part(&d, "ec", 6, n, vec![6; 8]);
         }
-        // Against the full roster, epoch 6 looks torn; against the survivor
-        // set it is the newest complete epoch.
-        assert_eq!(latest_complete(&d, "ec", 3), Ok(3));
-        assert!(!epoch_complete(&d, "ec", 6, 3));
-        assert!(epoch_complete_for(&d, "ec", 6, &[0, 1]));
-        assert_eq!(complete_epochs_for(&d, "ec", &[0, 1]), vec![3, 6]);
-        assert_eq!(latest_complete_for(&d, "ec", &[0, 1]), Ok(6));
+        // Against the full node set, epoch 6 is torn — the dead node never
+        // sealed a part of it; against the survivor set it is the newest
+        // complete epoch.
+        write_roster(&d, "ec", 6, EpochKind::Full, &[0, 1, 2]);
+        assert_eq!(chain_epochs(&d, "ec", 0), [3]);
+        write_roster(&d, "ec", 6, EpochKind::Full, &[0, 1]);
+        assert_eq!(chain_epochs(&d, "ec", 0), [6]);
+        assert_eq!(chain_epochs(&d, "ec", 1), [6]);
         // A loader that still needs the dead node's part must fall back.
-        assert_eq!(latest_complete_for(&d, "ec", &[0, 1, 2]), Ok(3));
+        assert_eq!(chain_epochs(&d, "ec", 2), [3]);
     }
 
     #[test]
@@ -491,15 +435,14 @@ mod tests {
         for n in 0..3 {
             write_part(&d, "ec", 5, n, vec![5; 8]);
         }
-        // Parts sealed but no roster yet: not rostered-complete.
-        assert!(!epoch_complete_rostered(&d, "ec", 5));
+        // Parts sealed but no roster yet: not complete.
+        assert!(chain_epochs(&d, "ec", 0).is_empty());
         write_roster(&d, "ec", 5, EpochKind::Full, &[0, 1, 2]);
         assert_eq!(
             read_roster(&d, "ec", 5),
             Ok((EpochKind::Full, vec![0, 1, 2]))
         );
-        assert!(epoch_complete_rostered(&d, "ec", 5));
-        assert_eq!(latest_complete_rostered(&d, "ec"), Ok(5));
+        assert_eq!(chain_epochs(&d, "ec", 0), [5]);
     }
 
     #[test]
@@ -508,11 +451,13 @@ mod tests {
         write_part(&d, "ec", 2, 0, vec![2; 8]);
         write_part_torn(&d, "ec", 2, 1, vec![2; 8]);
         write_roster(&d, "ec", 2, EpochKind::Full, &[0, 1]);
-        assert!(!epoch_complete_rostered(&d, "ec", 2));
-        assert!(matches!(
-            latest_complete_rostered(&d, "ec"),
-            Err(EpochError::NoCompleteEpoch { .. })
-        ));
+        // Torn for the node that sealed its own part too.
+        for node in [0, 1] {
+            assert!(matches!(
+                recovery_chain(&d, "ec", node),
+                Err(EpochError::NoCompleteEpoch { .. })
+            ));
+        }
     }
 
     #[test]
@@ -520,16 +465,11 @@ mod tests {
         let d = dfs();
         // Epoch 3 written by {0, 1, 2}; node 2 then dies and {0, 1} write
         // epoch 6 with a two-node roster.
-        for n in 0..3 {
-            write_part(&d, "ec", 3, n, vec![3; 8]);
-        }
-        write_roster(&d, "ec", 3, EpochKind::Full, &[0, 1, 2]);
-        for n in 0..2 {
-            write_part(&d, "ec", 6, n, vec![6; 8]);
-        }
-        write_roster(&d, "ec", 6, EpochKind::Full, &[0, 1]);
-        assert_eq!(complete_epochs_rostered(&d, "ec"), vec![3, 6]);
-        assert_eq!(latest_complete_rostered(&d, "ec"), Ok(6));
+        complete_epoch(&d, "ec", 3, EpochKind::Full, &[0, 1, 2]);
+        complete_epoch(&d, "ec", 6, EpochKind::Delta, &[0, 1]);
+        // Both epochs are complete, each by its own roster.
+        assert_eq!(chain_epochs(&d, "ec", 0), [3, 6]);
+        assert_eq!(chain_epochs(&d, "ec", 2), [3]);
     }
 
     #[test]
@@ -559,14 +499,6 @@ mod tests {
     fn checksum_is_order_sensitive() {
         assert_ne!(checksum(&[1, 2, 3]), checksum(&[3, 2, 1]));
         assert_ne!(checksum(&[]), checksum(&[0]));
-    }
-
-    /// Writes a complete epoch: every node's part plus a sealed roster.
-    fn complete_epoch(d: &Dfs, prefix: &str, epoch: u64, kind: EpochKind, nodes: &[u32]) {
-        for &n in nodes {
-            write_part(d, prefix, epoch, n, vec![epoch as u8; 8]);
-        }
-        write_roster(d, prefix, epoch, kind, nodes);
     }
 
     #[test]
@@ -613,7 +545,6 @@ mod tests {
         write_part_torn(&d, "ec", 4, 1, vec![4; 8]);
         write_roster(&d, "ec", 4, EpochKind::Delta, &[0, 1]);
         complete_epoch(&d, "ec", 6, EpochKind::Delta, &[0, 1]);
-        assert!(!epoch_complete_rostered(&d, "ec", 4));
         let chain = recovery_chain(&d, "ec", 0).unwrap();
         assert_eq!(
             chain.epochs,
@@ -648,7 +579,6 @@ mod tests {
         write_part(&d, "ec", 4, 0, vec![4; 8]);
         write_part(&d, "ec", 4, 1, vec![4; 8]);
         write_roster(&d, "ec", 4, EpochKind::Delta, &[0, 1, 2]);
-        assert!(!epoch_complete_rostered(&d, "ec", 4));
         let chain = recovery_chain(&d, "ec", 0).unwrap();
         assert_eq!(chain.epochs, vec![(2, EpochKind::Full)]);
     }

@@ -46,7 +46,8 @@ OPTIONS (run):
   --tolerance <k>                   failures tolerated   [default: 1]
   --interval <n>                    CKPT interval        [default: 4]
   --incremental                     incremental CKPT snapshots (§2.3)
-  --fail <node@iter>                inject a crash (repeatable)
+  --fail <node@iter>                inject a crash (repeatable; --ft rep
+                                    recovers --tolerance crashes per iteration)
   --no-sync-suppress                ship every sync record (disable the
                                     redundant-sync filter; results identical)
   --no-pipeline                     strict compute → send phase ordering
@@ -251,6 +252,26 @@ fn ft_mode(opts: &Opts) -> Result<(FtMode, usize), String> {
     })
 }
 
+/// Rejects a `--fail` schedule the run could not honour: a node the cluster
+/// does not have, a crash nothing would recover, or more simultaneous
+/// crashes than the replication level tolerates.
+fn check_fails(opts: &Opts, ft: FtMode) -> Result<(), String> {
+    for &(node, iter) in &opts.fails {
+        let together = opts.fails.iter().filter(|f| f.1 == iter).count();
+        return Err(match ft {
+            _ if node as usize >= opts.nodes => {
+                format!("--fail: no node {node} among --nodes {}", opts.nodes)
+            }
+            FtMode::None => "--fail: --ft none recovers from no crash".into(),
+            FtMode::Replication { tolerance, .. } if together > tolerance => format!(
+                "--fail: {together} crashes in iteration {iter} exceed --tolerance {tolerance}"
+            ),
+            _ => continue,
+        });
+    }
+    Ok(())
+}
+
 fn report_common<V>(r: &RunReport<V>) {
     println!(
         "finished {} iterations in {:.3}s ({} sync records, {:.1} MiB cluster state)",
@@ -305,6 +326,8 @@ fn print_top(label: &str, scored: Vec<(usize, f64)>, top: usize) {
 }
 
 fn cmd_run(opts: &Opts) -> Result<(), String> {
+    let (ft, standbys) = ft_mode(opts)?;
+    check_fails(opts, ft)?;
     let g = load_graph(opts)?;
     println!("graph: {}", g.stats());
     let cut = match opts.cut.as_str() {
@@ -317,7 +340,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         opts.nodes,
         cut.replication_factor()
     );
-    let (ft, standbys) = ft_mode(opts)?;
     let cfg = RunConfig {
         num_nodes: opts.nodes,
         max_iters: opts.iters,
@@ -533,6 +555,31 @@ mod tests {
         assert!(parse(&["run", "--wat"]).is_err());
         assert!(parse(&["run", "--detector", "psychic"]).is_err());
         assert!(parse(&["run", "--hb-interval", "soon"]).is_err());
+    }
+
+    #[test]
+    fn rejects_failure_schedules_it_cannot_honour() {
+        // The schedule's verdict on four nodes: "" when the run can honour it.
+        let verdict = |flags: &str| {
+            let args = format!("run --nodes 4 {flags}");
+            let o = parse(&args.split(' ').collect::<Vec<_>>()).unwrap();
+            let refusal = check_fails(&o, ft_mode(&o).unwrap().0).err();
+            refusal.unwrap_or_default()
+        };
+        assert_eq!(verdict("--fail 3@2"), "");
+        assert_eq!(verdict("--fail 9@2"), "--fail: no node 9 among --nodes 4");
+        assert!(verdict("--fail 4@2").starts_with("--fail: no node 4"));
+        assert!(verdict("--ft none --fail 1@2").starts_with("--fail: --ft none"));
+        assert_eq!(verdict("--ft none --top 3"), "");
+        // Replication survives `--tolerance` crashes at once, any number one
+        // after another; a checkpoint rollback, however many crashed.
+        let both_at_2 = "--fail: 2 crashes in iteration 2 exceed --tolerance 1";
+        assert_eq!(verdict("--fail 1@2 --fail 2@2"), both_at_2);
+        let migration = verdict("--recovery migration --fail 1@2 --fail 2@2");
+        assert_eq!(migration, both_at_2);
+        assert_eq!(verdict("--fail 1@2 --fail 2@2 --tolerance 2"), "");
+        assert_eq!(verdict("--fail 1@2 --fail 2@3 --fail 3@4"), "");
+        assert_eq!(verdict("--ft ckpt --fail 1@2 --fail 2@2"), "");
     }
 
     #[test]
