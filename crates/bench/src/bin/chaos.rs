@@ -45,6 +45,14 @@ use imitator_graph::{gen, Graph, Vid};
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
 use imitator_storage::{Dfs, DfsConfig};
 
+/// What one DFS operation costs a vertex-cut schedule. A vertex-cut node
+/// writes its edge-ckpt files behind its supersteps and a recovery reads them
+/// ahead; on a cost-free DFS both are over before a crash can land inside
+/// them. A few supersteps' worth of latency (no bandwidth limit: goldens do
+/// not depend on what the DFS costs) keeps those windows open across the
+/// crash points the schedules stage.
+const VC_DFS_LATENCY: Duration = Duration::from_millis(2);
+
 /// Min-label propagation: integer-exact, activation-driven — any divergence
 /// between a recovered and a clean run shows up as a hard value mismatch.
 struct MinLabel;
@@ -388,7 +396,10 @@ fn execute(
             Arc::new(MinLabel),
             config(s, ft, standbys, threads, transport, detector),
             plans,
-            Dfs::new(DfsConfig::instant()),
+            Dfs::new(DfsConfig {
+                latency: VC_DFS_LATENCY,
+                ..DfsConfig::instant()
+            }),
         )
     }
 }

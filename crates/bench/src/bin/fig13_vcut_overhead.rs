@@ -58,7 +58,10 @@ fn main() {
                     recovery: RecoveryStrategy::Migration,
                 }),
                 vec![],
-                ramfs(),
+                // REP's edge-ckpt files go to the same DFS CKPT's snapshots
+                // do: written behind the first supersteps, they cost the
+                // run what it still waits for when it ends.
+                hdfs(),
             )
         });
         let ckpt = best_of(n, || {

@@ -55,7 +55,8 @@ fn main() {
                     ..RunConfig::default()
                 },
                 vec![],
-                ramfs(),
+                // The overhead includes persisting the edge-ckpt files.
+                hdfs(),
             )
         });
         let failures: Vec<_> = (0..k).map(|i| crash(i + 1, 6)).collect();

@@ -22,7 +22,9 @@ use std::time::{Duration, Instant};
 use imitator::plan::{compute_ft_plan, ReplicaView};
 use imitator::{edge_ckpt_files, DetectorKind, FtMode, RecoveryStrategy, RunConfig};
 use imitator_algos::PageRank;
-use imitator_bench::{banner, best_of, crash, ramfs, reps, run_ec, run_vc, BenchOpts, Workload};
+use imitator_bench::{
+    banner, best_of, crash, hdfs, ramfs, reps, run_ec, run_vc, BenchOpts, Workload,
+};
 use imitator_cluster::{Cluster, NodeId, TransportKind, TICKS_PER_MS};
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, ec_compute, ec_compute_scan, vc_partial_gather,
@@ -460,6 +462,43 @@ fn main() {
     }
     record("undo_capture", undo.0);
     record("undo_release", undo.1);
+
+    // What the HDFS-like DFS costs a replicated vertex-cut job where the job
+    // pays for it. A node encodes its edge-ckpt files before its first
+    // superstep and writes them behind it: `vc_first_commit_hdfs` is node
+    // start to first commit. A Rebirth's newbie reads the crashed node's
+    // files ahead of the survivors' batches: `recovery_rebirth_vc_hdfs_e2e`
+    // is the episode. The edge-cut rows above never touch the DFS.
+    {
+        let cfg = RunConfig {
+            num_nodes: opts.nodes,
+            max_iters: 20,
+            ft: FtMode::Replication {
+                tolerance: 1,
+                selfish_opt: false,
+                recovery: RecoveryStrategy::Rebirth,
+            },
+            standbys: 1,
+            threads_per_node: 1,
+            ..RunConfig::default()
+        };
+        let (mut first_commit, mut episode) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps() {
+            let s = run_vc(
+                Workload::PageRank,
+                &g,
+                &vcut,
+                cfg,
+                vec![crash(1, 5)],
+                hdfs(),
+            );
+            assert_eq!(s.recoveries.len(), 1, "crash must trigger one episode");
+            first_commit = first_commit.min(s.timeline[0].1.as_secs_f64());
+            episode = episode.min(s.recovery_total().as_secs_f64());
+        }
+        record("vc_first_commit_hdfs", first_commit);
+        record("recovery_rebirth_vc_hdfs_e2e", episode);
+    }
 
     // What Migration's rounds 5/7 and 6 do with full state, as kernels: node
     // 0 fills one destination's mirror batch with the full state of every

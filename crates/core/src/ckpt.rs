@@ -30,6 +30,7 @@ use imitator_graph::{PosIndex, Vid};
 use imitator_storage::codec::{
     read_uvarint, unzigzag64, write_uvarint, zigzag64, Decode, DecodeError, Encode, Reader,
 };
+use imitator_storage::{Dfs, WriteBehind};
 
 fn enc_uv(v: u64, buf: &mut Vec<u8>) {
     write_uvarint(buf, v);
@@ -783,6 +784,29 @@ pub fn edge_ckpt_files<V>(lg: &VcLocalGraph<V>) -> Vec<(NodeId, Vec<u8>)> {
         .collect()
 }
 
+/// Where `owner` keeps its edge-ckpt files on the DFS.
+pub(crate) fn edge_ckpt_dir(owner: NodeId) -> String {
+    format!("vc/eckpt/{}/", owner.raw())
+}
+
+/// The edge-ckpt file `owner` keeps for `receiver` to reload.
+pub(crate) fn edge_ckpt_path(owner: NodeId, receiver: NodeId) -> String {
+    format!("{}{}", edge_ckpt_dir(owner), receiver.raw())
+}
+
+/// Persists this node's edges as one edge-ckpt file per receiving node
+/// ([`edge_ckpt_files`]), so each survivor reloads exactly one file in
+/// parallel during Migration (§4.3). The files are encoded here and now, from
+/// the graph as it stands; deleting and writing happen behind the caller.
+pub(crate) fn persist_edge_ckpt<V>(lg: &VcLocalGraph<V>, dfs: &Dfs) -> WriteBehind {
+    let files = edge_ckpt_files(lg).into_iter();
+    let files = files.map(|(receiver, file)| (edge_ckpt_path(lg.node, receiver), file));
+    // Receivers shift between rewrites (promotions re-home masters), so a
+    // stale per-receiver file from an earlier write must not survive:
+    // replace the whole directory.
+    dfs.write_behind(dfs.list(&edge_ckpt_dir(lg.node)), files.collect())
+}
+
 /// Decodes an edge-ckpt file.
 ///
 /// # Errors
@@ -1329,7 +1353,7 @@ pub(crate) mod tests {
                 let dfs = imitator_storage::Dfs::new(imitator_storage::DfsConfig::instant());
                 // A stale file from an earlier write must not survive.
                 dfs.write(&format!("vc/eckpt/{}/99", me.raw()), vec![1]);
-                crate::runner_vc::write_edge_ckpt_files(&lg, &dfs);
+                persist_edge_ckpt(&lg, &dfs).wait();
                 let mut per_receiver: HashMap<NodeId, Vec<(Vid, Vid, f32)>> = HashMap::new();
                 for e in &lg.edges {
                     let src = lg.verts[e.src as usize].vid;

@@ -25,7 +25,7 @@ use imitator_engine::{
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_storage::codec::{Decode, Encode};
-use imitator_storage::{epoch, Dfs, EpochKind};
+use imitator_storage::{epoch, Dfs, EpochKind, WriteBehind};
 
 use crate::msg::{ProtoMsg, ReplicaGrant, VertexSync};
 use crate::recovery::{self, Abort, Adoption, Mig, MigEnv};
@@ -197,7 +197,7 @@ pub(crate) fn no_full_state(vid: Vid, kind: CopyKind) -> ! {
 ///
 /// Hooks with defaults are genuinely optional; everything else is the
 /// model-specific remainder after unification. Reconstruction primitives
-/// (`replica_entry` .. `migration_finish`) are composed by `recovery.rs`
+/// (`replica_entry` .. `adopt_partition`) are composed by `recovery.rs`
 /// into the Rebirth / Migration / checkpoint state machines.
 pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// Vertex value.
@@ -227,8 +227,12 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     fn init_scratch(&self, lg: &Self::Graph, shared: &Shared<Self>) -> Self::Scratch;
     /// Re-derives graph-dependent scratch after recovery changed the layout.
     fn refresh_scratch(&self, _scratch: &mut Self::Scratch, _lg: &Self::Graph) {}
-    /// Load-time persistence for non-checkpoint modes (edge-ckpt files).
-    fn on_load(&self, _lg: &Self::Graph, _shared: &Shared<Self>) {}
+    /// What a non-checkpoint mode keeps on the DFS for a recovery to reload
+    /// (edge-ckpt files): taken from the graph as it stands, at load (the run
+    /// phase `load_persist`) and after a Migration, and written behind the node.
+    fn persist(&self, _lg: &Self::Graph, _shared: &Shared<Self>) -> Option<WriteBehind> {
+        None
+    }
 
     /// One superstep: compute, communicate, and commit through the model's
     /// internal barriers. On a failed barrier the model undoes its own
@@ -282,8 +286,14 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     fn entry_wire_bytes(&self, e: &Self::Entry) -> u64;
     fn entry_edges(&self, e: &Self::Entry) -> u64;
     fn insert_entry(&self, lg: &mut Self::Graph, e: Self::Entry);
-    /// Extra newbie reloading besides survivor batches (edge-ckpt files).
-    fn rebirth_reload_extra(&self, _lg: &mut Self::Graph, _shared: &Shared<Self>) {}
+    /// The DFS files recovering `dead` reloads on this node besides what
+    /// survivors send (edge-ckpt files), in the order it consumes them; the
+    /// attempt reads them ahead. A newbie is the one `dead` node, reborn.
+    fn reload_files(&self, _: &Dfs, _dead: &[NodeId], _me: NodeId, _leader: NodeId) -> Vec<String> {
+        Vec::new()
+    }
+    /// Wires one reloaded file into the newbie, survivor batches all placed.
+    fn rebirth_reload_extra(&self, _lg: &mut Self::Graph, _file: &[u8]) {}
     fn validate(&self, lg: &Self::Graph);
     /// Post-reload replay on the newbie (activation replay + selfish
     /// recompute for the sparse engine). Returns whether any replay work
@@ -342,15 +352,6 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
         episode: &[NodeId],
         mig: &mut Mig<Self::MigExtra>,
     ) -> Adoption;
-    /// End of migration (before the leader's ack): re-persist whatever the
-    /// recovery invalidated (edge-ckpt files covering adopted edges).
-    fn migration_finish(
-        &self,
-        _lg: &Self::Graph,
-        _shared: &Shared<Self>,
-        _mig: &Mig<Self::MigExtra>,
-    ) {
-    }
 }
 
 /// The graphs the live nodes hand back when a run ends, by node.
@@ -418,7 +419,11 @@ where
                 );
                 st.ckpt_time += sw.elapsed();
             } else {
-                shared.model.on_load(&lg, &shared);
+                let sw = Stopwatch::start();
+                st.persist = shared.model.persist(&lg, &shared);
+                if st.persist.is_some() {
+                    st.phases.record("load_persist", sw.elapsed());
+                }
             }
             // Spawned once per node per run; workers park between phases.
             let pool = WorkerPool::new(shared.cfg.threads_per_node);
@@ -598,9 +603,10 @@ fn node_main<M: ComputeModel>(
     st.sync_filter.set_domain(lg.len() as u32);
     let mut scratch = shared.model.init_scratch(&lg, shared);
     let mut lg = Arc::new(lg);
-    loop {
+    // Runs until the job is over (`true`) or this node is dead (`false`).
+    let survived = loop {
         if st.iter >= shared.cfg.max_iters {
-            break;
+            break true;
         }
         if let Some(ticks) = shared.injector.should_stall(me, st.iter) {
             // Go silent before doing any work this iteration. A stall that
@@ -610,18 +616,18 @@ fn node_main<M: ComputeModel>(
             // was computed or sent yet, so the surviving protocol is
             // identical. A shorter stall is retracted and execution
             // continues untouched.
+            st.settle();
             if !ctx.stall(ticks) {
-                absorb_pool(&mut st, &pool);
-                return NodeOutcome::from_state(None, st);
+                break false;
             }
         }
         if shared
             .injector
             .should_fail(me, st.iter, FailPoint::BeforeBarrier)
         {
+            st.settle();
             ctx.die();
-            absorb_pool(&mut st, &pool);
-            return NodeOutcome::from_state(None, st);
+            break false;
         }
         let iter_sw = Stopwatch::start();
 
@@ -636,8 +642,7 @@ fn node_main<M: ComputeModel>(
                     // faster peers; discard the failed iteration's data traffic.
                     stash_non_data::<M>(&ctx, &mut st);
                     if recover_booked(&ctx, &mut lg, shared, &mut st, &dead, &pool) {
-                        absorb_pool(&mut st, &pool);
-                        return NodeOutcome::from_state(None, st);
+                        break false;
                     }
                     shared.model.refresh_scratch(&mut scratch, &lg);
                     continue;
@@ -675,8 +680,7 @@ fn node_main<M: ComputeModel>(
                     // recovery must roll back to the previous complete one.
                     epoch::write_part_torn(&shared.dfs, M::PREFIX, st.iter + 1, me.raw(), bytes);
                     ctx.die();
-                    absorb_pool(&mut st, &pool);
-                    return NodeOutcome::from_state(None, st);
+                    break false;
                 }
                 epoch::write_part(&shared.dfs, M::PREFIX, st.iter + 1, me.raw(), bytes);
                 if me == st.leader() {
@@ -714,8 +718,7 @@ fn node_main<M: ComputeModel>(
             // Failure after commit: no rollback.
             stash_non_data::<M>(&ctx, &mut st);
             if recover_booked(&ctx, &mut lg, shared, &mut st, &dead, &pool) {
-                absorb_pool(&mut st, &pool);
-                return NodeOutcome::from_state(None, st);
+                break false;
             }
             shared.model.refresh_scratch(&mut scratch, &lg);
             continue;
@@ -724,27 +727,28 @@ fn node_main<M: ComputeModel>(
             // Converged: the job is over before any post-barrier crash can
             // strike (a machine lost after completion is outside the job's
             // lifetime and cannot be recovered by it).
-            break;
+            break true;
         }
         if st.iter < shared.cfg.max_iters
             && shared
                 .injector
                 .should_fail(me, st.iter - 1, FailPoint::AfterBarrier)
         {
+            st.settle();
             ctx.die();
-            absorb_pool(&mut st, &pool);
-            return NodeOutcome::from_state(None, st);
+            break false;
         }
-    }
+    };
     absorb_pool(&mut st, &pool);
-    let lg = Arc::try_unwrap(lg).unwrap_or_else(|_| panic!("graph still shared at node exit"));
-    NodeOutcome::from_state(Some((me, lg)), st)
+    let unshared = |lg| Arc::try_unwrap(lg).unwrap_or_else(|_| panic!("graph shared at node exit"));
+    NodeOutcome::from_state(survived.then(|| (me, unshared(lg))), st)
 }
 
 /// Runs the recovery episode for `dead`, resuming at the current iteration,
 /// and books its wall time as the run phase `recovery` — the stall belongs
-/// to the run's phase budget like compute and barrier do. Returns whether
-/// this node crashed inside it.
+/// to the run's phase budget like compute and barrier do. The node's own
+/// persistence lands first: the episode may rewrite it, or crash the node.
+/// Returns whether this node crashed inside it.
 fn recover_booked<M: ComputeModel>(
     ctx: &Ctx<M>,
     lg: &mut Arc<M::Graph>,
@@ -753,6 +757,7 @@ fn recover_booked<M: ComputeModel>(
     dead: &[NodeId],
     pool: &WorkerPool,
 ) -> bool {
+    st.settle();
     let sw = Stopwatch::start();
     let resume = st.iter;
     let crashed = recovery::recover(ctx, lg, shared, st, dead, resume, pool);

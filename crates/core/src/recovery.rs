@@ -285,10 +285,6 @@ pub(crate) fn recover<M: ComputeModel>(
                 counters.aborts += 1;
                 union_into(&mut episode, new_dead);
                 undo.restore(&shared.model, graph_mut(lg), st);
-                // The aborted attempt may have re-persisted load-time DFS
-                // state (edge-ckpt files) from a since-reverted graph;
-                // re-derive it from the restored one.
-                shared.model.on_load(&**lg, shared);
                 let sw = Stopwatch::start();
                 let fenced_out = abort_fence(ctx, st, &mut episode);
                 fence_time += sw.elapsed();

@@ -73,6 +73,8 @@ pub(crate) struct MigEnv<'a> {
     pub dead: &'a [NodeId],
     /// This node.
     pub me: NodeId,
+    /// The model's reload files ([`ComputeModel::reload_files`]), landed.
+    pub files: Vec<Arc<Vec<u8>>>,
     /// Promotions performed *by this node* in R1.
     own: &'a [Promotion],
     /// Every promotion in the cluster.
@@ -128,6 +130,7 @@ impl<'a> MigEnv<'a> {
         MigEnv {
             dead,
             me,
+            files: Vec::new(),
             own,
             all,
             own_at,
@@ -249,6 +252,8 @@ pub(super) fn migrate<M: ComputeModel>(
     let mut mig: Mig<M::MigExtra> = Mig::default();
     let [r1, r2, r3, r4, r5, r6, r7, r8] = &MIGRATION_ROUNDS;
     let sw_total = Stopwatch::start();
+    // R2's DFS reads run behind R1.
+    cx.prefetch();
     // Every round below rewrites the graph: journal from here on.
     undo.open_journal(model, graph_mut(lg));
     cx.mark("undo_capture");
@@ -266,7 +271,8 @@ pub(super) fn migrate<M: ComputeModel>(
     cx.round(r2, |cx| {
         let g = graph_mut(lg);
         let all_promos = collect_promotions(cx, g, &promotions);
-        let menv = MigEnv::new(cx.dead, cx.me(), &promotions, &all_promos);
+        let mut menv = MigEnv::new(cx.dead, cx.me(), &promotions, &all_promos);
+        menv.files = std::iter::from_fn(|| cx.prefetched(r2.0)).collect();
         let mut requests = model.migration_requests(g, cx.shared, cx.st, &mut mig, &menv);
         cx.send_others(|n| {
             let req = requests.remove(&n).unwrap_or_default();
@@ -383,15 +389,18 @@ pub(super) fn migrate<M: ComputeModel>(
         ship_mirror_batches(cx, lg, refreshes);
     })?;
 
-    // ---- R8: adopt refreshed metas; let the model re-persist invalidated
-    //      state; leader acknowledges the recovery.
+    // ---- R8: adopt refreshed metas; leader acknowledges the recovery. Only
+    //      behind its barrier, where the attempt can no longer abort, does the
+    //      model re-persist invalidated state: the DFS never holds files of a
+    //      graph that was rolled back.
     cx.round(r8, |cx| {
         let batches = cx.take(kind!(MirrorUpdate));
-        let g = graph_mut(lg);
-        adopt_mirror_batches::<M>(g, &batches);
-        model.migration_finish(g, cx.shared, &mig);
+        adopt_mirror_batches::<M>(graph_mut(lg), &batches);
         cx.ack_recovered();
     })?;
+    cx.st.settle();
+    cx.st.persist = model.persist(lg, cx.shared);
+    cx.mark(r8.0);
 
     mig.promoted.sort_unstable();
     let mut report = cx.report(strategy);

@@ -151,8 +151,10 @@ pub(crate) fn rebirth_newbie<M: ComputeModel>(
     let me = [ctx.id()];
     let cx = &mut AttemptCx::new(ctx, shared, st, pool, &me, 0);
     let model = &shared.model;
-    // Membership barrier (the survivors' decision barrier).
+    // Membership barrier (the survivors' decision barrier). The DFS reads
+    // run behind the survivors' scan and batches from here on.
     cx.decide(0)?;
+    cx.prefetch();
 
     let mut lg = model.empty_graph(ctx.id());
     let mut got = 0u32;
@@ -192,7 +194,9 @@ pub(crate) fn rebirth_newbie<M: ComputeModel>(
             }),
         }
     }
-    model.rebirth_reload_extra(&mut lg, shared);
+    while let Some(file) = cx.prefetched(RELOAD.0) {
+        model.rebirth_reload_extra(&mut lg, &file);
+    }
     cx.mark(RELOAD.0);
 
     // Reconstruction is implicit; validate the rebuilt layout, then run the

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use imitator_cluster::{BarrierOutcome, FailPoint, NodeCtx, NodeId};
 use imitator_engine::{InOrder, WorkerPool};
 use imitator_metrics::{CommKind, CommStats, PhaseTimes, Stopwatch};
+use imitator_storage::ReadAhead;
 
 use super::{Abort, Attempt};
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Msg, Shared, St};
@@ -92,6 +93,8 @@ pub(super) struct AttemptCx<'a, M: ComputeModel> {
     pub comm: CommStats,
     /// Runs since the last booking.
     since: Stopwatch,
+    /// What the model reloads from the DFS, on its way.
+    prefetch: Option<ReadAhead>,
 }
 
 impl<'a, M: ComputeModel> AttemptCx<'a, M> {
@@ -119,6 +122,7 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
             phases: PhaseTimes::new(),
             comm: CommStats::default(),
             since: Stopwatch::start(),
+            prefetch: None,
         }
     }
 
@@ -129,9 +133,10 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
     /// Consults the failure injector for a recovery-phase crash at this
     /// point; on a hit the node crashes (peers detect it at their next
     /// barrier) and unwinds.
-    pub(super) fn fail_here(&self, point: FailPoint) -> Attempt<()> {
+    pub(super) fn fail_here(&mut self, point: FailPoint) -> Attempt<()> {
         let injector = &self.shared.injector;
         if injector.should_fail(self.me(), self.resume_iter, point) {
+            self.st.settle();
             self.ctx.crash();
             return Err(Abort::Crashed);
         }
@@ -147,6 +152,23 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
     pub(super) fn mark(&mut self, key: &'static str) {
         let lap = self.lap();
         self.phases.record(key, lap);
+    }
+
+    /// Starts reading the model's reload files ([`ComputeModel::reload_files`])
+    /// ahead of the step that consumes them.
+    pub(super) fn prefetch(&mut self) {
+        let (dfs, model, leader) = (&self.shared.dfs, &self.shared.model, self.st.leader());
+        let paths = model.reload_files(dfs, self.dead, self.me(), leader);
+        self.prefetch = (!paths.is_empty()).then(|| dfs.read_ahead(paths));
+    }
+
+    /// The next reload file, once it has landed. Books the step so far under
+    /// `key`, and what this call blocked for apart, as `prefetch_wait`.
+    pub(super) fn prefetched(&mut self, key: &'static str) -> Option<Arc<Vec<u8>>> {
+        self.mark(key);
+        let file = self.prefetch.as_mut()?.next();
+        self.mark("prefetch_wait");
+        file
     }
 
     /// One step without a closing barrier: fail point, `body`, booking.
@@ -261,11 +283,12 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
 
     /// Closes the attempt's books into a report; what was recovered is the
     /// path's to fill in. The coarse phases are the keys of the same name
-    /// (`reload` with `undo_capture`); Migration books rounds and sets them.
+    /// (`reload` with `undo_capture` and `prefetch_wait`); Migration books
+    /// rounds and sets them.
     pub(super) fn report(&mut self, strategy: &'static str) -> RecoveryReport {
         let booked = |key| self.phases.get(key).unwrap_or_default();
         RecoveryReport {
-            reload: booked("undo_capture") + booked("reload"),
+            reload: booked("undo_capture") + booked("reload") + booked("prefetch_wait"),
             reconstruct: booked("reconstruct"),
             replay: booked("replay"),
             suspicion: self.ctx.cluster().coordinator().suspicion_stats(),

@@ -5,7 +5,8 @@ use std::time::{Duration, Instant};
 
 use imitator_cluster::{Envelope, NodeId};
 use imitator_graph::VidMap;
-use imitator_metrics::{CommBreakdown, CommStats, PhaseTimes, PoolStats};
+use imitator_metrics::{CommBreakdown, CommStats, PhaseTimes, PoolStats, Stopwatch};
+use imitator_storage::WriteBehind;
 
 use crate::report::{RecoveryReport, RunReport};
 use crate::suppress::SyncFilter;
@@ -56,6 +57,11 @@ pub(crate) struct NodeState<M> {
     /// accumulate per superstep; `jobs` and `peak_busy` are read off the
     /// pool when the node retires.
     pub pool: PoolStats,
+    /// The one write-behind this node may have on its way to the DFS: what
+    /// it last persisted for a later recovery to reload (edge-ckpt files).
+    /// [`NodeState::settle`] empties it wherever the node's persistence must
+    /// be whole before what comes next (DESIGN.md §4.10).
+    pub persist: Option<WriteBehind>,
 }
 
 impl<M> NodeState<M> {
@@ -80,6 +86,17 @@ impl<M> NodeState<M> {
             suppressed_syncs: 0,
             suppressed_timeline: Vec::new(),
             pool: PoolStats::default(),
+            persist: None,
+        }
+    }
+
+    /// Blocks until what this node persists behind its supersteps is on the
+    /// DFS, booking the wait as the run phase `persist_wait`.
+    pub(crate) fn settle(&mut self) {
+        if let Some(writes) = self.persist.take() {
+            let sw = Stopwatch::start();
+            writes.wait();
+            self.phases.record("persist_wait", sw.elapsed());
         }
     }
 
@@ -138,7 +155,10 @@ pub(crate) struct NodeOutcome<G> {
 }
 
 impl<G> NodeOutcome<G> {
-    pub(crate) fn from_state<M>(lg: Option<G>, st: NodeState<M>) -> Self {
+    /// A node's books close with its persistence whole: the DFS counters
+    /// are final once every outcome exists.
+    pub(crate) fn from_state<M>(lg: Option<G>, mut st: NodeState<M>) -> Self {
+        st.settle();
         NodeOutcome {
             lg,
             iterations: st.iter,

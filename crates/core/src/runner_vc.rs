@@ -20,7 +20,7 @@ use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_partition::VertexCut;
 use imitator_storage::codec::{Decode, Encode};
-use imitator_storage::Dfs;
+use imitator_storage::{Dfs, WriteBehind};
 
 use crate::ckpt;
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
@@ -254,12 +254,15 @@ where
         scratch.gather_index = Arc::new(VcGatherIndex::build(lg));
     }
 
-    /// With replication FT, persist this node's owned edges as per-receiver
-    /// edge-ckpt files before the first superstep (§4.3).
-    fn on_load(&self, lg: &Self::Graph, shared: &Shared<Self>) {
-        if matches!(shared.cfg.ft, FtMode::Replication { .. }) {
-            write_edge_ckpt_files(lg, &shared.dfs);
-        }
+    /// With replication FT, this node's owned edges as per-receiver
+    /// edge-ckpt files (§4.3), encoded before the first superstep and written
+    /// behind it. Migration changes which node persists which edges
+    /// (adoption) and which node receives which file (promotions rewrote
+    /// master locations): all are rewritten, so the next failure reloads a
+    /// consistent set.
+    fn persist(&self, lg: &Self::Graph, shared: &Shared<Self>) -> Option<WriteBehind> {
+        let replicated = matches!(shared.cfg.ft, FtMode::Replication { .. });
+        replicated.then(|| ckpt::persist_edge_ckpt(lg, &shared.dfs))
     }
 
     /// Distributed gather (partials → masters, barrier), then apply at
@@ -496,28 +499,26 @@ where
         );
     }
 
-    /// Rebirth reload also replays the crashed node's own edge-ckpt files:
-    /// every edge it owned, keyed by receiver, read back in one pass.
-    fn rebirth_reload_extra(&self, lg: &mut Self::Graph, shared: &Shared<Self>) {
-        for path in shared.dfs.list(&format!("vc/eckpt/{}/", lg.node.raw())) {
-            let bytes = shared
-                .dfs
-                .read(&path)
-                .unwrap_or_else(|| panic!("listed edge-ckpt {path} readable"));
-            for (src, dst, weight) in ckpt::decode_edge_ckpt(&bytes).expect("edge-ckpt decodes") {
-                let spos = lg
-                    .position(src)
-                    .unwrap_or_else(|| panic!("edge endpoint {src} recovered"));
-                let dpos = lg
-                    .position(dst)
-                    .unwrap_or_else(|| panic!("edge endpoint {dst} recovered"));
-                lg.edges.push(VcEdge {
-                    src: spos,
-                    dst: dpos,
-                    weight,
-                });
-            }
+    /// A newbie reads back every edge-ckpt file the crashed node kept — all
+    /// the edges it owned, keyed by receiver; a survivor the crashed nodes'
+    /// files addressed to it, and as leader their orphan files for one
+    /// another.
+    fn reload_files(&self, dfs: &Dfs, dead: &[NodeId], me: NodeId, leader: NodeId) -> Vec<String> {
+        if dead == [me] {
+            return dfs.list(&ckpt::edge_ckpt_dir(me));
         }
+        let mut pairs: Vec<(NodeId, NodeId)> = dead.iter().map(|&owner| (owner, me)).collect();
+        if me == leader {
+            pairs.extend(dead.iter().flat_map(|&o| dead.iter().map(move |&r| (o, r))));
+        }
+        let path = |(owner, receiver)| ckpt::edge_ckpt_path(owner, receiver);
+        pairs.into_iter().map(path).collect()
+    }
+
+    /// Rebirth reload also replays the crashed node's own edge-ckpt files,
+    /// one at a time: every endpoint is in place once the batches are.
+    fn rebirth_reload_extra(&self, lg: &mut Self::Graph, file: &[u8]) {
+        wire_edges(lg, ckpt::decode_edge_ckpt(file).expect("edge-ckpt decodes"));
     }
 
     fn validate(&self, lg: &Self::Graph) {
@@ -528,9 +529,8 @@ where
         (lg.verts.len() as u64, lg.edges.len() as u64)
     }
 
-    /// R2: adopt the crashed nodes' edge-ckpt files addressed to this node
-    /// (the leader additionally adopts dead→dead orphan files), then
-    /// request replicas of any adopted-edge endpoint with no local copy.
+    /// R2: adopt the edges of the reloaded edge-ckpt files, then request
+    /// replicas of any adopted-edge endpoint with no local copy.
     fn migration_requests(
         &self,
         lg: &mut Self::Graph,
@@ -541,23 +541,8 @@ where
     ) -> HashMap<NodeId, Vec<Vid>> {
         let me = env.me;
         let mut adopted: Vec<(Vid, Vid, f32)> = Vec::new();
-        for &d in env.dead {
-            if let Some(bytes) = shared
-                .dfs
-                .read(&format!("vc/eckpt/{}/{}", d.raw(), me.raw()))
-            {
-                adopted.extend(ckpt::decode_edge_ckpt(&bytes).expect("edge-ckpt decodes"));
-            }
-        }
-        if me == st.leader() {
-            for &owner in env.dead {
-                for &receiver in env.dead {
-                    let path = format!("vc/eckpt/{}/{}", owner.raw(), receiver.raw());
-                    if let Some(bytes) = shared.dfs.read(&path) {
-                        adopted.extend(ckpt::decode_edge_ckpt(&bytes).expect("edge-ckpt decodes"));
-                    }
-                }
-            }
+        for file in &env.files {
+            adopted.extend(ckpt::decode_edge_ckpt(file).expect("edge-ckpt decodes"));
         }
         let mut requests: HashMap<NodeId, Vec<Vid>> = HashMap::new();
         let mut requested: VidMap<()> = VidMap::default();
@@ -592,34 +577,13 @@ where
     /// R4: wire the adopted edges — every endpoint is local now, either
     /// pre-existing or just granted.
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<VcMigExtra>, _resume: u64) {
-        for (s, d, w) in std::mem::take(&mut mig.extra.adopted) {
-            let spos = lg
-                .position(s)
-                .unwrap_or_else(|| panic!("endpoint {s} granted or local"));
-            let dpos = lg
-                .position(d)
-                .unwrap_or_else(|| panic!("endpoint {d} granted or local"));
-            lg.edges.push(VcEdge {
-                src: spos,
-                dst: dpos,
-                weight: w,
-            });
-            mig.edges_recovered += 1;
-        }
+        mig.edges_recovered += wire_edges(lg, std::mem::take(&mut mig.extra.adopted));
     }
 
     fn meta_update_bytes(&self, _metas: &Vec<Locations>, _i: usize) -> u64 {
         // Payload estimate excluding the vertex ID, which ships as a varint
         // in the mirror frame's vid column (see `MirrorBatch::frame_bytes`).
         56
-    }
-
-    /// Migration changed which node persists which edges (adoption) and
-    /// which node receives which file (promotions rewrote master
-    /// locations) — rewrite the edge-ckpt files unconditionally so the next
-    /// failure reloads a consistent set.
-    fn migration_finish(&self, lg: &Self::Graph, shared: &Shared<Self>, _mig: &Mig<VcMigExtra>) {
-        write_edge_ckpt_files(lg, &shared.dfs);
     }
 
     /// Checkpoint-fallback graft: splice the whole reconstructed partition
@@ -729,18 +693,16 @@ where
     }
 }
 
-/// Persists this node's edges as one edge-ckpt file per receiving node
-/// ([`ckpt::edge_ckpt_files`]), so each survivor reloads exactly one file in
-/// parallel during Migration (§4.3).
-pub(crate) fn write_edge_ckpt_files<V>(lg: &VcLocalGraph<V>, dfs: &Dfs) {
-    let me = lg.node.raw();
-    // Receivers shift between rewrites (promotions re-home masters), so a
-    // stale per-receiver file from an earlier write — or from an aborted
-    // recovery attempt — must not survive: replace the whole prefix.
-    for path in dfs.list(&format!("vc/eckpt/{me}/")) {
-        dfs.delete(&path);
+/// Appends reloaded `edges` to the local edge list and returns how many.
+/// Every endpoint has a local copy by now: recovered, granted or pre-existing.
+fn wire_edges<V>(lg: &mut VcLocalGraph<V>, edges: Vec<(Vid, Vid, f32)>) -> u64 {
+    for &(src, dst, weight) in &edges {
+        let local = |vid: Vid| {
+            let pos = lg.position(vid);
+            pos.unwrap_or_else(|| panic!("edge endpoint {vid} has no local copy"))
+        };
+        let (src, dst) = (local(src), local(dst));
+        lg.edges.push(VcEdge { src, dst, weight });
     }
-    for (receiver, file) in ckpt::edge_ckpt_files(lg) {
-        dfs.write(&format!("vc/eckpt/{me}/{}", receiver.raw()), file);
-    }
+    edges.len() as u64
 }

@@ -1,7 +1,8 @@
 //! The simulated distributed file system.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use imitator_metrics::{AtomicCommStats, CommStats};
@@ -173,6 +174,97 @@ impl Dfs {
             reads: self.read_stats.snapshot(),
         }
     }
+
+    /// Deletes `stale`, then writes `files`, behind the caller: a client
+    /// thread of its own makes the same [`Dfs::delete`] and [`Dfs::write`]
+    /// calls the caller would have made, in order and one at a time — it
+    /// hides their latency behind the caller's work, it does not buy the
+    /// client a second stream. Each file is visible once its own write has
+    /// returned; [`WriteBehind::wait`] (or dropping the handle) blocks until
+    /// all of them are.
+    pub fn write_behind(&self, stale: Vec<String>, files: Vec<(String, Vec<u8>)>) -> WriteBehind {
+        let dfs = self.clone();
+        WriteBehind(Some(std::thread::spawn(move || {
+            for path in stale {
+                dfs.delete(&path);
+            }
+            for (path, bytes) in files {
+                dfs.write(&path, bytes);
+            }
+        })))
+    }
+
+    /// Reads `paths` ahead of the caller: a client thread of its own makes
+    /// the same [`Dfs::read`] calls, in order and one at a time, and the
+    /// returned iterator hands each file over as it lands (absent paths are
+    /// skipped, as free as a `read` that finds nothing). Dropping the
+    /// iterator stops the reader after the file it is on.
+    pub fn read_ahead(&self, paths: Vec<String>) -> ReadAhead {
+        let dfs = self.clone();
+        let (landed, files) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            for file in paths.iter().filter_map(|path| dfs.read(path)) {
+                if landed.send(file).is_err() {
+                    break;
+                }
+            }
+        });
+        ReadAhead {
+            files: Some(files),
+            reader: Some(reader),
+        }
+    }
+}
+
+/// Files on their way to the store behind the caller ([`Dfs::write_behind`]).
+/// Dropping the handle waits for them too.
+#[derive(Debug)]
+pub struct WriteBehind(Option<JoinHandle<()>>);
+
+impl WriteBehind {
+    /// Blocks until every file is on the store.
+    pub fn wait(mut self) {
+        if let Some(writer) = self.0.take() {
+            writer.join().expect("write-behind thread panicked");
+        }
+    }
+}
+
+impl Drop for WriteBehind {
+    fn drop(&mut self) {
+        if let Some(writer) = self.0.take() {
+            // A panic here would abort a process that is already unwinding.
+            let _ = writer.join();
+        }
+    }
+}
+
+/// Files on their way from the store ahead of the caller
+/// ([`Dfs::read_ahead`]): yields them in the order asked for, blocking while
+/// the next one has not landed.
+#[derive(Debug)]
+pub struct ReadAhead {
+    files: Option<mpsc::Receiver<Arc<Vec<u8>>>>,
+    reader: Option<JoinHandle<()>>,
+}
+
+impl Iterator for ReadAhead {
+    type Item = Arc<Vec<u8>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.files.as_ref()?.recv().ok()
+    }
+}
+
+impl Drop for ReadAhead {
+    fn drop(&mut self) {
+        // Hanging up first makes the reader's next hand-over fail, so the
+        // join below waits for at most the one read in flight.
+        self.files = None;
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -258,5 +350,83 @@ mod tests {
         let t = std::time::Instant::now();
         dfs.write("slow", vec![1]);
         assert!(t.elapsed() >= Duration::from_millis(3));
+    }
+
+    fn slow(latency_ms: u64) -> Dfs {
+        Dfs::new(DfsConfig {
+            latency: Duration::from_millis(latency_ms),
+            bandwidth_bytes_per_sec: f64::INFINITY,
+            replication: 3,
+        })
+    }
+
+    #[test]
+    fn write_behind_pays_the_sum_of_its_operations_and_counts_them_like_write() {
+        let (behind, blocking) = (slow(5), slow(5));
+        let files = |n: u8| (0..n).map(|i| (format!("p/{i}"), vec![i; 10 + i as usize]));
+        for dfs in [&behind, &blocking] {
+            dfs.write("p/stale", vec![0; 7]);
+        }
+        let t = std::time::Instant::now();
+        let handle = behind.write_behind(behind.list("p/"), files(3).collect());
+        handle.wait();
+        // One delete and three writes, one after another: the sum, not the max.
+        assert!(t.elapsed() >= Duration::from_millis(20));
+
+        blocking.delete("p/stale");
+        for (path, bytes) in files(3) {
+            blocking.write(&path, bytes);
+        }
+        assert_eq!(behind.stats(), blocking.stats());
+        assert_eq!(behind.list("p/"), blocking.list("p/"));
+        for path in behind.list("p/") {
+            assert_eq!(behind.read(&path), blocking.read(&path));
+        }
+    }
+
+    #[test]
+    fn dropping_a_write_behind_waits_for_it() {
+        let dfs = slow(3);
+        drop(dfs.write_behind(
+            Vec::new(),
+            vec![("a".into(), vec![1]), ("b".into(), vec![2])],
+        ));
+        assert_eq!(dfs.list(""), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn read_ahead_yields_the_order_asked_for_and_counts_like_read() {
+        let dfs = slow(2);
+        for (i, path) in ["e/10", "e/2", "e/3"].into_iter().enumerate() {
+            dfs.write(path, vec![i as u8; 4]);
+        }
+        let before = dfs.stats().reads;
+        let mut paths = dfs.list("e/");
+        paths.insert(1, "e/absent".into());
+        let t = std::time::Instant::now();
+        let files: Vec<_> = dfs.read_ahead(paths).collect();
+        assert!(t.elapsed() >= Duration::from_millis(6));
+        let firsts: Vec<u8> = files.iter().map(|f| f[0]).collect();
+        assert_eq!(firsts, [0, 1, 2], "listing order, the absent path skipped");
+        assert_eq!(dfs.stats().reads, before + CommStats::new(3, 12));
+    }
+
+    #[test]
+    fn a_dropped_read_ahead_stops_after_the_file_it_is_on() {
+        // Reads of 20 ms: the reader is inside the second one when the first
+        // file is handed over, and the drop hangs up long before the fifth.
+        let dfs = slow(20);
+        let paths: Vec<String> = (0..6).map(|i| format!("f/{i}")).collect();
+        dfs.write_behind(
+            Vec::new(),
+            paths.iter().map(|p| (p.clone(), vec![0; 8])).collect(),
+        )
+        .wait();
+        let mut ahead = dfs.read_ahead(paths);
+        assert!(ahead.next().is_some());
+        drop(ahead);
+        // The drop joined the reader: the count is final.
+        let reads = dfs.stats().reads.messages;
+        assert!((1..6).contains(&reads), "{reads} of 6 files read");
     }
 }

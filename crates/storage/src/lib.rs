@@ -29,5 +29,5 @@ pub mod codec;
 mod dfs;
 pub mod epoch;
 
-pub use dfs::{Dfs, DfsConfig, DfsStats};
+pub use dfs::{Dfs, DfsConfig, DfsStats, ReadAhead, WriteBehind};
 pub use epoch::{EpochChain, EpochError, EpochKind};

@@ -64,7 +64,15 @@ cd "$(dirname "$0")/.."
 #          scan fan-out (the edge-cut replay's two included:
 #          driver::fan_out) exist once; `driver::take` replaces eleven
 #          hand-written message folds (DESIGN.md §4.2).
-BUDGET=4407
+#   4406 — DFS waits off the critical path (PR 20): the write-behind slot's
+#          settle points, the read-ahead's start/consume verbs in the round
+#          driver and the `persist` / `reload_files` hooks cost what the
+#          blocking `write_edge_ckpt_files`, the abort path's re-derive, the
+#          two copies of "wire reloaded edges" in runner_vc.rs and the seven
+#          spelled-out dead-node exits of `node_main` gave back (DESIGN.md
+#          §4.10). Encoding and naming the files moved beside their codec
+#          (`ckpt::persist_edge_ckpt`), outside this guard like the codec.
+BUDGET=4406
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do
