@@ -14,8 +14,8 @@
 //! (`perf_baseline --load-row <name>`). The JSON is a flat name → seconds
 //! map so a later run can be diffed field by field, plus a `bytes` map of
 //! exact gauges (wire sizes, a Migration's undo journal, and the memory the
-//! load scenario's replicated edge-cut graphs hold) that CI holds against the
-//! committed file.
+//! load scenario's replicated graphs hold under either cut) that CI holds
+//! against the committed file.
 
 use std::time::{Duration, Instant};
 
@@ -69,11 +69,14 @@ const LOAD_ROWS: [&str; 10] = [
 /// Samples per load row; the row records their median.
 const LOAD_SAMPLES: usize = 5;
 
-/// Not a timing: `mem_bytes` summed over the graphs `build_ec_graphs_ft`
-/// builds. Exact for a given scale and seed, so it is a `bytes` gauge.
+/// Not timings: `mem_bytes` summed over the graphs `build_ec_graphs_ft` /
+/// `build_vc_graphs_ft` build. Exact for a given scale and seed, so they are
+/// `bytes` gauges.
 const MEM_EC_FT: &str = "mem_ec_ft";
+const MEM_VC_FT: &str = "mem_vc_ft";
 
-/// One sample of load row `row`, in seconds (bytes for [`MEM_EC_FT`]). A
+/// One sample of load row `row`, in seconds (bytes for the two `mem_`
+/// gauges). A
 /// timed row runs as the only measurement of its process: these rows
 /// allocate and free a few million blocks, and whatever the allocator was
 /// left holding by an earlier row moves them by a third.
@@ -98,7 +101,7 @@ fn load_row_sample(row: &str, opts: &BenchOpts) -> f64 {
             FtPlan::none(g.num_vertices())
         }
     };
-    if row.ends_with("_vc") || row.starts_with("build_vc_graphs_") {
+    if row.ends_with("_vc") || row.starts_with("build_vc_graphs_") || row == MEM_VC_FT {
         let (cut, cut_s) = timed(|| RandomVertexCut.partition(&g, 4));
         if row == "cut_vc" {
             return cut_s;
@@ -107,6 +110,7 @@ fn load_row_sample(row: &str, opts: &BenchOpts) -> f64 {
         let (lgs, build_s) = timed(|| build_vertex_cut_graphs(&g, &cut, &plan, &pr, &degrees));
         return match row {
             "eckpt_group_vc" => timed(|| lgs.iter().map(edge_ckpt_files).collect::<Vec<_>>()).1,
+            MEM_VC_FT => lgs.iter().map(MemSize::mem_bytes).sum::<usize>() as f64,
             _ => build_s,
         };
     }
@@ -193,7 +197,7 @@ fn main() {
     for row in LOAD_ROWS {
         record(row, load_row(row));
     }
-    let mem_ec_ft = load_row_sample(MEM_EC_FT, &opts);
+    let mem_ft = [MEM_EC_FT, MEM_VC_FT].map(|gauge| (gauge, load_row_sample(gauge, &opts)));
 
     // Edge-cut kernels: one node's slice of a dense superstep.
     let cut = HashEdgeCut.partition(&g, opts.nodes);
@@ -704,7 +708,9 @@ fn main() {
         "    \"recovery_migration\": {recovery_migration_bytes:.1},\n"
     ));
     json.push_str(&format!("    \"undo_journal\": {undo_journal_bytes:.1},\n"));
-    json.push_str(&format!("    \"{MEM_EC_FT}\": {mem_ec_ft:.1},\n"));
+    for (gauge, bytes) in mem_ft {
+        json.push_str(&format!("    \"{gauge}\": {bytes:.1},\n"));
+    }
     json.push_str(&format!(
         "    \"hb_overhead_bytes\": {hb_overhead_bytes:.1}\n"
     ));
@@ -716,7 +722,9 @@ fn main() {
         "recovery_migration"
     );
     println!("  {:<40} {undo_journal_bytes:>10.1} B", "undo_journal");
-    println!("  {:<40} {mem_ec_ft:>10.1} B", MEM_EC_FT);
+    for (gauge, bytes) in mem_ft {
+        println!("  {gauge:<40} {bytes:>10.1} B");
+    }
     println!("  {:<40} {hb_overhead_bytes:>10.1} B", "hb_overhead_bytes");
     std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");
     println!("wrote BENCH_engine.json ({} entries)", results.len());

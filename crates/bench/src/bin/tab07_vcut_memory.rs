@@ -30,8 +30,8 @@ fn main() {
         ),
     ];
     println!(
-        "{:<8} {:<7} {:>12} {:>9}",
-        "cut", "config", "total (MiB)", "vs base"
+        "{:<8} {:<7} {:>12} {:>12} {:>9}",
+        "cut", "config", "total (MiB)", "over base", "vs base"
     );
     for (name, cut) in &cuts {
         let mut base_total = 0usize;
@@ -62,15 +62,19 @@ fn main() {
             if k == 0 {
                 base_total = total;
             }
+            // What the level adds in MiB first: the percentage moves with
+            // the base, which is not what a mirror costs (see tab03).
+            let mib = |bytes: usize| bytes as f64 / (1024.0 * 1024.0);
             println!(
-                "{:<8} {:<7} {:>12.1} {:>8.2}%",
+                "{:<8} {:<7} {:>12.1} {:>+8.1} MiB {:>8.2}%",
                 name,
                 if k == 0 {
                     "w/o FT".to_owned()
                 } else {
                     format!("FT/{k}")
                 },
-                total as f64 / (1024.0 * 1024.0),
+                mib(total),
+                mib(total - base_total),
                 100.0 * (total as f64 / base_total as f64 - 1.0)
             );
         }

@@ -23,8 +23,8 @@
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
-    ColumnLens, CopyKind, EcLocalGraph, EcVertex, FullStateRef, InlineList, Locations, MasterMeta,
-    RemoteEdge, VcEdge, VcLocalGraph, VcVertex,
+    ColumnLens, CopyKind, EcLocalGraph, EcVertex, FullStateRef, Locations, LocationsRef,
+    MasterMeta, RemoteEdge, StoreLens, VcEdge, VcLocalGraph, VcVertex, MAX_TABLE_NODES,
 };
 use imitator_graph::{PosIndex, Vid};
 use imitator_storage::codec::{
@@ -100,39 +100,53 @@ pub(crate) fn kind_from_bits(b: u8) -> Result<CopyKind, DecodeError> {
 
 /// The replica-location tables: all of a vertex-cut copy's full state, and
 /// the head of an edge-cut copy's.
-pub(crate) fn enc_locations(m: &Locations, buf: &mut Vec<u8>) {
+pub(crate) fn enc_locations(m: LocationsRef<'_>, buf: &mut Vec<u8>) {
     enc_u32(m.master_pos(), buf);
     enc_uv(m.replica_nodes().len() as u64, buf);
-    for (&n, &p) in m.replica_nodes().iter().zip(m.replica_positions()) {
+    for (n, &p) in m.replica_nodes().iter().zip(m.replica_positions()) {
         enc_node(n, buf);
         enc_u32(p, buf);
     }
     enc_uv(m.mirror_nodes().len() as u64, buf);
-    for &n in m.mirror_nodes() {
+    for n in m.mirror_nodes() {
         enc_node(n, buf);
     }
 }
 
-pub(crate) fn dec_locations(r: &mut Reader<'_>) -> Result<Locations, DecodeError> {
+/// A table's node count: held to the input like every count, and to what a
+/// table may name — past that is corruption, not something to wrap.
+fn dec_table_count(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
+    let n = dec_count(r)?;
+    if n > MAX_TABLE_NODES {
+        return Err(DecodeError::Corrupt("location table count"));
+    }
+    Ok(n)
+}
+
+/// [`dec_locations`] into `m`, reusing its allocation.
+pub(crate) fn dec_locations_into(r: &mut Reader<'_>, m: &mut Locations) -> Result<(), DecodeError> {
+    let mut words = std::mem::take(m).into_words();
+    words.clear();
     let master_pos = dec_u32(r)?;
-    let nr = dec_count(r)?;
-    let mut replica_nodes = InlineList::with_capacity(nr);
-    let mut replica_positions = InlineList::with_capacity(nr);
-    for _ in 0..nr {
-        replica_nodes.push(dec_node(r)?);
-        replica_positions.push(dec_u32(r)?);
+    let nr = dec_table_count(r)?;
+    words.resize(2 * nr, 0);
+    for i in 0..nr {
+        words[i] = dec_node(r)?.raw();
+        words[nr + i] = dec_u32(r)?;
     }
-    let nm = dec_count(r)?;
-    let mut mirror_nodes = InlineList::with_capacity(nm);
+    let nm = dec_table_count(r)?;
+    words.reserve_exact(nm);
     for _ in 0..nm {
-        mirror_nodes.push(dec_node(r)?);
+        words.push(dec_node(r)?.raw());
     }
-    Ok(Locations::new(
-        master_pos,
-        replica_nodes,
-        replica_positions,
-        mirror_nodes,
-    ))
+    *m = Locations::from_words(master_pos, nr, words);
+    Ok(())
+}
+
+pub(crate) fn dec_locations(r: &mut Reader<'_>) -> Result<Locations, DecodeError> {
+    let mut m = Locations::default();
+    dec_locations_into(r, &mut m)?;
+    Ok(m)
 }
 
 /// The four column totals of a full-state store, ahead of the store itself
@@ -209,7 +223,7 @@ pub(crate) fn enc_meta(m: FullStateRef<'_>, buf: &mut Vec<u8>) {
 
 /// [`dec_meta`] into `m`, reusing its lists' allocations.
 pub(crate) fn dec_meta_into(r: &mut Reader<'_>, m: &mut MasterMeta) -> Result<(), DecodeError> {
-    m.locations = dec_locations(r)?;
+    dec_locations_into(r, &mut m.locations)?;
     let ne = dec_count(r)?;
     m.in_edges_owner.clear();
     m.in_edges_owner.reserve_exact(ne);
@@ -245,7 +259,9 @@ fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
     // entries and list headers per slot, then the entries.
     let (in_edges, out_local) = lg.edge_list_lens();
     let copies = fixed * lg.len() + edge * in_edges + HINT_VARINT * out_local;
-    let (slots, lens) = lg.full_state_lens();
+    let StoreLens {
+        slots, edges: lens, ..
+    } = lg.full_state_lens();
     copies
         + (8 * HINT_VARINT + 3) * slots
         + edge * lens.in_edges
@@ -268,9 +284,9 @@ pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
     enc_uv(lg.verts.len() as u64, &mut buf);
     // The prologue: what the decoder's store will hold (runs no slot points
     // at any more are not encoded), so it sizes each column once.
-    let (slots, lens) = lg.live_full_state_lens();
-    enc_uv(slots as u64, &mut buf);
-    enc_column_lens(lens, &mut buf);
+    let live = lg.live_full_state_lens();
+    enc_uv(live.slots as u64, &mut buf);
+    enc_column_lens(live.edges, &mut buf);
     let mut prev_vid = 0u32;
     for (pos, v) in lg.verts.iter().enumerate() {
         debug_assert!(!v.next_active, "{} encoded mid-commit", v.vid);
@@ -329,7 +345,11 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
         return Err(DecodeError::Corrupt("counts exceed input"));
     }
     lg.verts.reserve_exact(n);
-    lg.reserve_full_state(slots, lens);
+    lg.reserve_full_state(StoreLens {
+        slots,
+        words: 0,
+        edges: lens,
+    });
     // The masters' in-edges are the in-edge sources no mirror accounts for,
     // and every in-edge has its consumer entry: exact for a graph as loaded,
     // a first guess for one recovery has rewired.
@@ -363,7 +383,7 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
             continue;
         }
         if kind == CopyKind::Master {
-            meta.locations = dec_locations(&mut r)?;
+            dec_locations_into(&mut r, &mut meta.locations)?;
             dec_list_into(&mut r, &mut meta.in_edge_srcs, dec_vid)?;
             dec_list_into(&mut r, &mut meta.out_remote, dec_remote_edge)?;
         } else {
@@ -374,7 +394,8 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
     if r.remaining() > 0 {
         return Err(DecodeError::TrailingBytes(r.remaining()));
     }
-    if lg.full_state_lens() != (slots, lens) {
+    let held = lg.full_state_lens();
+    if (held.slots, held.edges) != (slots, lens) {
         return Err(DecodeError::Corrupt("full-state totals"));
     }
     lg.index = PosIndex::from_pairs(pairs);
@@ -464,26 +485,22 @@ pub fn apply_ec_snapshot<V: Decode>(
 /// pre-sized like [`encode_ec_graph`]'s.
 pub fn encode_vc_graph<V: Encode>(lg: &VcLocalGraph<V>) -> Vec<u8> {
     let vertex = 3 * HINT_VARINT + 2 + std::mem::size_of::<V>();
-    let metas: usize = lg
-        .verts
-        .iter()
-        .filter_map(|v| v.meta.as_ref())
-        .map(|m| {
-            3 * HINT_VARINT + (1 + HINT_VARINT) * m.replica_nodes().len() + m.mirror_nodes().len()
-        })
-        .sum();
+    // Per table three varints, per replica a node byte and a position, per
+    // mirror a byte: from the store's totals, two bytes a word is that or more.
+    let held = lg.full_state_lens();
+    let metas = 3 * HINT_VARINT * held.slots + 2 * held.words;
     let hint = vertex * lg.verts.len() + metas + (2 * HINT_VARINT + 4) * lg.edges.len();
     let mut buf = Vec::with_capacity(hint);
     enc_u32(lg.node.raw(), &mut buf);
     enc_uv(lg.verts.len() as u64, &mut buf);
     let mut prev_vid = 0u32;
-    for v in &lg.verts {
+    for (pos, v) in lg.verts.iter().enumerate() {
         enc_delta(v.vid.raw(), &mut prev_vid, &mut buf);
         let flags = kind_bits(v.kind) | (u8::from(v.meta.is_some()) << 2);
         buf.push(flags);
         enc_node(v.master_node, &mut buf);
         v.value.encode(&mut buf);
-        if let Some(m) = &v.meta {
+        if let Some(m) = lg.locations(pos as u32) {
             enc_locations(m, &mut buf);
         }
     }
@@ -497,19 +514,23 @@ pub fn encode_vc_graph<V: Encode>(lg: &VcLocalGraph<V>) -> Vec<u8> {
     buf
 }
 
-/// Decodes a vertex-cut metadata snapshot.
+/// Decodes a vertex-cut metadata snapshot. Every count is held to the input
+/// that remains before anything is sized from it, and the graph that comes
+/// back passes [`VcLocalGraph::validate`].
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on truncated or corrupt input.
+/// Returns a [`DecodeError`] on truncated or corrupt input, including input
+/// that decodes to a graph breaking a structural invariant.
 pub fn decode_vc_graph<V: Decode>(bytes: &[u8]) -> Result<VcLocalGraph<V>, DecodeError> {
     let mut r = Reader::new(bytes);
-    let node = NodeId::new(dec_u32(&mut r)?);
+    let mut lg = VcLocalGraph::empty(NodeId::new(dec_u32(&mut r)?));
     let n = dec_count(&mut r)?;
-    let mut verts = Vec::with_capacity(n);
+    lg.verts.reserve_exact(n);
     let mut pairs = Vec::with_capacity(n);
     let mut prev_vid = 0u32;
-    for pos in 0..n {
+    let mut tables = Locations::default();
+    for pos in 0..n as u32 {
         let vid = Vid::new(dec_delta(&mut r, &mut prev_vid)?);
         let flags = r.take(1)?[0];
         if flags & !0b111 != 0 {
@@ -518,22 +539,16 @@ pub fn decode_vc_graph<V: Decode>(bytes: &[u8]) -> Result<VcLocalGraph<V>, Decod
         let kind = kind_from_bits(flags & 0b11)?;
         let master_node = dec_node(&mut r)?;
         let value = V::decode(&mut r)?;
-        let meta = if flags & 0b100 != 0 {
-            Some(Box::new(dec_locations(&mut r)?))
-        } else {
-            None
-        };
-        pairs.push((vid, pos as u32));
-        verts.push(VcVertex {
-            vid,
-            kind,
-            master_node,
-            value,
-            meta,
-        });
+        pairs.push((vid, pos));
+        lg.verts.push(VcVertex::new(vid, kind, master_node, value));
+        if flags & 0b100 != 0 {
+            dec_locations_into(&mut r, &mut tables)?;
+            lg.set_locations(pos, tables.view());
+        }
     }
     let ne = dec_count(&mut r)?;
-    let mut edges = Vec::with_capacity(ne);
+    let edges = &mut lg.edges;
+    edges.reserve_exact(ne);
     let (mut prev_src, mut prev_dst) = (0u32, 0u32);
     for _ in 0..ne {
         edges.push(VcEdge {
@@ -545,12 +560,11 @@ pub fn decode_vc_graph<V: Decode>(bytes: &[u8]) -> Result<VcLocalGraph<V>, Decod
     if r.remaining() > 0 {
         return Err(DecodeError::TrailingBytes(r.remaining()));
     }
-    Ok(VcLocalGraph::new(
-        node,
-        verts,
-        PosIndex::from_pairs(pairs),
-        edges,
-    ))
+    lg.index = PosIndex::from_pairs(pairs);
+    if lg.validate().is_err() {
+        return Err(DecodeError::Corrupt("graph invariants"));
+    }
+    Ok(lg)
 }
 
 /// Encodes a vertex-cut data snapshot: masters' values behind an ascending
@@ -749,12 +763,11 @@ pub fn edge_ckpt_files<V>(lg: &VcLocalGraph<V>) -> Vec<(NodeId, Vec<u8>)> {
     let me = lg.node;
     // Per copy, who receives the edges it is the target of (`None`: a local
     // master without tables, which no edge may point at).
-    let receivers: Vec<Option<NodeId>> = lg
-        .verts
-        .iter()
-        .map(|v| match &v.meta {
+    let receivers: Vec<Option<NodeId>> = (0u32..)
+        .zip(&lg.verts)
+        .map(|(pos, v)| match lg.locations(pos) {
             _ if v.master_node != me => Some(v.master_node),
-            Some(tables) => Some(tables.mirror_nodes().first().copied().unwrap_or(me)),
+            Some(tables) => Some(tables.mirror_nodes().iter().next().unwrap_or(me)),
             None => None,
         })
         .collect();
@@ -924,6 +937,9 @@ pub(crate) mod tests {
             to: usize,
             len: usize,
         },
+        /// Put the varint of a count past `u16::MAX` in a byte's place: a
+        /// length field inflated beyond what any table or list may hold.
+        Inflate(usize),
     }
 
     pub(crate) fn arb_damage() -> impl Strategy<Value = Damage> {
@@ -932,6 +948,7 @@ pub(crate) mod tests {
             (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Damage::FlipBit(at, bit)),
             (any::<usize>(), any::<usize>(), 1usize..24)
                 .prop_map(|(from, to, len)| Damage::Splice { from, to, len }),
+            any::<usize>().prop_map(Damage::Inflate),
         ]
     }
 
@@ -949,6 +966,10 @@ pub(crate) mod tests {
                     let run = bytes[from..(from + len).min(n)].to_vec();
                     let to = to % n;
                     bytes.splice(to..to, run);
+                }
+                Damage::Inflate(at) => {
+                    let at = at % n;
+                    bytes.splice(at..=at, [0xFF, 0xFF, 0x07]);
                 }
             }
         }
@@ -980,6 +1001,28 @@ pub(crate) mod tests {
             }
         }
 
+        /// The vertex-cut decoder reloads a crashed node's `vc/meta` file
+        /// and restores an aborted checkpoint recovery: damaged snapshots of
+        /// loader-built graphs come back as an error or as a graph that
+        /// holds together, its store sized by what was read and not by a
+        /// count the input merely claims.
+        #[test]
+        fn hostile_vc_graph_bytes_never_panic(
+            (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
+            damage in proptest::collection::vec(arb_damage(), 1..4),
+        ) {
+            let cut = RandomVertexCut.partition(&g, parts);
+            let plan = plan_for(&g, &cut, k, selfish);
+            let d = Degrees::of(&g);
+            for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
+                let bad = damaged(encode_vc_graph(&lg), &damage);
+                if let Ok(back) = decode_vc_graph::<f64>(&bad) {
+                    back.debug_validate();
+                    prop_assert!(back.mem_bytes() <= 1024 + 128 * bad.len());
+                }
+            }
+        }
+
         /// The undo snapshot *is* this codec: whatever the loaders build —
         /// any partition count, FT level, selfish flags, duplicate edges,
         /// isolated vertices — must come back equal, field for field.
@@ -1004,6 +1047,28 @@ pub(crate) mod tests {
                 prop_assert_eq!(&back, &lg);
             }
         }
+    }
+
+    /// A table claiming more replicas, or more mirrors, than a slot's head can
+    /// count is a typed error — with every claimed byte present, so that it
+    /// is the table's limit that refuses it and not the input's length.
+    #[test]
+    fn a_table_past_u16_max_is_a_decode_error() {
+        // Master position 7, then `replicas` (node, position) pairs and
+        // `mirrors` nodes, all zero: one byte each.
+        let table = |replicas: usize, mirrors: usize| {
+            let mut bytes = vec![7];
+            enc_uv(replicas as u64, &mut bytes);
+            bytes.resize(bytes.len() + 2 * replicas, 0);
+            enc_uv(mirrors as u64, &mut bytes);
+            bytes.resize(bytes.len() + mirrors, 0);
+            dec_locations(&mut Reader::new(&bytes))
+        };
+        let refused = Err(DecodeError::Corrupt("location table count"));
+        assert_eq!(table(MAX_TABLE_NODES + 1, 0), refused);
+        assert_eq!(table(0, MAX_TABLE_NODES + 1), refused);
+        let most = table(0, MAX_TABLE_NODES).unwrap();
+        assert_eq!(most.view().mirror_nodes().len(), MAX_TABLE_NODES);
     }
 
     /// FNV-1a over a byte string.
@@ -1075,8 +1140,11 @@ pub(crate) mod tests {
             lg.extend_out_remote(pos, &[RemoteEdge::default()]);
         }
         let live = lg.live_full_state_lens();
-        assert_eq!(live.1.out_remote, loaded.1.out_remote + mirrors.len());
-        assert!(lg.full_state_lens().1.out_remote > live.1.out_remote);
+        assert_eq!(
+            live.edges.out_remote,
+            loaded.edges.out_remote + mirrors.len()
+        );
+        assert!(lg.full_state_lens().edges.out_remote > live.edges.out_remote);
         let back: EcLocalGraph<f64> = decode_ec_graph(&encode_ec_graph(&lg)).unwrap();
         assert_eq!(back, lg);
         assert_eq!(back.full_state_lens(), live);
@@ -1101,11 +1169,15 @@ pub(crate) mod tests {
                     owner.in_edges(master).len()
                 })
                 .sum();
-            assert_eq!(lg.full_state_lens().1.in_edges, mirrored, "mirrors' only");
+            assert_eq!(
+                lg.full_state_lens().edges.in_edges,
+                mirrored,
+                "mirrors' only"
+            );
             for pos in lg.master_positions() {
                 let v = lg.verts[pos as usize].vid;
                 let mut want = MasterMeta {
-                    locations: lg.locations(pos).unwrap().clone(),
+                    locations: lg.locations(pos).unwrap().to_owned(),
                     ..MasterMeta::default()
                 };
                 for e in g.edges() {
@@ -1361,8 +1433,8 @@ pub(crate) mod tests {
                     let receiver = if dst_v.master_node != me {
                         dst_v.master_node
                     } else {
-                        let mirrors = dst_v.meta.as_ref().unwrap().mirror_nodes();
-                        mirrors.first().copied().unwrap_or(dst_v.master_node)
+                        let mirrors = lg.locations(e.dst).unwrap().mirror_nodes();
+                        mirrors.iter().next().unwrap_or(dst_v.master_node)
                     };
                     let edges = per_receiver.entry(receiver).or_default();
                     edges.push((src, dst_v.vid, e.weight));

@@ -20,7 +20,8 @@ use imitator_cluster::{
     WireCodec,
 };
 use imitator_engine::{
-    chunk_ranges, CopyKind, Degrees, Episode, FtPlan, InOrder, Locations, MasterUpdate, WorkerPool,
+    chunk_ranges, CopyKind, Degrees, Episode, FtPlan, FullState, FullStateRef, InOrder, Locations,
+    LocationsRef, MasterUpdate, WorkerPool,
 };
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
@@ -56,12 +57,8 @@ pub(crate) fn ckpt_epoch_kind(epoch: u64, interval: u64, incremental: bool) -> E
 
 /// The wire protocol a model speaks ([`ProtoMsg`] instantiated with its
 /// associated types).
-pub(crate) type Msg<M> = ProtoMsg<
-    <M as ComputeModel>::Value,
-    <M as ComputeModel>::Accum,
-    <M as ComputeModel>::Entry,
-    <M as ComputeModel>::Metas,
->;
+pub(crate) type Msg<M> =
+    ProtoMsg<<M as ComputeModel>::Value, <M as ComputeModel>::Accum, <M as ComputeModel>::Entry>;
 pub(crate) type Ctx<M> = NodeCtx<Msg<M>>;
 pub(crate) type St<M> = NodeState<Msg<M>>;
 
@@ -136,9 +133,6 @@ impl<V> SyncBufs<V> {
 pub(crate) trait ModelGraph: Episode {
     /// The vertex value type.
     type Value;
-    /// Full states of many copies in the form a mirror batch carries them:
-    /// a store of the graph's own shape.
-    type Metas;
 
     fn len(&self) -> usize;
     fn position(&self, vid: Vid) -> Option<u32>;
@@ -150,22 +144,35 @@ pub(crate) trait ModelGraph: Episode {
     fn set_master_node(&mut self, pos: u32, node: NodeId);
     fn value(&self, pos: u32) -> &Self::Value;
     /// The replica-location tables of the full-state copy at `pos`: the
-    /// part of full state recovery reads and rewrites in place.
-    fn meta(&self, pos: u32) -> Option<&Locations>;
-    fn meta_mut(&mut self, pos: u32) -> Option<&mut Locations>;
+    /// part of full state recovery reads and, lent to `edit_meta`'s closure
+    /// as an owned `Locations`, rewrites (tables it leaves as they were are
+    /// neither written nor journaled).
+    fn meta(&self, pos: u32) -> Option<LocationsRef<'_>>;
+    fn edit_meta<R>(&mut self, pos: u32, edit: impl FnOnce(&mut Locations) -> R) -> Option<R>;
+    /// The full state of the copy at `pos` as it would travel to another
+    /// node (a vertex-cut copy's: its tables), or `None` for a plain replica.
+    fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>>;
+    /// Adopts full state shipped by other nodes: for each `(positions,
+    /// batch)`, the `i`-th slot of `batch` for the copy at `positions[i]`.
+    fn adopt_metas(&mut self, batches: &[(&[u32], &FullState)]);
     /// The full state of the copies at `positions`, in that order, as it
-    /// ships to another node.
+    /// ships to another node: a store sized once, a slot each.
     ///
     /// # Panics
     ///
     /// Panics if one of them carries none.
-    fn export_metas(&self, positions: &[u32]) -> Self::Metas;
-    /// Adopts full state shipped by other nodes: for each `(positions,
-    /// batch)`, the `i`-th of `batch` for the copy at `positions[i]`.
-    fn adopt_metas(&mut self, batches: &[(&[u32], &Self::Metas)]);
+    fn export_metas(&self, positions: &[u32]) -> FullState {
+        let exported = |&pos: &u32| {
+            let state = self.full_state(pos);
+            state.unwrap_or_else(|| no_full_state(self.vid(pos), self.kind(pos)))
+        };
+        FullState::of(positions.iter().map(exported))
+    }
     /// Whether the copy at `pos` and the copy at `at` in `other` would
     /// export the same full state.
-    fn same_full_state(&self, pos: u32, other: &Self, at: u32) -> bool;
+    fn same_full_state(&self, pos: u32, other: &Self, at: u32) -> bool {
+        self.full_state(pos) == other.full_state(at)
+    }
     fn is_master(&self, pos: u32) -> bool {
         self.kind(pos) == CopyKind::Master
     }
@@ -175,14 +182,14 @@ pub(crate) trait ModelGraph: Episode {
     /// # Panics
     ///
     /// Panics if it carries none.
-    fn full(&self, pos: u32) -> &Locations {
+    fn full(&self, pos: u32) -> LocationsRef<'_> {
         self.meta(pos)
             .unwrap_or_else(|| no_full_state(self.vid(pos), self.kind(pos)))
     }
-    /// [`ModelGraph::full`], for rewriting.
-    fn full_mut(&mut self, pos: u32) -> &mut Locations {
+    /// [`ModelGraph::edit_meta`] of a copy that must carry full state.
+    fn edit_full<R>(&mut self, pos: u32, edit: impl FnOnce(&mut Locations) -> R) -> R {
         let (vid, kind) = (self.vid(pos), self.kind(pos));
-        self.meta_mut(pos)
+        self.edit_meta(pos, edit)
             .unwrap_or_else(|| no_full_state(vid, kind))
     }
 }
@@ -206,15 +213,9 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     type Accum: Clone + Send + 'static;
     /// Rebirth recovery entry.
     type Entry: Send + 'static;
-    /// The full-state store of a mirror batch.
-    type Metas: Clone + PartialEq + Send + 'static;
     /// Local graph. `Sync` because recovery's read-only scans share it with
     /// pool workers behind an `Arc` (both engines' graphs are plain data).
-    type Graph: ModelGraph<Value = Self::Value, Metas = Self::Metas>
-        + MemSize
-        + Send
-        + Sync
-        + 'static;
+    type Graph: ModelGraph<Value = Self::Value> + MemSize + Send + Sync + 'static;
     /// Per-node steady-state scratch reused across iterations.
     type Scratch: Send;
     /// Migration bookkeeping the model threads between rounds.
@@ -337,7 +338,7 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<Self::MigExtra>, resume: u64);
     /// Accounted wire size of record `i` of a mirror batch's full-state
     /// store, its vertex ID aside (see `MirrorBatch::frame_bytes`).
-    fn meta_update_bytes(&self, metas: &Self::Metas, i: usize) -> u64;
+    fn meta_update_bytes(&self, metas: &FullState, i: usize) -> u64;
     /// Checkpoint-fallback recovery (no standbys left): graft a crashed
     /// node's reconstructed partition wholesale into this survivor's graph.
     /// Every master becomes local (a promotion); replica copies either
@@ -522,9 +523,9 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
                 want,
                 "mirrors of {vid} on {node}: {mirrors:?}"
             );
-            for (i, &m) in mirrors.iter().enumerate() {
+            for (i, m) in mirrors.iter().enumerate() {
                 assert!(
-                    m != *node && !mirrors[..i].contains(&m),
+                    m != *node && !mirrors.iter().take(i).any(|earlier| earlier == m),
                     "mirrors of {vid} on {node} are not distinct remote nodes: {mirrors:?}"
                 );
                 let mg = live(m).unwrap_or_else(|| panic!("mirror of {vid} on dead node {m}"));
@@ -829,7 +830,7 @@ pub(crate) fn stage_update_syncs<M: ComputeModel>(
             .sync_filter
             .stage(u.local, &u.value, stage_scatter && u.activate);
         let vb = shared.model.value_wire_bytes(&u.value);
-        for (&node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
+        for (node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
             if st.sync_filter.suppress(staged, node) {
                 suppressed += 1;
                 continue;

@@ -11,13 +11,13 @@
 //! `accounted_sizes_match_codec` test pins both equalities.
 
 use imitator_cluster::{NodeId, WireCodec};
-use imitator_engine::{CopyKind, FullState, Locations, MasterMeta};
+use imitator_engine::{CopyKind, FullState, FullStateRef, Locations, MasterMeta, StoreLens};
 use imitator_graph::Vid;
 use imitator_storage::codec::{read_uvarint, write_uvarint, Decode, DecodeError, Encode, Reader};
 
 use crate::ckpt::{
-    dec_column_lens, dec_locations, dec_meta, dec_meta_into, enc_column_lens, enc_locations,
-    enc_meta, kind_bits, kind_from_bits,
+    dec_column_lens, dec_locations, dec_locations_into, dec_meta, dec_meta_into, enc_column_lens,
+    enc_locations, enc_meta, kind_bits, kind_from_bits,
 };
 use crate::wire::{
     decode_gather_frame, decode_sync_frame, encode_gather_frame, encode_sync_frame, SyncRecEnc,
@@ -122,7 +122,7 @@ pub struct ReplicaGrant<V> {
 /// it creates one (a brand new FT replica) from the value `values` carries
 /// for that record.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MirrorBatch<V, S> {
+pub struct MirrorBatch<V> {
     /// The vertices, in the sender's position order.
     pub vids: Vec<Vid>,
     /// `(record, value)` for the records whose receiver has no copy yet,
@@ -132,12 +132,12 @@ pub struct MirrorBatch<V, S> {
     pub last_activate: Vec<bool>,
     /// The sending masters' node.
     pub master_node: NodeId,
-    /// The full states, in a store of the model's own shape (edge-cut: a
-    /// columnar [`FullState`]; vertex-cut: the location tables).
-    pub metas: S,
+    /// The full states, a slot each (vertex-cut: location tables only, a
+    /// store without edge rows).
+    pub metas: FullState,
 }
 
-impl<V, S> MirrorBatch<V, S> {
+impl<V> MirrorBatch<V> {
     /// Accounted bytes of the batch as one mirror frame: frame header,
     /// vertex-ID column (zigzag deltas between consecutive records), and
     /// `meta_bytes(i)` — the model's meta/value payload estimate — per
@@ -157,14 +157,13 @@ impl<V, S> MirrorBatch<V, S> {
 }
 
 /// The model-generic cluster protocol, parameterized by value `V`, gather
-/// accumulator `A`, Rebirth recovery entry `E`, and mirror-batch full-state
-/// store `M`.
+/// accumulator `A` and Rebirth recovery entry `E`.
 ///
 /// Both compute models speak this one protocol; the [`EcMsg`] and [`VcMsg`]
 /// aliases pin the type parameters per model (the edge-cut model never
 /// sends `Gather` — its gather is fused into local compute).
 #[derive(Debug, Clone, PartialEq)]
-pub enum ProtoMsg<V, A, E, M> {
+pub enum ProtoMsg<V, A, E> {
     /// Gather phase: partial accumulators, edge holder → master
     /// (vertex-cut only).
     Gather(Vec<(Vid, A)>),
@@ -181,7 +180,7 @@ pub enum ProtoMsg<V, A, E, M> {
     /// Migration R4/R6: `(vid, pos)` placements to record in master meta.
     ReplicaPlaced(Vec<(Vid, u32)>),
     /// Migration R5/R7: mirror designations / full-state refreshes.
-    MirrorUpdate(Box<MirrorBatch<V, M>>),
+    MirrorUpdate(Box<MirrorBatch<V>>),
 }
 
 /// A survivor's complete contribution to one Rebirth reconstruction.
@@ -198,10 +197,10 @@ pub struct RebirthBatch<E> {
 
 /// Edge-cut cluster messages ([`ProtoMsg`] instantiated for the edge-cut
 /// model; the unused `Gather` accumulator is `()`).
-pub type EcMsg<V> = ProtoMsg<V, (), EcRecoverEntry<V>, FullState>;
+pub type EcMsg<V> = ProtoMsg<V, (), EcRecoverEntry<V>>;
 
 /// Vertex-cut cluster messages.
-pub type VcMsg<V, A> = ProtoMsg<V, A, VcRecoverEntry<V>, Vec<Locations>>;
+pub type VcMsg<V, A> = ProtoMsg<V, A, VcRecoverEntry<V>>;
 
 /// A vertex-cut recovered copy (no edges — those come from edge-ckpt files).
 #[derive(Debug, Clone, PartialEq)]
@@ -386,7 +385,7 @@ fn enc_vc_entry<V: Encode>(e: &VcRecoverEntry<V>, buf: &mut Vec<u8>) {
     match &e.meta {
         Some(m) => {
             true.encode(buf);
-            enc_locations(m, buf);
+            enc_locations(m.view(), buf);
         }
         None => false.encode(buf),
     }
@@ -456,12 +455,12 @@ fn dec_grants<V: Decode>(r: &mut Reader<'_>) -> Result<Vec<ReplicaGrant<V>>, Dec
 }
 
 /// A mirror batch on the wire: record count, sender, the vertex-ID and
-/// scatter-bit columns, the sparse value column, then the model's full-state
-/// store (`enc_s`).
-fn enc_mirror_batch<V: Encode, S>(
-    b: &MirrorBatch<V, S>,
+/// scatter-bit columns, the sparse value column, then the full-state store
+/// as the model writes it (`enc_s`).
+fn enc_mirror_batch<V: Encode>(
+    b: &MirrorBatch<V>,
     buf: &mut Vec<u8>,
-    enc_s: impl Fn(&S, &mut Vec<u8>),
+    enc_s: impl Fn(&FullState, &mut Vec<u8>),
 ) {
     write_uvarint(buf, b.vids.len() as u64);
     b.master_node.raw().encode(buf);
@@ -481,10 +480,10 @@ fn enc_mirror_batch<V: Encode, S>(
 
 /// Decodes a mirror batch; `dec_s` is handed the record count and must come
 /// back with exactly that many full states.
-fn dec_mirror_batch<V: Decode, S>(
+fn dec_mirror_batch<V: Decode>(
     r: &mut Reader<'_>,
-    dec_s: impl Fn(&mut Reader<'_>, usize) -> Result<S, DecodeError>,
-) -> Result<MirrorBatch<V, S>, DecodeError> {
+    dec_s: impl Fn(&mut Reader<'_>, usize) -> Result<FullState, DecodeError>,
+) -> Result<MirrorBatch<V>, DecodeError> {
     let n = dec_len(r)?;
     let master_node = dec_node(r)?;
     // Each record costs four bytes of vertex ID, one of scatter bit and at
@@ -535,7 +534,11 @@ fn enc_full_state_batch(metas: &FullState, buf: &mut Vec<u8>) {
 fn dec_full_state_batch(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError> {
     let lens = dec_column_lens(r)?;
     let mut metas = FullState::default();
-    metas.reserve_exact(n, lens);
+    metas.reserve_exact(StoreLens {
+        slots: n,
+        words: 0,
+        edges: lens,
+    });
     let mut meta = MasterMeta::default();
     for _ in 0..n {
         dec_meta_into(r, &mut meta)?;
@@ -547,16 +550,26 @@ fn dec_full_state_batch(r: &mut Reader<'_>, n: usize) -> Result<FullState, Decod
     Ok(metas)
 }
 
-fn enc_locations_batch(metas: &[Locations], buf: &mut Vec<u8>) {
-    for m in metas {
-        enc_locations(m, buf);
+/// A vertex-cut batch's store: every slot's location tables, nothing else.
+fn enc_locations_batch(metas: &FullState, buf: &mut Vec<u8>) {
+    for i in 0..metas.len() {
+        enc_locations(metas.nth(i).locations, buf);
     }
 }
 
-fn dec_locations_batch(r: &mut Reader<'_>, n: usize) -> Result<Vec<Locations>, DecodeError> {
-    let mut metas = Vec::with_capacity(n);
+/// Reads [`enc_locations_batch`] back into a store without edge rows. The
+/// caller has held `n` to the input; the table words are not announced and
+/// grow with what is actually read.
+fn dec_locations_batch(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError> {
+    let mut metas = FullState::default();
+    metas.reserve_exact(StoreLens {
+        slots: n,
+        ..StoreLens::default()
+    });
+    let mut tables = Locations::default();
     for _ in 0..n {
-        metas.push(dec_locations(r)?);
+        dec_locations_into(r, &mut tables)?;
+        metas.push(FullStateRef::tables(tables.view()));
     }
     Ok(metas)
 }
@@ -685,7 +698,7 @@ impl<V: Encode + Decode, A: Encode + Decode + Clone> WireCodec for VcMsg<V, A> {
             }
             ProtoMsg::MirrorUpdate(b) => {
                 buf.push(TAG_MIRROR_UPDATE);
-                enc_mirror_batch(b, buf, |metas, buf| enc_locations_batch(metas, buf));
+                enc_mirror_batch(b, buf, enc_locations_batch);
             }
         }
     }
@@ -721,9 +734,12 @@ impl<V: Encode + Decode, A: Encode + Decode + Clone> WireCodec for VcMsg<V, A> {
 mod tests {
     use super::*;
     use crate::ckpt::tests::{arb_damage, arb_graph, arb_shape, damaged, plan_for, P};
-    use imitator_engine::{build_edge_cut_graphs, Degrees, RemoteEdge};
+    use crate::driver::ModelGraph;
+    use imitator_engine::{build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, RemoteEdge};
     use imitator_metrics::MemSize;
-    use imitator_partition::{EdgeCutPartitioner, HashEdgeCut};
+    use imitator_partition::{
+        EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
+    };
     use imitator_storage::codec::Encode;
     use proptest::prelude::*;
 
@@ -842,21 +858,16 @@ mod tests {
         let meta = MasterMeta {
             locations: Locations::new(
                 3,
-                [NodeId::new(1), NodeId::new(2)].into_iter().collect(),
-                [9, 11].into_iter().collect(),
-                [NodeId::new(2)].into_iter().collect(),
+                &[NodeId::new(1), NodeId::new(2)],
+                &[9, 11],
+                &[NodeId::new(2)],
             ),
             in_edges_owner: vec![(4, 0.5), (6, -1.25)],
             in_edge_srcs: vec![Vid::new(40), Vid::new(60)],
             out_local_owner: vec![1, 2],
             out_remote: vec![],
         };
-        let vc_meta = Locations::new(
-            5,
-            [NodeId::new(3)].into_iter().collect(),
-            [0].into_iter().collect(),
-            [NodeId::new(3)].into_iter().collect(),
-        );
+        let vc_meta = Locations::new(5, &[NodeId::new(3)], &[0], &[NodeId::new(3)]);
         roundtrip_ec(&EcMsg::Sync(vec![
             VertexSync {
                 pos: 7,
@@ -946,28 +957,27 @@ mod tests {
             values: vec![],
             last_activate: vec![true],
             master_node: NodeId::new(3),
-            metas: vec![vc_meta],
+            metas: FullState::of([FullStateRef::tables(vc_meta.view())].into_iter()),
         })));
     }
 
-    fn empty_batch<S: Default>(master_node: NodeId) -> MirrorBatch<f64, S> {
+    fn empty_batch(master_node: NodeId) -> MirrorBatch<f64> {
         MirrorBatch {
             vids: Vec::new(),
             values: Vec::new(),
             last_activate: Vec::new(),
             master_node,
-            metas: S::default(),
+            metas: FullState::default(),
         }
     }
 
     fn meta(tag: u32, in_edges: u32, mirrors: &[u32]) -> MasterMeta {
         MasterMeta {
-            locations: Locations::new(
-                tag,
-                mirrors.iter().map(|&n| NodeId::new(n)).collect(),
-                mirrors.iter().map(|&n| tag + n).collect(),
-                mirrors.iter().map(|&n| NodeId::new(n)).collect(),
-            ),
+            locations: {
+                let nodes: Vec<NodeId> = mirrors.iter().map(|&n| NodeId::new(n)).collect();
+                let positions: Vec<u32> = mirrors.iter().map(|&n| tag + n).collect();
+                Locations::new(tag, &nodes, &positions, &nodes)
+            },
             in_edges_owner: (0..in_edges).map(|i| (tag + i, i as f32)).collect(),
             in_edge_srcs: (0..in_edges).map(|i| Vid::new(tag * 10 + i)).collect(),
             out_local_owner: (0..tag % 3).collect(),
@@ -983,8 +993,8 @@ mod tests {
 
     /// An edge-cut batch of `(vid, in-edges, value for a fresh copy)`
     /// records, every master mirrored on nodes 1 and 3 (K = 2).
-    fn ec_batch(records: &[(u32, u32, Option<f64>)]) -> MirrorBatch<f64, FullState> {
-        let mut batch: MirrorBatch<f64, FullState> = empty_batch(NodeId::new(2));
+    fn ec_batch(records: &[(u32, u32, Option<f64>)]) -> MirrorBatch<f64> {
+        let mut batch = empty_batch(NodeId::new(2));
         for (i, &(vid, in_edges, value)) in records.iter().enumerate() {
             batch.vids.push(Vid::new(vid));
             batch.values.extend(value.map(|v| (i as u32, v)));
@@ -1017,7 +1027,7 @@ mod tests {
         assert_eq!(got.master_node, sent.master_node);
         assert!(got.metas == sent.metas);
         assert_eq!(got.metas.column_lens(), sent.metas.column_lens());
-        let bits = |b: &MirrorBatch<f64, FullState>| -> Vec<(u32, u64)> {
+        let bits = |b: &MirrorBatch<f64>| -> Vec<(u32, u64)> {
             b.values.iter().map(|&(i, v)| (i, v.to_bits())).collect()
         };
         assert_eq!(bits(&got), bits(&sent));
@@ -1027,12 +1037,13 @@ mod tests {
         ]))));
 
         let vc_batch = |records: &[(u32, Option<f64>)]| {
-            let mut batch: MirrorBatch<f64, Vec<Locations>> = empty_batch(NodeId::new(0));
+            let mut batch = empty_batch(NodeId::new(0));
             for (i, &(vid, value)) in records.iter().enumerate() {
                 batch.vids.push(Vid::new(vid));
                 batch.values.extend(value.map(|v| (i as u32, v)));
                 batch.last_activate.push(false);
-                batch.metas.push(meta(vid, 0, &[1, 2, 5]).locations);
+                let tables = meta(vid, 0, &[1, 2, 5]).locations;
+                batch.metas.push(FullStateRef::tables(tables.view()));
             }
             VcMsg::<f64, f64>::MirrorUpdate(Box::new(batch))
         };
@@ -1080,7 +1091,7 @@ mod tests {
             let plan = plan_for(&g, &cut, k, selfish);
             let d = Degrees::of(&g);
             for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
-                let mut batch: MirrorBatch<f64, FullState> = empty_batch(lg.node);
+                let mut batch = empty_batch(lg.node);
                 for pos in lg.master_positions() {
                     let v = &lg.verts[pos as usize];
                     if pos % 3 == 0 {
@@ -1108,6 +1119,61 @@ mod tests {
                     + back.vids.capacity() * 4
                     + back.last_activate.capacity()
                     + back.values.capacity() * 16;
+                prop_assert!(held <= 1024 + 128 * bad.len(), "{held} B for {}", bad.len());
+            }
+        }
+    }
+
+    proptest! {
+        /// Location tables reach a node alone (a recovery entry, a snapshot)
+        /// and by the batch (a vertex-cut mirror frame): damaged, either
+        /// decodes to an error or to tables that hold together — never a
+        /// panic, never a count past what a slot's head holds, never words
+        /// out of proportion to the input.
+        #[test]
+        fn hostile_locations_bytes_never_panic(
+            (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
+            damage in proptest::collection::vec(arb_damage(), 1..4),
+        ) {
+            let cut = RandomVertexCut.partition(&g, parts);
+            let plan = plan_for(&g, &cut, k, selfish);
+            let d = Degrees::of(&g);
+            for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
+                let held: Vec<u32> = (0..lg.len() as u32)
+                    .filter(|&pos| lg.locations(pos).is_some())
+                    .collect();
+                for &pos in held.iter().take(4) {
+                    let tables = lg.locations(pos).unwrap();
+                    let mut bytes = Vec::new();
+                    enc_locations(tables, &mut bytes);
+                    let back = dec_locations(&mut Reader::new(&bytes));
+                    prop_assert_eq!(back, Ok(tables.to_owned()));
+                    let bad = damaged(bytes, &damage);
+                    if let Ok(back) = dec_locations(&mut Reader::new(&bad)) {
+                        let back = back.view();
+                        let named = back.replica_nodes().len() + back.mirror_nodes().len();
+                        prop_assert!(named <= bad.len());
+                    }
+                }
+                let mut batch = empty_batch(lg.node);
+                batch.vids = held.iter().map(|&pos| lg.verts[pos as usize].vid).collect();
+                batch.last_activate = vec![false; held.len()];
+                batch.metas = lg.export_metas(&held);
+                let mut frame = Vec::new();
+                VcMsg::<f64, f64>::MirrorUpdate(Box::new(batch.clone())).encode_wire(&mut frame);
+                prop_assert_eq!(
+                    VcMsg::<f64, f64>::decode_wire(&frame),
+                    Some(VcMsg::MirrorUpdate(Box::new(batch)))
+                );
+                let bad = damaged(frame, &damage);
+                let Some(VcMsg::<f64, f64>::MirrorUpdate(back)) = VcMsg::decode_wire(&bad) else {
+                    continue;
+                };
+                let n = back.vids.len();
+                prop_assert_eq!((back.last_activate.len(), back.metas.len()), (n, n));
+                prop_assert!(back.metas.validate().is_ok());
+                prop_assert_eq!(back.metas.column_lens().total(), 0, "tables only");
+                let held = back.metas.mem_bytes() + back.vids.capacity() * 4 + n;
                 prop_assert!(held <= 1024 + 128 * bad.len(), "{held} B for {}", bad.len());
             }
         }

@@ -14,7 +14,7 @@
 //!   but are never synchronised during normal execution.
 
 use imitator_cluster::NodeId;
-use imitator_engine::{FtPlan, Locations};
+use imitator_engine::{FtPlan, LocationsRef};
 use imitator_graph::{Graph, Ragged, Vid};
 use imitator_partition::{EdgeCut, VertexCut};
 use rand::rngs::StdRng;
@@ -25,11 +25,8 @@ use rand::{Rng, SeedableRng};
 ///
 /// Returns `None` when every mirror is dead (an unrecoverable episode under
 /// replication FT — more simultaneous failures than the tolerance level).
-pub fn responsible_mirror(meta: &Locations, alive: &[bool]) -> Option<NodeId> {
-    meta.mirror_nodes()
-        .iter()
-        .copied()
-        .find(|m| alive[m.index()])
+pub fn responsible_mirror(meta: LocationsRef<'_>, alive: &[bool]) -> Option<NodeId> {
+    meta.mirror_nodes().iter().find(|m| alive[m.index()])
 }
 
 /// A partitioning's view of master/replica placement, abstracting over
@@ -215,6 +212,7 @@ pub fn extra_replica_fraction(plan: &FtPlan) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imitator_engine::Locations;
     use imitator_graph::gen;
     use imitator_partition::{
         EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
@@ -319,8 +317,8 @@ mod tests {
     }
 
     fn meta_with_mirrors(mirrors: &[usize]) -> Locations {
-        let nodes = || mirrors.iter().map(|&m| NodeId::from_index(m)).collect();
-        Locations::new(0, nodes(), mirrors.iter().map(|_| 0).collect(), nodes())
+        let nodes: Vec<NodeId> = mirrors.iter().map(|&m| NodeId::from_index(m)).collect();
+        Locations::new(0, &nodes, &vec![0; nodes.len()], &nodes)
     }
 
     #[test]
@@ -329,7 +327,7 @@ mod tests {
         // Nodes 1 and 2 (the only mirrors) are both dead: nobody can take
         // responsibility, recovery of this master is impossible.
         let alive = [true, false, false, true];
-        assert_eq!(responsible_mirror(&meta, &alive), None);
+        assert_eq!(responsible_mirror(meta.view(), &alive), None);
     }
 
     #[test]
@@ -339,14 +337,14 @@ mod tests {
         // surviving mirror in ID order.
         let mut alive = [true, false, true, true];
         assert_eq!(
-            responsible_mirror(&meta, &alive),
+            responsible_mirror(meta.view(), &alive),
             Some(NodeId::from_index(3))
         );
         // A standby adopts the crashed identity (Rebirth): node 1 is alive
         // again and, being first in mirror order, responsible once more.
         alive[1] = true;
         assert_eq!(
-            responsible_mirror(&meta, &alive),
+            responsible_mirror(meta.view(), &alive),
             Some(NodeId::from_index(1))
         );
     }

@@ -153,7 +153,7 @@ fn ckpt_fallback<M: ComputeModel>(
         let g = graph_mut(lg);
         for pos in 0..g.len() as u32 {
             if g.is_master(pos) {
-                g.full_mut(pos).purge_nodes(cx.dead);
+                g.edit_full(pos, |tables| tables.purge_nodes(cx.dead));
             }
         }
         cx.phases.record("reload", sw.lap());
@@ -343,7 +343,7 @@ fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> A
         let scatter = model.scatter_bit(lg, pos);
         let staged = st.sync_filter.stage(pos, lg.value(pos), scatter);
         let meta = lg.full(pos);
-        for (&node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
+        for (node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
             if st.sync_filter.suppress(staged, node) {
                 suppressed += 1;
                 continue;

@@ -8,7 +8,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use imitator_cluster::NodeId;
-use imitator_engine::{CopyKind, Episode, PosSet};
+use imitator_engine::{CopyKind, Episode, FullState, PosSet};
 use imitator_graph::Vid;
 use imitator_metrics::Stopwatch;
 
@@ -21,7 +21,7 @@ use crate::report::RecoveryReport;
 use crate::FtMode;
 
 /// One destination's mirror designations / full-state refreshes (R5/R7).
-type Mirrors<M> = MirrorBatch<<M as ComputeModel>::Value, <M as ComputeModel>::Metas>;
+type Mirrors<M> = MirrorBatch<<M as ComputeModel>::Value>;
 
 /// What a round sends one destination, before it is a batch: `(position of
 /// the master, whether the receiver must create the copy)`, in position
@@ -198,11 +198,11 @@ pub(super) fn collect_promotions<M: ComputeModel>(
             continue;
         };
         g.set_master_node(pos, p.new_master);
-        if let Some(meta) = g.meta_mut(pos) {
+        g.edit_meta(pos, |meta| {
             meta.set_master_pos(p.new_pos);
             meta.purge_nodes(cx.dead);
             meta.purge_node(p.new_master);
-        }
+        });
     }
     all
 }
@@ -230,7 +230,7 @@ pub(super) fn register_placements<M: ComputeModel>(
         for (vid, pos) in placed {
             let mpos = g.position(vid).expect("placement for unknown master");
             debug_assert!(g.is_master(mpos));
-            g.full_mut(mpos).register_replica(from, pos);
+            g.edit_full(mpos, |tables| tables.register_replica(from, pos));
             if let Some(dirty) = &mut dirty {
                 dirty.insert(mpos);
             }
@@ -374,7 +374,7 @@ pub(super) fn migrate<M: ComputeModel>(
         let dirty = std::mem::take(&mut mig.dirty_masters);
         let mut refreshes: Vec<MirrorRecords> = vec![Vec::new(); cx.shared.cfg.num_nodes];
         for pos in dirty.iter().filter(|&pos| lg.is_master(pos)) {
-            for &m in lg.full(pos).mirror_nodes() {
+            for m in lg.full(pos).mirror_nodes() {
                 refreshes[m.index()].push((pos, false));
             }
         }
@@ -464,11 +464,12 @@ fn promote_and_purge<M: ComputeModel>(
         let old_node = g.master_node(pos);
         g.set_kind(pos, CopyKind::Master);
         g.set_master_node(pos, me);
-        let meta = g.full_mut(pos);
-        let old_pos = meta.master_pos();
-        meta.set_master_pos(pos);
-        meta.purge_node(me);
-        meta.purge_nodes(cx.dead);
+        let old_pos = g.full(pos).master_pos();
+        g.edit_full(pos, |meta| {
+            meta.set_master_pos(pos);
+            meta.purge_node(me);
+            meta.purge_nodes(cx.dead);
+        });
         cx.shared.model.on_promote(g, pos, mig);
         promotions.push(Promotion {
             vid,
@@ -483,7 +484,7 @@ fn promote_and_purge<M: ComputeModel>(
         mig.recovered += 1;
     }
     for pos in purge_pos {
-        g.full_mut(pos).purge_nodes(cx.dead);
+        g.edit_full(pos, |tables| tables.purge_nodes(cx.dead));
         mig.dirty_masters.insert(pos);
     }
     promotions
@@ -533,30 +534,30 @@ fn designate_mirrors<M: ComputeModel>(
         if !g.is_master(pos) || g.full(pos).mirror_nodes().len() >= restorable {
             continue;
         }
-        let meta = g.full_mut(pos);
         designated.clear();
-        while meta.mirror_nodes().len() < restorable {
-            let least_assigned = |n: &NodeId| (assigned[n.index()], n.index());
-            // Prefer upgrading an existing replica; otherwise create a new
-            // FT replica on the least-assigned survivor.
-            let replicas = meta.replica_nodes().iter().copied();
-            let upgradable = replicas.filter(|n| !meta.mirror_nodes().contains(n));
-            let (target, fresh) = match upgradable.min_by_key(least_assigned) {
-                Some(n) => (n, false),
-                None => {
-                    let holds = |n: &NodeId| {
-                        meta.replica_nodes().contains(n) || meta.mirror_nodes().contains(n)
-                    };
-                    let free = cx.others.iter().copied().filter(|n| !holds(n));
-                    let n = free.min_by_key(least_assigned);
-                    (n.expect("enough survivors to restore the FT level"), true)
-                }
-            };
-            assigned[target.index()] += 1;
-            meta.add_mirror(target);
-            designated.push((target, fresh));
-        }
-        if designated.len() == meta.mirror_nodes().len() {
+        let mirrors = g.edit_full(pos, |meta| {
+            while meta.view().mirror_nodes().len() < restorable {
+                let least_assigned = |n: &NodeId| (assigned[n.index()], n.index());
+                // Prefer upgrading an existing replica; otherwise create a
+                // new FT replica on the least-assigned survivor.
+                let (replicas, mirrors) = (meta.view().replica_nodes(), meta.view().mirror_nodes());
+                let upgradable = replicas.iter().filter(|n| !mirrors.contains(n));
+                let (target, fresh) = match upgradable.min_by_key(least_assigned) {
+                    Some(n) => (n, false),
+                    None => {
+                        let holds = |n: &NodeId| replicas.contains(n) || mirrors.contains(n);
+                        let free = cx.others.iter().copied().filter(|n| !holds(n));
+                        let n = free.min_by_key(least_assigned);
+                        (n.expect("enough survivors to restore the FT level"), true)
+                    }
+                };
+                assigned[target.index()] += 1;
+                meta.add_mirror(target);
+                designated.push((target, fresh));
+            }
+            meta.view().mirror_nodes().len()
+        });
+        if designated.len() == mirrors {
             mig.dirty_masters.remove(pos);
             #[cfg(test)]
             mig.spared.push(pos);
@@ -632,7 +633,7 @@ fn adopt_mirror_batches<M: ComputeModel>(g: &mut M::Graph, batches: &[(NodeId, B
         .map(|(_, batch)| batch.vids.iter().map(|&vid| mirror(batch, vid)).collect())
         .collect();
     let adopted = positions.iter().zip(batches);
-    let adopted: Vec<(&[u32], &M::Metas)> = adopted
+    let adopted: Vec<(&[u32], &FullState)> = adopted
         .map(|(at, (_, batch))| (&at[..], &batch.metas))
         .collect();
     g.adopt_metas(&adopted);

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
     ec_commit, ec_compute_chunks, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan, FullState,
-    FullStateRef, Locations, RemoteEdge, VertexProgram, WorkerPool,
+    FullStateRef, Locations, LocationsRef, RemoteEdge, VertexProgram, WorkerPool,
 };
 use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{MemSize, Stopwatch};
@@ -116,7 +116,6 @@ struct Promoted {
 
 impl<V> ModelGraph for EcLocalGraph<V> {
     type Value = V;
-    type Metas = FullState;
 
     fn len(&self) -> usize {
         self.verts.len()
@@ -145,20 +144,17 @@ impl<V> ModelGraph for EcLocalGraph<V> {
     fn value(&self, pos: u32) -> &V {
         &self.verts[pos as usize].value
     }
-    fn meta(&self, pos: u32) -> Option<&Locations> {
+    fn meta(&self, pos: u32) -> Option<LocationsRef<'_>> {
         self.locations(pos)
     }
-    fn meta_mut(&mut self, pos: u32) -> Option<&mut Locations> {
-        self.locations_mut(pos)
+    fn edit_meta<R>(&mut self, pos: u32, edit: impl FnOnce(&mut Locations) -> R) -> Option<R> {
+        self.edit_locations(pos, edit)
     }
-    fn export_metas(&self, positions: &[u32]) -> FullState {
-        self.export_full_states(positions)
+    fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>> {
+        EcLocalGraph::full_state(self, pos)
     }
     fn adopt_metas(&mut self, batches: &[(&[u32], &FullState)]) {
         self.adopt_full_states(batches);
-    }
-    fn same_full_state(&self, pos: u32, other: &Self, at: u32) -> bool {
-        self.full_state(pos) == other.full_state(at)
     }
 }
 
@@ -189,7 +185,6 @@ where
     type Value = P::Value;
     type Accum = ();
     type Entry = EcRecoverEntry<P::Value>;
-    type Metas = FullState;
     type Graph = EcLocalGraph<P::Value>;
     type Scratch = SyncBufs<P::Value>;
     type MigExtra = EcMigExtra;
@@ -661,7 +656,7 @@ where
                     let state = dead_lg
                         .full_state(dp as u32)
                         .unwrap_or_else(|| driver::no_full_state(dv.vid, dv.kind));
-                    let mut locations = state.locations.clone();
+                    let mut locations = state.locations.to_owned();
                     locations.set_master_pos(new_pos);
                     locations.purge_node(me);
                     locations.purge_nodes(episode);
@@ -695,7 +690,7 @@ where
                     lg.set_full_state(
                         new_pos,
                         FullStateRef {
-                            locations: &locations,
+                            locations: locations.view(),
                             out_remote: &out_remote,
                             ..state
                         },

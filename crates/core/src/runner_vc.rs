@@ -13,8 +13,9 @@ use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
-    vc_apply_chunks, vc_commit, vc_gather_chunks, CopyKind, Degrees, FtPlan, Locations, VcEdge,
-    VcGatherIndex, VcLocalGraph, VcVertex, VertexProgram, WorkerPool,
+    vc_apply_chunks, vc_commit, vc_gather_chunks, CopyKind, Degrees, FtPlan, FullState,
+    FullStateRef, Locations, LocationsRef, VcEdge, VcGatherIndex, VcLocalGraph, VcVertex,
+    VertexProgram, WorkerPool,
 };
 use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
@@ -126,7 +127,6 @@ pub(crate) struct VcMigExtra {
 
 impl<V> ModelGraph for VcLocalGraph<V> {
     type Value = V;
-    type Metas = Vec<Locations>;
 
     fn len(&self) -> usize {
         self.verts.len()
@@ -155,23 +155,17 @@ impl<V> ModelGraph for VcLocalGraph<V> {
     fn value(&self, pos: u32) -> &V {
         &self.verts[pos as usize].value
     }
-    fn meta(&self, pos: u32) -> Option<&Locations> {
-        self.verts[pos as usize].meta.as_deref()
+    fn meta(&self, pos: u32) -> Option<LocationsRef<'_>> {
+        self.locations(pos)
     }
-    fn meta_mut(&mut self, pos: u32) -> Option<&mut Locations> {
-        self.locations_mut(pos)
+    fn edit_meta<R>(&mut self, pos: u32, edit: impl FnOnce(&mut Locations) -> R) -> Option<R> {
+        self.edit_locations(pos, edit)
     }
-    fn export_metas(&self, positions: &[u32]) -> Vec<Locations> {
-        let tables = |&pos| self.meta(pos).expect("exported copies carry full state");
-        positions.iter().map(tables).cloned().collect()
+    fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>> {
+        self.locations(pos).map(FullStateRef::tables)
     }
-    fn adopt_metas(&mut self, batches: &[(&[u32], &Vec<Locations>)]) {
-        for (&pos, locations) in batches.iter().flat_map(|&(at, batch)| at.iter().zip(batch)) {
-            self.set_locations(pos, locations);
-        }
-    }
-    fn same_full_state(&self, pos: u32, other: &Self, at: u32) -> bool {
-        self.meta(pos) == other.meta(at)
+    fn adopt_metas(&mut self, batches: &[(&[u32], &FullState)]) {
+        self.adopt_full_states(batches);
     }
 }
 
@@ -224,7 +218,6 @@ where
     type Value = P::Value;
     type Accum = P::Accum;
     type Entry = VcRecoverEntry<P::Value>;
-    type Metas = Vec<Locations>;
     type Graph = VcLocalGraph<P::Value>;
     type Scratch = VcScratch<P>;
     type MigExtra = VcMigExtra;
@@ -462,7 +455,7 @@ where
             kind,
             master_node: v.master_node,
             value: v.value.clone(),
-            meta: (kind == CopyKind::Mirror).then(|| Box::new(meta.clone())),
+            meta: (kind == CopyKind::Mirror).then(|| Box::new(meta.to_owned())),
         }
     }
 
@@ -474,7 +467,7 @@ where
             kind: CopyKind::Master,
             master_node: v.master_node,
             value: v.value.clone(),
-            meta: Some(Box::new(meta.clone())),
+            meta: Some(Box::new(meta.to_owned())),
         }
     }
 
@@ -487,16 +480,10 @@ where
     }
 
     fn insert_entry(&self, lg: &mut Self::Graph, e: Self::Entry) {
-        lg.insert_at(
-            e.pos,
-            VcVertex {
-                vid: e.vid,
-                kind: e.kind,
-                master_node: e.master_node,
-                value: e.value,
-                meta: e.meta,
-            },
-        );
+        lg.insert_at(e.pos, VcVertex::new(e.vid, e.kind, e.master_node, e.value));
+        if let Some(meta) = e.meta {
+            lg.set_locations(e.pos, meta.view());
+        }
     }
 
     /// A newbie reads back every edge-ckpt file the crashed node kept — all
@@ -565,13 +552,13 @@ where
     }
 
     fn place_granted(&self, lg: &mut Self::Graph, grant: ReplicaGrant<Self::Value>) -> u32 {
-        lg.insert_or_position(VcVertex {
-            vid: grant.vid,
-            kind: CopyKind::Replica,
-            master_node: grant.master_node,
-            value: grant.value,
-            meta: None,
-        })
+        let (vid, master_node) = (grant.vid, grant.master_node);
+        lg.insert_or_position(VcVertex::new(
+            vid,
+            CopyKind::Replica,
+            master_node,
+            grant.value,
+        ))
     }
 
     /// R4: wire the adopted edges — every endpoint is local now, either
@@ -580,7 +567,7 @@ where
         mig.edges_recovered += wire_edges(lg, std::mem::take(&mut mig.extra.adopted));
     }
 
-    fn meta_update_bytes(&self, _metas: &Vec<Locations>, _i: usize) -> u64 {
+    fn meta_update_bytes(&self, _metas: &FullState, _i: usize) -> u64 {
         // Payload estimate excluding the vertex ID, which ships as a varint
         // in the mirror frame's vid column (see `MirrorBatch::frame_bytes`).
         56
@@ -612,14 +599,12 @@ where
             })
             .collect();
         let mut out = Adoption::default();
-        for (dp, mut dv) in dead_lg.verts.into_iter().enumerate() {
-            let new_pos = map[dp];
+        let mut meta = Locations::default();
+        for (dp, dv) in dead_lg.verts.iter().enumerate() {
+            let (new_pos, value) = (map[dp], || dv.value.clone());
             match dv.kind {
                 CopyKind::Master => {
-                    let mut meta = dv
-                        .meta
-                        .take()
-                        .unwrap_or_else(|| driver::no_full_state(dv.vid, dv.kind));
+                    meta.assign(dead_lg.full(dp as u32));
                     meta.set_master_pos(new_pos);
                     meta.purge_node(me);
                     meta.purge_nodes(episode);
@@ -632,20 +617,11 @@ where
                         );
                         v.kind = CopyKind::Master;
                         v.master_node = me;
-                        v.value = dv.value;
-                        v.meta = Some(meta);
+                        v.value = value();
                     } else {
-                        lg.insert_at(
-                            new_pos,
-                            VcVertex {
-                                vid: dv.vid,
-                                kind: CopyKind::Master,
-                                master_node: me,
-                                value: dv.value,
-                                meta: Some(meta),
-                            },
-                        );
+                        lg.insert_at(new_pos, VcVertex::new(dv.vid, dv.kind, me, value()));
                     }
+                    lg.set_locations(new_pos, meta.view());
                     out.promotions.push(Promotion {
                         vid: dv.vid,
                         new_master: me,
@@ -660,13 +636,7 @@ where
                         let master_node = dv.master_node;
                         lg.insert_at(
                             new_pos,
-                            VcVertex {
-                                vid: dv.vid,
-                                kind: CopyKind::Replica,
-                                master_node,
-                                value: dv.value,
-                                meta: None,
-                            },
+                            VcVertex::new(dv.vid, dv.kind, master_node, value()),
                         );
                         if episode.contains(&master_node) {
                             out.orphans.push(new_pos);

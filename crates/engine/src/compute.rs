@@ -441,8 +441,7 @@ mod tests {
             for (p, updates) in all_updates.iter().enumerate() {
                 for u in updates {
                     let v = &lgs[p].verts[u.local as usize];
-                    let meta = v.meta.as_ref().unwrap();
-                    for r in meta.replica_nodes() {
+                    for r in lgs[p].locations(u.local).unwrap().replica_nodes() {
                         let pos = lgs[r.index()].position(v.vid).unwrap();
                         replica_updates[r.index()].push((pos, u.value));
                     }

@@ -8,10 +8,11 @@ use imitator_partition::EdgeCut;
 use crate::episode::{EcJournal, PosSet};
 use crate::ftplan::FtPlan;
 use crate::full_state::{
-    Column, ColumnLens, FullState, FullStateRef, RemoteEdge, Slot, SlotId, Span, COLUMNS,
+    Column, ColumnLens, EdgeSpans, FullState, FullStateRef, Head, RemoteEdge, SlotId, Span,
+    StoreLens, IN_SRCS, OUT_REMOTE,
 };
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
-use crate::locations::Locations;
+use crate::locations::{Locations, LocationsRef};
 use crate::program::{Degrees, VertexProgram};
 
 /// The role of a local vertex copy.
@@ -137,6 +138,19 @@ impl<V: PartialEq> PartialEq for EcVertex<V> {
             && self.next_active == other.next_active
             && self.last_activate == other.last_activate
             && self.meta.is_some() == other.meta.is_some()
+    }
+}
+
+/// What of `state` the store keeps for a copy of role `kind`: a master's
+/// owner-local lists are its own in-edges and consumers, kept once.
+fn stored_for(kind: CopyKind, state: FullStateRef<'_>) -> FullStateRef<'_> {
+    match kind {
+        CopyKind::Master => FullStateRef {
+            in_edges_owner: &[],
+            out_local_owner: &[],
+            ..state
+        },
+        _ => state,
     }
 }
 
@@ -299,16 +313,21 @@ impl<V> EcLocalGraph<V> {
 
     /// The replica-location tables of the copy at `pos`, if it carries
     /// full state.
-    pub fn locations(&self, pos: u32) -> Option<&Locations> {
+    pub fn locations(&self, pos: u32) -> Option<LocationsRef<'_>> {
         let slot = self.verts[pos as usize].meta?;
         Some(self.full.locations(slot))
     }
 
-    /// The replica-location tables of the copy at `pos`, for rewriting.
-    pub fn locations_mut(&mut self, pos: u32) -> Option<&mut Locations> {
+    /// Lends the replica-location tables of the copy at `pos` to `edit`, if
+    /// it carries full state: what `edit` leaves is what the copy keeps, and
+    /// tables it leaves as they were are not written (or journaled) at all.
+    pub fn edit_locations<R>(
+        &mut self,
+        pos: u32,
+        edit: impl FnOnce(&mut Locations) -> R,
+    ) -> Option<R> {
         let slot = self.verts[pos as usize].meta?;
-        self.touch_tables(slot);
-        Some(self.full.locations_mut(slot))
+        Some(self.full.edit_locations(slot, edit))
     }
 
     /// The full state of the copy at `pos` as it would travel to another
@@ -330,30 +349,6 @@ impl<V> EcLocalGraph<V> {
         })
     }
 
-    /// The full state of the copies at `positions`, a slot each in that
-    /// order, in a store sized for them once: what a Migration mirror batch
-    /// carries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if one of the copies carries no full state.
-    pub fn export_full_states(&self, positions: &[u32]) -> FullState {
-        let exported = |&pos: &u32| {
-            let state = self.full_state(pos);
-            state.unwrap_or_else(|| panic!("copy at {pos} carries no full state to export"))
-        };
-        let mut lens = ColumnLens::default();
-        for state in positions.iter().map(exported) {
-            lens += state.lens();
-        }
-        let mut batch = FullState::default();
-        batch.reserve_exact(positions.len(), lens);
-        for state in positions.iter().map(exported) {
-            batch.push(state);
-        }
-        batch
-    }
-
     /// Makes `state` the full state of the copy at `pos`, in a new slot if
     /// it had none. The copy's `kind` decides what is kept: a master's
     /// owner-local lists are its own in-edges and consumers (which the
@@ -362,24 +357,9 @@ impl<V> EcLocalGraph<V> {
     /// overwrite, move to the column's tail.
     pub fn set_full_state(&mut self, pos: u32, state: FullStateRef<'_>) {
         let v = &self.verts[pos as usize];
-        let state = if v.is_master() {
-            FullStateRef {
-                in_edges_owner: &[],
-                out_local_owner: &[],
-                ..state
-            }
-        } else {
-            state
-        };
+        let state = stored_for(v.kind, state);
         match v.meta {
-            Some(slot) => {
-                if self.full.locations(slot) != state.locations {
-                    self.touch_tables(slot);
-                }
-                let (before, floor) = (self.spans_at(slot), self.floor().cold);
-                self.full.set(slot, state, &floor);
-                self.note_spans(slot, before);
-            }
+            Some(slot) => self.full.set(slot, state),
             None => {
                 self.touch_copy(pos);
                 self.verts[pos as usize].meta = Some(self.full.push(state));
@@ -404,20 +384,19 @@ impl<V> EcLocalGraph<V> {
             let v = &self.verts[pos as usize];
             v.meta.is_none() && !v.is_master()
         };
-        let mut room = (0, ColumnLens::default());
+        let mut room = StoreLens::default();
         let whole: Vec<bool> = batches
             .iter()
             .map(|(positions, batch)| {
                 assert_eq!(positions.len(), batch.len(), "one position per slot");
                 let whole = positions.iter().all(slotless_mirror);
                 if whole {
-                    room.0 += batch.len();
-                    room.1 += batch.column_lens();
+                    room += batch.lens();
                 }
                 whole
             })
             .collect();
-        self.reserve_full_state(room.0, room.1);
+        self.reserve_full_state(room);
         for (&(positions, batch), whole) in batches.iter().zip(whole) {
             let first = whole.then(|| self.full.extend_from(batch));
             for (i, &pos) in positions.iter().enumerate() {
@@ -447,9 +426,7 @@ impl<V> EcLocalGraph<V> {
             stored.in_edges_owner.to_vec(),
             stored.out_local_owner.to_vec(),
         );
-        let before = self.spans_at(slot);
         self.full.clear_owner_lists(slot);
-        self.note_spans(slot, before);
         lists
     }
 
@@ -464,13 +441,7 @@ impl<V> EcLocalGraph<V> {
         pos: u32,
         keep: impl FnMut(&mut RemoteEdge) -> bool,
     ) -> bool {
-        let slot = self.slot_at(pos);
-        let (before, floor) = (self.spans_at(slot), self.floor().cold.out_remote);
-        let changed = self.full.retain_out_remote(slot, floor, keep);
-        if changed {
-            self.note_spans(slot, before);
-        }
-        changed
+        self.full.retain_out_remote(self.slot_at(pos), keep)
     }
 
     /// Appends `edges` to the remote out-edges of the copy at `pos`.
@@ -479,10 +450,7 @@ impl<V> EcLocalGraph<V> {
     ///
     /// Panics if the copy carries no full state.
     pub fn extend_out_remote(&mut self, pos: u32, edges: &[RemoteEdge]) {
-        let slot = self.slot_at(pos);
-        let (before, floor) = (self.spans_at(slot), self.floor().cold.out_remote);
-        self.full.extend_out_remote(slot, floor, edges);
-        self.note_spans(slot, before);
+        self.full.extend_out_remote(self.slot_at(pos), edges);
     }
 
     /// Changes the role of the copy at `pos`.
@@ -514,7 +482,7 @@ impl<V> EcLocalGraph<V> {
 
     /// Replaces the in-edges of the copy at `pos`.
     pub fn set_in_edges(&mut self, pos: u32, in_edges: &[(u32, f32)]) {
-        let (floor, v) = (self.floor().hot_in, &mut self.verts[pos as usize]);
+        let (floor, v) = (self.hot_floor()[0], &mut self.verts[pos as usize]);
         let before = v.in_edges;
         self.hot_in.replace(&mut v.in_edges, in_edges, floor);
         self.note_copy_span(pos, 0, before);
@@ -522,7 +490,7 @@ impl<V> EcLocalGraph<V> {
 
     /// Replaces the positions the copy at `pos` feeds.
     pub fn set_out_local(&mut self, pos: u32, consumers: &[u32]) {
-        let (floor, v) = (self.floor().hot_out, &mut self.verts[pos as usize]);
+        let (floor, v) = (self.hot_floor()[1], &mut self.verts[pos as usize]);
         let before = v.out_local;
         self.hot_out.replace(&mut v.out_local, consumers, floor);
         self.note_copy_span(pos, 1, before);
@@ -530,7 +498,7 @@ impl<V> EcLocalGraph<V> {
 
     /// Appends `consumers` to the positions the copy at `pos` feeds.
     pub fn extend_out_local(&mut self, pos: u32, consumers: &[u32]) {
-        let (floor, v) = (self.floor().hot_out, &mut self.verts[pos as usize]);
+        let (floor, v) = (self.hot_floor()[1], &mut self.verts[pos as usize]);
         let before = v.out_local;
         self.hot_out.extend(&mut v.out_local, consumers, floor);
         self.note_copy_span(pos, 1, before);
@@ -545,21 +513,16 @@ impl<V> EcLocalGraph<V> {
         pos
     }
 
-    fn spans_at(&self, slot: SlotId) -> [Span; COLUMNS] {
-        self.full.slots[slot.index()].spans()
-    }
-
     fn slot_at(&self, pos: u32) -> SlotId {
         let v = &self.verts[pos as usize];
         v.meta
             .unwrap_or_else(|| panic!("copy of {} at {pos} carries no full state", v.vid))
     }
 
-    /// Makes room for `slots` more full-state slots holding `lens` more
-    /// column entries, one allocation each: a decoder that knows the totals
-    /// builds exact-size columns.
-    pub fn reserve_full_state(&mut self, slots: usize, lens: ColumnLens) {
-        self.full.reserve_exact(slots, lens);
+    /// Makes room for `more` full state, one allocation per column: a
+    /// decoder that knows the totals builds exact-size columns.
+    pub fn reserve_full_state(&mut self, more: StoreLens) {
+        self.full.reserve_exact(more);
     }
 
     /// Makes room for `in_edges` more in-edge entries and `out_local` more
@@ -575,31 +538,24 @@ impl<V> EcLocalGraph<V> {
         (self.hot_in.0.len(), self.hot_out.0.len())
     }
 
-    /// `(slots, entries per column)` the full-state store holds, runs no
-    /// slot points at any more included.
-    pub fn full_state_lens(&self) -> (usize, ColumnLens) {
-        (self.full.slots.len(), self.full.column_lens())
+    /// What the full-state store holds, runs no slot points at any more
+    /// included.
+    pub fn full_state_lens(&self) -> StoreLens {
+        self.full.lens()
     }
 
-    /// `(slots, entries per column)` the copies' full state adds up to: what
+    /// What the copies' full state adds up to: what
     /// [`EcLocalGraph::full_state_lens`] reports for a store without dead
     /// runs, and what a store rebuilt from these copies will hold. A
     /// master's owner-local lists are its own edge lists and add nothing.
-    pub fn live_full_state_lens(&self) -> (usize, ColumnLens) {
-        let (mut slots, mut lens) = (0, ColumnLens::default());
-        for (pos, v) in self.verts.iter().enumerate() {
-            let Some(state) = self.full_state(pos as u32) else {
-                continue;
-            };
-            slots += 1;
-            lens.in_srcs += state.in_edge_srcs.len();
-            lens.out_remote += state.out_remote.len();
-            if !v.is_master() {
-                lens.in_edges += state.in_edges_owner.len();
-                lens.out_local += state.out_local_owner.len();
+    pub fn live_full_state_lens(&self) -> StoreLens {
+        let mut lens = StoreLens::default();
+        for v in &self.verts {
+            if let Some(slot) = v.meta {
+                lens.add(stored_for(v.kind, self.full.get(slot)));
             }
         }
-        (slots, lens)
+        lens
     }
 
     /// Inserts `vertex` at `pos` with the edge lists `in_edges` and
@@ -686,7 +642,7 @@ impl<V> EcLocalGraph<V> {
             }
             let slot = v.meta.map(SlotId::index);
             ensure!(
-                slot.is_none_or(|slot| slot < self.full.slots.len()),
+                slot.is_none_or(|slot| slot < self.full.len()),
                 "full state of {} is in no slot",
                 v.vid
             );
@@ -850,22 +806,17 @@ struct EcLoader<'a, P> {
     layout: &'a Layout,
 }
 
-/// Where the masters' part of a freshly built store ends: its masters' slots
-/// and their column entries come first, the mirrors' follow.
-#[derive(Clone, Copy)]
-struct MasterPart {
-    slots: usize,
-    lens: ColumnLens,
-}
-
 /// What the other nodes' second-pass threads read of a node: its copies and
 /// hot columns (a master's own edge lists) and the masters' part of its
-/// store.
+/// store — its masters' slots and their column entries come first in a
+/// freshly built store, the mirrors' follow.
 struct OwnerView<'g, V> {
     verts: &'g [EcVertex<V>],
     hot_in: &'g Column<(u32, f32)>,
     hot_out: &'g Column<u32>,
-    slots: &'g [Slot],
+    heads: &'g [Head],
+    rows: &'g [EdgeSpans],
+    words: &'g [u32],
     in_srcs: &'g [Vid],
     out_remote: &'g [RemoteEdge],
 }
@@ -873,13 +824,42 @@ struct OwnerView<'g, V> {
 /// What a node's second-pass thread writes: the mirrors' part of its store,
 /// allocated by the first pass.
 struct MirrorPart<'g> {
-    /// Column entries before each part (spans are column-relative).
-    base: ColumnLens,
-    slots: &'g mut [Slot],
-    in_edges: &'g mut [(u32, f32)],
-    in_srcs: &'g mut [Vid],
-    out_local: &'g mut [u32],
-    out_remote: &'g mut [RemoteEdge],
+    heads: &'g mut [Head],
+    rows: &'g mut [EdgeSpans],
+    words: Tail<'g, u32>,
+    in_edges: Tail<'g, (u32, f32)>,
+    in_srcs: Tail<'g, Vid>,
+    out_local: Tail<'g, u32>,
+    out_remote: Tail<'g, RemoteEdge>,
+}
+
+/// The mirrors' part of one column, filled front to back; the column's
+/// first `base` entries precede it (spans are column-relative).
+struct Tail<'g, T> {
+    part: &'g mut [T],
+    at: usize,
+    base: usize,
+}
+
+impl<'g, T: Copy> Tail<'g, T> {
+    /// `column`'s first `base` entries, and the part behind them.
+    fn split(column: &'g mut [T], base: usize) -> (&'g [T], Tail<'g, T>) {
+        let (masters, part) = column.split_at_mut(base);
+        (&*masters, Tail { part, at: 0, base })
+    }
+
+    /// Copies `items` in behind what is filled and returns their span in the
+    /// whole column.
+    fn fill(&mut self, items: &[T]) -> Span {
+        self.part[self.at..self.at + items.len()].copy_from_slice(items);
+        let span = Span::new(self.base + self.at, items.len());
+        self.at += items.len();
+        span
+    }
+
+    fn is_full(&self) -> bool {
+        self.at == self.part.len()
+    }
 }
 
 /// Moves a counting sort's cursor on by one entry and returns where it stood.
@@ -887,15 +867,6 @@ fn advance(cursor: &mut u32) -> usize {
     let at = *cursor;
     *cursor += 1;
     at as usize
-}
-
-/// Copies `items` to `part[*at..]`, advancing `*at`; returns the run's span
-/// in the whole column, whose first `base` entries precede `part`.
-fn fill<T: Copy>(part: &mut [T], at: &mut usize, base: usize, items: &[T]) -> Span {
-    part[*at..*at + items.len()].copy_from_slice(items);
-    let span = Span::new(base + *at, items.len());
-    *at += items.len();
-    span
 }
 
 impl<P: VertexProgram> EcLoader<'_, P> {
@@ -914,7 +885,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     /// [`EcLoader::fill_mirrors`] — and a second scan fills each run from
     /// its start, so that what a superstep reads is dense in the heap and
     /// laid out the same with and without fault tolerance.
-    fn node_graph(&self, p: usize) -> (EcLocalGraph<P::Value>, MasterPart) {
+    fn node_graph(&self, p: usize) -> (EcLocalGraph<P::Value>, StoreLens) {
         let node = NodeId::from_index(p);
         let copies = &self.layout.copies[p];
         let at = &self.layout.pos_maps[p];
@@ -929,6 +900,8 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         let num_masters = copies.iter().filter(|&&v| self.cut.owner(v) == p).count();
         let (mut master_slots, mut mirror_slots) = (0..num_masters, num_masters..);
         let (mut mirror_ins, mut mirror_outs) = (0, 0);
+        let (mut master_words, mut mirror_words) = (0, 0);
+        let table_words = |v: Vid| Layout::table_words(v, self.cut.replica_parts(v), self.plan);
         let mut mirrored = PosSet::covering(copies.last().map_or(0, |v| v.raw() + 1));
         let mut verts: Vec<EcVertex<P::Value>> = copies
             .iter()
@@ -939,12 +912,14 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                 match kind {
                     CopyKind::Master => {
                         vert.active = self.prog.initially_active(v);
+                        master_words += table_words(v);
                         vert.meta = master_slots.next().map(SlotId::from_index);
                     }
                     CopyKind::Mirror => {
                         mirrored.insert(v.raw());
                         mirror_ins += in_degree(v) as usize;
                         mirror_outs += out_degree(v) as usize;
+                        mirror_words += table_words(v);
                         vert.meta = mirror_slots.next().map(SlotId::from_index);
                     }
                     CopyKind::Replica => {}
@@ -987,10 +962,14 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         }
         assert_eq!(fed, ins, "degree table disagrees with the graph");
         let (hot_len, remote) = (ins as usize, remote as usize);
-        let masters = ColumnLens {
-            in_srcs: hot_len,
-            out_remote: remote,
-            ..ColumnLens::default()
+        let masters = StoreLens {
+            slots: num_masters,
+            words: master_words,
+            edges: ColumnLens {
+                in_srcs: hot_len,
+                out_remote: remote,
+                ..ColumnLens::default()
+            },
         };
         let total = ColumnLens {
             in_edges: mirror_ins,
@@ -999,7 +978,9 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             out_remote: remote + mirror_outs - mirror_out_local,
         };
         let mut full = FullState::default();
-        full.slots.reserve_exact(num_slots);
+        full.heads.reserve_exact(num_slots);
+        full.rows.reserve_exact(num_slots);
+        full.words.0.reserve_exact(master_words + mirror_words);
         full.in_edges.0 = vec![Default::default(); total.in_edges];
         full.in_srcs.0 = vec![Default::default(); total.in_srcs];
         full.out_local.0 = vec![Default::default(); total.out_local];
@@ -1047,17 +1028,19 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                     ),
                     "degree table disagrees with the graph at {v}"
                 );
-                full.slots.push(Slot {
-                    loc: self
-                        .layout
-                        .locations(v, p, self.cut.replica_parts(v), self.plan),
-                    in_srcs: vert.in_edges,
-                    out_remote,
-                    ..Slot::default()
-                });
+                let replicas = self.cut.replica_parts(v);
+                let layout = self.layout;
+                full.heads
+                    .push(layout.push_tables(v, p, replicas, self.plan, &mut full.words));
+                let mut row = EdgeSpans::default();
+                (row[IN_SRCS], row[OUT_REMOTE]) = (vert.in_edges, out_remote);
+                full.rows.push(row);
             }
         }
-        full.slots.resize_with(num_slots, Slot::default);
+        assert_eq!(full.lens().words, master_words, "tables miscounted");
+        full.heads.resize(num_slots, Head::default());
+        full.rows.resize(num_slots, EdgeSpans::default());
+        full.words.0.resize(master_words + mirror_words, 0);
 
         let active = |vert: &EcVertex<P::Value>| vert.is_master() && vert.active;
         let frontier = (0u32..).zip(&verts).filter(|(_, vert)| active(vert));
@@ -1075,10 +1058,6 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             full,
             journal: None,
         };
-        let masters = MasterPart {
-            slots: num_masters,
-            lens: masters,
-        };
         (lg, masters)
     }
 
@@ -1089,33 +1068,38 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     /// first pass built, not a second derivation edge by edge. Each node's
     /// thread writes the mirrors' part of its own store and reads the
     /// others' copies, hot columns and masters' parts.
-    fn fill_mirrors(&self, graphs: &mut [EcLocalGraph<P::Value>], masters: &[MasterPart]) {
+    fn fill_mirrors(&self, graphs: &mut [EcLocalGraph<P::Value>], masters: &[StoreLens]) {
         let (mut owners, mut mirrors) = (Vec::new(), Vec::new());
         for (lg, part) in graphs.iter_mut().zip(masters) {
-            let full = &mut lg.full;
-            let (master_slots, slots) = full.slots.split_at_mut(part.slots);
-            let (_, in_edges) = full.in_edges.0.split_at_mut(part.lens.in_edges);
-            let (master_srcs, in_srcs) = full.in_srcs.0.split_at_mut(part.lens.in_srcs);
-            let (_, out_local) = full.out_local.0.split_at_mut(part.lens.out_local);
-            let (master_remote, out_remote) = full.out_remote.0.split_at_mut(part.lens.out_remote);
+            let (full, edges) = (&mut lg.full, part.edges);
+            let (master_heads, heads) = full.heads.split_at_mut(part.slots);
+            let (master_rows, rows) = full.rows.split_at_mut(part.slots);
+            let (words, mirror_words) = Tail::split(&mut full.words.0, part.words);
+            let (_, in_edges) = Tail::split(&mut full.in_edges.0, edges.in_edges);
+            let (in_srcs, mirror_srcs) = Tail::split(&mut full.in_srcs.0, edges.in_srcs);
+            let (_, out_local) = Tail::split(&mut full.out_local.0, edges.out_local);
+            let (out_remote, mirror_remote) = Tail::split(&mut full.out_remote.0, edges.out_remote);
             owners.push(OwnerView {
                 verts: &lg.verts[..],
                 hot_in: &lg.hot_in,
                 hot_out: &lg.hot_out,
-                slots: &*master_slots,
-                in_srcs: &*master_srcs,
-                out_remote: &*master_remote,
-            });
-            mirrors.push(MirrorPart {
-                base: part.lens,
-                slots,
-                in_edges,
+                heads: &*master_heads,
+                rows: &*master_rows,
+                words,
                 in_srcs,
-                out_local,
                 out_remote,
             });
+            mirrors.push(MirrorPart {
+                heads,
+                rows,
+                words: mirror_words,
+                in_edges,
+                in_srcs: mirror_srcs,
+                out_local,
+                out_remote: mirror_remote,
+            });
         }
-        if mirrors.iter().all(|m| m.slots.is_empty()) {
+        if mirrors.iter().all(|m| m.heads.is_empty()) {
             return;
         }
         let owners = &owners;
@@ -1125,62 +1109,37 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     fn fill_node_mirrors(
         &self,
         q: usize,
-        part: MirrorPart<'_>,
+        mut part: MirrorPart<'_>,
         owners: &[OwnerView<'_, P::Value>],
     ) {
-        let MirrorPart {
-            base,
-            slots,
-            in_edges,
-            in_srcs,
-            out_local,
-            out_remote,
-        } = part;
-        let mut at = ColumnLens::default();
+        let slots = part.heads.iter_mut().zip(part.rows.iter_mut());
         let mirrors = owners[q]
             .verts
             .iter()
             .filter(|vert| vert.kind == CopyKind::Mirror);
-        for (slot, vert) in slots.iter_mut().zip(mirrors) {
+        for ((head, row), vert) in slots.zip(mirrors) {
             let owner = &owners[vert.master_node.index()];
             let at_owner = &self.layout.pos_maps[vert.master_node.index()];
             let master = &owner.verts[at_owner.at(vert.vid) as usize];
-            let theirs = &owner.slots[master.meta.expect("masters carry full state").index()];
-            *slot = Slot {
-                loc: theirs.loc.clone(),
-                in_edges: fill(
-                    in_edges,
-                    &mut at.in_edges,
-                    base.in_edges,
-                    owner.hot_in.get(master.in_edges),
-                ),
-                in_srcs: fill(
-                    in_srcs,
-                    &mut at.in_srcs,
-                    base.in_srcs,
-                    &owner.in_srcs[theirs.in_srcs.range()],
-                ),
-                out_local: fill(
-                    out_local,
-                    &mut at.out_local,
-                    base.out_local,
-                    owner.hot_out.get(master.out_local),
-                ),
-                out_remote: fill(
-                    out_remote,
-                    &mut at.out_remote,
-                    base.out_remote,
-                    &owner.out_remote[theirs.out_remote.range()],
-                ),
-            };
+            let theirs = master.meta.expect("masters carry full state").index();
+            let (their_head, their_row) = (owner.heads[theirs], owner.rows[theirs]);
+            let tables = &owner.words[their_head.span().range()];
+            *head = their_head.moved_to(part.words.fill(tables));
+            *row = [
+                part.in_edges.fill(owner.hot_in.get(master.in_edges)),
+                part.in_srcs
+                    .fill(&owner.in_srcs[their_row[IN_SRCS].range()]),
+                part.out_local.fill(owner.hot_out.get(master.out_local)),
+                part.out_remote
+                    .fill(&owner.out_remote[their_row[OUT_REMOTE].range()]),
+            ];
         }
-        let room = ColumnLens {
-            in_edges: in_edges.len(),
-            in_srcs: in_srcs.len(),
-            out_local: out_local.len(),
-            out_remote: out_remote.len(),
-        };
-        assert_eq!(at, room, "mirrors' columns miscounted on node {q}");
+        let full = part.words.is_full()
+            && part.in_edges.is_full()
+            && part.in_srcs.is_full()
+            && part.out_local.is_full()
+            && part.out_remote.is_full();
+        assert!(full, "mirrors' columns miscounted on node {q}");
     }
 }
 
@@ -1291,7 +1250,7 @@ mod tests {
                 // replica_nodes point at real copies
                 for n in state.locations.replica_nodes() {
                     assert!(lgs[n.index()].position(v.vid).is_some());
-                    assert_ne!(*n, v.master_node);
+                    assert_ne!(n, v.master_node);
                 }
                 assert_eq!(cut.owner(v.vid), v.master_node.index());
             }
@@ -1350,19 +1309,16 @@ mod tests {
             assert_eq!(edges(|v| v.in_edges), lg.hot_in.0.len());
             assert_eq!(edges(|v| v.out_local), lg.hot_out.0.len());
             let full = &lg.full;
-            assert_eq!(full.slots.capacity(), full.slots.len());
+            assert_eq!(full.heads.capacity(), full.heads.len());
+            assert_eq!(full.rows.capacity(), full.rows.len());
+            assert_eq!(full.words.0.capacity(), full.words.0.len());
             assert_eq!(full.in_edges.0.capacity(), full.in_edges.0.len());
             assert_eq!(full.in_srcs.0.capacity(), full.in_srcs.0.len());
             assert_eq!(full.out_local.0.capacity(), full.out_local.0.len());
             assert_eq!(full.out_remote.0.capacity(), full.out_remote.0.len());
-            let mut live = ColumnLens::default();
-            for slot in &full.slots {
-                live.in_edges += slot.in_edges.len();
-                live.in_srcs += slot.in_srcs.len();
-                live.out_local += slot.out_local.len();
-                live.out_remote += slot.out_remote.len();
-            }
-            assert_eq!(full.column_lens(), live);
+            let mut live = StoreLens::default();
+            (0..full.len()).for_each(|i| live.add(full.nth(i)));
+            assert_eq!(full.lens(), live);
         }
     }
 
@@ -1375,7 +1331,9 @@ mod tests {
         let (_cut, lgs) = build(&g, 3);
         for lg in &lgs {
             // No mirrors in this plan: both columns are the masters' alone.
-            let (slots, lens) = lg.full_state_lens();
+            let StoreLens {
+                slots, edges: lens, ..
+            } = lg.full_state_lens();
             assert_eq!(slots, lg.num_masters());
             assert_eq!((lens.in_edges, lens.out_local), (0, 0));
             assert_eq!(lens.in_srcs, lg.hot_in.0.len());
@@ -1394,12 +1352,7 @@ mod tests {
 
     fn state(tag: u32, edges: usize) -> MasterMeta {
         MasterMeta {
-            locations: Locations::new(
-                tag,
-                [NodeId::new(tag)][..].into(),
-                [tag][..].into(),
-                Default::default(),
-            ),
+            locations: Locations::new(tag, &[NodeId::new(tag)], &[tag], &[]),
             in_edges_owner: (0..edges as u32).map(|i| (tag + i, i as f32)).collect(),
             in_edge_srcs: (0..edges as u32).map(|i| Vid::new(tag * 100 + i)).collect(),
             out_local_owner: (0..edges as u32).map(|i| tag * 10 + i).collect(),
@@ -1444,7 +1397,7 @@ mod tests {
             lg.debug_validate();
         };
         others(&lg);
-        let before = lg.full_state_lens().1;
+        let before = lg.full_state_lens().edges;
         for edges in [5, 1, 1, 0, 4] {
             let next = state(8, edges);
             lg.set_full_state(0, next.view());
@@ -1452,11 +1405,11 @@ mod tests {
             others(&lg);
         }
         // Only the two replacements that outgrew their run appended.
-        assert_eq!(lg.full_state_lens().1.in_edges, before.in_edges + 5 + 4);
-        assert_eq!(lg.full_state_lens().0, 3, "replacing reuses the slot");
+        assert_eq!(lg.full_state_lens().edges.in_edges, before.in_edges + 5 + 4);
+        assert_eq!(lg.full_state_lens().slots, 3, "replacing reuses the slot");
 
         // Narrow slot 2's remote out-edges in place, rewriting the survivor.
-        let lens = lg.full_state_lens().1;
+        let lens = lg.full_state_lens().edges;
         lg.retain_out_remote(2, |r| {
             r.pos += 1;
             r.node == NodeId::new(1)
@@ -1466,7 +1419,11 @@ mod tests {
             ..metas[2].out_remote[1]
         };
         assert_eq!(lg.full_state(2).unwrap().out_remote, [kept]);
-        assert_eq!(lg.full_state_lens().1, lens, "narrowing appends nothing");
+        assert_eq!(
+            lg.full_state_lens().edges,
+            lens,
+            "narrowing appends nothing"
+        );
         assert_eq!(lg.full_state(1).unwrap().to_meta(), metas[1]);
 
         // Extend the empty slot in the middle: it moves to the tail.
@@ -1474,10 +1431,10 @@ mod tests {
         assert_eq!(lg.full_state(1).unwrap().out_remote, [kept, kept]);
         assert_eq!(lg.full_state(2).unwrap().out_remote, [kept]);
         // Extending the list that already ends the column moves nothing.
-        let lens = lg.full_state_lens().1;
+        let lens = lg.full_state_lens().edges;
         lg.extend_out_remote(1, &[kept]);
         assert_eq!(lg.full_state(1).unwrap().out_remote, [kept, kept, kept]);
-        assert_eq!(lg.full_state_lens().1.out_remote, lens.out_remote + 1);
+        assert_eq!(lg.full_state_lens().edges.out_remote, lens.out_remote + 1);
         lg.debug_validate();
     }
 
@@ -1490,12 +1447,12 @@ mod tests {
     #[test]
     fn an_episode_writes_changed_lists_at_the_tail() {
         let (mut lg, metas) = three_mirrors();
-        let loaded = lg.full_state_lens().1;
+        let loaded = lg.full_state_lens().edges;
         lg.set_full_state(2, state(8, 2).view());
         assert!(lg.retain_out_remote(2, |r| r.node == NodeId::new(1)));
         assert!(!lg.retain_out_remote(2, |_| true), "nothing to drop");
         assert_eq!(
-            lg.full_state_lens().1,
+            lg.full_state_lens().edges,
             loaded,
             "in place outside an episode"
         );
@@ -1514,7 +1471,10 @@ mod tests {
         lg.set_full_state(0, metas[0].view());
         lg.set_full_state(2, before.full_state(2).unwrap().to_meta().view());
         assert!(!lg.retain_out_remote(0, |_| true));
-        assert_eq!((lg.full_state_lens().1, lg.journal_bytes()), (loaded, idle));
+        assert_eq!(
+            (lg.full_state_lens().edges, lg.journal_bytes()),
+            (loaded, idle)
+        );
 
         // Narrowing a frozen run copies what is kept to the tail: the items
         // before the first change unchanged, the rest as `keep` leaves them.
@@ -1528,18 +1488,18 @@ mod tests {
             ..all[2]
         };
         assert_eq!(lg.full_state(0).unwrap().out_remote, [all[0], moved]);
-        let grown = lg.full_state_lens().1;
+        let grown = lg.full_state_lens().edges;
         assert_eq!(grown.out_remote, loaded.out_remote + 2);
         // A replacement that would fit its frozen run goes to the tail all
         // the same; the run the episode wrote is overwritten where it is.
         let next = state(9, 2);
         lg.set_full_state(0, next.view());
         assert_eq!(lg.full_state(0).unwrap().to_meta(), next);
-        let lens = lg.full_state_lens().1;
+        let lens = lg.full_state_lens().edges;
         assert_eq!(lens.in_edges, loaded.in_edges + 2);
         assert_eq!(lens.out_remote, grown.out_remote);
         lg.set_full_state(0, state(7, 1).view());
-        assert_eq!(lg.full_state_lens().1, lens);
+        assert_eq!(lg.full_state_lens().edges, lens);
         // The empty list in mid-column moves to the tail to grow.
         lg.extend_out_remote(1, &[moved, moved]);
         assert_eq!(lg.full_state(1).unwrap().out_remote, [moved, moved]);
@@ -1548,10 +1508,10 @@ mod tests {
 
         lg.rollback();
         assert_eq!(lg.journal_bytes(), 0);
-        assert!(lg == before && lg.full_state_lens().1 == loaded && frozen(&lg));
+        assert!(lg == before && lg.full_state_lens().edges == loaded && frozen(&lg));
         // And in place again.
         lg.set_full_state(0, state(9, 2).view());
-        assert_eq!(lg.full_state_lens().1, loaded);
+        assert_eq!(lg.full_state_lens().edges, loaded);
     }
 
     /// The two hot columns follow the same rules as the store's four: in
@@ -1684,9 +1644,9 @@ mod tests {
         assert_eq!(exported.in_edge_srcs, &metas[0].in_edge_srcs[..]);
 
         lg.set_in_edges(0, &[(2, 0.5)]);
-        let lens = lg.full_state_lens().1;
+        let lens = lg.full_state_lens().edges;
         lg.set_full_state(0, state(4, 9).view());
-        let grown = lg.full_state_lens().1;
+        let grown = lg.full_state_lens().edges;
         assert_eq!(
             (grown.in_edges, grown.out_local),
             (lens.in_edges, lens.out_local)

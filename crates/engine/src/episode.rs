@@ -11,40 +11,43 @@
 //!
 //! * **Marks.** Where every store ended when the episode began. Stores only
 //!   grow inside an episode: copies and slots are appended, and every
-//!   column — the two hot columns of edge lists and the four of full state
-//!   — leaves the entries under its mark untouched: a list that changes is
-//!   written at the tail and its span repointed (see [`crate::full_state`]).
+//!   column — an edge-cut graph's two hot columns of edge lists, the
+//!   full-state store's table words and four edge columns — leaves the
+//!   entries under its mark untouched: a list that changes is written at the
+//!   tail and its span repointed (see [`crate::full_state`]).
 //! * **Before-images.** The first change to something that predates the
 //!   episode saves what it was: a copy's header — kind, master node,
-//!   activation flags, slot; a slot's location tables; a span — of a copy in
-//!   a hot column or of a slot in a cold one, one kind of image for all six
-//!   columns, since the entries it names are still where they were. Two
-//!   bitmaps say whose header and whose tables are saved; a span says so
+//!   activation flags, slot; a slot's head — the master position and where
+//!   its location tables lie, whose words are still there; a span — of a
+//!   copy in a hot column or of a slot in an edge column, one kind of image
+//!   for all six, since the entries it names are still where they were. Two
+//!   bitmaps say whose header and whose head are saved; a span says so
 //!   itself — what an episode writes starts at or past its column's mark,
 //!   so a span that starts under the mark is still the one to save. Images
-//!   are packed into one byte log (LEB128 words behind a tag byte), a dozen
+//!   are packed into byte logs (LEB128 words behind a tag byte), a dozen
 //!   bytes apiece: an episode touches the header or the tables of about
 //!   every second copy, and at the size of the structs it saves the journal
 //!   would weigh half of what an encoded snapshot of the partition does.
 //!
+//! A graph journals its copies (and, edge-cut, its hot columns); its
+//! full-state store journals itself, the same way for both engines.
 //! [`rollback`](Episode::rollback) writes the images back, takes the
 //! appended vertex IDs out of the index and truncates every store to its
 //! mark; `commit` drops the journal. Either way the cost follows what the
-//! episode changed, not the size of the partition.
+//! episode changed, not the size of the partition — and a mutator that finds
+//! nothing to change journals nothing.
 //!
 //! What an episode does *not* journal: vertex values of existing copies and
 //! the active frontier, neither of which Migration writes before it
 //! succeeds. Writers must go through the graph's mutators (`set_kind`,
-//! `locations_mut`, `set_full_state`, …), which save the image first; code
+//! `edit_locations`, `set_full_state`, …), which save the image first; code
 //! that rolls every value back anyway — checkpoint recovery — writes the
 //! public fields directly and keeps an encoded snapshot for its undo.
 
 use imitator_cluster::NodeId;
 
 use crate::ecut::{CopyKind, EcLocalGraph};
-use crate::full_state::{ColumnLens, SlotId, Span, COLUMNS};
-use crate::inline_list::InlineList;
-use crate::locations::Locations;
+use crate::full_state::{EdgeSpans, FullState, Head, SlotId, Span, StoreLens, COLUMNS};
 use crate::vcut::VcLocalGraph;
 
 /// A set of array positions, kept as a bitmap that grows with the largest
@@ -117,7 +120,7 @@ impl PosSet {
 }
 
 /// Before-images, packed: each record a tag byte and LEB128 words. A header
-/// or tables record is the *first* image of what it names (the journals'
+/// or head record is the *first* image of what it names (the journals'
 /// seen-sets see to that); a span may be imaged again, and whoever reads the
 /// log back lets a span's first image win.
 #[derive(Debug, Clone, Default)]
@@ -132,19 +135,20 @@ impl Log {
         self.0.push(word as u8);
     }
 
-    fn put_all(&mut self, words: impl IntoIterator<Item = u32>) {
+    /// Appends a record: `tag`, then `words`.
+    fn record(&mut self, tag: u8, words: impl IntoIterator<Item = u32>) {
+        self.0.push(tag);
         for word in words {
             self.put(word);
         }
     }
 
-    fn put_locations(&mut self, loc: &Locations) {
-        self.put_all([loc.master_pos(), loc.replica_nodes().len() as u32]);
-        for (node, &pos) in loc.replica_nodes().iter().zip(loc.replica_positions()) {
-            self.put_all([node.raw(), pos]);
-        }
-        self.put(loc.mirror_nodes().len() as u32);
-        self.put_all(loc.mirror_nodes().iter().map(|node| node.raw()));
+    /// Appends the image of `old`, the span `owner` had in the `column`-th
+    /// of the journal's columns a moment ago.
+    fn record_span(&mut self, column: usize, owner: usize, old: Span) {
+        let run = old.range();
+        let words = [owner as u32, run.start as u32, run.len() as u32];
+        self.record(SPAN + column as u8, words);
     }
 
     fn read(&self) -> LogReader<'_> {
@@ -177,18 +181,21 @@ impl LogReader<'_> {
         }
     }
 
-    fn get_locations(&mut self) -> Locations {
-        let master_pos = self.get();
-        let replicas = self.get() as usize;
-        let mut nodes = InlineList::with_capacity(replicas);
-        let mut positions = InlineList::with_capacity(replicas);
-        for _ in 0..replicas {
-            nodes.push(NodeId::new(self.get()));
-            positions.push(self.get());
-        }
-        let mirrors = (0..self.get()).map(|_| NodeId::new(self.get())).collect();
-        Locations::new(master_pos, nodes, positions, mirrors)
+    /// The span a [`Log::record_span`] record saved, once its owner is read.
+    fn get_span(&mut self) -> Span {
+        Span::new(self.get() as usize, self.get() as usize)
     }
+
+    /// A copy's slot as [`slot_word`] wrote it.
+    fn get_slot(&mut self) -> Option<SlotId> {
+        let slot = self.get().checked_sub(1);
+        slot.map(|i| SlotId::from_index(i as usize))
+    }
+}
+
+/// A copy's slot as one journal word: 0 for none.
+fn slot_word(slot: Option<SlotId>) -> u32 {
+    slot.map_or(0, |slot| slot.index() as u32 + 1)
 }
 
 /// The role a journal record's two kind bits stand for. The log is this
@@ -197,45 +204,13 @@ fn kind_from_bits(bits: u32) -> CopyKind {
     CopyKind::from_bits(bits as u8).expect("journaled copy kind")
 }
 
-/// Record tags. `COPY`: a copy's header. `TABLES`: a slot's location tables.
-/// `SPAN + column`: a span in that one of the graph's [`SPANS`] columns.
-const COPY: u8 = 0;
-const TABLES: u8 = 1;
-const SPAN: u8 = 2;
-
-/// The columns a span can lie in: a copy's two hot columns (in-edges,
-/// consumers), then a slot's [`COLUMNS`] cold ones in [`Slot::spans`] order.
-/// A span record's tag names the column, its first word the span's owner —
-/// a copy's position for a hot column, a slot's index for a cold one.
-///
-/// [`Slot::spans`]: crate::full_state::Slot::spans
-const HOT_COLUMNS: usize = 2;
-const SPANS: usize = HOT_COLUMNS + COLUMNS;
-
-/// The column lengths an episode's writers may not overwrite under.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Floor {
-    pub(crate) hot_in: usize,
-    pub(crate) hot_out: usize,
-    pub(crate) cold: ColumnLens,
-}
-
-/// What an open episode remembers of an [`EcLocalGraph`]: see the module
-/// documentation.
-#[derive(Debug, Clone)]
-pub(crate) struct EcJournal {
-    /// The marks: copies, slots and column entries the graph held when the
-    /// episode began.
-    verts: usize,
-    slots: usize,
-    cols: Floor,
-    /// What is already imaged: the copies under the mark whose header is,
-    /// and the slots under the mark whose tables are. Spans need no such
-    /// sets: see [`predates`].
-    seen_copies: PosSet,
-    seen_slots: PosSet,
-    log: Log,
-}
+/// Record tags. `FIXED`: a copy's header in a graph's log, a slot's head in
+/// a store's. `SPAN + column`: a span in that one of the journal's columns —
+/// a graph's hot columns (in-edges, consumers), a store's [`COLUMNS`] edge
+/// columns in their order. A span record's first word is the span's owner —
+/// a copy's position, a slot's index.
+const FIXED: u8 = 0;
+const SPAN: u8 = 1;
 
 /// Whether `span`, a moment ago the span of a copy or slot that predates the
 /// episode, may be the one the episode found there, given the mark `floor`
@@ -245,7 +220,7 @@ pub(crate) struct EcJournal {
 /// written in this episode, one starting past it has. Exactly *at* the mark
 /// sit both an empty list the episode found at the column's end and the
 /// first list it wrote; those are saved each time they change, and
-/// [`Episode::rollback`] lets the first image of a span win.
+/// rolling back lets the first image of a span win.
 fn predates(span: Span, floor: usize) -> bool {
     span.range().start <= floor
 }
@@ -275,29 +250,64 @@ pub trait Episode {
     fn journal_bytes(&self) -> usize;
 }
 
-impl<V> Episode for EcLocalGraph<V> {
-    fn begin_episode(&mut self) {
-        assert!(self.journal.is_none(), "an episode is already open");
-        let (slots, cold) = self.full_state_lens();
-        self.journal = Some(Box::new(EcJournal {
-            verts: self.verts.len(),
-            slots,
-            cols: Floor {
-                hot_in: self.hot_in.0.len(),
-                hot_out: self.hot_out.0.len(),
-                cold,
-            },
-            seen_copies: PosSet::default(),
-            seen_slots: PosSet::default(),
+/// What an open episode remembers of one store — a graph's copies and own
+/// columns, or a [`FullState`]: see the module documentation.
+#[derive(Debug, Clone)]
+pub(crate) struct Journal<M> {
+    /// The marks: what the store held when the episode began.
+    marks: M,
+    /// The copies (slots) under the mark whose header (head) is imaged.
+    /// Spans need no such set: see [`predates`].
+    seen: PosSet,
+    log: Log,
+}
+
+/// A store's marks: its lengths and how many rows it had.
+pub(crate) type StoreJournal = Journal<(StoreLens, usize)>;
+/// An edge-cut graph's: its copies and the entries of its two hot columns.
+pub(crate) type EcJournal = Journal<(usize, [usize; 2])>;
+/// A vertex-cut graph's: its copies and edges (which are only appended).
+pub(crate) type VcJournal = Journal<(usize, usize)>;
+
+impl<M> Journal<M> {
+    /// The journal of an episode that finds `marks`, into `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an episode is already open there.
+    fn open(slot: &mut Option<Box<Self>>, marks: M) {
+        assert!(slot.is_none(), "an episode is already open");
+        *slot = Some(Box::new(Journal {
+            marks,
+            seen: PosSet::default(),
             log: Log::default(),
         }));
     }
 
-    fn commit(&mut self) {
+    fn bytes(journal: &Option<Box<Self>>) -> usize {
+        journal.as_deref().map_or(0, |j| {
+            std::mem::size_of::<Self>() + j.log.0.len() + j.seen.heap_bytes()
+        })
+    }
+
+    /// Whether the fixed part of item `at` — one of the `len` the episode
+    /// found — is yet to be imaged, which the caller now does.
+    fn first_touch(&mut self, at: usize, len: usize) -> bool {
+        at < len && self.seen.insert(at as u32)
+    }
+}
+
+impl FullState {
+    pub(crate) fn begin_episode(&mut self) {
+        let marks = (self.lens(), self.rows.len());
+        Journal::open(&mut self.journal, marks);
+    }
+
+    pub(crate) fn commit(&mut self) {
         self.journal = None;
     }
 
-    fn rollback(&mut self) {
+    pub(crate) fn rollback(&mut self) {
         let Some(journal) = self.journal.take() else {
             return;
         };
@@ -306,72 +316,127 @@ impl<V> Episode for EcLocalGraph<V> {
         let mut log = journal.log.read();
         while let Some(tag) = log.tag() {
             let at = log.get() as usize;
-            match tag {
-                COPY => {
-                    let v = &mut self.verts[at];
-                    let bits = log.get();
-                    v.kind = kind_from_bits(bits & 0b11);
-                    v.active = bits & 0b100 != 0;
-                    v.next_active = bits & 0b1000 != 0;
-                    v.last_activate = bits & 0b1_0000 != 0;
-                    v.master_node = NodeId::new(log.get());
-                    let slot = log.get().checked_sub(1);
-                    v.meta = slot.map(|i| SlotId::from_index(i as usize));
-                }
-                TABLES => self.full.slots[at].loc = log.get_locations(),
-                _ => {
-                    let span = Span::new(log.get() as usize, log.get() as usize);
-                    let column = usize::from(tag - SPAN);
-                    let spot = match column {
-                        0 => &mut self.verts[at].in_edges,
-                        1 => &mut self.verts[at].out_local,
-                        cold if cold < SPANS => self.full.slots[at].span_mut(cold - HOT_COLUMNS),
-                        _ => unreachable!("journal record tag {tag}"),
-                    };
-                    if restored.insert((at * SPANS + column) as u32) {
-                        *spot = span;
-                    }
+            if tag == FIXED {
+                self.heads[at] = Head {
+                    master_pos: log.get(),
+                    words: log.get(),
+                    replicas: log.get() as u16,
+                    mirrors: log.get() as u16,
+                };
+            } else {
+                let (column, span) = (usize::from(tag - SPAN), log.get_span());
+                if restored.insert((at * COLUMNS + column) as u32) {
+                    self.rows[at][column] = span;
                 }
             }
         }
-        for v in &self.verts[journal.verts..] {
-            self.index.remove(v.vid);
-        }
-        self.verts.truncate(journal.verts);
-        self.hot_in.0.truncate(journal.cols.hot_in);
-        self.hot_out.0.truncate(journal.cols.hot_out);
-        self.full.truncate(journal.slots, journal.cols.cold);
+        let (lens, rows) = journal.marks;
+        self.truncate(lens, rows);
     }
 
-    fn journal_bytes(&self) -> usize {
-        self.journal.as_deref().map_or(0, |j| {
-            std::mem::size_of::<EcJournal>()
-                + j.log.0.len()
-                + j.seen_copies.heap_bytes()
-                + j.seen_slots.heap_bytes()
-        })
+    pub(crate) fn journal_bytes(&self) -> usize {
+        Journal::bytes(&self.journal)
+    }
+
+    /// The column lengths no writer may overwrite under: the episode's marks,
+    /// or zero.
+    pub(crate) fn floor(&self) -> StoreLens {
+        self.journal
+            .as_deref()
+            .map_or_else(Default::default, |j| j.marks.0)
+    }
+
+    /// Saves the head of `slot` before its first change in an episode the
+    /// slot predates.
+    pub(crate) fn touch_head(&mut self, slot: SlotId) {
+        let Some(j) = self.journal.as_deref_mut() else {
+            return;
+        };
+        let at = slot.index();
+        if j.first_touch(at, j.marks.0.slots) {
+            let head = self.heads[at];
+            let (replicas, mirrors) = (u32::from(head.replicas), u32::from(head.mirrors));
+            let image = [at as u32, head.master_pos, head.words, replicas, mirrors];
+            j.log.record(FIXED, image);
+        }
+    }
+
+    /// Saves every edge span of `slot` that differs from what it was in
+    /// `before` (a moment ago) and is the one the episode found: call right
+    /// after writing the row of a slot the episode may predate.
+    pub(crate) fn note_spans(&mut self, slot: SlotId, before: EdgeSpans) {
+        let Some(j) = self.journal.as_deref_mut() else {
+            return;
+        };
+        if slot.index() >= j.marks.0.slots {
+            return;
+        }
+        let after = self.rows[slot.index()];
+        let floors = j.marks.0.edges.per_column();
+        for (column, (old, new)) in before.into_iter().zip(after).enumerate() {
+            if old != new && predates(old, floors[column]) {
+                j.log.record_span(column, slot.index(), old);
+            }
+        }
     }
 }
 
-impl EcJournal {
-    /// Saves `old`, the span `owner` had in `column` (numbered as in
-    /// [`SPANS`]) a moment ago. The caller has checked that it is the span
-    /// the episode found.
-    fn put_span(&mut self, owner: usize, column: usize, old: Span) {
-        let run = old.range();
-        self.log.0.push(SPAN + column as u8);
-        self.log
-            .put_all([owner as u32, run.start as u32, run.len() as u32]);
+impl<V> Episode for EcLocalGraph<V> {
+    fn begin_episode(&mut self) {
+        let hot = [self.hot_in.0.len(), self.hot_out.0.len()];
+        Journal::open(&mut self.journal, (self.verts.len(), hot));
+        self.full.begin_episode();
+    }
+
+    fn commit(&mut self) {
+        self.journal = None;
+        self.full.commit();
+    }
+
+    fn rollback(&mut self) {
+        let Some(journal) = self.journal.take() else {
+            return;
+        };
+        let mut restored = PosSet::default();
+        let mut log = journal.log.read();
+        while let Some(tag) = log.tag() {
+            let at = log.get() as usize;
+            let v = &mut self.verts[at];
+            if tag == FIXED {
+                let bits = log.get();
+                v.kind = kind_from_bits(bits & 0b11);
+                v.active = bits & 0b100 != 0;
+                v.next_active = bits & 0b1000 != 0;
+                v.last_activate = bits & 0b1_0000 != 0;
+                v.master_node = NodeId::new(log.get());
+                v.meta = log.get_slot();
+            } else {
+                let (column, span) = (usize::from(tag - SPAN), log.get_span());
+                if restored.insert((at * 2 + column) as u32) {
+                    *[&mut v.in_edges, &mut v.out_local][column] = span;
+                }
+            }
+        }
+        let (verts, hot) = journal.marks;
+        for v in &self.verts[verts..] {
+            self.index.remove(v.vid);
+        }
+        self.verts.truncate(verts);
+        self.hot_in.0.truncate(hot[0]);
+        self.hot_out.0.truncate(hot[1]);
+        self.full.rollback();
+    }
+
+    fn journal_bytes(&self) -> usize {
+        Journal::bytes(&self.journal) + self.full.journal_bytes()
     }
 }
 
 impl<V> EcLocalGraph<V> {
-    /// The column lengths no writer may overwrite under: the episode's marks,
-    /// or zero.
-    pub(crate) fn floor(&self) -> Floor {
-        self.journal
-            .as_deref()
-            .map_or_else(Default::default, |j| j.cols)
+    /// The hot-column lengths — in-edges, consumers — no writer may
+    /// overwrite under: the episode's marks, or zero.
+    pub(crate) fn hot_floor(&self) -> [usize; 2] {
+        self.journal.as_deref().map_or([0; 2], |j| j.marks.1)
     }
 
     /// Saves the header of the copy at `pos` before its first change in an
@@ -380,15 +445,14 @@ impl<V> EcLocalGraph<V> {
         let Some(j) = self.journal.as_deref_mut() else {
             return;
         };
-        if (pos as usize) < j.verts && j.seen_copies.insert(pos) {
+        if j.first_touch(pos as usize, j.marks.0) {
             let v = &self.verts[pos as usize];
             let bits = u32::from(v.kind.bits())
                 | u32::from(v.active) << 2
                 | u32::from(v.next_active) << 3
                 | u32::from(v.last_activate) << 4;
-            let slot = v.meta.map_or(0, |slot| slot.index() as u32 + 1);
-            j.log.0.push(COPY);
-            j.log.put_all([pos, bits, v.master_node.raw(), slot]);
+            let header = [pos, bits, v.master_node.raw(), slot_word(v.meta)];
+            j.log.record(FIXED, header);
         }
     }
 
@@ -402,69 +466,23 @@ impl<V> EcLocalGraph<V> {
         };
         let v = &self.verts[pos as usize];
         let after = [v.in_edges, v.out_local][column];
-        let floor = [j.cols.hot_in, j.cols.hot_out][column];
-        if (pos as usize) < j.verts && before != after && predates(before, floor) {
-            j.put_span(pos as usize, column, before);
+        let (verts, hot) = j.marks;
+        if (pos as usize) < verts && before != after && predates(before, hot[column]) {
+            j.log.record_span(column, pos as usize, before);
         }
     }
-
-    /// Saves the location tables of `slot` before their first change in an
-    /// episode the slot predates.
-    pub(crate) fn touch_tables(&mut self, slot: SlotId) {
-        let Some(j) = self.journal.as_deref_mut() else {
-            return;
-        };
-        if slot.index() < j.slots && j.seen_slots.insert(slot.index() as u32) {
-            j.log.0.push(TABLES);
-            j.log.put(slot.index() as u32);
-            j.log.put_locations(&self.full.slots[slot.index()].loc);
-        }
-    }
-
-    /// Saves every span of `slot` that differs from what it was in `before`
-    /// (a moment ago) and is the one the episode found: call right after
-    /// writing a slot the episode may predate.
-    pub(crate) fn note_spans(&mut self, slot: SlotId, before: [Span; COLUMNS]) {
-        let Some(j) = self.journal.as_deref_mut() else {
-            return;
-        };
-        if slot.index() >= j.slots {
-            return;
-        }
-        let after = self.full.slots[slot.index()].spans();
-        let floors = j.cols.cold.per_column();
-        for (col, (old, new)) in before.into_iter().zip(after).enumerate() {
-            if old != new && predates(old, floors[col]) {
-                j.put_span(slot.index(), HOT_COLUMNS + col, old);
-            }
-        }
-    }
-}
-
-/// What an open episode remembers of a [`VcLocalGraph`]: the marks of its
-/// two arrays (edges are only ever appended) and, in the log, one record per
-/// copy it rewrote — kind, master node and location tables as they were.
-#[derive(Debug, Clone)]
-pub(crate) struct VcJournal {
-    verts: usize,
-    edges: usize,
-    seen: PosSet,
-    log: Log,
 }
 
 impl<V> Episode for VcLocalGraph<V> {
     fn begin_episode(&mut self) {
-        assert!(self.journal.is_none(), "an episode is already open");
-        self.journal = Some(Box::new(VcJournal {
-            verts: self.verts.len(),
-            edges: self.edges.len(),
-            seen: PosSet::default(),
-            log: Log::default(),
-        }));
+        let marks = (self.verts.len(), self.edges.len());
+        Journal::open(&mut self.journal, marks);
+        self.full.begin_episode();
     }
 
     fn commit(&mut self) {
         self.journal = None;
+        self.full.commit();
     }
 
     fn rollback(&mut self) {
@@ -472,41 +490,38 @@ impl<V> Episode for VcLocalGraph<V> {
             return;
         };
         let mut log = journal.log.read();
-        while let Some(has_tables) = log.tag() {
+        while log.tag().is_some() {
             let v = &mut self.verts[log.get() as usize];
             v.kind = kind_from_bits(log.get());
             v.master_node = NodeId::new(log.get());
-            v.meta = (has_tables != 0).then(|| Box::new(log.get_locations()));
+            v.meta = log.get_slot();
         }
-        for v in &self.verts[journal.verts..] {
+        let (verts, edges) = journal.marks;
+        for v in &self.verts[verts..] {
             self.index.remove(v.vid);
         }
-        self.verts.truncate(journal.verts);
-        self.edges.truncate(journal.edges);
+        self.verts.truncate(verts);
+        self.edges.truncate(edges);
+        self.full.rollback();
     }
 
     fn journal_bytes(&self) -> usize {
-        self.journal.as_deref().map_or(0, |j| {
-            std::mem::size_of::<VcJournal>() + j.log.0.len() + j.seen.heap_bytes()
-        })
+        Journal::bytes(&self.journal) + self.full.journal_bytes()
     }
 }
 
 impl<V> VcLocalGraph<V> {
-    /// Saves the copy at `pos` before its first change in an episode it
-    /// predates. The record's tag says whether tables follow.
+    /// Saves the copy at `pos` — kind, master node, slot — before its first
+    /// change in an episode it predates.
     pub(crate) fn touch_copy(&mut self, pos: u32) {
         let Some(j) = self.journal.as_deref_mut() else {
             return;
         };
-        if (pos as usize) < j.verts && j.seen.insert(pos) {
+        if j.first_touch(pos as usize, j.marks.0) {
             let v = &self.verts[pos as usize];
-            j.log.0.push(u8::from(v.meta.is_some()));
-            j.log
-                .put_all([pos, u32::from(v.kind.bits()), v.master_node.raw()]);
-            if let Some(tables) = v.meta.as_deref() {
-                j.log.put_locations(tables);
-            }
+            let kind = u32::from(v.kind.bits());
+            let header = [pos, kind, v.master_node.raw(), slot_word(v.meta)];
+            j.log.record(FIXED, header);
         }
     }
 }
@@ -530,24 +545,23 @@ mod tests {
     }
 
     #[test]
-    fn log_words_and_tables_read_back() {
-        let tables = Locations::new(
-            70_000,
-            [NodeId::new(1), NodeId::new(300)][..].into(),
-            [5, 2_000_000][..].into(),
-            [NodeId::new(300)][..].into(),
-        );
+    fn log_records_read_back() {
         let words = [0, 1, 127, 128, 16_383, 16_384, u32::MAX];
         let mut log = Log::default();
-        log.0.push(TABLES);
-        log.put_all(words);
-        log.put_locations(&tables);
-        log.put_locations(&Locations::default());
+        log.record(FIXED, words);
+        log.record_span(3, 70_000, Span::new(2_000_000, 5));
+        log.record(
+            FIXED,
+            [slot_word(None), slot_word(Some(SlotId::from_index(9)))],
+        );
         let mut back = log.read();
-        assert_eq!(back.tag(), Some(TABLES));
+        assert_eq!(back.tag(), Some(FIXED));
         assert_eq!(words.map(|_| back.get()), words);
-        assert_eq!(back.get_locations(), tables);
-        assert_eq!(back.get_locations(), Locations::default());
+        assert_eq!((back.tag(), back.get()), (Some(SPAN + 3), 70_000));
+        assert_eq!(back.get_span(), Span::new(2_000_000, 5));
+        assert_eq!(back.tag(), Some(FIXED));
+        assert_eq!(back.get_slot(), None);
+        assert_eq!(back.get_slot(), Some(SlotId::from_index(9)));
         assert_eq!(back.tag(), None);
     }
 }

@@ -1,12 +1,17 @@
-//! Edge-cut full state (§4.2): the owned form that travels in messages and
-//! the per-node columnar store a local graph keeps it in.
+//! Full state (§4.2): the owned form that travels in messages and the
+//! per-node columnar store a local graph of either engine keeps it in.
 //!
 //! A node keeps the full state of all its masters and mirrors in one
-//! [`FullState`]: a slot per copy — its [`Locations`] and four spans — over
-//! four columns shared by every slot. The lists of one slot are runs of
-//! those columns, so a hundred thousand mirrors cost a handful of
-//! allocations to build and to drop, and snapshotting or exporting walks
-//! dense memory.
+//! [`FullState`]: a slot per copy over five columns shared by every slot.
+//! A slot is a 12-byte *head* — the master's position, where the slot's
+//! location tables start in the column of table words, and how many replicas
+//! and mirrors they name — and, in an edge-cut store, a *row* of four spans
+//! into the four edge columns. A vertex-cut copy's full state has no edges
+//! (§4.3), so a vertex-cut store has heads and table words and nothing else:
+//! rows exist from the first slot given an edge list. The lists of one slot
+//! are runs of those columns, so a hundred thousand mirrors cost a handful
+//! of allocations to build and to drop at any cluster size and tolerance
+//! level, and snapshotting or exporting walks dense memory.
 //!
 //! A list changes in one of two ways and the columns are never compacted: it
 //! *shrinks in place* (its span narrows; the entries behind it go dead), or
@@ -17,13 +22,14 @@
 //!
 //! Inside a recovery *episode* (see [`crate::episode`]) the entries a column
 //! held when the episode began are frozen: every writer below takes that
-//! length as its `floor`, leaves a run starting under it untouched, and
+//! length as its floor, leaves a run starting under it untouched, and
 //! writes the new list at the tail instead. Undoing the episode is then a
-//! truncation plus the saved spans; outside an episode the floor is 0 and
-//! lists are overwritten in place as before. The writers keep one more
+//! truncation plus the saved heads and spans; outside an episode the floor
+//! is 0 and lists are overwritten in place. The writers keep one more
 //! promise the journal relies on: **a span they write inside an episode
 //! starts at or past the floor** — so a span that starts under it is the
-//! span the episode found, and needs saving exactly when it changes.
+//! span the episode found, and needs saving exactly when it changes. The
+//! store journals itself: a writer that changes nothing saves nothing.
 //!
 //! A store also travels: Migration ships the full state of many copies to
 //! one node as one store filled by [`FullState::push`], and the receiver
@@ -36,7 +42,8 @@ use imitator_cluster::NodeId;
 use imitator_graph::Vid;
 use imitator_metrics::MemSize;
 
-use crate::locations::Locations;
+use crate::episode::StoreJournal;
+use crate::locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
 
 /// An out-edge whose consumer (target master) lives on another node.
 ///
@@ -82,7 +89,7 @@ impl MasterMeta {
     /// This full state, borrowed.
     pub fn view(&self) -> FullStateRef<'_> {
         FullStateRef {
-            locations: &self.locations,
+            locations: self.locations.view(),
             in_edges_owner: &self.in_edges_owner,
             in_edge_srcs: &self.in_edge_srcs,
             out_local_owner: &self.out_local_owner,
@@ -96,7 +103,7 @@ impl MasterMeta {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FullStateRef<'a> {
     /// Where the master and its copies live.
-    pub locations: &'a Locations,
+    pub locations: LocationsRef<'a>,
     /// See [`MasterMeta::in_edges_owner`].
     pub in_edges_owner: &'a [(u32, f32)],
     /// See [`MasterMeta::in_edge_srcs`].
@@ -107,11 +114,11 @@ pub struct FullStateRef<'a> {
     pub out_remote: &'a [RemoteEdge],
 }
 
-impl FullStateRef<'_> {
+impl<'a> FullStateRef<'a> {
     /// The owned form, every list allocated at its length.
     pub fn to_meta(&self) -> MasterMeta {
         MasterMeta {
-            locations: self.locations.clone(),
+            locations: self.locations.to_owned(),
             in_edges_owner: self.in_edges_owner.to_vec(),
             in_edge_srcs: self.in_edge_srcs.to_vec(),
             out_local_owner: self.out_local_owner.to_vec(),
@@ -119,7 +126,18 @@ impl FullStateRef<'_> {
         }
     }
 
-    /// How many entries this full state adds to each column of a store.
+    /// Tables alone: the whole of a vertex-cut copy's full state.
+    pub fn tables(locations: LocationsRef<'a>) -> Self {
+        FullStateRef {
+            locations,
+            in_edges_owner: &[],
+            in_edge_srcs: &[],
+            out_local_owner: &[],
+            out_remote: &[],
+        }
+    }
+
+    /// How many entries this full state adds to each edge column of a store.
     pub fn lens(&self) -> ColumnLens {
         ColumnLens {
             in_edges: self.in_edges_owner.len(),
@@ -304,39 +322,70 @@ impl<T: Copy + PartialEq> Column<T> {
     }
 }
 
-/// One copy's entry in the slot table.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Slot {
-    pub(crate) loc: Locations,
-    pub(crate) in_edges: Span,
-    pub(crate) in_srcs: Span,
-    pub(crate) out_local: Span,
-    pub(crate) out_remote: Span,
+/// The fixed part of one slot: the master's position and where the words of
+/// the slot's location tables lie.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Head {
+    pub(crate) master_pos: u32,
+    /// Where the tables start in the column of table words.
+    pub(crate) words: u32,
+    pub(crate) replicas: u16,
+    pub(crate) mirrors: u16,
 }
 
-/// Columns of a [`FullState`], and spans of a [`Slot`].
-pub(crate) const COLUMNS: usize = 4;
-
-impl Slot {
-    /// The slot's span in every column, in the columns' order.
-    pub(crate) fn spans(&self) -> [Span; COLUMNS] {
-        [self.in_edges, self.in_srcs, self.out_local, self.out_remote]
+impl Head {
+    /// The head of `tables` once their words lie at `words`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, rather than wrapping, if a table names more than
+    /// [`MAX_TABLE_NODES`] nodes.
+    pub(crate) fn of(tables: LocationsRef<'_>, words: Span) -> Head {
+        debug_assert_eq!(words.len(), tables.words().len());
+        let count = |nodes: Nodes<'_>| u16::try_from(nodes.len()).ok();
+        let counts = count(tables.replica_nodes()).zip(count(tables.mirror_nodes()));
+        let (replicas, mirrors) = counts.unwrap_or_else(|| {
+            panic!("a stored location table names at most {MAX_TABLE_NODES} replicas and as many mirrors")
+        });
+        Head {
+            master_pos: tables.master_pos(),
+            words: words.start,
+            replicas,
+            mirrors,
+        }
     }
 
-    /// The slot's span in the `column`-th column, in the order of
-    /// [`Slot::spans`].
-    pub(crate) fn span_mut(&mut self, column: usize) -> &mut Span {
-        match column {
-            0 => &mut self.in_edges,
-            1 => &mut self.in_srcs,
-            2 => &mut self.out_local,
-            3 => &mut self.out_remote,
-            _ => panic!("a slot has {COLUMNS} spans, not a {column}th"),
+    /// This head once its words lie at `words`.
+    pub(crate) fn moved_to(self, words: Span) -> Head {
+        Head {
+            words: words.start,
+            ..self
+        }
+    }
+
+    /// The run of table words the head names: the span it was made from
+    /// ([`Head::of`]), which has been checked to end inside a column.
+    pub(crate) fn span(self) -> Span {
+        Span {
+            start: self.words,
+            len: 2 * u32::from(self.replicas) + u32::from(self.mirrors),
         }
     }
 }
 
-/// How many entries each column of a [`FullState`] holds, or is to hold.
+/// Edge columns of a [`FullState`], in the order every row, journal record
+/// and [`ColumnLens::per_column`] numbers them.
+pub(crate) const COLUMNS: usize = 4;
+pub(crate) const IN_EDGES: usize = 0;
+pub(crate) const IN_SRCS: usize = 1;
+pub(crate) const OUT_LOCAL: usize = 2;
+pub(crate) const OUT_REMOTE: usize = 3;
+
+/// One edge-cut copy's row in the slot table: its span in each edge column.
+pub(crate) type EdgeSpans = [Span; COLUMNS];
+
+/// How many entries each edge column of a [`FullState`] holds, or is to
+/// hold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColumnLens {
     /// `(position, weight)` in-edge entries (mirrors only).
@@ -355,7 +404,7 @@ impl ColumnLens {
         self.in_edges + self.in_srcs + self.out_local + self.out_remote
     }
 
-    /// The four lengths in the columns' order (that of [`Slot::spans`]).
+    /// The four lengths in the columns' order.
     pub(crate) fn per_column(&self) -> [usize; COLUMNS] {
         [self.in_edges, self.in_srcs, self.out_local, self.out_remote]
     }
@@ -370,15 +419,52 @@ impl std::ops::AddAssign for ColumnLens {
     }
 }
 
+/// How much a [`FullState`] holds, or is to hold: slots, table words and
+/// edge-column entries, runs no slot points at any more included.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreLens {
+    /// Slots.
+    pub slots: usize,
+    /// Words of location tables.
+    pub words: usize,
+    /// Entries per edge column.
+    pub edges: ColumnLens,
+}
+
+impl StoreLens {
+    /// Room for one more slot holding `state`.
+    pub fn add(&mut self, state: FullStateRef<'_>) {
+        self.slots += 1;
+        self.words += state.locations.words().len();
+        self.edges += state.lens();
+    }
+}
+
+impl std::ops::AddAssign for StoreLens {
+    fn add_assign(&mut self, more: StoreLens) {
+        self.slots += more.slots;
+        self.words += more.words;
+        self.edges += more.edges;
+    }
+}
+
 /// A full-state store: see the module documentation. A local graph keeps
 /// one; a Migration mirror batch carries one, a slot per record.
 #[derive(Debug, Clone, Default)]
 pub struct FullState {
-    pub(crate) slots: Vec<Slot>,
+    pub(crate) heads: Vec<Head>,
+    /// A row per slot, or none at all while no slot has had an edge list.
+    pub(crate) rows: Vec<EdgeSpans>,
+    pub(crate) words: Column<u32>,
     pub(crate) in_edges: Column<(u32, f32)>,
     pub(crate) in_srcs: Column<Vid>,
     pub(crate) out_local: Column<u32>,
     pub(crate) out_remote: Column<RemoteEdge>,
+    /// What the open recovery episode has changed, if one is open.
+    pub(crate) journal: Option<Box<StoreJournal>>,
+    /// The tables [`FullState::edit_locations`] lends out, kept between
+    /// edits so that an edit allocates nothing.
+    lent: Locations,
 }
 
 /// Stores are equal when they hold equal full states slot for slot, wherever
@@ -390,23 +476,45 @@ impl PartialEq for FullState {
 }
 
 impl FullState {
+    /// A store holding `states`, a slot each in that order, sized for them
+    /// once.
+    pub fn of<'s>(states: impl Iterator<Item = FullStateRef<'s>> + Clone) -> FullState {
+        let mut lens = StoreLens::default();
+        states.clone().for_each(|state| lens.add(state));
+        let mut store = FullState::default();
+        store.reserve_exact(lens);
+        for state in states {
+            store.push(state);
+        }
+        store
+    }
+
     /// Slots in the store.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.heads.len()
     }
 
     /// Whether the store holds no slot.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.heads.is_empty()
     }
 
-    /// Entries in each column, dead runs included.
+    /// Entries in each edge column, dead runs included.
     pub fn column_lens(&self) -> ColumnLens {
         ColumnLens {
             in_edges: self.in_edges.0.len(),
             in_srcs: self.in_srcs.0.len(),
             out_local: self.out_local.0.len(),
             out_remote: self.out_remote.0.len(),
+        }
+    }
+
+    /// What the store holds, dead runs included.
+    pub fn lens(&self) -> StoreLens {
+        StoreLens {
+            slots: self.heads.len(),
+            words: self.words.0.len(),
+            edges: self.column_lens(),
         }
     }
 
@@ -421,34 +529,81 @@ impl FullState {
 
     /// The full state in `slot`, exactly as stored.
     pub(crate) fn get(&self, slot: SlotId) -> FullStateRef<'_> {
-        let s = &self.slots[slot.index()];
+        let row = self.row(slot);
         FullStateRef {
-            locations: &s.loc,
-            in_edges_owner: self.in_edges.get(s.in_edges),
-            in_edge_srcs: self.in_srcs.get(s.in_srcs),
-            out_local_owner: self.out_local.get(s.out_local),
-            out_remote: self.out_remote.get(s.out_remote),
+            locations: self.locations(slot),
+            in_edges_owner: self.in_edges.get(row[IN_EDGES]),
+            in_edge_srcs: self.in_srcs.get(row[IN_SRCS]),
+            out_local_owner: self.out_local.get(row[OUT_LOCAL]),
+            out_remote: self.out_remote.get(row[OUT_REMOTE]),
         }
     }
 
-    pub(crate) fn locations(&self, slot: SlotId) -> &Locations {
-        &self.slots[slot.index()].loc
+    /// The location tables in `slot`.
+    pub(crate) fn locations(&self, slot: SlotId) -> LocationsRef<'_> {
+        let head = self.heads[slot.index()];
+        let words = self.words.get(head.span());
+        LocationsRef::from_words(head.master_pos, usize::from(head.replicas), words)
     }
 
-    pub(crate) fn locations_mut(&mut self, slot: SlotId) -> &mut Locations {
-        &mut self.slots[slot.index()].loc
+    /// Lends the location tables of `slot` to `edit` as an owned
+    /// [`Locations`] and stores what it leaves ([`FullState::set_locations`]:
+    /// tables that come back as they were are neither written nor
+    /// journaled; changed ones shrink in place or move to the tail of the
+    /// word column, like every other list of the store).
+    pub(crate) fn edit_locations<R>(
+        &mut self,
+        slot: SlotId,
+        edit: impl FnOnce(&mut Locations) -> R,
+    ) -> R {
+        let mut tables = std::mem::take(&mut self.lent);
+        tables.assign(self.locations(slot));
+        let out = edit(&mut tables);
+        self.set_locations(slot, tables.view());
+        self.lent = tables;
+        out
+    }
+
+    /// Makes `tables` the location tables of `slot`; equal ones are left
+    /// as they are, and words an open episode found are not overwritten.
+    pub(crate) fn set_locations(&mut self, slot: SlotId, tables: LocationsRef<'_>) {
+        if self.locations(slot) == tables {
+            return;
+        }
+        self.touch_head(slot);
+        let floor = self.floor().words;
+        let head = &mut self.heads[slot.index()];
+        let mut span = head.span();
+        self.words.replace(&mut span, tables.words(), floor);
+        *head = Head::of(tables, span);
+    }
+
+    /// The edge spans of `slot`: empty ones in a store without rows.
+    pub(crate) fn row(&self, slot: SlotId) -> EdgeSpans {
+        self.rows.get(slot.index()).copied().unwrap_or_default()
+    }
+
+    /// The edge spans of `slot`, for writing: the store has rows from here.
+    fn row_mut(&mut self, slot: SlotId) -> &mut EdgeSpans {
+        if self.rows.len() < self.heads.len() {
+            self.rows.resize(self.heads.len(), EdgeSpans::default());
+        }
+        &mut self.rows[slot.index()]
     }
 
     /// Stores `state` in a new slot, its lists at the column tails.
     pub fn push(&mut self, state: FullStateRef<'_>) -> SlotId {
-        let slot = SlotId::from_index(self.slots.len());
-        self.slots.push(Slot {
-            loc: state.locations.clone(),
-            in_edges: self.in_edges.append(state.in_edges_owner.iter().copied()),
-            in_srcs: self.in_srcs.append(state.in_edge_srcs.iter().copied()),
-            out_local: self.out_local.append(state.out_local_owner.iter().copied()),
-            out_remote: self.out_remote.append(state.out_remote.iter().copied()),
-        });
+        let slot = SlotId::from_index(self.heads.len());
+        let words = self.words.append(state.locations.words().iter().copied());
+        self.heads.push(Head::of(state.locations, words));
+        if !self.rows.is_empty() || state.lens().total() > 0 {
+            *self.row_mut(slot) = [
+                self.in_edges.append(state.in_edges_owner.iter().copied()),
+                self.in_srcs.append(state.in_edge_srcs.iter().copied()),
+                self.out_local.append(state.out_local_owner.iter().copied()),
+                self.out_remote.append(state.out_remote.iter().copied()),
+            ];
+        }
         slot
     }
 
@@ -456,34 +611,51 @@ impl FullState {
     /// first of them got: each column grows by `other`'s whole column — one
     /// copy apiece, dead runs and all — and the slots' spans move with it.
     pub fn extend_from(&mut self, other: &FullState) -> usize {
-        let (first, base) = (self.slots.len(), self.column_lens());
+        let (first, base) = (self.heads.len(), self.lens());
+        self.words.0.extend_from_slice(&other.words.0);
         self.in_edges.0.extend_from_slice(&other.in_edges.0);
         self.in_srcs.0.extend_from_slice(&other.in_srcs.0);
         self.out_local.0.extend_from_slice(&other.out_local.0);
         self.out_remote.0.extend_from_slice(&other.out_remote.0);
-        self.slots.extend(other.slots.iter().map(|s| Slot {
-            loc: s.loc.clone(),
-            in_edges: s.in_edges.rebased(base.in_edges),
-            in_srcs: s.in_srcs.rebased(base.in_srcs),
-            out_local: s.out_local.rebased(base.out_local),
-            out_remote: s.out_remote.rebased(base.out_remote),
-        }));
+        let moved = |head: &Head| head.moved_to(head.span().rebased(base.words));
+        self.heads.extend(other.heads.iter().map(moved));
+        if !(self.rows.is_empty() && other.rows.is_empty()) {
+            self.rows.resize(first, EdgeSpans::default());
+            let base = base.edges.per_column();
+            let rows = (0..other.len()).map(|i| other.row(SlotId::from_index(i)));
+            let moved = |row: EdgeSpans| std::array::from_fn(|c| row[c].rebased(base[c]));
+            self.rows.extend(rows.map(moved));
+        }
         first
     }
 
-    /// Replaces what `slot` holds by `state`; runs starting under `floor`
-    /// are not overwritten.
-    pub(crate) fn set(&mut self, slot: SlotId, state: FullStateRef<'_>, floor: &ColumnLens) {
-        let s = &mut self.slots[slot.index()];
-        s.loc.clone_from(state.locations);
+    /// Replaces what `slot` holds by `state`; lists equal to what is stored
+    /// are not written, and runs an open episode found are not overwritten.
+    pub(crate) fn set(&mut self, slot: SlotId, state: FullStateRef<'_>) {
+        self.set_locations(slot, state.locations);
+        if self.rows.is_empty() && state.lens().total() == 0 {
+            return;
+        }
+        let (floor, before) = (self.floor().edges, self.row(slot));
+        let [mut ins, mut srcs, mut fed, mut remote] = before;
         self.in_edges
-            .replace(&mut s.in_edges, state.in_edges_owner, floor.in_edges);
+            .replace(&mut ins, state.in_edges_owner, floor.in_edges);
         self.in_srcs
-            .replace(&mut s.in_srcs, state.in_edge_srcs, floor.in_srcs);
+            .replace(&mut srcs, state.in_edge_srcs, floor.in_srcs);
         self.out_local
-            .replace(&mut s.out_local, state.out_local_owner, floor.out_local);
+            .replace(&mut fed, state.out_local_owner, floor.out_local);
         self.out_remote
-            .replace(&mut s.out_remote, state.out_remote, floor.out_remote);
+            .replace(&mut remote, state.out_remote, floor.out_remote);
+        self.write_row(slot, [ins, srcs, fed, remote], before);
+    }
+
+    /// Makes `row` the edge spans of `slot`, which were `before`, saving
+    /// those of them an open episode found.
+    fn write_row(&mut self, slot: SlotId, row: EdgeSpans, before: EdgeSpans) {
+        if row != before {
+            *self.row_mut(slot) = row;
+            self.note_spans(slot, before);
+        }
     }
 
     /// Empties `slot`'s `(position, weight)` and consumer lists: what a
@@ -491,75 +663,165 @@ impl FullState {
     /// edge lists are those lists from then on. The empty runs are placed at
     /// the column tails (a span written in an episode starts past its floor).
     pub(crate) fn clear_owner_lists(&mut self, slot: SlotId) {
-        let s = &mut self.slots[slot.index()];
-        s.in_edges = Span::new(self.in_edges.0.len(), 0);
-        s.out_local = Span::new(self.out_local.0.len(), 0);
+        let before = self.row(slot);
+        let mut row = before;
+        row[IN_EDGES] = Span::new(self.in_edges.0.len(), 0);
+        row[OUT_LOCAL] = Span::new(self.out_local.0.len(), 0);
+        self.write_row(slot, row, before);
     }
 
     /// Keeps the remote out-edges of `slot` that `keep` accepts (it may
-    /// rewrite them), in order — at the tail if the run starts under
-    /// `floor` — and says whether the list changed.
+    /// rewrite them), in order — at the tail if an open episode found the
+    /// run — and says whether the list changed.
     pub(crate) fn retain_out_remote(
         &mut self,
         slot: SlotId,
-        floor: usize,
         keep: impl FnMut(&mut RemoteEdge) -> bool,
     ) -> bool {
-        let s = &mut self.slots[slot.index()];
-        self.out_remote.retain_mut(&mut s.out_remote, floor, keep)
+        let (floor, before) = (self.floor().edges.out_remote, self.row(slot));
+        let mut row = before;
+        let changed = (self.out_remote).retain_mut(&mut row[OUT_REMOTE], floor, keep);
+        self.write_row(slot, row, before);
+        changed
     }
 
-    /// Appends `edges` to the remote out-edges of `slot`, at the tail if the
-    /// run starts under `floor`.
-    pub(crate) fn extend_out_remote(&mut self, slot: SlotId, floor: usize, edges: &[RemoteEdge]) {
-        let s = &mut self.slots[slot.index()];
-        self.out_remote.extend(&mut s.out_remote, edges, floor);
+    /// Appends `edges` to the remote out-edges of `slot`, at the tail if an
+    /// open episode found the run.
+    pub(crate) fn extend_out_remote(&mut self, slot: SlotId, edges: &[RemoteEdge]) {
+        let (floor, before) = (self.floor().edges.out_remote, self.row(slot));
+        let mut row = before;
+        self.out_remote.extend(&mut row[OUT_REMOTE], edges, floor);
+        self.write_row(slot, row, before);
     }
 
     /// # Errors
     ///
-    /// Names the first slot with a span reaching past its column.
+    /// Names the first slot with a run reaching past its column.
     pub fn validate(&self) -> Result<(), String> {
-        let inside = |s: &Slot| {
-            s.in_edges.range().end <= self.in_edges.0.len()
-                && s.in_srcs.range().end <= self.in_srcs.0.len()
-                && s.out_local.range().end <= self.out_local.0.len()
-                && s.out_remote.range().end <= self.out_remote.0.len()
+        if !(self.rows.is_empty() || self.rows.len() == self.heads.len()) {
+            return Err("the slot table's rows and heads differ in number".into());
+        }
+        let lens = self.column_lens().per_column();
+        let inside = |i: usize| {
+            let row = self.row(SlotId::from_index(i));
+            self.heads[i].span().range().end <= self.words.0.len()
+                && row.iter().zip(lens).all(|(s, len)| s.range().end <= len)
         };
-        match self.slots.iter().position(|s| !inside(s)) {
-            Some(i) => Err(format!("a span of slot {i} reaches past its column")),
+        match (0..self.len()).find(|&i| !inside(i)) {
+            Some(i) => Err(format!("a run of slot {i} reaches past its column")),
             None => Ok(()),
         }
     }
 
-    /// Makes room for `slots` more slots and `lens` more column entries.
-    pub fn reserve_exact(&mut self, slots: usize, lens: ColumnLens) {
-        self.slots.reserve_exact(slots);
-        self.in_edges.0.reserve_exact(lens.in_edges);
-        self.in_srcs.0.reserve_exact(lens.in_srcs);
-        self.out_local.0.reserve_exact(lens.out_local);
-        self.out_remote.0.reserve_exact(lens.out_remote);
+    /// Makes room for `more`, one allocation per column. Rows are reserved
+    /// with the first edge entry.
+    pub fn reserve_exact(&mut self, more: StoreLens) {
+        self.heads.reserve_exact(more.slots);
+        if !self.rows.is_empty() || more.edges.total() > 0 {
+            let backfill = self.heads.len() - self.rows.len();
+            self.rows.reserve_exact(backfill + more.slots);
+        }
+        self.words.0.reserve_exact(more.words);
+        self.in_edges.0.reserve_exact(more.edges.in_edges);
+        self.in_srcs.0.reserve_exact(more.edges.in_srcs);
+        self.out_local.0.reserve_exact(more.edges.out_local);
+        self.out_remote.0.reserve_exact(more.edges.out_remote);
     }
 
-    /// Cuts the store back to its first `slots` slots and `lens` column
-    /// entries (undoing an episode's appends).
-    pub(crate) fn truncate(&mut self, slots: usize, lens: ColumnLens) {
-        self.slots.truncate(slots);
-        self.in_edges.0.truncate(lens.in_edges);
-        self.in_srcs.0.truncate(lens.in_srcs);
-        self.out_local.0.truncate(lens.out_local);
-        self.out_remote.0.truncate(lens.out_remote);
+    /// Cuts the store back to `lens` and its first `rows` rows (undoing an
+    /// episode's appends).
+    pub(crate) fn truncate(&mut self, lens: StoreLens, rows: usize) {
+        self.heads.truncate(lens.slots);
+        self.rows.truncate(rows);
+        self.words.0.truncate(lens.words);
+        self.in_edges.0.truncate(lens.edges.in_edges);
+        self.in_srcs.0.truncate(lens.edges.in_srcs);
+        self.out_local.0.truncate(lens.edges.out_local);
+        self.out_remote.0.truncate(lens.edges.out_remote);
     }
 }
 
 impl MemSize for FullState {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<FullState>()
-            + self.slots.capacity() * std::mem::size_of::<Slot>()
-            + self.slots.iter().map(|s| s.loc.heap_bytes()).sum::<usize>()
+            + self.heads.capacity() * std::mem::size_of::<Head>()
+            + self.rows.capacity() * std::mem::size_of::<EdgeSpans>()
+            + self.words.capacity_bytes()
             + self.in_edges.capacity_bytes()
             + self.in_srcs.capacity_bytes()
             + self.out_local.capacity_bytes()
             + self.out_remote.capacity_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What the slot table costs per copy: the pins `mem_bytes` rests on.
+    #[test]
+    fn a_slot_is_a_twelve_byte_head_and_a_row_of_four_spans() {
+        assert!(std::mem::size_of::<Head>() <= 12);
+        assert!(std::mem::size_of::<EdgeSpans>() <= 32);
+        assert_eq!(std::mem::size_of::<Option<SlotId>>(), 4);
+    }
+
+    fn tables(tag: u32, replicas: u32) -> Locations {
+        let nodes: Vec<NodeId> = (0..replicas).map(NodeId::new).collect();
+        let positions: Vec<u32> = (0..replicas).map(|i| tag + i).collect();
+        Locations::new(tag, &nodes, &positions, &nodes[..nodes.len().min(1)])
+    }
+
+    /// A store given tables only keeps no row; the first edge list gives
+    /// every slot one, and the tables-only slots read as before.
+    #[test]
+    fn rows_exist_from_the_first_edge_list() {
+        let (a, b) = (tables(1, 2), tables(2, 3));
+        let states = [a.view(), b.view()].map(FullStateRef::tables);
+        let mut store = FullState::of(states.into_iter());
+        assert!(store.rows.is_empty() && store.validate().is_ok());
+        assert_eq!((store.nth(1), store.lens().words), (states[1], 5 + 7));
+        let mut whole = FullState::default();
+        whole.extend_from(&store);
+        assert!(whole == store && whole.rows.is_empty());
+
+        let edged = MasterMeta {
+            locations: a.clone(),
+            in_edge_srcs: vec![Vid::new(7)],
+            ..MasterMeta::default()
+        };
+        store.set(SlotId::from_index(1), edged.view());
+        assert_eq!((store.rows.len(), store.nth(0)), (2, states[0]));
+        whole.extend_from(&store);
+        assert_eq!((whole.len(), whole.rows.len()), (4, 4));
+        assert_eq!((whole.nth(1), whole.nth(3)), (states[1], edged.view()));
+        assert!(whole.validate().is_ok());
+    }
+
+    /// Tables lent out and returned unchanged write nothing; changed ones
+    /// shrink where they are and grow at the tail.
+    #[test]
+    fn lent_tables_come_back_in_place_or_at_the_tail() {
+        let states = [tables(1, 3), tables(2, 1)];
+        let mut store = FullState::of(states.iter().map(|t| FullStateRef::tables(t.view())));
+        let (first, loaded) = (SlotId::from_index(0), store.lens().words);
+        store.edit_locations(first, |t| t.purge_node(NodeId::new(9)));
+        store.edit_locations(first, |t| t.purge_node(NodeId::new(0)));
+        assert_eq!(store.lens().words, loaded, "shrinks in place");
+        let mut shrunk = tables(1, 3);
+        shrunk.purge_node(NodeId::new(0));
+        assert_eq!(store.locations(first), shrunk.view());
+        store.edit_locations(first, |t| t.add_mirror(NodeId::new(5)));
+        assert_eq!(store.lens().words, loaded + 5, "grows at the tail");
+        assert_eq!(store.nth(1).locations, states[1].view());
+        assert!(store.validate().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "names at most 65535 replicas")]
+    fn a_table_past_u16_max_is_refused_not_wrapped() {
+        let many = vec![NodeId::new(0); MAX_TABLE_NODES + 1];
+        let tables = Locations::new(0, &[], &[], &many);
+        FullState::default().push(FullStateRef::tables(tables.view()));
     }
 }

@@ -16,8 +16,8 @@
 //!   and consumed by the builders here;
 //! * [`Episode`] — the journal a local graph keeps while a recovery attempt
 //!   that may still abort rewrites it, so that undoing the attempt costs
-//!   what it changed; [`FullState`] — the columnar store edge-cut full state
-//!   is kept in, and travels in between nodes;
+//!   what it changed; [`FullState`] — the columnar store both engines keep
+//!   full state in, and it travels in between nodes;
 //! * pure, single-node compute steps ([`ec_compute`], [`ec_commit`],
 //!   [`vc_partial_gather`], …) that the distributed runner in the
 //!   `imitator` crate drives via the simulated cluster.
@@ -33,7 +33,6 @@ mod ecut;
 mod episode;
 mod ftplan;
 mod full_state;
-mod inline_list;
 mod load;
 mod locations;
 mod par;
@@ -48,9 +47,10 @@ pub use compute::{
 pub use ecut::{build_edge_cut_graphs, CopyKind, EcLocalGraph, EcVertex};
 pub use episode::{Episode, PosSet};
 pub use ftplan::FtPlan;
-pub use full_state::{ColumnLens, FullState, FullStateRef, MasterMeta, RemoteEdge, SlotId};
-pub use inline_list::{InlineList, INLINE_ITEMS};
-pub use locations::Locations;
+pub use full_state::{
+    ColumnLens, FullState, FullStateRef, MasterMeta, RemoteEdge, SlotId, StoreLens,
+};
+pub use locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
 pub use par::{chunk_ranges, weighted_ranges, VcGatherIndex};
 pub use pool::{ec_compute_chunks, vc_apply_chunks, vc_gather_chunks, InOrder, WorkerPool};
 pub use program::{Degrees, VertexProgram};

@@ -9,8 +9,8 @@ use imitator_graph::{PosIndex, Vid};
 
 use crate::ecut::CopyKind;
 use crate::ftplan::FtPlan;
-use crate::inline_list::InlineList;
-use crate::locations::Locations;
+use crate::full_state::{Column, Head, Span};
+use crate::locations::LocationsRef;
 
 /// Every node's copy set and position index, the one thing a node's loader
 /// needs to know about the *other* nodes: full state records where each
@@ -59,50 +59,58 @@ impl Layout {
         Layout { copies, pos_maps }
     }
 
-    /// The location tables of `v`'s full state, mastered on part `owner`:
-    /// `replica_nodes` (sorted, without the owner), the copy's position on
-    /// each of them, and the mirror nodes in mirror-ID order.
+    /// Words in the location tables of `v`'s full state: a node and a
+    /// position per replica — the partitioning's and the plan's extra ones it
+    /// does not already name — and a node per mirror.
+    pub fn table_words(v: Vid, replica_parts: &[u32], plan: &FtPlan) -> usize {
+        let extras = plan.extras(v);
+        let named =
+            |i: usize| replica_parts.contains(&extras[i].raw()) || extras[..i].contains(&extras[i]);
+        let fresh = (0..extras.len()).filter(|&i| !named(i)).count();
+        2 * (replica_parts.len() + fresh) + plan.mirrors(v).len()
+    }
+
+    /// Appends the location tables of `v`'s full state, mastered on part
+    /// `owner`, at the tail of `words` — the replica nodes (sorted, without
+    /// the owner), the copy's position on each of them, and the mirror nodes
+    /// in mirror-ID order, [`Layout::table_words`] words in all — and returns
+    /// the head that names them.
     ///
     /// # Panics
     ///
-    /// Panics if the plan puts a mirror on a node without a copy.
-    pub fn locations(
+    /// Panics if the plan puts a mirror on a node without a copy, or a table
+    /// names more nodes than a head counts.
+    pub fn push_tables(
         &self,
         v: Vid,
         owner: usize,
         replica_parts: &[u32],
         plan: &FtPlan,
-    ) -> Locations {
-        let extras = plan.extras(v);
-        let mut replica_nodes = InlineList::with_capacity(replica_parts.len() + extras.len());
-        for &p in replica_parts {
-            replica_nodes.push(NodeId::new(p));
-        }
-        for &extra in extras {
-            if !replica_nodes.contains(&extra) {
-                replica_nodes.push(extra);
+        words: &mut Column<u32>,
+    ) -> Head {
+        let start = words.0.len();
+        words.0.extend_from_slice(replica_parts);
+        for extra in plan.extras(v) {
+            if !words.0[start..].contains(&extra.raw()) {
+                words.0.push(extra.raw());
             }
         }
-        replica_nodes.sort_unstable();
-        // Only a plan naming an existing replica as "extra" leaves room.
-        replica_nodes.shrink_to_fit();
-        let replica_positions = replica_nodes
-            .iter()
-            .map(|n| self.pos_maps[n.index()].at(v))
-            .collect();
-        let mirror_nodes = InlineList::from(plan.mirrors(v));
-        for m in &mirror_nodes {
+        words.0[start..].sort_unstable();
+        let replicas = words.0.len() - start;
+        for i in start..start + replicas {
+            let at = self.pos_maps[words.0[i] as usize].at(v);
+            words.0.push(at);
+        }
+        for m in plan.mirrors(v) {
             assert!(
-                replica_nodes.contains(m),
+                words.0[start..start + replicas].contains(&m.raw()),
                 "mirror of {v} on {m} has no copy there"
             );
+            words.0.push(m.raw());
         }
-        Locations::new(
-            self.pos_maps[owner].at(v),
-            replica_nodes,
-            replica_positions,
-            mirror_nodes,
-        )
+        let master_pos = self.pos_maps[owner].at(v);
+        let tables = LocationsRef::from_words(master_pos, replicas, &words.0[start..]);
+        Head::of(tables, Span::new(start, words.0.len() - start))
     }
 }
 

@@ -8,12 +8,13 @@ use imitator_partition::VertexCut;
 use crate::ecut::CopyKind;
 use crate::episode::VcJournal;
 use crate::ftplan::FtPlan;
+use crate::full_state::{FullState, FullStateRef, SlotId, StoreLens};
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
-use crate::locations::Locations;
+use crate::locations::{Locations, LocationsRef};
 use crate::program::{Degrees, VertexProgram};
 
 /// One local vertex copy in a vertex-cut partition.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct VcVertex<V> {
     /// Global vertex ID.
     pub vid: Vid,
@@ -23,25 +24,44 @@ pub struct VcVertex<V> {
     pub master_node: NodeId,
     /// Current committed value.
     pub value: V,
-    /// Full state for recovery (masters and mirrors). Unlike edge-cut,
-    /// vertex-cut full state carries **no edges**: those are persisted to
-    /// edge-ckpt files on the DFS during loading (§4.3), because no single
-    /// node holds all of a vertex's edges.
-    pub meta: Option<Box<Locations>>,
+    /// Where the graph's store keeps this copy's full state (masters and
+    /// mirrors): read it with [`VcLocalGraph::locations`], write it with
+    /// [`VcLocalGraph::set_locations`]. Unlike edge-cut, vertex-cut full
+    /// state carries **no edges**: those are persisted to edge-ckpt files on
+    /// the DFS during loading (§4.3), because no single node holds all of a
+    /// vertex's edges.
+    pub meta: Option<SlotId>,
 }
 
 impl<V> VcVertex<V> {
+    /// A copy without full state: what [`VcLocalGraph::insert_at`] and
+    /// [`VcLocalGraph::insert_or_position`] take.
+    pub fn new(vid: Vid, kind: CopyKind, master_node: NodeId, value: V) -> Self {
+        VcVertex {
+            vid,
+            kind,
+            master_node,
+            value,
+            meta: None,
+        }
+    }
+
     /// Whether this copy is the authoritative master.
     pub fn is_master(&self) -> bool {
         self.kind == CopyKind::Master
     }
 }
 
-impl<V: MemSize> MemSize for VcVertex<V> {
-    fn mem_bytes(&self) -> usize {
-        std::mem::size_of::<VcVertex<V>>()
-            + self.value.heap_bytes()
-            + self.meta.as_ref().map_or(0, |m| m.mem_bytes())
+/// Copies are equal when their own fields are and both or neither carry
+/// full state; which slot it is in is the graph's business, and
+/// [`VcLocalGraph`]'s equality compares the tables themselves.
+impl<V: PartialEq> PartialEq for VcVertex<V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.vid == other.vid
+            && self.kind == other.kind
+            && self.master_node == other.master_node
+            && self.value == other.value
+            && self.meta.is_some() == other.meta.is_some()
     }
 }
 
@@ -67,12 +87,14 @@ impl MemSize for VcEdge {
 }
 
 /// One node's local partition under vertex-cut: the edges it owns plus a
-/// copy of every adjacent vertex.
+/// copy of every adjacent vertex, and the masters' and mirrors' location
+/// tables in the same columnar store edge-cut full state lives in (see
+/// [`crate::full_state`]) — heads and table words, no edge rows.
 ///
 /// The fields are public; a recovery attempt that may have to be undone
 /// changes existing copies through `set_kind`, `set_master_node`,
-/// `locations_mut` and `set_locations`, which journal while an episode is
-/// open ([`crate::Episode`]), and otherwise only appends.
+/// `edit_locations` and `set_locations`, which journal what they change while
+/// an episode is open ([`crate::Episode`]), and otherwise only appends.
 #[derive(Debug, Clone)]
 pub struct VcLocalGraph<V> {
     /// The hosting node.
@@ -83,36 +105,34 @@ pub struct VcLocalGraph<V> {
     pub index: PosIndex,
     /// Locally owned edges. Recovery only ever appends to them.
     pub edges: Vec<VcEdge>,
+    /// Full state of the masters and mirrors in `verts`.
+    pub(crate) full: FullState,
     /// What the open recovery episode has changed, if one is open (see
     /// [`crate::episode`]).
     pub(crate) journal: Option<Box<VcJournal>>,
 }
 
-/// Graphs are equal when their copies, index and edges are; an open
-/// episode's journal does not count.
+/// Graphs are equal when their copies, their full state, index and edges
+/// are; slot numbering and an open episode's journal do not count.
 impl<V: PartialEq> PartialEq for VcLocalGraph<V> {
     fn eq(&self, other: &Self) -> bool {
         self.node == other.node
             && self.verts == other.verts
             && self.index == other.index
             && self.edges == other.edges
+            && (0..self.verts.len() as u32).all(|pos| self.locations(pos) == other.locations(pos))
     }
 }
 
 impl<V> VcLocalGraph<V> {
     /// Creates an empty local graph for `node`.
     pub fn empty(node: NodeId) -> Self {
-        VcLocalGraph::new(node, Vec::new(), PosIndex::new(), Vec::new())
-    }
-
-    /// A local graph for `node` holding `verts` (found through `index`) and
-    /// `edges`.
-    pub fn new(node: NodeId, verts: Vec<VcVertex<V>>, index: PosIndex, edges: Vec<VcEdge>) -> Self {
         VcLocalGraph {
             node,
-            verts,
-            index,
-            edges,
+            verts: Vec::new(),
+            index: PosIndex::new(),
+            edges: Vec::new(),
+            full: FullState::default(),
             journal: None,
         }
     }
@@ -158,23 +178,57 @@ impl<V> VcLocalGraph<V> {
         }
     }
 
-    /// The replica-location tables of the copy at `pos`, for rewriting.
-    pub fn locations_mut(&mut self, pos: u32) -> Option<&mut Locations> {
-        if self.verts[pos as usize].meta.is_some() {
-            self.touch_copy(pos);
-        }
-        self.verts[pos as usize].meta.as_deref_mut()
+    /// The replica-location tables of the copy at `pos`, if it carries
+    /// full state.
+    pub fn locations(&self, pos: u32) -> Option<LocationsRef<'_>> {
+        let slot = self.verts[pos as usize].meta?;
+        Some(self.full.locations(slot))
     }
 
-    /// Makes `locations` the full state of the copy at `pos`.
-    pub fn set_locations(&mut self, pos: u32, locations: &Locations) {
-        if self.verts[pos as usize].meta.as_deref() == Some(locations) {
-            return;
+    /// Lends the replica-location tables of the copy at `pos` to `edit`, if
+    /// it carries full state: what `edit` leaves is what the copy keeps, and
+    /// tables it leaves as they were are not written (or journaled) at all.
+    pub fn edit_locations<R>(
+        &mut self,
+        pos: u32,
+        edit: impl FnOnce(&mut Locations) -> R,
+    ) -> Option<R> {
+        let slot = self.verts[pos as usize].meta?;
+        Some(self.full.edit_locations(slot, edit))
+    }
+
+    /// Makes `tables` the full state of the copy at `pos`, in a new slot if
+    /// it had none.
+    pub fn set_locations(&mut self, pos: u32, tables: LocationsRef<'_>) {
+        match self.verts[pos as usize].meta {
+            Some(slot) => self.full.set_locations(slot, tables),
+            None => {
+                self.touch_copy(pos);
+                let slot = self.full.push(FullStateRef::tables(tables));
+                self.verts[pos as usize].meta = Some(slot);
+            }
         }
-        self.touch_copy(pos);
-        match &mut self.verts[pos as usize].meta {
-            Some(meta) => (**meta).clone_from(locations),
-            none => *none = Some(Box::new(locations.clone())),
+    }
+
+    /// What the full-state store holds, tables no slot points at any more
+    /// included.
+    pub fn full_state_lens(&self) -> StoreLens {
+        self.full.lens()
+    }
+
+    /// Adopts batches of full state: for each `(positions, batch)`, the
+    /// tables in the `i`-th slot of `batch` become the full state of the
+    /// copy at `positions[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch and its positions differ in length.
+    pub fn adopt_full_states(&mut self, batches: &[(&[u32], &FullState)]) {
+        for &(positions, batch) in batches {
+            assert_eq!(positions.len(), batch.len(), "one position per slot");
+            for (i, &pos) in positions.iter().enumerate() {
+                self.set_locations(pos, batch.nth(i).locations);
+            }
         }
     }
 
@@ -190,13 +244,9 @@ impl<V> VcLocalGraph<V> {
     {
         let p = pos as usize;
         while self.verts.len() <= p {
-            self.verts.push(VcVertex {
-                vid: Vid::new(u32::MAX),
-                kind: CopyKind::Replica,
-                master_node: self.node,
-                value: vertex.value.clone(),
-                meta: None,
-            });
+            let (hole, value) = (Vid::new(u32::MAX), vertex.value.clone());
+            let hole = VcVertex::new(hole, CopyKind::Replica, self.node, value);
+            self.verts.push(hole);
         }
         assert!(
             self.verts[p].vid == Vid::new(u32::MAX) || self.verts[p].vid == vertex.vid,
@@ -218,23 +268,41 @@ impl<V> VcLocalGraph<V> {
         pos
     }
 
-    /// Checks structural invariants (test/debug aid).
+    /// Checks structural invariants: the index agrees with the array, no
+    /// run of the store reaches past its column, every master is this node's
+    /// and carries full state, and edge endpoints are in range.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation.
+    pub fn validate(&self) -> Result<(), String> {
+        let ensure =
+            |ok: bool, violation: &str| ok.then_some(()).ok_or_else(|| violation.to_string());
+        ensure(self.index.len() == self.verts.len(), "index size mismatch")?;
+        self.full.validate()?;
+        for (i, v) in self.verts.iter().enumerate() {
+            ensure(self.index.get(v.vid) == Some(i as u32), "index mismatch")?;
+            let slot = v.meta.map(SlotId::index);
+            if slot.is_some_and(|slot| slot >= self.full.len()) {
+                return Err(format!("full state of {} is in no slot", v.vid));
+            }
+            if v.is_master() && (slot.is_none() || v.master_node != self.node) {
+                return Err(format!("master {} lacks full state or is not ours", v.vid));
+            }
+        }
+        let n = self.verts.len();
+        let inside = |e: &VcEdge| (e.src as usize) < n && (e.dst as usize) < n;
+        ensure(self.edges.iter().all(inside), "edge endpoint out of range")
+    }
+
+    /// [`VcLocalGraph::validate`] as an assertion (test/debug aid).
     ///
     /// # Panics
     ///
     /// Panics on any violation.
     pub fn debug_validate(&self) {
-        assert_eq!(self.index.len(), self.verts.len(), "index size mismatch");
-        for (i, v) in self.verts.iter().enumerate() {
-            assert_eq!(self.index.get(v.vid), Some(i as u32), "index mismatch");
-            if v.is_master() {
-                assert!(v.meta.is_some(), "master {} lacks full state", v.vid);
-                assert_eq!(v.master_node, self.node);
-            }
-        }
-        for e in &self.edges {
-            assert!((e.src as usize) < self.verts.len(), "edge src out of range");
-            assert!((e.dst as usize) < self.verts.len(), "edge dst out of range");
+        if let Err(violation) = self.validate() {
+            panic!("{violation}");
         }
     }
 }
@@ -246,12 +314,12 @@ impl<V: MemSize> MemSize for VcLocalGraph<V> {
             + self
                 .verts
                 .iter()
-                .map(|v| v.mem_bytes() - std::mem::size_of::<VcVertex<V>>())
+                .map(|v| v.value.heap_bytes())
                 .sum::<usize>();
         let index = self.index.mem_bytes();
         let edges = std::mem::size_of::<Vec<VcEdge>>()
             + self.edges.capacity() * std::mem::size_of::<VcEdge>();
-        std::mem::size_of::<NodeId>() + verts + index + edges
+        std::mem::size_of::<NodeId>() + verts + index + edges + self.full.mem_bytes()
     }
 }
 
@@ -276,8 +344,8 @@ pub fn build_vertex_cut_graphs<P: VertexProgram>(
     let layout = Layout::new(parts, plan, |v| (cut.master(v), cut.replica_parts(v)));
 
     // Node `p`'s graph, without its position index. Allocation order as in
-    // the edge-cut loader: copies and edges, the masters' full state, then
-    // the mirrors'.
+    // the edge-cut loader: copies and edges, then the store — sized first,
+    // the masters' tables before the mirrors'.
     let node_graph = |p: usize| {
         let node = NodeId::from_index(p);
         let at = &layout.pos_maps[p];
@@ -285,13 +353,8 @@ pub fn build_vertex_cut_graphs<P: VertexProgram>(
             .iter()
             .map(|&v| {
                 let owner = NodeId::from_index(cut.master(v));
-                VcVertex {
-                    vid: v,
-                    kind: copy_kind(node, owner, plan.mirrors(v)),
-                    master_node: owner,
-                    value: prog.init(v, degrees),
-                    meta: None,
-                }
+                let kind = copy_kind(node, owner, plan.mirrors(v));
+                VcVertex::new(v, kind, owner, prog.init(v, degrees))
             })
             .collect();
         let owned = || {
@@ -306,14 +369,31 @@ pub fn build_vertex_cut_graphs<P: VertexProgram>(
                 weight: e.weight,
             }),
         );
+        let mut room = StoreLens::default();
+        for vert in verts.iter().filter(|vert| vert.kind != CopyKind::Replica) {
+            room.slots += 1;
+            room.words += Layout::table_words(vert.vid, cut.replica_parts(vert.vid), plan);
+        }
+        let mut full = FullState::default();
+        full.reserve_exact(room);
         for kind in [CopyKind::Master, CopyKind::Mirror] {
             for vert in verts.iter_mut().filter(|vert| vert.kind == kind) {
-                let v = vert.vid;
-                let locations = layout.locations(v, cut.master(v), cut.replica_parts(v), plan);
-                vert.meta = Some(Box::new(locations));
+                let (v, slot) = (vert.vid, SlotId::from_index(full.len()));
+                let replicas = cut.replica_parts(v);
+                let head = layout.push_tables(v, cut.master(v), replicas, plan, &mut full.words);
+                full.heads.push(head);
+                vert.meta = Some(slot);
             }
         }
-        VcLocalGraph::new(node, verts, PosIndex::new(), edges)
+        assert_eq!(full.lens(), room, "tables miscounted on node {p}");
+        VcLocalGraph {
+            node,
+            verts,
+            index: PosIndex::new(),
+            edges,
+            full,
+            journal: None,
+        }
     };
 
     let mut graphs = per_node(vec![(); parts], |p, ()| node_graph(p));
@@ -396,13 +476,7 @@ mod tests {
     #[test]
     fn insert_or_position_is_idempotent() {
         let mut lg: VcLocalGraph<u32> = VcLocalGraph::empty(NodeId::new(0));
-        let mk = |vid: u32| VcVertex {
-            vid: Vid::new(vid),
-            kind: CopyKind::Replica,
-            master_node: NodeId::new(1),
-            value: 0,
-            meta: None,
-        };
+        let mk = |vid: u32| VcVertex::new(Vid::new(vid), CopyKind::Replica, NodeId::new(1), 0);
         let p1 = lg.insert_or_position(mk(5));
         let p2 = lg.insert_or_position(mk(5));
         assert_eq!(p1, p2);

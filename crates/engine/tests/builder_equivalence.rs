@@ -14,14 +14,50 @@ use proptest::prelude::*;
 use imitator_cluster::NodeId;
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
-    FtPlan, InlineList, Locations, MasterMeta, RemoteEdge, VcEdge, VcLocalGraph, VcVertex,
-    VertexProgram, INLINE_ITEMS,
+    FtPlan, FullState, FullStateRef, Locations, MasterMeta, RemoteEdge, VcEdge, VcLocalGraph,
+    VcVertex, VertexProgram,
 };
 use imitator_graph::{gen, Edge, Graph, PosIndex, Ragged, Vid};
 use imitator_partition::{
     EdgeCut, EdgeCutPartitioner, HashEdgeCut, HybridVertexCut, RandomVertexCut, VertexCut,
     VertexCutPartitioner,
 };
+
+/// A vertex's location tables as both reference builders derive them: the
+/// replica nodes (the partitioning's and the plan's extra ones, sorted), the
+/// copy's position on each, and the plan's mirrors, each holding a copy.
+fn reference_locations(
+    v: Vid,
+    owner: usize,
+    replica_parts: &[u32],
+    plan: &FtPlan,
+    pos_maps: &[PosIndex],
+) -> Locations {
+    let mut replica_nodes: Vec<NodeId> = replica_parts.iter().map(|&p| NodeId::new(p)).collect();
+    for &extra in plan.extras(v) {
+        if !replica_nodes.contains(&extra) {
+            replica_nodes.push(extra);
+        }
+    }
+    replica_nodes.sort_unstable();
+    let replica_positions: Vec<u32> = replica_nodes
+        .iter()
+        .map(|n| pos_maps[n.index()].at(v))
+        .collect();
+    for m in plan.mirrors(v) {
+        assert!(
+            replica_nodes.contains(m),
+            "mirror of {v} on {m} has no copy there"
+        );
+    }
+    let master_pos = pos_maps[owner].at(v);
+    Locations::new(
+        master_pos,
+        &replica_nodes,
+        &replica_positions,
+        plan.mirrors(v),
+    )
+}
 
 /// One node as the reference builds it: its copies, none of them given an
 /// edge list or a slot, and per position the in-edges, consumers and full
@@ -129,28 +165,8 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
         let v = Vid::from_index(i);
         let owner = cut.owner(v);
         let master_pos = pos_maps[owner].at(v);
-        let mut replica_nodes: Vec<NodeId> = cut
-            .replica_parts(v)
-            .iter()
-            .map(|&p| NodeId::new(p))
-            .collect();
-        for &extra in plan.extras(v) {
-            if !replica_nodes.contains(&extra) {
-                replica_nodes.push(extra);
-            }
-        }
-        replica_nodes.sort_unstable();
-        let replica_positions: Vec<u32> = replica_nodes
-            .iter()
-            .map(|n| pos_maps[n.index()].at(v))
-            .collect();
-        let mirror_nodes = plan.mirrors(v).to_vec();
-        for m in &mirror_nodes {
-            assert!(
-                replica_nodes.contains(m),
-                "mirror of {v} on {m} has no copy there"
-            );
-        }
+        let locations = reference_locations(v, owner, cut.replica_parts(v), plan, &pos_maps);
+        let mirror_nodes = plan.mirrors(v);
         let master_in_edges = &in_edges[owner][master_pos as usize];
         let in_edge_srcs: Vec<Vid> = master_in_edges
             .iter()
@@ -158,18 +174,13 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
             .collect();
         let out_remote = std::mem::take(&mut out_remote_by_src[i]);
         let meta = MasterMeta {
-            locations: Locations::new(
-                master_pos,
-                replica_nodes.as_slice().into(),
-                replica_positions.as_slice().into(),
-                mirror_nodes.as_slice().into(),
-            ),
+            locations,
             in_edges_owner: master_in_edges.clone(),
             in_edge_srcs,
             out_local_owner: out_local[owner][master_pos as usize].clone(),
             out_remote,
         };
-        for m in &mirror_nodes {
+        for m in mirror_nodes {
             let pos = pos_maps[m.index()].at(v) as usize;
             metas[m.index()][pos] = Some(meta.clone());
         }
@@ -282,16 +293,12 @@ fn reference_vertex_cut_graphs<P: VertexProgram>(
                     } else {
                         CopyKind::Replica
                     };
-                    VcVertex {
-                        vid: v,
-                        kind,
-                        master_node: owner,
-                        value: prog.init(v, degrees),
-                        meta: None,
-                    }
+                    VcVertex::new(v, kind, owner, prog.init(v, degrees))
                 })
                 .collect();
-            VcLocalGraph::new(node, verts, pos_maps[p].clone(), Vec::new())
+            let mut lg = VcLocalGraph::empty(node);
+            (lg.verts, lg.index) = (verts, pos_maps[p].clone());
+            lg
         })
         .collect();
 
@@ -309,39 +316,11 @@ fn reference_vertex_cut_graphs<P: VertexProgram>(
     for i in 0..n {
         let v = Vid::from_index(i);
         let owner = cut.master(v);
-        let mut replica_nodes: Vec<NodeId> = cut
-            .replica_parts(v)
-            .iter()
-            .map(|&p| NodeId::new(p))
-            .collect();
-        for &extra in plan.extras(v) {
-            if !replica_nodes.contains(&extra) {
-                replica_nodes.push(extra);
-            }
-        }
-        replica_nodes.sort_unstable();
-        let replica_positions: Vec<u32> = replica_nodes
-            .iter()
-            .map(|n| pos_maps[n.index()].at(v))
-            .collect();
-        let mirror_nodes = plan.mirrors(v).to_vec();
-        for m in &mirror_nodes {
-            assert!(
-                replica_nodes.contains(m),
-                "mirror of {v} on {m} has no copy there"
-            );
-        }
-        let meta = Box::new(Locations::new(
-            pos_maps[owner].at(v),
-            replica_nodes.as_slice().into(),
-            replica_positions.as_slice().into(),
-            mirror_nodes.as_slice().into(),
-        ));
-        let mpos = pos_maps[owner].at(v) as usize;
-        graphs[owner].verts[mpos].meta = Some(meta.clone());
-        for m in &mirror_nodes {
-            let pos = pos_maps[m.index()].at(v) as usize;
-            graphs[m.index()].verts[pos].meta = Some(meta.clone());
+        let meta = reference_locations(v, owner, cut.replica_parts(v), plan, &pos_maps);
+        graphs[owner].set_locations(pos_maps[owner].at(v), meta.view());
+        for m in plan.mirrors(v) {
+            let pos = pos_maps[m.index()].at(v);
+            graphs[m.index()].set_locations(pos, meta.view());
         }
     }
 
@@ -505,24 +484,6 @@ proptest! {
     }
 }
 
-/// A location table owns no heap while it fits inline, and exactly its
-/// items beyond that.
-fn assert_table_exact<T>(list: &InlineList<T>, what: &str, vid: Vid)
-where
-    T: Copy + Default,
-{
-    let spilled = list.len() > INLINE_ITEMS;
-    assert_eq!(
-        list.heap_bytes(),
-        if spilled {
-            std::mem::size_of_val(&**list)
-        } else {
-            0
-        },
-        "{what} of {vid} carries capacity slack"
-    );
-}
-
 fn assert_ec_exact(lg: &EcLocalGraph<u64>) {
     assert_eq!(lg.verts.capacity(), lg.verts.len(), "verts");
     assert_eq!(
@@ -530,20 +491,8 @@ fn assert_ec_exact(lg: &EcLocalGraph<u64>) {
         lg.active_frontier.len(),
         "active_frontier"
     );
-    for (pos, v) in lg.verts.iter().enumerate() {
-        let Some(state) = lg.full_state(pos as u32) else {
-            continue;
-        };
-        assert_table_exact(state.locations.replica_nodes(), "replica_nodes", v.vid);
-        assert_table_exact(
-            state.locations.replica_positions(),
-            "replica_positions",
-            v.vid,
-        );
-        assert_table_exact(state.locations.mirror_nodes(), "mirror_nodes", v.vid);
-    }
     // The hot columns hold the copies' edge lists, the store what their full
-    // state adds up to, and not an entry more. (That the columns' capacity
+    // state adds up to — location tables included — and not an entry more. (That the columns' capacity
     // is their length is asserted where it can be seen, in the engine's unit
     // tests.)
     let positions = 0..lg.len() as u32;
@@ -568,12 +517,14 @@ fn assert_ec_exact(lg: &EcLocalGraph<u64>) {
 fn assert_vc_exact(lg: &VcLocalGraph<u64>) {
     assert_eq!(lg.verts.capacity(), lg.verts.len(), "verts");
     assert_eq!(lg.edges.capacity(), lg.edges.len(), "edges");
-    for v in &lg.verts {
-        let Some(meta) = &v.meta else { continue };
-        assert_table_exact(meta.replica_nodes(), "replica_nodes", v.vid);
-        assert_table_exact(meta.replica_positions(), "replica_positions", v.vid);
-        assert_table_exact(meta.mirror_nodes(), "mirror_nodes", v.vid);
-    }
+    // The store holds the masters' and mirrors' tables and not a word more.
+    let held = (0..lg.len() as u32).filter_map(|pos| lg.locations(pos));
+    assert_eq!(
+        lg.full_state_lens(),
+        FullState::of(held.map(FullStateRef::tables)).lens(),
+        "store of {}",
+        lg.node
+    );
 }
 
 /// The benchmark's PageRank shape at a tenth of its size, both engines,

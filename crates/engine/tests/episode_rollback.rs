@@ -1,15 +1,17 @@
 //! A recovery episode on loader-built graphs, driven through every mutator
 //! Migration uses, then rolled back: the graph must come back equal and every
 //! store — copies, index, the two hot edge-list columns, slot table,
-//! full-state columns, vertex-cut edges — at exactly the length it had, for
-//! both engines at K = 1 and 2. (What the real protocol does inside an
+//! table words, full-state columns, vertex-cut edges — at exactly the length
+//! it had, for both engines at K = 1 and 2; and a mutator that finds nothing
+//! to change journals nothing. (What the real protocol does inside an
 //! episode is checked in the `imitator` crate, whose debug builds hold every
 //! rollback against an encoded snapshot.)
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
-    Episode, FtPlan, FullState, RemoteEdge, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
+    Episode, FtPlan, FullState, FullStateRef, Locations, RemoteEdge, VcEdge, VcLocalGraph,
+    VcVertex, VertexProgram,
 };
 use imitator_graph::{gen, Graph, Ragged, Vid};
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
@@ -66,6 +68,16 @@ fn ec_lens(lg: &EcLocalGraph<u64>) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+/// The lengths of every store of a vertex-cut graph.
+fn vc_lens(lg: &VcLocalGraph<u64>) -> impl PartialEq + std::fmt::Debug {
+    (
+        lg.len(),
+        lg.index.len(),
+        lg.edges.len(),
+        lg.full_state_lens(),
+    )
+}
+
 /// What a survivor of that crash does to its graph in a Migration, in
 /// the protocol's order and through the same calls, on whatever the graph
 /// offers: promotes the dead node's mirrors, purges it from the masters' tables and
@@ -84,10 +96,12 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
             CopyKind::Mirror if master_node == dead() => {
                 lg.set_kind(pos, CopyKind::Master);
                 lg.set_master_node(pos, me);
-                let tables = lg.locations_mut(pos).expect("mirrors carry full state");
-                tables.set_master_pos(pos);
-                tables.purge_node(me);
-                tables.purge_node(dead());
+                lg.edit_locations(pos, |tables| {
+                    tables.set_master_pos(pos);
+                    tables.purge_node(me);
+                    tables.purge_node(dead());
+                })
+                .expect("mirrors carry full state");
                 lg.set_active(pos, false);
                 let (in_edges, consumers) = lg.take_owner_lists(pos);
                 lg.extend_out_remote(
@@ -107,7 +121,7 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
                 changed += 1;
             }
             CopyKind::Master => {
-                lg.locations_mut(pos).unwrap().purge_node(dead());
+                lg.edit_locations(pos, |tables| tables.purge_node(dead()));
                 changed += usize::from(lg.retain_out_remote(pos, |r| {
                     let moved = r.node == dead();
                     if moved {
@@ -123,7 +137,7 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
                     lg.set_out_local(pos, &fed[1..]);
                     lg.set_out_local(pos, &fed);
                 }
-                lg.locations_mut(pos).unwrap().add_mirror(NodeId::new(3));
+                lg.edit_locations(pos, |tables| tables.add_mirror(NodeId::new(3)));
             }
             CopyKind::Replica if master_node == dead() => lg.set_master_node(pos, NodeId::new(2)),
             _ => {}
@@ -229,15 +243,18 @@ fn rollback_leaves_no_trace_in_any_store() {
                     (CopyKind::Mirror, true) => {
                         lg.set_kind(pos, CopyKind::Master);
                         lg.set_master_node(pos, me);
-                        let tables = lg.locations_mut(pos).unwrap();
-                        tables.set_master_pos(pos);
-                        tables.purge_node(me);
+                        lg.edit_locations(pos, |tables| {
+                            tables.set_master_pos(pos);
+                            tables.purge_node(me);
+                        });
                     }
-                    (CopyKind::Master, _) => lg.locations_mut(pos).unwrap().purge_node(dead()),
+                    (CopyKind::Master, _) => {
+                        lg.edit_locations(pos, |tables| tables.purge_node(dead()));
+                    }
                     (CopyKind::Replica, true) => {
                         lg.set_master_node(pos, NodeId::new(2));
                         lg.set_kind(pos, CopyKind::Mirror);
-                        let tables = before.verts.iter().find_map(|v| v.meta.as_deref());
+                        let tables = (0..before.len() as u32).find_map(|p| before.locations(p));
                         lg.set_locations(pos, tables.expect("some copy has tables"));
                     }
                     _ => {}
@@ -245,13 +262,8 @@ fn rollback_leaves_no_trace_in_any_store() {
             }
             let absent = (0..g.num_vertices() as u32).map(Vid::new);
             for vid in absent.filter(|&v| before.position(v).is_none()).take(5) {
-                let pos = lg.insert_or_position(VcVertex {
-                    vid,
-                    kind: CopyKind::Replica,
-                    master_node: NodeId::new(3),
-                    value: 1,
-                    meta: None,
-                });
+                let granted = VcVertex::new(vid, CopyKind::Replica, NodeId::new(3), 1);
+                let pos = lg.insert_or_position(granted);
                 lg.edges.push(VcEdge {
                     src: pos,
                     dst: 0,
@@ -261,12 +273,66 @@ fn rollback_leaves_no_trace_in_any_store() {
             assert!(lg != *before && lg.journal_bytes() > 0, "k={k}");
             lg.rollback();
             assert!(lg == *before, "k={k}: graph of {me} differs");
-            assert_eq!(
-                (lg.len(), lg.index.len(), lg.edges.len()),
-                (before.len(), before.index.len(), before.edges.len()),
-                "k={k}: stores of {me}"
-            );
+            assert_eq!(vc_lens(&lg), vc_lens(before), "k={k}: stores of {me}");
             lg.debug_validate();
         }
+    }
+}
+
+/// Edits that leave `tables` as they are: purging nodes no table names,
+/// re-setting the master position, re-registering every replica where it is.
+fn edit_nothing(tables: &mut Locations) {
+    let held = tables.clone();
+    let held = held.view();
+    tables.purge_nodes(&[NodeId::new(NODES as u32), NodeId::new(NODES as u32 + 3)]);
+    tables.set_master_pos(held.master_pos());
+    for (node, &pos) in held.replica_nodes().iter().zip(held.replica_positions()) {
+        tables.register_replica(node, pos);
+    }
+}
+
+/// The R8 refresh rule — "a list equal to what is stored is not written at
+/// all" — holds for the location tables too: edits that change nothing, and
+/// adopting the tables a copy already holds, leave the journal as
+/// `begin_episode` left it and the stores at their lengths.
+#[test]
+fn an_edit_that_changes_nothing_journals_nothing() {
+    let g = graph();
+    let degrees = Degrees::of(&g);
+    let cut = HashEdgeCut.partition(&g, NODES);
+    let ft = plan(&g, 1, |v| cut.replica_parts(v).to_vec());
+    for mut lg in build_edge_cut_graphs(&g, &cut, &ft, &Count, &degrees) {
+        let loaded = ec_lens(&lg);
+        lg.begin_episode();
+        let idle = lg.journal_bytes();
+        for pos in 0..lg.len() as u32 {
+            lg.edit_locations(pos, edit_nothing);
+        }
+        assert_eq!((lg.journal_bytes(), ec_lens(&lg)), (idle, loaded));
+        // One real change costs one head image, once.
+        let master = lg.master_positions().next().expect("a master");
+        lg.edit_locations(master, |tables| tables.add_mirror(dead()));
+        let one = lg.journal_bytes();
+        assert!(one > idle && one <= idle + 16);
+        lg.edit_locations(master, |tables| tables.purge_node(dead()));
+        assert_eq!(lg.journal_bytes(), one, "one image per head");
+    }
+
+    let cut = RandomVertexCut.partition(&g, NODES);
+    let ft = plan(&g, 1, |v| cut.replica_parts(v).to_vec());
+    for mut lg in build_vertex_cut_graphs(&g, &cut, &ft, &Count, &degrees) {
+        let loaded = vc_lens(&lg);
+        lg.begin_episode();
+        let idle = lg.journal_bytes();
+        let held: Vec<u32> = (0..lg.len() as u32)
+            .filter(|&pos| lg.locations(pos).is_some())
+            .collect();
+        for &pos in &held {
+            lg.edit_locations(pos, edit_nothing);
+        }
+        let tables = held.iter().map(|&pos| lg.locations(pos).unwrap());
+        let same = FullState::of(tables.map(FullStateRef::tables));
+        lg.adopt_full_states(&[(&held, &same)]);
+        assert_eq!((lg.journal_bytes(), vc_lens(&lg)), (idle, loaded));
     }
 }

@@ -247,7 +247,7 @@ proptest! {
             for (p, ups) in all.iter().enumerate() {
                 for u in ups {
                     let v = &lgs[p].verts[u.local as usize];
-                    for r in v.meta.as_ref().unwrap().replica_nodes() {
+                    for r in lgs[p].locations(u.local).unwrap().replica_nodes() {
                         let pos = lgs[r.index()].position(v.vid).unwrap();
                         incoming[r.index()].push((pos, u.value));
                     }

@@ -72,7 +72,14 @@ cd "$(dirname "$0")/.."
 #          spelled-out dead-node exits of `node_main` gave back (DESIGN.md
 #          §4.10). Encoding and naming the files moved beside their codec
 #          (`ckpt::persist_edge_ckpt`), outside this guard like the codec.
-BUDGET=4406
+#   4373 — location tables joined the columns (PR 21): both engines keep
+#          full state in one `engine::FullState`, so `ModelGraph`'s
+#          `export_metas` and `same_full_state` are defaults over one
+#          `full_state(pos)` hook, the vertex-cut runner lost its own
+#          `export_metas` / `adopt_metas` / `set_locations` bodies and its
+#          struct literals with a boxed `meta`, and `ProtoMsg`'s fourth type
+#          parameter (the mirror batch's store) is gone (DESIGN.md §4.9).
+BUDGET=4373
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -3,8 +3,13 @@
 //! nodes there are and not on how many vertices. Placement tables are flat,
 //! a local graph's edge lists and full state are columns, and every one of
 //! them is sized before it is filled — so doubling the graph must not add a
-//! single allocation. (With a `Vec` per vertex these counts were in the
-//! hundreds of thousands.)
+//! single allocation, under either cut, at 4 nodes or 8, with no mirror per
+//! vertex, one or two. (With a `Vec` per vertex these counts were in the
+//! hundreds of thousands; with location tables as three small-vectors per
+//! slot, every table of more than three replicas was a heap block of its
+//! own.) The same allocator counts live bytes, and holds the graphs'
+//! `mem_bytes` — the gauge every memory table reports — to what a load
+//! actually leaves allocated.
 //!
 //! The counter is process-wide, so this binary holds one test and runs its
 //! scenarios one after another.
@@ -13,42 +18,53 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use imitator_repro::algos::PageRank;
-use imitator_repro::engine::{build_edge_cut_graphs, Degrees, FtPlan, VertexProgram};
-use imitator_repro::ft::plan::compute_ft_plan;
-use imitator_repro::graph::gen;
+use imitator_repro::engine::{
+    build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, EcVertex, FtPlan, VcVertex,
+    VertexProgram,
+};
+use imitator_repro::ft::plan::{compute_ft_plan, ReplicaView};
+use imitator_repro::graph::{gen, Graph};
+use imitator_repro::metrics::MemSize;
 use imitator_repro::partition::{
     EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
 };
 
-/// The system allocator, counting every block it hands out.
+/// The system allocator, counting every block it hands out and the bytes
+/// that are live.
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller upholds; the counter is a statistic
-// (`Relaxed`: it publishes no other data) and touches no allocator state.
+// contract is the one the caller upholds; the counters are statistics
+// (`Relaxed`: they publish no other data) and touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` came from this allocator, that is from `System`,
         // with `layout`; all three arguments are the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` came from this allocator, that is from `System`,
         // with `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -58,49 +74,109 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// `f`'s result and how many blocks were allocated (or reallocated) while it
-/// ran, on any thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+/// What `f` allocated: blocks handed out (or moved) while it ran, on any
+/// thread, and how many more bytes are live now that it has returned.
+struct Cost {
+    blocks: usize,
+    kept_bytes: usize,
 }
 
-const PARTS: usize = 4;
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Cost) {
+    let blocks = ALLOCATIONS.load(Ordering::Relaxed);
+    let live = LIVE_BYTES.load(Ordering::Relaxed);
+    let out = f();
+    let cost = Cost {
+        blocks: ALLOCATIONS.load(Ordering::Relaxed) - blocks,
+        kept_bytes: LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(live),
+    };
+    (out, cost)
+}
+
 /// A placement table or a plan: its arrays, its scratch.
 const PER_TABLE: usize = 12;
 /// One node's share of a load: its copy list and index, its graph's arrays
 /// and columns, the loader's cursors and bitmap, two builder threads.
 const PER_NODE: usize = 48;
 
+/// The loaders' allocation counts for `g` on `parts` nodes — edge-cut then
+/// vertex-cut, each without fault tolerance and at K = 1 and 2 — after
+/// holding each within [`PER_NODE`] blocks per node and its graphs'
+/// `mem_bytes` within 3 % of the bytes the build actually left live: the
+/// gauge may fall only because memory did.
+fn load_counts(g: &Graph, parts: usize) -> Vec<usize> {
+    let pr = PageRank::new(0.85, 0.0);
+    let degrees = Degrees::of(g);
+    let plans = |view: &dyn ReplicaView| {
+        let ft = |k| compute_ft_plan(g, view, k, true, pr.selfish_compatible(), 0xF7);
+        [FtPlan::none(g.num_vertices()), ft(1), ft(2)]
+    };
+    let mut counts = Vec::new();
+    let mut check = |what: &str, k: usize, graphs: usize, mem_bytes: usize, cost: Cost| {
+        let what = format!(
+            "{what} load of {} vertices, K = {k}, on {parts} nodes",
+            g.num_vertices()
+        );
+        assert_eq!(graphs, parts, "{what}");
+        assert!(
+            cost.blocks <= PER_NODE * parts,
+            "{what}: {} allocations",
+            cost.blocks
+        );
+        let off = mem_bytes.abs_diff(cost.kept_bytes) as f64 / cost.kept_bytes as f64;
+        assert!(
+            off <= 0.03,
+            "{what}: mem_bytes says {mem_bytes} B, {} B are live",
+            cost.kept_bytes
+        );
+        counts.push(cost.blocks);
+    };
+    let cut = HashEdgeCut.partition(g, parts);
+    for (k, plan) in plans(&cut).iter().enumerate() {
+        assert_eq!(plan.is_enabled(), k > 0);
+        let (lgs, cost) = counted(|| build_edge_cut_graphs(g, &cut, plan, &pr, &degrees));
+        let mem_bytes = lgs.iter().map(MemSize::mem_bytes).sum();
+        check("edge-cut", k, lgs.len(), mem_bytes, cost);
+    }
+    let cut = RandomVertexCut.partition(g, parts);
+    for (k, plan) in plans(&cut).iter().enumerate() {
+        let (lgs, cost) = counted(|| build_vertex_cut_graphs(g, &cut, plan, &pr, &degrees));
+        let mem_bytes = lgs.iter().map(MemSize::mem_bytes).sum();
+        check("vertex-cut", k, lgs.len(), mem_bytes, cost);
+    }
+    counts
+}
+
 #[test]
 fn set_up_allocates_per_node_not_per_vertex() {
+    // What a copy costs before a single edge: `mem_bytes` multiplies these.
+    assert!(std::mem::size_of::<EcVertex<f64>>() <= 48);
+    assert!(std::mem::size_of::<VcVertex<f64>>() <= 24);
+
     let pr = PageRank::new(0.85, 0.0);
-    let mut counts = Vec::new();
+    let mut counts: Vec<Vec<usize>> = Vec::new();
     for vertices in [20_000, 40_000] {
         let g = gen::power_law(vertices, 2.0, 10, 5);
-        let degrees = Degrees::of(&g);
-        let (cut, cut_ec) = counted(|| HashEdgeCut.partition(&g, PARTS));
-        let (_, cut_vc) = counted(|| RandomVertexCut.partition(&g, PARTS));
-        let (ft, plan) =
-            counted(|| compute_ft_plan(&g, &cut, 1, true, pr.selfish_compatible(), 0xF7));
-        let none = FtPlan::none(vertices);
-        let (base, load_base) = counted(|| build_edge_cut_graphs(&g, &cut, &none, &pr, &degrees));
-        let (with_ft, load_ft) = counted(|| build_edge_cut_graphs(&g, &cut, &ft, &pr, &degrees));
-        assert!(ft.is_enabled() && base.len() == PARTS && with_ft.len() == PARTS);
-        for (what, count) in [("edge-cut", cut_ec), ("vertex-cut", cut_vc), ("plan", plan)] {
-            assert!(
-                count <= PER_TABLE,
-                "{what} of {vertices} vertices: {count} allocations"
-            );
+        let mut sized = Vec::new();
+        // At 8 nodes most vertices have more than three replicas: no count
+        // may depend on how many a location table names.
+        for parts in [4, 8] {
+            let (cut, cut_ec) = counted(|| HashEdgeCut.partition(&g, parts));
+            let (_, cut_vc) = counted(|| RandomVertexCut.partition(&g, parts));
+            let (ft, plan) =
+                counted(|| compute_ft_plan(&g, &cut, 1, true, pr.selfish_compatible(), 0xF7));
+            assert!(ft.is_enabled());
+            let tables = [("edge-cut", cut_ec), ("vertex-cut", cut_vc), ("plan", plan)];
+            for (what, cost) in tables {
+                assert!(
+                    cost.blocks <= PER_TABLE,
+                    "{what} of {vertices} vertices on {parts} nodes: {} allocations",
+                    cost.blocks
+                );
+                sized.push(cost.blocks);
+            }
+            sized.extend(load_counts(&g, parts));
         }
-        for (what, count) in [("base", load_base), ("K = 1", load_ft)] {
-            assert!(
-                count <= PER_NODE * PARTS,
-                "{what} load of {vertices} vertices: {count} allocations"
-            );
-        }
-        counts.push([cut_ec, cut_vc, plan, load_base, load_ft]);
+        counts.push(sized);
     }
     let grew = counts[0]
         .iter()
