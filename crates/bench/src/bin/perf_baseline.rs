@@ -365,44 +365,24 @@ fn main() {
         }),
     );
 
-    // End-to-end PageRank per engine, serial vs default thread pool, plus a
-    // pipeline-off variant at t4 to isolate the compute/ship overlap win.
-    let cfg = |threads, pipeline| RunConfig {
+    // End-to-end PageRank per engine, serial vs default thread pool.
+    let cfg = |threads| RunConfig {
         num_nodes: opts.nodes,
         max_iters: 20,
         ft: FtMode::None,
         threads_per_node: threads,
-        pipeline,
         ..RunConfig::default()
     };
-    for (suffix, threads, pipeline) in [
-        ("t1", 1usize, true),
-        ("t4", 4, true),
-        ("t4_nopipe", 4, false),
-    ] {
+    for (suffix, threads) in [("t1", 1usize), ("t4", 4)] {
         let s = best_of(reps(), || {
-            run_ec(
-                Workload::PageRank,
-                &g,
-                &cut,
-                cfg(threads, pipeline),
-                vec![],
-                ramfs(),
-            )
+            run_ec(Workload::PageRank, &g, &cut, cfg(threads), vec![], ramfs())
         });
         record(
             &format!("ec_pagerank_e2e_{suffix}"),
             s.elapsed.as_secs_f64(),
         );
         let s = best_of(reps(), || {
-            run_vc(
-                Workload::PageRank,
-                &g,
-                &vcut,
-                cfg(threads, pipeline),
-                vec![],
-                ramfs(),
-            )
+            run_vc(Workload::PageRank, &g, &vcut, cfg(threads), vec![], ramfs())
         });
         record(
             &format!("vc_pagerank_e2e_{suffix}"),

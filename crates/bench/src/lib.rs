@@ -152,8 +152,6 @@ pub struct Summary {
     pub extra_replicas: usize,
     /// `(iteration, offset)` commit stamps.
     pub timeline: Vec<(u64, Duration)>,
-    /// Redundant sync records suppressed across the run.
-    pub suppressed_syncs: u64,
     /// Fabric traffic split by kind (sync / gather / recovery / control /
     /// heartbeat) — the denominator for heartbeat-overhead figures.
     pub fabric: CommBreakdown,
@@ -173,7 +171,6 @@ fn summarize<V>(r: RunReport<V>) -> Summary {
         mem_bytes: r.mem_bytes,
         extra_replicas: r.extra_replicas,
         timeline: r.timeline,
-        suppressed_syncs: r.suppressed_syncs,
         fabric: r.fabric,
         suspicion: r.suspicion,
     }

@@ -406,51 +406,111 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
     Ok(lg)
 }
 
-/// Appends the shared data-snapshot prologue — positions as an ascending
-/// delta column — returning the positions for the caller's value pass.
-fn enc_pos_column(positions: &[u32], buf: &mut Vec<u8>) {
+/// The positions of the masters among `verts`, ascending: what a data
+/// snapshot covers.
+fn master_positions<T>(verts: &[T], is_master: impl Fn(&T) -> bool) -> Vec<u32> {
+    let positions = 0..verts.len() as u32;
+    positions
+        .filter(|&p| is_master(&verts[p as usize]))
+        .collect()
+}
+
+/// Appends a position list: its length, then the positions as an ascending
+/// delta column.
+fn enc_positions(positions: &[u32], buf: &mut Vec<u8>) {
+    enc_uv(positions.len() as u64, buf);
     let mut prev = 0u32;
     for &pos in positions {
         enc_delta(pos, &mut prev, buf);
     }
 }
 
-fn dec_pos_column(r: &mut Reader<'_>, n: usize) -> Result<Vec<u32>, DecodeError> {
+/// Reads [`enc_positions`] back, holding every position below `len`.
+fn dec_positions(r: &mut Reader<'_>, len: usize) -> Result<Vec<u32>, DecodeError> {
+    let n = dec_count(r)?;
     let mut prev = 0u32;
     let mut positions = Vec::with_capacity(n);
     for _ in 0..n {
-        positions.push(dec_delta(r, &mut prev)?);
+        let pos = dec_delta(r, &mut prev)?;
+        if pos as usize >= len {
+            return Err(DecodeError::Corrupt("snapshot position"));
+        }
+        positions.push(pos);
     }
     Ok(positions)
 }
 
-/// Encodes a data snapshot: the masters' mutable state — iteration, master
-/// position column, packed `active|last_activate` bitmap, then the values.
-pub fn encode_ec_snapshot<V: Encode>(lg: &EcLocalGraph<V>, iter: u64) -> Vec<u8> {
-    let mut buf = Vec::new();
-    enc_uv(iter, &mut buf);
-    let masters: Vec<_> = lg
-        .verts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_master())
-        .collect();
-    enc_uv(masters.len() as u64, &mut buf);
-    let positions: Vec<u32> = masters.iter().map(|&(pos, _)| pos as u32).collect();
-    enc_pos_column(&positions, &mut buf);
+/// Appends the activation flags of the copies at `positions`, two bits
+/// apiece (`active`, `last_activate`), four copies to the byte.
+fn enc_flags<V>(lg: &EcLocalGraph<V>, positions: &[u32], buf: &mut Vec<u8>) {
     let bitmap_at = buf.len();
-    buf.resize(bitmap_at + (2 * masters.len()).div_ceil(8), 0);
-    for (i, (_, v)) in masters.iter().enumerate() {
+    buf.resize(bitmap_at + (2 * positions.len()).div_ceil(8), 0);
+    for (i, &pos) in positions.iter().enumerate() {
+        let v = &lg.verts[pos as usize];
         let f = u8::from(v.active) | (u8::from(v.last_activate) << 1);
         buf[bitmap_at + i / 4] |= f << (2 * (i % 4));
     }
-    for (_, v) in masters {
-        v.value.encode(&mut buf);
+}
+
+/// Reads [`enc_flags`] back into the copies at `positions`.
+fn apply_flags<V>(
+    lg: &mut EcLocalGraph<V>,
+    positions: &[u32],
+    r: &mut Reader<'_>,
+) -> Result<(), DecodeError> {
+    let bitmap = r.take((2 * positions.len()).div_ceil(8))?;
+    for (i, &pos) in positions.iter().enumerate() {
+        let flags = (bitmap[i / 4] >> (2 * (i % 4))) & 0b11;
+        let v = &mut lg.verts[pos as usize];
+        v.active = flags & 1 != 0;
+        v.last_activate = flags & 2 != 0;
+        v.next_active = false;
+    }
+    Ok(())
+}
+
+/// Encodes an edge-cut data snapshot: the iteration, then the masters at
+/// `dirty` (ascending; `None`: every master) — position column, activation
+/// flags, values — and, where `dirty` leaves masters out, a tail with their
+/// position column and flags: the flags are cheap and may flip without a
+/// value change (§2.3). A full snapshot is the delta whose dirty set is
+/// every master, and has no tail.
+pub fn encode_ec_snapshot<V: Encode>(
+    lg: &EcLocalGraph<V>,
+    iter: u64,
+    dirty: Option<&[u32]>,
+) -> Vec<u8> {
+    let masters = master_positions(&lg.verts, EcVertex::is_master);
+    let (dirty, clean) = match dirty {
+        None => (&masters[..], Vec::new()),
+        Some(dirty) => {
+            let mut rest = dirty;
+            let clean = masters.iter().copied().filter(|&p| {
+                while rest.first().is_some_and(|&d| d < p) {
+                    rest = &rest[1..];
+                }
+                rest.first() != Some(&p)
+            });
+            (dirty, clean.collect())
+        }
+    };
+    let mut buf = Vec::new();
+    enc_uv(iter, &mut buf);
+    enc_positions(dirty, &mut buf);
+    enc_flags(lg, dirty, &mut buf);
+    for &pos in dirty {
+        lg.verts[pos as usize].value.encode(&mut buf);
+    }
+    if !clean.is_empty() {
+        enc_positions(&clean, &mut buf);
+        enc_flags(lg, &clean, &mut buf);
     }
     buf
 }
 
-/// Applies a data snapshot, returning the iteration it was taken at.
+/// Applies an edge-cut data snapshot — one link of a chain, or a full one —
+/// returning the iteration it was taken at. Values accumulate across links;
+/// every link carries every master's flags, so the last applied link's win.
 ///
 /// # Errors
 ///
@@ -461,21 +521,17 @@ pub fn apply_ec_snapshot<V: Decode>(
 ) -> Result<u64, DecodeError> {
     let mut r = Reader::new(bytes);
     let iter = dec_uv(&mut r)?;
-    let n = dec_count(&mut r)?;
-    let positions = dec_pos_column(&mut r, n)?;
-    let bitmap = r.take((2 * n).div_ceil(8))?.to_vec();
-    for (i, &pos) in positions.iter().enumerate() {
-        let pos = pos as usize;
-        let value = V::decode(&mut r)?;
-        if pos >= lg.verts.len() {
-            return Err(DecodeError::Corrupt("snapshot position"));
-        }
-        let flags = (bitmap[i / 4] >> (2 * (i % 4))) & 0b11;
-        let v = &mut lg.verts[pos];
-        v.value = value;
-        v.active = flags & 1 != 0;
-        v.last_activate = flags & 2 != 0;
-        v.next_active = false;
+    let dirty = dec_positions(&mut r, lg.verts.len())?;
+    apply_flags(lg, &dirty, &mut r)?;
+    for &pos in &dirty {
+        lg.verts[pos as usize].value = V::decode(&mut r)?;
+    }
+    if r.remaining() > 0 {
+        let clean = dec_positions(&mut r, lg.verts.len())?;
+        apply_flags(lg, &clean, &mut r)?;
+    }
+    if r.remaining() > 0 {
+        return Err(DecodeError::TrailingBytes(r.remaining()));
     }
     lg.rebuild_active_frontier();
     Ok(iter)
@@ -567,27 +623,33 @@ pub fn decode_vc_graph<V: Decode>(bytes: &[u8]) -> Result<VcLocalGraph<V>, Decod
     Ok(lg)
 }
 
-/// Encodes a vertex-cut data snapshot: masters' values behind an ascending
-/// position delta column.
-pub fn encode_vc_snapshot<V: Encode>(lg: &VcLocalGraph<V>, iter: u64) -> Vec<u8> {
+/// Encodes a vertex-cut data snapshot: the iteration, then the masters at
+/// `dirty` (ascending; `None`: every master) as a position column and their
+/// values. The dense engine carries no activation state.
+pub fn encode_vc_snapshot<V: Encode>(
+    lg: &VcLocalGraph<V>,
+    iter: u64,
+    dirty: Option<&[u32]>,
+) -> Vec<u8> {
+    let masters;
+    let dirty = match dirty {
+        Some(dirty) => dirty,
+        None => {
+            masters = master_positions(&lg.verts, VcVertex::is_master);
+            &masters
+        }
+    };
     let mut buf = Vec::new();
     enc_uv(iter, &mut buf);
-    let masters: Vec<_> = lg
-        .verts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_master())
-        .collect();
-    enc_uv(masters.len() as u64, &mut buf);
-    let positions: Vec<u32> = masters.iter().map(|&(pos, _)| pos as u32).collect();
-    enc_pos_column(&positions, &mut buf);
-    for (_, v) in masters {
-        v.value.encode(&mut buf);
+    enc_positions(dirty, &mut buf);
+    for &pos in dirty {
+        lg.verts[pos as usize].value.encode(&mut buf);
     }
     buf
 }
 
-/// Applies a vertex-cut data snapshot, returning its iteration.
+/// Applies a vertex-cut data snapshot — one link of a chain, or a full one —
+/// returning its iteration.
 ///
 /// # Errors
 ///
@@ -598,118 +660,13 @@ pub fn apply_vc_snapshot<V: Decode>(
 ) -> Result<u64, DecodeError> {
     let mut r = Reader::new(bytes);
     let iter = dec_uv(&mut r)?;
-    let n = dec_count(&mut r)?;
-    let positions = dec_pos_column(&mut r, n)?;
-    for &pos in &positions {
-        let value = V::decode(&mut r)?;
-        if pos as usize >= lg.verts.len() {
-            return Err(DecodeError::Corrupt("snapshot position"));
-        }
-        lg.verts[pos as usize].value = value;
+    for pos in dec_positions(&mut r, lg.verts.len())? {
+        lg.verts[pos as usize].value = V::decode(&mut r)?;
+    }
+    if r.remaining() > 0 {
+        return Err(DecodeError::TrailingBytes(r.remaining()));
     }
     Ok(iter)
-}
-
-/// Encodes an *incremental* edge-cut data snapshot (§2.3): only the dirty
-/// masters' values, plus the full activation bitmap for every master (the
-/// flags are cheap and may flip without a value change).
-pub fn encode_ec_snapshot_inc<V: Encode>(
-    lg: &EcLocalGraph<V>,
-    iter: u64,
-    dirty: &[u32],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    enc_uv(iter, &mut buf);
-    enc_uv(dirty.len() as u64, &mut buf);
-    enc_pos_column(dirty, &mut buf);
-    for &pos in dirty {
-        lg.verts[pos as usize].value.encode(&mut buf);
-    }
-    let masters: Vec<_> = lg
-        .verts
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_master())
-        .collect();
-    enc_uv(masters.len() as u64, &mut buf);
-    let positions: Vec<u32> = masters.iter().map(|&(pos, _)| pos as u32).collect();
-    enc_pos_column(&positions, &mut buf);
-    let bitmap_at = buf.len();
-    buf.resize(bitmap_at + (2 * masters.len()).div_ceil(8), 0);
-    for (i, (_, v)) in masters.iter().enumerate() {
-        let f = u8::from(v.active) | (u8::from(v.last_activate) << 1);
-        buf[bitmap_at + i / 4] |= f << (2 * (i % 4));
-    }
-    buf
-}
-
-/// Applies one link of an incremental edge-cut snapshot chain, returning the
-/// iteration it was taken at. Values accumulate across links; flags are full
-/// per link, so the last applied link's flags win.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncated or corrupt input.
-pub fn apply_ec_snapshot_inc<V: Decode>(
-    lg: &mut EcLocalGraph<V>,
-    bytes: &[u8],
-) -> Result<u64, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let iter = dec_uv(&mut r)?;
-    let n = dec_count(&mut r)?;
-    let positions = dec_pos_column(&mut r, n)?;
-    for &pos in &positions {
-        let value = V::decode(&mut r)?;
-        if pos as usize >= lg.verts.len() {
-            return Err(DecodeError::Corrupt("snapshot position"));
-        }
-        lg.verts[pos as usize].value = value;
-    }
-    let m = dec_count(&mut r)?;
-    let positions = dec_pos_column(&mut r, m)?;
-    let bitmap = r.take((2 * m).div_ceil(8))?.to_vec();
-    for (i, &pos) in positions.iter().enumerate() {
-        if pos as usize >= lg.verts.len() {
-            return Err(DecodeError::Corrupt("snapshot position"));
-        }
-        let flags = (bitmap[i / 4] >> (2 * (i % 4))) & 0b11;
-        let v = &mut lg.verts[pos as usize];
-        v.active = flags & 1 != 0;
-        v.last_activate = flags & 2 != 0;
-        v.next_active = false;
-    }
-    lg.rebuild_active_frontier();
-    Ok(iter)
-}
-
-/// Encodes an *incremental* vertex-cut data snapshot: dirty masters' values
-/// only (the dense engine carries no activation state).
-pub fn encode_vc_snapshot_inc<V: Encode>(
-    lg: &VcLocalGraph<V>,
-    iter: u64,
-    dirty: &[u32],
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    enc_uv(iter, &mut buf);
-    enc_uv(dirty.len() as u64, &mut buf);
-    enc_pos_column(dirty, &mut buf);
-    for &pos in dirty {
-        lg.verts[pos as usize].value.encode(&mut buf);
-    }
-    buf
-}
-
-/// Applies one link of an incremental vertex-cut snapshot chain.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncated or corrupt input.
-pub fn apply_vc_snapshot_inc<V: Decode>(
-    lg: &mut VcLocalGraph<V>,
-    bytes: &[u8],
-) -> Result<u64, DecodeError> {
-    // Same layout as the full snapshot minus flags — delegate.
-    apply_vc_snapshot(lg, bytes)
 }
 
 /// An edge-ckpt file, written one edge at a time: the edge count, then
@@ -1247,7 +1204,7 @@ pub(crate) mod tests {
         for v in lgs[0].verts.iter_mut().filter(|v| v.is_master()) {
             v.value = 42.0;
         }
-        let snap = encode_ec_snapshot(&lgs[0], 7);
+        let snap = encode_ec_snapshot(&lgs[0], 7, None);
         for v in lgs[0].verts.iter_mut() {
             v.value = -1.0;
         }
@@ -1283,7 +1240,7 @@ pub(crate) mod tests {
         let plan = FtPlan::none(g.num_vertices());
         let d = Degrees::of(&g);
         let mut lgs = build_vertex_cut_graphs(&g, &cut, &plan, &P, &d);
-        let snap = encode_vc_snapshot(&lgs[1], 3);
+        let snap = encode_vc_snapshot(&lgs[1], 3, None);
         for v in lgs[1].verts.iter_mut() {
             v.value = -5.0;
         }
@@ -1300,21 +1257,16 @@ pub(crate) mod tests {
         let plan = FtPlan::none(g.num_vertices());
         let d = Degrees::of(&g);
         let mut lgs = build_edge_cut_graphs(&g, &cut, &plan, &P, &d);
-        let full = encode_ec_snapshot(&lgs[0], 3);
+        let full = encode_ec_snapshot(&lgs[0], 3, None);
+        let masters = master_positions(&lgs[0].verts, EcVertex::is_master);
+        // A full snapshot is the delta whose dirty set is every master.
+        assert_eq!(encode_ec_snapshot(&lgs[0], 3, Some(&masters)), full);
         // Sparse update: only three masters moved since the last epoch.
-        let dirty: Vec<u32> = lgs[0]
-            .verts
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_master())
-            .map(|(pos, _)| pos as u32)
-            .take(3)
-            .collect();
-        assert_eq!(dirty.len(), 3);
+        let dirty = masters[..3].to_vec();
         for &pos in &dirty {
             lgs[0].verts[pos as usize].value = 42.0;
         }
-        let inc = encode_ec_snapshot_inc(&lgs[0], 4, &dirty);
+        let inc = encode_ec_snapshot(&lgs[0], 4, Some(&dirty));
         assert!(
             inc.len() < full.len(),
             "sparse delta ({} B) must undercut the full snapshot ({} B)",
@@ -1328,7 +1280,7 @@ pub(crate) mod tests {
             v.value = -1.0;
         }
         assert_eq!(apply_ec_snapshot(&mut target, &full).unwrap(), 3);
-        assert_eq!(apply_ec_snapshot_inc(&mut target, &inc).unwrap(), 4);
+        assert_eq!(apply_ec_snapshot(&mut target, &inc).unwrap(), 4);
         for (v, want) in target.verts.iter().zip(&lgs[0].verts) {
             if v.is_master() {
                 assert_eq!(
@@ -1348,20 +1300,14 @@ pub(crate) mod tests {
         let plan = FtPlan::none(g.num_vertices());
         let d = Degrees::of(&g);
         let mut lgs = build_vertex_cut_graphs(&g, &cut, &plan, &P, &d);
-        let full = encode_vc_snapshot(&lgs[1], 3);
-        let dirty: Vec<u32> = lgs[1]
-            .verts
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_master())
-            .map(|(pos, _)| pos as u32)
-            .take(2)
-            .collect();
-        assert_eq!(dirty.len(), 2);
+        let full = encode_vc_snapshot(&lgs[1], 3, None);
+        let masters = master_positions(&lgs[1].verts, VcVertex::is_master);
+        assert_eq!(encode_vc_snapshot(&lgs[1], 3, Some(&masters)), full);
+        let dirty = masters[..2].to_vec();
         for &pos in &dirty {
             lgs[1].verts[pos as usize].value = 9.0;
         }
-        let inc = encode_vc_snapshot_inc(&lgs[1], 4, &dirty);
+        let inc = encode_vc_snapshot(&lgs[1], 4, Some(&dirty));
         assert!(
             inc.len() < full.len(),
             "sparse delta ({} B) must undercut the full snapshot ({} B)",
@@ -1373,7 +1319,7 @@ pub(crate) mod tests {
             v.value = -5.0;
         }
         assert_eq!(apply_vc_snapshot(&mut target, &full).unwrap(), 3);
-        assert_eq!(apply_vc_snapshot_inc(&mut target, &inc).unwrap(), 4);
+        assert_eq!(apply_vc_snapshot(&mut target, &inc).unwrap(), 4);
         for (v, want) in target.verts.iter().zip(&lgs[1].verts) {
             if v.is_master() {
                 assert_eq!(v.value, want.value);
@@ -1472,7 +1418,7 @@ pub(crate) mod tests {
         let d = Degrees::of(&g);
         let lgs = build_edge_cut_graphs(&g, &cut, &plan, &P, &d);
         let masters = lgs[0].num_masters();
-        let snap = encode_ec_snapshot(&lgs[0], 1);
+        let snap = encode_ec_snapshot(&lgs[0], 1, None);
         // 8 B value per master + ~1 B position delta + 2 bits of flags,
         // against the old 4 B position + 2 B bools.
         let old_layout = 8 + 4 + (masters as u64) * (4 + 8 + 2);

@@ -4,12 +4,11 @@
 //! replicas, mirrors, Rebirth, Migration, checkpoint baseline) instantiated
 //! over two computation models. This module holds everything the protocol
 //! shares — the BSP main loop with failure detection and dispatch, standby
-//! wake-up, sync-record batching with redundant-sync suppression
-//! staging/commit, checkpoint scheduling, and run assembly — parameterized
-//! by a [`ComputeModel`]. The model contributes only what genuinely differs:
-//! the superstep body (fused compute vs distributed gather-apply), codec
-//! entry points, and the reconstruction primitives the recovery state
-//! machine (`recovery.rs`) composes.
+//! wake-up, sync-record batching, checkpoint scheduling, and run assembly —
+//! parameterized by a [`ComputeModel`]. The model contributes only what
+//! genuinely differs: the superstep body (fused compute vs distributed
+//! gather-apply), codec entry points, and the reconstruction primitives the
+//! recovery state machine (`recovery.rs`) composes.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -80,16 +79,16 @@ pub(crate) enum StepOutcome {
     /// masters for the dense one).
     Committed(u64),
     /// A barrier inside the superstep failed. The model has already undone
-    /// its own staged state (dropped updates, suppression rollback); the
-    /// driver stashes recovery traffic and runs the recovery state machine.
+    /// its own staged state (dropped updates); the driver stashes recovery
+    /// traffic and runs the recovery state machine.
     Failed(Vec<NodeId>),
 }
 
 /// Node-indexed sync-batch scratch, allocated once per node and drained
 /// every iteration (deterministic send order, no per-iteration hashing).
 ///
-/// Staging is split from shipping so the pipelined driver can ship each
-/// chunk's batch while later chunks still compute: `batches`/`batch_bytes`
+/// Staging is split from shipping so the driver can ship each chunk's
+/// batch while later chunks still compute: `batches`/`batch_bytes`
 /// hold the *unshipped* records, while the `tot_*` accumulators carry
 /// whole-superstep per-destination totals that [`flush_sync_acct`] turns
 /// into exactly one `comm`/`ft_comm` record per destination per superstep —
@@ -257,10 +256,11 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     // -- codec entry points --
     fn encode_graph(&self, lg: &Self::Graph) -> Vec<u8>;
     fn decode_graph(&self, bytes: &[u8]) -> Self::Graph;
-    fn encode_snapshot(&self, lg: &Self::Graph, iter: u64) -> Vec<u8>;
-    fn encode_snapshot_inc(&self, lg: &Self::Graph, iter: u64, dirty: &[u32]) -> Vec<u8>;
+    /// The data snapshot of the masters at `dirty` (ascending), or of every
+    /// master: a full snapshot is the delta whose dirty set is all of them.
+    fn encode_snapshot(&self, lg: &Self::Graph, iter: u64, dirty: Option<&[u32]>) -> Vec<u8>;
+    /// Applies a data snapshot of either extent, returning its iteration.
     fn apply_snapshot(&self, lg: &mut Self::Graph, bytes: &[u8]) -> u64;
-    fn apply_snapshot_inc(&self, lg: &mut Self::Graph, bytes: &[u8]) -> u64;
 
     // -- recovery primitives --
     /// Resets values (and, where the model keeps it, activation) to the
@@ -407,11 +407,7 @@ where
         let ctx = cluster.take_ctx(NodeId::from_index(p));
         let shared = Arc::clone(&shared);
         handles.push(std::thread::spawn(move || {
-            let mut st = NodeState::new(
-                shared.cfg.num_nodes,
-                Instant::now(),
-                shared.cfg.sync_suppress,
-            );
+            let mut st = NodeState::new(shared.cfg.num_nodes, Instant::now());
             if matches!(shared.cfg.ft, FtMode::Checkpoint { .. }) {
                 let sw = Stopwatch::start();
                 shared.dfs.write(
@@ -459,8 +455,6 @@ where
         extra_replicas,
         cluster.comm_breakdown(),
     );
-    report.pipeline = cfg.pipeline;
-    report.delta_sync = cfg.delta_sync;
     report.suspicion = cluster.coordinator().suspicion_stats();
     if cfg!(debug_assertions) {
         if let FtMode::Replication { tolerance, .. } = cfg.ft {
@@ -560,11 +554,7 @@ fn standby_main<M: ComputeModel>(
     shared: &Arc<Shared<M>>,
 ) -> Option<NodeOutcome<(NodeId, M::Graph)>> {
     let ctx = cluster.wait_standby(Duration::from_secs(600))?;
-    let mut st = NodeState::new(
-        shared.cfg.num_nodes,
-        Instant::now(),
-        shared.cfg.sync_suppress,
-    );
+    let mut st = NodeState::new(shared.cfg.num_nodes, Instant::now());
     // The newbie's reload/reconstruct/replay phases fan out on the same
     // worker pool the node keeps for compute once it joins the main loop.
     let pool = WorkerPool::new(shared.cfg.threads_per_node);
@@ -601,7 +591,6 @@ fn node_main<M: ComputeModel>(
     pool: WorkerPool,
 ) -> NodeOutcome<(NodeId, M::Graph)> {
     let me = ctx.id();
-    st.sync_filter.set_domain(lg.len() as u32);
     let mut scratch = shared.model.init_scratch(&lg, shared);
     let mut lg = Arc::new(lg);
     // Runs until the job is over (`true`) or this node is dead (`false`).
@@ -659,19 +648,19 @@ fn node_main<M: ComputeModel>(
             if (st.iter + 1).is_multiple_of(interval) {
                 let sw = Stopwatch::start();
                 let kind = ckpt_epoch_kind(st.iter + 1, interval, incremental);
-                let bytes = match kind {
+                // Either kind starts the next epoch's dirty set afresh: a
+                // full epoch is a new base for the delta chain.
+                let mut dirty = std::mem::take(&mut st.dirty);
+                let dirty = match kind {
+                    EpochKind::Full => None,
                     EpochKind::Delta => {
-                        let mut dirty: Vec<u32> = st.dirty.drain().collect();
-                        dirty.sort_unstable();
-                        shared.model.encode_snapshot_inc(&lg, st.iter + 1, &dirty)
-                    }
-                    EpochKind::Full => {
-                        // A full epoch is a fresh base: the delta chain
-                        // restarts from here, so the dirty set resets too.
-                        st.dirty.clear();
-                        shared.model.encode_snapshot(&lg, st.iter + 1)
+                        // A stable sort merges the supersteps' ascending runs.
+                        dirty.sort();
+                        dirty.dedup();
+                        Some(&dirty[..])
                     }
                 };
+                let bytes = shared.model.encode_snapshot(&lg, st.iter + 1, dirty);
                 if shared
                     .injector
                     .should_fail(me, st.iter, FailPoint::CkptWrite)
@@ -802,51 +791,34 @@ fn absorb_pool<T>(st: &mut NodeState<T>, pool: &WorkerPool) {
 /// send nothing — their only replicas are FT replicas.
 ///
 /// Staging runs on the main thread in ascending-position order (serial
-/// order), so suppression decisions, delta spans and byte accounting are
-/// identical whether the whole update set arrives at once or chunk by
-/// chunk from the pipelined pool. Per-record wire bytes are charged to the
-/// `SyncBufs` accumulators here; [`ship_staged_syncs`] moves batches onto
-/// the fabric and [`flush_sync_acct`] records the superstep totals.
+/// order), so byte accounting is identical whether the whole update set
+/// arrives at once or chunk by chunk from the pool. Per-record wire bytes
+/// are charged to the `SyncBufs` accumulators here; [`ship_staged_syncs`]
+/// moves batches onto the fabric and [`flush_sync_acct`] records the
+/// superstep totals.
 ///
-/// `stage_scatter` keys the suppression filter on the scatter bit too (the
-/// sparse engine's replicas replay it; the dense engine's receivers apply
-/// the value only, matching the full-sync rounds recovery sends).
-pub(crate) fn stage_update_syncs<M: ComputeModel>(
+/// Every update ships: the engines emit one only for a master whose value
+/// changed (DESIGN.md §4.1), so there is nothing here to filter.
+fn stage_update_syncs<M: ComputeModel>(
     lg: &M::Graph,
     updates: &[MasterUpdate<M::Value>],
     shared: &Shared<M>,
-    st: &mut St<M>,
     bufs: &mut SyncBufs<M::Value>,
-    stage_scatter: bool,
 ) {
-    let mut suppressed = 0u64;
     for u in updates {
         let i = lg.vid(u.local).index();
         if *shared.plan.selfish.get(i).unwrap_or(&false) {
             continue;
         }
         let meta = lg.full(u.local);
-        let staged = st
-            .sync_filter
-            .stage(u.local, &u.value, stage_scatter && u.activate);
         let vb = shared.model.value_wire_bytes(&u.value);
         for (node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
-            if st.sync_filter.suppress(staged, node) {
-                suppressed += 1;
-                continue;
-            }
             // Accounted record size: the record's columnar frame columns —
             // position delta against the previous record staged toward this
-            // destination, plus the value column (a byte-span delta when
-            // the destination provably holds the base). Decided at stage
-            // time → invariant under chunking.
+            // destination, plus the value column. Decided at stage time →
+            // invariant under chunking.
             let n = node.index();
-            let span = if shared.cfg.delta_sync {
-                st.sync_filter.delta_span(staged, node)
-            } else {
-                None
-            };
-            let bytes = crate::wire::sync_record_bytes(rpos, bufs.prev_pos[n], vb, span);
+            let bytes = crate::wire::sync_record_bytes(rpos, bufs.prev_pos[n], vb);
             bufs.prev_pos[n] = rpos;
             bufs.batches[n].push(VertexSync {
                 pos: rpos,
@@ -862,16 +834,11 @@ pub(crate) fn stage_update_syncs<M: ComputeModel>(
             }
         }
     }
-    st.note_suppressed(suppressed);
 }
 
 /// Ships every non-empty staged batch onto the fabric (one envelope per
-/// destination) and returns how many envelopes went out. The pipelined
-/// driver calls this once per chunk; the strict driver once per phase.
-pub(crate) fn ship_staged_syncs<M: ComputeModel>(
-    ctx: &Ctx<M>,
-    bufs: &mut SyncBufs<M::Value>,
-) -> u64 {
+/// destination) and returns how many envelopes went out.
+fn ship_staged_syncs<M: ComputeModel>(ctx: &Ctx<M>, bufs: &mut SyncBufs<M::Value>) -> u64 {
     let mut shipped = 0;
     for (n, batch) in bufs.batches.iter_mut().enumerate() {
         if batch.is_empty() {
@@ -893,7 +860,7 @@ pub(crate) fn ship_staged_syncs<M: ComputeModel>(
 /// with the FT share pro-rata on whole-superstep entry counts, so the
 /// accounting (and the golden hashes over it) is bit-identical whether the
 /// batches shipped whole or chunk by chunk.
-pub(crate) fn flush_sync_acct<M: ComputeModel>(st: &mut St<M>, bufs: &mut SyncBufs<M::Value>) {
+fn flush_sync_acct<M: ComputeModel>(st: &mut St<M>, bufs: &mut SyncBufs<M::Value>) {
     for n in 0..bufs.tot_entries.len() {
         let entries = std::mem::take(&mut bufs.tot_entries[n]);
         let col_bytes = std::mem::take(&mut bufs.tot_bytes[n]);
@@ -916,17 +883,14 @@ pub(crate) fn flush_sync_acct<M: ComputeModel>(st: &mut St<M>, bufs: &mut SyncBu
 }
 
 /// Drains an update-producing chunk iterator and handles the whole
-/// stage/ship/account dance for the phase, in both execution modes:
+/// stage/ship/account dance for the phase: each chunk's sync batch is staged
+/// and shipped the moment the chunk completes, while later chunks are still
+/// computing on the pool — the sync barrier fences only the tail. Time spent
+/// staging while compute was still outstanding is recorded as `overlap` and
+/// counted in the pool stats. With one worker thread there is one chunk, and
+/// the phase is compute, then stage, then ship.
 ///
-/// * **Pipelined** (`cfg.pipeline`): each chunk's sync batch is staged and
-///   shipped the moment the chunk completes, while later chunks are still
-///   computing on the pool — the sync barrier fences only the tail. Time
-///   spent staging while compute was still outstanding is recorded as
-///   `overlap` and counted in the pool stats.
-/// * **Strict**: all chunks are drained first, then the phase stages and
-///   ships once.
-///
-/// Returns the concatenated updates, which are identical in either mode:
+/// Returns the concatenated updates, which are identical for any chunking:
 /// chunks are disjoint ascending ranges consumed in submission order, so
 /// the staged record sequence — and with [`flush_sync_acct`]'s tail flush,
 /// the comm accounting — is a pure function of the inputs.
@@ -940,33 +904,23 @@ pub(crate) fn pump_update_syncs<M: ComputeModel>(
     chunks: &mut InOrder<Vec<MasterUpdate<M::Value>>>,
     sw: &mut Stopwatch,
     phase: &'static str,
-    stage_scatter: bool,
 ) -> Vec<MasterUpdate<M::Value>> {
     let mut updates: Vec<MasterUpdate<M::Value>> = Vec::new();
-    if shared.cfg.pipeline {
-        while let Some(chunk) = chunks.next() {
-            let outstanding = chunks.outstanding() > 0;
-            let stage_sw = Stopwatch::start();
-            stage_update_syncs::<M>(lg, &chunk, shared, st, bufs, stage_scatter);
-            let shipped = ship_staged_syncs::<M>(ctx, bufs);
-            if outstanding {
-                // Staging/shipping overlapped with outstanding chunk work.
-                let d = stage_sw.elapsed();
-                st.pool.overlap += d;
-                st.phases.record("overlap", d);
-                st.pool.early_batches += shipped;
-            }
-            updates.extend(chunk);
+    while let Some(chunk) = chunks.next() {
+        let outstanding = chunks.outstanding() > 0;
+        let stage_sw = Stopwatch::start();
+        stage_update_syncs::<M>(lg, &chunk, shared, bufs);
+        let shipped = ship_staged_syncs::<M>(ctx, bufs);
+        if outstanding {
+            // Staging/shipping overlapped with outstanding chunk work.
+            let d = stage_sw.elapsed();
+            st.pool.overlap += d;
+            st.phases.record("overlap", d);
+            st.pool.early_batches += shipped;
         }
-        st.phases.record(phase, sw.lap());
-    } else {
-        for chunk in chunks {
-            updates.extend(chunk);
-        }
-        st.phases.record(phase, sw.lap());
-        stage_update_syncs::<M>(lg, &updates, shared, st, bufs, stage_scatter);
-        ship_staged_syncs::<M>(ctx, bufs);
+        updates.extend(chunk);
     }
+    st.phases.record(phase, sw.lap());
     flush_sync_acct::<M>(st, bufs);
     st.phases.record("send", sw.lap());
     updates

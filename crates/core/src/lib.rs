@@ -55,7 +55,6 @@ mod report;
 mod rt;
 mod runner_ec;
 mod runner_vc;
-mod suppress;
 pub mod wire;
 
 pub use ckpt::edge_ckpt_files;
@@ -154,26 +153,12 @@ pub struct RunConfig {
     /// also replaces crashed machines).
     pub standbys: usize,
     /// Worker threads each node uses for its local compute phases (the
-    /// paper's evaluation runs 4 worker threads per machine). Results are
-    /// bit-identical for any value; `0` is treated as `1`.
+    /// paper's evaluation runs 4 worker threads per machine). Each thread's
+    /// chunk of a phase ships its sync batch as soon as it (and every earlier
+    /// chunk) is done, so `1` is the strict compute → send ordering. Results
+    /// and byte accounting are bit-identical for any value; `0` is treated
+    /// as `1`.
     pub threads_per_node: usize,
-    /// Skip sync records whose codec-encoded value is bitwise identical to
-    /// the last record shipped to that destination *and* whose scatter bit
-    /// matches (redundant-sync suppression). Results are bit-identical
-    /// either way; the skipped records show up in
-    /// [`RunReport::suppressed_syncs`].
-    pub sync_suppress: bool,
-    /// Pipeline supersteps: each compute/gather chunk's sync batch is
-    /// staged and shipped through the fabric as soon as the chunk (and all
-    /// earlier chunks) completed, with the sync barrier fencing only the
-    /// tail. Results and byte accounting are bit-identical either way;
-    /// disabling restores the strict compute → send phase ordering.
-    pub pipeline: bool,
-    /// Delta-encode sync records: when the destination provably holds the
-    /// previous value (same validity rule as suppression), ship only the
-    /// changed byte span. Results are bit-identical either way; wire bytes
-    /// shrink when values change slightly.
-    pub delta_sync: bool,
     /// The wire backend nodes communicate over. The default in-process
     /// channels are reliable and ordered; [`TransportKind::Lossy`] injects
     /// seeded drop/duplicate/reorder/delay faults per traffic kind, and
@@ -196,9 +181,6 @@ impl Default for RunConfig {
             hb_timeout: Duration::from_millis(60),
             standbys: 0,
             threads_per_node: 4,
-            sync_suppress: true,
-            pipeline: true,
-            delta_sync: true,
             transport: TransportKind::Channel,
         }
     }

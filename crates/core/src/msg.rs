@@ -340,70 +340,6 @@ fn dec_batch<E>(
     })
 }
 
-fn enc_ec_entry<V: Encode>(e: &EcRecoverEntry<V>, buf: &mut Vec<u8>) {
-    e.vid.raw().encode(buf);
-    e.pos.encode(buf);
-    kind_bits(e.kind).encode(buf);
-    e.master_node.raw().encode(buf);
-    e.value.encode(buf);
-    e.last_activate.encode(buf);
-    e.active.encode(buf);
-    e.in_edges.encode(buf);
-    e.out_local.encode(buf);
-    match &e.meta {
-        Some(m) => {
-            true.encode(buf);
-            enc_meta(m.view(), buf);
-        }
-        None => false.encode(buf),
-    }
-}
-
-fn dec_ec_entry<V: Decode>(r: &mut Reader<'_>) -> Result<EcRecoverEntry<V>, DecodeError> {
-    Ok(EcRecoverEntry {
-        vid: dec_vid(r)?,
-        pos: u32::decode(r)?,
-        kind: kind_from_bits(u8::decode(r)?)?,
-        master_node: dec_node(r)?,
-        value: V::decode(r)?,
-        last_activate: bool::decode(r)?,
-        active: bool::decode(r)?,
-        in_edges: Vec::<(u32, f32)>::decode(r)?,
-        out_local: Vec::<u32>::decode(r)?,
-        meta: bool::decode(r)?
-            .then(|| dec_meta(r).map(Box::new))
-            .transpose()?,
-    })
-}
-
-fn enc_vc_entry<V: Encode>(e: &VcRecoverEntry<V>, buf: &mut Vec<u8>) {
-    e.vid.raw().encode(buf);
-    e.pos.encode(buf);
-    kind_bits(e.kind).encode(buf);
-    e.master_node.raw().encode(buf);
-    e.value.encode(buf);
-    match &e.meta {
-        Some(m) => {
-            true.encode(buf);
-            enc_locations(m.view(), buf);
-        }
-        None => false.encode(buf),
-    }
-}
-
-fn dec_vc_entry<V: Decode>(r: &mut Reader<'_>) -> Result<VcRecoverEntry<V>, DecodeError> {
-    Ok(VcRecoverEntry {
-        vid: dec_vid(r)?,
-        pos: u32::decode(r)?,
-        kind: kind_from_bits(u8::decode(r)?)?,
-        master_node: dec_node(r)?,
-        value: V::decode(r)?,
-        meta: bool::decode(r)?
-            .then(|| dec_locations(r).map(Box::new))
-            .transpose()?,
-    })
-}
-
 fn enc_promotions(ps: &[Promotion], buf: &mut Vec<u8>) {
     write_uvarint(buf, ps.len() as u64);
     for p in ps {
@@ -522,58 +458,6 @@ fn dec_mirror_batch<V: Decode>(
     })
 }
 
-/// An edge-cut batch's store: the four column totals, so that the decoder
-/// sizes each column once, then every slot's full state in message form.
-fn enc_full_state_batch(metas: &FullState, buf: &mut Vec<u8>) {
-    enc_column_lens(metas.column_lens(), buf);
-    for i in 0..metas.len() {
-        enc_meta(metas.nth(i), buf);
-    }
-}
-
-fn dec_full_state_batch(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError> {
-    let lens = dec_column_lens(r)?;
-    let mut metas = FullState::default();
-    metas.reserve_exact(StoreLens {
-        slots: n,
-        words: 0,
-        edges: lens,
-    });
-    let mut meta = MasterMeta::default();
-    for _ in 0..n {
-        dec_meta_into(r, &mut meta)?;
-        metas.push(meta.view());
-    }
-    if metas.column_lens() != lens {
-        return Err(DecodeError::Corrupt("column totals"));
-    }
-    Ok(metas)
-}
-
-/// A vertex-cut batch's store: every slot's location tables, nothing else.
-fn enc_locations_batch(metas: &FullState, buf: &mut Vec<u8>) {
-    for i in 0..metas.len() {
-        enc_locations(metas.nth(i).locations, buf);
-    }
-}
-
-/// Reads [`enc_locations_batch`] back into a store without edge rows. The
-/// caller has held `n` to the input; the table words are not announced and
-/// grow with what is actually read.
-fn dec_locations_batch(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError> {
-    let mut metas = FullState::default();
-    metas.reserve_exact(StoreLens {
-        slots: n,
-        ..StoreLens::default()
-    });
-    let mut tables = Locations::default();
-    for _ in 0..n {
-        dec_locations_into(r, &mut tables)?;
-        metas.push(FullStateRef::tables(tables.view()));
-    }
-    Ok(metas)
-}
-
 fn enc_vids(vids: &[Vid], buf: &mut Vec<u8>) {
     write_uvarint(buf, vids.len() as u64);
     for v in vids {
@@ -612,73 +496,149 @@ fn settle<T>(r: Reader<'_>, value: T) -> Option<T> {
     (r.remaining() == 0).then_some(value)
 }
 
-impl<V: Encode + Decode> WireCodec for EcMsg<V> {
-    fn encode_wire(&self, buf: &mut Vec<u8>) {
-        match self {
-            ProtoMsg::Sync(recs) => enc_sync(recs, buf),
-            ProtoMsg::Gather(recs) => enc_gather(recs, buf),
-            ProtoMsg::Rebirth(b) => {
-                buf.push(TAG_REBIRTH);
-                enc_batch(b, buf, enc_ec_entry);
+/// What differs between the two models' wire protocols: how a Rebirth
+/// recovery entry and a mirror batch's full-state store are written.
+pub(crate) trait WireEntry: Sized {
+    fn enc(&self, buf: &mut Vec<u8>);
+    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+    fn enc_states(metas: &FullState, buf: &mut Vec<u8>);
+    /// Reads back `n` full states.
+    fn dec_states(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError>;
+}
+
+impl<V: Encode + Decode> WireEntry for EcRecoverEntry<V> {
+    fn enc(&self, buf: &mut Vec<u8>) {
+        self.vid.raw().encode(buf);
+        self.pos.encode(buf);
+        kind_bits(self.kind).encode(buf);
+        self.master_node.raw().encode(buf);
+        self.value.encode(buf);
+        self.last_activate.encode(buf);
+        self.active.encode(buf);
+        self.in_edges.encode(buf);
+        self.out_local.encode(buf);
+        match &self.meta {
+            Some(m) => {
+                true.encode(buf);
+                enc_meta(m.view(), buf);
             }
-            ProtoMsg::Promote(ps) => {
-                buf.push(TAG_PROMOTE);
-                enc_promotions(ps, buf);
-            }
-            ProtoMsg::ReplicaRequest(vids) => {
-                buf.push(TAG_REPLICA_REQUEST);
-                enc_vids(vids, buf);
-            }
-            ProtoMsg::ReplicaGrant(gs) => {
-                buf.push(TAG_REPLICA_GRANT);
-                enc_grants(gs, buf);
-            }
-            ProtoMsg::ReplicaPlaced(ps) => {
-                buf.push(TAG_REPLICA_PLACED);
-                enc_placed(ps, buf);
-            }
-            ProtoMsg::MirrorUpdate(b) => {
-                buf.push(TAG_MIRROR_UPDATE);
-                enc_mirror_batch(b, buf, enc_full_state_batch);
-            }
+            None => false.encode(buf),
         }
     }
 
-    fn decode_wire(bytes: &[u8]) -> Option<Self> {
-        let tag = *bytes.first()?;
-        match tag {
-            SYNC_FRAME_TAG => dec_sync(bytes).ok().map(ProtoMsg::Sync),
-            GATHER_FRAME_TAG => dec_gather(bytes).ok().map(ProtoMsg::Gather),
-            _ => {
-                let mut r = Reader::new(&bytes[1..]);
-                let msg = match tag {
-                    TAG_REBIRTH => {
-                        ProtoMsg::Rebirth(Box::new(dec_batch(&mut r, dec_ec_entry).ok()?))
-                    }
-                    TAG_PROMOTE => ProtoMsg::Promote(dec_promotions(&mut r).ok()?),
-                    TAG_REPLICA_REQUEST => ProtoMsg::ReplicaRequest(dec_vids(&mut r).ok()?),
-                    TAG_REPLICA_GRANT => ProtoMsg::ReplicaGrant(dec_grants(&mut r).ok()?),
-                    TAG_REPLICA_PLACED => ProtoMsg::ReplicaPlaced(dec_placed(&mut r).ok()?),
-                    TAG_MIRROR_UPDATE => {
-                        let batch = dec_mirror_batch(&mut r, dec_full_state_batch).ok()?;
-                        ProtoMsg::MirrorUpdate(Box::new(batch))
-                    }
-                    _ => return None,
-                };
-                settle(r, msg)
-            }
+    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(EcRecoverEntry {
+            vid: dec_vid(r)?,
+            pos: u32::decode(r)?,
+            kind: kind_from_bits(u8::decode(r)?)?,
+            master_node: dec_node(r)?,
+            value: V::decode(r)?,
+            last_activate: bool::decode(r)?,
+            active: bool::decode(r)?,
+            in_edges: Vec::<(u32, f32)>::decode(r)?,
+            out_local: Vec::<u32>::decode(r)?,
+            meta: bool::decode(r)?
+                .then(|| dec_meta(r).map(Box::new))
+                .transpose()?,
+        })
+    }
+
+    /// The four column totals, so that the decoder sizes each column once,
+    /// then every slot's full state in message form.
+    fn enc_states(metas: &FullState, buf: &mut Vec<u8>) {
+        enc_column_lens(metas.column_lens(), buf);
+        for i in 0..metas.len() {
+            enc_meta(metas.nth(i), buf);
         }
+    }
+
+    fn dec_states(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError> {
+        let lens = dec_column_lens(r)?;
+        let mut metas = FullState::default();
+        metas.reserve_exact(StoreLens {
+            slots: n,
+            words: 0,
+            edges: lens,
+        });
+        let mut meta = MasterMeta::default();
+        for _ in 0..n {
+            dec_meta_into(r, &mut meta)?;
+            metas.push(meta.view());
+        }
+        if metas.column_lens() != lens {
+            return Err(DecodeError::Corrupt("column totals"));
+        }
+        Ok(metas)
     }
 }
 
-impl<V: Encode + Decode, A: Encode + Decode + Clone> WireCodec for VcMsg<V, A> {
+impl<V: Encode + Decode> WireEntry for VcRecoverEntry<V> {
+    fn enc(&self, buf: &mut Vec<u8>) {
+        self.vid.raw().encode(buf);
+        self.pos.encode(buf);
+        kind_bits(self.kind).encode(buf);
+        self.master_node.raw().encode(buf);
+        self.value.encode(buf);
+        match &self.meta {
+            Some(m) => {
+                true.encode(buf);
+                enc_locations(m.view(), buf);
+            }
+            None => false.encode(buf),
+        }
+    }
+
+    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(VcRecoverEntry {
+            vid: dec_vid(r)?,
+            pos: u32::decode(r)?,
+            kind: kind_from_bits(u8::decode(r)?)?,
+            master_node: dec_node(r)?,
+            value: V::decode(r)?,
+            meta: bool::decode(r)?
+                .then(|| dec_locations(r).map(Box::new))
+                .transpose()?,
+        })
+    }
+
+    /// Every slot's location tables, nothing else.
+    fn enc_states(metas: &FullState, buf: &mut Vec<u8>) {
+        for i in 0..metas.len() {
+            enc_locations(metas.nth(i).locations, buf);
+        }
+    }
+
+    /// Reads the tables back into a store without edge rows. The caller has
+    /// held `n` to the input; the table words are not announced and grow
+    /// with what is actually read.
+    fn dec_states(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError> {
+        let mut metas = FullState::default();
+        metas.reserve_exact(StoreLens {
+            slots: n,
+            ..StoreLens::default()
+        });
+        let mut tables = Locations::default();
+        for _ in 0..n {
+            dec_locations_into(r, &mut tables)?;
+            metas.push(FullStateRef::tables(tables.view()));
+        }
+        Ok(metas)
+    }
+}
+
+impl<V, A, E> WireCodec for ProtoMsg<V, A, E>
+where
+    V: Encode + Decode,
+    A: Encode + Decode + Clone,
+    E: WireEntry,
+{
     fn encode_wire(&self, buf: &mut Vec<u8>) {
         match self {
             ProtoMsg::Sync(recs) => enc_sync(recs, buf),
             ProtoMsg::Gather(recs) => enc_gather(recs, buf),
             ProtoMsg::Rebirth(b) => {
                 buf.push(TAG_REBIRTH);
-                enc_batch(b, buf, enc_vc_entry);
+                enc_batch(b, buf, E::enc);
             }
             ProtoMsg::Promote(ps) => {
                 buf.push(TAG_PROMOTE);
@@ -698,7 +658,7 @@ impl<V: Encode + Decode, A: Encode + Decode + Clone> WireCodec for VcMsg<V, A> {
             }
             ProtoMsg::MirrorUpdate(b) => {
                 buf.push(TAG_MIRROR_UPDATE);
-                enc_mirror_batch(b, buf, enc_locations_batch);
+                enc_mirror_batch(b, buf, E::enc_states);
             }
         }
     }
@@ -711,15 +671,13 @@ impl<V: Encode + Decode, A: Encode + Decode + Clone> WireCodec for VcMsg<V, A> {
             _ => {
                 let mut r = Reader::new(&bytes[1..]);
                 let msg = match tag {
-                    TAG_REBIRTH => {
-                        ProtoMsg::Rebirth(Box::new(dec_batch(&mut r, dec_vc_entry).ok()?))
-                    }
+                    TAG_REBIRTH => ProtoMsg::Rebirth(Box::new(dec_batch(&mut r, E::dec).ok()?)),
                     TAG_PROMOTE => ProtoMsg::Promote(dec_promotions(&mut r).ok()?),
                     TAG_REPLICA_REQUEST => ProtoMsg::ReplicaRequest(dec_vids(&mut r).ok()?),
                     TAG_REPLICA_GRANT => ProtoMsg::ReplicaGrant(dec_grants(&mut r).ok()?),
                     TAG_REPLICA_PLACED => ProtoMsg::ReplicaPlaced(dec_placed(&mut r).ok()?),
                     TAG_MIRROR_UPDATE => {
-                        let batch = dec_mirror_batch(&mut r, dec_locations_batch).ok()?;
+                        let batch = dec_mirror_batch(&mut r, E::dec_states).ok()?;
                         ProtoMsg::MirrorUpdate(Box::new(batch))
                     }
                     _ => return None,
@@ -804,7 +762,7 @@ mod tests {
         let mut accounted = crate::wire::sync_frame_overhead(batch.len() as u64);
         let mut prev = 0u32;
         for s in &batch {
-            accounted += crate::wire::sync_record_bytes(s.pos, prev, 8, None);
+            accounted += crate::wire::sync_record_bytes(s.pos, prev, 8);
             prev = s.pos;
         }
         assert_eq!(accounted, frame.len() as u64);

@@ -61,7 +61,6 @@
 //! recompute falls back to the serial loop whenever one selfish master feeds
 //! another (see `runner_ec.rs`).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,7 +70,6 @@ use imitator_graph::VidMap;
 use imitator_metrics::{RecoveryCounters, Stopwatch};
 
 use crate::driver::{graph_mut, ComputeModel, Ctx, Shared, St};
-use crate::suppress::SyncFilter;
 use crate::{FtMode, RecoveryStrategy};
 
 mod ckpt;
@@ -139,13 +137,10 @@ struct Undo {
     overlay: VidMap<NodeId>,
     mirror_assign: Vec<usize>,
     alive: Vec<bool>,
-    sync_filter: SyncFilter,
-    dirty: HashSet<u32>,
+    dirty: Vec<u32>,
     iter: u64,
     replay_until: u64,
     last_snapshot_iter: u64,
-    suppressed_syncs: u64,
-    suppressed_timeline: Vec<(u64, u64)>,
 }
 
 impl Undo {
@@ -157,13 +152,10 @@ impl Undo {
             overlay: st.overlay.clone(),
             mirror_assign: st.mirror_assign.clone(),
             alive: st.alive.clone(),
-            sync_filter: st.sync_filter.clone(),
             dirty: st.dirty.clone(),
             iter: st.iter,
             replay_until: st.replay_until,
             last_snapshot_iter: st.last_snapshot_iter,
-            suppressed_syncs: st.suppressed_syncs,
-            suppressed_timeline: st.suppressed_timeline.clone(),
         }
     }
 
@@ -203,13 +195,10 @@ impl Undo {
         st.overlay = self.overlay.clone();
         st.mirror_assign = self.mirror_assign.clone();
         st.alive = self.alive.clone();
-        st.sync_filter = self.sync_filter.clone();
         st.dirty = self.dirty.clone();
         st.iter = self.iter;
         st.replay_until = self.replay_until;
         st.last_snapshot_iter = self.last_snapshot_iter;
-        st.suppressed_syncs = self.suppressed_syncs;
-        st.suppressed_timeline = self.suppressed_timeline.clone();
     }
 }
 

@@ -46,20 +46,7 @@ fn roll_back<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut Arc<M::Graph>)
     let (shared, st, g) = (cx.shared, &mut *cx.st, graph_mut(lg));
     let chain = epoch::recovery_chain(&shared.dfs, M::PREFIX, me.raw()).ok();
     if chain.is_none() || shared.cfg.ft.is_incremental_ckpt() {
-        // The masters no longer hold their last-shipped values, so the
-        // suppression filter's entries describe nothing anymore.
         shared.model.reset_to_initial(g, shared);
-        st.sync_filter.clear();
-    } else {
-        // A full snapshot (full mode writes nothing else, so the chain is
-        // the newest complete epoch alone) restores masters only; surviving
-        // replicas keep exactly the state our last syncs installed, so the
-        // filter stays valid toward survivors and only the crashed
-        // destinations are invalidated (their replacements are rebuilt from
-        // snapshots — everything must be re-shipped there).
-        for &d in cx.dead {
-            st.sync_filter.invalidate_dest(d);
-        }
     }
     let snap_iter = chain.map_or(0, |chain| {
         apply_snapshot_chain::<M>(g, shared, me, &chain, Some(cx.pool))
@@ -258,13 +245,6 @@ fn graft_partitions<M: ComputeModel>(
         adopted.placements.extend(graft.placements);
         adopted.orphans.extend(graft.orphans);
     }
-    if !mine.is_empty() {
-        // The graft grew (and rewrote) this node's layout: the filter's
-        // position-keyed entries are meaningless now. Re-seeding re-ships
-        // everything in the full sync, which the grafted copies need anyway.
-        cx.st.sync_filter.set_domain(lg.len() as u32);
-        cx.st.sync_filter.clear();
-    }
     adopted
 }
 
@@ -327,27 +307,13 @@ pub(crate) fn ckpt_newbie<M: ComputeModel>(
 
 /// Post-reload replica refresh: every master pushes its restored state to
 /// all of its replicas (one full sync round with its own barriers).
-///
-/// Records already installed on a destination by our last regular syncs are
-/// suppressed (surviving replicas were not rolled back — snapshots hold
-/// masters only), which is where redundant-sync suppression pays off most:
-/// only vertices that changed since the snapshot are re-shipped to
-/// survivors. The round's barriers can abort like any other recovery
-/// barrier; an aborted attempt restores the whole filter from its undo
-/// snapshot, so the early `commit` here is safe.
 fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> Attempt<()> {
     let (model, st) = (&cx.shared.model, &mut *cx.st);
     let mut batches: HashMap<NodeId, Vec<VertexSync<M::Value>>> = HashMap::new();
-    let mut suppressed = 0u64;
     for pos in (0..lg.len() as u32).filter(|&pos| lg.is_master(pos)) {
         let scatter = model.scatter_bit(lg, pos);
-        let staged = st.sync_filter.stage(pos, lg.value(pos), scatter);
         let meta = lg.full(pos);
         for (node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
-            if st.sync_filter.suppress(staged, node) {
-                suppressed += 1;
-                continue;
-            }
             batches.entry(node).or_default().push(VertexSync {
                 pos: rpos,
                 value: lg.value(pos).clone(),
@@ -355,17 +321,14 @@ fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> A
             });
         }
     }
-    st.sync_filter.commit();
-    st.note_suppressed(suppressed);
     for (node, batch) in batches {
         // One columnar sync frame per destination: frame header plus
-        // position-delta and value columns (full values — no delta base is
-        // assumed across a recovery).
+        // position-delta and value columns.
         let mut prev = 0u32;
         let mut bytes = crate::wire::sync_frame_overhead(batch.len() as u64);
         for s in &batch {
             let value_bytes = model.value_wire_bytes(&s.value);
-            bytes += crate::wire::sync_record_bytes(s.pos, prev, value_bytes, None);
+            bytes += crate::wire::sync_record_bytes(s.pos, prev, value_bytes);
             prev = s.pos;
         }
         cx.ctx
@@ -375,7 +338,6 @@ fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> A
     let incoming = collect_syncs::<M>(cx.ctx, st);
     model.apply_full_sync(lg, incoming);
     barrier_ok(cx.ctx)?;
-    st.sync_filter.revalidate_all();
     Ok(())
 }
 
@@ -412,12 +374,9 @@ fn apply_snapshot_chain<M: ComputeModel>(
         None => jobs.map(|job| job()).collect(),
     };
     let mut snap_iter = 0;
-    for (&(_, kind), bytes) in chain.epochs.iter().zip(reads) {
+    for bytes in reads {
         let bytes = bytes.expect("rostered part verified");
-        snap_iter = match kind {
-            EpochKind::Full => shared.model.apply_snapshot(lg, &bytes),
-            EpochKind::Delta => shared.model.apply_snapshot_inc(lg, &bytes),
-        };
+        snap_iter = shared.model.apply_snapshot(lg, &bytes);
     }
     snap_iter
 }

@@ -780,7 +780,7 @@ fn take_leaves_the_other_kinds_stashed_in_arrival_order() {
         .map(|n| cluster.take_ctx(NodeId::new(n)))
         .collect();
     let (me, one, two) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
-    let mut st: driver::St<M> = NodeState::new(3, Instant::now(), true);
+    let mut st: driver::St<M> = NodeState::new(3, Instant::now());
     let request = |vid| ProtoMsg::ReplicaRequest(vec![Vid::new(vid)]);
     let placed = |vid| ProtoMsg::ReplicaPlaced(vec![(Vid::new(vid), 7)]);
     let grant = |vid| {

@@ -142,13 +142,9 @@ pub struct RunReport<V> {
     /// Extra FT replicas created at load (Fig. 3(b)/8(a)); zero unless
     /// replication FT is on.
     pub extra_replicas: usize,
-    /// Sync records skipped by redundant-sync suppression across all nodes
-    /// (each would have cost its wire bytes; results are bit-identical with
-    /// suppression off).
+    /// Always 0: nothing filters sync records (DESIGN.md §4.1). Kept because
+    /// the frozen `benchmark/src/op.rs` reads it.
     pub suppressed_syncs: u64,
-    /// `(iteration, records skipped)` per superstep, summed across nodes;
-    /// sparse — only nonzero supersteps appear.
-    pub suppressed_timeline: Vec<(u64, u64)>,
     /// Fabric-level observability: traffic split by message kind
     /// (sync / gather / recovery / control) plus total barrier-wait time, as
     /// recorded by the communication layer itself.
@@ -157,12 +153,6 @@ pub struct RunReport<V> {
     /// worker occupancy, envelopes shipped ahead of the tail fence, and
     /// staging time overlapped with compute (summed / maxed across nodes).
     pub pool: PoolStats,
-    /// Whether supersteps were pipelined (config echo; see
-    /// [`crate::RunConfig::pipeline`]).
-    pub pipeline: bool,
-    /// Whether sync records were delta-encoded (config echo; see
-    /// [`crate::RunConfig::delta_sync`]).
-    pub delta_sync: bool,
     /// Failure-detector activity over the whole run: suspicions raised,
     /// retracted (false positives caught before the fence), confirmed, and
     /// the summed observed detection latency in detector ticks. All-zero

@@ -1,6 +1,5 @@
 //! Runtime state shared by the edge-cut and vertex-cut node main loops.
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use imitator_cluster::{Envelope, NodeId};
@@ -9,7 +8,6 @@ use imitator_metrics::{CommBreakdown, CommStats, PhaseTimes, PoolStats, Stopwatc
 use imitator_storage::WriteBehind;
 
 use crate::report::{RecoveryReport, RunReport};
-use crate::suppress::SyncFilter;
 
 /// Per-node mutable runtime bookkeeping threaded through the main loop.
 #[derive(Debug)]
@@ -39,20 +37,15 @@ pub(crate) struct NodeState<M> {
     /// Iteration of the last completed checkpoint (0 = none).
     pub last_snapshot_iter: u64,
     /// Masters whose value changed since the last snapshot (incremental
-    /// checkpointing only).
-    pub dirty: std::collections::HashSet<u32>,
+    /// checkpointing only): one ascending run per superstep, so a master
+    /// that changed in two of them is listed twice.
+    pub dirty: Vec<u32>,
     /// Run-start instant for the timeline.
     pub start: Instant,
     /// Recovery-protocol messages drained while discarding stale traffic.
     pub stash: Vec<Envelope<M>>,
     /// Deterministic local counter for balanced replacement-mirror choice.
     pub mirror_assign: Vec<usize>,
-    /// Redundant-sync filter (per-master last-shipped state).
-    pub sync_filter: SyncFilter,
-    /// Sync records skipped by the filter, total.
-    pub suppressed_syncs: u64,
-    /// `(iteration, records skipped)` — sparse, nonzero entries only.
-    pub suppressed_timeline: Vec<(u64, u64)>,
     /// Worker-pool / pipelining counters: `early_batches` and `overlap`
     /// accumulate per superstep; `jobs` and `peak_busy` are read off the
     /// pool when the node retires.
@@ -65,7 +58,7 @@ pub(crate) struct NodeState<M> {
 }
 
 impl<M> NodeState<M> {
-    pub(crate) fn new(num_nodes: usize, start: Instant, sync_suppress: bool) -> Self {
+    pub(crate) fn new(num_nodes: usize, start: Instant) -> Self {
         NodeState {
             iter: 0,
             alive: vec![true; num_nodes],
@@ -78,13 +71,10 @@ impl<M> NodeState<M> {
             recoveries: Vec::new(),
             replay_until: 0,
             last_snapshot_iter: 0,
-            dirty: std::collections::HashSet::new(),
+            dirty: Vec::new(),
             start,
             stash: Vec::new(),
             mirror_assign: vec![0; num_nodes],
-            sync_filter: SyncFilter::new(num_nodes, sync_suppress),
-            suppressed_syncs: 0,
-            suppressed_timeline: Vec::new(),
             pool: PoolStats::default(),
             persist: None,
         }
@@ -97,18 +87,6 @@ impl<M> NodeState<M> {
             let sw = Stopwatch::start();
             writes.wait();
             self.phases.record("persist_wait", sw.elapsed());
-        }
-    }
-
-    /// Records `n` suppressed sync records for the current iteration.
-    pub(crate) fn note_suppressed(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.suppressed_syncs += n;
-        match self.suppressed_timeline.last_mut() {
-            Some((iter, count)) if *iter == self.iter => *count += n,
-            _ => self.suppressed_timeline.push((self.iter, n)),
         }
     }
 
@@ -149,8 +127,6 @@ pub(crate) struct NodeOutcome<G> {
     pub timeline: Vec<(u64, Duration)>,
     pub ckpt_time: Duration,
     pub recoveries: Vec<RecoveryReport>,
-    pub suppressed_syncs: u64,
-    pub suppressed_timeline: Vec<(u64, u64)>,
     pub pool: PoolStats,
 }
 
@@ -168,8 +144,6 @@ impl<G> NodeOutcome<G> {
             timeline: st.timeline,
             ckpt_time: st.ckpt_time,
             recoveries: st.recoveries,
-            suppressed_syncs: st.suppressed_syncs,
-            suppressed_timeline: st.suppressed_timeline,
             pool: st.pool,
         }
     }
@@ -184,7 +158,6 @@ pub(crate) fn merge_outcomes<G, V>(
     fabric: CommBreakdown,
 ) -> (RunReport<V>, Vec<G>) {
     let mut graphs = Vec::new();
-    let mut suppressed_by_iter: BTreeMap<u64, u64> = BTreeMap::new();
     let mut report = RunReport {
         values: Vec::new(),
         iterations: 0,
@@ -198,19 +171,12 @@ pub(crate) fn merge_outcomes<G, V>(
         mem_bytes,
         extra_replicas,
         suppressed_syncs: 0,
-        suppressed_timeline: Vec::new(),
         fabric,
         pool: PoolStats::default(),
-        pipeline: false,
-        delta_sync: false,
         suspicion: imitator_metrics::SuspicionStats::default(),
     };
     for o in outcomes {
         report.pool.merge(&o.pool);
-        report.suppressed_syncs += o.suppressed_syncs;
-        for (iter, n) in o.suppressed_timeline {
-            *suppressed_by_iter.entry(iter).or_default() += n;
-        }
         report.iterations = report.iterations.max(o.iterations);
         report.comm += o.comm;
         report.ft_comm += o.ft_comm;
@@ -237,6 +203,5 @@ pub(crate) fn merge_outcomes<G, V>(
             graphs.push(lg);
         }
     }
-    report.suppressed_timeline = suppressed_by_iter.into_iter().collect();
     (report, graphs)
 }

@@ -202,12 +202,11 @@ where
     /// Compute (Algorithm 1 line 5) fused over the sparse frontier,
     /// communicate (line 6), sync barrier (line 7), commit (line 14).
     ///
-    /// Compute chunks run on the persistent pool; with pipelining each
-    /// chunk's sync batch is staged and shipped as soon as the chunk (and
-    /// all earlier chunks) completed, the sync barrier fencing only the
-    /// tail. Chunks are consumed in submission order, so staging order —
-    /// and with it suppression, delta spans and byte accounting — equals
-    /// the serial order exactly.
+    /// Compute chunks run on the persistent pool; each chunk's sync batch
+    /// is staged and shipped as soon as the chunk (and all earlier chunks)
+    /// completed, the sync barrier fencing only the tail. Chunks are
+    /// consumed in submission order, so staging order — and with it byte
+    /// accounting — equals the serial order exactly.
     fn superstep(
         &self,
         ctx: &Ctx<Self>,
@@ -228,21 +227,16 @@ where
             &mut chunks,
             &mut sw,
             "compute",
-            true,
         );
 
         let (outcome, _) = ctx.enter_barrier_sum(0);
         st.phases.record("barrier", sw.lap());
         if let BarrierOutcome::Failed(dead) = outcome {
             // Roll back (line 9): the staged updates were never applied
-            // anywhere, so the suppression filter forgets them too.
+            // anywhere.
             drop(updates);
-            st.sync_filter.rollback();
             return StepOutcome::Failed(dead);
         }
-        // The sync barrier passed: this iteration's syncs are the replicas'
-        // new last-shipped state.
-        st.sync_filter.commit();
 
         driver::note_dirty::<Self>(st, &shared.cfg, &updates);
         let incoming: Vec<(u32, P::Value, bool)> = driver::collect_syncs::<Self>(ctx, st)
@@ -260,17 +254,11 @@ where
     fn decode_graph(&self, bytes: &[u8]) -> Self::Graph {
         ckpt::decode_ec_graph(bytes).expect("metadata snapshot decodes")
     }
-    fn encode_snapshot(&self, lg: &Self::Graph, iter: u64) -> Vec<u8> {
-        ckpt::encode_ec_snapshot(lg, iter)
-    }
-    fn encode_snapshot_inc(&self, lg: &Self::Graph, iter: u64, dirty: &[u32]) -> Vec<u8> {
-        ckpt::encode_ec_snapshot_inc(lg, iter, dirty)
+    fn encode_snapshot(&self, lg: &Self::Graph, iter: u64, dirty: Option<&[u32]>) -> Vec<u8> {
+        ckpt::encode_ec_snapshot(lg, iter, dirty)
     }
     fn apply_snapshot(&self, lg: &mut Self::Graph, bytes: &[u8]) -> u64 {
         ckpt::apply_ec_snapshot(lg, bytes).expect("snapshot decodes")
-    }
-    fn apply_snapshot_inc(&self, lg: &mut Self::Graph, bytes: &[u8]) -> u64 {
-        ckpt::apply_ec_snapshot_inc(lg, bytes).expect("snapshot decodes")
     }
 
     /// Resets to the iteration-0 state — used when a failure precedes the

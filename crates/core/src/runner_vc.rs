@@ -109,8 +109,7 @@ pub(crate) struct VcScratch<P: VertexProgram> {
     gather_batches: Vec<Vec<(Vid, P::Accum)>>,
     /// Per-dest gather totals for the whole superstep; shipped batches add
     /// here and one `CommStats` record per dest is flushed at the tail, so
-    /// accounting is identical whether batches ship per chunk (pipelined)
-    /// or once per superstep (strict).
+    /// accounting is identical however many chunks shipped.
     gather_entries: Vec<u64>,
     gather_bytes: Vec<u64>,
     /// Previous record's vid per destination — running base of the gather
@@ -172,8 +171,7 @@ impl<V> ModelGraph for VcLocalGraph<V> {
 /// Ships every non-empty per-destination gather batch to its master's node,
 /// folding entry/byte counts into the scratch superstep totals (recorded
 /// once after the gather phase, so the logical accounting is identical
-/// whether batches ship per chunk or once per superstep). Returns the
-/// number of envelopes shipped.
+/// however many chunks shipped). Returns the number of envelopes shipped.
 fn ship_gather_batches<P>(ctx: &Ctx<VcModel<P>>, prog: &P, scratch: &mut VcScratch<P>) -> u64
 where
     P: VertexProgram,
@@ -261,9 +259,9 @@ where
     /// Distributed gather (partials → masters, barrier), then apply at
     /// masters, sync, barrier, commit.
     ///
-    /// Gather and apply chunks run on the persistent pool; with pipelining
-    /// each chunk's gather/sync batches ship as soon as the chunk (and all
-    /// earlier chunks) completed, the barriers fencing only the tail.
+    /// Gather and apply chunks run on the persistent pool; each chunk's
+    /// gather/sync batches ship as soon as the chunk (and all earlier
+    /// chunks) completed, the barriers fencing only the tail.
     /// Chunks arrive in submission (ascending-range) order, so contrib
     /// order, staging order, and byte accounting equal the serial order
     /// exactly; receivers additionally sort contribs by `(pos, sender)`, so
@@ -294,11 +292,7 @@ where
                     scratch.gather_batches[v.master_node.index()].push((v.vid, acc));
                 }
             }
-            let shipped = if shared.cfg.pipeline {
-                ship_gather_batches(ctx, self.prog.as_ref(), scratch)
-            } else {
-                0
-            };
+            let shipped = ship_gather_batches(ctx, self.prog.as_ref(), scratch);
             if outstanding {
                 // Routing/shipping overlapped with outstanding gather work.
                 let d = route_sw.elapsed();
@@ -309,9 +303,6 @@ where
         }
         st.phases.record("gather", sw.lap());
 
-        // Strict mode ships once per superstep here; pipelined mode already
-        // shipped per chunk and only flushes the accounting totals.
-        ship_gather_batches(ctx, self.prog.as_ref(), scratch);
         for n in 0..shared.cfg.num_nodes {
             let entries = std::mem::take(&mut scratch.gather_entries[n]);
             let col_bytes = std::mem::take(&mut scratch.gather_bytes[n]);
@@ -330,8 +321,7 @@ where
         st.phases.record("barrier", sw.lap());
         if let BarrierOutcome::Failed(dead) = outcome {
             // Local partials were never applied; drop them and let the
-            // recovered superstep regather. Nothing was staged in the sync
-            // filter yet.
+            // recovered superstep regather.
             scratch.contribs.clear();
             return StepOutcome::Failed(dead);
         }
@@ -375,17 +365,14 @@ where
             &mut achunks,
             &mut sw,
             "apply",
-            false,
         );
 
         let (outcome, _) = ctx.enter_barrier_sum(0);
         st.phases.record("barrier", sw.lap());
         if let BarrierOutcome::Failed(dead) = outcome {
-            st.sync_filter.rollback();
             drop(updates);
             return StepOutcome::Failed(dead);
         }
-        st.sync_filter.commit();
 
         driver::note_dirty::<Self>(st, &shared.cfg, &updates);
         let incoming: Vec<(u32, P::Value)> = driver::collect_syncs::<Self>(ctx, st)
@@ -403,17 +390,11 @@ where
     fn decode_graph(&self, bytes: &[u8]) -> Self::Graph {
         ckpt::decode_vc_graph(bytes).expect("metadata snapshot decodes")
     }
-    fn encode_snapshot(&self, lg: &Self::Graph, iter: u64) -> Vec<u8> {
-        ckpt::encode_vc_snapshot(lg, iter)
-    }
-    fn encode_snapshot_inc(&self, lg: &Self::Graph, iter: u64, dirty: &[u32]) -> Vec<u8> {
-        ckpt::encode_vc_snapshot_inc(lg, iter, dirty)
+    fn encode_snapshot(&self, lg: &Self::Graph, iter: u64, dirty: Option<&[u32]>) -> Vec<u8> {
+        ckpt::encode_vc_snapshot(lg, iter, dirty)
     }
     fn apply_snapshot(&self, lg: &mut Self::Graph, bytes: &[u8]) -> u64 {
         ckpt::apply_vc_snapshot(lg, bytes).expect("snapshot decodes")
-    }
-    fn apply_snapshot_inc(&self, lg: &mut Self::Graph, bytes: &[u8]) -> u64 {
-        ckpt::apply_vc_snapshot_inc(lg, bytes).expect("snapshot decodes")
     }
 
     /// Resets values to the iteration-0 state (the dense engine has no

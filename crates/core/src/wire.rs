@@ -19,13 +19,11 @@
 //! mirror frame : tag:0xB3  count:uvarint  vid-column  meta/value records
 //! ```
 //!
-//! Delta payloads ride on the [`crate::suppress::SyncFilter`] exactly as the
-//! scalar delta records did: the filter's per-destination validity epochs
-//! prove the receiver holds the base value, and [`min_span`] picks the
-//! minimal contiguous differing byte span at *stage* time on the main
-//! thread. A delta is chosen iff it is no larger than the full encoding —
-//! [`sync_value_bytes`] is the single size-and-choice rule shared by the
-//! encoder and the driver's byte accounting.
+//! The delta layout of the value column is part of the format and nothing
+//! more: no sender keeps the per-destination base a span would need, so
+//! every record the program stages carries `span: None` and ships its full
+//! value (DESIGN.md §4.1). The encoder honours a span it is handed iff the
+//! delta is no larger than the full encoding.
 //!
 //! Determinism: record order within a frame is the staging order (ascending
 //! master position, fixed destination iteration), a pure function of the
@@ -48,26 +46,6 @@ pub const GATHER_FRAME_TAG: u8 = 0xB2;
 /// Frame tag of a columnar mirror-update batch.
 pub const MIRROR_FRAME_TAG: u8 = 0xB3;
 
-/// Minimal contiguous differing-byte span between two equal-width
-/// encodings, as `(start, len)`; `len == 0` when the bytes are identical
-/// (the record still ships because its activate bit differs). `None` when
-/// the widths differ or exceed the u16 span fields.
-pub fn min_span(old: &[u8], new: &[u8]) -> Option<(u16, u16)> {
-    if old.len() != new.len() || new.len() > u16::MAX as usize {
-        return None;
-    }
-    let first = match old.iter().zip(new).position(|(a, b)| a != b) {
-        None => return Some((0, 0)),
-        Some(i) => i,
-    };
-    let last = old
-        .iter()
-        .zip(new)
-        .rposition(|(a, b)| a != b)
-        .expect("a first differing byte implies a last");
-    Some((first as u16, (last - first + 1) as u16))
-}
-
 /// Bytes one column entry costs: the zigzag-varint of the step from the
 /// previous record's value (`prev = 0` before the first record).
 pub fn col_delta_bytes(cur: u32, prev: u32) -> u64 {
@@ -80,9 +58,10 @@ pub fn sync_frame_overhead(count: u64) -> u64 {
     1 + uvarint_len(count) as u64 + (2 * count).div_ceil(8)
 }
 
-/// Value-column bytes for one sync record and whether the delta layout is
-/// chosen: delta iff available and no larger than the full encoding.
-pub fn sync_value_bytes(value_len: usize, span: Option<(u16, u16)>) -> (u64, bool) {
+/// Value-column bytes of one record as the encoder lays it out, and whether
+/// that is the delta layout: delta iff a span is given and no larger than
+/// the full encoding.
+fn value_column_bytes(value_len: usize, span: Option<(u16, u16)>) -> (u64, bool) {
     if let Some((start, len)) = span {
         let d = uvarint_len(u64::from(start)) + uvarint_len(u64::from(len)) + len as usize;
         if d <= value_len {
@@ -92,11 +71,11 @@ pub fn sync_value_bytes(value_len: usize, span: Option<(u16, u16)>) -> (u64, boo
     (value_len as u64, false)
 }
 
-/// Column bytes of one staged sync record (position delta + value column);
+/// Column bytes of one staged sync record (position delta + full value);
 /// the flag bits live in the per-frame bitmap counted by
 /// [`sync_frame_overhead`].
-pub fn sync_record_bytes(pos: u32, prev: u32, value_len: usize, span: Option<(u16, u16)>) -> u64 {
-    col_delta_bytes(pos, prev) + sync_value_bytes(value_len, span).0
+pub fn sync_record_bytes(pos: u32, prev: u32, value_len: usize) -> u64 {
+    col_delta_bytes(pos, prev) + value_len as u64
 }
 
 /// Per-frame overhead of a gather or mirror-update frame (tag + count).
@@ -104,9 +83,8 @@ pub fn small_frame_overhead(count: u64) -> u64 {
     1 + uvarint_len(count) as u64
 }
 
-/// One sync record presented to the frame encoder: the full encoded value
-/// plus the staged delta span (when the destination provably holds the
-/// base).
+/// One sync record presented to the frame encoder. The frozen
+/// `benchmark/src/layers.rs` builds it field by field, `span: None` included.
 pub struct SyncRecEnc<'a> {
     /// Master position on the destination node.
     pub pos: u32,
@@ -114,8 +92,8 @@ pub struct SyncRecEnc<'a> {
     pub activate: bool,
     /// Full codec encoding of the new value.
     pub value: &'a [u8],
-    /// Minimal differing span vs the value the destination holds, when the
-    /// sender's filter proves one is installed there.
+    /// The byte span of `value` that differs from what the destination
+    /// holds, as `(start, len)`. The program always passes `None`.
     pub span: Option<(u16, u16)>,
 }
 
@@ -131,7 +109,8 @@ pub struct SyncRecDec<V> {
 }
 
 /// Encodes a columnar sync frame into `out` (appended; callers reuse the
-/// buffer across frames to stay allocation-free in steady state).
+/// buffer across frames to stay allocation-free in steady state). The frozen
+/// `benchmark/src/layers.rs` calls it with this signature.
 pub fn encode_sync_frame(recs: &[SyncRecEnc<'_>], out: &mut Vec<u8>) {
     out.push(SYNC_FRAME_TAG);
     write_uvarint(out, recs.len() as u64);
@@ -142,7 +121,7 @@ pub fn encode_sync_frame(recs: &[SyncRecEnc<'_>], out: &mut Vec<u8>) {
         if r.activate {
             f |= 1;
         }
-        if sync_value_bytes(r.value.len(), r.span).1 {
+        if value_column_bytes(r.value.len(), r.span).1 {
             f |= 2;
         }
         out[bitmap_at + i / 4] |= f << (2 * (i % 4));
@@ -153,7 +132,7 @@ pub fn encode_sync_frame(recs: &[SyncRecEnc<'_>], out: &mut Vec<u8>) {
         prev = r.pos;
     }
     for r in recs {
-        if sync_value_bytes(r.value.len(), r.span).1 {
+        if value_column_bytes(r.value.len(), r.span).1 {
             let (start, len) = r.span.expect("delta flagged without a span");
             write_uvarint(out, u64::from(start));
             write_uvarint(out, u64::from(len));
@@ -165,8 +144,8 @@ pub fn encode_sync_frame(recs: &[SyncRecEnc<'_>], out: &mut Vec<u8>) {
 }
 
 /// Decodes a columnar sync frame, resolving delta payloads against `base`
-/// (the destination's current encoded value at that position — exactly
-/// what the sender's filter entry recorded as installed there).
+/// (the destination's current encoded value at that position). The frozen
+/// `benchmark/src/layers.rs` calls it with this signature.
 pub fn decode_sync_frame<V: Decode>(
     bytes: &[u8],
     mut base: impl FnMut(u32) -> Vec<u8>,
@@ -214,44 +193,6 @@ pub fn decode_sync_frame<V: Decode>(
         return Err(DecodeError::TrailingBytes(r.remaining()));
     }
     Ok(out)
-}
-
-/// Decodes a single-record sync frame into raw value bytes, without a
-/// `Decode` bound: with one record the value column is the buffer's tail,
-/// so no self-delimiting decode is needed. Used by the suppression filter's
-/// debug-build codec proof, where values are only `Encode`.
-pub fn decode_sync_frame_one(
-    bytes: &[u8],
-    base: impl FnOnce() -> Vec<u8>,
-) -> Result<SyncRecDec<Vec<u8>>, DecodeError> {
-    let mut r = Reader::new(bytes);
-    if r.take(1)?[0] != SYNC_FRAME_TAG {
-        return Err(DecodeError::Corrupt("sync frame tag"));
-    }
-    if read_uvarint(&mut r)? != 1 {
-        return Err(DecodeError::Corrupt("single-record frame expected"));
-    }
-    let flags = r.take(1)?[0] & 0b11;
-    let pos = unzigzag64(read_uvarint(&mut r)?);
-    let pos = u32::try_from(pos).map_err(|_| DecodeError::Corrupt("sync position"))?;
-    let value = if flags & 2 != 0 {
-        let start = read_uvarint(&mut r)? as usize;
-        let len = read_uvarint(&mut r)? as usize;
-        let span = r.take(len)?;
-        let mut full = base();
-        if start + len > full.len() {
-            return Err(DecodeError::Corrupt("delta span exceeds base value"));
-        }
-        full[start..start + len].copy_from_slice(span);
-        full
-    } else {
-        r.take(r.remaining())?.to_vec()
-    };
-    Ok(SyncRecDec {
-        pos,
-        activate: flags & 1 != 0,
-        value,
-    })
 }
 
 /// Encodes a columnar gather frame: vid column (zigzag deltas) then the
@@ -303,28 +244,19 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn min_span_finds_tightest_window() {
-        assert_eq!(min_span(b"abcdef", b"abXYef"), Some((2, 2)));
-        assert_eq!(min_span(b"abcdef", b"Xbcdef"), Some((0, 1)));
-        assert_eq!(min_span(b"abcdef", b"abcdeX"), Some((5, 1)));
-        assert_eq!(min_span(b"abc", b"abc"), Some((0, 0)));
-        assert_eq!(min_span(b"abc", b"abcd"), None, "width change → no delta");
-    }
-
-    #[test]
     fn delta_chosen_only_when_no_larger_than_full() {
         // f64-sized value (8 bytes): delta = 2 varints + span.
-        assert_eq!(sync_value_bytes(8, Some((0, 2))), (4, true));
-        assert_eq!(sync_value_bytes(8, Some((0, 6))), (8, true)); // tie → delta
+        assert_eq!(value_column_bytes(8, Some((0, 2))), (4, true));
+        assert_eq!(value_column_bytes(8, Some((0, 6))), (8, true)); // tie → delta
         assert_eq!(
-            sync_value_bytes(8, Some((0, 7))),
+            value_column_bytes(8, Some((0, 7))),
             (8, false),
             "larger → full"
         );
         // u32-sized value: only tiny spans win.
-        assert_eq!(sync_value_bytes(4, Some((0, 0))), (2, true));
-        assert_eq!(sync_value_bytes(4, Some((1, 3))), (4, false));
-        assert_eq!(sync_value_bytes(4, None), (4, false));
+        assert_eq!(value_column_bytes(4, Some((0, 0))), (2, true));
+        assert_eq!(value_column_bytes(4, Some((1, 3))), (4, false));
+        assert_eq!(value_column_bytes(4, None), (4, false));
     }
 
     /// The frame-layout table the accounting promises (sizes in bytes):
@@ -341,20 +273,16 @@ mod tests {
             u64::MAX.to_le_bytes().to_vec(),
             42u64.to_le_bytes().to_vec(),
         ];
-        let olds: Vec<Option<Vec<u8>>> = vec![
-            Some(6u64.to_le_bytes().to_vec()),  // 1-byte span delta
-            None,                               // no base → full
-            Some(42u64.to_le_bytes().to_vec()), // identical → zero-span delta
-        ];
+        // As the driver stages them: no span. (`columnar_codec_roundtrip`
+        // sizes the delta layouts.)
         let recs: Vec<SyncRecEnc<'_>> = values
             .iter()
-            .zip(&olds)
             .enumerate()
-            .map(|(i, (v, old))| SyncRecEnc {
+            .map(|(i, v)| SyncRecEnc {
                 pos: [900, 3, 40_000][i],
                 activate: i % 2 == 0,
                 value: v,
-                span: old.as_deref().and_then(|o| min_span(o, v)),
+                span: None,
             })
             .collect();
         let mut buf = Vec::new();
@@ -362,7 +290,7 @@ mod tests {
         let mut accounted = sync_frame_overhead(recs.len() as u64);
         let mut prev = 0u32;
         for r in &recs {
-            accounted += sync_record_bytes(r.pos, prev, r.value.len(), r.span);
+            accounted += sync_record_bytes(r.pos, prev, r.value.len());
             prev = r.pos;
         }
         assert_eq!(buf.len() as u64, accounted, "accounting must equal codec");
@@ -392,7 +320,7 @@ mod tests {
                 pos: 9,
                 activate: true,
                 value: &nb,
-                span: min_span(&ob, &nb),
+                span: Some((3, 2)),
             },
             SyncRecEnc {
                 pos: 2,
@@ -449,8 +377,9 @@ mod tests {
         assert!(decode_sync_frame::<u64>(&buf, |_| vec![0u8; 2]).is_err());
     }
 
-    /// One generated record: (pos, activate, new value bytes, optional base).
-    type GenRec = (u32, bool, [u8; 8], Option<[u8; 8]>);
+    /// One generated record: (pos, activate, new value bytes, the base the
+    /// destination holds, the span handed to the encoder).
+    type GenRec = (u32, bool, [u8; 8], [u8; 8], Option<(u16, u16)>);
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -460,23 +389,30 @@ mod tests {
         #[test]
         fn columnar_codec_roundtrip(
             batch in proptest::collection::vec(
-                (0u32..200_000, any::<bool>(), any::<u64>(), any::<u64>(), any::<bool>()),
+                (
+                    0u32..200_000,
+                    any::<bool>(),
+                    any::<u64>(),
+                    any::<u64>(),
+                    proptest::option::of((0u16..=8, 0u16..=8)),
+                ),
                 0..64,
             )
         ) {
             let encoded: Vec<GenRec> = batch
                 .iter()
-                .map(|&(pos, act, new, old, has_base)| {
-                    (pos, act, new.to_le_bytes(), has_base.then(|| old.to_le_bytes()))
+                .map(|&(pos, act, new, old, span)| {
+                    let span = span.map(|(start, len)| (start, len.min(8 - start)));
+                    (pos, act, new.to_le_bytes(), old.to_le_bytes(), span)
                 })
                 .collect();
             let recs: Vec<SyncRecEnc<'_>> = encoded
                 .iter()
-                .map(|(pos, act, new, old)| SyncRecEnc {
+                .map(|(pos, act, new, _, span)| SyncRecEnc {
                     pos: *pos,
                     activate: *act,
                     value: new,
-                    span: old.as_ref().and_then(|o| min_span(o, new)),
+                    span: *span,
                 })
                 .collect();
             let mut buf = Vec::new();
@@ -485,32 +421,38 @@ mod tests {
             let mut accounted = sync_frame_overhead(recs.len() as u64);
             let mut prev = 0u32;
             for r in &recs {
-                accounted += sync_record_bytes(r.pos, prev, r.value.len(), r.span);
+                accounted += col_delta_bytes(r.pos, prev) + value_column_bytes(8, r.span).0;
                 prev = r.pos;
             }
             prop_assert_eq!(buf.len() as u64, accounted);
 
-            // Bases keyed by record index order: decode consults them in
-            // encode order, so replay the same sequence.
+            // A record shipped as a delta decodes to its base with the span
+            // of the new value patched in; any other to the new value. Decode
+            // consults the bases in encode order, so replay that sequence.
+            let is_delta = |span: &Option<(u16, u16)>| value_column_bytes(8, *span).1;
             let mut base_iter = encoded
                 .iter()
-                .filter(|(_, _, new, old)| {
-                    old.as_ref()
-                        .and_then(|o| min_span(o, new))
-                        .is_some_and(|s| sync_value_bytes(8, Some(s)).1)
-                })
-                .map(|(_, _, _, old)| old.expect("filtered on Some"))
+                .filter(|(.., span)| is_delta(span))
+                .map(|(_, _, _, old, _)| *old)
                 .collect::<Vec<_>>()
                 .into_iter();
             let out: Vec<SyncRecDec<u64>> =
                 decode_sync_frame(&buf, |_| base_iter.next().expect("base per delta").to_vec())
                     .unwrap();
-            let want: Vec<SyncRecDec<u64>> = batch
+            let want: Vec<SyncRecDec<u64>> = encoded
                 .iter()
-                .map(|&(pos, act, new, _, _)| SyncRecDec {
-                    pos,
-                    activate: act,
-                    value: new,
+                .map(|&(pos, act, new, old, span)| {
+                    let mut value = new;
+                    if let Some((start, len)) = span.filter(|_| is_delta(&span)) {
+                        let at = start as usize..(start + len) as usize;
+                        value = old;
+                        value[at.clone()].copy_from_slice(&new[at]);
+                    }
+                    SyncRecDec {
+                        pos,
+                        activate: act,
+                        value: u64::from_le_bytes(value),
+                    }
                 })
                 .collect();
             prop_assert_eq!(out, want);

@@ -146,9 +146,6 @@ fn base_cfg(nodes: usize) -> RunConfig {
         detection_delay: Duration::ZERO,
         standbys: 0,
         threads_per_node: 2,
-        sync_suppress: true,
-        pipeline: true,
-        delta_sync: true,
         transport: TransportKind::Channel,
         ..RunConfig::default()
     }

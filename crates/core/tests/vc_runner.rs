@@ -68,9 +68,6 @@ fn cfg(nodes: usize, ft: FtMode, standbys: usize) -> RunConfig {
         detection_delay: Duration::ZERO,
         standbys,
         threads_per_node: 2,
-        sync_suppress: true,
-        pipeline: true,
-        delta_sync: true,
         transport: TransportKind::Channel,
         ..RunConfig::default()
     }

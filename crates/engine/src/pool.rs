@@ -202,7 +202,7 @@ enum Inner<T> {
 }
 
 impl<T> InOrder<T> {
-    /// Number of chunk results not yet yielded. The pipelined driver uses
+    /// Number of chunk results not yet yielded. The driver uses
     /// this to tell "staging overlapped with outstanding compute" from
     /// "staging after the last chunk".
     pub fn outstanding(&self) -> usize {

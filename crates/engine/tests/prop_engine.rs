@@ -6,9 +6,12 @@
 use proptest::prelude::*;
 
 use imitator_cluster::NodeId;
+use std::sync::Arc;
+
 use imitator_engine::{
-    build_edge_cut_graphs, build_vertex_cut_graphs, ec_commit, ec_compute, vc_apply, vc_commit,
-    vc_partial_gather, CopyKind, Degrees, FtPlan, VertexProgram,
+    build_edge_cut_graphs, build_vertex_cut_graphs, ec_commit, ec_compute, ec_compute_chunks,
+    vc_apply, vc_apply_chunks, vc_commit, vc_partial_gather, CopyKind, Degrees, EcLocalGraph,
+    FtPlan, MasterUpdate, VcLocalGraph, VertexProgram, WorkerPool,
 };
 use imitator_graph::{gen, Graph, Ragged, Vid};
 use imitator_partition::{
@@ -40,6 +43,168 @@ impl VertexProgram for MinLabel {
     fn scatter(&self, _v: Vid, old: &u32, new: &u32) -> bool {
         new < old
     }
+}
+
+/// PageRank as `imitator-algos` runs it: `(rank, rank / out-degree)`, every
+/// master recomputed every superstep. A vertex nobody points at settles at
+/// `1 − d` after one.
+struct PageRank;
+
+impl VertexProgram for PageRank {
+    type Value = (f64, f64);
+    type Accum = f64;
+
+    fn init(&self, vid: Vid, d: &Degrees) -> (f64, f64) {
+        (1.0, 1.0 / f64::from(d.out_degree(vid).max(1)))
+    }
+
+    fn gather(&self, _w: f32, src: &(f64, f64)) -> f64 {
+        src.1
+    }
+
+    fn combine(&self, a: f64, b: f64) -> f64 {
+        a + b
+    }
+
+    fn apply(&self, vid: Vid, _old: &(f64, f64), acc: Option<f64>, d: &Degrees) -> (f64, f64) {
+        let rank = 0.15 + 0.85 * acc.unwrap_or(0.0);
+        (rank, rank / f64::from(d.out_degree(vid).max(1)))
+    }
+
+    fn scatter(&self, _v: Vid, _old: &(f64, f64), _new: &(f64, f64)) -> bool {
+        true
+    }
+}
+
+/// Fails on an update that would re-ship the value its master already holds.
+fn assert_all_changed<V: PartialEq + std::fmt::Debug>(
+    held: impl Fn(u32) -> V,
+    updates: &[MasterUpdate<V>],
+    from: &str,
+) -> Result<(), TestCaseError> {
+    for u in updates {
+        let held = held(u.local);
+        prop_assert!(
+            u.value != held,
+            "{from} re-ships position {}: {held:?}",
+            u.local
+        );
+    }
+    Ok(())
+}
+
+/// Runs `prog` for `steps` edge-cut supersteps over `threads` workers,
+/// checking every update of `ec_compute` and `ec_compute_chunks`.
+fn ec_updates_all_differ<P: VertexProgram>(
+    g: &Graph,
+    parts: usize,
+    threads: usize,
+    steps: u64,
+    prog: P,
+) -> Result<(), TestCaseError>
+where
+    P::Value: Copy,
+{
+    let degrees = Arc::new(Degrees::of(g));
+    let plan = FtPlan::none(g.num_vertices());
+    let cut = HashEdgeCut.partition(g, parts);
+    let prog = Arc::new(prog);
+    let pool = WorkerPool::new(threads);
+    let mut lgs: Vec<Arc<EcLocalGraph<P::Value>>> =
+        build_edge_cut_graphs(g, &cut, &plan, &*prog, &degrees)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+    for step in 0..steps {
+        let mut all = Vec::new();
+        for lg in &lgs {
+            let held = |pos: u32| lg.verts[pos as usize].value;
+            let serial = ec_compute(lg, &*prog, &degrees, step);
+            assert_all_changed(held, &serial, "ec_compute")?;
+            let chunks = ec_compute_chunks(&pool, lg, &prog, &degrees, step);
+            let chunked: Vec<_> = chunks.flatten().collect();
+            assert_all_changed(held, &chunked, "ec_compute_chunks")?;
+            all.push(chunked);
+        }
+        let mut incoming: Vec<Vec<(u32, P::Value, bool)>> = vec![Vec::new(); parts];
+        for (p, ups) in all.iter().enumerate() {
+            for u in ups {
+                let vid = lgs[p].verts[u.local as usize].vid;
+                for r in lgs[p].locations(u.local).unwrap().replica_nodes() {
+                    let pos = lgs[r.index()].position(vid).unwrap();
+                    incoming[r.index()].push((pos, u.value, u.activate));
+                }
+            }
+        }
+        for (lg, (ups, inc)) in lgs.iter_mut().zip(all.into_iter().zip(incoming)) {
+            let lg = Arc::get_mut(lg).expect("workers dropped the graph");
+            ec_commit(lg, &*prog, ups, inc);
+        }
+    }
+    Ok(())
+}
+
+/// The vertex-cut twin: every update of `vc_apply_chunks`.
+fn vc_updates_all_differ<P: VertexProgram>(
+    g: &Graph,
+    parts: usize,
+    threads: usize,
+    steps: u64,
+    prog: P,
+) -> Result<(), TestCaseError>
+where
+    P::Value: Copy,
+{
+    let degrees = Arc::new(Degrees::of(g));
+    let plan = FtPlan::none(g.num_vertices());
+    let cut = RandomVertexCut.partition(g, parts);
+    let prog = Arc::new(prog);
+    let pool = WorkerPool::new(threads);
+    let mut lgs: Vec<Arc<VcLocalGraph<P::Value>>> =
+        build_vertex_cut_graphs(g, &cut, &plan, &*prog, &degrees)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+    for step in 0..steps {
+        let mut acc: Vec<Vec<Option<P::Accum>>> =
+            lgs.iter().map(|lg| vec![None; lg.verts.len()]).collect();
+        for lg in &lgs {
+            for (pos, a) in vc_partial_gather(lg, &*prog).into_iter().enumerate() {
+                let Some(a) = a else { continue };
+                let v = &lg.verts[pos];
+                let owner = v.master_node.index();
+                let mpos = lgs[owner].position(v.vid).unwrap() as usize;
+                let slot = &mut acc[owner][mpos];
+                *slot = Some(match slot.take() {
+                    None => a,
+                    Some(x) => prog.combine(x, a),
+                });
+            }
+        }
+        let mut all = Vec::new();
+        for (lg, acc) in lgs.iter().zip(acc) {
+            let chunks = vc_apply_chunks(&pool, lg, &prog, &degrees, step, acc);
+            let updates: Vec<_> = chunks.flatten().collect();
+            let held = |pos: u32| lg.verts[pos as usize].value;
+            assert_all_changed(held, &updates, "vc_apply_chunks")?;
+            all.push(updates);
+        }
+        let mut incoming: Vec<Vec<(u32, P::Value)>> = vec![Vec::new(); parts];
+        for (p, ups) in all.iter().enumerate() {
+            for u in ups {
+                let vid = lgs[p].verts[u.local as usize].vid;
+                for r in lgs[p].locations(u.local).unwrap().replica_nodes() {
+                    let pos = lgs[r.index()].position(vid).unwrap();
+                    incoming[r.index()].push((pos, u.value));
+                }
+            }
+        }
+        for (lg, (ups, inc)) in lgs.iter_mut().zip(all.into_iter().zip(incoming)) {
+            let lg = Arc::get_mut(lg).expect("workers dropped the graph");
+            vc_commit(lg, ups, inc);
+        }
+    }
+    Ok(())
 }
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -268,5 +433,21 @@ proptest! {
             }
         }
         prop_assert_eq!(&got, &expected, "vertex-cut diverged");
+    }
+
+    /// The rule every byte of sync accounting rests on (DESIGN.md §4.1): a
+    /// master that does not change sends nothing. No update either engine
+    /// emits, serial or chunked, carries the value its master already holds
+    /// — not MinLabel's settled labels, not PageRank's sourceless vertices,
+    /// which hold `1 − d` from the first superstep on.
+    #[test]
+    fn no_update_carries_the_committed_value(
+        (g, parts, threads) in (arb_graph(), 1usize..5, 1usize..4)
+    ) {
+        let steps = 6;
+        ec_updates_all_differ(&g, parts, threads, steps, MinLabel)?;
+        ec_updates_all_differ(&g, parts, threads, steps, PageRank)?;
+        vc_updates_all_differ(&g, parts, threads, steps, MinLabel)?;
+        vc_updates_all_differ(&g, parts, threads, steps, PageRank)?;
     }
 }

@@ -1,6 +1,6 @@
 //! Worker-pool and pipelining observability.
 //!
-//! Each node runs a persistent worker pool and (by default) pipelines its
+//! Each node runs a persistent worker pool and pipelines its
 //! supersteps: a compute/gather chunk's sync batch is staged and shipped
 //! while later chunks are still computing. [`PoolStats`] records how much
 //! that machinery actually did — chunk jobs dispatched, peak worker
@@ -32,8 +32,8 @@ pub struct PoolStats {
     /// jobs run on the driving thread itself).
     pub peak_busy: u64,
     /// Sync/gather envelopes shipped *before* the phase's tail fence,
-    /// i.e. while later chunks were still computing. 0 when pipelining
-    /// is disabled.
+    /// i.e. while later chunks were still computing. 0 with one worker
+    /// thread: one chunk, nothing later.
     pub early_batches: u64,
     /// Main-thread staging/shipping time that overlapped with outstanding
     /// chunk compute (work the strict phase ordering used to serialize).

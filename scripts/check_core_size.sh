@@ -79,7 +79,13 @@ cd "$(dirname "$0")/.."
 #          `export_metas` / `adopt_metas` / `set_locations` bodies and its
 #          struct literals with a boxed `meta`, and `ProtoMsg`'s fourth type
 #          parameter (the mirror batch's store) is gone (DESIGN.md §4.9).
-BUDGET=4373
+#   4244 — nothing filters a sync record and nothing chooses how a phase
+#          ships (PR 23): the sync filter's stage/suppress/commit/rollback
+#          calls, its undo clone and its resets in checkpoint recovery, the
+#          strict branch of `pump_update_syncs` and of the gather shipping,
+#          and two of `ComputeModel`'s four snapshot methods left with
+#          `core/src/suppress.rs` (DESIGN.md §4.1, §4.4).
+BUDGET=4244
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -40,6 +40,8 @@ OPTIONS (run):
   --scale <f64>                     dataset scale        [default: 0.01]
   --nodes <n>                       simulated machines   [default: 8]
   --threads <n>                     worker threads per machine [default: 4]
+                                    (1: strict compute → send ordering;
+                                    results identical)
   --cut <hash|fennel>               edge-cut partitioner [default: hash]
   --ft <none|rep|ckpt>              fault tolerance      [default: rep]
   --recovery <rebirth|migration>    REP recovery         [default: rebirth]
@@ -48,13 +50,6 @@ OPTIONS (run):
   --incremental                     incremental CKPT snapshots (§2.3)
   --fail <node@iter>                inject a crash (repeatable; --ft rep
                                     recovers --tolerance crashes per iteration)
-  --no-sync-suppress                ship every sync record (disable the
-                                    redundant-sync filter; results identical)
-  --no-pipeline                     strict compute → send phase ordering
-                                    (disable superstep pipelining; results
-                                    identical)
-  --no-delta-sync                   ship full sync records (disable delta
-                                    encoding; results identical)
   --tcp                             ship frames over loopback TCP sockets
                                     (results identical to channels)
   --lossy <seed>                    seeded drop/dup/reorder/delay fault
@@ -86,9 +81,6 @@ struct Opts {
     tolerance: usize,
     interval: u64,
     incremental: bool,
-    sync_suppress: bool,
-    pipeline: bool,
-    delta_sync: bool,
     transport: TransportKind,
     detector: DetectorKind,
     hb_interval_ms: u64,
@@ -115,9 +107,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         tolerance: 1,
         interval: 4,
         incremental: false,
-        sync_suppress: true,
-        pipeline: true,
-        delta_sync: true,
         transport: TransportKind::Channel,
         detector: DetectorKind::Oracle,
         hb_interval_ms: 10,
@@ -154,9 +143,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                 opts.interval = value()?.parse().map_err(|e| format!("--interval: {e}"))?;
             }
             "--incremental" => opts.incremental = true,
-            "--no-sync-suppress" => opts.sync_suppress = false,
-            "--no-pipeline" => opts.pipeline = false,
-            "--no-delta-sync" => opts.delta_sync = false,
             "--tcp" => opts.transport = TransportKind::Tcp,
             "--lossy" => {
                 let seed = value()?.parse().map_err(|e| format!("--lossy: {e}"))?;
@@ -252,6 +238,22 @@ fn ft_mode(opts: &Opts) -> Result<(FtMode, usize), String> {
     })
 }
 
+/// Rejects a cluster nothing can be partitioned over or replicated on: no
+/// node, a replication level of none, or one that leaves no survivor.
+fn check_cluster(opts: &Opts, ft: FtMode) -> Result<(), String> {
+    let nodes = opts.nodes;
+    match ft {
+        _ if nodes == 0 => Err("--nodes: a cluster needs at least one node".into()),
+        FtMode::Replication { tolerance: 0, .. } => {
+            Err("--tolerance: --ft rep tolerates at least 1 failure".into())
+        }
+        FtMode::Replication { tolerance, .. } if tolerance >= nodes => Err(format!(
+            "--tolerance: {tolerance} failures leave no survivor among --nodes {nodes}"
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Rejects a `--fail` schedule the run could not honour: a node the cluster
 /// does not have, a crash nothing would recover, or more simultaneous
 /// crashes than the replication level tolerates.
@@ -280,24 +282,15 @@ fn report_common<V>(r: &RunReport<V>) {
         r.comm.messages,
         r.total_mem_bytes() as f64 / (1024.0 * 1024.0)
     );
-    if r.suppressed_syncs > 0 {
-        println!(
-            "suppressed {} redundant sync records across {} superstep(s)",
-            r.suppressed_syncs,
-            r.suppressed_timeline.len()
-        );
-    }
     println!("fabric: {}", r.fabric);
     if r.pool.jobs > 0 {
         println!(
             "pool: {} chunk jobs, peak {} busy worker(s), {} batch(es) shipped early, \
-             {:.1} ms staging overlapped (pipeline {}, delta-sync {})",
+             {:.1} ms staging overlapped",
             r.pool.jobs,
             r.pool.peak_busy,
             r.pool.early_batches,
             r.pool.overlap.as_secs_f64() * 1e3,
-            if r.pipeline { "on" } else { "off" },
-            if r.delta_sync { "on" } else { "off" },
         );
     }
     for rec in &r.recoveries {
@@ -327,6 +320,7 @@ fn print_top(label: &str, scored: Vec<(usize, f64)>, top: usize) {
 
 fn cmd_run(opts: &Opts) -> Result<(), String> {
     let (ft, standbys) = ft_mode(opts)?;
+    check_cluster(opts, ft)?;
     check_fails(opts, ft)?;
     let g = load_graph(opts)?;
     println!("graph: {}", g.stats());
@@ -350,9 +344,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         hb_interval: Duration::from_millis(opts.hb_interval_ms),
         hb_timeout: Duration::from_millis(opts.hb_timeout_ms),
         threads_per_node: opts.threads,
-        sync_suppress: opts.sync_suppress,
-        pipeline: opts.pipeline,
-        delta_sync: opts.delta_sync,
         transport: opts.transport,
     };
     let failures: Vec<FailurePlan> = opts
@@ -439,6 +430,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_stats(opts: &Opts) -> Result<(), String> {
+    check_cluster(opts, FtMode::None)?;
     let g = load_graph(opts)?;
     println!("graph: {}", g.stats());
     for (name, cut) in [
@@ -499,20 +491,6 @@ mod tests {
         assert_eq!(o.ft, "rep");
         assert!(o.fails.is_empty());
         assert!(!o.incremental);
-        assert!(o.pipeline, "pipelining defaults on");
-        assert!(o.delta_sync, "delta sync defaults on");
-    }
-
-    #[test]
-    fn perf_flags_disable_pipeline_and_delta() {
-        let o = parse(&["run", "--no-pipeline"]).unwrap();
-        assert!(!o.pipeline);
-        assert!(o.delta_sync);
-        let o = parse(&["run", "--no-delta-sync"]).unwrap();
-        assert!(o.pipeline);
-        assert!(!o.delta_sync);
-        let o = parse(&["run", "--no-pipeline", "--no-delta-sync"]).unwrap();
-        assert!(!o.pipeline && !o.delta_sync);
     }
 
     #[test]
@@ -559,12 +537,16 @@ mod tests {
 
     #[test]
     fn rejects_failure_schedules_it_cannot_honour() {
-        // The schedule's verdict on four nodes: "" when the run can honour it.
+        // The command line's verdict on four nodes (a later `--nodes` wins):
+        // "" when the run can honour it.
         let verdict = |flags: &str| {
             let args = format!("run --nodes 4 {flags}");
-            let o = parse(&args.split(' ').collect::<Vec<_>>()).unwrap();
-            let refusal = check_fails(&o, ft_mode(&o).unwrap().0).err();
-            refusal.unwrap_or_default()
+            let checked = parse(&args.split(' ').collect::<Vec<_>>()).and_then(|o| {
+                let ft = ft_mode(&o)?.0;
+                check_cluster(&o, ft)?;
+                check_fails(&o, ft)
+            });
+            checked.err().unwrap_or_default()
         };
         assert_eq!(verdict("--fail 3@2"), "");
         assert_eq!(verdict("--fail 9@2"), "--fail: no node 9 among --nodes 4");
@@ -580,6 +562,21 @@ mod tests {
         assert_eq!(verdict("--fail 1@2 --fail 2@2 --tolerance 2"), "");
         assert_eq!(verdict("--fail 1@2 --fail 2@3 --fail 3@4"), "");
         assert_eq!(verdict("--ft ckpt --fail 1@2 --fail 2@2"), "");
+        // A cluster of no node, a replication level of none, and one that
+        // leaves no survivor are usage errors, not panics deeper in.
+        let no_node = "--nodes: a cluster needs at least one node";
+        assert_eq!(verdict("--nodes 0"), no_node);
+        let none = "--tolerance: --ft rep tolerates at least 1 failure";
+        assert_eq!(verdict("--tolerance 0"), none);
+        assert_eq!(verdict("--ft ckpt --tolerance 0"), "");
+        let all = "--tolerance: 4 failures leave no survivor among --nodes 4";
+        assert_eq!(verdict("--tolerance 4"), all);
+        assert_eq!(verdict("--tolerance 3"), "");
+        assert!(verdict("--tolerance 2 --nodes 2").starts_with("--tolerance: 2 failures"));
+        // One path each: the switches that chose another are gone.
+        for flag in ["--no-sync-suppress", "--no-pipeline", "--no-delta-sync"] {
+            assert_eq!(verdict(flag), format!("unknown flag {flag}"));
+        }
     }
 
     #[test]

@@ -298,21 +298,15 @@ proptest! {
     }
 
     #[test]
-    fn edge_cut_pipelining_is_invisible(
-        (s, threads, pipeline, delta_sync) in
-            (arb_scenario(), 1usize..=8, any::<bool>(), any::<bool>())
-    ) {
+    fn edge_cut_pipelining_is_invisible((s, threads) in (arb_scenario(), 1usize..=8)) {
         // Pipelined supersteps (chunks shipped as they complete, with only
-        // the tail fenced by the barrier) must be invisible: every
-        // (pipeline, threads) combination is bit-identical to the strict
-        // serial run — values, iterations, and the exact logical comm
-        // accounting — across injected failures, including crashes landing
-        // mid-pipeline before the tail fence (`FailPoint::BeforeBarrier`
-        // fires after chunk batches have already shipped). Both sides run
-        // with the same delta_sync: varint span frames genuinely shrink u32
-        // traffic, so delta is a byte-changing axis (`delta_sync_shrinks_
-        // wide_value_traffic` proves it downward-only); threading and
-        // pipelining must not move a byte on either setting.
+        // the tail fenced by the barrier) must be invisible: every thread
+        // count is bit-identical to the strict serial run (one thread, one
+        // chunk: compute, then ship) — values, iterations, and the exact
+        // logical comm accounting — across injected failures, including
+        // crashes landing mid-pipeline before the tail fence
+        // (`FailPoint::BeforeBarrier` fires after chunk batches have
+        // already shipped).
         let cut = HashEdgeCut.partition(&s.graph, s.nodes);
         let ft = FtMode::Replication {
             tolerance: s.tolerance,
@@ -327,12 +321,7 @@ proptest! {
             &s.graph,
             &cut,
             Arc::new(MinLabel),
-            RunConfig {
-                threads_per_node: 1,
-                pipeline: false,
-                delta_sync,
-                ..config(&s, ft, standbys)
-            },
+            RunConfig { threads_per_node: 1, ..config(&s, ft, standbys) },
             plans(&s),
             Dfs::new(DfsConfig::instant()),
         );
@@ -340,26 +329,17 @@ proptest! {
             &s.graph,
             &cut,
             Arc::new(MinLabel),
-            RunConfig {
-                threads_per_node: threads,
-                pipeline,
-                delta_sync,
-                ..config(&s, ft, standbys)
-            },
+            RunConfig { threads_per_node: threads, ..config(&s, ft, standbys) },
             plans(&s),
             Dfs::new(DfsConfig::instant()),
         );
         prop_assert_eq!(piped.values, serial.values);
         prop_assert_eq!(piped.iterations, serial.iterations);
         prop_assert_eq!(piped.comm, serial.comm);
-        prop_assert_eq!(piped.suppressed_syncs, serial.suppressed_syncs);
     }
 
     #[test]
-    fn vertex_cut_pipelining_is_invisible(
-        (s, threads, pipeline, delta_sync) in
-            (arb_scenario(), 1usize..=8, any::<bool>(), any::<bool>())
-    ) {
+    fn vertex_cut_pipelining_is_invisible((s, threads) in (arb_scenario(), 1usize..=8)) {
         // Vertex-cut twin of `edge_cut_pipelining_is_invisible`: the dense
         // engine additionally pipelines mirror->master gather shipping, so
         // this also proves per-chunk Gather envelopes reassociate to the
@@ -378,12 +358,7 @@ proptest! {
             &s.graph,
             &cut,
             Arc::new(MinLabel),
-            RunConfig {
-                threads_per_node: 1,
-                pipeline: false,
-                delta_sync,
-                ..config(&s, ft, standbys)
-            },
+            RunConfig { threads_per_node: 1, ..config(&s, ft, standbys) },
             plans(&s),
             Dfs::new(DfsConfig::instant()),
         );
@@ -391,121 +366,13 @@ proptest! {
             &s.graph,
             &cut,
             Arc::new(MinLabel),
-            RunConfig {
-                threads_per_node: threads,
-                pipeline,
-                delta_sync,
-                ..config(&s, ft, standbys)
-            },
+            RunConfig { threads_per_node: threads, ..config(&s, ft, standbys) },
             plans(&s),
             Dfs::new(DfsConfig::instant()),
         );
         prop_assert_eq!(piped.values, serial.values);
         prop_assert_eq!(piped.iterations, serial.iterations);
         prop_assert_eq!(piped.comm, serial.comm);
-        prop_assert_eq!(piped.suppressed_syncs, serial.suppressed_syncs);
-    }
-
-    #[test]
-    fn edge_cut_suppression_is_invisible((s, threads) in (arb_scenario(), 1usize..=8)) {
-        // Redundant-sync suppression must be a pure wire optimisation: with
-        // it on or off, any thread count, and injected failures recovered by
-        // Rebirth or Migration, the output is bit-identical.
-        let cut = HashEdgeCut.partition(&s.graph, s.nodes);
-        let ft = FtMode::Replication {
-            tolerance: s.tolerance,
-            selfish_opt: false,
-            recovery: s.strategy,
-        };
-        let standbys = match s.strategy {
-            RecoveryStrategy::Rebirth => s.failures.len(),
-            RecoveryStrategy::Migration => 0,
-        };
-        let on = run_edge_cut(
-            &s.graph,
-            &cut,
-            Arc::new(MinLabel),
-            RunConfig { threads_per_node: threads, sync_suppress: true, ..config(&s, ft, standbys) },
-            plans(&s),
-            Dfs::new(DfsConfig::instant()),
-        );
-        let off = run_edge_cut(
-            &s.graph,
-            &cut,
-            Arc::new(MinLabel),
-            RunConfig { threads_per_node: threads, sync_suppress: false, ..config(&s, ft, standbys) },
-            plans(&s),
-            Dfs::new(DfsConfig::instant()),
-        );
-        prop_assert_eq!(off.suppressed_syncs, 0);
-        prop_assert_eq!(on.values, off.values);
-        prop_assert_eq!(on.iterations, off.iterations);
-    }
-
-    #[test]
-    fn vertex_cut_suppression_is_invisible((s, threads) in (arb_scenario(), 1usize..=8)) {
-        // The dense vertex-cut engine re-syncs every master each iteration,
-        // so the filter skips real traffic here; results must not move.
-        let cut = RandomVertexCut.partition(&s.graph, s.nodes);
-        let ft = FtMode::Replication {
-            tolerance: s.tolerance,
-            selfish_opt: false,
-            recovery: s.strategy,
-        };
-        let standbys = match s.strategy {
-            RecoveryStrategy::Rebirth => s.failures.len(),
-            RecoveryStrategy::Migration => 0,
-        };
-        let on = run_vertex_cut(
-            &s.graph,
-            &cut,
-            Arc::new(MinLabel),
-            RunConfig { threads_per_node: threads, sync_suppress: true, ..config(&s, ft, standbys) },
-            plans(&s),
-            Dfs::new(DfsConfig::instant()),
-        );
-        let off = run_vertex_cut(
-            &s.graph,
-            &cut,
-            Arc::new(MinLabel),
-            RunConfig { threads_per_node: threads, sync_suppress: false, ..config(&s, ft, standbys) },
-            plans(&s),
-            Dfs::new(DfsConfig::instant()),
-        );
-        prop_assert_eq!(off.suppressed_syncs, 0);
-        prop_assert_eq!(on.values, off.values);
-        prop_assert_eq!(on.iterations, off.iterations);
-    }
-
-    #[test]
-    fn checkpoint_suppression_is_invisible(
-        (s, incremental, threads) in (arb_scenario(), any::<bool>(), 1usize..=8)
-    ) {
-        // Checkpoint recovery resets masters from snapshots and re-ships
-        // state in a full-sync round — the filter's invalidation rules
-        // (clear on reset/chain, per-destination invalidation on full
-        // snapshots) must keep the skipped records provably redundant.
-        let cut = HashEdgeCut.partition(&s.graph, s.nodes);
-        let ft = FtMode::Checkpoint { interval: 2, incremental };
-        let on = run_edge_cut(
-            &s.graph,
-            &cut,
-            Arc::new(MinLabel),
-            RunConfig { threads_per_node: threads, sync_suppress: true, ..config(&s, ft, s.failures.len()) },
-            plans(&s),
-            Dfs::new(DfsConfig::instant()),
-        );
-        let off = run_edge_cut(
-            &s.graph,
-            &cut,
-            Arc::new(MinLabel),
-            RunConfig { threads_per_node: threads, sync_suppress: false, ..config(&s, ft, s.failures.len()) },
-            plans(&s),
-            Dfs::new(DfsConfig::instant()),
-        );
-        prop_assert_eq!(off.suppressed_syncs, 0);
-        prop_assert_eq!(on.values, off.values);
-        prop_assert_eq!(on.iterations, off.iterations);
     }
 
     #[test]
@@ -577,13 +444,12 @@ proptest! {
     }
 }
 
-/// NaN-flood: the adversarial workload for the redundant-sync filter. A NaN
-/// value compares unequal to itself, so a NaN-stuck master emits a
-/// bit-identical update *every* superstep — the only steady-state case where
-/// suppression fires on the sparse edge-cut engine — while `scatter`
-/// (unconditionally `true`) keeps `activate = true` on every suppressed
-/// record. Recovery must still reconstruct each replica's exact
-/// `(value, last_activate)` pair.
+/// NaN-flood: the one workload where a master re-ships what its replicas
+/// already hold. A NaN value compares unequal to itself, so a NaN-stuck
+/// master emits a bit-identical update *every* superstep — `PartialEq` and
+/// the codec disagree — while `scatter` (unconditionally `true`) keeps
+/// `activate = true` on every record. Recovery must still reconstruct each
+/// replica's exact `(value, last_activate)` pair.
 struct NanFlood;
 
 impl VertexProgram for NanFlood {
@@ -631,26 +497,25 @@ fn f32_bits(values: &[f32]) -> Vec<u32> {
 }
 
 /// Runs NaN-flood with one mid-run failure under `strategy` and checks the
-/// recovered output is bit-identical to a clean, unsuppressed run — i.e.
-/// replicas of continuously-suppressed masters carried the exact
-/// `(value, last_activate)` state recovery rebuilt from.
+/// recovered output is bit-identical to a clean run — i.e. replicas of
+/// NaN-stuck masters carried the exact `(value, last_activate)` state
+/// recovery rebuilt from.
 fn nan_flood_recovery_case(strategy: RecoveryStrategy) {
     let g = nan_flood_graph(60);
     let nodes = 4;
     let cut = HashEdgeCut.partition(&g, nodes);
-    let cfg = |ft, standbys, sync_suppress| RunConfig {
+    let cfg = |ft, standbys| RunConfig {
         num_nodes: nodes,
         max_iters: 12,
         ft,
         standbys,
-        sync_suppress,
         ..RunConfig::default()
     };
     let clean = run_edge_cut(
         &g,
         &cut,
         Arc::new(NanFlood),
-        cfg(FtMode::None, 0, false),
+        cfg(FtMode::None, 0),
         vec![],
         Dfs::new(DfsConfig::instant()),
     );
@@ -672,13 +537,9 @@ fn nan_flood_recovery_case(strategy: RecoveryStrategy) {
         &g,
         &cut,
         Arc::new(NanFlood),
-        cfg(ft, standbys, true),
+        cfg(ft, standbys),
         failures,
         Dfs::new(DfsConfig::instant()),
-    );
-    assert!(
-        recovered.suppressed_syncs > 0,
-        "NaN-stuck masters must exercise the filter"
     );
     assert_eq!(f32_bits(&recovered.values), f32_bits(&clean.values));
     assert_eq!(recovered.iterations, clean.iterations);
@@ -694,97 +555,12 @@ fn nan_stuck_vertices_suppress_yet_migration_recovers_exactly() {
     nan_flood_recovery_case(RecoveryStrategy::Migration);
 }
 
-/// Wide-value drift: every master's u64 value grows by one each superstep,
-/// so successive values differ only in the low byte (two across a carry).
-/// A full u64 sync frame costs 13 bytes on the wire; a delta frame costs
-/// 9 + span, so the drifting span of 1-2 bytes undercuts it — the workload
-/// where delta-encoded sync pays.
-struct Drift;
-
-impl VertexProgram for Drift {
-    type Value = u64;
-    type Accum = u64;
-
-    fn init(&self, vid: Vid, _d: &Degrees) -> u64 {
-        u64::from(vid.raw()) << 8
-    }
-
-    fn gather(&self, _w: f32, src: &u64) -> u64 {
-        *src
-    }
-
-    fn combine(&self, a: u64, b: u64) -> u64 {
-        a.max(b)
-    }
-
-    fn apply(&self, _v: Vid, old: &u64, _acc: Option<u64>, _d: &Degrees) -> u64 {
-        old.wrapping_add(1)
-    }
-
-    fn scatter(&self, _v: Vid, _old: &u64, _new: &u64) -> bool {
-        true
-    }
-}
-
-/// Delta-encoded sync must be a pure wire-size optimisation: identical
-/// values, iterations, and record counts, strictly fewer bytes than full
-/// frames on a wide-value drifting workload (satellite proof that the
-/// encoding actually engages — u32 programs are size-neutral by design).
-#[test]
-fn delta_sync_shrinks_wide_value_traffic() {
-    let g = nan_flood_graph(80);
-    let cfg = |delta_sync| RunConfig {
-        num_nodes: 4,
-        max_iters: 6,
-        threads_per_node: 2,
-        delta_sync,
-        ..RunConfig::default()
-    };
-    for edge_cut in [true, false] {
-        let run = |delta_sync| {
-            if edge_cut {
-                let cut = HashEdgeCut.partition(&g, 4);
-                run_edge_cut(
-                    &g,
-                    &cut,
-                    Arc::new(Drift),
-                    cfg(delta_sync),
-                    vec![],
-                    Dfs::new(DfsConfig::instant()),
-                )
-            } else {
-                let cut = RandomVertexCut.partition(&g, 4);
-                run_vertex_cut(
-                    &g,
-                    &cut,
-                    Arc::new(Drift),
-                    cfg(delta_sync),
-                    vec![],
-                    Dfs::new(DfsConfig::instant()),
-                )
-            }
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.values, off.values);
-        assert_eq!(on.iterations, off.iterations);
-        assert_eq!(on.comm.messages, off.comm.messages);
-        assert!(
-            on.comm.bytes < off.comm.bytes,
-            "delta frames must shrink drifting u64 sync traffic \
-             (edge_cut={edge_cut}: {} !< {})",
-            on.comm.bytes,
-            off.comm.bytes
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Refactor goldens, split into semantics and bytes. The *semantic* hashes pin
-// iterations, message counts, suppression counts, extra replicas, every
-// recovery episode's strategy/size/message-traffic, and every final vertex
-// value — across both models, all three recovery strategies, and four
-// thread/suppression variants. They were captured at the commit before the
+// iterations, message counts, extra replicas, every recovery episode's
+// strategy/size/message-traffic, and every final vertex value — across both
+// models, all three recovery strategies, and four runs at two thread counts
+// (see `golden_run`). They were captured at the commit before the
 // ComputeModel refactor and have survived every accounting change since: a
 // semantic mismatch is a behavior change, not a refactor. The *byte* totals
 // (normal/FT/recovery communication plus DFS checkpoint payloads) are pinned
@@ -822,7 +598,7 @@ fn fnv(h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Byte totals summed over the four thread/suppression variants of one case.
+/// Byte totals summed over the four runs of one case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GoldenBytes {
     /// Normal compute communication (`comm.bytes`).
@@ -863,21 +639,18 @@ fn golden_run(
         ckpt: 0,
     };
     let mut first: Option<Vec<u32>> = None;
-    for (threads, suppress) in [(1, true), (4, true), (1, false), (4, false)] {
-        // The golden constants were captured before superstep pipelining and
-        // delta-encoded syncs existed, so the hashed runs pin both off: the
-        // hashes anchor the pre-refactor accounting regardless of what the
-        // defaults grow into. (`*_pipelining_is_invisible` holds the
-        // pipelined axes to the same outputs.)
+    // Four runs, not two: each `sem` constant folds four, and each byte pin
+    // sums four. The second pair once ran with a sync filter switched off;
+    // it was identical to the first in every hashed field (the filter never
+    // skipped a record in any case here), so repeating the pair keeps every
+    // constant as recorded.
+    for threads in [1, 4, 1, 4] {
         let cfg = RunConfig {
             num_nodes: nodes,
             max_iters: 30,
             ft,
             standbys,
             threads_per_node: threads,
-            sync_suppress: suppress,
-            pipeline: false,
-            delta_sync: false,
             ..RunConfig::default()
         };
         let dfs = Dfs::new(DfsConfig::instant());
@@ -891,6 +664,7 @@ fn golden_run(
         hash = fnv(hash, &r.iterations.to_le_bytes());
         hash = fnv(hash, &r.comm.messages.to_le_bytes());
         hash = fnv(hash, &r.ft_comm.messages.to_le_bytes());
+        // Always 0; the recorded hashes fold it in.
         hash = fnv(hash, &r.suppressed_syncs.to_le_bytes());
         hash = fnv(hash, &(r.extra_replicas as u64).to_le_bytes());
         for rec in &r.recoveries {
@@ -909,7 +683,7 @@ fn golden_run(
         bytes.ckpt += dfs.stats().writes.bytes;
         match &first {
             None => first = Some(r.values),
-            Some(f) => assert_eq!(&r.values, f, "threads/suppress variant diverged"),
+            Some(f) => assert_eq!(&r.values, f, "thread count moved a value"),
         }
     }
     (hash, bytes)
@@ -940,7 +714,9 @@ fn refactor_goldens_are_bit_identical() {
         /// keeps a pre-episode mirror, so round 7 still refreshes them all.
         /// The edge-cut checkpoint cases' `ckpt` fell when the `ec/meta/<node>`
         /// snapshot stopped writing a master's in-edges and consumers twice
-        /// (48640 → 39832, 47052 → 38244, 91404 → 76012, 87248 → 71856);
+        /// (48640 → 39832, 47052 → 38244, 91404 → 76012, 87248 → 71856), and
+        /// the two incremental ones' again when a delta epoch stopped writing
+        /// its dirty masters' positions twice (38244 → 37820, 71856 → 70808);
         /// nothing that crosses the wire moved.
         new: GoldenBytes,
     }
@@ -1042,7 +818,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xB2490C13F3538AC5,
             old: gb(22572, 0, 0, 127036),
-            new: gb(13872, 0, 0, 38244),
+            new: gb(13872, 0, 0, 37820),
         },
         Case {
             name: "s1_ckpt_inc_vc",
@@ -1138,7 +914,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x7BFA561A019A6BC5,
             old: gb(66132, 0, 0, 229840),
-            new: gb(40240, 0, 0, 71856),
+            new: gb(40240, 0, 0, 70808),
         },
         Case {
             name: "s2_ckpt_inc_vc",
@@ -1878,18 +1654,17 @@ fn torn_checkpoint_epoch_is_never_loaded() {
 
 // ---------------------------------------------------------------------------
 // Columnar wire format: end-to-end invisibility. The frame codec sits under
-// every execution axis that reorders or re-batches records — worker threads,
-// superstep pipelining, delta-encoded syncs — and under failures in both
-// models. None of those axes may move a single vertex value, iteration,
-// message count, or recovery decision; byte totals may differ only along the
-// delta_sync axis (and then only downward). The non-delta totals must come
-// in strictly below the scalar per-record accounting this codec replaced
-// (reference constants captured at the parent commit on this scenario).
+// the one execution axis that re-batches records — worker threads, each
+// shipping its chunk as it completes — and under failures in both models.
+// That axis may not move a single vertex value, iteration, message count,
+// byte or recovery decision. The byte totals must come in strictly below the
+// scalar per-record accounting this codec replaced (reference constants
+// captured at the parent commit on this scenario).
 // ---------------------------------------------------------------------------
 
 /// Everything one run variant must agree on: final values, iterations,
-/// comm messages, ckpt bytes, and per-episode recovery observables.
-type E2eObservables = (Vec<u32>, u64, u64, u64, Vec<(String, u64, u64)>);
+/// comm messages and bytes, ckpt bytes, and per-episode recovery observables.
+type E2eObservables = (Vec<u32>, u64, u64, u64, u64, Vec<(String, u64, u64)>);
 
 #[test]
 fn wire_format_invisible_e2e() {
@@ -1932,89 +1707,73 @@ fn wire_format_invisible_e2e() {
         ("ckpt_vc", ckpt, 1, plans[..1].to_vec(), false, 51215, 30156),
     ];
     for (name, ft, standbys, plans, edge_cut, scalar_comm, scalar_ckpt) in scenarios {
-        // Baseline: single-threaded, unpipelined, full-value syncs.
+        // Baseline: single-threaded, so each phase computes, then ships.
         let mut baseline: Option<E2eObservables> = None;
-        let mut full_comm = None;
         for threads in [1usize, 2, 4, 8] {
-            for pipeline in [false, true] {
-                for delta_sync in [false, true] {
-                    let cfg = RunConfig {
-                        num_nodes: 5,
-                        max_iters: 30,
-                        ft,
-                        standbys,
-                        threads_per_node: threads,
-                        sync_suppress: true,
-                        pipeline,
-                        delta_sync,
-                        ..RunConfig::default()
-                    };
-                    let dfs = Dfs::new(DfsConfig::instant());
-                    let r = if edge_cut {
-                        let cut = HashEdgeCut.partition(&g, 5);
-                        run_edge_cut(
-                            &g,
-                            &cut,
-                            Arc::new(MinLabel),
-                            cfg,
-                            plans.clone(),
-                            dfs.clone(),
-                        )
-                    } else {
-                        let cut = RandomVertexCut.partition(&g, 5);
-                        run_vertex_cut(
-                            &g,
-                            &cut,
-                            Arc::new(MinLabel),
-                            cfg,
-                            plans.clone(),
-                            dfs.clone(),
-                        )
-                    };
-                    let ckpt_bytes = dfs.stats().writes.bytes;
-                    let recs: Vec<(String, u64, u64)> = r
-                        .recoveries
-                        .iter()
-                        .map(|rec| (rec.strategy.to_string(), rec.comm.messages, rec.comm.bytes))
-                        .collect();
-                    let tag = format!("{name} t={threads} pipe={pipeline} delta={delta_sync}");
-                    match &baseline {
-                        None => {
-                            baseline = Some((
-                                r.values.clone(),
-                                r.iterations,
-                                r.comm.messages,
-                                ckpt_bytes,
-                                recs,
-                            ));
-                        }
-                        Some((values, iters, msgs, ckpt0, recs0)) => {
-                            assert_eq!(&r.values, values, "{tag}: values moved");
-                            assert_eq!(r.iterations, *iters, "{tag}: iterations moved");
-                            assert_eq!(r.comm.messages, *msgs, "{tag}: message count moved");
-                            assert_eq!(ckpt_bytes, *ckpt0, "{tag}: ckpt payload moved");
-                            assert_eq!(&recs, recs0, "{tag}: recovery episodes moved");
-                        }
-                    }
-                    if delta_sync {
-                        assert!(
-                            r.comm.bytes <= full_comm.unwrap(),
-                            "{tag}: delta frames grew traffic"
-                        );
-                    } else {
-                        // Threading and pipelining re-chunk batches but must
-                        // not move a byte of the frame accounting.
-                        let full = *full_comm.get_or_insert(r.comm.bytes);
-                        assert_eq!(r.comm.bytes, full, "{tag}: comm bytes moved");
-                    }
+            let cfg = RunConfig {
+                num_nodes: 5,
+                max_iters: 30,
+                ft,
+                standbys,
+                threads_per_node: threads,
+                ..RunConfig::default()
+            };
+            let dfs = Dfs::new(DfsConfig::instant());
+            let r = if edge_cut {
+                let cut = HashEdgeCut.partition(&g, 5);
+                run_edge_cut(
+                    &g,
+                    &cut,
+                    Arc::new(MinLabel),
+                    cfg,
+                    plans.clone(),
+                    dfs.clone(),
+                )
+            } else {
+                let cut = RandomVertexCut.partition(&g, 5);
+                run_vertex_cut(
+                    &g,
+                    &cut,
+                    Arc::new(MinLabel),
+                    cfg,
+                    plans.clone(),
+                    dfs.clone(),
+                )
+            };
+            let ckpt_bytes = dfs.stats().writes.bytes;
+            let recs: Vec<(String, u64, u64)> = r
+                .recoveries
+                .iter()
+                .map(|rec| (rec.strategy.to_string(), rec.comm.messages, rec.comm.bytes))
+                .collect();
+            let tag = format!("{name} t={threads}");
+            match &baseline {
+                None => {
+                    baseline = Some((
+                        r.values.clone(),
+                        r.iterations,
+                        r.comm.messages,
+                        r.comm.bytes,
+                        ckpt_bytes,
+                        recs,
+                    ));
+                }
+                Some((values, iters, msgs, bytes, ckpt0, recs0)) => {
+                    assert_eq!(&r.values, values, "{tag}: values moved");
+                    assert_eq!(r.iterations, *iters, "{tag}: iterations moved");
+                    assert_eq!(r.comm.messages, *msgs, "{tag}: message count moved");
+                    // Threads re-chunk batches but must not move a byte of
+                    // the frame accounting.
+                    assert_eq!(r.comm.bytes, *bytes, "{tag}: comm bytes moved");
+                    assert_eq!(ckpt_bytes, *ckpt0, "{tag}: ckpt payload moved");
+                    assert_eq!(&recs, recs0, "{tag}: recovery episodes moved");
                 }
             }
         }
-        let (_, _, _, ckpt_bytes, _) = baseline.unwrap();
+        let (_, _, _, comm_bytes, ckpt_bytes, _) = baseline.unwrap();
         assert!(
-            full_comm.unwrap() < scalar_comm,
-            "{name}: columnar comm {} must be strictly below scalar {scalar_comm}",
-            full_comm.unwrap()
+            comm_bytes < scalar_comm,
+            "{name}: columnar comm {comm_bytes} must be strictly below scalar {scalar_comm}"
         );
         if scalar_ckpt > 0 {
             assert!(
