@@ -176,7 +176,6 @@ pub(crate) fn dec_column_lens(r: &mut Reader<'_>) -> Result<ColumnLens, DecodeEr
 fn enc_out_remote(edges: &[RemoteEdge], buf: &mut Vec<u8>) {
     enc_uv(edges.len() as u64, buf);
     for r in edges {
-        enc_vid(r.target, buf);
         enc_node(r.node, buf);
         enc_u32(r.pos, buf);
     }
@@ -199,7 +198,6 @@ fn dec_list_into<T>(
 
 fn dec_remote_edge(r: &mut Reader<'_>) -> Result<RemoteEdge, DecodeError> {
     Ok(RemoteEdge {
-        target: dec_vid(r)?,
         node: dec_node(r)?,
         pos: dec_u32(r)?,
     })
@@ -209,7 +207,7 @@ fn dec_remote_edge(r: &mut Reader<'_>) -> Result<RemoteEdge, DecodeError> {
 pub(crate) fn enc_meta(m: FullStateRef<'_>, buf: &mut Vec<u8>) {
     enc_locations(m.locations, buf);
     enc_uv(m.in_edges_owner.len() as u64, buf);
-    for (&(pos, w), &src) in m.in_edges_owner.iter().zip(m.in_edge_srcs) {
+    for (&(pos, w), src) in m.in_edges_owner.iter().zip(m.in_edge_srcs.iter()) {
         enc_u32(pos, buf);
         w.encode(buf);
         enc_vid(src, buf);
@@ -266,7 +264,7 @@ fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
         + (8 * HINT_VARINT + 3) * slots
         + edge * lens.in_edges
         + HINT_VARINT * (lens.in_srcs + lens.out_local)
-        + (2 * HINT_VARINT + 1) * lens.out_remote
+        + (HINT_VARINT + 1) * lens.out_remote
 }
 
 /// Encodes an edge-cut local graph (topology + current state) as a
@@ -276,17 +274,22 @@ fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
 ///
 /// Full state is written as the graph stores it: a mirror's whole (the
 /// message form, [`enc_meta`]), a master's without the two lists that are
-/// its own in-edges and consumers, already written. The format is
+/// its own in-edges and consumers, already written, and without the sources
+/// its in-edges name through the copies, written too. The format is
 /// internal — undo buffers and the `ec/meta/<node>` files of one run.
 pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(ec_graph_size_hint(lg));
     enc_u32(lg.node.raw(), &mut buf);
     enc_uv(lg.verts.len() as u64, &mut buf);
-    // The prologue: what the decoder's store will hold (runs no slot points
-    // at any more are not encoded), so it sizes each column once.
+    // The prologue: what the decoder's store and hot columns will hold (runs
+    // no slot or copy points at any more are not encoded), so it sizes each
+    // column once.
     let live = lg.live_full_state_lens();
     enc_uv(live.slots as u64, &mut buf);
     enc_column_lens(live.edges, &mut buf);
+    let positions = 0..lg.verts.len() as u32;
+    let in_edges: usize = positions.map(|pos| lg.in_edges(pos).len()).sum();
+    enc_uv(in_edges as u64, &mut buf);
     let mut prev_vid = 0u32;
     for (pos, v) in lg.verts.iter().enumerate() {
         debug_assert!(!v.next_active, "{} encoded mid-commit", v.vid);
@@ -312,10 +315,6 @@ pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
         match lg.full_state(pos as u32) {
             Some(state) if v.is_master() => {
                 enc_locations(state.locations, &mut buf);
-                enc_uv(state.in_edge_srcs.len() as u64, &mut buf);
-                for &src in state.in_edge_srcs {
-                    enc_vid(src, &mut buf);
-                }
                 enc_out_remote(state.out_remote, &mut buf);
             }
             Some(state) => enc_meta(state, &mut buf),
@@ -339,9 +338,11 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
     let n = dec_count(&mut r)?;
     let slots = dec_count(&mut r)?;
     let lens = dec_column_lens(&mut r)?;
-    // Every copy and slot costs a byte of its own, like every column entry,
-    // so what is reserved below is within a constant of the input's size.
-    if n + slots + lens.total() > r.remaining() {
+    let hot = dec_count(&mut r)?;
+    // Every copy and slot costs a byte of its own, like every column entry
+    // and every in-edge, so what is reserved below is within a constant of
+    // the input's size.
+    if n + slots + lens.total() + hot > r.remaining() {
         return Err(DecodeError::Corrupt("counts exceed input"));
     }
     lg.verts.reserve_exact(n);
@@ -350,10 +351,8 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
         words: 0,
         edges: lens,
     });
-    // The masters' in-edges are the in-edge sources no mirror accounts for,
-    // and every in-edge has its consumer entry: exact for a graph as loaded,
-    // a first guess for one recovery has rewired.
-    let hot = lens.in_srcs.saturating_sub(lens.in_edges);
+    // Every in-edge has its consumer entry: exact for a graph as loaded, a
+    // first guess for one recovery has rewired.
     lg.reserve_edge_lists(hot, hot);
     let mut pairs = Vec::with_capacity(n);
     let mut prev_vid = 0u32;
@@ -384,7 +383,6 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
         }
         if kind == CopyKind::Master {
             dec_locations_into(&mut r, &mut meta.locations)?;
-            dec_list_into(&mut r, &mut meta.in_edge_srcs, dec_vid)?;
             dec_list_into(&mut r, &mut meta.out_remote, dec_remote_edge)?;
         } else {
             dec_meta_into(&mut r, &mut meta)?;
@@ -395,8 +393,8 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
         return Err(DecodeError::TrailingBytes(r.remaining()));
     }
     let held = lg.full_state_lens();
-    if (held.slots, held.edges) != (slots, lens) {
-        return Err(DecodeError::Corrupt("full-state totals"));
+    if (held.slots, held.edges, lg.edge_list_lens().0) != (slots, lens, hot) {
+        return Err(DecodeError::Corrupt("prologue totals"));
     }
     lg.index = PosIndex::from_pairs(pairs);
     lg.rebuild_active_frontier();
@@ -980,6 +978,29 @@ pub(crate) mod tests {
             }
         }
 
+        /// An edge-ckpt file is what a Migration survivor and a reborn node
+        /// reload from the DFS: a damaged one comes back as an error or as
+        /// edges held in a constant times the input — never a panic, never
+        /// a list sized by a count the input merely claims.
+        #[test]
+        fn hostile_edge_ckpt_bytes_never_panic(
+            (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
+            damage in proptest::collection::vec(arb_damage(), 1..4),
+        ) {
+            let cut = RandomVertexCut.partition(&g, parts);
+            let plan = plan_for(&g, &cut, k, selfish);
+            let d = Degrees::of(&g);
+            for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
+                for (_, file) in edge_ckpt_files(&lg) {
+                    let bad = damaged(file, &damage);
+                    if let Ok(edges) = decode_edge_ckpt(&bad) {
+                        let held = edges.capacity() * std::mem::size_of::<(Vid, Vid, f32)>();
+                        prop_assert!(held <= 16 * bad.len());
+                    }
+                }
+            }
+        }
+
         /// The undo snapshot *is* this codec: whatever the loaders build —
         /// any partition count, FT level, selfish flags, duplicate edges,
         /// isolated vertices — must come back equal, field for field.
@@ -1028,6 +1049,19 @@ pub(crate) mod tests {
         assert_eq!(most.view().mirror_nodes().len(), MAX_TABLE_NODES);
     }
 
+    /// A master's in-edge sources are read through its in-edges' positions:
+    /// a snapshot with one pointing past the copies must not come back as a
+    /// graph.
+    #[test]
+    fn an_in_edge_past_the_copies_is_a_decode_error() {
+        let mut lg: EcLocalGraph<f64> = EcLocalGraph::empty(NodeId::new(0));
+        let master = EcVertex::new(Vid::new(3), CopyKind::Master, NodeId::new(0), 0.0);
+        lg.insert_at(0, master, &[(7, 1.0)], &[]);
+        lg.set_full_state(0, MasterMeta::default().view());
+        let back = decode_ec_graph::<f64>(&encode_ec_graph(&lg));
+        assert_eq!(back, Err(DecodeError::Corrupt("graph invariants")));
+    }
+
     /// FNV-1a over a byte string.
     fn fnv(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -1035,32 +1069,39 @@ pub(crate) mod tests {
         })
     }
 
-    /// Loader-built graphs encode to the bytes they encoded to when every
-    /// copy owned its two edge lists as `Vec`s and the loader filtered them
-    /// out of two global CSRs (lengths and hashes recorded at commit
-    /// 81ee3c5): the items of every list, and their order, are what they
-    /// were, without fault tolerance and with one and two mirrors a vertex.
+    /// Loader-built graphs encode to the recorded bytes, without fault
+    /// tolerance and with one and two mirrors a vertex: the items of every
+    /// list, and their order, are pinned. The lengths recorded at commit
+    /// 81ee3c5 — when every copy owned its two edge lists as `Vec`s, a master
+    /// wrote the source of each in-edge beside it and a remote out-edge its
+    /// target — stay beside them: the snapshot stopped writing what the graph
+    /// stopped storing and carries one more count, and may only have shrunk.
     #[test]
     fn loader_built_graphs_encode_to_the_recorded_bytes() {
         const RECORDED: [[(usize, u64); 4]; 3] = [
             [
-                (0x1bd30, 0xf63c_978e_34e2_00b2),
-                (0x1b66b, 0x56ea_e353_3555_00f7),
-                (0x1cfe9, 0xaad6_c355_7cd0_2d54),
-                (0x1c0fa, 0x11aa_1299_85c6_7bc7),
+                (0x16b02, 0xeef5_2fc4_cf33_4434),
+                (0x1661d, 0x7e61_d1d4_fbe9_b265),
+                (0x178bd, 0xfa11_d036_106a_e409),
+                (0x16e3a, 0x3315_b3ab_a09f_4744),
             ],
             [
-                (0x30f01, 0x35a9_8317_491c_5235),
-                (0x305e2, 0xee6f_7427_68d4_f81e),
-                (0x3155e, 0x33e9_e394_b413_918b),
-                (0x31696, 0x1853_0e4b_75c6_5f6c),
+                (0x29a28, 0x50be_8112_a7fc_0a96),
+                (0x29324, 0xe2d8_3989_9c4c_76ff),
+                (0x29ca3, 0xeeac_070b_86c4_a521),
+                (0x2a1a5, 0xec97_4337_455c_fc94),
             ],
             [
-                (0x46d0b, 0x6596_8f18_2605_8f19),
-                (0x475a4, 0x9ae1_053f_9072_ef8c),
-                (0x471db, 0xccc9_4eea_4ac8_7dd2),
-                (0x48295, 0x8561_a015_2eef_a4cc),
+                (0x3d8bf, 0xb393_e8ae_71c1_bb01),
+                (0x3dee5, 0x4938_3f3a_918a_c3a4),
+                (0x3d871, 0x5a13_d10e_7cb9_fbae),
+                (0x3e8e4, 0x2211_a753_eaea_03e0),
             ],
+        ];
+        const WITH_SOURCES_AND_TARGETS: [[usize; 4]; 3] = [
+            [0x1bd30, 0x1b66b, 0x1cfe9, 0x1c0fa],
+            [0x30f01, 0x305e2, 0x3155e, 0x31696],
+            [0x46d0b, 0x475a4, 0x471db, 0x48295],
         ];
         let g = gen::power_law_selfish(3_000, 2.0, 8, 0.2, 11);
         let cut = HashEdgeCut.partition(&g, 4);
@@ -1073,6 +1114,11 @@ pub(crate) mod tests {
                 (bytes.len(), fnv(&bytes))
             });
             assert!(encoded.eq(recorded.iter().copied()), "K = {k}");
+            let before = WITH_SOURCES_AND_TARGETS[k].iter();
+            assert!(
+                recorded.iter().zip(before).all(|(now, &was)| now.0 < was),
+                "K = {k}: a snapshot grew"
+            );
         }
     }
 
@@ -1148,7 +1194,6 @@ pub(crate) mod tests {
                     } else if e.src == v {
                         let node = NodeId::from_index(cut.owner(e.dst));
                         want.out_remote.push(RemoteEdge {
-                            target: e.dst,
                             node,
                             pos: lgs[node.index()].position(e.dst).unwrap(),
                         });

@@ -161,16 +161,12 @@ pub(crate) trait ModelGraph: Episode {
     ///
     /// Panics if one of them carries none.
     fn export_metas(&self, positions: &[u32]) -> FullState {
-        let exported = |&pos: &u32| {
-            let state = self.full_state(pos);
-            state.unwrap_or_else(|| no_full_state(self.vid(pos), self.kind(pos)))
-        };
-        FullState::of(positions.iter().map(exported))
+        FullState::of(positions.iter().map(|&pos| self.exported(pos)))
     }
-    /// Whether the copy at `pos` and the copy at `at` in `other` would
-    /// export the same full state.
-    fn same_full_state(&self, pos: u32, other: &Self, at: u32) -> bool {
-        self.full_state(pos) == other.full_state(at)
+    /// [`ModelGraph::full_state`] of a copy that must carry it (or panics).
+    fn exported(&self, pos: u32) -> FullStateRef<'_> {
+        let state = self.full_state(pos);
+        state.unwrap_or_else(|| no_full_state(self.vid(pos), self.kind(pos)))
     }
     fn is_master(&self, pos: u32) -> bool {
         self.kind(pos) == CopyKind::Master
@@ -489,9 +485,11 @@ where
 /// live nodes other than its own, and each mirror sits at the position the
 /// master's table records, points back at the master's node, and holds the
 /// master's full state and value. Full state is compared as each side would
-/// export it ([`ModelGraph::same_full_state`]): the two store it differently.
+/// export it ([`ModelGraph::full_state`]): the two store it differently.
 /// Selfish masters never sync (§4.4), so their mirrors' values are stale by
-/// design and are not compared.
+/// design and are not compared. A remote out-edge names its other end by
+/// node and position alone, so each is followed: a live master sits there and
+/// has this vertex among its in-edge sources, as its own graph tells them.
 ///
 /// # Panics
 ///
@@ -506,9 +504,22 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
         b.encode(&mut y);
         x == y
     };
+    // Every in-edge of every live master as (node, position, source), sorted.
+    let mut fed: Vec<(NodeId, u32, Vid)> = Vec::new();
+    for (node, lg) in graphs {
+        for pos in (0..lg.len() as u32).filter(|&p| lg.is_master(p)) {
+            let srcs = lg.exported(pos).in_edge_srcs.iter();
+            fed.extend(srcs.map(|src| (*node, pos, src)));
+        }
+    }
+    fed.sort_unstable();
     for (node, lg) in graphs {
         for pos in (0..lg.len() as u32).filter(|&p| lg.is_master(p)) {
             let vid = lg.vid(pos);
+            for r in lg.exported(pos).out_remote {
+                let fed_there = fed.binary_search(&(r.node, r.pos, vid)).is_ok();
+                assert!(fed_there, "{vid} on {node} feeds no live master at {r:?}");
+            }
             let meta = lg.full(pos);
             let selfish = plan.selfish.get(vid.index()).copied().unwrap_or(false);
             let mirrors = meta.mirror_nodes();
@@ -534,7 +545,7 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
                     "copy of {vid} on {m} is not a mirror of {node}'s master"
                 );
                 assert!(
-                    lg.same_full_state(pos, mg, at),
+                    lg.full_state(pos) == mg.full_state(at),
                     "mirror of {vid} on {m} holds a stale full state"
                 );
                 let (mine, theirs) = (lg.value(pos), mg.value(at));

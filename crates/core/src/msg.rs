@@ -941,7 +941,6 @@ mod tests {
             out_local_owner: (0..tag % 3).collect(),
             out_remote: (0..tag % 4)
                 .map(|i| RemoteEdge {
-                    target: Vid::new(tag + i),
                     node: NodeId::new(i),
                     pos: tag * 7 + i,
                 })

@@ -426,6 +426,9 @@ proptest! {
         let ec = run_ec(&g, nodes, ft, 0, plan.clone());
         prop_assert_eq!(ec.graphs.len(), nodes - ec.report.recoveries.len());
         for (_, lg) in &ec.graphs {
+            // Among the rest: no master's slot, a promoted one's included,
+            // keeps a source its wired in-edges name.
+            lg.debug_validate();
             let back: EcLocalGraph<u32> =
                 ckpt::decode_ec_graph(&ckpt::encode_ec_graph(lg)).unwrap();
             prop_assert_eq!(&back, lg);
@@ -476,6 +479,7 @@ fn migration_with_one_old_and_one_new_mirror_leaves_both_current() {
     let plan = vec![crash(1, 3, FailPoint::BeforeBarrier)];
     let run = run_ec(&g, 5, replication(2, RecoveryStrategy::Migration), 0, plan);
     assert_eq!(run.report.values, golden.values);
+    run.graphs.iter().for_each(|(_, lg)| lg.debug_validate());
     let mut mixed = 0;
     for lg in run.loaded.iter().filter(|lg| lg.node != dead) {
         for at in lg.master_positions() {

@@ -299,9 +299,7 @@ where
         kind: CopyKind,
     ) -> Self::Entry {
         let v = &lg.verts[pos as usize];
-        let state = lg
-            .full_state(pos)
-            .unwrap_or_else(|| driver::no_full_state(v.vid, v.kind));
+        let state = lg.exported(pos);
         EcRecoverEntry {
             vid: v.vid,
             pos: rpos,
@@ -318,9 +316,7 @@ where
 
     fn master_entry(&self, lg: &Self::Graph, pos: u32) -> Self::Entry {
         let v = &lg.verts[pos as usize];
-        let state = lg
-            .full_state(pos)
-            .unwrap_or_else(|| driver::no_full_state(v.vid, v.kind));
+        let state = lg.exported(pos);
         EcRecoverEntry {
             vid: v.vid,
             pos: state.locations.master_pos(),
@@ -461,17 +457,10 @@ where
     /// A promoted master recomputes; its in-edges are rewired in R4 from
     /// the sources captured here (the full-state copy records them by vid).
     /// From here on the copy's own `in_edges` / `out_local` are its
-    /// owner-local lists, so its slot gives the old owner's up.
+    /// owner-local lists and name its sources: its slot gives all three up.
     fn on_promote(&self, lg: &mut Self::Graph, pos: u32, mig: &mut Mig<EcMigExtra>) {
         lg.set_active(pos, false);
-        let (in_edges_owner, old_out_local) = lg.take_owner_lists(pos);
-        let state = lg.full_state(pos).expect("its lists were just taken");
-        let srcs = state
-            .in_edge_srcs
-            .iter()
-            .zip(&in_edges_owner)
-            .map(|(&s, &(_, w))| (s, w))
-            .collect();
+        let (srcs, old_out_local) = lg.take_owner_lists(pos);
         mig.extra.pending_wire.push(Promoted {
             pos,
             srcs,
@@ -504,7 +493,6 @@ where
                 let Some(p) = env.relocated(r.node, r.pos) else {
                     return true;
                 };
-                debug_assert_eq!(p.vid, r.target);
                 (r.node, r.pos) = (p.new_master, p.new_pos);
                 p.new_master != me
             });
@@ -521,7 +509,6 @@ where
                     .relocated(p.old_node, old)
                     .expect("own promotion vacated a crashed node");
                 (c.new_master != me).then_some(RemoteEdge {
-                    target: c.vid,
                     node: c.new_master,
                     pos: c.new_pos,
                 })
@@ -641,9 +628,7 @@ where
             let mut out_local: Vec<u32> = out_local.map(|&t| map[t as usize]).collect();
             match dv.kind {
                 CopyKind::Master => {
-                    let state = dead_lg
-                        .full_state(dp as u32)
-                        .unwrap_or_else(|| driver::no_full_state(dv.vid, dv.kind));
+                    let state = dead_lg.exported(dp as u32);
                     let mut locations = state.locations.to_owned();
                     locations.set_master_pos(new_pos);
                     locations.purge_node(me);

@@ -8,8 +8,8 @@ use imitator_partition::EdgeCut;
 use crate::episode::{EcJournal, PosSet};
 use crate::ftplan::FtPlan;
 use crate::full_state::{
-    Column, ColumnLens, EdgeSpans, FullState, FullStateRef, Head, RemoteEdge, SlotId, Span,
-    StoreLens, IN_SRCS, OUT_REMOTE,
+    Column, ColumnLens, CopyVids, EdgeSpans, FullState, FullStateRef, Head, InEdgeSrcs, RemoteEdge,
+    SlotId, Span, StoreLens, OUT_REMOTE,
 };
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
 use crate::locations::{Locations, LocationsRef};
@@ -142,15 +142,23 @@ impl<V: PartialEq> PartialEq for EcVertex<V> {
 }
 
 /// What of `state` the store keeps for a copy of role `kind`: a master's
-/// owner-local lists are its own in-edges and consumers, kept once.
+/// owner-local lists are its own in-edges and consumers, kept once, and the
+/// sources of its in-edges are the vertices of the copies they name.
 fn stored_for(kind: CopyKind, state: FullStateRef<'_>) -> FullStateRef<'_> {
     match kind {
         CopyKind::Master => FullStateRef {
             in_edges_owner: &[],
+            in_edge_srcs: InEdgeSrcs::default(),
             out_local_owner: &[],
             ..state
         },
         _ => state,
+    }
+}
+
+impl<V> CopyVids for Vec<EcVertex<V>> {
+    fn vid_at(&self, pos: u32) -> Vid {
+        self[pos as usize].vid
     }
 }
 
@@ -168,9 +176,10 @@ fn stored_for(kind: CopyKind, state: FullStateRef<'_>) -> FullStateRef<'_> {
 /// [`crate::full_state`]'s module documentation) — separate allocations, so
 /// that a superstep never strides over the mirrors' state — and of a
 /// *master's* full state only what its own edge lists do not already say:
-/// the replica locations, the in-edge source IDs and the remote out-edges.
-/// Its owner-local in-edges and consumers *are* its runs of the hot columns,
-/// and [`EcLocalGraph::full_state`] hands them out as such.
+/// the replica locations and the remote out-edges. Its owner-local in-edges
+/// and consumers *are* its runs of the hot columns, the sources of its
+/// in-edges are the vertices of the copies those name, and
+/// [`EcLocalGraph::full_state`] hands all three out as such.
 ///
 /// The hot columns follow the cold columns' rules: a list shrinks in place
 /// or is rewritten at the column's tail, the columns are never compacted,
@@ -331,16 +340,22 @@ impl<V> EcLocalGraph<V> {
     }
 
     /// The full state of the copy at `pos` as it would travel to another
-    /// node — a master's owner-local lists read from its own edge lists, a
-    /// mirror's from the store — or `None` for a plain replica. A master's
-    /// and its mirrors' compare equal whenever the mirrors are up to date;
-    /// [`FullStateRef::to_meta`] makes it owned.
+    /// node — a master's owner-local lists read from its own edge lists and
+    /// its in-edge sources through them, a mirror's from the store — or
+    /// `None` for a plain replica. A master's and its mirrors' compare equal
+    /// whenever the mirrors are up to date; [`FullStateRef::to_meta`] makes
+    /// it owned.
     pub fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>> {
         let v = &self.verts[pos as usize];
         let stored = self.full.get(v.meta?);
         Some(if v.is_master() {
+            let in_edges = self.hot_in.get(v.in_edges);
             FullStateRef {
-                in_edges_owner: self.hot_in.get(v.in_edges),
+                in_edges_owner: in_edges,
+                in_edge_srcs: InEdgeSrcs::Local {
+                    in_edges,
+                    copies: &self.verts,
+                },
                 out_local_owner: self.hot_out.get(v.out_local),
                 ..stored
             }
@@ -352,7 +367,8 @@ impl<V> EcLocalGraph<V> {
     /// Makes `state` the full state of the copy at `pos`, in a new slot if
     /// it had none. The copy's `kind` decides what is kept: a master's
     /// owner-local lists are its own in-edges and consumers (which the
-    /// caller sets), so those of `state` are not stored a second time.
+    /// caller sets) and name their sources, so those of `state` are not
+    /// stored a second time.
     /// Lists that outgrow their run, or whose run an open episode may not
     /// overwrite, move to the column's tail.
     pub fn set_full_state(&mut self, pos: u32, state: FullStateRef<'_>) {
@@ -411,19 +427,22 @@ impl<V> EcLocalGraph<V> {
         }
     }
 
-    /// Removes and returns the owner-local `(in_edges_owner,
-    /// out_local_owner)` lists stored for the copy at `pos`: a mirror just
-    /// promoted to master stops keeping them (its own edge lists take over
-    /// once Migration has rebuilt them from these).
+    /// Removes the owner-local lists stored for the copy at `pos` and
+    /// returns its in-edges as `(source, weight)` and the old owner's
+    /// `out_local_owner`: a mirror just promoted to master stops keeping
+    /// positions that meant something on the old owner only, and the sources
+    /// beside them (its own edge lists say all of it once Migration has
+    /// rebuilt them from what is returned).
     ///
     /// # Panics
     ///
     /// Panics if the copy carries no full state.
-    pub fn take_owner_lists(&mut self, pos: u32) -> (Vec<(u32, f32)>, Vec<u32>) {
+    pub fn take_owner_lists(&mut self, pos: u32) -> (Vec<(Vid, f32)>, Vec<u32>) {
         let slot = self.slot_at(pos);
         let stored = self.full.get(slot);
+        let weights = stored.in_edges_owner.iter().map(|&(_, w)| w);
         let lists = (
-            stored.in_edges_owner.to_vec(),
+            stored.in_edge_srcs.iter().zip(weights).collect(),
             stored.out_local_owner.to_vec(),
         );
         self.full.clear_owner_lists(slot);
@@ -484,7 +503,8 @@ impl<V> EcLocalGraph<V> {
     pub fn set_in_edges(&mut self, pos: u32, in_edges: &[(u32, f32)]) {
         let (floor, v) = (self.hot_floor()[0], &mut self.verts[pos as usize]);
         let before = v.in_edges;
-        self.hot_in.replace(&mut v.in_edges, in_edges, floor);
+        self.hot_in
+            .replace(&mut v.in_edges, in_edges.iter().copied(), floor);
         self.note_copy_span(pos, 0, before);
     }
 
@@ -492,7 +512,8 @@ impl<V> EcLocalGraph<V> {
     pub fn set_out_local(&mut self, pos: u32, consumers: &[u32]) {
         let (floor, v) = (self.hot_floor()[1], &mut self.verts[pos as usize]);
         let before = v.out_local;
-        self.hot_out.replace(&mut v.out_local, consumers, floor);
+        self.hot_out
+            .replace(&mut v.out_local, consumers.iter().copied(), floor);
         self.note_copy_span(pos, 1, before);
     }
 
@@ -602,8 +623,9 @@ impl<V> EcLocalGraph<V> {
     /// Checks structural invariants: the index agrees with the array, no
     /// placeholder holes remain, no run reaches past its column, edge
     /// positions are in range, consumers are masters, every master carries
-    /// full state naming one source per in-edge, and the active frontier
-    /// matches the `active` bits.
+    /// full state and keeps no in-edge sources in it, every other slot names
+    /// one source per in-edge, and the active frontier matches the `active`
+    /// bits.
     ///
     /// # Errors
     ///
@@ -646,12 +668,21 @@ impl<V> EcLocalGraph<V> {
                 "full state of {} is in no slot",
                 v.vid
             );
-            if v.is_master() {
-                let srcs = self.full_state(i as u32).map(|state| state.in_edge_srcs);
-                ensure!(srcs.is_some(), "master {} lacks full state", v.vid);
+            ensure!(
+                slot.is_some() || !v.is_master(),
+                "master {} lacks full state",
+                v.vid
+            );
+            if let Some(slot) = v.meta {
+                let stored = self.full.get(slot);
+                let named = if v.is_master() {
+                    0
+                } else {
+                    stored.in_edges_owner.len()
+                };
                 ensure!(
-                    srcs.is_some_and(|srcs| srcs.len() == v.in_edges.len()),
-                    "master {} does not name one source per in-edge",
+                    stored.in_edge_srcs.len() == named,
+                    "the slot of {} does not name one source per stored in-edge",
                     v.vid
                 );
             }
@@ -817,7 +848,6 @@ struct OwnerView<'g, V> {
     heads: &'g [Head],
     rows: &'g [EdgeSpans],
     words: &'g [u32],
-    in_srcs: &'g [Vid],
     out_remote: &'g [RemoteEdge],
 }
 
@@ -848,12 +878,20 @@ impl<'g, T: Copy> Tail<'g, T> {
         (&*masters, Tail { part, at: 0, base })
     }
 
+    /// The next `len` entries behind what is filled, for the caller to
+    /// write, and their span in the whole column.
+    fn take(&mut self, len: usize) -> (&mut [T], Span) {
+        let span = Span::new(self.base + self.at, len);
+        let blank = &mut self.part[self.at..self.at + len];
+        self.at += len;
+        (blank, span)
+    }
+
     /// Copies `items` in behind what is filled and returns their span in the
     /// whole column.
     fn fill(&mut self, items: &[T]) -> Span {
-        self.part[self.at..self.at + items.len()].copy_from_slice(items);
-        let span = Span::new(self.base + self.at, items.len());
-        self.at += items.len();
+        let (blank, span) = self.take(items.len());
+        blank.copy_from_slice(items);
         span
     }
 
@@ -876,9 +914,9 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     ///
     /// Every list is a stable counting sort of the edges the node takes
     /// part in. An edge whose consumer is mastered here is an in-edge of
-    /// that master, a consumer of its source's copy here and an in-edge
-    /// source in the master's slot; an edge whose source is mastered here
-    /// and whose consumer is not is a remote out-edge in the source's slot.
+    /// that master and a consumer of its source's copy here; an edge whose
+    /// source is mastered here and whose consumer is not is a remote
+    /// out-edge in the source's slot.
     /// One scan of the edge list counts, every column is allocated at its
     /// final length — the two hot columns, then the store's slot table and
     /// four columns with the mirrors' part blank for
@@ -944,8 +982,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         // Where each copy's run starts in every column it has one in: runs
         // lie in position order, a master's in-edge run as long as its
         // in-degree, its remote out-edges the out-edges it does not feed
-        // here. A master's in-edge sources sit in its slot exactly where
-        // its in-edges sit in the hot column.
+        // here.
         let (mut in_at, mut remote_at) = (vec![0u32; verts.len()], vec![0u32; verts.len()]);
         let (mut ins, mut fed, mut remote) = (0u32, 0u32, 0u32);
         let past = "a column holds < 2^32 entries";
@@ -966,14 +1003,13 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             slots: num_masters,
             words: master_words,
             edges: ColumnLens {
-                in_srcs: hot_len,
                 out_remote: remote,
                 ..ColumnLens::default()
             },
         };
         let total = ColumnLens {
             in_edges: mirror_ins,
-            in_srcs: hot_len + mirror_ins,
+            in_srcs: mirror_ins,
             out_local: mirror_out_local,
             out_remote: remote + mirror_outs - mirror_out_local,
         };
@@ -995,12 +1031,10 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                 let (src, dst) = (at.at(e.src), at.at(e.dst));
                 let i = advance(&mut in_at[dst as usize]);
                 hot_in.0[i] = (src, e.weight);
-                full.in_srcs.0[i] = e.src;
                 hot_out.0[advance(&mut out_at[src as usize])] = dst;
             } else if ends.from == here {
                 let i = advance(&mut remote_at[at.at(e.src) as usize]);
                 full.out_remote.0[i] = RemoteEdge {
-                    target: e.dst,
                     node: NodeId::new(u32::from(ends.to)),
                     pos: self.layout.pos_maps[usize::from(ends.to)].at(e.dst),
                 };
@@ -1033,7 +1067,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                 full.heads
                     .push(layout.push_tables(v, p, replicas, self.plan, &mut full.words));
                 let mut row = EdgeSpans::default();
-                (row[IN_SRCS], row[OUT_REMOTE]) = (vert.in_edges, out_remote);
+                row[OUT_REMOTE] = out_remote;
                 full.rows.push(row);
             }
         }
@@ -1063,9 +1097,11 @@ impl<P: VertexProgram> EcLoader<'_, P> {
 
     /// Second pass: fills every node's mirror slots. A mirror's full state
     /// *is* its master's — the owner-local lists are the master's own runs
-    /// of the owner's hot columns, the rest is in the masters' part of the
-    /// owner's store — so each list is one `memcpy` out of what the owner's
-    /// first pass built, not a second derivation edge by edge. Each node's
+    /// of the owner's hot columns, the tables and remote out-edges are in
+    /// the masters' part of the owner's store — so each of those lists is
+    /// one `memcpy` out of what the owner's first pass built, not a second
+    /// derivation edge by edge; the in-edge sources, which no master keeps,
+    /// are read off the owner's copy list through its in-edges. Each node's
     /// thread writes the mirrors' part of its own store and reads the
     /// others' copies, hot columns and masters' parts.
     fn fill_mirrors(&self, graphs: &mut [EcLocalGraph<P::Value>], masters: &[StoreLens]) {
@@ -1076,7 +1112,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             let (master_rows, rows) = full.rows.split_at_mut(part.slots);
             let (words, mirror_words) = Tail::split(&mut full.words.0, part.words);
             let (_, in_edges) = Tail::split(&mut full.in_edges.0, edges.in_edges);
-            let (in_srcs, mirror_srcs) = Tail::split(&mut full.in_srcs.0, edges.in_srcs);
+            let (_, in_srcs) = Tail::split(&mut full.in_srcs.0, edges.in_srcs);
             let (_, out_local) = Tail::split(&mut full.out_local.0, edges.out_local);
             let (out_remote, mirror_remote) = Tail::split(&mut full.out_remote.0, edges.out_remote);
             owners.push(OwnerView {
@@ -1086,7 +1122,6 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                 heads: &*master_heads,
                 rows: &*master_rows,
                 words,
-                in_srcs,
                 out_remote,
             });
             mirrors.push(MirrorPart {
@@ -1094,7 +1129,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                 rows,
                 words: mirror_words,
                 in_edges,
-                in_srcs: mirror_srcs,
+                in_srcs,
                 out_local,
                 out_remote: mirror_remote,
             });
@@ -1125,10 +1160,15 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             let (their_head, their_row) = (owner.heads[theirs], owner.rows[theirs]);
             let tables = &owner.words[their_head.span().range()];
             *head = their_head.moved_to(part.words.fill(tables));
+            let in_edges = owner.hot_in.get(master.in_edges);
+            let their_copies = &self.layout.copies[vert.master_node.index()];
+            let (srcs, src_span) = part.in_srcs.take(in_edges.len());
+            for (named, &(src, _)) in srcs.iter_mut().zip(in_edges) {
+                *named = their_copies[src as usize];
+            }
             *row = [
-                part.in_edges.fill(owner.hot_in.get(master.in_edges)),
-                part.in_srcs
-                    .fill(&owner.in_srcs[their_row[IN_SRCS].range()]),
+                part.in_edges.fill(in_edges),
+                src_span,
                 part.out_local.fill(owner.hot_out.get(master.out_local)),
                 part.out_remote
                     .fill(&owner.out_remote[their_row[OUT_REMOTE].range()]),
@@ -1233,20 +1273,31 @@ mod tests {
         }
     }
 
+    /// A master's remote out-edges are the edges of the graph that leave it
+    /// for a consumer mastered elsewhere, in edge-list order, each naming
+    /// the consumer's node and its position there.
     #[test]
     fn meta_positions_agree_across_nodes() {
         let g = gen::power_law(400, 2.0, 6, 11);
         let (cut, lgs) = build(&g, 4);
+        let mut leaving: Vec<Vec<RemoteEdge>> = vec![Vec::new(); g.num_vertices()];
+        for e in g.edges() {
+            let (from, to) = (cut.owner(e.src), cut.owner(e.dst));
+            if from != to {
+                let pos = lgs[to].position(e.dst).expect("mastered there");
+                assert!(lgs[to].verts[pos as usize].is_master());
+                leaving[e.src.index()].push(RemoteEdge {
+                    node: NodeId::from_index(to),
+                    pos,
+                });
+            }
+        }
         for lg in &lgs {
             for pos in lg.master_positions() {
                 let v = &lg.verts[pos as usize];
                 let state = lg.full_state(pos).unwrap();
                 assert_eq!(state.locations.master_pos(), pos);
-                for r in state.out_remote {
-                    let remote = &lgs[r.node.index()];
-                    assert_eq!(remote.position(r.target), Some(r.pos));
-                    assert!(remote.verts[r.pos as usize].is_master());
-                }
+                assert_eq!(state.out_remote, &leaving[v.vid.index()][..], "{}", v.vid);
                 // replica_nodes point at real copies
                 for n in state.locations.replica_nodes() {
                     assert!(lgs[n.index()].position(v.vid).is_some());
@@ -1286,6 +1337,16 @@ mod tests {
                     );
                     assert_eq!(mine.unwrap().to_meta(), theirs.unwrap().to_meta());
                 }
+                // The sources in the store are the mirrors': a master's
+                // slot holds none.
+                let mirrored = |pos: u32| {
+                    let v = &lg.verts[pos as usize];
+                    let stored = lg.full.get(v.meta?);
+                    assert!(!v.is_master() || stored.in_edge_srcs.is_empty());
+                    Some(stored.in_edges_owner.len())
+                };
+                let mirrored: usize = (0..lg.len() as u32).filter_map(mirrored).sum();
+                assert_eq!(lg.full_state_lens().edges.in_srcs, mirrored, "k={k}");
             }
             let planned = plan.mirror.num_items();
             assert!(mirrors > 0 && mirrors == planned, "k={k}");
@@ -1322,30 +1383,28 @@ mod tests {
         }
     }
 
-    /// A master's slot holds none of the `(position, weight)` and consumer
-    /// entries its own edge lists already carry, and what it exports is
-    /// still the full state a mirror stores.
+    /// A master's slot holds none of the `(position, weight)`, source and
+    /// consumer entries its own edge lists already carry or name, and what
+    /// it exports is still the full state a mirror stores: the sources are
+    /// the edge list's, in its order.
     #[test]
     fn masters_keep_their_edge_lists_once() {
         let g = gen::power_law(300, 2.0, 5, 17);
         let (_cut, lgs) = build(&g, 3);
         for lg in &lgs {
-            // No mirrors in this plan: both columns are the masters' alone.
+            // No mirrors in this plan: the three columns stay empty.
             let StoreLens {
                 slots, edges: lens, ..
             } = lg.full_state_lens();
             assert_eq!(slots, lg.num_masters());
-            assert_eq!((lens.in_edges, lens.out_local), (0, 0));
-            assert_eq!(lens.in_srcs, lg.hot_in.0.len());
+            assert_eq!((lens.in_edges, lens.in_srcs, lens.out_local), (0, 0, 0));
             for pos in lg.master_positions() {
                 let state = lg.full_state(pos).unwrap();
                 assert_eq!(state.in_edges_owner, lg.in_edges(pos));
                 assert_eq!(state.out_local_owner, lg.out_local(pos));
-                let srcs = lg
-                    .in_edges(pos)
-                    .iter()
-                    .map(|&(s, _)| lg.verts[s as usize].vid);
-                assert!(state.in_edge_srcs.iter().copied().eq(srcs));
+                let v = lg.verts[pos as usize].vid;
+                let srcs = g.edges().iter().filter(|e| e.dst == v).map(|e| e.src);
+                assert!(state.in_edge_srcs.iter().eq(srcs), "sources of {v}");
             }
         }
     }
@@ -1358,7 +1417,6 @@ mod tests {
             out_local_owner: (0..edges as u32).map(|i| tag * 10 + i).collect(),
             out_remote: (0..edges as u32)
                 .map(|i| RemoteEdge {
-                    target: Vid::new(tag + i),
                     node: NodeId::new(i),
                     pos: tag * 7 + i,
                 })
@@ -1629,30 +1687,38 @@ mod tests {
         assert_eq!(reversed, pristine);
     }
 
-    /// A promoted mirror gives up its owner-local lists; as a master it
-    /// exports its own edge lists in their place, and importing full state
-    /// into a master stores neither list again.
+    /// A promoted mirror gives up its owner-local lists and the sources
+    /// beside them; as a master it exports its own edge lists, and the
+    /// vertices they name, in their place, and importing full state into a
+    /// master stores none of the three again.
     #[test]
     fn a_master_slot_stores_no_owner_lists() {
         let (mut lg, metas) = three_mirrors();
         lg.verts[0].kind = CopyKind::Master;
         let (in_edges, out_local) = lg.take_owner_lists(0);
-        assert_eq!(in_edges, metas[0].in_edges_owner);
+        let sourced = metas[0].in_edge_srcs.iter().zip(&metas[0].in_edges_owner);
+        assert!(in_edges
+            .iter()
+            .copied()
+            .eq(sourced.map(|(&s, &(_, w))| (s, w))));
         assert_eq!(out_local, metas[0].out_local_owner);
         let exported = lg.full_state(0).unwrap();
         assert!(exported.in_edges_owner.is_empty() && exported.out_local_owner.is_empty());
-        assert_eq!(exported.in_edge_srcs, &metas[0].in_edge_srcs[..]);
+        assert!(exported.in_edge_srcs.is_empty());
+        assert_eq!(lg.live_full_state_lens().edges.in_srcs, 2, "slot 2's");
 
         lg.set_in_edges(0, &[(2, 0.5)]);
         let lens = lg.full_state_lens().edges;
         lg.set_full_state(0, state(4, 9).view());
         let grown = lg.full_state_lens().edges;
         assert_eq!(
-            (grown.in_edges, grown.out_local),
-            (lens.in_edges, lens.out_local)
+            (grown.in_edges, grown.in_srcs, grown.out_local),
+            (lens.in_edges, lens.in_srcs, lens.out_local)
         );
-        assert_eq!(lg.full_state(0).unwrap().in_edges_owner, [(2, 0.5)]);
-        assert_eq!(lg.full_state(0).unwrap().in_edge_srcs.len(), 9);
+        let exported = lg.full_state(0).unwrap();
+        assert_eq!(exported.in_edges_owner, [(2, 0.5)]);
+        assert!(exported.in_edge_srcs.iter().eq([lg.verts[2].vid]));
+        lg.debug_validate();
     }
 
     #[test]

@@ -49,15 +49,91 @@ use crate::locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
 ///
 /// The position is the target's array index on its owner — the *enhanced
 /// edge information* of §5.1.2 that makes reconstruction position-addressed
-/// and lock-free.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// and lock-free. The pair is the whole of the edge's other end: which vertex
+/// sits there is the owner's to say, and nothing that follows the edge asks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RemoteEdge {
-    /// The target vertex.
-    pub target: Vid,
     /// The node mastering the target.
     pub node: NodeId,
     /// The target's array position on that node.
     pub pos: u32,
+}
+
+/// Which vertex each copy of a local graph is a copy of, by position: what a
+/// master's in-edges — `(local source position, weight)` — are read through
+/// to name their sources.
+pub trait CopyVids {
+    /// The vertex the copy at `pos` is a copy of.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph holds no copy there.
+    fn vid_at(&self, pos: u32) -> Vid;
+}
+
+/// The global source IDs of a full state's in-edges, parallel to its
+/// `in_edges_owner`: Migration rebuilds a promoted master's edges on a
+/// *different* node, where the owner-local positions mean nothing (§5.2.1).
+///
+/// A mirror keeps them, and a message carries them, as a list. A master
+/// keeps none: its in-edges name local copies, and each copy names its
+/// vertex, so the sources are read off the graph whenever the master's full
+/// state leaves it.
+#[derive(Clone, Copy)]
+pub enum InEdgeSrcs<'a> {
+    /// The sources as stored or received.
+    Stored(&'a [Vid]),
+    /// The sources of a master's own `in_edges`, looked up in the `copies`
+    /// of its graph.
+    Local {
+        /// The master's in-edges, `(local source position, weight)`.
+        in_edges: &'a [(u32, f32)],
+        /// The graph the positions index.
+        copies: &'a dyn CopyVids,
+    },
+}
+
+impl<'a> InEdgeSrcs<'a> {
+    /// How many in-edges have their source named.
+    pub fn len(self) -> usize {
+        match self {
+            InEdgeSrcs::Stored(srcs) => srcs.len(),
+            InEdgeSrcs::Local { in_edges, .. } => in_edges.len(),
+        }
+    }
+
+    /// Whether no source is named.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The sources, in in-edge order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = Vid> + Clone + 'a {
+        (0..self.len()).map(move |i| match self {
+            InEdgeSrcs::Stored(srcs) => srcs[i],
+            InEdgeSrcs::Local { in_edges, copies } => copies.vid_at(in_edges[i].0),
+        })
+    }
+}
+
+impl Default for InEdgeSrcs<'_> {
+    fn default() -> Self {
+        InEdgeSrcs::Stored(&[])
+    }
+}
+
+/// Sources are equal when they name the same vertices in the same order,
+/// however each side comes by them.
+impl PartialEq for InEdgeSrcs<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for InEdgeSrcs<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// The full state a master shares with its mirrors (§4.2), owned: the form
@@ -74,9 +150,8 @@ pub struct MasterMeta {
     /// The master's in-edges in owner-local `(source position, weight)`
     /// form (edge-cut replicates edges into the mirror's full state, §4.3).
     pub in_edges_owner: Vec<(u32, f32)>,
-    /// Global source IDs of the in-edges (parallel to `in_edges_owner`):
-    /// Migration rebuilds the promoted master's edges on a *different* node,
-    /// where the owner-local positions mean nothing (§5.2.1).
+    /// Global source IDs of the in-edges (parallel to `in_edges_owner`): see
+    /// [`InEdgeSrcs`].
     pub in_edge_srcs: Vec<Vid>,
     /// Owner-local positions of out-neighbours mastered on the owner.
     pub out_local_owner: Vec<u32>,
@@ -91,7 +166,7 @@ impl MasterMeta {
         FullStateRef {
             locations: self.locations.view(),
             in_edges_owner: &self.in_edges_owner,
-            in_edge_srcs: &self.in_edge_srcs,
+            in_edge_srcs: InEdgeSrcs::Stored(&self.in_edge_srcs),
             out_local_owner: &self.out_local_owner,
             out_remote: &self.out_remote,
         }
@@ -107,7 +182,7 @@ pub struct FullStateRef<'a> {
     /// See [`MasterMeta::in_edges_owner`].
     pub in_edges_owner: &'a [(u32, f32)],
     /// See [`MasterMeta::in_edge_srcs`].
-    pub in_edge_srcs: &'a [Vid],
+    pub in_edge_srcs: InEdgeSrcs<'a>,
     /// See [`MasterMeta::out_local_owner`].
     pub out_local_owner: &'a [u32],
     /// See [`MasterMeta::out_remote`].
@@ -120,7 +195,7 @@ impl<'a> FullStateRef<'a> {
         MasterMeta {
             locations: self.locations.to_owned(),
             in_edges_owner: self.in_edges_owner.to_vec(),
-            in_edge_srcs: self.in_edge_srcs.to_vec(),
+            in_edge_srcs: self.in_edge_srcs.iter().collect(),
             out_local_owner: self.out_local_owner.to_vec(),
             out_remote: self.out_remote.to_vec(),
         }
@@ -131,7 +206,7 @@ impl<'a> FullStateRef<'a> {
         FullStateRef {
             locations,
             in_edges_owner: &[],
-            in_edge_srcs: &[],
+            in_edge_srcs: InEdgeSrcs::default(),
             out_local_owner: &[],
             out_remote: &[],
         }
@@ -238,12 +313,19 @@ impl<T: Copy + PartialEq> Column<T> {
     /// Makes `items` the list behind `span`: over the old run when they fit
     /// in it and it starts at or past `floor`, at the tail otherwise. A run
     /// that already reads `items` is left alone.
-    pub(crate) fn replace(&mut self, span: &mut Span, items: &[T], floor: usize) {
+    pub(crate) fn replace(
+        &mut self,
+        span: &mut Span,
+        items: impl ExactSizeIterator<Item = T> + Clone,
+        floor: usize,
+    ) {
         if items.len() <= span.len() && span.range().start >= floor {
             span.len = items.len() as u32;
-            self.0[span.range()].copy_from_slice(items);
-        } else if self.get(*span) != items {
-            *span = self.append(items.iter().copied());
+            for (held, item) in self.0[span.range()].iter_mut().zip(items) {
+                *held = item;
+            }
+        } else if !self.get(*span).iter().copied().eq(items.clone()) {
+            *span = self.append(items);
         }
     }
 
@@ -390,7 +472,7 @@ pub(crate) type EdgeSpans = [Span; COLUMNS];
 pub struct ColumnLens {
     /// `(position, weight)` in-edge entries (mirrors only).
     pub in_edges: usize,
-    /// In-edge source IDs.
+    /// In-edge source IDs (mirrors only).
     pub in_srcs: usize,
     /// Owner-local consumer positions (mirrors only).
     pub out_local: usize,
@@ -533,7 +615,7 @@ impl FullState {
         FullStateRef {
             locations: self.locations(slot),
             in_edges_owner: self.in_edges.get(row[IN_EDGES]),
-            in_edge_srcs: self.in_srcs.get(row[IN_SRCS]),
+            in_edge_srcs: InEdgeSrcs::Stored(self.in_srcs.get(row[IN_SRCS])),
             out_local_owner: self.out_local.get(row[OUT_LOCAL]),
             out_remote: self.out_remote.get(row[OUT_REMOTE]),
         }
@@ -574,7 +656,8 @@ impl FullState {
         let floor = self.floor().words;
         let head = &mut self.heads[slot.index()];
         let mut span = head.span();
-        self.words.replace(&mut span, tables.words(), floor);
+        self.words
+            .replace(&mut span, tables.words().iter().copied(), floor);
         *head = Head::of(tables, span);
     }
 
@@ -599,7 +682,7 @@ impl FullState {
         if !self.rows.is_empty() || state.lens().total() > 0 {
             *self.row_mut(slot) = [
                 self.in_edges.append(state.in_edges_owner.iter().copied()),
-                self.in_srcs.append(state.in_edge_srcs.iter().copied()),
+                self.in_srcs.append(state.in_edge_srcs.iter()),
                 self.out_local.append(state.out_local_owner.iter().copied()),
                 self.out_remote.append(state.out_remote.iter().copied()),
             ];
@@ -638,14 +721,17 @@ impl FullState {
         }
         let (floor, before) = (self.floor().edges, self.row(slot));
         let [mut ins, mut srcs, mut fed, mut remote] = before;
-        self.in_edges
-            .replace(&mut ins, state.in_edges_owner, floor.in_edges);
-        self.in_srcs
-            .replace(&mut srcs, state.in_edge_srcs, floor.in_srcs);
-        self.out_local
-            .replace(&mut fed, state.out_local_owner, floor.out_local);
-        self.out_remote
-            .replace(&mut remote, state.out_remote, floor.out_remote);
+        let FullStateRef {
+            in_edges_owner,
+            in_edge_srcs,
+            out_local_owner,
+            out_remote,
+            ..
+        } = state;
+        (self.in_edges).replace(&mut ins, in_edges_owner.iter().copied(), floor.in_edges);
+        (self.in_srcs).replace(&mut srcs, in_edge_srcs.iter(), floor.in_srcs);
+        (self.out_local).replace(&mut fed, out_local_owner.iter().copied(), floor.out_local);
+        (self.out_remote).replace(&mut remote, out_remote.iter().copied(), floor.out_remote);
         self.write_row(slot, [ins, srcs, fed, remote], before);
     }
 
@@ -658,14 +744,16 @@ impl FullState {
         }
     }
 
-    /// Empties `slot`'s `(position, weight)` and consumer lists: what a
-    /// mirror's slot must lose when the copy becomes a master, whose own
-    /// edge lists are those lists from then on. The empty runs are placed at
-    /// the column tails (a span written in an episode starts past its floor).
+    /// Empties `slot`'s `(position, weight)`, source and consumer lists:
+    /// what a mirror's slot must lose when the copy becomes a master, whose
+    /// own edge lists say all three from then on. The empty runs are placed
+    /// at the column tails (a span written in an episode starts past its
+    /// floor).
     pub(crate) fn clear_owner_lists(&mut self, slot: SlotId) {
         let before = self.row(slot);
         let mut row = before;
         row[IN_EDGES] = Span::new(self.in_edges.0.len(), 0);
+        row[IN_SRCS] = Span::new(self.in_srcs.0.len(), 0);
         row[OUT_LOCAL] = Span::new(self.out_local.0.len(), 0);
         self.write_row(slot, row, before);
     }
@@ -764,6 +852,13 @@ mod tests {
         assert!(std::mem::size_of::<Head>() <= 12);
         assert!(std::mem::size_of::<EdgeSpans>() <= 32);
         assert_eq!(std::mem::size_of::<Option<SlotId>>(), 4);
+    }
+
+    /// What a remote out-edge costs, in a master's slot and in each of its
+    /// mirrors': the other end's node and position and nothing else.
+    #[test]
+    fn a_remote_edge_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<RemoteEdge>(), 8);
     }
 
     fn tables(tag: u32, replicas: u32) -> Locations {

@@ -48,7 +48,8 @@ pub use ecut::{build_edge_cut_graphs, CopyKind, EcLocalGraph, EcVertex};
 pub use episode::{Episode, PosSet};
 pub use ftplan::FtPlan;
 pub use full_state::{
-    ColumnLens, FullState, FullStateRef, MasterMeta, RemoteEdge, SlotId, StoreLens,
+    ColumnLens, CopyVids, FullState, FullStateRef, InEdgeSrcs, MasterMeta, RemoteEdge, SlotId,
+    StoreLens,
 };
 pub use locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
 pub use par::{chunk_ranges, weighted_ranges, VcGatherIndex};

@@ -1,7 +1,8 @@
 //! The loaders against the builders they replaced. `reference_*` are the
 //! single-threaded, push-as-you-go builders the library shipped before the
 //! load path was rebuilt, kept here as the specification (verbatim but for
-//! the location tables' conversion to `Locations`, and for the edge-cut one
+//! the location tables' conversion to `Locations`, for a remote out-edge
+//! naming its other end by node and position alone, and for the edge-cut one
 //! handing back each copy's edge lists and full state as the owned `Vec`s
 //! and `MasterMeta` it builds instead of hanging them onto the vertex): the
 //! library's builders must return graphs equal to theirs — every copy, every
@@ -14,8 +15,8 @@ use proptest::prelude::*;
 use imitator_cluster::NodeId;
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
-    FtPlan, FullState, FullStateRef, Locations, MasterMeta, RemoteEdge, VcEdge, VcLocalGraph,
-    VcVertex, VertexProgram,
+    FtPlan, FullState, FullStateRef, InEdgeSrcs, Locations, MasterMeta, RemoteEdge, VcEdge,
+    VcLocalGraph, VcVertex, VertexProgram,
 };
 use imitator_graph::{gen, Edge, Graph, PosIndex, Ragged, Vid};
 use imitator_partition::{
@@ -155,7 +156,6 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
         if consumer != owner {
             let node = NodeId::from_index(consumer);
             out_remote_by_src[e.src.index()].push(RemoteEdge {
-                target: e.dst,
                 node,
                 pos: pos_maps[consumer].at(e.dst),
             });
@@ -461,6 +461,48 @@ proptest! {
             lg.debug_validate();
             assert_ec_exact(lg);
         }
+    }
+
+    /// No master keeps the sources of its in-edges: what it exports reads
+    /// them off its graph, and they are the edge list's, in its order — what
+    /// each of its mirrors stores, list for list. The store's source column
+    /// is the mirrors' alone.
+    #[test]
+    fn a_master_names_its_sources_through_its_in_edges(
+        (g, (parts, k, selfish, seed)) in (arb_graph(), arb_shape())
+    ) {
+        let parts = parts.max(2);
+        let k = k.clamp(1, parts - 1);
+        let cut = HashEdgeCut.partition(&g, parts);
+        let plan = ec_plan(&g, &cut, k, selfish, seed);
+        let degrees = Degrees::of(&g);
+        let built = build_edge_cut_graphs(&g, &cut, &plan, &Labelled, &degrees);
+        let mut mirrors = 0;
+        for lg in &built {
+            let mut mirrored = 0;
+            for pos in 0..lg.len() as u32 {
+                let v = &lg.verts[pos as usize];
+                let Some(state) = lg.full_state(pos) else {
+                    continue;
+                };
+                if v.is_master() {
+                    let read_off = matches!(state.in_edge_srcs, InEdgeSrcs::Local { .. });
+                    prop_assert!(read_off, "master {} stores its sources", v.vid);
+                    let srcs = g.edges().iter().filter(|e| e.dst == v.vid).map(|e| e.src);
+                    prop_assert!(state.in_edge_srcs.iter().eq(srcs), "sources of {}", v.vid);
+                } else {
+                    let stored = matches!(state.in_edge_srcs, InEdgeSrcs::Stored(_));
+                    prop_assert!(stored, "mirror of {} stores no sources", v.vid);
+                    let owner = &built[v.master_node.index()];
+                    let master = owner.position(v.vid).expect("a mirror has a master");
+                    prop_assert_eq!(Some(state), owner.full_state(master), "mirror of {}", v.vid);
+                    mirrored += state.in_edge_srcs.len();
+                    mirrors += 1;
+                }
+            }
+            prop_assert_eq!(lg.full_state_lens().edges.in_srcs, mirrored);
+        }
+        prop_assert_eq!(mirrors, k * g.num_vertices());
     }
 
     #[test]

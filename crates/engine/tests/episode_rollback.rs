@@ -109,7 +109,6 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
                     &consumers
                         .iter()
                         .map(|&c| RemoteEdge {
-                            target: Vid::new(c),
                             node: NodeId::new(2),
                             pos: c,
                         })
@@ -149,13 +148,14 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
         .filter(|&v| lg.position(v).is_none())
         .take(9)
         .collect();
+    let fed: Vec<u32> = lg.master_positions().take(2).collect();
     let placed: Vec<u32> = absent
         .into_iter()
         .map(|vid| {
             let mut granted = EcVertex::new(vid, CopyKind::Replica, NodeId::new(2), 7);
             granted.last_activate = true;
             let pos = lg.push_copy(granted);
-            lg.extend_out_local(pos, &[0, 1]);
+            lg.extend_out_local(pos, &fed);
             pos
         })
         .collect();
@@ -208,6 +208,13 @@ fn rollback_leaves_no_trace_in_any_store() {
                 "k={k}"
             );
             assert!(lg != *before && ec_lens(&lg) != ec_lens(before), "k={k}");
+            // Mid-episode the graph holds together — `validate` holds every
+            // master's slot, the promoted ones' included, to no in-edge
+            // source — once its frontier, which no episode journals, is
+            // recomputed: on a copy.
+            let mut promoted = lg.clone();
+            promoted.rebuild_active_frontier();
+            promoted.debug_validate();
             let journal = lg.journal_bytes();
             assert!(journal > 0, "k={k}");
             lg.rollback();
@@ -218,7 +225,15 @@ fn rollback_leaves_no_trace_in_any_store() {
                 "k={k}: stores of {}",
                 lg.node
             );
+            // Undone, every slot is back to what the loader gave it: the
+            // source column is the mirrors' again, entry for entry.
             lg.debug_validate();
+            let mirrored = |pos: u32| {
+                let mirror = lg.verts[pos as usize].kind == CopyKind::Mirror;
+                mirror.then(|| lg.full_state(pos).unwrap().in_edges_owner.len())
+            };
+            let mirrored: usize = (0..lg.len() as u32).filter_map(mirrored).sum();
+            assert_eq!(lg.full_state_lens().edges.in_srcs, mirrored, "k={k}");
             // The next attempt starts where this one did, and may keep its work.
             lg.begin_episode();
             migrate_by_hand(&mut lg, donor, g.num_vertices());

@@ -85,7 +85,14 @@ cd "$(dirname "$0")/.."
 #          strict branch of `pump_update_syncs` and of the gather shipping,
 #          and two of `ComputeModel`'s four snapshot methods left with
 #          `core/src/suppress.rs` (DESIGN.md §4.1, §4.4).
-BUDGET=4244
+#   4240 — an edge names its other end once (PR 24): `on_promote` takes the
+#          promoted slot's in-edges back as `(source, weight)` instead of
+#          zipping two lists, `ModelGraph::exported` replaced four spelled-out
+#          "full state or panic" reads and the one-caller `same_full_state`
+#          default went; `check_mirrors` follows every remote out-edge to a
+#          live master it feeds, which is what the deleted
+#          `RemoteEdge::target` assertion stood for (DESIGN.md §4.9).
+BUDGET=4240
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -192,8 +192,11 @@ fn replication_memory_grows_with_tolerance() {
 
 /// `mem_bytes` of the benchmark's `pr_ec` job (seed 3: 100k-vertex
 /// power-law graph, four nodes, PageRank values) as the loader reports it
-/// with location tables as runs of a per-node column behind 12-byte slot
-/// heads (51 555 672 / 84 943 936 B while a slot kept them as three
+/// with an edge naming its other end once — a remote out-edge its consumer's
+/// node and position, a master's in-edge its source's position — (46 181 000
+/// / 75 055 712 B while a remote out-edge also kept its target vertex and a
+/// master's slot the source of every in-edge; 51 555 672 / 84 943 936 B
+/// while a slot kept its location tables as three
 /// small-vectors, 112 B before a single edge; 60 455 448 / 93 966 720 B
 /// while each copy owned two `Vec`s; 78 878 956 / 119 620 980 B
 /// before full state moved into per-node columns and a master's owner-local
@@ -205,8 +208,8 @@ fn pr_ec_graph_memory_stays_below_the_recorded_value() {
     use imitator_repro::engine::{build_edge_cut_graphs, FtPlan};
     use imitator_repro::metrics::MemSize;
 
-    const RECORDED_BASE: usize = 46_181_000;
-    const RECORDED_FT: usize = 75_055_712;
+    const RECORDED_BASE: usize = 39_179_308;
+    const RECORDED_FT: usize = 65_052_512;
     let g = gen::power_law(100_000, 2.0, 10, 3);
     let cut = HashEdgeCut.partition(&g, 4);
     let degrees = Degrees::of(&g);

@@ -716,10 +716,21 @@ fn refactor_goldens_are_bit_identical() {
         /// snapshot stopped writing a master's in-edges and consumers twice
         /// (48640 → 39832, 47052 → 38244, 91404 → 76012, 87248 → 71856), and
         /// the two incremental ones' again when a delta epoch stopped writing
-        /// its dirty masters' positions twice (38244 → 37820, 71856 → 70808);
-        /// nothing that crosses the wire moved.
+        /// its dirty masters' positions twice (38244 → 37820, 71856 → 70808),
+        /// and all four's when the snapshot stopped writing the source of
+        /// every master's in-edge and the target of every remote out-edge
+        /// ([`EC_CKPT_WITH_SOURCES`]); nothing that crosses the wire moved.
         new: GoldenBytes,
     }
+    /// The edge-cut checkpoint cases' `ckpt` while a master's slot stored,
+    /// and its snapshot wrote, the sources its in-edges name and a remote
+    /// out-edge its target vertex: what the totals pinned now must undercut.
+    const EC_CKPT_WITH_SOURCES: [(&str, u64); 4] = [
+        ("s1_ckpt_ec", 39832),
+        ("s1_ckpt_inc_ec", 37820),
+        ("s2_ckpt_ec", 76012),
+        ("s2_ckpt_inc_ec", 70808),
+    ];
     let repl = |tol, recovery| FtMode::Replication {
         tolerance: tol,
         selfish_opt: false,
@@ -794,7 +805,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xB2490C13F3538AC5,
             old: gb(22572, 0, 0, 128156),
-            new: gb(13872, 0, 0, 39832),
+            new: gb(13872, 0, 0, 36576),
         },
         Case {
             name: "s1_ckpt_vc",
@@ -818,7 +829,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xB2490C13F3538AC5,
             old: gb(22572, 0, 0, 127036),
-            new: gb(13872, 0, 0, 37820),
+            new: gb(13872, 0, 0, 34564),
         },
         Case {
             name: "s1_ckpt_inc_vc",
@@ -890,7 +901,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x7BFA561A019A6BC5,
             old: gb(66132, 0, 0, 232992),
-            new: gb(40240, 0, 0, 76012),
+            new: gb(40240, 0, 0, 68420),
         },
         Case {
             name: "s2_ckpt_vc",
@@ -914,7 +925,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x7BFA561A019A6BC5,
             old: gb(66132, 0, 0, 229840),
-            new: gb(40240, 0, 0, 70808),
+            new: gb(40240, 0, 0, 63216),
         },
         Case {
             name: "s2_ckpt_inc_vc",
@@ -941,6 +952,17 @@ fn refactor_goldens_are_bit_identical() {
             "{}: byte totals moved off the pinned values",
             c.name
         );
+        if let Some(&(_, was)) = EC_CKPT_WITH_SOURCES
+            .iter()
+            .find(|(name, _)| *name == c.name)
+        {
+            assert!(
+                bytes.ckpt < was,
+                "{}: ckpt payload {} must be strictly below {was}",
+                c.name,
+                bytes.ckpt
+            );
+        }
         // The columnar codec is only allowed to *shrink* traffic.
         assert!(
             bytes.comm < c.old.comm,
