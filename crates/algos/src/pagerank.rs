@@ -10,6 +10,12 @@ use imitator_storage::codec::{Decode, DecodeError, Encode, Reader};
 /// Carries both the rank and the pre-divided share (`rank / out_degree`)
 /// that in-neighbours gather — the standard trick that keeps `gather` free
 /// of degree lookups on remote vertices.
+///
+/// The codec carries the rank alone (8 bytes): the share is a function of
+/// the rank and the vertex's out-degree, which every node holds, so whoever
+/// receives a value derives it ([`VertexProgram::derive`]). A decoded value's
+/// share is NaN until then, so one used underived poisons every rank it
+/// feeds instead of passing for a stale share.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankValue {
     /// Current rank.
@@ -21,7 +27,6 @@ pub struct RankValue {
 impl Encode for RankValue {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.rank.encode(buf);
-        self.share.encode(buf);
     }
 }
 
@@ -29,7 +34,7 @@ impl Decode for RankValue {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(RankValue {
             rank: f64::decode(r)?,
-            share: f64::decode(r)?,
+            share: f64::NAN,
         })
     }
 }
@@ -79,6 +84,13 @@ impl Default for PageRank {
     }
 }
 
+/// The share of `vid`'s `rank` each of its out-edges carries. `init`,
+/// `apply` and `derive` all compute it here, so a derived share is bit for bit
+/// the one its master computed.
+fn share(rank: f64, vid: Vid, degrees: &Degrees) -> f64 {
+    rank / f64::from(degrees.out_degree(vid).max(1))
+}
+
 impl VertexProgram for PageRank {
     type Value = RankValue;
     type Accum = f64;
@@ -87,7 +99,7 @@ impl VertexProgram for PageRank {
         let rank = 1.0;
         RankValue {
             rank,
-            share: rank / f64::from(degrees.out_degree(vid).max(1)),
+            share: share(rank, vid, degrees),
         }
     }
 
@@ -103,7 +115,7 @@ impl VertexProgram for PageRank {
         let rank = (1.0 - self.damping) + self.damping * acc.unwrap_or(0.0);
         RankValue {
             rank,
-            share: rank / f64::from(degrees.out_degree(vid).max(1)),
+            share: share(rank, vid, degrees),
         }
     }
 
@@ -117,8 +129,22 @@ impl VertexProgram for PageRank {
         true
     }
 
+    /// The share, from the rank that shipped. A value that arrived whole (an
+    /// in-process transport moves it as is) brings its master's share, which
+    /// must be the one derived here.
+    fn derive(&self, vid: Vid, v: &mut RankValue, degrees: &Degrees) {
+        let derived = share(v.rank, vid, degrees);
+        debug_assert!(
+            v.share.is_nan() || v.share.to_bits() == derived.to_bits(),
+            "{vid}: shipped share {} is not the derived {derived}",
+            v.share
+        );
+        v.share = derived;
+    }
+
+    /// The rank: what [`RankValue`]'s codec writes.
     fn value_wire_bytes(&self, _v: &RankValue) -> usize {
-        16
+        8
     }
 }
 
@@ -152,6 +178,7 @@ pub fn reference(g: &imitator_graph::Graph, damping: f64, iters: usize) -> Vec<f
 mod tests {
     use super::*;
     use imitator_graph::gen;
+    use proptest::prelude::*;
 
     #[test]
     fn init_share_divides_by_out_degree() {
@@ -201,13 +228,48 @@ mod tests {
         }
     }
 
+    /// What crosses a node boundary is the rank; the receiver's `derive`
+    /// rebuilds the value bit for bit, sink vertices (out-degree 0) included,
+    /// and a value the codec produced is no value until it has.
     #[test]
-    fn value_roundtrips_codec() {
-        let v = RankValue {
-            rank: 3.5,
-            share: 0.875,
-        };
-        let back: RankValue = imitator_storage::codec::decode(&v.to_bytes()).unwrap();
-        assert_eq!(back, v);
+    fn derive_rebuilds_what_the_codec_drops() {
+        let g = gen::from_pairs(5, &[(0, 1), (0, 2), (0, 3), (2, 1), (4, 0)]);
+        let d = Degrees::of(&g);
+        let pr = PageRank::default();
+        for (vid, rank) in [(0, 3.5), (1, 0.15), (2, -0.0), (3, 1e-300), (4, f64::MAX)] {
+            let vid = Vid::new(vid);
+            let v = pr.apply(vid, &pr.init(vid, &d), Some((rank - 0.15) / 0.85), &d);
+            let bytes = v.to_bytes();
+            assert_eq!(bytes.len(), pr.value_wire_bytes(&v));
+            let mut back: RankValue = imitator_storage::codec::decode(&bytes).unwrap();
+            assert!(back.share.is_nan(), "an underived share is NaN");
+            pr.derive(vid, &mut back, &d);
+            assert_eq!(
+                (back.rank.to_bits(), back.share.to_bits()),
+                (v.rank.to_bits(), v.share.to_bits())
+            );
+        }
+    }
+
+    proptest! {
+        /// `derive(decode(encode(v))) == v` bitwise over arbitrary ranks —
+        /// NaNs, infinities and subnormals among them — and degrees.
+        #[test]
+        fn derive_of_decoded_is_the_value(
+            bits in any::<u64>(),
+            out_degree in 0u32..6,
+        ) {
+            let pairs: Vec<(u32, u32)> = (1..=out_degree).map(|t| (0, t)).collect();
+            let d = Degrees::of(&gen::from_pairs(6, &pairs));
+            let (vid, pr) = (Vid::new(0), PageRank::default());
+            let rank = f64::from_bits(bits);
+            let v = RankValue { rank, share: share(rank, vid, &d) };
+            let mut back: RankValue = imitator_storage::codec::decode(&v.to_bytes()).unwrap();
+            pr.derive(vid, &mut back, &d);
+            prop_assert_eq!(
+                (back.rank.to_bits(), back.share.to_bits()),
+                (v.rank.to_bits(), v.share.to_bits())
+            );
+        }
     }
 }

@@ -23,14 +23,17 @@
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
-    ColumnLens, CopyKind, EcLocalGraph, EcVertex, FullStateRef, Locations, LocationsRef,
-    MasterMeta, RemoteEdge, StoreLens, VcEdge, VcLocalGraph, VcVertex, MAX_TABLE_NODES,
+    ColumnLens, CopyKind, Degrees, EcLocalGraph, EcVertex, FullStateRef, Locations, LocationsRef,
+    MasterMeta, RemoteEdge, StoreLens, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
+    MAX_TABLE_NODES,
 };
 use imitator_graph::{PosIndex, Vid};
 use imitator_storage::codec::{
     read_uvarint, unzigzag64, write_uvarint, zigzag64, Decode, DecodeError, Encode, Reader,
 };
 use imitator_storage::{Dfs, WriteBehind};
+
+use crate::driver::ModelGraph;
 
 fn enc_uv(v: u64, buf: &mut Vec<u8>) {
     write_uvarint(buf, v);
@@ -40,7 +43,7 @@ fn dec_uv(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
     read_uvarint(r)
 }
 
-fn dec_count(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
+pub(crate) fn dec_count(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
     let n = read_uvarint(r)?;
     // Every counted record costs at least one byte; a count beyond the
     // remaining input is corruption, caught before any allocation.
@@ -65,7 +68,7 @@ fn enc_delta(cur: u32, prev: &mut u32, buf: &mut Vec<u8>) {
     *prev = cur;
 }
 
-fn dec_delta(r: &mut Reader<'_>, prev: &mut u32) -> Result<u32, DecodeError> {
+pub(crate) fn dec_delta(r: &mut Reader<'_>, prev: &mut u32) -> Result<u32, DecodeError> {
     let cur = i64::from(*prev)
         .checked_add(unzigzag64(read_uvarint(r)?))
         .and_then(|cur| u32::try_from(cur).ok())
@@ -665,6 +668,93 @@ pub fn apply_vc_snapshot<V: Decode>(
         return Err(DecodeError::TrailingBytes(r.remaining()));
     }
     Ok(iter)
+}
+
+/// A local graph's DFS codec — its metadata snapshot and the data snapshot
+/// of its masters — on which checkpointing and recovery are generic. Values
+/// are written as their codec encodes them, so whatever is read back has
+/// every value completed ([`VertexProgram::derive`]) before anyone reads it.
+///
+/// The decoders panic on bytes no encoder wrote: a recovery reads what this
+/// run sealed, and the hostile-bytes tests hold the functions underneath.
+pub(crate) trait GraphCodec: ModelGraph + Sized {
+    /// The metadata snapshot: the whole local graph.
+    fn encode_graph(&self) -> Vec<u8>;
+    /// Reads a metadata snapshot back.
+    fn decode_graph<P>(bytes: &[u8], prog: &P, degrees: &Degrees) -> Self
+    where
+        P: VertexProgram<Value = Self::Value>;
+    /// The data snapshot of the masters at `dirty` (ascending), or of every
+    /// master: a full snapshot is the delta whose dirty set is all of them.
+    fn encode_snapshot(&self, iter: u64, dirty: Option<&[u32]>) -> Vec<u8>;
+    /// Applies a data snapshot of either extent and returns its iteration.
+    fn apply_snapshot<P>(&mut self, bytes: &[u8], prog: &P, degrees: &Degrees) -> u64
+    where
+        P: VertexProgram<Value = Self::Value>;
+}
+
+impl<V: Encode + Decode> GraphCodec for EcLocalGraph<V> {
+    fn encode_graph(&self) -> Vec<u8> {
+        encode_ec_graph(self)
+    }
+
+    fn decode_graph<P>(bytes: &[u8], prog: &P, degrees: &Degrees) -> Self
+    where
+        P: VertexProgram<Value = V>,
+    {
+        let mut lg = decode_ec_graph(bytes).expect("metadata snapshot decodes");
+        for v in &mut lg.verts {
+            prog.derive(v.vid, &mut v.value, degrees);
+        }
+        lg
+    }
+
+    fn encode_snapshot(&self, iter: u64, dirty: Option<&[u32]>) -> Vec<u8> {
+        encode_ec_snapshot(self, iter, dirty)
+    }
+
+    fn apply_snapshot<P>(&mut self, bytes: &[u8], prog: &P, degrees: &Degrees) -> u64
+    where
+        P: VertexProgram<Value = V>,
+    {
+        let iter = apply_ec_snapshot(self, bytes).expect("snapshot decodes");
+        for v in &mut self.verts {
+            prog.derive(v.vid, &mut v.value, degrees);
+        }
+        iter
+    }
+}
+
+impl<V: Encode + Decode> GraphCodec for VcLocalGraph<V> {
+    fn encode_graph(&self) -> Vec<u8> {
+        encode_vc_graph(self)
+    }
+
+    fn decode_graph<P>(bytes: &[u8], prog: &P, degrees: &Degrees) -> Self
+    where
+        P: VertexProgram<Value = V>,
+    {
+        let mut lg = decode_vc_graph(bytes).expect("metadata snapshot decodes");
+        for v in &mut lg.verts {
+            prog.derive(v.vid, &mut v.value, degrees);
+        }
+        lg
+    }
+
+    fn encode_snapshot(&self, iter: u64, dirty: Option<&[u32]>) -> Vec<u8> {
+        encode_vc_snapshot(self, iter, dirty)
+    }
+
+    fn apply_snapshot<P>(&mut self, bytes: &[u8], prog: &P, degrees: &Degrees) -> u64
+    where
+        P: VertexProgram<Value = V>,
+    {
+        let iter = apply_vc_snapshot(self, bytes).expect("snapshot decodes");
+        for v in &mut self.verts {
+            prog.derive(v.vid, &mut v.value, degrees);
+        }
+        iter
+    }
 }
 
 /// An edge-ckpt file, written one edge at a time: the edge count, then

@@ -7,8 +7,8 @@
 //! wake-up, sync-record batching, checkpoint scheduling, and run assembly —
 //! parameterized by a [`ComputeModel`]. The model contributes only what
 //! genuinely differs: the superstep body (fused compute vs distributed
-//! gather-apply), codec entry points, and the reconstruction primitives the
-//! recovery state machine (`recovery.rs`) composes.
+//! gather-apply), a graph with its own DFS codec, and the reconstruction
+//! primitives the recovery state machine (`recovery.rs`) composes.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -20,13 +20,14 @@ use imitator_cluster::{
 };
 use imitator_engine::{
     chunk_ranges, CopyKind, Degrees, Episode, FtPlan, FullState, FullStateRef, InOrder, Locations,
-    LocationsRef, MasterUpdate, WorkerPool,
+    LocationsRef, MasterUpdate, VertexProgram, WorkerPool,
 };
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_storage::codec::{Decode, Encode};
 use imitator_storage::{epoch, Dfs, EpochKind, WriteBehind};
 
+use crate::ckpt::GraphCodec;
 use crate::msg::{ProtoMsg, ReplicaGrant, VertexSync};
 use crate::recovery::{self, Abort, Adoption, Mig, MigEnv};
 use crate::report::RunReport;
@@ -204,13 +205,16 @@ pub(crate) fn no_full_state(vid: Vid, kind: CopyKind) -> ! {
 pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// Vertex value.
     type Value: Clone + Send + Sync + PartialEq + Debug + Encode + Decode + MemSize + 'static;
+    /// The vertex program.
+    type Prog: VertexProgram<Value = Self::Value>;
     /// Gather accumulator (`()` when gather is fused into local compute).
     type Accum: Clone + Send + 'static;
     /// Rebirth recovery entry.
     type Entry: Send + 'static;
-    /// Local graph. `Sync` because recovery's read-only scans share it with
-    /// pool workers behind an `Arc` (both engines' graphs are plain data).
-    type Graph: ModelGraph<Value = Self::Value> + MemSize + Send + Sync + 'static;
+    /// Local graph, with its DFS codec. `Sync` because recovery's read-only
+    /// scans share it with pool workers behind an `Arc` (both engines' graphs
+    /// are plain data).
+    type Graph: ModelGraph<Value = Self::Value> + GraphCodec + MemSize + Send + Sync + 'static;
     /// Per-node steady-state scratch reused across iterations.
     type Scratch: Send;
     /// Migration bookkeeping the model threads between rounds.
@@ -219,7 +223,11 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// DFS path prefix for this model's snapshots ("ec" / "vc").
     const PREFIX: &'static str;
 
-    fn value_wire_bytes(&self, v: &Self::Value) -> usize;
+    /// The program: its `value_wire_bytes` prices every value shipped, and
+    /// its `derive` completes every value that enters a node (a sync record,
+    /// a Rebirth entry, a Migration grant or fresh mirror, a graph or a
+    /// snapshot read back from the DFS) before anything reads it.
+    fn prog(&self) -> &Self::Prog;
     fn init_scratch(&self, lg: &Self::Graph, shared: &Shared<Self>) -> Self::Scratch;
     /// Re-derives graph-dependent scratch after recovery changed the layout.
     fn refresh_scratch(&self, _scratch: &mut Self::Scratch, _lg: &Self::Graph) {}
@@ -249,15 +257,6 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
         pool: &WorkerPool,
     ) -> StepOutcome;
 
-    // -- codec entry points --
-    fn encode_graph(&self, lg: &Self::Graph) -> Vec<u8>;
-    fn decode_graph(&self, bytes: &[u8]) -> Self::Graph;
-    /// The data snapshot of the masters at `dirty` (ascending), or of every
-    /// master: a full snapshot is the delta whose dirty set is all of them.
-    fn encode_snapshot(&self, lg: &Self::Graph, iter: u64, dirty: Option<&[u32]>) -> Vec<u8>;
-    /// Applies a data snapshot of either extent, returning its iteration.
-    fn apply_snapshot(&self, lg: &mut Self::Graph, bytes: &[u8]) -> u64;
-
     // -- recovery primitives --
     /// Resets values (and, where the model keeps it, activation) to the
     /// iteration-0 state — checkpoint recovery before the first snapshot.
@@ -282,7 +281,8 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     fn master_entry(&self, lg: &Self::Graph, pos: u32) -> Self::Entry;
     fn entry_wire_bytes(&self, e: &Self::Entry) -> u64;
     fn entry_edges(&self, e: &Self::Entry) -> u64;
-    fn insert_entry(&self, lg: &mut Self::Graph, e: Self::Entry);
+    /// Places a Rebirth entry at the position it names, its value derived.
+    fn insert_entry(&self, lg: &mut Self::Graph, e: Self::Entry, degrees: &Degrees);
     /// The DFS files recovering `dead` reloads on this node besides what
     /// survivors send (edge-ckpt files), in the order it consumes them; the
     /// attempt reads them ahead. A newbie is the one `dead` node, reborn.
@@ -328,7 +328,7 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
         env: &MigEnv<'_>,
     ) -> std::collections::HashMap<NodeId, Vec<Vid>>;
     /// Places a granted replica (R4) or the copy a fresh FT replica starts
-    /// as (R6), returning its local position.
+    /// as (R6), its value already derived, returning its local position.
     fn place_granted(&self, lg: &mut Self::Graph, grant: ReplicaGrant<Self::Value>) -> u32;
     /// Migration R4: wire promoted masters' edges / adopt reloaded edges.
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<Self::MigExtra>, resume: u64);
@@ -408,7 +408,7 @@ where
                 let sw = Stopwatch::start();
                 shared.dfs.write(
                     &format!("{}/meta/{}", M::PREFIX, ctx.id().raw()),
-                    shared.model.encode_graph(&lg),
+                    lg.encode_graph(),
                 );
                 st.ckpt_time += sw.elapsed();
             } else {
@@ -497,12 +497,13 @@ where
 fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usize, plan: &FtPlan) {
     let live = |n: NodeId| graphs.iter().find(|(id, _)| *id == n).map(|(_, lg)| lg);
     let want = tolerance.min(graphs.len().saturating_sub(1));
-    // Bit equality: a NaN a program got stuck on is still synced.
+    // Bit equality of what ships, and the derived rest as printed: a NaN a
+    // program got stuck on is still synced, a field left underived is not.
     let same_bits = |a: &M::Value, b: &M::Value| {
         let (mut x, mut y) = (Vec::new(), Vec::new());
         a.encode(&mut x);
         b.encode(&mut y);
-        x == y
+        x == y && format!("{a:?}") == format!("{b:?}")
     };
     // Every in-edge of every live master as (node, position, source), sorted.
     let mut fed: Vec<(NodeId, u32, Vid)> = Vec::new();
@@ -671,7 +672,7 @@ fn node_main<M: ComputeModel>(
                         Some(&dirty[..])
                     }
                 };
-                let bytes = shared.model.encode_snapshot(&lg, st.iter + 1, dirty);
+                let bytes = lg.encode_snapshot(st.iter + 1, dirty);
                 if shared
                     .injector
                     .should_fail(me, st.iter, FailPoint::CkptWrite)
@@ -822,7 +823,7 @@ fn stage_update_syncs<M: ComputeModel>(
             continue;
         }
         let meta = lg.full(u.local);
-        let vb = shared.model.value_wire_bytes(&u.value);
+        let vb = shared.model.prog().value_wire_bytes(&u.value);
         for (node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
             // Accounted record size: the record's columnar frame columns —
             // position delta against the previous record staged toward this
@@ -982,15 +983,22 @@ pub(crate) fn take<M: ComputeModel, T>(
 }
 
 /// This round's sync records (position-addressed by the sender, so no ID
-/// lookup happens here).
+/// lookup happens here), each value derived for the copy it lands on in
+/// `lg`.
 pub(crate) fn collect_syncs<M: ComputeModel>(
     ctx: &Ctx<M>,
     st: &mut St<M>,
+    lg: &M::Graph,
+    shared: &Shared<M>,
 ) -> Vec<VertexSync<M::Value>> {
     let batches = take::<M, _>(ctx, st, kind!(Sync));
     let mut out = Vec::with_capacity(batches.iter().map(|(_, batch)| batch.len()).sum());
+    let (prog, degrees) = (shared.model.prog(), &shared.degrees);
     for (_, batch) in batches {
-        out.extend(batch);
+        out.extend(batch.into_iter().map(|mut s| {
+            prog.derive(lg.vid(s.pos), &mut s.value, degrees);
+            s
+        }));
     }
     out
 }

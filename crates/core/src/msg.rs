@@ -693,7 +693,10 @@ mod tests {
     use super::*;
     use crate::ckpt::tests::{arb_damage, arb_graph, arb_shape, damaged, plan_for, P};
     use crate::driver::ModelGraph;
-    use imitator_engine::{build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, RemoteEdge};
+    use imitator_algos::{PageRank, RankValue};
+    use imitator_engine::{
+        build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, RemoteEdge, VertexProgram,
+    };
     use imitator_metrics::MemSize;
     use imitator_partition::{
         EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
@@ -722,34 +725,41 @@ mod tests {
     /// | gather | 1   | uvarint(n) | —      | Σ zzvarint(Δvid) | Σ accum encoding      |
     /// | mirror | 1   | uvarint(n) | —      | Σ zzvarint(Δvid) | Σ meta estimate       |
     ///
-    /// Recovery entries, promotions, and grants stay scalar-coded.
+    /// Recovery entries, promotions, and grants stay scalar-coded. Run with a
+    /// plain `f64` and with PageRank's value, whose codec writes the rank
+    /// and leaves the share to the receiver: the program's
+    /// `value_wire_bytes` is what every record is charged.
     #[test]
     fn accounted_sizes_match_codec() {
+        sizes_match_codec([1.5f64, -2.5], |_| 8);
+        let pr = PageRank::default();
+        let (a, b) = (1.5, -2.5);
+        let ranks = [
+            RankValue {
+                rank: a,
+                share: a / 3.0,
+            },
+            RankValue { rank: b, share: b },
+        ];
+        sizes_match_codec(ranks, |v| pr.value_wire_bytes(v));
+    }
+
+    fn sizes_match_codec<V: Encode>(values: [V; 2], value_bytes: impl Fn(&V) -> usize) {
         // A VertexSync batch is charged as one columnar sync frame: encode
         // the same records through the real frame codec and compare.
-        let batch = [
-            VertexSync {
-                pos: 7,
-                value: 1.5f64,
-                activate: true,
-            },
-            VertexSync {
-                pos: 9,
-                value: -2.5f64,
-                activate: false,
-            },
-        ];
-        let values: Vec<Vec<u8>> = batch
+        let batch: Vec<VertexSync<&V>> = values
             .iter()
-            .map(|s| {
-                let mut b = Vec::new();
-                s.value.encode(&mut b);
-                b
+            .zip([(7, true), (9, false)])
+            .map(|(value, (pos, activate))| VertexSync {
+                pos,
+                value,
+                activate,
             })
             .collect();
+        let encoded: Vec<Vec<u8>> = batch.iter().map(|s| s.value.to_bytes()).collect();
         let recs: Vec<crate::wire::SyncRecEnc<'_>> = batch
             .iter()
-            .zip(&values)
+            .zip(&encoded)
             .map(|(s, v)| crate::wire::SyncRecEnc {
                 pos: s.pos,
                 activate: s.activate,
@@ -762,7 +772,7 @@ mod tests {
         let mut accounted = crate::wire::sync_frame_overhead(batch.len() as u64);
         let mut prev = 0u32;
         for s in &batch {
-            accounted += crate::wire::sync_record_bytes(s.pos, prev, 8);
+            accounted += crate::wire::sync_record_bytes(s.pos, prev, value_bytes(s.value));
             prev = s.pos;
         }
         assert_eq!(accounted, frame.len() as u64);
@@ -776,14 +786,15 @@ mod tests {
         2u32.encode(&mut buf); // pos
         0u8.encode(&mut buf); // kind discriminant
         1u32.encode(&mut buf); // master_node
-        1.5f64.encode(&mut buf); // value
+        values[0].encode(&mut buf); // value
         true.encode(&mut buf); // last_activate
         false.encode(&mut buf); // active
         in_edges.encode(&mut buf);
         out_local.encode(&mut buf);
         Option::<u8>::None.encode(&mut buf); // meta presence flag
+        let value_len = value_bytes(&values[0]);
         assert_eq!(
-            EcRecoverEntry::<f64>::wire_bytes(8, in_edges.len(), out_local.len()),
+            EcRecoverEntry::<V>::wire_bytes(value_len, in_edges.len(), out_local.len()),
             buf.len()
         );
 
@@ -794,9 +805,9 @@ mod tests {
         2u32.encode(&mut buf);
         0u8.encode(&mut buf);
         1u32.encode(&mut buf);
-        1.5f64.encode(&mut buf);
+        values[0].encode(&mut buf);
         Option::<u8>::None.encode(&mut buf);
-        assert_eq!(VcRecoverEntry::<f64>::wire_bytes(8), buf.len());
+        assert_eq!(VcRecoverEntry::<V>::wire_bytes(value_len), buf.len());
     }
 
     fn roundtrip_ec(m: &EcMsg<f64>) {

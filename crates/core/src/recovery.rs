@@ -69,6 +69,7 @@ use imitator_engine::{Episode, WorkerPool};
 use imitator_graph::VidMap;
 use imitator_metrics::{RecoveryCounters, Stopwatch};
 
+use crate::ckpt::GraphCodec;
 use crate::driver::{graph_mut, ComputeModel, Ctx, Shared, St};
 use crate::{FtMode, RecoveryStrategy};
 
@@ -162,10 +163,10 @@ impl Undo {
     /// Opens the attempt's episode on `lg`. Must precede the attempt's
     /// first write to the graph.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    fn open_journal<M: ComputeModel>(&mut self, model: &M, lg: &mut M::Graph) {
+    fn open_journal<G: GraphCodec + Episode>(&mut self, lg: &mut G) {
         #[cfg(debug_assertions)]
         if self.oracle.is_none() {
-            self.oracle = Some(model.encode_graph(lg));
+            self.oracle = Some(lg.encode_graph());
         }
         lg.begin_episode();
     }
@@ -173,22 +174,23 @@ impl Undo {
     /// Snapshots the pre-episode graph unless an earlier attempt of this
     /// episode already did (its abort restored `lg` to exactly that state).
     /// Must precede the attempt's first `graph_mut`.
-    fn capture_graph<M: ComputeModel>(&mut self, model: &M, lg: &M::Graph) {
+    fn capture_graph<G: GraphCodec>(&mut self, lg: &G) {
         if self.lg.is_none() {
-            self.lg = Some(model.encode_graph(lg));
+            self.lg = Some(lg.encode_graph());
         }
     }
 
-    fn restore<M: ComputeModel>(&self, model: &M, lg: &mut M::Graph, st: &mut St<M>) {
+    fn restore<M: ComputeModel>(&self, shared: &Shared<M>, lg: &mut M::Graph, st: &mut St<M>) {
+        let (prog, degrees) = (shared.model.prog(), &shared.degrees);
         match &self.lg {
-            Some(bytes) => *lg = model.decode_graph(bytes),
+            Some(bytes) => *lg = M::Graph::decode_graph(bytes, prog, degrees),
             // No snapshot: the attempt journaled, or never wrote the graph.
             None => lg.rollback(),
         }
         #[cfg(debug_assertions)]
         if let Some(oracle) = &self.oracle {
             assert!(
-                model.encode_graph(lg) == *oracle,
+                lg.encode_graph() == *oracle,
                 "the rolled-back graph does not encode to the pre-episode snapshot"
             );
         }
@@ -273,7 +275,7 @@ pub(crate) fn recover<M: ComputeModel>(
             Err(Abort::Failures(new_dead)) => {
                 counters.aborts += 1;
                 union_into(&mut episode, new_dead);
-                undo.restore(&shared.model, graph_mut(lg), st);
+                undo.restore(shared, graph_mut(lg), st);
                 let sw = Stopwatch::start();
                 let fenced_out = abort_fence(ctx, st, &mut episode);
                 fence_time += sw.elapsed();

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use imitator_cluster::NodeId;
-use imitator_engine::WorkerPool;
+use imitator_engine::{VertexProgram, WorkerPool};
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, Stopwatch};
 use imitator_storage::{epoch, EpochChain, EpochError, EpochKind};
@@ -17,6 +17,7 @@ use super::migration::{
 };
 use super::rounds::{barrier_ok, AttemptCx, MIGRATION_ROUNDS, RELOAD};
 use super::{Attempt, Undo};
+use crate::ckpt::GraphCodec;
 use crate::driver::{collect_syncs, graph_mut, ComputeModel, Ctx, ModelGraph, Shared, St};
 use crate::msg::{Promotion, ProtoMsg, VertexSync};
 use crate::report::RecoveryReport;
@@ -73,7 +74,7 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
     // roll back to the initial state plus the complete snapshot chain.
     let snap_iter = cx.phase(&RELOAD, |cx| {
         // The rollback rewrites the graph: snapshot it for undo first.
-        undo.capture_graph(&cx.shared.model, lg);
+        undo.capture_graph(&**lg);
         cx.mark("undo_capture");
         Ok(roll_back(cx, lg))
     })?;
@@ -131,7 +132,7 @@ fn ckpt_fallback<M: ComputeModel>(
     // ---- Round 1: roll back, graft assigned dead partitions, announce.
     let (snap_iter, adopted) = cx.round(r1, |cx| {
         // The rollback and the grafts rewrite the graph: snapshot it for undo.
-        undo.capture_graph(model, lg);
+        undo.capture_graph(&**lg);
         cx.phases.record("undo_capture", sw.lap());
         let snap_iter = roll_back(cx, lg);
         // The dead nodes are gone for good: purge them from every
@@ -196,7 +197,7 @@ fn ckpt_fallback<M: ComputeModel>(
         // positions. Placed after the last abortable barrier, so an aborted
         // attempt never leaves a revised meta behind.
         let meta = format!("{}/meta/{}", M::PREFIX, me.raw());
-        cx.shared.dfs.write(&meta, model.encode_graph(g));
+        cx.shared.dfs.write(&meta, g.encode_graph());
         Ok(())
     })?;
     cx.phases.record("reconstruct", sw.lap());
@@ -261,7 +262,8 @@ fn reconstruct_partition<M: ComputeModel>(
         .dfs
         .read(&format!("{}/meta/{}", M::PREFIX, d.raw()))
         .expect("metadata snapshot written at load");
-    let mut dg = shared.model.decode_graph(&meta_bytes);
+    let (prog, degrees) = (shared.model.prog(), &shared.degrees);
+    let mut dg = M::Graph::decode_graph(&meta_bytes, prog, degrees);
     let chain = epoch::recovery_chain(&shared.dfs, M::PREFIX, d.raw());
     let snap_iter = chain.map_or(0, |chain| {
         apply_snapshot_chain::<M>(&mut dg, shared, d, &chain, pool)
@@ -327,7 +329,7 @@ fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> A
         let mut prev = 0u32;
         let mut bytes = crate::wire::sync_frame_overhead(batch.len() as u64);
         for s in &batch {
-            let value_bytes = model.value_wire_bytes(&s.value);
+            let value_bytes = model.prog().value_wire_bytes(&s.value);
             bytes += crate::wire::sync_record_bytes(s.pos, prev, value_bytes);
             prev = s.pos;
         }
@@ -335,7 +337,7 @@ fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> A
             .send_kind(node, ProtoMsg::Sync(batch), bytes, CommKind::Recovery);
     }
     barrier_ok(cx.ctx)?;
-    let incoming = collect_syncs::<M>(cx.ctx, st);
+    let incoming = collect_syncs(cx.ctx, st, lg, cx.shared);
     model.apply_full_sync(lg, incoming);
     barrier_ok(cx.ctx)?;
     Ok(())
@@ -376,7 +378,7 @@ fn apply_snapshot_chain<M: ComputeModel>(
     let mut snap_iter = 0;
     for bytes in reads {
         let bytes = bytes.expect("rostered part verified");
-        snap_iter = shared.model.apply_snapshot(lg, &bytes);
+        snap_iter = lg.apply_snapshot(&bytes, shared.model.prog(), &shared.degrees);
     }
     snap_iter
 }

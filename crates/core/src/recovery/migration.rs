@@ -8,7 +8,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use imitator_cluster::NodeId;
-use imitator_engine::{CopyKind, Episode, FullState, PosSet};
+use imitator_engine::{CopyKind, Episode, FullState, PosSet, VertexProgram};
 use imitator_graph::Vid;
 use imitator_metrics::Stopwatch;
 
@@ -248,14 +248,14 @@ pub(super) fn migrate<M: ComputeModel>(
     undo: &mut Undo,
     strategy: &'static str,
 ) -> Attempt<RecoveryReport> {
-    let model = &cx.shared.model;
+    let (model, prog) = (&cx.shared.model, cx.shared.model.prog());
     let mut mig: Mig<M::MigExtra> = Mig::default();
     let [r1, r2, r3, r4, r5, r6, r7, r8] = &MIGRATION_ROUNDS;
     let sw_total = Stopwatch::start();
     // R2's DFS reads run behind R1.
     cx.prefetch();
     // Every round below rewrites the graph: journal from here on.
-    undo.open_journal(model, graph_mut(lg));
+    undo.open_journal(graph_mut(lg));
     cx.mark("undo_capture");
 
     // ---- R1: promote local mirrors whose master died (the responsible
@@ -301,7 +301,7 @@ pub(super) fn migrate<M: ComputeModel>(
         }
         cx.send_others(|n| {
             let granted = grants.remove(&n).unwrap_or_default();
-            let value_bytes = granted.iter().map(|x| model.value_wire_bytes(&x.value));
+            let value_bytes = granted.iter().map(|x| prog.value_wire_bytes(&x.value));
             let bytes = value_bytes.map(|bytes| 16 + bytes as u64).sum();
             (ProtoMsg::ReplicaGrant(granted), bytes)
         });
@@ -490,10 +490,11 @@ fn promote_and_purge<M: ComputeModel>(
     promotions
 }
 
-/// Places a replica per copy and returns their positions by master's node.
-/// Placement appends to the local graph, and those positions later feed the
-/// delta-encoded position columns of sync frames — so the order must not
-/// depend on which node's message arrived first: vid order.
+/// Places a replica per copy, its value derived, and returns their positions
+/// by master's node. Placement appends to the local graph, and those
+/// positions later feed the delta-encoded position columns of sync frames —
+/// so the order must not depend on which node's message arrived first: vid
+/// order.
 fn place_copies<M: ComputeModel>(
     cx: &AttemptCx<'_, M>,
     g: &mut M::Graph,
@@ -501,10 +502,12 @@ fn place_copies<M: ComputeModel>(
 ) -> Placements {
     copies.sort_unstable_by_key(|copy| copy.vid);
     let mut placements = Placements::new();
-    for copy in copies {
+    let (model, degrees) = (&cx.shared.model, &cx.shared.degrees);
+    for mut copy in copies {
         let (vid, master_node) = (copy.vid, copy.master_node);
         debug_assert!(g.position(vid).is_none(), "duplicate grant for {vid}");
-        let pos = cx.shared.model.place_granted(g, copy);
+        model.prog().derive(vid, &mut copy.value, degrees);
+        let pos = model.place_granted(g, copy);
         placements.entry(master_node).or_default().push((vid, pos));
     }
     placements

@@ -179,7 +179,7 @@ pub(crate) fn rebirth_newbie<M: ComputeModel>(
             ProtoMsg::Rebirth(batch) => {
                 got += 1;
                 for e in batch.entries {
-                    model.insert_entry(&mut lg, e);
+                    model.insert_entry(&mut lg, e, &shared.degrees);
                 }
                 if expected.replace(batch.num_survivors).is_none() {
                     // The first batch tells the newbie where the episode

@@ -21,7 +21,6 @@ use imitator_partition::EdgeCut;
 use imitator_storage::codec::{Decode, Encode};
 use imitator_storage::Dfs;
 
-use crate::ckpt;
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
 use crate::msg::Promotion;
 use crate::msg::{EcRecoverEntry, ReplicaGrant, VertexSync};
@@ -183,6 +182,7 @@ where
     P::Value: Encode + Decode + MemSize,
 {
     type Value = P::Value;
+    type Prog = P;
     type Accum = ();
     type Entry = EcRecoverEntry<P::Value>;
     type Graph = EcLocalGraph<P::Value>;
@@ -191,8 +191,8 @@ where
 
     const PREFIX: &'static str = "ec";
 
-    fn value_wire_bytes(&self, v: &Self::Value) -> usize {
-        self.prog.value_wire_bytes(v)
+    fn prog(&self) -> &P {
+        &self.prog
     }
 
     fn init_scratch(&self, _lg: &Self::Graph, shared: &Shared<Self>) -> Self::Scratch {
@@ -239,26 +239,13 @@ where
         }
 
         driver::note_dirty::<Self>(st, &shared.cfg, &updates);
-        let incoming: Vec<(u32, P::Value, bool)> = driver::collect_syncs::<Self>(ctx, st)
+        let incoming: Vec<(u32, P::Value, bool)> = driver::collect_syncs(ctx, st, &**lg, shared)
             .into_iter()
             .map(|s| (s.pos, s.value, s.activate))
             .collect();
         let stats = ec_commit(driver::graph_mut(lg), self.prog.as_ref(), updates, incoming);
         st.phases.record("commit", sw.lap());
         StepOutcome::Committed(stats.active_next as u64)
-    }
-
-    fn encode_graph(&self, lg: &Self::Graph) -> Vec<u8> {
-        ckpt::encode_ec_graph(lg)
-    }
-    fn decode_graph(&self, bytes: &[u8]) -> Self::Graph {
-        ckpt::decode_ec_graph(bytes).expect("metadata snapshot decodes")
-    }
-    fn encode_snapshot(&self, lg: &Self::Graph, iter: u64, dirty: Option<&[u32]>) -> Vec<u8> {
-        ckpt::encode_ec_snapshot(lg, iter, dirty)
-    }
-    fn apply_snapshot(&self, lg: &mut Self::Graph, bytes: &[u8]) -> u64 {
-        ckpt::apply_ec_snapshot(lg, bytes).expect("snapshot decodes")
     }
 
     /// Resets to the iteration-0 state — used when a failure precedes the
@@ -342,7 +329,8 @@ where
         e.in_edges.len() as u64
     }
 
-    fn insert_entry(&self, lg: &mut Self::Graph, e: Self::Entry) {
+    fn insert_entry(&self, lg: &mut Self::Graph, mut e: Self::Entry, degrees: &Degrees) {
+        self.prog.derive(e.vid, &mut e.value, degrees);
         let mut copy = EcVertex::new(e.vid, e.kind, e.master_node, e.value);
         (copy.active, copy.last_activate) = (e.active, e.last_activate);
         lg.insert_at(e.pos, copy, &e.in_edges, &e.out_local);

@@ -214,6 +214,7 @@ where
     P::Accum: Encode + Decode,
 {
     type Value = P::Value;
+    type Prog = P;
     type Accum = P::Accum;
     type Entry = VcRecoverEntry<P::Value>;
     type Graph = VcLocalGraph<P::Value>;
@@ -222,8 +223,8 @@ where
 
     const PREFIX: &'static str = "vc";
 
-    fn value_wire_bytes(&self, v: &Self::Value) -> usize {
-        self.prog.value_wire_bytes(v)
+    fn prog(&self) -> &P {
+        &self.prog
     }
 
     fn init_scratch(&self, lg: &Self::Graph, shared: &Shared<Self>) -> Self::Scratch {
@@ -375,26 +376,13 @@ where
         }
 
         driver::note_dirty::<Self>(st, &shared.cfg, &updates);
-        let incoming: Vec<(u32, P::Value)> = driver::collect_syncs::<Self>(ctx, st)
+        let incoming: Vec<(u32, P::Value)> = driver::collect_syncs(ctx, st, &**lg, shared)
             .into_iter()
             .map(|s| (s.pos, s.value))
             .collect();
         let stats = vc_commit(driver::graph_mut(lg), updates, incoming);
         st.phases.record("commit", sw.lap());
         StepOutcome::Committed(stats.changed as u64)
-    }
-
-    fn encode_graph(&self, lg: &Self::Graph) -> Vec<u8> {
-        ckpt::encode_vc_graph(lg)
-    }
-    fn decode_graph(&self, bytes: &[u8]) -> Self::Graph {
-        ckpt::decode_vc_graph(bytes).expect("metadata snapshot decodes")
-    }
-    fn encode_snapshot(&self, lg: &Self::Graph, iter: u64, dirty: Option<&[u32]>) -> Vec<u8> {
-        ckpt::encode_vc_snapshot(lg, iter, dirty)
-    }
-    fn apply_snapshot(&self, lg: &mut Self::Graph, bytes: &[u8]) -> u64 {
-        ckpt::apply_vc_snapshot(lg, bytes).expect("snapshot decodes")
     }
 
     /// Resets values to the iteration-0 state (the dense engine has no
@@ -460,7 +448,8 @@ where
         0
     }
 
-    fn insert_entry(&self, lg: &mut Self::Graph, e: Self::Entry) {
+    fn insert_entry(&self, lg: &mut Self::Graph, mut e: Self::Entry, degrees: &Degrees) {
+        self.prog.derive(e.vid, &mut e.value, degrees);
         lg.insert_at(e.pos, VcVertex::new(e.vid, e.kind, e.master_node, e.value));
         if let Some(meta) = e.meta {
             lg.set_locations(e.pos, meta.view());

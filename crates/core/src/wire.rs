@@ -35,9 +35,10 @@
 //! (`accounted_sync_frame_matches_codec` pins the equality).
 
 use imitator_storage::codec::{
-    read_uvarint, unzigzag64, uvarint_len, write_uvarint, zigzag64, Decode, DecodeError, Encode,
-    Reader,
+    read_uvarint, uvarint_len, write_uvarint, zigzag64, Decode, DecodeError, Encode, Reader,
 };
+
+use crate::ckpt::{dec_count, dec_delta};
 
 /// Frame tag of a columnar vertex-sync batch.
 pub const SYNC_FRAME_TAG: u8 = 0xB1;
@@ -146,6 +147,12 @@ pub fn encode_sync_frame(recs: &[SyncRecEnc<'_>], out: &mut Vec<u8>) {
 /// Decodes a columnar sync frame, resolving delta payloads against `base`
 /// (the destination's current encoded value at that position). The frozen
 /// `benchmark/src/layers.rs` calls it with this signature.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on truncated or corrupt input, a delta span
+/// that does not fit its base among them; what it reserves stays within a
+/// constant of the input's size.
 pub fn decode_sync_frame<V: Decode>(
     bytes: &[u8],
     mut base: impl FnMut(u32) -> Vec<u8>,
@@ -154,18 +161,13 @@ pub fn decode_sync_frame<V: Decode>(
     if r.take(1)?[0] != SYNC_FRAME_TAG {
         return Err(DecodeError::Corrupt("sync frame tag"));
     }
-    let count = read_uvarint(&mut r)? as usize;
-    if count > bytes.len().saturating_mul(8).max(1024) {
-        return Err(DecodeError::Corrupt("sync frame count"));
-    }
-    let bitmap = r.take((2 * count).div_ceil(8))?.to_vec();
+    // Every record holds at least one byte of the position column.
+    let count = dec_count(&mut r)?;
+    let bitmap = r.take((2 * count).div_ceil(8))?;
     let mut positions = Vec::with_capacity(count);
-    let mut prev = 0i64;
+    let mut prev = 0u32;
     for _ in 0..count {
-        let pos = prev + unzigzag64(read_uvarint(&mut r)?);
-        let pos = u32::try_from(pos).map_err(|_| DecodeError::Corrupt("sync position"))?;
-        positions.push(pos);
-        prev = i64::from(pos);
+        positions.push(dec_delta(&mut r, &mut prev)?);
     }
     let mut out = Vec::with_capacity(count);
     for (i, &pos) in positions.iter().enumerate() {
@@ -175,10 +177,9 @@ pub fn decode_sync_frame<V: Decode>(
             let len = read_uvarint(&mut r)? as usize;
             let span = r.take(len)?;
             let mut full = base(pos);
-            if start + len > full.len() {
-                return Err(DecodeError::Corrupt("delta span exceeds base value"));
-            }
-            full[start..start + len].copy_from_slice(span);
+            let end = start.checked_add(len).filter(|&end| end <= full.len());
+            let end = end.ok_or(DecodeError::Corrupt("delta span exceeds base value"))?;
+            full[start..end].copy_from_slice(span);
             imitator_storage::codec::decode::<V>(&full)?
         } else {
             V::decode(&mut r)?
@@ -211,22 +212,22 @@ pub fn encode_gather_frame<A: Encode>(recs: &[(u32, A)], out: &mut Vec<u8>) {
 }
 
 /// Decodes a columnar gather frame.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] on truncated or corrupt input; what it reserves
+/// stays within a constant of the input's size.
 pub fn decode_gather_frame<A: Decode>(bytes: &[u8]) -> Result<Vec<(u32, A)>, DecodeError> {
     let mut r = Reader::new(bytes);
     if r.take(1)?[0] != GATHER_FRAME_TAG {
         return Err(DecodeError::Corrupt("gather frame tag"));
     }
-    let count = read_uvarint(&mut r)? as usize;
-    if count > bytes.len().saturating_mul(8).max(1024) {
-        return Err(DecodeError::Corrupt("gather frame count"));
-    }
+    // Every record holds at least one byte of the vid column.
+    let count = dec_count(&mut r)?;
     let mut vids = Vec::with_capacity(count);
-    let mut prev = 0i64;
+    let mut prev = 0u32;
     for _ in 0..count {
-        let vid = prev + unzigzag64(read_uvarint(&mut r)?);
-        let vid = u32::try_from(vid).map_err(|_| DecodeError::Corrupt("gather vid"))?;
-        vids.push(vid);
-        prev = i64::from(vid);
+        vids.push(dec_delta(&mut r, &mut prev)?);
     }
     let mut out = Vec::with_capacity(count);
     for vid in vids {
@@ -241,6 +242,7 @@ pub fn decode_gather_frame<A: Decode>(bytes: &[u8]) -> Result<Vec<(u32, A)>, Dec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::tests::{arb_damage, damaged};
     use proptest::prelude::*;
 
     #[test]
@@ -375,6 +377,26 @@ mod tests {
         let mut buf = Vec::new();
         encode_sync_frame(&recs, &mut buf);
         assert!(decode_sync_frame::<u64>(&buf, |_| vec![0u8; 2]).is_err());
+        // A delta flag with no base behind it: what a socket's receiver has.
+        assert!(decode_sync_frame::<u64>(&buf, |_| Vec::new()).is_err());
+        // A span whose end overflows.
+        let mut buf = vec![SYNC_FRAME_TAG, 1, 0b10, 0];
+        write_uvarint(&mut buf, u64::MAX);
+        buf.extend([1, 0xAB]);
+        assert!(decode_sync_frame::<u64>(&buf, |_| vec![0u8; 8]).is_err());
+        // A position step past every position, and one past `i64`.
+        for step in [u64::from(u32::MAX) * 2, u64::MAX - 1] {
+            let mut buf = vec![SYNC_FRAME_TAG, 2, 0];
+            write_uvarint(&mut buf, zigzag64(5));
+            write_uvarint(&mut buf, step);
+            buf.extend([0u8; 16]);
+            assert!(decode_sync_frame::<u64>(&buf, |_| Vec::new()).is_err());
+            let mut buf = vec![GATHER_FRAME_TAG, 2];
+            write_uvarint(&mut buf, zigzag64(5));
+            write_uvarint(&mut buf, step);
+            buf.extend([0u8; 16]);
+            assert!(decode_gather_frame::<u64>(&buf).is_err());
+        }
     }
 
     /// One generated record: (pos, activate, new value bytes, the base the
@@ -470,6 +492,43 @@ mod tests {
             }
             prop_assert_eq!(gbuf.len() as u64, gacc);
             prop_assert_eq!(decode_gather_frame::<u64>(&gbuf).unwrap(), grecs);
+        }
+
+        /// Sync and gather frames off a socket are input like any other:
+        /// truncated, bit-flipped, spliced and count-inflated frames — delta
+        /// flags with no base behind them among them — decode to a
+        /// `DecodeError` or to no more records than the input has bytes, never
+        /// a panic.
+        #[test]
+        fn hostile_frame_bytes_never_panic(
+            batch in proptest::collection::vec((0u32..200_000, any::<bool>(), any::<u64>()), 0..64),
+            damage in proptest::collection::vec(arb_damage(), 1..4),
+        ) {
+            let values: Vec<[u8; 8]> = batch.iter().map(|&(.., v)| v.to_le_bytes()).collect();
+            let recs: Vec<SyncRecEnc<'_>> = batch
+                .iter()
+                .zip(&values)
+                .map(|(&(pos, activate, _), value)| SyncRecEnc {
+                    pos,
+                    activate,
+                    value,
+                    span: None,
+                })
+                .collect();
+            let mut frame = Vec::new();
+            encode_sync_frame(&recs, &mut frame);
+            let bad = damaged(frame, &damage);
+            // A frame off a socket has no base to patch a delta into.
+            if let Ok(out) = decode_sync_frame::<u64>(&bad, |_| Vec::new()) {
+                prop_assert!(out.capacity() <= bad.len(), "{} records, {} B", out.len(), bad.len());
+            }
+            let grecs: Vec<(u32, u64)> = batch.iter().map(|&(vid, _, a)| (vid, a)).collect();
+            let mut frame = Vec::new();
+            encode_gather_frame(&grecs, &mut frame);
+            let bad = damaged(frame, &damage);
+            if let Ok(out) = decode_gather_frame::<u64>(&bad) {
+                prop_assert!(out.capacity() <= bad.len(), "{} records, {} B", out.len(), bad.len());
+            }
         }
     }
 }

@@ -4,9 +4,10 @@ use imitator_graph::{Graph, Vid};
 
 /// Global degree tables, shared read-only by every node.
 ///
-/// Vertex programs consult degrees at `init`/`apply` time (PageRank divides
-/// by out-degree; ALS distinguishes users from items by ID range). Sharing
-/// the table mirrors the metadata snapshot every node holds after loading.
+/// Vertex programs consult degrees at `init`/`apply`/`derive` time (PageRank
+/// divides by out-degree; ALS distinguishes users from items by ID range).
+/// Sharing the table mirrors the metadata snapshot every node holds after
+/// loading, which is why a value need not carry what degrees determine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Degrees {
     out: Vec<u32>,
@@ -134,12 +135,23 @@ pub trait VertexProgram: Send + Sync + 'static {
         false
     }
 
-    /// Estimated wire size of a value, for communication accounting.
+    /// Rebuilds what `v` holds as a function of `vid`, the degree tables and
+    /// the rest of `v` — the part of a value its codec does not carry.
+    ///
+    /// The runtime calls it wherever a value enters a node: a sync record,
+    /// a recovery entry or grant, a snapshot read back from the DFS. A value
+    /// therefore crosses a node boundary as what the receiver cannot derive,
+    /// and `value_wire_bytes` counts only that. The default derives nothing.
+    fn derive(&self, _vid: Vid, _v: &mut Self::Value, _degrees: &Degrees) {}
+
+    /// Estimated wire size of a value, for communication accounting: the
+    /// length of its encoding.
     fn value_wire_bytes(&self, _v: &Self::Value) -> usize {
         std::mem::size_of::<Self::Value>()
     }
 
-    /// Estimated wire size of an accumulator, for communication accounting.
+    /// Estimated wire size of an accumulator, for communication accounting:
+    /// the length of its encoding.
     fn accum_wire_bytes(&self, _a: &Self::Accum) -> usize {
         std::mem::size_of::<Self::Accum>()
     }

@@ -92,7 +92,14 @@ cd "$(dirname "$0")/.."
 #          default went; `check_mirrors` follows every remote out-edge to a
 #          live master it feeds, which is what the deleted
 #          `RemoteEdge::target` assertion stood for (DESIGN.md §4.9).
-BUDGET=4240
+#   4232 — a value crosses a node boundary as what the receiver cannot
+#          derive: every site where a value enters a node derives it,
+#          paid for by what that made redundant — `ComputeModel`'s four
+#          snapshot methods, forwarded by both runners to `ckpt.rs`, became
+#          the graphs' own `ckpt::GraphCodec`, whose decoders derive, and
+#          `value_wire_bytes`, the last forward, became `prog()`
+#          (DESIGN.md §4.1, §4.6).
+BUDGET=4232
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -156,11 +156,85 @@ fn tcp_edge_cut_repeats_bit_identical() {
             Dfs::new(DfsConfig::instant()),
         )
     };
-    let bits = |r: RunReport<RankValue>| -> Vec<u64> {
-        r.values.iter().map(|v| v.rank.to_bits()).collect()
-    };
-    let want = bits(run(TransportKind::Channel));
+    let want = value_bits(&run(TransportKind::Channel));
     for rep in 0..50 {
-        assert_eq!(bits(run(TransportKind::Tcp)), want, "TCP run {rep}");
+        assert_eq!(value_bits(&run(TransportKind::Tcp)), want, "TCP run {rep}");
+    }
+}
+
+/// Every value's rank and share, as bits.
+fn value_bits(r: &RunReport<RankValue>) -> Vec<(u64, u64)> {
+    let bits = |v: &RankValue| (v.rank.to_bits(), v.share.to_bits());
+    r.values.iter().map(bits).collect()
+}
+
+/// A PageRank value crosses a node boundary as its rank, and the share is
+/// derived wherever a value enters a node: a sync commit, a full sync, a
+/// Rebirth entry, a Migration grant or fresh mirror, a graph or snapshot off
+/// the DFS. Each recovery strategy on each engine, with one crash, must land
+/// on the same ranks *and* shares over TCP as over the channel, bit for bit,
+/// and account the same bytes to the byte; and on the failure-free run's
+/// bits, except vertex-cut Migration, which regroups edges across nodes so
+/// that its gather sums reassociate (`distributed_algos.rs` holds it to f64
+/// rounding). TCP really decodes, so a site that forgot to derive shows up
+/// there as NaN; an in-process transport moves values whole, and debug
+/// builds check that the share derived is the share shipped.
+#[test]
+fn pagerank_recovers_bit_identical_on_every_transport() {
+    let g = smoke_graph(80, 260, 14);
+    let replication = |recovery| FtMode::Replication {
+        tolerance: 1,
+        selfish_opt: false,
+        recovery,
+    };
+    let ckpt = FtMode::Checkpoint {
+        interval: 2,
+        incremental: true,
+    };
+    // (name, mode, standbys, crash iteration). A checkpoint recovery before
+    // the first epoch runs on the values of the graph snapshot alone.
+    let strategies = [
+        ("Rebirth", replication(RecoveryStrategy::Rebirth), 1, 5),
+        ("Migration", replication(RecoveryStrategy::Migration), 0, 5),
+        ("incremental checkpoint", ckpt, 1, 5),
+        ("checkpoint before its first epoch", ckpt, 1, 1),
+    ];
+    for edge_cut in [true, false] {
+        let engine = if edge_cut { "edge-cut" } else { "vertex-cut" };
+        let run = |transport, ft, standbys, failures: &[FailurePlan]| {
+            let prog = Arc::new(PageRank::new(0.85, 0.0));
+            let (cfg, dfs) = (cfg(transport, ft, standbys), Dfs::new(DfsConfig::instant()));
+            if edge_cut {
+                let cut = HashEdgeCut.partition(&g, 3);
+                run_edge_cut(&g, &cut, prog, cfg, failures.to_vec(), dfs)
+            } else {
+                let cut = RandomVertexCut.partition(&g, 3);
+                run_vertex_cut(&g, &cut, prog, cfg, failures.to_vec(), dfs)
+            }
+        };
+        let want = value_bits(&run(TransportKind::Channel, FtMode::None, 0, &[]));
+        for (name, ft, standbys, iteration) in strategies {
+            let crash = [FailurePlan {
+                node: NodeId::from_index(1),
+                iteration,
+                point: FailPoint::BeforeBarrier,
+            }];
+            let channel = run(TransportKind::Channel, ft, standbys, &crash);
+            let tcp = run(TransportKind::Tcp, ft, standbys, &crash);
+            assert_eq!(channel.recoveries.len(), 1, "{engine} {name}");
+            assert!(
+                value_bits(&tcp) == value_bits(&channel),
+                "{engine} {name}: TCP is not the channel run"
+            );
+            assert!(
+                value_bits(&channel) == want || (!edge_cut && name == "Migration"),
+                "{engine} {name} is not the failure-free run"
+            );
+            assert_eq!(tcp.comm.bytes, channel.comm.bytes, "{engine} {name}");
+            assert_eq!(
+                tcp.recoveries[0].comm.bytes, channel.recoveries[0].comm.bytes,
+                "{engine} {name}"
+            );
+        }
     }
 }
