@@ -10,7 +10,7 @@
 use imitator_engine::{Degrees, VertexProgram};
 use imitator_graph::Vid;
 use imitator_metrics::MemSize;
-use imitator_storage::codec::{Decode, DecodeError, Encode, Reader};
+use imitator_storage::codec::{Decode, DecodeError, Encode, Reader, Sink};
 
 use crate::linalg::cholesky_solve;
 
@@ -19,8 +19,8 @@ use crate::linalg::cholesky_solve;
 pub struct AlsValue(pub Vec<f32>);
 
 impl Encode for AlsValue {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.0.encode(out);
     }
 }
 
@@ -47,9 +47,9 @@ pub struct AlsAccum {
 }
 
 impl Encode for AlsAccum {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.xtx.encode(buf);
-        self.xty.encode(buf);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.xtx.encode(out);
+        self.xty.encode(out);
     }
 }
 
@@ -205,14 +205,6 @@ impl VertexProgram for Als {
     fn selfish_compatible(&self) -> bool {
         true
     }
-
-    fn value_wire_bytes(&self, v: &AlsValue) -> usize {
-        8 + v.0.len() * 4
-    }
-
-    fn accum_wire_bytes(&self, a: &AlsAccum) -> usize {
-        16 + (a.xtx.len() + a.xty.len()) * 4
-    }
 }
 
 /// Root-mean-square error of the factorisation against the rating edges —
@@ -244,6 +236,7 @@ pub fn rmse(g: &imitator_graph::Graph, factors: &[AlsValue]) -> f64 {
 mod tests {
     use super::*;
     use imitator_graph::gen;
+    use proptest::prelude::*;
 
     #[test]
     fn init_is_deterministic_per_vertex() {
@@ -345,5 +338,20 @@ mod tests {
         let v = AlsValue(vec![1.0, -2.5, 0.125]);
         let back: AlsValue = imitator_storage::codec::decode(&v.to_bytes()).unwrap();
         assert_eq!(back, v);
+    }
+
+    proptest! {
+        /// A value and an accumulator cost on the wire what their encoders
+        /// write: the counting sink agrees with the buffer.
+        #[test]
+        fn counted_length_is_the_encoding(
+            factors in proptest::collection::vec(any::<f32>(), 0..12),
+            xtx in proptest::collection::vec(any::<f32>(), 0..144),
+        ) {
+            let v = AlsValue(factors.clone());
+            prop_assert_eq!(v.encoded_len(), v.to_bytes().len());
+            let acc = AlsAccum { xtx, xty: factors };
+            prop_assert_eq!(acc.encoded_len(), acc.to_bytes().len());
+        }
     }
 }

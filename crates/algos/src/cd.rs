@@ -88,10 +88,6 @@ impl VertexProgram for CommunityDetection {
     fn selfish_compatible(&self) -> bool {
         true
     }
-
-    fn accum_wire_bytes(&self, a: &Vec<(u32, u32)>) -> usize {
-        8 + a.len() * 8
-    }
 }
 
 /// Sequential synchronous label-propagation reference.

@@ -399,9 +399,12 @@ fn main() {
     // phase, i.e. the model's post-recovery hook plus dropping the journal),
     // and two byte gauges, exact for a given graph, partitioning and crash:
     // everything the eight rounds put on the wire, and the journal the
-    // survivors held between them when the attempt finished.
+    // survivors held between them when the attempt finished. The
+    // single-thread Rebirth scenario yields the third: everything the
+    // survivors' batches put on the wire. Both wire gauges are what the
+    // episode's messages encode to.
     let mut undo = (f64::INFINITY, f64::INFINITY);
-    let mut recovery_migration_bytes = 0.0;
+    let (mut recovery_rebirth_bytes, mut recovery_migration_bytes) = (0.0, 0.0);
     let mut undo_journal_bytes = 0.0;
     for (name, strategy, standbys) in [
         ("recovery_rebirth_e2e", RecoveryStrategy::Rebirth, 1usize),
@@ -432,8 +435,11 @@ fn main() {
                 );
                 assert_eq!(s.recoveries.len(), 1, "crash must trigger one episode");
                 best = best.min(s.recovery_total().as_secs_f64());
+                let ep = &s.recoveries[0];
+                if strategy == RecoveryStrategy::Rebirth && threads == 1 {
+                    recovery_rebirth_bytes = ep.comm.bytes as f64;
+                }
                 if strategy == RecoveryStrategy::Migration && threads == 1 {
-                    let ep = &s.recoveries[0];
                     let phase = |key| ep.phases.get(key).map_or(0.0, |d| d.as_secs_f64());
                     undo.0 = undo.0.min(phase("undo_capture"));
                     undo.1 = undo.1.min(phase("after_recovery"));
@@ -685,6 +691,9 @@ fn main() {
     json.push_str(&format!("    \"bytes_per_sync\": {bytes_per_sync:.4},\n"));
     json.push_str(&format!("    \"bytes_per_ckpt\": {bytes_per_ckpt:.1},\n"));
     json.push_str(&format!(
+        "    \"recovery_rebirth\": {recovery_rebirth_bytes:.1},\n"
+    ));
+    json.push_str(&format!(
         "    \"recovery_migration\": {recovery_migration_bytes:.1},\n"
     ));
     json.push_str(&format!("    \"undo_journal\": {undo_journal_bytes:.1},\n"));
@@ -697,6 +706,10 @@ fn main() {
     json.push_str("  }\n}\n");
     println!("  {:<40} {bytes_per_sync:>10.4} B", "bytes_per_sync");
     println!("  {:<40} {bytes_per_ckpt:>10.1} B", "bytes_per_ckpt");
+    println!(
+        "  {:<40} {recovery_rebirth_bytes:>10.1} B",
+        "recovery_rebirth"
+    );
     println!(
         "  {:<40} {recovery_migration_bytes:>10.1} B",
         "recovery_migration"

@@ -29,13 +29,13 @@ use imitator_engine::{
 };
 use imitator_graph::{PosIndex, Vid};
 use imitator_storage::codec::{
-    read_uvarint, unzigzag64, write_uvarint, zigzag64, Decode, DecodeError, Encode, Reader,
+    read_uvarint, unzigzag64, write_uvarint, zigzag64, Decode, DecodeError, Encode, Reader, Sink,
 };
 use imitator_storage::{Dfs, WriteBehind};
 
 use crate::driver::ModelGraph;
 
-fn enc_uv(v: u64, buf: &mut Vec<u8>) {
+fn enc_uv<S: Sink>(v: u64, buf: &mut S) {
     write_uvarint(buf, v);
 }
 
@@ -53,7 +53,7 @@ pub(crate) fn dec_count(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
     Ok(n as usize)
 }
 
-fn enc_u32(v: u32, buf: &mut Vec<u8>) {
+fn enc_u32<S: Sink>(v: u32, buf: &mut S) {
     write_uvarint(buf, u64::from(v));
 }
 
@@ -63,7 +63,7 @@ fn dec_u32(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
 
 /// Writes `cur` as the zigzag varint of its step from `prev`, advancing
 /// `prev` — the shared position/ID column primitive.
-fn enc_delta(cur: u32, prev: &mut u32, buf: &mut Vec<u8>) {
+fn enc_delta<S: Sink>(cur: u32, prev: &mut u32, buf: &mut S) {
     write_uvarint(buf, zigzag64(i64::from(cur) - i64::from(*prev)));
     *prev = cur;
 }
@@ -77,7 +77,7 @@ pub(crate) fn dec_delta(r: &mut Reader<'_>, prev: &mut u32) -> Result<u32, Decod
     Ok(cur)
 }
 
-fn enc_vid(v: Vid, buf: &mut Vec<u8>) {
+fn enc_vid<S: Sink>(v: Vid, buf: &mut S) {
     enc_u32(v.raw(), buf);
 }
 
@@ -85,7 +85,7 @@ fn dec_vid(r: &mut Reader<'_>) -> Result<Vid, DecodeError> {
     Ok(Vid::new(dec_u32(r)?))
 }
 
-fn enc_node(n: NodeId, buf: &mut Vec<u8>) {
+fn enc_node<S: Sink>(n: NodeId, buf: &mut S) {
     enc_u32(n.raw(), buf);
 }
 
@@ -103,7 +103,7 @@ pub(crate) fn kind_from_bits(b: u8) -> Result<CopyKind, DecodeError> {
 
 /// The replica-location tables: all of a vertex-cut copy's full state, and
 /// the head of an edge-cut copy's.
-pub(crate) fn enc_locations(m: LocationsRef<'_>, buf: &mut Vec<u8>) {
+pub(crate) fn enc_locations<S: Sink>(m: LocationsRef<'_>, buf: &mut S) {
     enc_u32(m.master_pos(), buf);
     enc_uv(m.replica_nodes().len() as u64, buf);
     for (n, &p) in m.replica_nodes().iter().zip(m.replica_positions()) {
@@ -154,7 +154,7 @@ pub(crate) fn dec_locations(r: &mut Reader<'_>) -> Result<Locations, DecodeError
 
 /// The four column totals of a full-state store, ahead of the store itself
 /// so that a decoder sizes each column once.
-pub(crate) fn enc_column_lens(lens: ColumnLens, buf: &mut Vec<u8>) {
+pub(crate) fn enc_column_lens<S: Sink>(lens: ColumnLens, buf: &mut S) {
     for total in [lens.in_edges, lens.in_srcs, lens.out_local, lens.out_remote] {
         enc_uv(total as u64, buf);
     }
@@ -176,7 +176,7 @@ pub(crate) fn dec_column_lens(r: &mut Reader<'_>) -> Result<ColumnLens, DecodeEr
     Ok(lens)
 }
 
-fn enc_out_remote(edges: &[RemoteEdge], buf: &mut Vec<u8>) {
+fn enc_out_remote<S: Sink>(edges: &[RemoteEdge], buf: &mut S) {
     enc_uv(edges.len() as u64, buf);
     for r in edges {
         enc_node(r.node, buf);
@@ -207,7 +207,7 @@ fn dec_remote_edge(r: &mut Reader<'_>) -> Result<RemoteEdge, DecodeError> {
 }
 
 /// An edge-cut copy's full state as messages carry it.
-pub(crate) fn enc_meta(m: FullStateRef<'_>, buf: &mut Vec<u8>) {
+pub(crate) fn enc_meta<S: Sink>(m: FullStateRef<'_>, buf: &mut S) {
     enc_locations(m.locations, buf);
     enc_uv(m.in_edges_owner.len() as u64, buf);
     for (&(pos, w), src) in m.in_edges_owner.iter().zip(m.in_edge_srcs.iter()) {

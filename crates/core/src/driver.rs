@@ -16,7 +16,6 @@ use std::time::{Duration, Instant};
 
 use imitator_cluster::{
     BarrierOutcome, Cluster, Envelope, FailPoint, FailureInjector, FailurePlan, NodeCtx, NodeId,
-    WireCodec,
 };
 use imitator_engine::{
     chunk_ranges, CopyKind, Degrees, Episode, FtPlan, FullState, FullStateRef, InOrder, Locations,
@@ -28,7 +27,7 @@ use imitator_storage::codec::{Decode, Encode};
 use imitator_storage::{epoch, Dfs, EpochKind, WriteBehind};
 
 use crate::ckpt::GraphCodec;
-use crate::msg::{ProtoMsg, ReplicaGrant, VertexSync};
+use crate::msg::{ProtoMsg, ReplicaGrant, VertexSync, WireEntry};
 use crate::recovery::{self, Abort, Adoption, Mig, MigEnv};
 use crate::report::RunReport;
 use crate::rt::{merge_outcomes, NodeOutcome, NodeState};
@@ -208,9 +207,9 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// The vertex program.
     type Prog: VertexProgram<Value = Self::Value>;
     /// Gather accumulator (`()` when gather is fused into local compute).
-    type Accum: Clone + Send + 'static;
-    /// Rebirth recovery entry.
-    type Entry: Send + 'static;
+    type Accum: Clone + Send + Encode + Decode + 'static;
+    /// Rebirth recovery entry, with its wire codec.
+    type Entry: WireEntry;
     /// Local graph, with its DFS codec. `Sync` because recovery's read-only
     /// scans share it with pool workers behind an `Arc` (both engines' graphs
     /// are plain data).
@@ -223,10 +222,9 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// DFS path prefix for this model's snapshots ("ec" / "vc").
     const PREFIX: &'static str;
 
-    /// The program: its `value_wire_bytes` prices every value shipped, and
-    /// its `derive` completes every value that enters a node (a sync record,
-    /// a Rebirth entry, a Migration grant or fresh mirror, a graph or a
-    /// snapshot read back from the DFS) before anything reads it.
+    /// The program: its `derive` completes every value that enters a node (a
+    /// sync record, a Rebirth entry, a Migration grant or fresh mirror, a
+    /// graph or a snapshot read back from the DFS) before anything reads it.
     fn prog(&self) -> &Self::Prog;
     fn init_scratch(&self, lg: &Self::Graph, shared: &Shared<Self>) -> Self::Scratch;
     /// Re-derives graph-dependent scratch after recovery changed the layout.
@@ -279,7 +277,6 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     ) -> Self::Entry;
     /// Rebirth entry recreating the crashed master from this mirror.
     fn master_entry(&self, lg: &Self::Graph, pos: u32) -> Self::Entry;
-    fn entry_wire_bytes(&self, e: &Self::Entry) -> u64;
     fn entry_edges(&self, e: &Self::Entry) -> u64;
     /// Places a Rebirth entry at the position it names, its value derived.
     fn insert_entry(&self, lg: &mut Self::Graph, e: Self::Entry, degrees: &Degrees);
@@ -332,9 +329,6 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     fn place_granted(&self, lg: &mut Self::Graph, grant: ReplicaGrant<Self::Value>) -> u32;
     /// Migration R4: wire promoted masters' edges / adopt reloaded edges.
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<Self::MigExtra>, resume: u64);
-    /// Accounted wire size of record `i` of a mirror batch's full-state
-    /// store, its vertex ID aside (see `MirrorBatch::frame_bytes`).
-    fn meta_update_bytes(&self, metas: &FullState, i: usize) -> u64;
     /// Checkpoint-fallback recovery (no standbys left): graft a crashed
     /// node's reconstructed partition wholesale into this survivor's graph.
     /// Every master becomes local (a promotion); replica copies either
@@ -369,12 +363,7 @@ pub(crate) fn run<M: ComputeModel>(
     cfg: RunConfig,
     failures: Vec<FailurePlan>,
     dfs: Dfs,
-) -> (RunReport<M::Value>, FinalGraphs<M>)
-where
-    // The model's wire protocol must cross every transport backend: owned
-    // moves (channel), cloned duplicates (lossy), and encoded frames (TCP).
-    Msg<M>: Clone + WireCodec,
-{
+) -> (RunReport<M::Value>, FinalGraphs<M>) {
     let extra_replicas = plan.extra_replica_count();
     let mem_bytes: Vec<usize> = lgs.iter().map(MemSize::mem_bytes).collect();
     let injector = Arc::new(FailureInjector::new());
@@ -823,7 +812,7 @@ fn stage_update_syncs<M: ComputeModel>(
             continue;
         }
         let meta = lg.full(u.local);
-        let vb = shared.model.prog().value_wire_bytes(&u.value);
+        let vb = u.value.encoded_len();
         for (node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
             // Accounted record size: the record's columnar frame columns —
             // position delta against the previous record staged toward this

@@ -1,27 +1,29 @@
-//! Wire message types.
+//! Wire message types and their codec.
 //!
-//! Messages travel between simulated nodes as owned values over channels;
-//! byte sizes are *accounted* (for the paper's communication-cost numbers)
-//! rather than serialised. Only DFS content (checkpoints, edge-ckpt files)
-//! goes through the binary codec. Batch-shaped messages — [`ProtoMsg::Sync`],
-//! [`ProtoMsg::Gather`], [`ProtoMsg::MirrorUpdate`] — are charged as
-//! [columnar frames](crate::wire): one frame header per destination per
-//! superstep, positions/IDs as zigzag-varint delta columns. The remaining
-//! recovery messages are charged per record against the scalar codec; the
-//! `accounted_sizes_match_codec` test pins both equalities.
+//! The in-process transports move a [`ProtoMsg`] as an owned value; the TCP
+//! transport ships its encoding (the [`Encode`] impl below, behind
+//! [`WireCodec`]). Every transport charges a message what that encoding
+//! writes. [`ProtoMsg::Sync`] and [`ProtoMsg::Gather`] are
+//! [columnar frames](crate::wire), charged column by column as their records
+//! stage — one frame header per destination per superstep, however many
+//! chunks ship; a recovery message is one tag byte plus the scalar storage
+//! codec, charged [`Encode::encoded_len`]: its encoder run against a counting
+//! sink (DESIGN.md §4.6).
 
 use imitator_cluster::{NodeId, WireCodec};
 use imitator_engine::{CopyKind, FullState, FullStateRef, Locations, MasterMeta, StoreLens};
 use imitator_graph::Vid;
-use imitator_storage::codec::{read_uvarint, write_uvarint, Decode, DecodeError, Encode, Reader};
+use imitator_storage::codec::{
+    read_uvarint, write_uvarint, Decode, DecodeError, Encode, Reader, Sink,
+};
 
 use crate::ckpt::{
     dec_column_lens, dec_locations, dec_locations_into, dec_meta, dec_meta_into, enc_column_lens,
     enc_locations, enc_meta, kind_bits, kind_from_bits,
 };
 use crate::wire::{
-    decode_gather_frame, decode_sync_frame, encode_gather_frame, encode_sync_frame, SyncRecEnc,
-    GATHER_FRAME_TAG, SYNC_FRAME_TAG,
+    decode_gather_frame, decode_sync_frame, encode_gather_frame, put_sync_head, GATHER_FRAME_TAG,
+    SYNC_FRAME_TAG,
 };
 
 /// One vertex's synchronisation record, master → replica (Algorithm 1
@@ -71,18 +73,6 @@ pub struct EcRecoverEntry<V> {
     pub out_local: Vec<u32>,
     /// Full state (masters and mirrors).
     pub meta: Option<Box<MasterMeta>>,
-}
-
-impl<V> EcRecoverEntry<V> {
-    /// Accounted wire size of one entry, matching the storage codec's
-    /// encoding of every field except `meta` (mirror full state is charged
-    /// separately by the meta-refresh estimates): `vid + pos + kind +
-    /// master_node + value + last_activate + active + in_edges (length
-    /// prefix + 8 per edge) + out_local (length prefix + 4 per target) +
-    /// meta presence flag`.
-    pub fn wire_bytes(value_bytes: usize, in_edges: usize, out_local: usize) -> usize {
-        4 + 4 + 1 + 4 + value_bytes + 1 + 1 + (8 + 8 * in_edges) + (8 + 4 * out_local) + 1
-    }
 }
 
 /// Migration round 1: a mirror promoted itself to master (§5.2.1).
@@ -135,25 +125,6 @@ pub struct MirrorBatch<V> {
     /// The full states, a slot each (vertex-cut: location tables only, a
     /// store without edge rows).
     pub metas: FullState,
-}
-
-impl<V> MirrorBatch<V> {
-    /// Accounted bytes of the batch as one mirror frame: frame header,
-    /// vertex-ID column (zigzag deltas between consecutive records), and
-    /// `meta_bytes(i)` — the model's meta/value payload estimate — per
-    /// record. Empty batches — pure barrier traffic — are free.
-    pub fn frame_bytes(&self, meta_bytes: impl Fn(usize) -> u64) -> u64 {
-        if self.vids.is_empty() {
-            return 0;
-        }
-        let mut prev = 0u32;
-        let mut bytes = crate::wire::small_frame_overhead(self.vids.len() as u64);
-        for (i, vid) in self.vids.iter().enumerate() {
-            bytes += crate::wire::col_delta_bytes(vid.raw(), prev) + meta_bytes(i);
-            prev = vid.raw();
-        }
-        bytes
-    }
 }
 
 /// The model-generic cluster protocol, parameterized by value `V`, gather
@@ -219,26 +190,14 @@ pub struct VcRecoverEntry<V> {
     pub meta: Option<Box<Locations>>,
 }
 
-impl<V> VcRecoverEntry<V> {
-    /// Accounted wire size of one entry, matching the storage codec's
-    /// encoding of every field except `meta` (charged separately): `vid +
-    /// pos + kind + master_node + value + meta presence flag`.
-    pub fn wire_bytes(value_bytes: usize) -> usize {
-        4 + 4 + 1 + 4 + value_bytes + 1
-    }
-}
-
 // ---------------------------------------------------------------------------
-// On-the-wire codec (TCP transport).
+// On-the-wire codec.
 //
-// In-process transports move `ProtoMsg` as owned values; the TCP backend
-// serialises them. The batch-shaped variants go through the columnar
-// frame codecs from [`crate::wire`] — the same layouts the byte accounting
-// charges — dispatched by their frame tags; the recovery variants get one
-// tag byte plus the scalar storage codec, reusing the checkpoint meta
-// codecs for full replica state. Sync frames always carry full values on
-// the wire (`span: None`): delta payloads need the receiver's base value,
-// which a frame decoded off a socket cannot consult.
+// The batch-shaped variants go through the columnar frame layouts of
+// [`crate::wire`], dispatched by their frame tags; the recovery variants get
+// one tag byte plus the scalar storage codec, reusing the checkpoint meta
+// codecs for full replica state. Every encoder writes into a [`Sink`], so
+// the same walk that fills a socket's buffer counts a message's bytes.
 // ---------------------------------------------------------------------------
 
 const TAG_REBIRTH: u8 = 0x01;
@@ -266,26 +225,16 @@ fn dec_len(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
     Ok(n)
 }
 
-fn enc_sync<V: Encode>(recs: &[VertexSync<V>], out: &mut Vec<u8>) {
-    let values: Vec<Vec<u8>> = recs
-        .iter()
-        .map(|s| {
-            let mut b = Vec::new();
-            s.value.encode(&mut b);
-            b
-        })
-        .collect();
-    let enc: Vec<SyncRecEnc<'_>> = recs
-        .iter()
-        .zip(&values)
-        .map(|(s, v)| SyncRecEnc {
-            pos: s.pos,
-            activate: s.activate,
-            value: v,
-            span: None,
-        })
-        .collect();
-    encode_sync_frame(&enc, out);
+/// A sync frame with every value in full: the layout
+/// [`crate::wire::encode_sync_frame`] writes for records without a span,
+/// each value encoded straight into `out`.
+fn enc_sync<V: Encode, S: Sink>(recs: &[VertexSync<V>], out: &mut S) {
+    put_sync_head(out, recs.len(), |i| {
+        (recs[i].pos, u8::from(recs[i].activate))
+    });
+    for s in recs {
+        s.value.encode(out);
+    }
 }
 
 fn dec_sync<V: Decode>(bytes: &[u8]) -> Result<Vec<VertexSync<V>>, DecodeError> {
@@ -301,11 +250,6 @@ fn dec_sync<V: Decode>(bytes: &[u8]) -> Result<Vec<VertexSync<V>>, DecodeError> 
         .collect())
 }
 
-fn enc_gather<A: Encode + Clone>(recs: &[(Vid, A)], out: &mut Vec<u8>) {
-    let raw: Vec<(u32, A)> = recs.iter().map(|(v, a)| (v.raw(), a.clone())).collect();
-    encode_gather_frame(&raw, out);
-}
-
 fn dec_gather<A: Decode>(bytes: &[u8]) -> Result<Vec<(Vid, A)>, DecodeError> {
     Ok(decode_gather_frame::<A>(bytes)?
         .into_iter()
@@ -313,112 +257,98 @@ fn dec_gather<A: Decode>(bytes: &[u8]) -> Result<Vec<(Vid, A)>, DecodeError> {
         .collect())
 }
 
-fn enc_batch<E>(b: &RebirthBatch<E>, buf: &mut Vec<u8>, enc_e: impl Fn(&E, &mut Vec<u8>)) {
-    b.resume_iter.encode(buf);
-    b.num_survivors.encode(buf);
-    write_uvarint(buf, b.entries.len() as u64);
-    for e in &b.entries {
-        enc_e(e, buf);
+/// A length prefix, then `items` each as `enc` writes it.
+fn enc_list<T, S: Sink>(items: &[T], out: &mut S, enc: impl Fn(&T, &mut S)) {
+    write_uvarint(out, items.len() as u64);
+    for item in items {
+        enc(item, out);
     }
 }
 
-fn dec_batch<E>(
+/// Reads [`enc_list`] back.
+fn dec_list<T>(
     r: &mut Reader<'_>,
-    dec_e: impl Fn(&mut Reader<'_>) -> Result<E, DecodeError>,
-) -> Result<RebirthBatch<E>, DecodeError> {
-    let resume_iter = u64::decode(r)?;
-    let num_survivors = u32::decode(r)?;
+    dec: impl Fn(&mut Reader<'_>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
     let n = dec_len(r)?;
-    let mut entries = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        entries.push(dec_e(r)?);
+        out.push(dec(r)?);
     }
+    Ok(out)
+}
+
+fn enc_batch<E: Encode, S: Sink>(b: &RebirthBatch<E>, out: &mut S) {
+    b.resume_iter.encode(out);
+    b.num_survivors.encode(out);
+    enc_list(&b.entries, out, |e, out| e.encode(out));
+}
+
+fn dec_batch<E: Decode>(r: &mut Reader<'_>) -> Result<RebirthBatch<E>, DecodeError> {
     Ok(RebirthBatch {
-        resume_iter,
-        num_survivors,
-        entries,
+        resume_iter: u64::decode(r)?,
+        num_survivors: u32::decode(r)?,
+        entries: dec_list(r, E::decode)?,
     })
 }
 
-fn enc_promotions(ps: &[Promotion], buf: &mut Vec<u8>) {
-    write_uvarint(buf, ps.len() as u64);
-    for p in ps {
-        p.vid.raw().encode(buf);
-        p.new_master.raw().encode(buf);
-        p.new_pos.encode(buf);
-        p.old_node.raw().encode(buf);
-        p.old_pos.encode(buf);
-    }
+fn enc_promotion<S: Sink>(p: &Promotion, out: &mut S) {
+    p.vid.raw().encode(out);
+    p.new_master.raw().encode(out);
+    p.new_pos.encode(out);
+    p.old_node.raw().encode(out);
+    p.old_pos.encode(out);
 }
 
-fn dec_promotions(r: &mut Reader<'_>) -> Result<Vec<Promotion>, DecodeError> {
-    let n = dec_len(r)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(Promotion {
-            vid: dec_vid(r)?,
-            new_master: dec_node(r)?,
-            new_pos: u32::decode(r)?,
-            old_node: dec_node(r)?,
-            old_pos: u32::decode(r)?,
-        });
-    }
-    Ok(out)
+fn dec_promotion(r: &mut Reader<'_>) -> Result<Promotion, DecodeError> {
+    Ok(Promotion {
+        vid: dec_vid(r)?,
+        new_master: dec_node(r)?,
+        new_pos: u32::decode(r)?,
+        old_node: dec_node(r)?,
+        old_pos: u32::decode(r)?,
+    })
 }
 
-fn enc_grants<V: Encode>(gs: &[ReplicaGrant<V>], buf: &mut Vec<u8>) {
-    write_uvarint(buf, gs.len() as u64);
-    for g in gs {
-        g.vid.raw().encode(buf);
-        g.value.encode(buf);
-        g.last_activate.encode(buf);
-        g.master_node.raw().encode(buf);
-    }
+fn enc_grant<V: Encode, S: Sink>(g: &ReplicaGrant<V>, out: &mut S) {
+    g.vid.raw().encode(out);
+    g.value.encode(out);
+    g.last_activate.encode(out);
+    g.master_node.raw().encode(out);
 }
 
-fn dec_grants<V: Decode>(r: &mut Reader<'_>) -> Result<Vec<ReplicaGrant<V>>, DecodeError> {
-    let n = dec_len(r)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(ReplicaGrant {
-            vid: dec_vid(r)?,
-            value: V::decode(r)?,
-            last_activate: bool::decode(r)?,
-            master_node: dec_node(r)?,
-        });
-    }
-    Ok(out)
+fn dec_grant<V: Decode>(r: &mut Reader<'_>) -> Result<ReplicaGrant<V>, DecodeError> {
+    Ok(ReplicaGrant {
+        vid: dec_vid(r)?,
+        value: V::decode(r)?,
+        last_activate: bool::decode(r)?,
+        master_node: dec_node(r)?,
+    })
 }
 
 /// A mirror batch on the wire: record count, sender, the vertex-ID and
 /// scatter-bit columns, the sparse value column, then the full-state store
-/// as the model writes it (`enc_s`).
-fn enc_mirror_batch<V: Encode>(
-    b: &MirrorBatch<V>,
-    buf: &mut Vec<u8>,
-    enc_s: impl Fn(&FullState, &mut Vec<u8>),
-) {
-    write_uvarint(buf, b.vids.len() as u64);
-    b.master_node.raw().encode(buf);
+/// as the model writes it ([`WireEntry::enc_states`]).
+fn enc_mirror_batch<V: Encode, E: WireEntry, S: Sink>(b: &MirrorBatch<V>, out: &mut S) {
+    write_uvarint(out, b.vids.len() as u64);
+    b.master_node.raw().encode(out);
     for v in &b.vids {
-        v.raw().encode(buf);
+        v.raw().encode(out);
     }
     for &bit in &b.last_activate {
-        bit.encode(buf);
+        bit.encode(out);
     }
-    write_uvarint(buf, b.values.len() as u64);
-    for (record, value) in &b.values {
-        record.encode(buf);
-        value.encode(buf);
-    }
-    enc_s(&b.metas, buf);
+    enc_list(&b.values, out, |(record, value), out| {
+        record.encode(out);
+        value.encode(out);
+    });
+    E::enc_states(&b.metas, out);
 }
 
-/// Decodes a mirror batch; `dec_s` is handed the record count and must come
-/// back with exactly that many full states.
-fn dec_mirror_batch<V: Decode>(
+/// Decodes a mirror batch; [`WireEntry::dec_states`] is handed the record
+/// count and must come back with exactly that many full states.
+fn dec_mirror_batch<V: Decode, E: WireEntry>(
     r: &mut Reader<'_>,
-    dec_s: impl Fn(&mut Reader<'_>, usize) -> Result<FullState, DecodeError>,
 ) -> Result<MirrorBatch<V>, DecodeError> {
     let n = dec_len(r)?;
     let master_node = dec_node(r)?;
@@ -454,41 +384,17 @@ fn dec_mirror_batch<V: Decode>(
         values,
         last_activate,
         master_node,
-        metas: dec_s(r, n)?,
+        metas: E::dec_states(r, n)?,
     })
 }
 
-fn enc_vids(vids: &[Vid], buf: &mut Vec<u8>) {
-    write_uvarint(buf, vids.len() as u64);
-    for v in vids {
-        v.raw().encode(buf);
-    }
+fn enc_placed<S: Sink>(&(v, pos): &(Vid, u32), out: &mut S) {
+    v.raw().encode(out);
+    pos.encode(out);
 }
 
-fn dec_vids(r: &mut Reader<'_>) -> Result<Vec<Vid>, DecodeError> {
-    let n = dec_len(r)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(dec_vid(r)?);
-    }
-    Ok(out)
-}
-
-fn enc_placed(ps: &[(Vid, u32)], buf: &mut Vec<u8>) {
-    write_uvarint(buf, ps.len() as u64);
-    for &(v, pos) in ps {
-        v.raw().encode(buf);
-        pos.encode(buf);
-    }
-}
-
-fn dec_placed(r: &mut Reader<'_>) -> Result<Vec<(Vid, u32)>, DecodeError> {
-    let n = dec_len(r)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((dec_vid(r)?, u32::decode(r)?));
-    }
-    Ok(out)
+fn dec_placed(r: &mut Reader<'_>) -> Result<(Vid, u32), DecodeError> {
+    Ok((dec_vid(r)?, u32::decode(r)?))
 }
 
 /// Finishes a scalar-coded decode: the whole payload must be consumed.
@@ -496,37 +402,38 @@ fn settle<T>(r: Reader<'_>, value: T) -> Option<T> {
     (r.remaining() == 0).then_some(value)
 }
 
-/// What differs between the two models' wire protocols: how a Rebirth
-/// recovery entry and a mirror batch's full-state store are written.
-pub(crate) trait WireEntry: Sized {
-    fn enc(&self, buf: &mut Vec<u8>);
-    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
-    fn enc_states(metas: &FullState, buf: &mut Vec<u8>);
+/// What differs between the two models' wire protocols: a Rebirth recovery
+/// entry (its own codec) and how a mirror batch's full-state store is
+/// written.
+pub(crate) trait WireEntry: Encode + Decode + Clone + Send + 'static {
+    fn enc_states<S: Sink>(metas: &FullState, out: &mut S);
     /// Reads back `n` full states.
     fn dec_states(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError>;
 }
 
-impl<V: Encode + Decode> WireEntry for EcRecoverEntry<V> {
-    fn enc(&self, buf: &mut Vec<u8>) {
-        self.vid.raw().encode(buf);
-        self.pos.encode(buf);
-        kind_bits(self.kind).encode(buf);
-        self.master_node.raw().encode(buf);
-        self.value.encode(buf);
-        self.last_activate.encode(buf);
-        self.active.encode(buf);
-        self.in_edges.encode(buf);
-        self.out_local.encode(buf);
+impl<V: Encode> Encode for EcRecoverEntry<V> {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.vid.raw().encode(out);
+        self.pos.encode(out);
+        kind_bits(self.kind).encode(out);
+        self.master_node.raw().encode(out);
+        self.value.encode(out);
+        self.last_activate.encode(out);
+        self.active.encode(out);
+        self.in_edges.encode(out);
+        self.out_local.encode(out);
         match &self.meta {
             Some(m) => {
-                true.encode(buf);
-                enc_meta(m.view(), buf);
+                true.encode(out);
+                enc_meta(m.view(), out);
             }
-            None => false.encode(buf),
+            None => false.encode(out),
         }
     }
+}
 
-    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+impl<V: Decode> Decode for EcRecoverEntry<V> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(EcRecoverEntry {
             vid: dec_vid(r)?,
             pos: u32::decode(r)?,
@@ -542,13 +449,15 @@ impl<V: Encode + Decode> WireEntry for EcRecoverEntry<V> {
                 .transpose()?,
         })
     }
+}
 
+impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for EcRecoverEntry<V> {
     /// The four column totals, so that the decoder sizes each column once,
     /// then every slot's full state in message form.
-    fn enc_states(metas: &FullState, buf: &mut Vec<u8>) {
-        enc_column_lens(metas.column_lens(), buf);
+    fn enc_states<S: Sink>(metas: &FullState, out: &mut S) {
+        enc_column_lens(metas.column_lens(), out);
         for i in 0..metas.len() {
-            enc_meta(metas.nth(i), buf);
+            enc_meta(metas.nth(i), out);
         }
     }
 
@@ -572,23 +481,25 @@ impl<V: Encode + Decode> WireEntry for EcRecoverEntry<V> {
     }
 }
 
-impl<V: Encode + Decode> WireEntry for VcRecoverEntry<V> {
-    fn enc(&self, buf: &mut Vec<u8>) {
-        self.vid.raw().encode(buf);
-        self.pos.encode(buf);
-        kind_bits(self.kind).encode(buf);
-        self.master_node.raw().encode(buf);
-        self.value.encode(buf);
+impl<V: Encode> Encode for VcRecoverEntry<V> {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.vid.raw().encode(out);
+        self.pos.encode(out);
+        kind_bits(self.kind).encode(out);
+        self.master_node.raw().encode(out);
+        self.value.encode(out);
         match &self.meta {
             Some(m) => {
-                true.encode(buf);
-                enc_locations(m.view(), buf);
+                true.encode(out);
+                enc_locations(m.view(), out);
             }
-            None => false.encode(buf),
+            None => false.encode(out),
         }
     }
+}
 
-    fn dec(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+impl<V: Decode> Decode for VcRecoverEntry<V> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(VcRecoverEntry {
             vid: dec_vid(r)?,
             pos: u32::decode(r)?,
@@ -600,11 +511,13 @@ impl<V: Encode + Decode> WireEntry for VcRecoverEntry<V> {
                 .transpose()?,
         })
     }
+}
 
+impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for VcRecoverEntry<V> {
     /// Every slot's location tables, nothing else.
-    fn enc_states(metas: &FullState, buf: &mut Vec<u8>) {
+    fn enc_states<S: Sink>(metas: &FullState, out: &mut S) {
         for i in 0..metas.len() {
-            enc_locations(metas.nth(i).locations, buf);
+            enc_locations(metas.nth(i).locations, out);
         }
     }
 
@@ -626,41 +539,53 @@ impl<V: Encode + Decode> WireEntry for VcRecoverEntry<V> {
     }
 }
 
+/// A message as the TCP transport ships it, and as every transport charges
+/// it: into a buffer it is the frame, into a [`ByteCount`] its size.
+///
+/// [`ByteCount`]: imitator_storage::codec::ByteCount
+impl<V: Encode, A: Encode, E: WireEntry> Encode for ProtoMsg<V, A, E> {
+    fn encode<S: Sink>(&self, out: &mut S) {
+        match self {
+            ProtoMsg::Sync(recs) => enc_sync(recs, out),
+            ProtoMsg::Gather(recs) => {
+                encode_gather_frame(recs.iter().map(|(v, a)| (v.raw(), a)), out);
+            }
+            ProtoMsg::Rebirth(b) => {
+                out.put_byte(TAG_REBIRTH);
+                enc_batch(b, out);
+            }
+            ProtoMsg::Promote(ps) => {
+                out.put_byte(TAG_PROMOTE);
+                enc_list(ps, out, enc_promotion);
+            }
+            ProtoMsg::ReplicaRequest(vids) => {
+                out.put_byte(TAG_REPLICA_REQUEST);
+                enc_list(vids, out, |v, out| v.raw().encode(out));
+            }
+            ProtoMsg::ReplicaGrant(gs) => {
+                out.put_byte(TAG_REPLICA_GRANT);
+                enc_list(gs, out, enc_grant);
+            }
+            ProtoMsg::ReplicaPlaced(ps) => {
+                out.put_byte(TAG_REPLICA_PLACED);
+                enc_list(ps, out, enc_placed);
+            }
+            ProtoMsg::MirrorUpdate(b) => {
+                out.put_byte(TAG_MIRROR_UPDATE);
+                enc_mirror_batch::<V, E, S>(b, out);
+            }
+        }
+    }
+}
+
 impl<V, A, E> WireCodec for ProtoMsg<V, A, E>
 where
     V: Encode + Decode,
-    A: Encode + Decode + Clone,
+    A: Encode + Decode,
     E: WireEntry,
 {
     fn encode_wire(&self, buf: &mut Vec<u8>) {
-        match self {
-            ProtoMsg::Sync(recs) => enc_sync(recs, buf),
-            ProtoMsg::Gather(recs) => enc_gather(recs, buf),
-            ProtoMsg::Rebirth(b) => {
-                buf.push(TAG_REBIRTH);
-                enc_batch(b, buf, E::enc);
-            }
-            ProtoMsg::Promote(ps) => {
-                buf.push(TAG_PROMOTE);
-                enc_promotions(ps, buf);
-            }
-            ProtoMsg::ReplicaRequest(vids) => {
-                buf.push(TAG_REPLICA_REQUEST);
-                enc_vids(vids, buf);
-            }
-            ProtoMsg::ReplicaGrant(gs) => {
-                buf.push(TAG_REPLICA_GRANT);
-                enc_grants(gs, buf);
-            }
-            ProtoMsg::ReplicaPlaced(ps) => {
-                buf.push(TAG_REPLICA_PLACED);
-                enc_placed(ps, buf);
-            }
-            ProtoMsg::MirrorUpdate(b) => {
-                buf.push(TAG_MIRROR_UPDATE);
-                enc_mirror_batch(b, buf, E::enc_states);
-            }
-        }
+        self.encode(buf);
     }
 
     fn decode_wire(bytes: &[u8]) -> Option<Self> {
@@ -671,13 +596,17 @@ where
             _ => {
                 let mut r = Reader::new(&bytes[1..]);
                 let msg = match tag {
-                    TAG_REBIRTH => ProtoMsg::Rebirth(Box::new(dec_batch(&mut r, E::dec).ok()?)),
-                    TAG_PROMOTE => ProtoMsg::Promote(dec_promotions(&mut r).ok()?),
-                    TAG_REPLICA_REQUEST => ProtoMsg::ReplicaRequest(dec_vids(&mut r).ok()?),
-                    TAG_REPLICA_GRANT => ProtoMsg::ReplicaGrant(dec_grants(&mut r).ok()?),
-                    TAG_REPLICA_PLACED => ProtoMsg::ReplicaPlaced(dec_placed(&mut r).ok()?),
+                    TAG_REBIRTH => ProtoMsg::Rebirth(Box::new(dec_batch(&mut r).ok()?)),
+                    TAG_PROMOTE => ProtoMsg::Promote(dec_list(&mut r, dec_promotion).ok()?),
+                    TAG_REPLICA_REQUEST => {
+                        ProtoMsg::ReplicaRequest(dec_list(&mut r, dec_vid).ok()?)
+                    }
+                    TAG_REPLICA_GRANT => ProtoMsg::ReplicaGrant(dec_list(&mut r, dec_grant).ok()?),
+                    TAG_REPLICA_PLACED => {
+                        ProtoMsg::ReplicaPlaced(dec_list(&mut r, dec_placed).ok()?)
+                    }
                     TAG_MIRROR_UPDATE => {
-                        let batch = dec_mirror_batch(&mut r, E::dec_states).ok()?;
+                        let batch = dec_mirror_batch::<V, E>(&mut r).ok()?;
                         ProtoMsg::MirrorUpdate(Box::new(batch))
                     }
                     _ => return None,
@@ -693,15 +622,12 @@ mod tests {
     use super::*;
     use crate::ckpt::tests::{arb_damage, arb_graph, arb_shape, damaged, plan_for, P};
     use crate::driver::ModelGraph;
-    use imitator_algos::{PageRank, RankValue};
-    use imitator_engine::{
-        build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, RemoteEdge, VertexProgram,
-    };
+    use imitator_algos::RankValue;
+    use imitator_engine::{build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, RemoteEdge};
     use imitator_metrics::MemSize;
     use imitator_partition::{
         EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
     };
-    use imitator_storage::codec::Encode;
     use proptest::prelude::*;
 
     #[test]
@@ -714,41 +640,33 @@ mod tests {
         assert_eq!(m.clone(), m);
     }
 
-    /// The accounted wire sizes must equal the actual encoded sizes of the
-    /// corresponding bytes, so the paper's communication-cost numbers can't
-    /// silently drift from the byte encoding the fault-tolerance layers
-    /// really use. Frame layouts (sizes in bytes):
+    /// Sync records are charged column by column as they stage: frame
+    /// overhead plus `sync_record_bytes` per record must equal what the
+    /// message encodes to, and what the frozen `encode_sync_frame` writes
+    /// for the same records. Run with a plain `f64` and with PageRank's
+    /// value, whose codec writes the rank and leaves the share to the
+    /// receiver.
     ///
     /// | frame  | tag | count      | flags  | id column        | payload column        |
     /// |--------|-----|------------|--------|------------------|-----------------------|
     /// | sync   | 1   | uvarint(n) | ⌈2n/8⌉ | Σ zzvarint(Δpos) | Σ full‖(off,len,span) |
     /// | gather | 1   | uvarint(n) | —      | Σ zzvarint(Δvid) | Σ accum encoding      |
-    /// | mirror | 1   | uvarint(n) | —      | Σ zzvarint(Δvid) | Σ meta estimate       |
-    ///
-    /// Recovery entries, promotions, and grants stay scalar-coded. Run with a
-    /// plain `f64` and with PageRank's value, whose codec writes the rank
-    /// and leaves the share to the receiver: the program's
-    /// `value_wire_bytes` is what every record is charged.
     #[test]
     fn accounted_sizes_match_codec() {
-        sizes_match_codec([1.5f64, -2.5], |_| 8);
-        let pr = PageRank::default();
+        sizes_match_codec([1.5f64, -2.5]);
         let (a, b) = (1.5, -2.5);
-        let ranks = [
+        sizes_match_codec([
             RankValue {
                 rank: a,
                 share: a / 3.0,
             },
             RankValue { rank: b, share: b },
-        ];
-        sizes_match_codec(ranks, |v| pr.value_wire_bytes(v));
+        ]);
     }
 
-    fn sizes_match_codec<V: Encode>(values: [V; 2], value_bytes: impl Fn(&V) -> usize) {
-        // A VertexSync batch is charged as one columnar sync frame: encode
-        // the same records through the real frame codec and compare.
-        let batch: Vec<VertexSync<&V>> = values
-            .iter()
+    fn sizes_match_codec<V: Encode + Decode + Clone + Send + 'static>(values: [V; 2]) {
+        let batch: Vec<VertexSync<V>> = values
+            .into_iter()
             .zip([(7, true), (9, false)])
             .map(|(value, (pos, activate))| VertexSync {
                 pos,
@@ -756,6 +674,12 @@ mod tests {
                 activate,
             })
             .collect();
+        let mut accounted = crate::wire::sync_frame_overhead(batch.len() as u64);
+        let mut prev = 0u32;
+        for s in &batch {
+            accounted += crate::wire::sync_record_bytes(s.pos, prev, s.value.encoded_len());
+            prev = s.pos;
+        }
         let encoded: Vec<Vec<u8>> = batch.iter().map(|s| s.value.to_bytes()).collect();
         let recs: Vec<crate::wire::SyncRecEnc<'_>> = batch
             .iter()
@@ -769,56 +693,27 @@ mod tests {
             .collect();
         let mut frame = Vec::new();
         crate::wire::encode_sync_frame(&recs, &mut frame);
-        let mut accounted = crate::wire::sync_frame_overhead(batch.len() as u64);
-        let mut prev = 0u32;
-        for s in &batch {
-            accounted += crate::wire::sync_record_bytes(s.pos, prev, value_bytes(s.value));
-            prev = s.pos;
-        }
-        assert_eq!(accounted, frame.len() as u64);
-
-        // EcRecoverEntry sans meta: vid, pos, kind (one byte), master_node,
-        // value, last_activate, active, in_edges, out_local, meta flag.
-        let in_edges: Vec<(u32, f32)> = vec![(3, 0.5), (9, 0.25)];
-        let out_local: Vec<u32> = vec![1, 2, 3];
-        let mut buf = Vec::new();
-        4u32.encode(&mut buf); // vid
-        2u32.encode(&mut buf); // pos
-        0u8.encode(&mut buf); // kind discriminant
-        1u32.encode(&mut buf); // master_node
-        values[0].encode(&mut buf); // value
-        true.encode(&mut buf); // last_activate
-        false.encode(&mut buf); // active
-        in_edges.encode(&mut buf);
-        out_local.encode(&mut buf);
-        Option::<u8>::None.encode(&mut buf); // meta presence flag
-        let value_len = value_bytes(&values[0]);
-        assert_eq!(
-            EcRecoverEntry::<V>::wire_bytes(value_len, in_edges.len(), out_local.len()),
-            buf.len()
-        );
-
-        // VcRecoverEntry sans meta: vid, pos, kind, master_node, value,
-        // meta flag.
-        let mut buf = Vec::new();
-        4u32.encode(&mut buf);
-        2u32.encode(&mut buf);
-        0u8.encode(&mut buf);
-        1u32.encode(&mut buf);
-        values[0].encode(&mut buf);
-        Option::<u8>::None.encode(&mut buf);
-        assert_eq!(VcRecoverEntry::<V>::wire_bytes(value_len), buf.len());
+        let msg = EcMsg::Sync(batch);
+        let mut wire = Vec::new();
+        msg.encode_wire(&mut wire);
+        assert_eq!(wire, frame, "one sync layout");
+        assert_eq!(accounted, wire.len() as u64);
+        assert_eq!(msg.encoded_len(), wire.len());
     }
 
+    /// Encodes, counts and decodes `m`: the counting sink agrees with the
+    /// buffer, and the buffer decodes to `m`.
     fn roundtrip_ec(m: &EcMsg<f64>) {
         let mut buf = Vec::new();
         m.encode_wire(&mut buf);
+        assert_eq!(m.encoded_len(), buf.len(), "{m:?}");
         assert_eq!(EcMsg::<f64>::decode_wire(&buf).as_ref(), Some(m));
     }
 
     fn roundtrip_vc(m: &VcMsg<f64, f64>) {
         let mut buf = Vec::new();
         m.encode_wire(&mut buf);
+        assert_eq!(m.encoded_len(), buf.len(), "{m:?}");
         assert_eq!(VcMsg::<f64, f64>::decode_wire(&buf).as_ref(), Some(m));
     }
 
@@ -1023,27 +918,6 @@ mod tests {
         ]));
     }
 
-    /// A batch is accounted as the mirror frame of the table above, record
-    /// by record: what the per-record messages it replaced were charged.
-    /// (End to end, the `rec` totals pinned in
-    /// `tests/prop_recovery_equivalence.rs` hold the same sum.)
-    #[test]
-    fn a_batch_is_accounted_like_its_records() {
-        let batch = ec_batch(&[(6, 2, Some(3.5)), (300, 0, None), (70_000, 5, None)]);
-        let estimate = |i: usize| 56 + 8 * batch.metas.nth(i).in_edges_owner.len() as u64;
-        // Header: tag + count. Vid deltas 6, 294 and 69 700 zigzag to one,
-        // two and three varint bytes. Metas: 56 + 8 per in-edge.
-        let pinned = (1 + 1) + (1 + 2 + 3) + (72 + 56 + 96);
-        assert_eq!(batch.frame_bytes(estimate), pinned);
-        let single = |vid, in_edges| ec_batch(&[(vid, in_edges, None)]).frame_bytes(|_| 0);
-        assert_eq!(single(6, 2), 2 + 1, "header and one vid byte");
-        assert_eq!(
-            ec_batch(&[]).frame_bytes(|_| 99),
-            0,
-            "an empty round is free"
-        );
-    }
-
     proptest! {
         /// A mirror batch off a socket is input like any other: truncated,
         /// bit-flipped and spliced frames of batches built from loader-built
@@ -1069,8 +943,10 @@ mod tests {
                     batch.last_activate.push(v.last_activate);
                     batch.metas.push(lg.full_state(pos).unwrap());
                 }
+                let msg = EcMsg::MirrorUpdate(Box::new(batch.clone()));
                 let mut frame = Vec::new();
-                EcMsg::MirrorUpdate(Box::new(batch.clone())).encode_wire(&mut frame);
+                msg.encode_wire(&mut frame);
+                prop_assert_eq!(msg.encoded_len(), frame.len());
                 prop_assert_eq!(
                     EcMsg::<f64>::decode_wire(&frame),
                     Some(EcMsg::MirrorUpdate(Box::new(batch)))
@@ -1127,8 +1003,10 @@ mod tests {
                 batch.vids = held.iter().map(|&pos| lg.verts[pos as usize].vid).collect();
                 batch.last_activate = vec![false; held.len()];
                 batch.metas = lg.export_metas(&held);
+                let msg = VcMsg::<f64, f64>::MirrorUpdate(Box::new(batch.clone()));
                 let mut frame = Vec::new();
-                VcMsg::<f64, f64>::MirrorUpdate(Box::new(batch.clone())).encode_wire(&mut frame);
+                msg.encode_wire(&mut frame);
+                prop_assert_eq!(msg.encoded_len(), frame.len());
                 prop_assert_eq!(
                     VcMsg::<f64, f64>::decode_wire(&frame),
                     Some(VcMsg::MirrorUpdate(Box::new(batch)))

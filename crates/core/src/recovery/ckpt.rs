@@ -6,9 +6,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use imitator_cluster::NodeId;
-use imitator_engine::{VertexProgram, WorkerPool};
+use imitator_engine::WorkerPool;
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, Stopwatch};
+use imitator_storage::codec::Encode;
 use imitator_storage::{epoch, EpochChain, EpochError, EpochKind};
 
 use super::migration::{
@@ -324,17 +325,12 @@ fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> A
         }
     }
     for (node, batch) in batches {
-        // One columnar sync frame per destination: frame header plus
-        // position-delta and value columns.
-        let mut prev = 0u32;
-        let mut bytes = crate::wire::sync_frame_overhead(batch.len() as u64);
-        for s in &batch {
-            let value_bytes = model.prog().value_wire_bytes(&s.value);
-            bytes += crate::wire::sync_record_bytes(s.pos, prev, value_bytes);
-            prev = s.pos;
-        }
-        cx.ctx
-            .send_kind(node, ProtoMsg::Sync(batch), bytes, CommKind::Recovery);
+        // One columnar sync frame per destination, charged what it encodes
+        // to. A sync round, not a protocol message: the fabric books it, the
+        // episode's `comm` does not.
+        let msg = ProtoMsg::Sync(batch);
+        let bytes = msg.encoded_len() as u64;
+        cx.ctx.send_kind(node, msg, bytes, CommKind::Recovery);
     }
     barrier_ok(cx.ctx)?;
     let incoming = collect_syncs(cx.ctx, st, lg, cx.shared);

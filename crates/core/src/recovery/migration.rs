@@ -173,8 +173,7 @@ impl<'a> MigEnv<'a> {
 
 /// Announces the masters this node took over in this round.
 pub(super) fn announce_promotions<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, own: &[Promotion]) {
-    let bytes = (own.len() * 20) as u64;
-    cx.send_others(|_| (ProtoMsg::Promote(own.to_vec()), bytes));
+    cx.send_others(|_| ProtoMsg::Promote(own.to_vec()));
 }
 
 /// Collects the promotions the other survivors announced behind this node's
@@ -212,11 +211,7 @@ pub(super) fn report_placements<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     mut placed: Placements,
 ) {
-    cx.send_others(|n| {
-        let p = placed.remove(&n).unwrap_or_default();
-        let bytes = (p.len() * 8) as u64;
-        (ProtoMsg::ReplicaPlaced(p), bytes)
-    });
+    cx.send_others(|n| ProtoMsg::ReplicaPlaced(placed.remove(&n).unwrap_or_default()));
 }
 
 /// Registers the placements the other survivors reported with the masters
@@ -248,7 +243,7 @@ pub(super) fn migrate<M: ComputeModel>(
     undo: &mut Undo,
     strategy: &'static str,
 ) -> Attempt<RecoveryReport> {
-    let (model, prog) = (&cx.shared.model, cx.shared.model.prog());
+    let model = &cx.shared.model;
     let mut mig: Mig<M::MigExtra> = Mig::default();
     let [r1, r2, r3, r4, r5, r6, r7, r8] = &MIGRATION_ROUNDS;
     let sw_total = Stopwatch::start();
@@ -274,11 +269,7 @@ pub(super) fn migrate<M: ComputeModel>(
         let mut menv = MigEnv::new(cx.dead, cx.me(), &promotions, &all_promos);
         menv.files = std::iter::from_fn(|| cx.prefetched(r2.0)).collect();
         let mut requests = model.migration_requests(g, cx.shared, cx.st, &mut mig, &menv);
-        cx.send_others(|n| {
-            let req = requests.remove(&n).unwrap_or_default();
-            let bytes = (req.len() * 4) as u64;
-            (ProtoMsg::ReplicaRequest(req), bytes)
-        });
+        cx.send_others(|n| ProtoMsg::ReplicaRequest(requests.remove(&n).unwrap_or_default()));
     })?;
 
     // ---- R3: grant requested replicas.
@@ -299,12 +290,7 @@ pub(super) fn migrate<M: ComputeModel>(
             });
             grants.entry(from).or_default().extend(granted);
         }
-        cx.send_others(|n| {
-            let granted = grants.remove(&n).unwrap_or_default();
-            let value_bytes = granted.iter().map(|x| prog.value_wire_bytes(&x.value));
-            let bytes = value_bytes.map(|bytes| 16 + bytes as u64).sum();
-            (ProtoMsg::ReplicaGrant(granted), bytes)
-        });
+        cx.send_others(|n| ProtoMsg::ReplicaGrant(grants.remove(&n).unwrap_or_default()));
     })?;
     // Reload (identify, request, grant) ends here; R4-R8 reconstruct.
     let reload = sw_total.elapsed();
@@ -613,8 +599,7 @@ fn ship_mirror_batches<M: ComputeModel>(
     let mut batches = cx.pool.dispatch(jobs);
     cx.send_others(|_| {
         let batch = batches.next().expect("one batch per destination");
-        let bytes = batch.frame_bytes(|i| shared.model.meta_update_bytes(&batch.metas, i));
-        (ProtoMsg::MirrorUpdate(Box::new(batch)), bytes)
+        ProtoMsg::MirrorUpdate(Box::new(batch))
     });
 }
 

@@ -8,7 +8,6 @@ use std::time::{Duration, Instant};
 use imitator_cluster::Envelope;
 use imitator_engine::{CopyKind, WorkerPool};
 use imitator_graph::Vid;
-use imitator_metrics::CommKind;
 
 use super::migration::migrate;
 use super::rounds::{barrier_ok, AttemptCx, ScanEnv, RECONSTRUCT, RELOAD, REPLAY};
@@ -104,15 +103,12 @@ pub(super) fn rebirth_survivor<M: ComputeModel>(
         for (&d, entries) in cx.dead.iter().zip(batches) {
             recovered += entries.len() as u64;
             recovered_edges += entries.iter().map(|e| model.entry_edges(e)).sum::<u64>();
-            let bytes: u64 = entries.iter().map(|e| model.entry_wire_bytes(e)).sum();
-            cx.comm.record(1, bytes);
             let batch = RebirthBatch {
                 resume_iter: cx.resume_iter,
                 num_survivors,
                 entries,
             };
-            let msg = ProtoMsg::Rebirth(Box::new(batch));
-            cx.ctx.send_kind(d, msg, bytes, CommKind::Recovery);
+            cx.send(d, ProtoMsg::Rebirth(Box::new(batch)));
         }
         Ok((recovered, recovered_edges, promoted))
     })?;

@@ -6,7 +6,8 @@
 //! booking under the key; [`AttemptCx::round`] also closes the step with the
 //! barrier that doubles as a failure detector. A body reads what the last
 //! round sent with [`AttemptCx::take`], sends every other survivor its share
-//! with [`AttemptCx::send_others`], and returns what a later round needs;
+//! with [`AttemptCx::send_others`] (each charged what it encodes to), and
+//! returns what a later round needs;
 //! what else it may and may not do is DESIGN.md §4.2.
 
 use std::ops::Range;
@@ -15,6 +16,7 @@ use std::sync::Arc;
 use imitator_cluster::{BarrierOutcome, FailPoint, NodeCtx, NodeId};
 use imitator_engine::{InOrder, WorkerPool};
 use imitator_metrics::{CommKind, CommStats, PhaseTimes, Stopwatch};
+use imitator_storage::codec::Encode;
 use imitator_storage::ReadAhead;
 
 use super::{Abort, Attempt};
@@ -252,14 +254,20 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
         driver::take::<M, T>(self.ctx, self.st, kind)
     }
 
-    /// Sends every other survivor its `share` of this round — a message and
-    /// its accounted bytes; an empty one is pure barrier traffic.
-    pub(super) fn send_others(&mut self, mut share: impl FnMut(NodeId) -> (Msg<M>, u64)) {
-        for &n in &self.others {
-            let (msg, bytes) = share(n);
-            self.comm.record(1, bytes);
-            self.ctx.send_kind(n, msg, bytes, CommKind::Recovery);
+    /// Sends every other survivor its `share` of this round; an empty one is
+    /// barrier traffic that still costs its header.
+    pub(super) fn send_others(&mut self, mut share: impl FnMut(NodeId) -> Msg<M>) {
+        for i in 0..self.others.len() {
+            let n = self.others[i];
+            self.send(n, share(n));
         }
+    }
+
+    /// Sends `msg` to `to` as recovery traffic, charged what it encodes to.
+    pub(super) fn send(&mut self, to: NodeId, msg: Msg<M>) {
+        let bytes = msg.encoded_len() as u64;
+        self.comm.record(1, bytes);
+        self.ctx.send_kind(to, msg, bytes, CommKind::Recovery);
     }
 
     /// Fans a pure scan of `lg` out on the pool in position chunks, whose

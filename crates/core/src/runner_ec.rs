@@ -318,13 +318,6 @@ where
         }
     }
 
-    fn entry_wire_bytes(&self, e: &Self::Entry) -> u64 {
-        EcRecoverEntry::<P::Value>::wire_bytes(
-            self.prog.value_wire_bytes(&e.value),
-            e.in_edges.len(),
-            e.out_local.len(),
-        ) as u64
-    }
     fn entry_edges(&self, e: &Self::Entry) -> u64 {
         e.in_edges.len() as u64
     }
@@ -569,12 +562,6 @@ where
                 mig.dirty_masters.insert(spos);
             }
         }
-    }
-
-    fn meta_update_bytes(&self, metas: &FullState, i: usize) -> u64 {
-        // Payload estimate excluding the vertex ID, which ships as a varint
-        // in the mirror frame's vid column (see `MirrorBatch::frame_bytes`).
-        56 + metas.nth(i).in_edges_owner.len() as u64 * 8
     }
 
     /// Checkpoint-fallback graft: splice the whole reconstructed partition

@@ -172,7 +172,7 @@ impl<V> ModelGraph for VcLocalGraph<V> {
 /// folding entry/byte counts into the scratch superstep totals (recorded
 /// once after the gather phase, so the logical accounting is identical
 /// however many chunks shipped). Returns the number of envelopes shipped.
-fn ship_gather_batches<P>(ctx: &Ctx<VcModel<P>>, prog: &P, scratch: &mut VcScratch<P>) -> u64
+fn ship_gather_batches<P>(ctx: &Ctx<VcModel<P>>, scratch: &mut VcScratch<P>) -> u64
 where
     P: VertexProgram,
     P::Value: Encode + Decode + MemSize,
@@ -190,7 +190,7 @@ where
         let mut prev = scratch.gather_prev[n];
         for (vid, a) in &scratch.gather_batches[n] {
             let vid_bytes = crate::wire::col_delta_bytes(vid.raw(), prev);
-            bytes += vid_bytes + prog.accum_wire_bytes(a) as u64;
+            bytes += vid_bytes + a.encoded_len() as u64;
             prev = vid.raw();
         }
         scratch.gather_prev[n] = prev;
@@ -293,7 +293,7 @@ where
                     scratch.gather_batches[v.master_node.index()].push((v.vid, acc));
                 }
             }
-            let shipped = ship_gather_batches(ctx, self.prog.as_ref(), scratch);
+            let shipped = ship_gather_batches(ctx, scratch);
             if outstanding {
                 // Routing/shipping overlapped with outstanding gather work.
                 let d = route_sw.elapsed();
@@ -440,9 +440,6 @@ where
         }
     }
 
-    fn entry_wire_bytes(&self, e: &Self::Entry) -> u64 {
-        VcRecoverEntry::<P::Value>::wire_bytes(self.prog.value_wire_bytes(&e.value)) as u64
-    }
     /// Vertex-cut entries carry no edges — those come from edge-ckpt files.
     fn entry_edges(&self, _e: &Self::Entry) -> u64 {
         0
@@ -535,12 +532,6 @@ where
     /// pre-existing or just granted.
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<VcMigExtra>, _resume: u64) {
         mig.edges_recovered += wire_edges(lg, std::mem::take(&mut mig.extra.adopted));
-    }
-
-    fn meta_update_bytes(&self, _metas: &FullState, _i: usize) -> u64 {
-        // Payload estimate excluding the vertex ID, which ships as a varint
-        // in the mirror frame's vid column (see `MirrorBatch::frame_bytes`).
-        56
     }
 
     /// Checkpoint-fallback graft: splice the whole reconstructed partition

@@ -2,9 +2,9 @@
 //!
 //! The scalar codec charged every sync record a fixed `pos:u32 flags:u8`
 //! header next to its value; at millions of records per superstep the
-//! headers rival the payloads. This module reframes the three batch-shaped
-//! protocol messages — vertex syncs, gather contributions, mirror updates —
-//! as **columnar frames**: one header per frame, then each field packed
+//! headers rival the payloads. This module frames the two per-superstep
+//! protocol messages — vertex syncs and gather contributions — as
+//! **columnar frames**: one header per frame, then each field packed
 //! contiguously across all records, with positions/vertex-IDs stored as
 //! zigzag-varint deltas between consecutive records and per-record flags
 //! packed two bits apiece into a bitmap.
@@ -16,7 +16,6 @@
 //!                 delta → uvarint(start) uvarint(len) span-bytes
 //!   flags       : bit 0 activate, bit 1 delta (LSB-first, 4 records/byte)
 //! gather frame : tag:0xB2  count:uvarint  vid-column  accum-column
-//! mirror frame : tag:0xB3  count:uvarint  vid-column  meta/value records
 //! ```
 //!
 //! The delta layout of the value column is part of the format and nothing
@@ -35,7 +34,7 @@
 //! (`accounted_sync_frame_matches_codec` pins the equality).
 
 use imitator_storage::codec::{
-    read_uvarint, uvarint_len, write_uvarint, zigzag64, Decode, DecodeError, Encode, Reader,
+    read_uvarint, uvarint_len, write_uvarint, zigzag64, Decode, DecodeError, Encode, Reader, Sink,
 };
 
 use crate::ckpt::{dec_count, dec_delta};
@@ -44,8 +43,6 @@ use crate::ckpt::{dec_count, dec_delta};
 pub const SYNC_FRAME_TAG: u8 = 0xB1;
 /// Frame tag of a columnar gather batch.
 pub const GATHER_FRAME_TAG: u8 = 0xB2;
-/// Frame tag of a columnar mirror-update batch.
-pub const MIRROR_FRAME_TAG: u8 = 0xB3;
 
 /// Bytes one column entry costs: the zigzag-varint of the step from the
 /// previous record's value (`prev = 0` before the first record).
@@ -79,7 +76,7 @@ pub fn sync_record_bytes(pos: u32, prev: u32, value_len: usize) -> u64 {
     col_delta_bytes(pos, prev) + value_len as u64
 }
 
-/// Per-frame overhead of a gather or mirror-update frame (tag + count).
+/// Per-frame overhead of a gather frame (tag + count).
 pub fn small_frame_overhead(count: u64) -> u64 {
     1 + uvarint_len(count) as u64
 }
@@ -109,37 +106,47 @@ pub struct SyncRecDec<V> {
     pub value: V,
 }
 
+/// Writes everything of a sync frame but its value column — tag, count,
+/// flag bitmap and position column — for `n` records, `rec(i)` giving
+/// record `i`'s position and flag bits.
+pub(crate) fn put_sync_head<S: Sink>(out: &mut S, n: usize, rec: impl Fn(usize) -> (u32, u8)) {
+    out.put_byte(SYNC_FRAME_TAG);
+    write_uvarint(out, n as u64);
+    for first in (0..n).step_by(4) {
+        let flags = (first..n.min(first + 4)).map(|i| rec(i).1 << (2 * (i % 4)));
+        out.put_byte(flags.fold(0, |byte, f| byte | f));
+    }
+    let mut prev = 0u32;
+    for i in 0..n {
+        let pos = rec(i).0;
+        write_uvarint(out, zigzag64(i64::from(pos) - i64::from(prev)));
+        prev = pos;
+    }
+}
+
 /// Encodes a columnar sync frame into `out` (appended; callers reuse the
 /// buffer across frames to stay allocation-free in steady state). The frozen
 /// `benchmark/src/layers.rs` calls it with this signature.
 pub fn encode_sync_frame(recs: &[SyncRecEnc<'_>], out: &mut Vec<u8>) {
-    out.push(SYNC_FRAME_TAG);
-    write_uvarint(out, recs.len() as u64);
-    let bitmap_at = out.len();
-    out.resize(bitmap_at + (2 * recs.len()).div_ceil(8), 0);
-    for (i, r) in recs.iter().enumerate() {
-        let mut f = 0u8;
-        if r.activate {
-            f |= 1;
-        }
-        if value_column_bytes(r.value.len(), r.span).1 {
-            f |= 2;
-        }
-        out[bitmap_at + i / 4] |= f << (2 * (i % 4));
-    }
-    let mut prev = 0u32;
+    let delta = |r: &SyncRecEnc<'_>| {
+        r.span
+            .filter(|_| value_column_bytes(r.value.len(), r.span).1)
+    };
+    put_sync_head(out, recs.len(), |i| {
+        let r = &recs[i];
+        (
+            r.pos,
+            u8::from(r.activate) | u8::from(delta(r).is_some()) << 1,
+        )
+    });
     for r in recs {
-        write_uvarint(out, zigzag64(i64::from(r.pos) - i64::from(prev)));
-        prev = r.pos;
-    }
-    for r in recs {
-        if value_column_bytes(r.value.len(), r.span).1 {
-            let (start, len) = r.span.expect("delta flagged without a span");
-            write_uvarint(out, u64::from(start));
-            write_uvarint(out, u64::from(len));
-            out.extend_from_slice(&r.value[start as usize..(start + len) as usize]);
-        } else {
-            out.extend_from_slice(r.value);
+        match delta(r) {
+            Some((start, len)) => {
+                write_uvarint(out, u64::from(start));
+                write_uvarint(out, u64::from(len));
+                out.put(&r.value[start as usize..(start + len) as usize]);
+            }
+            None => out.put(r.value),
         }
     }
 }
@@ -196,13 +203,16 @@ pub fn decode_sync_frame<V: Decode>(
     Ok(out)
 }
 
-/// Encodes a columnar gather frame: vid column (zigzag deltas) then the
-/// accumulator column.
-pub fn encode_gather_frame<A: Encode>(recs: &[(u32, A)], out: &mut Vec<u8>) {
-    out.push(GATHER_FRAME_TAG);
+/// Encodes a columnar gather frame of `(vid, accumulator)` records: vid
+/// column (zigzag deltas) then the accumulator column.
+pub fn encode_gather_frame<'a, A: Encode + 'a, S: Sink>(
+    recs: impl ExactSizeIterator<Item = (u32, &'a A)> + Clone,
+    out: &mut S,
+) {
+    out.put_byte(GATHER_FRAME_TAG);
     write_uvarint(out, recs.len() as u64);
     let mut prev = 0u32;
-    for &(vid, _) in recs {
+    for (vid, _) in recs.clone() {
         write_uvarint(out, zigzag64(i64::from(vid) - i64::from(prev)));
         prev = vid;
     }
@@ -245,6 +255,12 @@ mod tests {
     use crate::ckpt::tests::{arb_damage, damaged};
     use proptest::prelude::*;
 
+    fn gather_frame<A: Encode>(recs: &[(u32, A)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_gather_frame(recs.iter().map(|(vid, a)| (*vid, a)), &mut buf);
+        buf
+    }
+
     #[test]
     fn delta_chosen_only_when_no_larger_than_full() {
         // f64-sized value (8 bytes): delta = 2 varints + span.
@@ -267,7 +283,6 @@ mod tests {
     /// |--------|-----|------------|----------|------------------|-----------------------|
     /// | sync   | 1   | uvarint(n) | ⌈2n/8⌉   | Σ zzvarint(Δpos) | Σ full‖(off,len,span) |
     /// | gather | 1   | uvarint(n) | —        | Σ zzvarint(Δvid) | Σ accum encoding      |
-    /// | mirror | 1   | uvarint(n) | —        | Σ zzvarint(Δvid) | Σ meta estimate       |
     #[test]
     fn accounted_sync_frame_matches_codec() {
         let values: Vec<Vec<u8>> = vec![
@@ -301,8 +316,7 @@ mod tests {
     #[test]
     fn accounted_gather_frame_matches_codec() {
         let recs: Vec<(u32, u64)> = vec![(5, 10), (1_000_000, 20), (17, u64::MAX)];
-        let mut buf = Vec::new();
-        encode_gather_frame(&recs, &mut buf);
+        let buf = gather_frame(&recs);
         let mut accounted = small_frame_overhead(recs.len() as u64);
         let mut prev = 0u32;
         for &(vid, _) in &recs {
@@ -359,8 +373,7 @@ mod tests {
     fn corrupt_frames_are_rejected() {
         assert!(decode_sync_frame::<u32>(&[GATHER_FRAME_TAG], |_| vec![]).is_err());
         assert!(decode_gather_frame::<u32>(&[SYNC_FRAME_TAG]).is_err());
-        let mut buf = Vec::new();
-        encode_gather_frame::<u32>(&[(1, 5)], &mut buf);
+        let mut buf = gather_frame::<u32>(&[(1, 5)]);
         buf.push(0); // trailing byte
         assert!(matches!(
             decode_gather_frame::<u32>(&buf),
@@ -482,8 +495,7 @@ mod tests {
             // Gather frames: same vids, u64 accumulators.
             let grecs: Vec<(u32, u64)> =
                 batch.iter().map(|&(pos, _, a, _, _)| (pos, a)).collect();
-            let mut gbuf = Vec::new();
-            encode_gather_frame(&grecs, &mut gbuf);
+            let gbuf = gather_frame(&grecs);
             let mut gacc = small_frame_overhead(grecs.len() as u64);
             let mut prev = 0u32;
             for &(vid, _) in &grecs {
@@ -500,7 +512,7 @@ mod tests {
         /// `DecodeError` or to no more records than the input has bytes, never
         /// a panic.
         #[test]
-        fn hostile_frame_bytes_never_panic(
+        fn hostile_sync_and_gather_frames_never_panic(
             batch in proptest::collection::vec((0u32..200_000, any::<bool>(), any::<u64>()), 0..64),
             damage in proptest::collection::vec(arb_damage(), 1..4),
         ) {
@@ -523,9 +535,7 @@ mod tests {
                 prop_assert!(out.capacity() <= bad.len(), "{} records, {} B", out.len(), bad.len());
             }
             let grecs: Vec<(u32, u64)> = batch.iter().map(|&(vid, _, a)| (vid, a)).collect();
-            let mut frame = Vec::new();
-            encode_gather_frame(&grecs, &mut frame);
-            let bad = damaged(frame, &damage);
+            let bad = damaged(gather_frame(&grecs), &damage);
             if let Ok(out) = decode_gather_frame::<u64>(&bad) {
                 prop_assert!(out.capacity() <= bad.len(), "{} records, {} B", out.len(), bad.len());
             }

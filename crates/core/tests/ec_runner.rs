@@ -87,19 +87,15 @@ impl VertexProgram for RankLite {
         true
     }
 
-    fn value_wire_bytes(&self, _v: &Rank) -> usize {
-        16
-    }
-
     fn initially_active(&self, _vid: Vid) -> bool {
         true
     }
 }
 
 impl imitator_storage::codec::Encode for Rank {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.value.encode(buf);
-        self.share.encode(buf);
+    fn encode<S: imitator_storage::codec::Sink>(&self, out: &mut S) {
+        self.value.encode(out);
+        self.share.encode(out);
     }
 }
 

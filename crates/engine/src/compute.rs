@@ -231,17 +231,34 @@ pub fn vc_partial_gather<P: VertexProgram>(
 pub fn vc_apply<P: VertexProgram>(
     lg: &VcLocalGraph<P::Value>,
     prog: &P,
-    mut acc: Vec<Option<P::Accum>>,
+    acc: Vec<Option<P::Accum>>,
     degrees: &Degrees,
     step: u64,
 ) -> Vec<MasterUpdate<P::Value>> {
     assert_eq!(acc.len(), lg.verts.len(), "accumulator table size mismatch");
     let mut updates = Vec::new();
-    for (pos, v) in lg.verts.iter().enumerate() {
+    vc_apply_range(lg, prog, degrees, step, 0, acc, &mut updates);
+    updates
+}
+
+/// Applies the masters among positions `start..start + acc.len()`, each
+/// consuming its slot of `acc`, and appends staged updates to `updates` in
+/// position order. Shared by the serial path and each parallel worker chunk.
+pub(crate) fn vc_apply_range<P: VertexProgram>(
+    lg: &VcLocalGraph<P::Value>,
+    prog: &P,
+    degrees: &Degrees,
+    step: u64,
+    start: usize,
+    acc: Vec<Option<P::Accum>>,
+    updates: &mut Vec<MasterUpdate<P::Value>>,
+) {
+    for (slot, pos) in acc.into_iter().zip(start..) {
+        let v = &lg.verts[pos];
         if !v.is_master() {
             continue;
         }
-        let new = prog.apply_step(v.vid, &v.value, acc[pos].take(), degrees, step);
+        let new = prog.apply_step(v.vid, &v.value, slot, degrees, step);
         if new != v.value {
             let activate = prog.scatter(v.vid, &v.value, &new);
             updates.push(MasterUpdate {
@@ -251,7 +268,6 @@ pub fn vc_apply<P: VertexProgram>(
             });
         }
     }
-    updates
 }
 
 /// Vertex-cut commit: applies staged master updates and received replica

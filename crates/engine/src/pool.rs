@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{self, Receiver, Sender};
 
-use crate::compute::{ec_compute_frontier, MasterUpdate};
+use crate::compute::{ec_compute_frontier, vc_apply_range, MasterUpdate};
 use crate::ecut::EcLocalGraph;
 use crate::par::{chunk_ranges, VcGatherIndex};
 use crate::program::{Degrees, VertexProgram};
@@ -323,10 +323,9 @@ pub fn vc_gather_chunks<P: VertexProgram>(
 }
 
 /// Vertex-cut apply on the pool: the accumulator table is carved into
-/// owned contiguous position chunks, each worker consumes its chunk
-/// (masters `take()` their slot, exactly like the serial path) and stages
-/// updates; chunk-order concatenation reproduces [`crate::vc_apply`]'s
-/// ascending-position output.
+/// owned contiguous position chunks, each worker runs the serial path's
+/// range kernel over its chunk, and chunk-order concatenation reproduces
+/// [`crate::vc_apply`]'s ascending-position output.
 pub fn vc_apply_chunks<P: VertexProgram>(
     pool: &WorkerPool,
     lg: &Arc<VcLocalGraph<P::Value>>,
@@ -347,21 +346,7 @@ pub fn vc_apply_chunks<P: VertexProgram>(
             let degrees = Arc::clone(degrees);
             Box::new(move || {
                 let mut ups = Vec::new();
-                for (mut slot, pos) in chunk.into_iter().zip(r) {
-                    let v = &lg.verts[pos];
-                    if !v.is_master() {
-                        continue;
-                    }
-                    let new = prog.apply_step(v.vid, &v.value, slot.take(), &degrees, step);
-                    if new != v.value {
-                        let activate = prog.scatter(v.vid, &v.value, &new);
-                        ups.push(MasterUpdate {
-                            local: pos as u32,
-                            value: new,
-                            activate,
-                        });
-                    }
-                }
+                vc_apply_range(&lg, &*prog, &degrees, step, r.start, chunk, &mut ups);
                 ups
             }) as Box<dyn FnOnce() -> Vec<MasterUpdate<P::Value>> + Send>
         })

@@ -141,20 +141,9 @@ pub trait VertexProgram: Send + Sync + 'static {
     /// The runtime calls it wherever a value enters a node: a sync record,
     /// a recovery entry or grant, a snapshot read back from the DFS. A value
     /// therefore crosses a node boundary as what the receiver cannot derive,
-    /// and `value_wire_bytes` counts only that. The default derives nothing.
+    /// and what its codec writes is all it costs there. The default derives
+    /// nothing.
     fn derive(&self, _vid: Vid, _v: &mut Self::Value, _degrees: &Degrees) {}
-
-    /// Estimated wire size of a value, for communication accounting: the
-    /// length of its encoding.
-    fn value_wire_bytes(&self, _v: &Self::Value) -> usize {
-        std::mem::size_of::<Self::Value>()
-    }
-
-    /// Estimated wire size of an accumulator, for communication accounting:
-    /// the length of its encoding.
-    fn accum_wire_bytes(&self, _a: &Self::Accum) -> usize {
-        std::mem::size_of::<Self::Accum>()
-    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,15 @@
 //! A small deterministic binary codec.
 //!
-//! Snapshot files, metadata snapshots and edge-ckpt files need a stable
-//! byte encoding that round-trips exactly and fails loudly on corruption.
-//! [`Encode`]/[`Decode`] implement little-endian, length-prefixed encoding
-//! for the primitive and container types the fault-tolerance layers store.
+//! Snapshot files, metadata snapshots, edge-ckpt files and every message a
+//! socket carries need a stable byte encoding that round-trips exactly and
+//! fails loudly on corruption. [`Encode`]/[`Decode`] implement
+//! little-endian, length-prefixed encoding for the primitive and container
+//! types the fault-tolerance layers store and ship.
+//!
+//! An encoder writes into a [`Sink`]: a `Vec<u8>` keeps the bytes, a
+//! [`ByteCount`] keeps only their number. What something costs on the wire
+//! is its own encoder run against the count ([`Encode::encoded_len`]), so a
+//! size and the bytes it sizes cannot disagree.
 //!
 //! # Examples
 //!
@@ -87,16 +93,73 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Types that can append their encoding to a byte buffer.
+/// Where an encoder writes.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Appends one byte.
+    fn put_byte(&mut self, b: u8) {
+        self.put(&[b]);
+    }
+
+    /// Appends `v` as an LEB128 varint (7 bits per byte, MSB =
+    /// continuation); [`write_uvarint`] writes every varint through here.
+    fn put_uvarint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.put_byte((v as u8) | 0x80);
+            v >>= 7;
+        }
+        self.put_byte(v as u8);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn put_byte(&mut self, b: u8) {
+        self.push(b);
+    }
+}
+
+/// A sink that keeps no bytes, only how many were written.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ByteCount(pub usize);
+
+impl Sink for ByteCount {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn put_byte(&mut self, _b: u8) {
+        self.0 += 1;
+    }
+
+    fn put_uvarint(&mut self, v: u64) {
+        self.0 += uvarint_len(v);
+    }
+}
+
+/// Types that can append their encoding to a [`Sink`].
 pub trait Encode {
-    /// Appends the encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut Vec<u8>);
+    /// Appends the encoding of `self` to `out`.
+    fn encode<S: Sink>(&self, out: &mut S);
 
     /// Convenience: encodes into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         self.encode(&mut buf);
         buf
+    }
+
+    /// The length of the encoding: the encoder run against a [`ByteCount`],
+    /// which writes nothing.
+    fn encoded_len(&self) -> usize {
+        let mut n = ByteCount::default();
+        self.encode(&mut n);
+        n.0
     }
 }
 
@@ -128,8 +191,8 @@ macro_rules! impl_codec_int {
     ($($t:ty),* $(,)?) => {
         $(
             impl Encode for $t {
-                fn encode(&self, buf: &mut Vec<u8>) {
-                    buf.extend_from_slice(&self.to_le_bytes());
+                fn encode<S: Sink>(&self, out: &mut S) {
+                    out.put(&self.to_le_bytes());
                 }
             }
             impl Decode for $t {
@@ -145,8 +208,8 @@ macro_rules! impl_codec_int {
 impl_codec_int!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 
 impl Encode for usize {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (*self as u64).encode(buf);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        (*self as u64).encode(out);
     }
 }
 
@@ -158,8 +221,8 @@ impl Decode for usize {
 }
 
 impl Encode for bool {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(*self));
+    fn encode<S: Sink>(&self, out: &mut S) {
+        out.put_byte(u8::from(*self));
     }
 }
 
@@ -174,7 +237,7 @@ impl Decode for bool {
 }
 
 impl Encode for () {
-    fn encode(&self, _buf: &mut Vec<u8>) {}
+    fn encode<S: Sink>(&self, _out: &mut S) {}
 }
 
 impl Decode for () {
@@ -184,10 +247,10 @@ impl Decode for () {
 }
 
 impl<T: Encode> Encode for Vec<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u64).encode(buf);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        (self.len() as u64).encode(out);
         for item in self {
-            item.encode(buf);
+            item.encode(out);
         }
     }
 }
@@ -209,12 +272,12 @@ impl<T: Decode> Decode for Vec<T> {
 }
 
 impl<T: Encode> Encode for Option<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode<S: Sink>(&self, out: &mut S) {
         match self {
-            None => buf.push(0),
+            None => out.put_byte(0),
             Some(v) => {
-                buf.push(1);
-                v.encode(buf);
+                out.put_byte(1);
+                v.encode(out);
             }
         }
     }
@@ -231,9 +294,9 @@ impl<T: Decode> Decode for Option<T> {
 }
 
 impl Encode for String {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u64).encode(buf);
-        buf.extend_from_slice(self.as_bytes());
+    fn encode<S: Sink>(&self, out: &mut S) {
+        (self.len() as u64).encode(out);
+        out.put(self.as_bytes());
     }
 }
 
@@ -246,9 +309,9 @@ impl Decode for String {
 }
 
 impl<A: Encode, B: Encode> Encode for (A, B) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.0.encode(out);
+        self.1.encode(out);
     }
 }
 
@@ -264,13 +327,9 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
 // positions, where small magnitudes dominate.
 // ---------------------------------------------------------------------------
 
-/// Appends `v` as an LEB128 varint (7 bits per byte, MSB = continuation).
-pub fn write_uvarint(buf: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        buf.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    buf.push(v as u8);
+/// Appends `v` as an LEB128 varint ([`Sink::put_uvarint`]).
+pub fn write_uvarint<S: Sink>(out: &mut S, v: u64) {
+    out.put_uvarint(v);
 }
 
 /// Reads one LEB128 varint.
@@ -312,10 +371,10 @@ pub fn unzigzag64(v: u64) -> i64 {
 }
 
 impl<A: Encode, B: Encode, C: Encode> Encode for (A, B, C) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-        self.2.encode(buf);
+    fn encode<S: Sink>(&self, out: &mut S) {
+        self.0.encode(out);
+        self.1.encode(out);
+        self.2.encode(out);
     }
 }
 

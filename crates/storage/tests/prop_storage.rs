@@ -1,14 +1,19 @@
-//! Property tests: the binary codec round-trips arbitrary nested values and
-//! rejects corruption; the DFS behaves like a shared store under
-//! concurrent use.
+//! Property tests: the binary codec round-trips arbitrary nested values,
+//! counts what it writes, and rejects corruption; the DFS behaves like a
+//! shared store under concurrent use; damaged epoch seals and rosters read
+//! back as errors.
 
 use proptest::prelude::*;
 
 use imitator_storage::codec::{decode, Decode, DecodeError, Encode};
+use imitator_storage::epoch::{self, EpochError, EpochKind};
 use imitator_storage::{Dfs, DfsConfig};
 
+/// Round-trips `v`, and holds the counting sink to the buffer: what a
+/// value is charged is what it writes.
 fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: &T) -> Result<(), TestCaseError> {
     let bytes = v.to_bytes();
+    prop_assert_eq!(v.encoded_len(), bytes.len());
     let back: T = decode(&bytes).map_err(|e| TestCaseError::fail(format!("{e}")))?;
     prop_assert_eq!(&back, v);
     Ok(())
@@ -30,6 +35,7 @@ proptest! {
         prop_assert_eq!(back.to_bits(), x.to_bits());
         let back: f32 = decode(&y.to_bytes()).unwrap();
         prop_assert_eq!(back.to_bits(), y.to_bits());
+        prop_assert_eq!((x, y, Some(x)).encoded_len(), 8 + 4 + 9);
     }
 
     #[test]
@@ -37,9 +43,12 @@ proptest! {
         v in proptest::collection::vec(
             (any::<u32>(), proptest::option::of(any::<bool>()), ".*"),
             0..50
-        )
+        ),
+        w in proptest::collection::vec((any::<usize>(), any::<i8>(), any::<u64>()), 0..20),
     ) {
         roundtrip(&v)?;
+        roundtrip(&w)?;
+        roundtrip(&(w.len(), ()))?;
     }
 
     #[test]
@@ -75,6 +84,110 @@ proptest! {
         }
         prop_assert_eq!(dfs.list("").len(), files.len());
         prop_assert_eq!(dfs.used_bytes(), files.values().map(Vec::len).sum::<usize>());
+    }
+}
+
+/// One way a stored file goes bad.
+#[derive(Debug, Clone)]
+enum Damage {
+    Truncate(usize),
+    FlipBit(usize, u8),
+    /// A copy of `len` bytes from `from` inserted at `to`.
+    Splice {
+        from: usize,
+        to: usize,
+        len: usize,
+    },
+    /// A byte replaced by a varint (2^49 − 1) no input can back: a decoder
+    /// that reserved what such a count claims would abort the test.
+    Inflate(usize),
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        any::<usize>().prop_map(Damage::Truncate),
+        (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Damage::FlipBit(at, bit)),
+        (any::<usize>(), any::<usize>(), 1usize..24).prop_map(|(from, to, len)| Damage::Splice {
+            from,
+            to,
+            len
+        }),
+        any::<usize>().prop_map(Damage::Inflate),
+    ]
+}
+
+fn damaged(mut bytes: Vec<u8>, damage: &[Damage]) -> Vec<u8> {
+    for d in damage {
+        let n = bytes.len();
+        if n == 0 {
+            break;
+        }
+        match *d {
+            Damage::Truncate(at) => bytes.truncate(at % n),
+            Damage::FlipBit(at, bit) => bytes[at % n] ^= 1 << bit,
+            Damage::Splice { from, to, len } => {
+                let from = from % n;
+                let run = bytes[from..(from + len).min(n)].to_vec();
+                let to = to % n;
+                bytes.splice(to..to, run);
+            }
+            Damage::Inflate(at) => {
+                let at = at % n;
+                bytes.splice(at..=at, [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F]);
+            }
+        }
+    }
+    bytes
+}
+
+fn torn<T>(read: Result<T, EpochError>) -> bool {
+    matches!(read, Err(EpochError::TornPart { .. }))
+}
+
+proptest! {
+    /// A checkpoint epoch read back off the DFS is input like any other. A
+    /// part damaged after its seal, a damaged seal, and a roster damaged
+    /// before or after sealing — truncated, bit-flipped, spliced,
+    /// count-inflated — read back as an `EpochError` unless the damage left
+    /// the bytes as they were: never a panic, never a node list larger than
+    /// the bytes that name it, and never an epoch in a recovery chain.
+    #[test]
+    fn hostile_epoch_bytes_never_panic(
+        nodes in proptest::collection::vec(any::<u32>(), 0..40),
+        delta in any::<bool>(),
+        part in proptest::collection::vec(any::<u8>(), 1..200),
+        damage in proptest::collection::vec(arb_damage(), 1..4),
+    ) {
+        let dfs = Dfs::new(DfsConfig::instant());
+
+        let path = epoch::part_path("ec", 2, 0);
+        epoch::write_part(&dfs, "ec", 2, 0, part.clone());
+        let bad = damaged(part.clone(), &damage);
+        dfs.write(&path, bad.clone());
+        prop_assert!(bad == part || torn(epoch::read_verified(&dfs, "ec", 2, 0)));
+        epoch::write_part(&dfs, "ec", 2, 0, part.clone());
+        let seal_path = epoch::seal_path(&path);
+        let seal = dfs.read(&seal_path).expect("sealed").to_vec();
+        let bad = damaged(seal.clone(), &damage);
+        dfs.write(&seal_path, bad.clone());
+        prop_assert!(bad == seal || torn(epoch::read_verified(&dfs, "ec", 2, 0)));
+
+        let kind = if delta { EpochKind::Delta } else { EpochKind::Full };
+        epoch::write_roster(&dfs, "ec", 2, kind, &nodes);
+        prop_assert_eq!(epoch::read_roster(&dfs, "ec", 2), Ok((kind, nodes.clone())));
+        let roster_path = epoch::roster_path("ec", 2);
+        let roster = dfs.read(&roster_path).expect("sealed").to_vec();
+        let bad = damaged(roster.clone(), &damage);
+        dfs.write(&roster_path, bad.clone());
+        prop_assert!(bad == roster || torn(epoch::read_roster(&dfs, "ec", 2)));
+        epoch::write_sealed(&dfs, &roster_path, bad.clone());
+        if let Ok((_, back)) = epoch::read_roster(&dfs, "ec", 2) {
+            prop_assert!(back.capacity() <= bad.len(), "{} nodes from {} B", back.len(), bad.len());
+        }
+        // Whatever the roster now says, node 0's part fails its seal unless
+        // the seal's damage left it whole.
+        let chain = epoch::recovery_chain(&dfs, "ec", 0);
+        prop_assert!(seal == dfs.read(&seal_path).expect("written").to_vec() || chain.is_err());
     }
 }
 

@@ -99,7 +99,13 @@ cd "$(dirname "$0")/.."
 #          the graphs' own `ckpt::GraphCodec`, whose decoders derive, and
 #          `value_wire_bytes`, the last forward, became `prog()`
 #          (DESIGN.md §4.1, §4.6).
-BUDGET=4232
+#   4184 — a message costs what its codec writes: every recovery send is
+#          charged its own encoder's count (`AttemptCx::send`), so the
+#          closures of `send_others` return a message and no size, and
+#          `ComputeModel::{entry_wire_bytes, meta_update_bytes}`, both
+#          runners' impls and Migration's per-round byte guesses are gone
+#          (DESIGN.md §4.6).
+BUDGET=4184
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

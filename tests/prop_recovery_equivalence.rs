@@ -705,13 +705,16 @@ fn refactor_goldens_are_bit_identical() {
         edge_cut: bool,
         /// Pre-ComputeModel-refactor semantic hash; never allowed to move.
         sem: u64,
-        /// Byte totals under the pre-columnar scalar accounting.
+        /// Byte totals under the pre-columnar scalar accounting (`rec`: its
+        /// estimates).
         old: GoldenBytes,
-        /// Byte totals under the columnar wire codec; pinned exactly. The
-        /// K = 1 Migration cases' `rec` fell when round 7 stopped re-sending
-        /// full state to mirrors designated one round earlier (54884 → 37824
-        /// edge-cut, 44168 → 31172 vertex-cut); with K = 2 every master
-        /// keeps a pre-episode mirror, so round 7 still refreshes them all.
+        /// Byte totals under the columnar wire codec; pinned exactly. `rec`
+        /// is what the recovery messages encode to, counted by their own
+        /// encoders; it was a hand-kept estimate until then
+        /// ([`REC_ESTIMATED`]), under which the K = 1 Migration cases' fell
+        /// when round 7 stopped re-sending full state to mirrors designated
+        /// one round earlier (54884 → 37824 edge-cut, 44168 → 31172
+        /// vertex-cut).
         /// The edge-cut checkpoint cases' `ckpt` fell when the `ec/meta/<node>`
         /// snapshot stopped writing a master's in-edges and consumers twice
         /// (48640 → 39832, 47052 → 38244, 91404 → 76012, 87248 → 71856), and
@@ -730,6 +733,21 @@ fn refactor_goldens_are_bit_identical() {
         ("s1_ckpt_inc_ec", 37820),
         ("s2_ckpt_ec", 76012),
         ("s2_ckpt_inc_ec", 70808),
+    ];
+    /// The Rebirth and Migration cases' `rec` while a recovery message was
+    /// charged a size written beside its codec — 56 B per mirror record, a
+    /// Rebirth entry's full state and batch header never — rather than what
+    /// it encodes to. (The checkpoint cases' full-sync frames were already
+    /// charged their exact columns, and their `rec` books no message.)
+    const REC_ESTIMATED: [(&str, u64); 8] = [
+        ("s1_rebirth_ec", 16368),
+        ("s1_rebirth_vc", 7128),
+        ("s1_migration_ec", 37824),
+        ("s1_migration_vc", 31172),
+        ("s2_rebirth_ec", 54528),
+        ("s2_rebirth_vc", 21888),
+        ("s2_migration_ec", 340864),
+        ("s2_migration_vc", 231800),
     ];
     let repl = |tol, recovery| FtMode::Replication {
         tolerance: tol,
@@ -757,7 +775,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xCDAD83957359282D,
             old: gb(22896, 324, 16368, 0),
-            new: gb(14052, 180, 16368, 0),
+            new: gb(14052, 180, 24972, 0),
         },
         Case {
             name: "s1_rebirth_vc",
@@ -769,7 +787,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x89D503F6F06CD989,
             old: gb(68960, 0, 7128, 19392),
-            new: gb(43432, 0, 7128, 10260),
+            new: gb(43432, 0, 9464, 10260),
         },
         Case {
             name: "s1_migration_ec",
@@ -781,7 +799,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x2335D791956AA589,
             old: gb(21024, 216, 58624, 0),
-            new: gb(12920, 120, 37824, 0),
+            new: gb(12920, 120, 23052, 0),
         },
         Case {
             name: "s1_migration_vc",
@@ -793,7 +811,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x391724293AEFE45D,
             old: gb(55532, 0, 48608, 38688),
-            new: gb(34828, 0, 31172, 20508),
+            new: gb(34828, 0, 12608, 20508),
         },
         Case {
             name: "s1_ckpt_ec",
@@ -853,7 +871,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x4A211DE51DB6B0DD,
             old: gb(71100, 11628, 54528, 0),
-            new: gb(43116, 6868, 54528, 0),
+            new: gb(43116, 6868, 98096, 0),
         },
         Case {
             name: "s2_rebirth_vc",
@@ -865,7 +883,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x0522124F16F0CE65,
             old: gb(190188, 2808, 21888, 33920),
-            new: gb(119128, 1628, 21888, 19504),
+            new: gb(119128, 1628, 32960, 19504),
         },
         Case {
             name: "s2_migration_ec",
@@ -877,7 +895,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x6DF80C08CDF4009D,
             old: gb(64980, 10908, 365280, 0),
-            new: gb(40004, 6524, 340864, 0),
+            new: gb(40004, 6524, 212892, 0),
         },
         Case {
             name: "s2_migration_vc",
@@ -889,7 +907,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0xB83390ACA60B3B9D,
             old: gb(136000, 2124, 256896, 101408),
-            new: gb(85024, 1224, 231800, 58388),
+            new: gb(85024, 1224, 83108, 58388),
         },
         Case {
             name: "s2_ckpt_ec",
@@ -978,29 +996,15 @@ fn refactor_goldens_are_bit_identical() {
             bytes.ft,
             c.old.ft
         );
-        let migration = matches!(
-            c.ft,
-            FtMode::Replication {
-                recovery: RecoveryStrategy::Migration,
-                ..
-            }
-        );
-        if migration {
-            assert!(
-                bytes.rec < c.old.rec,
-                "{}: migration recovery bytes {} must be strictly below scalar {}",
-                c.name,
-                bytes.rec,
-                c.old.rec
-            );
-        } else {
-            assert!(
-                bytes.rec <= c.old.rec,
-                "{}: recovery bytes {} regressed past scalar {}",
-                c.name,
-                bytes.rec,
-                c.old.rec
-            );
+        let estimated = REC_ESTIMATED.iter().find(|(name, _)| *name == c.name);
+        match (estimated, c.ft) {
+            (Some(&(_, estimate)), FtMode::Replication { .. }) => assert_ne!(
+                bytes.rec, estimate,
+                "{}: recovery bytes are the retired estimate",
+                c.name
+            ),
+            (None, FtMode::Checkpoint { .. }) => assert_eq!(bytes.rec, c.old.rec, "{}", c.name),
+            _ => panic!("{}: every replication case keeps its estimate", c.name),
         }
         if c.old.ckpt > 0 {
             assert!(
