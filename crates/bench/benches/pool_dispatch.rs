@@ -1,7 +1,8 @@
 //! Criterion micro-benchmark: per-superstep fan-out cost — spawning fresh
-//! scoped threads every phase (the pre-pool driver) vs dispatching to the
-//! persistent worker pool the driver now keeps parked between supersteps.
-//! The work per job is deliberately small so the numbers isolate
+//! scoped threads every phase (the pre-pool driver) vs running the jobs on
+//! the persistent worker pool the driver keeps parked between supersteps
+//! (`WorkerPool::run`, the pool's one entry point, as the compute kernels
+//! call it). The work per job is deliberately small so the numbers isolate
 //! spawn/wake/park latency rather than compute throughput.
 
 use std::sync::Arc;

@@ -392,8 +392,9 @@ fn main() {
 
     // Recovery latency: one crash mid-run under replication FT, per strategy
     // and thread count. The recorded figure is the recovery episode's wall
-    // time (reload + reconstruct + replay), not the whole run — the quantity
-    // the parallel recovery paths are supposed to shrink. The single-thread
+    // time (reload + reconstruct + replay), not the whole run. Recovery runs
+    // on each node's protocol thread, so the t4 rows time the same episode
+    // beside four parked compute workers per node. The single-thread
     // Migration scenario also yields what its undo journal costs to set up
     // (`undo_capture`) and to let go (`undo_release`: the `after_recovery`
     // phase, i.e. the model's post-recovery hook plus dropping the journal),

@@ -18,8 +18,8 @@ use imitator_cluster::{
     BarrierOutcome, Cluster, Envelope, FailPoint, FailureInjector, FailurePlan, NodeCtx, NodeId,
 };
 use imitator_engine::{
-    chunk_ranges, CopyKind, Degrees, Episode, FtPlan, FullState, FullStateRef, InOrder, Locations,
-    LocationsRef, MasterUpdate, VertexProgram, WorkerPool,
+    CopyKind, Degrees, Episode, FtPlan, FullState, FullStateRef, Locations, LocationsRef,
+    MasterUpdate, VertexProgram, WorkerPool,
 };
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
@@ -85,39 +85,19 @@ pub(crate) enum StepOutcome {
 }
 
 /// Node-indexed sync-batch scratch, allocated once per node and drained
-/// every iteration (deterministic send order, no per-iteration hashing).
-///
-/// Staging is split from shipping so the driver can ship each chunk's
-/// batch while later chunks still compute: `batches`/`batch_bytes`
-/// hold the *unshipped* records, while the `tot_*` accumulators carry
-/// whole-superstep per-destination totals that [`flush_sync_acct`] turns
-/// into exactly one `comm`/`ft_comm` record per destination per superstep —
-/// so logical comm accounting is invariant under chunking.
+/// every superstep (deterministic send order, no per-iteration hashing):
+/// the records staged toward each destination, and how many of them go to
+/// an FT replica.
 pub(crate) struct SyncBufs<V> {
-    pub batches: Vec<Vec<VertexSync<V>>>,
-    /// Accounted wire bytes of the unshipped batch, per destination.
-    batch_bytes: Vec<u64>,
-    /// Superstep totals, per destination (flushed at the tail fence).
-    tot_entries: Vec<u64>,
-    tot_bytes: Vec<u64>,
-    tot_ft: Vec<u64>,
-    /// Previous record's position per destination — the running base of the
-    /// columnar frame's delta-encoded position column. Persists across
-    /// chunk ships within one superstep (the whole superstep is accounted
-    /// as one logical frame per destination) and resets at the accounting
-    /// flush.
-    prev_pos: Vec<u32>,
+    batches: Vec<Vec<VertexSync<V>>>,
+    ft: Vec<u64>,
 }
 
 impl<V> SyncBufs<V> {
     pub(crate) fn new(num_nodes: usize) -> Self {
         SyncBufs {
             batches: (0..num_nodes).map(|_| Vec::new()).collect(),
-            batch_bytes: vec![0; num_nodes],
-            tot_entries: vec![0; num_nodes],
-            tot_bytes: vec![0; num_nodes],
-            tot_ft: vec![0; num_nodes],
-            prev_pos: vec![0; num_nodes],
+            ft: vec![0; num_nodes],
         }
     }
 }
@@ -210,9 +190,9 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     type Accum: Clone + Send + Encode + Decode + 'static;
     /// Rebirth recovery entry, with its wire codec.
     type Entry: WireEntry;
-    /// Local graph, with its DFS codec. `Sync` because recovery's read-only
-    /// scans share it with pool workers behind an `Arc` (both engines' graphs
-    /// are plain data).
+    /// Local graph, with its DFS codec. `Sync` because the compute kernels
+    /// share it with pool workers behind an `Arc` (both engines' graphs are
+    /// plain data).
     type Graph: ModelGraph<Value = Self::Value> + GraphCodec + MemSize + Send + Sync + 'static;
     /// Per-node steady-state scratch reused across iterations.
     type Scratch: Send;
@@ -241,10 +221,11 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// staged state and returns [`StepOutcome::Failed`]; the driver owns
     /// everything after that.
     ///
-    /// The graph arrives behind an `Arc` so compute chunks can run on the
-    /// persistent `pool` (workers clone the `Arc`, and drop their clones
+    /// The graph arrives behind an `Arc` so the compute kernels can run on
+    /// the persistent `pool` (workers clone the `Arc`, and drop their clones
     /// before publishing results); models take exclusive access back via
-    /// [`graph_mut`] once every chunk has been consumed.
+    /// [`graph_mut`] once a kernel has returned. Staging, shipping and
+    /// committing stay on this thread.
     fn superstep(
         &self,
         ctx: &Ctx<Self>,
@@ -291,16 +272,8 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     fn validate(&self, lg: &Self::Graph);
     /// Post-reload replay on the newbie (activation replay + selfish
     /// recompute for the sparse engine). Returns whether any replay work
-    /// exists — `false` keeps the report's replay phase at zero. The graph
-    /// arrives behind an `Arc` so the model can fan read-only passes out on
-    /// `pool` (same contract as [`ComputeModel::superstep`]).
-    fn rebirth_replay(
-        &self,
-        _lg: &mut Arc<Self::Graph>,
-        _shared: &Shared<Self>,
-        _resume: u64,
-        _pool: &WorkerPool,
-    ) -> bool {
+    /// exists — `false` keeps the report's replay phase at zero.
+    fn rebirth_replay(&self, _lg: &mut Self::Graph, _shared: &Shared<Self>, _resume: u64) -> bool {
         false
     }
     /// `(vertices, edges)` held by a reconstructed graph, for the report.
@@ -407,9 +380,7 @@ pub(crate) fn run<M: ComputeModel>(
                     st.phases.record("load_persist", sw.elapsed());
                 }
             }
-            // Spawned once per node per run; workers park between phases.
-            let pool = WorkerPool::new(shared.cfg.threads_per_node);
-            node_main(ctx, lg, &shared, st, pool)
+            node_main(ctx, lg, &shared, st)
         }));
     }
     let mut standby_handles = Vec::new();
@@ -556,16 +527,13 @@ fn standby_main<M: ComputeModel>(
 ) -> Option<NodeOutcome<(NodeId, M::Graph)>> {
     let ctx = cluster.wait_standby(Duration::from_secs(600))?;
     let mut st = NodeState::new(shared.cfg.num_nodes, Instant::now());
-    // The newbie's reload/reconstruct/replay phases fan out on the same
-    // worker pool the node keeps for compute once it joins the main loop.
-    let pool = WorkerPool::new(shared.cfg.threads_per_node);
     let reborn = match shared.cfg.ft {
-        FtMode::Replication { .. } => recovery::rebirth_newbie(&ctx, shared, &mut st, &pool),
-        FtMode::Checkpoint { .. } => recovery::ckpt_newbie(&ctx, shared, &mut st, &pool),
+        FtMode::Replication { .. } => recovery::rebirth_newbie(&ctx, shared, &mut st),
+        FtMode::Checkpoint { .. } => recovery::ckpt_newbie(&ctx, shared, &mut st),
         FtMode::None => unreachable!("standbys are never dispatched without fault tolerance"),
     };
     match reborn {
-        Ok(lg) => Some(node_main(ctx, lg, shared, st, pool)),
+        Ok(lg) => Some(node_main(ctx, lg, shared, st)),
         Err(abort) => {
             // The attempt this newbie was dispatched for aborted, and it has
             // no pre-episode state to restore: it crashes itself (one that
@@ -574,7 +542,6 @@ fn standby_main<M: ComputeModel>(
             if let Abort::Failures(_) = abort {
                 ctx.crash();
             }
-            absorb_pool(&mut st, &pool);
             Some(NodeOutcome::from_state(None, st))
         }
     }
@@ -589,9 +556,10 @@ fn node_main<M: ComputeModel>(
     lg: M::Graph,
     shared: &Arc<Shared<M>>,
     mut st: St<M>,
-    pool: WorkerPool,
 ) -> NodeOutcome<(NodeId, M::Graph)> {
     let me = ctx.id();
+    // Spawned once per node per run; workers park between phases.
+    let pool = WorkerPool::new(shared.cfg.threads_per_node);
     let mut scratch = shared.model.init_scratch(&lg, shared);
     let mut lg = Arc::new(lg);
     // Runs until the job is over (`true`) or this node is dead (`false`).
@@ -632,7 +600,7 @@ fn node_main<M: ComputeModel>(
                     // Keep recovery messages that may already have arrived from
                     // faster peers; discard the failed iteration's data traffic.
                     stash_non_data::<M>(&ctx, &mut st);
-                    if recover_booked(&ctx, &mut lg, shared, &mut st, &dead, &pool) {
+                    if recover_booked(&ctx, graph_mut(&mut lg), shared, &mut st, &dead) {
                         break false;
                     }
                     shared.model.refresh_scratch(&mut scratch, &lg);
@@ -708,7 +676,7 @@ fn node_main<M: ComputeModel>(
         if let BarrierOutcome::Failed(dead) = outcome {
             // Failure after commit: no rollback.
             stash_non_data::<M>(&ctx, &mut st);
-            if recover_booked(&ctx, &mut lg, shared, &mut st, &dead, &pool) {
+            if recover_booked(&ctx, graph_mut(&mut lg), shared, &mut st, &dead) {
                 break false;
             }
             shared.model.refresh_scratch(&mut scratch, &lg);
@@ -742,41 +710,25 @@ fn node_main<M: ComputeModel>(
 /// Returns whether this node crashed inside it.
 fn recover_booked<M: ComputeModel>(
     ctx: &Ctx<M>,
-    lg: &mut Arc<M::Graph>,
-    shared: &Arc<Shared<M>>,
+    lg: &mut M::Graph,
+    shared: &Shared<M>,
     st: &mut St<M>,
     dead: &[NodeId],
-    pool: &WorkerPool,
 ) -> bool {
     st.settle();
     let sw = Stopwatch::start();
     let resume = st.iter;
-    let crashed = recovery::recover(ctx, lg, shared, st, dead, resume, pool);
+    let crashed = recovery::recover(ctx, lg, shared, st, dead, resume);
     st.phases.record("recovery", sw.elapsed());
     crashed
 }
 
 /// Exclusive access to the node's graph between phases. Pool workers drop
 /// their `Arc` clones *before* publishing chunk results (see
-/// [`WorkerPool::dispatch`]), so once every chunk has been consumed the
-/// count is deterministically back to one.
+/// [`WorkerPool::run`]), so once a kernel has returned the count is
+/// deterministically back to one.
 pub(crate) fn graph_mut<G>(lg: &mut Arc<G>) -> &mut G {
     Arc::get_mut(lg).expect("local graph still shared by pool workers")
-}
-
-/// Fans `chunk` out on the pool over `0..len` in contiguous ranges, whose
-/// outputs arrive in submission — ascending — order. A job drops its clone
-/// of `chunk`, captured `Arc`s and all, before its output is published.
-pub(crate) fn fan_out<T: Send + 'static>(
-    pool: &WorkerPool,
-    len: usize,
-    chunk: impl Fn(std::ops::Range<usize>) -> T + Clone + Send + 'static,
-) -> InOrder<T> {
-    let jobs = chunk_ranges(len, pool.threads()).into_iter().map(|r| {
-        let chunk = chunk.clone();
-        Box::new(move || chunk(r)) as Box<dyn FnOnce() -> T + Send>
-    });
-    pool.dispatch(jobs.collect())
 }
 
 /// Reads the pool's lifetime counters into the node state before it is
@@ -787,144 +739,71 @@ fn absorb_pool<T>(st: &mut NodeState<T>, pool: &WorkerPool) {
     st.pool.peak_busy = peak_busy;
 }
 
-/// Stages one slice of master updates into the per-destination sync
-/// batches, including the mirrors' dynamic state. Selfish masters (§4.4)
-/// send nothing — their only replicas are FT replicas.
+/// Stages a phase's master updates into one sync frame per destination,
+/// including the mirrors' dynamic state, and ships each as one
+/// [`ProtoMsg::Sync`] ([`ship_frame`]); the FT share of a frame is its FT
+/// records' pro-rata part of its bytes. Selfish masters (§4.4) send nothing
+/// — their only replicas are FT replicas.
 ///
-/// Staging runs on the main thread in ascending-position order (serial
-/// order), so byte accounting is identical whether the whole update set
-/// arrives at once or chunk by chunk from the pool. Per-record wire bytes
-/// are charged to the `SyncBufs` accumulators here; [`ship_staged_syncs`]
-/// moves batches onto the fabric and [`flush_sync_acct`] records the
-/// superstep totals.
-///
-/// Every update ships: the engines emit one only for a master whose value
-/// changed (DESIGN.md §4.1), so there is nothing here to filter.
-fn stage_update_syncs<M: ComputeModel>(
-    lg: &M::Graph,
-    updates: &[MasterUpdate<M::Value>],
-    shared: &Shared<M>,
-    bufs: &mut SyncBufs<M::Value>,
-) {
-    for u in updates {
-        let i = lg.vid(u.local).index();
-        if *shared.plan.selfish.get(i).unwrap_or(&false) {
-            continue;
-        }
-        let meta = lg.full(u.local);
-        let vb = u.value.encoded_len();
-        for (node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
-            // Accounted record size: the record's columnar frame columns —
-            // position delta against the previous record staged toward this
-            // destination, plus the value column. Decided at stage time →
-            // invariant under chunking.
-            let n = node.index();
-            let bytes = crate::wire::sync_record_bytes(rpos, bufs.prev_pos[n], vb);
-            bufs.prev_pos[n] = rpos;
-            bufs.batches[n].push(VertexSync {
-                pos: rpos,
-                value: u.value.clone(),
-                activate: u.activate,
-            });
-            bufs.batch_bytes[n] += bytes;
-            bufs.tot_entries[n] += 1;
-            bufs.tot_bytes[n] += bytes;
-            let plan = &shared.plan;
-            if i < plan.num_vertices() && plan.extra_replicas.row(i).contains(&node) {
-                bufs.tot_ft[n] += 1;
-            }
-        }
-    }
-}
-
-/// Ships every non-empty staged batch onto the fabric (one envelope per
-/// destination) and returns how many envelopes went out.
-fn ship_staged_syncs<M: ComputeModel>(ctx: &Ctx<M>, bufs: &mut SyncBufs<M::Value>) -> u64 {
-    let mut shipped = 0;
-    for (n, batch) in bufs.batches.iter_mut().enumerate() {
-        if batch.is_empty() {
-            continue;
-        }
-        shipped += 1;
-        ctx.send_kind(
-            NodeId::from_index(n),
-            ProtoMsg::Sync(std::mem::take(batch)),
-            std::mem::take(&mut bufs.batch_bytes[n]),
-            CommKind::Sync,
-        );
-    }
-    shipped
-}
-
-/// Records the superstep's per-destination sync totals into the node's
-/// logical comm stats — exactly one record per destination per superstep
-/// with the FT share pro-rata on whole-superstep entry counts, so the
-/// accounting (and the golden hashes over it) is bit-identical whether the
-/// batches shipped whole or chunk by chunk.
-fn flush_sync_acct<M: ComputeModel>(st: &mut St<M>, bufs: &mut SyncBufs<M::Value>) {
-    for n in 0..bufs.tot_entries.len() {
-        let entries = std::mem::take(&mut bufs.tot_entries[n]);
-        let col_bytes = std::mem::take(&mut bufs.tot_bytes[n]);
-        let ft = std::mem::take(&mut bufs.tot_ft[n]);
-        bufs.prev_pos[n] = 0;
-        if entries == 0 {
-            continue;
-        }
-        // One frame header (tag + count + flag bitmap) per destination per
-        // superstep, on top of the per-record column bytes charged at stage
-        // time: the superstep's records toward one destination are one
-        // logical columnar frame, however many envelope chunks shipped.
-        let bytes = col_bytes + crate::wire::sync_frame_overhead(entries);
-        st.comm.record(entries, bytes);
-        if ft > 0 {
-            // FT share estimated pro-rata on entry count.
-            st.ft_comm.record(ft, bytes * ft / entries.max(1));
-        }
-    }
-}
-
-/// Drains an update-producing chunk iterator and handles the whole
-/// stage/ship/account dance for the phase: each chunk's sync batch is staged
-/// and shipped the moment the chunk completes, while later chunks are still
-/// computing on the pool — the sync barrier fences only the tail. Time spent
-/// staging while compute was still outstanding is recorded as `overlap` and
-/// counted in the pool stats. With one worker thread there is one chunk, and
-/// the phase is compute, then stage, then ship.
-///
-/// Returns the concatenated updates, which are identical for any chunking:
-/// chunks are disjoint ascending ranges consumed in submission order, so
-/// the staged record sequence — and with [`flush_sync_acct`]'s tail flush,
-/// the comm accounting — is a pure function of the inputs.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pump_update_syncs<M: ComputeModel>(
+/// Records stage in ascending master position (the kernels' output order,
+/// for any thread count) toward destinations in node order, so every frame
+/// is a pure function of the committed graph state. Every update ships: the
+/// engines emit one only for a master whose value changed (DESIGN.md §4.1),
+/// so there is nothing here to filter.
+pub(crate) fn ship_syncs<M: ComputeModel>(
     ctx: &Ctx<M>,
     lg: &M::Graph,
     shared: &Shared<M>,
     st: &mut St<M>,
     bufs: &mut SyncBufs<M::Value>,
-    chunks: &mut InOrder<Vec<MasterUpdate<M::Value>>>,
-    sw: &mut Stopwatch,
-    phase: &'static str,
-) -> Vec<MasterUpdate<M::Value>> {
-    let mut updates: Vec<MasterUpdate<M::Value>> = Vec::new();
-    while let Some(chunk) = chunks.next() {
-        let outstanding = chunks.outstanding() > 0;
-        let stage_sw = Stopwatch::start();
-        stage_update_syncs::<M>(lg, &chunk, shared, bufs);
-        let shipped = ship_staged_syncs::<M>(ctx, bufs);
-        if outstanding {
-            // Staging/shipping overlapped with outstanding chunk work.
-            let d = stage_sw.elapsed();
-            st.pool.overlap += d;
-            st.phases.record("overlap", d);
-            st.pool.early_batches += shipped;
+    updates: &[MasterUpdate<M::Value>],
+) {
+    let plan = &shared.plan;
+    for u in updates {
+        let i = lg.vid(u.local).index();
+        if *plan.selfish.get(i).unwrap_or(&false) {
+            continue;
         }
-        updates.extend(chunk);
+        let meta = lg.full(u.local);
+        for (node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
+            bufs.batches[node.index()].push(VertexSync {
+                pos: rpos,
+                value: u.value.clone(),
+                activate: u.activate,
+            });
+            if i < plan.num_vertices() && plan.extra_replicas.row(i).contains(&node) {
+                bufs.ft[node.index()] += 1;
+            }
+        }
     }
-    st.phases.record(phase, sw.lap());
-    flush_sync_acct::<M>(st, bufs);
-    st.phases.record("send", sw.lap());
-    updates
+    for (n, batch) in bufs.batches.iter_mut().enumerate() {
+        if batch.is_empty() {
+            continue;
+        }
+        let (records, ft) = (batch.len() as u64, std::mem::take(&mut bufs.ft[n]));
+        let msg = ProtoMsg::Sync(std::mem::take(batch));
+        let bytes = ship_frame::<M>(ctx, st, n, records, msg, CommKind::Sync);
+        if ft > 0 {
+            st.ft_comm.record(ft, bytes * ft / records);
+        }
+    }
+}
+
+/// Ships a superstep's frame of `records` records to node `to`, charged what
+/// it encodes to — to the node's `comm` and to the fabric alike — and
+/// returns that charge.
+pub(crate) fn ship_frame<M: ComputeModel>(
+    ctx: &Ctx<M>,
+    st: &mut St<M>,
+    to: usize,
+    records: u64,
+    msg: Msg<M>,
+    kind: CommKind,
+) -> u64 {
+    let bytes = msg.encoded_len() as u64;
+    st.comm.record(records, bytes);
+    ctx.send_kind(NodeId::from_index(to), msg, bytes, kind);
+    bytes
 }
 
 /// Marks this iteration's updates dirty for incremental checkpointing.

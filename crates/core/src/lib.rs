@@ -153,11 +153,11 @@ pub struct RunConfig {
     /// also replaces crashed machines).
     pub standbys: usize,
     /// Worker threads each node uses for its local compute phases (the
-    /// paper's evaluation runs 4 worker threads per machine). Each thread's
-    /// chunk of a phase ships its sync batch as soon as it (and every earlier
-    /// chunk) is done, so `1` is the strict compute → send ordering. Results
-    /// and byte accounting are bit-identical for any value; `0` is treated
-    /// as `1`.
+    /// paper's evaluation runs 4 worker threads per machine). A phase's
+    /// chunks all compute before its frames are staged and shipped, one per
+    /// destination, and recovery runs on the node's own thread. Results and
+    /// byte accounting are bit-identical for any value; `0` is treated as
+    /// `1`.
     pub threads_per_node: usize,
     /// The wire backend nodes communicate over. The default in-process
     /// channels are reliable and ordered; [`TransportKind::Lossy`] injects

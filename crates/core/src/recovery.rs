@@ -33,44 +33,25 @@
 //! restore anything (it has no pre-episode state): it crashes itself and
 //! lets the next attempt dispatch a fresh standby. Consequently each aborted
 //! attempt may consume standbys, and the strategy degrades gracefully when
-//! the pool runs dry: Rebirth falls back to Migration onto the survivors
-//! ("rebirth→migration"), and checkpoint recovery grafts the dead
+//! the standby pool runs dry: Rebirth falls back to Migration onto the
+//! survivors ("rebirth→migration"), and checkpoint recovery grafts the dead
 //! partitions' snapshots onto the survivors ("checkpoint→migration") — no
 //! panic, no wedged cluster.
 //!
-//! # Parallelism
-//!
-//! The heavy, *read-only* recovery phases fan out over the node's persistent
-//! [`WorkerPool`] in contiguous position chunks: the Rebirth reload scan,
-//! Migration's R1 promotion/purge identification and R5/R7 mirror-batch build
-//! (one job per destination),
-//! snapshot-chain part reads, checkpoint-fallback partition reconstruction,
-//! and the sparse engine's replay recompute. Chunk results are consumed
-//! strictly in submission order ([`imitator_engine::InOrder`]), which is
-//! ascending position order — exactly the order the serial loops produced —
-//! and **every mutation stays on the protocol thread**, so recovery is
-//! bit-identical to serial execution for any thread count. Fail points and
-//! barriers also never move off the protocol thread, so the PR 5 abort /
-//! undo / retry machinery is untouched: at every abortable point all
-//! dispatched chunks have already been drained and the local graph's
-//! [`std::sync::Arc`] is uniquely held again.
-//!
-//! Progressive, order-dependent state stays serial by design: Migration R5's
-//! mirror designation reads and updates the least-assigned counters
-//! (`st.mirror_assign`) across iterations, and the sparse engine's selfish
-//! recompute falls back to the serial loop whenever one selfish master feeds
-//! another (see `runner_ec.rs`).
+//! Recovery runs on the node's protocol thread, as plain loops over its
+//! `&mut` graph: the paper's recovery is parallel across the surviving
+//! machines (§5.1-5.2), and the worker pool is for the superstep's compute
+//! kernels alone (DESIGN.md §4.4).
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use imitator_cluster::{BarrierOutcome, NodeCtx, NodeId};
-use imitator_engine::{Episode, WorkerPool};
+use imitator_engine::Episode;
 use imitator_graph::VidMap;
 use imitator_metrics::{RecoveryCounters, Stopwatch};
 
 use crate::ckpt::GraphCodec;
-use crate::driver::{graph_mut, ComputeModel, Ctx, Shared, St};
+use crate::driver::{ComputeModel, Ctx, Shared, St};
 use crate::{FtMode, RecoveryStrategy};
 
 mod ckpt;
@@ -113,7 +94,7 @@ pub(crate) type Attempt<T> = Result<T, Abort>;
 /// of two ways, by what the attempt does to it:
 ///
 /// * **Migration journals.** `migrate` opens an episode on the graph
-///   ([`Undo::open_journal`], before its first `graph_mut`): the graph's
+///   ([`Undo::open_journal`], before its first write): the graph's
 ///   stores only grow from there, and its mutators save what they overwrite
 ///   (`imitator_engine`'s `episode` module). [`Undo::restore`] rolls the
 ///   episode back; success commits it. Both cost what the attempt changed —
@@ -173,7 +154,7 @@ impl Undo {
 
     /// Snapshots the pre-episode graph unless an earlier attempt of this
     /// episode already did (its abort restored `lg` to exactly that state).
-    /// Must precede the attempt's first `graph_mut`.
+    /// Must precede the attempt's first write to the graph.
     fn capture_graph<G: GraphCodec>(&mut self, lg: &G) {
         if self.lg.is_none() {
             self.lg = Some(lg.encode_graph());
@@ -222,15 +203,14 @@ impl Undo {
 /// the episode really cost.
 pub(crate) fn recover<M: ComputeModel>(
     ctx: &Ctx<M>,
-    lg: &mut Arc<M::Graph>,
-    shared: &Arc<Shared<M>>,
+    lg: &mut M::Graph,
+    shared: &Shared<M>,
     st: &mut St<M>,
     dead: &[NodeId],
     resume_iter: u64,
-    pool: &WorkerPool,
 ) -> bool {
     // The survivors' path under the configured strategy.
-    let path: fn(&mut AttemptCx<'_, M>, &mut Arc<M::Graph>, &mut Undo) -> Attempt<_> =
+    let path: fn(&mut AttemptCx<'_, M>, &mut M::Graph, &mut Undo) -> Attempt<_> =
         match shared.cfg.ft {
             FtMode::None => panic!("node failure injected with fault tolerance disabled"),
             FtMode::Checkpoint { .. } => ckpt::ckpt_survivor,
@@ -255,15 +235,14 @@ pub(crate) fn recover<M: ComputeModel>(
     loop {
         counters.attempts += 1;
         st.mark_dead(&episode);
-        let mut cx = AttemptCx::new(ctx, shared, st, pool, &episode, resume_iter);
+        let mut cx = AttemptCx::new(ctx, shared, st, &episode, resume_iter);
         match path(&mut cx, lg, &mut undo) {
             Ok(mut report) => {
                 report.counters = counters;
                 report.phases.record("fence", fence_time);
                 let sw = Stopwatch::start();
-                let g = graph_mut(lg);
-                shared.model.after_recovery(g);
-                g.commit();
+                shared.model.after_recovery(lg);
+                lg.commit();
                 drop(undo);
                 let tail = sw.elapsed();
                 report.reconstruct += tail;
@@ -275,7 +254,7 @@ pub(crate) fn recover<M: ComputeModel>(
             Err(Abort::Failures(new_dead)) => {
                 counters.aborts += 1;
                 union_into(&mut episode, new_dead);
-                undo.restore(shared, graph_mut(lg), st);
+                undo.restore(shared, lg, st);
                 let sw = Stopwatch::start();
                 let fenced_out = abort_fence(ctx, st, &mut episode);
                 fence_time += sw.elapsed();

@@ -3,14 +3,12 @@
 //! standbys, or, with none left, onto the survivors.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use imitator_cluster::NodeId;
-use imitator_engine::WorkerPool;
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, Stopwatch};
 use imitator_storage::codec::Encode;
-use imitator_storage::{epoch, EpochChain, EpochError, EpochKind};
+use imitator_storage::{epoch, EpochChain};
 
 use super::migration::{
     announce_promotions, collect_promotions, register_placements, report_placements, Mig, MigEnv,
@@ -19,7 +17,7 @@ use super::migration::{
 use super::rounds::{barrier_ok, AttemptCx, MIGRATION_ROUNDS, RELOAD};
 use super::{Attempt, Undo};
 use crate::ckpt::GraphCodec;
-use crate::driver::{collect_syncs, graph_mut, ComputeModel, Ctx, ModelGraph, Shared, St};
+use crate::driver::{collect_syncs, ComputeModel, Ctx, ModelGraph, Shared, St};
 use crate::msg::{Promotion, ProtoMsg, VertexSync};
 use crate::report::RecoveryReport;
 
@@ -43,24 +41,21 @@ pub(crate) struct Adoption {
 /// in full mode, the initial state under the complete snapshot chain (base
 /// full epoch + later deltas; see [`epoch::recovery_chain`]) in incremental
 /// mode, the initial state alone while no complete epoch exists.
-fn roll_back<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut Arc<M::Graph>) -> u64 {
-    let me = cx.me();
-    let (shared, st, g) = (cx.shared, &mut *cx.st, graph_mut(lg));
+fn roll_back<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> u64 {
+    let (shared, me) = (cx.shared, cx.me());
     let chain = epoch::recovery_chain(&shared.dfs, M::PREFIX, me.raw()).ok();
     if chain.is_none() || shared.cfg.ft.is_incremental_ckpt() {
-        shared.model.reset_to_initial(g, shared);
+        shared.model.reset_to_initial(lg, shared);
     }
-    let snap_iter = chain.map_or(0, |chain| {
-        apply_snapshot_chain::<M>(g, shared, me, &chain, Some(cx.pool))
-    });
-    st.dirty.clear();
-    st.last_snapshot_iter = snap_iter;
+    let snap_iter = chain.map_or(0, |chain| apply_snapshot_chain::<M>(lg, shared, &chain));
+    cx.st.dirty.clear();
+    cx.st.last_snapshot_iter = snap_iter;
     snap_iter
 }
 
 pub(super) fn ckpt_survivor<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
-    lg: &mut Arc<M::Graph>,
+    lg: &mut M::Graph,
     undo: &mut Undo,
 ) -> Attempt<RecoveryReport> {
     // An exhausted standby pool grafts the dead partitions' snapshots onto
@@ -75,14 +70,14 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
     // roll back to the initial state plus the complete snapshot chain.
     let snap_iter = cx.phase(&RELOAD, |cx| {
         // The rollback rewrites the graph: snapshot it for undo first.
-        undo.capture_graph(&**lg);
+        undo.capture_graph(lg);
         cx.mark("undo_capture");
         Ok(roll_back(cx, lg))
     })?;
     cx.fence()?;
 
     // Reconstruct: replica values are not in snapshots; masters rebroadcast.
-    full_sync(cx, graph_mut(lg))?;
+    full_sync(cx, lg)?;
     cx.mark("reconstruct");
 
     cx.st.iter = snap_iter;
@@ -105,9 +100,7 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
 /// node's metadata snapshot plus its snapshot chain (exactly what a standby
 /// would have done) and grafts it into its own graph via
 /// [`ComputeModel::adopt_partition`]; promotions are announced. An adopter
-/// of several partitions reconstructs them concurrently on the worker pool
-/// (each reconstruction reads and decodes an independent dead graph); the
-/// grafts themselves replay serially in partition order.
+/// of several partitions reconstructs and grafts them in partition order.
 /// Round 2 — promotions are applied everywhere, adopted copies whose master
 /// also died are re-pointed at the promoted location, and position-addressed
 /// consumer tables are rewritten ([`ComputeModel::migration_requests`] with
@@ -121,7 +114,7 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
 /// reconstruct it including the adopted positions.
 fn ckpt_fallback<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
-    lg: &mut Arc<M::Graph>,
+    lg: &mut M::Graph,
     undo: &mut Undo,
 ) -> Attempt<RecoveryReport> {
     let (model, me) = (&cx.shared.model, cx.me());
@@ -133,16 +126,15 @@ fn ckpt_fallback<M: ComputeModel>(
     // ---- Round 1: roll back, graft assigned dead partitions, announce.
     let (snap_iter, adopted) = cx.round(r1, |cx| {
         // The rollback and the grafts rewrite the graph: snapshot it for undo.
-        undo.capture_graph(&**lg);
+        undo.capture_graph(lg);
         cx.phases.record("undo_capture", sw.lap());
         let snap_iter = roll_back(cx, lg);
         // The dead nodes are gone for good: purge them from every
         // pre-existing master's replica tables (the adopters purge their
         // grafted masters' tables inside `adopt_partition`).
-        let g = graph_mut(lg);
-        for pos in 0..g.len() as u32 {
-            if g.is_master(pos) {
-                g.edit_full(pos, |tables| tables.purge_nodes(cx.dead));
+        for pos in 0..lg.len() as u32 {
+            if lg.is_master(pos) {
+                lg.edit_full(pos, |tables| tables.purge_nodes(cx.dead));
             }
         }
         cx.phases.record("reload", sw.lap());
@@ -154,8 +146,7 @@ fn ckpt_fallback<M: ComputeModel>(
     // ---- Round 2: apply promotions, resolve orphans, rewrite consumer
     //      tables, report replica placements to surviving masters.
     cx.round(r2, |cx| {
-        let g = graph_mut(lg);
-        let all_promos = collect_promotions(cx, g, &adopted.promotions);
+        let all_promos = collect_promotions(cx, lg, &adopted.promotions);
         let mut placed = Placements::new();
         for (master, vid, pos) in adopted.placements {
             placed.entry(master).or_default().push((vid, pos));
@@ -164,8 +155,12 @@ fn ckpt_fallback<M: ComputeModel>(
         // graft of our own promoted the vertex here it is already a master;
         // otherwise the promotions just applied point it at the promoted
         // location, where it registers.
-        for pos in adopted.orphans.into_iter().filter(|&pos| !g.is_master(pos)) {
-            let (vid, master) = (g.vid(pos), g.master_node(pos));
+        for pos in adopted
+            .orphans
+            .into_iter()
+            .filter(|&pos| !lg.is_master(pos))
+        {
+            let (vid, master) = (lg.vid(pos), lg.master_node(pos));
             let promoted = cx.st.alive[master.index()];
             assert!(promoted, "orphaned copy of {vid} has no promotion");
             placed.entry(master).or_default().push((vid, pos));
@@ -174,31 +169,30 @@ fn ckpt_fallback<M: ComputeModel>(
         // dead layouts. Under checkpoint FT the adopted partitions arrive
         // complete, so the models generate no replica requests here.
         let menv = MigEnv::new(cx.dead, me, &[], &all_promos);
-        let requests = model.migration_requests(g, cx.shared, cx.st, &mut mig, &menv);
+        let requests = model.migration_requests(lg, cx.shared, cx.st, &mut mig, &menv);
         debug_assert!(
             requests.values().all(Vec::is_empty),
             "checkpoint fallback must not need replica grants"
         );
         // Adoption grafted masters whose `active` bits came straight from the
         // snapshot; restore derived activation state before validating.
-        model.after_recovery(g);
-        model.validate(g);
+        model.after_recovery(lg);
+        model.validate(lg);
         report_placements(cx, placed);
     })?;
 
     // ---- Round 3: register placements; leader acknowledges; full-sync
     //      refreshes every replica (its barriers close this round).
     cx.phase(r3, |cx| {
-        let g = graph_mut(lg);
-        register_placements(cx, g, None);
+        register_placements(cx, lg, None);
         cx.ack_recovered();
-        full_sync(cx, g)?;
+        full_sync(cx, lg)?;
         // Re-persist the metadata snapshot: this node's layout changed, and
         // any later reconstruction of *this* node must include the adopted
         // positions. Placed after the last abortable barrier, so an aborted
         // attempt never leaves a revised meta behind.
         let meta = format!("{}/meta/{}", M::PREFIX, me.raw());
-        cx.shared.dfs.write(&meta, g.encode_graph());
+        cx.shared.dfs.write(&meta, lg.encode_graph());
         Ok(())
     })?;
     cx.phases.record("reconstruct", sw.lap());
@@ -214,31 +208,20 @@ fn ckpt_fallback<M: ComputeModel>(
 }
 
 /// Round 1's grafts of the dead partitions assigned to this node
-/// (deterministically, round-robin over the survivors). Reconstructing one
-/// is self-contained DFS reads + decode, so they fan out; the grafts follow
-/// serially in the same deterministic order.
+/// (deterministically, round-robin over the survivors), each reconstructed
+/// from the DFS and grafted in turn.
 fn graft_partitions<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
-    lg: &mut Arc<M::Graph>,
+    lg: &mut M::Graph,
     mig: &mut Mig<M::MigExtra>,
 ) -> Adoption {
     let adopters = cx.survivors.iter().cycle();
     let mine = cx.dead.iter().zip(adopters).filter(|(_, &s)| s == cx.me());
     let mine: Vec<NodeId> = mine.map(|(&d, _)| d).collect();
-    let jobs = mine
-        .iter()
-        .map(|&d| {
-            let shared = Arc::clone(cx.shared);
-            // A job must never dispatch onto the pool it runs on: the
-            // chain is applied inline.
-            Box::new(move || reconstruct_partition::<M>(&shared, d, None).0)
-                as Box<dyn FnOnce() -> M::Graph + Send>
-        })
-        .collect();
     let mut adopted = Adoption::default();
-    for (&d, dead_lg) in mine.iter().zip(cx.pool.run(jobs)) {
-        let model = &cx.shared.model;
-        let graft = model.adopt_partition(graph_mut(lg), dead_lg, d, cx.dead, mig);
+    for d in mine {
+        let (model, dead_lg) = (&cx.shared.model, reconstruct_partition(cx.shared, d).0);
+        let graft = model.adopt_partition(lg, dead_lg, d, cx.dead, mig);
         for p in &graft.promotions {
             cx.st.overlay.insert(p.vid, p.new_master);
             mig.promoted.push(p.vid);
@@ -254,11 +237,7 @@ fn graft_partitions<M: ComputeModel>(
 /// topology from its metadata snapshot, then its snapshot chain up to the
 /// newest complete epoch — and returns it with the iteration it sits at (0
 /// when no complete epoch exists).
-fn reconstruct_partition<M: ComputeModel>(
-    shared: &Shared<M>,
-    d: NodeId,
-    pool: Option<&WorkerPool>,
-) -> (M::Graph, u64) {
+fn reconstruct_partition<M: ComputeModel>(shared: &Shared<M>, d: NodeId) -> (M::Graph, u64) {
     let meta_bytes = shared
         .dfs
         .read(&format!("{}/meta/{}", M::PREFIX, d.raw()))
@@ -267,28 +246,26 @@ fn reconstruct_partition<M: ComputeModel>(
     let mut dg = M::Graph::decode_graph(&meta_bytes, prog, degrees);
     let chain = epoch::recovery_chain(&shared.dfs, M::PREFIX, d.raw());
     let snap_iter = chain.map_or(0, |chain| {
-        apply_snapshot_chain::<M>(&mut dg, shared, d, &chain, pool)
+        apply_snapshot_chain::<M>(&mut dg, shared, &chain)
     });
     (dg, snap_iter)
 }
 
-/// A standby reconstructing a crashed identity from the DFS, its epoch parts
-/// read concurrently on the newbie's worker pool.
+/// A standby reconstructing a crashed identity from the DFS.
 ///
 /// Fails when the attempt aborted (suicide-on-abort, as in
 /// [`super::rebirth_newbie`] — every blocking point here is a barrier, so no
 /// liveness poll is needed).
 pub(crate) fn ckpt_newbie<M: ComputeModel>(
     ctx: &Ctx<M>,
-    shared: &Arc<Shared<M>>,
+    shared: &Shared<M>,
     st: &mut St<M>,
-    pool: &WorkerPool,
 ) -> Attempt<M::Graph> {
     let me = [ctx.id()];
-    let cx = &mut AttemptCx::new(ctx, shared, st, pool, &me, 0);
+    let cx = &mut AttemptCx::new(ctx, shared, st, &me, 0);
     // Membership barrier (the survivors' decision barrier).
     cx.decide(0)?;
-    let (mut lg, snap_iter) = reconstruct_partition::<M>(shared, ctx.id(), Some(pool));
+    let (mut lg, snap_iter) = reconstruct_partition::<M>(shared, ctx.id());
     // The newbie does not know the episode's resume iteration (that lives
     // in the survivors' state); its reload fail point keys on the snapshot
     // epoch it reloaded to instead.
@@ -339,42 +316,22 @@ fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> A
     Ok(())
 }
 
-/// Applies `node`'s parts of its recovery `chain` — the newest complete full
-/// epoch plus every later complete delta epoch — in ascending order,
-/// returning the last applied iteration. An ungrounded chain (deltas with no
-/// full base) is grounded at the caller's initial state, which every caller
-/// has just reset to or freshly decoded; see `recovery_chain`'s rewind
-/// argument for why the deltas then cover everything since.
-///
-/// Part *reads* fan out on the worker pool when one is supplied — each
-/// epoch part is an independent DFS read paying modelled latency, so
-/// concurrent reads overlap it — while *application* stays serial and
-/// in-order (deltas layer on their base). Callers that already run on a
-/// pool worker (checkpoint-fallback partition reconstruction) pass `None`:
-/// dispatching onto the bounded pool from inside one of its jobs could
-/// deadlock.
+/// Applies a node's parts of its recovery `chain` — the newest complete full
+/// epoch plus every later complete delta epoch, as the chain verified them —
+/// in ascending order, returning the last applied iteration. An ungrounded
+/// chain (deltas with no full base) is grounded at the caller's initial
+/// state, which every caller has just reset to or freshly decoded; see
+/// `recovery_chain`'s rewind argument for why the deltas then cover
+/// everything since.
 fn apply_snapshot_chain<M: ComputeModel>(
     lg: &mut M::Graph,
     shared: &Shared<M>,
-    node: NodeId,
     chain: &EpochChain,
-    pool: Option<&WorkerPool>,
 ) -> u64 {
-    type Read = Result<Arc<Vec<u8>>, EpochError>;
-    let read = |&(e, _): &(u64, EpochKind)| {
-        let (dfs, n) = (shared.dfs.clone(), node.raw());
-        Box::new(move || epoch::read_verified(&dfs, M::PREFIX, e, n))
-            as Box<dyn FnOnce() -> Read + Send>
-    };
-    let jobs = chain.epochs.iter().map(read);
-    let reads: Vec<Read> = match pool {
-        Some(pool) => pool.run(jobs.collect()),
-        None => jobs.map(|job| job()).collect(),
-    };
-    let mut snap_iter = 0;
-    for bytes in reads {
-        let bytes = bytes.expect("rostered part verified");
-        snap_iter = lg.apply_snapshot(&bytes, shared.model.prog(), &shared.degrees);
-    }
-    snap_iter
+    let (prog, degrees) = (shared.model.prog(), &shared.degrees);
+    let applied = chain
+        .parts
+        .iter()
+        .map(|part| lg.apply_snapshot(part, prog, degrees));
+    applied.last().unwrap_or(0)
 }

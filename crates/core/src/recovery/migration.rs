@@ -4,7 +4,6 @@
 //! through the first three.
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Arc;
 
 use imitator_cluster::NodeId;
@@ -12,9 +11,9 @@ use imitator_engine::{CopyKind, Episode, FullState, PosSet, VertexProgram};
 use imitator_graph::Vid;
 use imitator_metrics::Stopwatch;
 
-use super::rounds::{AttemptCx, ScanEnv, MIGRATION_ROUNDS};
+use super::rounds::{AttemptCx, MIGRATION_ROUNDS};
 use super::{Attempt, Undo};
-use crate::driver::{graph_mut, kind, ComputeModel, ModelGraph};
+use crate::driver::{kind, ComputeModel, ModelGraph};
 use crate::msg::{MirrorBatch, Promotion, ProtoMsg, ReplicaGrant};
 use crate::plan::responsible_mirror;
 use crate::report::RecoveryReport;
@@ -239,7 +238,7 @@ pub(super) fn register_placements<M: ComputeModel>(
 
 pub(super) fn migrate<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
-    lg: &mut Arc<M::Graph>,
+    lg: &mut M::Graph,
     undo: &mut Undo,
     strategy: &'static str,
 ) -> Attempt<RecoveryReport> {
@@ -250,7 +249,7 @@ pub(super) fn migrate<M: ComputeModel>(
     // R2's DFS reads run behind R1.
     cx.prefetch();
     // Every round below rewrites the graph: journal from here on.
-    undo.open_journal(graph_mut(lg));
+    undo.open_journal(lg);
     cx.mark("undo_capture");
 
     // ---- R1: promote local mirrors whose master died (the responsible
@@ -264,17 +263,16 @@ pub(super) fn migrate<M: ComputeModel>(
     // ---- R2: apply promotions everywhere; let the model fix its location
     //      tables and compute the replica requests it must send.
     cx.round(r2, |cx| {
-        let g = graph_mut(lg);
-        let all_promos = collect_promotions(cx, g, &promotions);
+        let all_promos = collect_promotions(cx, lg, &promotions);
         let mut menv = MigEnv::new(cx.dead, cx.me(), &promotions, &all_promos);
         menv.files = std::iter::from_fn(|| cx.prefetched(r2.0)).collect();
-        let mut requests = model.migration_requests(g, cx.shared, cx.st, &mut mig, &menv);
+        let mut requests = model.migration_requests(lg, cx.shared, cx.st, &mut mig, &menv);
         cx.send_others(|n| ProtoMsg::ReplicaRequest(requests.remove(&n).unwrap_or_default()));
     })?;
 
     // ---- R3: grant requested replicas.
     cx.round(r3, |cx| {
-        let (g, me) = (&**lg, cx.me());
+        let (g, me) = (&*lg, cx.me());
         let mut grants: HashMap<NodeId, Vec<ReplicaGrant<M::Value>>> = HashMap::new();
         for (from, request) in cx.take(kind!(ReplicaRequest)) {
             let granted = request.into_iter().map(|vid| {
@@ -298,14 +296,13 @@ pub(super) fn migrate<M: ComputeModel>(
     // ---- R4: place granted replicas, let the model wire edges (promoted
     //      masters' in-edges / adopted edge-ckpt edges), report placements.
     cx.round(r4, |cx| {
-        let g = graph_mut(lg);
         let mut grants = Vec::new();
         for (_, granted) in cx.take(kind!(ReplicaGrant)) {
             grants.extend(granted);
         }
         mig.recovered += grants.len() as u64;
-        let placements = place_copies(cx, g, grants);
-        model.migration_wire(g, &mut mig, cx.resume_iter);
+        let placements = place_copies(cx, lg, grants);
+        model.migration_wire(lg, &mut mig, cx.resume_iter);
         report_placements(cx, placements);
     })?;
 
@@ -318,23 +315,21 @@ pub(super) fn migrate<M: ComputeModel>(
     //      the dirty set — R7 has nothing to add for it unless a fresh
     //      replica's position, registered there, re-marks it.
     cx.round(r5, |cx| {
-        let g = graph_mut(lg);
-        register_placements(cx, g, Some(&mut mig.dirty_masters));
-        let designations = designate_mirrors(cx, g, &mut mig);
+        register_placements(cx, lg, Some(&mut mig.dirty_masters));
+        let designations = designate_mirrors(cx, lg, &mut mig);
         ship_mirror_batches(cx, lg, designations);
     })?;
 
     // ---- R6: adopt mirror designations; report fresh FT-replica positions.
     cx.round(r6, |cx| {
         let mut batches = cx.take(kind!(MirrorUpdate));
-        let g = graph_mut(lg);
         // Each fresh mirror starts as the replica a grant would have placed;
         // adopting its batch below makes it a mirror.
         let mut fresh: Vec<ReplicaGrant<M::Value>> = Vec::new();
         for (_, batch) in &mut batches {
             for (record, value) in batch.values.drain(..) {
                 let vid = batch.vids[record as usize];
-                if g.position(vid).is_none() {
+                if lg.position(vid).is_none() {
                     fresh.push(ReplicaGrant {
                         vid,
                         value,
@@ -344,8 +339,8 @@ pub(super) fn migrate<M: ComputeModel>(
                 }
             }
         }
-        let fresh_placements = place_copies(cx, g, fresh);
-        adopt_mirror_batches::<M>(g, &batches);
+        let fresh_placements = place_copies(cx, lg, fresh);
+        adopt_mirror_batches::<M>(lg, &batches);
         report_placements(cx, fresh_placements);
     })?;
 
@@ -356,7 +351,7 @@ pub(super) fn migrate<M: ComputeModel>(
     //      just below). Masters whose every mirror received the final state
     //      in R5 are not in the set, which is walked in position order.
     cx.round(r7, |cx| {
-        register_placements(cx, graph_mut(lg), Some(&mut mig.dirty_masters));
+        register_placements(cx, lg, Some(&mut mig.dirty_masters));
         let dirty = std::mem::take(&mut mig.dirty_masters);
         let mut refreshes: Vec<MirrorRecords> = vec![Vec::new(); cx.shared.cfg.num_nodes];
         for pos in dirty.iter().filter(|&pos| lg.is_master(pos)) {
@@ -381,7 +376,7 @@ pub(super) fn migrate<M: ComputeModel>(
     //      graph that was rolled back.
     cx.round(r8, |cx| {
         let batches = cx.take(kind!(MirrorUpdate));
-        adopt_mirror_batches::<M>(graph_mut(lg), &batches);
+        adopt_mirror_batches::<M>(lg, &batches);
         cx.ack_recovered();
     })?;
     cx.st.settle();
@@ -397,53 +392,36 @@ pub(super) fn migrate<M: ComputeModel>(
     Ok(report)
 }
 
-/// R1's identification, a pure scan of the pre-round graph: the mirrors of
-/// one chunk this node promotes (the master died and this is the responsible
-/// mirror) and the masters whose tables name a crashed node.
-fn promotion_scan<M: ComputeModel>(
-    env: &ScanEnv<M>,
-    positions: Range<u32>,
-) -> (Vec<u32>, Vec<u32>) {
-    let (lg, dead) = (&*env.lg, &env.dead);
-    let (mut promos, mut purges) = (Vec::new(), Vec::new());
-    for pos in positions {
+/// R1: promotes the local mirrors whose master died and for which this node
+/// is the responsible mirror, and purges crashed nodes from the tables of
+/// the local masters that name one. Every position is classified against
+/// its pre-round state first; the promotions, then the purges, follow in
+/// ascending position order.
+fn promote_and_purge<M: ComputeModel>(
+    cx: &mut AttemptCx<'_, M>,
+    g: &mut M::Graph,
+    mig: &mut Mig<M::MigExtra>,
+) -> Vec<Promotion> {
+    let (dead, me) = (cx.dead, cx.me());
+    let (mut promo_pos, mut purge_pos) = (Vec::new(), Vec::new());
+    for pos in 0..g.len() as u32 {
         let promotes = || {
-            dead.contains(&lg.master_node(pos))
-                && responsible_mirror(lg.full(pos), &env.alive) == Some(env.me)
+            dead.contains(&g.master_node(pos))
+                && responsible_mirror(g.full(pos), &cx.st.alive) == Some(me)
         };
-        match lg.kind(pos) {
-            CopyKind::Mirror if promotes() => promos.push(pos),
+        match g.kind(pos) {
+            CopyKind::Mirror if promotes() => promo_pos.push(pos),
             CopyKind::Master => {
-                let meta = lg.full(pos);
-                // Equivalent to the serial before/after length check:
-                // purging changes the tables iff some crashed node appears
-                // in them.
+                // Purging changes the tables iff some crashed node is in them.
+                let meta = g.full(pos);
                 let names = |d| meta.replica_nodes().contains(d) || meta.mirror_nodes().contains(d);
                 if dead.iter().any(names) {
-                    purges.push(pos);
+                    purge_pos.push(pos);
                 }
             }
             _ => {}
         }
     }
-    (promos, purges)
-}
-
-/// R1: promotes and purges what [`promotion_scan`] found. The mutations
-/// replay the merged hit lists on the protocol thread in ascending position
-/// order — exactly the serial single-pass order (a position is classified
-/// once, against its pre-round state, in both versions).
-fn promote_and_purge<M: ComputeModel>(
-    cx: &mut AttemptCx<'_, M>,
-    lg: &mut Arc<M::Graph>,
-    mig: &mut Mig<M::MigExtra>,
-) -> Vec<Promotion> {
-    let (mut promo_pos, mut purge_pos) = (Vec::new(), Vec::new());
-    for (promos, purges) in cx.scan(lg, promotion_scan::<M>) {
-        promo_pos.extend(promos);
-        purge_pos.extend(purges);
-    }
-    let (g, me) = (graph_mut(lg), cx.me());
     let mut promotions: Vec<Promotion> = Vec::with_capacity(promo_pos.len());
     for pos in promo_pos {
         let vid = g.vid(pos);
@@ -454,7 +432,7 @@ fn promote_and_purge<M: ComputeModel>(
         g.edit_full(pos, |meta| {
             meta.set_master_pos(pos);
             meta.purge_node(me);
-            meta.purge_nodes(cx.dead);
+            meta.purge_nodes(dead);
         });
         cx.shared.model.on_promote(g, pos, mig);
         promotions.push(Promotion {
@@ -470,7 +448,7 @@ fn promote_and_purge<M: ComputeModel>(
         mig.recovered += 1;
     }
     for pos in purge_pos {
-        g.edit_full(pos, |tables| tables.purge_nodes(cx.dead));
+        g.edit_full(pos, |tables| tables.purge_nodes(dead));
         mig.dirty_masters.insert(pos);
     }
     promotions
@@ -562,44 +540,31 @@ fn designate_mirrors<M: ComputeModel>(
 
 /// Builds and sends every other survivor its mirror batch (R5/R7) from
 /// `records`, indexed by destination node; a destination without records
-/// gets an empty batch, pure barrier traffic. Copying whole full states is
-/// the bulkiest per-vertex work in the protocol, so it fans out, one job per
-/// destination: each sizes its batch from its records, once, and fills it
-/// column by column.
+/// gets an empty batch, pure barrier traffic. Each batch is sized from its
+/// records, once, and filled column by column.
 fn ship_mirror_batches<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
-    lg: &Arc<M::Graph>,
+    g: &M::Graph,
     mut records: Vec<MirrorRecords>,
 ) {
     let (me, shared) = (cx.me(), cx.shared);
-    let jobs = cx
-        .others
-        .iter()
-        .map(|n| {
-            let records = std::mem::take(&mut records[n.index()]);
-            let lg = Arc::clone(lg);
-            let shared = Arc::clone(shared);
-            Box::new(move || {
-                let (g, model) = (&*lg, &shared.model);
-                let at: Vec<u32> = records.iter().map(|&(pos, _)| pos).collect();
-                let fresh = records.iter().enumerate().filter(|(_, &(_, fresh))| fresh);
-                MirrorBatch {
-                    vids: at.iter().map(|&pos| g.vid(pos)).collect(),
-                    // Position is reported back in R6 for fresh replicas.
-                    values: fresh
-                        .map(|(i, &(pos, _))| (i as u32, g.value(pos).clone()))
-                        .collect(),
-                    last_activate: at.iter().map(|&pos| model.scatter_bit(g, pos)).collect(),
-                    master_node: me,
-                    metas: g.export_metas(&at),
-                }
-            }) as Box<dyn FnOnce() -> Mirrors<M> + Send>
-        })
-        .collect();
-    let mut batches = cx.pool.dispatch(jobs);
-    cx.send_others(|_| {
-        let batch = batches.next().expect("one batch per destination");
-        ProtoMsg::MirrorUpdate(Box::new(batch))
+    cx.send_others(|n| {
+        let records = std::mem::take(&mut records[n.index()]);
+        let at: Vec<u32> = records.iter().map(|&(pos, _)| pos).collect();
+        let fresh = records.iter().enumerate().filter(|(_, &(_, fresh))| fresh);
+        ProtoMsg::MirrorUpdate(Box::new(MirrorBatch {
+            vids: at.iter().map(|&pos| g.vid(pos)).collect(),
+            // Position is reported back in R6 for fresh replicas.
+            values: fresh
+                .map(|(i, &(pos, _))| (i as u32, g.value(pos).clone()))
+                .collect(),
+            last_activate: at
+                .iter()
+                .map(|&pos| shared.model.scatter_bit(g, pos))
+                .collect(),
+            master_node: me,
+            metas: g.export_metas(&at),
+        }))
     });
 }
 

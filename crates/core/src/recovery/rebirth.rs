@@ -1,35 +1,31 @@
 //! Rebirth (§5.1): the survivors reload a hot standby with the crashed
 //! node's copies, in the crashed layout, and the standby replays.
 
-use std::ops::Range;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use imitator_cluster::Envelope;
-use imitator_engine::{CopyKind, WorkerPool};
+use imitator_engine::CopyKind;
 use imitator_graph::Vid;
 
 use super::migration::migrate;
-use super::rounds::{barrier_ok, AttemptCx, ScanEnv, RECONSTRUCT, RELOAD, REPLAY};
+use super::rounds::{barrier_ok, AttemptCx, RECONSTRUCT, RELOAD, REPLAY};
 use super::{Abort, Attempt, Undo};
 use crate::driver::{ComputeModel, Ctx, ModelGraph, Shared, St, RECOVERY_PATIENCE};
 use crate::msg::{ProtoMsg, RebirthBatch};
 use crate::plan::responsible_mirror;
 use crate::report::RecoveryReport;
 
-/// Classifies the positions of one chunk for the reload scan: per-crashed-node
-/// entry batches (indexed like the episode's `dead` slice) plus the vids this
-/// node recovers as master. Pure reads — runs from any worker thread; merging
-/// chunks in submission order reproduces the serial ascending-position scan
-/// exactly.
+/// The reload scan, in ascending position order: per-crashed-node entry
+/// batches (indexed like the episode's `dead` slice) plus the vids this node
+/// recovers as master.
 fn reload_scan<M: ComputeModel>(
-    env: &ScanEnv<M>,
-    positions: Range<u32>,
+    cx: &AttemptCx<'_, M>,
+    lg: &M::Graph,
 ) -> (Vec<Vec<M::Entry>>, Vec<Vid>) {
-    let (lg, model, dead) = (&*env.lg, &env.shared.model, &env.dead);
+    let (model, dead, me) = (&cx.shared.model, cx.dead, cx.me());
     let mut out: Vec<Vec<M::Entry>> = dead.iter().map(|_| Vec::new()).collect();
     let mut promoted = Vec::new();
-    for pos in positions {
+    for pos in 0..lg.len() as u32 {
         // The crashed node whose master this copy stands in for, if any.
         let stands_in = match lg.kind(pos) {
             CopyKind::Master => None,
@@ -38,7 +34,7 @@ fn reload_scan<M: ComputeModel>(
                 let Some(mi) = dead.iter().position(|&d| d == master) else {
                     continue;
                 };
-                if responsible_mirror(lg.full(pos), &env.alive) != Some(env.me) {
+                if responsible_mirror(lg.full(pos), &cx.st.alive) != Some(me) {
                     continue;
                 }
                 // Recover the master at its original position...
@@ -72,7 +68,7 @@ fn reload_scan<M: ComputeModel>(
 
 pub(super) fn rebirth_survivor<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
-    lg: &mut Arc<M::Graph>,
+    lg: &mut M::Graph,
     undo: &mut Undo,
 ) -> Attempt<RecoveryReport> {
     // An empty standby pool degrades to Migration onto the survivors.
@@ -83,19 +79,10 @@ pub(super) fn rebirth_survivor<M: ComputeModel>(
     // Reloading (§5.1.1): scan local masters and mirrors, build one batch
     // per crashed node. The responsible mirror (first surviving node in
     // mirror-ID order) recovers the master; every master recovers its own
-    // lost replicas. The scan is pure reads over a stable failure set, so
-    // it fans out in position chunks; chunks merge in submission order,
-    // keeping every batch in the serial ascending-position order.
+    // lost replicas.
     let (recovered, recovered_edges, mut promoted) = cx.phase(&RELOAD, |cx| {
         let model = &cx.shared.model;
-        let mut batches: Vec<Vec<M::Entry>> = cx.dead.iter().map(|_| Vec::new()).collect();
-        let mut promoted: Vec<Vid> = Vec::new();
-        for (chunk, promo) in cx.scan(lg, reload_scan::<M>) {
-            for (b, c) in batches.iter_mut().zip(chunk) {
-                b.extend(c);
-            }
-            promoted.extend(promo);
-        }
+        let (batches, promoted) = reload_scan(cx, lg);
         let (mut recovered, mut recovered_edges) = (0u64, 0u64);
         let num_survivors = cx.survivors.len() as u32;
         // Every crashed node gets a batch, even an empty one — the newbie
@@ -128,9 +115,7 @@ pub(super) fn rebirth_survivor<M: ComputeModel>(
 /// A newbie reconstructing a crashed identity: receive one batch from every
 /// survivor (placement is position-addressed, so reconstruction happens on
 /// the fly, §5.1.2), reload any model-specific extra state, validate, and
-/// replay (§5.1.3). Replay runs the model's fan-out on the newbie's own
-/// worker pool (the graph travels behind an `Arc` that is uniquely held
-/// again once the replay's chunks are drained).
+/// replay (§5.1.3).
 ///
 /// Fails when the attempt aborted: the newbie has no pre-episode state to
 /// restore, so its caller crashes it (suicide-on-abort) and the next attempt
@@ -140,12 +125,11 @@ pub(super) fn rebirth_survivor<M: ComputeModel>(
 /// survivors' next barrier to observe the failure officially.
 pub(crate) fn rebirth_newbie<M: ComputeModel>(
     ctx: &Ctx<M>,
-    shared: &Arc<Shared<M>>,
+    shared: &Shared<M>,
     st: &mut St<M>,
-    pool: &WorkerPool,
 ) -> Attempt<M::Graph> {
     let me = [ctx.id()];
-    let cx = &mut AttemptCx::new(ctx, shared, st, pool, &me, 0);
+    let cx = &mut AttemptCx::new(ctx, shared, st, &me, 0);
     let model = &shared.model;
     // Membership barrier (the survivors' decision barrier). The DFS reads
     // run behind the survivors' scan and batches from here on.
@@ -202,9 +186,8 @@ pub(crate) fn rebirth_newbie<M: ComputeModel>(
         model.validate(&lg);
         Ok(())
     })?;
-    let mut lg = Arc::new(lg);
     cx.fail_here(REPLAY.1)?;
-    let replayed = model.rebirth_replay(&mut lg, shared, cx.resume_iter, pool);
+    let replayed = model.rebirth_replay(&mut lg, shared, cx.resume_iter);
     let replay = cx.lap();
     let replay = if replayed { replay } else { Duration::ZERO };
     cx.phases.record(REPLAY.0, replay);
@@ -215,5 +198,5 @@ pub(crate) fn rebirth_newbie<M: ComputeModel>(
     let mut report = cx.report("rebirth");
     (report.vertices_recovered, report.edges_recovered) = model.graph_stats(&lg);
     cx.st.recoveries.push(report);
-    Ok(Arc::try_unwrap(lg).unwrap_or_else(|_| panic!("newbie graph still shared by pool workers")))
+    Ok(lg)
 }

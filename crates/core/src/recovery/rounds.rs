@@ -10,17 +10,15 @@
 //! returns what a later round needs;
 //! what else it may and may not do is DESIGN.md §4.2.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, FailPoint, NodeCtx, NodeId};
-use imitator_engine::{InOrder, WorkerPool};
 use imitator_metrics::{CommKind, CommStats, PhaseTimes, Stopwatch};
 use imitator_storage::codec::Encode;
 use imitator_storage::ReadAhead;
 
 use super::{Abort, Attempt};
-use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Msg, Shared, St};
+use crate::driver::{self, ComputeModel, Ctx, Msg, Shared, St};
 use crate::report::RecoveryReport;
 
 /// One step of a recovery path: the phase key its time is booked under and
@@ -64,23 +62,12 @@ pub(super) fn barrier_ok<T: Send + 'static>(ctx: &NodeCtx<T>) -> Attempt<()> {
     barrier_sum_ok(ctx, 0).map(drop)
 }
 
-/// What a read-only scan of the local graph needs of the attempt, in a form
-/// pool workers can share.
-pub(super) struct ScanEnv<M: ComputeModel> {
-    pub lg: Arc<M::Graph>,
-    pub shared: Arc<Shared<M>>,
-    pub dead: Vec<NodeId>,
-    pub alive: Vec<bool>,
-    pub me: NodeId,
-}
-
 /// One recovery attempt of one node: what every step of it needs and what
 /// it has booked so far. A newbie's is over the identity it is reborn as.
 pub(super) struct AttemptCx<'a, M: ComputeModel> {
     pub ctx: &'a Ctx<M>,
-    pub shared: &'a Arc<Shared<M>>,
+    pub shared: &'a Shared<M>,
     pub st: &'a mut St<M>,
-    pub pool: &'a WorkerPool,
     /// The episode's crashed nodes, ascending.
     pub dead: &'a [NodeId],
     /// Where the cluster resumes (fail points key on it); a newbie learns it.
@@ -104,9 +91,8 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
     /// as dead (a survivor's) or knows of no failure (a newbie's).
     pub(super) fn new(
         ctx: &'a Ctx<M>,
-        shared: &'a Arc<Shared<M>>,
+        shared: &'a Shared<M>,
         st: &'a mut St<M>,
-        pool: &'a WorkerPool,
         dead: &'a [NodeId],
         resume_iter: u64,
     ) -> Self {
@@ -115,7 +101,6 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
         AttemptCx {
             ctx,
             shared,
-            pool,
             dead,
             resume_iter,
             others: others.collect(),
@@ -268,25 +253,6 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
         let bytes = msg.encoded_len() as u64;
         self.comm.record(1, bytes);
         self.ctx.send_kind(to, msg, bytes, CommKind::Recovery);
-    }
-
-    /// Fans a pure scan of `lg` out on the pool in position chunks, whose
-    /// outputs arrive in ascending position order — a serial scan's. Once
-    /// all are consumed `lg` is uniquely held again.
-    pub(super) fn scan<T: Send + 'static>(
-        &self,
-        lg: &Arc<M::Graph>,
-        chunk: fn(&ScanEnv<M>, Range<u32>) -> T,
-    ) -> InOrder<T> {
-        let env = Arc::new(ScanEnv {
-            lg: Arc::clone(lg),
-            shared: Arc::clone(self.shared),
-            dead: self.dead.to_vec(),
-            alive: self.st.alive.clone(),
-            me: self.me(),
-        });
-        let chunk = move |r: Range<usize>| chunk(&env, r.start as u32..r.end as u32);
-        driver::fan_out(self.pool, lg.len(), chunk)
     }
 
     /// Closes the attempt's books into a report; what was recovered is the

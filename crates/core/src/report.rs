@@ -149,9 +149,8 @@ pub struct RunReport<V> {
     /// (sync / gather / recovery / control) plus total barrier-wait time, as
     /// recorded by the communication layer itself.
     pub fabric: CommBreakdown,
-    /// Worker-pool / pipelining observability: chunk jobs dispatched, peak
-    /// worker occupancy, envelopes shipped ahead of the tail fence, and
-    /// staging time overlapped with compute (summed / maxed across nodes).
+    /// Worker-pool observability: chunk jobs run and peak worker occupancy
+    /// (summed / maxed across nodes).
     pub pool: PoolStats,
     /// Failure-detector activity over the whole run: suspicions raised,
     /// retracted (false positives caught before the fence), confirmed, and

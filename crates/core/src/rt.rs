@@ -46,9 +46,7 @@ pub(crate) struct NodeState<M> {
     pub stash: Vec<Envelope<M>>,
     /// Deterministic local counter for balanced replacement-mirror choice.
     pub mirror_assign: Vec<usize>,
-    /// Worker-pool / pipelining counters: `early_batches` and `overlap`
-    /// accumulate per superstep; `jobs` and `peak_busy` are read off the
-    /// pool when the node retires.
+    /// Worker-pool counters, read off the pool when the node retires.
     pub pool: PoolStats,
     /// The one write-behind this node may have on its way to the DFS: what
     /// it last persisted for a later recovery to reload (edge-ckpt files).

@@ -202,11 +202,8 @@ where
     /// Compute (Algorithm 1 line 5) fused over the sparse frontier,
     /// communicate (line 6), sync barrier (line 7), commit (line 14).
     ///
-    /// Compute chunks run on the persistent pool; each chunk's sync batch
-    /// is staged and shipped as soon as the chunk (and all earlier chunks)
-    /// completed, the sync barrier fencing only the tail. Chunks are
-    /// consumed in submission order, so staging order — and with it byte
-    /// accounting — equals the serial order exactly.
+    /// Compute chunks run on the persistent pool; once they are all in, one
+    /// sync frame per destination is staged and shipped.
     fn superstep(
         &self,
         ctx: &Ctx<Self>,
@@ -217,17 +214,10 @@ where
         pool: &WorkerPool,
     ) -> StepOutcome {
         let mut sw = Stopwatch::start();
-        let mut chunks = ec_compute_chunks(pool, lg, &self.prog, &shared.degrees, st.iter);
-        let updates = driver::pump_update_syncs::<Self>(
-            ctx,
-            &**lg,
-            shared,
-            st,
-            scratch,
-            &mut chunks,
-            &mut sw,
-            "compute",
-        );
+        let updates = ec_compute_chunks(pool, lg, &self.prog, &shared.degrees, st.iter);
+        st.phases.record("compute", sw.lap());
+        driver::ship_syncs::<Self>(ctx, &**lg, shared, st, scratch, &updates);
+        st.phases.record("send", sw.lap());
 
         let (outcome, _) = ctx.enter_barrier_sum(0);
         st.phases.record("barrier", sw.lap());
@@ -339,88 +329,35 @@ where
     /// Replay (§5.1.3): re-run the activation operations recorded in the
     /// synchronised scatter bits, then recompute selfish masters (§4.4).
     /// Resuming at iteration 0 means no scatter bit exists yet: activation
-    /// comes from the program's initial active set instead.
-    /// Replay fans its read-only passes out on the newbie's pool: activation
-    /// targets and selfish-master identification in one chunked scan, then
-    /// the selfish recompute itself — parallel only when no selfish master
-    /// feeds another. The serial loop recomputes in ascending position order
-    /// with *progressive* writes, so a selfish→selfish in-edge would make a
-    /// later vertex read an earlier one's fresh value; absent such edges the
-    /// snapshot recompute is bit-identical, and with them we keep the serial
-    /// loop (mutations always stay on the protocol thread).
-    fn rebirth_replay(
-        &self,
-        lg: &mut Arc<Self::Graph>,
-        shared: &Shared<Self>,
-        resume: u64,
-        pool: &WorkerPool,
-    ) -> bool {
-        // Chunked read-only scan: which positions get activated by replayed
-        // scatter bits, and which masters are selfish. Reads `last_activate`
-        // / `out_local` / kind only, so the snapshot view equals what the
-        // serial loop (which mutated only `active`) observed.
+    /// comes from the program's initial active set instead. The recompute
+    /// runs in ascending position order with *progressive* writes, so a
+    /// selfish master fed by another reads that one's fresh value.
+    fn rebirth_replay(&self, lg: &mut Self::Graph, shared: &Shared<Self>, resume: u64) -> bool {
+        // Activation targets and selfish masters, against the reloaded state.
         let mut activations: Vec<u32> = Vec::new();
-        let mut selfish_positions: Vec<u32> = Vec::new();
-        let (g, plan) = (Arc::clone(lg), Arc::clone(&shared.plan));
-        let scan = driver::fan_out(pool, lg.verts.len(), move |r| {
-            let mut acts: Vec<u32> = Vec::new();
-            let mut selfish: Vec<u32> = Vec::new();
-            for pos in r {
-                let v = &g.verts[pos];
-                if v.last_activate {
-                    acts.extend_from_slice(g.out_local(pos as u32));
-                }
-                if v.is_master() && *plan.selfish.get(v.vid.index()).unwrap_or(&false) {
-                    selfish.push(pos as u32);
-                }
+        let mut selfish: Vec<u32> = Vec::new();
+        for (pos, v) in lg.verts.iter().enumerate() {
+            if v.last_activate {
+                activations.extend_from_slice(lg.out_local(pos as u32));
             }
-            (acts, selfish)
-        });
-        for (acts, selfish) in scan {
-            activations.extend(acts);
-            selfish_positions.extend(selfish);
+            if v.is_master() && *shared.plan.selfish.get(v.vid.index()).unwrap_or(&false) {
+                selfish.push(pos as u32);
+            }
         }
-        {
-            let g = driver::graph_mut(lg);
-            for &t in &activations {
-                g.verts[t as usize].active = true;
-            }
-            if resume == 0 {
-                for v in g.verts.iter_mut().filter(|v| v.is_master()) {
-                    if self.prog.initially_active(v.vid) {
-                        v.active = true;
-                    }
+        for t in activations {
+            lg.verts[t as usize].active = true;
+        }
+        if resume == 0 {
+            for v in lg.verts.iter_mut().filter(|v| v.is_master()) {
+                if self.prog.initially_active(v.vid) {
+                    v.active = true;
                 }
             }
         }
-        let mut selfish_mask = vec![false; lg.verts.len()];
-        for &pos in &selfish_positions {
-            selfish_mask[pos as usize] = true;
+        for pos in selfish {
+            lg.verts[pos as usize].value = recompute(lg, &*self.prog, &shared.degrees, pos);
         }
-        let independent = selfish_positions.iter().all(|&pos| {
-            let mut srcs = lg.in_edges(pos).iter();
-            srcs.all(|&(src, _)| !selfish_mask[src as usize])
-        });
-        if independent {
-            let selfish: Arc<Vec<u32>> = Arc::new(selfish_positions);
-            let (g, prog) = (Arc::clone(lg), Arc::clone(&self.prog));
-            let (degrees, at) = (Arc::clone(&shared.degrees), Arc::clone(&selfish));
-            let recomputed = driver::fan_out(pool, selfish.len(), move |r| {
-                let new = |&pos: &u32| (pos, recompute(&g, &*prog, &degrees, pos));
-                at[r].iter().map(new).collect::<Vec<_>>()
-            });
-            let updates: Vec<(u32, P::Value)> = recomputed.flatten().collect();
-            let g = driver::graph_mut(lg);
-            for (pos, new) in updates {
-                g.verts[pos as usize].value = new;
-            }
-        } else {
-            let g = driver::graph_mut(lg);
-            for pos in selfish_positions {
-                g.verts[pos as usize].value = recompute(g, &*self.prog, &shared.degrees, pos);
-            }
-        }
-        driver::graph_mut(lg).rebuild_active_frontier();
+        lg.rebuild_active_frontier();
         true
     }
 

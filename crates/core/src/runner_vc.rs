@@ -99,22 +99,14 @@ pub(crate) struct VcModel<P: VertexProgram> {
 }
 
 /// Per-node vertex-cut scratch, allocated once and reused every iteration.
-/// The gather index sits behind an `Arc` so pooled gather chunks can borrow
-/// it while the main thread routes earlier chunks' partials.
+/// The gather index sits behind an `Arc` so pooled gather chunks can share
+/// it.
 pub(crate) struct VcScratch<P: VertexProgram> {
     bufs: SyncBufs<P::Value>,
     gather_index: Arc<VcGatherIndex>,
     acc_table: Vec<Option<P::Accum>>,
     contribs: Vec<(u32, NodeId, P::Accum)>,
     gather_batches: Vec<Vec<(Vid, P::Accum)>>,
-    /// Per-dest gather totals for the whole superstep; shipped batches add
-    /// here and one `CommStats` record per dest is flushed at the tail, so
-    /// accounting is identical however many chunks shipped.
-    gather_entries: Vec<u64>,
-    gather_bytes: Vec<u64>,
-    /// Previous record's vid per destination — running base of the gather
-    /// frame's delta vid column; persists across chunk ships, reset at flush.
-    gather_prev: Vec<u32>,
 }
 
 /// Migration state the generic rounds don't know about: edges adopted from
@@ -168,45 +160,6 @@ impl<V> ModelGraph for VcLocalGraph<V> {
     }
 }
 
-/// Ships every non-empty per-destination gather batch to its master's node,
-/// folding entry/byte counts into the scratch superstep totals (recorded
-/// once after the gather phase, so the logical accounting is identical
-/// however many chunks shipped). Returns the number of envelopes shipped.
-fn ship_gather_batches<P>(ctx: &Ctx<VcModel<P>>, scratch: &mut VcScratch<P>) -> u64
-where
-    P: VertexProgram,
-    P::Value: Encode + Decode + MemSize,
-    P::Accum: Encode + Decode,
-{
-    let mut shipped = 0u64;
-    for n in 0..scratch.gather_batches.len() {
-        if scratch.gather_batches[n].is_empty() {
-            continue;
-        }
-        // Columnar gather-frame columns: vid as a zigzag-varint delta from
-        // the previous record toward this destination, then the accumulator
-        // bytes. The per-frame header is charged once at the totals flush.
-        let mut bytes = 0u64;
-        let mut prev = scratch.gather_prev[n];
-        for (vid, a) in &scratch.gather_batches[n] {
-            let vid_bytes = crate::wire::col_delta_bytes(vid.raw(), prev);
-            bytes += vid_bytes + a.encoded_len() as u64;
-            prev = vid.raw();
-        }
-        scratch.gather_prev[n] = prev;
-        scratch.gather_entries[n] += scratch.gather_batches[n].len() as u64;
-        scratch.gather_bytes[n] += bytes;
-        ctx.send_kind(
-            NodeId::from_index(n),
-            ProtoMsg::Gather(std::mem::take(&mut scratch.gather_batches[n])),
-            bytes,
-            CommKind::Gather,
-        );
-        shipped += 1;
-    }
-    shipped
-}
-
 impl<P> ComputeModel for VcModel<P>
 where
     P: VertexProgram,
@@ -234,9 +187,6 @@ where
             acc_table: Vec::new(),
             contribs: Vec::new(),
             gather_batches: vec![Vec::new(); shared.cfg.num_nodes],
-            gather_entries: vec![0; shared.cfg.num_nodes],
-            gather_bytes: vec![0; shared.cfg.num_nodes],
-            gather_prev: vec![0; shared.cfg.num_nodes],
         }
     }
 
@@ -260,14 +210,10 @@ where
     /// Distributed gather (partials → masters, barrier), then apply at
     /// masters, sync, barrier, commit.
     ///
-    /// Gather and apply chunks run on the persistent pool; each chunk's
-    /// gather/sync batches ship as soon as the chunk (and all earlier
-    /// chunks) completed, the barriers fencing only the tail.
-    /// Chunks arrive in submission (ascending-range) order, so contrib
-    /// order, staging order, and byte accounting equal the serial order
-    /// exactly; receivers additionally sort contribs by `(pos, sender)`, so
-    /// splitting one Gather envelope into per-chunk envelopes is
-    /// value-neutral.
+    /// Gather and apply chunks run on the persistent pool; once a phase's
+    /// chunks are all in, one gather or sync frame per destination is staged
+    /// and shipped. Receivers sort contribs by `(pos, sender)`, so the fold
+    /// order does not depend on arrival order.
     fn superstep(
         &self,
         ctx: &Ctx<Self>,
@@ -279,41 +225,22 @@ where
     ) -> StepOutcome {
         let me = ctx.id();
         let mut sw = Stopwatch::start();
-        let mut gchunks = vc_gather_chunks(pool, lg, &self.prog, &scratch.gather_index);
-        while let Some((range, part)) = gchunks.next() {
-            let outstanding = gchunks.outstanding() > 0;
-            let route_sw = Stopwatch::start();
-            for (i, slot) in part.into_iter().enumerate() {
-                let Some(acc) = slot else { continue };
-                let pos = range.start + i;
-                let v = &lg.verts[pos];
-                if v.is_master() {
-                    scratch.contribs.push((pos as u32, me, acc));
-                } else {
-                    scratch.gather_batches[v.master_node.index()].push((v.vid, acc));
-                }
-            }
-            let shipped = ship_gather_batches(ctx, scratch);
-            if outstanding {
-                // Routing/shipping overlapped with outstanding gather work.
-                let d = route_sw.elapsed();
-                st.pool.overlap += d;
-                st.phases.record("overlap", d);
-                st.pool.early_batches += shipped;
+        let partials = vc_gather_chunks(pool, lg, &self.prog, &scratch.gather_index);
+        st.phases.record("gather", sw.lap());
+        for (pos, acc) in partials.into_iter().enumerate() {
+            let Some(acc) = acc else { continue };
+            let v = &lg.verts[pos];
+            if v.is_master() {
+                scratch.contribs.push((pos as u32, me, acc));
+            } else {
+                scratch.gather_batches[v.master_node.index()].push((v.vid, acc));
             }
         }
-        st.phases.record("gather", sw.lap());
-
-        for n in 0..shared.cfg.num_nodes {
-            let entries = std::mem::take(&mut scratch.gather_entries[n]);
-            let col_bytes = std::mem::take(&mut scratch.gather_bytes[n]);
-            scratch.gather_prev[n] = 0;
-            if entries > 0 {
-                // One gather-frame header (tag + count) per destination per
-                // superstep — a superstep's contributions toward one
-                // destination are one frame, however many chunks shipped.
-                let frame = col_bytes + crate::wire::small_frame_overhead(entries);
-                st.comm.record(entries, frame);
+        for (n, batch) in scratch.gather_batches.iter_mut().enumerate() {
+            if !batch.is_empty() {
+                let records = batch.len() as u64;
+                let msg = ProtoMsg::Gather(std::mem::take(batch));
+                driver::ship_frame::<Self>(ctx, st, n, records, msg, CommKind::Gather);
             }
         }
         st.phases.record("send", sw.lap());
@@ -349,24 +276,11 @@ where
                 Some(a) => self.prog.combine(a, acc),
             });
         }
-        let mut achunks = vc_apply_chunks(
-            pool,
-            lg,
-            &self.prog,
-            &shared.degrees,
-            st.iter,
-            std::mem::take(&mut scratch.acc_table),
-        );
-        let updates = driver::pump_update_syncs::<Self>(
-            ctx,
-            &**lg,
-            shared,
-            st,
-            &mut scratch.bufs,
-            &mut achunks,
-            &mut sw,
-            "apply",
-        );
+        let acc = std::mem::take(&mut scratch.acc_table);
+        let updates = vc_apply_chunks(pool, lg, &self.prog, &shared.degrees, st.iter, acc);
+        st.phases.record("apply", sw.lap());
+        driver::ship_syncs::<Self>(ctx, &**lg, shared, st, &mut scratch.bufs, &updates);
+        st.phases.record("send", sw.lap());
 
         let (outcome, _) = ctx.enter_barrier_sum(0);
         st.phases.record("barrier", sw.lap());

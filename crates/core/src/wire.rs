@@ -26,12 +26,11 @@
 //!
 //! Determinism: record order within a frame is the staging order (ascending
 //! master position, fixed destination iteration), a pure function of the
-//! committed graph state — independent of thread count and pipelining. The
-//! driver charges per-record column bytes as records stage and exactly one
-//! frame header per destination per superstep when the accounting flushes,
-//! so the accounted bytes equal the encoding of the superstep's records as
-//! one frame regardless of how many envelope chunks actually shipped
-//! (`accounted_sync_frame_matches_codec` pins the equality).
+//! committed graph state — independent of thread count. The driver stages a
+//! phase's records once all its compute chunks are in and ships one frame
+//! per destination per superstep, charged what it encodes to
+//! ([`imitator_storage::codec::Encode::encoded_len`]), so the bytes charged
+//! are the bytes TCP writes.
 
 use imitator_storage::codec::{
     read_uvarint, uvarint_len, write_uvarint, zigzag64, Decode, DecodeError, Encode, Reader, Sink,
@@ -44,18 +43,6 @@ pub const SYNC_FRAME_TAG: u8 = 0xB1;
 /// Frame tag of a columnar gather batch.
 pub const GATHER_FRAME_TAG: u8 = 0xB2;
 
-/// Bytes one column entry costs: the zigzag-varint of the step from the
-/// previous record's value (`prev = 0` before the first record).
-pub fn col_delta_bytes(cur: u32, prev: u32) -> u64 {
-    uvarint_len(zigzag64(i64::from(cur) - i64::from(prev))) as u64
-}
-
-/// Per-frame overhead of a sync frame over `count` records: tag, count
-/// varint, and the two-bit-per-record flag bitmap.
-pub fn sync_frame_overhead(count: u64) -> u64 {
-    1 + uvarint_len(count) as u64 + (2 * count).div_ceil(8)
-}
-
 /// Value-column bytes of one record as the encoder lays it out, and whether
 /// that is the delta layout: delta iff a span is given and no larger than
 /// the full encoding.
@@ -67,18 +54,6 @@ fn value_column_bytes(value_len: usize, span: Option<(u16, u16)>) -> (u64, bool)
         }
     }
     (value_len as u64, false)
-}
-
-/// Column bytes of one staged sync record (position delta + full value);
-/// the flag bits live in the per-frame bitmap counted by
-/// [`sync_frame_overhead`].
-pub fn sync_record_bytes(pos: u32, prev: u32, value_len: usize) -> u64 {
-    col_delta_bytes(pos, prev) + value_len as u64
-}
-
-/// Per-frame overhead of a gather frame (tag + count).
-pub fn small_frame_overhead(count: u64) -> u64 {
-    1 + uvarint_len(count) as u64
 }
 
 /// One sync record presented to the frame encoder. The frozen
@@ -277,55 +252,6 @@ mod tests {
         assert_eq!(value_column_bytes(4, None), (4, false));
     }
 
-    /// The frame-layout table the accounting promises (sizes in bytes):
-    ///
-    /// | frame  | tag | count      | flags    | id column        | payload column        |
-    /// |--------|-----|------------|----------|------------------|-----------------------|
-    /// | sync   | 1   | uvarint(n) | ⌈2n/8⌉   | Σ zzvarint(Δpos) | Σ full‖(off,len,span) |
-    /// | gather | 1   | uvarint(n) | —        | Σ zzvarint(Δvid) | Σ accum encoding      |
-    #[test]
-    fn accounted_sync_frame_matches_codec() {
-        let values: Vec<Vec<u8>> = vec![
-            7u64.to_le_bytes().to_vec(),
-            u64::MAX.to_le_bytes().to_vec(),
-            42u64.to_le_bytes().to_vec(),
-        ];
-        // As the driver stages them: no span. (`columnar_codec_roundtrip`
-        // sizes the delta layouts.)
-        let recs: Vec<SyncRecEnc<'_>> = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| SyncRecEnc {
-                pos: [900, 3, 40_000][i],
-                activate: i % 2 == 0,
-                value: v,
-                span: None,
-            })
-            .collect();
-        let mut buf = Vec::new();
-        encode_sync_frame(&recs, &mut buf);
-        let mut accounted = sync_frame_overhead(recs.len() as u64);
-        let mut prev = 0u32;
-        for r in &recs {
-            accounted += sync_record_bytes(r.pos, prev, r.value.len());
-            prev = r.pos;
-        }
-        assert_eq!(buf.len() as u64, accounted, "accounting must equal codec");
-    }
-
-    #[test]
-    fn accounted_gather_frame_matches_codec() {
-        let recs: Vec<(u32, u64)> = vec![(5, 10), (1_000_000, 20), (17, u64::MAX)];
-        let buf = gather_frame(&recs);
-        let mut accounted = small_frame_overhead(recs.len() as u64);
-        let mut prev = 0u32;
-        for &(vid, _) in &recs {
-            accounted += col_delta_bytes(vid, prev) + 8;
-            prev = vid;
-        }
-        assert_eq!(buf.len() as u64, accounted);
-    }
-
     #[test]
     fn sync_frame_roundtrips_deltas_against_base() {
         let old = 0x0101_0101_0101_0101u64;
@@ -419,8 +345,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Arbitrary batches ⇄ bytes ⇄ batches, full and delta payloads,
-        /// with the accounted size always equal to the encoded size.
+        /// Arbitrary batches ⇄ bytes ⇄ batches, full and delta payloads.
         #[test]
         fn columnar_codec_roundtrip(
             batch in proptest::collection::vec(
@@ -452,14 +377,6 @@ mod tests {
                 .collect();
             let mut buf = Vec::new();
             encode_sync_frame(&recs, &mut buf);
-
-            let mut accounted = sync_frame_overhead(recs.len() as u64);
-            let mut prev = 0u32;
-            for r in &recs {
-                accounted += col_delta_bytes(r.pos, prev) + value_column_bytes(8, r.span).0;
-                prev = r.pos;
-            }
-            prop_assert_eq!(buf.len() as u64, accounted);
 
             // A record shipped as a delta decodes to its base with the span
             // of the new value patched in; any other to the new value. Decode
@@ -495,15 +412,7 @@ mod tests {
             // Gather frames: same vids, u64 accumulators.
             let grecs: Vec<(u32, u64)> =
                 batch.iter().map(|&(pos, _, a, _, _)| (pos, a)).collect();
-            let gbuf = gather_frame(&grecs);
-            let mut gacc = small_frame_overhead(grecs.len() as u64);
-            let mut prev = 0u32;
-            for &(vid, _) in &grecs {
-                gacc += col_delta_bytes(vid, prev) + 8;
-                prev = vid;
-            }
-            prop_assert_eq!(gbuf.len() as u64, gacc);
-            prop_assert_eq!(decode_gather_frame::<u64>(&gbuf).unwrap(), grecs);
+            prop_assert_eq!(decode_gather_frame::<u64>(&gather_frame(&grecs)).unwrap(), grecs);
         }
 
         /// Sync and gather frames off a socket are input like any other:

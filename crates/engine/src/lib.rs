@@ -53,6 +53,6 @@ pub use full_state::{
 };
 pub use locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
 pub use par::{chunk_ranges, weighted_ranges, VcGatherIndex};
-pub use pool::{ec_compute_chunks, vc_apply_chunks, vc_gather_chunks, InOrder, WorkerPool};
+pub use pool::{ec_compute_chunks, vc_apply_chunks, vc_gather_chunks, WorkerPool};
 pub use program::{Degrees, VertexProgram};
 pub use vcut::{build_vertex_cut_graphs, VcEdge, VcLocalGraph, VcVertex};

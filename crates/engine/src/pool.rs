@@ -4,36 +4,34 @@
 //! PageRank-iteration granularity, what the compute itself does. A
 //! [`WorkerPool`] is spawned **once per node per run** instead: workers park
 //! on a blocking channel between phases and wake only when a superstep
-//! dispatches chunk jobs, so steady-state supersteps pay one enqueue per
-//! chunk rather than one thread spawn per chunk.
+//! runs its chunk jobs, so steady-state supersteps pay one enqueue per chunk
+//! rather than one thread spawn per chunk.
 //!
-//! Determinism contract (same as `par.rs`): work is split into disjoint
-//! contiguous chunks and results are consumed **in submission order** via
-//! [`InOrder`], regardless of which worker finishes first. Each chunk job is
-//! a pure function of its inputs, so chunk-order concatenation is
-//! bit-identical to the serial phase for any thread count.
+//! The pool runs the superstep's three compute kernels —
+//! [`ec_compute_chunks`], [`vc_gather_chunks`] and [`vc_apply_chunks`] — and
+//! nothing else. Determinism contract (same as `par.rs`): work is split into
+//! disjoint contiguous chunks and [`WorkerPool::run`] returns their results
+//! **in submission order**, regardless of which worker finishes first. Each
+//! chunk job is a pure function of its inputs, so the kernels' chunk-order
+//! concatenation is bit-identical to the serial phase for any thread count.
 //!
-//! The pool also unlocks pipelining: [`InOrder`] yields each chunk as soon
-//! as it (and all earlier chunks) completed, so the driver can stage and
-//! ship chunk `i`'s sync batch while chunks `i+1..` are still computing.
-//! Two invariants make that safe:
+//! Two invariants hold:
 //!
 //! 1. **Results are published only after the job's captures are dropped.**
 //!    The wrapper invokes the boxed job (consuming it and its `Arc` clones
-//!    of the shared graph) *before* sending the result, so once the main
-//!    thread has consumed every chunk, `Arc::get_mut` on the graph is
-//!    guaranteed to succeed — no reference counting races.
-//! 2. **With one thread the pool runs jobs inline, lazily**, in the
-//!    iterator itself: a single code path whose observable order is
+//!    of the shared graph) *before* sending the result, so once `run`
+//!    returns, `Arc::get_mut` on the graph is guaranteed to succeed — no
+//!    reference counting races.
+//! 2. **With one thread the pool runs jobs inline**, in submission order on
+//!    the calling thread: a single code path whose observable order is
 //!    trivially the serial order.
 
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Sender};
 
 use crate::compute::{ec_compute_frontier, vc_apply_range, MasterUpdate};
 use crate::ecut::EcLocalGraph;
@@ -46,8 +44,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// A persistent pool of parked worker threads, spawned once per node per
 /// run and reused across every superstep phase.
 ///
-/// With `threads <= 1` no workers are spawned and dispatched jobs run
-/// inline (lazily, as the [`InOrder`] iterator is consumed), keeping a
+/// With `threads <= 1` no workers are spawned and jobs run inline, keeping a
 /// single code path for serial and parallel execution.
 pub struct WorkerPool {
     jobs_tx: Option<Sender<Job>>,
@@ -100,14 +97,14 @@ impl WorkerPool {
         }
     }
 
-    /// Worker-thread budget this pool was built for (`>= 1`); phase
-    /// drivers use it as their chunk count.
+    /// Worker-thread budget this pool was built for (`>= 1`); the kernels
+    /// use it as their chunk count.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Total jobs dispatched and the peak number of simultaneously busy
-    /// workers observed (0 in inline mode — there are no workers).
+    /// Total jobs run and the peak number of simultaneously busy workers
+    /// observed (0 in inline mode — there are no workers).
     pub fn counters(&self) -> (u64, u64) {
         (
             self.dispatched.load(Ordering::Relaxed),
@@ -115,19 +112,17 @@ impl WorkerPool {
         )
     }
 
-    /// Dispatches `jobs` and returns an iterator over their results **in
-    /// submission order**. Out-of-order completions are buffered; with no
-    /// workers the jobs run inline as the iterator is advanced.
-    pub fn dispatch<T: Send + 'static>(
+    /// Runs `jobs` and returns every result **in submission order**. Workers
+    /// finishing out of order are buffered; with no workers the jobs run
+    /// inline, one after another.
+    pub fn run<T: Send + 'static>(
         &self,
         jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> InOrder<T> {
+    ) -> Vec<T> {
         self.dispatched
             .fetch_add(jobs.len() as u64, Ordering::Relaxed);
         let Some(tx) = &self.jobs_tx else {
-            return InOrder {
-                inner: Inner::Inline(jobs.into_iter()),
-            };
+            return jobs.into_iter().map(|job| job()).collect();
         };
         let total = jobs.len();
         let (res_tx, res_rx) = channel::unbounded();
@@ -136,29 +131,24 @@ impl WorkerPool {
             tx.send(Box::new(move || {
                 // Run to completion *before* publishing: the send
                 // happens-after every capture of `job` (including Arc
-                // clones of the shared graph) has been dropped, so a
-                // consumer that has received all results can rely on
-                // `Arc::get_mut` succeeding.
+                // clones of the shared graph) has been dropped, so once
+                // every result is in, `Arc::get_mut` succeeds.
                 let out = job();
                 let _ = res_tx.send((i, out));
             }))
-            .expect("worker pool alive while dispatching");
+            .expect("worker pool alive while running jobs");
         }
-        InOrder {
-            inner: Inner::Pooled {
-                rx: res_rx,
-                buf: (0..total).map(|_| None).collect(),
-                next: 0,
-            },
+        let mut out: Vec<Option<T>> = (0..total).map(|_| None).collect();
+        for _ in 0..total {
+            let (i, v) = res_rx
+                .recv()
+                .expect("pool worker died before finishing chunk");
+            debug_assert!(out[i].is_none(), "duplicate chunk result");
+            out[i] = Some(v);
         }
-    }
-
-    /// Dispatches `jobs` and collects every result, in submission order.
-    pub fn run<T: Send + 'static>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() -> T + Send + 'static>>,
-    ) -> Vec<T> {
-        self.dispatch(jobs).collect()
+        out.into_iter()
+            .map(|v| v.expect("every chunk ran"))
+            .collect()
     }
 }
 
@@ -184,84 +174,27 @@ impl fmt::Debug for WorkerPool {
     }
 }
 
-/// Results of one [`WorkerPool::dispatch`], yielded in submission order.
-pub struct InOrder<T> {
-    inner: Inner<T>,
-}
-
-enum Inner<T> {
-    /// No workers: jobs run lazily on the consuming thread.
-    Inline(std::vec::IntoIter<Box<dyn FnOnce() -> T + Send + 'static>>),
-    /// Workers publish `(index, result)`; completions arriving early are
-    /// buffered until their turn.
-    Pooled {
-        rx: Receiver<(usize, T)>,
-        buf: Vec<Option<T>>,
-        next: usize,
-    },
-}
-
-impl<T> InOrder<T> {
-    /// Number of chunk results not yet yielded. The driver uses
-    /// this to tell "staging overlapped with outstanding compute" from
-    /// "staging after the last chunk".
-    pub fn outstanding(&self) -> usize {
-        match &self.inner {
-            Inner::Inline(it) => it.len(),
-            Inner::Pooled { buf, next, .. } => buf.len() - next,
-        }
+/// Chunk outputs joined in chunk order; a single chunk is returned as is.
+fn concat<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
+    let mut chunks = chunks.into_iter();
+    let mut out = chunks.next().unwrap_or_default();
+    for chunk in chunks {
+        out.extend(chunk);
     }
-}
-
-impl<T> Iterator for InOrder<T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        match &mut self.inner {
-            Inner::Inline(it) => it.next().map(|job| job()),
-            Inner::Pooled { rx, buf, next } => {
-                if *next >= buf.len() {
-                    return None;
-                }
-                while buf[*next].is_none() {
-                    let (i, v) = rx.recv().expect("pool worker died before finishing chunk");
-                    debug_assert!(buf[i].is_none(), "duplicate chunk result");
-                    buf[i] = Some(v);
-                }
-                let out = buf[*next].take();
-                *next += 1;
-                out
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.outstanding();
-        (n, Some(n))
-    }
-}
-
-impl<T> ExactSizeIterator for InOrder<T> {}
-
-impl<T> fmt::Debug for InOrder<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InOrder")
-            .field("outstanding", &self.outstanding())
-            .finish()
-    }
+    out
 }
 
 /// Edge-cut compute phase on the pool: the sorted activation frontier is
-/// split into contiguous chunks (one per pool thread) and each chunk's
-/// staged master updates are yielded in chunk order — concatenating them is
-/// bit-identical to [`crate::ec_compute`] for any thread count.
+/// split into contiguous chunks (one per pool thread) and the chunks' master
+/// updates are concatenated in chunk order — bit-identical to
+/// [`crate::ec_compute`] for any thread count.
 pub fn ec_compute_chunks<P: VertexProgram>(
     pool: &WorkerPool,
     lg: &Arc<EcLocalGraph<P::Value>>,
     prog: &Arc<P>,
     degrees: &Arc<Degrees>,
     step: u64,
-) -> InOrder<Vec<MasterUpdate<P::Value>>> {
+) -> Vec<MasterUpdate<P::Value>> {
     let ranges = chunk_ranges(lg.active_frontier.len(), pool.threads());
     let jobs = ranges
         .into_iter()
@@ -277,24 +210,20 @@ pub fn ec_compute_chunks<P: VertexProgram>(
             }) as Box<dyn FnOnce() -> Vec<MasterUpdate<P::Value>> + Send>
         })
         .collect();
-    pool.dispatch(jobs)
+    concat(pool.run(jobs))
 }
-
-/// One gather worker's result: the destination range it owned and the
-/// accumulator slots for exactly that range.
-pub type GatherChunk<A> = (Range<usize>, Vec<Option<A>>);
 
 /// Vertex-cut local gather on the pool: workers own disjoint contiguous
 /// destination ranges (balanced by edge count via the gather index) and
-/// return their accumulator slices; each destination folds its edges in
-/// original edge-list order, so writing each `(range, slots)` back at
-/// `range` reproduces [`crate::vc_partial_gather`]'s table exactly.
+/// return their accumulator slots; each destination folds its edges in
+/// original edge-list order, so the slots joined in range order are
+/// [`crate::vc_partial_gather`]'s table exactly.
 pub fn vc_gather_chunks<P: VertexProgram>(
     pool: &WorkerPool,
     lg: &Arc<VcLocalGraph<P::Value>>,
     prog: &Arc<P>,
     index: &Arc<VcGatherIndex>,
-) -> InOrder<GatherChunk<P::Accum>> {
+) -> Vec<Option<P::Accum>> {
     assert!(index.is_valid_for(lg), "stale gather index for this graph");
     let ranges = index.ranges(pool.threads());
     let jobs = ranges
@@ -305,7 +234,7 @@ pub fn vc_gather_chunks<P: VertexProgram>(
             let index = Arc::clone(index);
             Box::new(move || {
                 let mut slots: Vec<Option<P::Accum>> = vec![None; r.len()];
-                for (slot, d) in slots.iter_mut().zip(r.clone()) {
+                for (slot, d) in slots.iter_mut().zip(r) {
                     for &ei in index.edges_for(d) {
                         let e = &lg.edges[ei as usize];
                         let contribution = prog.gather(e.weight, &lg.verts[e.src as usize].value);
@@ -315,11 +244,11 @@ pub fn vc_gather_chunks<P: VertexProgram>(
                         });
                     }
                 }
-                (r, slots)
-            }) as Box<dyn FnOnce() -> (Range<usize>, Vec<Option<P::Accum>>) + Send>
+                slots
+            }) as Box<dyn FnOnce() -> Vec<Option<P::Accum>> + Send>
         })
         .collect();
-    pool.dispatch(jobs)
+    concat(pool.run(jobs))
 }
 
 /// Vertex-cut apply on the pool: the accumulator table is carved into
@@ -333,7 +262,7 @@ pub fn vc_apply_chunks<P: VertexProgram>(
     degrees: &Arc<Degrees>,
     step: u64,
     mut acc: Vec<Option<P::Accum>>,
-) -> InOrder<Vec<MasterUpdate<P::Value>>> {
+) -> Vec<MasterUpdate<P::Value>> {
     assert_eq!(acc.len(), lg.verts.len(), "accumulator table size mismatch");
     let ranges = chunk_ranges(acc.len(), pool.threads());
     let mut drain = acc.drain(..);
@@ -351,7 +280,7 @@ pub fn vc_apply_chunks<P: VertexProgram>(
             }) as Box<dyn FnOnce() -> Vec<MasterUpdate<P::Value>> + Send>
         })
         .collect();
-    pool.dispatch(jobs)
+    concat(pool.run(jobs))
 }
 
 #[cfg(test)]
@@ -397,8 +326,8 @@ mod tests {
 
     #[test]
     fn results_arrive_in_submission_order() {
-        // Later jobs finish first (earlier ones sleep longer); InOrder must
-        // still yield 0, 1, 2, ...
+        // Later jobs finish first (earlier ones sleep longer); `run` must
+        // still return 0, 1, 2, ...
         let pool = WorkerPool::new(4);
         for _round in 0..3 {
             let jobs: Vec<_> = (0..8u64)
@@ -418,15 +347,14 @@ mod tests {
     }
 
     #[test]
-    fn inline_pool_runs_lazily_in_order() {
+    fn inline_pool_runs_in_order_on_the_caller() {
         let pool = WorkerPool::new(1);
-        let mut it = pool.dispatch((0..5u32).map(|i| job(move || i * 10)).collect());
-        assert_eq!(it.outstanding(), 5);
-        assert_eq!(it.next(), Some(0));
-        assert_eq!(it.outstanding(), 4);
-        assert_eq!(it.by_ref().collect::<Vec<_>>(), vec![10, 20, 30, 40]);
-        assert_eq!(it.outstanding(), 0);
-        assert_eq!(it.next(), None);
+        let caller = std::thread::current().id();
+        let jobs = (0..5u32).map(|i| job(move || (i * 10, std::thread::current().id())));
+        let got = pool.run(jobs.collect());
+        assert!(got.iter().all(|&(_, thread)| thread == caller));
+        let values: Vec<u32> = got.into_iter().map(|(v, _)| v).collect();
+        assert_eq!(values, vec![0, 10, 20, 30, 40]);
         let (jobs, peak) = pool.counters();
         assert_eq!((jobs, peak), (5, 0));
     }
@@ -436,7 +364,7 @@ mod tests {
         for threads in [1usize, 4] {
             let pool = WorkerPool::new(threads);
             assert_eq!(pool.run(Vec::<Box<dyn FnOnce() -> u8 + Send>>::new()), []);
-            // Park/unpark across many phases: repeated small dispatches.
+            // Park/unpark across many phases: repeated small runs.
             for round in 0..50u32 {
                 let got = pool.run(vec![job(move || round)]);
                 assert_eq!(got, vec![round]);
@@ -451,9 +379,8 @@ mod tests {
         let pool = WorkerPool::new(4);
         assert!(chunk_ranges(0, pool.threads()).is_empty());
         assert!(weighted_ranges(&[0u32], pool.threads()).is_empty());
-        let mut it = pool.dispatch(Vec::<Box<dyn FnOnce() -> Vec<u32> + Send + 'static>>::new());
-        assert_eq!(it.outstanding(), 0);
-        assert!(it.next().is_none());
+        let got = pool.run(Vec::<Box<dyn FnOnce() -> Vec<u32> + Send + 'static>>::new());
+        assert!(got.is_empty());
         assert_eq!(pool.counters().0, 0);
     }
 
@@ -492,8 +419,7 @@ mod tests {
                 assert_eq!(serial, scan, "frontier path diverged from full scan");
                 for t in [1usize, 2, 3, 8] {
                     let pool = WorkerPool::new(t);
-                    let chunks = ec_compute_chunks(&pool, lg, &prog, &degrees, step);
-                    let merged: Vec<_> = chunks.flatten().collect();
+                    let merged = ec_compute_chunks(&pool, lg, &prog, &degrees, step);
                     assert_eq!(merged, serial, "threads={t} diverged");
                     // Every worker dropped its Arc clone before publishing.
                     assert!(Arc::get_mut(lg).is_some(), "graph still shared");
@@ -520,17 +446,9 @@ mod tests {
             let mut lg = Arc::new(lg);
             for t in [1usize, 2, 5, 8] {
                 let pool = WorkerPool::new(t);
-                let mut table: Vec<Option<u32>> = vec![None; serial.len()];
-                for (r, slots) in vc_gather_chunks(&pool, &lg, &prog, &index) {
-                    assert_eq!(r.len(), slots.len());
-                    for (i, s) in r.zip(slots) {
-                        table[i] = s;
-                    }
-                }
+                let table = vc_gather_chunks(&pool, &lg, &prog, &index);
                 assert_eq!(table, serial, "gather threads={t} diverged");
-                let ups: Vec<_> = vc_apply_chunks(&pool, &lg, &prog, &degrees, 0, table)
-                    .flatten()
-                    .collect();
+                let ups = vc_apply_chunks(&pool, &lg, &prog, &degrees, 0, table);
                 assert_eq!(ups, serial_ups, "apply threads={t} diverged");
                 assert!(Arc::get_mut(&mut lg).is_some(), "graph still shared");
             }

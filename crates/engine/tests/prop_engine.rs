@@ -121,8 +121,7 @@ where
             let held = |pos: u32| lg.verts[pos as usize].value;
             let serial = ec_compute(lg, &*prog, &degrees, step);
             assert_all_changed(held, &serial, "ec_compute")?;
-            let chunks = ec_compute_chunks(&pool, lg, &prog, &degrees, step);
-            let chunked: Vec<_> = chunks.flatten().collect();
+            let chunked = ec_compute_chunks(&pool, lg, &prog, &degrees, step);
             assert_all_changed(held, &chunked, "ec_compute_chunks")?;
             all.push(chunked);
         }
@@ -183,8 +182,7 @@ where
         }
         let mut all = Vec::new();
         for (lg, acc) in lgs.iter().zip(acc) {
-            let chunks = vc_apply_chunks(&pool, lg, &prog, &degrees, step, acc);
-            let updates: Vec<_> = chunks.flatten().collect();
+            let updates = vc_apply_chunks(&pool, lg, &prog, &degrees, step, acc);
             let held = |pos: u32| lg.verts[pos as usize].value;
             assert_all_changed(held, &updates, "vc_apply_chunks")?;
             all.push(updates);

@@ -98,7 +98,8 @@ impl EpochKind {
     }
 }
 
-/// The epoch sequence a loader must apply, ascending.
+/// The epoch sequence a loader must apply, ascending, with the loader's own
+/// part of each: read and verified once, while the chain was judged.
 ///
 /// `grounded` is true when the chain starts at a complete full epoch; when
 /// false, every listed epoch is a delta and the loader must reconstruct the
@@ -108,6 +109,8 @@ impl EpochKind {
 pub struct EpochChain {
     /// `(epoch, kind)` pairs to apply in order.
     pub epochs: Vec<(u64, EpochKind)>,
+    /// The loader's verified part of each epoch, in the same order.
+    pub parts: Vec<Arc<Vec<u8>>>,
     /// Whether `epochs` starts at a complete full (base) epoch.
     pub grounded: bool,
 }
@@ -252,9 +255,9 @@ pub fn read_roster(
 
 /// The base+delta chain node `node` should load: the newest complete full
 /// epoch whose roster contains `node`, plus every complete later epoch
-/// (deltas) in order. Incomplete epochs — torn parts, missing seals, stale
-/// rosters listing nodes that never sealed a part — never appear in the
-/// chain.
+/// (deltas) in order, each with `node`'s part as it verified. Incomplete
+/// epochs — torn parts, missing seals, stale rosters listing nodes that
+/// never sealed a part — never appear in the chain.
 ///
 /// When deltas exist but every full epoch they could ground on is torn, the
 /// chain is returned with `grounded == false`: the loader must rebuild the
@@ -264,33 +267,38 @@ pub fn read_roster(
 /// survivor to the last complete epoch — so the next delta's dirty set
 /// covers everything since that epoch.)
 pub fn recovery_chain(dfs: &Dfs, prefix: &str, node: u32) -> Result<EpochChain, EpochError> {
-    let complete: Vec<(u64, EpochKind)> = listed_epochs(dfs, prefix)
-        .into_iter()
-        .filter_map(|e| {
-            let (kind, nodes) = read_roster(dfs, prefix, e).ok()?;
-            // Complete by its own roster: every rostered node's part
-            // verifies against its seal.
-            let sealed = |&n: &u32| read_verified(dfs, prefix, e, n).is_ok();
-            (nodes.contains(&node) && nodes.iter().all(sealed)).then_some((e, kind))
-        })
-        .collect();
-    if complete.is_empty() {
+    let (mut epochs, mut parts) = (Vec::new(), Vec::new());
+    for e in listed_epochs(dfs, prefix) {
+        let Ok((kind, nodes)) = read_roster(dfs, prefix, e) else {
+            continue;
+        };
+        let Some(own) = nodes.iter().position(|&n| n == node) else {
+            continue;
+        };
+        // Complete by its own roster: every rostered node's part verifies
+        // against its seal.
+        let sealed: Result<Vec<_>, _> = nodes
+            .iter()
+            .map(|&n| read_verified(dfs, prefix, e, n))
+            .collect();
+        if let Ok(mut sealed) = sealed {
+            epochs.push((e, kind));
+            parts.push(sealed.swap_remove(own));
+        }
+    }
+    if epochs.is_empty() {
         return Err(EpochError::NoCompleteEpoch {
             prefix: prefix.to_string(),
         });
     }
-    let base = complete
+    let base = epochs
         .iter()
         .rposition(|&(_, kind)| kind == EpochKind::Full);
-    Ok(match base {
-        Some(i) => EpochChain {
-            epochs: complete[i..].to_vec(),
-            grounded: true,
-        },
-        None => EpochChain {
-            epochs: complete,
-            grounded: false,
-        },
+    let from = base.unwrap_or(0);
+    Ok(EpochChain {
+        epochs: epochs.split_off(from),
+        parts: parts.split_off(from),
+        grounded: base.is_some(),
     })
 }
 
@@ -568,6 +576,29 @@ mod tests {
             chain.epochs,
             vec![(4, EpochKind::Delta), (6, EpochKind::Delta)]
         );
+    }
+
+    #[test]
+    fn the_chain_carries_the_parts_it_verified() {
+        let d = dfs();
+        for (epoch, kind) in [(2, EpochKind::Full), (4, EpochKind::Delta)] {
+            for n in 0..2u32 {
+                write_part(&d, "ec", epoch, n, vec![epoch as u8 * 10 + n as u8; 8]);
+            }
+            write_roster(&d, "ec", epoch, kind, &[0, 1]);
+        }
+        // An epoch node 1 took no part in: its roster is read, no part of it.
+        complete_epoch(&d, "ec", 6, EpochKind::Delta, &[0]);
+        let before = d.stats().reads.messages;
+        let chain = recovery_chain(&d, "ec", 1).unwrap();
+        // Two epochs of a roster and two parts, one of a roster, every read
+        // with its seal: each part is read once, to verify it.
+        assert_eq!(d.stats().reads.messages - before, 2 * (2 * 3 + 1));
+        assert_eq!(chain.epochs, [(2, EpochKind::Full), (4, EpochKind::Delta)]);
+        let verified = |&(e, _): &(u64, EpochKind)| read_verified(&d, "ec", e, 1).unwrap();
+        let want: Vec<_> = chain.epochs.iter().map(verified).collect();
+        assert_eq!(chain.parts, want);
+        assert_eq!(*chain.parts[1], [41u8; 8]);
     }
 
     #[test]

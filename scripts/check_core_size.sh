@@ -105,7 +105,16 @@ cd "$(dirname "$0")/.."
 #          `ComputeModel::{entry_wire_bytes, meta_update_bytes}`, both
 #          runners' impls and Migration's per-round byte guesses are gone
 #          (DESIGN.md §4.6).
-BUDGET=4184
+#   3764 — the pool computes and nothing else: a phase ships one
+#          sync or gather frame per destination once its compute chunks are
+#          all in, charged what it encodes to, so the staging-time size
+#          model (`SyncBufs`' running totals, `flush_sync_acct`, the gather
+#          totals and flush) and the overlap bookkeeping went; recovery runs
+#          on the protocol thread over a `&mut` graph, so `driver::fan_out`,
+#          `AttemptCx::scan` and its chunk merges, the pool jobs of R5/R7
+#          and of the checkpoint fallback and the parallel replay branch
+#          went (DESIGN.md §4.4, §4.5).
+BUDGET=3764
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -285,12 +285,8 @@ fn report_common<V>(r: &RunReport<V>) {
     println!("fabric: {}", r.fabric);
     if r.pool.jobs > 0 {
         println!(
-            "pool: {} chunk jobs, peak {} busy worker(s), {} batch(es) shipped early, \
-             {:.1} ms staging overlapped",
-            r.pool.jobs,
-            r.pool.peak_busy,
-            r.pool.early_batches,
-            r.pool.overlap.as_secs_f64() * 1e3,
+            "pool: {} chunk jobs, peak {} busy worker(s)",
+            r.pool.jobs, r.pool.peak_busy,
         );
     }
     for rec in &r.recoveries {

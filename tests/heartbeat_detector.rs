@@ -175,7 +175,7 @@ fn run(s: &Scenario, detector: DetectorKind, failures: Vec<FailurePlan>) -> RunR
     }
 }
 
-/// `PROPTEST_CASES` (used by the non-blocking deep-fuzz CI job) scales the
+/// `PROPTEST_CASES` (used by the deep-fuzz CI job) scales the
 /// case count; the explicit default would otherwise shadow the env var.
 fn cases(default: u32) -> u32 {
     std::env::var("PROPTEST_CASES")

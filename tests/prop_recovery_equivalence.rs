@@ -19,6 +19,7 @@ use imitator_repro::ft::{
     RunReport, TransportKind,
 };
 use imitator_repro::graph::{gen, Graph, Vid};
+use imitator_repro::metrics::CommKind;
 use imitator_repro::partition::{
     EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
 };
@@ -128,7 +129,13 @@ fn config(s: &Scenario, ft: FtMode, standbys: usize) -> RunConfig {
     }
 }
 
-/// `PROPTEST_CASES` (used by the non-blocking deep-fuzz CI job) scales the
+/// What the fabric carried as sync and gather frames, in bytes: in a
+/// failure-free run, exactly the steady-state `comm` the nodes charged.
+fn frame_bytes<V>(r: &RunReport<V>) -> u64 {
+    r.fabric.kind(CommKind::Sync).bytes + r.fabric.kind(CommKind::Gather).bytes
+}
+
+/// `PROPTEST_CASES` (used by the deep-fuzz CI job) scales the
 /// case count; the explicit default would otherwise shadow the env var.
 fn cases(default: u32) -> u32 {
     std::env::var("PROPTEST_CASES")
@@ -298,15 +305,15 @@ proptest! {
     }
 
     #[test]
-    fn edge_cut_pipelining_is_invisible((s, threads) in (arb_scenario(), 1usize..=8)) {
-        // Pipelined supersteps (chunks shipped as they complete, with only
-        // the tail fenced by the barrier) must be invisible: every thread
-        // count is bit-identical to the strict serial run (one thread, one
-        // chunk: compute, then ship) — values, iterations, and the exact
-        // logical comm accounting — across injected failures, including
-        // crashes landing mid-pipeline before the tail fence
-        // (`FailPoint::BeforeBarrier` fires after chunk batches have
-        // already shipped).
+    fn edge_cut_thread_count_is_invisible((s, threads) in (arb_scenario(), 1usize..=8)) {
+        // Compute chunks on any number of pool threads, then one sync frame
+        // per destination per superstep: every thread count is bit-identical
+        // to one thread — values, iterations and the logical comm accounting
+        // across injected failures, and the fabric's sync and gather traffic,
+        // messages and bytes, which is `comm` to the byte. The fabric is
+        // compared without failures: it drops a frame to a node already dead
+        // uncounted, and whether a crashing peer is dead yet when a frame
+        // leaves is a race.
         let cut = HashEdgeCut.partition(&s.graph, s.nodes);
         let ft = FtMode::Replication {
             tolerance: s.tolerance,
@@ -317,33 +324,26 @@ proptest! {
             RecoveryStrategy::Rebirth => s.failures.len(),
             RecoveryStrategy::Migration => 0,
         };
-        let serial = run_edge_cut(
-            &s.graph,
-            &cut,
-            Arc::new(MinLabel),
-            RunConfig { threads_per_node: 1, ..config(&s, ft, standbys) },
-            plans(&s),
-            Dfs::new(DfsConfig::instant()),
-        );
-        let piped = run_edge_cut(
-            &s.graph,
-            &cut,
-            Arc::new(MinLabel),
-            RunConfig { threads_per_node: threads, ..config(&s, ft, standbys) },
-            plans(&s),
-            Dfs::new(DfsConfig::instant()),
-        );
-        prop_assert_eq!(piped.values, serial.values);
-        prop_assert_eq!(piped.iterations, serial.iterations);
-        prop_assert_eq!(piped.comm, serial.comm);
+        let run = |threads_per_node, failures| {
+            let cfg = RunConfig { threads_per_node, ..config(&s, ft, standbys) };
+            let dfs = Dfs::new(DfsConfig::instant());
+            run_edge_cut(&s.graph, &cut, Arc::new(MinLabel), cfg, failures, dfs)
+        };
+        let (serial, threaded) = (run(1, plans(&s)), run(threads, plans(&s)));
+        prop_assert_eq!(&threaded.values, &serial.values);
+        prop_assert_eq!(threaded.iterations, serial.iterations);
+        prop_assert_eq!(threaded.comm, serial.comm);
+        let (serial, threaded) = (run(1, vec![]), run(threads, vec![]));
+        for kind in [CommKind::Sync, CommKind::Gather] {
+            prop_assert_eq!(threaded.fabric.kind(kind), serial.fabric.kind(kind));
+        }
+        prop_assert_eq!(frame_bytes(&threaded), threaded.comm.bytes);
     }
 
     #[test]
-    fn vertex_cut_pipelining_is_invisible((s, threads) in (arb_scenario(), 1usize..=8)) {
-        // Vertex-cut twin of `edge_cut_pipelining_is_invisible`: the dense
-        // engine additionally pipelines mirror->master gather shipping, so
-        // this also proves per-chunk Gather envelopes reassociate to the
-        // same accumulator folds.
+    fn vertex_cut_thread_count_is_invisible((s, threads) in (arb_scenario(), 1usize..=8)) {
+        // Vertex-cut twin of `edge_cut_thread_count_is_invisible`: the dense
+        // engine also ships one gather frame per destination per superstep.
         let cut = RandomVertexCut.partition(&s.graph, s.nodes);
         let ft = FtMode::Replication {
             tolerance: s.tolerance,
@@ -354,25 +354,20 @@ proptest! {
             RecoveryStrategy::Rebirth => s.failures.len(),
             RecoveryStrategy::Migration => 0,
         };
-        let serial = run_vertex_cut(
-            &s.graph,
-            &cut,
-            Arc::new(MinLabel),
-            RunConfig { threads_per_node: 1, ..config(&s, ft, standbys) },
-            plans(&s),
-            Dfs::new(DfsConfig::instant()),
-        );
-        let piped = run_vertex_cut(
-            &s.graph,
-            &cut,
-            Arc::new(MinLabel),
-            RunConfig { threads_per_node: threads, ..config(&s, ft, standbys) },
-            plans(&s),
-            Dfs::new(DfsConfig::instant()),
-        );
-        prop_assert_eq!(piped.values, serial.values);
-        prop_assert_eq!(piped.iterations, serial.iterations);
-        prop_assert_eq!(piped.comm, serial.comm);
+        let run = |threads_per_node, failures| {
+            let cfg = RunConfig { threads_per_node, ..config(&s, ft, standbys) };
+            let dfs = Dfs::new(DfsConfig::instant());
+            run_vertex_cut(&s.graph, &cut, Arc::new(MinLabel), cfg, failures, dfs)
+        };
+        let (serial, threaded) = (run(1, plans(&s)), run(threads, plans(&s)));
+        prop_assert_eq!(&threaded.values, &serial.values);
+        prop_assert_eq!(threaded.iterations, serial.iterations);
+        prop_assert_eq!(threaded.comm, serial.comm);
+        let (serial, threaded) = (run(1, vec![]), run(threads, vec![]));
+        for kind in [CommKind::Sync, CommKind::Gather] {
+            prop_assert_eq!(threaded.fabric.kind(kind), serial.fabric.kind(kind));
+        }
+        prop_assert_eq!(frame_bytes(&threaded), threaded.comm.bytes);
     }
 
     #[test]
@@ -1826,7 +1821,7 @@ fn wire_format_invisible_e2e() {
 // ---------------------------------------------------------------------------
 
 /// Severe-but-survivable uniform faults for the equivalence sweeps: heavy
-/// enough that even the smallest generated scenario trips several faults.
+/// enough that any run of a few dozen frames trips several faults.
 fn heavy_faults(seed: u64) -> NetFaults {
     NetFaults::uniform(
         seed,
@@ -1846,7 +1841,8 @@ proptest! {
     /// schedules, with machine crashes layered on top of the link faults:
     /// the run converges to the failure-free golden values, every logical
     /// tally matches the reliable-channel run of the same schedule, and the
-    /// physical retry counters are nonzero (the faults really fired).
+    /// physical retry counters are nonzero on any run long enough that the
+    /// faults must have fired.
     #[test]
     fn lossy_transport_bit_identical(
         (s, threads, net_seed) in (
@@ -1894,9 +1890,15 @@ proptest! {
             prop_assert_eq!(faulted.recoveries.len(), reliable.recoveries.len());
             prop_assert_eq!(reliable.fabric.retries, 0);
             prop_assert_eq!(reliable.fabric.redelivered, 0);
+            // The schedule leaves a frame neither dropped nor duplicated with
+            // probability (1 − 0.15)(1 − 0.12) ≈ 0.75, so a run of 40 frames
+            // misses it with probability below 1e-5; a tiny graph that
+            // converges before its crashes may ship a dozen and see none.
+            let frames = faulted.fabric.total().messages;
             prop_assert!(
-                faulted.fabric.retries + faulted.fabric.redelivered > 0,
-                "fault schedule never fired (edge_cut={})",
+                frames < 40 || faulted.fabric.retries + faulted.fabric.redelivered > 0,
+                "fault schedule never fired on {} frames (edge_cut={})",
+                frames,
                 edge_cut
             );
         }
