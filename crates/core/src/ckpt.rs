@@ -14,7 +14,8 @@
 //!   parallel (§4.3).
 //!
 //! Integers that scale with the graph — vertex IDs, node IDs, array
-//! positions, counts — are LEB128 varints, and the position columns of data
+//! positions, counts — are LEB128 varints ([`crate::columns`], the
+//! primitives the wire messages use too), and the position columns of data
 //! snapshots are zigzag varints of the step from the previous position
 //! (ascending master scans make most steps one byte). Per-master activation
 //! flags pack two bits apiece into a bitmap. Values keep their codec
@@ -28,89 +29,46 @@ use imitator_engine::{
     MAX_TABLE_NODES,
 };
 use imitator_graph::{PosIndex, Vid};
-use imitator_storage::codec::{
-    read_uvarint, unzigzag64, write_uvarint, zigzag64, Decode, DecodeError, Encode, Reader, Sink,
-};
+use imitator_storage::codec::{Decode, DecodeError, Encode, Reader, Sink};
 use imitator_storage::{Dfs, WriteBehind};
 
+use crate::columns::{
+    dec_bits, dec_count, dec_delta, dec_deltas, dec_node, dec_u32, dec_u64, dec_vid, enc_bits,
+    enc_count, enc_delta, enc_deltas, enc_node, enc_u32, enc_u64, enc_vid,
+};
 use crate::driver::ModelGraph;
 
-fn enc_uv<S: Sink>(v: u64, buf: &mut S) {
-    write_uvarint(buf, v);
+/// An edge-cut copy's kind and flags in one byte, as a graph snapshot and a
+/// Rebirth entry write them: kind (2 bits) | active | last_activate | has
+/// full state.
+pub(crate) fn ec_copy_flags(kind: CopyKind, active: bool, last_activate: bool, meta: bool) -> u8 {
+    kind.bits() | u8::from(active) << 2 | u8::from(last_activate) << 3 | u8::from(meta) << 4
 }
 
-fn dec_uv(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
-    read_uvarint(r)
-}
-
-pub(crate) fn dec_count(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
-    let n = read_uvarint(r)?;
-    // Every counted record costs at least one byte; a count beyond the
-    // remaining input is corruption, caught before any allocation.
-    if n > r.remaining() as u64 {
-        return Err(DecodeError::Corrupt("count exceeds input"));
+/// Reads a copy's flag byte of `width` bits — its kind in the low two, then
+/// flags — rejecting a higher bit set or a kind no copy has.
+pub(crate) fn dec_copy_flags(
+    r: &mut Reader<'_>,
+    width: u32,
+) -> Result<(CopyKind, u8), DecodeError> {
+    let flags = r.take(1)?[0];
+    if flags >> width != 0 {
+        return Err(DecodeError::Corrupt("vertex flags"));
     }
-    Ok(n as usize)
-}
-
-fn enc_u32<S: Sink>(v: u32, buf: &mut S) {
-    write_uvarint(buf, u64::from(v));
-}
-
-fn dec_u32(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
-    u32::try_from(read_uvarint(r)?).map_err(|_| DecodeError::Corrupt("varint exceeds u32"))
-}
-
-/// Writes `cur` as the zigzag varint of its step from `prev`, advancing
-/// `prev` — the shared position/ID column primitive.
-fn enc_delta<S: Sink>(cur: u32, prev: &mut u32, buf: &mut S) {
-    write_uvarint(buf, zigzag64(i64::from(cur) - i64::from(*prev)));
-    *prev = cur;
-}
-
-pub(crate) fn dec_delta(r: &mut Reader<'_>, prev: &mut u32) -> Result<u32, DecodeError> {
-    let cur = i64::from(*prev)
-        .checked_add(unzigzag64(read_uvarint(r)?))
-        .and_then(|cur| u32::try_from(cur).ok())
-        .ok_or(DecodeError::Corrupt("delta column"))?;
-    *prev = cur;
-    Ok(cur)
-}
-
-fn enc_vid<S: Sink>(v: Vid, buf: &mut S) {
-    enc_u32(v.raw(), buf);
-}
-
-fn dec_vid(r: &mut Reader<'_>) -> Result<Vid, DecodeError> {
-    Ok(Vid::new(dec_u32(r)?))
-}
-
-fn enc_node<S: Sink>(n: NodeId, buf: &mut S) {
-    enc_u32(n.raw(), buf);
-}
-
-fn dec_node(r: &mut Reader<'_>) -> Result<NodeId, DecodeError> {
-    Ok(NodeId::new(dec_u32(r)?))
-}
-
-pub(crate) fn kind_bits(k: CopyKind) -> u8 {
-    k.bits()
-}
-
-pub(crate) fn kind_from_bits(b: u8) -> Result<CopyKind, DecodeError> {
-    CopyKind::from_bits(b).ok_or(DecodeError::Corrupt("copy kind"))
+    let kind = CopyKind::from_bits(flags & 0b11).ok_or(DecodeError::Corrupt("copy kind"))?;
+    Ok((kind, flags))
 }
 
 /// The replica-location tables: all of a vertex-cut copy's full state, and
 /// the head of an edge-cut copy's.
 pub(crate) fn enc_locations<S: Sink>(m: LocationsRef<'_>, buf: &mut S) {
     enc_u32(m.master_pos(), buf);
-    enc_uv(m.replica_nodes().len() as u64, buf);
+    enc_count(m.replica_nodes().len(), buf);
     for (n, &p) in m.replica_nodes().iter().zip(m.replica_positions()) {
         enc_node(n, buf);
         enc_u32(p, buf);
     }
-    enc_uv(m.mirror_nodes().len() as u64, buf);
+    enc_count(m.mirror_nodes().len(), buf);
     for n in m.mirror_nodes() {
         enc_node(n, buf);
     }
@@ -156,7 +114,7 @@ pub(crate) fn dec_locations(r: &mut Reader<'_>) -> Result<Locations, DecodeError
 /// so that a decoder sizes each column once.
 pub(crate) fn enc_column_lens<S: Sink>(lens: ColumnLens, buf: &mut S) {
     for total in [lens.in_edges, lens.in_srcs, lens.out_local, lens.out_remote] {
-        enc_uv(total as u64, buf);
+        enc_count(total, buf);
     }
 }
 
@@ -177,7 +135,7 @@ pub(crate) fn dec_column_lens(r: &mut Reader<'_>) -> Result<ColumnLens, DecodeEr
 }
 
 fn enc_out_remote<S: Sink>(edges: &[RemoteEdge], buf: &mut S) {
-    enc_uv(edges.len() as u64, buf);
+    enc_count(edges.len(), buf);
     for r in edges {
         enc_node(r.node, buf);
         enc_u32(r.pos, buf);
@@ -209,13 +167,13 @@ fn dec_remote_edge(r: &mut Reader<'_>) -> Result<RemoteEdge, DecodeError> {
 /// An edge-cut copy's full state as messages carry it.
 pub(crate) fn enc_meta<S: Sink>(m: FullStateRef<'_>, buf: &mut S) {
     enc_locations(m.locations, buf);
-    enc_uv(m.in_edges_owner.len() as u64, buf);
+    enc_count(m.in_edges_owner.len(), buf);
     for (&(pos, w), src) in m.in_edges_owner.iter().zip(m.in_edge_srcs.iter()) {
         enc_u32(pos, buf);
         w.encode(buf);
         enc_vid(src, buf);
     }
-    enc_uv(m.out_local_owner.len() as u64, buf);
+    enc_count(m.out_local_owner.len(), buf);
     for &p in m.out_local_owner {
         enc_u32(p, buf);
     }
@@ -244,6 +202,31 @@ pub(crate) fn dec_meta(r: &mut Reader<'_>) -> Result<MasterMeta, DecodeError> {
     let mut m = MasterMeta::default();
     dec_meta_into(r, &mut m)?;
     Ok(m)
+}
+
+/// An edge-cut copy's two edge lists as a graph snapshot and a Rebirth
+/// entry carry them: in-edges as `(source position, weight)`, then local
+/// out-edge targets.
+pub(crate) fn enc_edge_lists<S: Sink>(in_edges: &[(u32, f32)], out_local: &[u32], buf: &mut S) {
+    enc_count(in_edges.len(), buf);
+    for &(s, w) in in_edges {
+        enc_u32(s, buf);
+        w.encode(buf);
+    }
+    enc_count(out_local.len(), buf);
+    for &t in out_local {
+        enc_u32(t, buf);
+    }
+}
+
+/// Reads [`enc_edge_lists`] back into the two lists, reusing them.
+pub(crate) fn dec_edge_lists_into(
+    r: &mut Reader<'_>,
+    in_edges: &mut Vec<(u32, f32)>,
+    out_local: &mut Vec<u32>,
+) -> Result<(), DecodeError> {
+    dec_list_into(r, in_edges, |r| Ok((dec_u32(r)?, f32::decode(r)?)))?;
+    dec_list_into(r, out_local, dec_u32)
 }
 
 /// Bytes a varint position, vertex ID or list length usually takes in a
@@ -282,40 +265,28 @@ fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
 /// internal — undo buffers and the `ec/meta/<node>` files of one run.
 pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(ec_graph_size_hint(lg));
-    enc_u32(lg.node.raw(), &mut buf);
-    enc_uv(lg.verts.len() as u64, &mut buf);
+    enc_node(lg.node, &mut buf);
+    enc_count(lg.verts.len(), &mut buf);
     // The prologue: what the decoder's store and hot columns will hold (runs
     // no slot or copy points at any more are not encoded), so it sizes each
     // column once.
     let live = lg.live_full_state_lens();
-    enc_uv(live.slots as u64, &mut buf);
+    enc_count(live.slots, &mut buf);
     enc_column_lens(live.edges, &mut buf);
     let positions = 0..lg.verts.len() as u32;
     let in_edges: usize = positions.map(|pos| lg.in_edges(pos).len()).sum();
-    enc_uv(in_edges as u64, &mut buf);
+    enc_count(in_edges, &mut buf);
     let mut prev_vid = 0u32;
     for (pos, v) in lg.verts.iter().enumerate() {
         debug_assert!(!v.next_active, "{} encoded mid-commit", v.vid);
         enc_delta(v.vid.raw(), &mut prev_vid, &mut buf);
-        // kind (2b) | active | last_activate | has-meta in one byte.
-        let flags = kind_bits(v.kind)
-            | (u8::from(v.active) << 2)
-            | (u8::from(v.last_activate) << 3)
-            | (u8::from(v.meta.is_some()) << 4);
-        buf.push(flags);
+        let has_meta = v.meta.is_some();
+        buf.push(ec_copy_flags(v.kind, v.active, v.last_activate, has_meta));
         enc_node(v.master_node, &mut buf);
         v.value.encode(&mut buf);
-        let (in_edges, out_local) = (lg.in_edges(pos as u32), lg.out_local(pos as u32));
-        enc_uv(in_edges.len() as u64, &mut buf);
-        for &(s, w) in in_edges {
-            enc_u32(s, &mut buf);
-            w.encode(&mut buf);
-        }
-        enc_uv(out_local.len() as u64, &mut buf);
-        for &t in out_local {
-            enc_u32(t, &mut buf);
-        }
-        match lg.full_state(pos as u32) {
+        let pos = pos as u32;
+        enc_edge_lists(lg.in_edges(pos), lg.out_local(pos), &mut buf);
+        match lg.full_state(pos) {
             Some(state) if v.is_master() => {
                 enc_locations(state.locations, &mut buf);
                 enc_out_remote(state.out_remote, &mut buf);
@@ -337,7 +308,7 @@ pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
 /// that decodes to a graph breaking a structural invariant.
 pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, DecodeError> {
     let mut r = Reader::new(bytes);
-    let mut lg = EcLocalGraph::empty(NodeId::new(dec_u32(&mut r)?));
+    let mut lg = EcLocalGraph::empty(dec_node(&mut r)?);
     let n = dec_count(&mut r)?;
     let slots = dec_count(&mut r)?;
     let lens = dec_column_lens(&mut r)?;
@@ -364,17 +335,10 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
     let mut meta = MasterMeta::default();
     for pos in 0..n as u32 {
         let vid = Vid::new(dec_delta(&mut r, &mut prev_vid)?);
-        let flags = r.take(1)?[0];
-        if flags & !0b1_1111 != 0 {
-            return Err(DecodeError::Corrupt("vertex flags"));
-        }
-        let kind = kind_from_bits(flags & 0b11)?;
+        let (kind, flags) = dec_copy_flags(&mut r, 5)?;
         let master_node = dec_node(&mut r)?;
         let value = V::decode(&mut r)?;
-        dec_list_into(&mut r, &mut in_edges, |r| {
-            Ok((dec_u32(r)?, f32::decode(r)?))
-        })?;
-        dec_list_into(&mut r, &mut out_local, dec_u32)?;
+        dec_edge_lists_into(&mut r, &mut in_edges, &mut out_local)?;
         pairs.push((vid, pos));
         let mut copy = EcVertex::new(vid, kind, master_node, value);
         (copy.active, copy.last_activate) = (flags & 0b100 != 0, flags & 0b1000 != 0);
@@ -419,24 +383,16 @@ fn master_positions<T>(verts: &[T], is_master: impl Fn(&T) -> bool) -> Vec<u32> 
 /// Appends a position list: its length, then the positions as an ascending
 /// delta column.
 fn enc_positions(positions: &[u32], buf: &mut Vec<u8>) {
-    enc_uv(positions.len() as u64, buf);
-    let mut prev = 0u32;
-    for &pos in positions {
-        enc_delta(pos, &mut prev, buf);
-    }
+    enc_count(positions.len(), buf);
+    enc_deltas(positions.iter().copied(), buf);
 }
 
 /// Reads [`enc_positions`] back, holding every position below `len`.
 fn dec_positions(r: &mut Reader<'_>, len: usize) -> Result<Vec<u32>, DecodeError> {
     let n = dec_count(r)?;
-    let mut prev = 0u32;
-    let mut positions = Vec::with_capacity(n);
-    for _ in 0..n {
-        let pos = dec_delta(r, &mut prev)?;
-        if pos as usize >= len {
-            return Err(DecodeError::Corrupt("snapshot position"));
-        }
-        positions.push(pos);
+    let positions = dec_deltas(r, n)?;
+    if positions.iter().any(|&pos| pos as usize >= len) {
+        return Err(DecodeError::Corrupt("snapshot position"));
     }
     Ok(positions)
 }
@@ -444,13 +400,11 @@ fn dec_positions(r: &mut Reader<'_>, len: usize) -> Result<Vec<u32>, DecodeError
 /// Appends the activation flags of the copies at `positions`, two bits
 /// apiece (`active`, `last_activate`), four copies to the byte.
 fn enc_flags<V>(lg: &EcLocalGraph<V>, positions: &[u32], buf: &mut Vec<u8>) {
-    let bitmap_at = buf.len();
-    buf.resize(bitmap_at + (2 * positions.len()).div_ceil(8), 0);
-    for (i, &pos) in positions.iter().enumerate() {
+    let flags = positions.iter().map(|&pos| {
         let v = &lg.verts[pos as usize];
-        let f = u8::from(v.active) | (u8::from(v.last_activate) << 1);
-        buf[bitmap_at + i / 4] |= f << (2 * (i % 4));
-    }
+        u8::from(v.active) | u8::from(v.last_activate) << 1
+    });
+    enc_bits(2, flags, buf);
 }
 
 /// Reads [`enc_flags`] back into the copies at `positions`.
@@ -459,9 +413,9 @@ fn apply_flags<V>(
     positions: &[u32],
     r: &mut Reader<'_>,
 ) -> Result<(), DecodeError> {
-    let bitmap = r.take((2 * positions.len()).div_ceil(8))?;
+    let bitmap = dec_bits(r, 2, positions.len())?;
     for (i, &pos) in positions.iter().enumerate() {
-        let flags = (bitmap[i / 4] >> (2 * (i % 4))) & 0b11;
+        let flags = bitmap.get(i);
         let v = &mut lg.verts[pos as usize];
         v.active = flags & 1 != 0;
         v.last_activate = flags & 2 != 0;
@@ -496,7 +450,7 @@ pub fn encode_ec_snapshot<V: Encode>(
         }
     };
     let mut buf = Vec::new();
-    enc_uv(iter, &mut buf);
+    enc_u64(iter, &mut buf);
     enc_positions(dirty, &mut buf);
     enc_flags(lg, dirty, &mut buf);
     for &pos in dirty {
@@ -521,7 +475,7 @@ pub fn apply_ec_snapshot<V: Decode>(
     bytes: &[u8],
 ) -> Result<u64, DecodeError> {
     let mut r = Reader::new(bytes);
-    let iter = dec_uv(&mut r)?;
+    let iter = dec_u64(&mut r)?;
     let dirty = dec_positions(&mut r, lg.verts.len())?;
     apply_flags(lg, &dirty, &mut r)?;
     for &pos in &dirty {
@@ -548,20 +502,19 @@ pub fn encode_vc_graph<V: Encode>(lg: &VcLocalGraph<V>) -> Vec<u8> {
     let metas = 3 * HINT_VARINT * held.slots + 2 * held.words;
     let hint = vertex * lg.verts.len() + metas + (2 * HINT_VARINT + 4) * lg.edges.len();
     let mut buf = Vec::with_capacity(hint);
-    enc_u32(lg.node.raw(), &mut buf);
-    enc_uv(lg.verts.len() as u64, &mut buf);
+    enc_node(lg.node, &mut buf);
+    enc_count(lg.verts.len(), &mut buf);
     let mut prev_vid = 0u32;
     for (pos, v) in lg.verts.iter().enumerate() {
         enc_delta(v.vid.raw(), &mut prev_vid, &mut buf);
-        let flags = kind_bits(v.kind) | (u8::from(v.meta.is_some()) << 2);
-        buf.push(flags);
+        buf.push(v.kind.bits() | u8::from(v.meta.is_some()) << 2);
         enc_node(v.master_node, &mut buf);
         v.value.encode(&mut buf);
         if let Some(m) = lg.locations(pos as u32) {
             enc_locations(m, &mut buf);
         }
     }
-    enc_uv(lg.edges.len() as u64, &mut buf);
+    enc_count(lg.edges.len(), &mut buf);
     let (mut prev_src, mut prev_dst) = (0u32, 0u32);
     for e in &lg.edges {
         enc_delta(e.src, &mut prev_src, &mut buf);
@@ -581,7 +534,7 @@ pub fn encode_vc_graph<V: Encode>(lg: &VcLocalGraph<V>) -> Vec<u8> {
 /// that decodes to a graph breaking a structural invariant.
 pub fn decode_vc_graph<V: Decode>(bytes: &[u8]) -> Result<VcLocalGraph<V>, DecodeError> {
     let mut r = Reader::new(bytes);
-    let mut lg = VcLocalGraph::empty(NodeId::new(dec_u32(&mut r)?));
+    let mut lg = VcLocalGraph::empty(dec_node(&mut r)?);
     let n = dec_count(&mut r)?;
     lg.verts.reserve_exact(n);
     let mut pairs = Vec::with_capacity(n);
@@ -589,11 +542,7 @@ pub fn decode_vc_graph<V: Decode>(bytes: &[u8]) -> Result<VcLocalGraph<V>, Decod
     let mut tables = Locations::default();
     for pos in 0..n as u32 {
         let vid = Vid::new(dec_delta(&mut r, &mut prev_vid)?);
-        let flags = r.take(1)?[0];
-        if flags & !0b111 != 0 {
-            return Err(DecodeError::Corrupt("vertex flags"));
-        }
-        let kind = kind_from_bits(flags & 0b11)?;
+        let (kind, flags) = dec_copy_flags(&mut r, 3)?;
         let master_node = dec_node(&mut r)?;
         let value = V::decode(&mut r)?;
         pairs.push((vid, pos));
@@ -641,7 +590,7 @@ pub fn encode_vc_snapshot<V: Encode>(
         }
     };
     let mut buf = Vec::new();
-    enc_uv(iter, &mut buf);
+    enc_u64(iter, &mut buf);
     enc_positions(dirty, &mut buf);
     for &pos in dirty {
         lg.verts[pos as usize].value.encode(&mut buf);
@@ -660,7 +609,7 @@ pub fn apply_vc_snapshot<V: Decode>(
     bytes: &[u8],
 ) -> Result<u64, DecodeError> {
     let mut r = Reader::new(bytes);
-    let iter = dec_uv(&mut r)?;
+    let iter = dec_u64(&mut r)?;
     for pos in dec_positions(&mut r, lg.verts.len())? {
         lg.verts[pos as usize].value = V::decode(&mut r)?;
     }
@@ -777,7 +726,7 @@ impl EdgeCkptWriter {
         // vertex-cut's edges come in no order, so steps are long), then the
         // weight: room that is not written is not touched.
         let mut buf = Vec::with_capacity(HINT_VARINT + edges * (2 * HINT_VARINT + 4));
-        enc_uv(edges as u64, &mut buf);
+        enc_count(edges, &mut buf);
         EdgeCkptWriter {
             buf,
             prev_src: 0,
@@ -985,6 +934,8 @@ pub(crate) mod tests {
         /// Put the varint of a count past `u16::MAX` in a byte's place: a
         /// length field inflated beyond what any table or list may hold.
         Inflate(usize),
+        /// The same with a count near 2^49: past anything an input can hold.
+        InflateWide(usize),
     }
 
     pub(crate) fn arb_damage() -> impl Strategy<Value = Damage> {
@@ -1015,6 +966,10 @@ pub(crate) mod tests {
                 Damage::Inflate(at) => {
                     let at = at % n;
                     bytes.splice(at..=at, [0xFF, 0xFF, 0x07]);
+                }
+                Damage::InflateWide(at) => {
+                    let at = at % n;
+                    bytes.splice(at..=at, [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F]);
                 }
             }
         }
@@ -1126,9 +1081,9 @@ pub(crate) mod tests {
         // `mirrors` nodes, all zero: one byte each.
         let table = |replicas: usize, mirrors: usize| {
             let mut bytes = vec![7];
-            enc_uv(replicas as u64, &mut bytes);
+            enc_count(replicas, &mut bytes);
             bytes.resize(bytes.len() + 2 * replicas, 0);
-            enc_uv(mirrors as u64, &mut bytes);
+            enc_count(mirrors, &mut bytes);
             bytes.resize(bytes.len() + mirrors, 0);
             dec_locations(&mut Reader::new(&bytes))
         };
@@ -1466,7 +1421,7 @@ pub(crate) mod tests {
     /// [`EdgeCkptWriter`] took the edges one at a time.
     fn encode_edge_ckpt(edges: &[(Vid, Vid, f32)]) -> Vec<u8> {
         let mut buf = Vec::new();
-        enc_uv(edges.len() as u64, &mut buf);
+        enc_count(edges.len(), &mut buf);
         let (mut prev_src, mut prev_dst) = (0u32, 0u32);
         for &(s, d, w) in edges {
             enc_delta(s.raw(), &mut prev_src, &mut buf);

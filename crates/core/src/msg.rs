@@ -2,26 +2,30 @@
 //!
 //! The in-process transports move a [`ProtoMsg`] as an owned value; the TCP
 //! transport ships its encoding (the [`Encode`] impl below, behind
-//! [`WireCodec`]). Every message is charged what that encoding writes,
-//! [`Encode::encoded_len`]: its encoder run against a counting sink.
-//! [`ProtoMsg::Sync`] and [`ProtoMsg::Gather`] are
-//! [columnar frames](crate::wire), one per destination per superstep; a
-//! recovery message is one tag byte plus the scalar storage codec
-//! (DESIGN.md §4.6).
+//! [`WireCodec`]) and reads it back with the [`Decode`] impl, which holds
+//! every count to the input and wants all of it consumed. Every message is
+//! charged what that encoding writes, [`Encode::encoded_len`]: its encoder
+//! run against a counting sink. [`ProtoMsg::Sync`] and [`ProtoMsg::Gather`]
+//! are [columnar frames](crate::wire), one per destination per superstep; a
+//! recovery message is one tag byte and then the same
+//! [column primitives](crate::columns) (DESIGN.md §4.6 has every layout).
 
 use imitator_cluster::{NodeId, WireCodec};
 use imitator_engine::{CopyKind, FullState, FullStateRef, Locations, MasterMeta, StoreLens};
 use imitator_graph::Vid;
-use imitator_storage::codec::{
-    read_uvarint, write_uvarint, Decode, DecodeError, Encode, Reader, Sink,
-};
+use imitator_storage::codec::{Decode, DecodeError, Encode, Reader, Sink};
 
 use crate::ckpt::{
-    dec_column_lens, dec_locations, dec_locations_into, dec_meta, dec_meta_into, enc_column_lens,
-    enc_locations, enc_meta, kind_bits, kind_from_bits,
+    dec_column_lens, dec_copy_flags, dec_edge_lists_into, dec_locations, dec_locations_into,
+    dec_meta, dec_meta_into, ec_copy_flags, enc_column_lens, enc_edge_lists, enc_locations,
+    enc_meta,
+};
+use crate::columns::{
+    dec_bits, dec_count, dec_deltas, dec_node, dec_u32, dec_u64, dec_vid, enc_bits, enc_count,
+    enc_deltas, enc_node, enc_u32, enc_u64, enc_vid,
 };
 use crate::wire::{
-    decode_gather_frame, decode_sync_frame, encode_gather_frame, put_sync_head, GATHER_FRAME_TAG,
+    dec_gather_body, dec_sync_body, encode_gather_frame, put_sync_head, GATHER_FRAME_TAG,
     SYNC_FRAME_TAG,
 };
 
@@ -192,11 +196,14 @@ pub struct VcRecoverEntry<V> {
 // ---------------------------------------------------------------------------
 // On-the-wire codec.
 //
-// The batch-shaped variants go through the columnar frame layouts of
-// [`crate::wire`], dispatched by their frame tags; the recovery variants get
-// one tag byte plus the scalar storage codec, reusing the checkpoint meta
-// codecs for full replica state. Every encoder writes into a [`Sink`], so
-// the same walk that fills a socket's buffer counts a message's bytes.
+// Every message is a tag byte and then columns ([`crate::columns`]). The
+// batch-shaped variants are the frames of [`crate::wire`], dispatched by
+// their frame tags. A recovery message writes every ID, node, position,
+// count and iteration as a uvarint, a list's vertex IDs (and Migration's
+// placed positions) as a delta column, a per-record bool as a bit of a bit
+// column, and a copy's kind and flags as one byte; full replica state is the
+// checkpoint meta codec's. Every encoder writes into a [`Sink`], so the same
+// walk that fills a socket's buffer counts a message's bytes.
 // ---------------------------------------------------------------------------
 
 const TAG_REBIRTH: u8 = 0x01;
@@ -206,141 +213,116 @@ const TAG_REPLICA_GRANT: u8 = 0x04;
 const TAG_REPLICA_PLACED: u8 = 0x05;
 const TAG_MIRROR_UPDATE: u8 = 0x06;
 
-fn dec_vid(r: &mut Reader<'_>) -> Result<Vid, DecodeError> {
-    Ok(Vid::new(u32::decode(r)?))
+/// A list's count, then its vertex IDs as a delta column: the head of every
+/// per-vertex recovery list.
+fn enc_vids<S: Sink>(vids: impl ExactSizeIterator<Item = Vid>, out: &mut S) {
+    enc_count(vids.len(), out);
+    enc_deltas(vids.map(Vid::raw), out);
 }
 
-fn dec_node(r: &mut Reader<'_>) -> Result<NodeId, DecodeError> {
-    Ok(NodeId::new(u32::decode(r)?))
-}
-
-/// Reads a collection length, rejecting prefixes that exceed the payload
-/// (every element encodes to at least one byte).
-fn dec_len(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
-    let n = read_uvarint(r)? as usize;
-    if n > r.remaining() {
-        return Err(DecodeError::Corrupt("length prefix exceeds payload"));
-    }
-    Ok(n)
-}
-
-/// A sync frame with every value in full: the layout
-/// [`crate::wire::encode_sync_frame`] writes for records without a span,
-/// each value encoded straight into `out`.
-fn enc_sync<V: Encode, S: Sink>(recs: &[VertexSync<V>], out: &mut S) {
-    put_sync_head(out, recs.len(), |i| {
-        (recs[i].pos, u8::from(recs[i].activate))
-    });
-    for s in recs {
-        s.value.encode(out);
-    }
-}
-
-fn dec_sync<V: Decode>(bytes: &[u8]) -> Result<Vec<VertexSync<V>>, DecodeError> {
-    // Wire frames carry full values only, so the base callback is never
-    // consulted on well-formed input; a hostile delta flag fails cleanly.
-    Ok(decode_sync_frame::<V>(bytes, |_| Vec::new())?
-        .into_iter()
-        .map(|r| VertexSync {
-            pos: r.pos,
-            value: r.value,
-            activate: r.activate,
-        })
-        .collect())
-}
-
-fn dec_gather<A: Decode>(bytes: &[u8]) -> Result<Vec<(Vid, A)>, DecodeError> {
-    Ok(decode_gather_frame::<A>(bytes)?
-        .into_iter()
-        .map(|(v, a)| (Vid::new(v), a))
-        .collect())
-}
-
-/// A length prefix, then `items` each as `enc` writes it.
-fn enc_list<T, S: Sink>(items: &[T], out: &mut S, enc: impl Fn(&T, &mut S)) {
-    write_uvarint(out, items.len() as u64);
-    for item in items {
-        enc(item, out);
-    }
-}
-
-/// Reads [`enc_list`] back.
-fn dec_list<T>(
-    r: &mut Reader<'_>,
-    dec: impl Fn(&mut Reader<'_>) -> Result<T, DecodeError>,
-) -> Result<Vec<T>, DecodeError> {
-    let n = dec_len(r)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(dec(r)?);
-    }
-    Ok(out)
+fn dec_vids(r: &mut Reader<'_>) -> Result<Vec<Vid>, DecodeError> {
+    let n = dec_count(r)?;
+    Ok(dec_deltas(r, n)?.into_iter().map(Vid::new).collect())
 }
 
 fn enc_batch<E: Encode, S: Sink>(b: &RebirthBatch<E>, out: &mut S) {
-    b.resume_iter.encode(out);
-    b.num_survivors.encode(out);
-    enc_list(&b.entries, out, |e, out| e.encode(out));
+    enc_u64(b.resume_iter, out);
+    enc_u32(b.num_survivors, out);
+    enc_count(b.entries.len(), out);
+    for e in &b.entries {
+        e.encode(out);
+    }
 }
 
 fn dec_batch<E: Decode>(r: &mut Reader<'_>) -> Result<RebirthBatch<E>, DecodeError> {
+    let (resume_iter, num_survivors) = (dec_u64(r)?, dec_u32(r)?);
+    let n = dec_count(r)?;
     Ok(RebirthBatch {
-        resume_iter: u64::decode(r)?,
-        num_survivors: u32::decode(r)?,
-        entries: dec_list(r, E::decode)?,
+        resume_iter,
+        num_survivors,
+        entries: (0..n).map(|_| E::decode(r)).collect::<Result<_, _>>()?,
     })
 }
 
-fn enc_promotion<S: Sink>(p: &Promotion, out: &mut S) {
-    p.vid.raw().encode(out);
-    p.new_master.raw().encode(out);
-    p.new_pos.encode(out);
-    p.old_node.raw().encode(out);
-    p.old_pos.encode(out);
+fn enc_promotions<S: Sink>(ps: &[Promotion], out: &mut S) {
+    enc_vids(ps.iter().map(|p| p.vid), out);
+    for p in ps {
+        enc_node(p.new_master, out);
+        enc_u32(p.new_pos, out);
+        enc_node(p.old_node, out);
+        enc_u32(p.old_pos, out);
+    }
 }
 
-fn dec_promotion(r: &mut Reader<'_>) -> Result<Promotion, DecodeError> {
-    Ok(Promotion {
-        vid: dec_vid(r)?,
-        new_master: dec_node(r)?,
-        new_pos: u32::decode(r)?,
-        old_node: dec_node(r)?,
-        old_pos: u32::decode(r)?,
+fn dec_promotions(r: &mut Reader<'_>) -> Result<Vec<Promotion>, DecodeError> {
+    let vids = dec_vids(r)?.into_iter();
+    vids.map(|vid| {
+        Ok(Promotion {
+            vid,
+            new_master: dec_node(r)?,
+            new_pos: dec_u32(r)?,
+            old_node: dec_node(r)?,
+            old_pos: dec_u32(r)?,
+        })
     })
+    .collect()
 }
 
-fn enc_grant<V: Encode, S: Sink>(g: &ReplicaGrant<V>, out: &mut S) {
-    g.vid.raw().encode(out);
-    g.value.encode(out);
-    g.last_activate.encode(out);
-    g.master_node.raw().encode(out);
+/// Grants: the vertex-ID column, the scatter-bit column, then each record's
+/// master node and value.
+fn enc_grants<V: Encode, S: Sink>(gs: &[ReplicaGrant<V>], out: &mut S) {
+    enc_vids(gs.iter().map(|g| g.vid), out);
+    enc_bits(1, gs.iter().map(|g| u8::from(g.last_activate)), out);
+    for g in gs {
+        enc_node(g.master_node, out);
+        g.value.encode(out);
+    }
 }
 
-fn dec_grant<V: Decode>(r: &mut Reader<'_>) -> Result<ReplicaGrant<V>, DecodeError> {
-    Ok(ReplicaGrant {
-        vid: dec_vid(r)?,
-        value: V::decode(r)?,
-        last_activate: bool::decode(r)?,
-        master_node: dec_node(r)?,
+fn dec_grants<V: Decode>(r: &mut Reader<'_>) -> Result<Vec<ReplicaGrant<V>>, DecodeError> {
+    let vids = dec_vids(r)?;
+    let activate = dec_bits(r, 1, vids.len())?;
+    let vids = vids.into_iter().enumerate();
+    vids.map(|(i, vid)| {
+        Ok(ReplicaGrant {
+            vid,
+            last_activate: activate.get(i) != 0,
+            master_node: dec_node(r)?,
+            value: V::decode(r)?,
+        })
     })
+    .collect()
 }
 
-/// A mirror batch on the wire: record count, sender, the vertex-ID and
-/// scatter-bit columns, the sparse value column, then the full-state store
-/// as the model writes it ([`WireEntry::enc_states`]).
+/// Placements: the vertex-ID column, then the position column (positions
+/// are handed out in vertex order, so it ascends).
+fn enc_placed<S: Sink>(ps: &[(Vid, u32)], out: &mut S) {
+    enc_vids(ps.iter().map(|&(v, _)| v), out);
+    enc_deltas(ps.iter().map(|&(_, pos)| pos), out);
+}
+
+fn dec_placed(r: &mut Reader<'_>) -> Result<Vec<(Vid, u32)>, DecodeError> {
+    let vids = dec_vids(r)?;
+    let positions = dec_deltas(r, vids.len())?;
+    Ok(vids.into_iter().zip(positions).collect())
+}
+
+/// A mirror batch on the wire: the sender, the vertex-ID column, a two-bit
+/// column (scatter bit | carries a value), the values of the records whose
+/// bit says so, then the full-state store as the model writes it
+/// ([`WireEntry::enc_states`]).
 fn enc_mirror_batch<V: Encode, E: WireEntry, S: Sink>(b: &MirrorBatch<V>, out: &mut S) {
-    write_uvarint(out, b.vids.len() as u64);
-    b.master_node.raw().encode(out);
-    for v in &b.vids {
-        v.raw().encode(out);
-    }
-    for &bit in &b.last_activate {
-        bit.encode(out);
-    }
-    enc_list(&b.values, out, |(record, value), out| {
-        record.encode(out);
+    enc_node(b.master_node, out);
+    enc_vids(b.vids.iter().copied(), out);
+    let mut fresh = b.values.iter().map(|&(record, _)| record).peekable();
+    let bits = (0u32..)
+        .zip(&b.last_activate)
+        .map(|(i, &activate)| u8::from(activate) | u8::from(fresh.next_if_eq(&i).is_some()) << 1);
+    enc_bits(2, bits, out);
+    debug_assert!(fresh.next().is_none(), "values ascend by record, one each");
+    for (_, value) in &b.values {
         value.encode(out);
-    });
+    }
     E::enc_states(&b.metas, out);
 }
 
@@ -349,34 +331,14 @@ fn enc_mirror_batch<V: Encode, E: WireEntry, S: Sink>(b: &MirrorBatch<V>, out: &
 fn dec_mirror_batch<V: Decode, E: WireEntry>(
     r: &mut Reader<'_>,
 ) -> Result<MirrorBatch<V>, DecodeError> {
-    let n = dec_len(r)?;
     let master_node = dec_node(r)?;
-    // Each record costs four bytes of vertex ID, one of scatter bit and at
-    // least one of full state: whatever is reserved from here on is within a
-    // constant of the input's size.
-    if n.saturating_mul(6) > r.remaining() {
-        return Err(DecodeError::Corrupt("record count exceeds payload"));
-    }
-    let mut vids = Vec::with_capacity(n);
-    for _ in 0..n {
-        vids.push(dec_vid(r)?);
-    }
-    let mut last_activate = Vec::with_capacity(n);
-    for _ in 0..n {
-        last_activate.push(bool::decode(r)?);
-    }
-    let fresh = dec_len(r)?;
-    if fresh > n {
-        return Err(DecodeError::Corrupt("more values than records"));
-    }
-    let mut values: Vec<(u32, V)> = Vec::with_capacity(fresh);
-    for _ in 0..fresh {
-        let record = u32::decode(r)?;
-        let in_order = values.last().is_none_or(|&(prev, _)| prev < record);
-        if record as usize >= n || !in_order {
-            return Err(DecodeError::Corrupt("value column"));
-        }
-        values.push((record, V::decode(r)?));
+    let vids = dec_vids(r)?;
+    let n = vids.len();
+    let bits = dec_bits(r, 2, n)?;
+    let last_activate = (0..n).map(|i| bits.get(i) & 1 != 0).collect();
+    let mut values = Vec::new();
+    for i in (0..n).filter(|&i| bits.get(i) & 2 != 0) {
+        values.push((i as u32, V::decode(r)?));
     }
     Ok(MirrorBatch {
         vids,
@@ -385,20 +347,6 @@ fn dec_mirror_batch<V: Decode, E: WireEntry>(
         master_node,
         metas: E::dec_states(r, n)?,
     })
-}
-
-fn enc_placed<S: Sink>(&(v, pos): &(Vid, u32), out: &mut S) {
-    v.raw().encode(out);
-    pos.encode(out);
-}
-
-fn dec_placed(r: &mut Reader<'_>) -> Result<(Vid, u32), DecodeError> {
-    Ok((dec_vid(r)?, u32::decode(r)?))
-}
-
-/// Finishes a scalar-coded decode: the whole payload must be consumed.
-fn settle<T>(r: Reader<'_>, value: T) -> Option<T> {
-    (r.remaining() == 0).then_some(value)
 }
 
 /// What differs between the two models' wire protocols: a Rebirth recovery
@@ -410,40 +358,43 @@ pub(crate) trait WireEntry: Encode + Decode + Clone + Send + 'static {
     fn dec_states(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError>;
 }
 
+/// The copy as a graph snapshot writes it ([`crate::ckpt::encode_ec_graph`]),
+/// its position in place of the snapshot's implicit one and its full state
+/// always in message form.
 impl<V: Encode> Encode for EcRecoverEntry<V> {
     fn encode<S: Sink>(&self, out: &mut S) {
-        self.vid.raw().encode(out);
-        self.pos.encode(out);
-        kind_bits(self.kind).encode(out);
-        self.master_node.raw().encode(out);
+        enc_vid(self.vid, out);
+        enc_u32(self.pos, out);
+        let meta = self.meta.is_some();
+        let flags = ec_copy_flags(self.kind, self.active, self.last_activate, meta);
+        out.put_byte(flags);
+        enc_node(self.master_node, out);
         self.value.encode(out);
-        self.last_activate.encode(out);
-        self.active.encode(out);
-        self.in_edges.encode(out);
-        self.out_local.encode(out);
-        match &self.meta {
-            Some(m) => {
-                true.encode(out);
-                enc_meta(m.view(), out);
-            }
-            None => false.encode(out),
+        enc_edge_lists(&self.in_edges, &self.out_local, out);
+        if let Some(m) = &self.meta {
+            enc_meta(m.view(), out);
         }
     }
 }
 
 impl<V: Decode> Decode for EcRecoverEntry<V> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let (vid, pos) = (dec_vid(r)?, dec_u32(r)?);
+        let (kind, flags) = dec_copy_flags(r, 5)?;
+        let (master_node, value) = (dec_node(r)?, V::decode(r)?);
+        let (mut in_edges, mut out_local) = (Vec::new(), Vec::new());
+        dec_edge_lists_into(r, &mut in_edges, &mut out_local)?;
         Ok(EcRecoverEntry {
-            vid: dec_vid(r)?,
-            pos: u32::decode(r)?,
-            kind: kind_from_bits(u8::decode(r)?)?,
-            master_node: dec_node(r)?,
-            value: V::decode(r)?,
-            last_activate: bool::decode(r)?,
-            active: bool::decode(r)?,
-            in_edges: Vec::<(u32, f32)>::decode(r)?,
-            out_local: Vec::<u32>::decode(r)?,
-            meta: bool::decode(r)?
+            vid,
+            pos,
+            kind,
+            master_node,
+            value,
+            last_activate: flags & 0b1000 != 0,
+            active: flags & 0b100 != 0,
+            in_edges,
+            out_local,
+            meta: (flags & 0b1_0000 != 0)
                 .then(|| dec_meta(r).map(Box::new))
                 .transpose()?,
         })
@@ -480,32 +431,32 @@ impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for EcRecoverEntry<V
     }
 }
 
+/// The copy as a vertex-cut graph snapshot writes it, with its position:
+/// kind (2 bits) | has tables in its flag byte.
 impl<V: Encode> Encode for VcRecoverEntry<V> {
     fn encode<S: Sink>(&self, out: &mut S) {
-        self.vid.raw().encode(out);
-        self.pos.encode(out);
-        kind_bits(self.kind).encode(out);
-        self.master_node.raw().encode(out);
+        enc_vid(self.vid, out);
+        enc_u32(self.pos, out);
+        out.put_byte(self.kind.bits() | u8::from(self.meta.is_some()) << 2);
+        enc_node(self.master_node, out);
         self.value.encode(out);
-        match &self.meta {
-            Some(m) => {
-                true.encode(out);
-                enc_locations(m.view(), out);
-            }
-            None => false.encode(out),
+        if let Some(m) = &self.meta {
+            enc_locations(m.view(), out);
         }
     }
 }
 
 impl<V: Decode> Decode for VcRecoverEntry<V> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let (vid, pos) = (dec_vid(r)?, dec_u32(r)?);
+        let (kind, flags) = dec_copy_flags(r, 3)?;
         Ok(VcRecoverEntry {
-            vid: dec_vid(r)?,
-            pos: u32::decode(r)?,
-            kind: kind_from_bits(u8::decode(r)?)?,
+            vid,
+            pos,
+            kind,
             master_node: dec_node(r)?,
             value: V::decode(r)?,
-            meta: bool::decode(r)?
+            meta: (flags & 0b100 != 0)
                 .then(|| dec_locations(r).map(Box::new))
                 .transpose()?,
         })
@@ -545,34 +496,60 @@ impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for VcRecoverEntry<V
 impl<V: Encode, A: Encode, E: WireEntry> Encode for ProtoMsg<V, A, E> {
     fn encode<S: Sink>(&self, out: &mut S) {
         match self {
-            ProtoMsg::Sync(recs) => enc_sync(recs, out),
-            ProtoMsg::Gather(recs) => {
-                encode_gather_frame(recs.iter().map(|(v, a)| (v.raw(), a)), out);
+            ProtoMsg::Sync(recs) => {
+                put_sync_head(out, recs.len(), |i| (recs[i].pos, recs[i].activate));
+                for s in recs {
+                    s.value.encode(out);
+                }
             }
+            ProtoMsg::Gather(recs) => encode_gather_frame(recs.iter().map(|(v, a)| (*v, a)), out),
             ProtoMsg::Rebirth(b) => {
                 out.put_byte(TAG_REBIRTH);
                 enc_batch(b, out);
             }
             ProtoMsg::Promote(ps) => {
                 out.put_byte(TAG_PROMOTE);
-                enc_list(ps, out, enc_promotion);
+                enc_promotions(ps, out);
             }
             ProtoMsg::ReplicaRequest(vids) => {
                 out.put_byte(TAG_REPLICA_REQUEST);
-                enc_list(vids, out, |v, out| v.raw().encode(out));
+                enc_vids(vids.iter().copied(), out);
             }
             ProtoMsg::ReplicaGrant(gs) => {
                 out.put_byte(TAG_REPLICA_GRANT);
-                enc_list(gs, out, enc_grant);
+                enc_grants(gs, out);
             }
             ProtoMsg::ReplicaPlaced(ps) => {
                 out.put_byte(TAG_REPLICA_PLACED);
-                enc_list(ps, out, enc_placed);
+                enc_placed(ps, out);
             }
             ProtoMsg::MirrorUpdate(b) => {
                 out.put_byte(TAG_MIRROR_UPDATE);
                 enc_mirror_batch::<V, E, S>(b, out);
             }
+        }
+    }
+}
+
+/// Reads one whole message: the input must end where the message does.
+/// Every count is held to the input before anything is sized from it, so
+/// what a decode reserves stays within a constant of the input's size.
+impl<V: Decode, A: Decode, E: WireEntry> Decode for ProtoMsg<V, A, E> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let msg = match r.take(1)?[0] {
+            SYNC_FRAME_TAG => ProtoMsg::Sync(dec_sync_body(r)?),
+            GATHER_FRAME_TAG => ProtoMsg::Gather(dec_gather_body(r)?),
+            TAG_REBIRTH => ProtoMsg::Rebirth(Box::new(dec_batch(r)?)),
+            TAG_PROMOTE => ProtoMsg::Promote(dec_promotions(r)?),
+            TAG_REPLICA_REQUEST => ProtoMsg::ReplicaRequest(dec_vids(r)?),
+            TAG_REPLICA_GRANT => ProtoMsg::ReplicaGrant(dec_grants(r)?),
+            TAG_REPLICA_PLACED => ProtoMsg::ReplicaPlaced(dec_placed(r)?),
+            TAG_MIRROR_UPDATE => ProtoMsg::MirrorUpdate(Box::new(dec_mirror_batch::<V, E>(r)?)),
+            _ => return Err(DecodeError::Corrupt("message tag")),
+        };
+        match r.remaining() {
+            0 => Ok(msg),
+            n => Err(DecodeError::TrailingBytes(n)),
         }
     }
 }
@@ -588,38 +565,14 @@ where
     }
 
     fn decode_wire(bytes: &[u8]) -> Option<Self> {
-        let tag = *bytes.first()?;
-        match tag {
-            SYNC_FRAME_TAG => dec_sync(bytes).ok().map(ProtoMsg::Sync),
-            GATHER_FRAME_TAG => dec_gather(bytes).ok().map(ProtoMsg::Gather),
-            _ => {
-                let mut r = Reader::new(&bytes[1..]);
-                let msg = match tag {
-                    TAG_REBIRTH => ProtoMsg::Rebirth(Box::new(dec_batch(&mut r).ok()?)),
-                    TAG_PROMOTE => ProtoMsg::Promote(dec_list(&mut r, dec_promotion).ok()?),
-                    TAG_REPLICA_REQUEST => {
-                        ProtoMsg::ReplicaRequest(dec_list(&mut r, dec_vid).ok()?)
-                    }
-                    TAG_REPLICA_GRANT => ProtoMsg::ReplicaGrant(dec_list(&mut r, dec_grant).ok()?),
-                    TAG_REPLICA_PLACED => {
-                        ProtoMsg::ReplicaPlaced(dec_list(&mut r, dec_placed).ok()?)
-                    }
-                    TAG_MIRROR_UPDATE => {
-                        let batch = dec_mirror_batch::<V, E>(&mut r).ok()?;
-                        ProtoMsg::MirrorUpdate(Box::new(batch))
-                    }
-                    _ => return None,
-                };
-                settle(r, msg)
-            }
-        }
+        Self::decode(&mut Reader::new(bytes)).ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ckpt::tests::{arb_damage, arb_graph, arb_shape, damaged, plan_for, P};
+    use crate::ckpt::tests::{arb_damage, arb_graph, arb_shape, damaged, plan_for, Damage, P};
     use crate::driver::ModelGraph;
     use imitator_algos::RankValue;
     use imitator_engine::{build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, RemoteEdge};
@@ -628,16 +581,6 @@ mod tests {
         EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
     };
     use proptest::prelude::*;
-
-    #[test]
-    fn messages_are_cloneable_and_comparable() {
-        let m: EcMsg<f64> = EcMsg::Sync(vec![VertexSync {
-            pos: 1,
-            value: 0.5,
-            activate: true,
-        }]);
-        assert_eq!(m.clone(), m);
-    }
 
     /// A sync frame is charged what the message encodes to, which is what
     /// the frozen `encode_sync_frame` writes for the same records. Run with
@@ -686,130 +629,6 @@ mod tests {
         assert_eq!(msg.encoded_len(), wire.len());
     }
 
-    /// Encodes, counts and decodes `m`: the counting sink agrees with the
-    /// buffer, and the buffer decodes to `m`.
-    fn roundtrip_ec(m: &EcMsg<f64>) {
-        let mut buf = Vec::new();
-        m.encode_wire(&mut buf);
-        assert_eq!(m.encoded_len(), buf.len(), "{m:?}");
-        assert_eq!(EcMsg::<f64>::decode_wire(&buf).as_ref(), Some(m));
-    }
-
-    fn roundtrip_vc(m: &VcMsg<f64, f64>) {
-        let mut buf = Vec::new();
-        m.encode_wire(&mut buf);
-        assert_eq!(m.encoded_len(), buf.len(), "{m:?}");
-        assert_eq!(VcMsg::<f64, f64>::decode_wire(&buf).as_ref(), Some(m));
-    }
-
-    #[test]
-    fn wire_codec_roundtrips_every_variant() {
-        let meta = MasterMeta {
-            locations: Locations::new(
-                3,
-                &[NodeId::new(1), NodeId::new(2)],
-                &[9, 11],
-                &[NodeId::new(2)],
-            ),
-            in_edges_owner: vec![(4, 0.5), (6, -1.25)],
-            in_edge_srcs: vec![Vid::new(40), Vid::new(60)],
-            out_local_owner: vec![1, 2],
-            out_remote: vec![],
-        };
-        let vc_meta = Locations::new(5, &[NodeId::new(3)], &[0], &[NodeId::new(3)]);
-        roundtrip_ec(&EcMsg::Sync(vec![
-            VertexSync {
-                pos: 7,
-                value: 1.5,
-                activate: true,
-            },
-            VertexSync {
-                pos: 1_000_000,
-                value: -0.25,
-                activate: false,
-            },
-        ]));
-        roundtrip_ec(&EcMsg::Sync(vec![]));
-        roundtrip_ec(&EcMsg::Gather(vec![(Vid::new(3), ()), (Vid::new(900), ())]));
-        roundtrip_ec(&EcMsg::Rebirth(Box::new(RebirthBatch {
-            resume_iter: 17,
-            num_survivors: 3,
-            entries: vec![
-                EcRecoverEntry {
-                    vid: Vid::new(12),
-                    pos: 4,
-                    kind: CopyKind::Master,
-                    master_node: NodeId::new(0),
-                    value: 2.5,
-                    last_activate: true,
-                    active: false,
-                    in_edges: vec![(1, 0.5)],
-                    out_local: vec![2, 3],
-                    meta: Some(Box::new(meta.clone())),
-                },
-                EcRecoverEntry {
-                    vid: Vid::new(13),
-                    pos: 5,
-                    kind: CopyKind::Replica,
-                    master_node: NodeId::new(1),
-                    value: -1.0,
-                    last_activate: false,
-                    active: true,
-                    in_edges: vec![],
-                    out_local: vec![],
-                    meta: None,
-                },
-            ],
-        })));
-        roundtrip_ec(&EcMsg::Promote(vec![Promotion {
-            vid: Vid::new(8),
-            new_master: NodeId::new(2),
-            new_pos: 14,
-            old_node: NodeId::new(0),
-            old_pos: 3,
-        }]));
-        roundtrip_ec(&EcMsg::ReplicaRequest(vec![Vid::new(1), Vid::new(2)]));
-        roundtrip_ec(&EcMsg::ReplicaGrant(vec![ReplicaGrant {
-            vid: Vid::new(5),
-            value: 0.125,
-            last_activate: true,
-            master_node: NodeId::new(1),
-        }]));
-        roundtrip_ec(&EcMsg::ReplicaPlaced(vec![(Vid::new(5), 77)]));
-        let mut metas = FullState::default();
-        metas.push(meta.view());
-        roundtrip_ec(&EcMsg::MirrorUpdate(Box::new(MirrorBatch {
-            vids: vec![Vid::new(6)],
-            values: vec![(0, 3.5)],
-            last_activate: vec![false],
-            master_node: NodeId::new(2),
-            metas,
-        })));
-        roundtrip_vc(&VcMsg::Gather(vec![
-            (Vid::new(4), 0.75),
-            (Vid::new(5), -2.0),
-        ]));
-        roundtrip_vc(&VcMsg::Rebirth(Box::new(RebirthBatch {
-            resume_iter: 2,
-            num_survivors: 1,
-            entries: vec![VcRecoverEntry {
-                vid: Vid::new(9),
-                pos: 0,
-                kind: CopyKind::Mirror,
-                master_node: NodeId::new(3),
-                value: 4.5,
-                meta: Some(Box::new(vc_meta.clone())),
-            }],
-        })));
-        roundtrip_vc(&VcMsg::MirrorUpdate(Box::new(MirrorBatch {
-            vids: vec![Vid::new(10)],
-            values: vec![],
-            last_activate: vec![true],
-            master_node: NodeId::new(3),
-            metas: FullState::of([FullStateRef::tables(vc_meta.view())].into_iter()),
-        })));
-    }
-
     fn empty_batch(master_node: NodeId) -> MirrorBatch<f64> {
         MirrorBatch {
             vids: Vec::new(),
@@ -837,70 +656,6 @@ mod tests {
                 })
                 .collect(),
         }
-    }
-
-    /// An edge-cut batch of `(vid, in-edges, value for a fresh copy)`
-    /// records, every master mirrored on nodes 1 and 3 (K = 2).
-    fn ec_batch(records: &[(u32, u32, Option<f64>)]) -> MirrorBatch<f64> {
-        let mut batch = empty_batch(NodeId::new(2));
-        for (i, &(vid, in_edges, value)) in records.iter().enumerate() {
-            batch.vids.push(Vid::new(vid));
-            batch.values.extend(value.map(|v| (i as u32, v)));
-            batch.last_activate.push(vid % 2 == 0);
-            batch.metas.push(meta(vid, in_edges, &[1, 3]).view());
-        }
-        batch
-    }
-
-    /// Batches cross the TCP backend whole: none at all (an empty round is
-    /// still a message), designations of fresh copies mixed with upgrades,
-    /// and tables naming two mirrors, for both engines.
-    #[test]
-    fn mirror_batches_roundtrip() {
-        roundtrip_ec(&EcMsg::MirrorUpdate(Box::new(ec_batch(&[]))));
-        let mixed = [
-            (6, 2, Some(3.5)),
-            (300, 0, None),
-            (70_000, 5, Some(f64::NAN.copysign(-1.0))),
-        ];
-        let mut buf = Vec::new();
-        let sent = ec_batch(&mixed);
-        EcMsg::MirrorUpdate(Box::new(sent.clone())).encode_wire(&mut buf);
-        let Some(EcMsg::<f64>::MirrorUpdate(got)) = EcMsg::decode_wire(&buf) else {
-            panic!("a mirror batch decodes to a mirror batch");
-        };
-        // Not `==`: one value is a NaN.
-        assert_eq!(got.vids, sent.vids);
-        assert_eq!(got.last_activate, sent.last_activate);
-        assert_eq!(got.master_node, sent.master_node);
-        assert!(got.metas == sent.metas);
-        assert_eq!(got.metas.column_lens(), sent.metas.column_lens());
-        let bits = |b: &MirrorBatch<f64>| -> Vec<(u32, u64)> {
-            b.values.iter().map(|&(i, v)| (i, v.to_bits())).collect()
-        };
-        assert_eq!(bits(&got), bits(&sent));
-        roundtrip_ec(&EcMsg::MirrorUpdate(Box::new(ec_batch(&[
-            (9, 1, None),
-            (4, 3, Some(0.25)),
-        ]))));
-
-        let vc_batch = |records: &[(u32, Option<f64>)]| {
-            let mut batch = empty_batch(NodeId::new(0));
-            for (i, &(vid, value)) in records.iter().enumerate() {
-                batch.vids.push(Vid::new(vid));
-                batch.values.extend(value.map(|v| (i as u32, v)));
-                batch.last_activate.push(false);
-                let tables = meta(vid, 0, &[1, 2, 5]).locations;
-                batch.metas.push(FullStateRef::tables(tables.view()));
-            }
-            VcMsg::<f64, f64>::MirrorUpdate(Box::new(batch))
-        };
-        roundtrip_vc(&vc_batch(&[]));
-        roundtrip_vc(&vc_batch(&[
-            (10, None),
-            (11, Some(-1.5)),
-            (2_000_000, None),
-        ]));
     }
 
     proptest! {
@@ -1006,6 +761,205 @@ mod tests {
                 prop_assert_eq!(back.metas.column_lens().total(), 0, "tables only");
                 let held = back.metas.mem_bytes() + back.vids.capacity() * 4 + n;
                 prop_assert!(held <= 1024 + 128 * bad.len(), "{held} B for {}", bad.len());
+            }
+        }
+    }
+
+    /// An edge-cut Rebirth entry of every kind and shape, from `i`.
+    fn ec_entry(i: u32) -> EcRecoverEntry<f64> {
+        let kinds = [CopyKind::Master, CopyKind::Mirror, CopyKind::Replica];
+        EcRecoverEntry {
+            vid: Vid::new(i * 7 + 3),
+            pos: i,
+            kind: kinds[i as usize % 3],
+            master_node: NodeId::new(i % 4),
+            value: f64::from(i) - 2.5,
+            last_activate: i.is_multiple_of(2),
+            active: i % 4 == 1,
+            in_edges: (0..i % 3).map(|e| (e + i, e as f32)).collect(),
+            out_local: (0..i % 4).collect(),
+            meta: (i % 3 != 2).then(|| Box::new(meta(i, i % 3, &[1, 3]))),
+        }
+    }
+
+    fn vc_entry(i: u32) -> VcRecoverEntry<f64> {
+        let kinds = [CopyKind::Master, CopyKind::Mirror, CopyKind::Replica];
+        VcRecoverEntry {
+            vid: Vid::new(i * 5 + 1),
+            pos: i,
+            kind: kinds[i as usize % 3],
+            master_node: NodeId::new(i % 3),
+            value: f64::from(i) * 0.25,
+            meta: (i % 3 != 2).then(|| Box::new(meta(i, 0, &[0, 2]).locations)),
+        }
+    }
+
+    /// One message of each of the eight variants, each of `n` records drawn
+    /// from `seed`; `entry` and `state` give the model's Rebirth entries and
+    /// mirror-batch full states.
+    fn every_variant<A, E>(
+        n: u32,
+        seed: u32,
+        accum: impl Fn(u32) -> A,
+        entry: impl Fn(u32) -> E,
+        state: impl Fn(u32, &mut FullState),
+    ) -> Vec<ProtoMsg<f64, A, E>> {
+        let vid = |i: u32| Vid::new(seed % 100_000 + i * (seed % 13 + 1));
+        let value = |i: u32| f64::from(i) * 0.5 - f64::from(seed % 7);
+        let bit = |i: u32| (seed >> (i % 32)) & 1 != 0;
+        let records = 0..n;
+        let mut metas = FullState::default();
+        for i in records.clone() {
+            state(seed % 50 + i, &mut metas);
+        }
+        vec![
+            ProtoMsg::Sync(
+                records
+                    .clone()
+                    .map(|i| VertexSync {
+                        pos: vid(i).raw(),
+                        value: value(i),
+                        activate: bit(i),
+                    })
+                    .collect(),
+            ),
+            ProtoMsg::Gather(records.clone().map(|i| (vid(i), accum(i))).collect()),
+            ProtoMsg::Rebirth(Box::new(RebirthBatch {
+                resume_iter: u64::from(seed),
+                num_survivors: n,
+                entries: records.clone().map(entry).collect(),
+            })),
+            ProtoMsg::Promote(
+                records
+                    .clone()
+                    .map(|i| Promotion {
+                        vid: vid(i),
+                        new_master: NodeId::new(i % 5),
+                        new_pos: seed ^ i,
+                        old_node: NodeId::new(seed % 5),
+                        old_pos: i * 3,
+                    })
+                    .collect(),
+            ),
+            ProtoMsg::ReplicaRequest(records.clone().map(vid).collect()),
+            ProtoMsg::ReplicaGrant(
+                records
+                    .clone()
+                    .map(|i| ReplicaGrant {
+                        vid: vid(i),
+                        value: value(i),
+                        last_activate: bit(i),
+                        master_node: NodeId::new(i % 4),
+                    })
+                    .collect(),
+            ),
+            ProtoMsg::ReplicaPlaced(
+                records
+                    .clone()
+                    .map(|i| (vid(i), 2 * i + seed % 9))
+                    .collect(),
+            ),
+            ProtoMsg::MirrorUpdate(Box::new(MirrorBatch {
+                vids: records.clone().map(vid).collect(),
+                values: records
+                    .clone()
+                    .filter(|i| (i + seed).is_multiple_of(3))
+                    .map(|i| (i, value(i)))
+                    .collect(),
+                last_activate: records.map(bit).collect(),
+                master_node: NodeId::new(seed % 6),
+                metas,
+            })),
+        ]
+    }
+
+    fn ec_variants(n: u32, seed: u32) -> Vec<EcMsg<f64>> {
+        every_variant(
+            n,
+            seed,
+            |_| (),
+            ec_entry,
+            |tag, metas| {
+                metas.push(meta(tag, tag % 4, &[1, 3]).view());
+            },
+        )
+    }
+
+    fn vc_variants(n: u32, seed: u32) -> Vec<VcMsg<f64, f64>> {
+        every_variant(n, seed, f64::from, vc_entry, |tag, metas| {
+            metas.push(FullStateRef::tables(meta(tag, 0, &[1, 2]).locations.view()));
+        })
+    }
+
+    /// Encodes, counts and decodes `m`: the counting sink agrees with the
+    /// buffer, and the buffer decodes to `m`.
+    fn roundtrip<A, E>(m: &ProtoMsg<f64, A, E>) -> Vec<u8>
+    where
+        A: Encode + Decode + PartialEq + std::fmt::Debug,
+        E: WireEntry + PartialEq + std::fmt::Debug,
+    {
+        let mut buf = Vec::new();
+        m.encode_wire(&mut buf);
+        assert_eq!(m.encoded_len(), buf.len(), "{m:?}");
+        assert_eq!(ProtoMsg::decode_wire(&buf).as_ref(), Some(m));
+        buf
+    }
+
+    /// The records `bytes` decode to, if they decode: room for each, as a
+    /// list's capacity.
+    fn records<A: Decode, E: WireEntry>(bytes: &[u8]) -> Option<usize> {
+        Some(
+            match ProtoMsg::<f64, A, E>::decode(&mut Reader::new(bytes)).ok()? {
+                ProtoMsg::Sync(recs) => recs.capacity(),
+                ProtoMsg::Gather(recs) => recs.capacity(),
+                ProtoMsg::Rebirth(b) => b.entries.capacity(),
+                ProtoMsg::Promote(ps) => ps.capacity(),
+                ProtoMsg::ReplicaRequest(vids) => vids.capacity(),
+                ProtoMsg::ReplicaGrant(gs) => gs.capacity(),
+                ProtoMsg::ReplicaPlaced(ps) => ps.capacity(),
+                ProtoMsg::MirrorUpdate(b) => b.vids.capacity().max(b.values.capacity()),
+            },
+        )
+    }
+
+    /// Every message at the record counts on both sides of a bit column's
+    /// byte boundary: the count is the written length, and the bytes decode
+    /// back to the message.
+    #[test]
+    fn encoded_len_is_the_written_length_at_bit_column_boundaries() {
+        for n in [0, 1, 7, 8, 9] {
+            for seed in [0, 7, 0xDEAD_BEEF] {
+                ec_variants(n, seed).iter().for_each(|m| drop(roundtrip(m)));
+                vc_variants(n, seed).iter().for_each(|m| drop(roundtrip(m)));
+            }
+        }
+    }
+
+    proptest! {
+        /// Whatever a socket delivers is input like any other: truncated,
+        /// bit-flipped, spliced and count-inflated (past `u16::MAX` and
+        /// near 2^49) encodings of all eight variants under both models
+        /// decode to a `DecodeError` or to a message of no more records than
+        /// the input has bytes — never a panic, never memory sized by a count
+        /// the input merely claims.
+        #[test]
+        fn hostile_proto_msg_bytes_never_panic(
+            n in 0u32..24,
+            seed in any::<u32>(),
+            damage in proptest::collection::vec(
+                prop_oneof![arb_damage(), any::<usize>().prop_map(Damage::InflateWide)],
+                1..4,
+            ),
+        ) {
+            for msg in ec_variants(n, seed) {
+                let bad = damaged(roundtrip(&msg), &damage);
+                let n = records::<(), EcRecoverEntry<f64>>(&bad);
+                prop_assert!(n.is_none_or(|n| n <= bad.len()), "{n:?} records, {} B", bad.len());
+            }
+            for msg in vc_variants(n, seed) {
+                let bad = damaged(roundtrip(&msg), &damage);
+                let n = records::<f64, VcRecoverEntry<f64>>(&bad);
+                prop_assert!(n.is_none_or(|n| n <= bad.len()), "{n:?} records, {} B", bad.len());
             }
         }
     }

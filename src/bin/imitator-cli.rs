@@ -39,9 +39,8 @@ OPTIONS (run):
   --input <file>                    edge-list file instead of --dataset
   --scale <f64>                     dataset scale        [default: 0.01]
   --nodes <n>                       simulated machines   [default: 8]
-  --threads <n>                     worker threads per machine [default: 4]
-                                    (1: strict compute → send ordering;
-                                    results identical)
+  --threads <n>                     worker threads per machine [default: 1]
+                                    (results identical at any count)
   --cut <hash|fennel>               edge-cut partitioner [default: hash]
   --ft <none|rep|ckpt>              fault tolerance      [default: rep]
   --recovery <rebirth|migration>    REP recovery         [default: rebirth]
@@ -100,7 +99,7 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         input: None,
         scale: 0.01,
         nodes: 8,
-        threads: 4,
+        threads: RunConfig::default().threads_per_node,
         cut: "hash".into(),
         ft: "rep".into(),
         recovery: "rebirth".into(),

@@ -562,8 +562,7 @@ fn nan_stuck_vertices_suppress_yet_migration_recovers_exactly() {
 // separately, alongside the pre-columnar-codec totals, with the invariant
 // that the columnar wire format may only shrink them: sync/gather traffic
 // strictly, checkpoint payloads strictly wherever a checkpoint is written,
-// migration recovery strictly (its mirror-update rounds ride the frame
-// codec), and rebirth recovery not at all (its entry batches stay scalar).
+// and recovery traffic strictly since its messages are columns too.
 // ---------------------------------------------------------------------------
 
 /// Deterministic scenario graph (avoids depending on proptest seeding).
@@ -709,7 +708,9 @@ fn refactor_goldens_are_bit_identical() {
         /// ([`REC_ESTIMATED`]), under which the K = 1 Migration cases' fell
         /// when round 7 stopped re-sending full state to mirrors designated
         /// one round earlier (54884 → 37824 edge-cut, 44168 → 31172
-        /// vertex-cut).
+        /// vertex-cut). `comm` fell when a sync frame's flags became one bit
+        /// a record ([`COMM_TWO_FLAG_BITS`]), and `rec` when recovery
+        /// messages became columns ([`REC_FIXED_WIDTH`]).
         /// The edge-cut checkpoint cases' `ckpt` fell when the `ec/meta/<node>`
         /// snapshot stopped writing a master's in-edges and consumers twice
         /// (48640 → 39832, 47052 → 38244, 91404 → 76012, 87248 → 71856), and
@@ -744,6 +745,42 @@ fn refactor_goldens_are_bit_identical() {
         ("s2_migration_ec", 340864),
         ("s2_migration_vc", 231800),
     ];
+    /// Every case's `comm` while a sync frame's flag column held two bits a
+    /// record (activate, and a delta flag no sender set): what `comm` pinned
+    /// now must undercut, by the ⌈2n/8⌉ − ⌈n/8⌉ bytes each sync frame of n
+    /// records saves. Gather frames did not move.
+    const COMM_TWO_FLAG_BITS: [(&str, u64); 16] = [
+        ("s1_rebirth_ec", 14052),
+        ("s1_rebirth_vc", 43432),
+        ("s1_migration_ec", 12920),
+        ("s1_migration_vc", 34828),
+        ("s1_ckpt_ec", 13872),
+        ("s1_ckpt_vc", 43432),
+        ("s1_ckpt_inc_ec", 13872),
+        ("s1_ckpt_inc_vc", 43432),
+        ("s2_rebirth_ec", 43116),
+        ("s2_rebirth_vc", 119128),
+        ("s2_migration_ec", 40004),
+        ("s2_migration_vc", 85024),
+        ("s2_ckpt_ec", 40240),
+        ("s2_ckpt_vc", 127996),
+        ("s2_ckpt_inc_ec", 40240),
+        ("s2_ckpt_inc_vc", 127996),
+    ];
+    /// The Rebirth and Migration cases' `rec` while recovery messages wrote
+    /// IDs, nodes, positions and counts at fixed width, a bool a byte, and a
+    /// mirror batch's value records by index: what `rec` pinned now must
+    /// undercut.
+    const REC_FIXED_WIDTH: [(&str, u64); 8] = [
+        ("s1_rebirth_ec", 24972),
+        ("s1_rebirth_vc", 9464),
+        ("s1_migration_ec", 23052),
+        ("s1_migration_vc", 12608),
+        ("s2_rebirth_ec", 98096),
+        ("s2_rebirth_vc", 32960),
+        ("s2_migration_ec", 212892),
+        ("s2_migration_vc", 83108),
+    ];
     let repl = |tol, recovery| FtMode::Replication {
         tolerance: tol,
         selfish_opt: false,
@@ -770,7 +807,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xCDAD83957359282D,
             old: gb(22896, 324, 16368, 0),
-            new: gb(14052, 180, 24972, 0),
+            new: gb(13768, 180, 14108, 0),
         },
         Case {
             name: "s1_rebirth_vc",
@@ -782,7 +819,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x89D503F6F06CD989,
             old: gb(68960, 0, 7128, 19392),
-            new: gb(43432, 0, 9464, 10260),
+            new: gb(43120, 0, 5384, 10260),
         },
         Case {
             name: "s1_migration_ec",
@@ -794,7 +831,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x2335D791956AA589,
             old: gb(21024, 216, 58624, 0),
-            new: gb(12920, 120, 23052, 0),
+            new: gb(12648, 120, 16328, 0),
         },
         Case {
             name: "s1_migration_vc",
@@ -806,7 +843,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x391724293AEFE45D,
             old: gb(55532, 0, 48608, 38688),
-            new: gb(34828, 0, 12608, 20508),
+            new: gb(34532, 0, 5916, 20508),
         },
         Case {
             name: "s1_ckpt_ec",
@@ -818,7 +855,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xB2490C13F3538AC5,
             old: gb(22572, 0, 0, 128156),
-            new: gb(13872, 0, 0, 36576),
+            new: gb(13588, 0, 0, 36576),
         },
         Case {
             name: "s1_ckpt_vc",
@@ -830,7 +867,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0xE1D0B2035874C9ED,
             old: gb(68960, 0, 0, 69180),
-            new: gb(43432, 0, 0, 33076),
+            new: gb(43120, 0, 0, 33076),
         },
         Case {
             name: "s1_ckpt_inc_ec",
@@ -842,7 +879,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xB2490C13F3538AC5,
             old: gb(22572, 0, 0, 127036),
-            new: gb(13872, 0, 0, 34564),
+            new: gb(13588, 0, 0, 34564),
         },
         Case {
             name: "s1_ckpt_inc_vc",
@@ -854,7 +891,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0xE1D0B2035874C9ED,
             old: gb(68960, 0, 0, 65052),
-            new: gb(43432, 0, 0, 30500),
+            new: gb(43120, 0, 0, 30500),
         },
         Case {
             name: "s2_rebirth_ec",
@@ -866,7 +903,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x4A211DE51DB6B0DD,
             old: gb(71100, 11628, 54528, 0),
-            new: gb(43116, 6868, 98096, 0),
+            new: gb(42212, 6704, 62444, 0),
         },
         Case {
             name: "s2_rebirth_vc",
@@ -878,7 +915,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x0522124F16F0CE65,
             old: gb(190188, 2808, 21888, 33920),
-            new: gb(119128, 1628, 32960, 19504),
+            new: gb(118224, 1600, 21136, 19504),
         },
         Case {
             name: "s2_migration_ec",
@@ -890,7 +927,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x6DF80C08CDF4009D,
             old: gb(64980, 10908, 365280, 0),
-            new: gb(40004, 6524, 212892, 0),
+            new: gb(39132, 6384, 172164, 0),
         },
         Case {
             name: "s2_migration_vc",
@@ -902,7 +939,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0xB83390ACA60B3B9D,
             old: gb(136000, 2124, 256896, 101408),
-            new: gb(85024, 1224, 83108, 58388),
+            new: gb(84248, 1208, 50916, 58388),
         },
         Case {
             name: "s2_ckpt_ec",
@@ -914,7 +951,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x7BFA561A019A6BC5,
             old: gb(66132, 0, 0, 232992),
-            new: gb(40240, 0, 0, 68420),
+            new: gb(39368, 0, 0, 68420),
         },
         Case {
             name: "s2_ckpt_vc",
@@ -926,7 +963,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x8E2CDBB620D59F95,
             old: gb(204860, 0, 0, 131216),
-            new: gb(127996, 0, 0, 64784),
+            new: gb(126928, 0, 0, 64784),
         },
         Case {
             name: "s2_ckpt_inc_ec",
@@ -938,7 +975,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x7BFA561A019A6BC5,
             old: gb(66132, 0, 0, 229840),
-            new: gb(40240, 0, 0, 63216),
+            new: gb(39368, 0, 0, 63216),
         },
         Case {
             name: "s2_ckpt_inc_vc",
@@ -950,7 +987,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x8E2CDBB620D59F95,
             old: gb(204860, 0, 0, 120624),
-            new: gb(127996, 0, 0, 58172),
+            new: gb(126928, 0, 0, 58172),
         },
     ];
     for c in &cases {
@@ -965,10 +1002,23 @@ fn refactor_goldens_are_bit_identical() {
             "{}: byte totals moved off the pinned values",
             c.name
         );
-        if let Some(&(_, was)) = EC_CKPT_WITH_SOURCES
-            .iter()
-            .find(|(name, _)| *name == c.name)
-        {
+        let was = |pins: &[(&str, u64)]| pins.iter().find(|(name, _)| *name == c.name).map(|p| p.1);
+        let comm_was = was(&COMM_TWO_FLAG_BITS).expect("every case has its two-bit comm");
+        assert!(
+            bytes.comm < comm_was,
+            "{}: comm {} must be strictly below {comm_was}",
+            c.name,
+            bytes.comm
+        );
+        if let Some(rec_was) = was(&REC_FIXED_WIDTH) {
+            assert!(
+                bytes.rec < rec_was,
+                "{}: recovery bytes {} must be strictly below {rec_was}",
+                c.name,
+                bytes.rec
+            );
+        }
+        if let Some(was) = was(&EC_CKPT_WITH_SOURCES) {
             assert!(
                 bytes.ckpt < was,
                 "{}: ckpt payload {} must be strictly below {was}",
