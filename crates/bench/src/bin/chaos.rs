@@ -151,7 +151,6 @@ struct Schedule {
     graph: Graph,
     nodes: usize,
     edge_cut: bool,
-    threads: usize,
     ft: FtMode,
     standbys: usize,
     plans: Vec<FailurePlan>,
@@ -189,7 +188,9 @@ fn build(index: usize, base_seed: u64, class: Class) -> Schedule {
         .collect();
     let graph = gen::from_pairs(n, &pairs);
     let edge_cut = rng.below(2) == 0;
-    let threads = 1 + rng.below(4) as usize;
+    // This draw once picked the thread count; it stays so every later draw,
+    // and so every schedule index, names the schedule it always has.
+    rng.below(4);
 
     // Primary crash: early and pre-barrier-biased so the episode (and the
     // nested plan keyed to its resume iteration) actually fires.
@@ -317,7 +318,7 @@ fn build(index: usize, base_seed: u64, class: Class) -> Schedule {
     let mut desc = String::new();
     let _ = write!(
         desc,
-        "{class:?} nodes={nodes} n={n} m={m} {} thr={threads} standbys={standbys} plans=[",
+        "{class:?} nodes={nodes} n={n} m={m} {} standbys={standbys} plans=[",
         if edge_cut { "ec" } else { "vc" },
     );
     for (i, p) in plans.iter().enumerate() {
@@ -337,7 +338,6 @@ fn build(index: usize, base_seed: u64, class: Class) -> Schedule {
         graph,
         nodes,
         edge_cut,
-        threads,
         ft,
         standbys,
         plans,
@@ -349,14 +349,12 @@ fn config(
     s: &Schedule,
     ft: FtMode,
     standbys: usize,
-    threads: usize,
     transport: TransportKind,
     detector: DetectorKind,
 ) -> RunConfig {
     RunConfig {
         num_nodes: s.nodes,
         max_iters: 30,
-        threads_per_node: threads,
         ft,
         standbys,
         transport,
@@ -373,7 +371,6 @@ fn execute(
     s: &Schedule,
     ft: FtMode,
     standbys: usize,
-    threads: usize,
     transport: TransportKind,
     detector: DetectorKind,
     plans: Vec<FailurePlan>,
@@ -384,7 +381,7 @@ fn execute(
             &s.graph,
             &cut,
             Arc::new(MinLabel),
-            config(s, ft, standbys, threads, transport, detector),
+            config(s, ft, standbys, transport, detector),
             plans,
             Dfs::new(DfsConfig::instant()),
         )
@@ -394,7 +391,7 @@ fn execute(
             &s.graph,
             &cut,
             Arc::new(MinLabel),
-            config(s, ft, standbys, threads, transport, detector),
+            config(s, ft, standbys, transport, detector),
             plans,
             Dfs::new(DfsConfig {
                 latency: VC_DFS_LATENCY,
@@ -447,13 +444,11 @@ fn main() {
     for &i in &indices {
         let class = classes[i % classes.len()];
         let s = build(i, base_seed, class);
-        // The golden run is failure-free AND single-threaded: one run
-        // checks crash-equivalence and thread-invariance at once.
+        // The golden run is failure-free.
         let golden = execute(
             &s,
             FtMode::None,
             0,
-            1,
             TransportKind::Channel,
             DetectorKind::Oracle,
             vec![],
@@ -465,15 +460,7 @@ fn main() {
         } else {
             TransportKind::Channel
         };
-        let faulty = execute(
-            &s,
-            s.ft,
-            s.standbys,
-            s.threads,
-            transport,
-            detector,
-            s.plans.clone(),
-        );
+        let faulty = execute(&s, s.ft, s.standbys, transport, detector, s.plans.clone());
         total_retries += faulty.fabric.retries;
         total_redelivered += faulty.fabric.redelivered;
         total_confirmed += faulty.suspicion.confirmed;

@@ -1,6 +1,6 @@
 //! Performance baseline: times the engine's compute kernels (serial scan,
-//! sparse frontier, edge-order gather, gather-index build) and one
-//! end-to-end PageRank run per engine, then writes the numbers to
+//! sparse frontier, edge-order gather) and one end-to-end PageRank run per
+//! engine, then writes the numbers to
 //! `BENCH_engine.json` for regression tracking.
 //!
 //! ```sh
@@ -28,7 +28,7 @@ use imitator_bench::{
 use imitator_cluster::{Cluster, NodeId, TransportKind, TICKS_PER_MS};
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, ec_compute, ec_compute_scan, vc_partial_gather,
-    CopyKind, Degrees, Episode, FtPlan, FullState, VcGatherIndex, VertexProgram,
+    CopyKind, Degrees, Episode, FtPlan, FullState, VertexProgram,
 };
 use imitator_graph::gen;
 use imitator_metrics::{CommKind, MemSize};
@@ -165,22 +165,7 @@ fn main() {
         "engine kernel + end-to-end baseline",
         &opts,
     );
-    // The widest thread variant the suite times below; on boxes with fewer
-    // cores those numbers measure scheduler contention, not speedup.
-    const MAX_BENCH_THREADS: usize = 4;
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    if cores < MAX_BENCH_THREADS {
-        eprintln!("======================================================================");
-        eprintln!("WARNING: {cores} core(s) available but this suite times t{MAX_BENCH_THREADS} variants.");
-        eprintln!("Multi-thread results below are oversubscribed: they measure context-");
-        eprintln!("switch overhead, NOT parallel speedup. Ignore tN>t1 comparisons here");
-        eprintln!(
-            "and use the pinned multicore CI bench job (or a machine with >= {MAX_BENCH_THREADS}"
-        );
-        eprintln!("cores) for honest scaling figures. meta.cores in BENCH_engine.json");
-        eprintln!("records this box's parallelism so downstream diffs can tell.");
-        eprintln!("======================================================================");
-    }
     let n = reps().max(5);
     let mut results: Vec<(String, f64)> = Vec::new();
     let mut record = |name: &str, secs: f64| {
@@ -222,12 +207,6 @@ fn main() {
         "vc_gather_edge_order",
         time_best(n, || {
             vc_partial_gather(&vlgs[0], &pr);
-        }),
-    );
-    record(
-        "vc_gather_index_build",
-        time_best(n, || {
-            VcGatherIndex::build(&vlgs[0]);
         }),
     );
 
@@ -365,45 +344,34 @@ fn main() {
         }),
     );
 
-    // End-to-end PageRank per engine, serial vs default thread pool.
-    let cfg = |threads| RunConfig {
+    // End-to-end PageRank per engine. The `_t1` suffix names the one thread
+    // a node is; the rows keep it so older recordings stay comparable.
+    let cfg = RunConfig {
         num_nodes: opts.nodes,
         max_iters: 20,
         ft: FtMode::None,
-        threads_per_node: threads,
         ..RunConfig::default()
     };
-    for (suffix, threads) in [("t1", 1usize), ("t4", 4)] {
-        let s = best_of(reps(), || {
-            run_ec(Workload::PageRank, &g, &cut, cfg(threads), vec![], ramfs())
-        });
-        record(
-            &format!("ec_pagerank_e2e_{suffix}"),
-            s.elapsed.as_secs_f64(),
-        );
-        let s = best_of(reps(), || {
-            run_vc(Workload::PageRank, &g, &vcut, cfg(threads), vec![], ramfs())
-        });
-        record(
-            &format!("vc_pagerank_e2e_{suffix}"),
-            s.elapsed.as_secs_f64(),
-        );
-    }
+    let s = best_of(reps(), || {
+        run_ec(Workload::PageRank, &g, &cut, cfg, vec![], ramfs())
+    });
+    record("ec_pagerank_e2e_t1", s.elapsed.as_secs_f64());
+    let s = best_of(reps(), || {
+        run_vc(Workload::PageRank, &g, &vcut, cfg, vec![], ramfs())
+    });
+    record("vc_pagerank_e2e_t1", s.elapsed.as_secs_f64());
 
-    // Recovery latency: one crash mid-run under replication FT, per strategy
-    // and thread count. The recorded figure is the recovery episode's wall
-    // time (reload + reconstruct + replay), not the whole run. Recovery runs
-    // on each node's protocol thread, so the t4 rows time the same episode
-    // beside four parked compute workers per node. The single-thread
-    // Migration scenario also yields what its undo journal costs to set up
-    // (`undo_capture`) and to let go (`undo_release`: the `after_recovery`
-    // phase, i.e. the model's post-recovery hook plus dropping the journal),
-    // and two byte gauges, exact for a given graph, partitioning and crash:
-    // everything the eight rounds put on the wire, and the journal the
-    // survivors held between them when the attempt finished. The
-    // single-thread Rebirth scenario yields the third: everything the
-    // survivors' batches put on the wire. Both wire gauges are what the
-    // episode's messages encode to.
+    // Recovery latency: one crash mid-run under replication FT, per strategy.
+    // The recorded figure is the recovery episode's wall time (reload +
+    // reconstruct + replay), not the whole run. The Migration scenario also
+    // yields what its undo journal costs to set up (`undo_capture`) and to
+    // let go (`undo_release`: the `after_recovery` phase, i.e. the model's
+    // post-recovery hook plus dropping the journal), and two byte gauges,
+    // exact for a given graph, partitioning and crash: everything the eight
+    // rounds put on the wire, and the journal the survivors held between
+    // them when the attempt finished. The Rebirth scenario yields the third:
+    // everything the survivors' batches put on the wire. Both wire gauges
+    // are what the episode's messages encode to.
     let mut undo = (f64::INFINITY, f64::INFINITY);
     let (mut recovery_rebirth_bytes, mut recovery_migration_bytes) = (0.0, 0.0);
     let mut undo_journal_bytes = 0.0;
@@ -411,45 +379,41 @@ fn main() {
         ("recovery_rebirth_e2e", RecoveryStrategy::Rebirth, 1usize),
         ("recovery_migration_e2e", RecoveryStrategy::Migration, 0),
     ] {
-        for threads in [1usize, 4] {
-            let cfg = RunConfig {
-                num_nodes: opts.nodes,
-                max_iters: 20,
-                ft: FtMode::Replication {
-                    tolerance: 1,
-                    selfish_opt: false,
-                    recovery: strategy,
-                },
-                standbys,
-                threads_per_node: threads,
-                ..RunConfig::default()
-            };
-            let mut best = f64::INFINITY;
-            for _ in 0..reps() {
-                let s = run_ec(
-                    Workload::PageRank,
-                    &g,
-                    &cut,
-                    cfg,
-                    vec![crash(1, 5)],
-                    ramfs(),
-                );
-                assert_eq!(s.recoveries.len(), 1, "crash must trigger one episode");
-                best = best.min(s.recovery_total().as_secs_f64());
-                let ep = &s.recoveries[0];
-                if strategy == RecoveryStrategy::Rebirth && threads == 1 {
-                    recovery_rebirth_bytes = ep.comm.bytes as f64;
-                }
-                if strategy == RecoveryStrategy::Migration && threads == 1 {
-                    let phase = |key| ep.phases.get(key).map_or(0.0, |d| d.as_secs_f64());
-                    undo.0 = undo.0.min(phase("undo_capture"));
-                    undo.1 = undo.1.min(phase("after_recovery"));
-                    recovery_migration_bytes = ep.comm.bytes as f64;
-                    undo_journal_bytes = ep.journal_bytes as f64;
-                }
+        let cfg = RunConfig {
+            num_nodes: opts.nodes,
+            max_iters: 20,
+            ft: FtMode::Replication {
+                tolerance: 1,
+                selfish_opt: false,
+                recovery: strategy,
+            },
+            standbys,
+            ..RunConfig::default()
+        };
+        let mut best = f64::INFINITY;
+        for _ in 0..reps() {
+            let s = run_ec(
+                Workload::PageRank,
+                &g,
+                &cut,
+                cfg,
+                vec![crash(1, 5)],
+                ramfs(),
+            );
+            assert_eq!(s.recoveries.len(), 1, "crash must trigger one episode");
+            best = best.min(s.recovery_total().as_secs_f64());
+            let ep = &s.recoveries[0];
+            if strategy == RecoveryStrategy::Rebirth {
+                recovery_rebirth_bytes = ep.comm.bytes as f64;
+            } else {
+                let phase = |key| ep.phases.get(key).map_or(0.0, |d| d.as_secs_f64());
+                undo.0 = undo.0.min(phase("undo_capture"));
+                undo.1 = undo.1.min(phase("after_recovery"));
+                recovery_migration_bytes = ep.comm.bytes as f64;
+                undo_journal_bytes = ep.journal_bytes as f64;
             }
-            record(&format!("{name}_t{threads}"), best);
         }
+        record(&format!("{name}_t1"), best);
     }
     record("undo_capture", undo.0);
     record("undo_release", undo.1);
@@ -470,7 +434,6 @@ fn main() {
                 recovery: RecoveryStrategy::Rebirth,
             },
             standbys: 1,
-            threads_per_node: 1,
             ..RunConfig::default()
         };
         let (mut first_commit, mut episode) = (f64::INFINITY, f64::INFINITY);
@@ -554,7 +517,6 @@ fn main() {
                 selfish_opt: false,
                 recovery: RecoveryStrategy::Migration,
             },
-            threads_per_node: 1,
             ..RunConfig::default()
         };
         let mut best = f64::INFINITY;
@@ -589,7 +551,6 @@ fn main() {
                 selfish_opt: false,
                 recovery: RecoveryStrategy::Migration,
             },
-            threads_per_node: 4,
             detector: DetectorKind::Heartbeat,
             hb_interval: Duration::from_millis(1),
             hb_timeout: Duration::from_millis(6),
@@ -641,7 +602,6 @@ fn main() {
                 interval: 2,
                 incremental,
             },
-            threads_per_node: 4,
             ..RunConfig::default()
         };
         let mut best = f64::INFINITY;

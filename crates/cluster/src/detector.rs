@@ -273,19 +273,32 @@ pub struct FailureDetector {
 impl FailureDetector {
     /// Creates a detector for `num_nodes` logical slots. `wall_clock`
     /// selects real time (TCP transport) over deterministic virtual ticks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a heartbeat detector's timeout does not exceed its
+    /// interval: every live node would fall silent past it between two of
+    /// its own heartbeats, and past the fence soon after.
     pub fn new(num_nodes: usize, cfg: DetectorConfig, wall_clock: bool) -> Self {
         let clock: Box<dyn Clock> = if wall_clock {
             Box::new(WallClock::new())
         } else {
             Box::new(VirtualClock::new())
         };
+        let interval_ticks = duration_ticks(cfg.hb_interval).max(1);
         let timeout_ticks = duration_ticks(cfg.hb_timeout);
+        assert!(
+            cfg.kind != DetectorKind::Heartbeat || timeout_ticks > interval_ticks,
+            "heartbeat timeout {:?} does not exceed the interval {:?}",
+            cfg.hb_timeout,
+            cfg.hb_interval
+        );
         FailureDetector {
             kind: cfg.kind,
             clock,
             sync_oracle: cfg.kind == DetectorKind::Oracle && cfg.detection_delay.is_zero(),
             delay_ticks: duration_ticks(cfg.detection_delay),
-            interval_ticks: duration_ticks(cfg.hb_interval).max(1),
+            interval_ticks,
             timeout_ticks,
             fence_ticks: timeout_ticks.saturating_mul(u64::from(cfg.fence_multiplier.max(1))),
             slots: Mutex::new(vec![Slot::fresh(0, 0); num_nodes]),
@@ -658,6 +671,13 @@ mod tests {
         let det = FailureDetector::new(2, DetectorConfig::default(), false);
         assert!(det.report_death(NodeId::new(1)));
         assert!(!det.needs_pump());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not exceed the interval")]
+    fn heartbeat_timeout_must_exceed_the_interval() {
+        let cfg = DetectorConfig::heartbeat(Duration::from_millis(10), Duration::ZERO);
+        FailureDetector::new(2, cfg, false);
     }
 
     #[test]

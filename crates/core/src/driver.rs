@@ -19,7 +19,7 @@ use imitator_cluster::{
 };
 use imitator_engine::{
     CopyKind, Degrees, Episode, FtPlan, FullState, FullStateRef, Locations, LocationsRef,
-    MasterUpdate, VertexProgram, WorkerPool,
+    MasterUpdate, VertexProgram,
 };
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
@@ -64,9 +64,9 @@ pub(crate) type St<M> = NodeState<Msg<M>>;
 /// Immutable per-run state shared by every node thread.
 pub(crate) struct Shared<M: ComputeModel> {
     pub model: M,
-    pub degrees: Arc<Degrees>,
-    pub plan: Arc<FtPlan>,
-    pub owners: Arc<Vec<u32>>,
+    pub degrees: Degrees,
+    pub plan: FtPlan,
+    pub owners: Vec<u32>,
     pub injector: Arc<FailureInjector>,
     pub dfs: Dfs,
     pub cfg: RunConfig,
@@ -190,10 +190,8 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     type Accum: Clone + Send + Encode + Decode + 'static;
     /// Rebirth recovery entry, with its wire codec.
     type Entry: WireEntry;
-    /// Local graph, with its DFS codec. `Sync` because the compute kernels
-    /// share it with pool workers behind an `Arc` (both engines' graphs are
-    /// plain data).
-    type Graph: ModelGraph<Value = Self::Value> + GraphCodec + MemSize + Send + Sync + 'static;
+    /// Local graph, with its DFS codec; the node's thread owns it.
+    type Graph: ModelGraph<Value = Self::Value> + GraphCodec + MemSize + Send + 'static;
     /// Per-node steady-state scratch reused across iterations.
     type Scratch: Send;
     /// Migration bookkeeping the model threads between rounds.
@@ -206,9 +204,7 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// sync record, a Rebirth entry, a Migration grant or fresh mirror, a
     /// graph or a snapshot read back from the DFS) before anything reads it.
     fn prog(&self) -> &Self::Prog;
-    fn init_scratch(&self, lg: &Self::Graph, shared: &Shared<Self>) -> Self::Scratch;
-    /// Re-derives graph-dependent scratch after recovery changed the layout.
-    fn refresh_scratch(&self, _scratch: &mut Self::Scratch, _lg: &Self::Graph) {}
+    fn init_scratch(&self, shared: &Shared<Self>) -> Self::Scratch;
     /// What a non-checkpoint mode keeps on the DFS for a recovery to reload
     /// (edge-ckpt files): taken from the graph as it stands, at load (the run
     /// phase `load_persist`) and after a Migration, and written behind the node.
@@ -219,21 +215,15 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// One superstep: compute, communicate, and commit through the model's
     /// internal barriers. On a failed barrier the model undoes its own
     /// staged state and returns [`StepOutcome::Failed`]; the driver owns
-    /// everything after that.
-    ///
-    /// The graph arrives behind an `Arc` so the compute kernels can run on
-    /// the persistent `pool` (workers clone the `Arc`, and drop their clones
-    /// before publishing results); models take exclusive access back via
-    /// [`graph_mut`] once a kernel has returned. Staging, shipping and
-    /// committing stay on this thread.
+    /// everything after that. The node's thread runs the engine's serial
+    /// kernels on the graph it owns, then stages, ships and commits.
     fn superstep(
         &self,
         ctx: &Ctx<Self>,
-        lg: &mut Arc<Self::Graph>,
+        lg: &mut Self::Graph,
         shared: &Shared<Self>,
         st: &mut St<Self>,
         scratch: &mut Self::Scratch,
-        pool: &WorkerPool,
     ) -> StepOutcome;
 
     // -- recovery primitives --
@@ -325,18 +315,26 @@ pub(crate) type FinalGraphs<M> = Vec<(NodeId, <M as ComputeModel>::Graph)>;
 /// one thread per node plus the configured hot standbys, joins them, and
 /// assembles the merged [`RunReport`]. Each live node's final graph comes
 /// back with it (tests inspect what recovery left behind).
+///
+/// # Panics
+///
+/// Panics if `cfg.threads_per_node` is above 1: a node is one thread.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<M: ComputeModel>(
     model: M,
     num_vertices: usize,
     lgs: Vec<M::Graph>,
-    degrees: Arc<Degrees>,
-    plan: Arc<FtPlan>,
-    owners: Arc<Vec<u32>>,
+    degrees: Degrees,
+    plan: FtPlan,
+    owners: Vec<u32>,
     cfg: RunConfig,
     failures: Vec<FailurePlan>,
     dfs: Dfs,
 ) -> (RunReport<M::Value>, FinalGraphs<M>) {
+    assert!(
+        cfg.threads_per_node <= 1,
+        "a node is one thread; threads_per_node stays only for the frozen benchmark's config"
+    );
     let extra_replicas = plan.extra_replica_count();
     let mem_bytes: Vec<usize> = lgs.iter().map(MemSize::mem_bytes).collect();
     let injector = Arc::new(FailureInjector::new());
@@ -553,15 +551,12 @@ fn standby_main<M: ComputeModel>(
 /// activity all-reduce, replay accounting, and convergence.
 fn node_main<M: ComputeModel>(
     ctx: Ctx<M>,
-    lg: M::Graph,
+    mut lg: M::Graph,
     shared: &Arc<Shared<M>>,
     mut st: St<M>,
 ) -> NodeOutcome<(NodeId, M::Graph)> {
     let me = ctx.id();
-    // Spawned once per node per run; workers park between phases.
-    let pool = WorkerPool::new(shared.cfg.threads_per_node);
-    let mut scratch = shared.model.init_scratch(&lg, shared);
-    let mut lg = Arc::new(lg);
+    let mut scratch = shared.model.init_scratch(shared);
     // Runs until the job is over (`true`) or this node is dead (`false`).
     let survived = loop {
         if st.iter >= shared.cfg.max_iters {
@@ -590,23 +585,21 @@ fn node_main<M: ComputeModel>(
         }
         let iter_sw = Stopwatch::start();
 
-        let active =
-            match shared
-                .model
-                .superstep(&ctx, &mut lg, shared, &mut st, &mut scratch, &pool)
-            {
-                StepOutcome::Committed(active) => active,
-                StepOutcome::Failed(dead) => {
-                    // Keep recovery messages that may already have arrived from
-                    // faster peers; discard the failed iteration's data traffic.
-                    stash_non_data::<M>(&ctx, &mut st);
-                    if recover_booked(&ctx, graph_mut(&mut lg), shared, &mut st, &dead) {
-                        break false;
-                    }
-                    shared.model.refresh_scratch(&mut scratch, &lg);
-                    continue;
+        let active = match shared
+            .model
+            .superstep(&ctx, &mut lg, shared, &mut st, &mut scratch)
+        {
+            StepOutcome::Committed(active) => active,
+            StepOutcome::Failed(dead) => {
+                // Keep recovery messages that may already have arrived from
+                // faster peers; discard the failed iteration's data traffic.
+                stash_non_data::<M>(&ctx, &mut st);
+                if recover_booked(&ctx, &mut lg, shared, &mut st, &dead) {
+                    break false;
                 }
-            };
+                continue;
+            }
+        };
 
         // Checkpoint inside the barrier window (§2.2).
         if let FtMode::Checkpoint {
@@ -676,10 +669,9 @@ fn node_main<M: ComputeModel>(
         if let BarrierOutcome::Failed(dead) = outcome {
             // Failure after commit: no rollback.
             stash_non_data::<M>(&ctx, &mut st);
-            if recover_booked(&ctx, graph_mut(&mut lg), shared, &mut st, &dead) {
+            if recover_booked(&ctx, &mut lg, shared, &mut st, &dead) {
                 break false;
             }
-            shared.model.refresh_scratch(&mut scratch, &lg);
             continue;
         }
         if total_active == 0 {
@@ -698,9 +690,7 @@ fn node_main<M: ComputeModel>(
             break false;
         }
     };
-    absorb_pool(&mut st, &pool);
-    let unshared = |lg| Arc::try_unwrap(lg).unwrap_or_else(|_| panic!("graph shared at node exit"));
-    NodeOutcome::from_state(survived.then(|| (me, unshared(lg))), st)
+    NodeOutcome::from_state(survived.then_some((me, lg)), st)
 }
 
 /// Runs the recovery episode for `dead`, resuming at the current iteration,
@@ -723,33 +713,17 @@ fn recover_booked<M: ComputeModel>(
     crashed
 }
 
-/// Exclusive access to the node's graph between phases. Pool workers drop
-/// their `Arc` clones *before* publishing chunk results (see
-/// [`WorkerPool::run`]), so once a kernel has returned the count is
-/// deterministically back to one.
-pub(crate) fn graph_mut<G>(lg: &mut Arc<G>) -> &mut G {
-    Arc::get_mut(lg).expect("local graph still shared by pool workers")
-}
-
-/// Reads the pool's lifetime counters into the node state before it is
-/// frozen into an outcome.
-fn absorb_pool<T>(st: &mut NodeState<T>, pool: &WorkerPool) {
-    let (jobs, peak_busy) = pool.counters();
-    st.pool.jobs = jobs;
-    st.pool.peak_busy = peak_busy;
-}
-
 /// Stages a phase's master updates into one sync frame per destination,
 /// including the mirrors' dynamic state, and ships each as one
 /// [`ProtoMsg::Sync`] ([`ship_frame`]); the FT share of a frame is its FT
 /// records' pro-rata part of its bytes. Selfish masters (§4.4) send nothing
 /// — their only replicas are FT replicas.
 ///
-/// Records stage in ascending master position (the kernels' output order,
-/// for any thread count) toward destinations in node order, so every frame
-/// is a pure function of the committed graph state. Every update ships: the
-/// engines emit one only for a master whose value changed (DESIGN.md §4.1),
-/// so there is nothing here to filter.
+/// Records stage in ascending master position (the kernels' output order)
+/// toward destinations in node order, so every frame is a pure function of
+/// the committed graph state. Every update ships: the engines emit one only
+/// for a master whose value changed (DESIGN.md §4.1), so there is nothing
+/// here to filter.
 pub(crate) fn ship_syncs<M: ComputeModel>(
     ctx: &Ctx<M>,
     lg: &M::Graph,

@@ -153,14 +153,10 @@ pub struct RunConfig {
     /// Hot standby machines for Rebirth (and for checkpoint recovery, which
     /// also replaces crashed machines).
     pub standbys: usize,
-    /// Worker threads each node uses for its local compute phases. A phase's
-    /// chunks all compute before its frames are staged and shipped, one per
-    /// destination, and recovery runs on the node's own thread. Results and
-    /// byte accounting are bit-identical for any value; `0` is treated as
-    /// `1`. The default is 1, not the paper's 4 worker threads per machine:
-    /// on 2 vCPUs, 8 nodes × t threads, `BENCH_engine.json`'s `pool_rows`
-    /// median `ec_pagerank_e2e` at 57.6 ms with t = 1 against 70.4 ms with
-    /// t = 4, and `vc_pagerank_e2e` at 153.7 against 174.9 ms.
+    /// Must be 0 or 1: a node is one thread, which runs its kernels, its
+    /// protocol and its recovery (DESIGN.md §4.4). The field stays only
+    /// because the frozen `benchmark/src/config.rs` spells it; ROADMAP item
+    /// 2's benchmark change deletes it.
     pub threads_per_node: usize,
     /// The wire backend nodes communicate over. The default in-process
     /// channels are reliable and ordered; [`TransportKind::Lossy`] injects

@@ -101,10 +101,10 @@ fn run_ec(
     failures: Vec<FailurePlan>,
 ) -> EcRun {
     let cut = HashEdgeCut.partition(g, nodes);
-    let degrees = Arc::new(Degrees::of(g));
-    let plan = Arc::new(load_plan(g, &cut, ft));
+    let degrees = Degrees::of(g);
+    let plan = load_plan(g, &cut, ft);
     let loaded = build_edge_cut_graphs(g, &cut, &plan, &MinLabel, &degrees);
-    let owners = Arc::new(g.vertices().map(|v| cut.owner(v) as u32).collect());
+    let owners = g.vertices().map(|v| cut.owner(v) as u32).collect();
     let (report, graphs) = driver::run(
         EcModel {
             prog: Arc::new(MinLabel),
@@ -134,10 +134,10 @@ fn run_vc(
     failures: Vec<FailurePlan>,
 ) -> (RunReport<u32>, Vec<(NodeId, VcLocalGraph<u32>)>) {
     let cut = RandomVertexCut.partition(g, nodes);
-    let degrees = Arc::new(Degrees::of(g));
-    let plan = Arc::new(load_plan(g, &cut, ft));
+    let degrees = Degrees::of(g);
+    let plan = load_plan(g, &cut, ft);
     let lgs = build_vertex_cut_graphs(g, &cut, &plan, &MinLabel, &degrees);
-    let owners = Arc::new(g.vertices().map(|v| cut.master(v) as u32).collect());
+    let owners = g.vertices().map(|v| cut.master(v) as u32).collect();
     driver::run(
         VcModel {
             prog: Arc::new(MinLabel),

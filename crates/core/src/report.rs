@@ -4,9 +4,7 @@ use std::time::Duration;
 
 use imitator_cluster::NodeId;
 use imitator_graph::Vid;
-use imitator_metrics::{
-    CommBreakdown, CommStats, PhaseTimes, PoolStats, RecoveryCounters, SuspicionStats,
-};
+use imitator_metrics::{CommBreakdown, CommStats, PhaseTimes, RecoveryCounters, SuspicionStats};
 
 /// What one recovery episode cost, broken into the paper's three phases
 /// (§5.1/§5.2, Figs. 2(c), 9, 11(b), 15(b)).
@@ -149,9 +147,6 @@ pub struct RunReport<V> {
     /// (sync / gather / recovery / control) plus total barrier-wait time, as
     /// recorded by the communication layer itself.
     pub fabric: CommBreakdown,
-    /// Worker-pool observability: chunk jobs run and peak worker occupancy
-    /// (summed / maxed across nodes).
-    pub pool: PoolStats,
     /// Failure-detector activity over the whole run: suspicions raised,
     /// retracted (false positives caught before the fence), confirmed, and
     /// the summed observed detection latency in detector ticks. All-zero

@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use imitator_cluster::{Envelope, NodeId};
 use imitator_graph::VidMap;
-use imitator_metrics::{CommBreakdown, CommStats, PhaseTimes, PoolStats, Stopwatch};
+use imitator_metrics::{CommBreakdown, CommStats, PhaseTimes, Stopwatch};
 use imitator_storage::WriteBehind;
 
 use crate::report::{RecoveryReport, RunReport};
@@ -46,8 +46,6 @@ pub(crate) struct NodeState<M> {
     pub stash: Vec<Envelope<M>>,
     /// Deterministic local counter for balanced replacement-mirror choice.
     pub mirror_assign: Vec<usize>,
-    /// Worker-pool counters, read off the pool when the node retires.
-    pub pool: PoolStats,
     /// The one write-behind this node may have on its way to the DFS: what
     /// it last persisted for a later recovery to reload (edge-ckpt files).
     /// [`NodeState::settle`] empties it wherever the node's persistence must
@@ -73,7 +71,6 @@ impl<M> NodeState<M> {
             start,
             stash: Vec::new(),
             mirror_assign: vec![0; num_nodes],
-            pool: PoolStats::default(),
             persist: None,
         }
     }
@@ -125,7 +122,6 @@ pub(crate) struct NodeOutcome<G> {
     pub timeline: Vec<(u64, Duration)>,
     pub ckpt_time: Duration,
     pub recoveries: Vec<RecoveryReport>,
-    pub pool: PoolStats,
 }
 
 impl<G> NodeOutcome<G> {
@@ -142,7 +138,6 @@ impl<G> NodeOutcome<G> {
             timeline: st.timeline,
             ckpt_time: st.ckpt_time,
             recoveries: st.recoveries,
-            pool: st.pool,
         }
     }
 }
@@ -170,11 +165,9 @@ pub(crate) fn merge_outcomes<G, V>(
         extra_replicas,
         suppressed_syncs: 0,
         fabric,
-        pool: PoolStats::default(),
         suspicion: imitator_metrics::SuspicionStats::default(),
     };
     for o in outcomes {
-        report.pool.merge(&o.pool);
         report.iterations = report.iterations.max(o.iterations);
         report.comm += o.comm;
         report.ft_comm += o.ft_comm;

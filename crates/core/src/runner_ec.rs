@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
-    ec_commit, ec_compute_chunks, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan, FullState,
-    FullStateRef, Locations, LocationsRef, RemoteEdge, VertexProgram, WorkerPool,
+    ec_commit, ec_compute, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan, FullState,
+    FullStateRef, Locations, LocationsRef, RemoteEdge, VertexProgram,
 };
 use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{MemSize, Stopwatch};
@@ -38,10 +38,11 @@ use crate::{FtMode, RunConfig};
 ///
 /// # Panics
 ///
-/// Panics if `cfg.num_nodes != cut.num_parts()` or if a failure is injected
-/// with `FtMode::None`. Standby exhaustion does not panic: Rebirth degrades
-/// to Migration onto the survivors, and checkpoint recovery grafts the dead
-/// partitions' snapshots onto the survivors (§5.3).
+/// Panics if `cfg.num_nodes != cut.num_parts()`, if `cfg.threads_per_node`
+/// is above 1, or if a failure is injected with `FtMode::None`. Standby
+/// exhaustion does not panic: Rebirth degrades to Migration onto the
+/// survivors, and checkpoint recovery grafts the dead partitions' snapshots
+/// onto the survivors (§5.3).
 pub fn run_edge_cut<P>(
     g: &Graph,
     cut: &EdgeCut,
@@ -59,8 +60,8 @@ where
         cut.num_parts(),
         "config node count must match the partitioning"
     );
-    let degrees = Arc::new(Degrees::of(g));
-    let plan = Arc::new(match cfg.ft {
+    let degrees = Degrees::of(g);
+    let plan = match cfg.ft {
         FtMode::Replication {
             tolerance,
             selfish_opt,
@@ -74,9 +75,9 @@ where
             0xF7,
         ),
         _ => FtPlan::none(g.num_vertices()),
-    });
+    };
     let lgs = imitator_engine::build_edge_cut_graphs(g, cut, &plan, prog.as_ref(), &degrees);
-    let owners: Arc<Vec<u32>> = Arc::new(g.vertices().map(|v| cut.owner(v) as u32).collect());
+    let owners = g.vertices().map(|v| cut.owner(v) as u32).collect();
     driver::run(
         EcModel { prog },
         g.num_vertices(),
@@ -195,28 +196,25 @@ where
         &self.prog
     }
 
-    fn init_scratch(&self, _lg: &Self::Graph, shared: &Shared<Self>) -> Self::Scratch {
+    fn init_scratch(&self, shared: &Shared<Self>) -> Self::Scratch {
         SyncBufs::new(shared.cfg.num_nodes)
     }
 
     /// Compute (Algorithm 1 line 5) fused over the sparse frontier,
-    /// communicate (line 6), sync barrier (line 7), commit (line 14).
-    ///
-    /// Compute chunks run on the persistent pool; once they are all in, one
-    /// sync frame per destination is staged and shipped.
+    /// communicate (line 6), sync barrier (line 7), commit (line 14): one
+    /// sync frame per destination is staged and shipped once compute is done.
     fn superstep(
         &self,
         ctx: &Ctx<Self>,
-        lg: &mut Arc<Self::Graph>,
+        lg: &mut Self::Graph,
         shared: &Shared<Self>,
         st: &mut St<Self>,
         scratch: &mut Self::Scratch,
-        pool: &WorkerPool,
     ) -> StepOutcome {
         let mut sw = Stopwatch::start();
-        let updates = ec_compute_chunks(pool, lg, &self.prog, &shared.degrees, st.iter);
+        let updates = ec_compute(lg, self.prog.as_ref(), &shared.degrees, st.iter);
         st.phases.record("compute", sw.lap());
-        driver::ship_syncs::<Self>(ctx, &**lg, shared, st, scratch, &updates);
+        driver::ship_syncs::<Self>(ctx, lg, shared, st, scratch, &updates);
         st.phases.record("send", sw.lap());
 
         let (outcome, _) = ctx.enter_barrier_sum(0);
@@ -229,11 +227,11 @@ where
         }
 
         driver::note_dirty::<Self>(st, &shared.cfg, &updates);
-        let incoming: Vec<(u32, P::Value, bool)> = driver::collect_syncs(ctx, st, &**lg, shared)
+        let incoming: Vec<(u32, P::Value, bool)> = driver::collect_syncs(ctx, st, lg, shared)
             .into_iter()
             .map(|s| (s.pos, s.value, s.activate))
             .collect();
-        let stats = ec_commit(driver::graph_mut(lg), self.prog.as_ref(), updates, incoming);
+        let stats = ec_commit(lg, self.prog.as_ref(), updates, incoming);
         st.phases.record("commit", sw.lap());
         StepOutcome::Committed(stats.active_next as u64)
     }

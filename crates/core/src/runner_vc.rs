@@ -13,9 +13,8 @@ use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
-    vc_apply_chunks, vc_commit, vc_gather_chunks, CopyKind, Degrees, FtPlan, FullState,
-    FullStateRef, Locations, LocationsRef, VcEdge, VcGatherIndex, VcLocalGraph, VcVertex,
-    VertexProgram, WorkerPool,
+    vc_apply, vc_commit, vc_partial_gather, CopyKind, Degrees, FtPlan, FullState, FullStateRef,
+    Locations, LocationsRef, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
 };
 use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
@@ -38,10 +37,11 @@ use crate::{FtMode, RunConfig};
 ///
 /// # Panics
 ///
-/// Panics if `cfg.num_nodes != cut.num_parts()` or if a failure is injected
-/// with `FtMode::None`. Standby exhaustion does not panic: Rebirth degrades
-/// to Migration onto the survivors, and checkpoint recovery grafts the dead
-/// partitions' snapshots onto the survivors (§5.3).
+/// Panics if `cfg.num_nodes != cut.num_parts()`, if `cfg.threads_per_node`
+/// is above 1, or if a failure is injected with `FtMode::None`. Standby
+/// exhaustion does not panic: Rebirth degrades to Migration onto the
+/// survivors, and checkpoint recovery grafts the dead partitions' snapshots
+/// onto the survivors (§5.3).
 pub fn run_vertex_cut<P>(
     g: &Graph,
     cut: &VertexCut,
@@ -60,8 +60,8 @@ where
         cut.num_parts(),
         "config node count must match the partitioning"
     );
-    let degrees = Arc::new(Degrees::of(g));
-    let plan = Arc::new(match cfg.ft {
+    let degrees = Degrees::of(g);
+    let plan = match cfg.ft {
         FtMode::Replication {
             tolerance,
             selfish_opt,
@@ -75,9 +75,9 @@ where
             0xF7,
         ),
         _ => FtPlan::none(g.num_vertices()),
-    });
+    };
     let lgs = imitator_engine::build_vertex_cut_graphs(g, cut, &plan, prog.as_ref(), &degrees);
-    let owners: Arc<Vec<u32>> = Arc::new(g.vertices().map(|v| cut.master(v) as u32).collect());
+    let owners = g.vertices().map(|v| cut.master(v) as u32).collect();
     driver::run(
         VcModel { prog },
         g.num_vertices(),
@@ -99,13 +99,9 @@ pub(crate) struct VcModel<P: VertexProgram> {
 }
 
 /// Per-node vertex-cut scratch, allocated once and reused every iteration.
-/// The gather index sits behind an `Arc` so pooled gather chunks can share
-/// it.
 pub(crate) struct VcScratch<P: VertexProgram> {
     bufs: SyncBufs<P::Value>,
-    gather_index: Arc<VcGatherIndex>,
     acc_table: Vec<Option<P::Accum>>,
-    contribs: Vec<(u32, NodeId, P::Accum)>,
     gather_batches: Vec<Vec<(Vid, P::Accum)>>,
 }
 
@@ -180,20 +176,12 @@ where
         &self.prog
     }
 
-    fn init_scratch(&self, lg: &Self::Graph, shared: &Shared<Self>) -> Self::Scratch {
+    fn init_scratch(&self, shared: &Shared<Self>) -> Self::Scratch {
         VcScratch {
             bufs: SyncBufs::new(shared.cfg.num_nodes),
-            gather_index: Arc::new(VcGatherIndex::build(lg)),
             acc_table: Vec::new(),
-            contribs: Vec::new(),
             gather_batches: vec![Vec::new(); shared.cfg.num_nodes],
         }
-    }
-
-    /// Recovery restructures the local edge list, invalidating the gather
-    /// index.
-    fn refresh_scratch(&self, scratch: &mut Self::Scratch, lg: &Self::Graph) {
-        scratch.gather_index = Arc::new(VcGatherIndex::build(lg));
     }
 
     /// With replication FT, this node's owned edges as per-receiver
@@ -208,32 +196,30 @@ where
     }
 
     /// Distributed gather (partials → masters, barrier), then apply at
-    /// masters, sync, barrier, commit.
+    /// masters, sync, barrier, commit: each phase's gather or sync frames,
+    /// one per destination, are staged and shipped once its kernel is done.
     ///
-    /// Gather and apply chunks run on the persistent pool; once a phase's
-    /// chunks are all in, one gather or sync frame per destination is staged
-    /// and shipped. Receivers sort contribs by `(pos, sender)`, so the fold
-    /// order does not depend on arrival order.
+    /// A master folds its partials sender by sender in ascending node order,
+    /// its own at its own place in that order, so the fold order does not
+    /// depend on arrival order.
     fn superstep(
         &self,
         ctx: &Ctx<Self>,
-        lg: &mut Arc<Self::Graph>,
+        lg: &mut Self::Graph,
         shared: &Shared<Self>,
         st: &mut St<Self>,
         scratch: &mut Self::Scratch,
-        pool: &WorkerPool,
     ) -> StepOutcome {
-        let me = ctx.id();
+        let prog = self.prog.as_ref();
         let mut sw = Stopwatch::start();
-        let partials = vc_gather_chunks(pool, lg, &self.prog, &scratch.gather_index);
+        // Every slot left here after shipping is a local master's partial.
+        let mut local = vc_partial_gather(lg, prog);
         st.phases.record("gather", sw.lap());
-        for (pos, acc) in partials.into_iter().enumerate() {
-            let Some(acc) = acc else { continue };
-            let v = &lg.verts[pos];
-            if v.is_master() {
-                scratch.contribs.push((pos as u32, me, acc));
-            } else {
-                scratch.gather_batches[v.master_node.index()].push((v.vid, acc));
+        for (slot, v) in local.iter_mut().zip(&lg.verts) {
+            if !v.is_master() {
+                if let Some(acc) = slot.take() {
+                    scratch.gather_batches[v.master_node.index()].push((v.vid, acc));
+                }
             }
         }
         for (n, batch) in scratch.gather_batches.iter_mut().enumerate() {
@@ -248,38 +234,39 @@ where
         let (outcome, _) = ctx.enter_barrier_sum(0);
         st.phases.record("barrier", sw.lap());
         if let BarrierOutcome::Failed(dead) = outcome {
-            // Local partials were never applied; drop them and let the
-            // recovered superstep regather.
-            scratch.contribs.clear();
+            // Local partials were never applied; the recovered superstep
+            // regathers.
             return StepOutcome::Failed(dead);
         }
 
-        // Apply: fold remote partials (from the stash + queue) into the
-        // local ones. Sort by (position, sender) so combine order is
-        // deterministic regardless of arrival order.
-        for (from, batch) in driver::take::<Self, _>(ctx, st, driver::kind!(Gather)) {
-            for (vid, acc) in batch {
-                let pos = lg.position(vid).expect("gather for unknown vertex");
-                debug_assert!(lg.verts[pos as usize].is_master());
-                scratch.contribs.push((pos, from, acc));
+        // Apply: fold the senders' batches (from the stash + queue) in node
+        // order, this node's own partials at its own place.
+        let mut before = driver::take::<Self, _>(ctx, st, driver::kind!(Gather));
+        before.sort_by_key(|&(from, _)| from);
+        let after = before.split_off(before.partition_point(|&(from, _)| from < ctx.id()));
+        let table = &mut scratch.acc_table;
+        table.clear();
+        table.resize(lg.verts.len(), None);
+        let at = |vid| {
+            let pos = lg.position(vid).expect("gather for unknown vertex") as usize;
+            debug_assert!(lg.verts[pos].is_master());
+            pos
+        };
+        for (vid, acc) in before.into_iter().flat_map(|(_, batch)| batch) {
+            fold(prog, &mut table[at(vid)], acc);
+        }
+        for (slot, acc) in table.iter_mut().zip(local) {
+            if let Some(acc) = acc {
+                fold(prog, slot, acc);
             }
         }
-        scratch
-            .contribs
-            .sort_unstable_by_key(|&(pos, n, _)| (pos, n));
-        scratch.acc_table.clear();
-        scratch.acc_table.resize(lg.verts.len(), None);
-        for (pos, _, acc) in scratch.contribs.drain(..) {
-            let slot = &mut scratch.acc_table[pos as usize];
-            *slot = Some(match slot.take() {
-                None => acc,
-                Some(a) => self.prog.combine(a, acc),
-            });
+        for (vid, acc) in after.into_iter().flat_map(|(_, batch)| batch) {
+            fold(prog, &mut table[at(vid)], acc);
         }
-        let acc = std::mem::take(&mut scratch.acc_table);
-        let updates = vc_apply_chunks(pool, lg, &self.prog, &shared.degrees, st.iter, acc);
+        let acc = std::mem::take(table);
+        let updates = vc_apply(lg, prog, acc, &shared.degrees, st.iter);
         st.phases.record("apply", sw.lap());
-        driver::ship_syncs::<Self>(ctx, &**lg, shared, st, &mut scratch.bufs, &updates);
+        driver::ship_syncs::<Self>(ctx, lg, shared, st, &mut scratch.bufs, &updates);
         st.phases.record("send", sw.lap());
 
         let (outcome, _) = ctx.enter_barrier_sum(0);
@@ -290,11 +277,11 @@ where
         }
 
         driver::note_dirty::<Self>(st, &shared.cfg, &updates);
-        let incoming: Vec<(u32, P::Value)> = driver::collect_syncs(ctx, st, &**lg, shared)
+        let incoming: Vec<(u32, P::Value)> = driver::collect_syncs(ctx, st, lg, shared)
             .into_iter()
             .map(|s| (s.pos, s.value))
             .collect();
-        let stats = vc_commit(driver::graph_mut(lg), updates, incoming);
+        let stats = vc_commit(lg, updates, incoming);
         st.phases.record("commit", sw.lap());
         StepOutcome::Committed(stats.changed as u64)
     }
@@ -536,6 +523,14 @@ where
         }
         out
     }
+}
+
+/// Folds `acc` into `slot` after what it already holds.
+fn fold<P: VertexProgram>(prog: &P, slot: &mut Option<P::Accum>, acc: P::Accum) {
+    *slot = Some(match slot.take() {
+        None => acc,
+        Some(a) => prog.combine(a, acc),
+    });
 }
 
 /// Appends reloaded `edges` to the local edge list and returns how many.

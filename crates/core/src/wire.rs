@@ -20,9 +20,9 @@
 //!
 //! Determinism: record order within a frame is the staging order (ascending
 //! master position, fixed destination iteration), a pure function of the
-//! committed graph state — independent of thread count. The driver stages a
-//! phase's records once all its compute chunks are in and ships one frame
-//! per destination per superstep, charged what it encodes to
+//! committed graph state. The driver stages a phase's records once its
+//! kernel has returned and ships one frame per destination per superstep,
+//! charged what it encodes to
 //! ([`imitator_storage::codec::Encode::encoded_len`]), so the bytes charged
 //! are the bytes TCP writes.
 

@@ -141,7 +141,6 @@ fn base_cfg(nodes: usize) -> RunConfig {
         ft: FtMode::None,
         detection_delay: Duration::ZERO,
         standbys: 0,
-        threads_per_node: 2,
         transport: TransportKind::Channel,
         ..RunConfig::default()
     }

@@ -67,7 +67,6 @@ fn cfg(nodes: usize, ft: FtMode, standbys: usize) -> RunConfig {
         ft,
         detection_delay: Duration::ZERO,
         standbys,
-        threads_per_node: 2,
         transport: TransportKind::Channel,
         ..RunConfig::default()
     }

@@ -51,22 +51,7 @@ pub fn ec_compute<P: VertexProgram>(
     step: u64,
 ) -> Vec<MasterUpdate<P::Value>> {
     let mut updates = Vec::new();
-    ec_compute_frontier(lg, prog, degrees, step, &lg.active_frontier, &mut updates);
-    updates
-}
-
-/// Gathers and applies the frontier slice `frontier` (ascending positions of
-/// active masters), appending staged updates to `updates` in slice order.
-/// Shared by the serial path and each parallel worker chunk.
-pub(crate) fn ec_compute_frontier<P: VertexProgram>(
-    lg: &EcLocalGraph<P::Value>,
-    prog: &P,
-    degrees: &Degrees,
-    step: u64,
-    frontier: &[u32],
-    updates: &mut Vec<MasterUpdate<P::Value>>,
-) {
-    for &pos in frontier {
+    for &pos in &lg.active_frontier {
         let v = &lg.verts[pos as usize];
         debug_assert!(
             v.is_master() && v.active,
@@ -90,6 +75,7 @@ pub(crate) fn ec_compute_frontier<P: VertexProgram>(
             });
         }
     }
+    updates
 }
 
 /// The historical dense compute phase: scans every local copy and computes
@@ -237,24 +223,7 @@ pub fn vc_apply<P: VertexProgram>(
 ) -> Vec<MasterUpdate<P::Value>> {
     assert_eq!(acc.len(), lg.verts.len(), "accumulator table size mismatch");
     let mut updates = Vec::new();
-    vc_apply_range(lg, prog, degrees, step, 0, acc, &mut updates);
-    updates
-}
-
-/// Applies the masters among positions `start..start + acc.len()`, each
-/// consuming its slot of `acc`, and appends staged updates to `updates` in
-/// position order. Shared by the serial path and each parallel worker chunk.
-pub(crate) fn vc_apply_range<P: VertexProgram>(
-    lg: &VcLocalGraph<P::Value>,
-    prog: &P,
-    degrees: &Degrees,
-    step: u64,
-    start: usize,
-    acc: Vec<Option<P::Accum>>,
-    updates: &mut Vec<MasterUpdate<P::Value>>,
-) {
-    for (slot, pos) in acc.into_iter().zip(start..) {
-        let v = &lg.verts[pos];
+    for (slot, (pos, v)) in acc.into_iter().zip(lg.verts.iter().enumerate()) {
         if !v.is_master() {
             continue;
         }
@@ -268,6 +237,7 @@ pub(crate) fn vc_apply_range<P: VertexProgram>(
             });
         }
     }
+    updates
 }
 
 /// Vertex-cut commit: applies staged master updates and received replica

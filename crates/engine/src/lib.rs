@@ -35,8 +35,6 @@ mod ftplan;
 mod full_state;
 mod load;
 mod locations;
-mod par;
-mod pool;
 mod program;
 mod vcut;
 
@@ -52,7 +50,5 @@ pub use full_state::{
     StoreLens,
 };
 pub use locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
-pub use par::{chunk_ranges, weighted_ranges, VcGatherIndex};
-pub use pool::{ec_compute_chunks, vc_apply_chunks, vc_gather_chunks, WorkerPool};
 pub use program::{Degrees, VertexProgram};
 pub use vcut::{build_vertex_cut_graphs, VcEdge, VcLocalGraph, VcVertex};

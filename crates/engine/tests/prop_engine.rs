@@ -6,12 +6,10 @@
 use proptest::prelude::*;
 
 use imitator_cluster::NodeId;
-use std::sync::Arc;
 
 use imitator_engine::{
-    build_edge_cut_graphs, build_vertex_cut_graphs, ec_commit, ec_compute, ec_compute_chunks,
-    vc_apply, vc_apply_chunks, vc_commit, vc_partial_gather, CopyKind, Degrees, EcLocalGraph,
-    FtPlan, MasterUpdate, VcLocalGraph, VertexProgram, WorkerPool,
+    build_edge_cut_graphs, build_vertex_cut_graphs, ec_commit, ec_compute, ec_compute_scan,
+    vc_apply, vc_commit, vc_partial_gather, CopyKind, Degrees, FtPlan, MasterUpdate, VertexProgram,
 };
 use imitator_graph::{gen, Graph, Ragged, Vid};
 use imitator_partition::{
@@ -93,37 +91,30 @@ fn assert_all_changed<V: PartialEq + std::fmt::Debug>(
     Ok(())
 }
 
-/// Runs `prog` for `steps` edge-cut supersteps over `threads` workers,
-/// checking every update of `ec_compute` and `ec_compute_chunks`.
+/// Runs `prog` for `steps` edge-cut supersteps, checking every update of
+/// `ec_compute`, and that the frontier kernel stages exactly what the full
+/// scan does.
 fn ec_updates_all_differ<P: VertexProgram>(
     g: &Graph,
     parts: usize,
-    threads: usize,
     steps: u64,
     prog: P,
 ) -> Result<(), TestCaseError>
 where
     P::Value: Copy,
 {
-    let degrees = Arc::new(Degrees::of(g));
+    let degrees = Degrees::of(g);
     let plan = FtPlan::none(g.num_vertices());
     let cut = HashEdgeCut.partition(g, parts);
-    let prog = Arc::new(prog);
-    let pool = WorkerPool::new(threads);
-    let mut lgs: Vec<Arc<EcLocalGraph<P::Value>>> =
-        build_edge_cut_graphs(g, &cut, &plan, &*prog, &degrees)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+    let mut lgs = build_edge_cut_graphs(g, &cut, &plan, &prog, &degrees);
     for step in 0..steps {
         let mut all = Vec::new();
         for lg in &lgs {
             let held = |pos: u32| lg.verts[pos as usize].value;
-            let serial = ec_compute(lg, &*prog, &degrees, step);
-            assert_all_changed(held, &serial, "ec_compute")?;
-            let chunked = ec_compute_chunks(&pool, lg, &prog, &degrees, step);
-            assert_all_changed(held, &chunked, "ec_compute_chunks")?;
-            all.push(chunked);
+            let updates = ec_compute(lg, &prog, &degrees, step);
+            assert_all_changed(held, &updates, "ec_compute")?;
+            prop_assert_eq!(&updates, &ec_compute_scan(lg, &prog, &degrees, step));
+            all.push(updates);
         }
         let mut incoming: Vec<Vec<(u32, P::Value, bool)>> = vec![Vec::new(); parts];
         for (p, ups) in all.iter().enumerate() {
@@ -136,39 +127,31 @@ where
             }
         }
         for (lg, (ups, inc)) in lgs.iter_mut().zip(all.into_iter().zip(incoming)) {
-            let lg = Arc::get_mut(lg).expect("workers dropped the graph");
-            ec_commit(lg, &*prog, ups, inc);
+            ec_commit(lg, &prog, ups, inc);
         }
     }
     Ok(())
 }
 
-/// The vertex-cut twin: every update of `vc_apply_chunks`.
+/// The vertex-cut twin: every update of `vc_apply`.
 fn vc_updates_all_differ<P: VertexProgram>(
     g: &Graph,
     parts: usize,
-    threads: usize,
     steps: u64,
     prog: P,
 ) -> Result<(), TestCaseError>
 where
     P::Value: Copy,
 {
-    let degrees = Arc::new(Degrees::of(g));
+    let degrees = Degrees::of(g);
     let plan = FtPlan::none(g.num_vertices());
     let cut = RandomVertexCut.partition(g, parts);
-    let prog = Arc::new(prog);
-    let pool = WorkerPool::new(threads);
-    let mut lgs: Vec<Arc<VcLocalGraph<P::Value>>> =
-        build_vertex_cut_graphs(g, &cut, &plan, &*prog, &degrees)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+    let mut lgs = build_vertex_cut_graphs(g, &cut, &plan, &prog, &degrees);
     for step in 0..steps {
         let mut acc: Vec<Vec<Option<P::Accum>>> =
             lgs.iter().map(|lg| vec![None; lg.verts.len()]).collect();
         for lg in &lgs {
-            for (pos, a) in vc_partial_gather(lg, &*prog).into_iter().enumerate() {
+            for (pos, a) in vc_partial_gather(lg, &prog).into_iter().enumerate() {
                 let Some(a) = a else { continue };
                 let v = &lg.verts[pos];
                 let owner = v.master_node.index();
@@ -182,9 +165,9 @@ where
         }
         let mut all = Vec::new();
         for (lg, acc) in lgs.iter().zip(acc) {
-            let updates = vc_apply_chunks(&pool, lg, &prog, &degrees, step, acc);
+            let updates = vc_apply(lg, &prog, acc, &degrees, step);
             let held = |pos: u32| lg.verts[pos as usize].value;
-            assert_all_changed(held, &updates, "vc_apply_chunks")?;
+            assert_all_changed(held, &updates, "vc_apply")?;
             all.push(updates);
         }
         let mut incoming: Vec<Vec<(u32, P::Value)>> = vec![Vec::new(); parts];
@@ -198,7 +181,6 @@ where
             }
         }
         for (lg, (ups, inc)) in lgs.iter_mut().zip(all.into_iter().zip(incoming)) {
-            let lg = Arc::get_mut(lg).expect("workers dropped the graph");
             vc_commit(lg, ups, inc);
         }
     }
@@ -435,17 +417,15 @@ proptest! {
 
     /// The rule every byte of sync accounting rests on (DESIGN.md §4.1): a
     /// master that does not change sends nothing. No update either engine
-    /// emits, serial or chunked, carries the value its master already holds
-    /// — not MinLabel's settled labels, not PageRank's sourceless vertices,
-    /// which hold `1 − d` from the first superstep on.
+    /// emits carries the value its master already holds — not MinLabel's
+    /// settled labels, not PageRank's sourceless vertices, which hold `1 − d`
+    /// from the first superstep on.
     #[test]
-    fn no_update_carries_the_committed_value(
-        (g, parts, threads) in (arb_graph(), 1usize..5, 1usize..4)
-    ) {
+    fn no_update_carries_the_committed_value((g, parts) in (arb_graph(), 1usize..5)) {
         let steps = 6;
-        ec_updates_all_differ(&g, parts, threads, steps, MinLabel)?;
-        ec_updates_all_differ(&g, parts, threads, steps, PageRank)?;
-        vc_updates_all_differ(&g, parts, threads, steps, MinLabel)?;
-        vc_updates_all_differ(&g, parts, threads, steps, PageRank)?;
+        ec_updates_all_differ(&g, parts, steps, MinLabel)?;
+        ec_updates_all_differ(&g, parts, steps, PageRank)?;
+        vc_updates_all_differ(&g, parts, steps, MinLabel)?;
+        vc_updates_all_differ(&g, parts, steps, PageRank)?;
     }
 }

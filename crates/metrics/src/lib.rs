@@ -37,7 +37,6 @@
 mod comm;
 mod counters;
 mod memsize;
-mod pool;
 mod summary;
 mod suspicion;
 mod timer;
@@ -45,7 +44,6 @@ mod timer;
 pub use comm::{AtomicCommStats, CommBreakdown, CommKind, CommStats};
 pub use counters::RecoveryCounters;
 pub use memsize::MemSize;
-pub use pool::PoolStats;
 pub use summary::Summary;
 pub use suspicion::SuspicionStats;
 pub use timer::{PhaseTimes, Stopwatch};

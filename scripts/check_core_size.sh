@@ -114,7 +114,13 @@ cd "$(dirname "$0")/.."
 #          `AttemptCx::scan` and its chunk merges, the pool jobs of R5/R7
 #          and of the checkpoint fallback and the parallel replay branch
 #          went (DESIGN.md §4.4, §4.5).
-BUDGET=3764
+#   3731 — one machine, one thread: the driver hands each superstep the
+#          graph its node owns, so `driver::graph_mut`, the pool counters'
+#          `absorb_pool`, `ComputeModel::refresh_scratch` and the gather
+#          index in the vertex-cut scratch went; a master folds its partials
+#          sender by sender instead of sorting every one by (position,
+#          sender) (DESIGN.md §4.4).
+BUDGET=3731
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -12,15 +12,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-# The intra-node worker pool dispatches chunk jobs to compute threads on
-# one machine over a crossbeam channel; that traffic never crosses the
-# wire seam, so the pool is the one sanctioned user outside the cluster
-# crate.
-ALLOW='crates/engine/src/pool.rs'
-
 hits=$(grep -rn "crossbeam" --include='*.rs' src tests examples crates 2>/dev/null |
-    grep -v '^crates/cluster/' |
-    grep -v "^${ALLOW}:" || true)
+    grep -v '^crates/cluster/' || true)
 
 if [ -n "$hits" ]; then
     echo "error: crossbeam named outside the cluster transport seam:" >&2
@@ -31,7 +24,7 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 
-echo "ok: no crossbeam types escape crates/cluster (pool.rs intra-node use excepted)."
+echo "ok: no crossbeam types escape crates/cluster."
 
 # Coordinator-liveness guard for the failure detector.
 #

@@ -39,8 +39,6 @@ OPTIONS (run):
   --input <file>                    edge-list file instead of --dataset
   --scale <f64>                     dataset scale        [default: 0.01]
   --nodes <n>                       simulated machines   [default: 8]
-  --threads <n>                     worker threads per machine [default: 1]
-                                    (results identical at any count)
   --cut <hash|fennel>               edge-cut partitioner [default: hash]
   --ft <none|rep|ckpt>              fault tolerance      [default: rep]
   --recovery <rebirth|migration>    REP recovery         [default: rebirth]
@@ -59,6 +57,7 @@ OPTIONS (run):
                                     missed heartbeats (results identical)
   --hb-interval <ms>                heartbeat period     [default: 10]
   --hb-timeout <ms>                 silence before suspicion [default: 60]
+                                    (must exceed --hb-interval)
   --iters <n>                       iteration budget     [default: 20]
   --source <vid>                    SSSP source          [default: 0]
   --seed <u64>                      generator seed       [default: 42]
@@ -73,7 +72,6 @@ struct Opts {
     input: Option<String>,
     scale: f64,
     nodes: usize,
-    threads: usize,
     cut: String,
     ft: String,
     recovery: String,
@@ -99,7 +97,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         input: None,
         scale: 0.01,
         nodes: 8,
-        threads: RunConfig::default().threads_per_node,
         cut: "hash".into(),
         ft: "rep".into(),
         recovery: "rebirth".into(),
@@ -129,9 +126,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--input" => opts.input = Some(value()?),
             "--scale" => opts.scale = value()?.parse().map_err(|e| format!("--scale: {e}"))?,
             "--nodes" => opts.nodes = value()?.parse().map_err(|e| format!("--nodes: {e}"))?,
-            "--threads" => {
-                opts.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
             "--cut" => opts.cut = value()?,
             "--ft" => opts.ft = value()?,
             "--recovery" => opts.recovery = value()?,
@@ -238,11 +232,16 @@ fn ft_mode(opts: &Opts) -> Result<(FtMode, usize), String> {
 }
 
 /// Rejects a cluster nothing can be partitioned over or replicated on: no
-/// node, a replication level of none, or one that leaves no survivor.
+/// node, a replication level of none, or one that leaves no survivor; and a
+/// heartbeat detector whose timeout does not exceed its interval, which
+/// would confirm every live node dead.
 fn check_cluster(opts: &Opts, ft: FtMode) -> Result<(), String> {
-    let nodes = opts.nodes;
+    let (nodes, interval, timeout) = (opts.nodes, opts.hb_interval_ms, opts.hb_timeout_ms);
     match ft {
         _ if nodes == 0 => Err("--nodes: a cluster needs at least one node".into()),
+        _ if opts.detector == DetectorKind::Heartbeat && timeout <= interval => Err(format!(
+            "--hb-timeout: {timeout} ms does not exceed --hb-interval {interval} ms"
+        )),
         FtMode::Replication { tolerance: 0, .. } => {
             Err("--tolerance: --ft rep tolerates at least 1 failure".into())
         }
@@ -282,12 +281,6 @@ fn report_common<V>(r: &RunReport<V>) {
         r.total_mem_bytes() as f64 / (1024.0 * 1024.0)
     );
     println!("fabric: {}", r.fabric);
-    if r.pool.jobs > 0 {
-        println!(
-            "pool: {} chunk jobs, peak {} busy worker(s)",
-            r.pool.jobs, r.pool.peak_busy,
-        );
-    }
     for rec in &r.recoveries {
         println!(
             "recovery: {} of {} node(s) in {:.1} ms (reload {:.1} / reconstruct {:.1} / replay {:.1})",
@@ -338,8 +331,8 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         detection_delay: Duration::from_millis(20),
         hb_interval: Duration::from_millis(opts.hb_interval_ms),
         hb_timeout: Duration::from_millis(opts.hb_timeout_ms),
-        threads_per_node: opts.threads,
         transport: opts.transport,
+        ..RunConfig::default()
     };
     let failures: Vec<FailurePlan> = opts
         .fails
@@ -568,8 +561,24 @@ mod tests {
         assert_eq!(verdict("--tolerance 4"), all);
         assert_eq!(verdict("--tolerance 3"), "");
         assert!(verdict("--tolerance 2 --nodes 2").starts_with("--tolerance: 2 failures"));
-        // One path each: the switches that chose another are gone.
-        for flag in ["--no-sync-suppress", "--no-pipeline", "--no-delta-sync"] {
+        // A heartbeat timeout at or below the interval would fence every
+        // live node; the oracle ignores both.
+        let hb = "--detector heartbeat --hb-timeout";
+        let zero = "--hb-timeout: 0 ms does not exceed --hb-interval 10 ms";
+        assert_eq!(verdict(&format!("{hb} 0")), zero);
+        assert_eq!(verdict(&format!("{hb} 0 --ft none")), zero);
+        let equal = "--hb-timeout: 5 ms does not exceed --hb-interval 5 ms";
+        assert_eq!(verdict(&format!("{hb} 5 --hb-interval 5")), equal);
+        assert_eq!(verdict(&format!("{hb} 11")), "");
+        assert_eq!(verdict("--hb-timeout 0"), "");
+        // One path each: the switches that chose another are gone, and so is
+        // the thread count of a machine that is one thread.
+        for flag in [
+            "--no-sync-suppress",
+            "--no-pipeline",
+            "--no-delta-sync",
+            "--threads",
+        ] {
             assert_eq!(verdict(flag), format!("unknown flag {flag}"));
         }
     }

@@ -1,8 +1,7 @@
 //! The heartbeat failure detector must be *invisible in the results*: a
 //! run that notices crashes through missed heartbeats produces bit-identical
 //! values, iteration counts and recovery episodes to a run told about the
-//! same crashes by the injector oracle — on every engine, thread count and
-//! transport. And it must be *false-positive-safe*: a node that merely goes
+//! same crashes by the injector oracle — on every engine and transport. And it must be *false-positive-safe*: a node that merely goes
 //! silent (stalls) is suspected, then retracted when its heartbeats resume,
 //! with zero recovery machinery engaged; only a stall that outlives the
 //! suspicion fence gets the node fenced out, idempotently, exactly like a
@@ -58,7 +57,6 @@ struct Scenario {
     graph: Graph,
     nodes: usize,
     strategy: RecoveryStrategy,
-    threads: usize,
     /// `None` → in-process channels; `Some(seed)` → seeded lossy links.
     lossy_seed: Option<u64>,
     edge_cut: bool,
@@ -75,13 +73,12 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
             Just(RecoveryStrategy::Rebirth),
             Just(RecoveryStrategy::Migration)
         ],
-        prop_oneof![Just(1usize), Just(4usize)],
         proptest::option::of(any::<u64>()),
         any::<bool>(),
         proptest::collection::vec((0usize..5, 0u64..5, any::<bool>()), 1..3),
     )
         .prop_map(
-            |(nodes, n, pairs, strategy, threads, lossy_seed, edge_cut, raw_failures)| {
+            |(nodes, n, pairs, strategy, lossy_seed, edge_cut, raw_failures)| {
                 let pairs: Vec<(u32, u32)> = pairs
                     .into_iter()
                     .map(|(a, b)| (a % n as u32, b % n as u32))
@@ -98,7 +95,6 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                     graph,
                     nodes,
                     strategy,
-                    threads,
                     lossy_seed,
                     edge_cut,
                     failures,
@@ -136,7 +132,6 @@ fn config(s: &Scenario, detector: DetectorKind) -> RunConfig {
             RecoveryStrategy::Rebirth => s.failures.len().max(1),
             RecoveryStrategy::Migration => 0,
         },
-        threads_per_node: s.threads,
         transport: match s.lossy_seed {
             Some(seed) => TransportKind::Lossy(NetFaults::from_seed(seed)),
             None => TransportKind::Channel,
@@ -191,7 +186,7 @@ proptest! {
     /// heartbeat/suspicion subsystem changes *when the wall-clock notices*
     /// a crash but nothing about the computation — same values, same
     /// committed iterations, same number of recovery episodes, on both
-    /// engines, serial and parallel, over reliable and lossy links.
+    /// engines, over reliable and lossy links.
     #[test]
     fn heartbeat_detection_bit_identical(s in arb_scenario()) {
         let oracle = run(&s, DetectorKind::Oracle, plans(&s));
@@ -227,7 +222,6 @@ fn stall_scenario(graph_seed: u64) -> Scenario {
         graph: gen::from_pairs(60, &pairs),
         nodes: 4,
         strategy: RecoveryStrategy::Rebirth,
-        threads: 2,
         lossy_seed: None,
         edge_cut: true,
         failures: Vec::new(),

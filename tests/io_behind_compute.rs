@@ -49,7 +49,6 @@ fn config(ft: FtMode, standbys: usize) -> RunConfig {
         max_iters: 8,
         ft,
         standbys,
-        threads_per_node: 1,
         ..RunConfig::default()
     }
 }

@@ -71,7 +71,6 @@ fn cfg(transport: TransportKind, ft: FtMode, standbys: usize) -> RunConfig {
         max_iters: 12,
         ft,
         standbys,
-        threads_per_node: 2,
         transport,
         ..RunConfig::default()
     }
