@@ -28,7 +28,7 @@ use imitator_bench::{
 use imitator_cluster::{Cluster, NodeId, TransportKind, TICKS_PER_MS};
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, ec_compute, ec_compute_scan, vc_partial_gather,
-    CopyKind, Degrees, Episode, FtPlan, FullState, VertexProgram,
+    CopyKind, Degrees, Episode, FtPlan, FullState, FullStateBatches, VertexProgram,
 };
 use imitator_graph::gen;
 use imitator_metrics::{CommKind, MemSize};
@@ -492,7 +492,7 @@ fn main() {
                 lg.set_kind(at, CopyKind::Mirror);
             }
             let t = Instant::now();
-            lg.adopt_full_states(&[(&to, &batch)]);
+            lg.adopt_full_states(&[(&to, &batch, &[])]);
             best = best.min(t.elapsed().as_secs_f64());
             std::hint::black_box(lg);
         }

@@ -24,8 +24,8 @@
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
-    ColumnLens, CopyKind, Degrees, EcLocalGraph, EcVertex, FullStateRef, Locations, LocationsRef,
-    MasterMeta, RemoteEdge, StoreLens, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
+    ColumnLens, CopyKind, Degrees, EcLocalGraph, EcVertex, EdgeLists, FullStateRef, Locations,
+    LocationsRef, MasterMeta, RemoteEdge, StoreLens, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
     MAX_TABLE_NODES,
 };
 use imitator_graph::{PosIndex, Vid};
@@ -164,38 +164,82 @@ fn dec_remote_edge(r: &mut Reader<'_>) -> Result<RemoteEdge, DecodeError> {
     })
 }
 
-/// An edge-cut copy's full state as messages carry it.
+/// An edge-cut copy's full state as a Rebirth entry carries it: all of it.
 pub(crate) fn enc_meta<S: Sink>(m: FullStateRef<'_>, buf: &mut S) {
+    enc_lists(m, EdgeLists::ALL, None, buf);
+}
+
+/// The location tables of `m`, then the edge lists `lists` names, each
+/// behind its count: the in-edges as `(position, weight, source)` — without
+/// the weight when the message writes the one weight all of them have,
+/// `uniform`, once — then `out_local_owner`, then `out_remote`.
+pub(crate) fn enc_lists<S: Sink>(
+    m: FullStateRef<'_>,
+    lists: EdgeLists,
+    uniform: Option<f32>,
+    buf: &mut S,
+) {
     enc_locations(m.locations, buf);
-    enc_count(m.in_edges_owner.len(), buf);
-    for (&(pos, w), src) in m.in_edges_owner.iter().zip(m.in_edge_srcs.iter()) {
-        enc_u32(pos, buf);
-        w.encode(buf);
-        enc_vid(src, buf);
+    if lists.contains(EdgeLists::IN_EDGES) {
+        enc_count(m.in_edges_owner.len(), buf);
+        for (&(pos, w), src) in m.in_edges_owner.iter().zip(m.in_edge_srcs.iter()) {
+            enc_u32(pos, buf);
+            if uniform.is_none() {
+                w.encode(buf);
+            }
+            enc_vid(src, buf);
+        }
     }
-    enc_count(m.out_local_owner.len(), buf);
-    for &p in m.out_local_owner {
-        enc_u32(p, buf);
+    if lists.contains(EdgeLists::OUT_LOCAL) {
+        enc_count(m.out_local_owner.len(), buf);
+        for &p in m.out_local_owner {
+            enc_u32(p, buf);
+        }
     }
-    enc_out_remote(m.out_remote, buf);
+    if lists.contains(EdgeLists::OUT_REMOTE) {
+        enc_out_remote(m.out_remote, buf);
+    }
 }
 
 /// [`dec_meta`] into `m`, reusing its lists' allocations.
 pub(crate) fn dec_meta_into(r: &mut Reader<'_>, m: &mut MasterMeta) -> Result<(), DecodeError> {
+    dec_lists_into(r, EdgeLists::ALL, None, m)
+}
+
+/// Reads [`enc_lists`] back into `m`, reusing its lists' allocations; a
+/// list `lists` does not name comes back empty.
+pub(crate) fn dec_lists_into(
+    r: &mut Reader<'_>,
+    lists: EdgeLists,
+    uniform: Option<f32>,
+    m: &mut MasterMeta,
+) -> Result<(), DecodeError> {
     dec_locations_into(r, &mut m.locations)?;
-    let ne = dec_count(r)?;
+    let carried = |list| lists.contains(list);
+    let ne = if carried(EdgeLists::IN_EDGES) {
+        dec_count(r)?
+    } else {
+        0
+    };
     m.in_edges_owner.clear();
     m.in_edges_owner.reserve_exact(ne);
     m.in_edge_srcs.clear();
     m.in_edge_srcs.reserve_exact(ne);
     for _ in 0..ne {
         let pos = dec_u32(r)?;
-        let w = f32::decode(r)?;
+        let w = uniform.map_or_else(|| f32::decode(r), Ok)?;
         m.in_edges_owner.push((pos, w));
         m.in_edge_srcs.push(dec_vid(r)?);
     }
-    dec_list_into(r, &mut m.out_local_owner, dec_u32)?;
-    dec_list_into(r, &mut m.out_remote, dec_remote_edge)
+    m.out_local_owner.clear();
+    if carried(EdgeLists::OUT_LOCAL) {
+        dec_list_into(r, &mut m.out_local_owner, dec_u32)?;
+    }
+    m.out_remote.clear();
+    if carried(EdgeLists::OUT_REMOTE) {
+        dec_list_into(r, &mut m.out_remote, dec_remote_edge)?;
+    }
+    Ok(())
 }
 
 pub(crate) fn dec_meta(r: &mut Reader<'_>) -> Result<MasterMeta, DecodeError> {

@@ -18,7 +18,7 @@ use imitator_cluster::{
     BarrierOutcome, Cluster, Envelope, FailPoint, FailureInjector, FailurePlan, NodeCtx, NodeId,
 };
 use imitator_engine::{
-    CopyKind, Degrees, Episode, FtPlan, FullState, FullStateRef, Locations, LocationsRef,
+    CopyKind, Degrees, Episode, FtPlan, FullStateBatches, FullStateRef, Locations, LocationsRef,
     MasterUpdate, VertexProgram,
 };
 use imitator_graph::Vid;
@@ -108,8 +108,9 @@ impl<V> SyncBufs<V> {
 ///
 /// Recovery undoes an aborted Migration attempt through the graph's
 /// [`Episode`]: `begin_episode` before the attempt's first write, `rollback`
-/// on abort, `commit` on success.
-pub(crate) trait ModelGraph: Episode {
+/// on abort, `commit` on success. Migration's mirror batches are the graph's
+/// own [`FullStateBatches`].
+pub(crate) trait ModelGraph: Episode + FullStateBatches {
     /// The vertex value type.
     type Value;
 
@@ -131,18 +132,6 @@ pub(crate) trait ModelGraph: Episode {
     /// The full state of the copy at `pos` as it would travel to another
     /// node (a vertex-cut copy's: its tables), or `None` for a plain replica.
     fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>>;
-    /// Adopts full state shipped by other nodes: for each `(positions,
-    /// batch)`, the `i`-th slot of `batch` for the copy at `positions[i]`.
-    fn adopt_metas(&mut self, batches: &[(&[u32], &FullState)]);
-    /// The full state of the copies at `positions`, in that order, as it
-    /// ships to another node: a store sized once, a slot each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if one of them carries none.
-    fn export_metas(&self, positions: &[u32]) -> FullState {
-        FullState::of(positions.iter().map(|&pos| self.exported(pos)))
-    }
     /// [`ModelGraph::full_state`] of a copy that must carry it (or panics).
     fn exported(&self, pos: u32) -> FullStateRef<'_> {
         let state = self.full_state(pos);

@@ -11,14 +11,16 @@
 //! [column primitives](crate::columns) (DESIGN.md §4.6 has every layout).
 
 use imitator_cluster::{NodeId, WireCodec};
-use imitator_engine::{CopyKind, FullState, FullStateRef, Locations, MasterMeta, StoreLens};
+use imitator_engine::{
+    CopyKind, EdgeLists, FullState, FullStateRef, Locations, MasterMeta, StoreLens,
+};
 use imitator_graph::Vid;
 use imitator_storage::codec::{Decode, DecodeError, Encode, Reader, Sink};
 
 use crate::ckpt::{
-    dec_column_lens, dec_copy_flags, dec_edge_lists_into, dec_locations, dec_locations_into,
-    dec_meta, dec_meta_into, ec_copy_flags, enc_column_lens, enc_edge_lists, enc_locations,
-    enc_meta,
+    dec_column_lens, dec_copy_flags, dec_edge_lists_into, dec_lists_into, dec_locations,
+    dec_locations_into, dec_meta, ec_copy_flags, enc_column_lens, enc_edge_lists, enc_lists,
+    enc_locations, enc_meta,
 };
 use crate::columns::{
     dec_bits, dec_count, dec_deltas, dec_node, dec_u32, dec_u64, dec_vid, enc_bits, enc_count,
@@ -126,8 +128,13 @@ pub struct MirrorBatch<V> {
     /// The sending masters' node.
     pub master_node: NodeId,
     /// The full states, a slot each (vertex-cut: location tables only, a
-    /// store without edge rows).
+    /// store without edge rows). A slot's lists that `lists` does not name
+    /// are empty.
     pub metas: FullState,
+    /// Which edge lists each record's full state carries: one entry per
+    /// record edge-cut — all three for every R5 designation — and none
+    /// vertex-cut, whose full state is its tables.
+    pub lists: Vec<EdgeLists>,
 }
 
 /// The model-generic cluster protocol, parameterized by value `V`, gather
@@ -309,8 +316,8 @@ fn dec_placed(r: &mut Reader<'_>) -> Result<Vec<(Vid, u32)>, DecodeError> {
 
 /// A mirror batch on the wire: the sender, the vertex-ID column, a two-bit
 /// column (scatter bit | carries a value), the values of the records whose
-/// bit says so, then the full-state store as the model writes it
-/// ([`WireEntry::enc_states`]).
+/// bit says so, then the full-state store and the lists it carries as the
+/// model writes them ([`WireEntry::enc_states`]).
 fn enc_mirror_batch<V: Encode, E: WireEntry, S: Sink>(b: &MirrorBatch<V>, out: &mut S) {
     enc_node(b.master_node, out);
     enc_vids(b.vids.iter().copied(), out);
@@ -323,11 +330,12 @@ fn enc_mirror_batch<V: Encode, E: WireEntry, S: Sink>(b: &MirrorBatch<V>, out: &
     for (_, value) in &b.values {
         value.encode(out);
     }
-    E::enc_states(&b.metas, out);
+    E::enc_states(&b.metas, &b.lists, out);
 }
 
 /// Decodes a mirror batch; [`WireEntry::dec_states`] is handed the record
-/// count and must come back with exactly that many full states.
+/// count and must come back with exactly that many full states (and list
+/// masks, if the model writes any).
 fn dec_mirror_batch<V: Decode, E: WireEntry>(
     r: &mut Reader<'_>,
 ) -> Result<MirrorBatch<V>, DecodeError> {
@@ -340,22 +348,25 @@ fn dec_mirror_batch<V: Decode, E: WireEntry>(
     for i in (0..n).filter(|&i| bits.get(i) & 2 != 0) {
         values.push((i as u32, V::decode(r)?));
     }
+    let (metas, lists) = E::dec_states(r, n)?;
     Ok(MirrorBatch {
         vids,
         values,
         last_activate,
         master_node,
-        metas: E::dec_states(r, n)?,
+        metas,
+        lists,
     })
 }
 
 /// What differs between the two models' wire protocols: a Rebirth recovery
-/// entry (its own codec) and how a mirror batch's full-state store is
-/// written.
+/// entry (its own codec) and how a mirror batch's full-state store, and the
+/// edge lists each slot of it carries, are written.
 pub(crate) trait WireEntry: Encode + Decode + Clone + Send + 'static {
-    fn enc_states<S: Sink>(metas: &FullState, out: &mut S);
-    /// Reads back `n` full states.
-    fn dec_states(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError>;
+    fn enc_states<S: Sink>(metas: &FullState, lists: &[EdgeLists], out: &mut S);
+    /// Reads back `n` full states and the lists they carry.
+    fn dec_states(r: &mut Reader<'_>, n: usize)
+        -> Result<(FullState, Vec<EdgeLists>), DecodeError>;
 }
 
 /// The copy as a graph snapshot writes it ([`crate::ckpt::encode_ec_graph`]),
@@ -401,18 +412,51 @@ impl<V: Decode> Decode for EcRecoverEntry<V> {
     }
 }
 
+/// The weight every in-edge of `metas` has, to the bit, if it has any.
+fn uniform_weight(metas: &FullState) -> Option<f32> {
+    let slots = (0..metas.len()).map(|i| metas.nth(i).in_edges_owner);
+    let mut weights = slots.flat_map(|in_edges| in_edges.iter().map(|&(_, w)| w.to_bits()));
+    let first = weights.next()?;
+    weights.all(|w| w == first).then(|| f32::from_bits(first))
+}
+
 impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for EcRecoverEntry<V> {
-    /// The four column totals, so that the decoder sizes each column once,
-    /// then every slot's full state in message form.
-    fn enc_states<S: Sink>(metas: &FullState, out: &mut S) {
+    /// The four column totals, so that the decoder sizes each column once;
+    /// the lists each slot carries, a four-bit column; the weight column's
+    /// flag byte — 1, then the one `f32` every in-edge of the batch weighs
+    /// (to the bit), when there is one; 0, when each in-edge carries its
+    /// own —; then every slot's tables and the lists it carries
+    /// ([`enc_lists`]).
+    fn enc_states<S: Sink>(metas: &FullState, lists: &[EdgeLists], out: &mut S) {
+        debug_assert_eq!(lists.len(), metas.len(), "one list mask per slot");
         enc_column_lens(metas.column_lens(), out);
-        for i in 0..metas.len() {
-            enc_meta(metas.nth(i), out);
+        enc_bits(4, lists.iter().map(|lists| lists.bits()), out);
+        let uniform = uniform_weight(metas);
+        out.put_byte(u8::from(uniform.is_some()));
+        if let Some(w) = uniform {
+            w.encode(out);
+        }
+        for (i, &carried) in lists.iter().enumerate() {
+            enc_lists(metas.nth(i), carried, uniform, out);
         }
     }
 
-    fn dec_states(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError> {
+    /// Reads the store back, refusing a mask bit past the third, a weight
+    /// flag other than 0 or 1 and column totals other than what the carried
+    /// lists add up to.
+    fn dec_states(
+        r: &mut Reader<'_>,
+        n: usize,
+    ) -> Result<(FullState, Vec<EdgeLists>), DecodeError> {
         let lens = dec_column_lens(r)?;
+        let bits = dec_bits(r, 4, n)?;
+        let mask = |i| EdgeLists::from_bits(bits.get(i)).ok_or(DecodeError::Corrupt("list mask"));
+        let lists = (0..n).map(mask).collect::<Result<Vec<_>, _>>()?;
+        let uniform = match r.take(1)?[0] {
+            0 => None,
+            1 => Some(f32::decode(r)?),
+            _ => return Err(DecodeError::Corrupt("weight column flag")),
+        };
         let mut metas = FullState::default();
         metas.reserve_exact(StoreLens {
             slots: n,
@@ -420,14 +464,14 @@ impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for EcRecoverEntry<V
             edges: lens,
         });
         let mut meta = MasterMeta::default();
-        for _ in 0..n {
-            dec_meta_into(r, &mut meta)?;
+        for &carried in &lists {
+            dec_lists_into(r, carried, uniform, &mut meta)?;
             metas.push(meta.view());
         }
         if metas.column_lens() != lens {
             return Err(DecodeError::Corrupt("column totals"));
         }
-        Ok(metas)
+        Ok((metas, lists))
     }
 }
 
@@ -465,7 +509,8 @@ impl<V: Decode> Decode for VcRecoverEntry<V> {
 
 impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for VcRecoverEntry<V> {
     /// Every slot's location tables, nothing else.
-    fn enc_states<S: Sink>(metas: &FullState, out: &mut S) {
+    fn enc_states<S: Sink>(metas: &FullState, lists: &[EdgeLists], out: &mut S) {
+        debug_assert!(lists.is_empty(), "a vertex-cut full state has no lists");
         for i in 0..metas.len() {
             enc_locations(metas.nth(i).locations, out);
         }
@@ -474,7 +519,10 @@ impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for VcRecoverEntry<V
     /// Reads the tables back into a store without edge rows. The caller has
     /// held `n` to the input; the table words are not announced and grow
     /// with what is actually read.
-    fn dec_states(r: &mut Reader<'_>, n: usize) -> Result<FullState, DecodeError> {
+    fn dec_states(
+        r: &mut Reader<'_>,
+        n: usize,
+    ) -> Result<(FullState, Vec<EdgeLists>), DecodeError> {
         let mut metas = FullState::default();
         metas.reserve_exact(StoreLens {
             slots: n,
@@ -485,7 +533,7 @@ impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for VcRecoverEntry<V
             dec_locations_into(r, &mut tables)?;
             metas.push(FullStateRef::tables(tables.view()));
         }
-        Ok(metas)
+        Ok((metas, Vec::new()))
     }
 }
 
@@ -573,9 +621,10 @@ where
 mod tests {
     use super::*;
     use crate::ckpt::tests::{arb_damage, arb_graph, arb_shape, damaged, plan_for, Damage, P};
-    use crate::driver::ModelGraph;
     use imitator_algos::RankValue;
-    use imitator_engine::{build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, RemoteEdge};
+    use imitator_engine::{
+        build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, FullStateBatches, RemoteEdge,
+    };
     use imitator_metrics::MemSize;
     use imitator_partition::{
         EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
@@ -636,6 +685,7 @@ mod tests {
             last_activate: Vec::new(),
             master_node,
             metas: FullState::default(),
+            lists: Vec::new(),
         }
     }
 
@@ -661,9 +711,10 @@ mod tests {
     proptest! {
         /// A mirror batch off a socket is input like any other: truncated,
         /// bit-flipped and spliced frames of batches built from loader-built
-        /// graphs decode to `None` or to a message that holds together —
-        /// never a panic, never a span past its column, never a record
-        /// without its columns, never memory out of proportion to the input.
+        /// graphs — each record carrying some of its lists — decode to `None`
+        /// or to a message that holds together — never a panic, never a span
+        /// past its column, never a record without its columns or its list
+        /// mask, never memory out of proportion to the input.
         #[test]
         fn hostile_mirror_batch_bytes_never_panic(
             (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
@@ -679,9 +730,11 @@ mod tests {
                     if pos % 3 == 0 {
                         batch.values.push((batch.vids.len() as u32, v.value));
                     }
+                    let carried = EdgeLists::from_bits(pos as u8 % 8).unwrap();
                     batch.vids.push(v.vid);
                     batch.last_activate.push(v.last_activate);
-                    batch.metas.push(lg.full_state(pos).unwrap());
+                    batch.metas.push(lg.full_state(pos).unwrap().carrying(carried));
+                    batch.lists.push(carried);
                 }
                 let msg = EcMsg::MirrorUpdate(Box::new(batch.clone()));
                 let mut frame = Vec::new();
@@ -697,6 +750,7 @@ mod tests {
                 };
                 let n = back.vids.len();
                 prop_assert_eq!((back.last_activate.len(), back.metas.len()), (n, n));
+                prop_assert_eq!(back.lists.len(), n);
                 prop_assert!(back.values.iter().all(|&(i, _)| (i as usize) < n));
                 prop_assert!(back.metas.validate().is_ok());
                 let held = back.metas.mem_bytes()
@@ -742,7 +796,8 @@ mod tests {
                 let mut batch = empty_batch(lg.node);
                 batch.vids = held.iter().map(|&pos| lg.verts[pos as usize].vid).collect();
                 batch.last_activate = vec![false; held.len()];
-                batch.metas = lg.export_metas(&held);
+                let records: Vec<_> = held.iter().map(|&pos| (pos, EdgeLists::ALL)).collect();
+                (batch.metas, batch.lists) = lg.export_full_states(&records);
                 let msg = VcMsg::<f64, f64>::MirrorUpdate(Box::new(batch.clone()));
                 let mut frame = Vec::new();
                 msg.encode_wire(&mut frame);
@@ -759,6 +814,7 @@ mod tests {
                 prop_assert_eq!((back.last_activate.len(), back.metas.len()), (n, n));
                 prop_assert!(back.metas.validate().is_ok());
                 prop_assert_eq!(back.metas.column_lens().total(), 0, "tables only");
+                prop_assert!(back.lists.is_empty(), "no list mask");
                 let held = back.metas.mem_bytes() + back.vids.capacity() * 4 + n;
                 prop_assert!(held <= 1024 + 128 * bad.len(), "{held} B for {}", bad.len());
             }
@@ -796,21 +852,21 @@ mod tests {
 
     /// One message of each of the eight variants, each of `n` records drawn
     /// from `seed`; `entry` and `state` give the model's Rebirth entries and
-    /// mirror-batch full states.
+    /// mirror-batch full states (with the lists each carries, edge-cut).
     fn every_variant<A, E>(
         n: u32,
         seed: u32,
         accum: impl Fn(u32) -> A,
         entry: impl Fn(u32) -> E,
-        state: impl Fn(u32, &mut FullState),
+        state: impl Fn(u32, &mut FullState, &mut Vec<EdgeLists>),
     ) -> Vec<ProtoMsg<f64, A, E>> {
         let vid = |i: u32| Vid::new(seed % 100_000 + i * (seed % 13 + 1));
         let value = |i: u32| f64::from(i) * 0.5 - f64::from(seed % 7);
         let bit = |i: u32| (seed >> (i % 32)) & 1 != 0;
         let records = 0..n;
-        let mut metas = FullState::default();
+        let (mut metas, mut lists) = (FullState::default(), Vec::new());
         for i in records.clone() {
-            state(seed % 50 + i, &mut metas);
+            state(seed % 50 + i, &mut metas, &mut lists);
         }
         vec![
             ProtoMsg::Sync(
@@ -869,26 +925,169 @@ mod tests {
                 last_activate: records.map(bit).collect(),
                 master_node: NodeId::new(seed % 6),
                 metas,
+                lists,
             })),
         ]
     }
 
+    /// Edge-cut variants: the mirror batch's records carry lists drawn from
+    /// their tags, and every in-edge of it weighs the same under an even
+    /// `seed` (one `f32` on the wire) and its own weight under an odd one.
     fn ec_variants(n: u32, seed: u32) -> Vec<EcMsg<f64>> {
         every_variant(
             n,
             seed,
             |_| (),
             ec_entry,
-            |tag, metas| {
-                metas.push(meta(tag, tag % 4, &[1, 3]).view());
+            |tag, metas, lists| {
+                let mut m = meta(tag, tag % 4, &[1, 3]);
+                if seed.is_multiple_of(2) {
+                    m.in_edges_owner.iter_mut().for_each(|edge| edge.1 = 0.25);
+                }
+                let carried = EdgeLists::from_bits((tag % 8) as u8).unwrap();
+                metas.push(m.view().carrying(carried));
+                lists.push(carried);
             },
         )
     }
 
     fn vc_variants(n: u32, seed: u32) -> Vec<VcMsg<f64, f64>> {
-        every_variant(n, seed, f64::from, vc_entry, |tag, metas| {
+        every_variant(n, seed, f64::from, vc_entry, |tag, metas, _| {
             metas.push(FullStateRef::tables(meta(tag, 0, &[1, 2]).locations.view()));
         })
+    }
+
+    /// An edge-cut batch of two records whose in-edges weigh `weights`, the
+    /// first half the first record's — which carries all its lists — and
+    /// the rest the second's, which carries its in-edges alone.
+    fn weighted_batch(weights: &[f32]) -> MirrorBatch<f64> {
+        let mut batch = empty_batch(NodeId::new(1));
+        let halves = weights.split_at(weights.len() / 2);
+        for (i, (part, carried)) in [(halves.0, EdgeLists::ALL), (halves.1, EdgeLists::IN_EDGES)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut m = meta(10 + i as u32, part.len() as u32, &[2]);
+            for (edge, &w) in m.in_edges_owner.iter_mut().zip(part) {
+                edge.1 = w;
+            }
+            batch.vids.push(Vid::new(i as u32));
+            batch.last_activate.push(false);
+            batch.metas.push(m.view().carrying(carried));
+            batch.lists.push(carried);
+        }
+        batch
+    }
+
+    /// The in-edge weights of a batch, as bits, in record order.
+    fn weight_bits(batch: &MirrorBatch<f64>) -> Vec<u32> {
+        let slots = (0..batch.metas.len()).map(|i| batch.metas.nth(i).in_edges_owner);
+        slots
+            .flat_map(|edges| edges.iter().map(|e| e.1.to_bits()))
+            .collect()
+    }
+
+    /// Where the edge-cut store of a two-record batch writes its weight flag:
+    /// behind four one-byte column totals and one byte of list masks.
+    const WEIGHT_FLAG: usize = 5;
+
+    /// Both weight layouts come back to the bit: one `f32` for a batch whose
+    /// in-edges all weigh the same bits — a NaN payload included — and a
+    /// weight per in-edge as soon as one differs, `0.0` beside `-0.0` too.
+    #[test]
+    fn weights_roundtrip_to_the_bit_in_either_layout() {
+        let nan = f32::from_bits(0x7FC0_1234);
+        let cases: [(&[f32], bool); 5] = [
+            (&[1.0; 6], true),
+            (&[nan; 4], true),
+            (&[1.0, 1.0, 2.0, 1.0, 1.0], false),
+            (&[0.0, -0.0, 0.0, 0.0], false),
+            (&[0.5, nan, -0.0, f32::INFINITY], false),
+        ];
+        for (weights, uniform) in cases {
+            let batch = weighted_batch(weights);
+            let mut states = Vec::new();
+            EcRecoverEntry::<f64>::enc_states(&batch.metas, &batch.lists, &mut states);
+            assert_eq!(states[WEIGHT_FLAG], u8::from(uniform), "{weights:?}");
+            let msg = EcMsg::MirrorUpdate(Box::new(batch.clone()));
+            let mut frame = Vec::new();
+            msg.encode_wire(&mut frame);
+            assert_eq!(msg.encoded_len(), frame.len());
+            let Some(EcMsg::MirrorUpdate(back)) = EcMsg::<f64>::decode_wire(&frame) else {
+                panic!("{weights:?}: the frame does not decode");
+            };
+            assert_eq!(weight_bits(&back), weight_bits(&batch), "{weights:?}");
+            assert_eq!(format!("{back:?}"), format!("{batch:?}"), "{weights:?}");
+        }
+        // One weight instead of six: five `f32`s fewer.
+        let (same, apart) = (
+            weighted_batch(&[1.0; 6]),
+            weighted_batch(&[1.0, 2.0, 1.0, 1.0, 1.0, 1.0]),
+        );
+        let len = |b: MirrorBatch<f64>| EcMsg::MirrorUpdate(Box::new(b)).encoded_len();
+        assert_eq!(len(same) + 5 * 4, len(apart));
+    }
+
+    /// The edge-cut store's decoder refuses what no encoder writes: a weight
+    /// flag other than 0 or 1, a list-mask bit past the third, and column
+    /// totals other than what the lists the masks name add up to.
+    #[test]
+    fn mirror_store_decoder_refuses_flags_masks_and_totals_no_encoder_writes() {
+        let batch = weighted_batch(&[1.0, 2.0, 3.0]);
+        let mut states = Vec::new();
+        EcRecoverEntry::<f64>::enc_states(&batch.metas, &batch.lists, &mut states);
+        let dec = |bytes: &[u8]| {
+            let back = EcRecoverEntry::<f64>::dec_states(&mut Reader::new(bytes), 2);
+            back.map(|(metas, lists)| (metas == batch.metas, lists))
+        };
+        assert_eq!(dec(&states), Ok((true, batch.lists.clone())));
+        let corrupt = |at: usize, byte: u8| {
+            let mut bad = states.clone();
+            bad[at] = byte;
+            dec(&bad)
+        };
+        for flag in [2, 3, 0x80, 0xFF] {
+            let refused = Err(DecodeError::Corrupt("weight column flag"));
+            assert_eq!(corrupt(WEIGHT_FLAG, flag), refused, "flag {flag}");
+        }
+        let mask = states[WEIGHT_FLAG - 1];
+        for bit in [0b1000, 0b1000_0000] {
+            assert_eq!(
+                corrupt(WEIGHT_FLAG - 1, mask | bit),
+                Err(DecodeError::Corrupt("list mask"))
+            );
+        }
+        // The first record carries all three lists and the second its
+        // in-edges: totals one off in any column disagree with the masks.
+        for (column, &total) in states[..4].iter().enumerate() {
+            let totals = Err(DecodeError::Corrupt("column totals"));
+            assert_eq!(corrupt(column, total + 1), totals, "column {column}");
+        }
+        // Masks that stop naming a list the totals count.
+        let no_remote = mask & !EdgeLists::OUT_REMOTE.bits();
+        assert!(corrupt(WEIGHT_FLAG - 1, no_remote).is_err());
+    }
+
+    /// A vertex-cut mirror batch writes its tables and nothing else — no list
+    /// mask, no weight column: the bytes it wrote before edge-cut batches
+    /// learnt to leave lists out.
+    #[test]
+    fn a_vertex_cut_mirror_batch_encodes_as_it_always_did() {
+        const PINNED: [u8; 46] = [
+            6, 3, 3, 10, 8, 198, 4, 25, 0, 0, 0, 0, 0, 0, 4, 64, 3, 2, 1, 4, 2, 5, 2, 1, 2, 70, 2,
+            1, 71, 2, 72, 2, 1, 2, 188, 5, 2, 1, 189, 5, 2, 190, 5, 2, 1, 2,
+        ];
+        let tables = [3u32, 70, 700].map(|tag| meta(tag, 0, &[1, 2]).locations);
+        let batch = MirrorBatch {
+            vids: [5, 9, 300].map(Vid::new).to_vec(),
+            values: vec![(1, 2.5f64)],
+            last_activate: vec![true, false, true],
+            master_node: NodeId::new(3),
+            metas: FullState::of(tables.iter().map(|t| FullStateRef::tables(t.view()))),
+            lists: Vec::new(),
+        };
+        let msg = VcMsg::<f64, f64>::MirrorUpdate(Box::new(batch));
+        assert_eq!(roundtrip(&msg), PINNED);
     }
 
     /// Encodes, counts and decodes `m`: the counting sink agrees with the
@@ -938,10 +1137,11 @@ mod tests {
     proptest! {
         /// Whatever a socket delivers is input like any other: truncated,
         /// bit-flipped, spliced and count-inflated (past `u16::MAX` and
-        /// near 2^49) encodings of all eight variants under both models
-        /// decode to a `DecodeError` or to a message of no more records than
-        /// the input has bytes — never a panic, never memory sized by a count
-        /// the input merely claims.
+        /// near 2^49) encodings of all eight variants under both models —
+        /// edge-cut mirror batches with every list mask and both weight
+        /// layouts — decode to a `DecodeError` or to a message of no more
+        /// records than the input has bytes — never a panic, never memory
+        /// sized by a count the input merely claims.
         #[test]
         fn hostile_proto_msg_bytes_never_panic(
             n in 0u32..24,

@@ -7,7 +7,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use imitator_cluster::NodeId;
-use imitator_engine::{CopyKind, Episode, FullState, PosSet, VertexProgram};
+use imitator_engine::{
+    ColumnLens, CopyKind, EdgeLists, Episode, FullState, FullStateBatches, PosSet, VertexProgram,
+};
 use imitator_graph::Vid;
 use imitator_metrics::Stopwatch;
 
@@ -23,9 +25,9 @@ use crate::FtMode;
 type Mirrors<M> = MirrorBatch<<M as ComputeModel>::Value>;
 
 /// What a round sends one destination, before it is a batch: `(position of
-/// the master, whether the receiver must create the copy)`, in position
-/// order.
-type MirrorRecords = Vec<(u32, bool)>;
+/// the master, the edge lists to carry, whether the receiver must create the
+/// copy)`, in position order.
+type MirrorRecords = Vec<(u32, EdgeLists, bool)>;
 
 /// The positions of copies placed for masters elsewhere, by master's node.
 pub(super) type Placements = HashMap<NodeId, Vec<(Vid, u32)>>;
@@ -36,10 +38,10 @@ pub(super) type Placements = HashMap<NodeId, Vec<(Vid, u32)>>;
 #[derive(Default)]
 pub(crate) struct Mig<X> {
     /// Positions of the masters some mirror of which does not hold their
-    /// current meta: R7 refreshes exactly these, in position order, and
-    /// takes the set. A round that changes a master's tables inserts it; R5
-    /// removes it when every mirror it has was designated there (and so was
-    /// sent the final tables).
+    /// current full state: R7 refreshes exactly these, in position order,
+    /// and takes the set. A round that changes a master's tables or lists
+    /// inserts it; R5 removes it when every mirror it has was designated
+    /// there (and so was sent the final full state, lists and all).
     pub dirty_masters: PosSet,
     /// Vertex copies recovered (promotions + placed replicas).
     pub recovered: u64,
@@ -56,10 +58,11 @@ pub(crate) struct Mig<X> {
 
 /// One entry per survivor per Migration attempt that reached R7: masters
 /// the attempt touched (dirty at some point, or given a mirror), those of
-/// them R5 took out of the dirty set and R7 did not re-mark, and the refresh
-/// records R7 shipped.
+/// them R5 took out of the dirty set and R7 did not re-mark, the refresh
+/// records R7 shipped and the in-edge, `out_local` and `out_remote` entries
+/// they carried.
 #[cfg(test)]
-pub(super) static R7_TALLY: std::sync::Mutex<Vec<[usize; 3]>> = std::sync::Mutex::new(Vec::new());
+pub(super) static R7_TALLY: std::sync::Mutex<Vec<[usize; 6]>> = std::sync::Mutex::new(Vec::new());
 
 /// Read-only migration context handed to model hooks, with O(1) promotion
 /// lookups: an episode's R2 asks "did I promote the master at this
@@ -309,15 +312,16 @@ pub(super) fn migrate<M: ComputeModel>(
     // ---- R5: record placements; restore the fault-tolerance level by
     //      designating replacement mirrors (§5.2.1), creating fresh FT
     //      replicas where no replica is available.
-    //      A new mirror's full state travels here and only here: a master's
-    //      updates are built once its designations are final, so each carries
-    //      the final tables, and a master all of whose mirrors are new leaves
-    //      the dirty set — R7 has nothing to add for it unless a fresh
-    //      replica's position, registered there, re-marks it.
-    cx.round(r5, |cx| {
+    //      A new mirror's full state travels here, whole, and only here: a
+    //      master's updates are built once its designations are final, so
+    //      each carries the final tables and lists, and a master all of whose
+    //      mirrors are new leaves the dirty set — R7 has nothing to add for it
+    //      unless a fresh replica's position, registered there, re-marks it.
+    let designated = cx.round(r5, |cx| {
         register_placements(cx, lg, Some(&mut mig.dirty_masters));
         let designations = designate_mirrors(cx, lg, &mut mig);
-        ship_mirror_batches(cx, lg, designations);
+        ship_mirror_batches(cx, lg, &designations);
+        designations
     })?;
 
     // ---- R6: adopt mirror designations; report fresh FT-replica positions.
@@ -344,30 +348,32 @@ pub(super) fn migrate<M: ComputeModel>(
         report_placements(cx, fresh_placements);
     })?;
 
-    // ---- R7: register fresh placements; push the final full state to every
+    // ---- R7: register fresh placements; refresh, in position order, every
     //      mirror of each master still dirty — one whose mirror predates the
-    //      episode and has not seen this episode's table changes, or whose
-    //      tables moved after R5 (a fresh replica's position, registered
-    //      just below). Masters whose every mirror received the final state
-    //      in R5 are not in the set, which is walked in position order.
+    //      episode, or whose tables moved after R5 (a fresh replica's
+    //      position, registered just below). A record carries the tables and
+    //      the lists its receiver lacks: none if R5 designated it, else those
+    //      the episode changed (`FullStateBatches::changed_lists`).
     cx.round(r7, |cx| {
         register_placements(cx, lg, Some(&mut mig.dirty_masters));
         let dirty = std::mem::take(&mut mig.dirty_masters);
         let mut refreshes: Vec<MirrorRecords> = vec![Vec::new(); cx.shared.cfg.num_nodes];
         for pos in dirty.iter().filter(|&pos| lg.is_master(pos)) {
+            let changed = lg.changed_lists(pos);
             for m in lg.full(pos).mirror_nodes() {
-                refreshes[m.index()].push((pos, false));
+                let sent = designated[m.index()].binary_search_by_key(&pos, |r| r.0);
+                refreshes[m.index()].push((pos, sent.map_or(changed, |_| EdgeLists::NONE), false));
             }
         }
+        let _shipped = ship_mirror_batches(cx, lg, &refreshes);
         #[cfg(test)]
         {
             mig.spared.retain(|&pos| !dirty.contains(pos));
-            let records = refreshes.iter().map(Vec::len).sum();
-            let touched = dirty.len() + mig.spared.len();
+            let (spared, records) = (mig.spared.len(), refreshes.iter().map(Vec::len).sum());
+            let (ins, fed, remote) = (_shipped.in_edges, _shipped.out_local, _shipped.out_remote);
             let mut tally = R7_TALLY.lock().unwrap_or_else(|e| e.into_inner());
-            tally.push([touched, mig.spared.len(), records]);
+            tally.push([dirty.len() + spared, spared, records, ins, fed, remote]);
         }
-        ship_mirror_batches(cx, lg, refreshes);
     })?;
 
     // ---- R8: adopt refreshed metas; leader acknowledges the recovery. Only
@@ -532,7 +538,7 @@ fn designate_mirrors<M: ComputeModel>(
             mig.dirty_masters.insert(pos);
         }
         for &(target, fresh) in &designated {
-            designations[target.index()].push((pos, fresh));
+            designations[target.index()].push((pos, EdgeLists::ALL, fresh));
         }
     }
     designations
@@ -541,31 +547,40 @@ fn designate_mirrors<M: ComputeModel>(
 /// Builds and sends every other survivor its mirror batch (R5/R7) from
 /// `records`, indexed by destination node; a destination without records
 /// gets an empty batch, pure barrier traffic. Each batch is sized from its
-/// records, once, and filled column by column.
+/// records, once, and filled column by column. Returns the edge-column
+/// entries the batches carry.
 fn ship_mirror_batches<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     g: &M::Graph,
-    mut records: Vec<MirrorRecords>,
-) {
+    records: &[MirrorRecords],
+) -> ColumnLens {
     let (me, shared) = (cx.me(), cx.shared);
+    let mut shipped = ColumnLens::default();
     cx.send_others(|n| {
-        let records = std::mem::take(&mut records[n.index()]);
-        let at: Vec<u32> = records.iter().map(|&(pos, _)| pos).collect();
-        let fresh = records.iter().enumerate().filter(|(_, &(_, fresh))| fresh);
+        let records = &records[n.index()];
+        let at: Vec<_> = records
+            .iter()
+            .map(|&(pos, lists, _)| (pos, lists))
+            .collect();
+        let (metas, lists) = g.export_full_states(&at);
+        shipped += metas.column_lens();
+        let fresh = records.iter().enumerate().filter(|(_, r)| r.2);
         ProtoMsg::MirrorUpdate(Box::new(MirrorBatch {
-            vids: at.iter().map(|&pos| g.vid(pos)).collect(),
+            vids: records.iter().map(|r| g.vid(r.0)).collect(),
             // Position is reported back in R6 for fresh replicas.
             values: fresh
-                .map(|(i, &(pos, _))| (i as u32, g.value(pos).clone()))
+                .map(|(i, r)| (i as u32, g.value(r.0).clone()))
                 .collect(),
-            last_activate: at
+            last_activate: records
                 .iter()
-                .map(|&pos| shared.model.scatter_bit(g, pos))
+                .map(|r| shared.model.scatter_bit(g, r.0))
                 .collect(),
             master_node: me,
-            metas: g.export_metas(&at),
+            metas,
+            lists,
         }))
     });
+    shipped
 }
 
 /// Makes every vertex of every batch a mirror of the sender's master,
@@ -586,8 +601,8 @@ fn adopt_mirror_batches<M: ComputeModel>(g: &mut M::Graph, batches: &[(NodeId, B
         .map(|(_, batch)| batch.vids.iter().map(|&vid| mirror(batch, vid)).collect())
         .collect();
     let adopted = positions.iter().zip(batches);
-    let adopted: Vec<(&[u32], &FullState)> = adopted
-        .map(|(at, (_, batch))| (&at[..], &batch.metas))
+    let adopted: Vec<(&[u32], &FullState, &[EdgeLists])> = adopted
+        .map(|(at, (_, batch))| (&at[..], &batch.metas, &batch.lists[..]))
         .collect();
-    g.adopt_metas(&adopted);
+    g.adopt_full_states(&adopted);
 }

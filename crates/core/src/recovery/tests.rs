@@ -599,23 +599,109 @@ fn second_migration_promotes_mirrors_the_first_one_designated() {
 /// `Mig::dirty_masters` is all round 7 ships: with K = 1 each refreshed
 /// master costs one record, so the records a survivor sends equal the
 /// masters the episode touched minus those round 5 fully re-mirrored (and
-/// round 7 did not re-mark) — and round 5 does spare some.
+/// round 7 did not re-mark) — and round 5 does spare some. No in-edge
+/// travels: a master that keeps a mirror from before the episode was not
+/// promoted in it, and in-edges change only by promotion. The consumer lists
+/// the episode extended or rewrote do.
 #[test]
 fn round_7_refreshes_only_what_round_5_left_dirty() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     for edge_cut in [true, false] {
-        R7_TALLY.lock().unwrap_or_else(|e| e.into_inner()).clear();
         let plan = vec![crash(1, 3, FailPoint::BeforeBarrier)];
         let ft = replication(1, RecoveryStrategy::Migration);
-        let r = run(edge_cut, ft, 0, plan);
+        let (r, tally) = tallied(|| run(edge_cut, ft, 0, plan));
         assert_eq!(r.recoveries.len(), 1);
-        let tally = std::mem::take(&mut *R7_TALLY.lock().unwrap_or_else(|e| e.into_inner()));
         assert_eq!(tally.len(), NODES - 1, "one entry per survivor");
-        for [touched, spared, records] in tally {
+        let mut lists = 0;
+        for [touched, spared, records, ins, fed, remote] in tally {
             assert!(spared > 0, "edge_cut={edge_cut}: round 5 spared nobody");
             assert_eq!(records, touched - spared, "edge_cut={edge_cut}");
+            assert_eq!(ins, 0, "edge_cut={edge_cut}: round 7 shipped in-edges");
+            lists += fed + remote;
         }
+        assert_eq!(lists > 0, edge_cut, "consumer lists shipped");
     }
+}
+
+/// Runs `job` with `R7_TALLY` emptied first, and takes what it tallied.
+fn tallied<T>(job: impl FnOnce() -> T) -> (T, Vec<[usize; 6]>) {
+    R7_TALLY.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    let out = job();
+    let tally = std::mem::take(&mut *R7_TALLY.lock().unwrap_or_else(|e| e.into_inner()));
+    (out, tally)
+}
+
+/// The in-edges round 7 must ship when `dead` crash together: those of every
+/// master promoted out of them, once to each mirror it kept from before the
+/// episode — every loaded mirror that survived but the promoted one. No
+/// other master's in-edges change in an episode.
+fn promoted_in_edges(loaded: &[EcLocalGraph<u32>], dead: &[NodeId]) -> usize {
+    let lost = loaded.iter().filter(|lg| dead.contains(&lg.node));
+    let masters = lost.flat_map(|lg| lg.master_positions().map(move |pos| (lg, pos)));
+    let kept = |lg: &EcLocalGraph<u32>, pos| {
+        let mirrors = lg.locations(pos).unwrap().mirror_nodes();
+        mirrors
+            .iter()
+            .filter(|n| !dead.contains(n))
+            .count()
+            .saturating_sub(1)
+    };
+    masters
+        .map(|(lg, pos)| lg.in_edges(pos).len() * kept(lg, pos))
+        .sum()
+}
+
+/// K = 2, one crash: a promoted master keeps a mirror from before the
+/// episode, whose lists name the dead node's positions — round 7 sends it
+/// all three, in-edges included, and those are the only in-edges it sends:
+/// every other refresh carries the lists the episode changed. The debug
+/// check in `driver::run` holds every mirror to its master's full state.
+#[test]
+fn round_7_sends_a_promoted_masters_old_mirror_every_list() {
+    let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let g = graph();
+    let golden = run_ec(&g, 5, FtMode::None, 0, vec![]).report;
+    let plan = vec![crash(1, 3, FailPoint::BeforeBarrier)];
+    let ft = replication(2, RecoveryStrategy::Migration);
+    let (run, tally) = tallied(|| run_ec(&g, 5, ft, 0, plan));
+    assert_eq!(run.report.values, golden.values);
+    let expected = promoted_in_edges(&run.loaded, &[NodeId::from_index(1)]);
+    assert!(expected > 0, "no promoted master kept an old mirror");
+    let shipped: usize = tally.iter().map(|t| t[3]).sum();
+    assert_eq!(shipped, expected);
+    let [records, fed, remote] = [2, 4, 5].map(|at| tally.iter().map(|t| t[at]).sum::<usize>());
+    assert!(records > 0 && fed > 0 && remote > 0, "{tally:?}");
+}
+
+/// A crash in round 8 lands after every other survivor adopted round 7's
+/// refreshes — mirrors rewritten in part, the lists not sent kept — so the
+/// rollback must undo partial adoptions: the retry then ships again what the
+/// two crashes together call for and ends bit-identical.
+#[test]
+fn a_crash_after_partial_refreshes_rolls_back_and_retries() {
+    let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let g = graph();
+    let golden = run_ec(&g, 5, FtMode::None, 0, vec![]).report;
+    let plan = vec![
+        crash(1, 2, FailPoint::BeforeBarrier),
+        crash(2, 2, FailPoint::MigrationRound(8)),
+    ];
+    let ft = replication(2, RecoveryStrategy::Migration);
+    let (run, tally) = tallied(|| run_ec(&g, 5, ft, 0, plan));
+    assert_eq!(run.report.values, golden.values);
+    let ep = &run.report.recoveries[0];
+    assert_eq!((ep.counters.attempts, ep.counters.aborts), (2, 1));
+    run.graphs.iter().for_each(|(_, lg)| lg.debug_validate());
+    // Four survivors tallied the aborted attempt, three the retry.
+    assert_eq!(tally.len(), 4 + 3);
+    let (aborted, retry) = tally.split_at(4);
+    let ins = |tally: &[[usize; 6]]| tally.iter().map(|t| t[3]).sum::<usize>();
+    let [first, both] = [vec![1], vec![1, 2]]
+        .map(|dead| dead.into_iter().map(NodeId::from_index).collect::<Vec<_>>());
+    assert_eq!(ins(aborted), promoted_in_edges(&run.loaded, &first));
+    assert_eq!(ins(retry), promoted_in_edges(&run.loaded, &both));
+    let refreshed = aborted.iter().any(|t| t[2] > 0);
+    assert!(refreshed, "the aborted attempt refreshed nothing");
 }
 
 /// Splitmix64: the promotion sets below are derived from one seed.

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
-    ec_commit, ec_compute, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan, FullState,
-    FullStateRef, Locations, LocationsRef, RemoteEdge, VertexProgram,
+    ec_commit, ec_compute, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan, FullStateRef,
+    Locations, LocationsRef, RemoteEdge, VertexProgram,
 };
 use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{MemSize, Stopwatch};
@@ -152,9 +152,6 @@ impl<V> ModelGraph for EcLocalGraph<V> {
     }
     fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>> {
         EcLocalGraph::full_state(self, pos)
-    }
-    fn adopt_metas(&mut self, batches: &[(&[u32], &FullState)]) {
-        self.adopt_full_states(batches);
     }
 }
 

@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
-    vc_apply, vc_commit, vc_partial_gather, CopyKind, Degrees, FtPlan, FullState, FullStateRef,
-    Locations, LocationsRef, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
+    vc_apply, vc_commit, vc_partial_gather, CopyKind, Degrees, FtPlan, FullStateRef, Locations,
+    LocationsRef, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
 };
 use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
@@ -150,9 +150,6 @@ impl<V> ModelGraph for VcLocalGraph<V> {
     }
     fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>> {
         self.locations(pos).map(FullStateRef::tables)
-    }
-    fn adopt_metas(&mut self, batches: &[(&[u32], &FullState)]) {
-        self.adopt_full_states(batches);
     }
 }
 

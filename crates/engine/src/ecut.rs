@@ -8,8 +8,8 @@ use imitator_partition::EdgeCut;
 use crate::episode::{EcJournal, PosSet};
 use crate::ftplan::FtPlan;
 use crate::full_state::{
-    Column, ColumnLens, CopyVids, EdgeSpans, FullState, FullStateRef, Head, InEdgeSrcs, RemoteEdge,
-    SlotId, Span, StoreLens, OUT_REMOTE,
+    Column, ColumnLens, CopyVids, EdgeLists, EdgeSpans, FullState, FullStateBatches, FullStateRef,
+    Head, InEdgeSrcs, RemoteEdge, SlotId, Span, StoreLens, OUT_REMOTE,
 };
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
 use crate::locations::{Locations, LocationsRef};
@@ -372,57 +372,29 @@ impl<V> EcLocalGraph<V> {
     /// Lists that outgrow their run, or whose run an open episode may not
     /// overwrite, move to the column's tail.
     pub fn set_full_state(&mut self, pos: u32, state: FullStateRef<'_>) {
-        let v = &self.verts[pos as usize];
-        let state = stored_for(v.kind, state);
-        match v.meta {
-            Some(slot) => self.full.set(slot, state),
-            None => {
-                self.touch_copy(pos);
-                self.verts[pos as usize].meta = Some(self.full.push(state));
-            }
-        }
+        self.set_full_state_lists(pos, state, EdgeLists::ALL);
     }
 
-    /// Adopts batches of full state: for each `(positions, batch)`, the
-    /// `i`-th slot of `batch` becomes the full state of the copy at
-    /// `positions[i]`. A batch none of whose copies holds a slot yet —
-    /// replicas just upgraded to mirrors, fresh mirrors — is taken whole: one
-    /// copy per column, the spans moved along, after room for all such
-    /// batches has been made once. Any other is taken record by record, as
-    /// [`EcLocalGraph::set_full_state`] does (a refresh mostly finds the
-    /// lists it brings already stored, and those are left where they are).
+    /// [`EcLocalGraph::set_full_state`] of the tables and the edge lists
+    /// `lists` names; the copy keeps the other lists as they are.
     ///
     /// # Panics
     ///
-    /// Panics if a batch and its positions differ in length.
-    pub fn adopt_full_states(&mut self, batches: &[(&[u32], &FullState)]) {
-        let slotless_mirror = |&pos: &u32| {
-            let v = &self.verts[pos as usize];
-            v.meta.is_none() && !v.is_master()
-        };
-        let mut room = StoreLens::default();
-        let whole: Vec<bool> = batches
-            .iter()
-            .map(|(positions, batch)| {
-                assert_eq!(positions.len(), batch.len(), "one position per slot");
-                let whole = positions.iter().all(slotless_mirror);
-                if whole {
-                    room += batch.lens();
-                }
-                whole
-            })
-            .collect();
-        self.reserve_full_state(room);
-        for (&(positions, batch), whole) in batches.iter().zip(whole) {
-            let first = whole.then(|| self.full.extend_from(batch));
-            for (i, &pos) in positions.iter().enumerate() {
-                match first {
-                    Some(first) => {
-                        self.touch_copy(pos);
-                        self.verts[pos as usize].meta = Some(SlotId::from_index(first + i));
-                    }
-                    None => self.set_full_state(pos, batch.nth(i)),
-                }
+    /// Panics if the copy has no full state yet and is not sent all of it.
+    fn set_full_state_lists(&mut self, pos: u32, state: FullStateRef<'_>, lists: EdgeLists) {
+        let v = &self.verts[pos as usize];
+        let state = stored_for(v.kind, state);
+        match v.meta {
+            Some(slot) => self.full.set(slot, state, lists),
+            None => {
+                assert_eq!(
+                    lists,
+                    EdgeLists::ALL,
+                    "{} has no full state to keep lists of",
+                    v.vid
+                );
+                self.touch_copy(pos);
+                self.verts[pos as usize].meta = Some(self.full.push(state));
             }
         }
     }
@@ -708,6 +680,72 @@ impl<V> EcLocalGraph<V> {
         if let Err(violation) = self.validate() {
             panic!("{violation}");
         }
+    }
+}
+
+/// A batch none of whose copies holds a slot yet — replicas just upgraded to
+/// mirrors, fresh mirrors — and that carries every list is adopted whole: one
+/// copy per column, the spans moved along, after room for all such batches
+/// has been made once. Any other is adopted record by record, as
+/// [`EcLocalGraph::set_full_state`] does (a refresh mostly finds the lists it
+/// brings already stored, and those are left where they are).
+impl<V> FullStateBatches for EcLocalGraph<V> {
+    /// Each slot holds the lists its record carries and nothing else: a
+    /// master's owner-local lists read from its own edge lists, its in-edge
+    /// sources through them.
+    fn export_full_states(&self, records: &[(u32, EdgeLists)]) -> (FullState, Vec<EdgeLists>) {
+        let state = |pos: u32| {
+            let state = self.full_state(pos);
+            state.unwrap_or_else(|| panic!("copy at {pos} carries no full state"))
+        };
+        let states = records
+            .iter()
+            .map(|&(pos, lists)| state(pos).carrying(lists));
+        (FullState::of(states), records.iter().map(|r| r.1).collect())
+    }
+
+    fn adopt_full_states(&mut self, batches: &[(&[u32], &FullState, &[EdgeLists])]) {
+        let slotless_mirror = |&pos: &u32| {
+            let v = &self.verts[pos as usize];
+            v.meta.is_none() && !v.is_master()
+        };
+        let mut room = StoreLens::default();
+        let whole: Vec<bool> = batches
+            .iter()
+            .map(|&(positions, batch, lists)| {
+                assert_eq!(positions.len(), batch.len(), "one position per slot");
+                assert!(
+                    lists.is_empty() || lists.len() == batch.len(),
+                    "lists per slot"
+                );
+                let all = lists.iter().all(|&carried| carried == EdgeLists::ALL);
+                let whole = all && positions.iter().all(slotless_mirror);
+                if whole {
+                    room += batch.lens();
+                }
+                whole
+            })
+            .collect();
+        self.reserve_full_state(room);
+        for (&(positions, batch, lists), whole) in batches.iter().zip(whole) {
+            let first = whole.then(|| self.full.extend_from(batch));
+            for (i, &pos) in positions.iter().enumerate() {
+                match first {
+                    Some(first) => {
+                        self.touch_copy(pos);
+                        self.verts[pos as usize].meta = Some(SlotId::from_index(first + i));
+                    }
+                    None => {
+                        let carried = lists.get(i).copied().unwrap_or(EdgeLists::ALL);
+                        self.set_full_state_lists(pos, batch.nth(i), carried);
+                    }
+                }
+            }
+        }
+    }
+
+    fn changed_lists(&self, pos: u32) -> EdgeLists {
+        self.lists_changed_in_episode(pos)
     }
 }
 

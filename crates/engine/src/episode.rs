@@ -47,7 +47,9 @@
 use imitator_cluster::NodeId;
 
 use crate::ecut::{CopyKind, EcLocalGraph};
-use crate::full_state::{EdgeSpans, FullState, Head, SlotId, Span, StoreLens, COLUMNS};
+use crate::full_state::{
+    EdgeLists, EdgeSpans, FullState, Head, SlotId, Span, StoreLens, COLUMNS, IN_EDGES, OUT_REMOTE,
+};
 use crate::vcut::VcLocalGraph;
 
 /// A set of array positions, kept as a bitmap that grows with the largest
@@ -223,6 +225,13 @@ const SPAN: u8 = 1;
 /// rolling back lets the first image of a span win.
 fn predates(span: Span, floor: usize) -> bool {
     span.range().start <= floor
+}
+
+/// Whether `span` may have been written in the episode whose mark of its
+/// column is `floor`: the converse of [`predates`], and like it true of both
+/// kinds of empty span exactly at the mark.
+fn written(span: Span, floor: usize) -> bool {
+    span.range().start >= floor
 }
 
 /// A local graph that journals recovery episodes: see the module
@@ -437,6 +446,39 @@ impl<V> EcLocalGraph<V> {
     /// overwrite under: the episode's marks, or zero.
     pub(crate) fn hot_floor(&self) -> [usize; 2] {
         self.journal.as_deref().map_or([0; 2], |j| j.marks.1)
+    }
+
+    /// The edge lists of the master at `pos` that may differ from what its
+    /// mirrors held when the open episode began
+    /// ([`FullStateBatches::changed_lists`](crate::FullStateBatches::changed_lists)):
+    /// those the episode wrote. A list written inside an episode starts at or
+    /// past its column's mark, one that starts under it is still the one the
+    /// episode found, and an empty one right at the mark counts as written.
+    /// The master's in-edges and consumers are its runs of the hot columns,
+    /// its remote out-edges a run of its slot's. A master promoted in the
+    /// episode differs in all three — its old mirrors' lists name the dead
+    /// owner's positions — and is the one whose slot's owner-local lists,
+    /// which a master's slot does not keep, the episode wrote (emptied).
+    pub(crate) fn lists_changed_in_episode(&self, pos: u32) -> EdgeLists {
+        let Some(j) = self.journal.as_deref() else {
+            return EdgeLists::ALL;
+        };
+        let (v, floor) = (&self.verts[pos as usize], self.full.floor().edges);
+        let slot_wrote = |column, floor| {
+            let span = v.meta.map(|slot| self.full.row(slot)[column]);
+            span.is_none_or(|span| written(span, floor))
+        };
+        if slot_wrote(IN_EDGES, floor.in_edges) {
+            return EdgeLists::ALL;
+        }
+        let ([hot_in, hot_out], remote) = (j.marks.1, slot_wrote(OUT_REMOTE, floor.out_remote));
+        let lists = [
+            (EdgeLists::IN_EDGES, written(v.in_edges, hot_in)),
+            (EdgeLists::OUT_LOCAL, written(v.out_local, hot_out)),
+            (EdgeLists::OUT_REMOTE, remote),
+        ];
+        let wrote = lists.into_iter().filter(|&(_, wrote)| wrote);
+        wrote.fold(EdgeLists::NONE, |all, (list, _)| all | list)
     }
 
     /// Saves the header of the copy at `pos` before its first change in an

@@ -173,6 +173,50 @@ impl MasterMeta {
     }
 }
 
+/// Which of an edge-cut full state's three edge lists — the in-edges with
+/// their sources, `out_local_owner`, `out_remote` — a shipped record carries,
+/// as three bits. A Migration refresh (§5.2) carries the lists its episode
+/// changed and the location tables always; the receiver keeps the lists it
+/// is not sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeLists(u8);
+
+impl EdgeLists {
+    /// The location tables alone.
+    pub const NONE: EdgeLists = EdgeLists(0);
+    /// The in-edges, `(owner-local position, weight)`, and their sources.
+    pub const IN_EDGES: EdgeLists = EdgeLists(1);
+    /// `out_local_owner`.
+    pub const OUT_LOCAL: EdgeLists = EdgeLists(2);
+    /// `out_remote`.
+    pub const OUT_REMOTE: EdgeLists = EdgeLists(4);
+    /// All three.
+    pub const ALL: EdgeLists = EdgeLists(7);
+
+    /// The three bits.
+    pub fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// The lists `bits` name, or `None` if a bit past the third is set.
+    pub fn from_bits(bits: u8) -> Option<EdgeLists> {
+        (bits <= Self::ALL.0).then_some(EdgeLists(bits))
+    }
+
+    /// Whether every list of `lists` is among these.
+    pub fn contains(self, lists: EdgeLists) -> bool {
+        self.0 & lists.0 == lists.0
+    }
+}
+
+impl std::ops::BitOr for EdgeLists {
+    type Output = EdgeLists;
+
+    fn bitor(self, more: EdgeLists) -> EdgeLists {
+        EdgeLists(self.0 | more.0)
+    }
+}
+
 /// One copy's full state, borrowed from wherever it is stored: the fields of
 /// [`MasterMeta`] as slices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -199,6 +243,23 @@ impl<'a> FullStateRef<'a> {
             out_local_owner: self.out_local_owner.to_vec(),
             out_remote: self.out_remote.to_vec(),
         }
+    }
+
+    /// This full state with the edge lists `lists` does not name emptied:
+    /// what a record carrying just those holds.
+    pub fn carrying(self, lists: EdgeLists) -> Self {
+        let mut carried = FullStateRef::tables(self.locations);
+        if lists.contains(EdgeLists::IN_EDGES) {
+            (carried.in_edges_owner, carried.in_edge_srcs) =
+                (self.in_edges_owner, self.in_edge_srcs);
+        }
+        if lists.contains(EdgeLists::OUT_LOCAL) {
+            carried.out_local_owner = self.out_local_owner;
+        }
+        if lists.contains(EdgeLists::OUT_REMOTE) {
+            carried.out_remote = self.out_remote;
+        }
+        carried
     }
 
     /// Tables alone: the whole of a vertex-cut copy's full state.
@@ -252,6 +313,38 @@ impl SlotId {
     pub(crate) fn index(self) -> usize {
         self.0.get() as usize - 1
     }
+}
+
+/// How a local graph of either engine ships full state to other nodes and
+/// takes it in — Migration's mirror batches (§5.2), a store per destination,
+/// each slot carrying its tables and, edge-cut, the edge lists asked for.
+pub trait FullStateBatches {
+    /// The full state of the copies at `records` — a position and the edge
+    /// lists to carry — in that order, as it ships to another node: a store
+    /// sized once, a slot each, and the lists each slot carries (none for a
+    /// vertex-cut copy, whose full state is its tables).
+    ///
+    /// # Panics
+    ///
+    /// Panics if one of the copies carries no full state.
+    fn export_full_states(&self, records: &[(u32, EdgeLists)]) -> (FullState, Vec<EdgeLists>);
+
+    /// Adopts batches of full state: for each `(positions, batch, lists)`,
+    /// the `i`-th slot of `batch` becomes the full state of the copy at
+    /// `positions[i]` — its tables and the edge lists `lists[i]` names, or
+    /// all of them when `lists` is empty. A list a slot does not carry is
+    /// kept as the copy holds it, neither written nor journaled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch, its positions and its lists differ in length, or
+    /// if a copy without full state is not sent all of it.
+    fn adopt_full_states(&mut self, batches: &[(&[u32], &FullState, &[EdgeLists])]);
+
+    /// The edge lists of the master at `pos` that may differ from what its
+    /// mirrors held when the open recovery episode began: all of them
+    /// without an open episode, none for a vertex-cut copy.
+    fn changed_lists(&self, pos: u32) -> EdgeLists;
 }
 
 /// A run of a column: where one slot's list starts and how long it is.
@@ -712,9 +805,11 @@ impl FullState {
         first
     }
 
-    /// Replaces what `slot` holds by `state`; lists equal to what is stored
-    /// are not written, and runs an open episode found are not overwritten.
-    pub(crate) fn set(&mut self, slot: SlotId, state: FullStateRef<'_>) {
+    /// Replaces what `slot` holds by `state`: its tables and the edge lists
+    /// `lists` names — the others stay as they are, neither written nor
+    /// journaled. Lists equal to what is stored are not written, and runs an
+    /// open episode found are not overwritten.
+    pub(crate) fn set(&mut self, slot: SlotId, state: FullStateRef<'_>, lists: EdgeLists) {
         self.set_locations(slot, state.locations);
         if self.rows.is_empty() && state.lens().total() == 0 {
             return;
@@ -728,10 +823,16 @@ impl FullState {
             out_remote,
             ..
         } = state;
-        (self.in_edges).replace(&mut ins, in_edges_owner.iter().copied(), floor.in_edges);
-        (self.in_srcs).replace(&mut srcs, in_edge_srcs.iter(), floor.in_srcs);
-        (self.out_local).replace(&mut fed, out_local_owner.iter().copied(), floor.out_local);
-        (self.out_remote).replace(&mut remote, out_remote.iter().copied(), floor.out_remote);
+        if lists.contains(EdgeLists::IN_EDGES) {
+            (self.in_edges).replace(&mut ins, in_edges_owner.iter().copied(), floor.in_edges);
+            (self.in_srcs).replace(&mut srcs, in_edge_srcs.iter(), floor.in_srcs);
+        }
+        if lists.contains(EdgeLists::OUT_LOCAL) {
+            (self.out_local).replace(&mut fed, out_local_owner.iter().copied(), floor.out_local);
+        }
+        if lists.contains(EdgeLists::OUT_REMOTE) {
+            (self.out_remote).replace(&mut remote, out_remote.iter().copied(), floor.out_remote);
+        }
         self.write_row(slot, [ins, srcs, fed, remote], before);
     }
 
@@ -885,7 +986,7 @@ mod tests {
             in_edge_srcs: vec![Vid::new(7)],
             ..MasterMeta::default()
         };
-        store.set(SlotId::from_index(1), edged.view());
+        store.set(SlotId::from_index(1), edged.view(), EdgeLists::ALL);
         assert_eq!((store.rows.len(), store.nth(0)), (2, states[0]));
         whole.extend_from(&store);
         assert_eq!((whole.len(), whole.rows.len()), (4, 4));

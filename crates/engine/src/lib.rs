@@ -17,7 +17,9 @@
 //! * [`Episode`] — the journal a local graph keeps while a recovery attempt
 //!   that may still abort rewrites it, so that undoing the attempt costs
 //!   what it changed; [`FullState`] — the columnar store both engines keep
-//!   full state in, and it travels in between nodes;
+//!   full state in, and it travels in between nodes, a batch at a time
+//!   ([`FullStateBatches`]), each record carrying the edge lists its
+//!   receiver lacks ([`EdgeLists`]);
 //! * pure, single-node compute steps ([`ec_compute`], [`ec_commit`],
 //!   [`vc_partial_gather`], …) that the distributed runner in the
 //!   `imitator` crate drives via the simulated cluster.
@@ -46,8 +48,8 @@ pub use ecut::{build_edge_cut_graphs, CopyKind, EcLocalGraph, EcVertex};
 pub use episode::{Episode, PosSet};
 pub use ftplan::FtPlan;
 pub use full_state::{
-    ColumnLens, CopyVids, FullState, FullStateRef, InEdgeSrcs, MasterMeta, RemoteEdge, SlotId,
-    StoreLens,
+    ColumnLens, CopyVids, EdgeLists, FullState, FullStateBatches, FullStateRef, InEdgeSrcs,
+    MasterMeta, RemoteEdge, SlotId, StoreLens,
 };
 pub use locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
 pub use program::{Degrees, VertexProgram};

@@ -8,7 +8,7 @@ use imitator_partition::VertexCut;
 use crate::ecut::CopyKind;
 use crate::episode::VcJournal;
 use crate::ftplan::FtPlan;
-use crate::full_state::{FullState, FullStateRef, SlotId, StoreLens};
+use crate::full_state::{EdgeLists, FullState, FullStateBatches, FullStateRef, SlotId, StoreLens};
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
 use crate::locations::{Locations, LocationsRef};
 use crate::program::{Degrees, VertexProgram};
@@ -216,22 +216,6 @@ impl<V> VcLocalGraph<V> {
         self.full.lens()
     }
 
-    /// Adopts batches of full state: for each `(positions, batch)`, the
-    /// tables in the `i`-th slot of `batch` become the full state of the
-    /// copy at `positions[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch and its positions differ in length.
-    pub fn adopt_full_states(&mut self, batches: &[(&[u32], &FullState)]) {
-        for &(positions, batch) in batches {
-            assert_eq!(positions.len(), batch.len(), "one position per slot");
-            for (i, &pos) in positions.iter().enumerate() {
-                self.set_locations(pos, batch.nth(i).locations);
-            }
-        }
-    }
-
     /// Inserts `vertex` at `pos`, growing the array with placeholder holes
     /// as needed (position-addressed Rebirth reconstruction).
     ///
@@ -304,6 +288,32 @@ impl<V> VcLocalGraph<V> {
         if let Err(violation) = self.validate() {
             panic!("{violation}");
         }
+    }
+}
+
+/// A vertex-cut copy's full state is its location tables: a batch carries
+/// those alone, and which edge lists a slot carries says nothing here.
+impl<V> FullStateBatches for VcLocalGraph<V> {
+    fn export_full_states(&self, records: &[(u32, EdgeLists)]) -> (FullState, Vec<EdgeLists>) {
+        let tables = |pos: u32| {
+            let tables = self.locations(pos);
+            tables.unwrap_or_else(|| panic!("copy at {pos} carries no full state"))
+        };
+        let states = records.iter().map(|r| FullStateRef::tables(tables(r.0)));
+        (FullState::of(states), Vec::new())
+    }
+
+    fn adopt_full_states(&mut self, batches: &[(&[u32], &FullState, &[EdgeLists])]) {
+        for &(positions, batch, _) in batches {
+            assert_eq!(positions.len(), batch.len(), "one position per slot");
+            for (i, &pos) in positions.iter().enumerate() {
+                self.set_locations(pos, batch.nth(i).locations);
+            }
+        }
+    }
+
+    fn changed_lists(&self, _pos: u32) -> EdgeLists {
+        EdgeLists::NONE
     }
 }
 

@@ -10,8 +10,8 @@
 use imitator_cluster::NodeId;
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
-    Episode, FtPlan, FullState, FullStateRef, Locations, RemoteEdge, VcEdge, VcLocalGraph,
-    VcVertex, VertexProgram,
+    EdgeLists, Episode, FtPlan, FullState, FullStateBatches, FullStateRef, Locations, RemoteEdge,
+    VcEdge, VcLocalGraph, VcVertex, VertexProgram,
 };
 use imitator_graph::{gen, Graph, Ragged, Vid};
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
@@ -175,19 +175,48 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
     for &pos in &upgraded {
         lg.set_kind(pos, CopyKind::Mirror);
     }
-    lg.adopt_full_states(&[(&upgraded, &batch)]);
-    // Refreshes of loaded mirrors: record by record, some lists as stored.
+    lg.adopt_full_states(&[(&upgraded, &batch, &[])]);
+    // Refreshes of loaded mirrors: record by record, some lists as stored,
+    // each record carrying some of its lists; a mirror keeps the others.
     let mirrors: Vec<u32> = (0..loaded)
         .filter(|&p| lg.verts[p as usize].kind == CopyKind::Mirror)
         .take(upgraded.len())
         .collect();
-    let mut refresh = FullState::default();
+    let held: Vec<_> = mirrors
+        .iter()
+        .map(|&p| lg.full_state(p).unwrap().to_meta())
+        .collect();
+    let (mut refresh, mut lists) = (FullState::default(), Vec::new());
     for (i, &pos) in mirrors.iter().enumerate() {
         let own = lg.full_state(pos).unwrap().to_meta();
         let other = batch.nth(i).to_meta();
-        refresh.push(if i % 2 == 0 { own.view() } else { other.view() });
+        let carried = EdgeLists::from_bits(i as u8 % 8).unwrap();
+        let sent = if i % 2 == 0 { own.view() } else { other.view() };
+        refresh.push(sent.carrying(carried));
+        lists.push(carried);
     }
-    lg.adopt_full_states(&[(&mirrors, &refresh)]);
+    lg.adopt_full_states(&[(&mirrors, &refresh, &lists)]);
+    for (i, &pos) in mirrors.iter().enumerate() {
+        let (now, sent, carried) = (lg.full_state(pos).unwrap(), refresh.nth(i), lists[i]);
+        let pick = |list| {
+            if carried.contains(list) {
+                sent
+            } else {
+                held[i].view()
+            }
+        };
+        assert_eq!(now.locations, sent.locations);
+        let ins = pick(EdgeLists::IN_EDGES);
+        assert_eq!(
+            (now.in_edges_owner, now.in_edge_srcs),
+            (ins.in_edges_owner, ins.in_edge_srcs)
+        );
+        assert_eq!(
+            now.out_local_owner,
+            pick(EdgeLists::OUT_LOCAL).out_local_owner
+        );
+        assert_eq!(now.out_remote, pick(EdgeLists::OUT_REMOTE).out_remote);
+    }
     changed + mirrors.len()
 }
 
@@ -347,7 +376,7 @@ fn an_edit_that_changes_nothing_journals_nothing() {
         }
         let tables = held.iter().map(|&pos| lg.locations(pos).unwrap());
         let same = FullState::of(tables.map(FullStateRef::tables));
-        lg.adopt_full_states(&[(&held, &same)]);
+        lg.adopt_full_states(&[(&held, &same, &[])]);
         assert_eq!((lg.journal_bytes(), vc_lens(&lg)), (idle, loaded));
     }
 }

@@ -120,7 +120,13 @@ cd "$(dirname "$0")/.."
 #          index in the vertex-cut scratch went; a master folds its partials
 #          sender by sender instead of sorting every one by (position,
 #          sender) (DESIGN.md §4.4).
-BUDGET=3731
+#   3729 — Migration ships what the mirror lacks: exporting and adopting
+#          mirror batches, and naming the lists an episode changed, are the
+#          engine's `FullStateBatches`, which `ModelGraph` extends as it
+#          extends `Episode`, so `ModelGraph::{export_metas, adopt_metas}`
+#          and both runners' forwards went; that paid for R7 choosing per
+#          record which lists to send (DESIGN.md §4.5).
+BUDGET=3729
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do
