@@ -38,19 +38,15 @@ use crate::columns::{
 };
 use crate::driver::ModelGraph;
 
-/// An edge-cut copy's kind and flags in one byte, as a graph snapshot and a
-/// Rebirth entry write them: kind (2 bits) | active | last_activate | has
-/// full state.
-pub(crate) fn ec_copy_flags(kind: CopyKind, active: bool, last_activate: bool, meta: bool) -> u8 {
+/// An edge-cut copy's kind and flags in one byte, as a graph snapshot writes
+/// them: kind (2 bits) | active | last_activate | has full state.
+fn ec_copy_flags(kind: CopyKind, active: bool, last_activate: bool, meta: bool) -> u8 {
     kind.bits() | u8::from(active) << 2 | u8::from(last_activate) << 3 | u8::from(meta) << 4
 }
 
 /// Reads a copy's flag byte of `width` bits — its kind in the low two, then
 /// flags — rejecting a higher bit set or a kind no copy has.
-pub(crate) fn dec_copy_flags(
-    r: &mut Reader<'_>,
-    width: u32,
-) -> Result<(CopyKind, u8), DecodeError> {
+fn dec_copy_flags(r: &mut Reader<'_>, width: u32) -> Result<(CopyKind, u8), DecodeError> {
     let flags = r.take(1)?[0];
     if flags >> width != 0 {
         return Err(DecodeError::Corrupt("vertex flags"));
@@ -84,7 +80,7 @@ fn dec_table_count(r: &mut Reader<'_>) -> Result<usize, DecodeError> {
     Ok(n)
 }
 
-/// [`dec_locations`] into `m`, reusing its allocation.
+/// Reads [`enc_locations`] back into `m`, reusing its allocation.
 pub(crate) fn dec_locations_into(r: &mut Reader<'_>, m: &mut Locations) -> Result<(), DecodeError> {
     let mut words = std::mem::take(m).into_words();
     words.clear();
@@ -102,12 +98,6 @@ pub(crate) fn dec_locations_into(r: &mut Reader<'_>, m: &mut Locations) -> Resul
     }
     *m = Locations::from_words(master_pos, nr, words);
     Ok(())
-}
-
-pub(crate) fn dec_locations(r: &mut Reader<'_>) -> Result<Locations, DecodeError> {
-    let mut m = Locations::default();
-    dec_locations_into(r, &mut m)?;
-    Ok(m)
 }
 
 /// The four column totals of a full-state store, ahead of the store itself
@@ -164,8 +154,8 @@ fn dec_remote_edge(r: &mut Reader<'_>) -> Result<RemoteEdge, DecodeError> {
     })
 }
 
-/// An edge-cut copy's full state as a Rebirth entry carries it: all of it.
-pub(crate) fn enc_meta<S: Sink>(m: FullStateRef<'_>, buf: &mut S) {
+/// An edge-cut mirror's full state as a graph snapshot writes it: all of it.
+fn enc_meta<S: Sink>(m: FullStateRef<'_>, buf: &mut S) {
     enc_lists(m, EdgeLists::ALL, None, buf);
 }
 
@@ -201,8 +191,8 @@ pub(crate) fn enc_lists<S: Sink>(
     }
 }
 
-/// [`dec_meta`] into `m`, reusing its lists' allocations.
-pub(crate) fn dec_meta_into(r: &mut Reader<'_>, m: &mut MasterMeta) -> Result<(), DecodeError> {
+/// Reads [`enc_meta`] back into `m`, reusing its lists' allocations.
+fn dec_meta_into(r: &mut Reader<'_>, m: &mut MasterMeta) -> Result<(), DecodeError> {
     dec_lists_into(r, EdgeLists::ALL, None, m)
 }
 
@@ -242,16 +232,9 @@ pub(crate) fn dec_lists_into(
     Ok(())
 }
 
-pub(crate) fn dec_meta(r: &mut Reader<'_>) -> Result<MasterMeta, DecodeError> {
-    let mut m = MasterMeta::default();
-    dec_meta_into(r, &mut m)?;
-    Ok(m)
-}
-
-/// An edge-cut copy's two edge lists as a graph snapshot and a Rebirth
-/// entry carry them: in-edges as `(source position, weight)`, then local
-/// out-edge targets.
-pub(crate) fn enc_edge_lists<S: Sink>(in_edges: &[(u32, f32)], out_local: &[u32], buf: &mut S) {
+/// An edge-cut copy's two edge lists as a graph snapshot carries them:
+/// in-edges as `(source position, weight)`, then local out-edge targets.
+fn enc_edge_lists<S: Sink>(in_edges: &[(u32, f32)], out_local: &[u32], buf: &mut S) {
     enc_count(in_edges.len(), buf);
     for &(s, w) in in_edges {
         enc_u32(s, buf);
@@ -264,7 +247,7 @@ pub(crate) fn enc_edge_lists<S: Sink>(in_edges: &[(u32, f32)], out_local: &[u32]
 }
 
 /// Reads [`enc_edge_lists`] back into the two lists, reusing them.
-pub(crate) fn dec_edge_lists_into(
+fn dec_edge_lists_into(
     r: &mut Reader<'_>,
     in_edges: &mut Vec<(u32, f32)>,
     out_local: &mut Vec<u32>,
@@ -891,6 +874,12 @@ pub(crate) mod tests {
     };
     use proptest::prelude::*;
 
+    /// Location tables read back alone.
+    pub(crate) fn dec_tables(bytes: &[u8]) -> Result<Locations, DecodeError> {
+        let mut tables = Locations::default();
+        dec_locations_into(&mut Reader::new(bytes), &mut tables).map(|()| tables)
+    }
+
     pub(crate) struct P;
     impl imitator_engine::VertexProgram for P {
         type Value = f64;
@@ -1129,7 +1118,7 @@ pub(crate) mod tests {
             bytes.resize(bytes.len() + 2 * replicas, 0);
             enc_count(mirrors, &mut bytes);
             bytes.resize(bytes.len() + mirrors, 0);
-            dec_locations(&mut Reader::new(&bytes))
+            dec_tables(&bytes)
         };
         let refused = Err(DecodeError::Corrupt("location table count"));
         assert_eq!(table(MAX_TABLE_NODES + 1, 0), refused);

@@ -27,7 +27,7 @@ use imitator_storage::codec::{Decode, Encode};
 use imitator_storage::{epoch, Dfs, EpochKind, WriteBehind};
 
 use crate::ckpt::GraphCodec;
-use crate::msg::{ProtoMsg, ReplicaGrant, VertexSync, WireEntry};
+use crate::msg::{ProtoMsg, RebirthBatch, ReplicaGrant, StoreCodec, VertexSync};
 use crate::recovery::{self, Abort, Adoption, Mig, MigEnv};
 use crate::report::RunReport;
 use crate::rt::{merge_outcomes, NodeOutcome, NodeState};
@@ -57,7 +57,7 @@ pub(crate) fn ckpt_epoch_kind(epoch: u64, interval: u64, incremental: bool) -> E
 /// The wire protocol a model speaks ([`ProtoMsg`] instantiated with its
 /// associated types).
 pub(crate) type Msg<M> =
-    ProtoMsg<<M as ComputeModel>::Value, <M as ComputeModel>::Accum, <M as ComputeModel>::Entry>;
+    ProtoMsg<<M as ComputeModel>::Value, <M as ComputeModel>::Accum, <M as ComputeModel>::Graph>;
 pub(crate) type Ctx<M> = NodeCtx<Msg<M>>;
 pub(crate) type St<M> = NodeState<Msg<M>>;
 
@@ -168,7 +168,7 @@ pub(crate) fn no_full_state(vid: Vid, kind: CopyKind) -> ! {
 ///
 /// Hooks with defaults are genuinely optional; everything else is the
 /// model-specific remainder after unification. Reconstruction primitives
-/// (`replica_entry` .. `adopt_partition`) are composed by `recovery.rs`
+/// (`place_reborn` .. `adopt_partition`) are composed by `recovery.rs`
 /// into the Rebirth / Migration / checkpoint state machines.
 pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// Vertex value.
@@ -177,10 +177,15 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     type Prog: VertexProgram<Value = Self::Value>;
     /// Gather accumulator (`()` when gather is fused into local compute).
     type Accum: Clone + Send + Encode + Decode + 'static;
-    /// Rebirth recovery entry, with its wire codec.
-    type Entry: WireEntry;
-    /// Local graph, with its DFS codec; the node's thread owns it.
-    type Graph: ModelGraph<Value = Self::Value> + GraphCodec + MemSize + Send + 'static;
+    /// Local graph, with its DFS codec and the codec of the full-state
+    /// stores it ships; the node's thread owns it.
+    type Graph: ModelGraph<Value = Self::Value>
+        + GraphCodec
+        + StoreCodec
+        + Clone
+        + MemSize
+        + Send
+        + 'static;
     /// Per-node steady-state scratch reused across iterations.
     type Scratch: Send;
     /// Migration bookkeeping the model threads between rounds.
@@ -190,7 +195,7 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     const PREFIX: &'static str;
 
     /// The program: its `derive` completes every value that enters a node (a
-    /// sync record, a Rebirth entry, a Migration grant or fresh mirror, a
+    /// sync record, a Rebirth record, a Migration grant or fresh mirror, a
     /// graph or a snapshot read back from the DFS) before anything reads it.
     fn prog(&self) -> &Self::Prog;
     fn init_scratch(&self, shared: &Shared<Self>) -> Self::Scratch;
@@ -225,21 +230,14 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// (the sparse engine replays it; the dense engine has none).
     fn scatter_bit(&self, lg: &Self::Graph, pos: u32) -> bool;
     fn empty_graph(&self, me: NodeId) -> Self::Graph;
-    /// Rebirth entry recreating the crashed node's replica of the copy at
-    /// `pos` (which lived at `rpos` there, as `kind`).
-    fn replica_entry(
+    /// Places a survivor's Rebirth batch on the newbie: every record at the
+    /// position it names, its value derived, then the store adopted.
+    fn place_reborn(
         &self,
-        lg: &Self::Graph,
-        pos: u32,
-        dead_node: NodeId,
-        rpos: u32,
-        kind: CopyKind,
-    ) -> Self::Entry;
-    /// Rebirth entry recreating the crashed master from this mirror.
-    fn master_entry(&self, lg: &Self::Graph, pos: u32) -> Self::Entry;
-    fn entry_edges(&self, e: &Self::Entry) -> u64;
-    /// Places a Rebirth entry at the position it names, its value derived.
-    fn insert_entry(&self, lg: &mut Self::Graph, e: Self::Entry, degrees: &Degrees);
+        lg: &mut Self::Graph,
+        batch: RebirthBatch<Self::Value>,
+        degrees: &Degrees,
+    );
     /// The DFS files recovering `dead` reloads on this node besides what
     /// survivors send (edge-ckpt files), in the order it consumes them; the
     /// attempt reads them ahead. A newbie is the one `dead` node, reborn.

@@ -111,11 +111,6 @@ pub enum FtMode {
 }
 
 impl FtMode {
-    /// Whether replication-based fault tolerance is active.
-    pub fn is_replication(&self) -> bool {
-        matches!(self, FtMode::Replication { .. })
-    }
-
     /// Whether checkpoints are incremental: only dirtied masters are tracked
     /// and written, and recovery replays the base + delta chain.
     pub(crate) fn is_incremental_ckpt(&self) -> bool {

@@ -10,21 +10,22 @@
 //! recovery message is one tag byte and then the same
 //! [column primitives](crate::columns) (DESIGN.md §4.6 has every layout).
 
+use std::marker::PhantomData;
+
 use imitator_cluster::{NodeId, WireCodec};
 use imitator_engine::{
-    CopyKind, EdgeLists, FullState, FullStateRef, Locations, MasterMeta, StoreLens,
+    CopyKind, EcLocalGraph, EdgeLists, FullState, FullStateRef, Locations, MasterMeta, StoreLens,
+    VcLocalGraph,
 };
 use imitator_graph::Vid;
 use imitator_storage::codec::{Decode, DecodeError, Encode, Reader, Sink};
 
 use crate::ckpt::{
-    dec_column_lens, dec_copy_flags, dec_edge_lists_into, dec_lists_into, dec_locations,
-    dec_locations_into, dec_meta, ec_copy_flags, enc_column_lens, enc_edge_lists, enc_lists,
-    enc_locations, enc_meta,
+    dec_column_lens, dec_lists_into, dec_locations_into, enc_column_lens, enc_lists, enc_locations,
 };
 use crate::columns::{
-    dec_bits, dec_count, dec_deltas, dec_node, dec_u32, dec_u64, dec_vid, enc_bits, enc_count,
-    enc_deltas, enc_node, enc_u32, enc_u64, enc_vid,
+    dec_bits, dec_count, dec_deltas, dec_node, dec_u32, dec_u64, enc_bits, enc_count, enc_deltas,
+    enc_node, enc_u32, enc_u64,
 };
 use crate::wire::{
     dec_gather_body, dec_sync_body, encode_gather_frame, put_sync_head, GATHER_FRAME_TAG,
@@ -36,7 +37,7 @@ use crate::wire::{
 /// dynamic-state refresh: `activate` is the scatter bit the mirror stores
 /// for activation replay (§5.1.3).
 ///
-/// Position-addressed, like the recovery entries (§5.1.2): the master knows
+/// Position-addressed, like a Rebirth record (§5.1.2): the master knows
 /// every replica's array position on its destination node, so the receiver
 /// applies the record straight into its vertex array — no per-record
 /// ID-to-position lookup on the hot path.
@@ -48,36 +49,6 @@ pub struct VertexSync<V> {
     pub value: V,
     /// The scatter decision of this update.
     pub activate: bool,
-}
-
-/// One recovered vertex copy, shipped to the node reconstructing it.
-///
-/// Position-addressed (§5.1.2): the receiver places it straight into its
-/// vertex array slot, no lookups, no contention.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EcRecoverEntry<V> {
-    /// The vertex.
-    pub vid: Vid,
-    /// Array position on the node being reconstructed.
-    pub pos: u32,
-    /// Role the copy had there.
-    pub kind: CopyKind,
-    /// Node mastering the vertex (post-recovery view).
-    pub master_node: NodeId,
-    /// Last committed value.
-    pub value: V,
-    /// Last synchronised scatter bit, replayed to rebuild activation.
-    pub last_activate: bool,
-    /// Whether the master considers the vertex active (only meaningful when
-    /// `kind` is `Master` and the sender *is* the master's own node — for
-    /// mirror-recovered masters activation comes from replay instead).
-    pub active: bool,
-    /// In-edges in reconstructed-node-local positions (masters only).
-    pub in_edges: Vec<(u32, f32)>,
-    /// Out-edge targets in reconstructed-node-local positions.
-    pub out_local: Vec<u32>,
-    /// Full state (masters and mirrors).
-    pub meta: Option<Box<MasterMeta>>,
 }
 
 /// Migration round 1: a mirror promoted itself to master (§5.2.1).
@@ -138,20 +109,22 @@ pub struct MirrorBatch<V> {
 }
 
 /// The model-generic cluster protocol, parameterized by value `V`, gather
-/// accumulator `A` and Rebirth recovery entry `E`.
+/// accumulator `A` and the engine's local graph `G`, whose [`StoreCodec`]
+/// writes the full-state stores a Rebirth and a mirror batch carry.
 ///
 /// Both compute models speak this one protocol; the [`EcMsg`] and [`VcMsg`]
 /// aliases pin the type parameters per model (the edge-cut model never
 /// sends `Gather` — its gather is fused into local compute).
 #[derive(Debug, Clone, PartialEq)]
-pub enum ProtoMsg<V, A, E> {
+pub enum ProtoMsg<V, A, G> {
     /// Gather phase: partial accumulators, edge holder → master
     /// (vertex-cut only).
     Gather(Vec<(Vid, A)>),
     /// Normal-execution value synchronisation, master → replicas.
     Sync(Vec<VertexSync<V>>),
-    /// Rebirth: survivor → newbie reconstruction batch.
-    Rebirth(Box<RebirthBatch<E>>),
+    /// Rebirth: survivor → newbie reconstruction batch; `G` names the codec
+    /// of its store (a type parameter must appear in some variant).
+    Rebirth(Box<RebirthBatch<V>>, PhantomData<G>),
     /// Migration R1: promotions performed by the sender.
     Promote(Vec<Promotion>),
     /// Migration R2: the sender needs replicas of these vertices.
@@ -164,41 +137,61 @@ pub enum ProtoMsg<V, A, E> {
     MirrorUpdate(Box<MirrorBatch<V>>),
 }
 
-/// A survivor's complete contribution to one Rebirth reconstruction.
+/// One copy a survivor recovers onto a newbie (§5.1.2): a record of a
+/// [`RebirthBatch`], placed straight into its slot of the newbie's vertex
+/// array, no lookups, no contention.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RebirthBatch<E> {
-    /// Iteration at which the cluster resumes after recovery.
-    pub resume_iter: u64,
-    /// Number of surviving nodes contributing batches (the newbie counts
-    /// arrivals against this).
-    pub num_survivors: u32,
-    /// Recovered copies.
-    pub entries: Vec<E>,
-}
-
-/// Edge-cut cluster messages ([`ProtoMsg`] instantiated for the edge-cut
-/// model; the unused `Gather` accumulator is `()`).
-pub type EcMsg<V> = ProtoMsg<V, (), EcRecoverEntry<V>>;
-
-/// Vertex-cut cluster messages.
-pub type VcMsg<V, A> = ProtoMsg<V, A, VcRecoverEntry<V>>;
-
-/// A vertex-cut recovered copy (no edges — those come from edge-ckpt files).
-#[derive(Debug, Clone, PartialEq)]
-pub struct VcRecoverEntry<V> {
+pub struct Reborn<V> {
     /// The vertex.
     pub vid: Vid,
     /// Array position on the node being reconstructed.
     pub pos: u32,
     /// Role the copy had there.
     pub kind: CopyKind,
+    /// Last synchronised scatter bit, replayed to rebuild activation.
+    pub last_activate: bool,
     /// Node mastering the vertex.
     pub master_node: NodeId,
     /// Last committed value.
     pub value: V,
-    /// Full state (masters and mirrors).
-    pub meta: Option<Box<Locations>>,
 }
+
+/// A survivor's complete contribution to one Rebirth reconstruction: the
+/// copies it recovers, what each plain replica among them feeds, and the
+/// full states of the masters and mirrors among them as one store — the
+/// form a mirror batch ships full state in. A master's in-edges and
+/// consumers, and a mirror's consumers, are read from its full state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RebirthBatch<V> {
+    /// Iteration at which the cluster resumes after recovery.
+    pub resume_iter: u64,
+    /// Number of surviving nodes contributing batches (the newbie counts
+    /// arrivals against this).
+    pub num_survivors: u32,
+    /// Recovered copies.
+    pub records: Vec<Reborn<V>>,
+    /// How many entries of `consumers` each plain replica record has, in
+    /// record order.
+    pub replica_lists: Vec<u32>,
+    /// The plain replicas' consumers — positions on the newbie, its
+    /// master's `out_remote` entries for the newbie — list after list.
+    pub consumers: Vec<u32>,
+    /// The full states of the master and mirror records, a slot each in
+    /// record order (vertex-cut: location tables only).
+    pub states: FullState,
+    /// The edge lists each slot carries ([`FullStateBatches`]: all three
+    /// edge-cut, none vertex-cut).
+    ///
+    /// [`FullStateBatches`]: imitator_engine::FullStateBatches
+    pub lists: Vec<EdgeLists>,
+}
+
+/// Edge-cut cluster messages ([`ProtoMsg`] instantiated for the edge-cut
+/// model; the unused `Gather` accumulator is `()`).
+pub type EcMsg<V> = ProtoMsg<V, (), EcLocalGraph<V>>;
+
+/// Vertex-cut cluster messages.
+pub type VcMsg<V, A> = ProtoMsg<V, A, VcLocalGraph<V>>;
 
 // ---------------------------------------------------------------------------
 // On-the-wire codec.
@@ -207,10 +200,11 @@ pub struct VcRecoverEntry<V> {
 // batch-shaped variants are the frames of [`crate::wire`], dispatched by
 // their frame tags. A recovery message writes every ID, node, position,
 // count and iteration as a uvarint, a list's vertex IDs (and Migration's
-// placed positions) as a delta column, a per-record bool as a bit of a bit
-// column, and a copy's kind and flags as one byte; full replica state is the
-// checkpoint meta codec's. Every encoder writes into a [`Sink`], so the same
-// walk that fills a socket's buffer counts a message's bytes.
+// placed and Rebirth's newbie positions) as a delta column, a per-record
+// bool or copy kind as bits of a bit column, and full state as one store per
+// message, written by the engine's [`StoreCodec`]. Every encoder writes into
+// a [`Sink`], so the same walk that fills a socket's buffer counts a
+// message's bytes.
 // ---------------------------------------------------------------------------
 
 const TAG_REBIRTH: u8 = 0x01;
@@ -232,22 +226,84 @@ fn dec_vids(r: &mut Reader<'_>) -> Result<Vec<Vid>, DecodeError> {
     Ok(dec_deltas(r, n)?.into_iter().map(Vid::new).collect())
 }
 
-fn enc_batch<E: Encode, S: Sink>(b: &RebirthBatch<E>, out: &mut S) {
+/// A Rebirth batch on the wire: the resume iteration and the survivor
+/// count; the vertex-ID and position delta columns; a four-bit column of
+/// kind (two bits) | scatter bit; each record's master node and value; the
+/// plain replicas' consumer total, their list lengths — left out when the
+/// total is 0, as in every vertex-cut batch — and the consumers, a uvarint
+/// each as a full state's `out_local_owner` (a list's positions need not
+/// ascend, nor do lists follow one another's); then the store's slot count
+/// and the store as the engine writes it ([`StoreCodec::enc_states`]).
+fn enc_batch<V: Encode, G: StoreCodec, S: Sink>(b: &RebirthBatch<V>, out: &mut S) {
     enc_u64(b.resume_iter, out);
     enc_u32(b.num_survivors, out);
-    enc_count(b.entries.len(), out);
-    for e in &b.entries {
-        e.encode(out);
+    enc_vids(b.records.iter().map(|r| r.vid), out);
+    enc_deltas(b.records.iter().map(|r| r.pos), out);
+    let kinds = b.records.iter();
+    let kinds = kinds.map(|r| r.kind.bits() | u8::from(r.last_activate) << 2);
+    enc_bits(4, kinds, out);
+    for r in &b.records {
+        enc_node(r.master_node, out);
+        r.value.encode(out);
     }
+    enc_count(b.consumers.len(), out);
+    if !b.consumers.is_empty() {
+        b.replica_lists.iter().for_each(|&n| enc_u32(n, out));
+    }
+    b.consumers.iter().for_each(|&pos| enc_u32(pos, out));
+    enc_count(b.states.len(), out);
+    G::enc_states(&b.states, &b.lists, out);
 }
 
-fn dec_batch<E: Decode>(r: &mut Reader<'_>) -> Result<RebirthBatch<E>, DecodeError> {
+/// Reads a Rebirth batch back, refusing kind bits that name no copy kind,
+/// list lengths that do not add up to the consumer total and a store of
+/// other than one slot per master and mirror record.
+fn dec_batch<V: Decode, G: StoreCodec>(r: &mut Reader<'_>) -> Result<RebirthBatch<V>, DecodeError> {
     let (resume_iter, num_survivors) = (dec_u64(r)?, dec_u32(r)?);
-    let n = dec_count(r)?;
+    let vids = dec_vids(r)?;
+    let positions = dec_deltas(r, vids.len())?;
+    let bits = dec_bits(r, 4, vids.len())?;
+    let mut records = Vec::with_capacity(vids.len());
+    for (i, (vid, pos)) in vids.into_iter().zip(positions).enumerate() {
+        let bits = bits.get(i);
+        let kind = CopyKind::from_bits(bits & 0b11).filter(|_| bits >> 3 == 0);
+        records.push(Reborn {
+            vid,
+            pos,
+            kind: kind.ok_or(DecodeError::Corrupt("copy kind"))?,
+            last_activate: bits & 0b100 != 0,
+            master_node: dec_node(r)?,
+            value: V::decode(r)?,
+        });
+    }
+    let replicas = records
+        .iter()
+        .filter(|r| r.kind == CopyKind::Replica)
+        .count();
+    let total = dec_count(r)?;
+    let replica_lists = match total {
+        0 => vec![0; replicas],
+        _ => (0..replicas)
+            .map(|_| dec_u32(r))
+            .collect::<Result<_, _>>()?,
+    };
+    if replica_lists.iter().map(|&n| u64::from(n)).sum::<u64>() != total as u64 {
+        return Err(DecodeError::Corrupt("replica list totals"));
+    }
+    let consumers = (0..total).map(|_| dec_u32(r)).collect::<Result<_, _>>()?;
+    let slots = records.len() - replicas;
+    if dec_count(r)? != slots {
+        return Err(DecodeError::Corrupt("store slots"));
+    }
+    let (states, lists) = G::dec_states(r, slots)?;
     Ok(RebirthBatch {
         resume_iter,
         num_survivors,
-        entries: (0..n).map(|_| E::decode(r)).collect::<Result<_, _>>()?,
+        records,
+        replica_lists,
+        consumers,
+        states,
+        lists,
     })
 }
 
@@ -317,8 +373,8 @@ fn dec_placed(r: &mut Reader<'_>) -> Result<Vec<(Vid, u32)>, DecodeError> {
 /// A mirror batch on the wire: the sender, the vertex-ID column, a two-bit
 /// column (scatter bit | carries a value), the values of the records whose
 /// bit says so, then the full-state store and the lists it carries as the
-/// model writes them ([`WireEntry::enc_states`]).
-fn enc_mirror_batch<V: Encode, E: WireEntry, S: Sink>(b: &MirrorBatch<V>, out: &mut S) {
+/// engine writes them ([`StoreCodec::enc_states`]).
+fn enc_mirror_batch<V: Encode, G: StoreCodec, S: Sink>(b: &MirrorBatch<V>, out: &mut S) {
     enc_node(b.master_node, out);
     enc_vids(b.vids.iter().copied(), out);
     let mut fresh = b.values.iter().map(|&(record, _)| record).peekable();
@@ -330,13 +386,13 @@ fn enc_mirror_batch<V: Encode, E: WireEntry, S: Sink>(b: &MirrorBatch<V>, out: &
     for (_, value) in &b.values {
         value.encode(out);
     }
-    E::enc_states(&b.metas, &b.lists, out);
+    G::enc_states(&b.metas, &b.lists, out);
 }
 
-/// Decodes a mirror batch; [`WireEntry::dec_states`] is handed the record
+/// Decodes a mirror batch; [`StoreCodec::dec_states`] is handed the record
 /// count and must come back with exactly that many full states (and list
 /// masks, if the model writes any).
-fn dec_mirror_batch<V: Decode, E: WireEntry>(
+fn dec_mirror_batch<V: Decode, G: StoreCodec>(
     r: &mut Reader<'_>,
 ) -> Result<MirrorBatch<V>, DecodeError> {
     let master_node = dec_node(r)?;
@@ -348,7 +404,7 @@ fn dec_mirror_batch<V: Decode, E: WireEntry>(
     for i in (0..n).filter(|&i| bits.get(i) & 2 != 0) {
         values.push((i as u32, V::decode(r)?));
     }
-    let (metas, lists) = E::dec_states(r, n)?;
+    let (metas, lists) = G::dec_states(r, n)?;
     Ok(MirrorBatch {
         vids,
         values,
@@ -359,57 +415,14 @@ fn dec_mirror_batch<V: Decode, E: WireEntry>(
     })
 }
 
-/// What differs between the two models' wire protocols: a Rebirth recovery
-/// entry (its own codec) and how a mirror batch's full-state store, and the
-/// edge lists each slot of it carries, are written.
-pub(crate) trait WireEntry: Encode + Decode + Clone + Send + 'static {
+/// What differs between the two engines' wire protocols: how the
+/// full-state store a mirror or Rebirth batch ships, and the edge lists each
+/// slot of it carries, are written.
+pub(crate) trait StoreCodec {
     fn enc_states<S: Sink>(metas: &FullState, lists: &[EdgeLists], out: &mut S);
     /// Reads back `n` full states and the lists they carry.
     fn dec_states(r: &mut Reader<'_>, n: usize)
         -> Result<(FullState, Vec<EdgeLists>), DecodeError>;
-}
-
-/// The copy as a graph snapshot writes it ([`crate::ckpt::encode_ec_graph`]),
-/// its position in place of the snapshot's implicit one and its full state
-/// always in message form.
-impl<V: Encode> Encode for EcRecoverEntry<V> {
-    fn encode<S: Sink>(&self, out: &mut S) {
-        enc_vid(self.vid, out);
-        enc_u32(self.pos, out);
-        let meta = self.meta.is_some();
-        let flags = ec_copy_flags(self.kind, self.active, self.last_activate, meta);
-        out.put_byte(flags);
-        enc_node(self.master_node, out);
-        self.value.encode(out);
-        enc_edge_lists(&self.in_edges, &self.out_local, out);
-        if let Some(m) = &self.meta {
-            enc_meta(m.view(), out);
-        }
-    }
-}
-
-impl<V: Decode> Decode for EcRecoverEntry<V> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let (vid, pos) = (dec_vid(r)?, dec_u32(r)?);
-        let (kind, flags) = dec_copy_flags(r, 5)?;
-        let (master_node, value) = (dec_node(r)?, V::decode(r)?);
-        let (mut in_edges, mut out_local) = (Vec::new(), Vec::new());
-        dec_edge_lists_into(r, &mut in_edges, &mut out_local)?;
-        Ok(EcRecoverEntry {
-            vid,
-            pos,
-            kind,
-            master_node,
-            value,
-            last_activate: flags & 0b1000 != 0,
-            active: flags & 0b100 != 0,
-            in_edges,
-            out_local,
-            meta: (flags & 0b1_0000 != 0)
-                .then(|| dec_meta(r).map(Box::new))
-                .transpose()?,
-        })
-    }
 }
 
 /// The weight every in-edge of `metas` has, to the bit, if it has any.
@@ -420,7 +433,7 @@ fn uniform_weight(metas: &FullState) -> Option<f32> {
     weights.all(|w| w == first).then(|| f32::from_bits(first))
 }
 
-impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for EcRecoverEntry<V> {
+impl<V> StoreCodec for EcLocalGraph<V> {
     /// The four column totals, so that the decoder sizes each column once;
     /// the lists each slot carries, a four-bit column; the weight column's
     /// flag byte — 1, then the one `f32` every in-edge of the batch weighs
@@ -475,39 +488,7 @@ impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for EcRecoverEntry<V
     }
 }
 
-/// The copy as a vertex-cut graph snapshot writes it, with its position:
-/// kind (2 bits) | has tables in its flag byte.
-impl<V: Encode> Encode for VcRecoverEntry<V> {
-    fn encode<S: Sink>(&self, out: &mut S) {
-        enc_vid(self.vid, out);
-        enc_u32(self.pos, out);
-        out.put_byte(self.kind.bits() | u8::from(self.meta.is_some()) << 2);
-        enc_node(self.master_node, out);
-        self.value.encode(out);
-        if let Some(m) = &self.meta {
-            enc_locations(m.view(), out);
-        }
-    }
-}
-
-impl<V: Decode> Decode for VcRecoverEntry<V> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let (vid, pos) = (dec_vid(r)?, dec_u32(r)?);
-        let (kind, flags) = dec_copy_flags(r, 3)?;
-        Ok(VcRecoverEntry {
-            vid,
-            pos,
-            kind,
-            master_node: dec_node(r)?,
-            value: V::decode(r)?,
-            meta: (flags & 0b100 != 0)
-                .then(|| dec_locations(r).map(Box::new))
-                .transpose()?,
-        })
-    }
-}
-
-impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for VcRecoverEntry<V> {
+impl<V> StoreCodec for VcLocalGraph<V> {
     /// Every slot's location tables, nothing else.
     fn enc_states<S: Sink>(metas: &FullState, lists: &[EdgeLists], out: &mut S) {
         debug_assert!(lists.is_empty(), "a vertex-cut full state has no lists");
@@ -541,7 +522,7 @@ impl<V: Encode + Decode + Clone + Send + 'static> WireEntry for VcRecoverEntry<V
 /// it: into a buffer it is the frame, into a [`ByteCount`] its size.
 ///
 /// [`ByteCount`]: imitator_storage::codec::ByteCount
-impl<V: Encode, A: Encode, E: WireEntry> Encode for ProtoMsg<V, A, E> {
+impl<V: Encode, A: Encode, G: StoreCodec> Encode for ProtoMsg<V, A, G> {
     fn encode<S: Sink>(&self, out: &mut S) {
         match self {
             ProtoMsg::Sync(recs) => {
@@ -551,9 +532,9 @@ impl<V: Encode, A: Encode, E: WireEntry> Encode for ProtoMsg<V, A, E> {
                 }
             }
             ProtoMsg::Gather(recs) => encode_gather_frame(recs.iter().map(|(v, a)| (*v, a)), out),
-            ProtoMsg::Rebirth(b) => {
+            ProtoMsg::Rebirth(b, _) => {
                 out.put_byte(TAG_REBIRTH);
-                enc_batch(b, out);
+                enc_batch::<V, G, S>(b, out);
             }
             ProtoMsg::Promote(ps) => {
                 out.put_byte(TAG_PROMOTE);
@@ -573,7 +554,7 @@ impl<V: Encode, A: Encode, E: WireEntry> Encode for ProtoMsg<V, A, E> {
             }
             ProtoMsg::MirrorUpdate(b) => {
                 out.put_byte(TAG_MIRROR_UPDATE);
-                enc_mirror_batch::<V, E, S>(b, out);
+                enc_mirror_batch::<V, G, S>(b, out);
             }
         }
     }
@@ -582,17 +563,17 @@ impl<V: Encode, A: Encode, E: WireEntry> Encode for ProtoMsg<V, A, E> {
 /// Reads one whole message: the input must end where the message does.
 /// Every count is held to the input before anything is sized from it, so
 /// what a decode reserves stays within a constant of the input's size.
-impl<V: Decode, A: Decode, E: WireEntry> Decode for ProtoMsg<V, A, E> {
+impl<V: Decode, A: Decode, G: StoreCodec> Decode for ProtoMsg<V, A, G> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let msg = match r.take(1)?[0] {
             SYNC_FRAME_TAG => ProtoMsg::Sync(dec_sync_body(r)?),
             GATHER_FRAME_TAG => ProtoMsg::Gather(dec_gather_body(r)?),
-            TAG_REBIRTH => ProtoMsg::Rebirth(Box::new(dec_batch(r)?)),
+            TAG_REBIRTH => ProtoMsg::Rebirth(Box::new(dec_batch::<V, G>(r)?), PhantomData),
             TAG_PROMOTE => ProtoMsg::Promote(dec_promotions(r)?),
             TAG_REPLICA_REQUEST => ProtoMsg::ReplicaRequest(dec_vids(r)?),
             TAG_REPLICA_GRANT => ProtoMsg::ReplicaGrant(dec_grants(r)?),
             TAG_REPLICA_PLACED => ProtoMsg::ReplicaPlaced(dec_placed(r)?),
-            TAG_MIRROR_UPDATE => ProtoMsg::MirrorUpdate(Box::new(dec_mirror_batch::<V, E>(r)?)),
+            TAG_MIRROR_UPDATE => ProtoMsg::MirrorUpdate(Box::new(dec_mirror_batch::<V, G>(r)?)),
             _ => return Err(DecodeError::Corrupt("message tag")),
         };
         match r.remaining() {
@@ -602,11 +583,11 @@ impl<V: Decode, A: Decode, E: WireEntry> Decode for ProtoMsg<V, A, E> {
     }
 }
 
-impl<V, A, E> WireCodec for ProtoMsg<V, A, E>
+impl<V, A, G> WireCodec for ProtoMsg<V, A, G>
 where
     V: Encode + Decode,
     A: Encode + Decode,
-    E: WireEntry,
+    G: StoreCodec,
 {
     fn encode_wire(&self, buf: &mut Vec<u8>) {
         self.encode(buf);
@@ -620,7 +601,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ckpt::tests::{arb_damage, arb_graph, arb_shape, damaged, plan_for, Damage, P};
+    use crate::ckpt::tests::{
+        arb_damage, arb_graph, arb_shape, damaged, dec_tables, plan_for, Damage, P,
+    };
     use imitator_algos::RankValue;
     use imitator_engine::{
         build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, FullStateBatches, RemoteEdge,
@@ -763,7 +746,7 @@ mod tests {
     }
 
     proptest! {
-        /// Location tables reach a node alone (a recovery entry, a snapshot)
+        /// Location tables reach a node alone (a snapshot)
         /// and by the batch (a vertex-cut mirror frame): damaged, either
         /// decodes to an error or to tables that hold together — never a
         /// panic, never a count past what a slot's head holds, never words
@@ -784,10 +767,10 @@ mod tests {
                     let tables = lg.locations(pos).unwrap();
                     let mut bytes = Vec::new();
                     enc_locations(tables, &mut bytes);
-                    let back = dec_locations(&mut Reader::new(&bytes));
+                    let back = dec_tables(&bytes);
                     prop_assert_eq!(back, Ok(tables.to_owned()));
                     let bad = damaged(bytes, &damage);
-                    if let Ok(back) = dec_locations(&mut Reader::new(&bad)) {
+                    if let Ok(back) = dec_tables(&bad) {
                         let back = back.view();
                         let named = back.replica_nodes().len() + back.mirror_nodes().len();
                         prop_assert!(named <= bad.len());
@@ -821,45 +804,56 @@ mod tests {
         }
     }
 
-    /// An edge-cut Rebirth entry of every kind and shape, from `i`.
-    fn ec_entry(i: u32) -> EcRecoverEntry<f64> {
+    /// A Rebirth batch of `n` records of every kind, drawn from `seed`:
+    /// `state` gives each master and mirror record its full state (and,
+    /// edge-cut, the lists it carries); the plain replicas feed consumers
+    /// under an odd `seed` and none — no length column — under an even one.
+    fn rebirth_batch(
+        n: u32,
+        seed: u32,
+        state: &impl Fn(u32, &mut FullState, &mut Vec<EdgeLists>),
+    ) -> RebirthBatch<f64> {
         let kinds = [CopyKind::Master, CopyKind::Mirror, CopyKind::Replica];
-        EcRecoverEntry {
-            vid: Vid::new(i * 7 + 3),
-            pos: i,
-            kind: kinds[i as usize % 3],
-            master_node: NodeId::new(i % 4),
-            value: f64::from(i) - 2.5,
-            last_activate: i.is_multiple_of(2),
-            active: i % 4 == 1,
-            in_edges: (0..i % 3).map(|e| (e + i, e as f32)).collect(),
-            out_local: (0..i % 4).collect(),
-            meta: (i % 3 != 2).then(|| Box::new(meta(i, i % 3, &[1, 3]))),
+        let mut batch = RebirthBatch {
+            resume_iter: u64::from(seed),
+            num_survivors: n,
+            records: Vec::new(),
+            replica_lists: Vec::new(),
+            consumers: Vec::new(),
+            states: FullState::default(),
+            lists: Vec::new(),
+        };
+        for i in 0..n {
+            let kind = kinds[(i + seed) as usize % 3];
+            batch.records.push(Reborn {
+                vid: Vid::new(seed % 1000 + i * 7),
+                pos: (i * 5 + seed) % 64,
+                kind,
+                last_activate: (seed >> (i % 32)) & 1 != 0,
+                master_node: NodeId::new(i % 4),
+                value: f64::from(i) - 2.5,
+            });
+            if kind != CopyKind::Replica {
+                state(seed % 50 + i, &mut batch.states, &mut batch.lists);
+            } else if seed % 2 == 1 {
+                batch.consumers.extend((0..i % 4).map(|c| c * 9 + i));
+                batch.replica_lists.push(i % 4);
+            } else {
+                batch.replica_lists.push(0);
+            }
         }
-    }
-
-    fn vc_entry(i: u32) -> VcRecoverEntry<f64> {
-        let kinds = [CopyKind::Master, CopyKind::Mirror, CopyKind::Replica];
-        VcRecoverEntry {
-            vid: Vid::new(i * 5 + 1),
-            pos: i,
-            kind: kinds[i as usize % 3],
-            master_node: NodeId::new(i % 3),
-            value: f64::from(i) * 0.25,
-            meta: (i % 3 != 2).then(|| Box::new(meta(i, 0, &[0, 2]).locations)),
-        }
+        batch
     }
 
     /// One message of each of the eight variants, each of `n` records drawn
-    /// from `seed`; `entry` and `state` give the model's Rebirth entries and
-    /// mirror-batch full states (with the lists each carries, edge-cut).
-    fn every_variant<A, E>(
+    /// from `seed`; `state` gives the model's full states (with the lists
+    /// each carries, edge-cut) for the mirror and the Rebirth batch.
+    fn every_variant<A, G>(
         n: u32,
         seed: u32,
         accum: impl Fn(u32) -> A,
-        entry: impl Fn(u32) -> E,
         state: impl Fn(u32, &mut FullState, &mut Vec<EdgeLists>),
-    ) -> Vec<ProtoMsg<f64, A, E>> {
+    ) -> Vec<ProtoMsg<f64, A, G>> {
         let vid = |i: u32| Vid::new(seed % 100_000 + i * (seed % 13 + 1));
         let value = |i: u32| f64::from(i) * 0.5 - f64::from(seed % 7);
         let bit = |i: u32| (seed >> (i % 32)) & 1 != 0;
@@ -868,6 +862,7 @@ mod tests {
         for i in records.clone() {
             state(seed % 50 + i, &mut metas, &mut lists);
         }
+        let rebirth = rebirth_batch(n, seed, &state);
         vec![
             ProtoMsg::Sync(
                 records
@@ -880,11 +875,7 @@ mod tests {
                     .collect(),
             ),
             ProtoMsg::Gather(records.clone().map(|i| (vid(i), accum(i))).collect()),
-            ProtoMsg::Rebirth(Box::new(RebirthBatch {
-                resume_iter: u64::from(seed),
-                num_survivors: n,
-                entries: records.clone().map(entry).collect(),
-            })),
+            ProtoMsg::Rebirth(Box::new(rebirth), PhantomData),
             ProtoMsg::Promote(
                 records
                     .clone()
@@ -930,15 +921,15 @@ mod tests {
         ]
     }
 
-    /// Edge-cut variants: the mirror batch's records carry lists drawn from
-    /// their tags, and every in-edge of it weighs the same under an even
-    /// `seed` (one `f32` on the wire) and its own weight under an odd one.
+    /// Edge-cut variants: the full states of the mirror and the Rebirth
+    /// batch carry lists drawn from their tags, and every in-edge of a batch
+    /// weighs the same under an even `seed` (one `f32` on the wire) and its
+    /// own weight under an odd one.
     fn ec_variants(n: u32, seed: u32) -> Vec<EcMsg<f64>> {
         every_variant(
             n,
             seed,
             |_| (),
-            ec_entry,
             |tag, metas, lists| {
                 let mut m = meta(tag, tag % 4, &[1, 3]);
                 if seed.is_multiple_of(2) {
@@ -952,7 +943,7 @@ mod tests {
     }
 
     fn vc_variants(n: u32, seed: u32) -> Vec<VcMsg<f64, f64>> {
-        every_variant(n, seed, f64::from, vc_entry, |tag, metas, _| {
+        every_variant(n, seed, f64::from, |tag, metas, _| {
             metas.push(FullStateRef::tables(meta(tag, 0, &[1, 2]).locations.view()));
         })
     }
@@ -1007,7 +998,7 @@ mod tests {
         for (weights, uniform) in cases {
             let batch = weighted_batch(weights);
             let mut states = Vec::new();
-            EcRecoverEntry::<f64>::enc_states(&batch.metas, &batch.lists, &mut states);
+            EcLocalGraph::<f64>::enc_states(&batch.metas, &batch.lists, &mut states);
             assert_eq!(states[WEIGHT_FLAG], u8::from(uniform), "{weights:?}");
             let msg = EcMsg::MirrorUpdate(Box::new(batch.clone()));
             let mut frame = Vec::new();
@@ -1035,9 +1026,9 @@ mod tests {
     fn mirror_store_decoder_refuses_flags_masks_and_totals_no_encoder_writes() {
         let batch = weighted_batch(&[1.0, 2.0, 3.0]);
         let mut states = Vec::new();
-        EcRecoverEntry::<f64>::enc_states(&batch.metas, &batch.lists, &mut states);
+        EcLocalGraph::<f64>::enc_states(&batch.metas, &batch.lists, &mut states);
         let dec = |bytes: &[u8]| {
-            let back = EcRecoverEntry::<f64>::dec_states(&mut Reader::new(bytes), 2);
+            let back = EcLocalGraph::<f64>::dec_states(&mut Reader::new(bytes), 2);
             back.map(|(metas, lists)| (metas == batch.metas, lists))
         };
         assert_eq!(dec(&states), Ok((true, batch.lists.clone())));
@@ -1090,12 +1081,208 @@ mod tests {
         assert_eq!(roundtrip(&msg), PINNED);
     }
 
+    /// An edge-cut mirror batch — one record carrying every list, one its
+    /// in-edges alone, one of them with a value — writes the bytes it wrote
+    /// before Rebirth batches shipped their full state in the same store, in
+    /// either weight layout.
+    #[test]
+    fn an_edge_cut_mirror_batch_encodes_as_it_did() {
+        const UNIFORM: [u8; 53] = [
+            6, 1, 2, 0, 2, 8, 0, 0, 0, 0, 0, 0, 224, 191, 4, 4, 1, 2, 23, 1, 0, 0, 128, 63, 10, 1,
+            2, 12, 1, 2, 2, 10, 100, 11, 101, 1, 0, 2, 0, 70, 1, 71, 11, 1, 2, 13, 1, 2, 2, 11,
+            110, 12, 111,
+        ];
+        const WEIGHED: [u8; 65] = [
+            6, 1, 2, 0, 2, 8, 0, 0, 0, 0, 0, 0, 224, 191, 4, 4, 1, 2, 23, 0, 10, 1, 2, 12, 1, 2, 2,
+            10, 0, 0, 128, 63, 100, 11, 0, 0, 0, 64, 101, 1, 0, 2, 0, 70, 1, 71, 11, 1, 2, 13, 1,
+            2, 2, 11, 0, 0, 0, 63, 110, 12, 0, 0, 0, 63, 111,
+        ];
+        for (weights, pinned) in [
+            (&[1.0f32; 4][..], &UNIFORM[..]),
+            (&[1.0, 2.0, 0.5, 0.5], &WEIGHED),
+        ] {
+            let mut batch = weighted_batch(weights);
+            batch.values.push((1, -0.5));
+            let msg = EcMsg::MirrorUpdate(Box::new(batch));
+            assert_eq!(roundtrip(&msg), pinned, "{weights:?}");
+        }
+    }
+
+    /// Values no `==` holds equal to themselves or tells apart: what a
+    /// round trip is held to, bit by bit.
+    const ODD_VALUES: [f64; 6] = [
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+    ];
+
+    /// Encodes and decodes a Rebirth batch whose values are [`ODD_VALUES`]:
+    /// every record comes back with its value to the bit, and the rest of
+    /// the batch as it was. Returns the batch as decoded.
+    fn rebirth_roundtrip<G>(mut batch: RebirthBatch<f64>) -> RebirthBatch<f64>
+    where
+        G: StoreCodec + PartialEq + std::fmt::Debug,
+    {
+        let values = ODD_VALUES.iter().cycle();
+        for (r, &value) in batch.records.iter_mut().zip(values) {
+            r.value = value;
+        }
+        let msg = ProtoMsg::<f64, (), G>::Rebirth(Box::new(batch.clone()), PhantomData);
+        let mut frame = Vec::new();
+        msg.encode_wire(&mut frame);
+        assert_eq!(msg.encoded_len(), frame.len());
+        let Some(ProtoMsg::Rebirth(back, _)) = ProtoMsg::<f64, (), G>::decode_wire(&frame) else {
+            panic!("the frame does not decode");
+        };
+        let bits = |b: &RebirthBatch<f64>| {
+            let records = b.records.iter().cloned();
+            records
+                .map(|r| (r.value.to_bits(), Reborn { value: 0.0, ..r }))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&back), bits(&batch));
+        assert_eq!(
+            (&back.replica_lists, &back.consumers, &back.lists),
+            (&batch.replica_lists, &batch.consumers, &batch.lists)
+        );
+        assert_eq!(
+            (back.resume_iter, back.num_survivors),
+            (batch.resume_iter, batch.num_survivors)
+        );
+        assert_eq!(format!("{:?}", back.states), format!("{:?}", batch.states));
+        *back
+    }
+
+    /// An edge-cut Rebirth batch — masters and mirrors carrying every list,
+    /// in-edges weighing the same and not, plain replicas with consumers and
+    /// without — round-trips to the bit: values and weights alike.
+    #[test]
+    fn an_edge_cut_rebirth_batch_roundtrips_to_the_bit() {
+        let weights = [-0.0, 0.0, f32::from_bits(0x7FC0_1234), f32::INFINITY];
+        for (seed, uniform) in [(1, false), (3, true), (4, false), (6, true)] {
+            let batch = rebirth_batch(13, seed, &|tag, metas, lists| {
+                let mut m = meta(tag, 4, &[1, 3]);
+                for (edge, &w) in m.in_edges_owner.iter_mut().zip(weights.iter().cycle()) {
+                    edge.1 = if uniform { weights[2] } else { w };
+                }
+                metas.push(m.view());
+                lists.push(EdgeLists::ALL);
+            });
+            let back = rebirth_roundtrip::<EcLocalGraph<f64>>(batch.clone());
+            let weight_bits = |b: &RebirthBatch<f64>| {
+                let slots = (0..b.states.len()).map(|i| b.states.nth(i).in_edges_owner);
+                slots
+                    .flat_map(|e| e.iter().map(|e| e.1.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(weight_bits(&back), weight_bits(&batch), "seed {seed}");
+        }
+    }
+
+    /// A vertex-cut Rebirth batch — tables for its masters and mirrors, no
+    /// consumers — round-trips to the bit, and writes no list-length column.
+    #[test]
+    fn a_vertex_cut_rebirth_batch_roundtrips_to_the_bit() {
+        let tables = |tag, metas: &mut FullState, _: &mut Vec<EdgeLists>| {
+            metas.push(FullStateRef::tables(meta(tag, 0, &[0, 2]).locations.view()));
+        };
+        let batch = rebirth_batch(13, 2, &tables);
+        assert!(batch.consumers.is_empty() && batch.replica_lists.iter().all(|&n| n == 0));
+        let back = rebirth_roundtrip::<VcLocalGraph<f64>>(batch);
+        assert_eq!(back.states.column_lens().total(), 0, "tables only");
+    }
+
+    /// A master and two plain replicas feeding three consumers, with the one
+    /// full state `state` makes: its frame, and where the total, the list
+    /// lengths and the store's slot count sit in it.
+    fn small_rebirth<G: StoreCodec>(
+        state: impl Fn(u32, &mut FullState, &mut Vec<EdgeLists>),
+    ) -> (Vec<u8>, usize, usize, usize) {
+        let record = |vid, pos, kind, master_node| Reborn {
+            vid: Vid::new(vid),
+            pos,
+            kind,
+            last_activate: vid % 2 == 1,
+            master_node: NodeId::new(master_node),
+            value: f64::from(vid) * 0.5,
+        };
+        let mut batch = RebirthBatch {
+            resume_iter: 5,
+            num_survivors: 2,
+            records: vec![
+                record(3, 1, CopyKind::Master, 0),
+                record(5, 2, CopyKind::Replica, 2),
+                record(9, 4, CopyKind::Replica, 1),
+            ],
+            replica_lists: vec![2, 1],
+            consumers: vec![4, 1, 7],
+            states: FullState::default(),
+            lists: Vec::new(),
+        };
+        state(7, &mut batch.states, &mut batch.lists);
+        let mut store = Vec::new();
+        G::enc_states(&batch.states, &batch.lists, &mut store);
+        let msg = ProtoMsg::<f64, (), G>::Rebirth(Box::new(batch), PhantomData);
+        let mut frame = Vec::new();
+        msg.encode_wire(&mut frame);
+        // Behind the store its slot count, the three consumers, two lengths
+        // and the total: a byte each.
+        let slots = frame.len() - store.len() - 1;
+        (frame, slots - 6, slots - 5, slots)
+    }
+
+    /// The Rebirth decoder refuses what no encoder writes, on either engine:
+    /// kind bits that name no copy kind (or set the column's spare bit),
+    /// list lengths that disagree with the consumer total, and a store of
+    /// other than one slot per master and mirror record.
+    fn rebirth_decoder_refuses<G>(state: impl Fn(u32, &mut FullState, &mut Vec<EdgeLists>))
+    where
+        G: StoreCodec + PartialEq + std::fmt::Debug,
+    {
+        let (frame, total, lengths, slots) = small_rebirth::<G>(state);
+        let dec = |at: usize, byte: u8| {
+            let mut bad = frame.clone();
+            bad[at] = byte;
+            ProtoMsg::<f64, (), G>::decode(&mut Reader::new(&bad)).err()
+        };
+        assert!(ProtoMsg::<f64, (), G>::decode_wire(&frame).is_some());
+        assert_eq!((frame[total], frame[lengths], frame[slots]), (3, 2, 1));
+        // Tag, iteration, survivor count, record count, three vids and three
+        // positions: the kind column's first byte, the master's in its low
+        // nibble.
+        let kinds = 10;
+        assert_eq!(frame[kinds] & 0b1011, CopyKind::Master.bits());
+        let corrupt = Some(DecodeError::Corrupt("copy kind"));
+        assert_eq!(dec(kinds, frame[kinds] | 0b11), corrupt);
+        assert_eq!(dec(kinds, frame[kinds] | 0b1000), corrupt);
+        let totals = Some(DecodeError::Corrupt("replica list totals"));
+        assert_eq!(dec(lengths, 3), totals);
+        assert_eq!(dec(total, 2), totals);
+        for count in [0, 2] {
+            assert_eq!(dec(slots, count), Some(DecodeError::Corrupt("store slots")));
+        }
+    }
+
+    #[test]
+    fn rebirth_decoder_refuses_kinds_totals_and_slots_no_encoder_writes() {
+        rebirth_decoder_refuses::<EcLocalGraph<f64>>(|tag, metas, lists| {
+            metas.push(meta(tag, 2, &[1]).view());
+            lists.push(EdgeLists::ALL);
+        });
+        rebirth_decoder_refuses::<VcLocalGraph<f64>>(|tag, metas, _| {
+            metas.push(FullStateRef::tables(meta(tag, 0, &[1]).locations.view()));
+        });
+    }
+
     /// Encodes, counts and decodes `m`: the counting sink agrees with the
     /// buffer, and the buffer decodes to `m`.
-    fn roundtrip<A, E>(m: &ProtoMsg<f64, A, E>) -> Vec<u8>
+    fn roundtrip<A, G>(m: &ProtoMsg<f64, A, G>) -> Vec<u8>
     where
         A: Encode + Decode + PartialEq + std::fmt::Debug,
-        E: WireEntry + PartialEq + std::fmt::Debug,
+        G: StoreCodec + PartialEq + std::fmt::Debug,
     {
         let mut buf = Vec::new();
         m.encode_wire(&mut buf);
@@ -1105,13 +1292,24 @@ mod tests {
     }
 
     /// The records `bytes` decode to, if they decode: room for each, as a
-    /// list's capacity.
-    fn records<A: Decode, E: WireEntry>(bytes: &[u8]) -> Option<usize> {
+    /// list's capacity. A Rebirth batch must hold together: a list length
+    /// per plain replica adding up to its consumers, a slot per master and
+    /// mirror record, a store that validates.
+    fn records<A: Decode, G: StoreCodec>(bytes: &[u8]) -> Option<usize> {
         Some(
-            match ProtoMsg::<f64, A, E>::decode(&mut Reader::new(bytes)).ok()? {
+            match ProtoMsg::<f64, A, G>::decode(&mut Reader::new(bytes)).ok()? {
                 ProtoMsg::Sync(recs) => recs.capacity(),
                 ProtoMsg::Gather(recs) => recs.capacity(),
-                ProtoMsg::Rebirth(b) => b.entries.capacity(),
+                ProtoMsg::Rebirth(b, _) => {
+                    let replicas = b.records.iter().filter(|r| r.kind == CopyKind::Replica);
+                    let replicas = replicas.count();
+                    let listed: u32 = b.replica_lists.iter().sum();
+                    assert_eq!(b.replica_lists.len(), replicas);
+                    assert_eq!(listed as usize, b.consumers.len());
+                    assert_eq!(b.states.len(), b.records.len() - replicas);
+                    assert!(b.states.validate().is_ok());
+                    b.records.capacity().max(b.consumers.capacity())
+                }
                 ProtoMsg::Promote(ps) => ps.capacity(),
                 ProtoMsg::ReplicaRequest(vids) => vids.capacity(),
                 ProtoMsg::ReplicaGrant(gs) => gs.capacity(),
@@ -1138,8 +1336,9 @@ mod tests {
         /// Whatever a socket delivers is input like any other: truncated,
         /// bit-flipped, spliced and count-inflated (past `u16::MAX` and
         /// near 2^49) encodings of all eight variants under both models —
-        /// edge-cut mirror batches with every list mask and both weight
-        /// layouts — decode to a `DecodeError` or to a message of no more
+        /// edge-cut mirror and Rebirth batches with every list mask and both
+        /// weight layouts, Rebirth batches with and without consumer lists —
+        /// decode to a `DecodeError` or to a message that holds together, of no more
         /// records than the input has bytes — never a panic, never memory
         /// sized by a count the input merely claims.
         #[test]
@@ -1153,12 +1352,12 @@ mod tests {
         ) {
             for msg in ec_variants(n, seed) {
                 let bad = damaged(roundtrip(&msg), &damage);
-                let n = records::<(), EcRecoverEntry<f64>>(&bad);
+                let n = records::<(), EcLocalGraph<f64>>(&bad);
                 prop_assert!(n.is_none_or(|n| n <= bad.len()), "{n:?} records, {} B", bad.len());
             }
             for msg in vc_variants(n, seed) {
                 let bad = damaged(roundtrip(&msg), &damage);
-                let n = records::<f64, VcRecoverEntry<f64>>(&bad);
+                let n = records::<f64, VcLocalGraph<f64>>(&bad);
                 prop_assert!(n.is_none_or(|n| n <= bad.len()), "{n:?} records, {} B", bad.len());
             }
         }

@@ -1,30 +1,52 @@
 //! Rebirth (§5.1): the survivors reload a hot standby with the crashed
 //! node's copies, in the crashed layout, and the standby replays.
 
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use imitator_cluster::Envelope;
-use imitator_engine::CopyKind;
+use imitator_engine::{CopyKind, EdgeLists, FullState, FullStateBatches};
 use imitator_graph::Vid;
 
 use super::migration::migrate;
 use super::rounds::{barrier_ok, AttemptCx, RECONSTRUCT, RELOAD, REPLAY};
 use super::{Abort, Attempt, Undo};
 use crate::driver::{ComputeModel, Ctx, ModelGraph, Shared, St, RECOVERY_PATIENCE};
-use crate::msg::{ProtoMsg, RebirthBatch};
+use crate::msg::{ProtoMsg, RebirthBatch, Reborn};
 use crate::plan::responsible_mirror;
 use crate::report::RecoveryReport;
 
-/// The reload scan, in ascending position order: per-crashed-node entry
-/// batches (indexed like the episode's `dead` slice) plus the vids this node
-/// recovers as master.
+/// The reload scan, in ascending position order: one batch per crashed
+/// node (indexed like the episode's `dead` slice), the vids this node
+/// recovers as master and the in-edges those bring.
 fn reload_scan<M: ComputeModel>(
     cx: &AttemptCx<'_, M>,
     lg: &M::Graph,
-) -> (Vec<Vec<M::Entry>>, Vec<Vid>) {
+) -> (Vec<RebirthBatch<M::Value>>, Vec<Vid>, u64) {
     let (model, dead, me) = (&cx.shared.model, cx.dead, cx.me());
-    let mut out: Vec<Vec<M::Entry>> = dead.iter().map(|_| Vec::new()).collect();
-    let mut promoted = Vec::new();
+    let mut out: Vec<RebirthBatch<M::Value>> = dead
+        .iter()
+        .map(|_| RebirthBatch {
+            resume_iter: cx.resume_iter,
+            num_survivors: cx.survivors.len() as u32,
+            records: Vec::new(),
+            replica_lists: Vec::new(),
+            consumers: Vec::new(),
+            states: FullState::default(),
+            lists: Vec::new(),
+        })
+        .collect();
+    // Per crashed node, the copies here whose full state its batch ships.
+    let mut held: Vec<Vec<(u32, EdgeLists)>> = dead.iter().map(|_| Vec::new()).collect();
+    let (mut promoted, mut edges) = (Vec::new(), 0);
+    let record = |pos, at, kind| Reborn {
+        vid: lg.vid(pos),
+        pos: at,
+        kind,
+        last_activate: model.scatter_bit(lg, pos),
+        master_node: lg.master_node(pos),
+        value: lg.value(pos).clone(),
+    };
     for pos in 0..lg.len() as u32 {
         // The crashed node whose master this copy stands in for, if any.
         let stands_in = match lg.kind(pos) {
@@ -38,7 +60,12 @@ fn reload_scan<M: ComputeModel>(
                     continue;
                 }
                 // Recover the master at its original position...
-                out[mi].push(model.master_entry(lg, pos));
+                let state = lg.exported(pos);
+                out[mi]
+                    .records
+                    .push(record(pos, state.locations.master_pos(), CopyKind::Master));
+                held[mi].push((pos, EdgeLists::ALL));
+                edges += state.in_edges_owner.len() as u64;
                 promoted.push(lg.vid(pos));
                 Some(mi)
             }
@@ -46,24 +73,34 @@ fn reload_scan<M: ComputeModel>(
         };
         // ...and every master recovers its own lost replicas — a recovered
         // one, under multiple failures, those lost on *other* crashed nodes.
-        let meta = lg.full(pos);
+        let state = lg.exported(pos);
         let others = dead
             .iter()
             .enumerate()
             .filter(|&(i, _)| Some(i) != stands_in);
         for (i, &d) in others {
-            let Some(rpos) = meta.replica_position_on(d) else {
+            let Some(rpos) = state.locations.replica_position_on(d) else {
                 continue;
             };
-            let kind = if meta.mirror_nodes().contains(&d) {
-                CopyKind::Mirror
+            let batch = &mut out[i];
+            if state.locations.mirror_nodes().contains(&d) {
+                batch.records.push(record(pos, rpos, CopyKind::Mirror));
+                held[i].push((pos, EdgeLists::ALL));
             } else {
-                CopyKind::Replica
-            };
-            out[i].push(model.replica_entry(lg, pos, d, rpos, kind));
+                batch.records.push(record(pos, rpos, CopyKind::Replica));
+                let feeds = state.out_remote.iter().filter(|r| r.node == d);
+                let before = batch.consumers.len();
+                batch.consumers.extend(feeds.map(|r| r.pos));
+                batch
+                    .replica_lists
+                    .push((batch.consumers.len() - before) as u32);
+            }
         }
     }
-    (out, promoted)
+    for (batch, held) in out.iter_mut().zip(&held) {
+        (batch.states, batch.lists) = lg.export_full_states(held);
+    }
+    (out, promoted, edges)
 }
 
 pub(super) fn rebirth_survivor<M: ComputeModel>(
@@ -81,23 +118,15 @@ pub(super) fn rebirth_survivor<M: ComputeModel>(
     // mirror-ID order) recovers the master; every master recovers its own
     // lost replicas.
     let (recovered, recovered_edges, mut promoted) = cx.phase(&RELOAD, |cx| {
-        let model = &cx.shared.model;
-        let (batches, promoted) = reload_scan(cx, lg);
-        let (mut recovered, mut recovered_edges) = (0u64, 0u64);
-        let num_survivors = cx.survivors.len() as u32;
+        let (batches, promoted, edges) = reload_scan(cx, lg);
+        let mut recovered = 0;
         // Every crashed node gets a batch, even an empty one — the newbie
         // counts `num_survivors` batches before it considers itself reloaded.
-        for (&d, entries) in cx.dead.iter().zip(batches) {
-            recovered += entries.len() as u64;
-            recovered_edges += entries.iter().map(|e| model.entry_edges(e)).sum::<u64>();
-            let batch = RebirthBatch {
-                resume_iter: cx.resume_iter,
-                num_survivors,
-                entries,
-            };
-            cx.send(d, ProtoMsg::Rebirth(Box::new(batch)));
+        for (&d, batch) in cx.dead.iter().zip(batches) {
+            recovered += batch.records.len() as u64;
+            cx.send(d, ProtoMsg::Rebirth(Box::new(batch), PhantomData));
         }
-        Ok((recovered, recovered_edges, promoted))
+        Ok((recovered, edges, promoted))
     })?;
     cx.fence()?;
 
@@ -156,15 +185,14 @@ pub(crate) fn rebirth_newbie<M: ComputeModel>(
             continue;
         };
         match env.msg {
-            ProtoMsg::Rebirth(batch) => {
+            ProtoMsg::Rebirth(batch, _) => {
                 got += 1;
-                for e in batch.entries {
-                    model.insert_entry(&mut lg, e, &shared.degrees);
-                }
-                if expected.replace(batch.num_survivors).is_none() {
+                let (num_survivors, resume_iter) = (batch.num_survivors, batch.resume_iter);
+                model.place_reborn(&mut lg, *batch, &shared.degrees);
+                if expected.replace(num_survivors).is_none() {
                     // The first batch tells the newbie where the episode
                     // resumes, which its fail points key on.
-                    cx.resume_iter = batch.resume_iter;
+                    cx.resume_iter = resume_iter;
                     cx.fail_here(RELOAD.1)?;
                 }
             }

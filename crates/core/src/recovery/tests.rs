@@ -9,6 +9,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use imitator_algos::PageRank;
 use imitator_cluster::{Cluster, Envelope, FailPoint, FailurePlan, NodeId};
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, FtPlan,
@@ -320,6 +321,65 @@ fn aborted_rebirth_restores_without_a_journal() {
         assert_eq!(ep.strategy, "rebirth→migration", "edge_cut={edge_cut}");
         assert_eq!((ep.counters.attempts, ep.counters.aborts), (2, 1));
         assert!(ep.journal_bytes > 0, "edge_cut={edge_cut}");
+    }
+}
+
+/// Edge-cut PageRank over [`graph`] on four nodes: the strategies of its
+/// recoveries, and each live node's final graph as a metadata snapshot
+/// encodes it, by node.
+fn pagerank_snapshots(
+    ft: FtMode,
+    standbys: usize,
+    failures: Vec<FailurePlan>,
+) -> (Vec<String>, Vec<(NodeId, Vec<u8>)>) {
+    let (g, prog) = (graph(), PageRank::default());
+    let cut = HashEdgeCut.partition(&g, NODES);
+    let degrees = Degrees::of(&g);
+    let plan = load_plan(&g, &cut, ft);
+    let lgs = build_edge_cut_graphs(&g, &cut, &plan, &prog, &degrees);
+    let owners = g.vertices().map(|v| cut.owner(v) as u32).collect();
+    let model = EcModel {
+        prog: Arc::new(prog),
+    };
+    let cfg = config(NODES, ft, standbys);
+    let dfs = Dfs::new(DfsConfig::instant());
+    let (report, graphs) = driver::run(
+        model,
+        g.num_vertices(),
+        lgs,
+        degrees,
+        plan,
+        owners,
+        cfg,
+        failures,
+        dfs,
+    );
+    let mut snapshots: Vec<_> = graphs
+        .iter()
+        .map(|(node, lg)| (*node, ckpt::encode_ec_graph(lg)))
+        .collect();
+    snapshots.sort_by_key(|&(node, _)| node);
+    let strategies = report.recoveries.iter().map(|r| r.strategy.to_string());
+    (strategies.collect(), snapshots)
+}
+
+/// A newbie ends a run holding, byte for byte, the graph its node holds in
+/// the failure-free run: every copy at its position with its kind, flags,
+/// value and edge lists, and every master's and mirror's full state — one
+/// crash at K = 1, two in one episode at K = 2.
+#[test]
+fn a_reborn_graph_equals_the_failure_free_one() {
+    let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    for (tolerance, dead) in [(1, &[1][..]), (2, &[1, 2])] {
+        let ft = replication(tolerance, RecoveryStrategy::Rebirth);
+        let (_, golden) = pagerank_snapshots(ft, 0, vec![]);
+        let crashes = dead.iter().map(|&n| crash(n, 3, FailPoint::BeforeBarrier));
+        let (episodes, reborn) = pagerank_snapshots(ft, dead.len(), crashes.collect());
+        assert_eq!(episodes, ["rebirth"], "K={tolerance}");
+        assert_eq!(reborn.len(), golden.len(), "K={tolerance}");
+        for ((node, got), (_, want)) in reborn.iter().zip(&golden) {
+            assert!(got == want, "K={tolerance}: the graph of {node} differs");
+        }
     }
 }
 

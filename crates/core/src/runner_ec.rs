@@ -2,18 +2,18 @@
 //! Everything protocol-shaped — the BSP loop, failure dispatch, Rebirth /
 //! Migration / checkpoint recovery — lives in `driver.rs` and `recovery.rs`.
 //! This module keeps only what is genuinely edge-cut: the fused
-//! gather-apply superstep over the sparse activation frontier, the
-//! edge-carrying recovery entries (edges travel with vertices — there are
-//! no edge-ckpt files), in-edge rewiring for promoted masters, activation
-//! replay from synchronised scatter bits, and selfish-master recompute.
+//! gather-apply superstep over the sparse activation frontier, Rebirth
+//! batches whose full states carry the edges (there are no edge-ckpt
+//! files), in-edge rewiring for promoted masters, activation replay from
+//! synchronised scatter bits, and selfish-master recompute.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
-    ec_commit, ec_compute, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan, FullStateRef,
-    Locations, LocationsRef, RemoteEdge, VertexProgram,
+    ec_commit, ec_compute, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan, FullStateBatches,
+    FullStateRef, Locations, LocationsRef, RemoteEdge, VertexProgram,
 };
 use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{MemSize, Stopwatch};
@@ -23,7 +23,7 @@ use imitator_storage::Dfs;
 
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
 use crate::msg::Promotion;
-use crate::msg::{EcRecoverEntry, ReplicaGrant, VertexSync};
+use crate::msg::{RebirthBatch, ReplicaGrant, VertexSync};
 use crate::plan::compute_ft_plan;
 use crate::recovery::{Adoption, Mig, MigEnv};
 use crate::report::RunReport;
@@ -182,7 +182,6 @@ where
     type Value = P::Value;
     type Prog = P;
     type Accum = ();
-    type Entry = EcRecoverEntry<P::Value>;
     type Graph = EcLocalGraph<P::Value>;
     type Scratch = SyncBufs<P::Value>;
     type MigExtra = EcMigExtra;
@@ -262,59 +261,31 @@ where
         EcLocalGraph::empty(me)
     }
 
-    fn replica_entry(
-        &self,
-        lg: &Self::Graph,
-        pos: u32,
-        dead_node: NodeId,
-        rpos: u32,
-        kind: CopyKind,
-    ) -> Self::Entry {
-        let v = &lg.verts[pos as usize];
-        let state = lg.exported(pos);
-        EcRecoverEntry {
-            vid: v.vid,
-            pos: rpos,
-            kind,
-            master_node: v.master_node,
-            value: v.value.clone(),
-            last_activate: v.last_activate,
-            active: false,
-            in_edges: Vec::new(),
-            out_local: state.replica_out_local_on(dead_node),
-            meta: (kind == CopyKind::Mirror).then(|| Box::new(state.to_meta())),
+    /// A master's in-edges and consumers are its full state's owner-local
+    /// lists, a mirror's consumers its full state's `out_remote` entries for
+    /// this node; only a plain replica's consumers ship on their own.
+    fn place_reborn(&self, lg: &mut Self::Graph, batch: RebirthBatch<P::Value>, degrees: &Degrees) {
+        let (states, mut consumers) = (&batch.states, &batch.consumers[..]);
+        let (mut held, mut lens) = (Vec::with_capacity(states.len()), batch.replica_lists.iter());
+        for mut r in batch.records {
+            self.prog.derive(r.vid, &mut r.value, degrees);
+            let mut copy = EcVertex::new(r.vid, r.kind, r.master_node, r.value);
+            copy.last_activate = r.last_activate;
+            if r.kind == CopyKind::Replica {
+                let n = *lens.next().expect("a list per plain replica") as usize;
+                lg.insert_at(r.pos, copy, &[], &consumers[..n]);
+                consumers = &consumers[n..];
+                continue;
+            }
+            let state = states.nth(held.len());
+            held.push(r.pos);
+            if r.kind == CopyKind::Master {
+                lg.insert_at(r.pos, copy, state.in_edges_owner, state.out_local_owner);
+            } else {
+                lg.insert_at(r.pos, copy, &[], &state.replica_out_local_on(lg.node));
+            }
         }
-    }
-
-    fn master_entry(&self, lg: &Self::Graph, pos: u32) -> Self::Entry {
-        let v = &lg.verts[pos as usize];
-        let state = lg.exported(pos);
-        EcRecoverEntry {
-            vid: v.vid,
-            pos: state.locations.master_pos(),
-            kind: CopyKind::Master,
-            master_node: v.master_node,
-            value: v.value.clone(),
-            last_activate: v.last_activate,
-            active: false,
-            in_edges: state.in_edges_owner.to_vec(),
-            out_local: state.out_local_owner.to_vec(),
-            meta: Some(Box::new(state.to_meta())),
-        }
-    }
-
-    fn entry_edges(&self, e: &Self::Entry) -> u64 {
-        e.in_edges.len() as u64
-    }
-
-    fn insert_entry(&self, lg: &mut Self::Graph, mut e: Self::Entry, degrees: &Degrees) {
-        self.prog.derive(e.vid, &mut e.value, degrees);
-        let mut copy = EcVertex::new(e.vid, e.kind, e.master_node, e.value);
-        (copy.active, copy.last_activate) = (e.active, e.last_activate);
-        lg.insert_at(e.pos, copy, &e.in_edges, &e.out_local);
-        if let Some(meta) = e.meta {
-            lg.set_full_state(e.pos, meta.view());
-        }
+        lg.adopt_full_states(&[(&held, states, &batch.lists)]);
     }
 
     fn validate(&self, lg: &Self::Graph) {

@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
-    vc_apply, vc_commit, vc_partial_gather, CopyKind, Degrees, FtPlan, FullStateRef, Locations,
-    LocationsRef, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
+    vc_apply, vc_commit, vc_partial_gather, CopyKind, Degrees, FtPlan, FullStateBatches,
+    FullStateRef, Locations, LocationsRef, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
 };
 use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
@@ -24,7 +24,7 @@ use imitator_storage::{Dfs, WriteBehind};
 
 use crate::ckpt;
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
-use crate::msg::{Promotion, ProtoMsg, ReplicaGrant, VcRecoverEntry, VertexSync};
+use crate::msg::{Promotion, ProtoMsg, RebirthBatch, ReplicaGrant, VertexSync};
 use crate::plan::compute_ft_plan;
 use crate::recovery::{Adoption, Mig, MigEnv};
 use crate::report::RunReport;
@@ -162,7 +162,6 @@ where
     type Value = P::Value;
     type Prog = P;
     type Accum = P::Accum;
-    type Entry = VcRecoverEntry<P::Value>;
     type Graph = VcLocalGraph<P::Value>;
     type Scratch = VcScratch<P>;
     type MigExtra = VcMigExtra;
@@ -307,48 +306,16 @@ where
         VcLocalGraph::empty(me)
     }
 
-    fn replica_entry(
-        &self,
-        lg: &Self::Graph,
-        pos: u32,
-        _dead_node: NodeId,
-        rpos: u32,
-        kind: CopyKind,
-    ) -> Self::Entry {
-        let (v, meta) = (&lg.verts[pos as usize], lg.full(pos));
-        VcRecoverEntry {
-            vid: v.vid,
-            pos: rpos,
-            kind,
-            master_node: v.master_node,
-            value: v.value.clone(),
-            meta: (kind == CopyKind::Mirror).then(|| Box::new(meta.to_owned())),
+    fn place_reborn(&self, lg: &mut Self::Graph, batch: RebirthBatch<P::Value>, degrees: &Degrees) {
+        let mut held = Vec::with_capacity(batch.states.len());
+        for mut r in batch.records {
+            self.prog.derive(r.vid, &mut r.value, degrees);
+            if r.kind != CopyKind::Replica {
+                held.push(r.pos);
+            }
+            lg.insert_at(r.pos, VcVertex::new(r.vid, r.kind, r.master_node, r.value));
         }
-    }
-
-    fn master_entry(&self, lg: &Self::Graph, pos: u32) -> Self::Entry {
-        let (v, meta) = (&lg.verts[pos as usize], lg.full(pos));
-        VcRecoverEntry {
-            vid: v.vid,
-            pos: meta.master_pos(),
-            kind: CopyKind::Master,
-            master_node: v.master_node,
-            value: v.value.clone(),
-            meta: Some(Box::new(meta.to_owned())),
-        }
-    }
-
-    /// Vertex-cut entries carry no edges — those come from edge-ckpt files.
-    fn entry_edges(&self, _e: &Self::Entry) -> u64 {
-        0
-    }
-
-    fn insert_entry(&self, lg: &mut Self::Graph, mut e: Self::Entry, degrees: &Degrees) {
-        self.prog.derive(e.vid, &mut e.value, degrees);
-        lg.insert_at(e.pos, VcVertex::new(e.vid, e.kind, e.master_node, e.value));
-        if let Some(meta) = e.meta {
-            lg.set_locations(e.pos, meta.view());
-        }
+        lg.adopt_full_states(&[(&held, &batch.states, &batch.lists)]);
     }
 
     /// A newbie reads back every edge-ckpt file the crashed node kept — all

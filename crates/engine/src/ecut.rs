@@ -299,14 +299,6 @@ impl<V> EcLocalGraph<V> {
         self.verts.len() - self.num_masters()
     }
 
-    /// Count of currently active masters.
-    pub fn active_masters(&self) -> usize {
-        self.verts
-            .iter()
-            .filter(|v| v.is_master() && v.active)
-            .count()
-    }
-
     /// Recomputes [`EcLocalGraph::active_frontier`] from the `active` bits.
     ///
     /// O(|verts|); only needed after bulk mutations that bypass

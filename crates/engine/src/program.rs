@@ -139,10 +139,10 @@ pub trait VertexProgram: Send + Sync + 'static {
     /// the rest of `v` — the part of a value its codec does not carry.
     ///
     /// The runtime calls it wherever a value enters a node: a sync record,
-    /// a recovery entry or grant, a snapshot read back from the DFS. A value
-    /// therefore crosses a node boundary as what the receiver cannot derive,
-    /// and what its codec writes is all it costs there. The default derives
-    /// nothing.
+    /// a Rebirth record or Migration grant, a snapshot read back from the
+    /// DFS. A value therefore crosses a node boundary as what the receiver
+    /// cannot derive, and what its codec writes is all it costs there. The
+    /// default derives nothing.
     fn derive(&self, _vid: Vid, _v: &mut Self::Value, _degrees: &Degrees) {}
 }
 

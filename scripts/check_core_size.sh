@@ -126,7 +126,13 @@ cd "$(dirname "$0")/.."
 #          extends `Episode`, so `ModelGraph::{export_metas, adopt_metas}`
 #          and both runners' forwards went; that paid for R7 choosing per
 #          record which lists to send (DESIGN.md §4.5).
-BUDGET=3729
+#   3693 — Rebirth ships the column batch Migration ships: a survivor's
+#          scan exports one full-state store per newbie, so both runners'
+#          `replica_entry` / `master_entry` / `entry_edges` bodies went and
+#          their two `insert_entry` bodies became one `place_reborn` each,
+#          which reads a master's edge lists and a mirror's consumers from
+#          that store (DESIGN.md §4.6).
+BUDGET=3693
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

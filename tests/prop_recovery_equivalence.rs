@@ -591,7 +591,9 @@ fn refactor_goldens_are_bit_identical() {
         /// The edge-cut Migration cases' `rec` fell again when a round 7
         /// refresh stopped carrying the edge lists its mirror already held
         /// and a batch of equal weights started writing one
-        /// ([`REC_WHOLE_REFRESH`]).
+        /// ([`REC_WHOLE_REFRESH`]). The Rebirth cases' `rec` fell when a
+        /// survivor's batch became columns and one full-state store, the
+        /// form a mirror batch ships in ([`REC_ROW_ENTRIES`]).
         new: GoldenBytes,
     }
     /// The edge-cut checkpoint cases' `ckpt` while a master's slot stored,
@@ -659,6 +661,18 @@ fn refactor_goldens_are_bit_identical() {
     /// `rec` pinned now must undercut. Every other case's `rec` did not move.
     const REC_WHOLE_REFRESH: [(&str, u64); 2] =
         [("s1_migration_ec", 16328), ("s2_migration_ec", 172164)];
+    /// The Rebirth cases' `rec` while a survivor shipped one row per copy,
+    /// a master's edge lists beside the full state that holds them, every
+    /// in-edge's weight and every ID and position as an absolute uvarint:
+    /// what the edge-cut cases' `rec` pinned now must undercut and the
+    /// vertex-cut cases' may not exceed. Every other case's `rec` did not
+    /// move.
+    const REC_ROW_ENTRIES: [(&str, u64, bool); 4] = [
+        ("s1_rebirth_ec", 14108, true),
+        ("s1_rebirth_vc", 5384, false),
+        ("s2_rebirth_ec", 62444, true),
+        ("s2_rebirth_vc", 21136, false),
+    ];
     let repl = |tol, recovery| FtMode::Replication {
         tolerance: tol,
         selfish_opt: false,
@@ -685,7 +699,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xCDAD83957359282D,
             old: gb(22896, 324, 16368, 0),
-            new: gb(13768, 180, 14108, 0),
+            new: gb(13768, 180, 8248, 0),
         },
         Case {
             name: "s1_rebirth_vc",
@@ -697,7 +711,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x89D503F6F06CD989,
             old: gb(68960, 0, 7128, 19392),
-            new: gb(43120, 0, 5384, 10260),
+            new: gb(43120, 0, 5212, 10260),
         },
         Case {
             name: "s1_migration_ec",
@@ -781,7 +795,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x4A211DE51DB6B0DD,
             old: gb(71100, 11628, 54528, 0),
-            new: gb(42212, 6704, 62444, 0),
+            new: gb(42212, 6704, 38172, 0),
         },
         Case {
             name: "s2_rebirth_vc",
@@ -793,7 +807,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x0522124F16F0CE65,
             old: gb(190188, 2808, 21888, 33920),
-            new: gb(118224, 1600, 21136, 19504),
+            new: gb(118224, 1600, 19944, 19504),
         },
         Case {
             name: "s2_migration_ec",
@@ -900,6 +914,14 @@ fn refactor_goldens_are_bit_identical() {
             assert!(
                 bytes.rec < rec_was,
                 "{}: recovery bytes {} must be strictly below {rec_was}",
+                c.name,
+                bytes.rec
+            );
+        }
+        if let Some(&(_, rec_was, edge_cut)) = REC_ROW_ENTRIES.iter().find(|p| p.0 == c.name) {
+            assert!(
+                bytes.rec < rec_was || !edge_cut && bytes.rec <= rec_was,
+                "{}: recovery bytes {} must not exceed {rec_was}, edge-cut not reach it",
                 c.name,
                 bytes.rec
             );

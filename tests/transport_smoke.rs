@@ -169,7 +169,7 @@ fn value_bits(r: &RunReport<RankValue>) -> Vec<(u64, u64)> {
 
 /// A PageRank value crosses a node boundary as its rank, and the share is
 /// derived wherever a value enters a node: a sync commit, a full sync, a
-/// Rebirth entry, a Migration grant or fresh mirror, a graph or snapshot off
+/// Rebirth record, a Migration grant or fresh mirror, a graph or snapshot off
 /// the DFS. Each recovery strategy on each engine, with one crash, must land
 /// on the same ranks *and* shares over TCP as over the channel, bit for bit,
 /// and account the same bytes to the byte; and on the failure-free run's
