@@ -5,17 +5,18 @@
 //! failure-to-recovery span. This ablation measures both halves of that
 //! claim:
 //!
-//! 1. **Observed heartbeat latency** — runs with `--detector heartbeat`
-//!    crash a node and read back how many detector ticks of silence passed
-//!    before the cluster confirmed the death, per hb-interval × timeout
-//!    point and per transport (in-process channels, seeded lossy links,
-//!    loopback TCP). The p50 should track the configured timeout; the p99
-//!    shows scheduler/wire noise on top.
-//! 2. **Oracle delay sweep** — the legacy sweep that treats detection as a
-//!    pure configured wait, separating "waiting to notice" from "actually
-//!    recovering".
+//! 1. **Observed heartbeat latency** — runs crash a node and read back how
+//!    many detector ticks of silence passed before the cluster confirmed
+//!    the death, per hb-interval × timeout point and per transport
+//!    (in-process channels, seeded lossy links, loopback TCP). On the
+//!    virtual clock p50 and p99 both sit one tick past the timeout; on TCP
+//!    the p99 shows wire noise on top.
+//! 2. **Timeout sweep** — the same crash at heartbeat timeouts of 50, 200
+//!    and 500 ms, separating "waiting to notice" from "actually
+//!    recovering", once for a single crash and once for a crash nested
+//!    inside the recovery of another.
 
-use imitator::{DetectorKind, FtMode, RecoveryStrategy, RunConfig};
+use imitator::{FtMode, RecoveryStrategy, RunConfig};
 use imitator_bench::{banner, crash, ms, ramfs, run_ec, BenchOpts, Summary, Workload};
 use imitator_cluster::{FailPoint, FailurePlan, NetFaults, NodeId, TransportKind, TICKS_PER_MS};
 use imitator_graph::gen::Dataset;
@@ -56,7 +57,7 @@ fn main() {
     let opts = BenchOpts::from_env();
     banner(
         "abl_detection_delay",
-        "observed heartbeat detection latency + oracle delay sweep",
+        "observed heartbeat detection latency + heartbeat timeout sweep",
         &opts,
     );
     let g = opts.cyclops_graph(Dataset::LJournal);
@@ -67,9 +68,11 @@ fn main() {
     // Each sample is one seeded crash run under the heartbeat detector; the
     // recorded latency is the silence the detector actually measured before
     // confirming the death (suspicion.detect_ticks), not the configured
-    // knob. Expect p50 ≈ timeout (+ up to one pump quantum of slack) and a
-    // p99 that absorbs scheduler noise — and, on the lossy wire, dropped
-    // heartbeats stretching the tail.
+    // knob. On the virtual clock the dead node's slot is already closed
+    // when it is first suspected, so it is confirmed one tick after the
+    // timeout: p50 = p99 = timeout + one pump quantum, on lossy links too
+    // (a closed slot needs no heartbeat to be missed). On TCP the wall
+    // clock adds scheduler and socket noise.
     println!("observed heartbeat detection latency (ms), per transport:");
     println!(
         "{:<10} {:>12} {:>12} {:>8} {:>10} {:>10}",
@@ -106,7 +109,6 @@ fn main() {
                             selfish_opt: true,
                             recovery: RecoveryStrategy::Migration,
                         },
-                        detector: DetectorKind::Heartbeat,
                         hb_interval: Duration::from_millis(interval_ms),
                         hb_timeout: Duration::from_millis(timeout_ms),
                         transport: make_transport(opts.seed.wrapping_add(rep)),
@@ -137,48 +139,40 @@ fn main() {
     }
     println!("(latency is detector-observed silence before confirmation — ticks the\n cluster actually counted, not the configured knob echoed back)");
 
-    // --- Oracle delay sweep: detection as a pure configured wait ---
+    // --- Timeout sweep: detection as the wait it is ---
     println!();
-    println!("oracle sweep (configured delay, Migration recovery):");
+    println!("heartbeat timeout sweep (Migration recovery):");
     println!(
-        "{:<12} {:>12} {:>14}",
-        "delay(ms)", "recover(ms)", "run total(s)"
+        "{:<12} {:>12} {:>12} {:>14}",
+        "timeout(ms)", "detect(ms)", "recover(ms)", "run total(s)"
     );
-    for delay_ms in [0u64, 50, 200, 500] {
+    for timeout_ms in TIMEOUTS_MS {
         let s = run_ec(
             Workload::PageRank,
             &g,
             &cut,
-            RunConfig {
-                num_nodes: opts.nodes,
-                ft: FtMode::Replication {
-                    tolerance: 1,
-                    selfish_opt: true,
-                    recovery: RecoveryStrategy::Migration,
-                },
-                detection_delay: Duration::from_millis(delay_ms),
-                ..RunConfig::default()
-            },
+            migration_cfg(opts.nodes, 1, timeout_ms),
             vec![crash(1, 6)],
             ramfs(),
         );
         println!(
-            "{:<12} {:>12} {:>14.3}",
-            delay_ms,
+            "{:<12} {:>12.1} {:>12} {:>14.3}",
+            timeout_ms,
+            latency_samples(std::slice::from_ref(&s))[0],
             ms(s.recovery_total()),
             s.elapsed.as_secs_f64()
         );
     }
-    println!("(the recovery protocol itself is delay-independent; the delay is pure\n waiting, exactly the paper's observation that detection dominates)");
+    println!("(the recovery protocol itself is timeout-independent; the timeout is pure\n waiting, exactly the paper's observation that detection dominates)");
 
     // Nested crashes (§5.3 cascading failures): a survivor dies *inside*
     // the recovery episode, aborting the in-flight attempt. The
     // per-episode phase timeline shows where the aborted attempt's time
     // went — the rounds it completed before the abort are paid again by
-    // the retry, plus another detection delay to notice the second death.
+    // the retry, plus another timeout to notice the second death.
     println!();
     println!("nested crash (node 2 dies in migration round 4 of node 1's recovery):");
-    for delay_ms in [0u64, 200] {
+    for timeout_ms in TIMEOUTS_MS {
         let plans = vec![
             crash(1, 6),
             FailurePlan {
@@ -191,22 +185,13 @@ fn main() {
             Workload::PageRank,
             &g,
             &cut,
-            RunConfig {
-                num_nodes: opts.nodes,
-                ft: FtMode::Replication {
-                    tolerance: 2,
-                    selfish_opt: true,
-                    recovery: RecoveryStrategy::Migration,
-                },
-                detection_delay: Duration::from_millis(delay_ms),
-                ..RunConfig::default()
-            },
+            migration_cfg(opts.nodes, 2, timeout_ms),
             plans,
             ramfs(),
         );
         for (i, ep) in s.recoveries.iter().enumerate() {
             println!(
-                "  delay={delay_ms}ms episode {i} ({}): {} node(s) lost, \
+                "  timeout={timeout_ms}ms episode {i} ({}): {} node(s) lost, \
                  {} attempt(s), {} aborted, total {}",
                 ep.strategy,
                 ep.failed_nodes,
@@ -226,4 +211,24 @@ fn main() {
         );
     }
     println!("(aborted rounds appear in the timeline before the retry re-runs them:\n the cost of a cascading failure is the wasted prefix plus re-detection)");
+}
+
+/// The heartbeat timeouts of the sweeps, up to the paper's conservative
+/// 500 ms.
+const TIMEOUTS_MS: [u64; 3] = [50, 200, 500];
+
+/// A Migration run tolerating `tolerance` crashes whose detector suspects
+/// after `timeout_ms` of silence, heartbeating five times per timeout.
+fn migration_cfg(nodes: usize, tolerance: usize, timeout_ms: u64) -> RunConfig {
+    RunConfig {
+        num_nodes: nodes,
+        ft: FtMode::Replication {
+            tolerance,
+            selfish_opt: true,
+            recovery: RecoveryStrategy::Migration,
+        },
+        hb_interval: Duration::from_millis(timeout_ms / 5),
+        hb_timeout: Duration::from_millis(timeout_ms),
+        ..RunConfig::default()
+    }
 }

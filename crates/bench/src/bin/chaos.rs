@@ -24,21 +24,17 @@
 //!   seeded-lossy transport ([`TransportKind::Lossy`]): per-link
 //!   drop/duplicate/reorder/delay faults layered *under* the crash
 //!   schedule, derived from the same `(IMITATOR_SEED, index)` pair;
-//! * `IMITATOR_CHAOS_DETECTOR` — `heartbeat` runs every faulty schedule
-//!   under the heartbeat/suspicion failure detector instead of the
-//!   injector oracle (golden runs stay on the oracle — the shard checks
-//!   that *inferred* deaths converge to the same fixpoint as announced
-//!   ones, and that every recovered schedule confirmed its deaths through
-//!   real suspicion);
 //! * `IMITATOR_SEED` — base seed (default 42).
+//!
+//! Nobody announces a death: every faulty schedule's crashes are inferred
+//! by the heartbeat/suspicion failure detector, and a recovered schedule
+//! that confirmed none through suspicion fails the sweep.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
-use imitator::{
-    run_edge_cut, run_vertex_cut, DetectorKind, FtMode, RecoveryStrategy, RunConfig, RunReport,
-};
+use imitator::{run_edge_cut, run_vertex_cut, FtMode, RecoveryStrategy, RunConfig, RunReport};
 use imitator_cluster::{FailPoint, FailurePlan, NetFaults, NodeId, TransportKind};
 use imitator_engine::{Degrees, VertexProgram};
 use imitator_graph::{gen, Graph, Vid};
@@ -345,20 +341,13 @@ fn build(index: usize, base_seed: u64, class: Class) -> Schedule {
     }
 }
 
-fn config(
-    s: &Schedule,
-    ft: FtMode,
-    standbys: usize,
-    transport: TransportKind,
-    detector: DetectorKind,
-) -> RunConfig {
+fn config(s: &Schedule, ft: FtMode, standbys: usize, transport: TransportKind) -> RunConfig {
     RunConfig {
         num_nodes: s.nodes,
         max_iters: 30,
         ft,
         standbys,
         transport,
-        detector,
         // Virtual-clock transports tick deterministically, so a tight
         // suspicion window keeps the sweep fast without false fencing.
         hb_interval: Duration::from_millis(1),
@@ -372,7 +361,6 @@ fn execute(
     ft: FtMode,
     standbys: usize,
     transport: TransportKind,
-    detector: DetectorKind,
     plans: Vec<FailurePlan>,
 ) -> RunReport<u32> {
     if s.edge_cut {
@@ -381,7 +369,7 @@ fn execute(
             &s.graph,
             &cut,
             Arc::new(MinLabel),
-            config(s, ft, standbys, transport, detector),
+            config(s, ft, standbys, transport),
             plans,
             Dfs::new(DfsConfig::instant()),
         )
@@ -391,7 +379,7 @@ fn execute(
             &s.graph,
             &cut,
             Arc::new(MinLabel),
-            config(s, ft, standbys, transport, detector),
+            config(s, ft, standbys, transport),
             plans,
             Dfs::new(DfsConfig {
                 latency: VC_DFS_LATENCY,
@@ -411,10 +399,6 @@ fn main() {
         .unwrap_or(200);
     let only: Option<usize> = env("IMITATOR_CHAOS_ONLY").and_then(|v| v.parse().ok());
     let lossy = env("IMITATOR_CHAOS_LOSSY").is_some_and(|v| v != "0");
-    let detector = match env("IMITATOR_CHAOS_DETECTOR").as_deref() {
-        Some("heartbeat") | Some("hb") => DetectorKind::Heartbeat,
-        _ => DetectorKind::Oracle,
-    };
 
     let classes = classes();
     let indices: Vec<usize> = match only {
@@ -422,15 +406,10 @@ fn main() {
         None => (0..total).collect(),
     };
     println!(
-        "== chaos: {} seeded schedule(s), base seed {base_seed}, {} fail-point classes{}{}",
+        "== chaos: {} seeded schedule(s), base seed {base_seed}, {} fail-point classes{}",
         indices.len(),
         classes.len(),
         if lossy { ", lossy transport" } else { "" },
-        if detector == DetectorKind::Heartbeat {
-            ", heartbeat detector"
-        } else {
-            ""
-        }
     );
 
     let mut log = String::new();
@@ -445,14 +424,7 @@ fn main() {
         let class = classes[i % classes.len()];
         let s = build(i, base_seed, class);
         // The golden run is failure-free.
-        let golden = execute(
-            &s,
-            FtMode::None,
-            0,
-            TransportKind::Channel,
-            DetectorKind::Oracle,
-            vec![],
-        );
+        let golden = execute(&s, FtMode::None, 0, TransportKind::Channel, vec![]);
         let transport = if lossy {
             TransportKind::Lossy(NetFaults::from_seed(
                 base_seed ^ (i as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93),
@@ -460,23 +432,20 @@ fn main() {
         } else {
             TransportKind::Channel
         };
-        let faulty = execute(&s, s.ft, s.standbys, transport, detector, s.plans.clone());
+        let faulty = execute(&s, s.ft, s.standbys, transport, s.plans.clone());
         total_retries += faulty.fabric.retries;
         total_redelivered += faulty.fabric.redelivered;
         total_confirmed += faulty.suspicion.confirmed;
         total_detect_ticks += faulty.suspicion.detect_ticks;
-        if detector == DetectorKind::Heartbeat && !faulty.recoveries.is_empty() {
-            // Under the heartbeat detector nobody announces deaths: every
-            // recovered schedule must have *inferred* them via suspicion.
-            assert!(
-                faulty.suspicion.confirmed > 0,
-                "#{:04}: heartbeat run recovered {} episode(s) without a \
-                 confirmed suspicion: {:?}",
-                s.index,
-                faulty.recoveries.len(),
-                faulty.suspicion
-            );
-        }
+        // Nobody announces deaths: every recovered schedule must have
+        // *inferred* them via suspicion.
+        assert!(
+            faulty.recoveries.is_empty() || faulty.suspicion.confirmed > 0,
+            "#{:04}: recovered {} episode(s) without a confirmed suspicion: {:?}",
+            s.index,
+            faulty.recoveries.len(),
+            faulty.suspicion
+        );
 
         let episodes = faulty.recoveries.len();
         let attempts: u32 = faulty.recoveries.iter().map(|r| r.counters.attempts).sum();
@@ -555,17 +524,15 @@ fn main() {
             assert!(*n > 0, "fail-point class {c:?} was never exercised");
         }
     }
-    if detector == DetectorKind::Heartbeat {
-        println!(
-            "-- heartbeat detector: {total_confirmed} death(s) confirmed by \
-             suspicion, {total_detect_ticks} detect tick(s) total"
-        );
-        // A heartbeat sweep whose detector never fired validated nothing.
-        assert!(
-            only.is_some() || total_confirmed > 0,
-            "heartbeat sweep confirmed no deaths through suspicion"
-        );
-    }
+    println!(
+        "-- heartbeat detector: {total_confirmed} death(s) confirmed by \
+         suspicion, {total_detect_ticks} detect tick(s) total"
+    );
+    // A sweep whose detector never fired validated nothing.
+    assert!(
+        only.is_some() || total_confirmed > 0,
+        "sweep confirmed no deaths through suspicion"
+    );
     if lossy {
         println!(
             "-- lossy transport: {total_retries} fence retransmission(s), \

@@ -47,7 +47,7 @@ fn main() {
                 num_nodes: opts.nodes,
                 ft,
                 standbys,
-                detection_delay: Duration::from_millis(50),
+                hb_timeout: Duration::from_millis(50),
                 ..RunConfig::default()
             },
             if inject { vec![crash(2, 6)] } else { vec![] },

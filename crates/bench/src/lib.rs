@@ -155,7 +155,7 @@ pub struct Summary {
     /// Fabric traffic split by kind (sync / gather / recovery / control /
     /// heartbeat) — the denominator for heartbeat-overhead figures.
     pub fabric: CommBreakdown,
-    /// Failure-detector activity (all-zero under the oracle detector).
+    /// Failure-detector activity (all-zero in a run nobody went silent in).
     pub suspicion: SuspicionStats,
 }
 

@@ -169,6 +169,9 @@ impl<M> Clone for Cluster<M> {
     }
 }
 
+/// Why [`Cluster::new`] and [`Cluster::with_transport`] refuse a delay.
+const NO_DELAY: &str = "a crash is noticed by missed heartbeats; there is no detection delay";
+
 impl<M> fmt::Debug for Cluster<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cluster")
@@ -179,10 +182,14 @@ impl<M> fmt::Debug for Cluster<M> {
 
 impl<M: Send + 'static> Cluster<M> {
     /// Creates a cluster of `num_nodes` logical nodes and `num_standbys`
-    /// hot standbys over the default in-process channel transport; crashed
-    /// nodes are detected after `detection_delay` (the paper uses a
-    /// conservative 500 ms heartbeat; tests use zero).
-    pub fn new(num_nodes: usize, num_standbys: usize, detection_delay: Duration) -> Self {
+    /// hot standbys over the default in-process channel transport, with the
+    /// default heartbeat detector.
+    ///
+    /// `delay` must be zero: a crash is noticed by missed heartbeats only.
+    /// The argument stays only because the frozen `benchmark/src/layers.rs`
+    /// passes it; ROADMAP item 2's benchmark change deletes it.
+    pub fn new(num_nodes: usize, num_standbys: usize, delay: Duration) -> Self {
+        assert!(delay.is_zero(), "{NO_DELAY}");
         assert!(num_nodes > 0, "cluster needs at least one node");
         let fabric = Fabric::new(num_nodes);
         let transport: Arc<dyn Transport<M>> = Arc::new(ChannelTransport::new(Arc::clone(&fabric)));
@@ -191,7 +198,7 @@ impl<M: Send + 'static> Cluster<M> {
             transport,
             num_nodes,
             num_standbys,
-            DetectorConfig::oracle(detection_delay),
+            DetectorConfig::default(),
             false,
         )
     }
@@ -207,7 +214,7 @@ impl<M: Send + 'static> Cluster<M> {
         Cluster {
             fabric,
             transport,
-            coord: Arc::new(Coordinator::with_detector(
+            coord: Arc::new(Coordinator::new(
                 num_nodes,
                 num_standbys,
                 detector,
@@ -337,24 +344,22 @@ impl<M: Send + 'static> Cluster<M> {
 }
 
 impl<M: Send + Clone + WireCodec + 'static> Cluster<M> {
-    /// Creates a cluster over the wire backend selected by `kind`.
+    /// Creates a cluster over the wire backend selected by `kind`, with
+    /// the default heartbeat detector.
     ///
     /// [`TransportKind::Channel`](crate::TransportKind::Channel) behaves
     /// exactly like [`Cluster::new`]; the lossy and TCP backends require
     /// `M: Clone + WireCodec` for duplication and on-the-wire encoding
-    /// respectively.
+    /// respectively. `delay` must be zero, as for [`Cluster::new`], whose
+    /// frozen caller is also this one's.
     pub fn with_transport(
         num_nodes: usize,
         num_standbys: usize,
-        detection_delay: Duration,
+        delay: Duration,
         kind: TransportKind,
     ) -> Self {
-        Self::with_detector(
-            num_nodes,
-            num_standbys,
-            DetectorConfig::oracle(detection_delay),
-            kind,
-        )
+        assert!(delay.is_zero(), "{NO_DELAY}");
+        Self::with_detector(num_nodes, num_standbys, DetectorConfig::default(), kind)
     }
 
     /// Creates a cluster over the wire backend selected by `kind` with an
@@ -421,8 +426,8 @@ pub struct NodeCtx<M> {
 impl<M> Drop for NodeCtx<M> {
     /// Dropping the context is the node's process exit — clean completion
     /// or crash alike. The detector's close event lets a *suspected* node
-    /// be confirmed without waiting out the fence, which pins heartbeat
-    /// detection to the same barrier epoch the oracle would pick.
+    /// be confirmed without waiting out the fence: one tick after the
+    /// timeout, at the same barrier epoch in every run.
     fn drop(&mut self) {
         self.cluster
             .coord
@@ -486,19 +491,16 @@ impl<M: Send + 'static> NodeCtx<M> {
         self.pipe.drain()
     }
 
-    /// Blocks up to `timeout` for one message. While the failure detector
-    /// needs pumping the wait is sliced by [`PUMP_QUANTUM`] so detection
-    /// (and heartbeat emission) progresses even inside long receives.
+    /// Blocks up to `timeout` for one message. The wait is sliced by
+    /// [`PUMP_QUANTUM`] so detection (and heartbeat emission) progresses
+    /// even inside long receives.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        if !self.cluster.coord.detector().needs_pump() {
-            return self.pipe.recv_timeout(timeout);
-        }
         let deadline = Instant::now() + timeout;
         loop {
             let now = Instant::now();
             if now >= deadline {
                 // One last non-blocking look so a zero/elapsed timeout still
-                // returns an already-queued message, as the unpumped path does.
+                // returns an already-queued message.
                 return self.pipe.recv_timeout(Duration::ZERO);
             }
             let slice = PUMP_QUANTUM.min(deadline - now);
@@ -522,7 +524,7 @@ impl<M: Send + 'static> NodeCtx<M> {
     }
 
     /// Emits one sequence-numbered heartbeat to every alive peer when the
-    /// emission interval has elapsed (no-op under the oracle detector).
+    /// emission interval has elapsed.
     /// Heartbeats are fire-and-forget: never fenced, never retransmitted.
     fn emit_heartbeats(&self) {
         let coord = &self.cluster.coord;
@@ -597,23 +599,11 @@ impl<M: Send + 'static> NodeCtx<M> {
         out
     }
 
-    /// Crashes this node: marks it for (delayed) failure detection. The
-    /// caller must stop participating immediately afterwards — drop the
-    /// context and return, as a crashed process would. Deliberately does
-    /// *not* fence the endpoint: in-flight messages from a crashing node
-    /// may or may not arrive, exactly like a real crash.
-    pub fn die(self) {
-        self.cluster.coord.report_death(self.id);
-    }
-
-    /// Non-consuming variant of [`die`](Self::die) for crashes announced
-    /// from deep inside the recovery protocol, where the context must still
-    /// be returned up the call stack. The caller is bound by the same
-    /// contract: after calling `crash` the node must not send, drain, or
-    /// enter another barrier — it unwinds and its thread exits.
-    pub fn crash(&self) {
-        self.cluster.coord.report_death(self.id);
-    }
+    /// Crashes this node: drops the context, whose close event is all the
+    /// evidence the survivors' heartbeat scans get. Deliberately does *not*
+    /// fence the endpoint: in-flight messages from a crashing node may or
+    /// may not arrive, exactly like a real crash.
+    pub fn die(self) {}
 }
 
 #[cfg(test)]

@@ -1,21 +1,20 @@
 //! The coordination service (ZooKeeper's role in the paper).
 //!
 //! Provides epoch-numbered global barriers whose *outcome* carries failure
-//! information, membership tracking driven by a pluggable
-//! [`FailureDetector`] (injector oracle or real heartbeat suspicion), and
-//! bookkeeping for standby adoption. Algorithm 1's `enter_barrier` /
-//! `leave_barrier` map directly onto [`Coordinator::barrier`]: consecutive
-//! calls are consecutive barrier instances.
+//! information, membership tracking driven by the heartbeat
+//! [`FailureDetector`], and bookkeeping for standby adoption. Algorithm 1's
+//! `enter_barrier` / `leave_barrier` map directly onto
+//! [`Coordinator::barrier`]: consecutive calls are consecutive barrier
+//! instances.
 //!
 //! Liveness transitions flow through exactly one funnel: the detector's
 //! `scan` decides *who* is down, [`Coordinator::mark_failed`] applies it.
-//! Barrier waits are sliced by [`PUMP_QUANTUM`] whenever the detector needs
-//! pumping, so detection progresses even while every node is blocked.
+//! Barrier waits are sliced by [`PUMP_QUANTUM`], so detection progresses
+//! even while every node is blocked.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use imitator_metrics::SuspicionStats;
 use parking_lot::{Condvar, Mutex};
@@ -128,21 +127,10 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Creates a coordinator for `num_nodes` initially-alive nodes and
-    /// `num_standbys` hot standbys, with oracle failure detection taking
-    /// `detection_delay` (in virtual clock ticks) after a crash.
-    pub fn new(num_nodes: usize, num_standbys: usize, detection_delay: Duration) -> Self {
-        Self::with_detector(
-            num_nodes,
-            num_standbys,
-            DetectorConfig::oracle(detection_delay),
-            false,
-        )
-    }
-
-    /// Creates a coordinator with an explicit failure-detector
-    /// configuration. `wall_clock` selects real time over deterministic
-    /// virtual ticks (used by the TCP transport).
-    pub fn with_detector(
+    /// `num_standbys` hot standbys, detecting failures by heartbeat under
+    /// `cfg`. `wall_clock` selects real time over deterministic virtual
+    /// ticks (used by the TCP transport).
+    pub fn new(
         num_nodes: usize,
         num_standbys: usize,
         cfg: DetectorConfig,
@@ -226,8 +214,7 @@ impl Coordinator {
     /// clock, self-stamps the waiter's liveness (a barrier waiter is alive
     /// by construction — only silent *non*-waiters can stay suspected),
     /// runs `emit` (the node's heartbeat-emission hook), and scans for
-    /// confirmable failures. With an idle detector this degrades to a pure
-    /// blocking wait.
+    /// confirmable failures.
     ///
     /// A node that was fenced out by a false suspicion observes its own
     /// death here: instead of asserting, the barrier refuses the arrival
@@ -258,17 +245,13 @@ impl Coordinator {
             if let Some(result) = inner.result_for(my_epoch) {
                 return result;
             }
-            if self.detector.needs_pump() {
-                if self.cond.wait_for(&mut inner, PUMP_QUANTUM) {
-                    drop(inner);
-                    self.detector.tick();
-                    self.detector.note_alive(me);
-                    emit();
-                    self.pump_detector();
-                    inner = self.inner.lock();
-                }
-            } else {
-                self.cond.wait(&mut inner);
+            if self.cond.wait_for(&mut inner, PUMP_QUANTUM) {
+                drop(inner);
+                self.detector.tick();
+                self.detector.note_alive(me);
+                emit();
+                self.pump_detector();
+                inner = self.inner.lock();
             }
         }
     }
@@ -284,25 +267,9 @@ impl Coordinator {
         }
     }
 
-    /// Reports that `node` crashed. Under the zero-delay oracle the node is
-    /// marked dead immediately (the legacy synchronous path); under a
-    /// delayed oracle the death is queued in virtual time and drained by
-    /// the pump loop; under the heartbeat detector this is a no-op —
-    /// survivors must notice the missed heartbeats themselves.
-    ///
-    /// Called by the crashing node itself on its way out.
-    pub fn report_death(&self, node: NodeId) {
-        if self.detector.report_death(node) {
-            self.mark_failed(node);
-        } else {
-            // Wake blocked waiters so they re-check `needs_pump` and start
-            // slicing their waits (they may be parked in a plain wait).
-            self.cond.notify_all();
-        }
-    }
-
-    /// Immediately marks `node` failed (test hook; production path is
-    /// [`Coordinator::report_death`]).
+    /// Immediately marks `node` failed. Production paths reach it only
+    /// through [`Coordinator::pump_detector`]; a test that needs a node
+    /// dead *now* calls it directly.
     pub fn mark_failed(&self, node: NodeId) {
         let mut inner = self.inner.lock();
         if !inner.alive[node.index()] {
@@ -380,9 +347,10 @@ impl Coordinator {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn coord(n: usize) -> Arc<Coordinator> {
-        Arc::new(Coordinator::new(n, 0, Duration::ZERO))
+        Arc::new(Coordinator::new(n, 0, DetectorConfig::default(), false))
     }
 
     #[test]
@@ -489,19 +457,9 @@ mod tests {
     }
 
     #[test]
-    fn delayed_detection_eventually_fires() {
-        let c = Arc::new(Coordinator::new(2, 0, Duration::from_millis(10)));
-        c.report_death(NodeId::new(1));
-        assert!(c.is_alive(NodeId::new(1)), "death visible before delay");
-        let outcome = c.barrier(NodeId::new(0)); // blocks until detection
-        assert!(outcome.is_fail());
-    }
-
-    #[test]
     fn heartbeat_close_event_fails_waiting_barrier() {
-        use crate::detector::DetectorConfig;
         let cfg = DetectorConfig::heartbeat(Duration::from_millis(1), Duration::from_millis(4));
-        let c = Arc::new(Coordinator::with_detector(2, 0, cfg, false));
+        let c = Arc::new(Coordinator::new(2, 0, cfg, false));
         // Node 1 crashes: its context close is the only trace it leaves.
         c.detector().observe_close(NodeId::new(1), 0);
         // Node 0's pumped barrier wait must advance virtual time, suspect
@@ -527,7 +485,7 @@ mod tests {
 
     #[test]
     fn standby_pool_depletes() {
-        let c = Arc::new(Coordinator::new(2, 1, Duration::ZERO));
+        let c = Arc::new(Coordinator::new(2, 1, DetectorConfig::default(), false));
         assert_eq!(c.standbys_available(), 1);
         assert!(c.claim_standby());
         assert!(!c.claim_standby());

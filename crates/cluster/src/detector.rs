@@ -1,38 +1,31 @@
-//! Pluggable failure detection: the oracle the injector used to whisper
-//! through, and a real heartbeat/suspicion detector.
+//! Failure detection by heartbeat and suspicion.
 //!
-//! The paper assumes a conservative heartbeat detector ("about 500 ms");
-//! earlier PRs cheated by letting [`FailureInjector`](crate::FailureInjector)
-//! tell the [`Coordinator`](crate::Coordinator) who died. This module makes
-//! detection honest while keeping every run deterministic:
-//!
-//! * **[`DetectorKind::Oracle`]** — the legacy path. A crash is reported
-//!   directly; an optional `detection_delay` is expressed in virtual clock
-//!   ticks drained by the same scan loop the heartbeat detector uses (the
-//!   bespoke sleep-thread timer is gone).
-//! * **[`DetectorKind::Heartbeat`]** — nodes emit sequence-numbered
-//!   heartbeats through the transport seam. A node whose heartbeats go
-//!   silent past `hb_timeout` becomes *suspected*; fresh evidence of life
-//!   (a later heartbeat, a barrier-wait self-stamp) *retracts* the
-//!   suspicion; silence past the fence — or a process-exit close event —
-//!   *confirms* it, and only confirmed nodes are handed to recovery.
+//! The paper assumes a conservative heartbeat detector ("about 500 ms").
+//! Nodes emit sequence-numbered heartbeats through the transport seam. A
+//! node whose heartbeats go silent past `hb_timeout` becomes *suspected*;
+//! fresh evidence of life (a later heartbeat, a barrier-wait self-stamp)
+//! *retracts* the suspicion; silence past the fence — or a process-exit
+//! close event — *confirms* it, and only confirmed nodes are handed to
+//! recovery. A crashed node announces nothing: dropping its context closes
+//! its slot, and the survivors' scans do the rest.
 //!
 //! Determinism rests on the [`Clock`] trait: under the Channel and Lossy
 //! transports time is *virtual* — a shared tick counter advanced only while
 //! some node is pumping (waiting in a barrier or a timed receive), rate
 //! limited to one tick per [`PUMP_QUANTUM`] of wall time no matter how many
-//! pumpers race. Detection therefore always lands at the same barrier epoch
-//! as the oracle would have picked, which is all the golden hashes observe.
-//! Under TCP a wall clock is used instead (real sockets already imply real
-//! time).
+//! pumpers race. A dead node's slot is already closed when it is first
+//! suspected, so it is confirmed one tick after the timeout, and the
+//! confirmation lands at the same barrier epoch in every run — which is all
+//! the golden hashes observe. Under TCP a wall clock is used instead (real
+//! sockets already imply real time).
 //!
 //! False positives are fenced idempotently: a confirm of a node that never
-//! closed marks the slot *fenced*; the zombie discovers this through
+//! closed marks its slot down all the same; the zombie discovers this through
 //! [`FailureDetector::is_stale`] (its `birth` epoch no longer matches, or
 //! its slot is down) and exits instead of racing its replacement.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use imitator_metrics::SuspicionStats;
@@ -144,40 +137,34 @@ impl Clock for WallClock {
     fn advance(&self) {}
 }
 
-/// Which failure-detection subsystem a run uses.
+/// Which failure-detection subsystem a run uses: survivors notice a crash
+/// through missed heartbeats, and a suspicion must outlive the fence (or
+/// see a close event) before recovery starts. The type stays only because
+/// the frozen `benchmark/src/config.rs` names its one variant; ROADMAP item
+/// 2's benchmark change deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DetectorKind {
-    /// Crashes are reported by the crashing node itself (the injector
-    /// oracle), optionally after a virtual detection delay.
+    /// The heartbeat/suspicion detector of this module.
     #[default]
-    Oracle,
-    /// Survivors notice crashes through missed heartbeats; suspicion must
-    /// outlive the fence (or see a close event) before recovery starts.
     Heartbeat,
 }
 
 /// Failure-detection configuration carried on `RunConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorConfig {
-    /// Which detector drives coordinator liveness.
-    pub kind: DetectorKind,
-    /// Oracle mode: how long after a reported crash the cluster notices.
-    pub detection_delay: Duration,
-    /// Heartbeat mode: how often each node emits a heartbeat.
+    /// How often each node emits a heartbeat.
     pub hb_interval: Duration,
-    /// Heartbeat mode: silence longer than this makes a node *suspected*.
+    /// Silence longer than this makes a node *suspected*.
     pub hb_timeout: Duration,
-    /// Heartbeat mode: silence longer than `fence_multiplier × hb_timeout`
-    /// *confirms* a suspicion even without a close event (the node is
-    /// fenced out; if it was merely slow it must exit, not rejoin).
+    /// Silence longer than `fence_multiplier × hb_timeout` *confirms* a
+    /// suspicion even without a close event (the node is fenced out; if it
+    /// was merely slow it must exit, not rejoin).
     pub fence_multiplier: u32,
 }
 
 impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
-            kind: DetectorKind::Oracle,
-            detection_delay: Duration::ZERO,
             hb_interval: Duration::from_millis(10),
             hb_timeout: Duration::from_millis(60),
             fence_multiplier: 40,
@@ -186,20 +173,10 @@ impl Default for DetectorConfig {
 }
 
 impl DetectorConfig {
-    /// An oracle detector with the given detection delay (the legacy
-    /// `Coordinator::new` contract).
-    pub fn oracle(detection_delay: Duration) -> Self {
-        DetectorConfig {
-            detection_delay,
-            ..DetectorConfig::default()
-        }
-    }
-
     /// A heartbeat detector with the given emission interval and suspicion
     /// timeout.
     pub fn heartbeat(hb_interval: Duration, hb_timeout: Duration) -> Self {
         DetectorConfig {
-            kind: DetectorKind::Heartbeat,
             hb_interval,
             hb_timeout,
             ..DetectorConfig::default()
@@ -227,11 +204,10 @@ struct Slot {
     /// The node's context was dropped (clean exit or crash).
     closed: bool,
     /// Confirmed dead as far as the detector is concerned (until revive).
+    /// A node confirmed without a close event may still be running and
+    /// discovers through [`FailureDetector::is_stale`] that it was fenced
+    /// out.
     down: bool,
-    /// Confirmed *without* a close event: the node may still be running
-    /// and must discover via [`FailureDetector::is_stale`] that it was
-    /// fenced out.
-    fenced: bool,
 }
 
 impl Slot {
@@ -245,7 +221,6 @@ impl Slot {
             suspected: false,
             closed: false,
             down: false,
-            fenced: false,
         }
     }
 }
@@ -253,17 +228,11 @@ impl Slot {
 /// The shared failure detector: one per cluster, owned by the coordinator.
 #[derive(Debug)]
 pub struct FailureDetector {
-    kind: DetectorKind,
     clock: Box<dyn Clock>,
-    sync_oracle: bool,
-    delay_ticks: u64,
     interval_ticks: u64,
     timeout_ticks: u64,
     fence_ticks: u64,
     slots: Mutex<Vec<Slot>>,
-    /// Oracle deaths awaiting their detection delay: `(node, due_tick)`.
-    pending: Mutex<Vec<(NodeId, u64)>>,
-    pending_flag: AtomicBool,
     suspected: AtomicU64,
     retracted: AtomicU64,
     confirmed: AtomicU64,
@@ -276,8 +245,7 @@ impl FailureDetector {
     ///
     /// # Panics
     ///
-    /// Panics if a heartbeat detector's timeout does not exceed its
-    /// interval: every live node would fall silent past it between two of
+    /// Panics if the timeout does not exceed the interval: every live node would fall silent past it between two of
     /// its own heartbeats, and past the fence soon after.
     pub fn new(num_nodes: usize, cfg: DetectorConfig, wall_clock: bool) -> Self {
         let clock: Box<dyn Clock> = if wall_clock {
@@ -288,32 +256,22 @@ impl FailureDetector {
         let interval_ticks = duration_ticks(cfg.hb_interval).max(1);
         let timeout_ticks = duration_ticks(cfg.hb_timeout);
         assert!(
-            cfg.kind != DetectorKind::Heartbeat || timeout_ticks > interval_ticks,
+            timeout_ticks > interval_ticks,
             "heartbeat timeout {:?} does not exceed the interval {:?}",
             cfg.hb_timeout,
             cfg.hb_interval
         );
         FailureDetector {
-            kind: cfg.kind,
             clock,
-            sync_oracle: cfg.kind == DetectorKind::Oracle && cfg.detection_delay.is_zero(),
-            delay_ticks: duration_ticks(cfg.detection_delay),
             interval_ticks,
             timeout_ticks,
             fence_ticks: timeout_ticks.saturating_mul(u64::from(cfg.fence_multiplier.max(1))),
             slots: Mutex::new(vec![Slot::fresh(0, 0); num_nodes]),
-            pending: Mutex::new(Vec::new()),
-            pending_flag: AtomicBool::new(false),
             suspected: AtomicU64::new(0),
             retracted: AtomicU64::new(0),
             confirmed: AtomicU64::new(0),
             detect_ticks: AtomicU64::new(0),
         }
-    }
-
-    /// Which detector this is.
-    pub fn kind(&self) -> DetectorKind {
-        self.kind
     }
 
     /// The current detector tick.
@@ -324,32 +282,6 @@ impl FailureDetector {
     /// Gives the clock one advance opportunity (called once per pump slice).
     pub fn tick(&self) {
         self.clock.advance();
-    }
-
-    /// Whether blocked waits must be sliced so the detector keeps making
-    /// progress: always in heartbeat mode, and in oracle mode only while a
-    /// delayed death is queued (a zero-delay oracle keeps pure blocking
-    /// waits and pays nothing for this subsystem).
-    pub fn needs_pump(&self) -> bool {
-        self.kind == DetectorKind::Heartbeat || self.pending_flag.load(Ordering::Acquire)
-    }
-
-    /// A crashing node reports its own death. Returns `true` when the
-    /// caller must mark the node failed *now* (synchronous zero-delay
-    /// oracle); otherwise the death is either queued behind the virtual
-    /// detection delay (oracle) or ignored entirely (heartbeat mode:
-    /// survivors must notice the silence themselves).
-    pub fn report_death(&self, node: NodeId) -> bool {
-        match self.kind {
-            DetectorKind::Heartbeat => false,
-            DetectorKind::Oracle if self.sync_oracle => true,
-            DetectorKind::Oracle => {
-                let due = self.now() + self.delay_ticks.max(1);
-                self.pending.lock().push((node, due));
-                self.pending_flag.store(true, Ordering::Release);
-                false
-            }
-        }
     }
 
     /// Direct evidence that `node` is alive right now (barrier-wait
@@ -390,8 +322,8 @@ impl FailureDetector {
     }
 
     /// The node's context was dropped (clean exit or crash). A closed node
-    /// can be confirmed as soon as it is suspected — no fence wait needed,
-    /// which keeps detection at the same barrier epoch the oracle picks.
+    /// is confirmed as soon as it is suspected — no fence wait needed, so a
+    /// crash is confirmed one tick after the timeout.
     pub fn observe_close(&self, node: NodeId, birth: u64) {
         let mut slots = self.slots.lock();
         let Some(s) = slots.get_mut(node.index()) else {
@@ -403,12 +335,9 @@ impl FailureDetector {
         s.closed = true;
     }
 
-    /// Heartbeat-mode emission gate: returns the next sequence number when
-    /// `node` is due to emit (at most once per `hb_interval`).
+    /// Emission gate: returns the next sequence number when `node` is due
+    /// to emit (at most once per `hb_interval`).
     pub fn should_emit(&self, node: NodeId) -> Option<u64> {
-        if self.kind != DetectorKind::Heartbeat {
-            return None;
-        }
         let now = self.now();
         let mut slots = self.slots.lock();
         let s = slots.get_mut(node.index())?;
@@ -451,50 +380,33 @@ impl FailureDetector {
         *s = Slot::fresh(s.birth + 1, now);
     }
 
-    /// One detection pass. Drains due oracle deaths, advances heartbeat
-    /// suspicion (suspect → retract/confirm), and returns the nodes whose
-    /// failure is now *confirmed*; the caller marks them failed. `is_alive`
-    /// reflects coordinator liveness so already-failed nodes are skipped.
+    /// One detection pass. Advances suspicion (suspect → retract/confirm)
+    /// and returns the nodes whose failure is now *confirmed*; the caller
+    /// marks them failed. `is_alive` reflects coordinator liveness so
+    /// already-failed nodes are skipped.
     pub fn scan(&self, is_alive: &dyn Fn(NodeId) -> bool) -> Vec<NodeId> {
         let now = self.now();
         let mut confirms = Vec::new();
-        if self.pending_flag.load(Ordering::Acquire) {
-            let mut pending = self.pending.lock();
-            let mut i = 0;
-            while i < pending.len() {
-                if pending[i].1 <= now {
-                    confirms.push(pending.swap_remove(i).0);
-                } else {
-                    i += 1;
-                }
+        let mut slots = self.slots.lock();
+        for (i, s) in slots.iter_mut().enumerate() {
+            let node = NodeId::from_index(i);
+            if s.down || !is_alive(node) {
+                continue;
             }
-            if pending.is_empty() {
-                self.pending_flag.store(false, Ordering::Release);
+            let silent = now.saturating_sub(s.last_hb);
+            if silent <= self.timeout_ticks {
+                continue;
             }
-        }
-        if self.kind == DetectorKind::Heartbeat {
-            let mut slots = self.slots.lock();
-            for (i, s) in slots.iter_mut().enumerate() {
-                let node = NodeId::from_index(i);
-                if s.down || !is_alive(node) {
-                    continue;
-                }
-                let silent = now.saturating_sub(s.last_hb);
-                if silent <= self.timeout_ticks {
-                    continue;
-                }
-                if !s.suspected {
-                    s.suspected = true;
-                    self.suspected.fetch_add(1, Ordering::Relaxed);
-                }
-                if s.closed || silent > self.fence_ticks {
-                    s.suspected = false;
-                    s.down = true;
-                    s.fenced = !s.closed;
-                    self.confirmed.fetch_add(1, Ordering::Relaxed);
-                    self.detect_ticks.fetch_add(silent, Ordering::Relaxed);
-                    confirms.push(node);
-                }
+            if !s.suspected {
+                s.suspected = true;
+                self.suspected.fetch_add(1, Ordering::Relaxed);
+            }
+            if s.closed || silent > self.fence_ticks {
+                s.suspected = false;
+                s.down = true;
+                self.confirmed.fetch_add(1, Ordering::Relaxed);
+                self.detect_ticks.fetch_add(silent, Ordering::Relaxed);
+                confirms.push(node);
             }
         }
         confirms
@@ -530,11 +442,9 @@ mod tests {
 
     fn hb_detector(n: usize, timeout_ticks: u64, fence_mult: u32) -> FailureDetector {
         let cfg = DetectorConfig {
-            kind: DetectorKind::Heartbeat,
             hb_interval: PUMP_QUANTUM,
             hb_timeout: PUMP_QUANTUM * timeout_ticks as u32,
             fence_multiplier: fence_mult,
-            ..DetectorConfig::default()
         };
         let mut det = FailureDetector::new(n, cfg, false);
         det.clock = Box::new(ManualClock::default());
@@ -652,38 +562,9 @@ mod tests {
     }
 
     #[test]
-    fn oracle_delay_drains_through_scan() {
-        let cfg = DetectorConfig::oracle(PUMP_QUANTUM * 5);
-        let mut det = FailureDetector::new(2, cfg, false);
-        det.clock = Box::new(ManualClock::default());
-        assert!(!det.needs_pump(), "idle oracle needs no pumping");
-        assert!(!det.report_death(NodeId::new(1)));
-        assert!(det.needs_pump());
-        assert!(det.scan(ALL_ALIVE).is_empty(), "before the delay");
-        advance(&det, 5);
-        assert_eq!(det.scan(ALL_ALIVE), vec![NodeId::new(1)]);
-        assert!(!det.needs_pump(), "queue drained");
-        assert_eq!(det.stats(), SuspicionStats::default());
-    }
-
-    #[test]
-    fn zero_delay_oracle_is_synchronous() {
-        let det = FailureDetector::new(2, DetectorConfig::default(), false);
-        assert!(det.report_death(NodeId::new(1)));
-        assert!(!det.needs_pump());
-    }
-
-    #[test]
     #[should_panic(expected = "does not exceed the interval")]
     fn heartbeat_timeout_must_exceed_the_interval() {
         let cfg = DetectorConfig::heartbeat(Duration::from_millis(10), Duration::ZERO);
         FailureDetector::new(2, cfg, false);
-    }
-
-    #[test]
-    fn heartbeat_mode_ignores_reported_deaths() {
-        let det = hb_detector(2, 10, 100);
-        assert!(!det.report_death(NodeId::new(1)));
-        assert!(det.scan(ALL_ALIVE).is_empty());
     }
 }

@@ -13,7 +13,7 @@
 //!   and protocol points, like the paper's injected machine failures (§6.9).
 //!
 //! Fail-stop is modelled faithfully: a killed node simply stops executing
-//! and is detected after a configurable heartbeat delay; messages it sent
+//! and is detected by its missed heartbeats; messages it sent
 //! before dying may already be queued at peers (who roll back, per
 //! Algorithm 1), and messages sent *to* it are dropped.
 //!

@@ -173,9 +173,8 @@ pub(crate) trait Pipe<M>: Send {
     /// [`send`](Pipe::send), heartbeats carry no payload, take no part in
     /// the fence (a lost heartbeat is *information*, not data loss — the
     /// next one supersedes it), and are routed to the shared
-    /// [`FailureDetector`] rather than to an inbox. Default: no-op, so the
-    /// oracle-mode wire is byte-identical to before the detector existed.
-    fn send_heartbeat(&self, _to: NodeId, _seq: u64) {}
+    /// [`FailureDetector`] rather than to an inbox.
+    fn send_heartbeat(&self, to: NodeId, seq: u64);
 }
 
 // ---------------------------------------------------------------------------

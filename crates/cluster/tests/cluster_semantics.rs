@@ -1,13 +1,13 @@
 //! Behavioural tests of the simulated cluster: message-delivery guarantees
 //! the runners depend on, barrier all-reduce correctness, standby adoption
-//! under concurrency, and delayed failure detection.
+//! under concurrency, and heartbeat failure detection.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use imitator_cluster::{BarrierOutcome, Cluster, Coordinator, NodeId};
+use imitator_cluster::{BarrierOutcome, Cluster, Coordinator, DetectorConfig, NodeId};
 
 #[test]
 fn per_sender_fifo_order_is_preserved() {
@@ -65,6 +65,7 @@ fn standby_adoption_is_exclusive() {
     let _a = c.take_ctx(NodeId::new(0));
     let b = c.take_ctx(NodeId::new(1));
     b.die();
+    c.coordinator().mark_failed(NodeId::new(1));
     let waiters: Vec<_> = (0..2)
         .map(|_| {
             let c = c.clone();
@@ -81,8 +82,11 @@ fn standby_adoption_is_exclusive() {
 }
 
 #[test]
-fn delayed_detection_blocks_then_fails_barrier() {
-    let c: Cluster<()> = Cluster::new(2, 0, Duration::from_millis(60));
+fn heartbeat_detection_blocks_then_fails_barrier() {
+    // The default detector: a 60 ms timeout, which the survivor's pumped
+    // barrier wait must sit out before the dead node's closed slot is
+    // confirmed.
+    let c: Cluster<()> = Cluster::new(2, 0, Duration::ZERO);
     let a = c.take_ctx(NodeId::new(0));
     let b = c.take_ctx(NodeId::new(1));
     let start = std::time::Instant::now();
@@ -109,7 +113,7 @@ proptest! {
     ) {
         let nodes = contributions.len();
         let rounds = contributions.iter().map(Vec::len).min().unwrap();
-        let coord = Arc::new(Coordinator::new(nodes, 0, Duration::ZERO));
+        let coord = Arc::new(Coordinator::new(nodes, 0, DetectorConfig::default(), false));
         let expected: Vec<u64> = (0..rounds)
             .map(|r| contributions.iter().map(|c| c[r]).sum())
             .collect();

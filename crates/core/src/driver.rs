@@ -28,7 +28,7 @@ use imitator_storage::{epoch, Dfs, EpochKind, WriteBehind};
 
 use crate::ckpt::GraphCodec;
 use crate::msg::{ProtoMsg, RebirthBatch, ReplicaGrant, StoreCodec, VertexSync};
-use crate::recovery::{self, Abort, Adoption, Mig, MigEnv};
+use crate::recovery::{self, Adoption, Mig, MigEnv};
 use crate::report::RunReport;
 use crate::rt::{merge_outcomes, NodeOutcome, NodeState};
 use crate::{FtMode, RunConfig};
@@ -519,14 +519,11 @@ fn standby_main<M: ComputeModel>(
     };
     match reborn {
         Ok(lg) => Some(node_main(ctx, lg, shared, st)),
-        Err(abort) => {
+        Err(_) => {
             // The attempt this newbie was dispatched for aborted, and it has
-            // no pre-episode state to restore: it crashes itself (one that
-            // hit an injected fail point already has) and the next attempt
-            // takes a fresh standby. Its accounting still merges.
-            if let Abort::Failures(_) = abort {
-                ctx.crash();
-            }
+            // no pre-episode state to restore: it unwinds like a crashed
+            // node, its dropped context closes its slot, and the next
+            // attempt takes a fresh standby. Its accounting still merges.
             Some(NodeOutcome::from_state(None, st))
         }
     }

@@ -130,20 +130,19 @@ pub struct RunConfig {
     pub max_iters: u64,
     /// Fault-tolerance mode.
     pub ft: FtMode,
-    /// How node failures are noticed. [`DetectorKind::Oracle`] is told
-    /// about each crash by the injector (with `detection_delay` latency);
-    /// [`DetectorKind::Heartbeat`] infers crashes from missed
+    /// How node failures are noticed. Its one value,
+    /// [`DetectorKind::Heartbeat`], infers crashes from missed
     /// sequence-numbered heartbeats and retracts suspicions when late
-    /// evidence of life arrives.
+    /// evidence of life arrives. The field stays only because the frozen
+    /// `benchmark/src/config.rs` spells it; ROADMAP item 2's benchmark
+    /// change deletes it.
     pub detector: DetectorKind,
-    /// Oracle-mode failure-detection delay (the paper uses a conservative
-    /// 500 ms; tests use zero). Ignored under [`DetectorKind::Heartbeat`].
-    pub detection_delay: Duration,
-    /// Heartbeat emission period (heartbeat detector only).
+    /// Heartbeat emission period.
     pub hb_interval: Duration,
-    /// Silence threshold before a node is *suspected* (heartbeat detector
-    /// only). Suspicion is retracted if evidence of life arrives before
-    /// the fence confirms it.
+    /// Silence threshold before a node is *suspected* (the paper uses a
+    /// conservative 500 ms). Suspicion is retracted if evidence of life
+    /// arrives before the fence confirms it; a crashed node's closed slot
+    /// is confirmed one tick after it.
     pub hb_timeout: Duration,
     /// Hot standby machines for Rebirth (and for checkpoint recovery, which
     /// also replaces crashed machines).
@@ -169,8 +168,7 @@ impl Default for RunConfig {
             num_nodes: 4,
             max_iters: 100,
             ft: FtMode::None,
-            detector: DetectorKind::Oracle,
-            detection_delay: Duration::ZERO,
+            detector: DetectorKind::Heartbeat,
             hb_interval: Duration::from_millis(10),
             hb_timeout: Duration::from_millis(60),
             standbys: 0,
@@ -198,10 +196,7 @@ impl RunConfig {
 
     /// The failure-detector configuration this run requests.
     pub fn detector_config(&self) -> DetectorConfig {
-        match self.detector {
-            DetectorKind::Oracle => DetectorConfig::oracle(self.detection_delay),
-            DetectorKind::Heartbeat => DetectorConfig::heartbeat(self.hb_interval, self.hb_timeout),
-        }
+        DetectorConfig::heartbeat(self.hb_interval, self.hb_timeout)
     }
 }
 

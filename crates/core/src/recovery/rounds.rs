@@ -118,13 +118,13 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
     }
 
     /// Consults the failure injector for a recovery-phase crash at this
-    /// point; on a hit the node crashes (peers detect it at their next
-    /// barrier) and unwinds.
+    /// point; on a hit the node crashes: it unwinds without another send,
+    /// drain or barrier, and its context's close event is what the peers'
+    /// heartbeat scans confirm.
     pub(super) fn fail_here(&mut self, point: FailPoint) -> Attempt<()> {
         let injector = &self.shared.injector;
         if injector.should_fail(self.me(), self.resume_iter, point) {
             self.st.settle();
-            self.ctx.crash();
             return Err(Abort::Crashed);
         }
         Ok(())

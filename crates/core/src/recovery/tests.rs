@@ -76,12 +76,16 @@ fn load_plan(g: &Graph, view: &dyn ReplicaView, ft: FtMode) -> FtPlan {
     }
 }
 
+/// A run whose 1 ms / 6 ms heartbeat confirms a crash after 6 ms of virtual
+/// silence instead of the default 60.
 fn config(nodes: usize, ft: FtMode, standbys: usize) -> RunConfig {
     RunConfig {
         num_nodes: nodes,
         max_iters: 30,
         ft,
         standbys,
+        hb_interval: Duration::from_millis(1),
+        hb_timeout: Duration::from_millis(6),
         ..RunConfig::default()
     }
 }

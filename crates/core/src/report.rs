@@ -56,8 +56,8 @@ pub struct RecoveryReport {
     pub phases: PhaseTimes,
     /// Failure-detector activity as of the end of this episode: suspicions
     /// raised, retracted (false positives caught in time), confirmed, and
-    /// the summed observed detection latency in detector ticks. All-zero
-    /// under the oracle detector. Nodes snapshot one shared detector, so
+    /// the summed observed detection latency in detector ticks. Nodes
+    /// snapshot one shared detector, so
     /// the merge takes element-wise maxima rather than sums.
     pub suspicion: SuspicionStats,
     /// Bytes of undo journal the successful attempt held when it finished,
@@ -150,9 +150,9 @@ pub struct RunReport<V> {
     /// Failure-detector activity over the whole run: suspicions raised,
     /// retracted (false positives caught before the fence), confirmed, and
     /// the summed observed detection latency in detector ticks. All-zero
-    /// under the oracle detector; nonzero only when the heartbeat detector
-    /// actually suspected somebody (a stall-only run shows retractions here
-    /// even though no recovery episode ever started).
+    /// in a run where nobody went silent past the timeout (a stall-only run
+    /// shows retractions here even though no recovery episode ever
+    /// started).
     pub suspicion: SuspicionStats,
 }
 

@@ -139,7 +139,6 @@ fn base_cfg(nodes: usize) -> RunConfig {
         num_nodes: nodes,
         max_iters: 100,
         ft: FtMode::None,
-        detection_delay: Duration::ZERO,
         standbys: 0,
         transport: TransportKind::Channel,
         ..RunConfig::default()

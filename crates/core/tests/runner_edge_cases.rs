@@ -103,7 +103,7 @@ fn zero_iteration_budget_returns_initial_values() {
 }
 
 #[test]
-fn delayed_detection_still_recovers_identically() {
+fn slow_heartbeat_detection_still_recovers_identically() {
     let g = gen::power_law(800, 2.0, 6, 7);
     let clean = run(
         &g,
@@ -119,7 +119,8 @@ fn delayed_detection_still_recovers_identically() {
     for recovery in [RecoveryStrategy::Rebirth, RecoveryStrategy::Migration] {
         let standbys = usize::from(recovery == RecoveryStrategy::Rebirth);
         let mut cfg = rep(recovery, standbys);
-        cfg.detection_delay = Duration::from_millis(40);
+        cfg.hb_interval = Duration::from_millis(20);
+        cfg.hb_timeout = Duration::from_millis(120);
         let r = run(
             &g,
             4,
@@ -130,10 +131,7 @@ fn delayed_detection_still_recovers_identically() {
                 point: FailPoint::BeforeBarrier,
             }],
         );
-        assert_eq!(
-            r.values, clean.values,
-            "{recovery:?} with delayed detection"
-        );
+        assert_eq!(r.values, clean.values, "{recovery:?} with slow detection");
         assert_eq!(r.recoveries.len(), 1);
     }
 }

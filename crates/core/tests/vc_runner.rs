@@ -1,7 +1,6 @@
 //! End-to-end tests of the vertex-cut (PowerLyra) distributed runner.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use imitator::{run_vertex_cut, FtMode, RecoveryStrategy, RunConfig, TransportKind};
 use imitator_cluster::{FailPoint, FailurePlan, NodeId};
@@ -65,7 +64,6 @@ fn cfg(nodes: usize, ft: FtMode, standbys: usize) -> RunConfig {
         num_nodes: nodes,
         max_iters: 12,
         ft,
-        detection_delay: Duration::ZERO,
         standbys,
         transport: TransportKind::Channel,
         ..RunConfig::default()

@@ -13,7 +13,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use imitator::{run_edge_cut, FtMode, RecoveryStrategy, RunConfig, RunReport};
 use imitator_algos::{PageRank, RankValue};
@@ -51,7 +50,6 @@ fn run(
             max_iters: ITERS,
             ft,
             standbys,
-            detection_delay: Duration::from_millis(20),
             ..RunConfig::default()
         },
         failures,

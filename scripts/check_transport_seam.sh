@@ -29,12 +29,12 @@ echo "ok: no crossbeam types escape crates/cluster."
 # Coordinator-liveness guard for the failure detector.
 #
 # Who is alive is decided in exactly one place: the FailureDetector
-# (crates/cluster/src/detector.rs) observes evidence — heartbeats, close
-# events, oracle reports — and the coordinator's pump funnel applies its
+# (crates/cluster/src/detector.rs) observes evidence — heartbeats and close
+# events — and the coordinator's pump funnel applies its
 # verdicts via `mark_failed`. If a runner, bench or test writes liveness
 # directly, suspicion can no longer be retracted before the fence and the
 # false-positive-safety argument (DESIGN.md §4.8) is void.
-LIVENESS='mark_failed|report_death|observe_hb|observe_close|on_revive'
+LIVENESS='mark_failed|observe_hb|observe_close|on_revive'
 
 hits=$(grep -rnE "\.(${LIVENESS})\(" --include='*.rs' src tests examples \
     crates 2>/dev/null |
@@ -46,12 +46,12 @@ if [ -n "$hits" ]; then
     echo "Failure evidence must flow through the FailureDetector" >&2
     echo "(crates/cluster/src/detector.rs); the coordinator pump is the" >&2
     echo "only caller of mark_failed. Inject failures via FailurePlan or" >&2
-    echo "the NodeCtx die/crash paths instead." >&2
+    echo "the NodeCtx die path instead." >&2
     exit 1
 fi
 
-# Inside the cluster crate, `mark_failed` is coord.rs's funnel (scan +
-# report_death + its unit tests); everything else — transport backends,
+# Inside the cluster crate, `mark_failed` is coord.rs's funnel (scan + its
+# unit tests); everything else — transport backends,
 # the node context, the injector — must hand evidence to the detector.
 hits=$(grep -rn '\.mark_failed(' --include='*.rs' crates/cluster/src 2>/dev/null |
     grep -v '^crates/cluster/src/coord.rs:' |

@@ -18,8 +18,7 @@ use std::time::Duration;
 use imitator_repro::algos::{Als, CommunityDetection, PageRank, Sssp};
 use imitator_repro::cluster::{FailPoint, FailurePlan, NodeId};
 use imitator_repro::ft::{
-    run_edge_cut, DetectorKind, FtMode, NetFaults, RecoveryStrategy, RunConfig, RunReport,
-    TransportKind,
+    run_edge_cut, FtMode, NetFaults, RecoveryStrategy, RunConfig, RunReport, TransportKind,
 };
 use imitator_repro::graph::gen::Dataset;
 use imitator_repro::graph::{Graph, Vid};
@@ -51,10 +50,6 @@ OPTIONS (run):
                                     (results identical to channels)
   --lossy <seed>                    seeded drop/dup/reorder/delay fault
                                     schedule on every link (results identical)
-  --detector <oracle|heartbeat>     failure detection    [default: oracle]
-                                    oracle: the injector reports crashes;
-                                    heartbeat: crashes are inferred from
-                                    missed heartbeats (results identical)
   --hb-interval <ms>                heartbeat period     [default: 10]
   --hb-timeout <ms>                 silence before suspicion [default: 60]
                                     (must exceed --hb-interval)
@@ -79,7 +74,6 @@ struct Opts {
     interval: u64,
     incremental: bool,
     transport: TransportKind,
-    detector: DetectorKind,
     hb_interval_ms: u64,
     hb_timeout_ms: u64,
     fails: Vec<(u32, u64)>,
@@ -104,7 +98,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         interval: 4,
         incremental: false,
         transport: TransportKind::Channel,
-        detector: DetectorKind::Oracle,
         hb_interval_ms: 10,
         hb_timeout_ms: 60,
         fails: Vec::new(),
@@ -140,13 +133,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
             "--lossy" => {
                 let seed = value()?.parse().map_err(|e| format!("--lossy: {e}"))?;
                 opts.transport = TransportKind::Lossy(NetFaults::from_seed(seed));
-            }
-            "--detector" => {
-                opts.detector = match value()?.as_str() {
-                    "oracle" => DetectorKind::Oracle,
-                    "heartbeat" | "hb" => DetectorKind::Heartbeat,
-                    other => return Err(format!("unknown detector {other}")),
-                };
             }
             "--hb-interval" => {
                 opts.hb_interval_ms = value()?
@@ -233,13 +219,13 @@ fn ft_mode(opts: &Opts) -> Result<(FtMode, usize), String> {
 
 /// Rejects a cluster nothing can be partitioned over or replicated on: no
 /// node, a replication level of none, or one that leaves no survivor; and a
-/// heartbeat detector whose timeout does not exceed its interval, which
-/// would confirm every live node dead.
+/// heartbeat timeout that does not exceed its interval, which would confirm
+/// every live node dead.
 fn check_cluster(opts: &Opts, ft: FtMode) -> Result<(), String> {
     let (nodes, interval, timeout) = (opts.nodes, opts.hb_interval_ms, opts.hb_timeout_ms);
     match ft {
         _ if nodes == 0 => Err("--nodes: a cluster needs at least one node".into()),
-        _ if opts.detector == DetectorKind::Heartbeat && timeout <= interval => Err(format!(
+        _ if timeout <= interval => Err(format!(
             "--hb-timeout: {timeout} ms does not exceed --hb-interval {interval} ms"
         )),
         FtMode::Replication { tolerance: 0, .. } => {
@@ -327,8 +313,6 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         max_iters: opts.iters,
         ft,
         standbys,
-        detector: opts.detector,
-        detection_delay: Duration::from_millis(20),
         hb_interval: Duration::from_millis(opts.hb_interval_ms),
         hb_timeout: Duration::from_millis(opts.hb_timeout_ms),
         transport: opts.transport,
@@ -519,7 +503,6 @@ mod tests {
         assert!(parse(&["run", "--nodes", "abc"]).is_err());
         assert!(parse(&["run", "--fail", "3"]).is_err()); // no @
         assert!(parse(&["run", "--wat"]).is_err());
-        assert!(parse(&["run", "--detector", "psychic"]).is_err());
         assert!(parse(&["run", "--hb-interval", "soon"]).is_err());
     }
 
@@ -562,22 +545,22 @@ mod tests {
         assert_eq!(verdict("--tolerance 3"), "");
         assert!(verdict("--tolerance 2 --nodes 2").starts_with("--tolerance: 2 failures"));
         // A heartbeat timeout at or below the interval would fence every
-        // live node; the oracle ignores both.
-        let hb = "--detector heartbeat --hb-timeout";
+        // live node.
         let zero = "--hb-timeout: 0 ms does not exceed --hb-interval 10 ms";
-        assert_eq!(verdict(&format!("{hb} 0")), zero);
-        assert_eq!(verdict(&format!("{hb} 0 --ft none")), zero);
+        assert_eq!(verdict("--hb-timeout 0"), zero);
+        assert_eq!(verdict("--hb-timeout 0 --ft none"), zero);
         let equal = "--hb-timeout: 5 ms does not exceed --hb-interval 5 ms";
-        assert_eq!(verdict(&format!("{hb} 5 --hb-interval 5")), equal);
-        assert_eq!(verdict(&format!("{hb} 11")), "");
-        assert_eq!(verdict("--hb-timeout 0"), "");
-        // One path each: the switches that chose another are gone, and so is
-        // the thread count of a machine that is one thread.
+        assert_eq!(verdict("--hb-timeout 5 --hb-interval 5"), equal);
+        assert_eq!(verdict("--hb-timeout 11"), "");
+        // One path each: the switches that chose another are gone, and so are
+        // the thread count of a machine that is one thread and the choice of
+        // a failure detector other than heartbeats.
         for flag in [
             "--no-sync-suppress",
             "--no-pipeline",
             "--no-delta-sync",
             "--threads",
+            "--detector",
         ] {
             assert_eq!(verdict(flag), format!("unknown flag {flag}"));
         }
@@ -585,23 +568,14 @@ mod tests {
 
     #[test]
     fn detector_flags_parse() {
+        // The heartbeat defaults are the library's.
         let o = parse(&["run"]).unwrap();
-        assert_eq!(o.detector, DetectorKind::Oracle);
+        let lib = RunConfig::default();
+        assert_eq!(Duration::from_millis(o.hb_interval_ms), lib.hb_interval);
+        assert_eq!(Duration::from_millis(o.hb_timeout_ms), lib.hb_timeout);
         assert_eq!((o.hb_interval_ms, o.hb_timeout_ms), (10, 60));
-        let o = parse(&[
-            "run",
-            "--detector",
-            "heartbeat",
-            "--hb-interval",
-            "5",
-            "--hb-timeout",
-            "25",
-        ])
-        .unwrap();
-        assert_eq!(o.detector, DetectorKind::Heartbeat);
+        let o = parse(&["run", "--hb-interval", "5", "--hb-timeout", "25"]).unwrap();
         assert_eq!((o.hb_interval_ms, o.hb_timeout_ms), (5, 25));
-        let o = parse(&["run", "--detector", "hb"]).unwrap();
-        assert_eq!(o.detector, DetectorKind::Heartbeat);
     }
 
     #[test]

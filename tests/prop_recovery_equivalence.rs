@@ -9,6 +9,7 @@
 //! machines' state precisely.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -120,13 +121,24 @@ fn plans(s: &Scenario) -> Vec<FailurePlan> {
         .collect()
 }
 
+/// `RunConfig::default()` with a 1 ms / 6 ms heartbeat, so a crash is
+/// confirmed after 6 ms of virtual silence instead of 60. The goldens keep
+/// the default detector.
+fn quick_detection() -> RunConfig {
+    RunConfig {
+        hb_interval: Duration::from_millis(1),
+        hb_timeout: Duration::from_millis(6),
+        ..RunConfig::default()
+    }
+}
+
 fn config(s: &Scenario, ft: FtMode, standbys: usize) -> RunConfig {
     RunConfig {
         num_nodes: s.nodes,
         max_iters: 30,
         ft,
         standbys,
-        ..RunConfig::default()
+        ..quick_detection()
     }
 }
 
@@ -374,7 +386,7 @@ fn nan_flood_recovery_case(strategy: RecoveryStrategy) {
         max_iters: 12,
         ft,
         standbys,
-        ..RunConfig::default()
+        ..quick_detection()
     };
     let clean = run_edge_cut(
         &g,
@@ -1001,7 +1013,7 @@ fn pagerank_fold_order_goldens_are_bit_identical() {
                 max_iters: 20,
                 ft,
                 standbys,
-                ..RunConfig::default()
+                ..quick_detection()
             };
             let prog = Arc::new(PageRank::new(0.85, 0.0));
             let dfs = Dfs::new(DfsConfig::instant());
@@ -1143,7 +1155,7 @@ fn nested_config(s: &NestedScenario, ft: FtMode) -> RunConfig {
         max_iters: 30,
         ft,
         standbys: s.standbys,
-        ..RunConfig::default()
+        ..quick_detection()
     }
 }
 
@@ -1299,7 +1311,7 @@ fn nested_run(
         max_iters: 30,
         ft,
         standbys,
-        ..RunConfig::default()
+        ..quick_detection()
     };
     if edge_cut {
         let cut = HashEdgeCut.partition(&graph, nodes);
@@ -1580,7 +1592,7 @@ fn delta_chain_crosses_rebirth_and_migration_recoveries() {
         max_iters: 30,
         ft,
         standbys,
-        ..RunConfig::default()
+        ..quick_detection()
     };
     for edge_cut in [true, false] {
         let plans = vec![
@@ -1732,7 +1744,7 @@ fn wire_format_invisible_e2e() {
                 max_iters: 30,
                 ft,
                 standbys,
-                ..RunConfig::default()
+                ..quick_detection()
             };
             let dfs = Dfs::new(DfsConfig::instant());
             let r = if edge_cut {
@@ -1894,7 +1906,7 @@ fn lossy_migration_round_drop_and_sync_dup_recover() {
                 ft,
                 standbys: 0,
                 transport,
-                ..RunConfig::default()
+                ..quick_detection()
             };
             let dfs = Dfs::new(DfsConfig::instant());
             if edge_cut {
