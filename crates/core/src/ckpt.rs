@@ -24,17 +24,17 @@
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
-    ColumnLens, CopyKind, Degrees, EcLocalGraph, EcVertex, EdgeLists, FullStateRef, Locations,
-    LocationsRef, MasterMeta, RemoteEdge, StoreLens, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
-    MAX_TABLE_NODES,
+    take_run, ColumnLens, CopyKind, Degrees, EcLocalGraph, EcVertex, EdgeLists, FullStateRef,
+    InEdge, InEdges, List, Locations, LocationsRef, RemoteEdge, StoreLens, VcEdge, VcLocalGraph,
+    VcVertex, VertexProgram, MAX_TABLE_NODES,
 };
 use imitator_graph::{PosIndex, Vid};
 use imitator_storage::codec::{Decode, DecodeError, Encode, Reader, Sink};
 use imitator_storage::{Dfs, WriteBehind};
 
 use crate::columns::{
-    dec_bits, dec_count, dec_delta, dec_deltas, dec_node, dec_u32, dec_u64, dec_vid, enc_bits,
-    enc_count, enc_delta, enc_deltas, enc_node, enc_u32, enc_u64, enc_vid,
+    dec_bits, dec_count, dec_delta, dec_deltas, dec_node, dec_u32, dec_u64, enc_bits, enc_count,
+    enc_delta, enc_deltas, enc_node, enc_u32, enc_u64,
 };
 use crate::driver::ModelGraph;
 
@@ -124,14 +124,6 @@ pub(crate) fn dec_column_lens(r: &mut Reader<'_>) -> Result<ColumnLens, DecodeEr
     Ok(lens)
 }
 
-fn enc_out_remote<S: Sink>(edges: &[RemoteEdge], buf: &mut S) {
-    enc_count(edges.len(), buf);
-    for r in edges {
-        enc_node(r.node, buf);
-        enc_u32(r.pos, buf);
-    }
-}
-
 /// Decodes a list into `out`, which it empties first and sizes once.
 fn dec_list_into<T>(
     r: &mut Reader<'_>,
@@ -147,22 +139,17 @@ fn dec_list_into<T>(
     Ok(())
 }
 
-fn dec_remote_edge(r: &mut Reader<'_>) -> Result<RemoteEdge, DecodeError> {
-    Ok(RemoteEdge {
-        node: dec_node(r)?,
-        pos: dec_u32(r)?,
-    })
-}
-
 /// An edge-cut mirror's full state as a graph snapshot writes it: all of it.
 fn enc_meta<S: Sink>(m: FullStateRef<'_>, buf: &mut S) {
     enc_lists(m, EdgeLists::ALL, None, buf);
 }
 
 /// The location tables of `m`, then the edge lists `lists` names, each
-/// behind its count: the in-edges as `(position, weight, source)` — without
-/// the weight when the message writes the one weight all of them have,
-/// `uniform`, once — then `out_local_owner`, then `out_remote`.
+/// the run the engine defines for it ([`imitator_engine::Run`]): the
+/// in-edges as `(position, weight, source)` — without the weight when the
+/// message writes the one weight all of them have, `uniform`, once — then
+/// `out_local_owner`, then `out_remote`. A list held as a run in the same
+/// layout is copied, not re-encoded.
 pub(crate) fn enc_lists<S: Sink>(
     m: FullStateRef<'_>,
     lists: EdgeLists,
@@ -171,65 +158,51 @@ pub(crate) fn enc_lists<S: Sink>(
 ) {
     enc_locations(m.locations, buf);
     if lists.contains(EdgeLists::IN_EDGES) {
-        enc_count(m.in_edges_owner.len(), buf);
-        for (&(pos, w), src) in m.in_edges_owner.iter().zip(m.in_edge_srcs.iter()) {
-            enc_u32(pos, buf);
-            if uniform.is_none() {
-                w.encode(buf);
-            }
-            enc_vid(src, buf);
-        }
+        m.in_edges.put(uniform, buf);
     }
     if lists.contains(EdgeLists::OUT_LOCAL) {
-        enc_count(m.out_local_owner.len(), buf);
-        for &p in m.out_local_owner {
-            enc_u32(p, buf);
-        }
+        m.out_local_owner.put(buf);
     }
     if lists.contains(EdgeLists::OUT_REMOTE) {
-        enc_out_remote(m.out_remote, buf);
+        m.out_remote.put(buf);
     }
 }
 
-/// Reads [`enc_meta`] back into `m`, reusing its lists' allocations.
-fn dec_meta_into(r: &mut Reader<'_>, m: &mut MasterMeta) -> Result<(), DecodeError> {
-    dec_lists_into(r, EdgeLists::ALL, None, m)
-}
+/// The edge lists of one full state as [`dec_lists`] reads them: runs of
+/// the input.
+pub(crate) type Lists<'a> = (InEdges<'a>, List<'a, u32>, List<'a, RemoteEdge>);
 
-/// Reads [`enc_lists`] back into `m`, reusing its lists' allocations; a
-/// list `lists` does not name comes back empty.
-pub(crate) fn dec_lists_into(
-    r: &mut Reader<'_>,
+/// Reads the edge lists [`enc_lists`] writes behind a full state's tables:
+/// each list `lists` names is a run of the input, checked entry by entry
+/// where it enters ([`take_run`]) and kept as it is; a list `lists` does not
+/// name comes back empty.
+pub(crate) fn dec_lists<'a>(
+    r: &mut Reader<'a>,
     lists: EdgeLists,
     uniform: Option<f32>,
-    m: &mut MasterMeta,
-) -> Result<(), DecodeError> {
-    dec_locations_into(r, &mut m.locations)?;
+) -> Result<Lists<'a>, DecodeError> {
     let carried = |list| lists.contains(list);
-    let ne = if carried(EdgeLists::IN_EDGES) {
-        dec_count(r)?
-    } else {
-        0
-    };
-    m.in_edges_owner.clear();
-    m.in_edges_owner.reserve_exact(ne);
-    m.in_edge_srcs.clear();
-    m.in_edge_srcs.reserve_exact(ne);
-    for _ in 0..ne {
-        let pos = dec_u32(r)?;
-        let w = uniform.map_or_else(|| f32::decode(r), Ok)?;
-        m.in_edges_owner.push((pos, w));
-        m.in_edge_srcs.push(dec_vid(r)?);
+    let mut decoded = Lists::default();
+    if carried(EdgeLists::IN_EDGES) {
+        decoded.0 = InEdges::Run(take_run::<InEdge>(r, uniform)?.0);
     }
-    m.out_local_owner.clear();
     if carried(EdgeLists::OUT_LOCAL) {
-        dec_list_into(r, &mut m.out_local_owner, dec_u32)?;
+        decoded.1 = List::Run(take_run::<u32>(r, uniform)?.0);
     }
-    m.out_remote.clear();
     if carried(EdgeLists::OUT_REMOTE) {
-        dec_list_into(r, &mut m.out_remote, dec_remote_edge)?;
+        decoded.2 = List::Run(take_run::<RemoteEdge>(r, uniform)?.0);
     }
-    Ok(())
+    Ok(decoded)
+}
+
+/// The full state `tables` and `lists` make up.
+pub(crate) fn state_of<'a>(tables: &'a Locations, lists: Lists<'a>) -> FullStateRef<'a> {
+    FullStateRef {
+        locations: tables.view(),
+        in_edges: lists.0,
+        out_local_owner: lists.1,
+        out_remote: lists.2,
+    }
 }
 
 /// An edge-cut copy's two edge lists as a graph snapshot carries them:
@@ -267,17 +240,22 @@ fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
     let fixed = 4 * HINT_VARINT + 2 + std::mem::size_of::<V>();
     let edge = HINT_VARINT + 4;
     // Edge lists and full state from the columns' lengths: a few location
-    // entries and list headers per slot, then the entries.
+    // entries and list headers per slot, the mirrors' runs as they are — and
+    // a weight per in-edge, if they write none — then the masters' remote
+    // out-edges.
     let (in_edges, out_local) = lg.edge_list_lens();
     let copies = fixed * lg.len() + edge * in_edges + HINT_VARINT * out_local;
     let StoreLens {
-        slots, edges: lens, ..
+        slots,
+        runs,
+        remote,
+        ..
     } = lg.full_state_lens();
-    copies
-        + (8 * HINT_VARINT + 3) * slots
-        + edge * lens.in_edges
-        + HINT_VARINT * (lens.in_srcs + lens.out_local)
-        + (HINT_VARINT + 1) * lens.out_remote
+    let weights = match lg.full_state_weights().uniform() {
+        Some(_) => 4 * lg.full_state_entries().in_edges,
+        None => 0,
+    };
+    copies + (8 * HINT_VARINT + 3) * slots + runs + weights + (HINT_VARINT + 1) * remote
 }
 
 /// Encodes an edge-cut local graph (topology + current state) as a
@@ -286,20 +264,22 @@ fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
 /// clears it before returning) and decodes as false.
 ///
 /// Full state is written as the graph stores it: a mirror's whole (the
-/// message form, [`enc_meta`]), a master's without the two lists that are
-/// its own in-edges and consumers, already written, and without the sources
-/// its in-edges name through the copies, written too. The format is
-/// internal — undo buffers and the `ec/meta/<node>` files of one run.
+/// message form, [`enc_meta`], its runs copied — but for the weight a
+/// uniform store leaves out, which a snapshot writes per in-edge), a
+/// master's without the two lists that are its own in-edges and consumers,
+/// already written, and without the sources its in-edges name through the
+/// copies, written too. The format is internal — undo buffers and the
+/// `ec/meta/<node>` files of one run.
 pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(ec_graph_size_hint(lg));
     enc_node(lg.node, &mut buf);
     enc_count(lg.verts.len(), &mut buf);
     // The prologue: what the decoder's store and hot columns will hold (runs
-    // no slot or copy points at any more are not encoded), so it sizes each
-    // column once.
-    let live = lg.live_full_state_lens();
-    enc_count(live.slots, &mut buf);
-    enc_column_lens(live.edges, &mut buf);
+    // no slot or copy points at any more are not encoded) — slots and the
+    // entries of their lists, which the decoder holds the graph it built
+    // to — so it sizes the copies and slots once.
+    enc_count(lg.live_full_state_lens().slots, &mut buf);
+    enc_column_lens(lg.full_state_entries(), &mut buf);
     let positions = 0..lg.verts.len() as u32;
     let in_edges: usize = positions.map(|pos| lg.in_edges(pos).len()).sum();
     enc_count(in_edges, &mut buf);
@@ -316,7 +296,7 @@ pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
         match lg.full_state(pos) {
             Some(state) if v.is_master() => {
                 enc_locations(state.locations, &mut buf);
-                enc_out_remote(state.out_remote, &mut buf);
+                state.out_remote.put(&mut buf);
             }
             Some(state) => enc_meta(state, &mut buf),
             None => {}
@@ -326,8 +306,9 @@ pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
 }
 
 /// Decodes an edge-cut metadata snapshot. The prologue's totals size the
-/// full-state store once; the graph that comes back holds exactly them and
-/// passes [`EcLocalGraph::validate`].
+/// copies and slots once; the graph that comes back holds exactly them,
+/// every run it stores checked on the way in, and passes
+/// [`EcLocalGraph::validate`].
 ///
 /// # Errors
 ///
@@ -349,17 +330,16 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
     lg.verts.reserve_exact(n);
     lg.reserve_full_state(StoreLens {
         slots,
-        words: 0,
-        edges: lens,
+        ..StoreLens::default()
     });
     // Every in-edge has its consumer entry: exact for a graph as loaded, a
     // first guess for one recovery has rewired.
     lg.reserve_edge_lists(hot, hot);
     let mut pairs = Vec::with_capacity(n);
     let mut prev_vid = 0u32;
-    // One copy's lists and full state at a time, their allocations reused.
+    // One copy's lists and tables at a time, their allocations reused.
     let (mut in_edges, mut out_local) = (Vec::new(), Vec::new());
-    let mut meta = MasterMeta::default();
+    let mut tables = Locations::default();
     for pos in 0..n as u32 {
         let vid = Vid::new(dec_delta(&mut r, &mut prev_vid)?);
         let (kind, flags) = dec_copy_flags(&mut r, 5)?;
@@ -375,19 +355,18 @@ pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, Decod
         if flags & 0b1_0000 == 0 {
             continue;
         }
-        if kind == CopyKind::Master {
-            dec_locations_into(&mut r, &mut meta.locations)?;
-            dec_list_into(&mut r, &mut meta.out_remote, dec_remote_edge)?;
-        } else {
-            dec_meta_into(&mut r, &mut meta)?;
-        }
-        lg.set_full_state(pos, meta.view());
+        dec_locations_into(&mut r, &mut tables)?;
+        let lists = match kind {
+            CopyKind::Master => dec_lists(&mut r, EdgeLists::OUT_REMOTE, None)?,
+            _ => dec_lists(&mut r, EdgeLists::ALL, None)?,
+        };
+        lg.set_full_state(pos, state_of(&tables, lists));
     }
     if r.remaining() > 0 {
         return Err(DecodeError::TrailingBytes(r.remaining()));
     }
-    let held = lg.full_state_lens();
-    if (held.slots, held.edges, lg.edge_list_lens().0) != (slots, lens, hot) {
+    let held = (lg.live_full_state_lens().slots, lg.full_state_entries());
+    if (held, lg.edge_list_lens().0) != ((slots, lens), hot) {
         return Err(DecodeError::Corrupt("prologue totals"));
     }
     lg.index = PosIndex::from_pairs(pairs);
@@ -866,7 +845,9 @@ pub fn decode_edge_ckpt(bytes: &[u8]) -> Result<Vec<(Vid, Vid, f32)>, DecodeErro
 pub(crate) mod tests {
     use super::*;
     use crate::plan::{compute_ft_plan, ReplicaView};
-    use imitator_engine::{build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, FtPlan};
+    use imitator_engine::{
+        build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, FtPlan, MasterMeta,
+    };
     use imitator_graph::{gen, Edge, Graph};
     use imitator_metrics::MemSize;
     use imitator_partition::{
@@ -1211,24 +1192,71 @@ pub(crate) mod tests {
         let mut lg = build_edge_cut_graphs(&g, &cut, &plan, &P, &d).remove(1);
         let loaded = lg.full_state_lens();
         assert_eq!(lg.live_full_state_lens(), loaded, "a fresh store has none");
-        // Grow every mirror's remote out-edges by one: each list moves to
-        // its column's tail and leaves its old run behind.
+        // Grow every mirror's remote out-edges by one: each list is a new
+        // run at its column's tail and leaves its old run behind.
         let mirrors: Vec<u32> = (0..lg.len() as u32)
             .filter(|&pos| lg.verts[pos as usize].kind == CopyKind::Mirror)
             .collect();
         assert!(!mirrors.is_empty());
         for &pos in &mirrors {
-            lg.extend_out_remote(pos, &[RemoteEdge::default()]);
+            let mut grown = lg.full_state(pos).unwrap().to_meta();
+            grown.out_remote.push(RemoteEdge::default());
+            lg.set_full_state(pos, grown.view());
         }
         let live = lg.live_full_state_lens();
-        assert_eq!(
-            live.edges.out_remote,
-            loaded.edges.out_remote + mirrors.len()
-        );
-        assert!(lg.full_state_lens().edges.out_remote > live.edges.out_remote);
+        assert_eq!(live.slots, loaded.slots);
+        assert!(lg.full_state_lens().runs > live.runs && live.runs > loaded.runs);
         let back: EcLocalGraph<f64> = decode_ec_graph(&encode_ec_graph(&lg)).unwrap();
         assert_eq!(back, lg);
+        assert_eq!(back.full_state_weights(), lg.full_state_weights());
         assert_eq!(back.full_state_lens(), live);
+    }
+
+    /// A loaded mirror keeps each of its edge lists as the bytes
+    /// [`enc_lists`] writes for it, in either weight layout: on a graph
+    /// whose edges all weigh the same that weight is written nowhere, on a
+    /// weighted one beside every in-edge.
+    #[test]
+    fn a_mirror_stores_the_runs_enc_lists_writes() {
+        let graphs = [
+            (gen::power_law(400, 2.0, 6, 3), true),
+            (gen::road_like(400, 5), false),
+        ];
+        for (g, unweighted) in graphs {
+            let cut = HashEdgeCut.partition(&g, 3);
+            let plan = compute_ft_plan(&g, &cut, 1, false, true, 0xF7);
+            let d = Degrees::of(&g);
+            for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
+                let uniform = lg.full_state_weights().uniform();
+                assert_eq!(uniform.is_some(), unweighted);
+                let mirrors =
+                    (0..lg.len() as u32).filter(|&p| lg.verts[p as usize].kind == CopyKind::Mirror);
+                for pos in mirrors {
+                    let state = lg.full_state(pos).unwrap();
+                    let mut wire = Vec::new();
+                    enc_lists(state.to_meta().view(), EdgeLists::ALL, uniform, &mut wire);
+                    // An empty remote list is no run: the slot reads its
+                    // decoded list, which is empty too.
+                    let remote = match state.out_remote {
+                        List::Run(run) => run.bytes(),
+                        List::Slice(decoded) => {
+                            assert!(decoded.is_empty(), "a mirror keeps its lists as runs");
+                            &[]
+                        }
+                    };
+                    let runs = match (state.in_edges, state.out_local_owner) {
+                        (InEdges::Run(a), List::Run(b)) => [a.bytes(), b.bytes(), remote],
+                        _ => panic!("a mirror keeps its lists as runs"),
+                    };
+                    let mut stored = Vec::new();
+                    enc_locations(state.locations, &mut stored);
+                    for run in runs {
+                        stored.extend_from_slice(if run.is_empty() { &[0] } else { run });
+                    }
+                    assert_eq!(stored, wire, "mirror at {pos} on {}", lg.node);
+                }
+            }
+        }
     }
 
     /// What a master exports is the full state the loaders used to build
@@ -1250,11 +1278,7 @@ pub(crate) mod tests {
                     owner.in_edges(master).len()
                 })
                 .sum();
-            assert_eq!(
-                lg.full_state_lens().edges.in_edges,
-                mirrored,
-                "mirrors' only"
-            );
+            assert_eq!(lg.full_state_entries().in_edges, mirrored, "mirrors' only");
             for pos in lg.master_positions() {
                 let v = lg.verts[pos as usize].vid;
                 let mut want = MasterMeta {

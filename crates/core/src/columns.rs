@@ -1,12 +1,14 @@
 //! The integer and bit columns everything core writes is made of: the wire
 //! frames ([`crate::wire`]), the recovery messages ([`crate::msg`]) and the
 //! DFS snapshots and edge-ckpt files ([`crate::ckpt`]). Each primitive is
-//! defined once, here, so a layout decision is made in one place.
+//! defined once, here, so a layout decision is made in one place; the one
+//! exception is a full state's edge lists, whose runs the engine defines
+//! ([`imitator_engine::Run`]) because a mirror stores them in that form.
 //!
 //! * a **count**: a uvarint held to the input that remains — every counted
 //!   record costs at least a byte, so a larger count is corruption, caught
 //!   before anything is sized from it;
-//! * a `u32`, [`Vid`] or [`NodeId`]: a uvarint (LEB128), as is a `u64`;
+//! * a `u32`, vertex ID or [`NodeId`]: a uvarint (LEB128), as is a `u64`;
 //! * a **delta column**: each value the zigzag uvarint of its step from the
 //!   one before it (the first from 0), so ascending or clustered IDs and
 //!   positions take about a byte;
@@ -14,7 +16,6 @@
 //!   ⌈k·n/8⌉ bytes; the padding bits of the last byte are zero.
 
 use imitator_cluster::NodeId;
-use imitator_graph::Vid;
 use imitator_storage::codec::{
     read_uvarint, unzigzag64, write_uvarint, zigzag64, DecodeError, Reader, Sink,
 };
@@ -45,14 +46,6 @@ pub(crate) fn enc_u32<S: Sink>(v: u32, out: &mut S) {
 
 pub(crate) fn dec_u32(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
     u32::try_from(read_uvarint(r)?).map_err(|_| DecodeError::Corrupt("varint exceeds u32"))
-}
-
-pub(crate) fn enc_vid<S: Sink>(v: Vid, out: &mut S) {
-    enc_u32(v.raw(), out);
-}
-
-pub(crate) fn dec_vid(r: &mut Reader<'_>) -> Result<Vid, DecodeError> {
-    Ok(Vid::new(dec_u32(r)?))
 }
 
 pub(crate) fn enc_node<S: Sink>(n: NodeId, out: &mut S) {

@@ -454,7 +454,7 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
     let mut fed: Vec<(NodeId, u32, Vid)> = Vec::new();
     for (node, lg) in graphs {
         for pos in (0..lg.len() as u32).filter(|&p| lg.is_master(p)) {
-            let srcs = lg.exported(pos).in_edge_srcs.iter();
+            let srcs = lg.exported(pos).in_edges.srcs();
             fed.extend(srcs.map(|src| (*node, pos, src)));
         }
     }
@@ -462,7 +462,7 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
     for (node, lg) in graphs {
         for pos in (0..lg.len() as u32).filter(|&p| lg.is_master(p)) {
             let vid = lg.vid(pos);
-            for r in lg.exported(pos).out_remote {
+            for r in lg.exported(pos).out_remote.iter() {
                 let fed_there = fed.binary_search(&(r.node, r.pos, vid)).is_ok();
                 assert!(fed_there, "{vid} on {node} feeds no live master at {r:?}");
             }

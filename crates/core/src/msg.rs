@@ -14,14 +14,15 @@ use std::marker::PhantomData;
 
 use imitator_cluster::{NodeId, WireCodec};
 use imitator_engine::{
-    CopyKind, EcLocalGraph, EdgeLists, FullState, FullStateRef, Locations, MasterMeta, StoreLens,
-    VcLocalGraph,
+    CopyKind, EcLocalGraph, EdgeLists, FullState, FullStateRef, Locations, StoreLens, VcLocalGraph,
+    Weights,
 };
 use imitator_graph::Vid;
 use imitator_storage::codec::{Decode, DecodeError, Encode, Reader, Sink};
 
 use crate::ckpt::{
-    dec_column_lens, dec_lists_into, dec_locations_into, enc_column_lens, enc_lists, enc_locations,
+    dec_column_lens, dec_lists, dec_locations_into, enc_column_lens, enc_lists, enc_locations,
+    state_of,
 };
 use crate::columns::{
     dec_bits, dec_count, dec_deltas, dec_node, dec_u32, dec_u64, enc_bits, enc_count, enc_deltas,
@@ -425,12 +426,17 @@ pub(crate) trait StoreCodec {
         -> Result<(FullState, Vec<EdgeLists>), DecodeError>;
 }
 
-/// The weight every in-edge of `metas` has, to the bit, if it has any.
+/// The weight every in-edge of `metas` has, to the bit, if it has any: a
+/// store in the uniform layout says so without reading its runs.
 fn uniform_weight(metas: &FullState) -> Option<f32> {
-    let slots = (0..metas.len()).map(|i| metas.nth(i).in_edges_owner);
-    let mut weights = slots.flat_map(|in_edges| in_edges.iter().map(|&(_, w)| w.to_bits()));
-    let first = weights.next()?;
-    weights.all(|w| w == first).then(|| f32::from_bits(first))
+    let mut weights = Weights::Unset;
+    for i in 0..metas.len() {
+        weights = weights.and(metas.nth(i).in_edges.weights());
+        if weights == Weights::PerEdge {
+            return None;
+        }
+    }
+    weights.uniform()
 }
 
 impl<V> StoreCodec for EcLocalGraph<V> {
@@ -439,7 +445,8 @@ impl<V> StoreCodec for EcLocalGraph<V> {
     /// flag byte — 1, then the one `f32` every in-edge of the batch weighs
     /// (to the bit), when there is one; 0, when each in-edge carries its
     /// own —; then every slot's tables and the lists it carries
-    /// ([`enc_lists`]).
+    /// ([`enc_lists`]): a run written as the store keeps it, unless the
+    /// batch writes weights another way.
     fn enc_states<S: Sink>(metas: &FullState, lists: &[EdgeLists], out: &mut S) {
         debug_assert_eq!(lists.len(), metas.len(), "one list mask per slot");
         enc_column_lens(metas.column_lens(), out);
@@ -454,9 +461,10 @@ impl<V> StoreCodec for EcLocalGraph<V> {
         }
     }
 
-    /// Reads the store back, refusing a mask bit past the third, a weight
-    /// flag other than 0 or 1 and column totals other than what the carried
-    /// lists add up to.
+    /// Reads the store back, its runs the input's own bytes, each checked
+    /// entry by entry before it is kept; refuses a mask bit past the third,
+    /// a weight flag other than 0 or 1 and column totals other than what
+    /// the carried lists add up to.
     fn dec_states(
         r: &mut Reader<'_>,
         n: usize,
@@ -470,16 +478,16 @@ impl<V> StoreCodec for EcLocalGraph<V> {
             1 => Some(f32::decode(r)?),
             _ => return Err(DecodeError::Corrupt("weight column flag")),
         };
-        let mut metas = FullState::default();
+        let mut metas = FullState::with_weights(uniform.map_or(Weights::PerEdge, Weights::Uniform));
         metas.reserve_exact(StoreLens {
             slots: n,
-            words: 0,
-            edges: lens,
+            runs: r.remaining(),
+            ..StoreLens::default()
         });
-        let mut meta = MasterMeta::default();
+        let mut tables = Locations::default();
         for &carried in &lists {
-            dec_lists_into(r, carried, uniform, &mut meta)?;
-            metas.push(meta.view());
+            dec_locations_into(r, &mut tables)?;
+            metas.push(state_of(&tables, dec_lists(r, carried, uniform)?));
         }
         if metas.column_lens() != lens {
             return Err(DecodeError::Corrupt("column totals"));
@@ -606,7 +614,8 @@ mod tests {
     };
     use imitator_algos::RankValue;
     use imitator_engine::{
-        build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, FullStateBatches, RemoteEdge,
+        build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, EcVertex, FullStateBatches,
+        MasterMeta, RemoteEdge, VcVertex,
     };
     use imitator_metrics::MemSize;
     use imitator_partition::{
@@ -659,6 +668,51 @@ mod tests {
         msg.encode_wire(&mut wire);
         assert_eq!(wire, frame, "one sync layout");
         assert_eq!(msg.encoded_len(), wire.len());
+    }
+
+    /// What a node does with an edge-cut store it accepted: adopts it into
+    /// mirrors that hold no full state — whole — and then, slot by slot, the
+    /// lists each slot carries; adopts it into copies every other one of
+    /// which is a master, which decodes their remote out-edges; and reads
+    /// every list of every slot back. A run that entered unchecked would
+    /// panic here.
+    fn ec_adopt(states: &FullState, lists: &[EdgeLists]) {
+        let copies = |masters: bool| {
+            let mut lg: EcLocalGraph<f64> = EcLocalGraph::empty(NodeId::new(0));
+            let kind = |i: u32| match masters && i % 2 == 1 {
+                true => CopyKind::Master,
+                false => CopyKind::Mirror,
+            };
+            let copy = |i| EcVertex::new(Vid::new(i), kind(i), NodeId::new(1), 0.0);
+            let at: Vec<u32> = (0..states.len() as u32)
+                .map(|i| lg.push_copy(copy(i)))
+                .collect();
+            (lg, at)
+        };
+        for masters in [false, true] {
+            let (mut lg, at) = copies(masters);
+            lg.adopt_full_states(&[(&at, states, &[])]);
+            lg.adopt_full_states(&[(&at, states, lists)]);
+            for &pos in &at {
+                let kept = lg.full_state(pos).expect("adopted").to_meta();
+                assert!(kept.in_edges_owner.len() == kept.in_edge_srcs.len());
+            }
+            lg.rebuild_active_frontier();
+            lg.debug_validate();
+        }
+    }
+
+    /// [`ec_adopt`] for a vertex-cut store: its tables, adopted by mirrors.
+    fn vc_adopt(states: &FullState, _: &[EdgeLists]) {
+        let mut lg: VcLocalGraph<f64> = VcLocalGraph::empty(NodeId::new(0));
+        let copy = |i| VcVertex::new(Vid::new(i), CopyKind::Mirror, NodeId::new(1), 0.0);
+        let at: Vec<u32> = (0..states.len() as u32)
+            .map(|i| lg.insert_or_position(copy(i)))
+            .collect();
+        lg.adopt_full_states(&[(&at, states, &[])]);
+        for &pos in &at {
+            drop(lg.locations(pos).expect("adopted").to_owned());
+        }
     }
 
     fn empty_batch(master_node: NodeId) -> MirrorBatch<f64> {
@@ -736,6 +790,7 @@ mod tests {
                 prop_assert_eq!(back.lists.len(), n);
                 prop_assert!(back.values.iter().all(|&(i, _)| (i as usize) < n));
                 prop_assert!(back.metas.validate().is_ok());
+                ec_adopt(&back.metas, &back.lists);
                 let held = back.metas.mem_bytes()
                     + back.vids.capacity() * 4
                     + back.last_activate.capacity()
@@ -972,9 +1027,9 @@ mod tests {
 
     /// The in-edge weights of a batch, as bits, in record order.
     fn weight_bits(batch: &MirrorBatch<f64>) -> Vec<u32> {
-        let slots = (0..batch.metas.len()).map(|i| batch.metas.nth(i).in_edges_owner);
+        let slots = (0..batch.metas.len()).map(|i| batch.metas.nth(i).in_edges);
         slots
-            .flat_map(|edges| edges.iter().map(|e| e.1.to_bits()))
+            .flat_map(|edges| edges.iter().map(|e| e.weight.to_bits()))
             .collect()
     }
 
@@ -1173,9 +1228,9 @@ mod tests {
             });
             let back = rebirth_roundtrip::<EcLocalGraph<f64>>(batch.clone());
             let weight_bits = |b: &RebirthBatch<f64>| {
-                let slots = (0..b.states.len()).map(|i| b.states.nth(i).in_edges_owner);
+                let slots = (0..b.states.len()).map(|i| b.states.nth(i).in_edges);
                 slots
-                    .flat_map(|e| e.iter().map(|e| e.1.to_bits()))
+                    .flat_map(|e| e.iter().map(|e| e.weight.to_bits()))
                     .collect::<Vec<_>>()
             };
             assert_eq!(weight_bits(&back), weight_bits(&batch), "seed {seed}");
@@ -1294,8 +1349,12 @@ mod tests {
     /// The records `bytes` decode to, if they decode: room for each, as a
     /// list's capacity. A Rebirth batch must hold together: a list length
     /// per plain replica adding up to its consumers, a slot per master and
-    /// mirror record, a store that validates.
-    fn records<A: Decode, G: StoreCodec>(bytes: &[u8]) -> Option<usize> {
+    /// mirror record, a store that validates. A store either batch brings is
+    /// handed to `adopt` with its list masks.
+    fn records<A: Decode, G: StoreCodec>(
+        bytes: &[u8],
+        adopt: fn(&FullState, &[EdgeLists]),
+    ) -> Option<usize> {
         Some(
             match ProtoMsg::<f64, A, G>::decode(&mut Reader::new(bytes)).ok()? {
                 ProtoMsg::Sync(recs) => recs.capacity(),
@@ -1308,13 +1367,17 @@ mod tests {
                     assert_eq!(listed as usize, b.consumers.len());
                     assert_eq!(b.states.len(), b.records.len() - replicas);
                     assert!(b.states.validate().is_ok());
+                    adopt(&b.states, &b.lists);
                     b.records.capacity().max(b.consumers.capacity())
                 }
                 ProtoMsg::Promote(ps) => ps.capacity(),
                 ProtoMsg::ReplicaRequest(vids) => vids.capacity(),
                 ProtoMsg::ReplicaGrant(gs) => gs.capacity(),
                 ProtoMsg::ReplicaPlaced(ps) => ps.capacity(),
-                ProtoMsg::MirrorUpdate(b) => b.vids.capacity().max(b.values.capacity()),
+                ProtoMsg::MirrorUpdate(b) => {
+                    adopt(&b.metas, &b.lists);
+                    b.vids.capacity().max(b.values.capacity())
+                }
             },
         )
     }
@@ -1340,7 +1403,9 @@ mod tests {
         /// weight layouts, Rebirth batches with and without consumer lists —
         /// decode to a `DecodeError` or to a message that holds together, of no more
         /// records than the input has bytes — never a panic, never memory
-        /// sized by a count the input merely claims.
+        /// sized by a count the input merely claims. A store that decodes is
+        /// adopted and every run it brings read back: a run is checked where
+        /// it enters, not where it is first read.
         #[test]
         fn hostile_proto_msg_bytes_never_panic(
             n in 0u32..24,
@@ -1352,12 +1417,12 @@ mod tests {
         ) {
             for msg in ec_variants(n, seed) {
                 let bad = damaged(roundtrip(&msg), &damage);
-                let n = records::<(), EcLocalGraph<f64>>(&bad);
+                let n = records::<(), EcLocalGraph<f64>>(&bad, ec_adopt);
                 prop_assert!(n.is_none_or(|n| n <= bad.len()), "{n:?} records, {} B", bad.len());
             }
             for msg in vc_variants(n, seed) {
                 let bad = damaged(roundtrip(&msg), &damage);
-                let n = records::<f64, VcLocalGraph<f64>>(&bad);
+                let n = records::<f64, VcLocalGraph<f64>>(&bad, vc_adopt);
                 prop_assert!(n.is_none_or(|n| n <= bad.len()), "{n:?} records, {} B", bad.len());
             }
         }

@@ -65,7 +65,7 @@ fn reload_scan<M: ComputeModel>(
                     .records
                     .push(record(pos, state.locations.master_pos(), CopyKind::Master));
                 held[mi].push((pos, EdgeLists::ALL));
-                edges += state.in_edges_owner.len() as u64;
+                edges += state.in_edges.len() as u64;
                 promoted.push(lg.vid(pos));
                 Some(mi)
             }

@@ -9,11 +9,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use imitator_algos::PageRank;
+use imitator_algos::{PageRank, Sssp};
 use imitator_cluster::{Cluster, Envelope, FailPoint, FailurePlan, NodeId};
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, FtPlan,
-    VcLocalGraph, VertexProgram,
+    VcLocalGraph, VertexProgram, Weights,
 };
 use imitator_graph::{gen, Edge, Graph, Vid};
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
@@ -766,6 +766,91 @@ fn a_crash_after_partial_refreshes_rolls_back_and_retries() {
     assert_eq!(ins(retry), promoted_in_edges(&run.loaded, &both));
     let refreshed = aborted.iter().any(|t| t[2] > 0);
     assert!(refreshed, "the aborted attempt refreshed nothing");
+}
+
+/// SSSP from vertex 0 over `g`, edge-cut on `nodes` nodes: the distances
+/// as bits, and how many attempts and aborts each recovery episode took.
+fn sssp_bits(
+    g: &Graph,
+    nodes: usize,
+    ft: FtMode,
+    standbys: usize,
+    failures: Vec<FailurePlan>,
+) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let cut = HashEdgeCut.partition(g, nodes);
+    let degrees = Degrees::of(g);
+    let prog = Sssp::from_source(Vid::new(0));
+    let plan = load_plan(g, &cut, ft);
+    let lgs = build_edge_cut_graphs(g, &cut, &plan, &prog, &degrees);
+    let owners = g.vertices().map(|v| cut.owner(v) as u32).collect();
+    let (report, _) = driver::run(
+        EcModel {
+            prog: Arc::new(prog),
+        },
+        g.num_vertices(),
+        lgs,
+        degrees,
+        plan,
+        owners,
+        config(nodes, ft, standbys),
+        failures,
+        Dfs::new(DfsConfig::instant()),
+    );
+    let episodes = report.recoveries.iter();
+    let episodes = episodes.map(|ep| (ep.counters.attempts, ep.counters.aborts));
+    let bits = report.values.iter().map(|d| d.to_bits()).collect();
+    (bits, episodes.collect())
+}
+
+/// Recovery on a graph whose in-edges weigh what they like: a mirror's
+/// in-edge runs carry a weight each there, and every path that ships,
+/// adopts, promotes or rolls them back must land on the failure-free
+/// distances to the bit — Migration at K = 1, Migration at K = 2 with a
+/// second crash inside the episode (rolled back and retried), and Rebirth.
+/// Debug builds hold every mirror to its master's full state at the end.
+#[test]
+fn weighted_recovery_lands_on_the_failure_free_distances() {
+    let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let g = gen::road_like(400, 5);
+    assert_eq!(
+        Weights::of(g.edges().iter().map(|e| e.weight)),
+        Weights::PerEdge
+    );
+    let migration = RecoveryStrategy::Migration;
+    let cases = [
+        (
+            4,
+            replication(1, migration),
+            0,
+            vec![crash(1, 4, FailPoint::BeforeBarrier)],
+        ),
+        (
+            5,
+            replication(2, migration),
+            0,
+            vec![
+                crash(1, 4, FailPoint::BeforeBarrier),
+                crash(2, 4, FailPoint::MigrationRound(6)),
+            ],
+        ),
+        (
+            4,
+            replication(1, RecoveryStrategy::Rebirth),
+            1,
+            vec![crash(2, 4, FailPoint::BeforeBarrier)],
+        ),
+    ];
+    for (nodes, ft, standbys, failures) in cases {
+        let (golden, _) = sssp_bits(&g, nodes, FtMode::None, 0, vec![]);
+        let rolled_back = failures.len() > 1;
+        let (bits, episodes) = sssp_bits(&g, nodes, ft, standbys, failures);
+        assert!(bits == golden, "{ft:?}: distances differ");
+        assert_eq!(episodes.len(), 1, "{ft:?}");
+        assert_eq!(
+            episodes[0],
+            (1 + u32::from(rolled_back), u32::from(rolled_back))
+        );
+    }
 }
 
 /// Splitmix64: the promotion sets below are derived from one seed.

@@ -279,11 +279,11 @@ where
             }
             let state = states.nth(held.len());
             held.push(r.pos);
-            if r.kind == CopyKind::Master {
-                lg.insert_at(r.pos, copy, state.in_edges_owner, state.out_local_owner);
-            } else {
-                lg.insert_at(r.pos, copy, &[], &state.replica_out_local_on(lg.node));
-            }
+            let (in_edges, consumers) = match r.kind {
+                CopyKind::Master => state.owner_lists(),
+                _ => (Vec::new(), state.replica_out_local_on(lg.node)),
+            };
+            lg.insert_at(r.pos, copy, &in_edges, &consumers);
         }
         lg.adopt_full_states(&[(&held, states, &batch.lists)]);
     }
@@ -542,7 +542,7 @@ where
                         new_pos,
                         FullStateRef {
                             locations: locations.view(),
-                            out_remote: &out_remote,
+                            out_remote: out_remote[..].into(),
                             ..state
                         },
                     );

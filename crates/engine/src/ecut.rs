@@ -5,15 +5,17 @@ use imitator_graph::{Edge, Graph, PosIndex, Vid};
 use imitator_metrics::MemSize;
 use imitator_partition::EdgeCut;
 
-use crate::episode::{EcJournal, PosSet};
+use crate::episode::EcJournal;
 use crate::ftplan::FtPlan;
 use crate::full_state::{
-    Column, ColumnLens, CopyVids, EdgeLists, EdgeSpans, FullState, FullStateBatches, FullStateRef,
-    Head, InEdgeSrcs, RemoteEdge, SlotId, Span, StoreLens, OUT_REMOTE,
+    append_row, Column, ColumnLens, CopyVids, EdgeLists, EdgeSpans, Form, FullState,
+    FullStateBatches, FullStateRef, Head, InEdges, List, RemoteEdge, SlotId, Span, StoreLens,
+    OUT_REMOTE,
 };
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
 use crate::locations::{Locations, LocationsRef};
 use crate::program::{Degrees, VertexProgram};
+use crate::runs::Weights;
 
 /// The role of a local vertex copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -141,18 +143,15 @@ impl<V: PartialEq> PartialEq for EcVertex<V> {
     }
 }
 
-/// What of `state` the store keeps for a copy of role `kind`: a master's
-/// owner-local lists are its own in-edges and consumers, kept once, and the
-/// sources of its in-edges are the vertices of the copies they name.
-fn stored_for(kind: CopyKind, state: FullStateRef<'_>) -> FullStateRef<'_> {
+/// What the store keeps of the full state of a copy of role `kind`: a
+/// master's owner-local lists are its own in-edges and consumers, kept once,
+/// the sources of its in-edges are the vertices of the copies they name, and
+/// its remote out-edges are kept decoded for Migration to rewrite; a
+/// mirror's lists are kept as the runs they ship as.
+fn form_of(kind: CopyKind) -> Form {
     match kind {
-        CopyKind::Master => FullStateRef {
-            in_edges_owner: &[],
-            in_edge_srcs: InEdgeSrcs::default(),
-            out_local_owner: &[],
-            ..state
-        },
-        _ => state,
+        CopyKind::Master => Form::Master,
+        _ => Form::Runs,
     }
 }
 
@@ -174,9 +173,10 @@ impl<V> CopyVids for Vec<EcVertex<V>> {
 /// other, each copy's run found through the two spans it carries. Full
 /// state lives in a second, *cold* columnar store per node (see
 /// [`crate::full_state`]'s module documentation) — separate allocations, so
-/// that a superstep never strides over the mirrors' state — and of a
-/// *master's* full state only what its own edge lists do not already say:
-/// the replica locations and the remote out-edges. Its owner-local in-edges
+/// that a superstep never strides over the mirrors' state. A mirror's edge
+/// lists are kept there as the byte runs they ship as; of a *master's* full
+/// state only what its own edge lists do not already say: the replica
+/// locations and the remote out-edges, decoded. Its owner-local in-edges
 /// and consumers *are* its runs of the hot columns, the sources of its
 /// in-edges are the vertices of the copies those name, and
 /// [`EcLocalGraph::full_state`] hands all three out as such.
@@ -341,14 +341,12 @@ impl<V> EcLocalGraph<V> {
         let v = &self.verts[pos as usize];
         let stored = self.full.get(v.meta?);
         Some(if v.is_master() {
-            let in_edges = self.hot_in.get(v.in_edges);
             FullStateRef {
-                in_edges_owner: in_edges,
-                in_edge_srcs: InEdgeSrcs::Local {
-                    in_edges,
+                in_edges: InEdges::Local {
+                    edges: self.hot_in.get(v.in_edges),
                     copies: &self.verts,
                 },
-                out_local_owner: self.hot_out.get(v.out_local),
+                out_local_owner: List::Slice(self.hot_out.get(v.out_local)),
                 ..stored
             }
         } else {
@@ -360,9 +358,9 @@ impl<V> EcLocalGraph<V> {
     /// it had none. The copy's `kind` decides what is kept: a master's
     /// owner-local lists are its own in-edges and consumers (which the
     /// caller sets) and name their sources, so those of `state` are not
-    /// stored a second time.
-    /// Lists that outgrow their run, or whose run an open episode may not
-    /// overwrite, move to the column's tail.
+    /// stored a second time; a mirror's lists are kept as runs, copied from
+    /// `state` where it holds them as runs in the store's layout. Changed
+    /// lists move to their column's tail.
     pub fn set_full_state(&mut self, pos: u32, state: FullStateRef<'_>) {
         self.set_full_state_lists(pos, state, EdgeLists::ALL);
     }
@@ -375,9 +373,9 @@ impl<V> EcLocalGraph<V> {
     /// Panics if the copy has no full state yet and is not sent all of it.
     fn set_full_state_lists(&mut self, pos: u32, state: FullStateRef<'_>, lists: EdgeLists) {
         let v = &self.verts[pos as usize];
-        let state = stored_for(v.kind, state);
+        let form = form_of(v.kind);
         match v.meta {
-            Some(slot) => self.full.set(slot, state, lists),
+            Some(slot) => self.full.set(slot, state, lists, form),
             None => {
                 assert_eq!(
                     lists,
@@ -386,31 +384,24 @@ impl<V> EcLocalGraph<V> {
                     v.vid
                 );
                 self.touch_copy(pos);
-                self.verts[pos as usize].meta = Some(self.full.push(state));
+                self.verts[pos as usize].meta = Some(self.full.push_as(state, form));
             }
         }
     }
 
     /// Removes the owner-local lists stored for the copy at `pos` and
     /// returns its in-edges as `(source, weight)` and the old owner's
-    /// `out_local_owner`: a mirror just promoted to master stops keeping
-    /// positions that meant something on the old owner only, and the sources
-    /// beside them (its own edge lists say all of it once Migration has
-    /// rebuilt them from what is returned).
+    /// `out_local_owner`, decoding them: a mirror just promoted to master
+    /// stops keeping positions that meant something on the old owner only,
+    /// and the sources beside them (its own edge lists say all of it once
+    /// Migration has rebuilt them from what is returned). Its remote
+    /// out-edges are decoded too, for Migration to rewrite.
     ///
     /// # Panics
     ///
     /// Panics if the copy carries no full state.
     pub fn take_owner_lists(&mut self, pos: u32) -> (Vec<(Vid, f32)>, Vec<u32>) {
-        let slot = self.slot_at(pos);
-        let stored = self.full.get(slot);
-        let weights = stored.in_edges_owner.iter().map(|&(_, w)| w);
-        let lists = (
-            stored.in_edge_srcs.iter().zip(weights).collect(),
-            stored.out_local_owner.to_vec(),
-        );
-        self.full.clear_owner_lists(slot);
-        lists
+        self.full.take_owner_lists(self.slot_at(pos))
     }
 
     /// Keeps the remote out-edges of the copy at `pos` that `keep` accepts
@@ -529,18 +520,28 @@ impl<V> EcLocalGraph<V> {
         self.full.lens()
     }
 
-    /// What the copies' full state adds up to: what
+    /// What the copies' slots point at: what
     /// [`EcLocalGraph::full_state_lens`] reports for a store without dead
-    /// runs, and what a store rebuilt from these copies will hold. A
-    /// master's owner-local lists are its own edge lists and add nothing.
+    /// runs. A master's owner-local lists are its own edge lists and add
+    /// nothing.
     pub fn live_full_state_lens(&self) -> StoreLens {
-        let mut lens = StoreLens::default();
-        for v in &self.verts {
-            if let Some(slot) = v.meta {
-                lens.add(stored_for(v.kind, self.full.get(slot)));
-            }
+        self.full
+            .live_lens(self.verts.iter().filter_map(|v| v.meta))
+    }
+
+    /// Entries in the edge lists the store keeps, summed over the copies'
+    /// slots: a master's remote out-edges alone, a mirror's three lists.
+    pub fn full_state_entries(&self) -> ColumnLens {
+        let mut lens = ColumnLens::default();
+        for slot in self.verts.iter().filter_map(|v| v.meta) {
+            lens += self.full.get(slot).lens();
         }
         lens
+    }
+
+    /// How the store's in-edge runs write weights.
+    pub fn full_state_weights(&self) -> Weights {
+        self.full.weights()
     }
 
     /// Inserts `vertex` at `pos` with the edge lists `in_edges` and
@@ -587,9 +588,8 @@ impl<V> EcLocalGraph<V> {
     /// Checks structural invariants: the index agrees with the array, no
     /// placeholder holes remain, no run reaches past its column, edge
     /// positions are in range, consumers are masters, every master carries
-    /// full state and keeps no in-edge sources in it, every other slot names
-    /// one source per in-edge, and the active frontier matches the `active`
-    /// bits.
+    /// full state and keeps no in-edge in it, and the active frontier
+    /// matches the `active` bits.
     ///
     /// # Errors
     ///
@@ -637,16 +637,10 @@ impl<V> EcLocalGraph<V> {
                 "master {} lacks full state",
                 v.vid
             );
-            if let Some(slot) = v.meta {
-                let stored = self.full.get(slot);
-                let named = if v.is_master() {
-                    0
-                } else {
-                    stored.in_edges_owner.len()
-                };
+            if let (Some(slot), true) = (v.meta, v.is_master()) {
                 ensure!(
-                    stored.in_edge_srcs.len() == named,
-                    "the slot of {} does not name one source per stored in-edge",
+                    self.full.get(slot).in_edges.is_empty(),
+                    "the slot of master {} keeps in-edges",
                     v.vid
                 );
             }
@@ -682,9 +676,10 @@ impl<V> EcLocalGraph<V> {
 /// [`EcLocalGraph::set_full_state`] does (a refresh mostly finds the lists it
 /// brings already stored, and those are left where they are).
 impl<V> FullStateBatches for EcLocalGraph<V> {
-    /// Each slot holds the lists its record carries and nothing else: a
-    /// master's owner-local lists read from its own edge lists, its in-edge
-    /// sources through them.
+    /// Each slot holds the lists its record carries and nothing else, in
+    /// the graph's weight layout: a mirror's runs copied, a master's
+    /// owner-local lists encoded from its own edge lists, its in-edge
+    /// sources read through them.
     fn export_full_states(&self, records: &[(u32, EdgeLists)]) -> (FullState, Vec<EdgeLists>) {
         let state = |pos: u32| {
             let state = self.full_state(pos);
@@ -693,7 +688,8 @@ impl<V> FullStateBatches for EcLocalGraph<V> {
         let states = records
             .iter()
             .map(|&(pos, lists)| state(pos).carrying(lists));
-        (FullState::of(states), records.iter().map(|r| r.1).collect())
+        let lists = records.iter().map(|r| r.1).collect();
+        (FullState::shipping(self.full.weights(), states), lists)
     }
 
     fn adopt_full_states(&mut self, batches: &[(&[u32], &FullState, &[EdgeLists])]) {
@@ -770,9 +766,13 @@ impl<V: MemSize> MemSize for EcLocalGraph<V> {
 /// thread of its own, in two passes: every node builds its copies, their
 /// edge lists and its masters' full state from the edges it takes part in
 /// — two scans of the edge list, count then fill — then every node copies
-/// its mirrors' full state out of what the owners built (DESIGN.md, "Load
-/// path and heap layout"). Every column is allocated once, at its final
-/// length, and a node's graph is a dozen allocations whatever its size.
+/// its mirrors' full state out of what the owners built, encoding each
+/// mirror's edge lists as the runs they ship as (DESIGN.md, "Load path and
+/// heap layout"). The input's edges decide once how those runs write
+/// weights: not at all when every edge weighs the same. Every column is
+/// allocated once, at its final length — the mirrors' byte column with room
+/// to spare, then cut to its length — and a node's graph is a dozen
+/// allocations whatever its size.
 ///
 /// # Panics
 ///
@@ -793,14 +793,16 @@ pub fn build_edge_cut_graphs<P: VertexProgram>(
     );
     let parts = cut.num_parts();
     let layout = Layout::new(parts, plan, |v| (cut.owner(v), cut.replica_parts(v)));
+    let (ends, weights) = edge_ends(g, cut);
     let loader = EcLoader {
         g,
-        ends: edge_ends(g, cut),
+        ends,
         cut,
         plan,
         prog,
         degrees,
         layout: &layout,
+        weights,
     };
     let built = per_node(vec![(); parts], |p, ()| loader.node_graph(p));
     let (mut graphs, masters): (Vec<_>, Vec<_>) = built.into_iter().unzip();
@@ -818,16 +820,17 @@ struct Ends {
     to: u16,
 }
 
-/// [`Ends`] of every edge of `g`, in edge-list order. Every node's builder
-/// reads the whole edge list twice to pick out the edges it takes part in;
-/// looked up here — once per edge, a slice of the list per thread — the
-/// owners cost those scans two sequential bytes apiece instead of two
-/// random reads of the ownership table.
+/// [`Ends`] of every edge of `g`, in edge-list order, and the weight layout
+/// the edges' weights make. Every node's builder reads the whole edge list
+/// twice to pick out the edges it takes part in; looked up here — once per
+/// edge, a slice of the list per thread — the owners cost those scans two
+/// sequential bytes apiece instead of two random reads of the ownership
+/// table.
 ///
 /// # Panics
 ///
 /// Panics on a cut of more than 65 536 parts.
-fn edge_ends(g: &Graph, cut: &EdgeCut) -> Vec<Ends> {
+fn edge_ends(g: &Graph, cut: &EdgeCut) -> (Vec<Ends>, Weights) {
     let parts = cut.num_parts();
     assert!(
         parts <= 1 << 16,
@@ -840,15 +843,16 @@ fn edge_ends(g: &Graph, cut: &EdgeCut) -> Vec<Ends> {
         .chunks(share)
         .zip(ends.chunks_mut(share))
         .collect();
-    per_node(shares, |_, (edges, ends): (&[Edge], &mut [Ends])| {
+    let weights = per_node(shares, |_, (edges, ends): (&[Edge], &mut [Ends])| {
         for (e, ends) in edges.iter().zip(ends) {
             *ends = Ends {
                 from: cut.owner(e.src) as u16,
                 to: cut.owner(e.dst) as u16,
             };
         }
+        Weights::of(edges.iter().map(|e| e.weight))
     });
-    ends
+    (ends, weights.into_iter().fold(Weights::Unset, Weights::and))
 }
 
 /// The read-only inputs every node's builder thread shares.
@@ -865,12 +869,15 @@ struct EcLoader<'a, P> {
     prog: &'a P,
     degrees: &'a Degrees,
     layout: &'a Layout,
+    /// How every store's in-edge runs write weights.
+    weights: Weights,
 }
 
 /// What the other nodes' second-pass threads read of a node: its copies and
 /// hot columns (a master's own edge lists) and the masters' part of its
-/// store — its masters' slots and their column entries come first in a
-/// freshly built store, the mirrors' follow.
+/// store — its masters' slots and their table words come first in a freshly
+/// built store, the mirrors' follow; the decoded remote out-edges are the
+/// masters' alone.
 struct OwnerView<'g, V> {
     verts: &'g [EcVertex<V>],
     hot_in: &'g Column<(u32, f32)>,
@@ -882,15 +889,13 @@ struct OwnerView<'g, V> {
 }
 
 /// What a node's second-pass thread writes: the mirrors' part of its store,
-/// allocated by the first pass.
+/// allocated by the first pass, and the byte column, which only the
+/// mirrors' runs fill.
 struct MirrorPart<'g> {
     heads: &'g mut [Head],
     rows: &'g mut [EdgeSpans],
     words: Tail<'g, u32>,
-    in_edges: Tail<'g, (u32, f32)>,
-    in_srcs: Tail<'g, Vid>,
-    out_local: Tail<'g, u32>,
-    out_remote: Tail<'g, RemoteEdge>,
+    runs: &'g mut Vec<u8>,
 }
 
 /// The mirrors' part of one column, filled front to back; the column's
@@ -908,20 +913,12 @@ impl<'g, T: Copy> Tail<'g, T> {
         (&*masters, Tail { part, at: 0, base })
     }
 
-    /// The next `len` entries behind what is filled, for the caller to
-    /// write, and their span in the whole column.
-    fn take(&mut self, len: usize) -> (&mut [T], Span) {
-        let span = Span::new(self.base + self.at, len);
-        let blank = &mut self.part[self.at..self.at + len];
-        self.at += len;
-        (blank, span)
-    }
-
     /// Copies `items` in behind what is filled and returns their span in the
     /// whole column.
     fn fill(&mut self, items: &[T]) -> Span {
-        let (blank, span) = self.take(items.len());
-        blank.copy_from_slice(items);
+        let span = Span::new(self.base + self.at, items.len());
+        self.part[self.at..self.at + items.len()].copy_from_slice(items);
+        self.at += items.len();
         span
     }
 
@@ -948,11 +945,11 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     /// source is mastered here and whose consumer is not is a remote
     /// out-edge in the source's slot.
     /// One scan of the edge list counts, every column is allocated at its
-    /// final length — the two hot columns, then the store's slot table and
-    /// four columns with the mirrors' part blank for
-    /// [`EcLoader::fill_mirrors`] — and a second scan fills each run from
-    /// its start, so that what a superstep reads is dense in the heap and
-    /// laid out the same with and without fault tolerance.
+    /// final length — the two hot columns, then the store's slot table,
+    /// table words and remote out-edges, with the mirrors' slots and words
+    /// blank for [`EcLoader::fill_mirrors`] — and a second scan fills each
+    /// run from its start, so that what a superstep reads is dense in the
+    /// heap and laid out the same with and without fault tolerance.
     fn node_graph(&self, p: usize) -> (EcLocalGraph<P::Value>, StoreLens) {
         let node = NodeId::from_index(p);
         let copies = &self.layout.copies[p];
@@ -963,14 +960,10 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         let out_degree = |v: Vid| self.degrees.out_degree(v);
 
         // Copies; slots in position order, the masters' before the mirrors'.
-        // The mirrors' part of the store holds a mirror's whole in- and
-        // out-degree between its columns.
         let num_masters = copies.iter().filter(|&&v| self.cut.owner(v) == p).count();
         let (mut master_slots, mut mirror_slots) = (0..num_masters, num_masters..);
-        let (mut mirror_ins, mut mirror_outs) = (0, 0);
         let (mut master_words, mut mirror_words) = (0, 0);
         let table_words = |v: Vid| Layout::table_words(v, self.cut.replica_parts(v), self.plan);
-        let mut mirrored = PosSet::covering(copies.last().map_or(0, |v| v.raw() + 1));
         let mut verts: Vec<EcVertex<P::Value>> = copies
             .iter()
             .map(|&v| {
@@ -984,9 +977,6 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                         vert.meta = master_slots.next().map(SlotId::from_index);
                     }
                     CopyKind::Mirror => {
-                        mirrored.insert(v.raw());
-                        mirror_ins += in_degree(v) as usize;
-                        mirror_outs += out_degree(v) as usize;
                         mirror_words += table_words(v);
                         vert.meta = mirror_slots.next().map(SlotId::from_index);
                     }
@@ -997,15 +987,11 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             .collect();
         let num_slots = mirror_slots.start;
 
-        // Count: consumers per copy, and how many of the mirrors' out-edges
-        // stay on their owner.
+        // Count: consumers per copy.
         let mut out_at = vec![0u32; verts.len()];
-        let mut mirror_out_local = 0;
         for (e, ends) in edges() {
             if ends.to == here {
                 out_at[at.at(e.src) as usize] += 1;
-            } else if ends.from == ends.to && mirrored.contains(e.src.raw()) {
-                mirror_out_local += 1;
             }
         }
 
@@ -1032,25 +1018,14 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         let masters = StoreLens {
             slots: num_masters,
             words: master_words,
-            edges: ColumnLens {
-                out_remote: remote,
-                ..ColumnLens::default()
-            },
+            runs: 0,
+            remote,
         };
-        let total = ColumnLens {
-            in_edges: mirror_ins,
-            in_srcs: mirror_ins,
-            out_local: mirror_out_local,
-            out_remote: remote + mirror_outs - mirror_out_local,
-        };
-        let mut full = FullState::default();
+        let mut full = FullState::with_weights(self.weights);
         full.heads.reserve_exact(num_slots);
         full.rows.reserve_exact(num_slots);
         full.words.0.reserve_exact(master_words + mirror_words);
-        full.in_edges.0 = vec![Default::default(); total.in_edges];
-        full.in_srcs.0 = vec![Default::default(); total.in_srcs];
-        full.out_local.0 = vec![Default::default(); total.out_local];
-        full.out_remote.0 = vec![Default::default(); total.out_remote];
+        full.out_remote.0 = vec![Default::default(); remote];
         let mut hot_in = Column(vec![Default::default(); hot_len]);
         let mut hot_out = Column(vec![Default::default(); hot_len]);
 
@@ -1128,23 +1103,24 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     /// Second pass: fills every node's mirror slots. A mirror's full state
     /// *is* its master's — the owner-local lists are the master's own runs
     /// of the owner's hot columns, the tables and remote out-edges are in
-    /// the masters' part of the owner's store — so each of those lists is
-    /// one `memcpy` out of what the owner's first pass built, not a second
-    /// derivation edge by edge; the in-edge sources, which no master keeps,
-    /// are read off the owner's copy list through its in-edges. Each node's
-    /// thread writes the mirrors' part of its own store and reads the
-    /// others' copies, hot columns and masters' parts.
+    /// the masters' part of the owner's store — so the tables are one
+    /// `memcpy` out of what the owner's first pass built, and each list is
+    /// encoded straight from the owner's columns into the run a message
+    /// carries; the in-edge sources, which no master keeps, are read off the
+    /// owner's copy list through its in-edges. The byte column is allocated
+    /// once, with room for the longest the runs can be — what the vertices'
+    /// degrees bound without encoding anything twice — and cut to its length
+    /// when they are written: room no page of which is touched costs
+    /// nothing resident. Each node's thread writes the mirrors' part of its
+    /// own store and reads the others' copies, hot columns and masters'
+    /// parts.
     fn fill_mirrors(&self, graphs: &mut [EcLocalGraph<P::Value>], masters: &[StoreLens]) {
         let (mut owners, mut mirrors) = (Vec::new(), Vec::new());
         for (lg, part) in graphs.iter_mut().zip(masters) {
-            let (full, edges) = (&mut lg.full, part.edges);
+            let full = &mut lg.full;
             let (master_heads, heads) = full.heads.split_at_mut(part.slots);
             let (master_rows, rows) = full.rows.split_at_mut(part.slots);
             let (words, mirror_words) = Tail::split(&mut full.words.0, part.words);
-            let (_, in_edges) = Tail::split(&mut full.in_edges.0, edges.in_edges);
-            let (_, in_srcs) = Tail::split(&mut full.in_srcs.0, edges.in_srcs);
-            let (_, out_local) = Tail::split(&mut full.out_local.0, edges.out_local);
-            let (out_remote, mirror_remote) = Tail::split(&mut full.out_remote.0, edges.out_remote);
             owners.push(OwnerView {
                 verts: &lg.verts[..],
                 hot_in: &lg.hot_in,
@@ -1152,16 +1128,13 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                 heads: &*master_heads,
                 rows: &*master_rows,
                 words,
-                out_remote,
+                out_remote: &full.out_remote.0,
             });
             mirrors.push(MirrorPart {
                 heads,
                 rows,
                 words: mirror_words,
-                in_edges,
-                in_srcs,
-                out_local,
-                out_remote: mirror_remote,
+                runs: &mut full.runs.0,
             });
         }
         if mirrors.iter().all(|m| m.heads.is_empty()) {
@@ -1177,39 +1150,54 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         mut part: MirrorPart<'_>,
         owners: &[OwnerView<'_, P::Value>],
     ) {
+        let uniform = self.weights.uniform();
+        let mirrors = || {
+            let verts = owners[q].verts.iter();
+            verts.filter(|vert| vert.kind == CopyKind::Mirror)
+        };
+        // A mirror's head, tables and lists: its master's, on the owner.
+        let theirs = |vert: &EcVertex<P::Value>| {
+            let n = vert.master_node.index();
+            let owner = &owners[n];
+            let master = &owner.verts[self.layout.pos_maps[n].at(vert.vid) as usize];
+            let slot = master.meta.expect("masters carry full state").index();
+            let (head, row) = (owner.heads[slot], owner.rows[slot]);
+            let words = &owner.words[head.span().range()];
+            let state = FullStateRef {
+                in_edges: InEdges::Local {
+                    edges: owner.hot_in.get(master.in_edges),
+                    copies: &self.layout.copies[n],
+                },
+                out_local_owner: List::Slice(owner.hot_out.get(master.out_local)),
+                out_remote: List::Slice(&owner.out_remote[row[OUT_REMOTE].range()]),
+                ..FullStateRef::tables(LocationsRef::from_words(
+                    head.master_pos,
+                    usize::from(head.replicas),
+                    words,
+                ))
+            };
+            (head, words, state)
+        };
+        // Room for the longest the runs can be — three counts, an in-edge
+        // at most 14 bytes, an out-edge 10 — from the degrees alone; what
+        // the encoding leaves over is given back once it ends.
+        let most = |v: Vid| {
+            let (ins, outs) = (self.degrees.in_degree(v), self.degrees.out_degree(v));
+            15 + 14 * ins as usize + 10 * outs as usize
+        };
+        part.runs
+            .reserve_exact(mirrors().map(|vert| most(vert.vid)).sum());
         let slots = part.heads.iter_mut().zip(part.rows.iter_mut());
-        let mirrors = owners[q]
-            .verts
-            .iter()
-            .filter(|vert| vert.kind == CopyKind::Mirror);
-        for ((head, row), vert) in slots.zip(mirrors) {
-            let owner = &owners[vert.master_node.index()];
-            let at_owner = &self.layout.pos_maps[vert.master_node.index()];
-            let master = &owner.verts[at_owner.at(vert.vid) as usize];
-            let theirs = master.meta.expect("masters carry full state").index();
-            let (their_head, their_row) = (owner.heads[theirs], owner.rows[theirs]);
-            let tables = &owner.words[their_head.span().range()];
-            *head = their_head.moved_to(part.words.fill(tables));
-            let in_edges = owner.hot_in.get(master.in_edges);
-            let their_copies = &self.layout.copies[vert.master_node.index()];
-            let (srcs, src_span) = part.in_srcs.take(in_edges.len());
-            for (named, &(src, _)) in srcs.iter_mut().zip(in_edges) {
-                *named = their_copies[src as usize];
-            }
-            *row = [
-                part.in_edges.fill(in_edges),
-                src_span,
-                part.out_local.fill(owner.hot_out.get(master.out_local)),
-                part.out_remote
-                    .fill(&owner.out_remote[their_row[OUT_REMOTE].range()]),
-            ];
+        for ((head, row), vert) in slots.zip(mirrors()) {
+            let (their_head, words, state) = theirs(vert);
+            *head = their_head.moved_to(part.words.fill(words));
+            *row = append_row(state, uniform, part.runs);
         }
-        let full = part.words.is_full()
-            && part.in_edges.is_full()
-            && part.in_srcs.is_full()
-            && part.out_local.is_full()
-            && part.out_remote.is_full();
-        assert!(full, "mirrors' columns miscounted on node {q}");
+        part.runs.shrink_to_fit();
+        assert!(
+            part.words.is_full(),
+            "mirrors' tables miscounted on node {q}"
+        );
     }
 }
 
@@ -1327,7 +1315,12 @@ mod tests {
                 let v = &lg.verts[pos as usize];
                 let state = lg.full_state(pos).unwrap();
                 assert_eq!(state.locations.master_pos(), pos);
-                assert_eq!(state.out_remote, &leaving[v.vid.index()][..], "{}", v.vid);
+                assert_eq!(
+                    state.out_remote.to_vec(),
+                    leaving[v.vid.index()],
+                    "{}",
+                    v.vid
+                );
                 // replica_nodes point at real copies
                 for n in state.locations.replica_nodes() {
                     assert!(lgs[n.index()].position(v.vid).is_some());
@@ -1367,24 +1360,25 @@ mod tests {
                     );
                     assert_eq!(mine.unwrap().to_meta(), theirs.unwrap().to_meta());
                 }
-                // The sources in the store are the mirrors': a master's
+                // The in-edges in the store are the mirrors': a master's
                 // slot holds none.
                 let mirrored = |pos: u32| {
                     let v = &lg.verts[pos as usize];
                     let stored = lg.full.get(v.meta?);
-                    assert!(!v.is_master() || stored.in_edge_srcs.is_empty());
-                    Some(stored.in_edges_owner.len())
+                    assert!(!v.is_master() || stored.in_edges.is_empty());
+                    Some(stored.in_edges.len())
                 };
                 let mirrored: usize = (0..lg.len() as u32).filter_map(mirrored).sum();
-                assert_eq!(lg.full_state_lens().edges.in_srcs, mirrored, "k={k}");
+                assert_eq!(lg.full_state_entries().in_srcs, mirrored, "k={k}");
             }
             let planned = plan.mirror.num_items();
             assert!(mirrors > 0 && mirrors == planned, "k={k}");
         }
     }
 
-    /// The loader sizes the store once: every column, and the slot table, is
-    /// as long as it is large and holds no run no slot points at.
+    /// The loader sizes the store once: every column, the byte column of
+    /// the mirrors' runs included, and the slot table, is as long as it is
+    /// large and holds no run no slot points at.
     #[test]
     fn loaded_stores_carry_no_slack() {
         let g = gen::power_law(600, 2.0, 6, 19);
@@ -1403,13 +1397,9 @@ mod tests {
             assert_eq!(full.heads.capacity(), full.heads.len());
             assert_eq!(full.rows.capacity(), full.rows.len());
             assert_eq!(full.words.0.capacity(), full.words.0.len());
-            assert_eq!(full.in_edges.0.capacity(), full.in_edges.0.len());
-            assert_eq!(full.in_srcs.0.capacity(), full.in_srcs.0.len());
-            assert_eq!(full.out_local.0.capacity(), full.out_local.0.len());
+            assert_eq!(full.runs.0.capacity(), full.runs.0.len());
             assert_eq!(full.out_remote.0.capacity(), full.out_remote.0.len());
-            let mut live = StoreLens::default();
-            (0..full.len()).for_each(|i| live.add(full.nth(i)));
-            assert_eq!(full.lens(), live);
+            assert_eq!(full.lens(), lg.live_full_state_lens());
         }
     }
 
@@ -1422,19 +1412,16 @@ mod tests {
         let g = gen::power_law(300, 2.0, 5, 17);
         let (_cut, lgs) = build(&g, 3);
         for lg in &lgs {
-            // No mirrors in this plan: the three columns stay empty.
-            let StoreLens {
-                slots, edges: lens, ..
-            } = lg.full_state_lens();
-            assert_eq!(slots, lg.num_masters());
-            assert_eq!((lens.in_edges, lens.in_srcs, lens.out_local), (0, 0, 0));
+            // No mirrors in this plan: the byte column stays empty.
+            let StoreLens { slots, runs, .. } = lg.full_state_lens();
+            assert_eq!((slots, runs), (lg.num_masters(), 0));
             for pos in lg.master_positions() {
                 let state = lg.full_state(pos).unwrap();
-                assert_eq!(state.in_edges_owner, lg.in_edges(pos));
-                assert_eq!(state.out_local_owner, lg.out_local(pos));
+                assert_eq!(state.in_edges.owner_local(), lg.in_edges(pos));
+                assert_eq!(state.out_local_owner.to_vec(), lg.out_local(pos));
                 let v = lg.verts[pos as usize].vid;
                 let srcs = g.edges().iter().filter(|e| e.dst == v).map(|e| e.src);
-                assert!(state.in_edge_srcs.iter().eq(srcs), "sources of {v}");
+                assert!(state.in_edges.srcs().eq(srcs), "sources of {v}");
             }
         }
     }
@@ -1454,155 +1441,151 @@ mod tests {
         }
     }
 
-    /// Three mirrors (so the store keeps all four lists) with 3, 0 and 2
-    /// edges; the empty one sits between the other two in every column.
-    fn three_mirrors() -> (EcLocalGraph<u64>, [MasterMeta; 3]) {
+    /// A mirror with 3 edges, a master with 4 remote out-edges and a mirror
+    /// with 2 edges: the master's slot keeps its remote out-edges decoded,
+    /// the mirrors' keep all three lists as runs.
+    fn three_slots() -> (EcLocalGraph<u64>, [MasterMeta; 3]) {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(9));
-        let metas = [state(1, 3), state(2, 0), state(3, 2)];
+        let metas = [state(1, 3), state(2, 4), state(3, 2)];
         for (pos, meta) in metas.iter().enumerate() {
-            let mirror = EcVertex {
-                kind: CopyKind::Mirror,
-                ..copy(pos as u32)
-            };
-            lg.insert_at(pos as u32, mirror, &[], &[]);
+            let kind = [CopyKind::Mirror, CopyKind::Master][pos % 2];
+            lg.insert_at(
+                pos as u32,
+                EcVertex {
+                    kind,
+                    ..copy(pos as u32)
+                },
+                &[],
+                &[],
+            );
             lg.set_full_state(pos as u32, meta.view());
         }
         (lg, metas)
+    }
+
+    /// What the copy at `pos` of [`three_slots`] holds of `meta`.
+    fn kept(lg: &EcLocalGraph<u64>, pos: u32, meta: &MasterMeta) -> MasterMeta {
+        match lg.verts[pos as usize].kind {
+            CopyKind::Master => MasterMeta {
+                locations: meta.locations.clone(),
+                out_remote: meta.out_remote.clone(),
+                ..MasterMeta::default()
+            },
+            _ => meta.clone(),
+        }
     }
 
     fn copy(vid: u32) -> EcVertex<u64> {
         EcVertex::new(Vid::new(vid), CopyKind::Master, NodeId::new(0), 0u64)
     }
 
-    /// Replacing (longer, shorter, equal), narrowing and extending one
-    /// slot's lists leaves every other slot's lists bit-identical.
+    /// Replacing a mirror's lists (longer, shorter, equal, empty) leaves
+    /// every other slot's lists bit-identical: a changed list is a new run
+    /// at the tail, an equal one is not written, and no run is written over.
     #[test]
     fn mutating_one_slot_leaves_the_others_alone() {
-        let (mut lg, metas) = three_mirrors();
+        let (mut lg, metas) = three_slots();
         let others = |lg: &EcLocalGraph<u64>| {
-            assert_eq!(lg.full_state(1).unwrap().to_meta(), metas[1]);
+            assert_eq!(lg.full_state(1).unwrap().to_meta(), kept(lg, 1, &metas[1]));
             assert_eq!(lg.full_state(2).unwrap().to_meta(), metas[2]);
             lg.debug_validate();
         };
         others(&lg);
-        let before = lg.full_state_lens().edges;
         for edges in [5, 1, 1, 0, 4] {
+            let runs = lg.full_state_lens().runs;
             let next = state(8, edges);
+            let same = lg.full_state(0).unwrap() == next.view();
             lg.set_full_state(0, next.view());
             assert_eq!(lg.full_state(0).unwrap().to_meta(), next);
+            assert_eq!(lg.full_state_lens().runs == runs, same || edges == 0);
             others(&lg);
         }
-        // Only the two replacements that outgrew their run appended.
-        assert_eq!(lg.full_state_lens().edges.in_edges, before.in_edges + 5 + 4);
         assert_eq!(lg.full_state_lens().slots, 3, "replacing reuses the slot");
+    }
 
-        // Narrow slot 2's remote out-edges in place, rewriting the survivor.
-        let lens = lg.full_state_lens().edges;
-        lg.retain_out_remote(2, |r| {
+    /// A master's remote out-edges are decoded, and rewritten where they
+    /// are outside an episode: narrowed in place, extended at the tail
+    /// unless they end the column. A mirror's are decoded once they are.
+    #[test]
+    fn remote_out_edges_are_rewritten_decoded() {
+        let (mut lg, metas) = three_slots();
+        let all = &metas[1].out_remote;
+        let lens = lg.full_state_lens();
+        assert!(lg.retain_out_remote(1, |r| {
             r.pos += 1;
-            r.node == NodeId::new(1)
-        });
-        let kept = RemoteEdge {
-            pos: metas[2].out_remote[1].pos + 1,
-            ..metas[2].out_remote[1]
+            r.node != NodeId::new(1)
+        }));
+        let moved = |r: RemoteEdge| RemoteEdge {
+            pos: r.pos + 1,
+            ..r
         };
-        assert_eq!(lg.full_state(2).unwrap().out_remote, [kept]);
-        assert_eq!(
-            lg.full_state_lens().edges,
-            lens,
-            "narrowing appends nothing"
-        );
-        assert_eq!(lg.full_state(1).unwrap().to_meta(), metas[1]);
-
-        // Extend the empty slot in the middle: it moves to the tail.
-        lg.extend_out_remote(1, &[kept, kept]);
-        assert_eq!(lg.full_state(1).unwrap().out_remote, [kept, kept]);
-        assert_eq!(lg.full_state(2).unwrap().out_remote, [kept]);
-        // Extending the list that already ends the column moves nothing.
-        let lens = lg.full_state_lens().edges;
-        lg.extend_out_remote(1, &[kept]);
-        assert_eq!(lg.full_state(1).unwrap().out_remote, [kept, kept, kept]);
-        assert_eq!(lg.full_state_lens().edges.out_remote, lens.out_remote + 1);
+        let narrowed = [moved(all[0]), moved(all[2]), moved(all[3])];
+        assert_eq!(lg.full_state(1).unwrap().out_remote.to_vec(), narrowed);
+        assert_eq!(lg.full_state_lens(), lens, "narrowing appends nothing");
+        assert!(!lg.retain_out_remote(1, |_| true), "nothing to drop");
+        // Narrowed, the list no longer ends its column: it moves to the
+        // tail to grow, and there grows where it is.
+        lg.extend_out_remote(1, &[all[0]]);
+        assert_eq!(lg.full_state_lens().remote, lens.remote + 4);
+        lg.extend_out_remote(1, &[all[1]]);
+        assert_eq!(lg.full_state_lens().remote, lens.remote + 5);
+        // A mirror's list moves out of its run first.
+        let runs = lg.full_state_lens().runs;
+        lg.extend_out_remote(2, &[all[1]]);
+        let mut grown = metas[2].out_remote.clone();
+        grown.push(all[1]);
+        assert_eq!(lg.full_state(2).unwrap().out_remote.to_vec(), grown);
+        assert_eq!(lg.full_state_lens().runs, runs, "no run written");
+        assert_eq!(lg.full_state(0).unwrap().to_meta(), metas[0]);
         lg.debug_validate();
     }
 
-    /// Outside an episode a list that fits is overwritten where it is and a
-    /// narrowed one shrinks where it is. Inside one the entries a column held
-    /// at `begin_episode` are frozen: the same calls write at the tail and
-    /// repoint, a list that does not change is not written at all, and a run
-    /// the episode itself wrote is overwritten again — so rollback is a
-    /// truncation plus the saved spans, and leaves the graph it started from.
+    /// Inside an episode the entries a column held at `begin_episode` are
+    /// frozen: a changed list is written at the tail and repointed, a list
+    /// that does not change is not written at all, a decoded list the
+    /// episode wrote is overwritten again — so rollback is a truncation plus
+    /// the saved spans, and leaves the graph it started from.
     #[test]
     fn an_episode_writes_changed_lists_at_the_tail() {
-        let (mut lg, metas) = three_mirrors();
-        let loaded = lg.full_state_lens().edges;
-        lg.set_full_state(2, state(8, 2).view());
-        assert!(lg.retain_out_remote(2, |r| r.node == NodeId::new(1)));
-        assert!(!lg.retain_out_remote(2, |_| true), "nothing to drop");
-        assert_eq!(
-            lg.full_state_lens().edges,
-            loaded,
-            "in place outside an episode"
-        );
-
+        let (mut lg, metas) = three_slots();
         let before = lg.clone();
+        let loaded = lg.full_state_lens();
         let frozen = |lg: &EcLocalGraph<u64>| {
             let (full, was) = (&lg.full, &before.full);
-            full.in_edges.0[..loaded.in_edges] == was.in_edges.0[..]
-                && full.in_srcs.0[..loaded.in_srcs] == was.in_srcs.0[..]
-                && full.out_local.0[..loaded.out_local] == was.out_local.0[..]
-                && full.out_remote.0[..loaded.out_remote] == was.out_remote.0[..]
+            full.runs.0[..loaded.runs] == was.runs.0[..]
+                && full.out_remote.0[..loaded.remote] == was.out_remote.0[..]
         };
         lg.begin_episode();
         // Equal lists: nothing written, nothing journaled but the marks.
         let idle = lg.journal_bytes();
         lg.set_full_state(0, metas[0].view());
-        lg.set_full_state(2, before.full_state(2).unwrap().to_meta().view());
-        assert!(!lg.retain_out_remote(0, |_| true));
-        assert_eq!(
-            (lg.full_state_lens().edges, lg.journal_bytes()),
-            (loaded, idle)
-        );
+        lg.set_full_state(1, metas[1].view());
+        assert!(!lg.retain_out_remote(1, |_| true));
+        assert_eq!((lg.full_state_lens(), lg.journal_bytes()), (loaded, idle));
 
-        // Narrowing a frozen run copies what is kept to the tail: the items
-        // before the first change unchanged, the rest as `keep` leaves them.
-        let all = &metas[0].out_remote;
-        assert!(lg.retain_out_remote(0, |r| {
-            r.pos += u32::from(r.node == NodeId::new(2));
-            r.node != NodeId::new(1)
-        }));
-        let moved = RemoteEdge {
-            pos: all[2].pos + 1,
-            ..all[2]
-        };
-        assert_eq!(lg.full_state(0).unwrap().out_remote, [all[0], moved]);
-        let grown = lg.full_state_lens().edges;
-        assert_eq!(grown.out_remote, loaded.out_remote + 2);
-        // A replacement that would fit its frozen run goes to the tail all
-        // the same; the run the episode wrote is overwritten where it is.
+        // Narrowing a frozen decoded run copies what is kept to the tail.
+        let all = &metas[1].out_remote;
+        assert!(lg.retain_out_remote(1, |r| r.node != NodeId::new(1)));
+        let kept_remote = [all[0], all[2], all[3]];
+        assert_eq!(lg.full_state(1).unwrap().out_remote.to_vec(), kept_remote);
+        assert_eq!(lg.full_state_lens().remote, loaded.remote + 3);
+        // The run the episode wrote is narrowed where it is.
+        assert!(lg.retain_out_remote(1, |r| r.node != NodeId::new(2)));
+        assert_eq!(lg.full_state_lens().remote, loaded.remote + 3);
+        // A mirror's changed lists are new runs.
         let next = state(9, 2);
         lg.set_full_state(0, next.view());
         assert_eq!(lg.full_state(0).unwrap().to_meta(), next);
-        let lens = lg.full_state_lens().edges;
-        assert_eq!(lens.in_edges, loaded.in_edges + 2);
-        assert_eq!(lens.out_remote, grown.out_remote);
-        lg.set_full_state(0, state(7, 1).view());
-        assert_eq!(lg.full_state_lens().edges, lens);
-        // The empty list in mid-column moves to the tail to grow.
-        lg.extend_out_remote(1, &[moved, moved]);
-        assert_eq!(lg.full_state(1).unwrap().out_remote, [moved, moved]);
+        assert!(lg.full_state_lens().runs > loaded.runs);
         lg.debug_validate();
         assert!(frozen(&lg) && lg != before && lg.journal_bytes() > idle);
 
         lg.rollback();
         assert_eq!(lg.journal_bytes(), 0);
-        assert!(lg == before && lg.full_state_lens().edges == loaded && frozen(&lg));
-        // And in place again.
-        lg.set_full_state(0, state(9, 2).view());
-        assert_eq!(lg.full_state_lens().edges, loaded);
+        assert!(lg == before && lg.full_state_lens() == loaded && frozen(&lg));
     }
 
-    /// The two hot columns follow the same rules as the store's four: in
+    /// The two hot columns follow the store's rules for decoded lists: in
     /// place outside an episode; inside one nothing under the mark is written
     /// — a changed list goes to the tail, an unchanged one nowhere, a list
     /// the episode wrote is written over, only the list ending its column
@@ -1696,8 +1679,8 @@ mod tests {
     /// list and back equals one that never did, dead runs or not.
     #[test]
     fn equality_ignores_dead_runs_and_slot_numbers() {
-        let (mut lg, metas) = three_mirrors();
-        let (pristine, _) = three_mirrors();
+        let (mut lg, metas) = three_slots();
+        let (pristine, _) = three_slots();
         lg.set_full_state(0, state(8, 6).view());
         assert_ne!(lg, pristine);
         lg.set_full_state(0, metas[0].view());
@@ -1723,7 +1706,7 @@ mod tests {
     /// master stores none of the three again.
     #[test]
     fn a_master_slot_stores_no_owner_lists() {
-        let (mut lg, metas) = three_mirrors();
+        let (mut lg, metas) = three_slots();
         lg.verts[0].kind = CopyKind::Master;
         let (in_edges, out_local) = lg.take_owner_lists(0);
         let sourced = metas[0].in_edge_srcs.iter().zip(&metas[0].in_edges_owner);
@@ -1733,21 +1716,17 @@ mod tests {
             .eq(sourced.map(|(&s, &(_, w))| (s, w))));
         assert_eq!(out_local, metas[0].out_local_owner);
         let exported = lg.full_state(0).unwrap();
-        assert!(exported.in_edges_owner.is_empty() && exported.out_local_owner.is_empty());
-        assert!(exported.in_edge_srcs.is_empty());
-        assert_eq!(lg.live_full_state_lens().edges.in_srcs, 2, "slot 2's");
+        assert!(exported.in_edges.is_empty() && exported.out_local_owner.is_empty());
+        assert_eq!(exported.out_remote.to_vec(), metas[0].out_remote, "decoded");
+        assert_eq!(lg.full_state_entries().in_srcs, 2, "slot 2's");
 
         lg.set_in_edges(0, &[(2, 0.5)]);
-        let lens = lg.full_state_lens().edges;
+        let runs = lg.full_state_lens().runs;
         lg.set_full_state(0, state(4, 9).view());
-        let grown = lg.full_state_lens().edges;
-        assert_eq!(
-            (grown.in_edges, grown.in_srcs, grown.out_local),
-            (lens.in_edges, lens.in_srcs, lens.out_local)
-        );
+        assert_eq!(lg.full_state_lens().runs, runs);
         let exported = lg.full_state(0).unwrap();
-        assert_eq!(exported.in_edges_owner, [(2, 0.5)]);
-        assert!(exported.in_edge_srcs.iter().eq([lg.verts[2].vid]));
+        assert_eq!(exported.in_edges.owner_local(), [(2, 0.5)]);
+        assert!(exported.in_edges.srcs().eq([lg.verts[2].vid]));
         lg.debug_validate();
     }
 

@@ -12,15 +12,17 @@
 //! * **Marks.** Where every store ended when the episode began. Stores only
 //!   grow inside an episode: copies and slots are appended, and every
 //!   column — an edge-cut graph's two hot columns of edge lists, the
-//!   full-state store's table words and four edge columns — leaves the
-//!   entries under its mark untouched: a list that changes is written at the
-//!   tail and its span repointed (see [`crate::full_state`]).
+//!   full-state store's table words, byte column of runs and decoded remote
+//!   out-edges — leaves the entries under its mark untouched: a list that
+//!   changes is written at the tail and its span repointed (see
+//!   [`crate::full_state`]). The marks keep the store's weight layout too,
+//!   which writing an in-edge list of another weight may change.
 //! * **Before-images.** The first change to something that predates the
 //!   episode saves what it was: a copy's header — kind, master node,
 //!   activation flags, slot; a slot's head — the master position and where
 //!   its location tables lie, whose words are still there; a span — of a
 //!   copy in a hot column or of a slot in an edge column, one kind of image
-//!   for all six, since the entries it names are still where they were. Two
+//!   for all of them, since the entries it names are still where they were. Two
 //!   bitmaps say whose header and whose head are saved; a span says so
 //!   itself — what an episode writes starts at or past its column's mark,
 //!   so a span that starts under the mark is still the one to save. Images
@@ -50,6 +52,7 @@ use crate::ecut::{CopyKind, EcLocalGraph};
 use crate::full_state::{
     EdgeLists, EdgeSpans, FullState, Head, SlotId, Span, StoreLens, COLUMNS, IN_EDGES, OUT_REMOTE,
 };
+use crate::runs::Weights;
 use crate::vcut::VcLocalGraph;
 
 /// A set of array positions, kept as a bitmap that grows with the largest
@@ -271,8 +274,8 @@ pub(crate) struct Journal<M> {
     log: Log,
 }
 
-/// A store's marks: its lengths and how many rows it had.
-pub(crate) type StoreJournal = Journal<(StoreLens, usize)>;
+/// A store's marks: its lengths, how many rows it had and its weight layout.
+pub(crate) type StoreJournal = Journal<(StoreLens, usize, Weights)>;
 /// An edge-cut graph's: its copies and the entries of its two hot columns.
 pub(crate) type EcJournal = Journal<(usize, [usize; 2])>;
 /// A vertex-cut graph's: its copies and edges (which are only appended).
@@ -308,7 +311,7 @@ impl<M> Journal<M> {
 
 impl FullState {
     pub(crate) fn begin_episode(&mut self) {
-        let marks = (self.lens(), self.rows.len());
+        let marks = (self.lens(), self.rows.len(), self.weights);
         Journal::open(&mut self.journal, marks);
     }
 
@@ -339,8 +342,9 @@ impl FullState {
                 }
             }
         }
-        let (lens, rows) = journal.marks;
+        let (lens, rows, weights) = journal.marks;
         self.truncate(lens, rows);
+        self.weights = weights;
     }
 
     pub(crate) fn journal_bytes(&self) -> usize {
@@ -381,7 +385,7 @@ impl FullState {
             return;
         }
         let after = self.rows[slot.index()];
-        let floors = j.marks.0.edges.per_column();
+        let floors = j.marks.0.per_column();
         for (column, (old, new)) in before.into_iter().zip(after).enumerate() {
             if old != new && predates(old, floors[column]) {
                 j.log.record_span(column, slot.index(), old);
@@ -463,15 +467,15 @@ impl<V> EcLocalGraph<V> {
         let Some(j) = self.journal.as_deref() else {
             return EdgeLists::ALL;
         };
-        let (v, floor) = (&self.verts[pos as usize], self.full.floor().edges);
+        let (v, floor) = (&self.verts[pos as usize], self.full.floor());
         let slot_wrote = |column, floor| {
             let span = v.meta.map(|slot| self.full.row(slot)[column]);
             span.is_none_or(|span| written(span, floor))
         };
-        if slot_wrote(IN_EDGES, floor.in_edges) {
+        if slot_wrote(IN_EDGES, floor.runs) {
             return EdgeLists::ALL;
         }
-        let ([hot_in, hot_out], remote) = (j.marks.1, slot_wrote(OUT_REMOTE, floor.out_remote));
+        let ([hot_in, hot_out], remote) = (j.marks.1, slot_wrote(OUT_REMOTE, floor.remote));
         let lists = [
             (EdgeLists::IN_EDGES, written(v.in_edges, hot_in)),
             (EdgeLists::OUT_LOCAL, written(v.out_local, hot_out)),

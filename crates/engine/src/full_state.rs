@@ -2,38 +2,50 @@
 //! per-node columnar store a local graph of either engine keeps it in.
 //!
 //! A node keeps the full state of all its masters and mirrors in one
-//! [`FullState`]: a slot per copy over five columns shared by every slot.
-//! A slot is a 12-byte *head* — the master's position, where the slot's
-//! location tables start in the column of table words, and how many replicas
-//! and mirrors they name — and, in an edge-cut store, a *row* of four spans
-//! into the four edge columns. A vertex-cut copy's full state has no edges
-//! (§4.3), so a vertex-cut store has heads and table words and nothing else:
-//! rows exist from the first slot given an edge list. The lists of one slot
-//! are runs of those columns, so a hundred thousand mirrors cost a handful
-//! of allocations to build and to drop at any cluster size and tolerance
-//! level, and snapshotting or exporting walks dense memory.
+//! [`FullState`]: a slot per copy over columns shared by every slot. A slot
+//! is a 12-byte *head* — the master's position, where the slot's location
+//! tables start in the column of table words, and how many replicas and
+//! mirrors they name — and, in an edge-cut store, a *row* of four spans. A
+//! vertex-cut copy's full state has no edges (§4.3), so a vertex-cut store
+//! has heads and table words and nothing else: rows exist from the first
+//! slot given an edge list. The lists of one slot are runs of the store's
+//! columns, so a hundred thousand mirrors cost a handful of allocations to
+//! build and to drop at any cluster size and tolerance level, and
+//! snapshotting or exporting walks dense memory.
 //!
-//! A list changes in one of two ways and the columns are never compacted: it
-//! *shrinks in place* (its span narrows; the entries behind it go dead), or
-//! it is *appended at the column's tail* and the span repointed (the old run
-//! goes dead). Recovery rewrites a small part of a partition once per
-//! failure, so dead runs stay a small part of a column, and a graph decoded
-//! from a snapshot — a checkpoint reload — is rebuilt without any.
+//! A mirror's three edge lists — its in-edges with their sources,
+//! `out_local_owner` and `out_remote` — are kept in the byte form a message
+//! carries them in ([`crate::runs`]): three runs of one byte column, copied
+//! into a message and out of it verbatim. Only recovery reads them, and it
+//! decodes a run as it reads it. A master keeps none of them there: its
+//! owner-local lists are its own edge lists, and its remote out-edges, which
+//! Migration rewrites in place, are kept decoded in a column of their own.
+//! How an in-edge run weighs its edges is the store's [`Weights`]: a graph
+//! all of whose edges weigh the same writes that weight nowhere.
+//!
+//! A run is never written over: a changed list is written at the byte
+//! column's tail and its span repointed (the old run goes dead), an equal
+//! one is left where it is. The decoded column follows the hot columns'
+//! rules: a list *shrinks in place* or is *appended at the tail*. Recovery
+//! rewrites a small part of a partition once per failure, so dead runs stay
+//! a small part of a column, and a graph decoded from a snapshot — a
+//! checkpoint reload — is rebuilt without any.
 //!
 //! Inside a recovery *episode* (see [`crate::episode`]) the entries a column
 //! held when the episode began are frozen: every writer below takes that
 //! length as its floor, leaves a run starting under it untouched, and
 //! writes the new list at the tail instead. Undoing the episode is then a
 //! truncation plus the saved heads and spans; outside an episode the floor
-//! is 0 and lists are overwritten in place. The writers keep one more
-//! promise the journal relies on: **a span they write inside an episode
-//! starts at or past the floor** — so a span that starts under it is the
-//! span the episode found, and needs saving exactly when it changes. The
+//! is 0 and decoded lists are overwritten in place. The writers keep one
+//! more promise the journal relies on: **a span they write inside an
+//! episode starts at or past the floor** — so a span that starts under it is
+//! the span the episode found, and needs saving exactly when it changes. The
 //! store journals itself: a writer that changes nothing saves nothing.
 //!
-//! A store also travels: Migration ships the full state of many copies to
-//! one node as one store filled by [`FullState::push`], and the receiver
-//! takes it in whole ([`FullState::extend_from`]) or record by record.
+//! A store also travels: Migration and Rebirth ship the full state of many
+//! copies to one node as one store filled by [`FullState::push`], and the
+//! receiver takes it in whole ([`FullState::extend_from`]) or record by
+//! record.
 
 use std::num::NonZeroU32;
 use std::ops::Range;
@@ -41,9 +53,11 @@ use std::ops::Range;
 use imitator_cluster::NodeId;
 use imitator_graph::Vid;
 use imitator_metrics::MemSize;
+use imitator_storage::codec::Sink;
 
 use crate::episode::StoreJournal;
 use crate::locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
+use crate::runs::{append_list, put_list, Entry, InEdge, Run, Weights};
 
 /// An out-edge whose consumer (target master) lives on another node.
 ///
@@ -71,74 +85,278 @@ pub trait CopyVids {
     fn vid_at(&self, pos: u32) -> Vid;
 }
 
-/// The global source IDs of a full state's in-edges, parallel to its
-/// `in_edges_owner`: Migration rebuilds a promoted master's edges on a
-/// *different* node, where the owner-local positions mean nothing (§5.2.1).
-///
-/// A mirror keeps them, and a message carries them, as a list. A master
-/// keeps none: its in-edges name local copies, and each copy names its
-/// vertex, so the sources are read off the graph whenever the master's full
-/// state leaves it.
-#[derive(Clone, Copy)]
-pub enum InEdgeSrcs<'a> {
-    /// The sources as stored or received.
-    Stored(&'a [Vid]),
-    /// The sources of a master's own `in_edges`, looked up in the `copies`
-    /// of its graph.
-    Local {
-        /// The master's in-edges, `(local source position, weight)`.
-        in_edges: &'a [(u32, f32)],
-        /// The graph the positions index.
-        copies: &'a dyn CopyVids,
-    },
+/// A node's copies as the loaders lay them out: the vertices, by position.
+impl CopyVids for Vec<Vid> {
+    fn vid_at(&self, pos: u32) -> Vid {
+        self[pos as usize]
+    }
 }
 
-impl<'a> InEdgeSrcs<'a> {
-    /// How many in-edges have their source named.
-    pub fn len(self) -> usize {
+/// One of two iterators, as one.
+#[derive(Clone)]
+enum Either<A, B> {
+    Left(A),
+    Right(B),
+}
+
+impl<T, A: Iterator<Item = T>, B: Iterator<Item = T>> Iterator for Either<A, B> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
         match self {
-            InEdgeSrcs::Stored(srcs) => srcs.len(),
-            InEdgeSrcs::Local { in_edges, .. } => in_edges.len(),
+            Either::Left(a) => a.next(),
+            Either::Right(b) => b.next(),
         }
     }
 
-    /// Whether no source is named.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Either::Left(a) => a.size_hint(),
+            Either::Right(b) => b.size_hint(),
+        }
+    }
+}
+
+impl<T, A: ExactSizeIterator<Item = T>, B: ExactSizeIterator<Item = T>> ExactSizeIterator
+    for Either<A, B>
+{
+}
+
+/// A full state's in-edges — each the owner-local position of its source,
+/// its weight and the source vertex — however they are held. Migration
+/// rebuilds a promoted master's edges on a *different* node, where the
+/// owner-local positions mean nothing, from the sources (§5.2.1).
+///
+/// A mirror keeps them, and a message carries them, as a run. A master keeps
+/// no sources: its in-edges name local copies, and each copy names its
+/// vertex, so the sources are read off the graph whenever the master's full
+/// state leaves it.
+#[derive(Clone, Copy)]
+pub enum InEdges<'a> {
+    /// As a [`MasterMeta`] holds them: the `(position, weight)` pairs and,
+    /// parallel, the sources.
+    Split {
+        /// The in-edges, `(owner-local source position, weight)`.
+        edges: &'a [(u32, f32)],
+        /// Their sources.
+        srcs: &'a [Vid],
+    },
+    /// A master's own in-edges, whose sources are the vertices of the copies
+    /// they name.
+    Local {
+        /// The in-edges, `(local source position, weight)`.
+        edges: &'a [(u32, f32)],
+        /// The graph the positions index.
+        copies: &'a dyn CopyVids,
+    },
+    /// A run: a mirror's, or a message's.
+    Run(Run<'a>),
+}
+
+impl<'a> InEdges<'a> {
+    /// How many in-edges there are.
+    pub fn len(self) -> usize {
+        match self {
+            InEdges::Split { edges, .. } | InEdges::Local { edges, .. } => edges.len(),
+            InEdges::Run(run) => run.len(),
+        }
+    }
+
+    /// Whether there are none.
     pub fn is_empty(self) -> bool {
         self.len() == 0
     }
 
+    /// The in-edges, in the order they fold.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = InEdge> + Clone + 'a {
+        let edge = |(pos, weight), src| InEdge { pos, weight, src };
+        match self {
+            InEdges::Split { edges, srcs } => {
+                let split = edges.iter().zip(srcs);
+                Either::Left(Either::Left(split.map(move |(&e, &src)| edge(e, src))))
+            }
+            InEdges::Local { edges, copies } => {
+                let local = edges.iter().map(move |&e| edge(e, copies.vid_at(e.0)));
+                Either::Left(Either::Right(local))
+            }
+            InEdges::Run(run) => Either::Right(run.entries()),
+        }
+    }
+
     /// The sources, in in-edge order.
-    pub fn iter(self) -> impl ExactSizeIterator<Item = Vid> + Clone + 'a {
-        (0..self.len()).map(move |i| match self {
-            InEdgeSrcs::Stored(srcs) => srcs[i],
-            InEdgeSrcs::Local { in_edges, copies } => copies.vid_at(in_edges[i].0),
-        })
+    pub fn srcs(self) -> impl ExactSizeIterator<Item = Vid> + Clone + 'a {
+        self.iter().map(|edge| edge.src)
+    }
+
+    /// The `(owner-local position, weight)` pairs: the in-edges as a
+    /// master's own edge list holds them.
+    pub fn owner_local(self) -> Vec<(u32, f32)> {
+        self.iter().map(|edge| (edge.pos, edge.weight)).collect()
+    }
+
+    /// The layout that writes these in-edges: a uniform run's own without
+    /// reading it, decoded ones' without naming their sources.
+    pub fn weights(self) -> Weights {
+        match self {
+            InEdges::Split { edges, .. } | InEdges::Local { edges, .. } => {
+                Weights::of(edges.iter().map(|e| e.1))
+            }
+            InEdges::Run(run) if run.is_empty() => Weights::Unset,
+            InEdges::Run(run) => run.uniform().map_or_else(
+                || Weights::of(self.iter().map(|e| e.weight)),
+                Weights::Uniform,
+            ),
+        }
+    }
+
+    /// Writes the in-edges as a message does, under `uniform`: a run
+    /// verbatim where it writes weights the same way ([`Run::put`]).
+    pub fn put<S: Sink>(self, uniform: Option<f32>, out: &mut S) {
+        match self {
+            InEdges::Run(run) => run.put::<InEdge, S>(uniform, out),
+            _ => put_list(self.iter(), uniform, out),
+        }
+    }
+
+    /// [`InEdges::put`] into a store's byte column. A master's sources are
+    /// looked up a chunk at a time before the chunk is encoded: the lookups
+    /// — random reads of the graph's copies — do not depend on one another
+    /// and overlap, where interleaved with the varints, whose places depend
+    /// on each value looked up, each would wait for the last.
+    fn append(self, uniform: Option<f32>, out: &mut Vec<u8>) {
+        let len = self.len();
+        match self {
+            InEdges::Run(run) if run.writes(uniform) => out.extend_from_slice(run.bytes()),
+            InEdges::Local { edges, copies } => {
+                let sourced = edges.chunks(64).flat_map(|chunk| {
+                    let mut srcs = [Vid::default(); 64];
+                    for (src, &(pos, _)) in srcs.iter_mut().zip(chunk) {
+                        *src = copies.vid_at(pos);
+                    }
+                    let edge = |(&(pos, weight), src)| InEdge { pos, weight, src };
+                    chunk.iter().zip(srcs).map(edge)
+                });
+                append_list(len, sourced, uniform, out);
+            }
+            _ => append_list(len, self.iter(), uniform, out),
+        }
     }
 }
 
-impl Default for InEdgeSrcs<'_> {
+impl Default for InEdges<'_> {
     fn default() -> Self {
-        InEdgeSrcs::Stored(&[])
+        InEdges::Split {
+            edges: &[],
+            srcs: &[],
+        }
     }
 }
 
-/// Sources are equal when they name the same vertices in the same order,
-/// however each side comes by them.
-impl PartialEq for InEdgeSrcs<'_> {
+/// In-edges are equal when they name the same edges in the same order,
+/// weights to the bit, however each side holds them.
+impl PartialEq for InEdges<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
-impl std::fmt::Debug for InEdgeSrcs<'_> {
+impl std::fmt::Debug for InEdges<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
 
-/// The full state a master shares with its mirrors (§4.2), owned: the form
-/// it takes in recovery messages and on the wire. A local graph stores it in
-/// its [`FullState`] columns and hands it out as a [`FullStateRef`].
+/// A full state's consumers or remote out-edges, however they are held: as
+/// a slice or as a run.
+#[derive(Clone, Copy)]
+pub enum List<'a, T> {
+    /// Decoded.
+    Slice(&'a [T]),
+    /// A run: a mirror's, or a message's.
+    Run(Run<'a>),
+}
+
+impl<'a, T: Entry + 'a> List<'a, T> {
+    /// How many entries there are.
+    pub fn len(self) -> usize {
+        match self {
+            List::Slice(items) => items.len(),
+            List::Run(run) => run.len(),
+        }
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entries, in order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = T> + Clone + 'a {
+        match self {
+            List::Slice(items) => Either::Left(items.iter().copied()),
+            List::Run(run) => Either::Right(run.entries()),
+        }
+    }
+
+    /// The run, if the list is held as one.
+    pub fn run(self) -> Option<Run<'a>> {
+        match self {
+            List::Slice(_) => None,
+            List::Run(run) => Some(run),
+        }
+    }
+
+    /// The entries, owned.
+    pub fn to_vec(self) -> Vec<T> {
+        self.iter().collect()
+    }
+
+    /// Writes the list as a message does: a run verbatim.
+    pub fn put<S: Sink>(self, out: &mut S) {
+        match self {
+            List::Slice(items) => put_list(items.iter().copied(), None, out),
+            List::Run(run) => run.put::<T, S>(run.uniform(), out),
+        }
+    }
+
+    /// [`List::put`] into a store's byte column.
+    fn append(self, out: &mut Vec<u8>) {
+        match self {
+            List::Slice(items) => append_list(items.len(), items.iter().copied(), None, out),
+            List::Run(run) => out.extend_from_slice(run.bytes()),
+        }
+    }
+}
+
+impl<'a, T> From<&'a [T]> for List<'a, T> {
+    fn from(items: &'a [T]) -> Self {
+        List::Slice(items)
+    }
+}
+
+impl<T> Default for List<'_, T> {
+    fn default() -> Self {
+        List::Slice(&[])
+    }
+}
+
+/// Lists are equal when they hold equal entries in the same order, however
+/// each side holds them.
+impl<T: Entry + PartialEq> PartialEq for List<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: Entry + std::fmt::Debug> std::fmt::Debug for List<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The full state a master shares with its mirrors (§4.2), owned and
+/// decoded. A local graph stores it in its [`FullState`] columns and hands
+/// it out as a [`FullStateRef`].
 ///
 /// Everything needed to rebuild the master (and any of its replicas) *at the
 /// same array positions* on a replacement node, plus the replica-location
@@ -151,7 +369,7 @@ pub struct MasterMeta {
     /// form (edge-cut replicates edges into the mirror's full state, §4.3).
     pub in_edges_owner: Vec<(u32, f32)>,
     /// Global source IDs of the in-edges (parallel to `in_edges_owner`): see
-    /// [`InEdgeSrcs`].
+    /// [`InEdges`].
     pub in_edge_srcs: Vec<Vid>,
     /// Owner-local positions of out-neighbours mastered on the owner.
     pub out_local_owner: Vec<u32>,
@@ -165,10 +383,12 @@ impl MasterMeta {
     pub fn view(&self) -> FullStateRef<'_> {
         FullStateRef {
             locations: self.locations.view(),
-            in_edges_owner: &self.in_edges_owner,
-            in_edge_srcs: InEdgeSrcs::Stored(&self.in_edge_srcs),
-            out_local_owner: &self.out_local_owner,
-            out_remote: &self.out_remote,
+            in_edges: InEdges::Split {
+                edges: &self.in_edges_owner,
+                srcs: &self.in_edge_srcs,
+            },
+            out_local_owner: List::Slice(&self.out_local_owner),
+            out_remote: List::Slice(&self.out_remote),
         }
     }
 }
@@ -217,29 +437,27 @@ impl std::ops::BitOr for EdgeLists {
     }
 }
 
-/// One copy's full state, borrowed from wherever it is stored: the fields of
-/// [`MasterMeta`] as slices.
+/// One copy's full state, borrowed from wherever it is held: decoded, as
+/// runs, or read off a master's own edge lists.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FullStateRef<'a> {
     /// Where the master and its copies live.
     pub locations: LocationsRef<'a>,
-    /// See [`MasterMeta::in_edges_owner`].
-    pub in_edges_owner: &'a [(u32, f32)],
-    /// See [`MasterMeta::in_edge_srcs`].
-    pub in_edge_srcs: InEdgeSrcs<'a>,
+    /// The in-edges: see [`InEdges`].
+    pub in_edges: InEdges<'a>,
     /// See [`MasterMeta::out_local_owner`].
-    pub out_local_owner: &'a [u32],
+    pub out_local_owner: List<'a, u32>,
     /// See [`MasterMeta::out_remote`].
-    pub out_remote: &'a [RemoteEdge],
+    pub out_remote: List<'a, RemoteEdge>,
 }
 
 impl<'a> FullStateRef<'a> {
-    /// The owned form, every list allocated at its length.
+    /// The owned form, every list decoded and allocated at its length.
     pub fn to_meta(&self) -> MasterMeta {
         MasterMeta {
             locations: self.locations.to_owned(),
-            in_edges_owner: self.in_edges_owner.to_vec(),
-            in_edge_srcs: self.in_edge_srcs.iter().collect(),
+            in_edges_owner: self.in_edges.owner_local(),
+            in_edge_srcs: self.in_edges.srcs().collect(),
             out_local_owner: self.out_local_owner.to_vec(),
             out_remote: self.out_remote.to_vec(),
         }
@@ -250,8 +468,7 @@ impl<'a> FullStateRef<'a> {
     pub fn carrying(self, lists: EdgeLists) -> Self {
         let mut carried = FullStateRef::tables(self.locations);
         if lists.contains(EdgeLists::IN_EDGES) {
-            (carried.in_edges_owner, carried.in_edge_srcs) =
-                (self.in_edges_owner, self.in_edge_srcs);
+            carried.in_edges = self.in_edges;
         }
         if lists.contains(EdgeLists::OUT_LOCAL) {
             carried.out_local_owner = self.out_local_owner;
@@ -266,31 +483,35 @@ impl<'a> FullStateRef<'a> {
     pub fn tables(locations: LocationsRef<'a>) -> Self {
         FullStateRef {
             locations,
-            in_edges_owner: &[],
-            in_edge_srcs: InEdgeSrcs::default(),
-            out_local_owner: &[],
-            out_remote: &[],
+            in_edges: InEdges::default(),
+            out_local_owner: List::default(),
+            out_remote: List::default(),
         }
     }
 
-    /// How many entries this full state adds to each edge column of a store.
+    /// How many entries each of the edge lists holds.
     pub fn lens(&self) -> ColumnLens {
+        let in_edges = self.in_edges.len();
         ColumnLens {
-            in_edges: self.in_edges_owner.len(),
-            in_srcs: self.in_edge_srcs.len(),
+            in_edges,
+            in_srcs: in_edges,
             out_local: self.out_local_owner.len(),
             out_remote: self.out_remote.len(),
         }
     }
 
+    /// The owner-local lists, decoded — the in-edges as `(position,
+    /// weight)`, then the consumers —: what a master rebuilt from this full
+    /// state keeps as its own edge lists.
+    pub fn owner_lists(&self) -> (Vec<(u32, f32)>, Vec<u32>) {
+        (self.in_edges.owner_local(), self.out_local_owner.to_vec())
+    }
+
     /// Owner-local positions this vertex's replica on `node` feeds
     /// (used to rebuild a replica's `out_local` during recovery).
     pub fn replica_out_local_on(&self, node: NodeId) -> Vec<u32> {
-        self.out_remote
-            .iter()
-            .filter(|r| r.node == node)
-            .map(|r| r.pos)
-            .collect()
+        let feeds = self.out_remote.iter().filter(|r| r.node == node);
+        feeds.map(|r| r.pos).collect()
     }
 }
 
@@ -316,8 +537,9 @@ impl SlotId {
 }
 
 /// How a local graph of either engine ships full state to other nodes and
-/// takes it in — Migration's mirror batches (§5.2), a store per destination,
-/// each slot carrying its tables and, edge-cut, the edge lists asked for.
+/// takes it in — Migration's mirror batches (§5.2) and Rebirth's, a store
+/// per destination, each slot carrying its tables and, edge-cut, the edge
+/// lists asked for.
 pub trait FullStateBatches {
     /// The full state of the copies at `records` — a position and the edge
     /// lists to carry — in that order, as it ships to another node: a store
@@ -548,24 +770,28 @@ impl Head {
     }
 }
 
-/// Edge columns of a [`FullState`], in the order every row, journal record
-/// and [`ColumnLens::per_column`] numbers them.
+/// The spans of an edge-cut slot's row, in the order every row, journal
+/// record and [`StoreLens::per_column`] numbers them: three runs of the byte
+/// column — the in-edges, `out_local_owner`, `out_remote` — and the decoded
+/// remote out-edges a master keeps instead of the last. A slot's remote
+/// out-edges are its run when that run is not empty, its decoded list
+/// otherwise.
 pub(crate) const COLUMNS: usize = 4;
 pub(crate) const IN_EDGES: usize = 0;
-pub(crate) const IN_SRCS: usize = 1;
-pub(crate) const OUT_LOCAL: usize = 2;
+pub(crate) const OUT_LOCAL: usize = 1;
+pub(crate) const REMOTE_RUN: usize = 2;
 pub(crate) const OUT_REMOTE: usize = 3;
 
-/// One edge-cut copy's row in the slot table: its span in each edge column.
+/// One edge-cut copy's row in the slot table: see [`COLUMNS`].
 pub(crate) type EdgeSpans = [Span; COLUMNS];
 
-/// How many entries each edge column of a [`FullState`] holds, or is to
-/// hold.
+/// How many entries each edge list of a full state — or all those of a
+/// store — holds: what a message announces ahead of a store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColumnLens {
     /// `(position, weight)` in-edge entries (mirrors only).
     pub in_edges: usize,
-    /// In-edge source IDs (mirrors only).
+    /// In-edge source IDs (mirrors only): one per in-edge.
     pub in_srcs: usize,
     /// Owner-local consumer positions (mirrors only).
     pub out_local: usize,
@@ -574,14 +800,9 @@ pub struct ColumnLens {
 }
 
 impl ColumnLens {
-    /// Entries in the four columns together.
+    /// Entries in the four lists together.
     pub fn total(&self) -> usize {
         self.in_edges + self.in_srcs + self.out_local + self.out_remote
-    }
-
-    /// The four lengths in the columns' order.
-    pub(crate) fn per_column(&self) -> [usize; COLUMNS] {
-        [self.in_edges, self.in_srcs, self.out_local, self.out_remote]
     }
 }
 
@@ -594,24 +815,47 @@ impl std::ops::AddAssign for ColumnLens {
     }
 }
 
-/// How much a [`FullState`] holds, or is to hold: slots, table words and
-/// edge-column entries, runs no slot points at any more included.
+/// How much a [`FullState`] holds, or is to hold: slots, table words, bytes
+/// of runs and decoded remote out-edges, runs no slot points at any more
+/// included.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreLens {
     /// Slots.
     pub slots: usize,
     /// Words of location tables.
     pub words: usize,
-    /// Entries per edge column.
-    pub edges: ColumnLens,
+    /// Bytes of runs.
+    pub runs: usize,
+    /// Decoded remote out-edges (masters').
+    pub remote: usize,
 }
 
 impl StoreLens {
-    /// Room for one more slot holding `state`.
+    /// Room for one more slot holding `state`: its tables, and the runs of
+    /// the lists it holds as runs. A list held decoded grows the byte
+    /// column as it is encoded: measuring it first would encode it twice.
     pub fn add(&mut self, state: FullStateRef<'_>) {
+        let in_edges = match state.in_edges {
+            InEdges::Run(run) => Some(run),
+            _ => None,
+        };
+        let runs = [
+            in_edges,
+            state.out_local_owner.run(),
+            state.out_remote.run(),
+        ];
         self.slots += 1;
         self.words += state.locations.words().len();
-        self.edges += state.lens();
+        self.runs += runs
+            .iter()
+            .flatten()
+            .map(|run| run.bytes().len())
+            .sum::<usize>();
+    }
+
+    /// The lengths the spans of a row index, in [`COLUMNS`] order.
+    pub(crate) fn per_column(&self) -> [usize; COLUMNS] {
+        [self.runs, self.runs, self.runs, self.remote]
     }
 }
 
@@ -619,22 +863,75 @@ impl std::ops::AddAssign for StoreLens {
     fn add_assign(&mut self, more: StoreLens) {
         self.slots += more.slots;
         self.words += more.words;
-        self.edges += more.edges;
+        self.runs += more.runs;
+        self.remote += more.remote;
     }
 }
 
+/// Appends the lists of `state` that `lists` names to `out` as a store
+/// keeps them: the run of each that has entries — its bytes as they are
+/// where it is held as a run a message writes the same way.
+pub(crate) fn append_runs(
+    state: FullStateRef<'_>,
+    lists: EdgeLists,
+    uniform: Option<f32>,
+    out: &mut Vec<u8>,
+) {
+    if lists.contains(EdgeLists::IN_EDGES) && !state.in_edges.is_empty() {
+        state.in_edges.append(uniform, out);
+    }
+    if lists.contains(EdgeLists::OUT_LOCAL) && !state.out_local_owner.is_empty() {
+        state.out_local_owner.append(out);
+    }
+    if lists.contains(EdgeLists::OUT_REMOTE) && !state.out_remote.is_empty() {
+        state.out_remote.append(out);
+    }
+}
+
+/// Appends the three lists of `state` to `runs` as a mirror keeps them and
+/// returns the row that names them (its decoded remote list empty).
+pub(crate) fn append_row(
+    state: FullStateRef<'_>,
+    uniform: Option<f32>,
+    runs: &mut Vec<u8>,
+) -> EdgeSpans {
+    let mut row = EdgeSpans::default();
+    for (column, list) in [
+        (IN_EDGES, EdgeLists::IN_EDGES),
+        (OUT_LOCAL, EdgeLists::OUT_LOCAL),
+        (REMOTE_RUN, EdgeLists::OUT_REMOTE),
+    ] {
+        let start = runs.len();
+        append_runs(state, list, uniform, runs);
+        row[column] = Span::new(start, runs.len() - start);
+    }
+    row
+}
+
+/// What a slot keeps of the full state written to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Form {
+    /// A mirror's, or a shipped record's: the three lists, as runs.
+    Runs,
+    /// A master's: its remote out-edges alone, decoded for Migration to
+    /// rewrite in place. Its owner-local lists are its own edge lists.
+    Master,
+}
+
 /// A full-state store: see the module documentation. A local graph keeps
-/// one; a Migration mirror batch carries one, a slot per record.
-#[derive(Debug, Clone, Default)]
+/// one; a Migration or Rebirth batch carries one, a slot per record.
+#[derive(Clone, Default)]
 pub struct FullState {
     pub(crate) heads: Vec<Head>,
     /// A row per slot, or none at all while no slot has had an edge list.
     pub(crate) rows: Vec<EdgeSpans>,
     pub(crate) words: Column<u32>,
-    pub(crate) in_edges: Column<(u32, f32)>,
-    pub(crate) in_srcs: Column<Vid>,
-    pub(crate) out_local: Column<u32>,
+    /// The runs of every slot's encoded lists, back to back.
+    pub(crate) runs: Column<u8>,
+    /// Masters' remote out-edges, decoded.
     pub(crate) out_remote: Column<RemoteEdge>,
+    /// How the in-edge runs write weights.
+    pub(crate) weights: Weights,
     /// What the open recovery episode has changed, if one is open.
     pub(crate) journal: Option<Box<StoreJournal>>,
     /// The tables [`FullState::edit_locations`] lends out, kept between
@@ -643,25 +940,72 @@ pub struct FullState {
 }
 
 /// Stores are equal when they hold equal full states slot for slot, wherever
-/// in the columns each keeps them.
+/// in the columns and in whatever layout each keeps them.
 impl PartialEq for FullState {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && (0..self.len()).all(|i| self.nth(i) == other.nth(i))
     }
 }
 
+/// A store shows the full state of its slots, decoded.
+impl std::fmt::Debug for FullState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries((0..self.len()).map(|i| self.nth(i)))
+            .finish()
+    }
+}
+
 impl FullState {
-    /// A store holding `states`, a slot each in that order, sized for them
-    /// once.
+    /// An empty store whose in-edge runs write weights as `weights` says.
+    pub fn with_weights(weights: Weights) -> FullState {
+        FullState {
+            weights,
+            ..FullState::default()
+        }
+    }
+
+    /// A store holding `states`, a slot each in that order, in the layout
+    /// that writes all their in-edges.
     pub fn of<'s>(states: impl Iterator<Item = FullStateRef<'s>> + Clone) -> FullState {
-        let mut lens = StoreLens::default();
-        states.clone().for_each(|state| lens.add(state));
-        let mut store = FullState::default();
+        FullState::shipping(Weights::Unset, states)
+    }
+
+    /// A store holding `states`, a slot each in that order, as a mirror
+    /// keeps them, in `weights` unless one of their in-edge lists needs a
+    /// weight per edge — settled once, before a byte is written —: a run in
+    /// the store's layout is copied in, any other list encoded. The slots
+    /// are new, so nothing is compared or journaled; the store is sized once
+    /// but for the lists it encodes.
+    pub(crate) fn shipping<'s>(
+        weights: Weights,
+        states: impl Iterator<Item = FullStateRef<'s>> + Clone,
+    ) -> FullState {
+        let (mut lens, mut weights, mut listed) = (StoreLens::default(), weights, false);
+        for state in states.clone() {
+            lens.add(state);
+            if weights != Weights::PerEdge {
+                weights = weights.and(state.in_edges.weights());
+            }
+            listed |= state.lens().total() > 0;
+        }
+        let mut store = FullState::with_weights(weights);
         store.reserve_exact(lens);
+        let uniform = weights.uniform();
         for state in states {
-            store.push(state);
+            let words = store.words.append(state.locations.words().iter().copied());
+            store.heads.push(Head::of(state.locations, words));
+            if listed {
+                let row = append_row(state, uniform, &mut store.runs.0);
+                store.rows.push(row);
+            }
         }
         store
+    }
+
+    /// How the store's in-edge runs write weights.
+    pub fn weights(&self) -> Weights {
+        self.weights
     }
 
     /// Slots in the store.
@@ -674,14 +1018,12 @@ impl FullState {
         self.heads.is_empty()
     }
 
-    /// Entries in each edge column, dead runs included.
+    /// Entries in each edge list, summed over the slots: what a message
+    /// announces ahead of the store.
     pub fn column_lens(&self) -> ColumnLens {
-        ColumnLens {
-            in_edges: self.in_edges.0.len(),
-            in_srcs: self.in_srcs.0.len(),
-            out_local: self.out_local.0.len(),
-            out_remote: self.out_remote.0.len(),
-        }
+        let mut lens = ColumnLens::default();
+        (0..self.len()).for_each(|i| lens += self.nth(i).lens());
+        lens
     }
 
     /// What the store holds, dead runs included.
@@ -689,8 +1031,23 @@ impl FullState {
         StoreLens {
             slots: self.heads.len(),
             words: self.words.0.len(),
-            edges: self.column_lens(),
+            runs: self.runs.0.len(),
+            remote: self.out_remote.0.len(),
         }
+    }
+
+    /// What `slots` point at: [`FullState::lens`] for a store without dead
+    /// runs when they are all its slots.
+    pub(crate) fn live_lens(&self, slots: impl Iterator<Item = SlotId>) -> StoreLens {
+        let mut lens = StoreLens::default();
+        for slot in slots {
+            let row = self.row(slot);
+            lens.slots += 1;
+            lens.words += self.heads[slot.index()].span().len();
+            lens.runs += row[IN_EDGES].len() + row[OUT_LOCAL].len() + row[REMOTE_RUN].len();
+            lens.remote += row[OUT_REMOTE].len();
+        }
+        lens
     }
 
     /// The full state in the `i`-th slot, exactly as stored.
@@ -705,12 +1062,16 @@ impl FullState {
     /// The full state in `slot`, exactly as stored.
     pub(crate) fn get(&self, slot: SlotId) -> FullStateRef<'_> {
         let row = self.row(slot);
+        let run = |column: usize| Run::new(self.runs.get(row[column]), self.weights.uniform());
+        let out_remote = match row[REMOTE_RUN].len() {
+            0 => List::Slice(self.out_remote.get(row[OUT_REMOTE])),
+            _ => List::Run(run(REMOTE_RUN)),
+        };
         FullStateRef {
             locations: self.locations(slot),
-            in_edges_owner: self.in_edges.get(row[IN_EDGES]),
-            in_edge_srcs: InEdgeSrcs::Stored(self.in_srcs.get(row[IN_SRCS])),
-            out_local_owner: self.out_local.get(row[OUT_LOCAL]),
-            out_remote: self.out_remote.get(row[OUT_REMOTE]),
+            in_edges: InEdges::Run(run(IN_EDGES)),
+            out_local_owner: List::Run(run(OUT_LOCAL)),
+            out_remote,
         }
     }
 
@@ -725,7 +1086,7 @@ impl FullState {
     /// [`Locations`] and stores what it leaves ([`FullState::set_locations`]:
     /// tables that come back as they were are neither written nor
     /// journaled; changed ones shrink in place or move to the tail of the
-    /// word column, like every other list of the store).
+    /// word column).
     pub(crate) fn edit_locations<R>(
         &mut self,
         slot: SlotId,
@@ -767,37 +1128,57 @@ impl FullState {
         &mut self.rows[slot.index()]
     }
 
-    /// Stores `state` in a new slot, its lists at the column tails.
+    /// Stores `state` in a new slot as a mirror keeps it, its lists at the
+    /// column tails: a run in the store's layout is copied in, any other
+    /// list encoded.
     pub fn push(&mut self, state: FullStateRef<'_>) -> SlotId {
+        self.push_as(state, Form::Runs)
+    }
+
+    /// Stores `state` in a new slot, keeping what `form` says.
+    pub(crate) fn push_as(&mut self, state: FullStateRef<'_>, form: Form) -> SlotId {
         let slot = SlotId::from_index(self.heads.len());
         let words = self.words.append(state.locations.words().iter().copied());
         self.heads.push(Head::of(state.locations, words));
         if !self.rows.is_empty() || state.lens().total() > 0 {
-            *self.row_mut(slot) = [
-                self.in_edges.append(state.in_edges_owner.iter().copied()),
-                self.in_srcs.append(state.in_edge_srcs.iter()),
-                self.out_local.append(state.out_local_owner.iter().copied()),
-                self.out_remote.append(state.out_remote.iter().copied()),
-            ];
+            if form == Form::Runs {
+                self.admit(state.in_edges);
+            }
+            let (runs, remote) = (self.runs.0.len(), self.out_remote.0.len());
+            let mut row = [Span::new(runs, 0); COLUMNS];
+            row[OUT_REMOTE] = Span::new(remote, 0);
+            self.write_lists(&mut row, state, EdgeLists::ALL, form);
+            *self.row_mut(slot) = row;
         }
         slot
     }
 
     /// Appends every slot of `other`, in order, and returns the index the
-    /// first of them got: each column grows by `other`'s whole column — one
-    /// copy apiece, dead runs and all — and the slots' spans move with it.
+    /// first of them got. When the two write weights alike — or one of them
+    /// has written none — each column grows by `other`'s whole column, one
+    /// copy apiece, dead runs and all, and the slots' spans move with it;
+    /// otherwise each slot is pushed as a mirror keeps it.
     pub fn extend_from(&mut self, other: &FullState) -> usize {
         let (first, base) = (self.heads.len(), self.lens());
+        let alike = self.weights.and(other.weights);
+        if [self.weights, other.weights]
+            .iter()
+            .any(|&w| w != alike && w != Weights::Unset)
+        {
+            for i in 0..other.len() {
+                self.push(other.nth(i));
+            }
+            return first;
+        }
+        self.weights = alike;
         self.words.0.extend_from_slice(&other.words.0);
-        self.in_edges.0.extend_from_slice(&other.in_edges.0);
-        self.in_srcs.0.extend_from_slice(&other.in_srcs.0);
-        self.out_local.0.extend_from_slice(&other.out_local.0);
+        self.runs.0.extend_from_slice(&other.runs.0);
         self.out_remote.0.extend_from_slice(&other.out_remote.0);
         let moved = |head: &Head| head.moved_to(head.span().rebased(base.words));
         self.heads.extend(other.heads.iter().map(moved));
         if !(self.rows.is_empty() && other.rows.is_empty()) {
             self.rows.resize(first, EdgeSpans::default());
-            let base = base.edges.per_column();
+            let base = base.per_column();
             let rows = (0..other.len()).map(|i| other.row(SlotId::from_index(i)));
             let moved = |row: EdgeSpans| std::array::from_fn(|c| row[c].rebased(base[c]));
             self.rows.extend(rows.map(moved));
@@ -805,35 +1186,112 @@ impl FullState {
         first
     }
 
-    /// Replaces what `slot` holds by `state`: its tables and the edge lists
-    /// `lists` names — the others stay as they are, neither written nor
-    /// journaled. Lists equal to what is stored are not written, and runs an
-    /// open episode found are not overwritten.
-    pub(crate) fn set(&mut self, slot: SlotId, state: FullStateRef<'_>, lists: EdgeLists) {
+    /// Replaces what `slot` holds by `state`, kept as `form` says: its
+    /// tables and the edge lists `lists` names — the others stay as they
+    /// are, neither written nor journaled. Lists equal to what is stored are
+    /// not written, and runs an open episode found are not overwritten.
+    pub(crate) fn set(
+        &mut self,
+        slot: SlotId,
+        state: FullStateRef<'_>,
+        lists: EdgeLists,
+        form: Form,
+    ) {
         self.set_locations(slot, state.locations);
         if self.rows.is_empty() && state.lens().total() == 0 {
             return;
         }
-        let (floor, before) = (self.floor().edges, self.row(slot));
-        let [mut ins, mut srcs, mut fed, mut remote] = before;
-        let FullStateRef {
-            in_edges_owner,
-            in_edge_srcs,
-            out_local_owner,
-            out_remote,
-            ..
-        } = state;
-        if lists.contains(EdgeLists::IN_EDGES) {
-            (self.in_edges).replace(&mut ins, in_edges_owner.iter().copied(), floor.in_edges);
-            (self.in_srcs).replace(&mut srcs, in_edge_srcs.iter(), floor.in_srcs);
+        if form == Form::Runs && lists.contains(EdgeLists::IN_EDGES) {
+            self.admit(state.in_edges);
         }
-        if lists.contains(EdgeLists::OUT_LOCAL) {
-            (self.out_local).replace(&mut fed, out_local_owner.iter().copied(), floor.out_local);
+        let before = self.row(slot);
+        let mut row = before;
+        self.write_lists(&mut row, state, lists, form);
+        self.write_row(slot, row, before);
+    }
+
+    /// Writes the lists of `state` that `lists` names into `row`, kept as
+    /// `form` says; the store's layout already admits its in-edges.
+    fn write_lists(
+        &mut self,
+        row: &mut EdgeSpans,
+        state: FullStateRef<'_>,
+        lists: EdgeLists,
+        form: Form,
+    ) {
+        let runs = form == Form::Runs;
+        let uniform = self.weights.uniform();
+        let kept = |list| if runs { list } else { EdgeLists::NONE };
+        for (column, list) in [
+            (IN_EDGES, EdgeLists::IN_EDGES),
+            (OUT_LOCAL, EdgeLists::OUT_LOCAL),
+        ] {
+            if lists.contains(list) {
+                self.write_run(&mut row[column], |out| {
+                    append_runs(state, kept(list), uniform, out)
+                });
+            }
         }
         if lists.contains(EdgeLists::OUT_REMOTE) {
-            (self.out_remote).replace(&mut remote, out_remote.iter().copied(), floor.out_remote);
+            let remote = EdgeLists::OUT_REMOTE;
+            self.write_run(&mut row[REMOTE_RUN], |out| {
+                append_runs(state, kept(remote), uniform, out)
+            });
+            let decoded = if runs {
+                List::default()
+            } else {
+                state.out_remote
+            };
+            let floor = self.floor().remote;
+            (self.out_remote).replace(&mut row[OUT_REMOTE], decoded.iter(), floor);
         }
-        self.write_row(slot, [ins, srcs, fed, remote], before);
+    }
+
+    /// Makes what `encode` writes the run behind `span`: the run already
+    /// there when it holds the same bytes, a new run at the tail otherwise
+    /// (a run is never written over).
+    fn write_run(&mut self, span: &mut Span, encode: impl FnOnce(&mut Vec<u8>)) {
+        let tail = self.runs.0.len();
+        encode(&mut self.runs.0);
+        if self.runs.0[span.range()] == self.runs.0[tail..] {
+            self.runs.0.truncate(tail);
+        } else {
+            *span = Span::new(tail, self.runs.0.len() - tail);
+        }
+    }
+
+    /// Settles the layout for writing `in_edges` as a run: an unset one
+    /// becomes theirs, a uniform one they do not fit is spread to a weight
+    /// per edge first.
+    fn admit(&mut self, in_edges: InEdges<'_>) {
+        if in_edges.is_empty() || self.weights == Weights::PerEdge {
+            return;
+        }
+        let both = self.weights.and(in_edges.weights());
+        if self.weights == Weights::Unset {
+            self.weights = both;
+        } else if both != self.weights {
+            self.spread();
+        }
+    }
+
+    /// Rewrites every in-edge run of a uniform store with a weight per edge,
+    /// at the tail, and makes that the layout.
+    fn spread(&mut self) {
+        let uniform = self.weights.uniform();
+        self.weights = Weights::PerEdge;
+        for i in 0..self.rows.len() {
+            let (slot, before) = (SlotId::from_index(i), self.rows[i]);
+            let run = Run::new(self.runs.get(before[IN_EDGES]), uniform);
+            if run.is_empty() {
+                continue;
+            }
+            let edges: Vec<InEdge> = run.entries().collect();
+            let tail = self.runs.0.len();
+            append_list(edges.len(), edges.into_iter(), None, &mut self.runs.0);
+            self.rows[i][IN_EDGES] = Span::new(tail, self.runs.0.len() - tail);
+            self.note_spans(slot, before);
+        }
     }
 
     /// Makes `row` the edge spans of `slot`, which were `before`, saving
@@ -845,40 +1303,62 @@ impl FullState {
         }
     }
 
-    /// Empties `slot`'s `(position, weight)`, source and consumer lists:
-    /// what a mirror's slot must lose when the copy becomes a master, whose
-    /// own edge lists say all three from then on. The empty runs are placed
-    /// at the column tails (a span written in an episode starts past its
-    /// floor).
-    pub(crate) fn clear_owner_lists(&mut self, slot: SlotId) {
+    /// Moves the remote out-edges of `row` out of their run, if they are
+    /// kept as one, into the decoded column.
+    fn decode_remote(&mut self, row: &mut EdgeSpans) {
+        if row[REMOTE_RUN].len() == 0 {
+            return;
+        }
+        let run = Run::new(self.runs.get(row[REMOTE_RUN]), None);
+        let remote: Vec<RemoteEdge> = run.entries().collect();
+        row[REMOTE_RUN] = Span::new(self.runs.0.len(), 0);
+        let floor = self.floor().remote;
+        (self.out_remote).replace(&mut row[OUT_REMOTE], remote.into_iter(), floor);
+    }
+
+    /// Empties `slot`'s in-edges and consumers and returns them — the
+    /// in-edges as `(source, weight)` —, its remote out-edges decoded: what
+    /// a mirror's slot keeps once the copy becomes a master, whose own edge
+    /// lists say the rest from then on. The empty runs are placed at the
+    /// column's tail (a span written in an episode starts past its floor).
+    pub(crate) fn take_owner_lists(&mut self, slot: SlotId) -> (Vec<(Vid, f32)>, Vec<u32>) {
+        let stored = self.get(slot);
+        let in_edges = stored.in_edges.iter().map(|e| (e.src, e.weight)).collect();
+        let lists = (in_edges, stored.out_local_owner.to_vec());
         let before = self.row(slot);
         let mut row = before;
-        row[IN_EDGES] = Span::new(self.in_edges.0.len(), 0);
-        row[IN_SRCS] = Span::new(self.in_srcs.0.len(), 0);
-        row[OUT_LOCAL] = Span::new(self.out_local.0.len(), 0);
+        self.decode_remote(&mut row);
+        row[IN_EDGES] = Span::new(self.runs.0.len(), 0);
+        row[OUT_LOCAL] = row[IN_EDGES];
         self.write_row(slot, row, before);
+        lists
     }
 
     /// Keeps the remote out-edges of `slot` that `keep` accepts (it may
     /// rewrite them), in order — at the tail if an open episode found the
-    /// run — and says whether the list changed.
+    /// run — and says whether the list changed. A list kept as a run is
+    /// decoded first.
     pub(crate) fn retain_out_remote(
         &mut self,
         slot: SlotId,
         keep: impl FnMut(&mut RemoteEdge) -> bool,
     ) -> bool {
-        let (floor, before) = (self.floor().edges.out_remote, self.row(slot));
+        let before = self.row(slot);
         let mut row = before;
+        self.decode_remote(&mut row);
+        let floor = self.floor().remote;
         let changed = (self.out_remote).retain_mut(&mut row[OUT_REMOTE], floor, keep);
         self.write_row(slot, row, before);
         changed
     }
 
     /// Appends `edges` to the remote out-edges of `slot`, at the tail if an
-    /// open episode found the run.
+    /// open episode found the run. A list kept as a run is decoded first.
     pub(crate) fn extend_out_remote(&mut self, slot: SlotId, edges: &[RemoteEdge]) {
-        let (floor, before) = (self.floor().edges.out_remote, self.row(slot));
+        let before = self.row(slot);
         let mut row = before;
+        self.decode_remote(&mut row);
+        let floor = self.floor().remote;
         self.out_remote.extend(&mut row[OUT_REMOTE], edges, floor);
         self.write_row(slot, row, before);
     }
@@ -890,7 +1370,7 @@ impl FullState {
         if !(self.rows.is_empty() || self.rows.len() == self.heads.len()) {
             return Err("the slot table's rows and heads differ in number".into());
         }
-        let lens = self.column_lens().per_column();
+        let lens = self.lens().per_column();
         let inside = |i: usize| {
             let row = self.row(SlotId::from_index(i));
             self.heads[i].span().range().end <= self.words.0.len()
@@ -903,18 +1383,16 @@ impl FullState {
     }
 
     /// Makes room for `more`, one allocation per column. Rows are reserved
-    /// with the first edge entry.
+    /// with the first edge list.
     pub fn reserve_exact(&mut self, more: StoreLens) {
         self.heads.reserve_exact(more.slots);
-        if !self.rows.is_empty() || more.edges.total() > 0 {
+        if !self.rows.is_empty() || more.runs + more.remote > 0 {
             let backfill = self.heads.len() - self.rows.len();
             self.rows.reserve_exact(backfill + more.slots);
         }
         self.words.0.reserve_exact(more.words);
-        self.in_edges.0.reserve_exact(more.edges.in_edges);
-        self.in_srcs.0.reserve_exact(more.edges.in_srcs);
-        self.out_local.0.reserve_exact(more.edges.out_local);
-        self.out_remote.0.reserve_exact(more.edges.out_remote);
+        self.runs.0.reserve_exact(more.runs);
+        self.out_remote.0.reserve_exact(more.remote);
     }
 
     /// Cuts the store back to `lens` and its first `rows` rows (undoing an
@@ -923,10 +1401,8 @@ impl FullState {
         self.heads.truncate(lens.slots);
         self.rows.truncate(rows);
         self.words.0.truncate(lens.words);
-        self.in_edges.0.truncate(lens.edges.in_edges);
-        self.in_srcs.0.truncate(lens.edges.in_srcs);
-        self.out_local.0.truncate(lens.edges.out_local);
-        self.out_remote.0.truncate(lens.edges.out_remote);
+        self.runs.0.truncate(lens.runs);
+        self.out_remote.0.truncate(lens.remote);
     }
 }
 
@@ -936,9 +1412,7 @@ impl MemSize for FullState {
             + self.heads.capacity() * std::mem::size_of::<Head>()
             + self.rows.capacity() * std::mem::size_of::<EdgeSpans>()
             + self.words.capacity_bytes()
-            + self.in_edges.capacity_bytes()
-            + self.in_srcs.capacity_bytes()
-            + self.out_local.capacity_bytes()
+            + self.runs.capacity_bytes()
             + self.out_remote.capacity_bytes()
     }
 }
@@ -955,8 +1429,8 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<SlotId>>(), 4);
     }
 
-    /// What a remote out-edge costs, in a master's slot and in each of its
-    /// mirrors': the other end's node and position and nothing else.
+    /// What a remote out-edge costs in a master's slot: the other end's
+    /// node and position and nothing else.
     #[test]
     fn a_remote_edge_is_eight_bytes() {
         assert_eq!(std::mem::size_of::<RemoteEdge>(), 8);
@@ -983,10 +1457,16 @@ mod tests {
 
         let edged = MasterMeta {
             locations: a.clone(),
+            in_edges_owner: vec![(3, 0.5)],
             in_edge_srcs: vec![Vid::new(7)],
             ..MasterMeta::default()
         };
-        store.set(SlotId::from_index(1), edged.view(), EdgeLists::ALL);
+        store.set(
+            SlotId::from_index(1),
+            edged.view(),
+            EdgeLists::ALL,
+            Form::Runs,
+        );
         assert_eq!((store.rows.len(), store.nth(0)), (2, states[0]));
         whole.extend_from(&store);
         assert_eq!((whole.len(), whole.rows.len()), (4, 4));
@@ -1019,5 +1499,74 @@ mod tests {
         let many = vec![NodeId::new(0); MAX_TABLE_NODES + 1];
         let tables = Locations::new(0, &[], &[], &many);
         FullState::default().push(FullStateRef::tables(tables.view()));
+    }
+
+    fn weighed(tag: u32, weights: &[f32]) -> MasterMeta {
+        let n = weights.len() as u32;
+        MasterMeta {
+            locations: tables(tag, 2),
+            in_edges_owner: (0..n).map(|i| (tag + i, weights[i as usize])).collect(),
+            in_edge_srcs: (0..n).map(|i| Vid::new(tag * 100 + i)).collect(),
+            out_local_owner: (0..n).map(|i| tag * 10 + i).collect(),
+            out_remote: (0..n)
+                .map(|i| RemoteEdge {
+                    node: NodeId::new(i),
+                    pos: 70_000 + i,
+                })
+                .collect(),
+        }
+    }
+
+    /// A slot's stored runs are, list by list, the bytes a message writes
+    /// for the same lists — in the uniform layout and with a weight per
+    /// edge — and an empty list is no bytes at all.
+    #[test]
+    fn a_slot_stores_the_runs_a_message_writes() {
+        for (weights, uniform) in [(&[0.5f32; 3][..], Some(0.5)), (&[0.5, 2.0, 0.5], None)] {
+            let meta = weighed(4, weights);
+            let mut store = FullState::default();
+            let slot = store.push(meta.view());
+            assert_eq!(store.weights().uniform(), uniform);
+            let row = store.row(slot);
+            let wire = |put: &dyn Fn(&mut Vec<u8>)| {
+                let mut bytes = Vec::new();
+                put(&mut bytes);
+                bytes
+            };
+            let view = meta.view();
+            assert_eq!(
+                store.runs.get(row[IN_EDGES]),
+                wire(&|out| view.in_edges.put(uniform, out))
+            );
+            assert_eq!(
+                store.runs.get(row[OUT_LOCAL]),
+                wire(&|out| view.out_local_owner.put(out))
+            );
+            assert_eq!(
+                store.runs.get(row[REMOTE_RUN]),
+                wire(&|out| view.out_remote.put(out))
+            );
+            assert_eq!(store.nth(0), view);
+            let empty = store.push(weighed(5, &[]).view());
+            assert!(store.row(empty).iter().all(|span| span.len() == 0));
+        }
+    }
+
+    /// A uniform store given an in-edge of another weight rewrites its
+    /// in-edge runs with a weight each; an unset one takes the layout of
+    /// the first in-edges it is given.
+    #[test]
+    fn a_store_spreads_its_weights_when_a_list_differs() {
+        let mut store = FullState::default();
+        store.push(weighed(1, &[]).view());
+        assert_eq!(store.weights(), Weights::Unset);
+        let first = weighed(2, &[1.0, 1.0]);
+        store.push(first.view());
+        assert_eq!(store.weights(), Weights::Uniform(1.0));
+        let other = weighed(3, &[1.0, 3.0]);
+        store.push(other.view());
+        assert_eq!(store.weights(), Weights::PerEdge);
+        assert_eq!((store.nth(1), store.nth(2)), (first.view(), other.view()));
+        assert!(store.validate().is_ok());
     }
 }

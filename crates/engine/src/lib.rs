@@ -19,7 +19,8 @@
 //!   what it changed; [`FullState`] — the columnar store both engines keep
 //!   full state in, and it travels in between nodes, a batch at a time
 //!   ([`FullStateBatches`]), each record carrying the edge lists its
-//!   receiver lacks ([`EdgeLists`]);
+//!   receiver lacks ([`EdgeLists`]) as the byte runs a mirror stores them
+//!   in ([`Run`]);
 //! * pure, single-node compute steps ([`ec_compute`], [`ec_commit`],
 //!   [`vc_partial_gather`], …) that the distributed runner in the
 //!   `imitator` crate drives via the simulated cluster.
@@ -38,6 +39,7 @@ mod full_state;
 mod load;
 mod locations;
 mod program;
+mod runs;
 mod vcut;
 
 pub use compute::{
@@ -48,9 +50,10 @@ pub use ecut::{build_edge_cut_graphs, CopyKind, EcLocalGraph, EcVertex};
 pub use episode::{Episode, PosSet};
 pub use ftplan::FtPlan;
 pub use full_state::{
-    ColumnLens, CopyVids, EdgeLists, FullState, FullStateBatches, FullStateRef, InEdgeSrcs,
+    ColumnLens, CopyVids, EdgeLists, FullState, FullStateBatches, FullStateRef, InEdges, List,
     MasterMeta, RemoteEdge, SlotId, StoreLens,
 };
 pub use locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
 pub use program::{Degrees, VertexProgram};
+pub use runs::{take_run, Entry, InEdge, Run, Weights};
 pub use vcut::{build_vertex_cut_graphs, VcEdge, VcLocalGraph, VcVertex};

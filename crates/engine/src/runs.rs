@@ -1,0 +1,429 @@
+//! The byte form of a full state's three edge lists, defined once: the form
+//! a mirror keeps them in (DESIGN §4.2) and the form every message and
+//! snapshot carries them in (DESIGN §4.6). A message writes a list's run
+//! verbatim wherever it holds one, so a mirror's lists cross the wire
+//! without being decoded or encoded again.
+//!
+//! A *run* is a list's count, then its entries, every integer an LEB128
+//! varint:
+//!
+//! * an in-edge: the owner-local position of its source, its weight (an
+//!   `f32`, little-endian) unless the run's [`Weights`] write none, and its
+//!   source's vertex ID;
+//! * a consumer (`out_local_owner`): its owner-local position;
+//! * a remote out-edge: the consumer's node, then its position there.
+//!
+//! A store keeps an empty list as no bytes at all; a message writes its
+//! count, 0. Runs reach a node in messages and snapshots, so they are
+//! checked where they enter ([`take_run`]): every count against the input,
+//! every integer against `u32`, every node against the cluster's limit.
+//! What passes is stored and later read without a second check.
+
+use imitator_cluster::NodeId;
+use imitator_graph::Vid;
+use imitator_storage::codec::{DecodeError, Reader, Sink};
+
+use crate::full_state::RemoteEdge;
+
+/// What reading a stored run may assume.
+const CHECKED: &str = "a stored run was checked where it entered the node";
+
+/// The most nodes a cluster has: the loaders number nodes in 16 bits.
+pub(crate) const MAX_NODES: u32 = 1 << 16;
+
+/// How a store or a message writes the weights of its in-edges.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum Weights {
+    /// No in-edge written yet: the first list written decides.
+    #[default]
+    Unset,
+    /// Every in-edge weighs this, to the bit, and a run writes no weight.
+    Uniform(f32),
+    /// Each in-edge carries its own weight.
+    PerEdge,
+}
+
+/// Layouts are equal to the bit of their weight.
+impl PartialEq for Weights {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Weights::Uniform(a), Weights::Uniform(b)) => a.to_bits() == b.to_bits(),
+            (Weights::Unset, Weights::Unset) | (Weights::PerEdge, Weights::PerEdge) => true,
+            _ => false,
+        }
+    }
+}
+
+impl Weights {
+    /// The layout that writes `weights`: uniform when all of them have one
+    /// weight's bits, per edge when two differ, unset when there are none.
+    pub fn of(weights: impl IntoIterator<Item = f32>) -> Weights {
+        let mut weights = weights.into_iter();
+        let Some(first) = weights.next() else {
+            return Weights::Unset;
+        };
+        match weights.all(|w| w.to_bits() == first.to_bits()) {
+            true => Weights::Uniform(first),
+            false => Weights::PerEdge,
+        }
+    }
+
+    /// The layout that writes what both `self` and `more` write.
+    pub fn and(self, more: Weights) -> Weights {
+        match (self, more) {
+            (Weights::Unset, any) | (any, Weights::Unset) => any,
+            (a, b) if a == b => a,
+            _ => Weights::PerEdge,
+        }
+    }
+
+    /// The weight a uniform layout leaves out of its runs.
+    pub fn uniform(self) -> Option<f32> {
+        match self {
+            Weights::Uniform(w) => Some(w),
+            _ => None,
+        }
+    }
+}
+
+/// One in-edge of a full state: the owner-local position of its source, its
+/// weight and its source's vertex ID.
+#[derive(Debug, Clone, Copy)]
+pub struct InEdge {
+    /// The source's position on the master's node.
+    pub pos: u32,
+    /// The edge's weight.
+    pub weight: f32,
+    /// The source vertex.
+    pub src: Vid,
+}
+
+/// In-edges are equal to the bit of their weight.
+impl PartialEq for InEdge {
+    fn eq(&self, other: &Self) -> bool {
+        (self.pos, self.weight.to_bits(), self.src)
+            == (other.pos, other.weight.to_bits(), other.src)
+    }
+}
+
+/// Room an entry is written into: an in-edge's two varints and weight take
+/// at most 14 bytes, and a varint is stored as eight bytes of which its
+/// length count ([`write_u32`]), so the last may reach 17 bytes in.
+const ENTRY_ROOM: usize = 24;
+
+/// An entry of a run: written and checked against the weight a uniform
+/// layout leaves out (`uniform`), which only an in-edge reads.
+pub trait Entry: Copy {
+    /// Writes the entry at the front of `buf`, which has room for 24
+    /// bytes, and returns how many of them count.
+    fn write(self, uniform: Option<f32>, buf: &mut [u8]) -> usize;
+
+    /// Appends the entry to `out`.
+    fn put<S: Sink>(self, uniform: Option<f32>, out: &mut S) {
+        let mut buf = [0; ENTRY_ROOM];
+        let len = self.write(uniform, &mut buf);
+        out.put(&buf[..len]);
+    }
+
+    /// Reads one entry off the front of `bytes`, checking it.
+    ///
+    /// # Errors
+    ///
+    /// Refuses input cut short, an integer past `u32` and a node past the
+    /// 2^16 a cluster may have.
+    fn take(bytes: &mut &[u8], uniform: Option<f32>) -> Result<Self, DecodeError>;
+}
+
+impl Entry for u32 {
+    fn write(self, _: Option<f32>, buf: &mut [u8]) -> usize {
+        write_u32(buf, self)
+    }
+
+    fn take(bytes: &mut &[u8], _: Option<f32>) -> Result<u32, DecodeError> {
+        take_u32(bytes)
+    }
+}
+
+impl Entry for RemoteEdge {
+    fn write(self, _: Option<f32>, buf: &mut [u8]) -> usize {
+        let len = write_u32(buf, self.node.raw());
+        len + write_u32(&mut buf[len..], self.pos)
+    }
+
+    fn take(bytes: &mut &[u8], _: Option<f32>) -> Result<RemoteEdge, DecodeError> {
+        let node = take_u32(bytes)?;
+        if node >= MAX_NODES {
+            return Err(DecodeError::Corrupt("node ID"));
+        }
+        let pos = take_u32(bytes)?;
+        Ok(RemoteEdge {
+            node: NodeId::new(node),
+            pos,
+        })
+    }
+}
+
+impl Entry for InEdge {
+    fn write(self, uniform: Option<f32>, buf: &mut [u8]) -> usize {
+        let mut len = write_u32(buf, self.pos);
+        if uniform.is_none() {
+            buf[len..len + 4].copy_from_slice(&self.weight.to_le_bytes());
+            len += 4;
+        }
+        len + write_u32(&mut buf[len..], self.src.raw())
+    }
+
+    fn take(bytes: &mut &[u8], uniform: Option<f32>) -> Result<InEdge, DecodeError> {
+        let pos = take_u32(bytes)?;
+        let weight = match uniform {
+            Some(w) => w,
+            None => {
+                let chunk = bytes.split_first_chunk::<4>();
+                let (weight, rest) = chunk.ok_or_else(|| cut_short(bytes))?;
+                *bytes = rest;
+                f32::from_le_bytes(*weight)
+            }
+        };
+        let src = Vid::new(take_u32(bytes)?);
+        Ok(InEdge { pos, weight, src })
+    }
+}
+
+fn cut_short(bytes: &[u8]) -> DecodeError {
+    DecodeError::UnexpectedEof {
+        needed: bytes.len() + 1,
+        remaining: bytes.len(),
+    }
+}
+
+/// Writes `v` as an LEB128 varint at the front of `buf` and returns its
+/// length. The bytes are assembled in a `u64` and stored as eight, of which
+/// the length says how many count: no branch on the value, whose length
+/// varies from one entry to the next (a loop that stops at the last byte
+/// mispredicts about once an entry). `buf` needs room for eight.
+fn write_u32(buf: &mut [u8], v: u32) -> usize {
+    let len = (1 + (31 - (v | 1).leading_zeros()) / 7) as usize;
+    let mut bytes = 0u64;
+    for k in 0..5 {
+        let more = u64::from(k + 1 < len) << 7;
+        bytes |= (u64::from(v >> (7 * k)) & 0x7F | more) << (8 * k);
+    }
+    buf[..8].copy_from_slice(&bytes.to_le_bytes());
+    len
+}
+
+/// A varint of at most five bytes holding a `u32`.
+fn take_u32(bytes: &mut &[u8]) -> Result<u32, DecodeError> {
+    let mut value = 0u64;
+    for shift in (0..35).step_by(7) {
+        let (&byte, rest) = bytes.split_first().ok_or_else(|| cut_short(bytes))?;
+        *bytes = rest;
+        value |= u64::from(byte & 0x7F) << shift;
+        if byte < 0x80 {
+            return u32::try_from(value).map_err(|_| DecodeError::Corrupt("varint exceeds u32"));
+        }
+    }
+    Err(DecodeError::Corrupt("varint exceeds u32"))
+}
+
+/// Writes `entries` as a message writes a list: the count, then each entry.
+/// A store keeps the same bytes for a list that has entries, and none for
+/// one that has not.
+pub(crate) fn put_list<T: Entry, S: Sink>(
+    entries: impl ExactSizeIterator<Item = T>,
+    uniform: Option<f32>,
+    out: &mut S,
+) {
+    out.put_uvarint(entries.len() as u64);
+    entries.for_each(|entry| entry.put(uniform, out));
+}
+
+/// [`put_list`] of the `len` `entries` into a store's byte column: they are
+/// written into a
+/// buffer on the stack and the column extended a buffer at a time — one
+/// copy for a few dozen entries instead of one per entry, and the column
+/// grows as a `Vec` does, never past what it needs.
+pub(crate) fn append_list<T: Entry>(
+    len: usize,
+    entries: impl Iterator<Item = T>,
+    uniform: Option<f32>,
+    out: &mut Vec<u8>,
+) {
+    let mut buf = [0; 128];
+    let mut at = write_u32(&mut buf, len as u32);
+    for entry in entries {
+        if at > buf.len() - ENTRY_ROOM {
+            out.extend_from_slice(&buf[..at]);
+            at = 0;
+        }
+        at += entry.write(uniform, &mut buf[at..]);
+    }
+    out.extend_from_slice(&buf[..at]);
+}
+
+/// A run as stored: a list's bytes — none for an empty list — and the weight
+/// its in-edges have when it writes none.
+#[derive(Clone, Copy)]
+pub struct Run<'a> {
+    bytes: &'a [u8],
+    uniform: Option<f32>,
+}
+
+impl<'a> Run<'a> {
+    pub(crate) fn new(bytes: &'a [u8], uniform: Option<f32>) -> Run<'a> {
+        Run { bytes, uniform }
+    }
+
+    /// The bytes a store keeps: none for an empty list.
+    pub fn bytes(self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The weight every in-edge of the run has, if it writes none.
+    pub fn uniform(self) -> Option<f32> {
+        self.uniform
+    }
+
+    /// Entries in the run.
+    pub fn len(self) -> usize {
+        match self.bytes {
+            [] => 0,
+            mut bytes => take_u32(&mut bytes).expect(CHECKED) as usize,
+        }
+    }
+
+    /// Whether the run has no entry.
+    pub fn is_empty(self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The entries, in order.
+    pub fn entries<T: Entry>(self) -> impl ExactSizeIterator<Item = T> + Clone + 'a {
+        let (uniform, mut bytes) = (self.uniform, self.bytes);
+        let n = if bytes.is_empty() {
+            0
+        } else {
+            take_u32(&mut bytes).expect(CHECKED) as usize
+        };
+        (0..n).map(move |_| T::take(&mut bytes, uniform).expect(CHECKED))
+    }
+
+    /// Whether the run's bytes are what a list writes under `uniform`: it
+    /// writes weights the same way, or has no in-edge to weigh.
+    pub fn writes(self, uniform: Option<f32>) -> bool {
+        self.bytes.is_empty() || self.uniform.map(f32::to_bits) == uniform.map(f32::to_bits)
+    }
+
+    /// Writes the run as a message writes its list, under `uniform`: the
+    /// stored bytes verbatim where they are what the message writes
+    /// ([`Run::writes`]), re-encoded otherwise.
+    pub fn put<T: Entry, S: Sink>(self, uniform: Option<f32>, out: &mut S) {
+        match self.bytes {
+            [] => out.put_byte(0),
+            bytes if self.writes(uniform) => out.put(bytes),
+            _ => put_list(self.entries::<T>(), uniform, out),
+        }
+    }
+}
+
+/// Reads one run of `T` off `r` — a message's or a snapshot's list — and
+/// checks all of it: the count against the input, every entry as
+/// [`Entry::take`] does. Returns the run as a store keeps it, the input's
+/// own bytes, and its count.
+///
+/// # Errors
+///
+/// Returns the first [`DecodeError`] a count or an entry gives.
+pub fn take_run<'a, T: Entry>(
+    r: &mut Reader<'a>,
+    uniform: Option<f32>,
+) -> Result<(Run<'a>, usize), DecodeError> {
+    let input = r.clone().take(r.remaining())?;
+    let mut rest = input;
+    let n = take_u32(&mut rest)? as usize;
+    if n > rest.len() {
+        return Err(DecodeError::Corrupt("count exceeds input"));
+    }
+    for _ in 0..n {
+        T::take(&mut rest, uniform)?;
+    }
+    let bytes = r.take(input.len() - rest.len())?;
+    let bytes = if n == 0 { &[][..] } else { bytes };
+    Ok((Run::new(bytes, uniform), n))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run_of<T: Entry>(entries: &[T], uniform: Option<f32>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        put_list(entries.iter().copied(), uniform, &mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn a_run_reads_back_what_was_written_in_either_layout() {
+        let edges = [
+            InEdge {
+                pos: 300,
+                weight: 0.5,
+                src: Vid::new(70_000),
+            },
+            InEdge {
+                pos: 0,
+                weight: 0.5,
+                src: Vid::new(u32::MAX),
+            },
+        ];
+        for uniform in [None, Some(0.5)] {
+            let bytes = run_of(&edges, uniform);
+            let (run, n) = take_run::<InEdge>(&mut Reader::new(&bytes), uniform).unwrap();
+            assert_eq!((n, run.len(), run.bytes()), (2, 2, &bytes[..]));
+            assert!(run.entries::<InEdge>().eq(edges));
+        }
+        let bytes = run_of::<u32>(&[], None);
+        let (run, n) = take_run::<u32>(&mut Reader::new(&bytes), None).unwrap();
+        assert_eq!((&bytes[..], n, run.bytes()), (&[0][..], 0, &[][..]));
+    }
+
+    #[test]
+    fn take_run_refuses_what_no_writer_writes() {
+        let refused = |bytes: &[u8]| {
+            let taken = take_run::<RemoteEdge>(&mut Reader::new(bytes), None);
+            taken.map(|(_, n)| n)
+        };
+        let node = |raw: u32| RemoteEdge {
+            node: NodeId::new(raw),
+            pos: 1,
+        };
+        assert!(refused(&run_of(&[node(MAX_NODES - 1)], None)).is_ok());
+        let wide = run_of(&[node(MAX_NODES)], None);
+        assert_eq!(refused(&wide).err(), Some(DecodeError::Corrupt("node ID")));
+        let past_u32 = [1, 0xFF, 0xFF, 0xFF, 0xFF, 0x10, 1];
+        let err = Some(DecodeError::Corrupt("varint exceeds u32"));
+        assert_eq!(refused(&past_u32).err(), err);
+        assert_eq!(
+            refused(&[9, 1, 1]).err(),
+            Some(DecodeError::Corrupt("count exceeds input"))
+        );
+        assert!(refused(&[2, 1, 1, 1]).is_err(), "cut short");
+        assert!(take_run::<InEdge>(&mut Reader::new(&[1, 0, 0, 0, 0]), None).is_err());
+    }
+
+    #[test]
+    fn layouts_combine_to_the_bit() {
+        let nan = f32::from_bits(0x7FC0_1234);
+        assert_eq!(Weights::of([]), Weights::Unset);
+        assert_eq!(Weights::of([nan, nan]), Weights::Uniform(nan));
+        assert_eq!(Weights::of([0.0, -0.0]), Weights::PerEdge);
+        assert_eq!(
+            Weights::Uniform(1.0).and(Weights::Unset),
+            Weights::Uniform(1.0)
+        );
+        assert_eq!(
+            Weights::PerEdge.and(Weights::Uniform(1.0)),
+            Weights::PerEdge
+        );
+    }
+}

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use imitator_cluster::NodeId;
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
-    FtPlan, FullState, FullStateRef, InEdgeSrcs, Locations, MasterMeta, RemoteEdge, VcEdge,
+    FtPlan, FullState, FullStateRef, InEdges, Locations, MasterMeta, RemoteEdge, VcEdge,
     VcLocalGraph, VcVertex, VertexProgram,
 };
 use imitator_graph::{gen, Edge, Graph, PosIndex, Ragged, Vid};
@@ -486,21 +486,21 @@ proptest! {
                     continue;
                 };
                 if v.is_master() {
-                    let read_off = matches!(state.in_edge_srcs, InEdgeSrcs::Local { .. });
+                    let read_off = matches!(state.in_edges, InEdges::Local { .. });
                     prop_assert!(read_off, "master {} stores its sources", v.vid);
                     let srcs = g.edges().iter().filter(|e| e.dst == v.vid).map(|e| e.src);
-                    prop_assert!(state.in_edge_srcs.iter().eq(srcs), "sources of {}", v.vid);
+                    prop_assert!(state.in_edges.srcs().eq(srcs), "sources of {}", v.vid);
                 } else {
-                    let stored = matches!(state.in_edge_srcs, InEdgeSrcs::Stored(_));
-                    prop_assert!(stored, "mirror of {} stores no sources", v.vid);
+                    let stored = matches!(state.in_edges, InEdges::Run(_));
+                    prop_assert!(stored, "mirror of {} stores no run", v.vid);
                     let owner = &built[v.master_node.index()];
                     let master = owner.position(v.vid).expect("a mirror has a master");
                     prop_assert_eq!(Some(state), owner.full_state(master), "mirror of {}", v.vid);
-                    mirrored += state.in_edge_srcs.len();
+                    mirrored += state.in_edges.len();
                     mirrors += 1;
                 }
             }
-            prop_assert_eq!(lg.full_state_lens().edges.in_srcs, mirrored);
+            prop_assert_eq!(lg.full_state_entries().in_srcs, mirrored);
         }
         prop_assert_eq!(mirrors, k * g.num_vertices());
     }

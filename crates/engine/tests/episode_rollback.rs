@@ -206,11 +206,7 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
             }
         };
         assert_eq!(now.locations, sent.locations);
-        let ins = pick(EdgeLists::IN_EDGES);
-        assert_eq!(
-            (now.in_edges_owner, now.in_edge_srcs),
-            (ins.in_edges_owner, ins.in_edge_srcs)
-        );
+        assert_eq!(now.in_edges, pick(EdgeLists::IN_EDGES).in_edges);
         assert_eq!(
             now.out_local_owner,
             pick(EdgeLists::OUT_LOCAL).out_local_owner
@@ -255,14 +251,16 @@ fn rollback_leaves_no_trace_in_any_store() {
                 lg.node
             );
             // Undone, every slot is back to what the loader gave it: the
-            // source column is the mirrors' again, entry for entry.
+            // in-edges in the store are the mirrors' again, entry for entry,
+            // in the loader's layout.
             lg.debug_validate();
             let mirrored = |pos: u32| {
                 let mirror = lg.verts[pos as usize].kind == CopyKind::Mirror;
-                mirror.then(|| lg.full_state(pos).unwrap().in_edges_owner.len())
+                mirror.then(|| lg.full_state(pos).unwrap().in_edges.len())
             };
             let mirrored: usize = (0..lg.len() as u32).filter_map(mirrored).sum();
-            assert_eq!(lg.full_state_lens().edges.in_srcs, mirrored, "k={k}");
+            assert_eq!(lg.full_state_entries().in_srcs, mirrored, "k={k}");
+            assert_eq!(lg.full_state_weights(), before.full_state_weights());
             // The next attempt starts where this one did, and may keep its work.
             lg.begin_episode();
             migrate_by_hand(&mut lg, donor, g.num_vertices());
