@@ -1212,10 +1212,10 @@ pub(crate) mod tests {
         assert_eq!(back.full_state_lens(), live);
     }
 
-    /// A loaded mirror keeps each of its edge lists as the bytes
-    /// [`enc_lists`] writes for it, in either weight layout: on a graph
-    /// whose edges all weigh the same that weight is written nowhere, on a
-    /// weighted one beside every in-edge.
+    /// A loaded mirror keeps its edge lists as the bytes [`enc_lists`]
+    /// writes for them, empty ones included, in either weight layout: on a
+    /// graph whose edges all weigh the same that weight is written nowhere,
+    /// on a weighted one beside every in-edge.
     #[test]
     fn a_mirror_stores_the_runs_enc_lists_writes() {
         let graphs = [
@@ -1235,23 +1235,15 @@ pub(crate) mod tests {
                     let state = lg.full_state(pos).unwrap();
                     let mut wire = Vec::new();
                     enc_lists(state.to_meta().view(), EdgeLists::ALL, uniform, &mut wire);
-                    // An empty remote list is no run: the slot reads its
-                    // decoded list, which is empty too.
-                    let remote = match state.out_remote {
-                        List::Run(run) => run.bytes(),
-                        List::Slice(decoded) => {
-                            assert!(decoded.is_empty(), "a mirror keeps its lists as runs");
-                            &[]
-                        }
-                    };
-                    let runs = match (state.in_edges, state.out_local_owner) {
-                        (InEdges::Run(a), List::Run(b)) => [a.bytes(), b.bytes(), remote],
-                        _ => panic!("a mirror keeps its lists as runs"),
+                    let (InEdges::Run(ins), List::Run(fed), List::Run(remote)) =
+                        (state.in_edges, state.out_local_owner, state.out_remote)
+                    else {
+                        panic!("a mirror keeps its lists as a block");
                     };
                     let mut stored = Vec::new();
                     enc_locations(state.locations, &mut stored);
-                    for run in runs {
-                        stored.extend_from_slice(if run.is_empty() { &[0] } else { run });
+                    for run in [ins, fed, remote] {
+                        stored.extend_from_slice(run.bytes());
                     }
                     assert_eq!(stored, wire, "mirror at {pos} on {}", lg.node);
                 }

@@ -14,8 +14,8 @@ use std::marker::PhantomData;
 
 use imitator_cluster::{NodeId, WireCodec};
 use imitator_engine::{
-    CopyKind, EcLocalGraph, EdgeLists, FullState, FullStateRef, Locations, StoreLens, VcLocalGraph,
-    Weights,
+    ColumnLens, CopyKind, EcLocalGraph, EdgeLists, FullState, FullStateRef, Locations, StoreLens,
+    VcLocalGraph, Weights,
 };
 use imitator_graph::Vid;
 use imitator_storage::codec::{Decode, DecodeError, Encode, Reader, Sink};
@@ -426,17 +426,19 @@ pub(crate) trait StoreCodec {
         -> Result<(FullState, Vec<EdgeLists>), DecodeError>;
 }
 
-/// The weight every in-edge of `metas` has, to the bit, if it has any: a
-/// store in the uniform layout says so without reading its runs.
-fn uniform_weight(metas: &FullState) -> Option<f32> {
-    let mut weights = Weights::Unset;
+/// The entries of each edge list of `metas`, summed, and the weight every
+/// in-edge has, to the bit, if it has any — a store in the uniform layout
+/// says so without reading its runs.
+fn lens_and_weight(metas: &FullState) -> (ColumnLens, Option<f32>) {
+    let (mut lens, mut weights) = (ColumnLens::default(), Weights::Unset);
     for i in 0..metas.len() {
-        weights = weights.and(metas.nth(i).in_edges.weights());
-        if weights == Weights::PerEdge {
-            return None;
+        let state = metas.nth(i);
+        lens += state.lens();
+        if weights != Weights::PerEdge {
+            weights = weights.and(state.in_edges.weights());
         }
     }
-    weights.uniform()
+    (lens, weights.uniform())
 }
 
 impl<V> StoreCodec for EcLocalGraph<V> {
@@ -445,26 +447,35 @@ impl<V> StoreCodec for EcLocalGraph<V> {
     /// flag byte — 1, then the one `f32` every in-edge of the batch weighs
     /// (to the bit), when there is one; 0, when each in-edge carries its
     /// own —; then every slot's tables and the lists it carries
-    /// ([`enc_lists`]): a run written as the store keeps it, unless the
-    /// batch writes weights another way.
+    /// ([`enc_lists`]). A slot that carries all three is its block, one
+    /// slice, unless the batch writes weights another way than the store.
     fn enc_states<S: Sink>(metas: &FullState, lists: &[EdgeLists], out: &mut S) {
         debug_assert_eq!(lists.len(), metas.len(), "one list mask per slot");
-        enc_column_lens(metas.column_lens(), out);
+        let (lens, uniform) = lens_and_weight(metas);
+        enc_column_lens(lens, out);
         enc_bits(4, lists.iter().map(|lists| lists.bits()), out);
-        let uniform = uniform_weight(metas);
         out.put_byte(u8::from(uniform.is_some()));
         if let Some(w) = uniform {
             w.encode(out);
         }
+        let stored = metas.weights().uniform().map(f32::to_bits);
+        let verbatim = lens.in_edges == 0 || stored == uniform.map(f32::to_bits);
         for (i, &carried) in lists.iter().enumerate() {
-            enc_lists(metas.nth(i), carried, uniform, out);
+            match metas.block(i) {
+                block if verbatim && carried == EdgeLists::ALL && !block.is_empty() => {
+                    enc_locations(metas.tables(i), out);
+                    out.put(block);
+                }
+                _ => enc_lists(metas.nth(i), carried, uniform, out),
+            }
         }
     }
 
-    /// Reads the store back, its runs the input's own bytes, each checked
-    /// entry by entry before it is kept; refuses a mask bit past the third,
-    /// a weight flag other than 0 or 1 and column totals other than what
-    /// the carried lists add up to.
+    /// Reads the store back, a slot that carries all three lists as one
+    /// block of the input's bytes, every run checked entry by entry before
+    /// it is kept; refuses a mask bit past the third, a weight flag other
+    /// than 0 or 1 and column totals other than what the carried lists add
+    /// up to.
     fn dec_states(
         r: &mut Reader<'_>,
         n: usize,
@@ -484,12 +495,20 @@ impl<V> StoreCodec for EcLocalGraph<V> {
             runs: r.remaining(),
             ..StoreLens::default()
         });
-        let mut tables = Locations::default();
+        let (mut tables, mut read) = (Locations::default(), ColumnLens::default());
         for &carried in &lists {
             dec_locations_into(r, &mut tables)?;
-            metas.push(state_of(&tables, dec_lists(r, carried, uniform)?));
+            let start = r.clone();
+            let state = state_of(&tables, dec_lists(r, carried, uniform)?);
+            read += state.lens();
+            if carried == EdgeLists::ALL {
+                let block = start.clone().take(start.remaining() - r.remaining())?;
+                metas.push_block(tables.view(), block);
+            } else {
+                metas.push(state);
+            }
         }
-        if metas.column_lens() != lens {
+        if read != lens {
             return Err(DecodeError::Corrupt("column totals"));
         }
         Ok((metas, lists))

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
-    ColumnLens, CopyKind, EdgeLists, Episode, FullState, FullStateBatches, PosSet, VertexProgram,
+    CopyKind, EdgeLists, Episode, FullState, FullStateBatches, PosSet, VertexProgram,
 };
 use imitator_graph::Vid;
 use imitator_metrics::Stopwatch;
@@ -365,12 +365,14 @@ pub(super) fn migrate<M: ComputeModel>(
                 refreshes[m.index()].push((pos, sent.map_or(changed, |_| EdgeLists::NONE), false));
             }
         }
-        let _shipped = ship_mirror_batches(cx, lg, &refreshes);
+        ship_mirror_batches(cx, lg, &refreshes);
         #[cfg(test)]
         {
             mig.spared.retain(|&pos| !dirty.contains(pos));
             let (spared, records) = (mig.spared.len(), refreshes.iter().map(Vec::len).sum());
-            let (ins, fed, remote) = (_shipped.in_edges, _shipped.out_local, _shipped.out_remote);
+            let all: Vec<_> = refreshes.iter().flatten().map(|r| (r.0, r.1)).collect();
+            let shipped = lg.export_full_states(&all).0.column_lens();
+            let (ins, fed, remote) = (shipped.in_edges, shipped.out_local, shipped.out_remote);
             let mut tally = R7_TALLY.lock().unwrap_or_else(|e| e.into_inner());
             tally.push([dirty.len() + spared, spared, records, ins, fed, remote]);
         }
@@ -547,15 +549,13 @@ fn designate_mirrors<M: ComputeModel>(
 /// Builds and sends every other survivor its mirror batch (R5/R7) from
 /// `records`, indexed by destination node; a destination without records
 /// gets an empty batch, pure barrier traffic. Each batch is sized from its
-/// records, once, and filled column by column. Returns the edge-column
-/// entries the batches carry.
+/// records, once, and filled column by column.
 fn ship_mirror_batches<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     g: &M::Graph,
     records: &[MirrorRecords],
-) -> ColumnLens {
+) {
     let (me, shared) = (cx.me(), cx.shared);
-    let mut shipped = ColumnLens::default();
     cx.send_others(|n| {
         let records = &records[n.index()];
         let at: Vec<_> = records
@@ -563,7 +563,6 @@ fn ship_mirror_batches<M: ComputeModel>(
             .map(|&(pos, lists, _)| (pos, lists))
             .collect();
         let (metas, lists) = g.export_full_states(&at);
-        shipped += metas.column_lens();
         let fresh = records.iter().enumerate().filter(|(_, r)| r.2);
         ProtoMsg::MirrorUpdate(Box::new(MirrorBatch {
             vids: records.iter().map(|r| g.vid(r.0)).collect(),
@@ -580,7 +579,6 @@ fn ship_mirror_batches<M: ComputeModel>(
             lists,
         }))
     });
-    shipped
 }
 
 /// Makes every vertex of every batch a mirror of the sender's master,

@@ -8,9 +8,8 @@ use imitator_partition::EdgeCut;
 use crate::episode::EcJournal;
 use crate::ftplan::FtPlan;
 use crate::full_state::{
-    append_row, Column, ColumnLens, CopyVids, EdgeLists, EdgeSpans, Form, FullState,
-    FullStateBatches, FullStateRef, Head, InEdges, List, RemoteEdge, SlotId, Span, StoreLens,
-    OUT_REMOTE,
+    append_block, Column, ColumnLens, CopyVids, EdgeLists, Form, FullState, FullStateBatches,
+    FullStateRef, Head, InEdges, List, RemoteEdge, Row, SlotId, Span, StoreLens,
 };
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
 use crate::locations::{Locations, LocationsRef};
@@ -140,18 +139,6 @@ impl<V: PartialEq> PartialEq for EcVertex<V> {
             && self.next_active == other.next_active
             && self.last_activate == other.last_activate
             && self.meta.is_some() == other.meta.is_some()
-    }
-}
-
-/// What the store keeps of the full state of a copy of role `kind`: a
-/// master's owner-local lists are its own in-edges and consumers, kept once,
-/// the sources of its in-edges are the vertices of the copies they name, and
-/// its remote out-edges are kept decoded for Migration to rewrite; a
-/// mirror's lists are kept as the runs they ship as.
-fn form_of(kind: CopyKind) -> Form {
-    match kind {
-        CopyKind::Master => Form::Master,
-        _ => Form::Runs,
     }
 }
 
@@ -358,9 +345,9 @@ impl<V> EcLocalGraph<V> {
     /// it had none. The copy's `kind` decides what is kept: a master's
     /// owner-local lists are its own in-edges and consumers (which the
     /// caller sets) and name their sources, so those of `state` are not
-    /// stored a second time; a mirror's lists are kept as runs, copied from
-    /// `state` where it holds them as runs in the store's layout. Changed
-    /// lists move to their column's tail.
+    /// stored a second time; a mirror's lists are kept as a block, each run
+    /// copied from `state` where it holds one in the store's layout. A
+    /// changed block, or list, moves to its column's tail.
     pub fn set_full_state(&mut self, pos: u32, state: FullStateRef<'_>) {
         self.set_full_state_lists(pos, state, EdgeLists::ALL);
     }
@@ -373,9 +360,8 @@ impl<V> EcLocalGraph<V> {
     /// Panics if the copy has no full state yet and is not sent all of it.
     fn set_full_state_lists(&mut self, pos: u32, state: FullStateRef<'_>, lists: EdgeLists) {
         let v = &self.verts[pos as usize];
-        let form = form_of(v.kind);
         match v.meta {
-            Some(slot) => self.full.set(slot, state, lists, form),
+            Some(slot) => self.full.set(slot, state, lists),
             None => {
                 assert_eq!(
                     lists,
@@ -383,6 +369,11 @@ impl<V> EcLocalGraph<V> {
                     "{} has no full state to keep lists of",
                     v.vid
                 );
+                let form = if v.is_master() {
+                    Form::Master
+                } else {
+                    Form::Block
+                };
                 self.touch_copy(pos);
                 self.verts[pos as usize].meta = Some(self.full.push_as(state, form));
             }
@@ -394,22 +385,32 @@ impl<V> EcLocalGraph<V> {
     /// `out_local_owner`, decoding them: a mirror just promoted to master
     /// stops keeping positions that meant something on the old owner only,
     /// and the sources beside them (its own edge lists say all of it once
-    /// Migration has rebuilt them from what is returned). Its remote
-    /// out-edges are decoded too, for Migration to rewrite.
+    /// Migration has rebuilt them from what is returned). Its slot gives up
+    /// its block and becomes a master's, covering its remote out-edges,
+    /// decoded, for Migration to rewrite.
     ///
     /// # Panics
     ///
-    /// Panics if the copy carries no full state.
+    /// Panics if the copy is no master yet, carries no full state or its
+    /// slot is a master's already.
     pub fn take_owner_lists(&mut self, pos: u32) -> (Vec<(Vid, f32)>, Vec<u32>) {
+        let v = &self.verts[pos as usize];
+        assert!(
+            v.is_master(),
+            "the {:?} copy of {} is no master",
+            v.kind,
+            v.vid
+        );
         self.full.take_owner_lists(self.slot_at(pos))
     }
 
-    /// Keeps the remote out-edges of the copy at `pos` that `keep` accepts
-    /// (it may rewrite them), in order, and says whether the list changed.
+    /// Keeps the remote out-edges of the master at `pos` that `keep`
+    /// accepts (it may rewrite them), in order, and says whether the list
+    /// changed. (A mirror's change with its block: `set_full_state`.)
     ///
     /// # Panics
     ///
-    /// Panics if the copy carries no full state.
+    /// Panics if the copy carries no full state or its slot is no master's.
     pub fn retain_out_remote(
         &mut self,
         pos: u32,
@@ -418,11 +419,11 @@ impl<V> EcLocalGraph<V> {
         self.full.retain_out_remote(self.slot_at(pos), keep)
     }
 
-    /// Appends `edges` to the remote out-edges of the copy at `pos`.
+    /// Appends `edges` to the remote out-edges of the master at `pos`.
     ///
     /// # Panics
     ///
-    /// Panics if the copy carries no full state.
+    /// Panics if the copy carries no full state or its slot is no master's.
     pub fn extend_out_remote(&mut self, pos: u32, edges: &[RemoteEdge]) {
         self.full.extend_out_remote(self.slot_at(pos), edges);
     }
@@ -522,21 +523,25 @@ impl<V> EcLocalGraph<V> {
 
     /// What the copies' slots point at: what
     /// [`EcLocalGraph::full_state_lens`] reports for a store without dead
-    /// runs. A master's owner-local lists are its own edge lists and add
-    /// nothing.
+    /// blocks or lists. A master's owner-local lists are its own edge lists
+    /// and add nothing.
     pub fn live_full_state_lens(&self) -> StoreLens {
-        self.full
-            .live_lens(self.verts.iter().filter_map(|v| v.meta))
+        self.full.live_lens(self.slots())
     }
 
     /// Entries in the edge lists the store keeps, summed over the copies'
     /// slots: a master's remote out-edges alone, a mirror's three lists.
     pub fn full_state_entries(&self) -> ColumnLens {
         let mut lens = ColumnLens::default();
-        for slot in self.verts.iter().filter_map(|v| v.meta) {
+        for slot in self.slots() {
             lens += self.full.get(slot).lens();
         }
         lens
+    }
+
+    /// The copies' slots, in position order.
+    fn slots(&self) -> impl Iterator<Item = SlotId> + '_ {
+        self.verts.iter().filter_map(|v| v.meta)
     }
 
     /// How the store's in-edge runs write weights.
@@ -637,11 +642,13 @@ impl<V> EcLocalGraph<V> {
                 "master {} lacks full state",
                 v.vid
             );
-            if let (Some(slot), true) = (v.meta, v.is_master()) {
+            if let Some(slot) = v.meta {
                 ensure!(
-                    self.full.get(slot).in_edges.is_empty(),
-                    "the slot of master {} keeps in-edges",
-                    v.vid
+                    self.full.is_master(slot) == v.is_master(),
+                    "the slot of the {:?} copy of {} is {}a master's",
+                    v.kind,
+                    v.vid,
+                    if v.is_master() { "not " } else { "" }
                 );
             }
         }
@@ -716,6 +723,7 @@ impl<V> FullStateBatches for EcLocalGraph<V> {
             .collect();
         self.reserve_full_state(room);
         for (&(positions, batch, lists), whole) in batches.iter().zip(whole) {
+            let whole = whole && self.full.writes_like(batch);
             let first = whole.then(|| self.full.extend_from(batch));
             for (i, &pos) in positions.iter().enumerate() {
                 match first {
@@ -883,7 +891,7 @@ struct OwnerView<'g, V> {
     hot_in: &'g Column<(u32, f32)>,
     hot_out: &'g Column<u32>,
     heads: &'g [Head],
-    rows: &'g [EdgeSpans],
+    rows: &'g [Row],
     words: &'g [u32],
     out_remote: &'g [RemoteEdge],
 }
@@ -893,7 +901,7 @@ struct OwnerView<'g, V> {
 /// mirrors' runs fill.
 struct MirrorPart<'g> {
     heads: &'g mut [Head],
-    rows: &'g mut [EdgeSpans],
+    rows: &'g mut [Row],
     words: Tail<'g, u32>,
     runs: &'g mut Vec<u8>,
 }
@@ -1071,14 +1079,12 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                 let layout = self.layout;
                 full.heads
                     .push(layout.push_tables(v, p, replicas, self.plan, &mut full.words));
-                let mut row = EdgeSpans::default();
-                row[OUT_REMOTE] = out_remote;
-                full.rows.push(row);
+                full.rows.push(Row::new(out_remote, Form::Master));
             }
         }
         assert_eq!(full.lens().words, master_words, "tables miscounted");
         full.heads.resize(num_slots, Head::default());
-        full.rows.resize(num_slots, EdgeSpans::default());
+        full.rows.resize(num_slots, Row::default());
         full.words.0.resize(master_words + mirror_words, 0);
 
         let active = |vert: &EcVertex<P::Value>| vert.is_master() && vert.active;
@@ -1169,7 +1175,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                     copies: &self.layout.copies[n],
                 },
                 out_local_owner: List::Slice(owner.hot_out.get(master.out_local)),
-                out_remote: List::Slice(&owner.out_remote[row[OUT_REMOTE].range()]),
+                out_remote: List::Slice(&owner.out_remote[row.span().range()]),
                 ..FullStateRef::tables(LocationsRef::from_words(
                     head.master_pos,
                     usize::from(head.replicas),
@@ -1191,7 +1197,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         for ((head, row), vert) in slots.zip(mirrors()) {
             let (their_head, words, state) = theirs(vert);
             *head = their_head.moved_to(part.words.fill(words));
-            *row = append_row(state, uniform, part.runs);
+            *row = Row::new(append_block(state, uniform, part.runs), Form::Block);
         }
         part.runs.shrink_to_fit();
         assert!(
@@ -1443,7 +1449,7 @@ mod tests {
 
     /// A mirror with 3 edges, a master with 4 remote out-edges and a mirror
     /// with 2 edges: the master's slot keeps its remote out-edges decoded,
-    /// the mirrors' keep all three lists as runs.
+    /// the mirrors' keep all three lists as a block.
     fn three_slots() -> (EcLocalGraph<u64>, [MasterMeta; 3]) {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(9));
         let metas = [state(1, 3), state(2, 4), state(3, 2)];
@@ -1480,8 +1486,9 @@ mod tests {
     }
 
     /// Replacing a mirror's lists (longer, shorter, equal, empty) leaves
-    /// every other slot's lists bit-identical: a changed list is a new run
-    /// at the tail, an equal one is not written, and no run is written over.
+    /// every other slot's lists bit-identical: changed lists are a new block
+    /// at the tail — empty ones their counts —, equal ones are not written,
+    /// and no block is written over.
     #[test]
     fn mutating_one_slot_leaves_the_others_alone() {
         let (mut lg, metas) = three_slots();
@@ -1497,7 +1504,7 @@ mod tests {
             let same = lg.full_state(0).unwrap() == next.view();
             lg.set_full_state(0, next.view());
             assert_eq!(lg.full_state(0).unwrap().to_meta(), next);
-            assert_eq!(lg.full_state_lens().runs == runs, same || edges == 0);
+            assert_eq!(lg.full_state_lens().runs == runs, same);
             others(&lg);
         }
         assert_eq!(lg.full_state_lens().slots, 3, "replacing reuses the slot");
@@ -1505,7 +1512,7 @@ mod tests {
 
     /// A master's remote out-edges are decoded, and rewritten where they
     /// are outside an episode: narrowed in place, extended at the tail
-    /// unless they end the column. A mirror's are decoded once they are.
+    /// unless they end the column.
     #[test]
     fn remote_out_edges_are_rewritten_decoded() {
         let (mut lg, metas) = three_slots();
@@ -1529,15 +1536,18 @@ mod tests {
         assert_eq!(lg.full_state_lens().remote, lens.remote + 4);
         lg.extend_out_remote(1, &[all[1]]);
         assert_eq!(lg.full_state_lens().remote, lens.remote + 5);
-        // A mirror's list moves out of its run first.
-        let runs = lg.full_state_lens().runs;
-        lg.extend_out_remote(2, &[all[1]]);
-        let mut grown = metas[2].out_remote.clone();
-        grown.push(all[1]);
-        assert_eq!(lg.full_state(2).unwrap().out_remote.to_vec(), grown);
-        assert_eq!(lg.full_state_lens().runs, runs, "no run written");
         assert_eq!(lg.full_state(0).unwrap().to_meta(), metas[0]);
+        assert_eq!(lg.full_state(2).unwrap().to_meta(), metas[2]);
         lg.debug_validate();
+    }
+
+    /// Only a master's remote out-edges are a list of their own; a
+    /// mirror's are part of its block.
+    #[test]
+    #[should_panic(expected = "is no master")]
+    fn remote_out_edges_are_rewritten_on_masters_only() {
+        let (mut lg, _) = three_slots();
+        lg.extend_out_remote(0, &[]);
     }
 
     /// Inside an episode the entries a column held at `begin_episode` are
@@ -1728,6 +1738,35 @@ mod tests {
         assert_eq!(exported.in_edges.owner_local(), [(2, 0.5)]);
         assert!(exported.in_edges.srcs().eq([lg.verts[2].vid]));
         lg.debug_validate();
+    }
+
+    /// Between a mirror's turning master and its slot's giving up the
+    /// block, the slot still reads as the block it is — its remote
+    /// out-edges the block's, not offsets into the decoded column — and
+    /// the graph reports the kind and the slot apart.
+    #[test]
+    fn a_slot_keeps_its_form_until_the_promotion_takes_the_block() {
+        let (mut lg, metas) = three_slots();
+        lg.set_kind(0, CopyKind::Master);
+        let exported = lg.full_state(0).unwrap();
+        assert_eq!(exported.out_remote.to_vec(), metas[0].out_remote);
+        assert!(lg
+            .validate()
+            .is_err_and(|e| e.contains("is not a master's")));
+        lg.take_owner_lists(0);
+        assert_eq!(
+            lg.full_state(0).unwrap().out_remote.to_vec(),
+            metas[0].out_remote
+        );
+        lg.debug_validate();
+    }
+
+    /// A copy that is no master yet cannot give its block up.
+    #[test]
+    #[should_panic(expected = "is no master")]
+    fn only_a_master_takes_its_owner_lists() {
+        let (mut lg, _) = three_slots();
+        lg.take_owner_lists(2);
     }
 
     #[test]

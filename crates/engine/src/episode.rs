@@ -12,20 +12,23 @@
 //! * **Marks.** Where every store ended when the episode began. Stores only
 //!   grow inside an episode: copies and slots are appended, and every
 //!   column — an edge-cut graph's two hot columns of edge lists, the
-//!   full-state store's table words, byte column of runs and decoded remote
-//!   out-edges — leaves the entries under its mark untouched: a list that
-//!   changes is written at the tail and its span repointed (see
+//!   full-state store's table words, byte column of blocks and decoded
+//!   remote out-edges — leaves the entries under its mark untouched: a list
+//!   that changes is written at the tail and its span repointed (see
 //!   [`crate::full_state`]). The marks keep the store's weight layout too,
 //!   which writing an in-edge list of another weight may change.
 //! * **Before-images.** The first change to something that predates the
 //!   episode saves what it was: a copy's header — kind, master node,
 //!   activation flags, slot; a slot's head — the master position and where
 //!   its location tables lie, whose words are still there; a span — of a
-//!   copy in a hot column or of a slot in an edge column, one kind of image
-//!   for all of them, since the entries it names are still where they were. Two
-//!   bitmaps say whose header and whose head are saved; a span says so
-//!   itself — what an episode writes starts at or past its column's mark,
-//!   so a span that starts under the mark is still the one to save. Images
+//!   copy in a hot column or a slot's one span, a block or a master's
+//!   remote out-edges — one kind of image for all of them, since the
+//!   entries it names are still where they were. Two bitmaps say whose
+//!   header and whose head are saved; a span says so itself — what an
+//!   episode writes starts at or past its column's mark, so a span that
+//!   starts under the mark is still the one to save. A third bitmap names
+//!   the slots a promotion turned from a mirror's block into a master's
+//!   list, for [`FullStateBatches::changed_lists`](crate::FullStateBatches::changed_lists). Images
 //!   are packed into byte logs (LEB128 words behind a tag byte), a dozen
 //!   bytes apiece: an episode touches the header or the tables of about
 //!   every second copy, and at the size of the structs it saves the journal
@@ -49,9 +52,7 @@
 use imitator_cluster::NodeId;
 
 use crate::ecut::{CopyKind, EcLocalGraph};
-use crate::full_state::{
-    EdgeLists, EdgeSpans, FullState, Head, SlotId, Span, StoreLens, COLUMNS, IN_EDGES, OUT_REMOTE,
-};
+use crate::full_state::{EdgeLists, Form, FullState, Head, Row, SlotId, Span, StoreLens};
 use crate::runs::Weights;
 use crate::vcut::VcLocalGraph;
 
@@ -211,9 +212,9 @@ fn kind_from_bits(bits: u32) -> CopyKind {
 
 /// Record tags. `FIXED`: a copy's header in a graph's log, a slot's head in
 /// a store's. `SPAN + column`: a span in that one of the journal's columns —
-/// a graph's hot columns (in-edges, consumers), a store's [`COLUMNS`] edge
-/// columns in their order. A span record's first word is the span's owner —
-/// a copy's position, a slot's index.
+/// a graph's hot columns (in-edges, consumers), a store's row (column 0 for
+/// a block's, 1 for a master's). A span record's first word is the span's
+/// owner — a copy's position, a slot's index.
 const FIXED: u8 = 0;
 const SPAN: u8 = 1;
 
@@ -271,6 +272,10 @@ pub(crate) struct Journal<M> {
     /// The copies (slots) under the mark whose header (head) is imaged.
     /// Spans need no such set: see [`predates`].
     seen: PosSet,
+    /// A store's slots whose span the episode turned from a block into a
+    /// master's decoded remote out-edges: promoted mirrors'. (A graph's
+    /// journal leaves it empty.)
+    promoted: PosSet,
     log: Log,
 }
 
@@ -292,13 +297,17 @@ impl<M> Journal<M> {
         *slot = Some(Box::new(Journal {
             marks,
             seen: PosSet::default(),
+            promoted: PosSet::default(),
             log: Log::default(),
         }));
     }
 
     fn bytes(journal: &Option<Box<Self>>) -> usize {
         journal.as_deref().map_or(0, |j| {
-            std::mem::size_of::<Self>() + j.log.0.len() + j.seen.heap_bytes()
+            std::mem::size_of::<Self>()
+                + j.log.0.len()
+                + j.seen.heap_bytes()
+                + j.promoted.heap_bytes()
         })
     }
 
@@ -336,9 +345,10 @@ impl FullState {
                     mirrors: log.get() as u16,
                 };
             } else {
-                let (column, span) = (usize::from(tag - SPAN), log.get_span());
-                if restored.insert((at * COLUMNS + column) as u32) {
-                    self.rows[at][column] = span;
+                let form = [Form::Block, Form::Master][usize::from(tag - SPAN)];
+                let row = Row::new(log.get_span(), form);
+                if restored.insert(at as u32) {
+                    self.rows[at] = row;
                 }
             }
         }
@@ -374,23 +384,37 @@ impl FullState {
         }
     }
 
-    /// Saves every edge span of `slot` that differs from what it was in
-    /// `before` (a moment ago) and is the one the episode found: call right
-    /// after writing the row of a slot the episode may predate.
-    pub(crate) fn note_spans(&mut self, slot: SlotId, before: EdgeSpans) {
+    /// Saves `before`, the row `slot` had a moment ago, if it has changed
+    /// and is the one the episode found: call right after writing the row
+    /// of a slot the episode may predate.
+    pub(crate) fn note_row(&mut self, slot: SlotId, before: Row) {
         let Some(j) = self.journal.as_deref_mut() else {
             return;
         };
-        if slot.index() >= j.marks.0.slots {
-            return;
+        let (column, floor) = match before.form() {
+            Form::Block => (0, j.marks.0.runs),
+            Form::Master => (1, j.marks.0.remote),
+        };
+        let at = slot.index();
+        if at < j.marks.0.slots && self.rows[at] != before && predates(before.span(), floor) {
+            j.log.record_span(column, at, before.span());
         }
-        let after = self.rows[slot.index()];
-        let floors = j.marks.0.per_column();
-        for (column, (old, new)) in before.into_iter().zip(after).enumerate() {
-            if old != new && predates(old, floors[column]) {
-                j.log.record_span(column, slot.index(), old);
-            }
+    }
+
+    /// Records that the open episode, if any, turned `slot` into a master's.
+    pub(crate) fn note_promoted(&mut self, slot: SlotId) {
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.promoted.insert(slot.index() as u32);
         }
+    }
+
+    /// Whether the open episode made `slot` or turned it into a master's:
+    /// what its copy's mirrors held when the episode began says nothing of
+    /// it.
+    pub(crate) fn new_in_episode(&self, slot: SlotId) -> bool {
+        self.journal.as_deref().is_some_and(|j| {
+            slot.index() >= j.marks.0.slots || j.promoted.contains(slot.index() as u32)
+        })
     }
 }
 
@@ -459,27 +483,25 @@ impl<V> EcLocalGraph<V> {
     /// past its column's mark, one that starts under it is still the one the
     /// episode found, and an empty one right at the mark counts as written.
     /// The master's in-edges and consumers are its runs of the hot columns,
-    /// its remote out-edges a run of its slot's. A master promoted in the
+    /// its remote out-edges the span of its slot. A master promoted in the
     /// episode differs in all three — its old mirrors' lists name the dead
-    /// owner's positions — and is the one whose slot's owner-local lists,
-    /// which a master's slot does not keep, the episode wrote (emptied).
+    /// owner's positions — and so does one whose slot the episode made.
     pub(crate) fn lists_changed_in_episode(&self, pos: u32) -> EdgeLists {
         let Some(j) = self.journal.as_deref() else {
             return EdgeLists::ALL;
         };
-        let (v, floor) = (&self.verts[pos as usize], self.full.floor());
-        let slot_wrote = |column, floor| {
-            let span = v.meta.map(|slot| self.full.row(slot)[column]);
-            span.is_none_or(|span| written(span, floor))
-        };
-        if slot_wrote(IN_EDGES, floor.runs) {
+        let v = &self.verts[pos as usize];
+        let Some(slot) = v.meta.filter(|&slot| !self.full.new_in_episode(slot)) else {
             return EdgeLists::ALL;
-        }
-        let ([hot_in, hot_out], remote) = (j.marks.1, slot_wrote(OUT_REMOTE, floor.remote));
+        };
+        let [hot_in, hot_out] = j.marks.1;
         let lists = [
             (EdgeLists::IN_EDGES, written(v.in_edges, hot_in)),
             (EdgeLists::OUT_LOCAL, written(v.out_local, hot_out)),
-            (EdgeLists::OUT_REMOTE, remote),
+            (
+                EdgeLists::OUT_REMOTE,
+                written(self.full.row(slot).span(), self.full.floor().remote),
+            ),
         ];
         let wrote = lists.into_iter().filter(|&(_, wrote)| wrote);
         wrote.fold(EdgeLists::NONE, |all, (list, _)| all | list)

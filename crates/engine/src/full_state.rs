@@ -5,36 +5,41 @@
 //! [`FullState`]: a slot per copy over columns shared by every slot. A slot
 //! is a 12-byte *head* — the master's position, where the slot's location
 //! tables start in the column of table words, and how many replicas and
-//! mirrors they name — and, in an edge-cut store, a *row* of four spans. A
-//! vertex-cut copy's full state has no edges (§4.3), so a vertex-cut store
+//! mirrors they name — and, in an edge-cut store, a *row*: one 8-byte span.
+//! A vertex-cut copy's full state has no edges (§4.3), so a vertex-cut store
 //! has heads and table words and nothing else: rows exist from the first
 //! slot given an edge list. The lists of one slot are runs of the store's
 //! columns, so a hundred thousand mirrors cost a handful of allocations to
 //! build and to drop at any cluster size and tolerance level, and
 //! snapshotting or exporting walks dense memory.
 //!
-//! A mirror's three edge lists — its in-edges with their sources,
-//! `out_local_owner` and `out_remote` — are kept in the byte form a message
-//! carries them in ([`crate::runs`]): three runs of one byte column, copied
-//! into a message and out of it verbatim. Only recovery reads them, and it
-//! decodes a run as it reads it. A master keeps none of them there: its
-//! owner-local lists are its own edge lists, and its remote out-edges, which
-//! Migration rewrites in place, are kept decoded in a column of their own.
-//! How an in-edge run weighs its edges is the store's [`Weights`]: a graph
-//! all of whose edges weigh the same writes that weight nowhere.
+//! A row says itself what its span covers ([`Row`], [`Form`]), so the
+//! store reads, writes and checks a slot without asking whose copy it is. A
+//! mirror's span covers a *block* of the byte column: its three edge lists
+//! — its in-edges with their sources, `out_local_owner` and `out_remote` —
+//! as runs back to back ([`crate::runs`]), exactly the bytes a message carries
+//! for a record that carries all three, an empty list its count, 0. Only
+//! recovery reads them: it decodes a run as it reads it, and finds the
+//! second and third by the counts. A master keeps none of them there: its
+//! owner-local lists are its own edge lists, and its span covers its remote
+//! out-edges, which Migration rewrites in place, decoded in a column of
+//! their own. How an in-edge run weighs its edges is the store's
+//! [`Weights`]: a graph all of whose edges weigh the same writes that
+//! weight nowhere.
 //!
-//! A run is never written over: a changed list is written at the byte
-//! column's tail and its span repointed (the old run goes dead), an equal
-//! one is left where it is. The decoded column follows the hot columns'
-//! rules: a list *shrinks in place* or is *appended at the tail*. Recovery
-//! rewrites a small part of a partition once per failure, so dead runs stay
-//! a small part of a column, and a graph decoded from a snapshot — a
-//! checkpoint reload — is rebuilt without any.
+//! A block is never written over: writing any of a mirror's lists writes
+//! its whole block anew at the byte column's tail and repoints the span
+//! (the old block goes dead); a block that reads the same is dropped again.
+//! The decoded column follows the hot columns' rules: a list *shrinks in
+//! place* or is *appended at the tail*. Recovery rewrites a small part of a
+//! partition once per failure, so dead blocks stay a small part of a column,
+//! and a graph decoded from a snapshot — a checkpoint reload — is rebuilt
+//! without any.
 //!
 //! Inside a recovery *episode* (see [`crate::episode`]) the entries a column
 //! held when the episode began are frozen: every writer below takes that
-//! length as its floor, leaves a run starting under it untouched, and
-//! writes the new list at the tail instead. Undoing the episode is then a
+//! length as its floor, leaves what starts under it untouched, and writes
+//! the new list at the tail instead. Undoing the episode is then a
 //! truncation plus the saved heads and spans; outside an episode the floor
 //! is 0 and decoded lists are overwritten in place. The writers keep one
 //! more promise the journal relies on: **a span they write inside an
@@ -43,9 +48,9 @@
 //! store journals itself: a writer that changes nothing saves nothing.
 //!
 //! A store also travels: Migration and Rebirth ship the full state of many
-//! copies to one node as one store filled by [`FullState::push`], and the
-//! receiver takes it in whole ([`FullState::extend_from`]) or record by
-//! record.
+//! copies to one node as one store of blocks filled by [`FullState::push`],
+//! and the receiver takes it in whole ([`FullState::extend_from`]) or record
+//! by record.
 
 use std::num::NonZeroU32;
 use std::ops::Range;
@@ -57,7 +62,7 @@ use imitator_storage::codec::Sink;
 
 use crate::episode::StoreJournal;
 use crate::locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
-use crate::runs::{append_list, put_list, Entry, InEdge, Run, Weights};
+use crate::runs::{append_list, put_list, split_block, Entry, InEdge, Run, Weights};
 
 /// An out-edge whose consumer (target master) lives on another node.
 ///
@@ -226,7 +231,7 @@ impl<'a> InEdges<'a> {
     fn append(self, uniform: Option<f32>, out: &mut Vec<u8>) {
         let len = self.len();
         match self {
-            InEdges::Run(run) if run.writes(uniform) => out.extend_from_slice(run.bytes()),
+            InEdges::Run(run) => run.append::<InEdge>(uniform, out),
             InEdges::Local { edges, copies } => {
                 let sourced = edges.chunks(64).flat_map(|chunk| {
                     let mut srcs = [Vid::default(); 64];
@@ -238,7 +243,7 @@ impl<'a> InEdges<'a> {
                 });
                 append_list(len, sourced, uniform, out);
             }
-            _ => append_list(len, self.iter(), uniform, out),
+            InEdges::Split { .. } => append_list(len, self.iter(), uniform, out),
         }
     }
 }
@@ -323,7 +328,7 @@ impl<'a, T: Entry + 'a> List<'a, T> {
     fn append(self, out: &mut Vec<u8>) {
         match self {
             List::Slice(items) => append_list(items.len(), items.iter().copied(), None, out),
-            List::Run(run) => out.extend_from_slice(run.bytes()),
+            List::Run(run) => run.append::<T>(run.uniform(), out),
         }
     }
 }
@@ -412,6 +417,8 @@ impl EdgeLists {
     pub const OUT_REMOTE: EdgeLists = EdgeLists(4);
     /// All three.
     pub const ALL: EdgeLists = EdgeLists(7);
+    /// Each of the three, in the order a block holds them.
+    const EACH: [EdgeLists; 3] = [Self::IN_EDGES, Self::OUT_LOCAL, Self::OUT_REMOTE];
 
     /// The three bits.
     pub fn bits(self) -> u8 {
@@ -505,6 +512,15 @@ impl<'a> FullStateRef<'a> {
     /// state keeps as its own edge lists.
     pub fn owner_lists(&self) -> (Vec<(u32, f32)>, Vec<u32>) {
         (self.in_edges.owner_local(), self.out_local_owner.to_vec())
+    }
+
+    /// Appends the run of `list`, one of the three, as a block holds it.
+    fn append_run(self, list: EdgeLists, uniform: Option<f32>, out: &mut Vec<u8>) {
+        match list {
+            EdgeLists::IN_EDGES => self.in_edges.append(uniform, out),
+            EdgeLists::OUT_LOCAL => self.out_local_owner.append(out),
+            _ => self.out_remote.append(out),
+        }
     }
 
     /// Owner-local positions this vertex's replica on `node` feeds
@@ -605,6 +621,51 @@ impl Span {
     /// This run in a column that `base` more entries now precede.
     fn rebased(self, base: usize) -> Span {
         Span::new(self.start as usize + base, self.len())
+    }
+}
+
+/// A slot's row: one span, and which column it indexes — the byte column of
+/// blocks, or the decoded remote out-edges of a master, whose rows have the
+/// top bit of the length ([`DECODED`]) set. No run of a column is that long.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Row {
+    start: u32,
+    len: u32,
+}
+
+/// The bit of a row's length that marks a master's row.
+const DECODED: u32 = 1 << 31;
+
+impl Row {
+    /// The row of `form` over `span`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span is 2^31 entries long or longer.
+    pub(crate) fn new(span: Span, form: Form) -> Row {
+        assert!(span.len < DECODED, "a row spans fewer than 2^31 entries");
+        let flag = match form {
+            Form::Block => 0,
+            Form::Master => DECODED,
+        };
+        Row {
+            start: span.start,
+            len: span.len | flag,
+        }
+    }
+
+    pub(crate) fn span(self) -> Span {
+        Span {
+            start: self.start,
+            len: self.len & !DECODED,
+        }
+    }
+
+    pub(crate) fn form(self) -> Form {
+        match self.len & DECODED {
+            0 => Form::Block,
+            _ => Form::Master,
+        }
     }
 }
 
@@ -770,21 +831,6 @@ impl Head {
     }
 }
 
-/// The spans of an edge-cut slot's row, in the order every row, journal
-/// record and [`StoreLens::per_column`] numbers them: three runs of the byte
-/// column — the in-edges, `out_local_owner`, `out_remote` — and the decoded
-/// remote out-edges a master keeps instead of the last. A slot's remote
-/// out-edges are its run when that run is not empty, its decoded list
-/// otherwise.
-pub(crate) const COLUMNS: usize = 4;
-pub(crate) const IN_EDGES: usize = 0;
-pub(crate) const OUT_LOCAL: usize = 1;
-pub(crate) const REMOTE_RUN: usize = 2;
-pub(crate) const OUT_REMOTE: usize = 3;
-
-/// One edge-cut copy's row in the slot table: see [`COLUMNS`].
-pub(crate) type EdgeSpans = [Span; COLUMNS];
-
 /// How many entries each edge list of a full state — or all those of a
 /// store — holds: what a message announces ahead of a store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -816,7 +862,7 @@ impl std::ops::AddAssign for ColumnLens {
 }
 
 /// How much a [`FullState`] holds, or is to hold: slots, table words, bytes
-/// of runs and decoded remote out-edges, runs no slot points at any more
+/// of blocks and decoded remote out-edges, what no slot points at any more
 /// included.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreLens {
@@ -824,16 +870,17 @@ pub struct StoreLens {
     pub slots: usize,
     /// Words of location tables.
     pub words: usize,
-    /// Bytes of runs.
+    /// Bytes of blocks.
     pub runs: usize,
     /// Decoded remote out-edges (masters').
     pub remote: usize,
 }
 
 impl StoreLens {
-    /// Room for one more slot holding `state`: its tables, and the runs of
-    /// the lists it holds as runs. A list held decoded grows the byte
-    /// column as it is encoded: measuring it first would encode it twice.
+    /// Room for one more slot holding `state`: its tables, and the bytes of
+    /// the lists it holds as runs (a missing one is its count, a byte). A
+    /// list held decoded grows the byte column as it is encoded: measuring
+    /// it first would encode it twice.
     pub fn add(&mut self, state: FullStateRef<'_>) {
         let in_edges = match state.in_edges {
             InEdges::Run(run) => Some(run),
@@ -849,13 +896,8 @@ impl StoreLens {
         self.runs += runs
             .iter()
             .flatten()
-            .map(|run| run.bytes().len())
+            .map(|run| run.bytes().len().max(1))
             .sum::<usize>();
-    }
-
-    /// The lengths the spans of a row index, in [`COLUMNS`] order.
-    pub(crate) fn per_column(&self) -> [usize; COLUMNS] {
-        [self.runs, self.runs, self.runs, self.remote]
     }
 }
 
@@ -868,65 +910,45 @@ impl std::ops::AddAssign for StoreLens {
     }
 }
 
-/// Appends the lists of `state` that `lists` names to `out` as a store
-/// keeps them: the run of each that has entries — its bytes as they are
-/// where it is held as a run a message writes the same way.
-pub(crate) fn append_runs(
+/// Appends the block of `state` to `out` and returns its span: its three
+/// lists as a message writes them for a record that carries all three —
+/// each run held in the layout `uniform` copied, any other list encoded.
+pub(crate) fn append_block(
     state: FullStateRef<'_>,
-    lists: EdgeLists,
     uniform: Option<f32>,
     out: &mut Vec<u8>,
-) {
-    if lists.contains(EdgeLists::IN_EDGES) && !state.in_edges.is_empty() {
-        state.in_edges.append(uniform, out);
+) -> Span {
+    let start = out.len();
+    for list in EdgeLists::EACH {
+        state.append_run(list, uniform, out);
     }
-    if lists.contains(EdgeLists::OUT_LOCAL) && !state.out_local_owner.is_empty() {
-        state.out_local_owner.append(out);
-    }
-    if lists.contains(EdgeLists::OUT_REMOTE) && !state.out_remote.is_empty() {
-        state.out_remote.append(out);
-    }
+    Span::new(start, out.len() - start)
 }
 
-/// Appends the three lists of `state` to `runs` as a mirror keeps them and
-/// returns the row that names them (its decoded remote list empty).
-pub(crate) fn append_row(
-    state: FullStateRef<'_>,
-    uniform: Option<f32>,
-    runs: &mut Vec<u8>,
-) -> EdgeSpans {
-    let mut row = EdgeSpans::default();
-    for (column, list) in [
-        (IN_EDGES, EdgeLists::IN_EDGES),
-        (OUT_LOCAL, EdgeLists::OUT_LOCAL),
-        (REMOTE_RUN, EdgeLists::OUT_REMOTE),
-    ] {
-        let start = runs.len();
-        append_runs(state, list, uniform, runs);
-        row[column] = Span::new(start, runs.len() - start);
-    }
-    row
-}
-
-/// What a slot keeps of the full state written to it.
+/// What a slot's span covers: the role of its copy when the slot was made,
+/// or a master's once a promotion gave up the block
+/// ([`FullState::take_owner_lists`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Form {
-    /// A mirror's, or a shipped record's: the three lists, as runs.
-    Runs,
+    /// A mirror's, or a shipped record's: a block of the byte column, the
+    /// three lists as a message carries them.
+    Block,
     /// A master's: its remote out-edges alone, decoded for Migration to
     /// rewrite in place. Its owner-local lists are its own edge lists.
     Master,
 }
 
 /// A full-state store: see the module documentation. A local graph keeps
-/// one; a Migration or Rebirth batch carries one, a slot per record.
+/// one; a Migration or Rebirth batch carries one, a slot per record, every
+/// slot a block.
 #[derive(Clone, Default)]
 pub struct FullState {
     pub(crate) heads: Vec<Head>,
-    /// A row per slot, or none at all while no slot has had an edge list.
-    pub(crate) rows: Vec<EdgeSpans>,
+    /// A row per slot, or none at all while no slot has had an edge list
+    /// (a master's slot always has one: its row keeps its form).
+    pub(crate) rows: Vec<Row>,
     pub(crate) words: Column<u32>,
-    /// The runs of every slot's encoded lists, back to back.
+    /// Every block, back to back.
     pub(crate) runs: Column<u8>,
     /// Masters' remote out-edges, decoded.
     pub(crate) out_remote: Column<RemoteEdge>,
@@ -939,8 +961,8 @@ pub struct FullState {
     lent: Locations,
 }
 
-/// Stores are equal when they hold equal full states slot for slot, wherever
-/// in the columns and in whatever layout each keeps them.
+/// Stores are equal when they hold equal full states slot for slot,
+/// wherever in the columns and in whatever layout each keeps them.
 impl PartialEq for FullState {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && (0..self.len()).all(|i| self.nth(i) == other.nth(i))
@@ -971,12 +993,12 @@ impl FullState {
         FullState::shipping(Weights::Unset, states)
     }
 
-    /// A store holding `states`, a slot each in that order, as a mirror
-    /// keeps them, in `weights` unless one of their in-edge lists needs a
-    /// weight per edge — settled once, before a byte is written —: a run in
-    /// the store's layout is copied in, any other list encoded. The slots
-    /// are new, so nothing is compared or journaled; the store is sized once
-    /// but for the lists it encodes.
+    /// A store holding `states`, a block each in that order, in `weights`
+    /// unless one of their in-edge lists needs a weight per edge — settled
+    /// once, before a byte is written —: a run in the store's layout is
+    /// copied in, any other list encoded. The slots are new, so nothing is
+    /// compared or journaled; the store is sized once but for the lists it
+    /// encodes.
     pub(crate) fn shipping<'s>(
         weights: Weights,
         states: impl Iterator<Item = FullStateRef<'s>> + Clone,
@@ -993,11 +1015,10 @@ impl FullState {
         store.reserve_exact(lens);
         let uniform = weights.uniform();
         for state in states {
-            let words = store.words.append(state.locations.words().iter().copied());
-            store.heads.push(Head::of(state.locations, words));
+            store.push_head(state.locations);
             if listed {
-                let row = append_row(state, uniform, &mut store.runs.0);
-                store.rows.push(row);
+                let block = append_block(state, uniform, &mut store.runs.0);
+                store.rows.push(Row::new(block, Form::Block));
             }
         }
         store
@@ -1019,14 +1040,14 @@ impl FullState {
     }
 
     /// Entries in each edge list, summed over the slots: what a message
-    /// announces ahead of the store.
+    /// announces ahead of a batch.
     pub fn column_lens(&self) -> ColumnLens {
         let mut lens = ColumnLens::default();
         (0..self.len()).for_each(|i| lens += self.nth(i).lens());
         lens
     }
 
-    /// What the store holds, dead runs included.
+    /// What the store holds, dead blocks and lists included.
     pub fn lens(&self) -> StoreLens {
         StoreLens {
             slots: self.heads.len(),
@@ -1037,15 +1058,17 @@ impl FullState {
     }
 
     /// What `slots` point at: [`FullState::lens`] for a store without dead
-    /// runs when they are all its slots.
+    /// blocks or lists when they are all its slots.
     pub(crate) fn live_lens(&self, slots: impl Iterator<Item = SlotId>) -> StoreLens {
         let mut lens = StoreLens::default();
         for slot in slots {
             let row = self.row(slot);
             lens.slots += 1;
             lens.words += self.heads[slot.index()].span().len();
-            lens.runs += row[IN_EDGES].len() + row[OUT_LOCAL].len() + row[REMOTE_RUN].len();
-            lens.remote += row[OUT_REMOTE].len();
+            match row.form() {
+                Form::Block => lens.runs += row.span().len(),
+                Form::Master => lens.remote += row.span().len(),
+            }
         }
         lens
     }
@@ -1059,19 +1082,61 @@ impl FullState {
         self.get(SlotId::from_index(i))
     }
 
-    /// The full state in `slot`, exactly as stored.
+    /// The location tables of the `i`-th slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store holds no such slot.
+    pub fn tables(&self, i: usize) -> LocationsRef<'_> {
+        self.locations(SlotId::from_index(i))
+    }
+
+    /// The block of the `i`-th slot: its three lists as a message carries
+    /// them for a record that carries all three, in the store's layout —
+    /// or no bytes, in a store without rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store holds no such slot, or a master's.
+    pub fn block(&self, i: usize) -> &[u8] {
+        let row = self.row(SlotId::from_index(i));
+        assert_eq!(row.form(), Form::Block, "slot {i} is a master's");
+        self.runs.get(row.span())
+    }
+
+    /// Stores `tables` and `block` in a new slot, the block copied as one
+    /// slice: three runs back to back — in-edges, consumers, remote
+    /// out-edges —, each checked where it entered the node ([`take_run`])
+    /// in the store's layout.
+    ///
+    /// [`take_run`]: crate::take_run
+    pub fn push_block(&mut self, tables: LocationsRef<'_>, block: &[u8]) -> SlotId {
+        let slot = self.push_head(tables);
+        let start = self.runs.0.len();
+        self.runs.0.extend_from_slice(block);
+        self.set_row(slot, Row::new(Span::new(start, block.len()), Form::Block));
+        slot
+    }
+
+    /// The full state in `slot`, exactly as stored: a block's three lists
+    /// as runs, or a master's remote out-edges decoded.
     pub(crate) fn get(&self, slot: SlotId) -> FullStateRef<'_> {
-        let row = self.row(slot);
-        let run = |column: usize| Run::new(self.runs.get(row[column]), self.weights.uniform());
-        let out_remote = match row[REMOTE_RUN].len() {
-            0 => List::Slice(self.out_remote.get(row[OUT_REMOTE])),
-            _ => List::Run(run(REMOTE_RUN)),
-        };
-        FullStateRef {
-            locations: self.locations(slot),
-            in_edges: InEdges::Run(run(IN_EDGES)),
-            out_local_owner: List::Run(run(OUT_LOCAL)),
-            out_remote,
+        let (tables, row) = (self.locations(slot), self.row(slot));
+        match row.form() {
+            Form::Block => {
+                let block = self.runs.get(row.span());
+                let [ins, fed, remote] = split_block(block, self.weights.uniform());
+                FullStateRef {
+                    locations: tables,
+                    in_edges: InEdges::Run(ins),
+                    out_local_owner: List::Run(fed),
+                    out_remote: List::Run(remote),
+                }
+            }
+            Form::Master => FullStateRef {
+                out_remote: List::Slice(self.out_remote.get(row.span())),
+                ..FullStateRef::tables(tables)
+            },
         }
     }
 
@@ -1115,154 +1180,154 @@ impl FullState {
         *head = Head::of(tables, span);
     }
 
-    /// The edge spans of `slot`: empty ones in a store without rows.
-    pub(crate) fn row(&self, slot: SlotId) -> EdgeSpans {
+    /// The row of `slot`: an empty block in a store without rows.
+    pub(crate) fn row(&self, slot: SlotId) -> Row {
         self.rows.get(slot.index()).copied().unwrap_or_default()
     }
 
-    /// The edge spans of `slot`, for writing: the store has rows from here.
-    fn row_mut(&mut self, slot: SlotId) -> &mut EdgeSpans {
-        if self.rows.len() < self.heads.len() {
-            self.rows.resize(self.heads.len(), EdgeSpans::default());
-        }
-        &mut self.rows[slot.index()]
-    }
-
-    /// Stores `state` in a new slot as a mirror keeps it, its lists at the
-    /// column tails: a run in the store's layout is copied in, any other
-    /// list encoded.
+    /// Stores `state` in a new slot as a mirror keeps it, a block at the
+    /// tail of the byte column: a run in the store's layout is copied in,
+    /// any other list encoded. A uniform store given in-edges of another
+    /// weight spreads every block to a weight per edge first.
     pub fn push(&mut self, state: FullStateRef<'_>) -> SlotId {
-        self.push_as(state, Form::Runs)
+        self.push_as(state, Form::Block)
     }
 
-    /// Stores `state` in a new slot, keeping what `form` says.
+    /// Stores `state` in a new slot, keeping what `form` says: a block as
+    /// [`FullState::push`] does, or a master's remote out-edges, decoded,
+    /// in a row that says so.
     pub(crate) fn push_as(&mut self, state: FullStateRef<'_>, form: Form) -> SlotId {
-        let slot = SlotId::from_index(self.heads.len());
-        let words = self.words.append(state.locations.words().iter().copied());
-        self.heads.push(Head::of(state.locations, words));
-        if !self.rows.is_empty() || state.lens().total() > 0 {
-            if form == Form::Runs {
-                self.admit(state.in_edges);
-            }
-            let (runs, remote) = (self.runs.0.len(), self.out_remote.0.len());
-            let mut row = [Span::new(runs, 0); COLUMNS];
-            row[OUT_REMOTE] = Span::new(remote, 0);
-            self.write_lists(&mut row, state, EdgeLists::ALL, form);
-            *self.row_mut(slot) = row;
+        if form == Form::Block {
+            self.admit(state.in_edges);
+        }
+        let slot = self.push_head(state.locations);
+        if form == Form::Master || !self.rows.is_empty() || state.lens().total() > 0 {
+            let span = match form {
+                Form::Block => append_block(state, self.weights.uniform(), &mut self.runs.0),
+                Form::Master => self.out_remote.append(state.out_remote.iter()),
+            };
+            self.set_row(slot, Row::new(span, form));
         }
         slot
     }
 
-    /// Appends every slot of `other`, in order, and returns the index the
-    /// first of them got. When the two write weights alike — or one of them
-    /// has written none — each column grows by `other`'s whole column, one
-    /// copy apiece, dead runs and all, and the slots' spans move with it;
-    /// otherwise each slot is pushed as a mirror keeps it.
-    pub fn extend_from(&mut self, other: &FullState) -> usize {
-        let (first, base) = (self.heads.len(), self.lens());
+    /// A new slot holding `tables`, without a row.
+    fn push_head(&mut self, tables: LocationsRef<'_>) -> SlotId {
+        let slot = SlotId::from_index(self.heads.len());
+        let words = self.words.append(tables.words().iter().copied());
+        self.heads.push(Head::of(tables, words));
+        slot
+    }
+
+    /// Makes `row` the row of `slot`: the store has rows from here.
+    fn set_row(&mut self, slot: SlotId, row: Row) {
+        self.rows.resize(self.heads.len(), Row::default());
+        self.rows[slot.index()] = row;
+    }
+
+    /// Whether `other`'s blocks can be taken in as they are: the two write
+    /// weights alike, or one of them has written none.
+    pub(crate) fn writes_like(&self, other: &FullState) -> bool {
         let alike = self.weights.and(other.weights);
-        if [self.weights, other.weights]
+        [self.weights, other.weights]
             .iter()
-            .any(|&w| w != alike && w != Weights::Unset)
-        {
-            for i in 0..other.len() {
-                self.push(other.nth(i));
-            }
-            return first;
-        }
-        self.weights = alike;
+            .all(|&w| w == alike || w == Weights::Unset)
+    }
+
+    /// Appends every slot of `other`, which writes weights alike
+    /// ([`FullState::writes_like`]), in order, and returns the index the
+    /// first of them got: each column grows by `other`'s whole column, one
+    /// copy apiece, dead blocks and all, and the slots' spans move with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two stores write weights differently: a batch that
+    /// does not is taken in record by record.
+    pub fn extend_from(&mut self, other: &FullState) -> usize {
+        assert!(self.writes_like(other), "stores of other weight layouts");
+        let (first, base) = (self.heads.len(), self.lens());
+        self.weights = self.weights.and(other.weights);
         self.words.0.extend_from_slice(&other.words.0);
         self.runs.0.extend_from_slice(&other.runs.0);
         self.out_remote.0.extend_from_slice(&other.out_remote.0);
         let moved = |head: &Head| head.moved_to(head.span().rebased(base.words));
         self.heads.extend(other.heads.iter().map(moved));
         if !(self.rows.is_empty() && other.rows.is_empty()) {
-            self.rows.resize(first, EdgeSpans::default());
-            let base = base.per_column();
+            self.rows.resize(first, Row::default());
             let rows = (0..other.len()).map(|i| other.row(SlotId::from_index(i)));
-            let moved = |row: EdgeSpans| std::array::from_fn(|c| row[c].rebased(base[c]));
-            self.rows.extend(rows.map(moved));
+            self.rows.extend(rows.map(|row| {
+                let base = match row.form() {
+                    Form::Block => base.runs,
+                    Form::Master => base.remote,
+                };
+                Row::new(row.span().rebased(base), row.form())
+            }));
         }
         first
     }
 
-    /// Replaces what `slot` holds by `state`, kept as `form` says: its
+    /// Replaces what `slot` holds by `state`, kept as its row says: its
     /// tables and the edge lists `lists` names — the others stay as they
-    /// are, neither written nor journaled. Lists equal to what is stored are
-    /// not written, and runs an open episode found are not overwritten.
-    pub(crate) fn set(
-        &mut self,
-        slot: SlotId,
-        state: FullStateRef<'_>,
-        lists: EdgeLists,
-        form: Form,
-    ) {
+    /// are, neither written nor journaled; a master's slot keeps only its
+    /// remote out-edges. Lists equal to what is stored are not written, and
+    /// what an open episode found is not overwritten. A uniform store given
+    /// in-edges of another weight for a block spreads every block to a
+    /// weight per edge first.
+    pub(crate) fn set(&mut self, slot: SlotId, state: FullStateRef<'_>, lists: EdgeLists) {
         self.set_locations(slot, state.locations);
-        if self.rows.is_empty() && state.lens().total() == 0 {
+        if lists == EdgeLists::NONE || (self.rows.is_empty() && state.lens().total() == 0) {
             return;
         }
-        if form == Form::Runs && lists.contains(EdgeLists::IN_EDGES) {
-            self.admit(state.in_edges);
-        }
         let before = self.row(slot);
-        let mut row = before;
-        self.write_lists(&mut row, state, lists, form);
-        self.write_row(slot, row, before);
+        match before.form() {
+            Form::Block => {
+                if lists.contains(EdgeLists::IN_EDGES) {
+                    self.admit(state.in_edges);
+                }
+                self.write_block(slot, state, lists);
+            }
+            Form::Master if lists.contains(EdgeLists::OUT_REMOTE) => {
+                let (mut span, floor) = (before.span(), self.floor().remote);
+                (self.out_remote).replace(&mut span, state.out_remote.iter(), floor);
+                self.write_row(slot, Row::new(span, Form::Master), before);
+            }
+            Form::Master => {}
+        }
     }
 
-    /// Writes the lists of `state` that `lists` names into `row`, kept as
-    /// `form` says; the store's layout already admits its in-edges.
-    fn write_lists(
-        &mut self,
-        row: &mut EdgeSpans,
-        state: FullStateRef<'_>,
-        lists: EdgeLists,
-        form: Form,
-    ) {
-        let runs = form == Form::Runs;
-        let uniform = self.weights.uniform();
-        let kept = |list| if runs { list } else { EdgeLists::NONE };
-        for (column, list) in [
-            (IN_EDGES, EdgeLists::IN_EDGES),
-            (OUT_LOCAL, EdgeLists::OUT_LOCAL),
-        ] {
-            if lists.contains(list) {
-                self.write_run(&mut row[column], |out| {
-                    append_runs(state, kept(list), uniform, out)
-                });
+    /// Writes the block of `slot` anew at the tail of the byte column: the
+    /// lists of `state` that `lists` names, the others copied from the block
+    /// it had. A block that reads the same as the one it had is dropped
+    /// again, and the slot keeps its own: a block is never written over.
+    fn write_block(&mut self, slot: SlotId, state: FullStateRef<'_>, lists: EdgeLists) {
+        let (before, uniform) = (self.row(slot), self.weights.uniform());
+        let (held, tail) = (before.span(), self.runs.0.len());
+        if lists == EdgeLists::ALL {
+            append_block(state, uniform, &mut self.runs.0);
+        } else {
+            let lens = split_block(self.runs.get(held), uniform).map(|run| run.bytes().len());
+            let mut at = held.range().start;
+            let out = &mut self.runs.0;
+            for (list, len) in EdgeLists::EACH.into_iter().zip(lens) {
+                match (lists.contains(list), len) {
+                    (true, _) => state.append_run(list, uniform, out),
+                    (false, 0) => out.push(0),
+                    (false, len) => out.extend_from_within(at..at + len),
+                }
+                at += len;
             }
         }
-        if lists.contains(EdgeLists::OUT_REMOTE) {
-            let remote = EdgeLists::OUT_REMOTE;
-            self.write_run(&mut row[REMOTE_RUN], |out| {
-                append_runs(state, kept(remote), uniform, out)
-            });
-            let decoded = if runs {
-                List::default()
-            } else {
-                state.out_remote
-            };
-            let floor = self.floor().remote;
-            (self.out_remote).replace(&mut row[OUT_REMOTE], decoded.iter(), floor);
-        }
-    }
-
-    /// Makes what `encode` writes the run behind `span`: the run already
-    /// there when it holds the same bytes, a new run at the tail otherwise
-    /// (a run is never written over).
-    fn write_run(&mut self, span: &mut Span, encode: impl FnOnce(&mut Vec<u8>)) {
-        let tail = self.runs.0.len();
-        encode(&mut self.runs.0);
-        if self.runs.0[span.range()] == self.runs.0[tail..] {
+        if self.runs.0[held.range()] == self.runs.0[tail..] {
             self.runs.0.truncate(tail);
         } else {
-            *span = Span::new(tail, self.runs.0.len() - tail);
+            let span = Span::new(tail, self.runs.0.len() - tail);
+            self.write_row(slot, Row::new(span, Form::Block), before);
         }
     }
 
     /// Settles the layout for writing `in_edges` as a run: an unset one
-    /// becomes theirs, a uniform one they do not fit is spread to a weight
-    /// per edge first.
+    /// becomes theirs, and a uniform one they do not fit is spread to a
+    /// weight per edge ([`FullState::spread`]).
     fn admit(&mut self, in_edges: InEdges<'_>) {
         if in_edges.is_empty() || self.weights == Weights::PerEdge {
             return;
@@ -1275,111 +1340,133 @@ impl FullState {
         }
     }
 
-    /// Rewrites every in-edge run of a uniform store with a weight per edge,
-    /// at the tail, and makes that the layout.
+    /// Makes a weight per edge the layout and rewrites every block that has
+    /// in-edges with a weight each, at the tail.
     fn spread(&mut self) {
         let uniform = self.weights.uniform();
         self.weights = Weights::PerEdge;
-        for i in 0..self.rows.len() {
-            let (slot, before) = (SlotId::from_index(i), self.rows[i]);
-            let run = Run::new(self.runs.get(before[IN_EDGES]), uniform);
-            if run.is_empty() {
+        for slot in (0..self.rows.len()).map(SlotId::from_index) {
+            let before = self.row(slot);
+            if before.form() == Form::Master {
                 continue;
             }
-            let edges: Vec<InEdge> = run.entries().collect();
+            let [ins, ..] = split_block(self.runs.get(before.span()), uniform);
+            if ins.is_empty() {
+                continue;
+            }
+            let (held, edges) = (ins.bytes().len(), ins.entries().collect::<Vec<InEdge>>());
             let tail = self.runs.0.len();
             append_list(edges.len(), edges.into_iter(), None, &mut self.runs.0);
-            self.rows[i][IN_EDGES] = Span::new(tail, self.runs.0.len() - tail);
-            self.note_spans(slot, before);
+            let block = before.span().range();
+            self.runs
+                .0
+                .extend_from_within(block.start + held..block.end);
+            let span = Span::new(tail, self.runs.0.len() - tail);
+            self.write_row(slot, Row::new(span, Form::Block), before);
         }
     }
 
-    /// Makes `row` the edge spans of `slot`, which were `before`, saving
-    /// those of them an open episode found.
-    fn write_row(&mut self, slot: SlotId, row: EdgeSpans, before: EdgeSpans) {
+    /// Makes `row` the row of `slot`, which was `before`, saving that if an
+    /// open episode found it.
+    fn write_row(&mut self, slot: SlotId, row: Row, before: Row) {
         if row != before {
-            *self.row_mut(slot) = row;
-            self.note_spans(slot, before);
+            self.set_row(slot, row);
+            self.note_row(slot, before);
         }
     }
 
-    /// Moves the remote out-edges of `row` out of their run, if they are
-    /// kept as one, into the decoded column.
-    fn decode_remote(&mut self, row: &mut EdgeSpans) {
-        if row[REMOTE_RUN].len() == 0 {
-            return;
-        }
-        let run = Run::new(self.runs.get(row[REMOTE_RUN]), None);
-        let remote: Vec<RemoteEdge> = run.entries().collect();
-        row[REMOTE_RUN] = Span::new(self.runs.0.len(), 0);
-        let floor = self.floor().remote;
-        (self.out_remote).replace(&mut row[OUT_REMOTE], remote.into_iter(), floor);
-    }
-
-    /// Empties `slot`'s in-edges and consumers and returns them — the
-    /// in-edges as `(source, weight)` —, its remote out-edges decoded: what
-    /// a mirror's slot keeps once the copy becomes a master, whose own edge
-    /// lists say the rest from then on. The empty runs are placed at the
-    /// column's tail (a span written in an episode starts past its floor).
+    /// Gives up `slot`'s block and returns its in-edges as `(source,
+    /// weight)` and its consumers: what a mirror's slot keeps once the copy
+    /// becomes a master, whose own edge lists say the rest from then on. The
+    /// slot becomes a master's and covers its remote out-edges, decoded at
+    /// the tail of their column (an empty list, like the loader's, at its
+    /// start).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is a master's already.
     pub(crate) fn take_owner_lists(&mut self, slot: SlotId) -> (Vec<(Vid, f32)>, Vec<u32>) {
+        let before = self.row(slot);
+        assert_eq!(
+            before.form(),
+            Form::Block,
+            "slot {} is a master's",
+            slot.index()
+        );
         let stored = self.get(slot);
         let in_edges = stored.in_edges.iter().map(|e| (e.src, e.weight)).collect();
         let lists = (in_edges, stored.out_local_owner.to_vec());
-        let before = self.row(slot);
-        let mut row = before;
-        self.decode_remote(&mut row);
-        row[IN_EDGES] = Span::new(self.runs.0.len(), 0);
-        row[OUT_LOCAL] = row[IN_EDGES];
-        self.write_row(slot, row, before);
+        let remote: Vec<RemoteEdge> = stored.out_remote.to_vec();
+        let span = match remote.is_empty() {
+            true => Span::default(),
+            false => self.out_remote.append(remote),
+        };
+        self.write_row(slot, Row::new(span, Form::Master), before);
+        self.note_promoted(slot);
         lists
     }
 
-    /// Keeps the remote out-edges of `slot` that `keep` accepts (it may
-    /// rewrite them), in order — at the tail if an open episode found the
-    /// run — and says whether the list changed. A list kept as a run is
-    /// decoded first.
+    /// The span of the remote out-edges of the master's `slot`, and its row.
+    fn master_row(&self, slot: SlotId) -> (Span, Row) {
+        let row = self.row(slot);
+        assert_eq!(
+            row.form(),
+            Form::Master,
+            "slot {} is no master's",
+            slot.index()
+        );
+        (row.span(), row)
+    }
+
+    /// Keeps the remote out-edges of the master at `slot` that `keep`
+    /// accepts (it may rewrite them), in order — at the tail if an open
+    /// episode found the list — and says whether the list changed.
     pub(crate) fn retain_out_remote(
         &mut self,
         slot: SlotId,
         keep: impl FnMut(&mut RemoteEdge) -> bool,
     ) -> bool {
-        let before = self.row(slot);
-        let mut row = before;
-        self.decode_remote(&mut row);
-        let floor = self.floor().remote;
-        let changed = (self.out_remote).retain_mut(&mut row[OUT_REMOTE], floor, keep);
-        self.write_row(slot, row, before);
+        let ((mut span, before), floor) = (self.master_row(slot), self.floor().remote);
+        let changed = (self.out_remote).retain_mut(&mut span, floor, keep);
+        self.write_row(slot, Row::new(span, Form::Master), before);
         changed
     }
 
-    /// Appends `edges` to the remote out-edges of `slot`, at the tail if an
-    /// open episode found the run. A list kept as a run is decoded first.
+    /// Appends `edges` to the remote out-edges of the master at `slot`, at
+    /// the tail if an open episode found the list.
     pub(crate) fn extend_out_remote(&mut self, slot: SlotId, edges: &[RemoteEdge]) {
-        let before = self.row(slot);
-        let mut row = before;
-        self.decode_remote(&mut row);
-        let floor = self.floor().remote;
-        self.out_remote.extend(&mut row[OUT_REMOTE], edges, floor);
-        self.write_row(slot, row, before);
+        let ((mut span, before), floor) = (self.master_row(slot), self.floor().remote);
+        self.out_remote.extend(&mut span, edges, floor);
+        self.write_row(slot, Row::new(span, Form::Master), before);
     }
 
+    /// Checks the slot table against the columns.
+    ///
     /// # Errors
     ///
-    /// Names the first slot with a run reaching past its column.
+    /// Names the first slot whose tables or span reach past their column.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.rows.is_empty() || self.rows.len() == self.heads.len()) {
             return Err("the slot table's rows and heads differ in number".into());
         }
-        let lens = self.lens().per_column();
-        let inside = |i: usize| {
-            let row = self.row(SlotId::from_index(i));
-            self.heads[i].span().range().end <= self.words.0.len()
-                && row.iter().zip(lens).all(|(s, len)| s.range().end <= len)
+        let words = self.words.0.len();
+        if let Some(i) = (self.heads.iter()).position(|head| head.span().range().end > words) {
+            return Err(format!("the tables of slot {i} reach past their column"));
+        }
+        let column = |row: &Row| match row.form() {
+            Form::Block => self.runs.0.len(),
+            Form::Master => self.out_remote.0.len(),
         };
-        match (0..self.len()).find(|&i| !inside(i)) {
-            Some(i) => Err(format!("a run of slot {i} reaches past its column")),
+        match (self.rows.iter()).position(|row| row.span().range().end > column(row)) {
+            Some(i) => Err(format!("the row of slot {i} reaches past its column")),
             None => Ok(()),
         }
+    }
+
+    /// Whether `slot` is a master's: its row covers decoded remote
+    /// out-edges, not a block.
+    pub(crate) fn is_master(&self, slot: SlotId) -> bool {
+        self.row(slot).form() == Form::Master
     }
 
     /// Makes room for `more`, one allocation per column. Rows are reserved
@@ -1410,7 +1497,7 @@ impl MemSize for FullState {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<FullState>()
             + self.heads.capacity() * std::mem::size_of::<Head>()
-            + self.rows.capacity() * std::mem::size_of::<EdgeSpans>()
+            + self.rows.capacity() * std::mem::size_of::<Row>()
             + self.words.capacity_bytes()
             + self.runs.capacity_bytes()
             + self.out_remote.capacity_bytes()
@@ -1423,9 +1510,9 @@ mod tests {
 
     /// What the slot table costs per copy: the pins `mem_bytes` rests on.
     #[test]
-    fn a_slot_is_a_twelve_byte_head_and_a_row_of_four_spans() {
-        assert!(std::mem::size_of::<Head>() <= 12);
-        assert!(std::mem::size_of::<EdgeSpans>() <= 32);
+    fn a_slot_is_a_twelve_byte_head_and_an_eight_byte_row() {
+        assert_eq!(std::mem::size_of::<Head>(), 12);
+        assert_eq!(std::mem::size_of::<Row>(), 8);
         assert_eq!(std::mem::size_of::<Option<SlotId>>(), 4);
     }
 
@@ -1461,12 +1548,7 @@ mod tests {
             in_edge_srcs: vec![Vid::new(7)],
             ..MasterMeta::default()
         };
-        store.set(
-            SlotId::from_index(1),
-            edged.view(),
-            EdgeLists::ALL,
-            Form::Runs,
-        );
+        store.set(SlotId::from_index(1), edged.view(), EdgeLists::ALL);
         assert_eq!((store.rows.len(), store.nth(0)), (2, states[0]));
         whole.extend_from(&store);
         assert_eq!((whole.len(), whole.rows.len()), (4, 4));
@@ -1517,38 +1599,38 @@ mod tests {
         }
     }
 
-    /// A slot's stored runs are, list by list, the bytes a message writes
-    /// for the same lists — in the uniform layout and with a weight per
-    /// edge — and an empty list is no bytes at all.
+    /// A slot's block is the bytes a message writes for the three lists —
+    /// in the uniform layout and with a weight per edge —, an empty list
+    /// its count, 0; a list written alone writes the whole block anew.
     #[test]
-    fn a_slot_stores_the_runs_a_message_writes() {
+    fn a_slot_stores_the_block_a_message_writes() {
         for (weights, uniform) in [(&[0.5f32; 3][..], Some(0.5)), (&[0.5, 2.0, 0.5], None)] {
             let meta = weighed(4, weights);
             let mut store = FullState::default();
             let slot = store.push(meta.view());
             assert_eq!(store.weights().uniform(), uniform);
-            let row = store.row(slot);
-            let wire = |put: &dyn Fn(&mut Vec<u8>)| {
-                let mut bytes = Vec::new();
-                put(&mut bytes);
-                bytes
-            };
             let view = meta.view();
-            assert_eq!(
-                store.runs.get(row[IN_EDGES]),
-                wire(&|out| view.in_edges.put(uniform, out))
-            );
-            assert_eq!(
-                store.runs.get(row[OUT_LOCAL]),
-                wire(&|out| view.out_local_owner.put(out))
-            );
-            assert_eq!(
-                store.runs.get(row[REMOTE_RUN]),
-                wire(&|out| view.out_remote.put(out))
-            );
+            let mut wire = Vec::new();
+            view.in_edges.put(uniform, &mut wire);
+            view.out_local_owner.put(&mut wire);
+            view.out_remote.put(&mut wire);
+            assert_eq!(store.block(0), &wire[..]);
             assert_eq!(store.nth(0), view);
             let empty = store.push(weighed(5, &[]).view());
-            assert!(store.row(empty).iter().all(|span| span.len() == 0));
+            assert_eq!(store.block(empty.index()), [0, 0, 0]);
+
+            let (runs, fed) = (store.lens().runs, [7u32, 8]);
+            let state = FullStateRef {
+                out_local_owner: List::Slice(&fed),
+                ..view
+            };
+            store.set(slot, state, EdgeLists::OUT_LOCAL);
+            let block = store.row(slot);
+            assert_eq!(block.span().range(), runs..store.lens().runs, "at the tail");
+            assert_eq!(store.nth(0), state);
+            store.set(slot, state, EdgeLists::ALL);
+            assert_eq!(store.row(slot), block, "the same block is not written");
+            assert!(store.validate().is_ok());
         }
     }
 

@@ -13,11 +13,14 @@
 //! * a consumer (`out_local_owner`): its owner-local position;
 //! * a remote out-edge: the consumer's node, then its position there.
 //!
-//! A store keeps an empty list as no bytes at all; a message writes its
-//! count, 0. Runs reach a node in messages and snapshots, so they are
-//! checked where they enter ([`take_run`]): every count against the input,
-//! every integer against `u32`, every node against the cluster's limit.
-//! What passes is stored and later read without a second check.
+//! An empty list is its count, 0. A mirror's three runs are one *block*:
+//! in-edges, consumers, remote out-edges, back to back — the bytes a message
+//! writes for a record that carries all three ([`split_block`] finds the
+//! second and third by the counts). Runs reach a node in messages and
+//! snapshots, so they are checked where they enter ([`take_run`]): every
+//! count against the input, every integer against `u32`, every node against
+//! the cluster's limit. What passes is stored and later read without a
+//! second check.
 
 use imitator_cluster::NodeId;
 use imitator_graph::Vid;
@@ -197,18 +200,21 @@ fn cut_short(bytes: &[u8]) -> DecodeError {
 }
 
 /// Writes `v` as an LEB128 varint at the front of `buf` and returns its
-/// length. The bytes are assembled in a `u64` and stored as eight, of which
-/// the length says how many count: no branch on the value, whose length
-/// varies from one entry to the next (a loop that stops at the last byte
-/// mispredicts about once an entry). `buf` needs room for eight.
+/// length. Each group of seven bits is shifted into a byte of one `u64` and
+/// every byte but the last gets its continuation bit, all with shifts and
+/// masks, and the eight bytes are stored at once, of which the length says
+/// how many count: no branch and no loop on the value, whose length varies
+/// from one entry to the next. `buf` needs room for eight.
 fn write_u32(buf: &mut [u8], v: u32) -> usize {
     let len = (1 + (31 - (v | 1).leading_zeros()) / 7) as usize;
-    let mut bytes = 0u64;
-    for k in 0..5 {
-        let more = u64::from(k + 1 < len) << 7;
-        bytes |= (u64::from(v >> (7 * k)) & 0x7F | more) << (8 * k);
-    }
-    buf[..8].copy_from_slice(&bytes.to_le_bytes());
+    let x = u64::from(v);
+    let groups = (x & 0x7F)
+        | (x << 1 & 0x7F00)
+        | (x << 2 & 0x7F_0000)
+        | (x << 3 & 0x7F00_0000)
+        | (x << 4 & 0x7F_0000_0000);
+    let more = 0x80_8080_8080 & ((1u64 << (8 * (len - 1))) - 1);
+    buf[..8].copy_from_slice(&(groups | more).to_le_bytes());
     len
 }
 
@@ -227,8 +233,7 @@ fn take_u32(bytes: &mut &[u8]) -> Result<u32, DecodeError> {
 }
 
 /// Writes `entries` as a message writes a list: the count, then each entry.
-/// A store keeps the same bytes for a list that has entries, and none for
-/// one that has not.
+/// A store keeps the same bytes.
 pub(crate) fn put_list<T: Entry, S: Sink>(
     entries: impl ExactSizeIterator<Item = T>,
     uniform: Option<f32>,
@@ -239,10 +244,9 @@ pub(crate) fn put_list<T: Entry, S: Sink>(
 }
 
 /// [`put_list`] of the `len` `entries` into a store's byte column: they are
-/// written into a
-/// buffer on the stack and the column extended a buffer at a time — one
-/// copy for a few dozen entries instead of one per entry, and the column
-/// grows as a `Vec` does, never past what it needs.
+/// written into a buffer on the stack and the column extended a buffer at a
+/// time — one copy for a few dozen entries instead of one per entry, and
+/// the column grows as a `Vec` does, never past what it needs.
 pub(crate) fn append_list<T: Entry>(
     len: usize,
     entries: impl Iterator<Item = T>,
@@ -261,8 +265,50 @@ pub(crate) fn append_list<T: Entry>(
     out.extend_from_slice(&buf[..at]);
 }
 
-/// A run as stored: a list's bytes — none for an empty list — and the weight
-/// its in-edges have when it writes none.
+/// Where the `n` varints that start at `at` end in `bytes`: a byte below
+/// 0x80 ends one.
+fn varints_end(bytes: &[u8], at: usize, n: usize) -> usize {
+    let mut ends = (at..bytes.len()).filter(|&i| bytes[i] < 0x80);
+    n.checked_sub(1)
+        .map_or(at, |last| ends.nth(last).expect(CHECKED) + 1)
+}
+
+/// How many bytes the run at the front of `bytes` takes: its count, then
+/// that many entries of `varints` varints each — and, if `weighed`, a
+/// 4-byte weight after an entry's first —, skipped without decoding one.
+fn run_len(bytes: &[u8], varints: usize, weighed: bool) -> usize {
+    let mut rest = bytes;
+    let n = take_u32(&mut rest).expect(CHECKED) as usize;
+    let at = bytes.len() - rest.len();
+    if weighed {
+        (0..n).fold(at, |at, _| {
+            varints_end(bytes, varints_end(bytes, at, 1) + 4, 1)
+        })
+    } else {
+        varints_end(bytes, at, n * varints)
+    }
+}
+
+/// The three runs of a block — the in-edges, the consumers, the remote
+/// out-edges —, the second and third found by skipping the entries before
+/// them. A slot without a block (no bytes) holds three empty lists.
+pub(crate) fn split_block(block: &[u8], uniform: Option<f32>) -> [Run<'_>; 3] {
+    if block.is_empty() {
+        return [Run::new(block, uniform); 3];
+    }
+    let ins = run_len(block, 2, uniform.is_none());
+    let fed = ins + run_len(&block[ins..], 1, false);
+    let run = |bytes| Run::new(bytes, uniform);
+    [
+        run(&block[..ins]),
+        run(&block[ins..fed]),
+        run(&block[fed..]),
+    ]
+}
+
+/// A run as stored: a list's bytes — its count, then its entries; an empty
+/// list is its count, 0, or no bytes at all in a slot without a block — and
+/// the weight its in-edges have when it writes none.
 #[derive(Clone, Copy)]
 pub struct Run<'a> {
     bytes: &'a [u8],
@@ -274,7 +320,7 @@ impl<'a> Run<'a> {
         Run { bytes, uniform }
     }
 
-    /// The bytes a store keeps: none for an empty list.
+    /// The bytes a store keeps.
     pub fn bytes(self) -> &'a [u8] {
         self.bytes
     }
@@ -294,7 +340,7 @@ impl<'a> Run<'a> {
 
     /// Whether the run has no entry.
     pub fn is_empty(self) -> bool {
-        self.bytes.is_empty()
+        self.len() == 0
     }
 
     /// The entries, in order.
@@ -311,7 +357,7 @@ impl<'a> Run<'a> {
     /// Whether the run's bytes are what a list writes under `uniform`: it
     /// writes weights the same way, or has no in-edge to weigh.
     pub fn writes(self, uniform: Option<f32>) -> bool {
-        self.bytes.is_empty() || self.uniform.map(f32::to_bits) == uniform.map(f32::to_bits)
+        self.is_empty() || self.uniform.map(f32::to_bits) == uniform.map(f32::to_bits)
     }
 
     /// Writes the run as a message writes its list, under `uniform`: the
@@ -322,6 +368,15 @@ impl<'a> Run<'a> {
             [] => out.put_byte(0),
             bytes if self.writes(uniform) => out.put(bytes),
             _ => put_list(self.entries::<T>(), uniform, out),
+        }
+    }
+
+    /// [`Run::put`] into a store's byte column.
+    pub(crate) fn append<T: Entry>(self, uniform: Option<f32>, out: &mut Vec<u8>) {
+        match self.bytes {
+            [] => out.push(0),
+            bytes if self.writes(uniform) => out.extend_from_slice(bytes),
+            _ => append_list(self.len(), self.entries::<T>(), uniform, out),
         }
     }
 }
@@ -348,7 +403,6 @@ pub fn take_run<'a, T: Entry>(
         T::take(&mut rest, uniform)?;
     }
     let bytes = r.take(input.len() - rest.len())?;
-    let bytes = if n == 0 { &[][..] } else { bytes };
     Ok((Run::new(bytes, uniform), n))
 }
 
@@ -384,7 +438,55 @@ mod tests {
         }
         let bytes = run_of::<u32>(&[], None);
         let (run, n) = take_run::<u32>(&mut Reader::new(&bytes), None).unwrap();
-        assert_eq!((&bytes[..], n, run.bytes()), (&[0][..], 0, &[][..]));
+        assert_eq!((&bytes[..], n, run.bytes()), (&[0][..], 0, &[0][..]));
+        assert!(run.is_empty() && run.writes(Some(2.0)));
+    }
+
+    /// The varint writer's bytes are the codec's, at every length's edges.
+    #[test]
+    fn write_u32_writes_what_put_uvarint_writes() {
+        let edges = [0, 127, 128, (1 << 14) - 1, 1 << 14, (1 << 21) - 1, 1 << 21];
+        let more = [(1 << 28) - 1, 1 << 28, u32::MAX];
+        for v in edges.into_iter().chain(more) {
+            let mut buf = [0xAA; 8];
+            let len = write_u32(&mut buf, v);
+            let mut wanted = Vec::new();
+            wanted.put_uvarint(u64::from(v));
+            assert_eq!(&buf[..len], &wanted[..], "{v}");
+        }
+    }
+
+    /// A block splits into the runs written back to back, empty ones
+    /// included, in either layout, and no bytes split into three empty runs.
+    #[test]
+    fn a_block_splits_by_its_counts() {
+        let edge = |pos, weight| InEdge {
+            pos,
+            weight,
+            src: Vid::new(pos * 1000),
+        };
+        let ins: Vec<InEdge> = (0..40).map(|i| edge(i * 300, 0.5)).collect();
+        let fed: Vec<u32> = (0..19).map(|i| i << (i % 29)).collect();
+        let remote = [RemoteEdge {
+            node: NodeId::new(3),
+            pos: 1 << 30,
+        }];
+        for uniform in [None, Some(0.5)] {
+            for cut in [0, 1, 40] {
+                let mut block = Vec::new();
+                put_list(ins[..cut].iter().copied(), uniform, &mut block);
+                let at = [block.len()];
+                put_list(fed[..cut.min(19)].iter().copied(), uniform, &mut block);
+                let at = [at[0], block.len()];
+                put_list(remote[..cut.min(1)].iter().copied(), uniform, &mut block);
+                let [a, b, c] = split_block(&block, uniform);
+                assert_eq!(a.bytes(), &block[..at[0]]);
+                assert_eq!(b.bytes(), &block[at[0]..at[1]]);
+                assert_eq!(c.bytes(), &block[at[1]..]);
+                assert!(a.entries::<InEdge>().eq(ins[..cut].iter().copied()));
+            }
+        }
+        assert!(split_block(&[], None).iter().all(|run| run.is_empty()));
     }
 
     #[test]

@@ -3,18 +3,21 @@
 //! store — copies, index, the two hot edge-list columns, slot table,
 //! table words, full-state columns, vertex-cut edges — at exactly the length
 //! it had, for both engines at K = 1 and 2; and a mutator that finds nothing
-//! to change journals nothing. (What the real protocol does inside an
+//! to change journals nothing; and, over random sequences of the store
+//! edits Migration makes, every mirror's block stays what a message writes
+//! and rollback restores it. (What the real protocol does inside an
 //! episode is checked in the `imitator` crate, whose debug builds hold every
 //! rollback against an encoded snapshot.)
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
-    EdgeLists, Episode, FtPlan, FullState, FullStateBatches, FullStateRef, Locations, RemoteEdge,
-    VcEdge, VcLocalGraph, VcVertex, VertexProgram,
+    EdgeLists, Episode, FtPlan, FullState, FullStateBatches, FullStateRef, InEdges, List,
+    Locations, RemoteEdge, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
 };
 use imitator_graph::{gen, Graph, Ragged, Vid};
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
+use proptest::prelude::*;
 
 struct Count;
 
@@ -376,5 +379,232 @@ fn an_edit_that_changes_nothing_journals_nothing() {
         let same = FullState::of(tables.map(FullStateRef::tables));
         lg.adopt_full_states(&[(&held, &same, &[])]);
         assert_eq!((lg.journal_bytes(), vc_lens(&lg)), (idle, loaded));
+    }
+}
+
+/// One edit a recovery attempt makes to a survivor's full state; `pick`
+/// chooses the copy among those the edit applies to.
+#[derive(Debug, Clone)]
+enum Edit {
+    /// A mirror refreshed record by record with the lists `lists` names,
+    /// sent its own full state or another master's.
+    Refresh { pick: usize, lists: u8, own: bool },
+    /// A master's remote out-edges narrowed and rewritten.
+    Retain { pick: usize, keep: u32 },
+    /// A master's remote out-edges grown.
+    Extend { pick: usize, more: usize },
+    /// A mirror promoted: its slot gives up its block.
+    Promote { pick: usize },
+    /// Replicas made mirrors by a batch taken whole.
+    AdoptWhole { count: usize },
+    /// Mirrors sent all of their lists anew, record by record.
+    AdoptRecords { count: usize },
+}
+
+fn edit() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        (any::<usize>(), 0u8..8, any::<bool>()).prop_map(|(pick, lists, own)| Edit::Refresh {
+            pick,
+            lists,
+            own
+        }),
+        (any::<usize>(), 1u32..4).prop_map(|(pick, keep)| Edit::Retain { pick, keep }),
+        (any::<usize>(), 0usize..4).prop_map(|(pick, more)| Edit::Extend { pick, more }),
+        any::<usize>().prop_map(|pick| Edit::Promote { pick }),
+        (1usize..4).prop_map(|count| Edit::AdoptWhole { count }),
+        (1usize..4).prop_map(|count| Edit::AdoptRecords { count }),
+    ]
+}
+
+/// The positions of `lg`'s copies that `which` accepts.
+fn copies(lg: &EcLocalGraph<u64>, which: impl Fn(&EcVertex<u64>) -> bool) -> Vec<u32> {
+    (0..lg.len() as u32)
+        .filter(|&pos| which(&lg.verts[pos as usize]))
+        .collect()
+}
+
+/// Full states of `donor`'s masters, `count` of them from the `from`-th on.
+fn donated(donor: &EcLocalGraph<u64>, from: usize, count: usize) -> FullState {
+    let masters: Vec<u32> = donor.master_positions().collect();
+    let picked = (0..count).map(|i| masters[(from + i) % masters.len()]);
+    FullState::of(picked.map(|pos| donor.full_state(pos).expect("masters carry full state")))
+}
+
+/// Applies `edit` to `lg`, taking other masters' full state from `donor`.
+fn apply(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, edit: &Edit) {
+    let mirrors = copies(lg, |v| v.kind == CopyKind::Mirror);
+    let masters = copies(lg, |v| v.is_master());
+    match *edit {
+        Edit::Refresh { pick, lists, own } if !mirrors.is_empty() => {
+            let pos = mirrors[pick % mirrors.len()];
+            let lists = EdgeLists::from_bits(lists).expect("three bits");
+            let batch = match own {
+                true => FullState::of(std::iter::once(lg.full_state(pos).unwrap())),
+                false => donated(donor, pick, 1),
+            };
+            let held = lg.full_state(pos).unwrap().to_meta();
+            let sent = batch.nth(0).to_meta();
+            let carried = FullState::of(std::iter::once(sent.view().carrying(lists)));
+            lg.adopt_full_states(&[(&[pos], &carried, &[lists])]);
+            // The lists the record carries are the sender's, the others
+            // the mirror's own.
+            let now = lg.full_state(pos).unwrap().to_meta();
+            let pick = |list| if lists.contains(list) { &sent } else { &held };
+            assert_eq!(now.locations, sent.locations);
+            assert_eq!(now.in_edges_owner, pick(EdgeLists::IN_EDGES).in_edges_owner);
+            assert_eq!(now.in_edge_srcs, pick(EdgeLists::IN_EDGES).in_edge_srcs);
+            assert_eq!(
+                now.out_local_owner,
+                pick(EdgeLists::OUT_LOCAL).out_local_owner
+            );
+            assert_eq!(now.out_remote, pick(EdgeLists::OUT_REMOTE).out_remote);
+        }
+        Edit::Retain { pick, keep } if !masters.is_empty() => {
+            let pos = masters[pick % masters.len()];
+            lg.retain_out_remote(pos, |r| {
+                r.pos += 1;
+                r.pos % (keep + 1) != 0
+            });
+        }
+        Edit::Extend { pick, more } if !masters.is_empty() => {
+            let pos = masters[pick % masters.len()];
+            let edges: Vec<RemoteEdge> = (0..more as u32)
+                .map(|i| RemoteEdge {
+                    node: NodeId::new(i % NODES as u32),
+                    pos: pick as u32 % 1000 + i,
+                })
+                .collect();
+            lg.extend_out_remote(pos, &edges);
+        }
+        Edit::Promote { pick } if !mirrors.is_empty() => {
+            let pos = mirrors[pick % mirrors.len()];
+            lg.set_kind(pos, CopyKind::Master);
+            lg.set_master_node(pos, lg.node);
+            lg.take_owner_lists(pos);
+        }
+        Edit::AdoptWhole { count } => {
+            let slotless = copies(lg, |v| v.kind == CopyKind::Replica && v.meta.is_none());
+            let upgraded: Vec<u32> = slotless.into_iter().take(count).collect();
+            for &pos in &upgraded {
+                lg.set_kind(pos, CopyKind::Mirror);
+            }
+            let batch = donated(donor, count, upgraded.len());
+            lg.adopt_full_states(&[(&upgraded, &batch, &[])]);
+        }
+        Edit::AdoptRecords { count } => {
+            let refreshed: Vec<u32> = mirrors.into_iter().take(count).collect();
+            let batch = donated(donor, 2 * count, refreshed.len());
+            let lists = vec![EdgeLists::ALL; refreshed.len()];
+            lg.adopt_full_states(&[(&refreshed, &batch, &lists)]);
+        }
+        _ => {}
+    }
+}
+
+/// Every mirror's block is one contiguous stretch of bytes — its three
+/// runs back to back — and reads exactly what a message writes for the
+/// slot's three lists in the store's layout.
+fn blocks_are_what_a_message_writes(lg: &EcLocalGraph<u64>) -> Result<(), TestCaseError> {
+    let uniform = lg.full_state_weights().uniform();
+    for pos in copies(lg, |v| v.kind == CopyKind::Mirror) {
+        let state = lg.full_state(pos).expect("mirrors carry full state");
+        let (InEdges::Run(ins), List::Run(fed), List::Run(remote)) =
+            (state.in_edges, state.out_local_owner, state.out_remote)
+        else {
+            return Err(TestCaseError::fail(format!(
+                "mirror at {pos} holds no block"
+            )));
+        };
+        let runs = [ins.bytes(), fed.bytes(), remote.bytes()];
+        for pair in runs.windows(2) {
+            prop_assert_eq!(pair[0].as_ptr_range().end, pair[1].as_ptr(), "at {}", pos);
+        }
+        let meta = state.to_meta();
+        let mut wire = Vec::new();
+        meta.view().in_edges.put(uniform, &mut wire);
+        meta.view().out_local_owner.put(&mut wire);
+        meta.view().out_remote.put(&mut wire);
+        prop_assert_eq!(runs.concat(), wire, "mirror at {}", pos);
+    }
+    Ok(())
+}
+
+/// The graph written out field by field, every copy's lists and full state
+/// decoded: equal graphs write equal bytes, wherever their stores keep what.
+fn snapshot(lg: &EcLocalGraph<u64>) -> Vec<u8> {
+    let mut out = Vec::new();
+    let word = |out: &mut Vec<u8>, w: u32| out.extend_from_slice(&w.to_le_bytes());
+    for pos in 0..lg.len() as u32 {
+        let v = &lg.verts[pos as usize];
+        let flags = [v.active, v.next_active, v.last_activate, v.meta.is_some()];
+        let flags = flags
+            .iter()
+            .fold(u32::from(v.kind.bits()), |w, &f| w << 1 | u32::from(f));
+        for w in [v.vid.raw(), flags, v.master_node.raw(), v.value as u32] {
+            word(&mut out, w);
+        }
+        for &(src, weight) in lg.in_edges(pos) {
+            word(&mut out, src);
+            word(&mut out, weight.to_bits());
+        }
+        lg.out_local(pos).iter().for_each(|&c| word(&mut out, c));
+        if let Some(state) = lg.full_state(pos) {
+            let tables = state.locations;
+            word(&mut out, tables.master_pos());
+            tables
+                .replica_nodes()
+                .iter()
+                .for_each(|n| word(&mut out, n.raw()));
+            tables
+                .replica_positions()
+                .iter()
+                .for_each(|&p| word(&mut out, p));
+            tables
+                .mirror_nodes()
+                .iter()
+                .for_each(|n| word(&mut out, n.raw()));
+            state.in_edges.put(None, &mut out);
+            state.out_local_owner.put(&mut out);
+            state.out_remote.put(&mut out);
+        }
+    }
+    out
+}
+
+proptest! {
+    /// Random sequences of the store edits a Migration attempt makes,
+    /// inside an episode, on loader-built graphs with one weight and with a
+    /// weight per edge: every edit leaves each mirror's block contiguous and
+    /// what a message writes, and rollback gives back the graph the episode
+    /// found — equal, the same bytes written out, every store at its length.
+    #[test]
+    fn block_rewrites_roll_back(
+        weighted in any::<bool>(),
+        k in 1usize..3,
+        seed in 0u64..64,
+        edits in proptest::collection::vec(edit(), 1..24),
+    ) {
+        let g = match weighted {
+            true => gen::road_like(300, seed),
+            false => gen::power_law(200, 2.0, 5, seed),
+        };
+        let degrees = Degrees::of(&g);
+        let cut = HashEdgeCut.partition(&g, NODES);
+        let ft = plan(&g, k, |v| cut.replica_parts(v).to_vec());
+        let lgs = build_edge_cut_graphs(&g, &cut, &ft, &Count, &degrees);
+        let donor = &lgs[dead().index()];
+        let before = &lgs[0];
+        let mut lg = before.clone();
+        blocks_are_what_a_message_writes(&lg)?;
+        lg.begin_episode();
+        for edit in &edits {
+            apply(&mut lg, donor, edit);
+            blocks_are_what_a_message_writes(&lg)?;
+        }
+        lg.rollback();
+        prop_assert!(lg == *before);
+        prop_assert_eq!(snapshot(&lg), snapshot(before));
+        prop_assert_eq!(ec_lens(&lg), ec_lens(before));
+        blocks_are_what_a_message_writes(&lg)?;
     }
 }
