@@ -37,7 +37,9 @@ pub const SYNC_FRAME_TAG: u8 = 0xB1;
 /// Frame tag of a columnar gather batch.
 pub const GATHER_FRAME_TAG: u8 = 0xB2;
 
-/// One sync record presented to the frame encoder.
+/// One sync record presented to [`encode_sync_frame`]. Outside this crate
+/// only the frozen `benchmark/src/layers.rs` builds one: every other sync
+/// frame is a `ProtoMsg::Sync`, which writes the same bytes.
 pub struct SyncRecEnc<'a> {
     /// Master position on the destination node.
     pub pos: u32,
@@ -63,7 +65,9 @@ pub(crate) fn put_sync_head<S: Sink>(out: &mut S, n: usize, rec: impl Fn(usize) 
 
 /// Encodes a columnar sync frame into `out` (appended; callers reuse the
 /// buffer across frames to stay allocation-free in steady state). The frozen
-/// `benchmark/src/layers.rs` calls it with this signature.
+/// `benchmark/src/layers.rs` calls it with this signature and is its only
+/// caller outside this crate; `msg::tests::accounted_sizes_match_codec`
+/// holds `ProtoMsg::Sync` to the bytes it writes.
 ///
 /// # Panics
 ///
@@ -80,8 +84,9 @@ pub fn encode_sync_frame(recs: &[SyncRecEnc<'_>], out: &mut Vec<u8>) {
 }
 
 /// Decodes a columnar sync frame. `_base` is never called: it stays only
-/// because the frozen `benchmark/src/layers.rs` passes it, and ROADMAP item
-/// 2's benchmark change deletes it.
+/// because the frozen `benchmark/src/layers.rs`, this function's only
+/// caller outside this crate, passes it, and ROADMAP item 2's benchmark
+/// change deletes it.
 ///
 /// # Errors
 ///
