@@ -22,8 +22,10 @@
 //! --load-row <name>`). The `bytes` section holds exact gauges (wire sizes,
 //! a Migration's undo journal, and the memory the load scenario's
 //! replicated graphs hold under either cut) that CI holds against the
-//! committed file.
+//! committed file. Each run also appends what it wrote, as one line, to
+//! `BENCH_history.jsonl`: the file keeps one recording a line, oldest first.
 
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 use imitator::plan::{compute_ft_plan, ReplicaView};
@@ -488,7 +490,14 @@ fn main() {
         seconds.join(",\n"),
         bytes.join(",\n"),
     );
-    std::fs::write("BENCH_engine.json", json).expect("write BENCH_engine.json");
+    std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
+    let line: String = json.lines().map(str::trim).collect();
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open("BENCH_history.jsonl")
+        .and_then(|mut history| writeln!(history, "{line}"))
+        .expect("append to BENCH_history.jsonl");
     println!(
         "wrote BENCH_engine.json ({} rows, {} gauges)",
         rows.len(),

@@ -491,38 +491,6 @@ impl<M: Send + 'static> NodeCtx<M> {
         self.pipe.drain()
     }
 
-    /// Blocks up to `timeout` for one message. The wait is sliced by
-    /// [`PUMP_QUANTUM`] so detection (and heartbeat emission) progresses
-    /// even inside long receives.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                // One last non-blocking look so a zero/elapsed timeout still
-                // returns an already-queued message.
-                return self.pipe.recv_timeout(Duration::ZERO);
-            }
-            let slice = PUMP_QUANTUM.min(deadline - now);
-            if let Some(env) = self.pipe.recv_timeout(slice) {
-                return Some(env);
-            }
-            self.pump();
-        }
-    }
-
-    /// One failure-detector pump slice: advance the clock, self-stamp
-    /// liveness, emit a heartbeat if one is due, and apply any
-    /// newly-confirmed failures. Called automatically from pumped waits;
-    /// harmless to call from anywhere a node is demonstrably alive.
-    pub fn pump(&self) {
-        let det = self.cluster.coord.detector();
-        det.tick();
-        det.note_alive(self.id);
-        self.emit_heartbeats();
-        self.cluster.coord.pump_detector();
-    }
-
     /// Emits one sequence-numbered heartbeat to every alive peer when the
     /// emission interval has elapsed.
     /// Heartbeats are fire-and-forget: never fenced, never retransmitted.
@@ -607,7 +575,7 @@ impl<M: Send + 'static> NodeCtx<M> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn two() -> (Cluster<u64>, NodeCtx<u64>, NodeCtx<u64>) {
@@ -617,13 +585,27 @@ mod tests {
         (c, a, b)
     }
 
+    /// The protocol's delivery contract: `sender` and `receiver` each enter
+    /// a barrier, then `receiver` drains everything sent before it.
+    pub(crate) fn drain_after_barrier(
+        sender: NodeCtx<u64>,
+        receiver: &NodeCtx<u64>,
+    ) -> (NodeCtx<u64>, Vec<Envelope<u64>>) {
+        let t = std::thread::spawn(move || {
+            assert_eq!(sender.enter_barrier(), BarrierOutcome::Clean);
+            sender
+        });
+        assert_eq!(receiver.enter_barrier(), BarrierOutcome::Clean);
+        (t.join().unwrap(), receiver.drain())
+    }
+
     #[test]
     fn messages_arrive_with_sender() {
         let (_c, a, b) = two();
         assert!(a.send(NodeId::new(1), 99));
-        let got = b.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(got.from, NodeId::new(0));
-        assert_eq!(got.msg, 99);
+        let (_a, got) = drain_after_barrier(a, &b);
+        let from = NodeId::new(0);
+        assert_eq!(got, [Envelope { from, msg: 99 }]);
     }
 
     #[test]
@@ -674,7 +656,9 @@ mod tests {
         // table is stale here and must refresh via the generation bump.
         assert!(b2.drain().is_empty());
         a.send(NodeId::new(1), 8);
-        assert_eq!(b2.recv_timeout(Duration::from_secs(1)).unwrap().msg, 8);
+        let (_a, got) = drain_after_barrier(a, &b2);
+        let from = NodeId::new(0);
+        assert_eq!(got, [Envelope { from, msg: 8 }]);
     }
 
     #[test]
@@ -757,7 +741,9 @@ mod tests {
         let a = c.take_ctx(NodeId::new(0));
         let b = c.take_ctx(NodeId::new(1));
         assert!(a.send_kind(NodeId::new(1), 5, 16, CommKind::Sync));
-        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap().msg, 5);
+        let (_a, got) = drain_after_barrier(a, &b);
+        let from = NodeId::new(0);
+        assert_eq!(got, [Envelope { from, msg: 5 }]);
         let br = c.comm_breakdown();
         assert_eq!(br.kind(CommKind::Sync).bytes, 16);
         assert_eq!(br.retries, 0);

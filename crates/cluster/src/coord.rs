@@ -312,19 +312,6 @@ impl Coordinator {
         inner.unrecovered.retain(|&n| n != node);
     }
 
-    /// Whether any failure is currently unrecovered (neither revived nor
-    /// acknowledged as migrated).
-    ///
-    /// This is the liveness poll for nodes sitting in a blocking receive
-    /// while peers may be crashing: a barrier only reports failures to nodes
-    /// that *enter* it, so a node waiting on messages (a reborn standby
-    /// waiting for its state batches) would otherwise deadlock against
-    /// survivors that have already aborted the attempt. Polling this flag
-    /// lets it break out and join the abort protocol at its next barrier.
-    pub fn has_unrecovered_failure(&self) -> bool {
-        !self.inner.lock().unrecovered.is_empty()
-    }
-
     /// Claims one hot standby, if any remain. Returns whether a standby was
     /// available (the caller then revives the target node and routes a fresh
     /// inbox to the adopting thread).

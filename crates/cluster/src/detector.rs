@@ -11,7 +11,7 @@
 //!
 //! Determinism rests on the [`Clock`] trait: under the Channel and Lossy
 //! transports time is *virtual* — a shared tick counter advanced only while
-//! some node is pumping (waiting in a barrier or a timed receive), rate
+//! some node is pumping (waiting in a barrier or stalling), rate
 //! limited to one tick per [`PUMP_QUANTUM`] of wall time no matter how many
 //! pumpers race. A dead node's slot is already closed when it is first
 //! suspected, so it is confirmed one tick after the timeout, and the
@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 use crate::NodeId;
 
 /// The wall-time width of one detector tick, and the slice length of every
-/// pumped wait (barrier waits, timed receives, stalls).
+/// pumped wait (barrier waits and stalls).
 pub const PUMP_QUANTUM: Duration = Duration::from_micros(200);
 
 /// Detector ticks per millisecond (`1 ms / PUMP_QUANTUM`).

@@ -5,8 +5,9 @@
 //! * [`Transport`] — cluster-wide plumbing: claiming a node's wire
 //!   endpoint, rerouting it when a standby adopts a crashed identity, the
 //!   standby wake-up channel, and shutdown.
-//! * [`Pipe`] — one node's endpoint: `send` / `drain` / `recv_timeout`
-//!   plus the pre-barrier `flush` fence.
+//! * [`Pipe`] — one node's endpoint: `send` / `drain` / `send_heartbeat`
+//!   plus the pre-barrier `flush` fence. A node reads its inbox only after
+//!   a barrier, so no endpoint has a blocking or timed receive.
 //!
 //! Three backends implement the seam:
 //!
@@ -19,8 +20,9 @@
 //!   delay, applied per [`CommKind`].
 //! * [`TcpTransport`] — real loopback TCP sockets; each logical node keeps
 //!   persistent connections to its peers and ships length-prefixed frames
-//!   encoded via [`WireCodec`]; fabric-owned reader threads decode and
-//!   enqueue into the destination's local inbox.
+//!   encoded via [`WireCodec`]; fabric-owned reader threads block in
+//!   `read_exact`, decode and enqueue into the destination's local inbox,
+//!   and end at EOF, which teardown forces by shutting their sockets down.
 //!
 //! # Reliability model
 //!
@@ -50,7 +52,7 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -161,9 +163,6 @@ pub(crate) trait Pipe<M>: Send {
     /// Drains every message currently queued locally.
     fn drain(&self) -> Vec<Envelope<M>>;
 
-    /// Blocks up to `timeout` for one message.
-    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>>;
-
     /// The pre-barrier fence: retransmits what the wire lost and waits
     /// until everything this endpoint sent has been resolved at its
     /// destination. No-op on lockstep backends.
@@ -239,10 +238,6 @@ impl<M: Send + 'static> Pipe<M> for ChannelPipe<M> {
         let out: Vec<Envelope<M>> = q.drain(..).collect();
         self.inbox.recycle(q);
         out
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        self.inbox.recv_timeout(timeout).ok()
     }
 
     fn send_heartbeat(&self, _to: NodeId, seq: u64) {
@@ -566,10 +561,6 @@ impl<M: Send + Clone + 'static> Pipe<M> for LossyPipe<M> {
         out
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        self.inbox.recv_timeout(timeout).ok()
-    }
-
     fn flush(&self) {
         let mut tx = self.tx.borrow_mut();
         let mut retries = 0u64;
@@ -650,11 +641,6 @@ const FRAME_HEARTBEAT: u8 = 1;
 /// between attempts).
 const NET_RETRY_ATTEMPTS: u32 = 5;
 
-/// Reader-thread poll quantum: readers block at most this long before
-/// re-checking the shutdown flag, so `shutdown` can join them without
-/// racing a blocked `read`.
-const READ_POLL: Duration = Duration::from_millis(25);
-
 /// Connects to `addr` with bounded exponential backoff. The jitter is
 /// derived from the link identity and attempt number — deterministic, but
 /// de-synchronised across links so a thundering herd of reconnects
@@ -690,8 +676,12 @@ pub(crate) struct TcpTransport<M> {
     addrs: Arc<Vec<SocketAddr>>,
     done: Arc<AtomicBool>,
     acceptors: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    readers: Arc<Mutex<Vec<Reader>>>,
 }
+
+/// One accepted connection's reader thread, with a handle on its stream
+/// that teardown shuts down to end the thread's blocking read.
+type Reader = (TcpStream, std::thread::JoinHandle<()>);
 
 impl<M: Send + WireCodec + 'static> TcpTransport<M> {
     pub(crate) fn new(
@@ -702,8 +692,7 @@ impl<M: Send + WireCodec + 'static> TcpTransport<M> {
     ) -> Self {
         let net = Arc::new(NetLayer::new(n));
         let done = Arc::new(AtomicBool::new(false));
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let readers: Arc<Mutex<Vec<Reader>>> = Arc::new(Mutex::new(Vec::new()));
         let mut addrs = Vec::with_capacity(n);
         let mut listeners = Vec::with_capacity(n);
         for slot in 0..n {
@@ -725,11 +714,14 @@ impl<M: Send + WireCodec + 'static> TcpTransport<M> {
                 let mut errors = 0u32;
                 let mut pause = Duration::from_micros(200);
                 loop {
-                    let stream = match listener.accept() {
-                        Ok((stream, _)) => {
+                    let accepted = listener
+                        .accept()
+                        .and_then(|(stream, _)| Ok((stream.try_clone()?, stream)));
+                    let (handle, stream) = match accepted {
+                        Ok(pair) => {
                             errors = 0;
                             pause = Duration::from_micros(200);
-                            stream
+                            pair
                         }
                         Err(_) => {
                             // Transient accept failures (EMFILE, ECONNABORTED)
@@ -750,10 +742,10 @@ impl<M: Send + WireCodec + 'static> TcpTransport<M> {
                     let net = Arc::clone(&net);
                     let comm = Arc::clone(&comm);
                     let det = Arc::clone(&det);
-                    let done = Arc::clone(&done);
-                    readers.lock().push(std::thread::spawn(move || {
-                        read_frames(stream, to, &fabric, &net, &comm, &det, &done)
-                    }));
+                    let reader = std::thread::spawn(move || {
+                        read_frames(stream, to, &fabric, &net, &comm, &det)
+                    });
+                    readers.lock().push((handle, reader));
                 }
             }));
         }
@@ -770,9 +762,9 @@ impl<M: Send + WireCodec + 'static> TcpTransport<M> {
 }
 
 impl<M> TcpTransport<M> {
-    /// Idempotent teardown: raise the flag, nudge every acceptor awake,
-    /// then join acceptors and readers so no thread outlives the
-    /// transport (readers poll the flag every [`READ_POLL`]).
+    /// Idempotent teardown: raise the flag, nudge every acceptor awake and
+    /// join it, then shut each accepted stream down and join its reader, so
+    /// no thread outlives the transport.
     fn shutdown_impl(&self) {
         if self.done.swap(true, Ordering::AcqRel) {
             return;
@@ -783,41 +775,18 @@ impl<M> TcpTransport<M> {
         for h in self.acceptors.lock().drain(..) {
             let _ = h.join();
         }
-        for h in self.readers.lock().drain(..) {
-            let _ = h.join();
+        for (stream, reader) in self.readers.lock().drain(..) {
+            let _ = stream.shutdown(Shutdown::Both);
+            let _ = reader.join();
         }
     }
-}
-
-/// Reads exactly `buf.len()` bytes, treating read timeouts as a cue to
-/// re-check the shutdown flag. Returns `false` on EOF, error, or
-/// shutdown.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], done: &AtomicBool) -> bool {
-    use std::io::ErrorKind;
-    let mut got = 0;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => return false, // peer closed (endpoint dropped)
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                if done.load(Ordering::Acquire) {
-                    return false; // shutting down; abandon the stream
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-    true
 }
 
 /// One connection's reader loop: length-prefixed frames → decode →
 /// resolve (dedup + epoch check) → local inbox; heartbeat frames short-
-/// circuit into the failure detector, birth-guarded.
+/// circuit into the failure detector, birth-guarded. The loop blocks in
+/// `read_exact` and ends at EOF (the sending endpoint dropped, or teardown
+/// shut the stream down) or on an error or a corrupt frame.
 fn read_frames<M: Send + WireCodec + 'static>(
     mut stream: TcpStream,
     to: NodeId,
@@ -825,22 +794,17 @@ fn read_frames<M: Send + WireCodec + 'static>(
     net: &NetLayer,
     comm: &AtomicCommStats,
     det: &FailureDetector,
-    done: &AtomicBool,
 ) {
-    let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut cache = fabric.snapshot();
     let mut len = [0u8; 4];
     let mut payload = Vec::new();
-    loop {
-        if !read_full(&mut stream, &mut len, done) {
-            return; // peer closed, shutdown, or error
-        }
+    while stream.read_exact(&mut len).is_ok() {
         let len = u32::from_le_bytes(len) as usize;
         if len < TCP_HEADER {
             return;
         }
         payload.resize(len, 0);
-        if !read_full(&mut stream, &mut payload, done) {
+        if stream.read_exact(&mut payload).is_err() {
             return;
         }
         let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
@@ -982,10 +946,6 @@ impl<M: Send + WireCodec + 'static> Pipe<M> for TcpPipe<M> {
         out
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Option<Envelope<M>> {
-        self.inbox.recv_timeout(timeout).ok()
-    }
-
     fn flush(&self) {
         // TCP never loses a frame in-process; the fence only has to wait
         // until the destination reader threads have resolved everything
@@ -1025,6 +985,7 @@ impl<M: Send + WireCodec + 'static> Pipe<M> for TcpPipe<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::tests::drain_after_barrier;
     use crate::injector::{LinkFaults, TransportKind};
     use crate::{BarrierOutcome, Cluster};
 
@@ -1098,9 +1059,9 @@ mod tests {
     fn tcp_roundtrip_with_sender_identity() {
         let (c, a, b) = pair(TransportKind::Tcp);
         assert!(a.send(NodeId::new(1), 4242));
-        let got = b.recv_timeout(Duration::from_secs(5)).expect("delivered");
-        assert_eq!(got.from, NodeId::new(0));
-        assert_eq!(got.msg, 4242);
+        let (a, got) = drain_after_barrier(a, &b);
+        let from = NodeId::new(0);
+        assert_eq!(got, [Envelope { from, msg: 4242 }]);
         drop((a, b));
         c.shutdown_transport();
     }
@@ -1136,7 +1097,9 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         assert!(b2.drain().is_empty());
         a.send(NodeId::new(1), 8);
-        assert_eq!(b2.recv_timeout(Duration::from_secs(5)).unwrap().msg, 8);
+        let (a, got) = drain_after_barrier(a, &b2);
+        let from = NodeId::new(0);
+        assert_eq!(got, [Envelope { from, msg: 8 }]);
         drop((a, b2));
         c.shutdown_transport();
     }

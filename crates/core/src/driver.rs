@@ -33,10 +33,6 @@ use crate::report::RunReport;
 use crate::rt::{merge_outcomes, NodeOutcome, NodeState};
 use crate::{FtMode, RunConfig};
 
-/// How long recovery waits for a peer's message before concluding the
-/// protocol is wedged (a bug, not an injected failure).
-pub(crate) const RECOVERY_PATIENCE: Duration = Duration::from_secs(30);
-
 /// Under incremental checkpointing, every `FULL_EPOCH_PERIOD`-th epoch is a
 /// self-contained full snapshot; the epochs between carry only the vertices
 /// dirtied since the previous epoch. The periodic full epochs bound the

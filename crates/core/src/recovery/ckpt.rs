@@ -253,9 +253,8 @@ fn reconstruct_partition<M: ComputeModel>(shared: &Shared<M>, d: NodeId) -> (M::
 
 /// A standby reconstructing a crashed identity from the DFS.
 ///
-/// Fails when the attempt aborted (suicide-on-abort, as in
-/// [`super::rebirth_newbie`] — every blocking point here is a barrier, so no
-/// liveness poll is needed).
+/// Fails when the attempt aborted, which it learns at a failed barrier like
+/// every node (suicide-on-abort, as in [`super::rebirth_newbie`]).
 pub(crate) fn ckpt_newbie<M: ComputeModel>(
     ctx: &Ctx<M>,
     shared: &Shared<M>,

@@ -2,16 +2,15 @@
 //! node's copies, in the crashed layout, and the standby replays.
 
 use std::marker::PhantomData;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use imitator_cluster::Envelope;
 use imitator_engine::{CopyKind, EdgeLists, FullState, FullStateBatches};
 use imitator_graph::Vid;
 
 use super::migration::migrate;
 use super::rounds::{barrier_ok, AttemptCx, RECONSTRUCT, RELOAD, REPLAY};
-use super::{Abort, Attempt, Undo};
-use crate::driver::{ComputeModel, Ctx, ModelGraph, Shared, St, RECOVERY_PATIENCE};
+use super::{Attempt, Undo};
+use crate::driver::{ComputeModel, Ctx, ModelGraph, Shared, St};
 use crate::msg::{ProtoMsg, RebirthBatch, Reborn};
 use crate::plan::responsible_mirror;
 use crate::report::RecoveryReport;
@@ -116,17 +115,17 @@ pub(super) fn rebirth_survivor<M: ComputeModel>(
     // Reloading (§5.1.1): scan local masters and mirrors, build one batch
     // per crashed node. The responsible mirror (first surviving node in
     // mirror-ID order) recovers the master; every master recovers its own
-    // lost replicas.
-    let (recovered, recovered_edges, mut promoted) = cx.phase(&RELOAD, |cx| {
+    // lost replicas. The step's barrier is the one the newbies wait at.
+    let (recovered, recovered_edges, mut promoted) = cx.round(&RELOAD, |cx| {
         let (batches, promoted, edges) = reload_scan(cx, lg);
         let mut recovered = 0;
         // Every crashed node gets a batch, even an empty one — the newbie
-        // counts `num_survivors` batches before it considers itself reloaded.
+        // checks that it got `num_survivors` of them.
         for (&d, batch) in cx.dead.iter().zip(batches) {
             recovered += batch.records.len() as u64;
             cx.send(d, ProtoMsg::Rebirth(Box::new(batch), PhantomData));
         }
-        Ok((recovered, edges, promoted))
+        (recovered, edges, promoted)
     })?;
     cx.fence()?;
 
@@ -141,17 +140,15 @@ pub(super) fn rebirth_survivor<M: ComputeModel>(
     Ok(report)
 }
 
-/// A newbie reconstructing a crashed identity: receive one batch from every
-/// survivor (placement is position-addressed, so reconstruction happens on
-/// the fly, §5.1.2), reload any model-specific extra state, validate, and
-/// replay (§5.1.3).
+/// A newbie reconstructing a crashed identity: take one batch from every
+/// survivor at the reload barrier, place them (placement is
+/// position-addressed, so reconstruction happens on the fly, §5.1.2), reload
+/// any model-specific extra state, validate, and replay (§5.1.3).
 ///
-/// Fails when the attempt aborted: the newbie has no pre-episode state to
-/// restore, so its caller crashes it (suicide-on-abort) and the next attempt
-/// consumes a fresh standby. It detects aborts two ways — a failed barrier,
-/// or (while blocked waiting for batches a crashed survivor will never send)
-/// the coordinator reporting an unrecovered failure, upon which it joins the
-/// survivors' next barrier to observe the failure officially.
+/// Fails when the attempt aborted, which the newbie learns as every survivor
+/// does: at a failed barrier. It has no pre-episode state to restore, so its
+/// caller crashes it (suicide-on-abort) and the next attempt consumes a
+/// fresh standby.
 pub(crate) fn rebirth_newbie<M: ComputeModel>(
     ctx: &Ctx<M>,
     shared: &Shared<M>,
@@ -160,47 +157,34 @@ pub(crate) fn rebirth_newbie<M: ComputeModel>(
     let me = [ctx.id()];
     let cx = &mut AttemptCx::new(ctx, shared, st, &me, 0);
     let model = &shared.model;
-    // Membership barrier (the survivors' decision barrier). The DFS reads
-    // run behind the survivors' scan and batches from here on.
+    // The survivors' decision and reload barriers; the DFS reads run behind
+    // their scan, and every batch is queued behind the second barrier.
     cx.decide(0)?;
     cx.prefetch();
+    barrier_ok(ctx)?;
 
+    // Sorted by sender, so placement order does not follow arrival order.
+    let mut batches = cx.take(|msg| match msg {
+        ProtoMsg::Rebirth(batch, _) => Ok(batch),
+        other => Err(other),
+    });
+    batches.sort_unstable_by_key(|&(from, _)| from);
+    let (_, first) = batches
+        .first()
+        .expect("a clean reload barrier delivers every survivor's batch");
+    assert_eq!(
+        batches.len(),
+        first.num_survivors as usize,
+        "{}: a Rebirth batch per survivor",
+        ctx.id()
+    );
+    // A batch tells the newbie where the episode resumes, which its fail
+    // points key on.
+    cx.resume_iter = first.resume_iter;
+    cx.fail_here(RELOAD.1)?;
     let mut lg = model.empty_graph(ctx.id());
-    let mut got = 0u32;
-    let mut expected: Option<u32> = None;
-    let deadline = Instant::now() + RECOVERY_PATIENCE;
-    while expected.is_none_or(|e| got < e) {
-        let Some(env) = ctx.recv_timeout(Duration::from_millis(1)) else {
-            if ctx.cluster().coordinator().has_unrecovered_failure() {
-                // A survivor crashed mid-attempt; its batch will never
-                // arrive. Enter the barrier the survivors are converging on
-                // (it must report the failure) and abort with them.
-                barrier_ok(ctx)?;
-                return Err(Abort::Failures(Vec::new()));
-            }
-            assert!(
-                Instant::now() < deadline,
-                "rebirth batch from survivor (recovery wedged)"
-            );
-            continue;
-        };
-        match env.msg {
-            ProtoMsg::Rebirth(batch, _) => {
-                got += 1;
-                let (num_survivors, resume_iter) = (batch.num_survivors, batch.resume_iter);
-                model.place_reborn(&mut lg, *batch, &shared.degrees);
-                if expected.replace(num_survivors).is_none() {
-                    // The first batch tells the newbie where the episode
-                    // resumes, which its fail points key on.
-                    cx.resume_iter = resume_iter;
-                    cx.fail_here(RELOAD.1)?;
-                }
-            }
-            other => cx.st.stash.push(Envelope {
-                from: env.from,
-                msg: other,
-            }),
-        }
+    for (_, batch) in batches {
+        model.place_reborn(&mut lg, *batch, &shared.degrees);
     }
     while let Some(file) = cx.prefetched(RELOAD.0) {
         model.rebirth_reload_extra(&mut lg, &file);

@@ -139,7 +139,11 @@ cd "$(dirname "$0")/.."
 #   3688 — a slot's row is one span: R5/R7 shipping no longer sums what
 #          each batch carries, which only R7's test tally read; the tally
 #          exports the refresh records itself (DESIGN.md §4.9).
-BUDGET=3688
+#   3667 — a newbie waits only at barriers: the survivors' reload step is a
+#          round, and the Rebirth newbie takes its batches behind that
+#          round's barrier, so its inbox poll, its coordinator poll for
+#          unrecovered failures and its 30 s deadline went (DESIGN.md §4.2).
+BUDGET=3667
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -237,3 +237,65 @@ fn pagerank_recovers_bit_identical_on_every_transport() {
         }
     }
 }
+
+/// A Rebirth attempt aborted over real sockets: a second crash at the reload
+/// step, on a survivor or on the newbie itself, fails the barrier every
+/// participant waits at, and the retry takes fresh standbys. Over TCP the
+/// run keeps the wall clock, so the abort is noticed by real heartbeat
+/// silence; it must land on the channel run's values in one episode of two
+/// attempts.
+#[test]
+fn rebirth_aborted_at_reload_recovers_over_tcp() {
+    let g = smoke_graph(80, 260, 15);
+    let ft = FtMode::Replication {
+        tolerance: 2,
+        selfish_opt: false,
+        recovery: RecoveryStrategy::Rebirth,
+    };
+    let crash = |node, point| FailurePlan {
+        node: NodeId::from_index(node),
+        iteration: 2,
+        point,
+    };
+    // (who dies at the reload step, its node); node 1 crashes first.
+    let cases = [("a survivor", 2), ("the newbie", 1)];
+    for edge_cut in [true, false] {
+        let engine = if edge_cut { "edge-cut" } else { "vertex-cut" };
+        for (who, second) in cases {
+            let plan = vec![
+                crash(1, FailPoint::BeforeBarrier),
+                crash(second, FailPoint::RebirthReload),
+            ];
+            let run = |transport| {
+                let prog = Arc::new(PageRank::new(0.85, 0.0));
+                let cfg = RunConfig {
+                    num_nodes: 4,
+                    ..cfg(transport, ft, 3)
+                };
+                let dfs = Dfs::new(DfsConfig::instant());
+                if edge_cut {
+                    let cut = HashEdgeCut.partition(&g, 4);
+                    run_edge_cut(&g, &cut, prog, cfg, plan.clone(), dfs)
+                } else {
+                    let cut = RandomVertexCut.partition(&g, 4);
+                    run_vertex_cut(&g, &cut, prog, cfg, plan.clone(), dfs)
+                }
+            };
+            let channel = run(TransportKind::Channel);
+            let tcp = run(TransportKind::Tcp);
+            assert!(
+                value_bits(&tcp) == value_bits(&channel),
+                "{engine}, {who} crashing: TCP is not the channel run"
+            );
+            for (transport, r) in [("channel", &channel), ("TCP", &tcp)] {
+                assert_eq!(r.recoveries.len(), 1, "{engine}, {who}, {transport}");
+                let counters = &r.recoveries[0].counters;
+                assert_eq!(
+                    (counters.attempts, counters.aborts),
+                    (2, 1),
+                    "{engine}, {who} crashing, {transport}"
+                );
+            }
+        }
+    }
+}
