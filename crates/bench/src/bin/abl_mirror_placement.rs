@@ -8,6 +8,7 @@
 
 use imitator::plan::compute_ft_plan;
 use imitator_bench::{banner, BenchOpts};
+use imitator_engine::Degrees;
 use imitator_graph::gen::Dataset;
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut};
 
@@ -25,7 +26,7 @@ fn main() {
     for d in Dataset::cyclops_suite() {
         let g = opts.cyclops_graph(d);
         let cut = HashEdgeCut.partition(&g, opts.nodes);
-        let greedy = compute_ft_plan(&g, &cut, 1, true, true, opts.seed);
+        let greedy = compute_ft_plan(&Degrees::of(&g), &cut, 1, true, true, opts.seed);
         let imbalance = |counts: &[usize]| {
             let max = counts.iter().copied().max().unwrap_or(0) as f64;
             let avg = counts.iter().sum::<usize>() as f64 / counts.len() as f64;

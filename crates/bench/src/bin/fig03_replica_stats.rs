@@ -7,6 +7,7 @@
 
 use imitator::plan::{compute_ft_plan, extra_replica_fraction};
 use imitator_bench::{banner, BenchOpts};
+use imitator_engine::Degrees;
 use imitator_graph::gen::Dataset;
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut};
 
@@ -27,7 +28,7 @@ fn main() {
         let stats = g.stats();
         let wo = cut.fraction_without_replicas();
         let selfish = stats.selfish_fraction().min(wo);
-        let plan = compute_ft_plan(&g, &cut, 1, true, true, opts.seed);
+        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, true, true, opts.seed);
         let extra_nonselfish = extra_replica_fraction(&plan);
         println!(
             "{:<10} {:>11.2}% {:>9.2}% {:>9.2}% {:>11.3}%",

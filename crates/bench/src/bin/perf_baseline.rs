@@ -120,7 +120,7 @@ fn load_row_sample(row: &str, opts: &BenchOpts) -> f64 {
     // mirror and the selfish optimisation on.
     let plan = |view: &dyn ReplicaView| match row {
         "teardown_ec_base" => FtPlan::none(g.num_vertices()),
-        _ => compute_ft_plan(&g, view, 1, true, pr.selfish_compatible(), 0xF7),
+        _ => compute_ft_plan(&degrees, view, 1, true, pr.selfish_compatible(), 0xF7),
     };
     match row {
         "eckpt_group_vc" | MEM_VC_FT => {
@@ -318,7 +318,7 @@ fn main() {
     // node 1, those replicas upgraded to mirrors inside an episode, takes
     // the batch in (`mirror_batch_adopt`).
     {
-        let plan = compute_ft_plan(&g, &cut, 1, false, pr.selfish_compatible(), 0xF7);
+        let plan = compute_ft_plan(&degrees, &cut, 1, false, pr.selfish_compatible(), 0xF7);
         let lgs = build_edge_cut_graphs(&g, &cut, &plan, &pr, &degrees);
         let (sender, receiver) = (&lgs[0], &lgs[1]);
         let (from, to): (Vec<u32>, Vec<u32>) = sender

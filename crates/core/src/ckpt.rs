@@ -930,7 +930,7 @@ pub(crate) mod tests {
         if k == 0 {
             FtPlan::none(g.num_vertices())
         } else {
-            compute_ft_plan(g, view, k, selfish, true, 0xF7)
+            compute_ft_plan(&Degrees::of(g), view, k, selfish, true, 0xF7)
         }
     }
 
@@ -1187,7 +1187,7 @@ pub(crate) mod tests {
     fn decoding_drops_dead_runs() {
         let g = gen::power_law(400, 2.0, 6, 3);
         let cut = HashEdgeCut.partition(&g, 3);
-        let plan = compute_ft_plan(&g, &cut, 1, false, true, 0xF7);
+        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, false, true, 0xF7);
         let d = Degrees::of(&g);
         let mut lg = build_edge_cut_graphs(&g, &cut, &plan, &P, &d).remove(1);
         let loaded = lg.full_state_lens();
@@ -1224,7 +1224,7 @@ pub(crate) mod tests {
         ];
         for (g, unweighted) in graphs {
             let cut = HashEdgeCut.partition(&g, 3);
-            let plan = compute_ft_plan(&g, &cut, 1, false, true, 0xF7);
+            let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, false, true, 0xF7);
             let d = Degrees::of(&g);
             for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
                 let uniform = lg.full_state_weights().uniform();
@@ -1258,7 +1258,7 @@ pub(crate) mod tests {
     fn a_master_exports_the_full_state_it_used_to_store() {
         let g = gen::power_law(300, 2.0, 6, 21);
         let cut = HashEdgeCut.partition(&g, 4);
-        let plan = compute_ft_plan(&g, &cut, 2, false, true, 0xF7);
+        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 2, false, true, 0xF7);
         let d = Degrees::of(&g);
         let lgs = build_edge_cut_graphs(&g, &cut, &plan, &P, &d);
         for (p, lg) in lgs.iter().enumerate() {
@@ -1308,7 +1308,7 @@ pub(crate) mod tests {
         let g = gen::power_law(5_000, 2.0, 10, 3);
         let d = Degrees::of(&g);
         let cut = HashEdgeCut.partition(&g, 4);
-        let plan = compute_ft_plan(&g, &cut, 1, true, true, 0xF7);
+        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, true, true, 0xF7);
         for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
             let bytes = encode_ec_graph(&lg);
             let hint = ec_graph_size_hint(&lg);
@@ -1320,7 +1320,7 @@ pub(crate) mod tests {
             assert_eq!(bytes.capacity(), hint, "no regrow");
         }
         let cut = RandomVertexCut.partition(&g, 4);
-        let plan = compute_ft_plan(&g, &cut, 1, true, true, 0xF7);
+        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, true, true, 0xF7);
         for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
             let bytes = encode_vc_graph(&lg);
             assert!(

@@ -14,7 +14,7 @@
 //!   but are never synchronised during normal execution.
 
 use imitator_cluster::NodeId;
-use imitator_engine::{FtPlan, LocationsRef};
+use imitator_engine::{Degrees, FtPlan, LocationsRef};
 use imitator_graph::{Graph, Ragged, Vid};
 use imitator_partition::{EdgeCut, VertexCut};
 use rand::rngs::StdRng;
@@ -68,20 +68,62 @@ impl ReplicaView for VertexCut {
     }
 }
 
+/// What a plan reads of the graph itself: how many vertices there are and
+/// which of them have no out-edge — the selfish candidates of §4.4.
+pub trait OutDegrees {
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize;
+
+    /// Per vertex, whether it has no out-edge.
+    fn sinks(&self) -> Vec<bool>;
+}
+
+/// The runners' degree table: every out-degree is already counted.
+impl OutDegrees for Degrees {
+    fn num_vertices(&self) -> usize {
+        self.num_vertices()
+    }
+
+    fn sinks(&self) -> Vec<bool> {
+        let n = self.num_vertices();
+        (0..n)
+            .map(|i| self.out_degree(Vid::from_index(i)) == 0)
+            .collect()
+    }
+}
+
+/// A bare edge list, for a caller without a degree table: scanned once,
+/// every vertex is a sink until an edge names it source.
+impl OutDegrees for Graph {
+    fn num_vertices(&self) -> usize {
+        self.num_vertices()
+    }
+
+    fn sinks(&self) -> Vec<bool> {
+        let mut sinks = vec![true; self.num_vertices()];
+        for e in self.edges() {
+            sinks[e.src.index()] = false;
+        }
+        sinks
+    }
+}
+
 /// Computes the FT placement for tolerating `tolerance` simultaneous
 /// machine failures.
 ///
-/// `selfish_enabled` is the configuration switch; `program_selfish_ok`
-/// whether the vertex program declares its values recomputable
-/// ([`imitator_engine::VertexProgram::selfish_compatible`]).
+/// The selfish flags are the sinks of `degrees` — the runners pass the
+/// [`Degrees`] table they build anyway, whose out-degree 0 marks a vertex
+/// without out-edges — wherever `selfish_enabled`, the configuration switch,
+/// and `program_selfish_ok`, whether the vertex program declares its values
+/// recomputable ([`imitator_engine::VertexProgram::selfish_compatible`]),
+/// both hold.
 ///
 /// # Panics
 ///
 /// Panics if `tolerance >= num_parts` (there must be a surviving copy) or
 /// `tolerance == 0`.
-#[allow(clippy::needless_range_loop)] // loops pair the index with Vid::from_index(i)
 pub fn compute_ft_plan(
-    g: &Graph,
+    degrees: &(impl OutDegrees + ?Sized),
     view: &dyn ReplicaView,
     tolerance: usize,
     selfish_enabled: bool,
@@ -94,23 +136,19 @@ pub fn compute_ft_plan(
         tolerance < parts,
         "cannot tolerate {tolerance} failures with {parts} nodes"
     );
-    let n = g.num_vertices();
-    let mut selfish = vec![false; n];
-    if selfish_enabled && program_selfish_ok {
-        // Selfish = no out-edge: every vertex until an edge names it source.
-        selfish.fill(true);
-        for e in g.edges() {
-            selfish[e.src.index()] = false;
-        }
-    }
+    let n = degrees.num_vertices();
+    let selfish = if selfish_enabled && program_selfish_ok {
+        degrees.sinks()
+    } else {
+        vec![false; n]
+    };
     // Per-node load trackers for balanced placement, and how many extra
     // replicas there will be: every vertex short of `tolerance` replicas
     // gets the difference, so both tables are allocated at their final size.
     let mut mirror_count = vec![0usize; parts];
     let mut copy_count = vec![0usize; parts];
     let mut extras = 0;
-    for i in 0..n {
-        let v = Vid::from_index(i);
+    for v in (0..n).map(Vid::from_index) {
         copy_count[view.master_part(v)] += 1;
         let replicas = view.replica_parts(v);
         for &p in replicas {
@@ -125,9 +163,7 @@ pub fn compute_ft_plan(
     // One vertex's mirrors, in mirror-ID order: first those chosen among its
     // replicas, then the extra replicas created for it.
     let mut mirrors: Vec<NodeId> = Vec::with_capacity(tolerance);
-    for i in 0..n {
-        let v = Vid::from_index(i);
-        let owner = view.master_part(v);
+    for v in (0..n).map(Vid::from_index) {
         mirrors.clear();
 
         // Greedy mirror choice among existing replicas: least-mirrored
@@ -148,6 +184,7 @@ pub fn compute_ft_plan(
         // Not enough replicas: create extra FT replicas (§4.1). Draw a few
         // random candidates and keep the least-loaded one.
         while mirrors.len() < tolerance {
+            let owner = view.master_part(v);
             let mut best: Option<usize> = None;
             for _ in 0..8 {
                 let p = rng.gen_range(0..parts);
@@ -221,7 +258,7 @@ mod tests {
     fn plan_for(parts: usize, k: usize) -> (Graph, EdgeCut, FtPlan) {
         let g = gen::power_law_selfish(2_000, 2.0, 6, 0.2, 5);
         let cut = HashEdgeCut.partition(&g, parts);
-        let plan = compute_ft_plan(&g, &cut, k, true, true, 42);
+        let plan = compute_ft_plan(&Degrees::of(&g), &cut, k, true, true, 42);
         (g, cut, plan)
     }
 
@@ -267,9 +304,9 @@ mod tests {
     fn selfish_disabled_clears_flags() {
         let g = gen::power_law_selfish(500, 2.0, 6, 0.3, 1);
         let cut = HashEdgeCut.partition(&g, 4);
-        let plan = compute_ft_plan(&g, &cut, 1, false, true, 1);
+        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, false, true, 1);
         assert!(plan.selfish.iter().all(|&s| !s));
-        let plan2 = compute_ft_plan(&g, &cut, 1, true, false, 1);
+        let plan2 = compute_ft_plan(&Degrees::of(&g), &cut, 1, true, false, 1);
         assert!(plan2.selfish.iter().all(|&s| !s));
     }
 
@@ -293,7 +330,7 @@ mod tests {
     fn works_on_vertex_cut() {
         let g = gen::power_law(1_000, 2.0, 8, 3);
         let cut = RandomVertexCut.partition(&g, 6);
-        let plan = compute_ft_plan(&g, &cut, 3, false, false, 9);
+        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 3, false, false, 9);
         for v in g.vertices() {
             assert_eq!(plan.mirrors(v).len(), 3);
         }
@@ -304,7 +341,7 @@ mod tests {
     fn tolerance_must_leave_survivors() {
         let g = gen::power_law(100, 2.0, 4, 1);
         let cut = HashEdgeCut.partition(&g, 3);
-        compute_ft_plan(&g, &cut, 3, false, false, 0);
+        compute_ft_plan(&Degrees::of(&g), &cut, 3, false, false, 0);
     }
 
     #[test]
@@ -312,7 +349,7 @@ mod tests {
         // Fig. 3(b): < 0.15% extra replicas for well-connected datasets.
         let g = gen::power_law(5_000, 2.0, 15, 7);
         let cut = HashEdgeCut.partition(&g, 16);
-        let plan = compute_ft_plan(&g, &cut, 1, true, true, 3);
+        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, true, true, 3);
         assert!(extra_replica_fraction(&plan) < 0.02);
     }
 
@@ -466,12 +503,18 @@ mod tests {
             let ec = HashEdgeCut.partition(&g, parts);
             let vc = RandomVertexCut.partition(&g, parts);
             let views: [&dyn ReplicaView; 2] = [&ec, &vc];
+            let degrees = Degrees::of(&g);
             for view in views {
+                let plan = compute_ft_plan(&degrees, view, tolerance, selfish, true, seed);
+                let what = format!("seed {seed}, {parts} parts, tolerance {tolerance}");
                 assert_eq!(
-                    compute_ft_plan(&g, view, tolerance, selfish, true, seed),
+                    plan,
                     reference_ft_plan(&g, view, tolerance, selfish, true, seed),
-                    "seed {seed}, {parts} parts, tolerance {tolerance}"
+                    "{what}"
                 );
+                // A bare edge list flags the same sinks the degree table does.
+                let scanned = compute_ft_plan(&g, view, tolerance, selfish, true, seed);
+                assert_eq!(plan, scanned, "{what}");
             }
         }
     }
@@ -480,8 +523,8 @@ mod tests {
     fn deterministic_in_seed() {
         let g = gen::power_law(500, 2.0, 6, 11);
         let cut = HashEdgeCut.partition(&g, 5);
-        let a = compute_ft_plan(&g, &cut, 2, true, true, 7);
-        let b = compute_ft_plan(&g, &cut, 2, true, true, 7);
+        let a = compute_ft_plan(&Degrees::of(&g), &cut, 2, true, true, 7);
+        let b = compute_ft_plan(&Degrees::of(&g), &cut, 2, true, true, 7);
         assert_eq!(a, b);
     }
 }

@@ -71,7 +71,7 @@ fn load_plan(g: &Graph, view: &dyn ReplicaView, ft: FtMode) -> FtPlan {
             tolerance,
             selfish_opt,
             ..
-        } => compute_ft_plan(g, view, tolerance, selfish_opt, true, 0xF7),
+        } => compute_ft_plan(&Degrees::of(g), view, tolerance, selfish_opt, true, 0xF7),
         _ => FtPlan::none(g.num_vertices()),
     }
 }

@@ -67,7 +67,7 @@ where
             selfish_opt,
             ..
         } => compute_ft_plan(
-            g,
+            &degrees,
             cut,
             tolerance,
             selfish_opt,

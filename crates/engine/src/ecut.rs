@@ -4,17 +4,19 @@ use imitator_cluster::NodeId;
 use imitator_graph::{Edge, Graph, PosIndex, Vid};
 use imitator_metrics::MemSize;
 use imitator_partition::EdgeCut;
+use imitator_storage::codec::Sink;
 
 use crate::episode::EcJournal;
 use crate::ftplan::FtPlan;
 use crate::full_state::{
-    append_block, Column, ColumnLens, CopyVids, EdgeLists, Form, FullState, FullStateBatches,
-    FullStateRef, Head, InEdges, List, RemoteEdge, Row, SlotId, Span, StoreLens,
+    decoded_block_size, put_decoded_block, Column, ColumnLens, CopyVids, EdgeLists, Form,
+    FullState, FullStateBatches, FullStateRef, Head, InEdges, List, RemoteEdge, Row, SlotId, Span,
+    StoreLens,
 };
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
-use crate::locations::{Locations, LocationsRef};
+use crate::locations::{Locations, LocationsRef, Nodes};
 use crate::program::{Degrees, VertexProgram};
-use crate::runs::Weights;
+use crate::runs::{InEdge, Weights};
 
 /// The role of a local vertex copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -771,16 +773,21 @@ impl<V: MemSize> MemSize for EcLocalGraph<V> {
 /// with full-state replication, extra-FT-replica creation, and the
 /// position/location exchange that enables position-addressed recovery.
 /// Once the copy positions are known, each node's graph is built on a
-/// thread of its own, in two passes: every node builds its copies, their
-/// edge lists and its masters' full state from the edges it takes part in
-/// — two scans of the edge list, count then fill — then every node copies
-/// its mirrors' full state out of what the owners built, encoding each
-/// mirror's edge lists as the runs they ship as (DESIGN.md, "Load path and
-/// heap layout"). The input's edges decide once how those runs write
-/// weights: not at all when every edge weighs the same. Every column is
-/// allocated once, at its final length — the mirrors' byte column with room
-/// to spare, then cut to its length — and a node's graph is a dozen
-/// allocations whatever its size.
+/// thread of its own, in two passes (DESIGN.md, "Load path and heap
+/// layout"). First every node builds its copies, their edge lists and its
+/// masters' full state from the edges it takes part in — two scans of the
+/// edge list, count then fill — and measures the block, the runs a message
+/// carries, that each mirror of each of its masters keeps. Then every node,
+/// as owner, encodes each such block once, in its own position order from
+/// its own columns and copy list, and writes it straight into the byte
+/// column of every node holding a mirror of it; and, as holder, fills its
+/// mirrors' heads, rows and table words by walking each owner's masters in
+/// order. A holder's byte column is allocated at its exact length from the
+/// owners' measures and laid out by owner, a region each: nothing holds a
+/// block anywhere else on the way. The input's edges decide once how the
+/// runs write weights: not at all when every edge weighs the same. Every
+/// column is allocated once, at its final length, and a node's graph is a
+/// dozen allocations whatever its size.
 ///
 /// # Panics
 ///
@@ -804,7 +811,6 @@ pub fn build_edge_cut_graphs<P: VertexProgram>(
     let (ends, weights) = edge_ends(g, cut);
     let loader = EcLoader {
         g,
-        ends,
         cut,
         plan,
         prog,
@@ -812,9 +818,12 @@ pub fn build_edge_cut_graphs<P: VertexProgram>(
         layout: &layout,
         weights,
     };
-    let built = per_node(vec![(); parts], |p, ()| loader.node_graph(p));
+    let built = per_node(vec![(); parts], |p, ()| {
+        let (lg, lens) = loader.node_graph(p, &ends);
+        loader.measure_blocks(p, lg, lens)
+    });
     let (mut graphs, masters): (Vec<_>, Vec<_>) = built.into_iter().unzip();
-    loader.fill_mirrors(&mut graphs, &masters);
+    loader.fill_mirrors(&mut graphs, &masters, ends);
     for (lg, index) in graphs.iter_mut().zip(layout.pos_maps) {
         lg.index = index;
     }
@@ -863,15 +872,18 @@ fn edge_ends(g: &Graph, cut: &EdgeCut) -> (Vec<Ends>, Weights) {
     (ends, weights.into_iter().fold(Weights::Unset, Weights::and))
 }
 
-/// The read-only inputs every node's builder thread shares.
+/// The read-only inputs every node's builder thread shares. Pass 1 is
+/// [`EcLoader::node_graph`] and [`EcLoader::measure_blocks`] on each node's
+/// thread; pass 2 is [`EcLoader::fill_mirrors`], where each owner writes
+/// its mirrored masters' blocks into the holders' exactly sized byte
+/// columns, a region per owner, and each holder fills its mirror slots.
+/// No block is encoded twice or kept anywhere but in the stores.
 struct EcLoader<'a, P> {
     /// Its edge list is the one order every list follows: a vertex's
     /// in-edges, consumers and remote out-edges are the edges naming it, in
     /// edge-list order, which is the order contributions fold in and the
     /// order snapshots and recovery messages carry.
     g: &'a Graph,
-    /// Parallel to the edge list.
-    ends: Vec<Ends>,
     cut: &'a EdgeCut,
     plan: &'a FtPlan,
     prog: &'a P,
@@ -881,13 +893,26 @@ struct EcLoader<'a, P> {
     weights: Weights,
 }
 
-/// What the other nodes' second-pass threads read of a node: its copies and
-/// hot columns (a master's own edge lists) and the masters' part of its
-/// store — its masters' slots and their table words come first in a freshly
-/// built store, the mirrors' follow; the decoded remote out-edges are the
+/// What a node's first pass tells the mirror pass about its masters.
+struct Masters {
+    /// Where the masters' part of the node's store ends.
+    lens: StoreLens,
+    /// The bytes of each master's block, in position order: 0 for a master
+    /// without mirrors.
+    blocks: Vec<u32>,
+    /// Per node, the bytes of the blocks its mirrors of these masters keep:
+    /// the length of this node's region of that node's byte column.
+    held: Vec<usize>,
+}
+
+/// What the mirror pass reads of a node: its copies, copy list and hot
+/// columns (a master's own edge lists) and the masters' part of its store —
+/// its masters' slots and their table words come first in a freshly built
+/// store, the mirrors' follow; the decoded remote out-edges are the
 /// masters' alone.
 struct OwnerView<'g, V> {
     verts: &'g [EcVertex<V>],
+    copies: &'g [Vid],
     hot_in: &'g Column<(u32, f32)>,
     hot_out: &'g Column<u32>,
     heads: &'g [Head],
@@ -896,14 +921,69 @@ struct OwnerView<'g, V> {
     out_remote: &'g [RemoteEdge],
 }
 
-/// What a node's second-pass thread writes: the mirrors' part of its store,
-/// allocated by the first pass, and the byte column, which only the
-/// mirrors' runs fill.
+impl<'g, V> OwnerView<'g, V> {
+    /// The node's masters in position order, which is the order of their
+    /// slots, each as its mirrors keep it.
+    fn masters(&self) -> impl Iterator<Item = MasterLists<'g>> + '_ {
+        let masters = self.verts.iter().filter(|vert| vert.is_master());
+        let slots = self.heads.iter().zip(self.rows);
+        masters.zip(slots).map(|(vert, (head, row))| MasterLists {
+            mirrors: tables(head, self.words).mirror_nodes(),
+            in_edges: self.hot_in.get(vert.in_edges),
+            copies: self.copies,
+            out_local: self.hot_out.get(vert.out_local),
+            out_remote: &self.out_remote[row.span().range()],
+        })
+    }
+}
+
+/// The location tables `head` names in `words`.
+fn tables<'g>(head: &Head, words: &'g [u32]) -> LocationsRef<'g> {
+    let words = &words[head.span().range()];
+    LocationsRef::from_words(head.master_pos, usize::from(head.replicas), words)
+}
+
+/// A master's edge lists read off its owner's columns, and the nodes holding
+/// its mirrors: what its mirrors' block is written from.
+struct MasterLists<'g> {
+    mirrors: Nodes<'g>,
+    in_edges: &'g [(u32, f32)],
+    /// The owner's copies, by position: the in-edges' sources.
+    copies: &'g [Vid],
+    out_local: &'g [u32],
+    out_remote: &'g [RemoteEdge],
+}
+
+impl MasterLists<'_> {
+    /// The in-edges, each with its source.
+    fn sourced(&self) -> impl ExactSizeIterator<Item = InEdge> + '_ {
+        let copies = self.copies;
+        let edge = move |&(pos, weight): &(u32, f32)| {
+            let src = copies[pos as usize];
+            InEdge { pos, weight, src }
+        };
+        self.in_edges.iter().map(edge)
+    }
+
+    /// Bytes of the block [`MasterLists::put_block`] writes, counted entry
+    /// by entry without writing one.
+    fn block_size(&self, uniform: Option<f32>) -> usize {
+        decoded_block_size(self.sourced(), self.out_local, self.out_remote, uniform)
+    }
+
+    /// Writes the block a mirror keeps.
+    fn put_block<S: Sink>(&self, uniform: Option<f32>, out: &mut S) {
+        let (out_local, out_remote) = (self.out_local, self.out_remote);
+        put_decoded_block(self.sourced(), out_local, out_remote, uniform, out);
+    }
+}
+
+/// What a node's mirror-pass thread writes of its own store: the mirrors'
+/// slots and table words, allocated by the first pass.
 struct MirrorPart<'g> {
     heads: &'g mut [Head],
     rows: &'g mut [Row],
     words: Tail<'g, u32>,
-    runs: &'g mut Vec<u8>,
 }
 
 /// The mirrors' part of one column, filled front to back; the column's
@@ -935,6 +1015,23 @@ impl<'g, T: Copy> Tail<'g, T> {
     }
 }
 
+/// Cuts the first `len` bytes off `stretch` and returns them.
+fn take<'a>(stretch: &mut &'a mut [u8], len: usize) -> &'a mut [u8] {
+    let (first, rest) = std::mem::take(stretch).split_at_mut(len);
+    *stretch = rest;
+    first
+}
+
+/// A stretch of a byte column cut to the length of what is written into it,
+/// filled front to back.
+struct Fill<'a>(&'a mut [u8]);
+
+impl Sink for Fill<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        take(&mut self.0, bytes.len()).copy_from_slice(bytes);
+    }
+}
+
 /// Moves a counting sort's cursor on by one entry and returns where it stood.
 fn advance(cursor: &mut u32) -> usize {
     let at = *cursor;
@@ -945,7 +1042,7 @@ fn advance(cursor: &mut u32) -> usize {
 impl<P: VertexProgram> EcLoader<'_, P> {
     /// First pass: node `p`'s graph without its position index (the caller
     /// moves the layout's in), and where the masters' part of its store
-    /// ends.
+    /// ends; `ends` is parallel to the edge list.
     ///
     /// Every list is a stable counting sort of the edges the node takes
     /// part in. An edge whose consumer is mastered here is an in-edge of
@@ -958,11 +1055,11 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     /// blank for [`EcLoader::fill_mirrors`] — and a second scan fills each
     /// run from its start, so that what a superstep reads is dense in the
     /// heap and laid out the same with and without fault tolerance.
-    fn node_graph(&self, p: usize) -> (EcLocalGraph<P::Value>, StoreLens) {
+    fn node_graph(&self, p: usize, ends: &[Ends]) -> (EcLocalGraph<P::Value>, StoreLens) {
         let node = NodeId::from_index(p);
         let copies = &self.layout.copies[p];
         let at = &self.layout.pos_maps[p];
-        let edges = || self.g.edges().iter().zip(&self.ends);
+        let edges = || self.g.edges().iter().zip(ends);
         let here = p as u16;
         let in_degree = |v: Vid| self.degrees.in_degree(v);
         let out_degree = |v: Vid| self.degrees.out_degree(v);
@@ -1023,7 +1120,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         }
         assert_eq!(fed, ins, "degree table disagrees with the graph");
         let (hot_len, remote) = (ins as usize, remote as usize);
-        let masters = StoreLens {
+        let lens = StoreLens {
             slots: num_masters,
             words: master_words,
             runs: 0,
@@ -1103,32 +1200,85 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             full,
             journal: None,
         };
-        (lg, masters)
+        (lg, lens)
     }
 
-    /// Second pass: fills every node's mirror slots. A mirror's full state
-    /// *is* its master's — the owner-local lists are the master's own runs
-    /// of the owner's hot columns, the tables and remote out-edges are in
-    /// the masters' part of the owner's store — so the tables are one
-    /// `memcpy` out of what the owner's first pass built, and each list is
-    /// encoded straight from the owner's columns into the run a message
-    /// carries; the in-edge sources, which no master keeps, are read off the
-    /// owner's copy list through its in-edges. The byte column is allocated
-    /// once, with room for the longest the runs can be — what the vertices'
-    /// degrees bound without encoding anything twice — and cut to its length
-    /// when they are written: room no page of which is touched costs
-    /// nothing resident. Each node's thread writes the mirrors' part of its
-    /// own store and reads the others' copies, hot columns and masters'
-    /// parts.
-    fn fill_mirrors(&self, graphs: &mut [EcLocalGraph<P::Value>], masters: &[StoreLens]) {
-        let (mut owners, mut mirrors) = (Vec::new(), Vec::new());
-        for (lg, part) in graphs.iter_mut().zip(masters) {
+    /// Measures, without writing a byte, the block of each of node `p`'s
+    /// mirrored masters — `lens` says where their part of its store ends —
+    /// and what the blocks come to on each node holding mirrors of them.
+    fn measure_blocks(
+        &self,
+        p: usize,
+        lg: EcLocalGraph<P::Value>,
+        lens: StoreLens,
+    ) -> (EcLocalGraph<P::Value>, Masters) {
+        let mut held = vec![0; self.layout.copies.len()];
+        if !self.plan.is_enabled() {
+            let blocks = Vec::new();
+            return (lg, Masters { lens, blocks, held });
+        }
+        let owner = OwnerView {
+            verts: &lg.verts,
+            copies: &self.layout.copies[p],
+            hot_in: &lg.hot_in,
+            hot_out: &lg.hot_out,
+            heads: &lg.full.heads[..lens.slots],
+            rows: &lg.full.rows[..lens.slots],
+            words: &lg.full.words.0[..lens.words],
+            out_remote: &lg.full.out_remote.0,
+        };
+        let uniform = self.weights.uniform();
+        let blocks = owner.masters().map(|master| {
+            if master.mirrors.is_empty() {
+                return 0;
+            }
+            let size = master.block_size(uniform);
+            for m in master.mirrors {
+                held[m.index()] += size;
+            }
+            u32::try_from(size).expect("a block is shorter than 4 GiB")
+        });
+        let blocks = collect_exact(lens.slots, blocks);
+        (lg, Masters { lens, blocks, held })
+    }
+
+    /// Second pass: every node's mirrors get their full state, which *is*
+    /// their master's. Each node's byte column is allocated at the length
+    /// the owners measured and cut into one region per owner, in node
+    /// order. Then each node's thread, as owner, encodes the block of each
+    /// of its mirrored masters once and writes it into the region of every
+    /// node holding one of its mirrors, in position order, so that every
+    /// region fills front to back; and, as holder, walks each owner's
+    /// masters in that same order, giving each one mirrored here its head,
+    /// a copy of its table words and the row over the next block of that
+    /// owner's region. A node's thread writes its own mirror slots and the
+    /// regions its masters' blocks go to, and reads the masters' parts of
+    /// the others. `ends`, which pass 1 read, is freed before any block is
+    /// written.
+    fn fill_mirrors(
+        &self,
+        graphs: &mut [EcLocalGraph<P::Value>],
+        masters: &[Masters],
+        ends: Vec<Ends>,
+    ) {
+        if masters
+            .iter()
+            .all(|m| m.held.iter().all(|&bytes| bytes == 0))
+        {
+            return;
+        }
+        let parts = graphs.len();
+        let (mut owners, mut holders) = (Vec::with_capacity(parts), Vec::with_capacity(parts));
+        let mut regions: Vec<Vec<&mut [u8]>> =
+            (0..parts).map(|_| Vec::with_capacity(parts)).collect();
+        for (q, (lg, mine)) in graphs.iter_mut().zip(masters).enumerate() {
             let full = &mut lg.full;
-            let (master_heads, heads) = full.heads.split_at_mut(part.slots);
-            let (master_rows, rows) = full.rows.split_at_mut(part.slots);
-            let (words, mirror_words) = Tail::split(&mut full.words.0, part.words);
+            let (master_heads, heads) = full.heads.split_at_mut(mine.lens.slots);
+            let (master_rows, rows) = full.rows.split_at_mut(mine.lens.slots);
+            let (words, mirror_words) = Tail::split(&mut full.words.0, mine.lens.words);
             owners.push(OwnerView {
-                verts: &lg.verts[..],
+                verts: &lg.verts,
+                copies: &self.layout.copies[q],
                 hot_in: &lg.hot_in,
                 hot_out: &lg.hot_out,
                 heads: &*master_heads,
@@ -1136,70 +1286,99 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                 words,
                 out_remote: &full.out_remote.0,
             });
-            mirrors.push(MirrorPart {
+            holders.push(MirrorPart {
                 heads,
                 rows,
                 words: mirror_words,
-                runs: &mut full.runs.0,
             });
+            full.runs.0 = vec![0; masters.iter().map(|m| m.held[q]).sum()];
+            let mut column = &mut full.runs.0[..];
+            for (theirs, m) in regions.iter_mut().zip(masters) {
+                theirs.push(take(&mut column, m.held[q]));
+            }
         }
-        if mirrors.iter().all(|m| m.heads.is_empty()) {
-            return;
-        }
+        // Untouched, the byte columns are address space: freeing the table
+        // now, not before they are allocated, keeps them out of the heap its
+        // pages go back to, where Migration's appends would later grow them
+        // by copying (`pr_ec_migration` peaked ≈ 4 MiB higher).
+        drop(ends);
         let owners = &owners;
-        per_node(mirrors, |q, part| self.fill_node_mirrors(q, part, owners));
+        let work = regions.into_iter().zip(holders).collect();
+        per_node(work, |p, (regions, part)| {
+            self.write_blocks(&owners[p], &masters[p].blocks, regions);
+            self.fill_node_mirrors(p, part, owners, masters);
+        });
     }
 
+    /// Writes the block of each of `owner`'s mirrored masters — measured in
+    /// `blocks` — into `regions`, one per node: encoded into the first
+    /// mirror's, copied into the others'.
+    fn write_blocks(
+        &self,
+        owner: &OwnerView<'_, P::Value>,
+        blocks: &[u32],
+        mut regions: Vec<&mut [u8]>,
+    ) {
+        let uniform = self.weights.uniform();
+        for (master, &size) in owner.masters().zip(blocks) {
+            let mut mirrors = master.mirrors.iter();
+            let Some(first) = mirrors.next() else {
+                continue;
+            };
+            let block = take(&mut regions[first.index()], size as usize);
+            let mut fill = Fill(&mut *block);
+            master.put_block(uniform, &mut fill);
+            assert!(fill.0.is_empty(), "a block was measured too long");
+            for m in mirrors {
+                take(&mut regions[m.index()], size as usize).copy_from_slice(block);
+            }
+        }
+        assert!(
+            regions.iter().all(|region| region.is_empty()),
+            "blocks miscounted"
+        );
+    }
+
+    /// Fills node `q`'s mirror slots, in position order, from the owners'
+    /// masters, each owner's walked in its own position order — the order
+    /// of its blocks in its region of `q`'s byte column, and of the copies
+    /// here, both ascending by vertex: the next of an owner's masters
+    /// mirrored here is the master of the next mirror of it here.
     fn fill_node_mirrors(
         &self,
         q: usize,
         mut part: MirrorPart<'_>,
         owners: &[OwnerView<'_, P::Value>],
+        masters: &[Masters],
     ) {
-        let uniform = self.weights.uniform();
-        let mirrors = || {
-            let verts = owners[q].verts.iter();
-            verts.filter(|vert| vert.kind == CopyKind::Mirror)
-        };
-        // A mirror's head, tables and lists: its master's, on the owner.
-        let theirs = |vert: &EcVertex<P::Value>| {
-            let n = vert.master_node.index();
-            let owner = &owners[n];
-            let master = &owner.verts[self.layout.pos_maps[n].at(vert.vid) as usize];
-            let slot = master.meta.expect("masters carry full state").index();
-            let (head, row) = (owner.heads[slot], owner.rows[slot]);
-            let words = &owner.words[head.span().range()];
-            let state = FullStateRef {
-                in_edges: InEdges::Local {
-                    edges: owner.hot_in.get(master.in_edges),
-                    copies: &self.layout.copies[n],
-                },
-                out_local_owner: List::Slice(owner.hot_out.get(master.out_local)),
-                out_remote: List::Slice(&owner.out_remote[row.span().range()]),
-                ..FullStateRef::tables(LocationsRef::from_words(
-                    head.master_pos,
-                    usize::from(head.replicas),
-                    words,
-                ))
-            };
-            (head, words, state)
-        };
-        // Room for the longest the runs can be — three counts, an in-edge
-        // at most 14 bytes, an out-edge 10 — from the degrees alone; what
-        // the encoding leaves over is given back once it ends.
-        let most = |v: Vid| {
-            let (ins, outs) = (self.degrees.in_degree(v), self.degrees.out_degree(v));
-            15 + 14 * ins as usize + 10 * outs as usize
-        };
-        part.runs
-            .reserve_exact(mirrors().map(|vert| most(vert.vid)).sum());
+        let here = NodeId::from_index(q);
+        let mut region = 0;
+        let mut walks: Vec<_> = owners
+            .iter()
+            .zip(masters)
+            .map(|(owner, theirs)| {
+                let at = region;
+                region += theirs.held[q];
+                let mirrored_here = move |&(head, &size): &(&Head, &u32)| {
+                    size > 0 && tables(head, owner.words).mirror_nodes().contains(&here)
+                };
+                let masters = owner.heads.iter().zip(&theirs.blocks);
+                (masters.filter(mirrored_here), at)
+            })
+            .collect();
+        let mirrors = (0u32..)
+            .zip(owners[q].verts)
+            .filter(|(_, vert)| vert.kind == CopyKind::Mirror);
         let slots = part.heads.iter_mut().zip(part.rows.iter_mut());
-        for ((head, row), vert) in slots.zip(mirrors()) {
-            let (their_head, words, state) = theirs(vert);
-            *head = their_head.moved_to(part.words.fill(words));
-            *row = Row::new(append_block(state, uniform, part.runs), Form::Block);
+        for ((head, row), (pos, vert)) in slots.zip(mirrors) {
+            let (masters, at) = &mut walks[vert.master_node.index()];
+            let (theirs, &size) = masters.next().expect("a mirror has a master");
+            let tables = tables(theirs, owners[vert.master_node.index()].words);
+            debug_assert_eq!(tables.replica_position_on(here), Some(pos), "{}", vert.vid);
+            *head = theirs.moved_to(part.words.fill(tables.words()));
+            *row = Row::new(Span::new(*at, size as usize), Form::Block);
+            *at += size as usize;
         }
-        part.runs.shrink_to_fit();
         assert!(
             part.words.is_full(),
             "mirrors' tables miscounted on node {q}"

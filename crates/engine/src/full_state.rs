@@ -62,7 +62,7 @@ use imitator_storage::codec::Sink;
 
 use crate::episode::StoreJournal;
 use crate::locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
-use crate::runs::{append_list, put_list, split_block, Entry, InEdge, Run, Weights};
+use crate::runs::{append_list, list_size, put_list, split_block, Entry, InEdge, Run, Weights};
 
 /// An out-edge whose consumer (target master) lives on another node.
 ///
@@ -923,6 +923,35 @@ pub(crate) fn append_block(
         state.append_run(list, uniform, out);
     }
     Span::new(start, out.len() - start)
+}
+
+/// Writes the block of a full state whose lists are decoded — its
+/// in-edges with their sources, its consumers, its remote out-edges — to
+/// `out`: what [`append_block`] writes for it, each list encoded straight
+/// from its entries.
+pub(crate) fn put_decoded_block<S: Sink>(
+    in_edges: impl ExactSizeIterator<Item = InEdge>,
+    out_local: &[u32],
+    out_remote: &[RemoteEdge],
+    uniform: Option<f32>,
+    out: &mut S,
+) {
+    append_list(in_edges.len(), in_edges, uniform, out);
+    append_list(out_local.len(), out_local.iter().copied(), None, out);
+    append_list(out_remote.len(), out_remote.iter().copied(), None, out);
+}
+
+/// How many bytes [`put_decoded_block`] writes for the same lists, counted
+/// entry by entry without writing one.
+pub(crate) fn decoded_block_size(
+    in_edges: impl ExactSizeIterator<Item = InEdge>,
+    out_local: &[u32],
+    out_remote: &[RemoteEdge],
+    uniform: Option<f32>,
+) -> usize {
+    list_size(in_edges, uniform)
+        + list_size(out_local.iter().copied(), None)
+        + list_size(out_remote.iter().copied(), None)
 }
 
 /// What a slot's span covers: the role of its copy when the slot was made,

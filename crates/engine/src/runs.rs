@@ -121,6 +121,10 @@ pub trait Entry: Copy {
     /// bytes, and returns how many of them count.
     fn write(self, uniform: Option<f32>, buf: &mut [u8]) -> usize;
 
+    /// How many bytes [`Entry::write`] counts for the entry, without
+    /// writing one.
+    fn size(self, uniform: Option<f32>) -> usize;
+
     /// Appends the entry to `out`.
     fn put<S: Sink>(self, uniform: Option<f32>, out: &mut S) {
         let mut buf = [0; ENTRY_ROOM];
@@ -142,6 +146,10 @@ impl Entry for u32 {
         write_u32(buf, self)
     }
 
+    fn size(self, _: Option<f32>) -> usize {
+        varint_len(self)
+    }
+
     fn take(bytes: &mut &[u8], _: Option<f32>) -> Result<u32, DecodeError> {
         take_u32(bytes)
     }
@@ -151,6 +159,10 @@ impl Entry for RemoteEdge {
     fn write(self, _: Option<f32>, buf: &mut [u8]) -> usize {
         let len = write_u32(buf, self.node.raw());
         len + write_u32(&mut buf[len..], self.pos)
+    }
+
+    fn size(self, _: Option<f32>) -> usize {
+        varint_len(self.node.raw()) + varint_len(self.pos)
     }
 
     fn take(bytes: &mut &[u8], _: Option<f32>) -> Result<RemoteEdge, DecodeError> {
@@ -174,6 +186,11 @@ impl Entry for InEdge {
             len += 4;
         }
         len + write_u32(&mut buf[len..], self.src.raw())
+    }
+
+    fn size(self, uniform: Option<f32>) -> usize {
+        let weight = if uniform.is_none() { 4 } else { 0 };
+        varint_len(self.pos) + weight + varint_len(self.src.raw())
     }
 
     fn take(bytes: &mut &[u8], uniform: Option<f32>) -> Result<InEdge, DecodeError> {
@@ -206,7 +223,7 @@ fn cut_short(bytes: &[u8]) -> DecodeError {
 /// how many count: no branch and no loop on the value, whose length varies
 /// from one entry to the next. `buf` needs room for eight.
 fn write_u32(buf: &mut [u8], v: u32) -> usize {
-    let len = (1 + (31 - (v | 1).leading_zeros()) / 7) as usize;
+    let len = varint_len(v);
     let x = u64::from(v);
     let groups = (x & 0x7F)
         | (x << 1 & 0x7F00)
@@ -216,6 +233,12 @@ fn write_u32(buf: &mut [u8], v: u32) -> usize {
     let more = 0x80_8080_8080 & ((1u64 << (8 * (len - 1))) - 1);
     buf[..8].copy_from_slice(&(groups | more).to_le_bytes());
     len
+}
+
+/// Bytes the LEB128 varint of `v` takes: one per started group of seven
+/// significant bits, and one for 0.
+fn varint_len(v: u32) -> usize {
+    (1 + (31 - (v | 1).leading_zeros()) / 7) as usize
 }
 
 /// A varint of at most five bytes holding a `u32`.
@@ -244,25 +267,35 @@ pub(crate) fn put_list<T: Entry, S: Sink>(
 }
 
 /// [`put_list`] of the `len` `entries` into a store's byte column: they are
-/// written into a buffer on the stack and the column extended a buffer at a
-/// time — one copy for a few dozen entries instead of one per entry, and
-/// the column grows as a `Vec` does, never past what it needs.
-pub(crate) fn append_list<T: Entry>(
+/// written into a buffer on the stack and `out` given a buffer at a time —
+/// one copy for a few dozen entries instead of one per entry; a growing
+/// column grows as a `Vec` does, never past what it needs.
+pub(crate) fn append_list<T: Entry, S: Sink>(
     len: usize,
     entries: impl Iterator<Item = T>,
     uniform: Option<f32>,
-    out: &mut Vec<u8>,
+    out: &mut S,
 ) {
     let mut buf = [0; 128];
     let mut at = write_u32(&mut buf, len as u32);
     for entry in entries {
         if at > buf.len() - ENTRY_ROOM {
-            out.extend_from_slice(&buf[..at]);
+            out.put(&buf[..at]);
             at = 0;
         }
         at += entry.write(uniform, &mut buf[at..]);
     }
-    out.extend_from_slice(&buf[..at]);
+    out.put(&buf[..at]);
+}
+
+/// How many bytes [`put_list`] and [`append_list`] write for `entries`,
+/// counted without writing one.
+pub(crate) fn list_size<T: Entry>(
+    entries: impl ExactSizeIterator<Item = T>,
+    uniform: Option<f32>,
+) -> usize {
+    let count = varint_len(u32::try_from(entries.len()).expect("a list holds < 2^32 entries"));
+    count + entries.map(|entry| entry.size(uniform)).sum::<usize>()
 }
 
 /// Where the `n` varints that start at `at` end in `bytes`: a byte below
@@ -432,6 +465,7 @@ mod tests {
         ];
         for uniform in [None, Some(0.5)] {
             let bytes = run_of(&edges, uniform);
+            assert_eq!(list_size(edges.iter().copied(), uniform), bytes.len());
             let (run, n) = take_run::<InEdge>(&mut Reader::new(&bytes), uniform).unwrap();
             assert_eq!((n, run.len(), run.bytes()), (2, 2, &bytes[..]));
             assert!(run.entries::<InEdge>().eq(edges));

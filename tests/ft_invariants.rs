@@ -50,7 +50,7 @@ proptest! {
     ) {
         prop_assume!(k < parts);
         let cut = HashEdgeCut.partition(&g, parts);
-        let plan = compute_ft_plan(&g, &cut, k, true, true, 11);
+        let plan = compute_ft_plan(&Degrees::of(&g), &cut, k, true, true, 11);
         for v in g.vertices() {
             let mirrors = plan.mirrors(v);
             prop_assert_eq!(mirrors.len(), k, "vertex {} mirror count", v);
@@ -74,7 +74,7 @@ proptest! {
             RandomVertexCut.partition(&g, parts),
             HybridVertexCut::with_threshold(theta).partition(&g, parts),
         ] {
-            let plan = compute_ft_plan(&g, &cut, 1, false, false, 3);
+            let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, false, false, 3);
             for v in g.vertices() {
                 let mirrors = plan.mirrors(v);
                 prop_assert_eq!(mirrors.len(), 1);
@@ -218,7 +218,7 @@ fn pr_ec_graph_memory_stays_below_the_recorded_value() {
     let cut = HashEdgeCut.partition(&g, 4);
     let degrees = Degrees::of(&g);
     let pr = PageRank::new(0.85, 0.0);
-    let ft = compute_ft_plan(&g, &cut, 1, true, pr.selfish_compatible(), 0xF7);
+    let ft = compute_ft_plan(&degrees, &cut, 1, true, pr.selfish_compatible(), 0xF7);
     for (plan, recorded) in [
         (FtPlan::none(g.num_vertices()), RECORDED_BASE),
         (ft, RECORDED_FT),

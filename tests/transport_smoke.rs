@@ -1,10 +1,11 @@
 //! Loopback-TCP smoke: a small run on each engine over
 //! [`TransportKind::Tcp`] — real sockets, length-prefixed frames, the
 //! columnar wire codec end-to-end — must reproduce the in-process channel
-//! run bit-for-bit, logical byte accounting included. CI runs this file as
-//! its own (non-blocking) job so a sandbox without loopback sockets cannot
-//! mask an engine regression, but it is deliberately cheap enough to live
-//! in the default test sweep too.
+//! run bit-for-bit, logical byte accounting included. CI also runs this
+//! file as a job of its own, which blocks a merge like every other test
+//! job: a failure there is a transport failure, not one the engine jobs
+//! share. It is deliberately cheap enough to live in the default test
+//! sweep too.
 
 use std::sync::Arc;
 
