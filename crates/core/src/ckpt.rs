@@ -1,17 +1,20 @@
-//! Snapshot encoding for checkpoint-based fault tolerance and edge-ckpt
-//! files (§2.2, §4.3).
+//! What checkpoint-based fault tolerance and edge-ckpt files keep on the
+//! DFS (§2.2, §4.3), and the full-state codec the wire messages share.
 //!
 //! Three kinds of DFS content:
 //!
-//! * **metadata snapshots** — one per node, written after loading: the
-//!   immutable local graph topology (vertex copies, positions, edges, full
-//!   state), from which a replacement node reconstructs the crashed node's
-//!   layout;
+//! * **metadata snapshots** — one per node, written after loading (and again
+//!   by a survivor a checkpoint recovery grafted partitions onto): the
+//!   Rebirth batch that rebuilds the node's graph ([`encode_meta`]). A
+//!   partition has this one serialisation, so a checkpoint standby rebuilds
+//!   from the DFS what a Rebirth newbie rebuilds from its survivors' batches;
 //! * **data snapshots** — one per node per checkpoint: the masters' mutable
 //!   state (value + activity), written inside the global barrier;
 //! * **edge-ckpt files** — vertex-cut only: each node's owned edges, split
 //!   into one file per potential receiver so Migration can reload them in
-//!   parallel (§4.3).
+//!   parallel (§4.3). They are the edges no batch carries, so a
+//!   checkpointing node writes them too — as one file, which its rebuild
+//!   reads whole.
 //!
 //! Integers that scale with the graph — vertex IDs, node IDs, array
 //! positions, counts — are LEB128 varints ([`crate::columns`], the
@@ -19,41 +22,28 @@
 //! snapshots are zigzag varints of the step from the previous position
 //! (ascending master scans make most steps one byte). Per-master activation
 //! flags pack two bits apiece into a bitmap. Values keep their codec
-//! encoding unchanged. Checkpoint payloads shrink several-fold; decoding
-//! stays strict (trailing bytes and out-of-range positions are errors).
+//! encoding unchanged. Decoding stays strict (trailing bytes and
+//! out-of-range positions are errors).
+
+use std::sync::Arc;
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
-    take_run, ColumnLens, CopyKind, Degrees, EcLocalGraph, EcVertex, EdgeLists, FullStateRef,
-    InEdge, InEdges, List, Locations, LocationsRef, RemoteEdge, StoreLens, VcEdge, VcLocalGraph,
+    take_run, ColumnLens, CopyKind, Degrees, EcLocalGraph, EcVertex, EdgeLists, FullStateBatches,
+    FullStateRef, InEdge, InEdges, List, Locations, LocationsRef, RemoteEdge, VcLocalGraph,
     VcVertex, VertexProgram, MAX_TABLE_NODES,
 };
-use imitator_graph::{PosIndex, Vid};
-use imitator_storage::codec::{Decode, DecodeError, Encode, Reader, Sink};
-use imitator_storage::{Dfs, WriteBehind};
+use imitator_graph::Vid;
+use imitator_storage::codec::{ByteCount, Decode, DecodeError, Encode, Reader, Sink};
+use imitator_storage::{epoch, Dfs, WriteBehind};
 
 use crate::columns::{
     dec_bits, dec_count, dec_delta, dec_deltas, dec_node, dec_u32, dec_u64, enc_bits, enc_count,
     enc_delta, enc_deltas, enc_node, enc_u32, enc_u64,
 };
-use crate::driver::ModelGraph;
-
-/// An edge-cut copy's kind and flags in one byte, as a graph snapshot writes
-/// them: kind (2 bits) | active | last_activate | has full state.
-fn ec_copy_flags(kind: CopyKind, active: bool, last_activate: bool, meta: bool) -> u8 {
-    kind.bits() | u8::from(active) << 2 | u8::from(last_activate) << 3 | u8::from(meta) << 4
-}
-
-/// Reads a copy's flag byte of `width` bits — its kind in the low two, then
-/// flags — rejecting a higher bit set or a kind no copy has.
-fn dec_copy_flags(r: &mut Reader<'_>, width: u32) -> Result<(CopyKind, u8), DecodeError> {
-    let flags = r.take(1)?[0];
-    if flags >> width != 0 {
-        return Err(DecodeError::Corrupt("vertex flags"));
-    }
-    let kind = CopyKind::from_bits(flags & 0b11).ok_or(DecodeError::Corrupt("copy kind"))?;
-    Ok((kind, flags))
-}
+use crate::driver::{ComputeModel, ModelGraph, Shared};
+use crate::msg::{dec_batch, enc_batch, RebirthBatch, Reborn, StoreCodec};
+use crate::FtMode;
 
 /// The replica-location tables: all of a vertex-cut copy's full state, and
 /// the head of an edge-cut copy's.
@@ -124,26 +114,6 @@ pub(crate) fn dec_column_lens(r: &mut Reader<'_>) -> Result<ColumnLens, DecodeEr
     Ok(lens)
 }
 
-/// Decodes a list into `out`, which it empties first and sizes once.
-fn dec_list_into<T>(
-    r: &mut Reader<'_>,
-    out: &mut Vec<T>,
-    dec: impl Fn(&mut Reader<'_>) -> Result<T, DecodeError>,
-) -> Result<(), DecodeError> {
-    let n = dec_count(r)?;
-    out.clear();
-    out.reserve_exact(n);
-    for _ in 0..n {
-        out.push(dec(r)?);
-    }
-    Ok(())
-}
-
-/// An edge-cut mirror's full state as a graph snapshot writes it: all of it.
-fn enc_meta<S: Sink>(m: FullStateRef<'_>, buf: &mut S) {
-    enc_lists(m, EdgeLists::ALL, None, buf);
-}
-
 /// The location tables of `m`, then the edge lists `lists` names, each
 /// the run the engine defines for it ([`imitator_engine::Run`]): the
 /// in-edges as `(position, weight, source)` — without the weight when the
@@ -205,177 +175,100 @@ pub(crate) fn state_of<'a>(tables: &'a Locations, lists: Lists<'a>) -> FullState
     }
 }
 
-/// An edge-cut copy's two edge lists as a graph snapshot carries them:
-/// in-edges as `(source position, weight)`, then local out-edge targets.
-fn enc_edge_lists<S: Sink>(in_edges: &[(u32, f32)], out_local: &[u32], buf: &mut S) {
-    enc_count(in_edges.len(), buf);
-    for &(s, w) in in_edges {
-        enc_u32(s, buf);
-        w.encode(buf);
-    }
-    enc_count(out_local.len(), buf);
-    for &t in out_local {
-        enc_u32(t, buf);
-    }
+/// Where `node`'s metadata snapshot lives on the DFS, under the model's
+/// prefix ("ec" / "vc").
+pub(crate) fn meta_path(prefix: &str, node: NodeId) -> String {
+    format!("{prefix}/meta/{}", node.raw())
 }
 
-/// Reads [`enc_edge_lists`] back into the two lists, reusing them.
-fn dec_edge_lists_into(
-    r: &mut Reader<'_>,
-    in_edges: &mut Vec<(u32, f32)>,
-    out_local: &mut Vec<u32>,
-) -> Result<(), DecodeError> {
-    dec_list_into(r, in_edges, |r| Ok((dec_u32(r)?, f32::decode(r)?)))?;
-    dec_list_into(r, out_local, dec_u32)
-}
-
-/// Bytes a varint position, vertex ID or list length usually takes in a
-/// graph snapshot (graphs up to 2M copies per node) — sizing only.
-const HINT_VARINT: usize = 3;
-
-/// Roughly what [`encode_ec_graph`] will write, from the list lengths alone:
-/// the buffer is allocated once at about its final size instead of regrowing
-/// to ~10 MB by doubling. A low guess only costs a regrow.
-fn ec_graph_size_hint<V>(lg: &EcLocalGraph<V>) -> usize {
-    let fixed = 4 * HINT_VARINT + 2 + std::mem::size_of::<V>();
-    let edge = HINT_VARINT + 4;
-    // Edge lists and full state from the columns' lengths: a few location
-    // entries and list headers per slot, the mirrors' runs as they are — and
-    // a weight per in-edge, if they write none — then the masters' remote
-    // out-edges.
-    let (in_edges, out_local) = lg.edge_list_lens();
-    let copies = fixed * lg.len() + edge * in_edges + HINT_VARINT * out_local;
-    let StoreLens {
-        slots,
-        runs,
-        remote,
-        ..
-    } = lg.full_state_lens();
-    let weights = match lg.full_state_weights().uniform() {
-        Some(_) => 4 * lg.full_state_entries().in_edges,
-        None => 0,
-    };
-    copies + (8 * HINT_VARINT + 3) * slots + runs + weights + (HINT_VARINT + 1) * remote
-}
-
-/// Encodes an edge-cut local graph (topology + current state) as a
-/// metadata snapshot — every field but `next_active`, which is false
-/// whenever a graph is encoded (load, and between supersteps: `ec_commit`
-/// clears it before returning) and decodes as false.
-///
-/// Full state is written as the graph stores it: a mirror's whole (the
-/// message form, [`enc_meta`], its runs copied — but for the weight a
-/// uniform store leaves out, which a snapshot writes per in-edge), a
-/// master's without the two lists that are its own in-edges and consumers,
-/// already written, and without the sources its in-edges name through the
-/// copies, written too. The format is internal — undo buffers and the
-/// `ec/meta/<node>` files of one run.
-pub fn encode_ec_graph<V: Encode>(lg: &EcLocalGraph<V>) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(ec_graph_size_hint(lg));
-    enc_node(lg.node, &mut buf);
-    enc_count(lg.verts.len(), &mut buf);
-    // The prologue: what the decoder's store and hot columns will hold (runs
-    // no slot or copy points at any more are not encoded) — slots and the
-    // entries of their lists, which the decoder holds the graph it built
-    // to — so it sizes the copies and slots once.
-    enc_count(lg.live_full_state_lens().slots, &mut buf);
-    enc_column_lens(lg.full_state_entries(), &mut buf);
-    let positions = 0..lg.verts.len() as u32;
-    let in_edges: usize = positions.map(|pos| lg.in_edges(pos).len()).sum();
-    enc_count(in_edges, &mut buf);
-    let mut prev_vid = 0u32;
-    for (pos, v) in lg.verts.iter().enumerate() {
-        debug_assert!(!v.next_active, "{} encoded mid-commit", v.vid);
-        enc_delta(v.vid.raw(), &mut prev_vid, &mut buf);
-        let has_meta = v.meta.is_some();
-        buf.push(ec_copy_flags(v.kind, v.active, v.last_activate, has_meta));
-        enc_node(v.master_node, &mut buf);
-        v.value.encode(&mut buf);
-        let pos = pos as u32;
-        enc_edge_lists(lg.in_edges(pos), lg.out_local(pos), &mut buf);
-        match lg.full_state(pos) {
-            Some(state) if v.is_master() => {
-                enc_locations(state.locations, &mut buf);
-                state.out_remote.put(&mut buf);
-            }
-            Some(state) => enc_meta(state, &mut buf),
-            None => {}
+/// The metadata snapshot of `lg`: the Rebirth batch that rebuilds it on an
+/// empty graph of its own node ([`ComputeModel::place_reborn`]), as a
+/// survivor's batch goes on the wire — every copy at its own position with
+/// its kind, scatter bit, master node and value, a plain replica with its
+/// consumers, a master and a mirror with its full state and all three edge
+/// lists. What a batch does not carry, a reader takes from elsewhere: the
+/// activity bits from the initial state and the snapshot chain, a
+/// vertex-cut node's edges from its edge-ckpt files.
+pub(crate) fn encode_meta<M: ComputeModel>(model: &M, lg: &M::Graph) -> Vec<u8> {
+    let (mut batch, mut held) = (RebirthBatch::new(0, 1), Vec::new());
+    for pos in 0..lg.len() as u32 {
+        let kind = lg.kind(pos);
+        batch.records.push(Reborn {
+            vid: lg.vid(pos),
+            pos,
+            kind,
+            last_activate: model.scatter_bit(lg, pos),
+            master_node: lg.master_node(pos),
+            value: lg.value(pos).clone(),
+        });
+        if kind == CopyKind::Replica {
+            let consumers = lg.consumers(pos);
+            batch.replica_lists.push(consumers.len() as u32);
+            batch.consumers.extend_from_slice(consumers);
+        } else {
+            held.push((pos, EdgeLists::ALL));
         }
     }
+    (batch.states, batch.lists) = lg.export_full_states(&held);
+    // Sized once: the snapshot of a large partition is megabytes.
+    let mut len = ByteCount::default();
+    enc_batch::<_, M::Graph, _>(&batch, &mut len);
+    let mut buf = Vec::with_capacity(len.0);
+    enc_batch::<_, M::Graph, _>(&batch, &mut buf);
     buf
 }
 
-/// Decodes an edge-cut metadata snapshot. The prologue's totals size the
-/// copies and slots once; the graph that comes back holds exactly them,
-/// every run it stores checked on the way in, and passes
-/// [`EcLocalGraph::validate`].
+/// Writes `lg`'s metadata snapshot ([`encode_meta`]) as `node`'s.
+pub(crate) fn write_meta<M: ComputeModel>(model: &M, dfs: &Dfs, lg: &M::Graph, node: NodeId) {
+    dfs.write(&meta_path(M::PREFIX, node), encode_meta(model, lg));
+}
+
+/// Decodes a metadata snapshot.
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on truncated or corrupt input, including input
-/// that decodes to a graph breaking a structural invariant.
-pub fn decode_ec_graph<V: Decode>(bytes: &[u8]) -> Result<EcLocalGraph<V>, DecodeError> {
+/// Returns a [`DecodeError`] on truncated or corrupt input, and on input
+/// left over behind the batch.
+pub(crate) fn decode_meta<V: Decode, G: StoreCodec>(
+    bytes: &[u8],
+) -> Result<RebirthBatch<V>, DecodeError> {
     let mut r = Reader::new(bytes);
-    let mut lg = EcLocalGraph::empty(dec_node(&mut r)?);
-    let n = dec_count(&mut r)?;
-    let slots = dec_count(&mut r)?;
-    let lens = dec_column_lens(&mut r)?;
-    let hot = dec_count(&mut r)?;
-    // Every copy and slot costs a byte of its own, like every column entry
-    // and every in-edge, so what is reserved below is within a constant of
-    // the input's size.
-    if n + slots + lens.total() + hot > r.remaining() {
-        return Err(DecodeError::Corrupt("counts exceed input"));
+    let batch = dec_batch::<V, G>(&mut r)?;
+    match r.remaining() {
+        0 => Ok(batch),
+        n => Err(DecodeError::TrailingBytes(n)),
     }
-    lg.verts.reserve_exact(n);
-    lg.reserve_full_state(StoreLens {
-        slots,
-        ..StoreLens::default()
-    });
-    // Every in-edge has its consumer entry: exact for a graph as loaded, a
-    // first guess for one recovery has rewired.
-    lg.reserve_edge_lists(hot, hot);
-    let mut pairs = Vec::with_capacity(n);
-    let mut prev_vid = 0u32;
-    // One copy's lists and tables at a time, their allocations reused.
-    let (mut in_edges, mut out_local) = (Vec::new(), Vec::new());
-    let mut tables = Locations::default();
-    for pos in 0..n as u32 {
-        let vid = Vid::new(dec_delta(&mut r, &mut prev_vid)?);
-        let (kind, flags) = dec_copy_flags(&mut r, 5)?;
-        let master_node = dec_node(&mut r)?;
-        let value = V::decode(&mut r)?;
-        dec_edge_lists_into(&mut r, &mut in_edges, &mut out_local)?;
-        pairs.push((vid, pos));
-        let mut copy = EcVertex::new(vid, kind, master_node, value);
-        (copy.active, copy.last_activate) = (flags & 0b100 != 0, flags & 0b1000 != 0);
-        lg.verts.push(copy);
-        lg.set_in_edges(pos, &in_edges);
-        lg.set_out_local(pos, &out_local);
-        if flags & 0b1_0000 == 0 {
-            continue;
-        }
-        dec_locations_into(&mut r, &mut tables)?;
-        let lists = match kind {
-            CopyKind::Master => dec_lists(&mut r, EdgeLists::OUT_REMOTE, None)?,
-            _ => dec_lists(&mut r, EdgeLists::ALL, None)?,
-        };
-        lg.set_full_state(pos, state_of(&tables, lists));
-    }
-    if r.remaining() > 0 {
-        return Err(DecodeError::TrailingBytes(r.remaining()));
-    }
-    let held = (lg.live_full_state_lens().slots, lg.full_state_entries());
-    if (held, lg.edge_list_lens().0) != ((slots, lens), hot) {
-        return Err(DecodeError::Corrupt("prologue totals"));
-    }
-    lg.index = PosIndex::from_pairs(pairs);
-    lg.rebuild_active_frontier();
-    if lg.validate().is_err() {
-        return Err(DecodeError::Corrupt("graph invariants"));
-    }
-    Ok(lg)
 }
+
+/// `node`'s snapshot chain: its verified part of every epoch a rollback
+/// applies, ascending — the newest complete full epoch, then every later
+/// complete delta ([`epoch::recovery_chain`]) — or none while no epoch is
+/// complete.
+pub(crate) fn chain<M: ComputeModel>(dfs: &Dfs, node: NodeId) -> Vec<Arc<Vec<u8>>> {
+    let chain = epoch::recovery_chain(dfs, M::PREFIX, node.raw());
+    chain.map(|chain| chain.parts).unwrap_or_default()
+}
+
+/// Rolls `lg` back to the state its node's snapshot chain ([`chain`])
+/// holds and returns its iteration: the initial state under the chain, or
+/// alone while the chain is empty. A chain of deltas with no full base is
+/// grounded at the initial state too.
+pub(crate) fn roll_back<M: ComputeModel>(
+    shared: &Shared<M>,
+    lg: &mut M::Graph,
+    chain: &[Arc<Vec<u8>>],
+) -> u64 {
+    shared.model.reset_to_initial(lg, shared);
+    let (prog, degrees) = (shared.model.prog(), &shared.degrees);
+    let applied = chain
+        .iter()
+        .map(|part| lg.apply_snapshot(part, prog, degrees));
+    applied.last().unwrap_or(0)
+}
+
+/// Bytes a varint position or vertex ID usually takes (graphs up to 2M
+/// copies per node) — sizing only.
+const HINT_VARINT: usize = 3;
 
 /// The positions of the masters among `verts`, ascending: what a data
 /// snapshot covers.
@@ -498,87 +391,6 @@ pub fn apply_ec_snapshot<V: Decode>(
     Ok(iter)
 }
 
-/// Encodes a vertex-cut local graph as a metadata snapshot. The buffer is
-/// pre-sized like [`encode_ec_graph`]'s.
-pub fn encode_vc_graph<V: Encode>(lg: &VcLocalGraph<V>) -> Vec<u8> {
-    let vertex = 3 * HINT_VARINT + 2 + std::mem::size_of::<V>();
-    // Per table three varints, per replica a node byte and a position, per
-    // mirror a byte: from the store's totals, two bytes a word is that or more.
-    let held = lg.full_state_lens();
-    let metas = 3 * HINT_VARINT * held.slots + 2 * held.words;
-    let hint = vertex * lg.verts.len() + metas + (2 * HINT_VARINT + 4) * lg.edges.len();
-    let mut buf = Vec::with_capacity(hint);
-    enc_node(lg.node, &mut buf);
-    enc_count(lg.verts.len(), &mut buf);
-    let mut prev_vid = 0u32;
-    for (pos, v) in lg.verts.iter().enumerate() {
-        enc_delta(v.vid.raw(), &mut prev_vid, &mut buf);
-        buf.push(v.kind.bits() | u8::from(v.meta.is_some()) << 2);
-        enc_node(v.master_node, &mut buf);
-        v.value.encode(&mut buf);
-        if let Some(m) = lg.locations(pos as u32) {
-            enc_locations(m, &mut buf);
-        }
-    }
-    enc_count(lg.edges.len(), &mut buf);
-    let (mut prev_src, mut prev_dst) = (0u32, 0u32);
-    for e in &lg.edges {
-        enc_delta(e.src, &mut prev_src, &mut buf);
-        enc_delta(e.dst, &mut prev_dst, &mut buf);
-        e.weight.encode(&mut buf);
-    }
-    buf
-}
-
-/// Decodes a vertex-cut metadata snapshot. Every count is held to the input
-/// that remains before anything is sized from it, and the graph that comes
-/// back passes [`VcLocalGraph::validate`].
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] on truncated or corrupt input, including input
-/// that decodes to a graph breaking a structural invariant.
-pub fn decode_vc_graph<V: Decode>(bytes: &[u8]) -> Result<VcLocalGraph<V>, DecodeError> {
-    let mut r = Reader::new(bytes);
-    let mut lg = VcLocalGraph::empty(dec_node(&mut r)?);
-    let n = dec_count(&mut r)?;
-    lg.verts.reserve_exact(n);
-    let mut pairs = Vec::with_capacity(n);
-    let mut prev_vid = 0u32;
-    let mut tables = Locations::default();
-    for pos in 0..n as u32 {
-        let vid = Vid::new(dec_delta(&mut r, &mut prev_vid)?);
-        let (kind, flags) = dec_copy_flags(&mut r, 3)?;
-        let master_node = dec_node(&mut r)?;
-        let value = V::decode(&mut r)?;
-        pairs.push((vid, pos));
-        lg.verts.push(VcVertex::new(vid, kind, master_node, value));
-        if flags & 0b100 != 0 {
-            dec_locations_into(&mut r, &mut tables)?;
-            lg.set_locations(pos, tables.view());
-        }
-    }
-    let ne = dec_count(&mut r)?;
-    let edges = &mut lg.edges;
-    edges.reserve_exact(ne);
-    let (mut prev_src, mut prev_dst) = (0u32, 0u32);
-    for _ in 0..ne {
-        edges.push(VcEdge {
-            src: dec_delta(&mut r, &mut prev_src)?,
-            dst: dec_delta(&mut r, &mut prev_dst)?,
-            weight: f32::decode(&mut r)?,
-        });
-    }
-    if r.remaining() > 0 {
-        return Err(DecodeError::TrailingBytes(r.remaining()));
-    }
-    lg.index = PosIndex::from_pairs(pairs);
-    if lg.validate().is_err() {
-        return Err(DecodeError::Corrupt("graph invariants"));
-    }
-    Ok(lg)
-}
-
 /// Encodes a vertex-cut data snapshot: the iteration, then the masters at
 /// `dirty` (ascending; `None`: every master) as a position column and their
 /// values. The dense engine carries no activation state.
@@ -625,20 +437,14 @@ pub fn apply_vc_snapshot<V: Decode>(
     Ok(iter)
 }
 
-/// A local graph's DFS codec — its metadata snapshot and the data snapshot
-/// of its masters — on which checkpointing and recovery are generic. Values
-/// are written as their codec encodes them, so whatever is read back has
-/// every value completed ([`VertexProgram::derive`]) before anyone reads it.
+/// A local graph's data snapshot — of its masters' values and activity —
+/// on which checkpointing and recovery are generic. Values are written as
+/// their codec encodes them, so whatever is read back has every value
+/// completed ([`VertexProgram::derive`]) before anyone reads it.
 ///
-/// The decoders panic on bytes no encoder wrote: a recovery reads what this
+/// The decoder panics on bytes no encoder wrote: a recovery reads what this
 /// run sealed, and the hostile-bytes tests hold the functions underneath.
-pub(crate) trait GraphCodec: ModelGraph + Sized {
-    /// The metadata snapshot: the whole local graph.
-    fn encode_graph(&self) -> Vec<u8>;
-    /// Reads a metadata snapshot back.
-    fn decode_graph<P>(bytes: &[u8], prog: &P, degrees: &Degrees) -> Self
-    where
-        P: VertexProgram<Value = Self::Value>;
+pub(crate) trait SnapshotCodec: ModelGraph + Sized {
     /// The data snapshot of the masters at `dirty` (ascending), or of every
     /// master: a full snapshot is the delta whose dirty set is all of them.
     fn encode_snapshot(&self, iter: u64, dirty: Option<&[u32]>) -> Vec<u8>;
@@ -648,22 +454,7 @@ pub(crate) trait GraphCodec: ModelGraph + Sized {
         P: VertexProgram<Value = Self::Value>;
 }
 
-impl<V: Encode + Decode> GraphCodec for EcLocalGraph<V> {
-    fn encode_graph(&self) -> Vec<u8> {
-        encode_ec_graph(self)
-    }
-
-    fn decode_graph<P>(bytes: &[u8], prog: &P, degrees: &Degrees) -> Self
-    where
-        P: VertexProgram<Value = V>,
-    {
-        let mut lg = decode_ec_graph(bytes).expect("metadata snapshot decodes");
-        for v in &mut lg.verts {
-            prog.derive(v.vid, &mut v.value, degrees);
-        }
-        lg
-    }
-
+impl<V: Encode + Decode + Clone> SnapshotCodec for EcLocalGraph<V> {
     fn encode_snapshot(&self, iter: u64, dirty: Option<&[u32]>) -> Vec<u8> {
         encode_ec_snapshot(self, iter, dirty)
     }
@@ -680,22 +471,7 @@ impl<V: Encode + Decode> GraphCodec for EcLocalGraph<V> {
     }
 }
 
-impl<V: Encode + Decode> GraphCodec for VcLocalGraph<V> {
-    fn encode_graph(&self) -> Vec<u8> {
-        encode_vc_graph(self)
-    }
-
-    fn decode_graph<P>(bytes: &[u8], prog: &P, degrees: &Degrees) -> Self
-    where
-        P: VertexProgram<Value = V>,
-    {
-        let mut lg = decode_vc_graph(bytes).expect("metadata snapshot decodes");
-        for v in &mut lg.verts {
-            prog.derive(v.vid, &mut v.value, degrees);
-        }
-        lg
-    }
-
+impl<V: Encode + Decode + Clone> SnapshotCodec for VcLocalGraph<V> {
     fn encode_snapshot(&self, iter: u64, dirty: Option<&[u32]>) -> Vec<u8> {
         encode_vc_snapshot(self, iter, dirty)
     }
@@ -797,6 +573,16 @@ pub fn edge_ckpt_files<V>(lg: &VcLocalGraph<V>) -> Vec<(NodeId, Vec<u8>)> {
         .collect()
 }
 
+/// Every edge of `lg` as one edge-ckpt file, in edge order.
+fn edge_ckpt_file<V>(lg: &VcLocalGraph<V>) -> Vec<u8> {
+    let mut file = EdgeCkptWriter::with_edges(lg.edges.len());
+    for e in &lg.edges {
+        let (src, dst) = (&lg.verts[e.src as usize], &lg.verts[e.dst as usize]);
+        file.push(src.vid, dst.vid, e.weight);
+    }
+    file.buf
+}
+
 /// Where `owner` keeps its edge-ckpt files on the DFS.
 pub(crate) fn edge_ckpt_dir(owner: NodeId) -> String {
     format!("vc/eckpt/{}/", owner.raw())
@@ -809,10 +595,17 @@ pub(crate) fn edge_ckpt_path(owner: NodeId, receiver: NodeId) -> String {
 
 /// Persists this node's edges as one edge-ckpt file per receiving node
 /// ([`edge_ckpt_files`]), so each survivor reloads exactly one file in
-/// parallel during Migration (§4.3). The files are encoded here and now, from
-/// the graph as it stands; deleting and writing happen behind the caller.
-pub(crate) fn persist_edge_ckpt<V>(lg: &VcLocalGraph<V>, dfs: &Dfs) -> WriteBehind {
-    let files = edge_ckpt_files(lg).into_iter();
+/// parallel during Migration (§4.3) — or, under checkpoint FT, as one file
+/// addressed to the node itself, in edge order: there the one reader is a
+/// rebuild of this node, which reads every edge. The files are encoded here
+/// and now, from the graph as it stands; deleting and writing happen behind
+/// the caller.
+pub(crate) fn persist_edge_ckpt<V>(lg: &VcLocalGraph<V>, dfs: &Dfs, ft: FtMode) -> WriteBehind {
+    let files = match ft {
+        FtMode::Checkpoint { .. } => vec![(lg.node, edge_ckpt_file(lg))],
+        _ => edge_ckpt_files(lg),
+    };
+    let files = files.into_iter();
     let files = files.map(|(receiver, file)| (edge_ckpt_path(lg.node, receiver), file));
     // Receivers shift between rewrites (promotions re-home masters), so a
     // stale per-receiver file from an earlier write must not survive:
@@ -845,15 +638,17 @@ pub fn decode_edge_ckpt(bytes: &[u8]) -> Result<Vec<(Vid, Vid, f32)>, DecodeErro
 pub(crate) mod tests {
     use super::*;
     use crate::plan::{compute_ft_plan, ReplicaView};
+    use crate::runner_ec::EcModel;
+    use crate::runner_vc::VcModel;
     use imitator_engine::{
         build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, FtPlan, MasterMeta,
     };
     use imitator_graph::{gen, Edge, Graph};
-    use imitator_metrics::MemSize;
     use imitator_partition::{
         EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
     };
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// Location tables read back alone.
     pub(crate) fn dec_tables(bytes: &[u8]) -> Result<Locations, DecodeError> {
@@ -879,20 +674,6 @@ pub(crate) mod tests {
         }
         fn scatter(&self, _v: Vid, _o: &f64, _n: &f64) -> bool {
             true
-        }
-    }
-
-    #[test]
-    fn ec_graph_roundtrips() {
-        let g = gen::power_law(300, 2.0, 5, 3);
-        let cut = HashEdgeCut.partition(&g, 3);
-        let plan = FtPlan::none(g.num_vertices());
-        let d = Degrees::of(&g);
-        let lgs = build_edge_cut_graphs(&g, &cut, &plan, &P, &d);
-        for lg in &lgs {
-            let bytes = encode_ec_graph(lg);
-            let back: EcLocalGraph<f64> = decode_ec_graph(&bytes).unwrap();
-            assert_eq!(&back, lg);
         }
     }
 
@@ -934,7 +715,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// What [`hostile_ec_graph_bytes_never_panic`] does to a snapshot.
+    /// What the hostile-bytes tests do to an encoding.
     #[derive(Debug, Clone)]
     pub(crate) enum Damage {
         Truncate(usize),
@@ -991,52 +772,6 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// The decoder is the reload path of every checkpoint recovery and
-        /// the abort path of the two that snapshot for undo: truncated, bit-flipped and
-        /// spliced snapshots of loader-built graphs must come back as an
-        /// error or as a graph that holds together — never a panic, never
-        /// a span past its column, never memory out of proportion to the
-        /// input.
-        #[test]
-        fn hostile_ec_graph_bytes_never_panic(
-            (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
-            damage in proptest::collection::vec(arb_damage(), 1..4),
-        ) {
-            let cut = HashEdgeCut.partition(&g, parts);
-            let plan = plan_for(&g, &cut, k, selfish);
-            let d = Degrees::of(&g);
-            for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
-                let bad = damaged(encode_ec_graph(&lg), &damage);
-                if let Ok(back) = decode_ec_graph::<f64>(&bad) {
-                    back.debug_validate();
-                    // A slot is the largest thing a counted byte can stand for.
-                    prop_assert!(back.mem_bytes() <= 1024 + 128 * bad.len());
-                }
-            }
-        }
-
-        /// The vertex-cut decoder reloads a crashed node's `vc/meta` file
-        /// and restores an aborted checkpoint recovery: damaged snapshots of
-        /// loader-built graphs come back as an error or as a graph that
-        /// holds together, its store sized by what was read and not by a
-        /// count the input merely claims.
-        #[test]
-        fn hostile_vc_graph_bytes_never_panic(
-            (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
-            damage in proptest::collection::vec(arb_damage(), 1..4),
-        ) {
-            let cut = RandomVertexCut.partition(&g, parts);
-            let plan = plan_for(&g, &cut, k, selfish);
-            let d = Degrees::of(&g);
-            for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
-                let bad = damaged(encode_vc_graph(&lg), &damage);
-                if let Ok(back) = decode_vc_graph::<f64>(&bad) {
-                    back.debug_validate();
-                    prop_assert!(back.mem_bytes() <= 1024 + 128 * bad.len());
-                }
-            }
-        }
-
         /// An edge-ckpt file is what a Migration survivor and a reborn node
         /// reload from the DFS: a damaged one comes back as an error or as
         /// edges held in a constant times the input — never a panic, never
@@ -1057,31 +792,6 @@ pub(crate) mod tests {
                         prop_assert!(held <= 16 * bad.len());
                     }
                 }
-            }
-        }
-
-        /// The undo snapshot *is* this codec: whatever the loaders build —
-        /// any partition count, FT level, selfish flags, duplicate edges,
-        /// isolated vertices — must come back equal, field for field.
-        #[test]
-        fn loader_built_ec_graphs_roundtrip((g, (parts, k, selfish)) in (arb_graph(), arb_shape())) {
-            let cut = HashEdgeCut.partition(&g, parts);
-            let plan = plan_for(&g, &cut, k, selfish);
-            let d = Degrees::of(&g);
-            for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
-                let back: EcLocalGraph<f64> = decode_ec_graph(&encode_ec_graph(&lg)).unwrap();
-                prop_assert_eq!(&back, &lg);
-            }
-        }
-
-        #[test]
-        fn loader_built_vc_graphs_roundtrip((g, (parts, k, selfish)) in (arb_graph(), arb_shape())) {
-            let cut = RandomVertexCut.partition(&g, parts);
-            let plan = plan_for(&g, &cut, k, selfish);
-            let d = Degrees::of(&g);
-            for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
-                let back: VcLocalGraph<f64> = decode_vc_graph(&encode_vc_graph(&lg)).unwrap();
-                prop_assert_eq!(&back, &lg);
             }
         }
     }
@@ -1108,19 +818,6 @@ pub(crate) mod tests {
         assert_eq!(most.view().mirror_nodes().len(), MAX_TABLE_NODES);
     }
 
-    /// A master's in-edge sources are read through its in-edges' positions:
-    /// a snapshot with one pointing past the copies must not come back as a
-    /// graph.
-    #[test]
-    fn an_in_edge_past_the_copies_is_a_decode_error() {
-        let mut lg: EcLocalGraph<f64> = EcLocalGraph::empty(NodeId::new(0));
-        let master = EcVertex::new(Vid::new(3), CopyKind::Master, NodeId::new(0), 0.0);
-        lg.insert_at(0, master, &[(7, 1.0)], &[]);
-        lg.set_full_state(0, MasterMeta::default().view());
-        let back = decode_ec_graph::<f64>(&encode_ec_graph(&lg));
-        assert_eq!(back, Err(DecodeError::Corrupt("graph invariants")));
-    }
-
     /// FNV-1a over a byte string.
     fn fnv(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -1128,16 +825,38 @@ pub(crate) mod tests {
         })
     }
 
-    /// Loader-built graphs encode to the recorded bytes, without fault
-    /// tolerance and with one and two mirrors a vertex: the items of every
-    /// list, and their order, are pinned. The lengths recorded at commit
-    /// 81ee3c5 — when every copy owned its two edge lists as `Vec`s, a master
-    /// wrote the source of each in-edge beside it and a remote out-edge its
-    /// target — stay beside them: the snapshot stopped writing what the graph
-    /// stopped storing and carries one more count, and may only have shrunk.
+    /// Loader-built graphs' metadata snapshots encode to the recorded bytes,
+    /// without fault tolerance and with one and two mirrors a vertex: the
+    /// items of every list, and their order, are pinned. What the graph
+    /// codec wrote for the same graphs, until a snapshot became the batch
+    /// that rebuilds its graph, stays beside them: a batch writes every
+    /// in-edge's source but a uniform weight once, and may only be smaller.
     #[test]
     fn loader_built_graphs_encode_to_the_recorded_bytes() {
         const RECORDED: [[(usize, u64); 4]; 3] = [
+            [
+                (0x13c7a, 0x231d_1adf_4872_7958),
+                (0x1389c, 0xdd54_f7c6_6c76_f086),
+                (0x14790, 0x7fa0_5990_62ae_4efe),
+                (0x13eb5, 0x554f_17da_cdf4_d63b),
+            ],
+            [
+                (0x1fe3e, 0xb67f_22be_e4b5_1189),
+                (0x1f941, 0x5ec8_e520_9264_3edb),
+                (0x201e1, 0x130b_70c6_dc79_5d31),
+                (0x20172, 0x9288_6b2f_7692_32a8),
+            ],
+            [
+                (0x2d224, 0x428a_0420_c8d5_5a3b),
+                (0x2d71b, 0x6af7_6ac8_555f_e75c),
+                (0x2d483, 0x9513_834b_b100_2bf8),
+                (0x2dd20, 0xbfa4_8c9d_6799_0b3e),
+            ],
+        ];
+        /// The graph codec's: copy after copy, its kind and flags in a
+        /// byte, its two edge lists with a weight per in-edge, then its full
+        /// state, a master's without the lists its copy already carried.
+        const GRAPH_CODEC: [[(usize, u64); 4]; 3] = [
             [
                 (0x16b02, 0xeef5_2fc4_cf33_4434),
                 (0x1661d, 0x7e61_d1d4_fbe9_b265),
@@ -1157,59 +876,24 @@ pub(crate) mod tests {
                 (0x3e8e4, 0x2211_a753_eaea_03e0),
             ],
         ];
-        const WITH_SOURCES_AND_TARGETS: [[usize; 4]; 3] = [
-            [0x1bd30, 0x1b66b, 0x1cfe9, 0x1c0fa],
-            [0x30f01, 0x305e2, 0x3155e, 0x31696],
-            [0x46d0b, 0x475a4, 0x471db, 0x48295],
-        ];
         let g = gen::power_law_selfish(3_000, 2.0, 8, 0.2, 11);
         let cut = HashEdgeCut.partition(&g, 4);
         let d = Degrees::of(&g);
+        let model = EcModel { prog: Arc::new(P) };
         for (k, recorded) in RECORDED.iter().enumerate() {
             let plan = plan_for(&g, &cut, k, true);
             let lgs = build_edge_cut_graphs(&g, &cut, &plan, &P, &d);
             let encoded = lgs.iter().map(|lg| {
-                let bytes = encode_ec_graph(lg);
+                let bytes = encode_meta(&model, lg);
                 (bytes.len(), fnv(&bytes))
             });
             assert!(encoded.eq(recorded.iter().copied()), "K = {k}");
-            let before = WITH_SOURCES_AND_TARGETS[k].iter();
+            let before = GRAPH_CODEC[k].iter();
             assert!(
-                recorded.iter().zip(before).all(|(now, &was)| now.0 < was),
+                recorded.iter().zip(before).all(|(now, was)| now.0 < was.0),
                 "K = {k}: a snapshot grew"
             );
         }
-    }
-
-    /// A graph comes back from a snapshot without the dead runs Migration
-    /// left in its store, in columns of exactly the prologue's totals.
-    #[test]
-    fn decoding_drops_dead_runs() {
-        let g = gen::power_law(400, 2.0, 6, 3);
-        let cut = HashEdgeCut.partition(&g, 3);
-        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, false, true, 0xF7);
-        let d = Degrees::of(&g);
-        let mut lg = build_edge_cut_graphs(&g, &cut, &plan, &P, &d).remove(1);
-        let loaded = lg.full_state_lens();
-        assert_eq!(lg.live_full_state_lens(), loaded, "a fresh store has none");
-        // Grow every mirror's remote out-edges by one: each list is a new
-        // run at its column's tail and leaves its old run behind.
-        let mirrors: Vec<u32> = (0..lg.len() as u32)
-            .filter(|&pos| lg.verts[pos as usize].kind == CopyKind::Mirror)
-            .collect();
-        assert!(!mirrors.is_empty());
-        for &pos in &mirrors {
-            let mut grown = lg.full_state(pos).unwrap().to_meta();
-            grown.out_remote.push(RemoteEdge::default());
-            lg.set_full_state(pos, grown.view());
-        }
-        let live = lg.live_full_state_lens();
-        assert_eq!(live.slots, loaded.slots);
-        assert!(lg.full_state_lens().runs > live.runs && live.runs > loaded.runs);
-        let back: EcLocalGraph<f64> = decode_ec_graph(&encode_ec_graph(&lg)).unwrap();
-        assert_eq!(back, lg);
-        assert_eq!(back.full_state_weights(), lg.full_state_weights());
-        assert_eq!(back.full_state_lens(), live);
     }
 
     /// A loaded mirror keeps its edge lists as the bytes [`enc_lists`]
@@ -1294,41 +978,31 @@ pub(crate) mod tests {
                     }
                 }
                 let (mut ours, mut theirs) = (Vec::new(), Vec::new());
-                enc_meta(lg.full_state(pos).unwrap(), &mut ours);
-                enc_meta(want.view(), &mut theirs);
+                enc_lists(lg.full_state(pos).unwrap(), EdgeLists::ALL, None, &mut ours);
+                enc_lists(want.view(), EdgeLists::ALL, None, &mut theirs);
                 assert_eq!(ours, theirs, "{v} on node {p}");
             }
         }
     }
 
-    /// The encoders allocate once: the size guessed from the list lengths
-    /// covers the encoding without doubling it.
+    /// A metadata snapshot is allocated once, at the length it encodes to.
     #[test]
-    fn graph_encoders_presize_their_buffer() {
+    fn a_metadata_snapshot_is_sized_once() {
         let g = gen::power_law(5_000, 2.0, 10, 3);
         let d = Degrees::of(&g);
         let cut = HashEdgeCut.partition(&g, 4);
-        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, true, true, 0xF7);
+        let plan = compute_ft_plan(&d, &cut, 1, true, true, 0xF7);
+        let model = EcModel { prog: Arc::new(P) };
         for lg in build_edge_cut_graphs(&g, &cut, &plan, &P, &d) {
-            let bytes = encode_ec_graph(&lg);
-            let hint = ec_graph_size_hint(&lg);
-            assert!(
-                bytes.len() <= hint && hint < 2 * bytes.len(),
-                "edge-cut: guessed {hint} B for {} B",
-                bytes.len()
-            );
-            assert_eq!(bytes.capacity(), hint, "no regrow");
+            let bytes = encode_meta(&model, &lg);
+            assert_eq!(bytes.capacity(), bytes.len(), "edge-cut");
         }
         let cut = RandomVertexCut.partition(&g, 4);
-        let plan = compute_ft_plan(&Degrees::of(&g), &cut, 1, true, true, 0xF7);
+        let plan = compute_ft_plan(&d, &cut, 1, true, true, 0xF7);
+        let model = VcModel { prog: Arc::new(P) };
         for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
-            let bytes = encode_vc_graph(&lg);
-            assert!(
-                bytes.len() <= bytes.capacity() && bytes.capacity() < 2 * bytes.len(),
-                "vertex-cut: {} B in a {} B buffer",
-                bytes.len(),
-                bytes.capacity()
-            );
+            let bytes = encode_meta(&model, &lg);
+            assert_eq!(bytes.capacity(), bytes.len(), "vertex-cut");
         }
     }
 
@@ -1355,20 +1029,6 @@ pub(crate) mod tests {
             } else {
                 assert_eq!(v.value, -1.0); // replicas untouched
             }
-        }
-    }
-
-    #[test]
-    fn vc_graph_roundtrips() {
-        let g = gen::power_law(300, 2.0, 5, 9);
-        let cut = RandomVertexCut.partition(&g, 4);
-        let plan = FtPlan::none(g.num_vertices());
-        let d = Degrees::of(&g);
-        let lgs = build_vertex_cut_graphs(&g, &cut, &plan, &P, &d);
-        for lg in &lgs {
-            let bytes = encode_vc_graph(lg);
-            let back: VcLocalGraph<f64> = decode_vc_graph(&bytes).unwrap();
-            assert_eq!(&back, lg);
         }
     }
 
@@ -1510,7 +1170,12 @@ pub(crate) mod tests {
                 let dfs = imitator_storage::Dfs::new(imitator_storage::DfsConfig::instant());
                 // A stale file from an earlier write must not survive.
                 dfs.write(&format!("vc/eckpt/{}/99", me.raw()), vec![1]);
-                persist_edge_ckpt(&lg, &dfs).wait();
+                let ft = FtMode::Replication {
+                    tolerance: k,
+                    selfish_opt: true,
+                    recovery: crate::RecoveryStrategy::Migration,
+                };
+                persist_edge_ckpt(&lg, &dfs, ft).wait();
                 let mut per_receiver: HashMap<NodeId, Vec<(Vid, Vid, f32)>> = HashMap::new();
                 for e in &lg.edges {
                     let src = lg.verts[e.src as usize].vid;
@@ -1569,12 +1234,24 @@ pub(crate) mod tests {
         );
     }
 
+    /// Truncated files and garbage are errors: an edge-ckpt file cut short,
+    /// a metadata snapshot cut short or run on, and an edge-ckpt file read
+    /// as a snapshot.
     #[test]
     fn corrupt_snapshot_is_rejected() {
         let bytes = encode_edge_ckpt(&[(Vid::new(0), Vid::new(1), 1.0)]);
         assert!(decode_edge_ckpt(&bytes[..bytes.len() - 1]).is_err());
-        let mut graph_bytes = vec![0u8; 3];
-        graph_bytes.extend_from_slice(&bytes);
-        assert!(decode_ec_graph::<f64>(&graph_bytes).is_err());
+        let mut garbage = vec![0u8; 3];
+        garbage.extend_from_slice(&bytes);
+        assert!(decode_meta::<f64, EcLocalGraph<f64>>(&garbage).is_err());
+        let g = gen::power_law(200, 2.0, 5, 5);
+        let (d, cut) = (Degrees::of(&g), HashEdgeCut.partition(&g, 2));
+        let lg = build_edge_cut_graphs(&g, &cut, &FtPlan::none(200), &P, &d).remove(0);
+        let mut meta = encode_meta(&EcModel { prog: Arc::new(P) }, &lg);
+        assert!(decode_meta::<f64, EcLocalGraph<f64>>(&meta).is_ok());
+        assert!(decode_meta::<f64, EcLocalGraph<f64>>(&meta[..meta.len() - 1]).is_err());
+        meta.push(0);
+        let trailing = decode_meta::<f64, EcLocalGraph<f64>>(&meta);
+        assert_eq!(trailing.err(), Some(DecodeError::TrailingBytes(1)));
     }
 }

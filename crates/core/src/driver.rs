@@ -26,7 +26,7 @@ use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_storage::codec::{Decode, Encode};
 use imitator_storage::{epoch, Dfs, EpochKind, WriteBehind};
 
-use crate::ckpt::GraphCodec;
+use crate::ckpt::{self, SnapshotCodec};
 use crate::msg::{ProtoMsg, RebirthBatch, ReplicaGrant, StoreCodec, VertexSync};
 use crate::recovery::{self, Adoption, Mig, MigEnv};
 use crate::report::RunReport;
@@ -136,6 +136,13 @@ pub(crate) trait ModelGraph: Episode + FullStateBatches {
     fn is_master(&self, pos: u32) -> bool {
         self.kind(pos) == CopyKind::Master
     }
+    /// The local consumers of the plain replica at `pos` (vertex-cut: none).
+    fn consumers(&self, _pos: u32) -> &[u32] {
+        &[]
+    }
+    /// `==`, values compared by `same`: the debug builds' undo oracle.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    fn eq_by(&self, other: &Self, same: impl Fn(&Self::Value, &Self::Value) -> bool) -> bool;
     /// [`ModelGraph::meta`] of a copy that must carry full state: a master
     /// or a mirror.
     ///
@@ -173,10 +180,10 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     type Prog: VertexProgram<Value = Self::Value>;
     /// Gather accumulator (`()` when gather is fused into local compute).
     type Accum: Clone + Send + Encode + Decode + 'static;
-    /// Local graph, with its DFS codec and the codec of the full-state
-    /// stores it ships; the node's thread owns it.
+    /// Local graph, with its data-snapshot codec and the codec of the
+    /// full-state stores it ships; the node's thread owns it.
     type Graph: ModelGraph<Value = Self::Value>
-        + GraphCodec
+        + SnapshotCodec
         + StoreCodec
         + Clone
         + MemSize
@@ -192,12 +199,12 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
 
     /// The program: its `derive` completes every value that enters a node (a
     /// sync record, a Rebirth record, a Migration grant or fresh mirror, a
-    /// graph or a snapshot read back from the DFS) before anything reads it.
+    /// snapshot read back from the DFS) before anything reads it.
     fn prog(&self) -> &Self::Prog;
     fn init_scratch(&self, shared: &Shared<Self>) -> Self::Scratch;
-    /// What a non-checkpoint mode keeps on the DFS for a recovery to reload
+    /// What a fault-tolerant run keeps on the DFS for a recovery to reload
     /// (edge-ckpt files): taken from the graph as it stands, at load (the run
-    /// phase `load_persist`) and after a Migration, and written behind the node.
+    /// phase `load_persist`) and after adopting edges, written behind it.
     fn persist(&self, _lg: &Self::Graph, _shared: &Shared<Self>) -> Option<WriteBehind> {
         None
     }
@@ -349,17 +356,13 @@ pub(crate) fn run<M: ComputeModel>(
             let mut st = NodeState::new(shared.cfg.num_nodes, Instant::now());
             if matches!(shared.cfg.ft, FtMode::Checkpoint { .. }) {
                 let sw = Stopwatch::start();
-                shared.dfs.write(
-                    &format!("{}/meta/{}", M::PREFIX, ctx.id().raw()),
-                    lg.encode_graph(),
-                );
+                ckpt::write_meta(&shared.model, &shared.dfs, &lg, ctx.id());
                 st.ckpt_time += sw.elapsed();
-            } else {
-                let sw = Stopwatch::start();
-                st.persist = shared.model.persist(&lg, &shared);
-                if st.persist.is_some() {
-                    st.phases.record("load_persist", sw.elapsed());
-                }
+            }
+            let sw = Stopwatch::start();
+            st.persist = shared.model.persist(&lg, &shared);
+            if st.persist.is_some() {
+                st.phases.record("load_persist", sw.elapsed());
             }
             node_main(ctx, lg, &shared, st)
         }));
@@ -441,10 +444,7 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
     // Bit equality of what ships, and the derived rest as printed: a NaN a
     // program got stuck on is still synced, a field left underived is not.
     let same_bits = |a: &M::Value, b: &M::Value| {
-        let (mut x, mut y) = (Vec::new(), Vec::new());
-        a.encode(&mut x);
-        b.encode(&mut y);
-        x == y && format!("{a:?}") == format!("{b:?}")
+        a.to_bytes() == b.to_bytes() && format!("{a:?}") == format!("{b:?}")
     };
     // Every in-edge of every live master as (node, position, source), sorted.
     let mut fed: Vec<(NodeId, u32, Vid)> = Vec::new();

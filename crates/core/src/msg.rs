@@ -187,6 +187,22 @@ pub struct RebirthBatch<V> {
     pub lists: Vec<EdgeLists>,
 }
 
+impl<V> RebirthBatch<V> {
+    /// A batch of no copy yet, toward a cluster of `num_survivors` senders
+    /// that resumes at `resume_iter`.
+    pub(crate) fn new(resume_iter: u64, num_survivors: u32) -> Self {
+        RebirthBatch {
+            resume_iter,
+            num_survivors,
+            records: Vec::new(),
+            replica_lists: Vec::new(),
+            consumers: Vec::new(),
+            states: FullState::default(),
+            lists: Vec::new(),
+        }
+    }
+}
+
 /// Edge-cut cluster messages ([`ProtoMsg`] instantiated for the edge-cut
 /// model; the unused `Gather` accumulator is `()`).
 pub type EcMsg<V> = ProtoMsg<V, (), EcLocalGraph<V>>;
@@ -235,7 +251,7 @@ fn dec_vids(r: &mut Reader<'_>) -> Result<Vec<Vid>, DecodeError> {
 /// each as a full state's `out_local_owner` (a list's positions need not
 /// ascend, nor do lists follow one another's); then the store's slot count
 /// and the store as the engine writes it ([`StoreCodec::enc_states`]).
-fn enc_batch<V: Encode, G: StoreCodec, S: Sink>(b: &RebirthBatch<V>, out: &mut S) {
+pub(crate) fn enc_batch<V: Encode, G: StoreCodec, S: Sink>(b: &RebirthBatch<V>, out: &mut S) {
     enc_u64(b.resume_iter, out);
     enc_u32(b.num_survivors, out);
     enc_vids(b.records.iter().map(|r| r.vid), out);
@@ -259,7 +275,9 @@ fn enc_batch<V: Encode, G: StoreCodec, S: Sink>(b: &RebirthBatch<V>, out: &mut S
 /// Reads a Rebirth batch back, refusing kind bits that name no copy kind,
 /// list lengths that do not add up to the consumer total and a store of
 /// other than one slot per master and mirror record.
-fn dec_batch<V: Decode, G: StoreCodec>(r: &mut Reader<'_>) -> Result<RebirthBatch<V>, DecodeError> {
+pub(crate) fn dec_batch<V: Decode, G: StoreCodec>(
+    r: &mut Reader<'_>,
+) -> Result<RebirthBatch<V>, DecodeError> {
     let (resume_iter, num_survivors) = (dec_u64(r)?, dec_u32(r)?);
     let vids = dec_vids(r)?;
     let positions = dec_deltas(r, vids.len())?;
@@ -631,16 +649,22 @@ mod tests {
     use crate::ckpt::tests::{
         arb_damage, arb_graph, arb_shape, damaged, dec_tables, plan_for, Damage, P,
     };
+    use crate::ckpt::{decode_meta, encode_meta};
+    use crate::driver::ComputeModel;
+    use crate::runner_ec::EcModel;
+    use crate::runner_vc::VcModel;
     use imitator_algos::RankValue;
     use imitator_engine::{
         build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, EcVertex, FullStateBatches,
         MasterMeta, RemoteEdge, VcVertex,
     };
+    use imitator_graph::Graph;
     use imitator_metrics::MemSize;
     use imitator_partition::{
         EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner,
     };
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// A sync frame is charged what the message encodes to, which is what
     /// the frozen `encode_sync_frame` writes for the same records. Run with
@@ -1365,6 +1389,34 @@ mod tests {
         buf
     }
 
+    /// The metadata snapshots of the graphs the loaders build over `g` on
+    /// `parts` nodes at tolerance `k`, both engines, as Rebirth messages.
+    fn self_batches(
+        g: &Graph,
+        parts: usize,
+        k: usize,
+        selfish: bool,
+    ) -> (Vec<EcMsg<f64>>, Vec<VcMsg<f64, f64>>) {
+        fn msg<M: ComputeModel>(
+            model: &M,
+            lg: &M::Graph,
+        ) -> ProtoMsg<M::Value, M::Accum, M::Graph> {
+            let batch = decode_meta::<_, M::Graph>(&encode_meta(model, lg));
+            ProtoMsg::Rebirth(Box::new(batch.expect("a snapshot decodes")), PhantomData)
+        }
+        let d = Degrees::of(g);
+        let cut = HashEdgeCut.partition(g, parts);
+        let plan = plan_for(g, &cut, k, selfish);
+        let model = EcModel { prog: Arc::new(P) };
+        let lgs = build_edge_cut_graphs(g, &cut, &plan, &P, &d);
+        let ec = lgs.iter().map(|lg| msg(&model, lg)).collect();
+        let cut = RandomVertexCut.partition(g, parts);
+        let plan = plan_for(g, &cut, k, selfish);
+        let model = VcModel { prog: Arc::new(P) };
+        let lgs = build_vertex_cut_graphs(g, &cut, &plan, &P, &d);
+        (ec, lgs.iter().map(|lg| msg(&model, lg)).collect())
+    }
+
     /// The records `bytes` decode to, if they decode: room for each, as a
     /// list's capacity. A Rebirth batch must hold together: a list length
     /// per plain replica adding up to its consumers, a slot per master and
@@ -1424,22 +1476,26 @@ mod tests {
         /// records than the input has bytes — never a panic, never memory
         /// sized by a count the input merely claims. A store that decodes is
         /// adopted and every run it brings read back: a run is checked where
-        /// it enters, not where it is first read.
+        /// it enters, not where it is first read. The Rebirth batches
+        /// include the metadata snapshots of loader-built graphs: the batch
+        /// each node writes to rebuild itself from the DFS.
         #[test]
         fn hostile_proto_msg_bytes_never_panic(
             n in 0u32..24,
             seed in any::<u32>(),
+            (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
             damage in proptest::collection::vec(
                 prop_oneof![arb_damage(), any::<usize>().prop_map(Damage::InflateWide)],
                 1..4,
             ),
         ) {
-            for msg in ec_variants(n, seed) {
+            let (ec_selves, vc_selves) = self_batches(&g, parts, k, selfish);
+            for msg in ec_variants(n, seed).into_iter().chain(ec_selves) {
                 let bad = damaged(roundtrip(&msg), &damage);
                 let n = records::<(), EcLocalGraph<f64>>(&bad, ec_adopt);
                 prop_assert!(n.is_none_or(|n| n <= bad.len()), "{n:?} records, {} B", bad.len());
             }
-            for msg in vc_variants(n, seed) {
+            for msg in vc_variants(n, seed).into_iter().chain(vc_selves) {
                 let bad = damaged(roundtrip(&msg), &damage);
                 let n = records::<f64, VcLocalGraph<f64>>(&bad, vc_adopt);
                 prop_assert!(n.is_none_or(|n| n <= bad.len()), "{n:?} records, {} B", bad.len());

@@ -35,8 +35,8 @@
 //! attempt may consume standbys, and the strategy degrades gracefully when
 //! the standby pool runs dry: Rebirth falls back to Migration onto the
 //! survivors ("rebirth→migration"), and checkpoint recovery grafts the dead
-//! partitions' snapshots onto the survivors ("checkpoint→migration") — no
-//! panic, no wedged cluster.
+//! partitions, rebuilt from the DFS, onto the survivors
+//! ("checkpoint→migration") — no panic, no wedged cluster.
 //!
 //! Recovery runs on the node's protocol thread, as plain loops over its
 //! `&mut` graph: the paper's recovery is parallel across the surviving
@@ -49,9 +49,9 @@ use imitator_cluster::{BarrierOutcome, NodeCtx, NodeId};
 use imitator_engine::Episode;
 use imitator_graph::VidMap;
 use imitator_metrics::{RecoveryCounters, Stopwatch};
+use imitator_storage::codec::Encode;
 
-use crate::ckpt::GraphCodec;
-use crate::driver::{ComputeModel, Ctx, Shared, St};
+use crate::driver::{ComputeModel, Ctx, ModelGraph, Shared, St};
 use crate::{FtMode, RecoveryStrategy};
 
 mod ckpt;
@@ -94,28 +94,30 @@ pub(crate) type Attempt<T> = Result<T, Abort>;
 /// of two ways, by what the attempt does to it:
 ///
 /// * **Migration journals.** `migrate` opens an episode on the graph
-///   ([`Undo::open_journal`], before its first write): the graph's
+///   ([`Episode::begin_episode`], before its first write): the graph's
 ///   stores only grow from there, and its mutators save what they overwrite
 ///   (`imitator_engine`'s `episode` module). [`Undo::restore`] rolls the
 ///   episode back; success commits it. Both cost what the attempt changed —
 ///   a few percent of a partition — and setting up costs nothing.
-/// * **Checkpoint recovery snapshots.** The two checkpoint paths roll every
-///   value back and graft whole partitions: the whole graph *is* their
-///   change set, so [`Undo::capture_graph`] encodes it once with the model's
-///   metadata-snapshot codec, right before the rollback, and
-///   `restore` decodes.
+/// * **Checkpoint recovery copies.** A checkpoint standby attempt rolls
+///   every copy's value and activity back and writes nothing else, so
+///   [`Undo::capture_values`] copies those ([`Episode::values`]); the
+///   fallback also grafts whole partitions, so [`Undo::capture_graph`]
+///   clones the graph. Either copies once, right before the rollback, and
+///   `restore` writes the copy back.
 ///
 /// A Rebirth attempt only reads its graph, so an episode that never degrades
-/// journals and encodes nothing. Either undo takes the graph back to exactly
+/// journals and copies nothing. Every undo takes the graph back to exactly
 /// its pre-episode state, so an episode can abort any number of times.
 ///
-/// Debug builds check the journal against the codec it replaced: `migrate`
-/// *also* takes the encoded snapshot, and a rollback must leave a graph that
-/// encodes to the same bytes (bytes, not `==`: programs stuck on NaN).
-struct Undo {
-    lg: Option<Vec<u8>>,
+/// Debug builds check every undo against a clone of the pre-episode graph:
+/// a rollback must leave a graph equal to it, field for field and list for
+/// list, values by their encoding (not `==`: programs stuck on NaN).
+struct Undo<G: ModelGraph> {
+    lg: Option<G>,
+    values: Option<G::Values>,
     #[cfg(debug_assertions)]
-    oracle: Option<Vec<u8>>,
+    oracle: G,
     overlay: VidMap<NodeId>,
     mirror_assign: Vec<usize>,
     alive: Vec<bool>,
@@ -125,12 +127,14 @@ struct Undo {
     last_snapshot_iter: u64,
 }
 
-impl Undo {
-    fn capture<T>(st: &crate::rt::NodeState<T>) -> Self {
+impl<G: ModelGraph<Value: Encode> + Clone> Undo<G> {
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    fn capture<T>(st: &crate::rt::NodeState<T>, lg: &G) -> Self {
         Undo {
             lg: None,
+            values: None,
             #[cfg(debug_assertions)]
-            oracle: None,
+            oracle: lg.clone(),
             overlay: st.overlay.clone(),
             mirror_assign: st.mirror_assign.clone(),
             alive: st.alive.clone(),
@@ -141,40 +145,31 @@ impl Undo {
         }
     }
 
-    /// Opens the attempt's episode on `lg`. Must precede the attempt's
-    /// first write to the graph.
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    fn open_journal<G: GraphCodec + Episode>(&mut self, lg: &mut G) {
-        #[cfg(debug_assertions)]
-        if self.oracle.is_none() {
-            self.oracle = Some(lg.encode_graph());
-        }
-        lg.begin_episode();
-    }
-
-    /// Snapshots the pre-episode graph unless an earlier attempt of this
+    /// Copies the pre-episode graph unless an earlier attempt of this
     /// episode already did (its abort restored `lg` to exactly that state).
     /// Must precede the attempt's first write to the graph.
-    fn capture_graph<G: GraphCodec>(&mut self, lg: &G) {
-        if self.lg.is_none() {
-            self.lg = Some(lg.encode_graph());
-        }
+    fn capture_graph(&mut self, lg: &G) {
+        self.lg.get_or_insert_with(|| lg.clone());
     }
 
-    fn restore<M: ComputeModel>(&self, shared: &Shared<M>, lg: &mut M::Graph, st: &mut St<M>) {
-        let (prog, degrees) = (shared.model.prog(), &shared.degrees);
-        match &self.lg {
-            Some(bytes) => *lg = M::Graph::decode_graph(bytes, prog, degrees),
-            // No snapshot: the attempt journaled, or never wrote the graph.
-            None => lg.rollback(),
+    /// [`Undo::capture_graph`] for an attempt that writes values and
+    /// activity alone.
+    fn capture_values(&mut self, lg: &G) {
+        self.values.get_or_insert_with(|| lg.values());
+    }
+
+    fn restore<T>(&self, lg: &mut G, st: &mut crate::rt::NodeState<T>) {
+        match (&self.lg, &self.values) {
+            (Some(copy), _) => *lg = copy.clone(),
+            (None, Some(values)) => lg.restore_values(values),
+            // No copy: the attempt journaled, or never wrote the graph.
+            (None, None) => lg.rollback(),
         }
         #[cfg(debug_assertions)]
-        if let Some(oracle) = &self.oracle {
-            assert!(
-                lg.encode_graph() == *oracle,
-                "the rolled-back graph does not encode to the pre-episode snapshot"
-            );
-        }
+        assert!(
+            lg.eq_by(&self.oracle, |a, b| a.to_bytes() == b.to_bytes()),
+            "the rolled-back graph is not the pre-episode one"
+        );
         st.overlay = self.overlay.clone();
         st.mirror_assign = self.mirror_assign.clone();
         st.alive = self.alive.clone();
@@ -197,7 +192,7 @@ impl Undo {
 /// The successful attempt's report is closed here, so that what the episode
 /// costs outside the attempt is inside `RecoveryReport::total` too: the
 /// model's `after_recovery` hook and letting the undo go — committing the
-/// journal, freeing a snapshot — are booked to `reconstruct` (phase key
+/// journal, freeing a copy — are booked to `reconstruct` (phase key
 /// `after_recovery`). Time spent fencing aborted
 /// attempts accumulates into the report's `fence` phase — it is wall-clock
 /// the episode really cost.
@@ -210,15 +205,13 @@ pub(crate) fn recover<M: ComputeModel>(
     resume_iter: u64,
 ) -> bool {
     // The survivors' path under the configured strategy.
-    let path: fn(&mut AttemptCx<'_, M>, &mut M::Graph, &mut Undo) -> Attempt<_> =
+    let path: fn(&mut AttemptCx<'_, M>, &mut M::Graph, &mut Undo<_>) -> Attempt<_> =
         match shared.cfg.ft {
             FtMode::None => panic!("node failure injected with fault tolerance disabled"),
             FtMode::Checkpoint { .. } => ckpt::ckpt_survivor,
             FtMode::Replication { recovery, .. } => match recovery {
                 RecoveryStrategy::Rebirth => rebirth::rebirth_survivor,
-                RecoveryStrategy::Migration => {
-                    |cx, lg, undo| migration::migrate(cx, lg, undo, "migration")
-                }
+                RecoveryStrategy::Migration => |cx, lg, _| migration::migrate(cx, lg, "migration"),
             },
         };
     if dead.contains(&ctx.id()) {
@@ -227,7 +220,7 @@ pub(crate) fn recover<M: ComputeModel>(
         // elsewhere. Exit like a crash; do not fight the fence.
         return true;
     }
-    let mut undo = Undo::capture(st);
+    let mut undo = Undo::capture(st, lg);
     let mut episode = Vec::new();
     union_into(&mut episode, dead.to_vec());
     let mut counters = RecoveryCounters::default();
@@ -254,7 +247,7 @@ pub(crate) fn recover<M: ComputeModel>(
             Err(Abort::Failures(new_dead)) => {
                 counters.aborts += 1;
                 union_into(&mut episode, new_dead);
-                undo.restore(shared, lg, st);
+                undo.restore(lg, st);
                 let sw = Stopwatch::start();
                 let fenced_out = abort_fence(ctx, st, &mut episode);
                 fence_time += sw.elapsed();

@@ -8,15 +8,16 @@ use imitator_cluster::NodeId;
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, Stopwatch};
 use imitator_storage::codec::Encode;
-use imitator_storage::{epoch, EpochChain};
+use imitator_storage::epoch;
 
 use super::migration::{
     announce_promotions, collect_promotions, register_placements, report_placements, Mig, MigEnv,
     Placements,
 };
+use super::rebirth::reborn;
 use super::rounds::{barrier_ok, AttemptCx, MIGRATION_ROUNDS, RELOAD};
 use super::{Attempt, Undo};
-use crate::ckpt::GraphCodec;
+use crate::ckpt::{self, SnapshotCodec};
 use crate::driver::{collect_syncs, ComputeModel, Ctx, ModelGraph, Shared, St};
 use crate::msg::{Promotion, ProtoMsg, VertexSync};
 use crate::report::RecoveryReport;
@@ -36,27 +37,10 @@ pub(crate) struct Adoption {
     pub orphans: Vec<u32>,
 }
 
-/// Rolls a survivor back to its newest recoverable snapshot state and
-/// returns the iteration the graph now sits at: the newest complete epoch
-/// in full mode, the initial state under the complete snapshot chain (base
-/// full epoch + later deltas; see [`epoch::recovery_chain`]) in incremental
-/// mode, the initial state alone while no complete epoch exists.
-fn roll_back<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> u64 {
-    let (shared, me) = (cx.shared, cx.me());
-    let chain = epoch::recovery_chain(&shared.dfs, M::PREFIX, me.raw()).ok();
-    if chain.is_none() || shared.cfg.ft.is_incremental_ckpt() {
-        shared.model.reset_to_initial(lg, shared);
-    }
-    let snap_iter = chain.map_or(0, |chain| apply_snapshot_chain::<M>(lg, shared, &chain));
-    cx.st.dirty.clear();
-    cx.st.last_snapshot_iter = snap_iter;
-    snap_iter
-}
-
 pub(super) fn ckpt_survivor<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     lg: &mut M::Graph,
-    undo: &mut Undo,
+    undo: &mut Undo<M::Graph>,
 ) -> Attempt<RecoveryReport> {
     // An exhausted standby pool grafts the dead partitions' snapshots onto
     // the survivors instead of panicking.
@@ -66,13 +50,13 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
 
     // Reload: every node (survivors too) rolls back to the newest *sealed,
     // roster-complete* epoch — a crash mid-checkpoint leaves a torn part
-    // behind, and a torn epoch must never be loaded. For incremental mode,
-    // roll back to the initial state plus the complete snapshot chain.
+    // behind, and a torn epoch must never be loaded.
     let snap_iter = cx.phase(&RELOAD, |cx| {
-        // The rollback rewrites the graph: snapshot it for undo first.
-        undo.capture_graph(lg);
+        // The rollback rewrites values and activity alone: copy them first.
+        undo.capture_values(lg);
         cx.mark("undo_capture");
-        Ok(roll_back(cx, lg))
+        let chain = ckpt::chain::<M>(&cx.shared.dfs, cx.me());
+        Ok(ckpt::roll_back(cx.shared, lg, &chain))
     })?;
     cx.fence()?;
 
@@ -80,8 +64,9 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
     full_sync(cx, lg)?;
     cx.mark("reconstruct");
 
-    cx.st.iter = snap_iter;
+    (cx.st.iter, cx.st.last_snapshot_iter) = (snap_iter, snap_iter);
     cx.st.replay_until = cx.resume_iter;
+    cx.st.dirty.clear();
     for d in cx.dead {
         cx.st.alive[d.index()] = true;
     }
@@ -96,9 +81,9 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
 /// (the first three rows of the Migration table), then the usual full-sync.
 ///
 /// Round 1 — every survivor rolls back to the snapshot epoch; the
-/// round-robin adopter of each dead partition reconstructs it from the dead
-/// node's metadata snapshot plus its snapshot chain (exactly what a standby
-/// would have done) and grafts it into its own graph via
+/// round-robin adopter of each dead partition rebuilds it from the DFS
+/// (exactly what a standby would have done, [`reconstruct_partition`]) and
+/// grafts it into its own graph via
 /// [`ComputeModel::adopt_partition`]; promotions are announced. An adopter
 /// of several partitions reconstructs and grafts them in partition order.
 /// Round 2 — promotions are applied everywhere, adopted copies whose master
@@ -110,12 +95,15 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
 /// masters and the leader acknowledges the episode; the closing full-sync
 /// then refreshes every (old and adopted) replica from its master's
 /// rolled-back value. Finally each survivor re-persists its metadata
-/// snapshot: its layout grew, and a *later* episode must be able to
-/// reconstruct it including the adopted positions.
+/// snapshot and what the model keeps beside it: its layout grew, and a
+/// *later* episode must be able to reconstruct it including the adopted
+/// positions and edges; an adopter also rewrites its part of the snapshot
+/// epoch as a full one, since until its next epoch its chain ends there and
+/// its parts before the graft name none of the adopted masters.
 fn ckpt_fallback<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     lg: &mut M::Graph,
-    undo: &mut Undo,
+    undo: &mut Undo<M::Graph>,
 ) -> Attempt<RecoveryReport> {
     let (model, me) = (&cx.shared.model, cx.me());
     let mut mig: Mig<M::MigExtra> = Mig::default();
@@ -125,10 +113,10 @@ fn ckpt_fallback<M: ComputeModel>(
 
     // ---- Round 1: roll back, graft assigned dead partitions, announce.
     let (snap_iter, adopted) = cx.round(r1, |cx| {
-        // The rollback and the grafts rewrite the graph: snapshot it for undo.
+        // The rollback and the grafts rewrite the graph: copy it for undo.
         undo.capture_graph(lg);
         cx.phases.record("undo_capture", sw.lap());
-        let snap_iter = roll_back(cx, lg);
+        let snap_iter = ckpt::roll_back(cx.shared, lg, &ckpt::chain::<M>(&cx.shared.dfs, me));
         // The dead nodes are gone for good: purge them from every
         // pre-existing master's replica tables (the adopters purge their
         // grafted masters' tables inside `adopt_partition`).
@@ -187,18 +175,23 @@ fn ckpt_fallback<M: ComputeModel>(
         register_placements(cx, lg, None);
         cx.ack_recovered();
         full_sync(cx, lg)?;
-        // Re-persist the metadata snapshot: this node's layout changed, and
-        // any later reconstruction of *this* node must include the adopted
-        // positions. Placed after the last abortable barrier, so an aborted
-        // attempt never leaves a revised meta behind.
-        let meta = format!("{}/meta/{}", M::PREFIX, me.raw());
-        cx.shared.dfs.write(&meta, lg.encode_graph());
+        // Re-persist the metadata snapshot and the edge-ckpt files: any
+        // later rebuild of *this* node needs the adopted copies and edges.
+        // After the last abortable barrier, so an aborted attempt never
+        // leaves a revised snapshot behind.
+        ckpt::write_meta(model, &cx.shared.dfs, lg, me);
+        cx.st.persist = model.persist(lg, cx.shared);
+        if !adopted.promotions.is_empty() && snap_iter > 0 {
+            let part = lg.encode_snapshot(snap_iter, None);
+            epoch::write_part(&cx.shared.dfs, M::PREFIX, snap_iter, me.raw(), part);
+        }
         Ok(())
     })?;
     cx.phases.record("reconstruct", sw.lap());
 
-    cx.st.iter = snap_iter;
+    (cx.st.iter, cx.st.last_snapshot_iter) = (snap_iter, snap_iter);
     cx.st.replay_until = cx.resume_iter;
+    cx.st.dirty.clear();
     mig.promoted.sort_unstable();
     // `replay` accumulates as the lost iterations re-run.
     let mut report = cx.report("checkpoint→migration");
@@ -208,8 +201,8 @@ fn ckpt_fallback<M: ComputeModel>(
 }
 
 /// Round 1's grafts of the dead partitions assigned to this node
-/// (deterministically, round-robin over the survivors), each reconstructed
-/// from the DFS and grafted in turn.
+/// (deterministically, round-robin over the survivors), each rebuilt from
+/// the DFS and grafted in turn.
 fn graft_partitions<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     lg: &mut M::Graph,
@@ -233,25 +226,30 @@ fn graft_partitions<M: ComputeModel>(
     adopted
 }
 
-/// Rebuilds a crashed node's partition from the DFS — the immutable
-/// topology from its metadata snapshot, then its snapshot chain up to the
-/// newest complete epoch — and returns it with the iteration it sits at (0
-/// when no complete epoch exists).
-fn reconstruct_partition<M: ComputeModel>(shared: &Shared<M>, d: NodeId) -> (M::Graph, u64) {
-    let meta_bytes = shared
-        .dfs
-        .read(&format!("{}/meta/{}", M::PREFIX, d.raw()))
-        .expect("metadata snapshot written at load");
-    let (prog, degrees) = (shared.model.prog(), &shared.degrees);
-    let mut dg = M::Graph::decode_graph(&meta_bytes, prog, degrees);
-    let chain = epoch::recovery_chain(&shared.dfs, M::PREFIX, d.raw());
-    let snap_iter = chain.map_or(0, |chain| {
-        apply_snapshot_chain::<M>(&mut dg, shared, &chain)
-    });
+/// Rebuilds crashed node `d`'s partition from the DFS as a Rebirth newbie
+/// rebuilds one from its survivors' batches ([`reborn`]) — the batch is
+/// `d`'s metadata snapshot, the files those a newbie reborn as `d` reloads,
+/// both read ahead while `d`'s snapshot chain is judged — and rolls it back
+/// like a survivor's graph (a batch carries no activity). Returns it with
+/// the iteration it sits at.
+pub(super) fn reconstruct_partition<M: ComputeModel>(
+    shared: &Shared<M>,
+    d: NodeId,
+) -> (M::Graph, u64) {
+    let (model, dfs) = (&shared.model, &shared.dfs);
+    let mut paths = vec![ckpt::meta_path(M::PREFIX, d)];
+    paths.extend(model.reload_files(dfs, &[d], d, d));
+    let mut files = dfs.read_ahead(paths);
+    let chain = ckpt::chain::<M>(dfs, d);
+    let meta = files.next().expect("metadata snapshot written at load");
+    let meta = ckpt::decode_meta::<_, M::Graph>(&meta).expect("metadata snapshot decodes");
+    let mut dg = reborn(shared, d, [meta], files);
+    let snap_iter = ckpt::roll_back(shared, &mut dg, &chain);
     (dg, snap_iter)
 }
 
-/// A standby reconstructing a crashed identity from the DFS.
+/// A standby reconstructing a crashed identity from the DFS: a Rebirth
+/// newbie ([`super::rebirth_newbie`]) whose batch is the metadata snapshot.
 ///
 /// Fails when the attempt aborted, which it learns at a failed barrier like
 /// every node (suicide-on-abort, as in [`super::rebirth_newbie`]).
@@ -276,8 +274,7 @@ pub(crate) fn ckpt_newbie<M: ComputeModel>(
     full_sync(cx, &mut lg)?;
     cx.mark("reconstruct");
 
-    cx.st.iter = snap_iter;
-    cx.st.last_snapshot_iter = snap_iter;
+    (cx.st.iter, cx.st.last_snapshot_iter) = (snap_iter, snap_iter);
     let mut report = cx.report("checkpoint");
     (report.vertices_recovered, report.edges_recovered) = shared.model.graph_stats(&lg);
     cx.st.recoveries.push(report);
@@ -313,24 +310,4 @@ fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> A
     model.apply_full_sync(lg, incoming);
     barrier_ok(cx.ctx)?;
     Ok(())
-}
-
-/// Applies a node's parts of its recovery `chain` — the newest complete full
-/// epoch plus every later complete delta epoch, as the chain verified them —
-/// in ascending order, returning the last applied iteration. An ungrounded
-/// chain (deltas with no full base) is grounded at the caller's initial
-/// state, which every caller has just reset to or freshly decoded; see
-/// `recovery_chain`'s rewind argument for why the deltas then cover
-/// everything since.
-fn apply_snapshot_chain<M: ComputeModel>(
-    lg: &mut M::Graph,
-    shared: &Shared<M>,
-    chain: &EpochChain,
-) -> u64 {
-    let (prog, degrees) = (shared.model.prog(), &shared.degrees);
-    let applied = chain
-        .parts
-        .iter()
-        .map(|part| lg.apply_snapshot(part, prog, degrees));
-    applied.last().unwrap_or(0)
 }

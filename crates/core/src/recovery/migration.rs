@@ -14,7 +14,7 @@ use imitator_graph::Vid;
 use imitator_metrics::Stopwatch;
 
 use super::rounds::{AttemptCx, MIGRATION_ROUNDS};
-use super::{Attempt, Undo};
+use super::Attempt;
 use crate::driver::{kind, ComputeModel, ModelGraph};
 use crate::msg::{MirrorBatch, Promotion, ProtoMsg, ReplicaGrant};
 use crate::plan::responsible_mirror;
@@ -242,7 +242,6 @@ pub(super) fn register_placements<M: ComputeModel>(
 pub(super) fn migrate<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     lg: &mut M::Graph,
-    undo: &mut Undo,
     strategy: &'static str,
 ) -> Attempt<RecoveryReport> {
     let model = &cx.shared.model;
@@ -252,7 +251,7 @@ pub(super) fn migrate<M: ComputeModel>(
     // R2's DFS reads run behind R1.
     cx.prefetch();
     // Every round below rewrites the graph: journal from here on.
-    undo.open_journal(lg);
+    lg.begin_episode();
     cx.mark("undo_capture");
 
     // ---- R1: promote local mirrors whose master died (the responsible

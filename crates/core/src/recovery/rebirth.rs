@@ -2,9 +2,11 @@
 //! node's copies, in the crashed layout, and the standby replays.
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 use std::time::Duration;
 
-use imitator_engine::{CopyKind, EdgeLists, FullState, FullStateBatches};
+use imitator_cluster::NodeId;
+use imitator_engine::{CopyKind, EdgeLists, FullStateBatches};
 use imitator_graph::Vid;
 
 use super::migration::migrate;
@@ -25,15 +27,7 @@ fn reload_scan<M: ComputeModel>(
     let (model, dead, me) = (&cx.shared.model, cx.dead, cx.me());
     let mut out: Vec<RebirthBatch<M::Value>> = dead
         .iter()
-        .map(|_| RebirthBatch {
-            resume_iter: cx.resume_iter,
-            num_survivors: cx.survivors.len() as u32,
-            records: Vec::new(),
-            replica_lists: Vec::new(),
-            consumers: Vec::new(),
-            states: FullState::default(),
-            lists: Vec::new(),
-        })
+        .map(|_| RebirthBatch::new(cx.resume_iter, cx.survivors.len() as u32))
         .collect();
     // Per crashed node, the copies here whose full state its batch ships.
     let mut held: Vec<Vec<(u32, EdgeLists)>> = dead.iter().map(|_| Vec::new()).collect();
@@ -105,11 +99,11 @@ fn reload_scan<M: ComputeModel>(
 pub(super) fn rebirth_survivor<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     lg: &mut M::Graph,
-    undo: &mut Undo,
+    _: &mut Undo<M::Graph>,
 ) -> Attempt<RecoveryReport> {
     // An empty standby pool degrades to Migration onto the survivors.
     if !cx.standbys_dispatched()? {
-        return migrate(cx, lg, undo, "rebirth→migration");
+        return migrate(cx, lg, "rebirth→migration");
     }
 
     // Reloading (§5.1.1): scan local masters and mirrors, build one batch
@@ -140,10 +134,28 @@ pub(super) fn rebirth_survivor<M: ComputeModel>(
     Ok(report)
 }
 
+/// The graph of `me` rebuilt from Rebirth batches (§5.1.2): an empty one,
+/// every batch placed where it says, then the model's reload files wired in.
+pub(super) fn reborn<M: ComputeModel>(
+    shared: &Shared<M>,
+    me: NodeId,
+    batches: impl IntoIterator<Item = RebirthBatch<M::Value>>,
+    files: impl Iterator<Item = Arc<Vec<u8>>>,
+) -> M::Graph {
+    let model = &shared.model;
+    let mut lg = model.empty_graph(me);
+    for batch in batches {
+        model.place_reborn(&mut lg, batch, &shared.degrees);
+    }
+    for file in files {
+        model.rebirth_reload_extra(&mut lg, &file);
+    }
+    lg
+}
+
 /// A newbie reconstructing a crashed identity: take one batch from every
-/// survivor at the reload barrier, place them (placement is
-/// position-addressed, so reconstruction happens on the fly, §5.1.2), reload
-/// any model-specific extra state, validate, and replay (§5.1.3).
+/// survivor at the reload barrier, rebuild from them and the model's reload
+/// files ([`reborn`]), validate, and replay (§5.1.3).
 ///
 /// Fails when the attempt aborted, which the newbie learns as every survivor
 /// does: at a failed barrier. It has no pre-episode state to restore, so its
@@ -182,13 +194,9 @@ pub(crate) fn rebirth_newbie<M: ComputeModel>(
     // points key on.
     cx.resume_iter = first.resume_iter;
     cx.fail_here(RELOAD.1)?;
-    let mut lg = model.empty_graph(ctx.id());
-    for (_, batch) in batches {
-        model.place_reborn(&mut lg, *batch, &shared.degrees);
-    }
-    while let Some(file) = cx.prefetched(RELOAD.0) {
-        model.rebirth_reload_extra(&mut lg, &file);
-    }
+    let batches = batches.into_iter().map(|(_, batch)| *batch);
+    let files = std::iter::from_fn(|| cx.prefetched(RELOAD.0));
+    let mut lg = reborn(shared, ctx.id(), batches, files);
     cx.mark(RELOAD.0);
 
     // Reconstruction is implicit; validate the rebuilt layout, then run the

@@ -1,7 +1,8 @@
 //! Unit tests for the recovery state machine's internals: what the undo
 //! journal holds and that it rolls back any number of times (debug builds
-//! check every rollback against the encoded snapshot it replaced), what
-//! Migration's rounds 5 and 7 send to whom, and that the [`MigEnv`]
+//! check every rollback against a copy of the graph it replaced), that a
+//! graph rebuilt from its metadata snapshot is the graph that wrote it,
+//! what Migration's rounds 5 and 7 send to whom, and that the [`MigEnv`]
 //! promotion indices answer exactly like the scans and hash maps they
 //! replaced.
 
@@ -9,11 +10,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use imitator_algos::{PageRank, Sssp};
-use imitator_cluster::{Cluster, Envelope, FailPoint, FailurePlan, NodeId};
+use imitator_algos::{PageRank, RankValue, Sssp};
+use imitator_cluster::{Cluster, Envelope, FailPoint, FailureInjector, FailurePlan, NodeId};
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, FtPlan,
-    VcLocalGraph, VertexProgram, Weights,
+    RemoteEdge, VcLocalGraph, VertexProgram, Weights,
 };
 use imitator_graph::{gen, Edge, Graph, Vid};
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
@@ -21,8 +22,8 @@ use imitator_storage::{Dfs, DfsConfig};
 use proptest::prelude::*;
 
 use super::{MigEnv, R7_TALLY};
-use crate::ckpt::{self, tests::arb_graph};
-use crate::driver::{self, ModelGraph};
+use crate::ckpt::{self, tests::arb_graph, tests::arb_shape};
+use crate::driver::{self, ComputeModel, ModelGraph, Shared};
 use crate::msg::{Promotion, ProtoMsg, ReplicaGrant};
 use crate::plan::{compute_ft_plan, ReplicaView};
 use crate::report::RunReport;
@@ -196,10 +197,11 @@ fn replication(tolerance: usize, recovery: RecoveryStrategy) -> FtMode {
 
 /// A Migration's journal holds what the attempt changed, not the partition:
 /// on a 20 k-vertex power-law graph it stays under a quarter of what the
-/// encoded snapshot it replaced weighed. Of the five strategies, the two
-/// that run `migrate` journal; the checkpoint paths book an encoded snapshot
-/// under the same `undo_capture` key; a clean Rebirth only reads its
-/// survivors' graphs and keeps nothing.
+/// partition serialises to (its metadata snapshot, and a vertex-cut node's
+/// edge-ckpt files). Of the five strategies, the two that run `migrate`
+/// journal; the checkpoint paths book a copy — of the values, or of the
+/// graph for a graft — under the same `undo_capture` key; a clean Rebirth
+/// only reads its survivors' graphs and keeps nothing.
 #[test]
 fn journal_is_proportional_to_the_change_set() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -257,8 +259,13 @@ fn journal_is_proportional_to_the_change_set() {
     let dead = NodeId::from_index(1);
     let plan = vec![crash(1, 2, FailPoint::BeforeBarrier)];
     let ec = run_ec(&g, NODES, ft, 0, plan.clone());
+    let model = EcModel {
+        prog: Arc::new(MinLabel),
+    };
     let survivors = ec.loaded.iter().filter(|lg| lg.node != dead);
-    let encoded: usize = survivors.map(|lg| ckpt::encode_ec_graph(lg).len()).sum();
+    let encoded: usize = survivors
+        .map(|lg| ckpt::encode_meta(&model, lg).len())
+        .sum();
     let journal = ec.report.recoveries[0].journal_bytes as usize;
     assert!(
         0 < journal && 4 * journal < encoded,
@@ -267,11 +274,22 @@ fn journal_is_proportional_to_the_change_set() {
     let cut = RandomVertexCut.partition(&g, NODES);
     let degrees = Degrees::of(&g);
     let loaded = build_vertex_cut_graphs(&g, &cut, &load_plan(&g, &cut, ft), &MinLabel, &degrees);
+    let model = VcModel {
+        prog: Arc::new(MinLabel),
+    };
     let survivors = loaded.iter().filter(|lg| lg.node != dead);
-    let encoded: usize = survivors.map(|lg| ckpt::encode_vc_graph(lg).len()).sum();
+    let files = |lg: &VcLocalGraph<u32>| {
+        ckpt::edge_ckpt_files(lg)
+            .into_iter()
+            .map(|(_, file)| file.len())
+    };
+    let encoded: usize = survivors
+        .map(|lg| ckpt::encode_meta(&model, lg).len() + files(lg).sum::<usize>())
+        .sum();
     let journal = run_vc(&g, NODES, ft, 0, plan).0.recoveries[0].journal_bytes as usize;
-    // A vertex-cut snapshot is mostly 9-byte edges and a Migration rewrites
-    // the location tables of nearly every master and mirror: a third.
+    // A vertex-cut partition is mostly edges of several bytes each and a
+    // Migration rewrites the location tables of nearly every master and
+    // mirror: a third.
     assert!(
         0 < journal && 2 * journal < encoded,
         "vertex-cut: journal {journal} B against {encoded} B encoded"
@@ -280,8 +298,8 @@ fn journal_is_proportional_to_the_change_set() {
 
 /// An attempt aborted at the start of any Migration round rolls its journal
 /// back and the retry finishes bit-identical to the failure-free run. (In
-/// this build `Undo::restore` also holds the rolled-back graph against the
-/// encoded pre-episode snapshot, byte for byte.)
+/// this build `Undo::restore` also holds the rolled-back graph against a
+/// clone of the pre-episode one, values by their encoding.)
 #[test]
 fn abort_at_every_migration_round_rolls_back_and_retries() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -329,13 +347,12 @@ fn aborted_rebirth_restores_without_a_journal() {
 }
 
 /// Edge-cut PageRank over [`graph`] on four nodes: the strategies of its
-/// recoveries, and each live node's final graph as a metadata snapshot
-/// encodes it, by node.
-fn pagerank_snapshots(
+/// recoveries, and each live node's final graph, by node.
+fn pagerank_graphs(
     ft: FtMode,
     standbys: usize,
     failures: Vec<FailurePlan>,
-) -> (Vec<String>, Vec<(NodeId, Vec<u8>)>) {
+) -> (Vec<String>, Vec<(NodeId, EcLocalGraph<RankValue>)>) {
     let (g, prog) = (graph(), PageRank::default());
     let cut = HashEdgeCut.partition(&g, NODES);
     let degrees = Degrees::of(&g);
@@ -347,7 +364,7 @@ fn pagerank_snapshots(
     };
     let cfg = config(NODES, ft, standbys);
     let dfs = Dfs::new(DfsConfig::instant());
-    let (report, graphs) = driver::run(
+    let (report, mut graphs) = driver::run(
         model,
         g.num_vertices(),
         lgs,
@@ -358,33 +375,153 @@ fn pagerank_snapshots(
         failures,
         dfs,
     );
-    let mut snapshots: Vec<_> = graphs
-        .iter()
-        .map(|(node, lg)| (*node, ckpt::encode_ec_graph(lg)))
-        .collect();
-    snapshots.sort_by_key(|&(node, _)| node);
+    graphs.sort_by_key(|&(node, _)| node);
     let strategies = report.recoveries.iter().map(|r| r.strategy.to_string());
-    (strategies.collect(), snapshots)
+    (strategies.collect(), graphs)
 }
 
-/// A newbie ends a run holding, byte for byte, the graph its node holds in
-/// the failure-free run: every copy at its position with its kind, flags,
-/// value and edge lists, and every master's and mirror's full state — one
-/// crash at K = 1, two in one episode at K = 2.
+/// A newbie ends a run holding the graph its node holds in the failure-free
+/// run: every copy at its position with its kind, flags, value bits and
+/// edge lists, and every master's and mirror's full state — one crash at
+/// K = 1, two in one episode at K = 2.
 #[test]
 fn a_reborn_graph_equals_the_failure_free_one() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     for (tolerance, dead) in [(1, &[1][..]), (2, &[1, 2])] {
         let ft = replication(tolerance, RecoveryStrategy::Rebirth);
-        let (_, golden) = pagerank_snapshots(ft, 0, vec![]);
+        let (_, golden) = pagerank_graphs(ft, 0, vec![]);
         let crashes = dead.iter().map(|&n| crash(n, 3, FailPoint::BeforeBarrier));
-        let (episodes, reborn) = pagerank_snapshots(ft, dead.len(), crashes.collect());
+        let (episodes, reborn) = pagerank_graphs(ft, dead.len(), crashes.collect());
         assert_eq!(episodes, ["rebirth"], "K={tolerance}");
         assert_eq!(reborn.len(), golden.len(), "K={tolerance}");
         for ((node, got), (_, want)) in reborn.iter().zip(&golden) {
             assert!(got == want, "K={tolerance}: the graph of {node} differs");
         }
     }
+}
+
+/// The state a run over `g` under `ft` shares among its nodes, on a DFS of
+/// its own that costs nothing.
+fn shared<M: ComputeModel>(model: M, g: &Graph, nodes: usize, ft: FtMode) -> Shared<M> {
+    Shared {
+        model,
+        degrees: Degrees::of(g),
+        plan: FtPlan::none(g.num_vertices()),
+        owners: Vec::new(),
+        injector: Arc::new(FailureInjector::new()),
+        dfs: Dfs::new(DfsConfig::instant()),
+        cfg: config(nodes, ft, 0),
+    }
+}
+
+/// `lg`, of `node`, as a checkpoint recovery rebuilds it from the DFS: its
+/// metadata snapshot, and what the model persists beside it, written as a
+/// checkpointing node writes them at load; read back as a standby reborn as
+/// `node` reads them, with no snapshot epoch to apply.
+fn rebuilt<M: ComputeModel>(shared: &Shared<M>, lg: &M::Graph, node: NodeId) -> M::Graph {
+    ckpt::write_meta(&shared.model, &shared.dfs, lg, node);
+    if let Some(files) = shared.model.persist(lg, shared) {
+        files.wait();
+    }
+    let (back, iter) = super::ckpt::reconstruct_partition(shared, node);
+    assert_eq!(iter, 0, "no epoch was written");
+    back
+}
+
+/// `lg` with every value and activity bit at the initial state: what a
+/// rebuild with no snapshot epoch to apply rolls back to.
+fn initial<M: ComputeModel>(shared: &Shared<M>, lg: &M::Graph) -> M::Graph {
+    let mut lg = lg.clone();
+    shared.model.reset_to_initial(&mut lg, shared);
+    lg
+}
+
+/// Whether every graph the loaders build over `g` on `nodes` nodes at
+/// tolerance `k` (selfish flags as `selfish`) comes back from its metadata
+/// snapshot, written and read back under checkpoint FT, as it was loaded.
+fn loaded_graphs_rebuild(g: &Graph, nodes: usize, k: usize, selfish: bool) -> Result<(), String> {
+    let loaded = FtMode::Replication {
+        tolerance: k,
+        selfish_opt: selfish,
+        recovery: RecoveryStrategy::Rebirth,
+    };
+    let loaded = if k == 0 { FtMode::None } else { loaded };
+    let ft = FtMode::Checkpoint {
+        interval: 2,
+        incremental: false,
+    };
+    let degrees = Degrees::of(g);
+    let cut = HashEdgeCut.partition(g, nodes);
+    let model = EcModel {
+        prog: Arc::new(MinLabel),
+    };
+    let ec = shared(model, g, nodes, ft);
+    let plan = load_plan(g, &cut, loaded);
+    for lg in build_edge_cut_graphs(g, &cut, &plan, &MinLabel, &degrees) {
+        if rebuilt(&ec, &lg, lg.node) != lg {
+            return Err(format!("edge-cut graph of {} at K = {k}", lg.node));
+        }
+    }
+    let cut = RandomVertexCut.partition(g, nodes);
+    let model = VcModel {
+        prog: Arc::new(MinLabel),
+    };
+    let vc = shared(model, g, nodes, ft);
+    let plan = load_plan(g, &cut, loaded);
+    for lg in build_vertex_cut_graphs(g, &cut, &plan, &MinLabel, &degrees) {
+        if rebuilt(&vc, &lg, lg.node) != lg {
+            return Err(format!("vertex-cut graph of {} at K = {k}", lg.node));
+        }
+    }
+    Ok(())
+}
+
+/// A partition has one serialisation: on both engines, without fault
+/// tolerance and with one and two mirrors a vertex, every graph the loaders
+/// build comes back from its metadata snapshot — the Rebirth batch that
+/// rebuilds it, placed as a newbie places its survivors' (and, vertex-cut,
+/// its edge-ckpt file) — equal to the graph as loaded: copies, flags,
+/// values, every list and the edges in order, every table.
+#[test]
+fn a_loaded_graph_rebuilds_from_its_metadata_snapshot() {
+    let g = gen::power_law_selfish(2_000, 2.0, 8, 0.2, 11);
+    for k in 0..=2 {
+        loaded_graphs_rebuild(&g, NODES, k, true).unwrap();
+    }
+}
+
+/// A graph comes back from its metadata snapshot without the dead runs a
+/// Migration left in its store: a snapshot carries live runs only.
+#[test]
+fn a_rebuilt_graph_drops_dead_runs() {
+    let g = graph();
+    let ft = replication(1, RecoveryStrategy::Migration);
+    let cut = HashEdgeCut.partition(&g, NODES);
+    let plan = load_plan(&g, &cut, ft);
+    let degrees = Degrees::of(&g);
+    let mut lg = build_edge_cut_graphs(&g, &cut, &plan, &MinLabel, &degrees).remove(1);
+    let loaded = lg.full_state_lens();
+    // Grow every mirror's remote out-edges by one: each list is a new run at
+    // its column's tail and leaves its old run behind.
+    let mirrors: Vec<u32> = (0..lg.len() as u32)
+        .filter(|&pos| lg.kind(pos) == CopyKind::Mirror)
+        .collect();
+    assert!(!mirrors.is_empty());
+    for &pos in &mirrors {
+        let mut grown = lg.full_state(pos).unwrap().to_meta();
+        grown.out_remote.push(RemoteEdge::default());
+        lg.set_full_state(pos, grown.view());
+    }
+    let live = lg.live_full_state_lens();
+    assert_eq!(live.slots, loaded.slots);
+    assert!(lg.full_state_lens().runs > live.runs && live.runs > loaded.runs);
+    let model = EcModel {
+        prog: Arc::new(MinLabel),
+    };
+    let back = rebuilt(&shared(model, &g, NODES, ft), &lg, lg.node);
+    assert!(back == lg);
+    assert_eq!(back.full_state_weights(), lg.full_state_weights());
+    assert_eq!(back.full_state_lens(), live);
 }
 
 /// Two aborts in one episode: each attempt journals afresh and each rollback
@@ -465,10 +602,21 @@ fn a_second_episode_after_a_rollback_appends_where_the_first_did() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// Whatever the loaders build — any node count, FT level, selfish
+    /// flags, duplicate edges, isolated vertices — comes back from its
+    /// metadata snapshot as it was loaded, on both engines.
+    #[test]
+    fn loader_built_graphs_rebuild_from_their_metadata_snapshots(
+        (g, (nodes, k, selfish)) in (arb_graph(), arb_shape()),
+    ) {
+        prop_assert_eq!(loaded_graphs_rebuild(&g, nodes, k, selfish), Ok(()));
+    }
+
     /// What a Migration leaves behind — promoted masters, appended replicas
-    /// and fresh mirrors, rewired edges, rewritten tables — is what the next
-    /// episode's undo snapshot must carry: every survivor's graph comes back
-    /// from the codec equal, for both engines.
+    /// and fresh mirrors, rewired edges, rewritten tables, dead runs — holds
+    /// together: every survivor's graph validates, on both engines, and
+    /// comes back from its metadata snapshot as it is, but for the values
+    /// and activity a rebuild rolls back to the initial state.
     #[test]
     fn survivor_graphs_roundtrip_after_a_migration(
         g in arb_graph(),
@@ -487,22 +635,39 @@ proptest! {
         let plan = vec![crash(victim % nodes, iteration, FailPoint::BeforeBarrier)];
         // A job that converges before `iteration` never crashes; its graphs
         // are checked all the same.
+        let ckpt = FtMode::Checkpoint {
+            interval: 2,
+            incremental: false,
+        };
         let ec = run_ec(&g, nodes, ft, 0, plan.clone());
         prop_assert_eq!(ec.graphs.len(), nodes - ec.report.recoveries.len());
-        for (_, lg) in &ec.graphs {
+        let model = EcModel {
+            prog: Arc::new(MinLabel),
+        };
+        let shared_ec = shared(model, &g, nodes, ckpt);
+        for (node, lg) in &ec.graphs {
             // Among the rest: no master's slot, a promoted one's included,
             // keeps a source its wired in-edges name.
             lg.debug_validate();
-            let back: EcLocalGraph<u32> =
-                ckpt::decode_ec_graph(&ckpt::encode_ec_graph(lg)).unwrap();
-            prop_assert_eq!(&back, lg);
+            // A mirror's consumers come back in the order its full state
+            // names them, as a Rebirth newbie rebuilds them: after the
+            // rewiring, not always the order the survivor appended them in.
+            let mut want = initial(&shared_ec, lg);
+            for pos in (0..lg.len() as u32).filter(|&pos| lg.kind(pos) == CopyKind::Mirror) {
+                let named = lg.exported(pos).replica_out_local_on(*node);
+                want.set_out_local(pos, &named);
+            }
+            prop_assert!(rebuilt(&shared_ec, lg, *node) == want);
         }
         let (report, graphs) = run_vc(&g, nodes, ft, 0, plan);
         prop_assert_eq!(graphs.len(), nodes - report.recoveries.len());
-        for (_, lg) in &graphs {
-            let back: VcLocalGraph<u32> =
-                ckpt::decode_vc_graph(&ckpt::encode_vc_graph(lg)).unwrap();
-            prop_assert_eq!(&back, lg);
+        let model = VcModel {
+            prog: Arc::new(MinLabel),
+        };
+        let shared_vc = shared(model, &g, nodes, ckpt);
+        for (node, lg) in &graphs {
+            lg.debug_validate();
+            prop_assert!(rebuilt(&shared_vc, lg, *node) == initial(&shared_vc, lg));
         }
     }
 }

@@ -114,7 +114,7 @@ struct Promoted {
     old_out_local: Vec<u32>,
 }
 
-impl<V> ModelGraph for EcLocalGraph<V> {
+impl<V: Clone> ModelGraph for EcLocalGraph<V> {
     type Value = V;
 
     fn len(&self) -> usize {
@@ -152,6 +152,12 @@ impl<V> ModelGraph for EcLocalGraph<V> {
     }
     fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>> {
         EcLocalGraph::full_state(self, pos)
+    }
+    fn consumers(&self, pos: u32) -> &[u32] {
+        self.out_local(pos)
+    }
+    fn eq_by(&self, other: &Self, same: impl Fn(&V, &V) -> bool) -> bool {
+        EcLocalGraph::eq_by(self, other, same)
     }
 }
 
@@ -265,6 +271,7 @@ where
     /// lists, a mirror's consumers its full state's `out_remote` entries for
     /// this node; only a plain replica's consumers ship on their own.
     fn place_reborn(&self, lg: &mut Self::Graph, batch: RebirthBatch<P::Value>, degrees: &Degrees) {
+        lg.reserve_copies(batch.records.iter().map(|r| r.vid));
         let (states, mut consumers) = (&batch.states, &batch.consumers[..]);
         let (mut held, mut lens) = (Vec::with_capacity(states.len()), batch.replica_lists.iter());
         for mut r in batch.records {

@@ -112,7 +112,7 @@ pub(crate) struct VcMigExtra {
     adopted: Vec<(Vid, Vid, f32)>,
 }
 
-impl<V> ModelGraph for VcLocalGraph<V> {
+impl<V: Clone> ModelGraph for VcLocalGraph<V> {
     type Value = V;
 
     fn len(&self) -> usize {
@@ -151,6 +151,9 @@ impl<V> ModelGraph for VcLocalGraph<V> {
     fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>> {
         self.locations(pos).map(FullStateRef::tables)
     }
+    fn eq_by(&self, other: &Self, same: impl Fn(&V, &V) -> bool) -> bool {
+        VcLocalGraph::eq_by(self, other, same)
+    }
 }
 
 impl<P> ComputeModel for VcModel<P>
@@ -180,15 +183,15 @@ where
         }
     }
 
-    /// With replication FT, this node's owned edges as per-receiver
-    /// edge-ckpt files (§4.3), encoded before the first superstep and written
-    /// behind it. Migration changes which node persists which edges
-    /// (adoption) and which node receives which file (promotions rewrote
-    /// master locations): all are rewritten, so the next failure reloads a
-    /// consistent set.
+    /// With fault tolerance, this node's owned edges as edge-ckpt files
+    /// (§4.3), encoded before the first superstep and written behind it.
+    /// Migration and a checkpoint graft change which node persists which
+    /// edges (adoption) and which node receives which file (promotions
+    /// rewrote master locations): all are rewritten, so the next failure
+    /// reloads a consistent set.
     fn persist(&self, lg: &Self::Graph, shared: &Shared<Self>) -> Option<WriteBehind> {
-        let replicated = matches!(shared.cfg.ft, FtMode::Replication { .. });
-        replicated.then(|| ckpt::persist_edge_ckpt(lg, &shared.dfs))
+        let tolerant = !matches!(shared.cfg.ft, FtMode::None);
+        tolerant.then(|| ckpt::persist_edge_ckpt(lg, &shared.dfs, shared.cfg.ft))
     }
 
     /// Distributed gather (partials → masters, barrier), then apply at
@@ -307,6 +310,7 @@ where
     }
 
     fn place_reborn(&self, lg: &mut Self::Graph, batch: RebirthBatch<P::Value>, degrees: &Degrees) {
+        lg.reserve_copies(batch.records.iter().map(|r| r.vid));
         let mut held = Vec::with_capacity(batch.states.len());
         for mut r in batch.records {
             self.prog.derive(r.vid, &mut r.value, degrees);

@@ -133,10 +133,17 @@ impl<V> EcVertex<V> {
 /// lists and the full state themselves.
 impl<V: PartialEq> PartialEq for EcVertex<V> {
     fn eq(&self, other: &Self) -> bool {
+        self.eq_by(other, V::eq)
+    }
+}
+
+impl<V> EcVertex<V> {
+    /// `==`, the two values compared by `same`.
+    fn eq_by(&self, other: &Self, same: impl Fn(&V, &V) -> bool) -> bool {
         self.vid == other.vid
             && self.kind == other.kind
             && self.master_node == other.master_node
-            && self.value == other.value
+            && same(&self.value, &other.value)
             && self.active == other.active
             && self.next_active == other.next_active
             && self.last_activate == other.last_activate
@@ -213,19 +220,27 @@ pub struct EcLocalGraph<V> {
 /// accumulates do not count; neither does an open episode's journal.
 impl<V: PartialEq> PartialEq for EcLocalGraph<V> {
     fn eq(&self, other: &Self) -> bool {
+        self.eq_by(other, V::eq)
+    }
+}
+
+impl<V> EcLocalGraph<V> {
+    /// `==`, every pair of values compared by `same` — by their encoding,
+    /// say, where a program may have got stuck on a NaN.
+    pub fn eq_by(&self, other: &Self, same: impl Fn(&V, &V) -> bool) -> bool {
+        let mut copies = self.verts.iter().zip(&other.verts);
         self.node == other.node
             && self.index == other.index
             && self.active_frontier == other.active_frontier
-            && self.verts == other.verts
+            && self.verts.len() == other.verts.len()
+            && copies.all(|(a, b)| a.eq_by(b, &same))
             && (0..self.verts.len() as u32).all(|pos| {
                 self.in_edges(pos) == other.in_edges(pos)
                     && self.out_local(pos) == other.out_local(pos)
                     && self.full_state(pos) == other.full_state(pos)
             })
     }
-}
 
-impl<V> EcLocalGraph<V> {
     /// Creates an empty local graph for `node`.
     pub fn empty(node: NodeId) -> Self {
         EcLocalGraph {
@@ -498,17 +513,16 @@ impl<V> EcLocalGraph<V> {
             .unwrap_or_else(|| panic!("copy of {} at {pos} carries no full state", v.vid))
     }
 
-    /// Makes room for `more` full state, one allocation per column: a
-    /// decoder that knows the totals builds exact-size columns.
-    pub fn reserve_full_state(&mut self, more: StoreLens) {
-        self.full.reserve_exact(more);
-    }
-
-    /// Makes room for `in_edges` more in-edge entries and `out_local` more
-    /// consumer entries in the hot columns, one allocation each.
-    pub fn reserve_edge_lists(&mut self, in_edges: usize, out_local: usize) {
-        self.hot_in.0.reserve_exact(in_edges);
-        self.hot_out.0.reserve_exact(out_local);
+    /// Makes room for copies of `vids`, as a rebuild knows them before it
+    /// inserts them one at a time ([`EcLocalGraph::insert_at`]): the array
+    /// grows once, and the index into a dense table wherever the loader's
+    /// would be one.
+    pub fn reserve_copies(&mut self, vids: impl ExactSizeIterator<Item = Vid>) {
+        let copies = vids.len();
+        if let Some(max_vid) = vids.max() {
+            self.verts.reserve(copies);
+            self.index.reserve(max_vid, copies);
+        }
     }
 
     /// Entries the two hot columns hold — `(in-edges, consumers)` — runs no
@@ -723,7 +737,7 @@ impl<V> FullStateBatches for EcLocalGraph<V> {
                 whole
             })
             .collect();
-        self.reserve_full_state(room);
+        self.full.reserve_exact(room);
         for (&(positions, batch, lists), whole) in batches.iter().zip(whole) {
             let whole = whole && self.full.writes_like(batch);
             let first = whole.then(|| self.full.extend_from(batch));

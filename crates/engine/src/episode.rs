@@ -32,7 +32,7 @@
 //!   are packed into byte logs (LEB128 words behind a tag byte), a dozen
 //!   bytes apiece: an episode touches the header or the tables of about
 //!   every second copy, and at the size of the structs it saves the journal
-//!   would weigh half of what an encoded snapshot of the partition does.
+//!   would weigh half of what the partition serialises to.
 //!
 //! A graph journals its copies (and, edge-cut, its hot columns); its
 //! full-state store journals itself, the same way for both engines.
@@ -47,11 +47,13 @@
 //! succeeds. Writers must go through the graph's mutators (`set_kind`,
 //! `edit_locations`, `set_full_state`, …), which save the image first; code
 //! that rolls every value back anyway — checkpoint recovery — writes the
-//! public fields directly and keeps an encoded snapshot for its undo.
+//! public fields directly and keeps a copy for its undo: of every copy's
+//! value and flags ([`Episode::values`]) where that is all it writes, of the
+//! graph where it grafts partitions too.
 
 use imitator_cluster::NodeId;
 
-use crate::ecut::{CopyKind, EcLocalGraph};
+use crate::ecut::{CopyKind, EcLocalGraph, EcVertex};
 use crate::full_state::{EdgeLists, Form, FullState, Head, Row, SlotId, Span, StoreLens};
 use crate::runs::Weights;
 use crate::vcut::VcLocalGraph;
@@ -261,6 +263,15 @@ pub trait Episode {
     /// images and the seen-sets, counted from lengths so that equal episodes
     /// report equal sizes.
     fn journal_bytes(&self) -> usize;
+
+    /// Every copy's value and activation flags, which an episode does not
+    /// journal.
+    type Values;
+    /// [`Episode::Values`] as they stand: what an attempt that rewrites
+    /// those and nothing else keeps to undo itself.
+    fn values(&self) -> Self::Values;
+    /// Writes [`Episode::values`] back.
+    fn restore_values(&mut self, values: &Self::Values);
 }
 
 /// What an open episode remembers of one store — a graph's copies and own
@@ -418,7 +429,29 @@ impl FullState {
     }
 }
 
-impl<V> Episode for EcLocalGraph<V> {
+impl<V: Clone> Episode for EcLocalGraph<V> {
+    /// A copy's flags are three bits: `active`, `next_active`,
+    /// `last_activate`.
+    type Values = Vec<(V, u8)>;
+
+    fn values(&self) -> Self::Values {
+        let flags = |v: &EcVertex<V>| {
+            u8::from(v.active) | u8::from(v.next_active) << 1 | u8::from(v.last_activate) << 2
+        };
+        self.verts
+            .iter()
+            .map(|v| (v.value.clone(), flags(v)))
+            .collect()
+    }
+
+    fn restore_values(&mut self, values: &Self::Values) {
+        for (v, (value, flags)) in self.verts.iter_mut().zip(values) {
+            (v.value, v.active) = (value.clone(), flags & 1 != 0);
+            (v.next_active, v.last_activate) = (flags & 2 != 0, flags & 4 != 0);
+        }
+        self.rebuild_active_frontier();
+    }
+
     fn begin_episode(&mut self) {
         let hot = [self.hot_in.0.len(), self.hot_out.0.len()];
         Journal::open(&mut self.journal, (self.verts.len(), hot));
@@ -541,7 +574,20 @@ impl<V> EcLocalGraph<V> {
     }
 }
 
-impl<V> Episode for VcLocalGraph<V> {
+impl<V: Clone> Episode for VcLocalGraph<V> {
+    /// The dense engine keeps no activation flags.
+    type Values = Vec<V>;
+
+    fn values(&self) -> Self::Values {
+        self.verts.iter().map(|v| v.value.clone()).collect()
+    }
+
+    fn restore_values(&mut self, values: &Self::Values) {
+        for (v, value) in self.verts.iter_mut().zip(values) {
+            v.value = value.clone();
+        }
+    }
+
     fn begin_episode(&mut self) {
         let marks = (self.verts.len(), self.edges.len());
         Journal::open(&mut self.journal, marks);

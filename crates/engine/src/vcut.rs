@@ -57,10 +57,17 @@ impl<V> VcVertex<V> {
 /// [`VcLocalGraph`]'s equality compares the tables themselves.
 impl<V: PartialEq> PartialEq for VcVertex<V> {
     fn eq(&self, other: &Self) -> bool {
+        self.eq_by(other, V::eq)
+    }
+}
+
+impl<V> VcVertex<V> {
+    /// `==`, the two values compared by `same`.
+    fn eq_by(&self, other: &Self, same: impl Fn(&V, &V) -> bool) -> bool {
         self.vid == other.vid
             && self.kind == other.kind
             && self.master_node == other.master_node
-            && self.value == other.value
+            && same(&self.value, &other.value)
             && self.meta.is_some() == other.meta.is_some()
     }
 }
@@ -116,15 +123,23 @@ pub struct VcLocalGraph<V> {
 /// are; slot numbering and an open episode's journal do not count.
 impl<V: PartialEq> PartialEq for VcLocalGraph<V> {
     fn eq(&self, other: &Self) -> bool {
-        self.node == other.node
-            && self.verts == other.verts
-            && self.index == other.index
-            && self.edges == other.edges
-            && (0..self.verts.len() as u32).all(|pos| self.locations(pos) == other.locations(pos))
+        self.eq_by(other, V::eq)
     }
 }
 
 impl<V> VcLocalGraph<V> {
+    /// `==`, every pair of values compared by `same` (see
+    /// [`crate::EcLocalGraph::eq_by`]).
+    pub fn eq_by(&self, other: &Self, same: impl Fn(&V, &V) -> bool) -> bool {
+        let mut copies = self.verts.iter().zip(&other.verts);
+        self.node == other.node
+            && self.verts.len() == other.verts.len()
+            && copies.all(|(a, b)| a.eq_by(b, &same))
+            && self.index == other.index
+            && self.edges == other.edges
+            && (0..self.verts.len() as u32).all(|pos| self.locations(pos) == other.locations(pos))
+    }
+
     /// Creates an empty local graph for `node`.
     pub fn empty(node: NodeId) -> Self {
         VcLocalGraph {
@@ -239,6 +254,16 @@ impl<V> VcLocalGraph<V> {
         );
         self.index.insert(vertex.vid, pos);
         self.verts[p] = vertex;
+    }
+
+    /// Makes room for copies of `vids` (see
+    /// [`crate::EcLocalGraph::reserve_copies`]).
+    pub fn reserve_copies(&mut self, vids: impl ExactSizeIterator<Item = Vid>) {
+        let copies = vids.len();
+        if let Some(max_vid) = vids.max() {
+            self.verts.reserve(copies);
+            self.index.reserve(max_vid, copies);
+        }
     }
 
     /// Appends a copy of `vertex` if absent, returning its position.

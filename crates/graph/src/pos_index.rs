@@ -97,34 +97,30 @@ impl PosIndex {
         }
     }
 
-    /// Builds the index from arbitrary `(vid, position)` pairs (later pairs
-    /// overwrite earlier ones), choosing dense or sparse from the ID span.
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (Vid, u32)>) -> Self {
-        let pairs: Vec<(Vid, u32)> = pairs.into_iter().collect();
-        let max_raw = pairs.iter().map(|&(v, _)| v.raw()).max().unwrap_or(0);
-        if dense_ok(max_raw, pairs.len()) {
-            let mut table = vec![u32::MAX; max_raw as usize + 1];
-            let mut len = 0;
-            for (vid, pos) in pairs {
-                debug_assert_ne!(pos, u32::MAX, "u32::MAX is the absent sentinel");
-                if table[vid.index()] == u32::MAX {
-                    len += 1;
+    /// Makes room for `additional` more mappings of IDs up to `max_vid`,
+    /// as a bulk insert knows them before it starts: an index whose entries
+    /// then fit the dense heuristic becomes (or grows into) a table that
+    /// covers the span, so the inserts that follow neither hash nor grow it.
+    pub fn reserve(&mut self, max_vid: Vid, additional: usize) {
+        let len = self.len + additional;
+        match &mut self.repr {
+            Repr::Dense(t) => {
+                if max_vid.index() >= t.len() && dense_ok(max_vid.raw(), len) {
+                    t.resize(max_vid.index() + 1, u32::MAX);
                 }
-                table[vid.index()] = pos;
             }
-            PosIndex {
-                repr: Repr::Dense(table),
-                len,
-            }
-        } else {
-            let mut map = VidMap::with_capacity_and_hasher(pairs.len(), Default::default());
-            for (vid, pos) in pairs {
-                map.insert(vid, pos);
-            }
-            let len = map.len();
-            PosIndex {
-                repr: Repr::Sparse(map),
-                len,
+            Repr::Sparse(m) => {
+                let held = m.keys().map(|vid| vid.raw()).max();
+                let max_raw = held.unwrap_or(0).max(max_vid.raw());
+                if !dense_ok(max_raw, len) {
+                    m.reserve(additional);
+                    return;
+                }
+                let mut table = vec![u32::MAX; max_raw as usize + 1];
+                for (vid, &pos) in m.iter() {
+                    table[vid.index()] = pos;
+                }
+                self.repr = Repr::Dense(table);
             }
         }
     }
@@ -272,17 +268,27 @@ mod tests {
         assert_eq!(idx.get(Vid::new(100_000)), None);
     }
 
-    /// Filling the table from the slice gives what the pair constructor
-    /// gives, representation included.
+    /// Inserting into an index reserved for the span, in any order, gives
+    /// what filling the table from the slice gives, representation and size
+    /// included — and an index reserved after a few inserts takes them along.
     #[test]
-    fn sorted_vids_equal_their_pairs() {
+    fn sorted_vids_equal_their_reserved_inserts() {
         for step in [1usize, 7, 5_000] {
             let vids: Vec<Vid> = (0..40_000).step_by(step).map(Vid::new).collect();
             let direct = PosIndex::from_sorted_vids(&vids);
-            let pairs = PosIndex::from_pairs(vids.iter().copied().zip(0u32..));
-            assert_eq!(is_dense(&direct), is_dense(&pairs), "step {step}");
-            assert_eq!(direct, pairs);
-            assert_eq!(direct.heap_bytes(), pairs.heap_bytes());
+            let max = *vids.last().unwrap();
+            let pairs: Vec<(Vid, u32)> = vids.iter().copied().zip(0u32..).collect();
+            let mut reserved = PosIndex::new();
+            for &(vid, pos) in &pairs[..2] {
+                reserved.insert(vid, pos);
+            }
+            reserved.reserve(max, vids.len() - 2);
+            for &(vid, pos) in pairs[2..].iter().rev() {
+                reserved.insert(vid, pos);
+            }
+            assert_eq!(is_dense(&direct), is_dense(&reserved), "step {step}");
+            assert_eq!(direct, reserved);
+            assert_eq!(direct.heap_bytes(), reserved.heap_bytes());
         }
     }
 
@@ -346,7 +352,9 @@ mod tests {
 
     #[test]
     fn iter_covers_all_mappings() {
-        let idx = PosIndex::from_pairs([(Vid::new(8), 1), (Vid::new(2), 0)]);
+        let mut idx = PosIndex::new();
+        idx.insert(Vid::new(8), 1);
+        idx.insert(Vid::new(2), 0);
         let mut got: Vec<(u32, u32)> = idx.iter().map(|(v, p)| (v.raw(), p)).collect();
         got.sort_unstable();
         assert_eq!(got, vec![(2, 0), (8, 1)]);

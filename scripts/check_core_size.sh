@@ -96,7 +96,8 @@ cd "$(dirname "$0")/.."
 #          derive: every site where a value enters a node derives it,
 #          paid for by what that made redundant — `ComputeModel`'s four
 #          snapshot methods, forwarded by both runners to `ckpt.rs`, became
-#          the graphs' own `ckpt::GraphCodec`, whose decoders derive, and
+#          the graphs' own `ckpt::GraphCodec` (its data-snapshot half is
+#          `ckpt::SnapshotCodec` since PR 40), whose decoders derive, and
 #          `value_wire_bytes`, the last forward, became `prog()`
 #          (DESIGN.md §4.1, §4.6).
 #   4184 — a message costs what its codec writes: every recovery send is
@@ -143,7 +144,21 @@ cd "$(dirname "$0")/.."
 #          round, and the Rebirth newbie takes its batches behind that
 #          round's barrier, so its inbox poll, its coordinator poll for
 #          unrecovered failures and its 30 s deadline went (DESIGN.md §4.2).
-BUDGET=3667
+#   3655 — a partition has one serialisation: a checkpoint's metadata
+#          snapshot is the Rebirth batch that rebuilds it, so a checkpoint
+#          standby and the fallback's grafts rebuild through the newbie's
+#          `rebirth::reborn`, and every reader rolls back through one
+#          `ckpt::roll_back` (which absorbed `apply_snapshot_chain` and, as
+#          the snapshot chain's reader, sits beside its codec and the
+#          snapshot's reader in ckpt.rs, outside this guard). The undo keeps
+#          a standby attempt's values (`Episode::values`, in the engine) or
+#          clones the graph for a graft, and its debug oracle is taken once
+#          per episode in `Undo::capture`, so `Undo::open_journal` and
+#          `migrate`'s undo parameter went. That paid for the two
+#          `ModelGraph` hooks the snapshot writer and the undo oracle read
+#          (`consumers`, `eq_by`) and for an adopter rewriting its snapshot
+#          part after a graft (DESIGN.md §4.3, §4.6).
+BUDGET=3655
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

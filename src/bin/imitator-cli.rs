@@ -218,9 +218,10 @@ fn ft_mode(opts: &Opts) -> Result<(FtMode, usize), String> {
 }
 
 /// Rejects a cluster nothing can be partitioned over or replicated on: no
-/// node, a replication level of none, or one that leaves no survivor; and a
-/// heartbeat timeout that does not exceed its interval, which would confirm
-/// every live node dead.
+/// node, a replication level of none, or one that leaves no survivor; a
+/// checkpoint interval of 0, which never checkpoints; and a heartbeat
+/// timeout that does not exceed its interval, which would confirm every live
+/// node dead.
 fn check_cluster(opts: &Opts, ft: FtMode) -> Result<(), String> {
     let (nodes, interval, timeout) = (opts.nodes, opts.hb_interval_ms, opts.hb_timeout_ms);
     match ft {
@@ -234,6 +235,9 @@ fn check_cluster(opts: &Opts, ft: FtMode) -> Result<(), String> {
         FtMode::Replication { tolerance, .. } if tolerance >= nodes => Err(format!(
             "--tolerance: {tolerance} failures leave no survivor among --nodes {nodes}"
         )),
+        FtMode::Checkpoint { interval: 0, .. } => {
+            Err("--interval: --ft ckpt checkpoints every 1 or more iterations".into())
+        }
         _ => Ok(()),
     }
 }
@@ -540,6 +544,12 @@ mod tests {
         let none = "--tolerance: --ft rep tolerates at least 1 failure";
         assert_eq!(verdict("--tolerance 0"), none);
         assert_eq!(verdict("--ft ckpt --tolerance 0"), "");
+        // A checkpoint every 0 iterations is none: a crash would replay the
+        // run from its start.
+        let never = "--interval: --ft ckpt checkpoints every 1 or more iterations";
+        assert_eq!(verdict("--ft ckpt --interval 0"), never);
+        assert_eq!(verdict("--ft ckpt --interval 1"), "");
+        assert_eq!(verdict("--interval 0"), "");
         let all = "--tolerance: 4 failures leave no survivor among --nodes 4";
         assert_eq!(verdict("--tolerance 4"), all);
         assert_eq!(verdict("--tolerance 3"), "");

@@ -605,7 +605,11 @@ fn refactor_goldens_are_bit_identical() {
         /// and a batch of equal weights started writing one
         /// ([`REC_WHOLE_REFRESH`]). The Rebirth cases' `rec` fell when a
         /// survivor's batch became columns and one full-state store, the
-        /// form a mirror batch ships in ([`REC_ROW_ENTRIES`]).
+        /// form a mirror batch ships in ([`REC_ROW_ENTRIES`]). The
+        /// checkpoint cases' `ckpt` moved when a metadata snapshot became
+        /// the Rebirth batch that rebuilds its graph and a vertex-cut node
+        /// started writing its edge-ckpt files under checkpoint FT too
+        /// ([`CKPT_GRAPH_CODEC`]).
         new: GoldenBytes,
     }
     /// The edge-cut checkpoint cases' `ckpt` while a master's slot stored,
@@ -616,6 +620,23 @@ fn refactor_goldens_are_bit_identical() {
         ("s1_ckpt_inc_ec", 37820),
         ("s2_ckpt_ec", 76012),
         ("s2_ckpt_inc_ec", 70808),
+    ];
+    /// The checkpoint cases' `ckpt` while the `{ec,vc}/meta/<node>` snapshot
+    /// was the graph codec's: what the edge-cut cases' pinned now must
+    /// undercut (a batch writes a uniform weight once, where the codec wrote
+    /// one per in-edge). A vertex-cut node's edges moved from its snapshot
+    /// into an edge-ckpt file, which names an edge's ends by vertex ID where
+    /// the codec wrote local positions: its cases' may exceed these by no
+    /// more than 5 %.
+    const CKPT_GRAPH_CODEC: [(&str, u64); 8] = [
+        ("s1_ckpt_ec", 36576),
+        ("s1_ckpt_vc", 33076),
+        ("s1_ckpt_inc_ec", 34564),
+        ("s1_ckpt_inc_vc", 30500),
+        ("s2_ckpt_ec", 68420),
+        ("s2_ckpt_vc", 64784),
+        ("s2_ckpt_inc_ec", 63216),
+        ("s2_ckpt_inc_vc", 58172),
     ];
     /// The Rebirth and Migration cases' `rec` while a recovery message was
     /// charged a size written beside its codec — 56 B per mirror record, a
@@ -759,7 +780,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xB2490C13F3538AC5,
             old: gb(22572, 0, 0, 128156),
-            new: gb(13588, 0, 0, 36576),
+            new: gb(13588, 0, 0, 31936),
         },
         Case {
             name: "s1_ckpt_vc",
@@ -771,7 +792,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0xE1D0B2035874C9ED,
             old: gb(68960, 0, 0, 69180),
-            new: gb(43120, 0, 0, 33076),
+            new: gb(43120, 0, 0, 34192),
         },
         Case {
             name: "s1_ckpt_inc_ec",
@@ -783,7 +804,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xB2490C13F3538AC5,
             old: gb(22572, 0, 0, 127036),
-            new: gb(13588, 0, 0, 34564),
+            new: gb(13588, 0, 0, 29924),
         },
         Case {
             name: "s1_ckpt_inc_vc",
@@ -795,7 +816,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0xE1D0B2035874C9ED,
             old: gb(68960, 0, 0, 65052),
-            new: gb(43120, 0, 0, 30500),
+            new: gb(43120, 0, 0, 31616),
         },
         Case {
             name: "s2_rebirth_ec",
@@ -855,7 +876,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x7BFA561A019A6BC5,
             old: gb(66132, 0, 0, 232992),
-            new: gb(39368, 0, 0, 68420),
+            new: gb(39368, 0, 0, 61220),
         },
         Case {
             name: "s2_ckpt_vc",
@@ -867,7 +888,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x8E2CDBB620D59F95,
             old: gb(204860, 0, 0, 131216),
-            new: gb(126928, 0, 0, 64784),
+            new: gb(126928, 0, 0, 67204),
         },
         Case {
             name: "s2_ckpt_inc_ec",
@@ -879,7 +900,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x7BFA561A019A6BC5,
             old: gb(66132, 0, 0, 229840),
-            new: gb(39368, 0, 0, 63216),
+            new: gb(39368, 0, 0, 56016),
         },
         Case {
             name: "s2_ckpt_inc_vc",
@@ -891,7 +912,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: false,
             sem: 0x8E2CDBB620D59F95,
             old: gb(204860, 0, 0, 120624),
-            new: gb(126928, 0, 0, 58172),
+            new: gb(126928, 0, 0, 60592),
         },
     ];
     for c in &cases {
@@ -936,6 +957,14 @@ fn refactor_goldens_are_bit_identical() {
                 "{}: recovery bytes {} must not exceed {rec_was}, edge-cut not reach it",
                 c.name,
                 bytes.rec
+            );
+        }
+        if let Some(was) = was(&CKPT_GRAPH_CODEC) {
+            assert!(
+                bytes.ckpt < was || !c.edge_cut && 100 * bytes.ckpt <= 105 * was,
+                "{}: ckpt payload {} must not exceed {was} by 5 %, edge-cut not reach it",
+                c.name,
+                bytes.ckpt
             );
         }
         if let Some(was) = was(&EC_CKPT_WITH_SOURCES) {
@@ -1539,6 +1568,84 @@ fn checkpoint_fallback_handles_double_failure() {
                 ep.failed_nodes, 2,
                 "edge_cut={edge_cut} incremental={incremental}"
             );
+        }
+    }
+}
+
+/// A program whose values remember every superstep: a vertex folds its
+/// in-neighbours' values into three times its own, wrapping. Any grouping
+/// of a gather sums to the same bits, so even a regrouped vertex-cut gather
+/// is exact, and a copy restored to the wrong state never converges back.
+struct WrappingSum;
+
+impl VertexProgram for WrappingSum {
+    type Value = u64;
+    type Accum = u64;
+
+    fn init(&self, vid: Vid, _d: &Degrees) -> u64 {
+        u64::from(vid.raw()) + 1
+    }
+
+    fn gather(&self, _w: f32, src: &u64) -> u64 {
+        *src
+    }
+
+    fn combine(&self, a: u64, b: u64) -> u64 {
+        a.wrapping_add(b)
+    }
+
+    fn apply(&self, _v: Vid, old: &u64, acc: Option<u64>, _d: &Degrees) -> u64 {
+        old.wrapping_mul(3).wrapping_add(acc.unwrap_or(0))
+    }
+
+    fn scatter(&self, _v: Vid, old: &u64, new: &u64) -> bool {
+        new != old
+    }
+}
+
+/// A partition the checkpoint fallback grafted survives its adopter's
+/// crash before the next epoch: node 1 crashes, node 0 adopts its partition
+/// and crashes one superstep later, and the adopter of both must restore
+/// node 1's masters at the snapshot epoch, not at their initial values. A
+/// full-mode chain ends at epoch 3, an incremental one at delta epoch 6 on
+/// the full base 3.
+#[test]
+fn checkpoint_fallback_survives_its_adopters_crash() {
+    let graph = lcg_graph(120, 400, 1);
+    let nodes = 4;
+    let cfg = |ft| RunConfig {
+        num_nodes: nodes,
+        max_iters: 12,
+        ft,
+        standbys: 0,
+        ..quick_detection()
+    };
+    for edge_cut in [true, false] {
+        for (incremental, first) in [(false, 4), (true, 7)] {
+            let ft = FtMode::Checkpoint {
+                interval: 3,
+                incremental,
+            };
+            let plans = vec![
+                crash(1, first, FailPoint::BeforeBarrier),
+                crash(0, first + 1, FailPoint::BeforeBarrier),
+            ];
+            let run = |ft, plans| {
+                let (prog, dfs) = (Arc::new(WrappingSum), Dfs::new(DfsConfig::instant()));
+                if edge_cut {
+                    let cut = HashEdgeCut.partition(&graph, nodes);
+                    run_edge_cut(&graph, &cut, prog, cfg(ft), plans, dfs)
+                } else {
+                    let cut = RandomVertexCut.partition(&graph, nodes);
+                    run_vertex_cut(&graph, &cut, prog, cfg(ft), plans, dfs)
+                }
+            };
+            let case = format!("edge_cut={edge_cut} incremental={incremental}");
+            let clean = run(FtMode::None, vec![]);
+            let rec = run(ft, plans);
+            let strategies: Vec<&str> = rec.recoveries.iter().map(|r| r.strategy).collect();
+            assert_eq!(strategies, ["checkpoint\u{2192}migration"; 2], "{case}");
+            assert!(rec.values == clean.values, "{case}");
         }
     }
 }
