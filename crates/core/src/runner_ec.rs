@@ -98,20 +98,17 @@ pub(crate) struct EcModel<P: VertexProgram> {
     pub(crate) prog: Arc<P>,
 }
 
-/// Migration state the generic rounds don't know about: what each promoted
-/// master's slot gave up at promotion.
+/// Migration state the generic rounds don't know about: the masters this
+/// node promoted, ascending, each keeping the block its mirror held until
+/// R2 reads it — the old owner's co-located consumers (positions on the
+/// crashed node) become remote links, and the in-edges by source are kept
+/// here, back to back, to be wired in R4 after grant placement.
 #[derive(Default)]
 pub(crate) struct EcMigExtra {
-    pending_wire: Vec<Promoted>,
-}
-
-struct Promoted {
-    pos: u32,
-    /// In-edge sources and weights, wired in R4 after grant placement.
-    srcs: Vec<(Vid, f32)>,
-    /// The old owner's co-located consumers (positions on the crashed
-    /// node), turned into remote links in R2.
-    old_out_local: Vec<u32>,
+    pending_wire: Vec<u32>,
+    sources: Vec<(Vid, f32)>,
+    /// Per promoted master, where its sources end.
+    ends: Vec<usize>,
 }
 
 impl<V: Clone> ModelGraph for EcLocalGraph<V> {
@@ -346,17 +343,12 @@ where
     }
 
     /// A promoted master recomputes; its in-edges are rewired in R4 from
-    /// the sources captured here (the full-state copy records them by vid).
-    /// From here on the copy's own `in_edges` / `out_local` are its
-    /// owner-local lists and name its sources: its slot gives all three up.
+    /// the sources its mirror's block records by vid (read in R2). Once they
+    /// are, the copy's own `in_edges` / `out_local` are its owner-local lists
+    /// and name its sources.
     fn on_promote(&self, lg: &mut Self::Graph, pos: u32, mig: &mut Mig<EcMigExtra>) {
         lg.set_active(pos, false);
-        let (srcs, old_out_local) = lg.take_owner_lists(pos);
-        mig.extra.pending_wire.push(Promoted {
-            pos,
-            srcs,
-            old_out_local,
-        });
+        mig.extra.pending_wire.push(pos);
     }
 
     /// R2: fix position-addressed consumer tables against the promotion
@@ -370,57 +362,60 @@ where
         mig: &mut Mig<EcMigExtra>,
         env: &MigEnv<'_>,
     ) -> HashMap<NodeId, Vec<Vid>> {
-        let me = env.me;
+        let (me, extra) = (env.me, &mut mig.extra);
+        let pending = &extra.pending_wire;
+        debug_assert!(pending.is_sorted(), "promotions run in position order");
         // Fix consumer tables. (a) out_remote entries pointing at a crashed
         // node follow the consumer to its promotion target; entries landing
         // on this node become local links (wired in R4). (b) A freshly
         // promoted master's old co-located consumers (positions on the
-        // crashed node) become remote links too, unless promoted here.
+        // crashed node, its mirror block's second run) become remote links
+        // too, unless promoted here; its in-edges are read off the block too,
+        // which is then rewritten as a master's. Any other block is
+        // rewritten only if its remote out-edges change.
+        let to_remote = |p: &Promotion| {
+            let (node, pos) = (p.new_master, p.new_pos);
+            (node != me).then_some(RemoteEdge { node, pos })
+        };
+        let mut remote: Vec<RemoteEdge> = Vec::new();
         for pos in 0..lg.verts.len() as u32 {
             if !lg.verts[pos as usize].is_master() {
                 continue;
             }
-            let dirty = lg.retain_out_remote(pos, |r| {
-                let Some(p) = env.relocated(r.node, r.pos) else {
-                    return true;
-                };
-                (r.node, r.pos) = (p.new_master, p.new_pos);
-                p.new_master != me
-            });
-            if dirty {
+            let promoted = pending.binary_search(&pos).is_ok();
+            let stored = lg.stored_full_state(pos).expect("a master has full state");
+            let mut moved = promoted;
+            remote.clear();
+            for r in stored.out_remote.iter() {
+                let p = env.relocated(r.node, r.pos);
+                moved |= p.is_some();
+                remote.extend(p.map_or(Some(r), to_remote));
+            }
+            if let Some(p) = promoted.then(|| env.own_promotion_at(pos)) {
+                let p = p.expect("pending wiring belongs to an own promotion");
+                let vacated = |old| env.relocated(p.old_node, old).expect("a vacated position");
+                let old = stored.out_local_owner.iter();
+                remote.extend(old.filter_map(|old| to_remote(vacated(old))));
+                let srcs = stored.in_edges.iter().map(|e| (e.src, e.weight));
+                extra.sources.extend(srcs);
+                extra.ends.push(extra.sources.len());
+            }
+            if (moved && lg.set_out_remote(pos, &remote)) || promoted {
                 mig.dirty_masters.insert(pos);
             }
-        }
-        for promoted in &mig.extra.pending_wire {
-            let p = env
-                .own_promotion_at(promoted.pos)
-                .expect("pending wiring belongs to an own promotion");
-            let moved = promoted.old_out_local.iter().filter_map(|&old| {
-                let c = env
-                    .relocated(p.old_node, old)
-                    .expect("own promotion vacated a crashed node");
-                (c.new_master != me).then_some(RemoteEdge {
-                    node: c.new_master,
-                    pos: c.new_pos,
-                })
-            });
-            lg.extend_out_remote(promoted.pos, &moved.collect::<Vec<_>>());
-            mig.dirty_masters.insert(promoted.pos);
         }
         // Replica requests for missing sources.
         let mut requests: HashMap<NodeId, Vec<Vid>> = HashMap::new();
         let mut requested: VidMap<()> = VidMap::default();
-        for promoted in &mig.extra.pending_wire {
-            for &(src, _) in &promoted.srcs {
-                if lg.position(src).is_none() && requested.insert(src, ()).is_none() {
-                    let owner = st
-                        .overlay
-                        .get(&src)
-                        .copied()
-                        .unwrap_or_else(|| NodeId::new(shared.owners[src.index()]));
-                    debug_assert!(st.alive[owner.index()], "source {src} has no live master");
-                    requests.entry(owner).or_default().push(src);
-                }
+        for &(src, _) in &extra.sources {
+            if lg.position(src).is_none() && requested.insert(src, ()).is_none() {
+                let owner = st
+                    .overlay
+                    .get(&src)
+                    .copied()
+                    .unwrap_or_else(|| NodeId::new(shared.owners[src.index()]));
+                debug_assert!(st.alive[owner.index()], "source {src} has no live master");
+                requests.entry(owner).or_default().push(src);
             }
         }
         requests
@@ -437,14 +432,16 @@ where
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<EcMigExtra>, resume: u64) {
         // (source, promoted consumer) for every wired edge, in wiring order.
         let mut links: Vec<(u32, u32)> = Vec::new();
-        for Promoted { pos, srcs, .. } in &mig.extra.pending_wire {
-            let mut in_edges = Vec::with_capacity(srcs.len());
-            for &(src, w) in srcs {
+        let extra = &mig.extra;
+        let starts = std::iter::once(0).chain(extra.ends.iter().copied());
+        for ((&pos, start), &end) in extra.pending_wire.iter().zip(starts).zip(&extra.ends) {
+            let mut in_edges = Vec::with_capacity(end - start);
+            for &(src, w) in &extra.sources[start..end] {
                 let spos = lg
                     .position(src)
                     .expect("all sources local after grant placement");
                 in_edges.push((spos, w));
-                links.push((spos, *pos));
+                links.push((spos, pos));
             }
             mig.edges_recovered += in_edges.len() as u64;
             // Activation replay (§5.2.3): a promoted master is active iff
@@ -454,9 +451,9 @@ where
             let active = in_edges
                 .iter()
                 .any(|&(s, _)| lg.verts[s as usize].last_activate)
-                || (resume == 0 && self.prog.initially_active(lg.verts[*pos as usize].vid));
-            lg.set_in_edges(*pos, &in_edges);
-            lg.set_active(*pos, active);
+                || (resume == 0 && self.prog.initially_active(lg.verts[pos as usize].vid));
+            lg.set_in_edges(pos, &in_edges);
+            lg.set_active(pos, active);
         }
         // Extend each source's consumer list once. A master's consumer list
         // is part of the full state its mirrors hold, so it goes dirty. The

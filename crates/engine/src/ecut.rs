@@ -5,18 +5,18 @@ use imitator_graph::{Edge, Graph, PosIndex, Vid};
 use imitator_metrics::MemSize;
 use imitator_partition::EdgeCut;
 use imitator_storage::codec::Sink;
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 use crate::episode::EcJournal;
 use crate::ftplan::FtPlan;
 use crate::full_state::{
-    decoded_block_size, put_decoded_block, Column, ColumnLens, CopyVids, EdgeLists, Form,
-    FullState, FullStateBatches, FullStateRef, Head, InEdges, List, RemoteEdge, Row, SlotId, Span,
-    StoreLens,
+    put_block, Column, ColumnLens, CopyVids, EdgeLists, FullState, FullStateBatches, FullStateRef,
+    Head, InEdges, List, RemoteEdge, SlotId, Span, StoreLens,
 };
 use crate::load::{collect_exact, copy_kind, per_node, Layout};
-use crate::locations::{Locations, LocationsRef, Nodes};
+use crate::locations::{Locations, LocationsRef};
 use crate::program::{Degrees, VertexProgram};
-use crate::runs::{InEdge, Weights};
+use crate::runs::{Entry, Run, Weights};
 
 /// The role of a local vertex copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -172,10 +172,11 @@ impl<V> CopyVids for Vec<EcVertex<V>> {
 /// that a superstep never strides over the mirrors' state. A mirror's edge
 /// lists are kept there as the byte runs they ship as; of a *master's* full
 /// state only what its own edge lists do not already say: the replica
-/// locations and the remote out-edges, decoded. Its owner-local in-edges
-/// and consumers *are* its runs of the hot columns, the sources of its
-/// in-edges are the vertices of the copies those name, and
-/// [`EcLocalGraph::full_state`] hands all three out as such.
+/// locations and the remote out-edges, the third run of a block whose first
+/// two are empty. Its owner-local in-edges and consumers *are* its runs of
+/// the hot columns, the sources of its in-edges are the vertices of the
+/// copies those name, and [`EcLocalGraph::full_state`] hands all three out
+/// as such.
 ///
 /// The hot columns follow the cold columns' rules: a list shrinks in place
 /// or is rewritten at the column's tail, the columns are never compacted,
@@ -359,12 +360,12 @@ impl<V> EcLocalGraph<V> {
     }
 
     /// Makes `state` the full state of the copy at `pos`, in a new slot if
-    /// it had none. The copy's `kind` decides what is kept: a master's
-    /// owner-local lists are its own in-edges and consumers (which the
-    /// caller sets) and name their sources, so those of `state` are not
-    /// stored a second time; a mirror's lists are kept as a block, each run
-    /// copied from `state` where it holds one in the store's layout. A
-    /// changed block, or list, moves to its column's tail.
+    /// it had none. Either copy keeps a block, each run copied from `state`
+    /// where it holds one in the store's layout; the copy's `kind` decides
+    /// what goes in: a master's owner-local lists are its own in-edges and
+    /// consumers (which the caller sets) and name their sources, so those
+    /// of `state` are not stored a second time — its block's first two runs
+    /// are empty. A changed block moves to the byte column's tail.
     pub fn set_full_state(&mut self, pos: u32, state: FullStateRef<'_>) {
         self.set_full_state_lists(pos, state, EdgeLists::ALL);
     }
@@ -377,40 +378,53 @@ impl<V> EcLocalGraph<V> {
     /// Panics if the copy has no full state yet and is not sent all of it.
     fn set_full_state_lists(&mut self, pos: u32, state: FullStateRef<'_>, lists: EdgeLists) {
         let v = &self.verts[pos as usize];
+        assert!(
+            v.meta.is_some() || lists == EdgeLists::ALL,
+            "{} has no full state to keep lists of",
+            v.vid
+        );
+        let (state, lists) = match v.is_master() {
+            true => {
+                let remote = FullStateRef {
+                    out_remote: state.out_remote,
+                    ..FullStateRef::tables(state.locations)
+                };
+                let kept = match lists.contains(EdgeLists::OUT_REMOTE) {
+                    true => EdgeLists::ALL,
+                    false => EdgeLists::NONE,
+                };
+                (remote, kept)
+            }
+            false => (state, lists),
+        };
         match v.meta {
             Some(slot) => self.full.set(slot, state, lists),
             None => {
-                assert_eq!(
-                    lists,
-                    EdgeLists::ALL,
-                    "{} has no full state to keep lists of",
-                    v.vid
-                );
-                let form = if v.is_master() {
-                    Form::Master
-                } else {
-                    Form::Block
-                };
                 self.touch_copy(pos);
-                self.verts[pos as usize].meta = Some(self.full.push_as(state, form));
+                self.verts[pos as usize].meta = Some(self.full.push(state));
             }
         }
     }
 
-    /// Removes the owner-local lists stored for the copy at `pos` and
-    /// returns its in-edges as `(source, weight)` and the old owner's
-    /// `out_local_owner`, decoding them: a mirror just promoted to master
-    /// stops keeping positions that meant something on the old owner only,
-    /// and the sources beside them (its own edge lists say all of it once
-    /// Migration has rebuilt them from what is returned). Its slot gives up
-    /// its block and becomes a master's, covering its remote out-edges,
-    /// decoded, for Migration to rewrite.
+    /// The full state the slot of the copy at `pos` holds, exactly as it
+    /// holds it — a mirror's, or, until the first write of a master promoted
+    /// from one, the block that mirror kept: the in-edges by source and the
+    /// old owner's consumers Migration rewires the master from —, or `None`
+    /// for a plain replica.
+    pub fn stored_full_state(&self, pos: u32) -> Option<FullStateRef<'_>> {
+        Some(self.full.get(self.verts[pos as usize].meta?))
+    }
+
+    /// Makes `edges` the remote out-edges of the master at `pos` and says
+    /// whether its block changed: it is written anew — two empty runs, then
+    /// `edges` — only if it did, so a promoted mirror's block gives up the
+    /// lists the mirror kept. (A mirror's change with its block:
+    /// `set_full_state`.)
     ///
     /// # Panics
     ///
-    /// Panics if the copy is no master yet, carries no full state or its
-    /// slot is a master's already.
-    pub fn take_owner_lists(&mut self, pos: u32) -> (Vec<(Vid, f32)>, Vec<u32>) {
+    /// Panics if the copy is no master or carries no full state.
+    pub fn set_out_remote(&mut self, pos: u32, edges: &[RemoteEdge]) -> bool {
         let v = &self.verts[pos as usize];
         assert!(
             v.is_master(),
@@ -418,36 +432,18 @@ impl<V> EcLocalGraph<V> {
             v.kind,
             v.vid
         );
-        self.full.take_owner_lists(self.slot_at(pos))
+        self.full.set_out_remote(self.slot_at(pos), edges)
     }
 
-    /// Keeps the remote out-edges of the master at `pos` that `keep`
-    /// accepts (it may rewrite them), in order, and says whether the list
-    /// changed. (A mirror's change with its block: `set_full_state`.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the copy carries no full state or its slot is no master's.
-    pub fn retain_out_remote(
-        &mut self,
-        pos: u32,
-        keep: impl FnMut(&mut RemoteEdge) -> bool,
-    ) -> bool {
-        self.full.retain_out_remote(self.slot_at(pos), keep)
-    }
-
-    /// Appends `edges` to the remote out-edges of the master at `pos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the copy carries no full state or its slot is no master's.
-    pub fn extend_out_remote(&mut self, pos: u32, edges: &[RemoteEdge]) {
-        self.full.extend_out_remote(self.slot_at(pos), edges);
-    }
-
-    /// Changes the role of the copy at `pos`.
+    /// Changes the role of the copy at `pos`. A mirror turned master keeps
+    /// its block as it is — no byte is written —, and the open episode, if
+    /// any, notes the promotion ([`FullStateBatches::changed_lists`]).
     pub fn set_kind(&mut self, pos: u32, kind: CopyKind) {
-        if self.verts[pos as usize].kind != kind {
+        let v = &self.verts[pos as usize];
+        if v.kind != kind {
+            if let (CopyKind::Mirror, CopyKind::Master, Some(slot)) = (v.kind, kind, v.meta) {
+                self.full.note_promoted(slot);
+            }
             self.touch_copy(pos);
             self.verts[pos as usize].kind = kind;
         }
@@ -539,14 +535,15 @@ impl<V> EcLocalGraph<V> {
 
     /// What the copies' slots point at: what
     /// [`EcLocalGraph::full_state_lens`] reports for a store without dead
-    /// blocks or lists. A master's owner-local lists are its own edge lists
-    /// and add nothing.
+    /// blocks or tables. A master's owner-local lists are its own edge lists
+    /// and add two empty runs, a byte each, to its remote out-edges.
     pub fn live_full_state_lens(&self) -> StoreLens {
         self.full.live_lens(self.slots())
     }
 
     /// Entries in the edge lists the store keeps, summed over the copies'
-    /// slots: a master's remote out-edges alone, a mirror's three lists.
+    /// slots: a mirror's three lists, a master's remote out-edges (and, for
+    /// one promoted from a mirror, the two lists that mirror kept).
     pub fn full_state_entries(&self) -> ColumnLens {
         let mut lens = ColumnLens::default();
         for slot in self.slots() {
@@ -609,8 +606,7 @@ impl<V> EcLocalGraph<V> {
     /// Checks structural invariants: the index agrees with the array, no
     /// placeholder holes remain, no run reaches past its column, edge
     /// positions are in range, consumers are masters, every master carries
-    /// full state and keeps no in-edge in it, and the active frontier
-    /// matches the `active` bits.
+    /// full state, and the active frontier matches the `active` bits.
     ///
     /// # Errors
     ///
@@ -658,15 +654,6 @@ impl<V> EcLocalGraph<V> {
                 "master {} lacks full state",
                 v.vid
             );
-            if let Some(slot) = v.meta {
-                ensure!(
-                    self.full.is_master(slot) == v.is_master(),
-                    "the slot of the {:?} copy of {} is {}a master's",
-                    v.kind,
-                    v.vid,
-                    if v.is_master() { "not " } else { "" }
-                );
-            }
         }
         ensure!(self.index.len() == n, "index size mismatch");
         let expected = (0..n as u32).filter(|&p| {
@@ -787,21 +774,24 @@ impl<V: MemSize> MemSize for EcLocalGraph<V> {
 /// with full-state replication, extra-FT-replica creation, and the
 /// position/location exchange that enables position-addressed recovery.
 /// Once the copy positions are known, each node's graph is built on a
-/// thread of its own, in two passes (DESIGN.md, "Load path and heap
-/// layout"). First every node builds its copies, their edge lists and its
-/// masters' full state from the edges it takes part in — two scans of the
-/// edge list, count then fill — and measures the block, the runs a message
-/// carries, that each mirror of each of its masters keeps. Then every node,
-/// as owner, encodes each such block once, in its own position order from
-/// its own columns and copy list, and writes it straight into the byte
-/// column of every node holding a mirror of it; and, as holder, fills its
-/// mirrors' heads, rows and table words by walking each owner's masters in
-/// order. A holder's byte column is allocated at its exact length from the
-/// owners' measures and laid out by owner, a region each: nothing holds a
-/// block anywhere else on the way. The input's edges decide once how the
-/// runs write weights: not at all when every edge weighs the same. Every
-/// column is allocated once, at its final length, and a node's graph is a
-/// dozen allocations whatever its size.
+/// thread of its own, in two passes over the edge list (DESIGN.md, "Load
+/// path and heap layout"). First every node lays out its copies and its
+/// masters' slots and tables and counts, in one scan of the edges it takes
+/// part in, every run its store will hold: how many consumers each copy
+/// feeds, and in bytes its masters' remote out-edges and — for the mirrors'
+/// blocks — their in-edges and consumers. Then each node's byte column is
+/// allocated once, at its exact length: its masters' blocks, then a region
+/// per owner for the blocks of the mirrors it holds. In the second pass
+/// every node fills its hot columns and writes each master's remote
+/// out-edges straight into its block; then, as owner, it encodes each
+/// mirrored master's in-edges and consumers once, copies the remote run
+/// behind them as a slice, and writes the block straight into the region of
+/// every node holding a mirror of it; and, as holder, fills its mirrors'
+/// heads, rows and table words by walking each owner's masters in order.
+/// Nothing holds a list anywhere but in the columns. The input's edges
+/// decide once how the runs write weights: not at all when every edge
+/// weighs the same. Every column is allocated once, at its final length,
+/// and a node's graph is a dozen allocations whatever its size.
 ///
 /// # Panics
 ///
@@ -832,12 +822,25 @@ pub fn build_edge_cut_graphs<P: VertexProgram>(
         layout: &layout,
         weights,
     };
-    let built = per_node(vec![(); parts], |p, ()| {
-        let (lg, lens) = loader.node_graph(p, &ends);
-        loader.measure_blocks(p, lg, lens)
+    let table = |len| {
+        std::iter::repeat_with(AtomicU32::default)
+            .take(len)
+            .collect()
+    };
+    let remote: Vec<AtomicU32> = table(g.num_vertices());
+    let listed: Vec<AtomicU32> = table(if plan.is_enabled() {
+        g.num_vertices()
+    } else {
+        0
     });
-    let (mut graphs, masters): (Vec<_>, Vec<_>) = built.into_iter().unzip();
-    loader.fill_mirrors(&mut graphs, &masters, ends);
+    let bytes = Bytes {
+        remote: &remote,
+        listed: &listed,
+    };
+    let counted = per_node(vec![(); parts], |p, ()| loader.count(p, &ends, bytes));
+    drop(listed);
+    let (mut graphs, masters): (Vec<_>, Vec<_>) = counted.into_iter().unzip();
+    loader.fill(&mut graphs, &masters, ends, &remote);
     for (lg, index) in graphs.iter_mut().zip(layout.pos_maps) {
         lg.index = index;
     }
@@ -887,11 +890,11 @@ fn edge_ends(g: &Graph, cut: &EdgeCut) -> (Vec<Ends>, Weights) {
 }
 
 /// The read-only inputs every node's builder thread shares. Pass 1 is
-/// [`EcLoader::node_graph`] and [`EcLoader::measure_blocks`] on each node's
-/// thread; pass 2 is [`EcLoader::fill_mirrors`], where each owner writes
-/// its mirrored masters' blocks into the holders' exactly sized byte
-/// columns, a region per owner, and each holder fills its mirror slots.
-/// No block is encoded twice or kept anywhere but in the stores.
+/// [`EcLoader::count`] on each node's thread; pass 2 is
+/// [`EcLoader::fill`], where each node fills its own columns and its
+/// masters' blocks, writes its mirrored masters' blocks into the holders'
+/// exactly sized byte columns, a region per owner, and fills its mirror
+/// slots. No list is encoded twice or kept anywhere but in the columns.
 struct EcLoader<'a, P> {
     /// Its edge list is the one order every list follows: a vertex's
     /// in-edges, consumers and remote out-edges are the edges naming it, in
@@ -907,48 +910,43 @@ struct EcLoader<'a, P> {
     weights: Weights,
 }
 
-/// What a node's first pass tells the mirror pass about its masters.
+/// What the first pass counts of every master, by vertex, in tables all the
+/// nodes' threads share — a vertex has one owner, whose thread alone writes
+/// its entries, so relaxed loads and stores, plain ones, suffice: the bytes
+/// of its remote out-edge entries, and of its in-edge and consumer entries
+/// (its mirrors' block holds them; an empty table without mirrors).
+#[derive(Clone, Copy)]
+struct Bytes<'a> {
+    remote: &'a [AtomicU32],
+    listed: &'a [AtomicU32],
+}
+
+/// Counts `more` bytes onto the entry `at` of a [`Bytes`] table.
+fn count_bytes(table: &[AtomicU32], at: Vid, more: usize) {
+    let entry = &table[at.index()];
+    entry.store(entry.load(Relaxed) + more as u32, Relaxed);
+}
+
+/// What a node's first pass tells every node's second about its masters.
 struct Masters {
-    /// Where the masters' part of the node's store ends.
+    /// Where the masters' part of the node's store ends: their slots and
+    /// table words come first in a freshly built store, and their blocks
+    /// first in its byte column; the mirrors' follow.
     lens: StoreLens,
-    /// The bytes of each master's block, in position order: 0 for a master
-    /// without mirrors.
+    /// The bytes of each master's mirrors' block, in position order: 0 for a
+    /// master without mirrors.
     blocks: Vec<u32>,
     /// Per node, the bytes of the blocks its mirrors of these masters keep:
     /// the length of this node's region of that node's byte column.
     held: Vec<usize>,
 }
 
-/// What the mirror pass reads of a node: its copies, copy list and hot
-/// columns (a master's own edge lists) and the masters' part of its store —
-/// its masters' slots and their table words come first in a freshly built
-/// store, the mirrors' follow; the decoded remote out-edges are the
-/// masters' alone.
-struct OwnerView<'g, V> {
-    verts: &'g [EcVertex<V>],
-    copies: &'g [Vid],
-    hot_in: &'g Column<(u32, f32)>,
-    hot_out: &'g Column<u32>,
+/// What every node's mirror pass reads of an owner: its masters' heads and
+/// table words, and what their mirrors' blocks come to.
+struct OwnerTables<'g> {
     heads: &'g [Head],
-    rows: &'g [Row],
     words: &'g [u32],
-    out_remote: &'g [RemoteEdge],
-}
-
-impl<'g, V> OwnerView<'g, V> {
-    /// The node's masters in position order, which is the order of their
-    /// slots, each as its mirrors keep it.
-    fn masters(&self) -> impl Iterator<Item = MasterLists<'g>> + '_ {
-        let masters = self.verts.iter().filter(|vert| vert.is_master());
-        let slots = self.heads.iter().zip(self.rows);
-        masters.zip(slots).map(|(vert, (head, row))| MasterLists {
-            mirrors: tables(head, self.words).mirror_nodes(),
-            in_edges: self.hot_in.get(vert.in_edges),
-            copies: self.copies,
-            out_local: self.hot_out.get(vert.out_local),
-            out_remote: &self.out_remote[row.span().range()],
-        })
-    }
+    masters: &'g Masters,
 }
 
 /// The location tables `head` names in `words`.
@@ -957,46 +955,23 @@ fn tables<'g>(head: &Head, words: &'g [u32]) -> LocationsRef<'g> {
     LocationsRef::from_words(head.master_pos, usize::from(head.replicas), words)
 }
 
-/// A master's edge lists read off its owner's columns, and the nodes holding
-/// its mirrors: what its mirrors' block is written from.
-struct MasterLists<'g> {
-    mirrors: Nodes<'g>,
-    in_edges: &'g [(u32, f32)],
-    /// The owner's copies, by position: the in-edges' sources.
-    copies: &'g [Vid],
-    out_local: &'g [u32],
-    out_remote: &'g [RemoteEdge],
-}
-
-impl MasterLists<'_> {
-    /// The in-edges, each with its source.
-    fn sourced(&self) -> impl ExactSizeIterator<Item = InEdge> + '_ {
-        let copies = self.copies;
-        let edge = move |&(pos, weight): &(u32, f32)| {
-            let src = copies[pos as usize];
-            InEdge { pos, weight, src }
-        };
-        self.in_edges.iter().map(edge)
-    }
-
-    /// Bytes of the block [`MasterLists::put_block`] writes, counted entry
-    /// by entry without writing one.
-    fn block_size(&self, uniform: Option<f32>) -> usize {
-        decoded_block_size(self.sourced(), self.out_local, self.out_remote, uniform)
-    }
-
-    /// Writes the block a mirror keeps.
-    fn put_block<S: Sink>(&self, uniform: Option<f32>, out: &mut S) {
-        let (out_local, out_remote) = (self.out_local, self.out_remote);
-        put_decoded_block(self.sourced(), out_local, out_remote, uniform, out);
-    }
+/// What a node's second-pass thread writes of its own graph: its copies'
+/// runs, its hot columns and its masters' blocks, then its mirror slots.
+struct NodeFill<'g, V> {
+    verts: &'g mut [EcVertex<V>],
+    hot_in: &'g mut [(u32, f32)],
+    hot_out: &'g mut [u32],
+    /// The masters' rows, set by the first pass, and the blocks they cover.
+    master_rows: &'g [Span],
+    master_runs: &'g mut [u8],
+    mirrors: MirrorPart<'g>,
 }
 
 /// What a node's mirror-pass thread writes of its own store: the mirrors'
 /// slots and table words, allocated by the first pass.
 struct MirrorPart<'g> {
     heads: &'g mut [Head],
-    rows: &'g mut [Row],
+    rows: &'g mut [Span],
     words: Tail<'g, u32>,
 }
 
@@ -1046,6 +1021,19 @@ impl Sink for Fill<'_> {
     }
 }
 
+/// Writes `v` as an LEB128 varint at `*cursor` in `column`, a byte at a
+/// time, and moves the cursor past it.
+fn put_varint(column: &mut [u8], cursor: &mut u32, mut v: u32) {
+    let mut at = *cursor as usize;
+    while v >= 0x80 {
+        column[at] = v as u8 | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    column[at] = v as u8;
+    *cursor = at as u32 + 1;
+}
+
 /// Moves a counting sort's cursor on by one entry and returns where it stood.
 fn advance(cursor: &mut u32) -> usize {
     let at = *cursor;
@@ -1055,28 +1043,32 @@ fn advance(cursor: &mut u32) -> usize {
 
 impl<P: VertexProgram> EcLoader<'_, P> {
     /// First pass: node `p`'s graph without its position index (the caller
-    /// moves the layout's in), and where the masters' part of its store
-    /// ends; `ends` is parallel to the edge list.
+    /// moves the layout's in) and without its columns' entries; `ends` is
+    /// parallel to the edge list.
     ///
     /// Every list is a stable counting sort of the edges the node takes
     /// part in. An edge whose consumer is mastered here is an in-edge of
     /// that master and a consumer of its source's copy here; an edge whose
     /// source is mastered here and whose consumer is not is a remote
-    /// out-edge in the source's slot.
-    /// One scan of the edge list counts, every column is allocated at its
-    /// final length — the two hot columns, then the store's slot table,
-    /// table words and remote out-edges, with the mirrors' slots and words
-    /// blank for [`EcLoader::fill_mirrors`] — and a second scan fills each
-    /// run from its start, so that what a superstep reads is dense in the
-    /// heap and laid out the same with and without fault tolerance.
-    fn node_graph(&self, p: usize, ends: &[Ends]) -> (EcLocalGraph<P::Value>, StoreLens) {
+    /// out-edge in the source's block. One scan of the edge list counts
+    /// the consumers and, in bytes, every master's remote out-edges and —
+    /// when there are mirrors — its in-edges and consumers. Then every
+    /// copy's runs are laid out in position order, the hot columns and the
+    /// store's slot table and table words are allocated at their final
+    /// lengths, and the masters' heads, tables and rows written, the
+    /// mirrors' left blank for [`EcLoader::fill`]. So what a superstep reads
+    /// is dense in the heap and laid out the same with and without fault
+    /// tolerance.
+    fn count(
+        &self,
+        p: usize,
+        ends: &[Ends],
+        bytes: Bytes<'_>,
+    ) -> (EcLocalGraph<P::Value>, Masters) {
         let node = NodeId::from_index(p);
         let copies = &self.layout.copies[p];
-        let at = &self.layout.pos_maps[p];
-        let edges = || self.g.edges().iter().zip(ends);
         let here = p as u16;
-        let in_degree = |v: Vid| self.degrees.in_degree(v);
-        let out_degree = |v: Vid| self.degrees.out_degree(v);
+        let (uniform, mirrored) = (self.weights.uniform(), self.plan.is_enabled());
 
         // Copies; slots in position order, the masters' before the mirrors'.
         let num_masters = copies.iter().filter(|&&v| self.cut.owner(v) == p).count();
@@ -1106,96 +1098,88 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             .collect();
         let num_slots = mirror_slots.start;
 
-        // Count: consumers per copy.
-        let mut out_at = vec![0u32; verts.len()];
-        for (e, ends) in edges() {
+        // Count the consumers each copy feeds here, and each master's
+        // [`Bytes`]. All are kept by vertex, so that the scan looks no
+        // position up: a position's varint is sized off the copy list
+        // ([`Layout::pos_len`]).
+        let mut consumers = vec![0u32; self.g.num_vertices()];
+        let weight = if uniform.is_some() { 0 } else { 4 };
+        let mut remote_edges = 0u32;
+        for (e, ends) in self.g.edges().iter().zip(ends) {
             if ends.to == here {
-                out_at[at.at(e.src) as usize] += 1;
+                consumers[e.src.index()] += 1;
+                if mirrored {
+                    let pos = self.layout.pos_len(p, e.src) + weight;
+                    count_bytes(bytes.listed, e.dst, pos + e.src.raw().size(None));
+                    if ends.from == here {
+                        count_bytes(bytes.listed, e.src, self.layout.pos_len(p, e.dst));
+                    }
+                }
+            } else if ends.from == here {
+                let to = usize::from(ends.to);
+                let size = (to as u32).size(None) + self.layout.pos_len(to, e.dst);
+                count_bytes(bytes.remote, e.src, size);
+                remote_edges += 1;
             }
         }
 
-        // Where each copy's run starts in every column it has one in: runs
-        // lie in position order, a master's in-edge run as long as its
-        // in-degree, its remote out-edges the out-edges it does not feed
-        // here.
-        let (mut in_at, mut remote_at) = (vec![0u32; verts.len()], vec![0u32; verts.len()]);
-        let (mut ins, mut fed, mut remote) = (0u32, 0u32, 0u32);
-        let past = "a column holds < 2^32 entries";
-        for (pos, vert) in verts.iter().enumerate() {
-            let consumers = std::mem::replace(&mut out_at[pos], fed);
-            fed = fed.checked_add(consumers).expect(past);
-            (in_at[pos], remote_at[pos]) = (ins, remote);
-            if vert.is_master() {
-                let remote_out = out_degree(vert.vid).checked_sub(consumers);
-                let remote_out = remote_out.expect("degree table disagrees with the graph");
-                ins = ins.checked_add(in_degree(vert.vid)).expect(past);
-                remote = remote.checked_add(remote_out).expect(past);
-            }
-        }
-        assert_eq!(fed, ins, "degree table disagrees with the graph");
-        let (hot_len, remote) = (ins as usize, remote as usize);
-        let lens = StoreLens {
-            slots: num_masters,
-            words: master_words,
-            runs: 0,
-            remote,
-        };
+        // Every copy's runs, in position order: a master's in-edge run as
+        // long as its in-degree, its block two empty runs and the run of the
+        // out-edges it does not feed here. Its mirrors' block is its
+        // in-edges and consumers, then that run.
         let mut full = FullState::with_weights(self.weights);
         full.heads.reserve_exact(num_slots);
         full.rows.reserve_exact(num_slots);
         full.words.0.reserve_exact(master_words + mirror_words);
-        full.out_remote.0 = vec![Default::default(); remote];
-        let mut hot_in = Column(vec![Default::default(); hot_len]);
-        let mut hot_out = Column(vec![Default::default(); hot_len]);
-
-        // Fill, in edge-list order: every cursor moves from its run's start
-        // to the next run's.
-        for (e, ends) in edges() {
-            if ends.to == here {
-                let (src, dst) = (at.at(e.src), at.at(e.dst));
-                let i = advance(&mut in_at[dst as usize]);
-                hot_in.0[i] = (src, e.weight);
-                hot_out.0[advance(&mut out_at[src as usize])] = dst;
-            } else if ends.from == here {
-                let i = advance(&mut remote_at[at.at(e.src) as usize]);
-                full.out_remote.0[i] = RemoteEdge {
-                    node: NodeId::new(u32::from(ends.to)),
-                    pos: self.layout.pos_maps[usize::from(ends.to)].at(e.dst),
-                };
+        let mut blocks = Vec::with_capacity(if mirrored { num_masters } else { 0 });
+        let mut held = vec![0; self.layout.copies.len()];
+        let (mut ins, mut fed, mut runs, mut remote_out_edges) = (0, 0, 0, 0u32);
+        for vert in &mut verts {
+            let v = vert.vid;
+            let fed_here = consumers[v.index()] as usize;
+            vert.out_local = Span::new(fed, fed_here);
+            vert.in_edges = Span::new(ins, 0);
+            fed += fed_here;
+            if !vert.is_master() {
+                continue;
+            }
+            let remote_out = (self.degrees.out_degree(v) as usize).checked_sub(fed_here);
+            let remote_out = remote_out.expect("degree table disagrees with the graph") as u32;
+            remote_out_edges += remote_out;
+            let in_degree = self.degrees.in_degree(v);
+            vert.in_edges = Span::new(ins, in_degree as usize);
+            ins += in_degree as usize;
+            let remote = remote_out.size(None) + bytes.remote[v.index()].load(Relaxed) as usize;
+            full.rows.push(Span::new(runs, 2 + remote));
+            runs += 2 + remote;
+            let replicas = self.cut.replica_parts(v);
+            let head = (self.layout).push_tables(v, p, replicas, self.plan, &mut full.words);
+            full.heads.push(head);
+            if mirrored {
+                let mirrors = tables(&head, &full.words.0).mirror_nodes();
+                let counts = in_degree.size(None) + (fed_here as u32).size(None);
+                let listed = bytes.listed[v.index()].load(Relaxed) as usize;
+                let size = u32::try_from(counts + listed + remote);
+                let size = size.expect("a block is shorter than 4 GiB");
+                for m in mirrors {
+                    held[m.index()] += size as usize;
+                }
+                blocks.push(if mirrors.is_empty() { 0 } else { size });
             }
         }
-
-        // Every cursor now stands where the next run begins, or a degree
-        // was wrong: the runs are the stretches between them.
-        let (mut ins, mut fed, mut remote) = (0, 0, 0);
-        for (pos, vert) in verts.iter_mut().enumerate() {
-            let run = |from: &mut usize, to: u32| {
-                let start = std::mem::replace(from, to as usize);
-                Span::new(start, to as usize - start)
-            };
-            vert.in_edges = run(&mut ins, in_at[pos]);
-            vert.out_local = run(&mut fed, out_at[pos]);
-            let out_remote = run(&mut remote, remote_at[pos]);
-            if vert.is_master() {
-                let v = vert.vid;
-                assert_eq!(
-                    (vert.in_edges.len(), out_remote.len()),
-                    (
-                        in_degree(v) as usize,
-                        out_degree(v) as usize - vert.out_local.len()
-                    ),
-                    "degree table disagrees with the graph at {v}"
-                );
-                let replicas = self.cut.replica_parts(v);
-                let layout = self.layout;
-                full.heads
-                    .push(layout.push_tables(v, p, replicas, self.plan, &mut full.words));
-                full.rows.push(Row::new(out_remote, Form::Master));
-            }
-        }
+        assert_eq!(fed, ins, "degree table disagrees with the graph");
+        assert_eq!(
+            remote_out_edges, remote_edges,
+            "degree table disagrees with the graph"
+        );
         assert_eq!(full.lens().words, master_words, "tables miscounted");
+        let lens = StoreLens {
+            slots: num_masters,
+            words: master_words,
+            runs,
+        };
         full.heads.resize(num_slots, Head::default());
-        full.rows.resize(num_slots, Row::default());
+        full.rows.resize(num_slots, Span::default());
         full.words.0.resize(master_words + mirror_words, 0);
 
         let active = |vert: &EcVertex<P::Value>| vert.is_master() && vert.active;
@@ -1209,80 +1193,38 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             verts,
             index: PosIndex::new(),
             active_frontier,
-            hot_in,
-            hot_out,
+            hot_in: Column(vec![Default::default(); ins]),
+            hot_out: Column(vec![Default::default(); ins]),
             full,
             journal: None,
         };
-        (lg, lens)
-    }
-
-    /// Measures, without writing a byte, the block of each of node `p`'s
-    /// mirrored masters — `lens` says where their part of its store ends —
-    /// and what the blocks come to on each node holding mirrors of them.
-    fn measure_blocks(
-        &self,
-        p: usize,
-        lg: EcLocalGraph<P::Value>,
-        lens: StoreLens,
-    ) -> (EcLocalGraph<P::Value>, Masters) {
-        let mut held = vec![0; self.layout.copies.len()];
-        if !self.plan.is_enabled() {
-            let blocks = Vec::new();
-            return (lg, Masters { lens, blocks, held });
-        }
-        let owner = OwnerView {
-            verts: &lg.verts,
-            copies: &self.layout.copies[p],
-            hot_in: &lg.hot_in,
-            hot_out: &lg.hot_out,
-            heads: &lg.full.heads[..lens.slots],
-            rows: &lg.full.rows[..lens.slots],
-            words: &lg.full.words.0[..lens.words],
-            out_remote: &lg.full.out_remote.0,
-        };
-        let uniform = self.weights.uniform();
-        let blocks = owner.masters().map(|master| {
-            if master.mirrors.is_empty() {
-                return 0;
-            }
-            let size = master.block_size(uniform);
-            for m in master.mirrors {
-                held[m.index()] += size;
-            }
-            u32::try_from(size).expect("a block is shorter than 4 GiB")
-        });
-        let blocks = collect_exact(lens.slots, blocks);
         (lg, Masters { lens, blocks, held })
     }
 
-    /// Second pass: every node's mirrors get their full state, which *is*
-    /// their master's. Each node's byte column is allocated at the length
-    /// the owners measured and cut into one region per owner, in node
-    /// order. Then each node's thread, as owner, encodes the block of each
-    /// of its mirrored masters once and writes it into the region of every
-    /// node holding one of its mirrors, in position order, so that every
-    /// region fills front to back; and, as holder, walks each owner's
-    /// masters in that same order, giving each one mirrored here its head,
-    /// a copy of its table words and the row over the next block of that
-    /// owner's region. A node's thread writes its own mirror slots and the
-    /// regions its masters' blocks go to, and reads the masters' parts of
-    /// the others. `ends`, which pass 1 read, is freed before any block is
-    /// written.
-    fn fill_mirrors(
+    /// Second pass. Each node's byte column is allocated at the length the
+    /// first pass counted: its masters' blocks, then one region per owner,
+    /// in node order. Then each node's thread fills its columns
+    /// ([`EcLoader::fill_node`]), writes the block of each of its mirrored
+    /// masters once into the region of every node holding one of its
+    /// mirrors, in position order, so that every region fills front to
+    /// back, and, as holder, walks each owner's masters in that same order,
+    /// giving each one mirrored here its head, a copy of its table words
+    /// and the row over the next block of that owner's region. A node's
+    /// thread writes its own graph and the regions its masters' blocks go
+    /// to, and reads the masters' heads and table words of the others.
+    /// `ends` is freed once the byte columns are allocated: untouched, they
+    /// are address space, and freeing the table before would put them in
+    /// the heap its pages go back to, where Migration's appends would later
+    /// grow them by copying (`pr_ec_migration` peaked ≈ 4 MiB higher).
+    fn fill(
         &self,
         graphs: &mut [EcLocalGraph<P::Value>],
         masters: &[Masters],
         ends: Vec<Ends>,
+        remote_at: &[AtomicU32],
     ) {
-        if masters
-            .iter()
-            .all(|m| m.held.iter().all(|&bytes| bytes == 0))
-        {
-            return;
-        }
         let parts = graphs.len();
-        let (mut owners, mut holders) = (Vec::with_capacity(parts), Vec::with_capacity(parts));
+        let (mut owners, mut nodes) = (Vec::with_capacity(parts), Vec::with_capacity(parts));
         let mut regions: Vec<Vec<&mut [u8]>> =
             (0..parts).map(|_| Vec::with_capacity(parts)).collect();
         for (q, (lg, mine)) in graphs.iter_mut().zip(masters).enumerate() {
@@ -1290,61 +1232,137 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             let (master_heads, heads) = full.heads.split_at_mut(mine.lens.slots);
             let (master_rows, rows) = full.rows.split_at_mut(mine.lens.slots);
             let (words, mirror_words) = Tail::split(&mut full.words.0, mine.lens.words);
-            owners.push(OwnerView {
-                verts: &lg.verts,
-                copies: &self.layout.copies[q],
-                hot_in: &lg.hot_in,
-                hot_out: &lg.hot_out,
+            owners.push(OwnerTables {
                 heads: &*master_heads,
-                rows: &*master_rows,
                 words,
-                out_remote: &full.out_remote.0,
+                masters: mine,
             });
-            holders.push(MirrorPart {
-                heads,
-                rows,
-                words: mirror_words,
-            });
-            full.runs.0 = vec![0; masters.iter().map(|m| m.held[q]).sum()];
+            let held: usize = masters.iter().map(|m| m.held[q]).sum();
+            full.runs.0 = vec![0; mine.lens.runs + held];
             let mut column = &mut full.runs.0[..];
+            let master_runs = take(&mut column, mine.lens.runs);
             for (theirs, m) in regions.iter_mut().zip(masters) {
                 theirs.push(take(&mut column, m.held[q]));
             }
+            nodes.push(NodeFill {
+                verts: &mut lg.verts,
+                hot_in: &mut lg.hot_in.0,
+                hot_out: &mut lg.hot_out.0,
+                master_rows: &*master_rows,
+                master_runs,
+                mirrors: MirrorPart {
+                    heads,
+                    rows,
+                    words: mirror_words,
+                },
+            });
         }
-        // Untouched, the byte columns are address space: freeing the table
-        // now, not before they are allocated, keeps them out of the heap its
-        // pages go back to, where Migration's appends would later grow them
-        // by copying (`pr_ec_migration` peaked ≈ 4 MiB higher).
         drop(ends);
         let owners = &owners;
-        let work = regions.into_iter().zip(holders).collect();
-        per_node(work, |p, (regions, part)| {
-            self.write_blocks(&owners[p], &masters[p].blocks, regions);
-            self.fill_node_mirrors(p, part, owners, masters);
+        let work = nodes.into_iter().zip(regions).collect();
+        per_node(work, |p, (mut node, regions)| {
+            self.fill_node(p, &mut node, remote_at);
+            self.write_blocks(p, &node, &owners[p], regions);
+            self.fill_node_mirrors(p, node, owners);
         });
     }
 
-    /// Writes the block of each of `owner`'s mirrored masters — measured in
-    /// `blocks` — into `regions`, one per node: encoded into the first
-    /// mirror's, copied into the others'.
+    /// Fills node `p`'s hot columns and its masters' blocks in one scan of
+    /// the edge list, in edge-list order: every cursor moves from its run's
+    /// start to its end, a remote out-edge written behind its master's
+    /// block's two empty runs (the zeroed column's first two bytes) and
+    /// count. Every cursor then stands where its run ends, or a degree was
+    /// wrong. The edges' owners are read off the partitioning: the first
+    /// pass's table of them is freed. A master's remote cursor is its
+    /// vertex's entry of `remote_at`, the table of [`Bytes::remote`] the
+    /// first pass counted into, one for every node's thread: the scan looks
+    /// no source position up for a remote out-edge.
+    fn fill_node(&self, p: usize, node: &mut NodeFill<'_, P::Value>, remote_at: &[AtomicU32]) {
+        let (at, n) = (&self.layout.pos_maps[p], node.verts.len());
+        let starts = |span: fn(&EcVertex<P::Value>) -> Span| {
+            collect_exact(n, node.verts.iter().map(|v| span(v).range().start as u32))
+        };
+        let (mut in_at, mut out_at) = (starts(|v| v.in_edges), starts(|v| v.out_local));
+        let masters = || node.verts.iter().filter(|v| v.is_master());
+        for (v, block) in masters().zip(node.master_rows) {
+            let remote_out = self.degrees.out_degree(v.vid) - v.out_local.len() as u32;
+            let mut cursor = block.range().start as u32 + 2;
+            put_varint(node.master_runs, &mut cursor, remote_out);
+            remote_at[v.vid.index()].store(cursor, Relaxed);
+        }
+        let (hot_in, hot_out) = (&mut *node.hot_in, &mut *node.hot_out);
+        let runs = &mut *node.master_runs;
+        for e in self.g.edges() {
+            let (from, to) = (self.cut.owner(e.src), self.cut.owner(e.dst));
+            if to == p {
+                let (src, dst) = (at.at(e.src), at.at(e.dst));
+                hot_in[advance(&mut in_at[dst as usize])] = (src, e.weight);
+                hot_out[advance(&mut out_at[src as usize])] = dst;
+            } else if from == p {
+                let slot = &remote_at[e.src.index()];
+                let mut cursor = slot.load(Relaxed);
+                put_varint(runs, &mut cursor, to as u32);
+                put_varint(runs, &mut cursor, self.layout.pos_maps[to].at(e.dst));
+                slot.store(cursor, Relaxed);
+            }
+        }
+        for (pos, v) in node.verts.iter().enumerate() {
+            let ends = [v.in_edges.range().end, v.out_local.range().end].map(|end| end as u32);
+            assert_eq!(
+                [in_at[pos], out_at[pos]],
+                ends,
+                "degree table disagrees with the graph at {}",
+                v.vid
+            );
+        }
+        for (v, block) in masters().zip(node.master_rows) {
+            let end = remote_at[v.vid.index()].load(Relaxed) as usize;
+            assert_eq!(
+                end,
+                block.range().end,
+                "degree table disagrees with the graph at {}",
+                v.vid
+            );
+        }
+    }
+
+    /// Writes the block of each of node `p`'s mirrored masters — its
+    /// in-edges and consumers encoded from `node`'s columns, its remote
+    /// out-edges copied from its own block as a slice — into `regions`, one
+    /// per node: encoded into the first mirror's, copied into the others'.
     fn write_blocks(
         &self,
-        owner: &OwnerView<'_, P::Value>,
-        blocks: &[u32],
+        p: usize,
+        node: &NodeFill<'_, P::Value>,
+        owner: &OwnerTables<'_>,
         mut regions: Vec<&mut [u8]>,
     ) {
         let uniform = self.weights.uniform();
-        for (master, &size) in owner.masters().zip(blocks) {
-            let mut mirrors = master.mirrors.iter();
+        let copies = &self.layout.copies[p];
+        let masters = node.verts.iter().filter(|vert| vert.is_master());
+        let slots = (owner.heads.iter().zip(node.master_rows)).zip(&owner.masters.blocks);
+        for (vert, ((head, block), &size)) in masters.zip(slots) {
+            let tables = tables(head, owner.words);
+            let mut mirrors = tables.mirror_nodes().iter();
             let Some(first) = mirrors.next() else {
                 continue;
             };
-            let block = take(&mut regions[first.index()], size as usize);
-            let mut fill = Fill(&mut *block);
-            master.put_block(uniform, &mut fill);
+            let remote = &node.master_runs[block.range()][2..];
+            let state = FullStateRef {
+                locations: tables,
+                in_edges: InEdges::Local {
+                    edges: &node.hot_in[vert.in_edges.range()],
+                    copies,
+                },
+                out_local_owner: List::Slice(&node.hot_out[vert.out_local.range()]),
+                out_remote: List::Run(Run::new(remote, None)),
+            };
+            let written = take(&mut regions[first.index()], size as usize);
+            let mut fill = Fill(&mut *written);
+            put_block(state, uniform, &mut fill);
             assert!(fill.0.is_empty(), "a block was measured too long");
             for m in mirrors {
-                take(&mut regions[m.index()], size as usize).copy_from_slice(block);
+                take(&mut regions[m.index()], size as usize).copy_from_slice(written);
             }
         }
         assert!(
@@ -1361,42 +1379,41 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     fn fill_node_mirrors(
         &self,
         q: usize,
-        mut part: MirrorPart<'_>,
-        owners: &[OwnerView<'_, P::Value>],
-        masters: &[Masters],
+        node: NodeFill<'_, P::Value>,
+        owners: &[OwnerTables<'_>],
     ) {
         let here = NodeId::from_index(q);
-        let mut region = 0;
+        let mut region = node.master_runs.len();
         let mut walks: Vec<_> = owners
             .iter()
-            .zip(masters)
-            .map(|(owner, theirs)| {
+            .map(|owner| {
                 let at = region;
-                region += theirs.held[q];
+                region += owner.masters.held[q];
                 let mirrored_here = move |&(head, &size): &(&Head, &u32)| {
                     size > 0 && tables(head, owner.words).mirror_nodes().contains(&here)
                 };
-                let masters = owner.heads.iter().zip(&theirs.blocks);
+                let masters = owner.heads.iter().zip(&owner.masters.blocks);
                 (masters.filter(mirrored_here), at)
             })
             .collect();
         let mirrors = (0u32..)
-            .zip(owners[q].verts)
+            .zip(&*node.verts)
             .filter(|(_, vert)| vert.kind == CopyKind::Mirror);
-        let slots = part.heads.iter_mut().zip(part.rows.iter_mut());
-        for ((head, row), (pos, vert)) in slots.zip(mirrors) {
+        let MirrorPart {
+            heads,
+            rows,
+            mut words,
+        } = node.mirrors;
+        for ((head, row), (pos, vert)) in heads.iter_mut().zip(rows).zip(mirrors) {
             let (masters, at) = &mut walks[vert.master_node.index()];
             let (theirs, &size) = masters.next().expect("a mirror has a master");
             let tables = tables(theirs, owners[vert.master_node.index()].words);
             debug_assert_eq!(tables.replica_position_on(here), Some(pos), "{}", vert.vid);
-            *head = theirs.moved_to(part.words.fill(tables.words()));
-            *row = Row::new(Span::new(*at, size as usize), Form::Block);
+            *head = theirs.moved_to(words.fill(tables.words()));
+            *row = Span::new(*at, size as usize);
             *at += size as usize;
         }
-        assert!(
-            part.words.is_full(),
-            "mirrors' tables miscounted on node {q}"
-        );
+        assert!(words.is_full(), "mirrors' tables miscounted on node {q}");
     }
 }
 
@@ -1597,24 +1614,29 @@ mod tests {
             assert_eq!(full.rows.capacity(), full.rows.len());
             assert_eq!(full.words.0.capacity(), full.words.0.len());
             assert_eq!(full.runs.0.capacity(), full.runs.0.len());
-            assert_eq!(full.out_remote.0.capacity(), full.out_remote.0.len());
             assert_eq!(full.lens(), lg.live_full_state_lens());
         }
     }
 
     /// A master's slot holds none of the `(position, weight)`, source and
-    /// consumer entries its own edge lists already carry or name, and what
-    /// it exports is still the full state a mirror stores: the sources are
-    /// the edge list's, in its order.
+    /// consumer entries its own edge lists already carry or name — its
+    /// block's first two runs are empty — and what it exports is still the
+    /// full state a mirror stores: the sources are the edge list's, in its
+    /// order.
     #[test]
     fn masters_keep_their_edge_lists_once() {
         let g = gen::power_law(300, 2.0, 5, 17);
         let (_cut, lgs) = build(&g, 3);
         for lg in &lgs {
-            // No mirrors in this plan: the byte column stays empty.
+            // No mirrors in this plan: the byte column holds the masters'
+            // blocks alone.
             let StoreLens { slots, runs, .. } = lg.full_state_lens();
-            assert_eq!((slots, runs), (lg.num_masters(), 0));
+            assert_eq!(slots, lg.num_masters());
+            let mut blocks = 0;
             for pos in lg.master_positions() {
+                let stored = lg.stored_full_state(pos).unwrap();
+                assert!(stored.in_edges.is_empty() && stored.out_local_owner.is_empty());
+                blocks += 2 + stored.out_remote.run().unwrap().bytes().len();
                 let state = lg.full_state(pos).unwrap();
                 assert_eq!(state.in_edges.owner_local(), lg.in_edges(pos));
                 assert_eq!(state.out_local_owner.to_vec(), lg.out_local(pos));
@@ -1622,6 +1644,7 @@ mod tests {
                 let srcs = g.edges().iter().filter(|e| e.dst == v).map(|e| e.src);
                 assert!(state.in_edges.srcs().eq(srcs), "sources of {v}");
             }
+            assert_eq!(runs, blocks);
         }
     }
 
@@ -1641,8 +1664,8 @@ mod tests {
     }
 
     /// A mirror with 3 edges, a master with 4 remote out-edges and a mirror
-    /// with 2 edges: the master's slot keeps its remote out-edges decoded,
-    /// the mirrors' keep all three lists as a block.
+    /// with 2 edges: the master's block holds its remote out-edges behind
+    /// two empty runs, the mirrors' hold all three lists.
     fn three_slots() -> (EcLocalGraph<u64>, [MasterMeta; 3]) {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(9));
         let metas = [state(1, 3), state(2, 4), state(3, 2)];
@@ -1703,78 +1726,69 @@ mod tests {
         assert_eq!(lg.full_state_lens().slots, 3, "replacing reuses the slot");
     }
 
-    /// A master's remote out-edges are decoded, and rewritten where they
-    /// are outside an episode: narrowed in place, extended at the tail
-    /// unless they end the column.
+    /// A master's remote out-edges are rewritten as its block is, anew at
+    /// the byte column's tail, its other two runs as they were; an equal
+    /// list writes nothing, and the other slots keep their blocks.
     #[test]
-    fn remote_out_edges_are_rewritten_decoded() {
+    fn remote_out_edges_are_rewritten_as_a_block() {
         let (mut lg, metas) = three_slots();
         let all = &metas[1].out_remote;
         let lens = lg.full_state_lens();
-        assert!(lg.retain_out_remote(1, |r| {
-            r.pos += 1;
-            r.node != NodeId::new(1)
-        }));
-        let moved = |r: RemoteEdge| RemoteEdge {
-            pos: r.pos + 1,
-            ..r
-        };
-        let narrowed = [moved(all[0]), moved(all[2]), moved(all[3])];
+        assert!(!lg.set_out_remote(1, all), "nothing changes");
+        assert_eq!(lg.full_state_lens(), lens);
+        let narrowed = [all[0], all[2], all[3]];
+        assert!(lg.set_out_remote(1, &narrowed));
         assert_eq!(lg.full_state(1).unwrap().out_remote.to_vec(), narrowed);
-        assert_eq!(lg.full_state_lens(), lens, "narrowing appends nothing");
-        assert!(!lg.retain_out_remote(1, |_| true), "nothing to drop");
-        // Narrowed, the list no longer ends its column: it moves to the
-        // tail to grow, and there grows where it is.
-        lg.extend_out_remote(1, &[all[0]]);
-        assert_eq!(lg.full_state_lens().remote, lens.remote + 4);
-        lg.extend_out_remote(1, &[all[1]]);
-        assert_eq!(lg.full_state_lens().remote, lens.remote + 5);
+        let stored = lg.stored_full_state(1).unwrap();
+        assert!(stored.in_edges.is_empty() && stored.out_local_owner.is_empty());
+        let block = 2 + stored.out_remote.run().unwrap().bytes().len();
+        assert_eq!(lg.full_state_lens().runs, lens.runs + block, "at the tail");
         assert_eq!(lg.full_state(0).unwrap().to_meta(), metas[0]);
         assert_eq!(lg.full_state(2).unwrap().to_meta(), metas[2]);
         lg.debug_validate();
     }
 
-    /// Only a master's remote out-edges are a list of their own; a
-    /// mirror's are part of its block.
+    /// Only a master's remote out-edges are rewritten on their own; a
+    /// mirror's change with its block.
     #[test]
     #[should_panic(expected = "is no master")]
     fn remote_out_edges_are_rewritten_on_masters_only() {
         let (mut lg, _) = three_slots();
-        lg.extend_out_remote(0, &[]);
+        lg.set_out_remote(0, &[]);
     }
 
     /// Inside an episode the entries a column held at `begin_episode` are
-    /// frozen: a changed list is written at the tail and repointed, a list
-    /// that does not change is not written at all, a decoded list the
-    /// episode wrote is overwritten again — so rollback is a truncation plus
+    /// frozen: a changed block is written at the tail and repointed, one
+    /// that does not change is not written at all, and a block the episode
+    /// wrote is not written over either — so rollback is a truncation plus
     /// the saved spans, and leaves the graph it started from.
     #[test]
     fn an_episode_writes_changed_lists_at_the_tail() {
         let (mut lg, metas) = three_slots();
         let before = lg.clone();
         let loaded = lg.full_state_lens();
-        let frozen = |lg: &EcLocalGraph<u64>| {
-            let (full, was) = (&lg.full, &before.full);
-            full.runs.0[..loaded.runs] == was.runs.0[..]
-                && full.out_remote.0[..loaded.remote] == was.out_remote.0[..]
-        };
+        let frozen =
+            |lg: &EcLocalGraph<u64>| lg.full.runs.0[..loaded.runs] == before.full.runs.0[..];
         lg.begin_episode();
         // Equal lists: nothing written, nothing journaled but the marks.
         let idle = lg.journal_bytes();
         lg.set_full_state(0, metas[0].view());
         lg.set_full_state(1, metas[1].view());
-        assert!(!lg.retain_out_remote(1, |_| true));
+        assert!(!lg.set_out_remote(1, &metas[1].out_remote));
         assert_eq!((lg.full_state_lens(), lg.journal_bytes()), (loaded, idle));
 
-        // Narrowing a frozen decoded run copies what is kept to the tail.
+        // A master's narrowed remote out-edges are a new block, and so is
+        // the block the episode wrote when they narrow again.
         let all = &metas[1].out_remote;
-        assert!(lg.retain_out_remote(1, |r| r.node != NodeId::new(1)));
-        let kept_remote = [all[0], all[2], all[3]];
-        assert_eq!(lg.full_state(1).unwrap().out_remote.to_vec(), kept_remote);
-        assert_eq!(lg.full_state_lens().remote, loaded.remote + 3);
-        // The run the episode wrote is narrowed where it is.
-        assert!(lg.retain_out_remote(1, |r| r.node != NodeId::new(2)));
-        assert_eq!(lg.full_state_lens().remote, loaded.remote + 3);
+        assert!(lg.set_out_remote(1, &[all[0], all[2], all[3]]));
+        let once = lg.full_state_lens().runs;
+        assert!(once > loaded.runs);
+        assert!(lg.set_out_remote(1, &[all[0], all[3]]));
+        assert!(lg.full_state_lens().runs > once);
+        assert_eq!(
+            lg.full_state(1).unwrap().out_remote.to_vec(),
+            [all[0], all[3]]
+        );
         // A mirror's changed lists are new runs.
         let next = state(9, 2);
         lg.set_full_state(0, next.view());
@@ -1788,7 +1802,7 @@ mod tests {
         assert!(lg == before && lg.full_state_lens() == loaded && frozen(&lg));
     }
 
-    /// The two hot columns follow the store's rules for decoded lists: in
+    /// The two hot columns follow the store's rules for table words: in
     /// place outside an episode; inside one nothing under the mark is written
     /// — a changed list goes to the tail, an unchanged one nowhere, a list
     /// the episode wrote is written over, only the list ending its column
@@ -1903,63 +1917,32 @@ mod tests {
         assert_eq!(reversed, pristine);
     }
 
-    /// A promoted mirror gives up its owner-local lists and the sources
-    /// beside them; as a master it exports its own edge lists, and the
-    /// vertices they name, in their place, and importing full state into a
-    /// master stores none of the three again.
+    /// A promoted mirror keeps its block as it is — the promotion writes no
+    /// byte —, and still holds the lists it had as a mirror; as a master it
+    /// exports its own edge lists, and the vertices they name, in their
+    /// place, and importing full state into a master stores its remote
+    /// out-edges alone, behind two empty runs.
     #[test]
-    fn a_master_slot_stores_no_owner_lists() {
+    fn a_promoted_mirror_keeps_its_block() {
         let (mut lg, metas) = three_slots();
-        lg.verts[0].kind = CopyKind::Master;
-        let (in_edges, out_local) = lg.take_owner_lists(0);
-        let sourced = metas[0].in_edge_srcs.iter().zip(&metas[0].in_edges_owner);
-        assert!(in_edges
-            .iter()
-            .copied()
-            .eq(sourced.map(|(&s, &(_, w))| (s, w))));
-        assert_eq!(out_local, metas[0].out_local_owner);
+        let runs = lg.full_state_lens().runs;
+        lg.set_kind(0, CopyKind::Master);
+        assert_eq!(lg.full_state_lens().runs, runs, "no byte written");
+        assert_eq!(lg.stored_full_state(0).unwrap().to_meta(), metas[0]);
         let exported = lg.full_state(0).unwrap();
         assert!(exported.in_edges.is_empty() && exported.out_local_owner.is_empty());
-        assert_eq!(exported.out_remote.to_vec(), metas[0].out_remote, "decoded");
-        assert_eq!(lg.full_state_entries().in_srcs, 2, "slot 2's");
+        assert_eq!(exported.out_remote.to_vec(), metas[0].out_remote);
+        lg.debug_validate();
 
         lg.set_in_edges(0, &[(2, 0.5)]);
-        let runs = lg.full_state_lens().runs;
         lg.set_full_state(0, state(4, 9).view());
-        assert_eq!(lg.full_state_lens().runs, runs);
+        let stored = lg.stored_full_state(0).unwrap();
+        assert!(stored.in_edges.is_empty() && stored.out_local_owner.is_empty());
+        assert_eq!(stored.out_remote.to_vec(), state(4, 9).out_remote);
         let exported = lg.full_state(0).unwrap();
         assert_eq!(exported.in_edges.owner_local(), [(2, 0.5)]);
         assert!(exported.in_edges.srcs().eq([lg.verts[2].vid]));
         lg.debug_validate();
-    }
-
-    /// Between a mirror's turning master and its slot's giving up the
-    /// block, the slot still reads as the block it is — its remote
-    /// out-edges the block's, not offsets into the decoded column — and
-    /// the graph reports the kind and the slot apart.
-    #[test]
-    fn a_slot_keeps_its_form_until_the_promotion_takes_the_block() {
-        let (mut lg, metas) = three_slots();
-        lg.set_kind(0, CopyKind::Master);
-        let exported = lg.full_state(0).unwrap();
-        assert_eq!(exported.out_remote.to_vec(), metas[0].out_remote);
-        assert!(lg
-            .validate()
-            .is_err_and(|e| e.contains("is not a master's")));
-        lg.take_owner_lists(0);
-        assert_eq!(
-            lg.full_state(0).unwrap().out_remote.to_vec(),
-            metas[0].out_remote
-        );
-        lg.debug_validate();
-    }
-
-    /// A copy that is no master yet cannot give its block up.
-    #[test]
-    #[should_panic(expected = "is no master")]
-    fn only_a_master_takes_its_owner_lists() {
-        let (mut lg, _) = three_slots();
-        lg.take_owner_lists(2);
     }
 
     #[test]

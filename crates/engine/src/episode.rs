@@ -12,23 +12,23 @@
 //! * **Marks.** Where every store ended when the episode began. Stores only
 //!   grow inside an episode: copies and slots are appended, and every
 //!   column — an edge-cut graph's two hot columns of edge lists, the
-//!   full-state store's table words, byte column of blocks and decoded
-//!   remote out-edges — leaves the entries under its mark untouched: a list
-//!   that changes is written at the tail and its span repointed (see
-//!   [`crate::full_state`]). The marks keep the store's weight layout too,
+//!   full-state store's table words and byte column of blocks — leaves the
+//!   entries under its mark untouched: a list that changes is written at
+//!   the tail and its span repointed (see [`crate::full_state`]). The marks keep the store's weight layout too,
 //!   which writing an in-edge list of another weight may change.
 //! * **Before-images.** The first change to something that predates the
 //!   episode saves what it was: a copy's header — kind, master node,
 //!   activation flags, slot; a slot's head — the master position and where
 //!   its location tables lie, whose words are still there; a span — of a
-//!   copy in a hot column or a slot's one span, a block or a master's
-//!   remote out-edges — one kind of image for all of them, since the
-//!   entries it names are still where they were. Two bitmaps say whose
-//!   header and whose head are saved; a span says so itself — what an
-//!   episode writes starts at or past its column's mark, so a span that
-//!   starts under the mark is still the one to save. A third bitmap names
-//!   the slots a promotion turned from a mirror's block into a master's
-//!   list, for [`FullStateBatches::changed_lists`](crate::FullStateBatches::changed_lists). Images
+//!   copy in a hot column or of a slot's block — one kind of image for all
+//!   of them, since the entries it names are still where they were. Two
+//!   bitmaps say whose header and whose head are saved; a span says so
+//!   itself — what an episode writes starts at or past its column's mark,
+//!   so a span that starts under the mark is still the one to save. A
+//!   promotion writes no byte of a slot — a mirror's block serves the
+//!   master it becomes as it is —, so a third bitmap, `promoted`, names the
+//!   slots whose copy the episode turned from mirror into master, for
+//!   [`FullStateBatches::changed_lists`](crate::FullStateBatches::changed_lists). Images
 //!   are packed into byte logs (LEB128 words behind a tag byte), a dozen
 //!   bytes apiece: an episode touches the header or the tables of about
 //!   every second copy, and at the size of the structs it saves the journal
@@ -54,7 +54,7 @@
 use imitator_cluster::NodeId;
 
 use crate::ecut::{CopyKind, EcLocalGraph, EcVertex};
-use crate::full_state::{EdgeLists, Form, FullState, Head, Row, SlotId, Span, StoreLens};
+use crate::full_state::{EdgeLists, FullState, Head, SlotId, Span, StoreLens};
 use crate::runs::Weights;
 use crate::vcut::VcLocalGraph;
 
@@ -130,58 +130,77 @@ impl PosSet {
 /// Before-images, packed: each record a tag byte and LEB128 words. A header
 /// or head record is the *first* image of what it names (the journals'
 /// seen-sets see to that); a span may be imaged again, and whoever reads the
-/// log back lets a span's first image win.
+/// log back lets a span's first image win. A span record writes its owner
+/// and start as the difference from the last span record's of its column
+/// (zigzagged): an episode rewrites lists in position order, and a loaded
+/// column lays them out in that order, so the differences are small where
+/// the words are wide.
 #[derive(Debug, Clone, Default)]
-struct Log(Vec<u8>);
+struct Log {
+    bytes: Vec<u8>,
+    /// Per column, the owner and start of its last span record.
+    last: [[u32; 2]; 2],
+}
 
 impl Log {
-    fn put(&mut self, mut word: u32) {
+    fn put(&mut self, mut word: u64) {
         while word >= 0x80 {
-            self.0.push(word as u8 | 0x80);
+            self.bytes.push(word as u8 | 0x80);
             word >>= 7;
         }
-        self.0.push(word as u8);
+        self.bytes.push(word as u8);
     }
 
     /// Appends a record: `tag`, then `words`.
     fn record(&mut self, tag: u8, words: impl IntoIterator<Item = u32>) {
-        self.0.push(tag);
+        self.bytes.push(tag);
         for word in words {
-            self.put(word);
+            self.put(word.into());
         }
     }
 
     /// Appends the image of `old`, the span `owner` had in the `column`-th
     /// of the journal's columns a moment ago.
     fn record_span(&mut self, column: usize, owner: usize, old: Span) {
+        self.bytes.push(SPAN + column as u8);
         let run = old.range();
-        let words = [owner as u32, run.start as u32, run.len() as u32];
-        self.record(SPAN + column as u8, words);
+        for (last, now) in self.last[column].into_iter().zip([owner, run.start]) {
+            let step = now as i64 - i64::from(last);
+            self.put((step << 1 ^ step >> 63) as u64);
+        }
+        self.last[column] = [owner as u32, run.start as u32];
+        self.put(run.len() as u64);
     }
 
     fn read(&self) -> LogReader<'_> {
-        LogReader(&self.0)
+        LogReader {
+            bytes: &self.bytes,
+            last: [[0; 2]; 2],
+        }
     }
 }
 
 /// Reads a [`Log`] back. The log is this module's own writing: a record cut
 /// short is a bug and panics on the slice index.
-struct LogReader<'a>(&'a [u8]);
+struct LogReader<'a> {
+    bytes: &'a [u8],
+    last: [[u32; 2]; 2],
+}
 
 impl LogReader<'_> {
     /// The next record's tag, or `None` at the end of the log.
     fn tag(&mut self) -> Option<u8> {
-        let (&tag, rest) = self.0.split_first()?;
-        self.0 = rest;
+        let (&tag, rest) = self.bytes.split_first()?;
+        self.bytes = rest;
         Some(tag)
     }
 
-    fn get(&mut self) -> u32 {
+    fn get_word(&mut self) -> u64 {
         let (mut word, mut shift) = (0, 0);
         loop {
-            let byte = self.0[0];
-            self.0 = &self.0[1..];
-            word |= u32::from(byte & 0x7f) << shift;
+            let byte = self.bytes[0];
+            self.bytes = &self.bytes[1..];
+            word |= u64::from(byte & 0x7f) << shift;
             if byte < 0x80 {
                 return word;
             }
@@ -189,9 +208,22 @@ impl LogReader<'_> {
         }
     }
 
-    /// The span a [`Log::record_span`] record saved, once its owner is read.
-    fn get_span(&mut self) -> Span {
-        Span::new(self.get() as usize, self.get() as usize)
+    fn get(&mut self) -> u32 {
+        self.get_word() as u32
+    }
+
+    /// The owner and span a [`Log::record_span`] record saved in `column`,
+    /// once its tag is read.
+    fn get_span(&mut self, column: usize) -> (usize, Span) {
+        for word in 0..2 {
+            let zigzag = self.get_word();
+            let step = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+            let last = &mut self.last[column][word];
+            *last = (i64::from(*last) + step) as u32;
+        }
+        let [owner, start] = self.last[column];
+        let len = self.get_word() as usize;
+        (owner as usize, Span::new(start as usize, len))
     }
 
     /// A copy's slot as [`slot_word`] wrote it.
@@ -214,9 +246,9 @@ fn kind_from_bits(bits: u32) -> CopyKind {
 
 /// Record tags. `FIXED`: a copy's header in a graph's log, a slot's head in
 /// a store's. `SPAN + column`: a span in that one of the journal's columns —
-/// a graph's hot columns (in-edges, consumers), a store's row (column 0 for
-/// a block's, 1 for a master's). A span record's first word is the span's
-/// owner — a copy's position, a slot's index.
+/// a graph's hot columns (in-edges, consumers), a store's byte column
+/// (column 0). A span record's first word is the span's owner — a copy's
+/// position, a slot's index.
 const FIXED: u8 = 0;
 const SPAN: u8 = 1;
 
@@ -283,9 +315,8 @@ pub(crate) struct Journal<M> {
     /// The copies (slots) under the mark whose header (head) is imaged.
     /// Spans need no such set: see [`predates`].
     seen: PosSet,
-    /// A store's slots whose span the episode turned from a block into a
-    /// master's decoded remote out-edges: promoted mirrors'. (A graph's
-    /// journal leaves it empty.)
+    /// A store's slots whose copy the episode promoted from mirror to
+    /// master. (A graph's journal leaves it empty.)
     promoted: PosSet,
     log: Log,
 }
@@ -316,7 +347,7 @@ impl<M> Journal<M> {
     fn bytes(journal: &Option<Box<Self>>) -> usize {
         journal.as_deref().map_or(0, |j| {
             std::mem::size_of::<Self>()
-                + j.log.0.len()
+                + j.log.bytes.len()
                 + j.seen.heap_bytes()
                 + j.promoted.heap_bytes()
         })
@@ -347,8 +378,8 @@ impl FullState {
         let mut restored = PosSet::default();
         let mut log = journal.log.read();
         while let Some(tag) = log.tag() {
-            let at = log.get() as usize;
             if tag == FIXED {
+                let at = log.get() as usize;
                 self.heads[at] = Head {
                     master_pos: log.get(),
                     words: log.get(),
@@ -356,10 +387,9 @@ impl FullState {
                     mirrors: log.get() as u16,
                 };
             } else {
-                let form = [Form::Block, Form::Master][usize::from(tag - SPAN)];
-                let row = Row::new(log.get_span(), form);
+                let (at, block) = log.get_span(0);
                 if restored.insert(at as u32) {
-                    self.rows[at] = row;
+                    self.rows[at] = block;
                 }
             }
         }
@@ -398,30 +428,26 @@ impl FullState {
     /// Saves `before`, the row `slot` had a moment ago, if it has changed
     /// and is the one the episode found: call right after writing the row
     /// of a slot the episode may predate.
-    pub(crate) fn note_row(&mut self, slot: SlotId, before: Row) {
+    pub(crate) fn note_row(&mut self, slot: SlotId, before: Span) {
         let Some(j) = self.journal.as_deref_mut() else {
             return;
         };
-        let (column, floor) = match before.form() {
-            Form::Block => (0, j.marks.0.runs),
-            Form::Master => (1, j.marks.0.remote),
-        };
         let at = slot.index();
-        if at < j.marks.0.slots && self.rows[at] != before && predates(before.span(), floor) {
-            j.log.record_span(column, at, before.span());
+        if at < j.marks.0.slots && self.rows[at] != before && predates(before, j.marks.0.runs) {
+            j.log.record_span(0, at, before);
         }
     }
 
-    /// Records that the open episode, if any, turned `slot` into a master's.
+    /// Records that the open episode, if any, promoted the copy whose slot
+    /// is `slot` from mirror to master.
     pub(crate) fn note_promoted(&mut self, slot: SlotId) {
         if let Some(j) = self.journal.as_deref_mut() {
             j.promoted.insert(slot.index() as u32);
         }
     }
 
-    /// Whether the open episode made `slot` or turned it into a master's:
-    /// what its copy's mirrors held when the episode began says nothing of
-    /// it.
+    /// Whether the open episode made `slot` or promoted its copy: what the
+    /// copy's mirrors held when the episode began says nothing of it.
     pub(crate) fn new_in_episode(&self, slot: SlotId) -> bool {
         self.journal.as_deref().is_some_and(|j| {
             slot.index() >= j.marks.0.slots || j.promoted.contains(slot.index() as u32)
@@ -470,9 +496,8 @@ impl<V: Clone> Episode for EcLocalGraph<V> {
         let mut restored = PosSet::default();
         let mut log = journal.log.read();
         while let Some(tag) = log.tag() {
-            let at = log.get() as usize;
-            let v = &mut self.verts[at];
             if tag == FIXED {
+                let v = &mut self.verts[log.get() as usize];
                 let bits = log.get();
                 v.kind = kind_from_bits(bits & 0b11);
                 v.active = bits & 0b100 != 0;
@@ -481,8 +506,10 @@ impl<V: Clone> Episode for EcLocalGraph<V> {
                 v.master_node = NodeId::new(log.get());
                 v.meta = log.get_slot();
             } else {
-                let (column, span) = (usize::from(tag - SPAN), log.get_span());
+                let column = usize::from(tag - SPAN);
+                let (at, span) = log.get_span(column);
                 if restored.insert((at * 2 + column) as u32) {
+                    let v = &mut self.verts[at];
                     *[&mut v.in_edges, &mut v.out_local][column] = span;
                 }
             }
@@ -516,9 +543,10 @@ impl<V> EcLocalGraph<V> {
     /// past its column's mark, one that starts under it is still the one the
     /// episode found, and an empty one right at the mark counts as written.
     /// The master's in-edges and consumers are its runs of the hot columns,
-    /// its remote out-edges the span of its slot. A master promoted in the
-    /// episode differs in all three — its old mirrors' lists name the dead
-    /// owner's positions — and so does one whose slot the episode made.
+    /// its remote out-edges the third run of its slot's block, rewritten
+    /// with the block. A master promoted in the episode differs in all three
+    /// — its old mirrors' lists name the dead owner's positions — and so does
+    /// one whose slot the episode made.
     pub(crate) fn lists_changed_in_episode(&self, pos: u32) -> EdgeLists {
         let Some(j) = self.journal.as_deref() else {
             return EdgeLists::ALL;
@@ -533,7 +561,7 @@ impl<V> EcLocalGraph<V> {
             (EdgeLists::OUT_LOCAL, written(v.out_local, hot_out)),
             (
                 EdgeLists::OUT_REMOTE,
-                written(self.full.row(slot).span(), self.full.floor().remote),
+                written(self.full.row(slot), self.full.floor().runs),
             ),
         ];
         let wrote = lists.into_iter().filter(|&(_, wrote)| wrote);
@@ -663,7 +691,17 @@ mod tests {
         let words = [0, 1, 127, 128, 16_383, 16_384, u32::MAX];
         let mut log = Log::default();
         log.record(FIXED, words);
-        log.record_span(3, 70_000, Span::new(2_000_000, 5));
+        // Spans of a column write their owner and start as differences
+        // from the last, either way; another column keeps its own.
+        let spans = [
+            (1, 70_000, Span::new(2_000_000, 5)),
+            (1, 69_999, Span::new(1_999_900, 0)),
+            (0, 3, Span::new(u32::MAX as usize - 1, 1)),
+            (1, u32::MAX as usize, Span::new(0, 7)),
+        ];
+        for (column, owner, span) in spans {
+            log.record_span(column, owner, span);
+        }
         log.record(
             FIXED,
             [slot_word(None), slot_word(Some(SlotId::from_index(9)))],
@@ -671,8 +709,10 @@ mod tests {
         let mut back = log.read();
         assert_eq!(back.tag(), Some(FIXED));
         assert_eq!(words.map(|_| back.get()), words);
-        assert_eq!((back.tag(), back.get()), (Some(SPAN + 3), 70_000));
-        assert_eq!(back.get_span(), Span::new(2_000_000, 5));
+        for (column, owner, span) in spans {
+            assert_eq!(back.tag(), Some(SPAN + column as u8));
+            assert_eq!(back.get_span(column), (owner, span));
+        }
         assert_eq!(back.tag(), Some(FIXED));
         assert_eq!(back.get_slot(), None);
         assert_eq!(back.get_slot(), Some(SlotId::from_index(9)));

@@ -13,35 +13,37 @@
 //! build and to drop at any cluster size and tolerance level, and
 //! snapshotting or exporting walks dense memory.
 //!
-//! A row says itself what its span covers ([`Row`], [`Form`]), so the
-//! store reads, writes and checks a slot without asking whose copy it is. A
-//! mirror's span covers a *block* of the byte column: its three edge lists
-//! — its in-edges with their sources, `out_local_owner` and `out_remote` —
-//! as runs back to back ([`crate::runs`]), exactly the bytes a message carries
-//! for a record that carries all three, an empty list its count, 0. Only
-//! recovery reads them: it decodes a run as it reads it, and finds the
-//! second and third by the counts. A master keeps none of them there: its
-//! owner-local lists are its own edge lists, and its span covers its remote
-//! out-edges, which Migration rewrites in place, decoded in a column of
-//! their own. How an in-edge run weighs its edges is the store's
+//! Every slot's row covers a *block* of the byte column: three edge lists
+//! — the in-edges with their sources, `out_local_owner` and `out_remote` —
+//! as runs back to back ([`crate::runs`]), exactly the bytes a message
+//! carries for a record that carries all three, an empty list its count, 0.
+//! There is one form, so the store reads, writes and checks a slot without
+//! asking whose copy it is. A mirror's block holds all three lists. A
+//! master's first two runs are empty — its owner-local lists are its own
+//! edge lists —: its third run is its remote out-edges, which every export
+//! copies as a slice and Migration rewrites. A mirror promoted to master
+//! keeps its block as it was (the promotion writes no byte) until Migration
+//! has read the mirror's in-edges and consumers off it to rewire the master
+//! and writes the block anew as a master's. Only recovery reads a
+//! block: it decodes a run as it reads it, and finds the second and third
+//! by the counts. How an in-edge run weighs its edges is the store's
 //! [`Weights`]: a graph all of whose edges weigh the same writes that
 //! weight nowhere.
 //!
-//! A block is never written over: writing any of a mirror's lists writes
-//! its whole block anew at the byte column's tail and repoints the span
-//! (the old block goes dead); a block that reads the same is dropped again.
-//! The decoded column follows the hot columns' rules: a list *shrinks in
-//! place* or is *appended at the tail*. Recovery rewrites a small part of a
-//! partition once per failure, so dead blocks stay a small part of a column,
-//! and a graph decoded from a snapshot — a checkpoint reload — is rebuilt
-//! without any.
+//! A block is never written over: writing any of a slot's lists writes its
+//! whole block anew at the byte column's tail and repoints the span (the
+//! old block goes dead); a block that reads the same is dropped again.
+//! Table words follow the hot columns' rules: they *shrink in place* or are
+//! *appended at the tail*. Recovery rewrites a small part of a partition
+//! once per failure, so dead blocks stay a small part of a column, and a
+//! graph rebuilt from a snapshot — a checkpoint reload — has none.
 //!
 //! Inside a recovery *episode* (see [`crate::episode`]) the entries a column
 //! held when the episode began are frozen: every writer below takes that
 //! length as its floor, leaves what starts under it untouched, and writes
 //! the new list at the tail instead. Undoing the episode is then a
 //! truncation plus the saved heads and spans; outside an episode the floor
-//! is 0 and decoded lists are overwritten in place. The writers keep one
+//! is 0 and table words are overwritten in place. The writers keep one
 //! more promise the journal relies on: **a span they write inside an
 //! episode starts at or past the floor** — so a span that starts under it is
 //! the span the episode found, and needs saving exactly when it changes. The
@@ -62,7 +64,7 @@ use imitator_storage::codec::Sink;
 
 use crate::episode::StoreJournal;
 use crate::locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
-use crate::runs::{append_list, list_size, put_list, split_block, Entry, InEdge, Run, Weights};
+use crate::runs::{append_list, split_block, Entry, InEdge, Run, Weights};
 
 /// An out-edge whose consumer (target master) lives on another node.
 ///
@@ -215,23 +217,16 @@ impl<'a> InEdges<'a> {
     }
 
     /// Writes the in-edges as a message does, under `uniform`: a run
-    /// verbatim where it writes weights the same way ([`Run::put`]).
+    /// verbatim where it writes weights the same way ([`Run::put`]). A
+    /// master's sources are looked up a chunk at a time before the chunk is
+    /// encoded: the lookups — random reads of the graph's copies — do not
+    /// depend on one another and overlap, where interleaved with the
+    /// varints, whose places depend on each value looked up, each would wait
+    /// for the last.
     pub fn put<S: Sink>(self, uniform: Option<f32>, out: &mut S) {
-        match self {
-            InEdges::Run(run) => run.put::<InEdge, S>(uniform, out),
-            _ => put_list(self.iter(), uniform, out),
-        }
-    }
-
-    /// [`InEdges::put`] into a store's byte column. A master's sources are
-    /// looked up a chunk at a time before the chunk is encoded: the lookups
-    /// — random reads of the graph's copies — do not depend on one another
-    /// and overlap, where interleaved with the varints, whose places depend
-    /// on each value looked up, each would wait for the last.
-    fn append(self, uniform: Option<f32>, out: &mut Vec<u8>) {
         let len = self.len();
         match self {
-            InEdges::Run(run) => run.append::<InEdge>(uniform, out),
+            InEdges::Run(run) => run.put::<InEdge, S>(uniform, out),
             InEdges::Local { edges, copies } => {
                 let sourced = edges.chunks(64).flat_map(|chunk| {
                     let mut srcs = [Vid::default(); 64];
@@ -319,16 +314,8 @@ impl<'a, T: Entry + 'a> List<'a, T> {
     /// Writes the list as a message does: a run verbatim.
     pub fn put<S: Sink>(self, out: &mut S) {
         match self {
-            List::Slice(items) => put_list(items.iter().copied(), None, out),
-            List::Run(run) => run.put::<T, S>(run.uniform(), out),
-        }
-    }
-
-    /// [`List::put`] into a store's byte column.
-    fn append(self, out: &mut Vec<u8>) {
-        match self {
             List::Slice(items) => append_list(items.len(), items.iter().copied(), None, out),
-            List::Run(run) => run.append::<T>(run.uniform(), out),
+            List::Run(run) => run.put::<T, S>(run.uniform(), out),
         }
     }
 }
@@ -514,12 +501,12 @@ impl<'a> FullStateRef<'a> {
         (self.in_edges.owner_local(), self.out_local_owner.to_vec())
     }
 
-    /// Appends the run of `list`, one of the three, as a block holds it.
-    fn append_run(self, list: EdgeLists, uniform: Option<f32>, out: &mut Vec<u8>) {
+    /// Writes the run of `list`, one of the three, as a block holds it.
+    fn put_run<S: Sink>(self, list: EdgeLists, uniform: Option<f32>, out: &mut S) {
         match list {
-            EdgeLists::IN_EDGES => self.in_edges.append(uniform, out),
-            EdgeLists::OUT_LOCAL => self.out_local_owner.append(out),
-            _ => self.out_remote.append(out),
+            EdgeLists::IN_EDGES => self.in_edges.put(uniform, out),
+            EdgeLists::OUT_LOCAL => self.out_local_owner.put(out),
+            _ => self.out_remote.put(out),
         }
     }
 
@@ -624,51 +611,6 @@ impl Span {
     }
 }
 
-/// A slot's row: one span, and which column it indexes — the byte column of
-/// blocks, or the decoded remote out-edges of a master, whose rows have the
-/// top bit of the length ([`DECODED`]) set. No run of a column is that long.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Row {
-    start: u32,
-    len: u32,
-}
-
-/// The bit of a row's length that marks a master's row.
-const DECODED: u32 = 1 << 31;
-
-impl Row {
-    /// The row of `form` over `span`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the span is 2^31 entries long or longer.
-    pub(crate) fn new(span: Span, form: Form) -> Row {
-        assert!(span.len < DECODED, "a row spans fewer than 2^31 entries");
-        let flag = match form {
-            Form::Block => 0,
-            Form::Master => DECODED,
-        };
-        Row {
-            start: span.start,
-            len: span.len | flag,
-        }
-    }
-
-    pub(crate) fn span(self) -> Span {
-        Span {
-            start: self.start,
-            len: self.len & !DECODED,
-        }
-    }
-
-    pub(crate) fn form(self) -> Form {
-        match self.len & DECODED {
-            0 => Form::Block,
-            _ => Form::Master,
-        }
-    }
-}
-
 /// One column: the lists of every slot back to back, each found through its
 /// slot's [`Span`].
 #[derive(Debug, Clone, Default)]
@@ -719,60 +661,6 @@ impl<T: Copy + PartialEq> Column<T> {
         }
         self.0.extend_from_slice(items);
         *span = Span::new(span.range().start, span.len() + items.len());
-    }
-
-    /// Keeps the items `keep` accepts (it may rewrite them), in order, and
-    /// says whether the list changed. Nothing is written up to the first
-    /// dropped or rewritten item; a run starting under `floor` is then copied
-    /// to the tail, and the kept items move to the front of the run. `keep`
-    /// sees every item once, in order.
-    fn retain_mut(
-        &mut self,
-        span: &mut Span,
-        floor: usize,
-        mut keep: impl FnMut(&mut T) -> bool,
-    ) -> bool {
-        let mut judge = |item: T| {
-            let mut judged = item;
-            keep(&mut judged).then_some(judged)
-        };
-        let run = span.range();
-        let mut at = run.start;
-        let first = loop {
-            if at == run.end {
-                return false;
-            }
-            let judged = judge(self.0[at]);
-            if judged != Some(self.0[at]) {
-                break judged;
-            }
-            at += 1;
-        };
-        let frozen = run.start < floor;
-        if frozen {
-            let moved = self.0.len();
-            self.0.extend_from_within(run.clone());
-            *span = Span::new(moved, run.len());
-            at += moved - run.start;
-        }
-        let run = span.range();
-        let mut to = at;
-        let mut put = |column: &mut Vec<T>, judged: Option<T>| {
-            if let Some(judged) = judged {
-                column[to] = judged;
-                to += 1;
-            }
-        };
-        put(&mut self.0, first);
-        for from in at + 1..run.end {
-            let judged = judge(self.0[from]);
-            put(&mut self.0, judged);
-        }
-        span.len = (to - run.start) as u32;
-        if frozen {
-            self.0.truncate(to);
-        }
-        true
     }
 
     pub(crate) fn capacity_bytes(&self) -> usize {
@@ -861,9 +749,8 @@ impl std::ops::AddAssign for ColumnLens {
     }
 }
 
-/// How much a [`FullState`] holds, or is to hold: slots, table words, bytes
-/// of blocks and decoded remote out-edges, what no slot points at any more
-/// included.
+/// How much a [`FullState`] holds, or is to hold: slots, table words and
+/// bytes of blocks, what no slot points at any more included.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreLens {
     /// Slots.
@@ -872,8 +759,6 @@ pub struct StoreLens {
     pub words: usize,
     /// Bytes of blocks.
     pub runs: usize,
-    /// Decoded remote out-edges (masters').
-    pub remote: usize,
 }
 
 impl StoreLens {
@@ -906,81 +791,36 @@ impl std::ops::AddAssign for StoreLens {
         self.slots += more.slots;
         self.words += more.words;
         self.runs += more.runs;
-        self.remote += more.remote;
     }
 }
 
-/// Appends the block of `state` to `out` and returns its span: its three
-/// lists as a message writes them for a record that carries all three —
-/// each run held in the layout `uniform` copied, any other list encoded.
-pub(crate) fn append_block(
-    state: FullStateRef<'_>,
-    uniform: Option<f32>,
-    out: &mut Vec<u8>,
-) -> Span {
-    let start = out.len();
+/// Writes the block of `state` to `out`: its three lists as a message
+/// writes them for a record that carries all three — each run held in the
+/// layout `uniform` copied, any other list encoded.
+pub(crate) fn put_block<S: Sink>(state: FullStateRef<'_>, uniform: Option<f32>, out: &mut S) {
     for list in EdgeLists::EACH {
-        state.append_run(list, uniform, out);
+        state.put_run(list, uniform, out);
     }
+}
+
+/// Appends the block of `state` to `out` ([`put_block`]) and returns its
+/// span.
+fn append_block(state: FullStateRef<'_>, uniform: Option<f32>, out: &mut Vec<u8>) -> Span {
+    let start = out.len();
+    put_block(state, uniform, out);
     Span::new(start, out.len() - start)
 }
 
-/// Writes the block of a full state whose lists are decoded — its
-/// in-edges with their sources, its consumers, its remote out-edges — to
-/// `out`: what [`append_block`] writes for it, each list encoded straight
-/// from its entries.
-pub(crate) fn put_decoded_block<S: Sink>(
-    in_edges: impl ExactSizeIterator<Item = InEdge>,
-    out_local: &[u32],
-    out_remote: &[RemoteEdge],
-    uniform: Option<f32>,
-    out: &mut S,
-) {
-    append_list(in_edges.len(), in_edges, uniform, out);
-    append_list(out_local.len(), out_local.iter().copied(), None, out);
-    append_list(out_remote.len(), out_remote.iter().copied(), None, out);
-}
-
-/// How many bytes [`put_decoded_block`] writes for the same lists, counted
-/// entry by entry without writing one.
-pub(crate) fn decoded_block_size(
-    in_edges: impl ExactSizeIterator<Item = InEdge>,
-    out_local: &[u32],
-    out_remote: &[RemoteEdge],
-    uniform: Option<f32>,
-) -> usize {
-    list_size(in_edges, uniform)
-        + list_size(out_local.iter().copied(), None)
-        + list_size(out_remote.iter().copied(), None)
-}
-
-/// What a slot's span covers: the role of its copy when the slot was made,
-/// or a master's once a promotion gave up the block
-/// ([`FullState::take_owner_lists`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Form {
-    /// A mirror's, or a shipped record's: a block of the byte column, the
-    /// three lists as a message carries them.
-    Block,
-    /// A master's: its remote out-edges alone, decoded for Migration to
-    /// rewrite in place. Its owner-local lists are its own edge lists.
-    Master,
-}
-
 /// A full-state store: see the module documentation. A local graph keeps
-/// one; a Migration or Rebirth batch carries one, a slot per record, every
-/// slot a block.
+/// one; a Migration or Rebirth batch carries one, a slot per record.
 #[derive(Clone, Default)]
 pub struct FullState {
     pub(crate) heads: Vec<Head>,
-    /// A row per slot, or none at all while no slot has had an edge list
-    /// (a master's slot always has one: its row keeps its form).
-    pub(crate) rows: Vec<Row>,
+    /// A block per slot, or none at all while no slot has had an edge list.
+    pub(crate) rows: Vec<Span>,
     pub(crate) words: Column<u32>,
     /// Every block, back to back.
     pub(crate) runs: Column<u8>,
-    /// Masters' remote out-edges, decoded.
-    pub(crate) out_remote: Column<RemoteEdge>,
     /// How the in-edge runs write weights.
     pub(crate) weights: Weights,
     /// What the open recovery episode has changed, if one is open.
@@ -1047,7 +887,7 @@ impl FullState {
             store.push_head(state.locations);
             if listed {
                 let block = append_block(state, uniform, &mut store.runs.0);
-                store.rows.push(Row::new(block, Form::Block));
+                store.rows.push(block);
             }
         }
         store
@@ -1076,28 +916,23 @@ impl FullState {
         lens
     }
 
-    /// What the store holds, dead blocks and lists included.
+    /// What the store holds, dead blocks included.
     pub fn lens(&self) -> StoreLens {
         StoreLens {
             slots: self.heads.len(),
             words: self.words.0.len(),
             runs: self.runs.0.len(),
-            remote: self.out_remote.0.len(),
         }
     }
 
     /// What `slots` point at: [`FullState::lens`] for a store without dead
-    /// blocks or lists when they are all its slots.
+    /// blocks or tables when they are all its slots.
     pub(crate) fn live_lens(&self, slots: impl Iterator<Item = SlotId>) -> StoreLens {
         let mut lens = StoreLens::default();
         for slot in slots {
-            let row = self.row(slot);
             lens.slots += 1;
             lens.words += self.heads[slot.index()].span().len();
-            match row.form() {
-                Form::Block => lens.runs += row.span().len(),
-                Form::Master => lens.remote += row.span().len(),
-            }
+            lens.runs += self.row(slot).len();
         }
         lens
     }
@@ -1126,11 +961,9 @@ impl FullState {
     ///
     /// # Panics
     ///
-    /// Panics if the store holds no such slot, or a master's.
+    /// Panics if the store holds no such slot.
     pub fn block(&self, i: usize) -> &[u8] {
-        let row = self.row(SlotId::from_index(i));
-        assert_eq!(row.form(), Form::Block, "slot {i} is a master's");
-        self.runs.get(row.span())
+        self.runs.get(self.row(SlotId::from_index(i)))
     }
 
     /// Stores `tables` and `block` in a new slot, the block copied as one
@@ -1143,29 +976,20 @@ impl FullState {
         let slot = self.push_head(tables);
         let start = self.runs.0.len();
         self.runs.0.extend_from_slice(block);
-        self.set_row(slot, Row::new(Span::new(start, block.len()), Form::Block));
+        self.set_row(slot, Span::new(start, block.len()));
         slot
     }
 
-    /// The full state in `slot`, exactly as stored: a block's three lists
-    /// as runs, or a master's remote out-edges decoded.
+    /// The full state in `slot`, exactly as stored: its block's three lists
+    /// as runs.
     pub(crate) fn get(&self, slot: SlotId) -> FullStateRef<'_> {
-        let (tables, row) = (self.locations(slot), self.row(slot));
-        match row.form() {
-            Form::Block => {
-                let block = self.runs.get(row.span());
-                let [ins, fed, remote] = split_block(block, self.weights.uniform());
-                FullStateRef {
-                    locations: tables,
-                    in_edges: InEdges::Run(ins),
-                    out_local_owner: List::Run(fed),
-                    out_remote: List::Run(remote),
-                }
-            }
-            Form::Master => FullStateRef {
-                out_remote: List::Slice(self.out_remote.get(row.span())),
-                ..FullStateRef::tables(tables)
-            },
+        let block = self.runs.get(self.row(slot));
+        let [ins, fed, remote] = split_block(block, self.weights.uniform());
+        FullStateRef {
+            locations: self.locations(slot),
+            in_edges: InEdges::Run(ins),
+            out_local_owner: List::Run(fed),
+            out_remote: List::Run(remote),
         }
     }
 
@@ -1209,33 +1033,21 @@ impl FullState {
         *head = Head::of(tables, span);
     }
 
-    /// The row of `slot`: an empty block in a store without rows.
-    pub(crate) fn row(&self, slot: SlotId) -> Row {
+    /// The block `slot` covers: an empty one in a store without rows.
+    pub(crate) fn row(&self, slot: SlotId) -> Span {
         self.rows.get(slot.index()).copied().unwrap_or_default()
     }
 
-    /// Stores `state` in a new slot as a mirror keeps it, a block at the
-    /// tail of the byte column: a run in the store's layout is copied in,
-    /// any other list encoded. A uniform store given in-edges of another
-    /// weight spreads every block to a weight per edge first.
+    /// Stores `state` in a new slot, a block at the tail of the byte
+    /// column: a run in the store's layout is copied in, any other list
+    /// encoded. A uniform store given in-edges of another weight spreads
+    /// every block to a weight per edge first.
     pub fn push(&mut self, state: FullStateRef<'_>) -> SlotId {
-        self.push_as(state, Form::Block)
-    }
-
-    /// Stores `state` in a new slot, keeping what `form` says: a block as
-    /// [`FullState::push`] does, or a master's remote out-edges, decoded,
-    /// in a row that says so.
-    pub(crate) fn push_as(&mut self, state: FullStateRef<'_>, form: Form) -> SlotId {
-        if form == Form::Block {
-            self.admit(state.in_edges);
-        }
+        self.admit(state.in_edges);
         let slot = self.push_head(state.locations);
-        if form == Form::Master || !self.rows.is_empty() || state.lens().total() > 0 {
-            let span = match form {
-                Form::Block => append_block(state, self.weights.uniform(), &mut self.runs.0),
-                Form::Master => self.out_remote.append(state.out_remote.iter()),
-            };
-            self.set_row(slot, Row::new(span, form));
+        if !self.rows.is_empty() || state.lens().total() > 0 {
+            let block = append_block(state, self.weights.uniform(), &mut self.runs.0);
+            self.set_row(slot, block);
         }
         slot
     }
@@ -1248,10 +1060,10 @@ impl FullState {
         slot
     }
 
-    /// Makes `row` the row of `slot`: the store has rows from here.
-    fn set_row(&mut self, slot: SlotId, row: Row) {
-        self.rows.resize(self.heads.len(), Row::default());
-        self.rows[slot.index()] = row;
+    /// Makes `block` the row of `slot`: the store has rows from here.
+    fn set_row(&mut self, slot: SlotId, block: Span) {
+        self.rows.resize(self.heads.len(), Span::default());
+        self.rows[slot.index()] = block;
     }
 
     /// Whether `other`'s blocks can be taken in as they are: the two write
@@ -1278,50 +1090,31 @@ impl FullState {
         self.weights = self.weights.and(other.weights);
         self.words.0.extend_from_slice(&other.words.0);
         self.runs.0.extend_from_slice(&other.runs.0);
-        self.out_remote.0.extend_from_slice(&other.out_remote.0);
         let moved = |head: &Head| head.moved_to(head.span().rebased(base.words));
         self.heads.extend(other.heads.iter().map(moved));
         if !(self.rows.is_empty() && other.rows.is_empty()) {
-            self.rows.resize(first, Row::default());
+            self.rows.resize(first, Span::default());
             let rows = (0..other.len()).map(|i| other.row(SlotId::from_index(i)));
-            self.rows.extend(rows.map(|row| {
-                let base = match row.form() {
-                    Form::Block => base.runs,
-                    Form::Master => base.remote,
-                };
-                Row::new(row.span().rebased(base), row.form())
-            }));
+            self.rows.extend(rows.map(|row| row.rebased(base.runs)));
         }
         first
     }
 
-    /// Replaces what `slot` holds by `state`, kept as its row says: its
-    /// tables and the edge lists `lists` names — the others stay as they
-    /// are, neither written nor journaled; a master's slot keeps only its
-    /// remote out-edges. Lists equal to what is stored are not written, and
-    /// what an open episode found is not overwritten. A uniform store given
-    /// in-edges of another weight for a block spreads every block to a
-    /// weight per edge first.
+    /// Replaces what `slot` holds by `state`: its tables and the edge lists
+    /// `lists` names — the others stay as they are, neither written nor
+    /// journaled. Lists equal to what is stored are not written, and what
+    /// an open episode found is not overwritten. A uniform store given
+    /// in-edges of another weight spreads every block to a weight per edge
+    /// first.
     pub(crate) fn set(&mut self, slot: SlotId, state: FullStateRef<'_>, lists: EdgeLists) {
         self.set_locations(slot, state.locations);
         if lists == EdgeLists::NONE || (self.rows.is_empty() && state.lens().total() == 0) {
             return;
         }
-        let before = self.row(slot);
-        match before.form() {
-            Form::Block => {
-                if lists.contains(EdgeLists::IN_EDGES) {
-                    self.admit(state.in_edges);
-                }
-                self.write_block(slot, state, lists);
-            }
-            Form::Master if lists.contains(EdgeLists::OUT_REMOTE) => {
-                let (mut span, floor) = (before.span(), self.floor().remote);
-                (self.out_remote).replace(&mut span, state.out_remote.iter(), floor);
-                self.write_row(slot, Row::new(span, Form::Master), before);
-            }
-            Form::Master => {}
+        if lists.contains(EdgeLists::IN_EDGES) {
+            self.admit(state.in_edges);
         }
+        self.write_block(slot, state, lists);
     }
 
     /// Writes the block of `slot` anew at the tail of the byte column: the
@@ -1329,29 +1122,47 @@ impl FullState {
     /// it had. A block that reads the same as the one it had is dropped
     /// again, and the slot keeps its own: a block is never written over.
     fn write_block(&mut self, slot: SlotId, state: FullStateRef<'_>, lists: EdgeLists) {
-        let (before, uniform) = (self.row(slot), self.weights.uniform());
-        let (held, tail) = (before.span(), self.runs.0.len());
+        let (held, uniform) = (self.row(slot), self.weights.uniform());
+        let tail = self.runs.0.len();
         if lists == EdgeLists::ALL {
-            append_block(state, uniform, &mut self.runs.0);
+            put_block(state, uniform, &mut self.runs.0);
         } else {
             let lens = split_block(self.runs.get(held), uniform).map(|run| run.bytes().len());
             let mut at = held.range().start;
             let out = &mut self.runs.0;
             for (list, len) in EdgeLists::EACH.into_iter().zip(lens) {
                 match (lists.contains(list), len) {
-                    (true, _) => state.append_run(list, uniform, out),
+                    (true, _) => state.put_run(list, uniform, out),
                     (false, 0) => out.push(0),
                     (false, len) => out.extend_from_within(at..at + len),
                 }
                 at += len;
             }
         }
+        self.keep_block(slot, held, tail);
+    }
+
+    /// Makes the block written at the byte column's tail since `tail` the
+    /// block of `slot`, which was `held`, and says whether it did: one that
+    /// reads the same as `held` is dropped again.
+    fn keep_block(&mut self, slot: SlotId, held: Span, tail: usize) -> bool {
         if self.runs.0[held.range()] == self.runs.0[tail..] {
             self.runs.0.truncate(tail);
-        } else {
-            let span = Span::new(tail, self.runs.0.len() - tail);
-            self.write_row(slot, Row::new(span, Form::Block), before);
+            return false;
         }
+        let block = Span::new(tail, self.runs.0.len() - tail);
+        self.write_row(slot, block, held);
+        true
+    }
+
+    /// Makes `slot`'s block a master's holding `edges` — two empty runs,
+    /// then its remote out-edges — and says whether the block changed: it
+    /// is written anew at the tail only if it did.
+    pub(crate) fn set_out_remote(&mut self, slot: SlotId, edges: &[RemoteEdge]) -> bool {
+        let (held, tail) = (self.row(slot), self.runs.0.len());
+        self.runs.0.extend_from_slice(&[0, 0]);
+        append_list(edges.len(), edges.iter().copied(), None, &mut self.runs.0);
+        self.keep_block(slot, held, tail)
     }
 
     /// Settles the layout for writing `in_edges` as a run: an unset one
@@ -1376,104 +1187,36 @@ impl FullState {
         self.weights = Weights::PerEdge;
         for slot in (0..self.rows.len()).map(SlotId::from_index) {
             let before = self.row(slot);
-            if before.form() == Form::Master {
-                continue;
-            }
-            let [ins, ..] = split_block(self.runs.get(before.span()), uniform);
+            let [ins, ..] = split_block(self.runs.get(before), uniform);
             if ins.is_empty() {
                 continue;
             }
             let (held, edges) = (ins.bytes().len(), ins.entries().collect::<Vec<InEdge>>());
             let tail = self.runs.0.len();
             append_list(edges.len(), edges.into_iter(), None, &mut self.runs.0);
-            let block = before.span().range();
+            let block = before.range();
             self.runs
                 .0
                 .extend_from_within(block.start + held..block.end);
             let span = Span::new(tail, self.runs.0.len() - tail);
-            self.write_row(slot, Row::new(span, Form::Block), before);
+            self.write_row(slot, span, before);
         }
     }
 
-    /// Makes `row` the row of `slot`, which was `before`, saving that if an
-    /// open episode found it.
-    fn write_row(&mut self, slot: SlotId, row: Row, before: Row) {
-        if row != before {
-            self.set_row(slot, row);
+    /// Makes `block` the row of `slot`, which was `before`, saving that if
+    /// an open episode found it.
+    fn write_row(&mut self, slot: SlotId, block: Span, before: Span) {
+        if block != before {
+            self.set_row(slot, block);
             self.note_row(slot, before);
         }
-    }
-
-    /// Gives up `slot`'s block and returns its in-edges as `(source,
-    /// weight)` and its consumers: what a mirror's slot keeps once the copy
-    /// becomes a master, whose own edge lists say the rest from then on. The
-    /// slot becomes a master's and covers its remote out-edges, decoded at
-    /// the tail of their column (an empty list, like the loader's, at its
-    /// start).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is a master's already.
-    pub(crate) fn take_owner_lists(&mut self, slot: SlotId) -> (Vec<(Vid, f32)>, Vec<u32>) {
-        let before = self.row(slot);
-        assert_eq!(
-            before.form(),
-            Form::Block,
-            "slot {} is a master's",
-            slot.index()
-        );
-        let stored = self.get(slot);
-        let in_edges = stored.in_edges.iter().map(|e| (e.src, e.weight)).collect();
-        let lists = (in_edges, stored.out_local_owner.to_vec());
-        let remote: Vec<RemoteEdge> = stored.out_remote.to_vec();
-        let span = match remote.is_empty() {
-            true => Span::default(),
-            false => self.out_remote.append(remote),
-        };
-        self.write_row(slot, Row::new(span, Form::Master), before);
-        self.note_promoted(slot);
-        lists
-    }
-
-    /// The span of the remote out-edges of the master's `slot`, and its row.
-    fn master_row(&self, slot: SlotId) -> (Span, Row) {
-        let row = self.row(slot);
-        assert_eq!(
-            row.form(),
-            Form::Master,
-            "slot {} is no master's",
-            slot.index()
-        );
-        (row.span(), row)
-    }
-
-    /// Keeps the remote out-edges of the master at `slot` that `keep`
-    /// accepts (it may rewrite them), in order — at the tail if an open
-    /// episode found the list — and says whether the list changed.
-    pub(crate) fn retain_out_remote(
-        &mut self,
-        slot: SlotId,
-        keep: impl FnMut(&mut RemoteEdge) -> bool,
-    ) -> bool {
-        let ((mut span, before), floor) = (self.master_row(slot), self.floor().remote);
-        let changed = (self.out_remote).retain_mut(&mut span, floor, keep);
-        self.write_row(slot, Row::new(span, Form::Master), before);
-        changed
-    }
-
-    /// Appends `edges` to the remote out-edges of the master at `slot`, at
-    /// the tail if an open episode found the list.
-    pub(crate) fn extend_out_remote(&mut self, slot: SlotId, edges: &[RemoteEdge]) {
-        let ((mut span, before), floor) = (self.master_row(slot), self.floor().remote);
-        self.out_remote.extend(&mut span, edges, floor);
-        self.write_row(slot, Row::new(span, Form::Master), before);
     }
 
     /// Checks the slot table against the columns.
     ///
     /// # Errors
     ///
-    /// Names the first slot whose tables or span reach past their column.
+    /// Names the first slot whose tables or block reach past their column.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.rows.is_empty() || self.rows.len() == self.heads.len()) {
             return Err("the slot table's rows and heads differ in number".into());
@@ -1482,33 +1225,23 @@ impl FullState {
         if let Some(i) = (self.heads.iter()).position(|head| head.span().range().end > words) {
             return Err(format!("the tables of slot {i} reach past their column"));
         }
-        let column = |row: &Row| match row.form() {
-            Form::Block => self.runs.0.len(),
-            Form::Master => self.out_remote.0.len(),
-        };
-        match (self.rows.iter()).position(|row| row.span().range().end > column(row)) {
-            Some(i) => Err(format!("the row of slot {i} reaches past its column")),
+        let runs = self.runs.0.len();
+        match (self.rows.iter()).position(|row| row.range().end > runs) {
+            Some(i) => Err(format!("the block of slot {i} reaches past its column")),
             None => Ok(()),
         }
-    }
-
-    /// Whether `slot` is a master's: its row covers decoded remote
-    /// out-edges, not a block.
-    pub(crate) fn is_master(&self, slot: SlotId) -> bool {
-        self.row(slot).form() == Form::Master
     }
 
     /// Makes room for `more`, one allocation per column. Rows are reserved
     /// with the first edge list.
     pub fn reserve_exact(&mut self, more: StoreLens) {
         self.heads.reserve_exact(more.slots);
-        if !self.rows.is_empty() || more.runs + more.remote > 0 {
+        if !self.rows.is_empty() || more.runs > 0 {
             let backfill = self.heads.len() - self.rows.len();
             self.rows.reserve_exact(backfill + more.slots);
         }
         self.words.0.reserve_exact(more.words);
         self.runs.0.reserve_exact(more.runs);
-        self.out_remote.0.reserve_exact(more.remote);
     }
 
     /// Cuts the store back to `lens` and its first `rows` rows (undoing an
@@ -1518,7 +1251,6 @@ impl FullState {
         self.rows.truncate(rows);
         self.words.0.truncate(lens.words);
         self.runs.0.truncate(lens.runs);
-        self.out_remote.0.truncate(lens.remote);
     }
 }
 
@@ -1526,10 +1258,9 @@ impl MemSize for FullState {
     fn mem_bytes(&self) -> usize {
         std::mem::size_of::<FullState>()
             + self.heads.capacity() * std::mem::size_of::<Head>()
-            + self.rows.capacity() * std::mem::size_of::<Row>()
+            + self.rows.capacity() * std::mem::size_of::<Span>()
             + self.words.capacity_bytes()
             + self.runs.capacity_bytes()
-            + self.out_remote.capacity_bytes()
     }
 }
 
@@ -1541,15 +1272,8 @@ mod tests {
     #[test]
     fn a_slot_is_a_twelve_byte_head_and_an_eight_byte_row() {
         assert_eq!(std::mem::size_of::<Head>(), 12);
-        assert_eq!(std::mem::size_of::<Row>(), 8);
+        assert_eq!(std::mem::size_of::<Span>(), 8);
         assert_eq!(std::mem::size_of::<Option<SlotId>>(), 4);
-    }
-
-    /// What a remote out-edge costs in a master's slot: the other end's
-    /// node and position and nothing else.
-    #[test]
-    fn a_remote_edge_is_eight_bytes() {
-        assert_eq!(std::mem::size_of::<RemoteEdge>(), 8);
     }
 
     fn tables(tag: u32, replicas: u32) -> Locations {
@@ -1655,7 +1379,7 @@ mod tests {
             };
             store.set(slot, state, EdgeLists::OUT_LOCAL);
             let block = store.row(slot);
-            assert_eq!(block.span().range(), runs..store.lens().runs, "at the tail");
+            assert_eq!(block.range(), runs..store.lens().runs, "at the tail");
             assert_eq!(store.nth(0), state);
             store.set(slot, state, EdgeLists::ALL);
             assert_eq!(store.row(slot), block, "the same block is not written");

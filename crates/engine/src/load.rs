@@ -23,6 +23,9 @@ pub(crate) struct Layout {
     pub copies: Vec<Vec<Vid>>,
     /// Per node, vertex → position.
     pub pos_maps: Vec<PosIndex>,
+    /// Per node, the vertices at positions 2^7, 2^14, 2^21 and 2^28 — where
+    /// a position's varint grows a byte — or `u32::MAX` past its copies.
+    widths: Vec<[u32; 4]>,
 }
 
 impl Layout {
@@ -56,7 +59,28 @@ impl Layout {
             .iter()
             .map(|vids| PosIndex::from_sorted_vids(vids))
             .collect();
-        Layout { copies, pos_maps }
+        let widths = copies
+            .iter()
+            .map(|vids| {
+                [7, 14, 21, 28].map(|bits| vids.get(1 << bits).map_or(u32::MAX, |v| v.raw()))
+            })
+            .collect();
+        Layout {
+            copies,
+            pos_maps,
+            widths,
+        }
+    }
+
+    /// Bytes the varint of the position of `v`'s copy on `node` takes,
+    /// read off the copy list without looking the position up: positions
+    /// follow the vertices' order, so the copy sits at or past position
+    /// 2^(7k) exactly when `v` is not below the vertex there.
+    pub fn pos_len(&self, node: usize, v: Vid) -> usize {
+        1 + self.widths[node]
+            .iter()
+            .filter(|&&first| v.raw() >= first)
+            .count()
     }
 
     /// Words in the location tables of `v`'s full state: a node and a

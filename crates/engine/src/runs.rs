@@ -125,13 +125,6 @@ pub trait Entry: Copy {
     /// writing one.
     fn size(self, uniform: Option<f32>) -> usize;
 
-    /// Appends the entry to `out`.
-    fn put<S: Sink>(self, uniform: Option<f32>, out: &mut S) {
-        let mut buf = [0; ENTRY_ROOM];
-        let len = self.write(uniform, &mut buf);
-        out.put(&buf[..len]);
-    }
-
     /// Reads one entry off the front of `bytes`, checking it.
     ///
     /// # Errors
@@ -139,6 +132,10 @@ pub trait Entry: Copy {
     /// Refuses input cut short, an integer past `u32` and a node past the
     /// 2^16 a cluster may have.
     fn take(bytes: &mut &[u8], uniform: Option<f32>) -> Result<Self, DecodeError>;
+
+    /// Reads one entry off the front of a stored run, which was checked
+    /// where it entered the node ([`take_run`]).
+    fn read(bytes: &mut &[u8], uniform: Option<f32>) -> Self;
 }
 
 impl Entry for u32 {
@@ -152,6 +149,10 @@ impl Entry for u32 {
 
     fn take(bytes: &mut &[u8], _: Option<f32>) -> Result<u32, DecodeError> {
         take_u32(bytes)
+    }
+
+    fn read(bytes: &mut &[u8], _: Option<f32>) -> u32 {
+        read_u32(bytes)
     }
 }
 
@@ -175,6 +176,14 @@ impl Entry for RemoteEdge {
             node: NodeId::new(node),
             pos,
         })
+    }
+
+    fn read(bytes: &mut &[u8], _: Option<f32>) -> RemoteEdge {
+        let node = NodeId::new(read_u32(bytes));
+        RemoteEdge {
+            node,
+            pos: read_u32(bytes),
+        }
     }
 }
 
@@ -206,6 +215,17 @@ impl Entry for InEdge {
         };
         let src = Vid::new(take_u32(bytes)?);
         Ok(InEdge { pos, weight, src })
+    }
+
+    fn read(bytes: &mut &[u8], uniform: Option<f32>) -> InEdge {
+        let pos = read_u32(bytes);
+        let weight = uniform.unwrap_or_else(|| {
+            let (weight, rest) = bytes.split_first_chunk::<4>().expect(CHECKED);
+            *bytes = rest;
+            f32::from_le_bytes(*weight)
+        });
+        let src = Vid::new(read_u32(bytes));
+        InEdge { pos, weight, src }
     }
 }
 
@@ -255,21 +275,25 @@ fn take_u32(bytes: &mut &[u8]) -> Result<u32, DecodeError> {
     Err(DecodeError::Corrupt("varint exceeds u32"))
 }
 
-/// Writes `entries` as a message writes a list: the count, then each entry.
-/// A store keeps the same bytes.
-pub(crate) fn put_list<T: Entry, S: Sink>(
-    entries: impl ExactSizeIterator<Item = T>,
-    uniform: Option<f32>,
-    out: &mut S,
-) {
-    out.put_uvarint(entries.len() as u64);
-    entries.for_each(|entry| entry.put(uniform, out));
+/// A varint of a stored run, which was checked where it entered the node.
+fn read_u32(bytes: &mut &[u8]) -> u32 {
+    let (mut value, mut at) = (0, 0);
+    loop {
+        let byte = bytes[at];
+        value |= u32::from(byte & 0x7F) << (7 * at);
+        at += 1;
+        if byte < 0x80 {
+            *bytes = &bytes[at..];
+            return value;
+        }
+    }
 }
 
-/// [`put_list`] of the `len` `entries` into a store's byte column: they are
-/// written into a buffer on the stack and `out` given a buffer at a time —
-/// one copy for a few dozen entries instead of one per entry; a growing
-/// column grows as a `Vec` does, never past what it needs.
+/// Writes the `len` `entries` as a message writes a list — the count, then
+/// each entry; a store keeps the same bytes —: they are written into a
+/// buffer on the stack and `out` given a buffer at a time, one copy for a
+/// few dozen entries instead of one per entry; a growing column grows as a
+/// `Vec` does, never past what it needs.
 pub(crate) fn append_list<T: Entry, S: Sink>(
     len: usize,
     entries: impl Iterator<Item = T>,
@@ -288,16 +312,6 @@ pub(crate) fn append_list<T: Entry, S: Sink>(
     out.put(&buf[..at]);
 }
 
-/// How many bytes [`put_list`] and [`append_list`] write for `entries`,
-/// counted without writing one.
-pub(crate) fn list_size<T: Entry>(
-    entries: impl ExactSizeIterator<Item = T>,
-    uniform: Option<f32>,
-) -> usize {
-    let count = varint_len(u32::try_from(entries.len()).expect("a list holds < 2^32 entries"));
-    count + entries.map(|entry| entry.size(uniform)).sum::<usize>()
-}
-
 /// Where the `n` varints that start at `at` end in `bytes`: a byte below
 /// 0x80 ends one.
 fn varints_end(bytes: &[u8], at: usize, n: usize) -> usize {
@@ -311,7 +325,7 @@ fn varints_end(bytes: &[u8], at: usize, n: usize) -> usize {
 /// 4-byte weight after an entry's first —, skipped without decoding one.
 fn run_len(bytes: &[u8], varints: usize, weighed: bool) -> usize {
     let mut rest = bytes;
-    let n = take_u32(&mut rest).expect(CHECKED) as usize;
+    let n = read_u32(&mut rest) as usize;
     let at = bytes.len() - rest.len();
     if weighed {
         (0..n).fold(at, |at, _| {
@@ -367,7 +381,7 @@ impl<'a> Run<'a> {
     pub fn len(self) -> usize {
         match self.bytes {
             [] => 0,
-            mut bytes => take_u32(&mut bytes).expect(CHECKED) as usize,
+            mut bytes => read_u32(&mut bytes) as usize,
         }
     }
 
@@ -382,9 +396,9 @@ impl<'a> Run<'a> {
         let n = if bytes.is_empty() {
             0
         } else {
-            take_u32(&mut bytes).expect(CHECKED) as usize
+            read_u32(&mut bytes) as usize
         };
-        (0..n).map(move |_| T::take(&mut bytes, uniform).expect(CHECKED))
+        (0..n).map(move |_| T::read(&mut bytes, uniform))
     }
 
     /// Whether the run's bytes are what a list writes under `uniform`: it
@@ -400,15 +414,6 @@ impl<'a> Run<'a> {
         match self.bytes {
             [] => out.put_byte(0),
             bytes if self.writes(uniform) => out.put(bytes),
-            _ => put_list(self.entries::<T>(), uniform, out),
-        }
-    }
-
-    /// [`Run::put`] into a store's byte column.
-    pub(crate) fn append<T: Entry>(self, uniform: Option<f32>, out: &mut Vec<u8>) {
-        match self.bytes {
-            [] => out.push(0),
-            bytes if self.writes(uniform) => out.extend_from_slice(bytes),
             _ => append_list(self.len(), self.entries::<T>(), uniform, out),
         }
     }
@@ -443,9 +448,19 @@ pub fn take_run<'a, T: Entry>(
 mod tests {
     use super::*;
 
+    /// How many bytes [`append_list`] writes for `entries`,
+    /// counted without writing one.
+    fn list_size<T: Entry>(
+        entries: impl ExactSizeIterator<Item = T>,
+        uniform: Option<f32>,
+    ) -> usize {
+        let count = varint_len(u32::try_from(entries.len()).expect("a list holds < 2^32 entries"));
+        count + entries.map(|entry| entry.size(uniform)).sum::<usize>()
+    }
+
     fn run_of<T: Entry>(entries: &[T], uniform: Option<f32>) -> Vec<u8> {
         let mut bytes = Vec::new();
-        put_list(entries.iter().copied(), uniform, &mut bytes);
+        append_list(entries.len(), entries.iter().copied(), uniform, &mut bytes);
         bytes
     }
 
@@ -507,12 +522,11 @@ mod tests {
         }];
         for uniform in [None, Some(0.5)] {
             for cut in [0, 1, 40] {
-                let mut block = Vec::new();
-                put_list(ins[..cut].iter().copied(), uniform, &mut block);
+                let mut block = run_of(&ins[..cut], uniform);
                 let at = [block.len()];
-                put_list(fed[..cut.min(19)].iter().copied(), uniform, &mut block);
+                block.extend(run_of(&fed[..cut.min(19)], uniform));
                 let at = [at[0], block.len()];
-                put_list(remote[..cut.min(1)].iter().copied(), uniform, &mut block);
+                block.extend(run_of(&remote[..cut.min(1)], uniform));
                 let [a, b, c] = split_block(&block, uniform);
                 assert_eq!(a.bytes(), &block[..at[0]]);
                 assert_eq!(b.bytes(), &block[at[0]..at[1]]);

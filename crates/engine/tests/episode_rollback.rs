@@ -106,31 +106,31 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
                 })
                 .expect("mirrors carry full state");
                 lg.set_active(pos, false);
-                let (in_edges, consumers) = lg.take_owner_lists(pos);
-                lg.extend_out_remote(
-                    pos,
-                    &consumers
-                        .iter()
-                        .map(|&c| RemoteEdge {
-                            node: NodeId::new(2),
-                            pos: c,
-                        })
-                        .collect::<Vec<_>>(),
-                );
-                let rewired: Vec<(u32, f32)> = in_edges.iter().map(|&(_, w)| (pos, w)).collect();
+                let kept = lg.stored_full_state(pos).expect("mirrors carry full state");
+                let rewired: Vec<(u32, f32)> =
+                    kept.in_edges.iter().map(|e| (pos, e.weight)).collect();
+                let mut remote = kept.out_remote.to_vec();
+                let moved = kept.out_local_owner.iter().map(|c| RemoteEdge {
+                    node: NodeId::new(2),
+                    pos: c,
+                });
+                remote.extend(moved);
+                lg.set_out_remote(pos, &remote);
                 lg.set_in_edges(pos, &rewired);
                 lg.set_active(pos, true);
                 changed += 1;
             }
             CopyKind::Master => {
                 lg.edit_locations(pos, |tables| tables.purge_node(dead()));
-                changed += usize::from(lg.retain_out_remote(pos, |r| {
+                let mut remote = lg.full_state(pos).unwrap().out_remote.to_vec();
+                remote.retain_mut(|r| {
                     let moved = r.node == dead();
                     if moved {
                         (r.node, r.pos) = (NodeId::new(3), r.pos + 1);
                     }
                     !(moved && r.pos % 2 == 0)
-                }));
+                });
+                changed += usize::from(lg.set_out_remote(pos, &remote));
                 lg.extend_out_local(pos, &[pos]);
                 if pos % 3 == 0 {
                     // Replaced shorter, equal and longer: a run that predates
@@ -236,10 +236,8 @@ fn rollback_leaves_no_trace_in_any_store() {
                 "k={k}"
             );
             assert!(lg != *before && ec_lens(&lg) != ec_lens(before), "k={k}");
-            // Mid-episode the graph holds together — `validate` holds every
-            // master's slot, the promoted ones' included, to no in-edge
-            // source — once its frontier, which no episode journals, is
-            // recomputed: on a copy.
+            // Mid-episode the graph holds together once its frontier, which
+            // no episode journals, is recomputed: on a copy.
             let mut promoted = lg.clone();
             promoted.rebuild_active_frontier();
             promoted.debug_validate();
@@ -393,7 +391,7 @@ enum Edit {
     Retain { pick: usize, keep: u32 },
     /// A master's remote out-edges grown.
     Extend { pick: usize, more: usize },
-    /// A mirror promoted: its slot gives up its block.
+    /// A mirror promoted: its slot keeps its block.
     Promote { pick: usize },
     /// Replicas made mirrors by a batch taken whole.
     AdoptWhole { count: usize },
@@ -461,26 +459,26 @@ fn apply(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, edit: &Edit) {
         }
         Edit::Retain { pick, keep } if !masters.is_empty() => {
             let pos = masters[pick % masters.len()];
-            lg.retain_out_remote(pos, |r| {
+            let mut remote = lg.full_state(pos).unwrap().out_remote.to_vec();
+            remote.retain_mut(|r| {
                 r.pos += 1;
                 r.pos % (keep + 1) != 0
             });
+            lg.set_out_remote(pos, &remote);
         }
         Edit::Extend { pick, more } if !masters.is_empty() => {
             let pos = masters[pick % masters.len()];
-            let edges: Vec<RemoteEdge> = (0..more as u32)
-                .map(|i| RemoteEdge {
-                    node: NodeId::new(i % NODES as u32),
-                    pos: pick as u32 % 1000 + i,
-                })
-                .collect();
-            lg.extend_out_remote(pos, &edges);
+            let mut remote = lg.full_state(pos).unwrap().out_remote.to_vec();
+            remote.extend((0..more as u32).map(|i| RemoteEdge {
+                node: NodeId::new(i % NODES as u32),
+                pos: pick as u32 % 1000 + i,
+            }));
+            lg.set_out_remote(pos, &remote);
         }
         Edit::Promote { pick } if !mirrors.is_empty() => {
             let pos = mirrors[pick % mirrors.len()];
             lg.set_kind(pos, CopyKind::Master);
             lg.set_master_node(pos, lg.node);
-            lg.take_owner_lists(pos);
         }
         Edit::AdoptWhole { count } => {
             let slotless = copies(lg, |v| v.kind == CopyKind::Replica && v.meta.is_none());
@@ -606,5 +604,226 @@ proptest! {
         prop_assert_eq!(snapshot(&lg), snapshot(before));
         prop_assert_eq!(ec_lens(&lg), ec_lens(before));
         blocks_are_what_a_message_writes(&lg)?;
+    }
+}
+
+/// The block the slot of the copy at `pos` stores, its three runs back to
+/// back.
+fn stored_block(lg: &EcLocalGraph<u64>, pos: u32) -> Vec<u8> {
+    let state = lg.stored_full_state(pos).expect("a copy with full state");
+    let InEdges::Run(ins) = state.in_edges else {
+        panic!("a slot stores runs");
+    };
+    let (fed, remote) = (state.out_local_owner.run(), state.out_remote.run());
+    let runs = [Some(ins), fed, remote].map(|run| run.expect("a slot stores runs"));
+    runs.iter().flat_map(|run| run.bytes()).copied().collect()
+}
+
+/// Every mirror, on a node other than `crashed`, of every master on such a
+/// node stores the block its master exports when a record carries all
+/// three lists, byte for byte. Returns how many mirrors it compared.
+fn mirrors_store_what_masters_export(lgs: &[EcLocalGraph<u64>], crashed: Option<NodeId>) -> usize {
+    let live = |n: NodeId| Some(n) != crashed;
+    let mut compared = 0;
+    for lg in lgs.iter().filter(|lg| live(lg.node)) {
+        for pos in lg.master_positions() {
+            let (batch, _) = lg.export_full_states(&[(pos, EdgeLists::ALL)]);
+            let tables = lg.locations(pos).expect("masters carry full state");
+            for m in tables.mirror_nodes().iter().filter(|&m| live(m)) {
+                let holder = &lgs[m.index()];
+                let at = tables
+                    .replica_position_on(m)
+                    .expect("a mirror is a replica");
+                let mirror = &holder.verts[at as usize];
+                assert_eq!(
+                    (mirror.kind, mirror.master_node),
+                    (CopyKind::Mirror, lg.node)
+                );
+                assert_eq!(
+                    stored_block(holder, at),
+                    batch.block(0),
+                    "mirror on {m} of {}",
+                    mirror.vid
+                );
+                compared += 1;
+            }
+        }
+    }
+    compared
+}
+
+/// What a Migration does to the survivors' full state, by hand, in the
+/// protocol's order, inside an episode on every survivor: R1 promotes each
+/// mirror of the dead node's masters on its first live mirror node and
+/// purges the dead node from every master's tables; R2 re-points the remote
+/// out-edges that named the dead node; R7 refreshes every mirror on a
+/// survivor with its master's tables and the lists `changed_lists` names.
+/// Then every episode commits.
+fn migrate_survivors(lgs: &mut [EcLocalGraph<u64>]) {
+    for lg in lgs.iter_mut().filter(|lg| lg.node != dead()) {
+        let me = lg.node;
+        lg.begin_episode();
+        for pos in 0..lg.len() as u32 {
+            let v = &lg.verts[pos as usize];
+            if v.kind != CopyKind::Mirror || v.master_node != dead() {
+                continue;
+            }
+            let tables = lg.locations(pos).expect("mirrors carry full state");
+            if tables.mirror_nodes().iter().find(|&m| m != dead()) == Some(me) {
+                lg.set_kind(pos, CopyKind::Master);
+                lg.set_master_node(pos, me);
+                lg.edit_locations(pos, |tables| tables.set_master_pos(pos));
+            }
+        }
+        for pos in lg.master_positions().collect::<Vec<_>>() {
+            lg.edit_locations(pos, |tables| {
+                tables.purge_node(me);
+                tables.purge_node(dead());
+            });
+            let mut remote = lg.full_state(pos).unwrap().out_remote.to_vec();
+            for r in remote.iter_mut().filter(|r| r.node == dead()) {
+                (r.node, r.pos) = (NodeId::new(2), r.pos + 1);
+            }
+            lg.set_out_remote(pos, &remote);
+        }
+    }
+    let mut refreshes = Vec::new();
+    for lg in lgs.iter().filter(|lg| lg.node != dead()) {
+        for pos in lg.master_positions() {
+            let lists = lg.changed_lists(pos);
+            let tables = lg.locations(pos).expect("masters carry full state");
+            for m in tables.mirror_nodes().iter() {
+                let at = tables
+                    .replica_position_on(m)
+                    .expect("a mirror is a replica");
+                let (batch, lists) = lg.export_full_states(&[(pos, lists)]);
+                refreshes.push((m, at, lg.node, batch, lists));
+            }
+        }
+    }
+    for (m, at, master, batch, lists) in refreshes {
+        let holder = &mut lgs[m.index()];
+        holder.set_master_node(at, master);
+        holder.adopt_full_states(&[(&[at], &batch, &lists)]);
+    }
+    for lg in lgs.iter_mut().filter(|lg| lg.node != dead()) {
+        lg.commit();
+        lg.debug_validate();
+    }
+}
+
+/// A master's exported block is what its mirrors store, byte for byte —
+/// the remote run a copy of the master's own —, after load and after a
+/// Migration episode, at K = 1 and 2, with one weight and a weight per edge.
+#[test]
+fn a_master_exports_the_block_its_mirrors_store() {
+    for weighted in [false, true] {
+        let g = match weighted {
+            true => gen::road_like(600, 29),
+            false => graph(),
+        };
+        let degrees = Degrees::of(&g);
+        let cut = HashEdgeCut.partition(&g, NODES);
+        for k in 1..=2 {
+            let ft = plan(&g, k, |v| cut.replica_parts(v).to_vec());
+            let mut lgs = build_edge_cut_graphs(&g, &cut, &ft, &Count, &degrees);
+            let uniform = lgs[0].full_state_weights().uniform().is_some();
+            assert_eq!(uniform, !weighted, "k={k}");
+            assert!(mirrors_store_what_masters_export(&lgs, None) > 100, "k={k}");
+            migrate_survivors(&mut lgs);
+            assert!(
+                mirrors_store_what_masters_export(&lgs, Some(dead())) > 50,
+                "k={k}"
+            );
+        }
+    }
+}
+
+/// A promotion turns a mirror into a master and writes no byte of its
+/// slot; rewriting the promoted masters' remote out-edges writes new
+/// blocks, and rollback gives every slot back the block it had.
+#[test]
+fn a_promotion_writes_no_byte_and_rollback_restores_every_row() {
+    let g = graph();
+    let degrees = Degrees::of(&g);
+    let cut = HashEdgeCut.partition(&g, NODES);
+    for k in 1..=2 {
+        let ft = plan(&g, k, |v| cut.replica_parts(v).to_vec());
+        let lgs = build_edge_cut_graphs(&g, &cut, &ft, &Count, &degrees);
+        for before in lgs.iter().filter(|lg| lg.node != dead()) {
+            let mut lg = before.clone();
+            lg.begin_episode();
+            let runs = lg.full_state_lens().runs;
+            let orphans = copies(&lg, |v| {
+                v.kind == CopyKind::Mirror && v.master_node == dead()
+            });
+            assert!(!orphans.is_empty(), "k={k}");
+            for &pos in &orphans {
+                lg.set_kind(pos, CopyKind::Master);
+                lg.set_master_node(pos, lg.node);
+                assert_eq!(stored_block(&lg, pos), stored_block(before, pos));
+                assert_eq!(lg.changed_lists(pos), EdgeLists::ALL);
+            }
+            assert_eq!(
+                lg.full_state_lens().runs,
+                runs,
+                "k={k}: a promotion writes no byte"
+            );
+            for &pos in &orphans {
+                let kept = lg.stored_full_state(pos).unwrap();
+                let mut remote = kept.out_remote.to_vec();
+                let moved = kept.out_local_owner.iter().map(|c| RemoteEdge {
+                    node: NodeId::new(2),
+                    pos: c,
+                });
+                remote.extend(moved);
+                remote.push(RemoteEdge {
+                    node: NodeId::new(3),
+                    pos,
+                });
+                assert!(lg.set_out_remote(pos, &remote));
+            }
+            assert!(lg.full_state_lens().runs > runs, "k={k}");
+            lg.rollback();
+            for pos in (0..lg.len() as u32).filter(|&p| lg.verts[p as usize].meta.is_some()) {
+                assert_eq!(stored_block(&lg, pos), stored_block(before, pos), "k={k}");
+            }
+            assert!(lg == *before && ec_lens(&lg) == ec_lens(before), "k={k}");
+        }
+    }
+}
+
+/// Inside an episode a master's remote out-edges count as changed exactly
+/// when they were rewritten: writing the list it holds writes nothing.
+#[test]
+fn changed_lists_name_the_remote_run_exactly_when_it_was_rewritten() {
+    let g = graph();
+    let degrees = Degrees::of(&g);
+    let cut = HashEdgeCut.partition(&g, NODES);
+    let ft = plan(&g, 1, |v| cut.replica_parts(v).to_vec());
+    for mut lg in build_edge_cut_graphs(&g, &cut, &ft, &Count, &degrees) {
+        let runs = lg.full_state_lens().runs;
+        lg.begin_episode();
+        let masters: Vec<u32> = lg.master_positions().collect();
+        for &pos in &masters {
+            let mut remote = lg.full_state(pos).unwrap().out_remote.to_vec();
+            if pos % 3 == 1 {
+                remote.push(RemoteEdge {
+                    node: NodeId::new(2),
+                    pos,
+                });
+            }
+            if pos % 3 != 2 {
+                assert_eq!(lg.set_out_remote(pos, &remote), pos % 3 == 1);
+            }
+        }
+        let rewritten = masters.iter().filter(|&&pos| pos % 3 == 1).count();
+        assert!(rewritten > 0 && lg.full_state_lens().runs > runs);
+        for &pos in &masters {
+            let changed = lg.changed_lists(pos).contains(EdgeLists::OUT_REMOTE);
+            assert_eq!(changed, pos % 3 == 1, "master at {pos}");
+        }
+        lg.commit();
+        assert_eq!(lg.changed_lists(masters[0]), EdgeLists::ALL, "no episode");
     }
 }

@@ -158,7 +158,13 @@ cd "$(dirname "$0")/.."
 #          `ModelGraph` hooks the snapshot writer and the undo oracle read
 #          (`consumers`, `eq_by`) and for an adopter rewriting its snapshot
 #          part after a graft (DESIGN.md §4.3, §4.6).
-BUDGET=3655
+#   3652 — a master's remote out-edges are a run of its block: R1's
+#          promotion hook only stops the master and queues it, R2 reads the
+#          promoted mirror's block once (consumers to relocate, sources kept
+#          for R4) and rewrites every changed master's block through one
+#          store call, so R2's two passes over the promoted masters and R4's
+#          per-master source lists went (DESIGN.md §4.9).
+BUDGET=3652
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -22,8 +22,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use imitator_repro::algos::PageRank;
 use imitator_repro::engine::{
-    build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, EcLocalGraph, EcVertex, FtPlan,
-    VcVertex, VertexProgram,
+    build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
+    FtPlan, FullStateRef, InEdges, VcVertex, VertexProgram,
 };
 use imitator_repro::ft::plan::{compute_ft_plan, ReplicaView};
 use imitator_repro::graph::{gen, Graph};
@@ -139,9 +139,26 @@ fn recorded_transient(vertices: usize, parts: usize, k: usize) -> usize {
     }
 }
 
-/// Bytes of the mirrors' blocks the graphs' stores hold.
+/// Bytes of the mirrors' blocks the graphs' stores hold. A master's block —
+/// two empty runs and its remote out-edges, written straight into the byte
+/// column by the load's fill scan — is not counted: the bound it sets is on
+/// what staging mirror blocks would cost.
 fn mirror_blocks<V>(lgs: &[EcLocalGraph<V>]) -> usize {
-    lgs.iter().map(|lg| lg.full_state_lens().runs).sum()
+    let block = |state: FullStateRef<'_>| {
+        let InEdges::Run(ins) = state.in_edges else {
+            panic!("a mirror stores its in-edges as a run");
+        };
+        let (fed, remote) = (state.out_local_owner.run(), state.out_remote.run());
+        let runs = [Some(ins), fed, remote].map(|run| run.expect("a mirror stores runs"));
+        runs.iter().map(|run| run.bytes().len()).sum::<usize>()
+    };
+    let mirrors = |lg: &EcLocalGraph<V>| {
+        let mirror = |pos: u32| lg.verts[pos as usize].kind == CopyKind::Mirror;
+        let positions = (0..lg.len() as u32).filter(move |&pos| mirror(pos));
+        let stored = move |pos| lg.stored_full_state(pos).expect("a mirror has full state");
+        positions.map(move |pos| block(stored(pos))).sum::<usize>()
+    };
+    lgs.iter().map(mirrors).sum()
 }
 
 /// The loaders' allocation counts for `g` on `parts` nodes — edge-cut then
