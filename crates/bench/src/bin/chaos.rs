@@ -124,7 +124,9 @@ enum Class {
 
 /// Order matters beyond this file: schedule `i` runs class `i % len`, and
 /// CI's blocking `chaos-recovery` shard selects the first twelve (the
-/// Migration rounds and the Rebirth phases) by that index.
+/// Migration rounds and the Rebirth phases) and classes 13 to 16 (a
+/// checkpoint standby attempt's reload and the fallback's three rounds) by
+/// that index.
 fn classes() -> Vec<Class> {
     let mut v: Vec<Class> = (1..=8).map(Class::MigrationRound).collect();
     v.extend([

@@ -29,9 +29,9 @@ use std::sync::Arc;
 
 use imitator_cluster::NodeId;
 use imitator_engine::{
-    take_run, ColumnLens, CopyKind, Degrees, EcLocalGraph, EcVertex, EdgeLists, FullStateBatches,
-    FullStateRef, InEdge, InEdges, List, Locations, LocationsRef, RemoteEdge, VcLocalGraph,
-    VcVertex, VertexProgram, MAX_TABLE_NODES,
+    take_run, ColumnLens, CopyKind, Degrees, EcLocalGraph, EcVertex, EdgeLists, Episode,
+    FullStateBatches, FullStateRef, InEdge, InEdges, List, Locations, LocationsRef, RemoteEdge,
+    VcLocalGraph, VcVertex, VertexProgram, MAX_TABLE_NODES,
 };
 use imitator_graph::Vid;
 use imitator_storage::codec::{ByteCount, Decode, DecodeError, Encode, Reader, Sink};
@@ -252,12 +252,14 @@ pub(crate) fn chain<M: ComputeModel>(dfs: &Dfs, node: NodeId) -> Vec<Arc<Vec<u8>
 /// Rolls `lg` back to the state its node's snapshot chain ([`chain`])
 /// holds and returns its iteration: the initial state under the chain, or
 /// alone while the chain is empty. A chain of deltas with no full base is
-/// grounded at the initial state too.
+/// grounded at the initial state too. Every value and flag is written, so
+/// an open episode images the value column first.
 pub(crate) fn roll_back<M: ComputeModel>(
     shared: &Shared<M>,
     lg: &mut M::Graph,
     chain: &[Arc<Vec<u8>>],
 ) -> u64 {
+    lg.touch_values();
     shared.model.reset_to_initial(lg, shared);
     let (prog, degrees) = (shared.model.prog(), &shared.degrees);
     let applied = chain

@@ -102,10 +102,10 @@ impl<V> SyncBufs<V> {
 /// state machine can read and rewrite vertex copies without knowing the
 /// concrete vertex layout.
 ///
-/// Recovery undoes an aborted Migration attempt through the graph's
-/// [`Episode`]: `begin_episode` before the attempt's first write, `rollback`
-/// on abort, `commit` on success. Migration's mirror batches are the graph's
-/// own [`FullStateBatches`].
+/// Recovery undoes every aborted attempt through the graph's [`Episode`]:
+/// `begin_episode` before the attempt's first write, `rollback` on abort,
+/// `commit` on success. Migration's mirror batches are the graph's own
+/// [`FullStateBatches`].
 pub(crate) trait ModelGraph: Episode + FullStateBatches {
     /// The vertex value type.
     type Value;

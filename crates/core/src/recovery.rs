@@ -68,7 +68,7 @@ use rounds::AttemptCx;
 use migration::R7_TALLY;
 
 // --------------------------------------------------------------------------
-// Attempt plumbing: aborts, undo snapshots
+// Attempt plumbing: aborts, undo
 // --------------------------------------------------------------------------
 
 /// Why a recovery attempt stopped before completing.
@@ -88,36 +88,29 @@ pub(crate) type Attempt<T> = Result<T, Abort>;
 
 /// Everything a survivor must restore to retry a recovery attempt as if the
 /// aborted one never ran: the local graph (copy kinds, metas, edge wiring,
-/// appended copies) and every piece of node state the recovery paths mutate.
+/// values, appended copies) and every piece of node state the recovery
+/// paths mutate.
 ///
-/// The node state is copied when the episode starts. The graph is undone one
-/// of two ways, by what the attempt does to it:
-///
-/// * **Migration journals.** `migrate` opens an episode on the graph
-///   ([`Episode::begin_episode`], before its first write): the graph's
-///   stores only grow from there, and its mutators save what they overwrite
-///   (`imitator_engine`'s `episode` module). [`Undo::restore`] rolls the
-///   episode back; success commits it. Both cost what the attempt changed —
-///   a few percent of a partition — and setting up costs nothing.
-/// * **Checkpoint recovery copies.** A checkpoint standby attempt rolls
-///   every copy's value and activity back and writes nothing else, so
-///   [`Undo::capture_values`] copies those ([`Episode::values`]); the
-///   fallback also grafts whole partitions, so [`Undo::capture_graph`]
-///   clones the graph. Either copies once, right before the rollback, and
-///   `restore` writes the copy back.
-///
-/// A Rebirth attempt only reads its graph, so an episode that never degrades
-/// journals and copies nothing. Every undo takes the graph back to exactly
-/// its pre-episode state, so an episode can abort any number of times.
+/// The node state is copied when the episode starts. The graph undoes
+/// itself: an attempt that writes it opens an episode on it
+/// ([`Episode::begin_episode`], before its first write — Migration, a
+/// checkpoint standby attempt and the checkpoint fallback alike), from where
+/// its stores only grow and its mutators save what they overwrite, the
+/// value column imaged whole on its first value write (`imitator_engine`'s
+/// `episode` module). [`Undo::restore`] rolls the episode back; success
+/// commits it. Both cost what the attempt changed, and setting up costs
+/// nothing. A Rebirth attempt only reads its graph and opens none, so its
+/// rollback does nothing. Every undo takes the graph back to exactly its
+/// pre-episode state, so an episode can abort any number of times.
 ///
 /// Debug builds check every undo against a clone of the pre-episode graph:
 /// a rollback must leave a graph equal to it, field for field and list for
 /// list, values by their encoding (not `==`: programs stuck on NaN).
 struct Undo<G: ModelGraph> {
-    lg: Option<G>,
-    values: Option<G::Values>,
     #[cfg(debug_assertions)]
     oracle: G,
+    #[cfg(not(debug_assertions))]
+    oracle: std::marker::PhantomData<G>,
     overlay: VidMap<NodeId>,
     mirror_assign: Vec<usize>,
     alive: Vec<bool>,
@@ -131,10 +124,10 @@ impl<G: ModelGraph<Value: Encode> + Clone> Undo<G> {
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn capture<T>(st: &crate::rt::NodeState<T>, lg: &G) -> Self {
         Undo {
-            lg: None,
-            values: None,
             #[cfg(debug_assertions)]
             oracle: lg.clone(),
+            #[cfg(not(debug_assertions))]
+            oracle: std::marker::PhantomData,
             overlay: st.overlay.clone(),
             mirror_assign: st.mirror_assign.clone(),
             alive: st.alive.clone(),
@@ -145,26 +138,8 @@ impl<G: ModelGraph<Value: Encode> + Clone> Undo<G> {
         }
     }
 
-    /// Copies the pre-episode graph unless an earlier attempt of this
-    /// episode already did (its abort restored `lg` to exactly that state).
-    /// Must precede the attempt's first write to the graph.
-    fn capture_graph(&mut self, lg: &G) {
-        self.lg.get_or_insert_with(|| lg.clone());
-    }
-
-    /// [`Undo::capture_graph`] for an attempt that writes values and
-    /// activity alone.
-    fn capture_values(&mut self, lg: &G) {
-        self.values.get_or_insert_with(|| lg.values());
-    }
-
     fn restore<T>(&self, lg: &mut G, st: &mut crate::rt::NodeState<T>) {
-        match (&self.lg, &self.values) {
-            (Some(copy), _) => *lg = copy.clone(),
-            (None, Some(values)) => lg.restore_values(values),
-            // No copy: the attempt journaled, or never wrote the graph.
-            (None, None) => lg.rollback(),
-        }
+        lg.rollback();
         #[cfg(debug_assertions)]
         assert!(
             lg.eq_by(&self.oracle, |a, b| a.to_bytes() == b.to_bytes()),
@@ -192,10 +167,9 @@ impl<G: ModelGraph<Value: Encode> + Clone> Undo<G> {
 /// The successful attempt's report is closed here, so that what the episode
 /// costs outside the attempt is inside `RecoveryReport::total` too: the
 /// model's `after_recovery` hook and letting the undo go — committing the
-/// journal, freeing a copy — are booked to `reconstruct` (phase key
-/// `after_recovery`). Time spent fencing aborted
-/// attempts accumulates into the report's `fence` phase — it is wall-clock
-/// the episode really cost.
+/// journal — are booked to `reconstruct` (phase key `after_recovery`). Time
+/// spent fencing aborted attempts accumulates into the report's `fence`
+/// phase — it is wall-clock the episode really cost.
 pub(crate) fn recover<M: ComputeModel>(
     ctx: &Ctx<M>,
     lg: &mut M::Graph,
@@ -205,22 +179,21 @@ pub(crate) fn recover<M: ComputeModel>(
     resume_iter: u64,
 ) -> bool {
     // The survivors' path under the configured strategy.
-    let path: fn(&mut AttemptCx<'_, M>, &mut M::Graph, &mut Undo<_>) -> Attempt<_> =
-        match shared.cfg.ft {
-            FtMode::None => panic!("node failure injected with fault tolerance disabled"),
-            FtMode::Checkpoint { .. } => ckpt::ckpt_survivor,
-            FtMode::Replication { recovery, .. } => match recovery {
-                RecoveryStrategy::Rebirth => rebirth::rebirth_survivor,
-                RecoveryStrategy::Migration => |cx, lg, _| migration::migrate(cx, lg, "migration"),
-            },
-        };
+    let path: fn(&mut AttemptCx<'_, M>, &mut M::Graph) -> Attempt<_> = match shared.cfg.ft {
+        FtMode::None => panic!("node failure injected with fault tolerance disabled"),
+        FtMode::Checkpoint { .. } => ckpt::ckpt_survivor,
+        FtMode::Replication { recovery, .. } => match recovery {
+            RecoveryStrategy::Rebirth => rebirth::rebirth_survivor,
+            RecoveryStrategy::Migration => |cx, lg| migration::migrate(cx, lg, "migration"),
+        },
+    };
     if dead.contains(&ctx.id()) {
         // The detector fenced *us* — from the cluster's point of view this
         // node is dead and a recovery episode for it is already under way
         // elsewhere. Exit like a crash; do not fight the fence.
         return true;
     }
-    let mut undo = Undo::capture(st, lg);
+    let undo = Undo::capture(st, lg);
     let mut episode = Vec::new();
     union_into(&mut episode, dead.to_vec());
     let mut counters = RecoveryCounters::default();
@@ -229,9 +202,9 @@ pub(crate) fn recover<M: ComputeModel>(
         counters.attempts += 1;
         st.mark_dead(&episode);
         let mut cx = AttemptCx::new(ctx, shared, st, &episode, resume_iter);
-        match path(&mut cx, lg, &mut undo) {
+        match path(&mut cx, lg) {
             Ok(mut report) => {
-                report.counters = counters;
+                (report.counters, report.journal_bytes) = (counters, lg.journal_bytes() as u64);
                 report.phases.record("fence", fence_time);
                 let sw = Stopwatch::start();
                 shared.model.after_recovery(lg);

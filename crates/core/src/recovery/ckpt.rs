@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 
 use imitator_cluster::NodeId;
+use imitator_engine::Episode;
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, Stopwatch};
 use imitator_storage::codec::Encode;
@@ -16,7 +17,7 @@ use super::migration::{
 };
 use super::rebirth::reborn;
 use super::rounds::{barrier_ok, AttemptCx, MIGRATION_ROUNDS, RELOAD};
-use super::{Attempt, Undo};
+use super::Attempt;
 use crate::ckpt::{self, SnapshotCodec};
 use crate::driver::{collect_syncs, ComputeModel, Ctx, ModelGraph, Shared, St};
 use crate::msg::{Promotion, ProtoMsg, VertexSync};
@@ -40,20 +41,19 @@ pub(crate) struct Adoption {
 pub(super) fn ckpt_survivor<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     lg: &mut M::Graph,
-    undo: &mut Undo<M::Graph>,
 ) -> Attempt<RecoveryReport> {
     // An exhausted standby pool grafts the dead partitions' snapshots onto
     // the survivors instead of panicking.
     if !cx.standbys_dispatched()? {
-        return ckpt_fallback(cx, lg, undo);
+        return ckpt_fallback(cx, lg);
     }
 
     // Reload: every node (survivors too) rolls back to the newest *sealed,
     // roster-complete* epoch — a crash mid-checkpoint leaves a torn part
     // behind, and a torn epoch must never be loaded.
     let snap_iter = cx.phase(&RELOAD, |cx| {
-        // The rollback rewrites values and activity alone: copy them first.
-        undo.capture_values(lg);
+        // The rollback rewrites every value: journal from here on.
+        lg.begin_episode();
         cx.mark("undo_capture");
         let chain = ckpt::chain::<M>(&cx.shared.dfs, cx.me());
         Ok(ckpt::roll_back(cx.shared, lg, &chain))
@@ -103,7 +103,6 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
 fn ckpt_fallback<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     lg: &mut M::Graph,
-    undo: &mut Undo<M::Graph>,
 ) -> Attempt<RecoveryReport> {
     let (model, me) = (&cx.shared.model, cx.me());
     let mut mig: Mig<M::MigExtra> = Mig::default();
@@ -113,8 +112,8 @@ fn ckpt_fallback<M: ComputeModel>(
 
     // ---- Round 1: roll back, graft assigned dead partitions, announce.
     let (snap_iter, adopted) = cx.round(r1, |cx| {
-        // The rollback and the grafts rewrite the graph: copy it for undo.
-        undo.capture_graph(lg);
+        // The rollback and the grafts rewrite the graph: journal from here on.
+        lg.begin_episode();
         cx.phases.record("undo_capture", sw.lap());
         let snap_iter = ckpt::roll_back(cx.shared, lg, &ckpt::chain::<M>(&cx.shared.dfs, me));
         // The dead nodes are gone for good: purge them from every

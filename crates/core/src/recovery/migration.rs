@@ -395,7 +395,6 @@ pub(super) fn migrate<M: ComputeModel>(
     (report.reload, report.reconstruct) = (reload, sw_total.elapsed() - reload);
     (report.vertices_recovered, report.edges_recovered) = (mig.recovered, mig.edges_recovered);
     (report.promoted, report.contacted) = (mig.promoted, cx.others.clone());
-    report.journal_bytes = lg.journal_bytes() as u64;
     Ok(report)
 }
 

@@ -11,7 +11,7 @@ use imitator_graph::Vid;
 
 use super::migration::migrate;
 use super::rounds::{barrier_ok, AttemptCx, RECONSTRUCT, RELOAD, REPLAY};
-use super::{Attempt, Undo};
+use super::Attempt;
 use crate::driver::{ComputeModel, Ctx, ModelGraph, Shared, St};
 use crate::msg::{ProtoMsg, RebirthBatch, Reborn};
 use crate::plan::responsible_mirror;
@@ -99,7 +99,6 @@ fn reload_scan<M: ComputeModel>(
 pub(super) fn rebirth_survivor<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     lg: &mut M::Graph,
-    _: &mut Undo<M::Graph>,
 ) -> Attempt<RecoveryReport> {
     // An empty standby pool degrades to Migration onto the survivors.
     if !cx.standbys_dispatched()? {

@@ -20,12 +20,12 @@ pub struct RecoveryReport {
     /// Number of crashed nodes handled in this episode.
     pub failed_nodes: usize,
     /// Reloading: moving state — recovery messages from survivors, snapshot
-    /// or edge-ckpt reads from the DFS; for Migration opening the undo
-    /// journal plus rounds 1-3 (identify, request, grant).
+    /// or edge-ckpt reads from the DFS, opening the undo journal; for
+    /// Migration rounds 1-3 (identify, request, grant).
     pub reload: Duration,
     /// Reconstruction: rebuilding graph topology and runtime state; for
     /// Migration rounds 4-8. Every strategy closes it with the model's
-    /// post-recovery hook and the release of the undo journal or snapshot.
+    /// post-recovery hook and the release of the undo journal.
     pub reconstruct: Duration,
     /// Replay: re-running lost work — activation fix-ups for
     /// replication-based recovery, whole lost iterations for checkpointing.
@@ -47,12 +47,11 @@ pub struct RecoveryReport {
     /// failures arriving mid-recovery (cascading failures, §5.3).
     pub counters: RecoveryCounters,
     /// Fine-grained phase breakdown in protocol order: `undo_capture` (what
-    /// a mutating attempt does first to be undoable: Migration opens its
-    /// journal, checkpoint recovery encodes a graph snapshot), `reload` /
-    /// `reconstruct` / `replay`, `fence` (barrier waits and abort fences),
-    /// `migration_round1..8`, and `after_recovery` (post-recovery hook, and
-    /// letting the journal or snapshot go). Merged per-phase maxima across nodes, like the
-    /// coarse three-phase fields above.
+    /// a mutating attempt does first to be undoable: it opens its graph's
+    /// journal), `reload` / `reconstruct` / `replay`, `fence` (barrier waits
+    /// and abort fences), `migration_round1..8`, and `after_recovery`
+    /// (post-recovery hook, and committing the journal). Merged per-phase
+    /// maxima across nodes, like the coarse three-phase fields above.
     pub phases: PhaseTimes,
     /// Failure-detector activity as of the end of this episode: suspicions
     /// raised, retracted (false positives caught in time), confirmed, and
@@ -61,9 +60,9 @@ pub struct RecoveryReport {
     /// the merge takes element-wise maxima rather than sums.
     pub suspicion: SuspicionStats,
     /// Bytes of undo journal the successful attempt held when it finished,
-    /// summed over the survivors: what a Migration keeps to be able to take
-    /// its graph changes back (0 for the strategies that journal nothing).
-    /// Exact for a given graph, partitioning and crash.
+    /// summed over the survivors: what it kept to be able to take its graph
+    /// changes back (0 for a Rebirth, which journals nothing). Exact for a
+    /// given graph, partitioning and crash.
     pub journal_bytes: u64,
 }
 

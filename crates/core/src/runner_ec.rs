@@ -526,8 +526,8 @@ where
                         true
                     });
                     mig.edges_recovered += in_edges.len() as u64;
-                    let mut master = EcVertex::new(dv.vid, CopyKind::Master, me, dv.value.clone());
-                    (master.active, master.last_activate) = (dv.active, dv.last_activate);
+                    // Values and flags go straight in: the rollback before
+                    // the graft imaged them.
                     if new_pos < base {
                         // Upgrade the pre-existing ghost copy in place,
                         // keeping the consumer links it already knew about.
@@ -537,10 +537,19 @@ where
                             "checkpoint FT keeps no mirrors"
                         );
                         out_local.extend_from_slice(lg.out_local(new_pos));
+                        lg.set_kind(new_pos, CopyKind::Master);
+                        lg.set_master_node(new_pos, me);
+                        lg.verts[new_pos as usize].value = dv.value.clone();
+                    } else {
+                        let master = EcVertex::new(dv.vid, CopyKind::Master, me, dv.value.clone());
+                        lg.insert_at(new_pos, master, &[], &[]);
                     }
                     out_local.sort_unstable();
                     out_local.dedup();
-                    lg.insert_at(new_pos, master, &in_edges, &out_local);
+                    let v = &mut lg.verts[new_pos as usize];
+                    (v.active, v.last_activate) = (dv.active, dv.last_activate);
+                    lg.set_in_edges(new_pos, &in_edges);
+                    lg.set_out_local(new_pos, &out_local);
                     // The master's own edge lists are its owner-local lists.
                     lg.set_full_state(
                         new_pos,

@@ -439,15 +439,15 @@ where
                     meta.purge_node(me);
                     meta.purge_nodes(episode);
                     if new_pos < base {
-                        let v = &mut lg.verts[new_pos as usize];
                         debug_assert_eq!(
-                            v.kind,
+                            lg.verts[new_pos as usize].kind,
                             CopyKind::Replica,
                             "checkpoint FT keeps no mirrors"
                         );
-                        v.kind = CopyKind::Master;
-                        v.master_node = me;
-                        v.value = value();
+                        lg.set_kind(new_pos, CopyKind::Master);
+                        lg.set_master_node(new_pos, me);
+                        // The rollback before the graft imaged the value.
+                        lg.verts[new_pos as usize].value = value();
                     } else {
                         lg.insert_at(new_pos, VcVertex::new(dv.vid, dv.kind, me, value()));
                     }

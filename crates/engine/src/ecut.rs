@@ -184,10 +184,11 @@ impl<V> CopyVids for Vec<EcVertex<V>> {
 /// are frozen.
 ///
 /// The vertex fields are public and a superstep writes them directly. A
-/// recovery attempt that may have to be undone writes through the mutators
-/// instead (`set_kind`, `set_master_node`, `set_active`, `set_in_edges`,
-/// `set_out_local`, `extend_out_local`, `push_copy`, and everything that
-/// touches full state): while an episode is open ([`crate::Episode`]) they
+/// recovery attempt that may have to be undone writes values and flags so
+/// once it has imaged them ([`crate::Episode::touch_values`]), the rest
+/// through the mutators (`set_kind`, `set_master_node`, `set_active`,
+/// `set_in_edges`, `set_out_local`, `extend_out_local`, `push_copy`, and
+/// everything that touches full state): while an episode is open they
 /// journal what they change, and cost a branch when none is.
 #[derive(Debug, Clone)]
 pub struct EcLocalGraph<V> {
@@ -212,7 +213,7 @@ pub struct EcLocalGraph<V> {
     pub(crate) full: FullState,
     /// What the open recovery episode has changed, if one is open (see
     /// [`crate::episode`]).
-    pub(crate) journal: Option<Box<EcJournal>>,
+    pub(crate) journal: Option<Box<EcJournal<V>>>,
 }
 
 /// Graphs are equal when they hold equal copies with equal edge lists and

@@ -1,12 +1,13 @@
 //! Recovery episodes: undoing what an attempt did to a local graph from a
 //! journal of what it changed, not from a copy of the graph.
 //!
-//! A Migration attempt (§5.2) rewrites a small, known part of a survivor's
+//! A recovery attempt (§5.2, §5.3) rewrites a known part of a survivor's
 //! partition — copy kinds and master nodes, location tables, a few edge
-//! lists — and appends the rest: granted replicas, fresh mirrors, the full
-//! state that comes with them. If a barrier inside the attempt reports a
-//! further failure, the survivor must be back in its pre-attempt state before
-//! it retries (§5.3). Between [`begin_episode`](Episode::begin_episode) and
+//! lists, and, on the checkpoint paths, every value — and appends the rest:
+//! granted replicas, fresh mirrors, grafted partitions, the full state that
+//! comes with them. If a barrier inside the attempt reports a further
+//! failure, the survivor must be back in its pre-attempt state before it
+//! retries (§5.3). Between [`begin_episode`](Episode::begin_episode) and
 //! [`commit`](Episode::commit) a graph therefore keeps a *journal*:
 //!
 //! * **Marks.** Where every store ended when the episode began. Stores only
@@ -33,23 +34,22 @@
 //!   bytes apiece: an episode touches the header or the tables of about
 //!   every second copy, and at the size of the structs it saves the journal
 //!   would weigh half of what the partition serialises to.
+//! * **The value column.** An attempt that writes a value it found rolls
+//!   the partition back to a checkpoint, which writes every value and flag:
+//!   the column is imaged whole, each copy's value beside its flags, on the
+//!   first value write ([`touch_values`](Episode::touch_values)); writers
+//!   then set values and flags directly.
 //!
 //! A graph journals its copies (and, edge-cut, its hot columns); its
 //! full-state store journals itself, the same way for both engines.
 //! [`rollback`](Episode::rollback) writes the images back, takes the
-//! appended vertex IDs out of the index and truncates every store to its
-//! mark; `commit` drops the journal. Either way the cost follows what the
-//! episode changed, not the size of the partition — and a mutator that finds
-//! nothing to change journals nothing.
-//!
-//! What an episode does *not* journal: vertex values of existing copies and
-//! the active frontier, neither of which Migration writes before it
-//! succeeds. Writers must go through the graph's mutators (`set_kind`,
-//! `edit_locations`, `set_full_state`, …), which save the image first; code
-//! that rolls every value back anyway — checkpoint recovery — writes the
-//! public fields directly and keeps a copy for its undo: of every copy's
-//! value and flags ([`Episode::values`]) where that is all it writes, of the
-//! graph where it grafts partitions too.
+//! appended vertex IDs out of the index, truncates every store to its mark
+//! and, if the value column was imaged, rebuilds the edge-cut active
+//! frontier; `commit` drops the journal. Either way the cost follows what
+//! the episode changed, not the size of the partition — and a mutator that
+//! finds nothing to change journals nothing. Writers of anything but values
+//! and flags must go through the graph's mutators (`set_kind`,
+//! `edit_locations`, `set_full_state`, …), which save the image first.
 
 use imitator_cluster::NodeId;
 
@@ -296,20 +296,18 @@ pub trait Episode {
     /// report equal sizes.
     fn journal_bytes(&self) -> usize;
 
-    /// Every copy's value and activation flags, which an episode does not
-    /// journal.
-    type Values;
-    /// [`Episode::Values`] as they stand: what an attempt that rewrites
-    /// those and nothing else keeps to undo itself.
-    fn values(&self) -> Self::Values;
-    /// Writes [`Episode::values`] back.
-    fn restore_values(&mut self, values: &Self::Values);
+    /// Images the value column — every copy's value and, edge-cut, its
+    /// activation flags — before the open episode's first value write:
+    /// afterwards a writer sets those directly. Does nothing without an
+    /// open episode or once the column is imaged.
+    fn touch_values(&mut self);
 }
 
 /// What an open episode remembers of one store — a graph's copies and own
-/// columns, or a [`FullState`]: see the module documentation.
+/// columns, or a [`FullState`]: see the module documentation. `I` is what
+/// a graph images of one copy's value (a store has none).
 #[derive(Debug, Clone)]
-pub(crate) struct Journal<M> {
+pub(crate) struct Journal<M, I = ()> {
     /// The marks: what the store held when the episode began.
     marks: M,
     /// The copies (slots) under the mark whose header (head) is imaged.
@@ -319,16 +317,19 @@ pub(crate) struct Journal<M> {
     /// master. (A graph's journal leaves it empty.)
     promoted: PosSet,
     log: Log,
+    /// The value column of the copies under the mark, once imaged.
+    values: Option<Vec<I>>,
 }
 
 /// A store's marks: its lengths, how many rows it had and its weight layout.
 pub(crate) type StoreJournal = Journal<(StoreLens, usize, Weights)>;
-/// An edge-cut graph's: its copies and the entries of its two hot columns.
-pub(crate) type EcJournal = Journal<(usize, [usize; 2])>;
+/// An edge-cut graph's: its copies and the entries of its two hot columns;
+/// a copy's value images with its flags ([`flag_bits`]).
+pub(crate) type EcJournal<V> = Journal<(usize, [usize; 2]), (V, u8)>;
 /// A vertex-cut graph's: its copies and edges (which are only appended).
-pub(crate) type VcJournal = Journal<(usize, usize)>;
+pub(crate) type VcJournal<V> = Journal<(usize, usize), V>;
 
-impl<M> Journal<M> {
+impl<M, I> Journal<M, I> {
     /// The journal of an episode that finds `marks`, into `slot`.
     ///
     /// # Panics
@@ -341,15 +342,18 @@ impl<M> Journal<M> {
             seen: PosSet::default(),
             promoted: PosSet::default(),
             log: Log::default(),
+            values: None,
         }));
     }
 
     fn bytes(journal: &Option<Box<Self>>) -> usize {
         journal.as_deref().map_or(0, |j| {
+            let values = j.values.as_ref().map_or(0, Vec::len);
             std::mem::size_of::<Self>()
                 + j.log.bytes.len()
                 + j.seen.heap_bytes()
                 + j.promoted.heap_bytes()
+                + values * std::mem::size_of::<I>()
         })
     }
 
@@ -455,29 +459,18 @@ impl FullState {
     }
 }
 
+/// The activation flags of `v` as three bits: `active`, `next_active`,
+/// `last_activate`.
+fn flag_bits<V>(v: &EcVertex<V>) -> u8 {
+    u8::from(v.active) | u8::from(v.next_active) << 1 | u8::from(v.last_activate) << 2
+}
+
+/// Sets the activation flags of `v` from [`flag_bits`].
+fn set_flag_bits<V>(v: &mut EcVertex<V>, bits: u8) {
+    (v.active, v.next_active, v.last_activate) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
+}
+
 impl<V: Clone> Episode for EcLocalGraph<V> {
-    /// A copy's flags are three bits: `active`, `next_active`,
-    /// `last_activate`.
-    type Values = Vec<(V, u8)>;
-
-    fn values(&self) -> Self::Values {
-        let flags = |v: &EcVertex<V>| {
-            u8::from(v.active) | u8::from(v.next_active) << 1 | u8::from(v.last_activate) << 2
-        };
-        self.verts
-            .iter()
-            .map(|v| (v.value.clone(), flags(v)))
-            .collect()
-    }
-
-    fn restore_values(&mut self, values: &Self::Values) {
-        for (v, (value, flags)) in self.verts.iter_mut().zip(values) {
-            (v.value, v.active) = (value.clone(), flags & 1 != 0);
-            (v.next_active, v.last_activate) = (flags & 2 != 0, flags & 4 != 0);
-        }
-        self.rebuild_active_frontier();
-    }
-
     fn begin_episode(&mut self) {
         let hot = [self.hot_in.0.len(), self.hot_out.0.len()];
         Journal::open(&mut self.journal, (self.verts.len(), hot));
@@ -500,9 +493,7 @@ impl<V: Clone> Episode for EcLocalGraph<V> {
                 let v = &mut self.verts[log.get() as usize];
                 let bits = log.get();
                 v.kind = kind_from_bits(bits & 0b11);
-                v.active = bits & 0b100 != 0;
-                v.next_active = bits & 0b1000 != 0;
-                v.last_activate = bits & 0b1_0000 != 0;
+                set_flag_bits(v, (bits >> 2) as u8);
                 v.master_node = NodeId::new(log.get());
                 v.meta = log.get_slot();
             } else {
@@ -522,10 +513,30 @@ impl<V: Clone> Episode for EcLocalGraph<V> {
         self.hot_in.0.truncate(hot[0]);
         self.hot_out.0.truncate(hot[1]);
         self.full.rollback();
+        // The value column last: a header imaged after it holds flags the
+        // episode wrote.
+        if let Some(image) = journal.values {
+            for (v, (value, flags)) in self.verts.iter_mut().zip(image) {
+                v.value = value;
+                set_flag_bits(v, flags);
+            }
+            self.rebuild_active_frontier();
+        }
     }
 
     fn journal_bytes(&self) -> usize {
         Journal::bytes(&self.journal) + self.full.journal_bytes()
+    }
+
+    /// The column holds the activation flags too, and rollback writes it
+    /// after the headers, so no header may be imaged before it: an attempt
+    /// that writes values rolls them back first.
+    fn touch_values(&mut self) {
+        if let Some(j) = self.journal.as_deref_mut().filter(|j| j.values.is_none()) {
+            assert!(j.seen.is_empty(), "flags journaled before the value column");
+            let copies = self.verts[..j.marks.0].iter();
+            j.values = Some(copies.map(|v| (v.value.clone(), flag_bits(v))).collect());
+        }
     }
 }
 
@@ -576,10 +587,7 @@ impl<V> EcLocalGraph<V> {
         };
         if j.first_touch(pos as usize, j.marks.0) {
             let v = &self.verts[pos as usize];
-            let bits = u32::from(v.kind.bits())
-                | u32::from(v.active) << 2
-                | u32::from(v.next_active) << 3
-                | u32::from(v.last_activate) << 4;
+            let bits = u32::from(v.kind.bits()) | u32::from(flag_bits(v)) << 2;
             let header = [pos, bits, v.master_node.raw(), slot_word(v.meta)];
             j.log.record(FIXED, header);
         }
@@ -603,19 +611,6 @@ impl<V> EcLocalGraph<V> {
 }
 
 impl<V: Clone> Episode for VcLocalGraph<V> {
-    /// The dense engine keeps no activation flags.
-    type Values = Vec<V>;
-
-    fn values(&self) -> Self::Values {
-        self.verts.iter().map(|v| v.value.clone()).collect()
-    }
-
-    fn restore_values(&mut self, values: &Self::Values) {
-        for (v, value) in self.verts.iter_mut().zip(values) {
-            v.value = value.clone();
-        }
-    }
-
     fn begin_episode(&mut self) {
         let marks = (self.verts.len(), self.edges.len());
         Journal::open(&mut self.journal, marks);
@@ -638,6 +633,10 @@ impl<V: Clone> Episode for VcLocalGraph<V> {
             v.master_node = NodeId::new(log.get());
             v.meta = log.get_slot();
         }
+        let image = journal.values.into_iter().flatten();
+        for (v, value) in self.verts.iter_mut().zip(image) {
+            v.value = value;
+        }
         let (verts, edges) = journal.marks;
         for v in &self.verts[verts..] {
             self.index.remove(v.vid);
@@ -649,6 +648,19 @@ impl<V: Clone> Episode for VcLocalGraph<V> {
 
     fn journal_bytes(&self) -> usize {
         Journal::bytes(&self.journal) + self.full.journal_bytes()
+    }
+
+    /// The dense engine keeps no activation flags: a copy's image is its
+    /// value.
+    fn touch_values(&mut self) {
+        if let Some(j) = self.journal.as_deref_mut().filter(|j| j.values.is_none()) {
+            j.values = Some(
+                self.verts[..j.marks.0]
+                    .iter()
+                    .map(|v| v.value.clone())
+                    .collect(),
+            );
+        }
     }
 }
 

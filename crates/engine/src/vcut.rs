@@ -99,9 +99,10 @@ impl MemSize for VcEdge {
 /// [`crate::full_state`]) — heads and table words, no edge rows.
 ///
 /// The fields are public; a recovery attempt that may have to be undone
+/// writes values once it has imaged them ([`crate::Episode::touch_values`]),
 /// changes existing copies through `set_kind`, `set_master_node`,
 /// `edit_locations` and `set_locations`, which journal what they change while
-/// an episode is open ([`crate::Episode`]), and otherwise only appends.
+/// an episode is open, and otherwise only appends.
 #[derive(Debug, Clone)]
 pub struct VcLocalGraph<V> {
     /// The hosting node.
@@ -116,7 +117,7 @@ pub struct VcLocalGraph<V> {
     pub(crate) full: FullState,
     /// What the open recovery episode has changed, if one is open (see
     /// [`crate::episode`]).
-    pub(crate) journal: Option<Box<VcJournal>>,
+    pub(crate) journal: Option<Box<VcJournal<V>>>,
 }
 
 /// Graphs are equal when their copies, their full state, index and edges

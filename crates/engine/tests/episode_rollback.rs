@@ -322,6 +322,102 @@ fn rollback_leaves_no_trace_in_any_store() {
     }
 }
 
+/// What a checkpoint recovery does to a survivor's edge-cut graph, through
+/// the same calls: writes every copy's value and flags after imaging them,
+/// as a rollback to a snapshot does, then upgrades a loaded replica to
+/// master in place — its header imaged with the flags just written — and
+/// appends a copy, as a graft does. The active frontier follows the flags.
+fn roll_back_and_graft_ec(lg: &mut EcLocalGraph<u64>) {
+    let me = lg.node;
+    lg.touch_values();
+    for (pos, v) in lg.verts.iter_mut().enumerate() {
+        v.value += 1_000;
+        (v.active, v.next_active) = (!v.active, pos % 3 == 0);
+        v.last_activate = !v.last_activate;
+    }
+    let replica = copies(lg, |v| v.kind == CopyKind::Replica)[0];
+    let master = lg.master_positions().next().expect("a master");
+    let state = lg.full_state(master).unwrap().to_meta();
+    lg.set_kind(replica, CopyKind::Master);
+    lg.set_master_node(replica, me);
+    lg.set_in_edges(replica, &[(master, 0.5)]);
+    lg.set_out_local(replica, &[master, replica]);
+    lg.set_full_state(replica, state.view());
+    let grafted = lg.push_copy(EcVertex::new(Vid::new(1 << 20), CopyKind::Master, me, 7));
+    lg.set_full_state(grafted, state.view());
+    lg.rebuild_active_frontier();
+}
+
+/// [`roll_back_and_graft_ec`] on a vertex-cut graph, which keeps no flags.
+fn roll_back_and_graft_vc(lg: &mut VcLocalGraph<u64>) {
+    let me = lg.node;
+    lg.touch_values();
+    for v in &mut lg.verts {
+        v.value += 1_000;
+    }
+    let replica = (0..lg.len() as u32).find(|&p| lg.verts[p as usize].kind == CopyKind::Replica);
+    let replica = replica.expect("a replica");
+    let master = (0..lg.len() as u32).find(|&p| lg.verts[p as usize].kind == CopyKind::Master);
+    let tables = lg.locations(master.expect("a master")).unwrap().to_owned();
+    lg.set_kind(replica, CopyKind::Master);
+    lg.set_master_node(replica, me);
+    lg.set_locations(replica, tables.view());
+    let grafted = VcVertex::new(Vid::new(1 << 20), CopyKind::Master, me, 7);
+    let grafted = lg.insert_or_position(grafted);
+    lg.set_locations(grafted, tables.view());
+    lg.edges.push(VcEdge {
+        src: replica,
+        dst: grafted,
+        weight: 1.0,
+    });
+}
+
+/// A checkpoint recovery's episode — every value and flag written, a
+/// replica upgraded in place, a partition's copies appended — rolls back to
+/// the graph it found, active frontier and store lengths included, on
+/// loader-built graphs without mirrors (checkpoint FT keeps none) of both
+/// engines; committed, it keeps what it wrote.
+#[test]
+fn a_rolled_back_value_column_and_graft_leave_no_trace() {
+    let g = graph();
+    let degrees = Degrees::of(&g);
+    let none = FtPlan::none(g.num_vertices());
+    let cut = HashEdgeCut.partition(&g, NODES);
+    for before in build_edge_cut_graphs(&g, &cut, &none, &Count, &degrees) {
+        let node = before.node;
+        let mut lg = before.clone();
+        lg.touch_values();
+        assert_eq!(lg.journal_bytes(), 0, "{node}: no episode, no image");
+        lg.begin_episode();
+        roll_back_and_graft_ec(&mut lg);
+        let written = lg.clone();
+        assert!(lg != before && lg.journal_bytes() > 0, "{node}");
+        lg.rollback();
+        assert!(lg == before, "{node}: graph differs");
+        assert_eq!(ec_lens(&lg), ec_lens(&before), "{node}: stores");
+        lg.begin_episode();
+        roll_back_and_graft_ec(&mut lg);
+        lg.commit();
+        assert!(lg == written, "{node}: a commit keeps the writes");
+    }
+    let cut = RandomVertexCut.partition(&g, NODES);
+    for before in build_vertex_cut_graphs(&g, &cut, &none, &Count, &degrees) {
+        let node = before.node;
+        let mut lg = before.clone();
+        lg.begin_episode();
+        roll_back_and_graft_vc(&mut lg);
+        let written = lg.clone();
+        assert!(lg != before && lg.journal_bytes() > 0, "{node}");
+        lg.rollback();
+        assert!(lg == before, "{node}: graph differs");
+        assert_eq!(vc_lens(&lg), vc_lens(&before), "{node}: stores");
+        lg.begin_episode();
+        roll_back_and_graft_vc(&mut lg);
+        lg.commit();
+        assert!(lg == written, "{node}: a commit keeps the writes");
+    }
+}
+
 /// Edits that leave `tables` as they are: purging nodes no table names,
 /// re-setting the master position, re-registering every replica where it is.
 fn edit_nothing(tables: &mut Locations) {

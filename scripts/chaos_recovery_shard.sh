@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The blocking chaos shard: the 120 of chaos's first 190 seeded schedules that
-# crash a second node inside MigrationRound(1..=8) or a Rebirth phase, so that
+# The blocking chaos shard: the 160 of chaos's first 190 seeded schedules that
+# crash a second node inside MigrationRound(1..=8), a Rebirth phase, a
+# checkpoint standby attempt's reload or CkptFallbackRound(1..=3), so that
 # every one of them aborts a recovery attempt, restores and retries.
 #
 #   scripts/chaos_recovery_shard.sh target/release/chaos
@@ -12,14 +13,17 @@
 #
 # Schedule i exercises class i % 19 of `classes()` in chaos.rs; the first 12
 # classes are the eight Migration rounds, SurvivorReload and the three newbie
-# phases. The grep fails the run if that order ever changes; a schedule that
-# diverges fails it through the harness's exit status.
+# phases, classes 13 to 16 CkptCascade and the three fallback rounds (class
+# 12, a torn checkpoint, aborts nothing). The grep fails the run if that
+# order ever changes; a schedule that diverges fails it through the
+# harness's exit status.
 set -euo pipefail
 
 chaos="${1:?usage: $0 <path to the chaos binary>}"
 for i in $(seq 0 189); do
-    if [ $((i % 19)) -lt 12 ]; then
+    class=$((i % 19))
+    if [ "$class" -lt 12 ] || { [ "$class" -ge 13 ] && [ "$class" -le 16 ]; }; then
         IMITATOR_CHAOS_ONLY=$i "$chaos" |
-            grep -E "^#[0-9]+ (MigrationRound|SurvivorReload|Newbie)"
+            grep -E "^#[0-9]+ (MigrationRound|SurvivorReload|Newbie|CkptCascade|CkptFallbackRound)"
     fi
 done

@@ -164,7 +164,13 @@ cd "$(dirname "$0")/.."
 #          for R4) and rewrites every changed master's block through one
 #          store call, so R2's two passes over the promoted masters and R4's
 #          per-master source lists went (DESIGN.md §4.9).
-BUDGET=3652
+#   3631 — one undo: every attempt that writes its graph journals, the
+#          checkpoint paths too (the value column is one more image kind,
+#          taken where `ckpt::roll_back` starts), so `Undo`'s graph clone and
+#          value copy, its three-arm restore and the survivor paths' undo
+#          parameter went; the graft upgrades a replica through the
+#          journaled setters (DESIGN.md §4.3).
+BUDGET=3631
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do
