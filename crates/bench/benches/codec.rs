@@ -1,7 +1,6 @@
-//! Criterion micro-benchmarks: snapshot and edge-ckpt codec throughput.
+//! Criterion micro-benchmarks: value-list codec throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use imitator_graph::Vid;
 use imitator_storage::codec::{decode, Encode};
 
 fn bench_codec(c: &mut Criterion) {
@@ -14,24 +13,6 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| decode::<Vec<(u32, f64)>>(&bytes).unwrap())
     });
     group.finish();
-
-    let edges: Vec<(Vid, Vid, f32)> = (0..100_000u32)
-        .map(|i| (Vid::new(i), Vid::new(i.wrapping_mul(7) % 100_000), 1.5))
-        .collect();
-    c.bench_function("edge_ckpt_roundtrip_100k", |b| {
-        b.iter(|| {
-            // Mirror what the core crate's edge-ckpt codec does: triples of
-            // raw ids + weight.
-            let mut buf = Vec::new();
-            (edges.len() as u32).encode(&mut buf);
-            for &(s, d, w) in &edges {
-                s.raw().encode(&mut buf);
-                d.raw().encode(&mut buf);
-                w.encode(&mut buf);
-            }
-            buf
-        })
-    });
 }
 
 criterion_group!(benches, bench_codec);

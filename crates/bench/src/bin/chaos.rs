@@ -42,7 +42,7 @@ use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, Verte
 use imitator_storage::{Dfs, DfsConfig};
 
 /// What one DFS operation costs a vertex-cut schedule. A vertex-cut node
-/// writes its edge-ckpt files behind its supersteps and a recovery reads them
+/// writes its edge-ckpt file behind its supersteps and a recovery reads it
 /// ahead; on a cost-free DFS both are over before a crash can land inside
 /// them. A few supersteps' worth of latency (no bandwidth limit: goldens do
 /// not depend on what the DFS costs) keeps those windows open across the

@@ -9,7 +9,7 @@
 //! partitioning, the FT plan, loading, compute, the wire codec, sync rounds,
 //! barriers, detection and whole recoveries) nor a criterion bench times
 //! it: freeing the edge-cut graphs and encoding the vertex-cut edge-ckpt
-//! files ([`LOAD_ROWS`]), an edge-cut Rebirth, opening and dropping
+//! file ([`LOAD_ROWS`]), an edge-cut Rebirth, opening and dropping
 //! Migration's undo journal, a vertex-cut node's first commit on the
 //! HDFS-like DFS, the mirror-batch kernels, round 2 of a Migration at two
 //! loss sizes, and checkpoint writes full and incremental. README's
@@ -29,7 +29,7 @@ use std::io::Write;
 use std::time::{Duration, Instant};
 
 use imitator::plan::{compute_ft_plan, ReplicaView};
-use imitator::{edge_ckpt_files, EcMsg, FtMode, RecoveryStrategy, RunConfig, VertexSync};
+use imitator::{edge_ckpt_file, EcMsg, FtMode, RecoveryStrategy, RunConfig, VertexSync};
 use imitator_algos::PageRank;
 use imitator_bench::{banner, crash, hdfs, ramfs, reps, run_ec, run_vc, BenchOpts, Workload};
 use imitator_engine::{
@@ -128,7 +128,7 @@ fn load_row_sample(row: &str, opts: &BenchOpts) -> f64 {
             let lgs = build_vertex_cut_graphs(&g, &cut, &plan(&cut), &pr, &degrees);
             match row {
                 MEM_VC_FT => lgs.iter().map(MemSize::mem_bytes).sum::<usize>() as f64,
-                _ => timed(|| lgs.iter().map(edge_ckpt_files).collect::<Vec<_>>()),
+                _ => timed(|| lgs.iter().map(edge_ckpt_file).collect::<Vec<_>>()),
             }
         }
         "teardown_ec_base" | "teardown_ec_ft" | MEM_EC_FT => {
@@ -280,7 +280,7 @@ fn main() {
     }
 
     // What the HDFS-like DFS costs a replicated vertex-cut job before its
-    // first commit: a node encodes its edge-ckpt files, hands them to its
+    // first commit: a node encodes its edge-ckpt file, hands it to its
     // write-behind and computes. `vc_first_commit_hdfs` is node start to
     // first commit of a run that then loses node 1 and recovers by Rebirth.
     {

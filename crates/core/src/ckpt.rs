@@ -10,11 +10,11 @@
 //!   from the DFS what a Rebirth newbie rebuilds from its survivors' batches;
 //! * **data snapshots** — one per node per checkpoint: the masters' mutable
 //!   state (value + activity), written inside the global barrier;
-//! * **edge-ckpt files** — vertex-cut only: each node's owned edges, split
-//!   into one file per potential receiver so Migration can reload them in
-//!   parallel (§4.3). They are the edges no batch carries, so a
-//!   checkpointing node writes them too — as one file, which its rebuild
-//!   reads whole.
+//! * **edge-ckpt files** — vertex-cut only: each node's owned edges, one
+//!   file a node in one section per potential receiver, so each Migration
+//!   survivor reloads its own section in parallel (§4.3). They are the edges
+//!   no batch carries, so a checkpointing node writes its file too; a
+//!   rebuild of the node reads it whole.
 //!
 //! Integers that scale with the graph — vertex IDs, node IDs, array
 //! positions, counts — are LEB128 varints ([`crate::columns`], the
@@ -34,7 +34,10 @@ use imitator_engine::{
     VcLocalGraph, VcVertex, VertexProgram, MAX_TABLE_NODES,
 };
 use imitator_graph::Vid;
-use imitator_storage::codec::{ByteCount, Decode, DecodeError, Encode, Reader, Sink};
+use imitator_storage::codec::{
+    join_sections, locate_sections, uvarint_len, ByteCount, Decode, DecodeError, Encode, Reader,
+    Sink, SECTION_TABLE_ROOM,
+};
 use imitator_storage::{epoch, Dfs, WriteBehind};
 
 use crate::columns::{
@@ -43,7 +46,6 @@ use crate::columns::{
 };
 use crate::driver::{ComputeModel, ModelGraph, Shared};
 use crate::msg::{dec_batch, enc_batch, RebirthBatch, Reborn, StoreCodec};
-use crate::FtMode;
 
 /// The replica-location tables: all of a vertex-cut copy's full state, and
 /// the head of an edge-cut copy's.
@@ -268,10 +270,6 @@ pub(crate) fn roll_back<M: ComputeModel>(
     applied.last().unwrap_or(0)
 }
 
-/// Bytes a varint position or vertex ID usually takes (graphs up to 2M
-/// copies per node) — sizing only.
-const HINT_VARINT: usize = 3;
-
 /// The positions of the masters among `verts`, ascending: what a data
 /// snapshot covers.
 fn master_positions<T>(verts: &[T], is_master: impl Fn(&T) -> bool) -> Vec<u32> {
@@ -490,137 +488,118 @@ impl<V: Encode + Decode + Clone> SnapshotCodec for VcLocalGraph<V> {
     }
 }
 
-/// An edge-ckpt file, written one edge at a time: the edge count, then
-/// global `(src, dst, weight)` triples, IDs as two zigzag delta columns
-/// interleaved per record (consecutive edges in a partition share sources,
-/// so most steps are one byte). The count heads the file, so a writer is
-/// told it up front — the caller pushes exactly that many edges — and
-/// encodes straight from wherever the edges are, without a list of triples
-/// in between.
-struct EdgeCkptWriter {
-    buf: Vec<u8>,
+/// One section of an edge-ckpt file, written one edge at a time behind its
+/// edge count: global `(src, dst, weight)` triples, IDs as two zigzag delta
+/// columns interleaved per record (consecutive edges in a partition share
+/// sources, so most steps are one byte) — into a [`ByteCount`] to size the
+/// section, then into its bytes of the file.
+#[derive(Clone, Default)]
+struct EdgeCkptWriter<S> {
+    out: S,
+    edges: usize,
     prev_src: u32,
     prev_dst: u32,
 }
 
-impl EdgeCkptWriter {
-    /// A file that will hold `edges` edges.
-    fn with_edges(edges: usize) -> Self {
-        // Two ID steps of up to three bytes (graphs up to 1M vertices; a
-        // vertex-cut's edges come in no order, so steps are long), then the
-        // weight: room that is not written is not touched.
-        let mut buf = Vec::with_capacity(HINT_VARINT + edges * (2 * HINT_VARINT + 4));
-        enc_count(edges, &mut buf);
-        EdgeCkptWriter {
-            buf,
-            prev_src: 0,
-            prev_dst: 0,
-        }
-    }
-
+impl<S: Sink> EdgeCkptWriter<S> {
     fn push(&mut self, src: Vid, dst: Vid, weight: f32) {
-        enc_delta(src.raw(), &mut self.prev_src, &mut self.buf);
-        enc_delta(dst.raw(), &mut self.prev_dst, &mut self.buf);
-        weight.encode(&mut self.buf);
+        self.edges += 1;
+        enc_delta(src.raw(), &mut self.prev_src, &mut self.out);
+        enc_delta(dst.raw(), &mut self.prev_dst, &mut self.out);
+        weight.encode(&mut self.out);
     }
 }
 
-/// The edge-ckpt files a vertex-cut node persists: its edges split by
-/// receiving node, `(receiver, file)` in node order. An edge goes to the file
-/// of the node hosting the target's master, or of the master's first mirror
-/// when the master is this very node (§4.3). The receiver is looked up once
-/// per local copy, not per edge; each receiver's edges are counted, then
-/// every file is encoded straight from the edge list, in its order: files
-/// are found by node index, and no list of triples is grown in between.
+/// The edge-ckpt file a vertex-cut node persists: its edges in one section
+/// per receiving node, section `r` for node `r` ([`join_sections`]), each
+/// in edge-list order; a node that receives no edge has an empty section or
+/// none. An edge goes to the node hosting the target's master, or to the
+/// master's first mirror when the master is this very node (§4.3), so every
+/// target's edges lie in one section. The receiver is looked up once per
+/// local copy, not per edge. The sections are sized in a first pass, so
+/// the file is allocated once at its length, and every edge is encoded into
+/// its section's bytes of it in a second: no list of triples is grown, and
+/// no section is copied into place.
 ///
 /// # Panics
 ///
 /// Panics if a local master that is an edge's target carries no location
 /// tables.
-pub fn edge_ckpt_files<V>(lg: &VcLocalGraph<V>) -> Vec<(NodeId, Vec<u8>)> {
+pub fn edge_ckpt_file<V>(lg: &VcLocalGraph<V>) -> Vec<u8> {
     let me = lg.node;
-    // Per copy, who receives the edges it is the target of (`None`: a local
-    // master without tables, which no edge may point at).
-    let receivers: Vec<Option<NodeId>> = (0u32..)
+    // Per copy, its vertex ID and the index of the node that receives the
+    // edges it is the target of (`u32::MAX`: a local master without tables,
+    // which no edge may point at): one small table both passes read.
+    let copies: Vec<(Vid, u32)> = (0u32..)
         .zip(&lg.verts)
         .map(|(pos, v)| match lg.locations(pos) {
-            _ if v.master_node != me => Some(v.master_node),
-            Some(tables) => Some(tables.mirror_nodes().iter().next().unwrap_or(me)),
-            None => None,
+            _ if v.master_node != me => (v.vid, v.master_node.raw()),
+            Some(t) => (v.vid, t.mirror_nodes().iter().next().unwrap_or(me).raw()),
+            None => (v.vid, u32::MAX),
         })
         .collect();
-    let receiver = |dst: u32| {
-        let r = receivers[dst as usize];
-        r.unwrap_or_else(|| panic!("local master {} has meta", lg.verts[dst as usize].vid))
-    };
-    let mut counts: Vec<usize> = Vec::new();
-    for e in &lg.edges {
-        let r = receiver(e.dst).index();
-        if r >= counts.len() {
-            counts.resize(r + 1, 0);
+    let edges = lg.edges.iter().map(|e| {
+        let ((src, _), (dst, r)) = (copies[e.src as usize], copies[e.dst as usize]);
+        (r as usize, src, dst, e.weight)
+    });
+    let mut sized: Vec<EdgeCkptWriter<ByteCount>> = Vec::new();
+    for (r, src, dst, weight) in edges.clone() {
+        assert!(r != u32::MAX as usize, "local master {dst} has meta");
+        if r >= sized.len() {
+            sized.resize(r + 1, Default::default());
         }
-        counts[r] += 1;
+        sized[r].push(src, dst, weight);
     }
-    let file = |&edges: &usize| (edges > 0).then(|| EdgeCkptWriter::with_edges(edges));
-    let mut files: Vec<Option<EdgeCkptWriter>> = counts.iter().map(file).collect();
-    for e in &lg.edges {
-        let file = files[receiver(e.dst).index()].as_mut();
-        let (src, dst) = (&lg.verts[e.src as usize], &lg.verts[e.dst as usize]);
-        file.expect("counted above")
-            .push(src.vid, dst.vid, e.weight);
-    }
-    let files = files.into_iter().enumerate();
-    files
-        .filter_map(|(r, file)| Some((NodeId::from_index(r), file?.buf)))
-        .collect()
-}
-
-/// Every edge of `lg` as one edge-ckpt file, in edge order.
-fn edge_ckpt_file<V>(lg: &VcLocalGraph<V>) -> Vec<u8> {
-    let mut file = EdgeCkptWriter::with_edges(lg.edges.len());
-    for e in &lg.edges {
-        let (src, dst) = (&lg.verts[e.src as usize], &lg.verts[e.dst as usize]);
-        file.push(src.vid, dst.vid, e.weight);
-    }
-    file.buf
-}
-
-/// Where `owner` keeps its edge-ckpt files on the DFS.
-pub(crate) fn edge_ckpt_dir(owner: NodeId) -> String {
-    format!("vc/eckpt/{}/", owner.raw())
-}
-
-/// The edge-ckpt file `owner` keeps for `receiver` to reload.
-pub(crate) fn edge_ckpt_path(owner: NodeId, receiver: NodeId) -> String {
-    format!("{}{}", edge_ckpt_dir(owner), receiver.raw())
-}
-
-/// Persists this node's edges as one edge-ckpt file per receiving node
-/// ([`edge_ckpt_files`]), so each survivor reloads exactly one file in
-/// parallel during Migration (§4.3) — or, under checkpoint FT, as one file
-/// addressed to the node itself, in edge order: there the one reader is a
-/// rebuild of this node, which reads every edge. The files are encoded here
-/// and now, from the graph as it stands; deleting and writing happen behind
-/// the caller.
-pub(crate) fn persist_edge_ckpt<V>(lg: &VcLocalGraph<V>, dfs: &Dfs, ft: FtMode) -> WriteBehind {
-    let files = match ft {
-        FtMode::Checkpoint { .. } => vec![(lg.node, edge_ckpt_file(lg))],
-        _ => edge_ckpt_files(lg),
+    // A section's length: its count, then its edges; nothing without edges.
+    let len = |s: &EdgeCkptWriter<ByteCount>| match s.edges {
+        0 => 0,
+        n => uvarint_len(n as u64) + s.out.0,
     };
-    let files = files.into_iter();
-    let files = files.map(|(receiver, file)| (edge_ckpt_path(lg.node, receiver), file));
-    // Receivers shift between rewrites (promotions re-home masters), so a
-    // stale per-receiver file from an earlier write must not survive:
-    // replace the whole directory.
-    dfs.write_behind(dfs.list(&edge_ckpt_dir(lg.node)), files.collect())
+    let lens: Vec<usize> = sized.iter().map(len).collect();
+    let body = lens.iter().sum();
+    let mut file = Vec::with_capacity(SECTION_TABLE_ROOM * (lens.len() + 1) + body);
+    file.resize(body, 0);
+    let mut rest = &mut file[..];
+    let mut sections = Vec::with_capacity(lens.len());
+    for (s, &len) in sized.iter().zip(&lens) {
+        let (mut out, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        if s.edges > 0 {
+            enc_count(s.edges, &mut out);
+        }
+        sections.push(EdgeCkptWriter {
+            out,
+            ..Default::default()
+        });
+    }
+    for (r, src, dst, weight) in edges {
+        sections[r].push(src, dst, weight);
+    }
+    debug_assert!(sections.iter().all(|s| s.out.is_empty()), "sized exactly");
+    join_sections(file, &lens)
 }
 
-/// Decodes an edge-ckpt file.
+/// Where `owner` keeps its edge-ckpt file on the DFS.
+pub(crate) fn edge_ckpt_path(owner: NodeId) -> String {
+    format!("vc/eckpt/{}", owner.raw())
+}
+
+/// Persists this node's edge-ckpt file ([`edge_ckpt_file`]), encoded here
+/// from the graph as it stands and written behind the caller over the last.
+pub(crate) fn persist_edge_ckpt<V>(lg: &VcLocalGraph<V>, dfs: &Dfs) -> WriteBehind {
+    dfs.write_behind(edge_ckpt_path(lg.node), edge_ckpt_file(lg))
+}
+
+/// Decodes one section of an edge-ckpt file; an empty section holds no
+/// edges.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] on truncated or corrupt input.
 pub fn decode_edge_ckpt(bytes: &[u8]) -> Result<Vec<(Vid, Vid, f32)>, DecodeError> {
+    if bytes.is_empty() {
+        return Ok(Vec::new());
+    }
     let mut r = Reader::new(bytes);
     let n = dec_count(&mut r)?;
     let mut edges = Vec::with_capacity(n);
@@ -634,6 +613,24 @@ pub fn decode_edge_ckpt(bytes: &[u8]) -> Result<Vec<(Vid, Vid, f32)>, DecodeErro
         return Err(DecodeError::TrailingBytes(r.remaining()));
     }
     Ok(edges)
+}
+
+/// Decodes a whole edge-ckpt file section by section, in section order,
+/// handing each section's edges to `take` before decoding the next: what
+/// is held at once is one section's edges, not the file's.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] when the section table or a section is
+/// truncated or corrupt; the sections before it were handed over.
+pub fn decode_edge_ckpt_file(
+    file: &[u8],
+    mut take: impl FnMut(Vec<(Vid, Vid, f32)>),
+) -> Result<(), DecodeError> {
+    for section in locate_sections(file)? {
+        take(decode_edge_ckpt(&file[section])?);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -774,10 +771,13 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// An edge-ckpt file is what a Migration survivor and a reborn node
-        /// reload from the DFS: a damaged one comes back as an error or as
-        /// edges held in a constant times the input — never a panic, never
-        /// a list sized by a count the input merely claims.
+        /// An edge-ckpt file is what a reborn node reloads from the DFS, and
+        /// one of its sections what a Migration survivor does: damaged —
+        /// anywhere in the file, in its section table alone, or in one
+        /// section — it comes back as an error or as edges held in a
+        /// constant times the input, never a panic, never a list sized by a
+        /// count the input merely claims; and a section located in it lies
+        /// inside it.
         #[test]
         fn hostile_edge_ckpt_bytes_never_panic(
             (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
@@ -786,12 +786,32 @@ pub(crate) mod tests {
             let cut = RandomVertexCut.partition(&g, parts);
             let plan = plan_for(&g, &cut, k, selfish);
             let d = Degrees::of(&g);
+            let held = |edges: &Vec<(Vid, Vid, f32)>| {
+                edges.capacity() * std::mem::size_of::<(Vid, Vid, f32)>()
+            };
             for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
-                for (_, file) in edge_ckpt_files(&lg) {
-                    let bad = damaged(file, &damage);
+                let file = edge_ckpt_file(&lg);
+                let sections = locate_sections(&file).expect("a written file locates");
+                let table = sections.first().map_or(file.len(), |s| s.start);
+                let mut bad_table = damaged(file[..table].to_vec(), &damage);
+                bad_table.extend_from_slice(&file[table..]);
+                for bad in [damaged(file.clone(), &damage), bad_table] {
+                    if let Ok(sections) = locate_sections(&bad) {
+                        let mut end = sections.first().map_or(bad.len(), |s| s.start);
+                        for s in &sections {
+                            prop_assert!(s.start == end && s.end >= s.start);
+                            end = s.end;
+                        }
+                        prop_assert_eq!(end, bad.len());
+                    }
+                    let mut most = 0;
+                    let _ = decode_edge_ckpt_file(&bad, |edges| most = most.max(held(&edges)));
+                    prop_assert!(most <= 16 * bad.len());
+                }
+                for section in sections {
+                    let bad = damaged(file[section].to_vec(), &damage);
                     if let Ok(edges) = decode_edge_ckpt(&bad) {
-                        let held = edges.capacity() * std::mem::size_of::<(Vid, Vid, f32)>();
-                        prop_assert!(held <= 16 * bad.len());
+                        prop_assert!(held(&edges) <= 16 * bad.len());
                     }
                 }
             }
@@ -1128,8 +1148,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// An edge-ckpt file as it was encoded from a list of triples, before
-    /// [`EdgeCkptWriter`] took the edges one at a time.
+    /// An edge-ckpt section as it was encoded from a list of triples,
+    /// before [`EdgeCkptWriter`] took the edges one at a time.
     fn encode_edge_ckpt(edges: &[(Vid, Vid, f32)]) -> Vec<u8> {
         let mut buf = Vec::new();
         enc_count(edges.len(), &mut buf);
@@ -1148,19 +1168,34 @@ pub(crate) mod tests {
             (Vid::new(0), Vid::new(1), 1.5),
             (Vid::new(7), Vid::new(3), -2.0),
         ];
-        let mut file = EdgeCkptWriter::with_edges(edges.len());
+        let mut buf = Vec::new();
+        enc_count(edges.len(), &mut buf);
+        let mut section = EdgeCkptWriter {
+            out: buf,
+            ..Default::default()
+        };
         for &(s, d, w) in &edges {
-            file.push(s, d, w);
+            section.push(s, d, w);
         }
-        assert_eq!(file.buf, encode_edge_ckpt(&edges));
-        assert_eq!(decode_edge_ckpt(&file.buf).unwrap(), edges);
+        let buf = section.out;
+        assert_eq!(buf, encode_edge_ckpt(&edges));
+        assert_eq!(decode_edge_ckpt(&buf).unwrap(), edges);
+        assert_eq!(decode_edge_ckpt(&[]).unwrap(), [], "an empty section");
+        let first = encode_edge_ckpt(&edges[1..]);
+        let lens = [first.len(), 0, buf.len()];
+        let file = join_sections([first, buf].concat(), &lens);
+        let mut sections = Vec::new();
+        decode_edge_ckpt_file(&file, |edges| sections.push(edges)).unwrap();
+        assert_eq!(sections, [edges[1..].to_vec(), vec![], edges]);
     }
 
-    /// The per-receiver files a vertex-cut node writes hold, path for path
-    /// and byte for byte, what grouping its edges by receiver in a map of
-    /// triple lists and encoding each list used to produce.
+    /// The one file a vertex-cut node writes holds, section for section and
+    /// byte for byte, what grouping its edges by receiver in a map of triple
+    /// lists and encoding each list produces — section `r` for receiver
+    /// `r`, empty for a node that receives nothing — and every target's
+    /// edges lie in exactly one section.
     #[test]
-    fn edge_ckpt_files_equal_the_grouped_lists() {
+    fn edge_ckpt_sections_equal_the_grouped_lists() {
         use std::collections::HashMap;
         let g = gen::power_law_selfish(1_500, 2.0, 7, 0.2, 9);
         let cut = RandomVertexCut.partition(&g, 5);
@@ -1170,14 +1205,9 @@ pub(crate) mod tests {
             for lg in build_vertex_cut_graphs(&g, &cut, &plan, &P, &d) {
                 let me = lg.node;
                 let dfs = imitator_storage::Dfs::new(imitator_storage::DfsConfig::instant());
-                // A stale file from an earlier write must not survive.
-                dfs.write(&format!("vc/eckpt/{}/99", me.raw()), vec![1]);
-                let ft = FtMode::Replication {
-                    tolerance: k,
-                    selfish_opt: true,
-                    recovery: crate::RecoveryStrategy::Migration,
-                };
-                persist_edge_ckpt(&lg, &dfs, ft).wait();
+                persist_edge_ckpt(&lg, &dfs).wait();
+                assert_eq!(dfs.list("vc/eckpt/"), [edge_ckpt_path(me)], "k={k}");
+                assert_eq!(dfs.stats().writes.messages, 1, "k={k}: one write");
                 let mut per_receiver: HashMap<NodeId, Vec<(Vid, Vid, f32)>> = HashMap::new();
                 for e in &lg.edges {
                     let src = lg.verts[e.src as usize].vid;
@@ -1191,24 +1221,36 @@ pub(crate) mod tests {
                     let edges = per_receiver.entry(receiver).or_default();
                     edges.push((src, dst_v.vid, e.weight));
                 }
-                let mut want: Vec<(String, Vec<u8>)> = per_receiver
-                    .iter()
-                    .map(|(r, edges)| {
-                        let path = format!("vc/eckpt/{}/{}", me.raw(), r.raw());
-                        (path, encode_edge_ckpt(edges))
-                    })
-                    .collect();
-                want.sort();
-                assert!(want.len() > 1, "k={k}: {me} feeds several receivers");
-                let written: Vec<(String, Vec<u8>)> = dfs
-                    .list(&format!("vc/eckpt/{}/", me.raw()))
-                    .into_iter()
-                    .map(|path| {
-                        let bytes = dfs.read(&path).expect("listed");
-                        (path, bytes.to_vec())
-                    })
-                    .collect();
-                assert_eq!(written, want, "k={k}: files of {me}");
+                assert!(
+                    per_receiver.len() > 1,
+                    "k={k}: {me} feeds several receivers"
+                );
+                let file = dfs.read(&edge_ckpt_path(me)).expect("written");
+                let sections = locate_sections(&file).unwrap();
+                let mut sections_of: HashMap<Vid, Vec<usize>> = HashMap::new();
+                for r in 0..5 {
+                    let edges = per_receiver.get(&NodeId::from_index(r));
+                    let want = edges.map_or_else(Vec::new, |edges| encode_edge_ckpt(edges));
+                    let got = sections.get(r).map_or(&[][..], |s| &file[s.clone()]);
+                    assert_eq!(got, want, "k={k}: section {r} of {me}");
+                    for (_, dst, _) in decode_edge_ckpt(got).unwrap() {
+                        let of = sections_of.entry(dst).or_default();
+                        if of.last() != Some(&r) {
+                            of.push(r);
+                        }
+                    }
+                }
+                assert!(sections.len() <= 5, "k={k}: no section past the last node");
+                assert!(
+                    sections_of.values().all(|of| of.len() == 1),
+                    "k={k}: a target's edges lie in one section"
+                );
+                assert_eq!(sections_of.len(), {
+                    let mut targets: Vec<u32> = lg.edges.iter().map(|e| e.dst).collect();
+                    targets.sort_unstable();
+                    targets.dedup();
+                    targets.len()
+                });
             }
         }
     }
@@ -1236,9 +1278,9 @@ pub(crate) mod tests {
         );
     }
 
-    /// Truncated files and garbage are errors: an edge-ckpt file cut short,
-    /// a metadata snapshot cut short or run on, and an edge-ckpt file read
-    /// as a snapshot.
+    /// Truncated files and garbage are errors: an edge-ckpt section cut
+    /// short, a metadata snapshot cut short or run on, and an edge-ckpt
+    /// section read as a snapshot.
     #[test]
     fn corrupt_snapshot_is_rejected() {
         let bytes = encode_edge_ckpt(&[(Vid::new(0), Vid::new(1), 1.0)]);

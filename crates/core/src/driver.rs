@@ -24,7 +24,7 @@ use imitator_engine::{
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_storage::codec::{Decode, Encode};
-use imitator_storage::{epoch, Dfs, EpochKind, WriteBehind};
+use imitator_storage::{epoch, Dfs, EpochKind, Extent, WriteBehind};
 
 use crate::ckpt::{self, SnapshotCodec};
 use crate::msg::{ProtoMsg, RebirthBatch, ReplicaGrant, StoreCodec, VertexSync};
@@ -241,10 +241,10 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
         batch: RebirthBatch<Self::Value>,
         degrees: &Degrees,
     );
-    /// The DFS files recovering `dead` reloads on this node besides what
-    /// survivors send (edge-ckpt files), in the order it consumes them; the
-    /// attempt reads them ahead. A newbie is the one `dead` node, reborn.
-    fn reload_files(&self, _: &Dfs, _dead: &[NodeId], _me: NodeId, _leader: NodeId) -> Vec<String> {
+    /// The DFS files or sections recovering `dead` reloads on this node
+    /// besides what survivors send (edge-ckpt files), in consumption order;
+    /// the attempt reads them ahead. A newbie is the one `dead` node, reborn.
+    fn reload_files(&self, _dead: &[NodeId], _me: NodeId, _leader: NodeId) -> Vec<Extent> {
         Vec::new()
     }
     /// Wires one reloaded file into the newbie, survivor batches all placed.

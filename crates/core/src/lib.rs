@@ -58,7 +58,7 @@ mod runner_ec;
 mod runner_vc;
 pub mod wire;
 
-pub use ckpt::edge_ckpt_files;
+pub use ckpt::edge_ckpt_file;
 pub use imitator_cluster::{DetectorConfig, DetectorKind, LinkFaults, NetFaults, TransportKind};
 pub use msg::{EcMsg, VcMsg, VertexSync};
 pub use report::{RecoveryReport, RunReport};

@@ -9,7 +9,7 @@ use imitator_engine::Episode;
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, Stopwatch};
 use imitator_storage::codec::Encode;
-use imitator_storage::epoch;
+use imitator_storage::{epoch, Extent};
 
 use super::migration::{
     announce_promotions, collect_promotions, register_placements, report_placements, Mig, MigEnv,
@@ -236,9 +236,9 @@ pub(super) fn reconstruct_partition<M: ComputeModel>(
     d: NodeId,
 ) -> (M::Graph, u64) {
     let (model, dfs) = (&shared.model, &shared.dfs);
-    let mut paths = vec![ckpt::meta_path(M::PREFIX, d)];
-    paths.extend(model.reload_files(dfs, &[d], d, d));
-    let mut files = dfs.read_ahead(paths);
+    let mut extents = vec![Extent::Whole(ckpt::meta_path(M::PREFIX, d))];
+    extents.extend(model.reload_files(&[d], d, d));
+    let mut files = dfs.read_ahead(extents).map(|f| f.expect("table decodes"));
     let chain = ckpt::chain::<M>(dfs, d);
     let meta = files.next().expect("metadata snapshot written at load");
     let meta = ckpt::decode_meta::<_, M::Graph>(&meta).expect("metadata snapshot decodes");

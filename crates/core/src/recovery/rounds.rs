@@ -145,17 +145,17 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
     /// ahead of the step that consumes them.
     pub(super) fn prefetch(&mut self) {
         let (dfs, model, leader) = (&self.shared.dfs, &self.shared.model, self.st.leader());
-        let paths = model.reload_files(dfs, self.dead, self.me(), leader);
-        self.prefetch = (!paths.is_empty()).then(|| dfs.read_ahead(paths));
+        let extents = model.reload_files(self.dead, self.me(), leader);
+        self.prefetch = (!extents.is_empty()).then(|| dfs.read_ahead(extents));
     }
 
-    /// The next reload file, once it has landed. Books the step so far under
-    /// `key`, and what this call blocked for apart, as `prefetch_wait`.
+    /// The next reload file or section, once landed. Books the step so far
+    /// under `key`, and what this call blocked for apart, as `prefetch_wait`.
     pub(super) fn prefetched(&mut self, key: &'static str) -> Option<Arc<Vec<u8>>> {
         self.mark(key);
         let file = self.prefetch.as_mut()?.next();
         self.mark("prefetch_wait");
-        file
+        Some(file?.expect("table decodes"))
     }
 
     /// One step without a closing barrier: fail point, `body`, booking.

@@ -5,8 +5,8 @@
 //! (partial accumulators flow to masters, adding a third barrier per
 //! iteration), vertices are *dense* (every master re-applies each
 //! iteration), and edges are not replicated in mirrors — each node persists
-//! its owned edges to per-receiver **edge-ckpt files** on the DFS at load,
-//! which Migration reloads in parallel and Rebirth replays on the newbie.
+//! its owned edges to an **edge-ckpt file** on the DFS at load, a section
+//! per receiver, which Migration reloads in parallel and Rebirth replays.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ use imitator_graph::{Graph, Vid, VidMap};
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_partition::VertexCut;
 use imitator_storage::codec::{Decode, Encode};
-use imitator_storage::{Dfs, WriteBehind};
+use imitator_storage::{Dfs, Extent, WriteBehind};
 
 use crate::ckpt;
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
@@ -183,15 +183,14 @@ where
         }
     }
 
-    /// With fault tolerance, this node's owned edges as edge-ckpt files
+    /// With fault tolerance, this node's owned edges as its edge-ckpt file
     /// (§4.3), encoded before the first superstep and written behind it.
     /// Migration and a checkpoint graft change which node persists which
-    /// edges (adoption) and which node receives which file (promotions
-    /// rewrote master locations): all are rewritten, so the next failure
-    /// reloads a consistent set.
+    /// edges (adoption) and which node receives which section (promotions
+    /// rewrote master locations): the file is rewritten whole, so the next
+    /// failure reloads a consistent set.
     fn persist(&self, lg: &Self::Graph, shared: &Shared<Self>) -> Option<WriteBehind> {
-        let tolerant = !matches!(shared.cfg.ft, FtMode::None);
-        tolerant.then(|| ckpt::persist_edge_ckpt(lg, &shared.dfs, shared.cfg.ft))
+        (shared.cfg.ft != FtMode::None).then(|| ckpt::persist_edge_ckpt(lg, &shared.dfs))
     }
 
     /// Distributed gather (partials → masters, barrier), then apply at
@@ -322,26 +321,28 @@ where
         lg.adopt_full_states(&[(&held, &batch.states, &batch.lists)]);
     }
 
-    /// A newbie reads back every edge-ckpt file the crashed node kept — all
-    /// the edges it owned, keyed by receiver; a survivor the crashed nodes'
-    /// files addressed to it, and as leader their orphan files for one
-    /// another.
-    fn reload_files(&self, dfs: &Dfs, dead: &[NodeId], me: NodeId, leader: NodeId) -> Vec<String> {
+    /// A newbie reads the crashed node's edge-ckpt file whole; a survivor its
+    /// own section of each crashed node's file, and as leader their sections
+    /// for one another — not a node's own, whose edges feed masters with no
+    /// mirror to promote: no Migration brings those back.
+    fn reload_files(&self, dead: &[NodeId], me: NodeId, leader: NodeId) -> Vec<Extent> {
         if dead == [me] {
-            return dfs.list(&ckpt::edge_ckpt_dir(me));
+            return vec![Extent::Whole(ckpt::edge_ckpt_path(me))];
         }
         let mut pairs: Vec<(NodeId, NodeId)> = dead.iter().map(|&owner| (owner, me)).collect();
         if me == leader {
             pairs.extend(dead.iter().flat_map(|&o| dead.iter().map(move |&r| (o, r))));
+            pairs.retain(|(owner, receiver)| owner != receiver);
         }
-        let path = |(owner, receiver)| ckpt::edge_ckpt_path(owner, receiver);
-        pairs.into_iter().map(path).collect()
+        let section = |(o, r): (_, NodeId)| Extent::Section(ckpt::edge_ckpt_path(o), r.index());
+        pairs.into_iter().map(section).collect()
     }
 
-    /// Rebirth reload also replays the crashed node's own edge-ckpt files,
-    /// one at a time: every endpoint is in place once the batches are.
+    /// Rebirth reload also replays the crashed node's own edge-ckpt file,
+    /// section by section: every endpoint is in place once the batches are.
     fn rebirth_reload_extra(&self, lg: &mut Self::Graph, file: &[u8]) {
-        wire_edges(lg, ckpt::decode_edge_ckpt(file).expect("edge-ckpt decodes"));
+        let wire = |edges| _ = wire_edges(lg, edges);
+        ckpt::decode_edge_ckpt_file(file, wire).expect("edge-ckpt decodes");
     }
 
     fn validate(&self, lg: &Self::Graph) {
@@ -352,7 +353,7 @@ where
         (lg.verts.len() as u64, lg.edges.len() as u64)
     }
 
-    /// R2: adopt the edges of the reloaded edge-ckpt files, then request
+    /// R2: adopt the edges of the reloaded edge-ckpt sections, then request
     /// replicas of any adopted-edge endpoint with no local copy.
     fn migration_requests(
         &self,
@@ -363,10 +364,8 @@ where
         env: &MigEnv<'_>,
     ) -> HashMap<NodeId, Vec<Vid>> {
         let me = env.me;
-        let mut adopted: Vec<(Vid, Vid, f32)> = Vec::new();
-        for file in &env.files {
-            adopted.extend(ckpt::decode_edge_ckpt(file).expect("edge-ckpt decodes"));
-        }
+        let section = |f: &Arc<Vec<u8>>| ckpt::decode_edge_ckpt(f).expect("section decodes");
+        let adopted: Vec<(Vid, Vid, f32)> = env.files.iter().flat_map(section).collect();
         let mut requests: HashMap<NodeId, Vec<Vid>> = HashMap::new();
         let mut requested: VidMap<()> = VidMap::default();
         for &(s, d, _) in &adopted {

@@ -124,6 +124,20 @@ impl Sink for Vec<u8> {
     }
 }
 
+/// A slice written in place from its front, which moves past what was
+/// written — the buffer of a sized encoding.
+///
+/// # Panics
+///
+/// Panics on a write past the slice's end: the sizing was wrong.
+impl Sink for &mut [u8] {
+    fn put(&mut self, bytes: &[u8]) {
+        let (head, tail) = std::mem::take(self).split_at_mut(bytes.len());
+        head.copy_from_slice(bytes);
+        *self = tail;
+    }
+}
+
 /// A sink that keeps no bytes, only how many were written.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ByteCount(pub usize);
@@ -370,6 +384,68 @@ pub fn unzigzag64(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+// ---------------------------------------------------------------------------
+// Sectioned files: one file a reader takes whole or one section of. A uvarint
+// section count, a uvarint byte length per section, then the sections back
+// to back.
+// ---------------------------------------------------------------------------
+
+/// Joins sections into one sectioned file: `body` holds them back to back,
+/// section `i` of `lens[i]` bytes, and gets their table in front of it —
+/// moved within its own buffer when that has [`SECTION_TABLE_ROOM`] bytes a
+/// section to spare, so a file is never built twice.
+pub fn join_sections(mut body: Vec<u8>, lens: &[usize]) -> Vec<u8> {
+    debug_assert_eq!(lens.iter().sum::<usize>(), body.len());
+    let mut table = Vec::with_capacity(SECTION_TABLE_ROOM * (lens.len() + 1));
+    write_uvarint(&mut table, lens.len() as u64);
+    for &len in lens {
+        write_uvarint(&mut table, len as u64);
+    }
+    body.splice(0..0, table);
+    body
+}
+
+/// The most a sectioned file's table takes per section (and once more for
+/// the count): a uvarint of up to 64 bits.
+pub const SECTION_TABLE_ROOM: usize = 10;
+
+/// Where the sections of a sectioned file lie: their byte ranges in `file`,
+/// in section order, each in bounds.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] when the table is cut short, claims more
+/// sections than the file has bytes, or its lengths do not add up to the
+/// bytes after it.
+pub fn locate_sections(file: &[u8]) -> Result<Vec<std::ops::Range<usize>>, DecodeError> {
+    let mut r = Reader::new(file);
+    let n = read_uvarint(&mut r)?;
+    // Every length takes a byte at least: a larger count is not sized for.
+    if n > r.remaining() as u64 {
+        return Err(DecodeError::Corrupt("section count exceeds input"));
+    }
+    let mut sections = Vec::with_capacity(n as usize);
+    let mut end = 0usize;
+    for _ in 0..n {
+        let len = read_uvarint(&mut r)?;
+        let start = end;
+        end = usize::try_from(len)
+            .ok()
+            .and_then(|len| start.checked_add(len))
+            .filter(|&end| end <= file.len())
+            .ok_or(DecodeError::Corrupt("section overruns the file"))?;
+        sections.push(start..end);
+    }
+    if end != r.remaining() {
+        return Err(DecodeError::Corrupt("sections do not add up to the file"));
+    }
+    let table = file.len() - end;
+    for section in &mut sections {
+        *section = section.start + table..section.end + table;
+    }
+    Ok(sections)
+}
+
 impl<A: Encode, B: Encode, C: Encode> Encode for (A, B, C) {
     fn encode<S: Sink>(&self, out: &mut S) {
         self.0.encode(out);
@@ -385,7 +461,7 @@ impl<A: Decode, B: Decode, C: Decode> Decode for (A, B, C) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: T) {
@@ -527,6 +603,70 @@ mod tests {
         assert_eq!(zigzag64(-1), 1);
         assert_eq!(zigzag64(1), 2);
         assert!(uvarint_len(zigzag64(-64)) == 1);
+    }
+
+    /// A file joined from `sections`, each given whole.
+    pub(crate) fn joined(sections: &[&[u8]]) -> Vec<u8> {
+        let lens: Vec<usize> = sections.iter().map(|s| s.len()).collect();
+        join_sections(sections.concat(), &lens)
+    }
+
+    #[test]
+    fn a_slice_sink_writes_in_place_and_moves_past() {
+        let mut buf = [0u8; 6];
+        let mut out = &mut buf[..];
+        write_uvarint(&mut out, 300);
+        7u16.encode(&mut out);
+        assert_eq!(out.len(), 2, "past what was written");
+        assert_eq!(buf, [0xAC, 0x02, 7, 0, 0, 0]);
+    }
+
+    #[test]
+    fn sections_join_and_locate() {
+        let sections: [&[u8]; 4] = [b"ab", b"", &[7; 200], b"c"];
+        let file = joined(&sections);
+        // Count, then lengths: 200 takes two bytes.
+        assert_eq!(&file[..6], &[4, 2, 0, 200, 1, 1]);
+        let located = locate_sections(&file).unwrap();
+        let back: Vec<&[u8]> = located.iter().map(|s| &file[s.clone()]).collect();
+        assert_eq!(back, sections);
+        assert_eq!(locate_sections(&joined(&[])), Ok(vec![]));
+        // Room for the table: it moves in, the body does not move out.
+        let mut body = Vec::with_capacity(3 + 2 * SECTION_TABLE_ROOM);
+        body.extend_from_slice(b"xyz");
+        let at = body.as_ptr();
+        let file = join_sections(body, &[3]);
+        assert_eq!(
+            (file.as_ptr(), &file[..]),
+            (at, &[1, 3, b'x', b'y', b'z'][..])
+        );
+    }
+
+    /// A table is input from outside: one cut short, one whose lengths
+    /// overrun or undershoot the file, or one claiming more sections than
+    /// there are bytes is an error, never a panic or an allocation sized by
+    /// the claim.
+    #[test]
+    fn a_table_that_does_not_add_up_is_an_error() {
+        let file = joined(&[b"abc", b"de"]);
+        let corrupt = |bytes: &[u8]| locate_sections(bytes).is_err();
+        assert!(corrupt(&[]));
+        assert!(corrupt(&file[..2]), "cut inside the table");
+        assert!(corrupt(&file[..file.len() - 1]), "a section cut short");
+        let mut long = file.clone();
+        long.push(0);
+        assert!(corrupt(&long), "bytes past the last section");
+        let mut over = file.clone();
+        over[1] = 0x7F;
+        assert!(corrupt(&over), "a length past the file");
+        let mut wide = vec![1];
+        wide.extend([0xFF; 9]);
+        wide.push(0x01);
+        assert!(corrupt(&wide), "a length past usize or the file");
+        assert!(
+            corrupt(&[0xFF, 0xFF, 0xFF, 0x7F, 0]),
+            "a count past the input"
+        );
     }
 
     #[test]

@@ -8,6 +8,8 @@ use std::time::Duration;
 use imitator_metrics::{AtomicCommStats, CommStats};
 use parking_lot::RwLock;
 
+use crate::codec::{locate_sections, DecodeError};
+
 /// Cost model for the simulated DFS.
 ///
 /// The defaults model an HDFS-like store on a 1 GigE cluster, scaled to the
@@ -16,6 +18,10 @@ use parking_lot::RwLock;
 /// factor (HDFS default 3). The paper's observation that "HDFS is more
 /// friendly to writing large data" (§2.3.1) falls out of the fixed latency
 /// dominating small writes.
+///
+/// Reading one section of a sectioned file ([`Dfs::read_section`]) is one
+/// open followed by preads of its section table and of the section: one
+/// operation, charged the latency and the bytes of both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DfsConfig {
     /// Fixed cost per operation (open + metadata + commit round trips).
@@ -141,15 +147,32 @@ impl Dfs {
         Some(content)
     }
 
+    /// Reads section `i` of the sectioned file at `path`
+    /// ([`crate::codec::join_sections`]), or `None` if the file is absent.
+    /// One operation, counted as one read of the table's bytes and the
+    /// section's; an index past the table reads as an empty section.
+    ///
+    /// # Errors
+    ///
+    /// The inner result is a [`DecodeError`] when the file's section table
+    /// does not add up to the file; the operation is still paid, and
+    /// counted with no bytes.
+    pub fn read_section(&self, path: &str, i: usize) -> Option<Result<Vec<u8>, DecodeError>> {
+        let file = self.files.read().get(path).cloned()?;
+        let section = locate_sections(&file).map(|sections| {
+            let table = sections.first().map_or(file.len(), |s| s.start);
+            let section = sections.get(i).map_or(&[][..], |s| &file[s.clone()]);
+            (table + section.len(), section.to_vec())
+        });
+        let read = section.as_ref().map_or(0, |&(read, _)| read);
+        self.read_stats.record(1, read as u64);
+        std::thread::sleep(self.config.read_cost(read));
+        Some(section.map(|(_, section)| section))
+    }
+
     /// Whether `path` exists. Free (metadata is cached client-side).
     pub fn exists(&self, path: &str) -> bool {
         self.files.read().contains_key(path)
-    }
-
-    /// Removes `path`, returning whether it existed. Pays one latency unit.
-    pub fn delete(&self, path: &str) -> bool {
-        std::thread::sleep(self.config.latency);
-        self.files.write().remove(path).is_some()
     }
 
     /// All paths starting with `prefix`, sorted.
@@ -175,35 +198,30 @@ impl Dfs {
         }
     }
 
-    /// Deletes `stale`, then writes `files`, behind the caller: a client
-    /// thread of its own makes the same [`Dfs::delete`] and [`Dfs::write`]
-    /// calls the caller would have made, in order and one at a time — it
-    /// hides their latency behind the caller's work, it does not buy the
-    /// client a second stream. Each file is visible once its own write has
-    /// returned; [`WriteBehind::wait`] (or dropping the handle) blocks until
-    /// all of them are.
-    pub fn write_behind(&self, stale: Vec<String>, files: Vec<(String, Vec<u8>)>) -> WriteBehind {
+    /// Writes `bytes` to `path` behind the caller: a client thread of its
+    /// own makes the same [`Dfs::write`] call the caller would have made —
+    /// it hides the write's latency behind the caller's work, it does not
+    /// buy the client a second stream. [`WriteBehind::wait`] (or dropping
+    /// the handle) blocks until the file is on the store.
+    pub fn write_behind(&self, path: String, bytes: Vec<u8>) -> WriteBehind {
         let dfs = self.clone();
-        WriteBehind(Some(std::thread::spawn(move || {
-            for path in stale {
-                dfs.delete(&path);
-            }
-            for (path, bytes) in files {
-                dfs.write(&path, bytes);
-            }
-        })))
+        WriteBehind(Some(std::thread::spawn(move || dfs.write(&path, bytes))))
     }
 
-    /// Reads `paths` ahead of the caller: a client thread of its own makes
-    /// the same [`Dfs::read`] calls, in order and one at a time, and the
-    /// returned iterator hands each file over as it lands (absent paths are
-    /// skipped, as free as a `read` that finds nothing). Dropping the
-    /// iterator stops the reader after the file it is on.
-    pub fn read_ahead(&self, paths: Vec<String>) -> ReadAhead {
+    /// Reads `extents` ahead of the caller: a client thread of its own makes
+    /// the same [`Dfs::read`] and [`Dfs::read_section`] calls, in order and
+    /// one at a time, and the returned iterator hands each over as it lands
+    /// (absent files are skipped, as free as a read that finds nothing).
+    /// Dropping the iterator stops the reader after the read it is on.
+    pub fn read_ahead(&self, extents: Vec<Extent>) -> ReadAhead {
         let dfs = self.clone();
         let (landed, files) = mpsc::channel();
         let reader = std::thread::spawn(move || {
-            for file in paths.iter().filter_map(|path| dfs.read(path)) {
+            let read = |extent: Extent| match extent {
+                Extent::Whole(path) => dfs.read(&path).map(Ok),
+                Extent::Section(path, i) => Some(dfs.read_section(&path, i)?.map(Arc::new)),
+            };
+            for file in extents.into_iter().filter_map(read) {
                 if landed.send(file).is_err() {
                     break;
                 }
@@ -216,13 +234,23 @@ impl Dfs {
     }
 }
 
-/// Files on their way to the store behind the caller ([`Dfs::write_behind`]).
-/// Dropping the handle waits for them too.
+/// What one read of a [`Dfs::read_ahead`] takes: a whole file, or one
+/// section of a sectioned file ([`Dfs::read_section`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Extent {
+    /// The file at this path.
+    Whole(String),
+    /// Section `.1` of the sectioned file at path `.0`.
+    Section(String, usize),
+}
+
+/// A file on its way to the store behind the caller ([`Dfs::write_behind`]).
+/// Dropping the handle waits for it too.
 #[derive(Debug)]
 pub struct WriteBehind(Option<JoinHandle<()>>);
 
 impl WriteBehind {
-    /// Blocks until every file is on the store.
+    /// Blocks until the file is on the store.
     pub fn wait(mut self) {
         if let Some(writer) = self.0.take() {
             writer.join().expect("write-behind thread panicked");
@@ -239,17 +267,18 @@ impl Drop for WriteBehind {
     }
 }
 
-/// Files on their way from the store ahead of the caller
+/// Files and sections on their way from the store ahead of the caller
 /// ([`Dfs::read_ahead`]): yields them in the order asked for, blocking while
-/// the next one has not landed.
+/// the next one has not landed — a section whose file's table does not add
+/// up as the error [`Dfs::read_section`] returns.
 #[derive(Debug)]
 pub struct ReadAhead {
-    files: Option<mpsc::Receiver<Arc<Vec<u8>>>>,
+    files: Option<mpsc::Receiver<Result<Arc<Vec<u8>>, DecodeError>>>,
     reader: Option<JoinHandle<()>>,
 }
 
 impl Iterator for ReadAhead {
-    type Item = Arc<Vec<u8>>;
+    type Item = Result<Arc<Vec<u8>>, DecodeError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.files.as_ref()?.recv().ok()
@@ -270,6 +299,7 @@ impl Drop for ReadAhead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::joined;
 
     #[test]
     fn write_read_roundtrip() {
@@ -285,8 +315,8 @@ mod tests {
         let b = a.clone();
         a.write("k", vec![7]);
         assert!(b.exists("k"));
-        assert!(b.delete("k"));
-        assert!(!a.exists("k"));
+        b.write("k", vec![8]);
+        assert_eq!(a.read("k").unwrap().as_ref(), &[8]);
     }
 
     #[test]
@@ -324,8 +354,8 @@ mod tests {
         dfs.write("a", vec![0; 10]);
         dfs.write("b", vec![0; 5]);
         assert_eq!(dfs.used_bytes(), 15);
-        dfs.delete("a");
-        assert_eq!(dfs.used_bytes(), 5);
+        dfs.write("a", vec![0; 2]);
+        assert_eq!(dfs.used_bytes(), 7);
     }
 
     #[test]
@@ -361,37 +391,56 @@ mod tests {
     }
 
     #[test]
-    fn write_behind_pays_the_sum_of_its_operations_and_counts_them_like_write() {
+    fn a_write_behind_pays_one_write_and_counts_like_write() {
         let (behind, blocking) = (slow(5), slow(5));
-        let files = |n: u8| (0..n).map(|i| (format!("p/{i}"), vec![i; 10 + i as usize]));
-        for dfs in [&behind, &blocking] {
-            dfs.write("p/stale", vec![0; 7]);
-        }
         let t = std::time::Instant::now();
-        let handle = behind.write_behind(behind.list("p/"), files(3).collect());
+        let handle = behind.write_behind("p/0".into(), vec![3; 10]);
         handle.wait();
-        // One delete and three writes, one after another: the sum, not the max.
-        assert!(t.elapsed() >= Duration::from_millis(20));
-
-        blocking.delete("p/stale");
-        for (path, bytes) in files(3) {
-            blocking.write(&path, bytes);
-        }
+        assert!(t.elapsed() >= Duration::from_millis(5));
+        blocking.write("p/0", vec![3; 10]);
         assert_eq!(behind.stats(), blocking.stats());
-        assert_eq!(behind.list("p/"), blocking.list("p/"));
-        for path in behind.list("p/") {
-            assert_eq!(behind.read(&path), blocking.read(&path));
-        }
+        assert_eq!(behind.read("p/0"), blocking.read("p/0"));
     }
 
     #[test]
     fn dropping_a_write_behind_waits_for_it() {
         let dfs = slow(3);
-        drop(dfs.write_behind(
-            Vec::new(),
-            vec![("a".into(), vec![1]), ("b".into(), vec![2])],
-        ));
-        assert_eq!(dfs.list(""), vec!["a", "b"]);
+        drop(dfs.write_behind("a".into(), vec![1]));
+        assert_eq!(dfs.list(""), vec!["a"]);
+    }
+
+    /// A section read is one operation of the table's bytes and the
+    /// section's, whatever the file holds besides; an index past the table
+    /// is an empty section, an absent file nothing at all, and a table that
+    /// does not add up an error.
+    #[test]
+    fn read_section_pays_the_table_and_its_section() {
+        let dfs = slow(2);
+        dfs.write("s", joined(&[&[1; 3], &[], &[2; 300]]));
+        let table = 1 + 1 + 1 + 2;
+        let before = dfs.stats().reads;
+        let t = std::time::Instant::now();
+        assert_eq!(dfs.read_section("s", 2), Some(Ok(vec![2; 300])));
+        assert!(t.elapsed() >= Duration::from_millis(2));
+        assert_eq!(dfs.stats().reads, before + CommStats::new(1, table + 300));
+        assert_eq!(dfs.read_section("s", 1), Some(Ok(vec![])));
+        assert_eq!(dfs.read_section("s", 3), Some(Ok(vec![])), "past the table");
+        assert_eq!(
+            dfs.stats().reads,
+            before + CommStats::new(3, 3 * table + 300)
+        );
+
+        assert_eq!(dfs.read_section("absent", 0), None);
+        assert_eq!(dfs.stats().reads.messages, 3, "an absent file is free");
+        let mut corrupt = joined(&[&[1; 3]]);
+        corrupt[1] = 4;
+        dfs.write("bad", corrupt);
+        assert!(matches!(dfs.read_section("bad", 0), Some(Err(_))));
+        assert!(matches!(dfs.read_section("bad", 7), Some(Err(_))));
+        assert_eq!(
+            dfs.stats().reads,
+            before + CommStats::new(5, 3 * table + 300)
+        );
     }
 
     #[test]
@@ -400,15 +449,29 @@ mod tests {
         for (i, path) in ["e/10", "e/2", "e/3"].into_iter().enumerate() {
             dfs.write(path, vec![i as u8; 4]);
         }
+        dfs.write("e/s", joined(&[&[7; 2], &[8; 5]]));
         let before = dfs.stats().reads;
-        let mut paths = dfs.list("e/");
-        paths.insert(1, "e/absent".into());
+        let whole = |path: &str| Extent::Whole(path.into());
+        let extents = vec![
+            whole("e/10"),
+            whole("e/absent"),
+            Extent::Section("e/s".into(), 1),
+            whole("e/2"),
+            Extent::Section("e/absent".into(), 0),
+            whole("e/3"),
+        ];
         let t = std::time::Instant::now();
-        let files: Vec<_> = dfs.read_ahead(paths).collect();
-        assert!(t.elapsed() >= Duration::from_millis(6));
+        let files: Vec<_> = dfs.read_ahead(extents).map(Result::unwrap).collect();
+        assert!(t.elapsed() >= Duration::from_millis(8));
         let firsts: Vec<u8> = files.iter().map(|f| f[0]).collect();
-        assert_eq!(firsts, [0, 1, 2], "listing order, the absent path skipped");
-        assert_eq!(dfs.stats().reads, before + CommStats::new(3, 12));
+        assert_eq!(
+            firsts,
+            [0, 8, 1, 2],
+            "the order asked for, absent files skipped"
+        );
+        assert_eq!(files[1].len(), 5);
+        // The section's read: its table of three bytes and its five.
+        assert_eq!(dfs.stats().reads, before + CommStats::new(4, 12 + 3 + 5));
     }
 
     #[test]
@@ -417,12 +480,10 @@ mod tests {
         // file is handed over, and the drop hangs up long before the fifth.
         let dfs = slow(20);
         let paths: Vec<String> = (0..6).map(|i| format!("f/{i}")).collect();
-        dfs.write_behind(
-            Vec::new(),
-            paths.iter().map(|p| (p.clone(), vec![0; 8])).collect(),
-        )
-        .wait();
-        let mut ahead = dfs.read_ahead(paths);
+        for path in &paths {
+            dfs.write(path, vec![0; 8]);
+        }
+        let mut ahead = dfs.read_ahead(paths.into_iter().map(Extent::Whole).collect());
         assert!(ahead.next().is_some());
         drop(ahead);
         // The drop joined the reader: the count is final.

@@ -10,7 +10,8 @@
 //!
 //! The [`codec`] module provides the hand-rolled binary encoding used for
 //! snapshot and edge-ckpt files (deterministic, versioned, no external
-//! serialization dependency).
+//! serialization dependency), and the sectioned-file layout a reader may
+//! take whole or one section of ([`Dfs::read_section`]).
 //!
 //! # Examples
 //!
@@ -29,5 +30,5 @@ pub mod codec;
 mod dfs;
 pub mod epoch;
 
-pub use dfs::{Dfs, DfsConfig, DfsStats, ReadAhead, WriteBehind};
+pub use dfs::{Dfs, DfsConfig, DfsStats, Extent, ReadAhead, WriteBehind};
 pub use epoch::{EpochChain, EpochError, EpochKind};

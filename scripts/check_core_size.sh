@@ -170,7 +170,13 @@ cd "$(dirname "$0")/.."
 #          value copy, its three-arm restore and the survivor paths' undo
 #          parameter went; the graft upgrades a replica through the
 #          journaled setters (DESIGN.md §4.3).
-BUDGET=3631
+#   3630 — one edge-ckpt file per node: a recovery names the files or the
+#          sections of them it reads, so `reload_files` lost its `&Dfs` (no
+#          directory is listed; the leader skips a dead node's own section,
+#          empty where Migration can recover) and the persist hook its
+#          `FtMode` fork, now one comparison; R2 decodes the survivor's
+#          sections in one iterator chain (DESIGN.md §4.6, §4.10).
+BUDGET=3630
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -286,8 +286,9 @@ fn dfs_sees_checkpoints_and_edge_ckpt_files() {
         vec![],
         vdfs.clone(),
     );
-    assert!(
-        !vdfs.list("vc/eckpt/").is_empty(),
-        "edge-ckpt files written at load"
+    assert_eq!(
+        vdfs.list("vc/eckpt/"),
+        ["vc/eckpt/0", "vc/eckpt/1", "vc/eckpt/2"],
+        "one edge-ckpt file per node, written at load"
     );
 }

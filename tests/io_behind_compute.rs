@@ -1,5 +1,6 @@
-//! A vertex-cut node writes its edge-ckpt files behind its first supersteps
-//! and a recovery reads them ahead of the step that consumes them. On a
+//! A vertex-cut node writes its edge-ckpt file behind its first supersteps
+//! and a recovery reads it, or its sections, ahead of the step that consumes
+//! them. On a
 //! cost-free DFS both are over before anyone looks; these runs use a DFS slow
 //! enough that the window stays open for whole supersteps, and hold what must
 //! be true inside it: compute really proceeds, a node never dies, stalls or
@@ -19,12 +20,11 @@ use imitator_repro::ft::{
 };
 use imitator_repro::graph::gen;
 use imitator_repro::partition::{RandomVertexCut, VertexCutPartitioner};
-use imitator_repro::storage::{Dfs, DfsConfig};
+use imitator_repro::storage::{Dfs, DfsConfig, DfsStats};
 
 const NODES: usize = 4;
 /// One DFS operation. Supersteps of the 400-vertex graph take well under a
-/// millisecond, so a node's three or so files stay in flight for dozens of
-/// them.
+/// millisecond, so a node's file stays in flight for dozens of them.
 const LATENCY: Duration = Duration::from_millis(30);
 
 fn slow() -> Dfs {
@@ -81,8 +81,12 @@ fn files(dfs: &Dfs, prefix: &str) -> Vec<(String, Vec<u8>)> {
 }
 
 /// Runs the schedule on the slow DFS and on a cost-free one and holds the
-/// first against the second; returns the slow run and its DFS.
-fn same_as_instant(cfg: RunConfig, failures: &[FailurePlan]) -> (RunReport<RankValue>, Dfs) {
+/// first against the second; returns the slow run, its DFS, and the
+/// operations the run made on it (this check's own reads not among them).
+fn same_as_instant(
+    cfg: RunConfig,
+    failures: &[FailurePlan],
+) -> (RunReport<RankValue>, Dfs, DfsStats) {
     let (behind, instant) = (slow(), Dfs::new(DfsConfig::instant()));
     let got = run(cfg, failures.to_vec(), &behind);
     let want = run(cfg, failures.to_vec(), &instant);
@@ -101,15 +105,16 @@ fn same_as_instant(cfg: RunConfig, failures: &[FailurePlan]) -> (RunReport<RankV
         instant.stats().writes,
         "{failures:?}"
     );
+    let ops = behind.stats();
     if got.recoveries.iter().all(|ep| ep.counters.aborts == 0) {
-        assert_eq!(behind.stats().reads, instant.stats().reads, "{failures:?}");
+        assert_eq!(ops.reads, instant.stats().reads, "{failures:?}");
     }
     assert_eq!(
         files(&behind, "vc/"),
         files(&instant, "vc/"),
         "{failures:?}"
     );
-    (got, behind)
+    (got, behind, ops)
 }
 
 fn persist_wait(r: &RunReport<RankValue>) -> Duration {
@@ -117,35 +122,49 @@ fn persist_wait(r: &RunReport<RankValue>) -> Duration {
 }
 
 /// (a) The overlap is real: the first superstep commits before the first
-/// edge-ckpt file can have landed, and the run ends with all of them there.
+/// edge-ckpt file can have landed, and the run ends with all of them there:
+/// one file a node, written in one operation.
 #[test]
 fn first_superstep_commits_before_the_first_file_lands() {
     for recovery in [RecoveryStrategy::Rebirth, RecoveryStrategy::Migration] {
-        let (r, dfs) = same_as_instant(config(replication(1, recovery), 0), &[]);
+        let (r, dfs, ops) = same_as_instant(config(replication(1, recovery), 0), &[]);
         let (iter, first_commit) = r.timeline[0];
         assert_eq!(iter, 1);
         // A file exists one operation after its node started at the earliest.
         assert!(first_commit < LATENCY, "first commit at {first_commit:?}");
-        for node in 0..NODES {
-            assert!(!dfs.list(&format!("vc/eckpt/{node}/")).is_empty());
-        }
+        let each: Vec<String> = (0..NODES).map(|node| format!("vc/eckpt/{node}")).collect();
+        assert_eq!(dfs.list("vc/eckpt/"), each);
+        assert_eq!(ops.writes.messages, NODES as u64, "one write a node");
         // What was not hidden is booked: the nodes end inside their writes.
         assert!(r.phases.get("load_persist").is_some());
-        assert!(persist_wait(&r) >= LATENCY, "{:?}", persist_wait(&r));
+        assert!(persist_wait(&r) >= LATENCY / 2, "{:?}", persist_wait(&r));
     }
 }
 
-/// (b) Join-before-die: a node that crashes or stalls in iteration 0, all of
-/// its files still in flight, is recovered from complete files.
+/// (b) Join-before-die: a node that crashes or stalls in iteration 0, its
+/// file still in flight, is recovered from complete files. A newbie reads
+/// its edges in one operation; under Migration each survivor reads its own
+/// section of the dead node's file in one — and the leader no more: the dead
+/// node's own section feeds masters it kept with no mirror, which Migration
+/// cannot bring back.
 #[test]
 fn a_node_dies_or_stalls_only_with_its_files_written() {
     for recovery in [RecoveryStrategy::Rebirth, RecoveryStrategy::Migration] {
         let standbys = usize::from(recovery == RecoveryStrategy::Rebirth);
         let cfg = config(replication(1, recovery), standbys);
         for point in [FailPoint::BeforeBarrier, FailPoint::AfterBarrier] {
-            let (r, _) = same_as_instant(cfg, &[crash(1, 0, point)]);
+            let (r, _, ops) = same_as_instant(cfg, &[crash(1, 0, point)]);
             assert_eq!(r.recoveries.len(), 1, "{recovery:?} {point:?}");
-            assert!(persist_wait(&r) >= LATENCY, "{recovery:?} {point:?}");
+            // Node 1 was inside its one write: it blocked for most of it.
+            assert!(persist_wait(&r) >= LATENCY / 2, "{recovery:?} {point:?}");
+            // Migration's three survivors rewrite their files; a newbie's
+            // graph is the one its file already holds.
+            let (reads, writes) = match recovery {
+                RecoveryStrategy::Rebirth => (1, NODES),
+                RecoveryStrategy::Migration => (NODES - 1, 2 * NODES - 1),
+            };
+            assert_eq!(ops.reads.messages, reads as u64, "{recovery:?} {point:?}");
+            assert_eq!(ops.writes.messages, writes as u64, "{recovery:?} {point:?}");
         }
         // A stall that outlives the fence (2 ms timeout = 10 ticks, fence
         // 400): the node is fenced like a crash at the same point.
@@ -155,7 +174,7 @@ fn a_node_dies_or_stalls_only_with_its_files_written() {
             hb_timeout: Duration::from_millis(2),
             ..cfg
         };
-        let (r, _) = same_as_instant(stalled, &[crash(1, 0, FailPoint::Stall(600))]);
+        let (r, ..) = same_as_instant(stalled, &[crash(1, 0, FailPoint::Stall(600))]);
         assert_eq!(r.recoveries.len(), 1, "{recovery:?} stall");
         assert!(r.suspicion.confirmed >= 1, "{:?}", r.suspicion);
     }
@@ -171,16 +190,16 @@ fn a_second_crash_lands_inside_the_post_migration_rewrite() {
         crash(1, 2, FailPoint::BeforeBarrier),
         crash(2, 3, FailPoint::BeforeBarrier),
     ];
-    let (r, dfs) = same_as_instant(cfg, &crashes);
+    let (r, dfs, ops) = same_as_instant(cfg, &crashes);
     assert_eq!(r.recoveries.len(), 2);
-    // Half a dozen operations per survivor were queued one superstep before
-    // node 2 died: it blocked for most of them.
-    assert!(persist_wait(&r) >= 2 * LATENCY, "{:?}", persist_wait(&r));
+    // One write per survivor, a whole operation, was queued one superstep
+    // before node 2 died: it blocked for most of it.
+    assert!(persist_wait(&r) >= LATENCY / 2, "{:?}", persist_wait(&r));
+    // The load's four writes, then one a survivor and episode: three, two.
+    assert_eq!(ops.writes.messages, 4 + 3 + 2);
+    // Node 0 keeps no edges for a dead node: none is a receiver any more.
     for dead in [1, 2] {
-        assert!(dfs
-            .list("vc/eckpt/0/")
-            .iter()
-            .all(|p| !p.ends_with(&format!("/{dead}"))));
+        assert_eq!(dfs.read_section("vc/eckpt/0", dead), Some(Ok(vec![])));
     }
 }
 
@@ -199,13 +218,13 @@ fn migration_aborted_in_round_8_writes_nothing() {
         crash(1, 2, FailPoint::BeforeBarrier),
         crash(2, 2, FailPoint::BeforeBarrier),
     ];
-    let (r, behind) = same_as_instant(cfg, &aborted);
+    let (r, behind, ops) = same_as_instant(cfg, &aborted);
     let ep = &r.recoveries[0];
     assert_eq!((ep.counters.attempts, ep.counters.aborts), (2, 1));
-    let (clean, one_attempt) = same_as_instant(cfg, &at_once);
+    let (clean, one_attempt, clean_ops) = same_as_instant(cfg, &at_once);
     assert_eq!(clean.recoveries[0].counters.aborts, 0);
     assert_eq!(r.values, clean.values);
-    assert_eq!(behind.stats().writes, one_attempt.stats().writes);
+    assert_eq!(ops.writes, clean_ops.writes);
     assert_eq!(
         files(&behind, "vc/eckpt/"),
         files(&one_attempt, "vc/eckpt/")
@@ -214,8 +233,8 @@ fn migration_aborted_in_round_8_writes_nothing() {
 
 /// (d) A newbie whose attempt aborts mid-reload — it crashes at its reload
 /// fail point, or a survivor does and its batch never comes — drops its
-/// read-ahead with files still unread; the retry's fresh standby reads them
-/// all again.
+/// read-ahead, its file perhaps still unread; the retry's fresh standby reads
+/// it again.
 #[test]
 fn an_aborted_newbie_drops_its_read_ahead() {
     let cfg = config(replication(2, RecoveryStrategy::Rebirth), 3);
@@ -224,7 +243,7 @@ fn an_aborted_newbie_drops_its_read_ahead() {
             crash(1, 2, FailPoint::BeforeBarrier),
             crash(second, 2, FailPoint::RebirthReload),
         ];
-        let (r, _) = same_as_instant(cfg, &crashes);
+        let (r, ..) = same_as_instant(cfg, &crashes);
         let ep = &r.recoveries[0];
         assert_eq!(ep.strategy, "rebirth");
         assert_eq!((ep.counters.attempts, ep.counters.aborts), (2, 1));
