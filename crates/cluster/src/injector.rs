@@ -50,8 +50,9 @@ pub enum FailPoint {
     RebirthReconstruct,
     /// While the reborn node replays activation state to rejoin the run.
     RebirthReplay,
-    /// Mid checkpoint write: the node dies after writing a torn (unsealed)
-    /// snapshot part, leaving a detectably-incomplete epoch behind.
+    /// Mid checkpoint write: the node dies after writing a torn snapshot
+    /// part (no trailer), and its death fails the barrier that would have
+    /// committed the epoch.
     CkptWrite,
     /// The node does not crash at all: it goes silent for the given number
     /// of detector ticks at the start of the iteration (GC pause, overload).

@@ -9,7 +9,9 @@
 //!   partition has this one serialisation, so a checkpoint standby rebuilds
 //!   from the DFS what a Rebirth newbie rebuilds from its survivors' batches;
 //! * **data snapshots** — one per node per checkpoint: the masters' mutable
-//!   state (value + activity), written inside the global barrier;
+//!   state (value + activity), written inside the global barrier and
+//!   committed by the leader's roster once it is clean ([`write_epoch_part`],
+//!   [`commit_epoch`]);
 //! * **edge-ckpt files** — vertex-cut only: each node's owned edges, one
 //!   file a node in one section per potential receiver, so each Migration
 //!   survivor reloads its own section in parallel (§4.3). They are the edges
@@ -25,27 +27,29 @@
 //! encoding unchanged. Decoding stays strict (trailing bytes and
 //! out-of-range positions are errors).
 
-use std::sync::Arc;
-
-use imitator_cluster::NodeId;
+use imitator_cluster::{FailPoint, NodeId};
 use imitator_engine::{
     take_run, ColumnLens, CopyKind, Degrees, EcLocalGraph, EcVertex, EdgeLists, Episode,
     FullStateBatches, FullStateRef, InEdge, InEdges, List, Locations, LocationsRef, RemoteEdge,
     VcLocalGraph, VcVertex, VertexProgram, MAX_TABLE_NODES,
 };
 use imitator_graph::Vid;
+use imitator_metrics::Stopwatch;
 use imitator_storage::codec::{
     join_sections, locate_sections, uvarint_len, ByteCount, Decode, DecodeError, Encode, Reader,
     Sink, SECTION_TABLE_ROOM,
 };
-use imitator_storage::{epoch, Dfs, WriteBehind};
+use imitator_storage::epoch::{self, EpochError, EpochKind, Sealed};
+use imitator_storage::{Dfs, WriteBehind};
 
 use crate::columns::{
     dec_bits, dec_count, dec_delta, dec_deltas, dec_node, dec_u32, dec_u64, enc_bits, enc_count,
     enc_delta, enc_deltas, enc_node, enc_u32, enc_u64,
 };
-use crate::driver::{ComputeModel, ModelGraph, Shared};
+use crate::driver::{ComputeModel, ModelGraph, Shared, St};
 use crate::msg::{dec_batch, enc_batch, RebirthBatch, Reborn, StoreCodec};
+use crate::rt::NodeState;
+use crate::FtMode;
 
 /// The replica-location tables: all of a vertex-cut copy's full state, and
 /// the head of an edge-cut copy's.
@@ -242,13 +246,109 @@ pub(crate) fn decode_meta<V: Decode, G: StoreCodec>(
     }
 }
 
-/// `node`'s snapshot chain: its verified part of every epoch a rollback
-/// applies, ascending — the newest complete full epoch, then every later
-/// complete delta ([`epoch::recovery_chain`]) — or none while no epoch is
-/// complete.
-pub(crate) fn chain<M: ComputeModel>(dfs: &Dfs, node: NodeId) -> Vec<Arc<Vec<u8>>> {
-    let chain = epoch::recovery_chain(dfs, M::PREFIX, node.raw());
-    chain.map(|chain| chain.parts).unwrap_or_default()
+/// Under incremental checkpointing, every `FULL_EPOCH_PERIOD`-th epoch is a
+/// self-contained full snapshot; the epochs between carry only the vertices
+/// dirtied since the previous epoch. The periodic full epochs bound the
+/// base+delta chain recovery must replay.
+const FULL_EPOCH_PERIOD: u64 = 4;
+
+/// The kind of the checkpoint epoch superstep `iter` ends under `ft`, if it
+/// ends one — a pure function of the epoch number, so every node (and every
+/// post-abort retry) agrees without coordination. The first epoch of a run
+/// is always full.
+pub(crate) fn epoch_ending(ft: FtMode, iter: u64) -> Option<EpochKind> {
+    let epoch = iter + 1;
+    match ft {
+        FtMode::Checkpoint { interval, .. } if !epoch.is_multiple_of(interval) => None,
+        FtMode::Checkpoint {
+            interval,
+            incremental: true,
+        } if epoch / interval % FULL_EPOCH_PERIOD != 1 => Some(EpochKind::Delta),
+        FtMode::Checkpoint { .. } => Some(EpochKind::Full),
+        _ => None,
+    }
+}
+
+/// Writes this node's part of the `kind` epoch superstep `st.iter` ends —
+/// every master, or those dirtied since the last epoch — as one file: the
+/// prepare step, inside the barrier window. Returns whether the node
+/// survived: one that dies here ([`FailPoint::CkptWrite`]) leaves a torn
+/// part and fails the barrier, so its epoch is never committed.
+pub(crate) fn write_epoch_part<M: ComputeModel>(
+    shared: &Shared<M>,
+    me: NodeId,
+    lg: &M::Graph,
+    st: &mut St<M>,
+    kind: EpochKind,
+) -> bool {
+    let sw = Stopwatch::start();
+    // Either kind starts the next epoch's dirty set afresh: a full epoch is
+    // a new base for the delta chain.
+    let mut dirty = std::mem::take(&mut st.dirty);
+    let dirty = match kind {
+        EpochKind::Full => None,
+        EpochKind::Delta => {
+            // A stable sort merges the supersteps' ascending runs.
+            dirty.sort();
+            dirty.dedup();
+            Some(&dirty[..])
+        }
+    };
+    let (dfs, epoch) = (&shared.dfs, st.iter + 1);
+    let bytes = lg.encode_snapshot(epoch, dirty);
+    if shared
+        .injector
+        .should_fail(me, st.iter, FailPoint::CkptWrite)
+    {
+        epoch::write_part_torn(dfs, M::PREFIX, epoch, me.raw(), bytes);
+        return false;
+    }
+    epoch::write_part(dfs, M::PREFIX, epoch, me.raw(), bytes);
+    book_ckpt(st, sw);
+    true
+}
+
+/// Commits the `kind` epoch that ended at superstep `st.iter`, once the
+/// barrier after its parts returned clean, so every part has landed: the
+/// leader writes its roster, the live nodes.
+pub(crate) fn commit_epoch<M: ComputeModel>(
+    shared: &Shared<M>,
+    me: NodeId,
+    st: &mut St<M>,
+    kind: EpochKind,
+) {
+    if me != st.leader() {
+        return;
+    }
+    let sw = Stopwatch::start();
+    let live = st.alive.iter().enumerate().filter(|&(_, &alive)| alive);
+    let members: Vec<u32> = live.map(|(n, _)| n as u32).collect();
+    epoch::write_roster(&shared.dfs, M::PREFIX, st.iter, kind, &members);
+    book_ckpt(st, sw);
+}
+
+/// Books a checkpoint write's time to the run's `ckpt` phase.
+fn book_ckpt<T>(st: &mut NodeState<T>, sw: Stopwatch) {
+    let d = sw.elapsed();
+    st.ckpt_time += d;
+    st.phases.record("ckpt", d);
+}
+
+/// `node`'s snapshot chain: its part of every epoch a rollback applies,
+/// ascending — the newest committed full epoch, then every later committed
+/// delta ([`epoch::recovery_chain`]) — or none while no committed epoch
+/// lists the node.
+///
+/// # Panics
+///
+/// When a roster or part of the chain is missing or fails its trailer: a
+/// node rolled back past its peers' epoch would silently diverge.
+pub(crate) fn chain<M: ComputeModel>(dfs: &Dfs, node: NodeId) -> Vec<Sealed> {
+    match epoch::recovery_chain(dfs, M::PREFIX, node.raw()) {
+        Ok(chain) => chain.parts,
+        Err(EpochError::NoCommittedEpoch { .. }) => Vec::new(),
+        Err(torn) => panic!("{node} cannot roll back: {torn}"),
+    }
 }
 
 /// Rolls `lg` back to the state its node's snapshot chain ([`chain`])
@@ -259,7 +359,7 @@ pub(crate) fn chain<M: ComputeModel>(dfs: &Dfs, node: NodeId) -> Vec<Arc<Vec<u8>
 pub(crate) fn roll_back<M: ComputeModel>(
     shared: &Shared<M>,
     lg: &mut M::Graph,
-    chain: &[Arc<Vec<u8>>],
+    chain: &[Sealed],
 ) -> u64 {
     lg.touch_values();
     shared.model.reset_to_initial(lg, shared);
@@ -648,6 +748,25 @@ pub(crate) mod tests {
     };
     use proptest::prelude::*;
     use std::sync::Arc;
+
+    /// Only "no committed epoch" is an empty chain, a rollback to the
+    /// initial state. A committed epoch whose own part fails its trailer is
+    /// a panic naming the file: the node's peers roll back to that epoch,
+    /// and a node rolled back past it would diverge silently.
+    #[test]
+    #[should_panic(expected = "ec/ckpt/4/1")]
+    fn a_torn_own_part_in_a_committed_epoch_is_loud() {
+        type M = EcModel<P>;
+        let dfs = Dfs::new(imitator_storage::DfsConfig::instant());
+        let (zero, one) = (NodeId::new(0), NodeId::new(1));
+        assert!(chain::<M>(&dfs, one).is_empty());
+        epoch::write_part(&dfs, "ec", 4, 0, vec![4; 8]);
+        epoch::write_part_torn(&dfs, "ec", 4, 1, vec![4; 8]);
+        assert!(chain::<M>(&dfs, one).is_empty(), "uncommitted");
+        epoch::write_roster(&dfs, "ec", 4, EpochKind::Full, &[0, 1]);
+        assert_eq!(chain::<M>(&dfs, zero).len(), 1);
+        chain::<M>(&dfs, one);
+    }
 
     /// Location tables read back alone.
     pub(crate) fn dec_tables(bytes: &[u8]) -> Result<Locations, DecodeError> {

@@ -24,7 +24,7 @@ use imitator_engine::{
 use imitator_graph::Vid;
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_storage::codec::{Decode, Encode};
-use imitator_storage::{epoch, Dfs, EpochKind, Extent, WriteBehind};
+use imitator_storage::{Dfs, Extent, WriteBehind};
 
 use crate::ckpt::{self, SnapshotCodec};
 use crate::msg::{ProtoMsg, RebirthBatch, ReplicaGrant, StoreCodec, VertexSync};
@@ -32,23 +32,6 @@ use crate::recovery::{self, Adoption, Mig, MigEnv};
 use crate::report::RunReport;
 use crate::rt::{merge_outcomes, NodeOutcome, NodeState};
 use crate::{FtMode, RunConfig};
-
-/// Under incremental checkpointing, every `FULL_EPOCH_PERIOD`-th epoch is a
-/// self-contained full snapshot; the epochs between carry only the vertices
-/// dirtied since the previous epoch. The periodic full epochs bound the
-/// base+delta chain recovery must replay.
-pub(crate) const FULL_EPOCH_PERIOD: u64 = 4;
-
-/// The kind of checkpoint epoch `epoch` is — a pure function of the epoch
-/// number, so every node (and every post-abort retry) independently agrees
-/// without coordination. The first epoch of a run is always full.
-pub(crate) fn ckpt_epoch_kind(epoch: u64, interval: u64, incremental: bool) -> EpochKind {
-    if !incremental || (epoch / interval.max(1)) % FULL_EPOCH_PERIOD == 1 {
-        EpochKind::Full
-    } else {
-        EpochKind::Delta
-    }
-}
 
 /// The wire protocol a model speaks ([`ProtoMsg`] instantiated with its
 /// associated types).
@@ -581,56 +564,13 @@ fn node_main<M: ComputeModel>(
             }
         };
 
-        // Checkpoint inside the barrier window (§2.2).
-        if let FtMode::Checkpoint {
-            interval,
-            incremental,
-        } = shared.cfg.ft
-        {
-            if (st.iter + 1).is_multiple_of(interval) {
-                let sw = Stopwatch::start();
-                let kind = ckpt_epoch_kind(st.iter + 1, interval, incremental);
-                // Either kind starts the next epoch's dirty set afresh: a
-                // full epoch is a new base for the delta chain.
-                let mut dirty = std::mem::take(&mut st.dirty);
-                let dirty = match kind {
-                    EpochKind::Full => None,
-                    EpochKind::Delta => {
-                        // A stable sort merges the supersteps' ascending runs.
-                        dirty.sort();
-                        dirty.dedup();
-                        Some(&dirty[..])
-                    }
-                };
-                let bytes = lg.encode_snapshot(st.iter + 1, dirty);
-                if shared
-                    .injector
-                    .should_fail(me, st.iter, FailPoint::CkptWrite)
-                {
-                    // Crash mid-write: a torn (unsealed) part is left
-                    // behind, making the epoch detectably incomplete —
-                    // recovery must roll back to the previous complete one.
-                    epoch::write_part_torn(&shared.dfs, M::PREFIX, st.iter + 1, me.raw(), bytes);
-                    ctx.die();
-                    break false;
-                }
-                epoch::write_part(&shared.dfs, M::PREFIX, st.iter + 1, me.raw(), bytes);
-                if me == st.leader() {
-                    // The epoch commits only once its roster exists: the
-                    // sealed member list (and epoch kind) recovery checks
-                    // parts against.
-                    let members: Vec<u32> = st
-                        .alive
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, &a)| a.then_some(i as u32))
-                        .collect();
-                    epoch::write_roster(&shared.dfs, M::PREFIX, st.iter + 1, kind, &members);
-                }
-                st.last_snapshot_iter = st.iter + 1;
-                let d = sw.elapsed();
-                st.ckpt_time += d;
-                st.phases.record("ckpt", d);
+        // Checkpoint inside the barrier window (§2.2): this node's part
+        // before the leave barrier, the epoch's commit once it is clean.
+        let epoch = ckpt::epoch_ending(shared.cfg.ft, st.iter);
+        if let Some(kind) = epoch {
+            if !ckpt::write_epoch_part(shared, me, &lg, &mut st, kind) {
+                ctx.die();
+                break false;
             }
         }
 
@@ -653,6 +593,9 @@ fn node_main<M: ComputeModel>(
                 break false;
             }
             continue;
+        }
+        if let Some(kind) = epoch {
+            ckpt::commit_epoch(shared, me, &mut st, kind);
         }
         if total_active == 0 {
             // Converged: the job is over before any post-barrier crash can
@@ -784,9 +727,10 @@ macro_rules! kind {
 pub(crate) use kind;
 
 /// Takes the stashed + queued messages of one `kind` with their senders,
-/// stashing everything else in arrival order. Barrier-separated rounds
-/// (supersteps and recovery rounds alike) find everything sent for the
-/// current round already queued.
+/// in sender order (each sender's in the order it sent them), stashing
+/// everything else in arrival order. Barrier-separated rounds (supersteps
+/// and recovery rounds alike) find everything sent for the current round
+/// already queued, so what a round reads never follows the thread schedule.
 pub(crate) fn take<M: ComputeModel, T>(
     ctx: &Ctx<M>,
     st: &mut St<M>,
@@ -801,6 +745,7 @@ pub(crate) fn take<M: ComputeModel, T>(
             Err(msg) => st.stash.push(Envelope { from, msg }),
         }
     }
+    taken.sort_by_key(|&(from, _)| from);
     taken
 }
 

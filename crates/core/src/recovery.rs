@@ -117,7 +117,6 @@ struct Undo<G: ModelGraph> {
     dirty: Vec<u32>,
     iter: u64,
     replay_until: u64,
-    last_snapshot_iter: u64,
 }
 
 impl<G: ModelGraph<Value: Encode> + Clone> Undo<G> {
@@ -134,7 +133,6 @@ impl<G: ModelGraph<Value: Encode> + Clone> Undo<G> {
             dirty: st.dirty.clone(),
             iter: st.iter,
             replay_until: st.replay_until,
-            last_snapshot_iter: st.last_snapshot_iter,
         }
     }
 
@@ -151,7 +149,6 @@ impl<G: ModelGraph<Value: Encode> + Clone> Undo<G> {
         st.dirty = self.dirty.clone();
         st.iter = self.iter;
         st.replay_until = self.replay_until;
-        st.last_snapshot_iter = self.last_snapshot_iter;
     }
 }
 

@@ -1,8 +1,6 @@
 //! Checkpoint recovery (§2.2-2.3): every node rolls back to the newest
-//! complete snapshot epoch and the lost iterations re-run — onto hot
+//! committed snapshot epoch and the lost iterations re-run — onto hot
 //! standbys, or, with none left, onto the survivors.
-
-use std::collections::HashMap;
 
 use imitator_cluster::NodeId;
 use imitator_engine::Episode;
@@ -48,9 +46,9 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
         return ckpt_fallback(cx, lg);
     }
 
-    // Reload: every node (survivors too) rolls back to the newest *sealed,
-    // roster-complete* epoch — a crash mid-checkpoint leaves a torn part
-    // behind, and a torn epoch must never be loaded.
+    // Reload: every node (survivors too) rolls back to the newest committed
+    // epoch — one a crash mid-checkpoint interrupted has no roster, and is
+    // never loaded.
     let snap_iter = cx.phase(&RELOAD, |cx| {
         // The rollback rewrites every value: journal from here on.
         lg.begin_episode();
@@ -64,7 +62,7 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
     full_sync(cx, lg)?;
     cx.mark("reconstruct");
 
-    (cx.st.iter, cx.st.last_snapshot_iter) = (snap_iter, snap_iter);
+    cx.st.iter = snap_iter;
     cx.st.replay_until = cx.resume_iter;
     cx.st.dirty.clear();
     for d in cx.dead {
@@ -188,7 +186,7 @@ fn ckpt_fallback<M: ComputeModel>(
     })?;
     cx.phases.record("reconstruct", sw.lap());
 
-    (cx.st.iter, cx.st.last_snapshot_iter) = (snap_iter, snap_iter);
+    cx.st.iter = snap_iter;
     cx.st.replay_until = cx.resume_iter;
     cx.st.dirty.clear();
     mig.promoted.sort_unstable();
@@ -273,7 +271,7 @@ pub(crate) fn ckpt_newbie<M: ComputeModel>(
     full_sync(cx, &mut lg)?;
     cx.mark("reconstruct");
 
-    (cx.st.iter, cx.st.last_snapshot_iter) = (snap_iter, snap_iter);
+    cx.st.iter = snap_iter;
     let mut report = cx.report("checkpoint");
     (report.vertices_recovered, report.edges_recovered) = shared.model.graph_stats(&lg);
     cx.st.recoveries.push(report);
@@ -284,25 +282,28 @@ pub(crate) fn ckpt_newbie<M: ComputeModel>(
 /// all of its replicas (one full sync round with its own barriers).
 fn full_sync<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, lg: &mut M::Graph) -> Attempt<()> {
     let (model, st) = (&cx.shared.model, &mut *cx.st);
-    let mut batches: HashMap<NodeId, Vec<VertexSync<M::Value>>> = HashMap::new();
+    let mut batches: Vec<Vec<VertexSync<M::Value>>> = vec![Vec::new(); st.alive.len()];
     for pos in (0..lg.len() as u32).filter(|&pos| lg.is_master(pos)) {
         let scatter = model.scatter_bit(lg, pos);
         let meta = lg.full(pos);
         for (node, &rpos) in meta.replica_nodes().iter().zip(meta.replica_positions()) {
-            batches.entry(node).or_default().push(VertexSync {
+            batches[node.index()].push(VertexSync {
                 pos: rpos,
                 value: lg.value(pos).clone(),
                 activate: scatter,
             });
         }
     }
-    for (node, batch) in batches {
-        // One columnar sync frame per destination, charged what it encodes
-        // to. A sync round, not a protocol message: the fabric books it, the
-        // episode's `comm` does not.
-        let msg = ProtoMsg::Sync(batch);
-        let bytes = msg.encoded_len() as u64;
-        cx.ctx.send_kind(node, msg, bytes, CommKind::Recovery);
+    // One columnar sync frame per destination, in node order, charged what
+    // it encodes to. A sync round, not a protocol message: the fabric books
+    // it, the episode's `comm` does not.
+    for (node, batch) in batches.into_iter().enumerate() {
+        if !batch.is_empty() {
+            let msg = ProtoMsg::Sync(batch);
+            let bytes = msg.encoded_len() as u64;
+            cx.ctx
+                .send_kind(NodeId::from_index(node), msg, bytes, CommKind::Recovery);
+        }
     }
     barrier_ok(cx.ctx)?;
     let incoming = collect_syncs(cx.ctx, st, lg, cx.shared);

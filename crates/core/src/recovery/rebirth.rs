@@ -174,12 +174,11 @@ pub(crate) fn rebirth_newbie<M: ComputeModel>(
     cx.prefetch();
     barrier_ok(ctx)?;
 
-    // Sorted by sender, so placement order does not follow arrival order.
-    let mut batches = cx.take(|msg| match msg {
+    // In sender order, so placement order does not follow arrival order.
+    let batches = cx.take(|msg| match msg {
         ProtoMsg::Rebirth(batch, _) => Ok(batch),
         other => Err(other),
     });
-    batches.sort_unstable_by_key(|&(from, _)| from);
     let (_, first) = batches
         .first()
         .expect("a clean reload barrier delivers every survivor's batch");

@@ -231,7 +231,7 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
     }
 
     /// This round's messages of one kind ([`driver::kind`]) with their
-    /// senders; anything else stays stashed.
+    /// senders, in sender order; anything else stays stashed.
     pub(super) fn take<T>(
         &mut self,
         kind: impl Fn(Msg<M>) -> Result<T, Msg<M>>,

@@ -1259,9 +1259,36 @@ fn every_strategy_books_its_phase_keys_in_protocol_order() {
     }
 }
 
-/// `take` hands over the messages of the kind asked for with their senders
-/// and leaves everything else — stashed earlier or arriving around them —
-/// in the stash in arrival order, where a later `take` finds it.
+/// What a Migration keeps to undo is exact for a given graph, partitioning
+/// and crash: every survivor reads the others' messages in sender order
+/// ([`driver::take`]), so neither where rewritten lists land nor the order
+/// of the journal's records follows the thread schedule. At K = 2 every
+/// survivor hears from several others in every round.
+#[test]
+fn a_migrations_journal_repeats_exactly() {
+    let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let g = gen::power_law(4_000, 2.0, 8, 23);
+    let ft = replication(2, RecoveryStrategy::Migration);
+    for edge_cut in [true, false] {
+        let journal = || {
+            let plan = vec![crash(1, 3, FailPoint::BeforeBarrier)];
+            let report = match edge_cut {
+                true => run_ec(&g, NODES, ft, 0, plan).report,
+                false => run_vc(&g, NODES, ft, 0, plan).0,
+            };
+            report.recoveries[0].journal_bytes
+        };
+        let first = journal();
+        for _ in 0..5 {
+            assert_eq!(journal(), first, "edge_cut={edge_cut}");
+        }
+    }
+}
+
+/// `take` hands over the messages of the kind asked for with their senders,
+/// in sender order whatever order they arrived in, and leaves everything
+/// else — stashed earlier or arriving around them — in the stash in arrival
+/// order, where a later `take` finds it.
 #[test]
 fn take_leaves_the_other_kinds_stashed_in_arrival_order() {
     type M = EcModel<MinLabel>;
@@ -1292,14 +1319,14 @@ fn take_leaves_the_other_kinds_stashed_in_arrival_order() {
 
     let grants = driver::take::<M, _>(&nodes[0], &mut st, driver::kind!(ReplicaGrant));
     let grants: Vec<_> = grants.iter().map(|(from, g)| (*from, g[0].vid)).collect();
-    assert_eq!(grants, [(two, Vid::new(12)), (one, Vid::new(14))]);
+    assert_eq!(grants, [(one, Vid::new(14)), (two, Vid::new(12))]);
     let stashed: Vec<_> = st.stash.iter().map(|env| env.from).collect();
     assert_eq!(stashed, [two, one, one, two]);
     assert!(matches!(st.stash[1].msg, ProtoMsg::ReplicaPlaced(_)));
 
     let requests = driver::take::<M, _>(&nodes[0], &mut st, driver::kind!(ReplicaRequest));
-    let ten_then_thirteen = [(two, vec![Vid::new(10)]), (one, vec![Vid::new(13)])];
-    assert_eq!(requests, ten_then_thirteen);
+    let thirteen_then_ten = [(one, vec![Vid::new(13)]), (two, vec![Vid::new(10)])];
+    assert_eq!(requests, thirteen_then_ten);
     let placements = driver::take::<M, _>(&nodes[0], &mut st, driver::kind!(ReplicaPlaced));
     let (first, second) = (vec![(Vid::new(11), 7)], vec![(Vid::new(15), 7)]);
     assert_eq!(placements, [(one, first), (two, second)]);

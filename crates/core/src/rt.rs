@@ -34,8 +34,6 @@ pub(crate) struct NodeState<M> {
     /// Iterations below this count re-execute lost work; their duration is
     /// charged to the last recovery's replay phase (checkpoint recovery).
     pub replay_until: u64,
-    /// Iteration of the last completed checkpoint (0 = none).
-    pub last_snapshot_iter: u64,
     /// Masters whose value changed since the last snapshot (incremental
     /// checkpointing only): one ascending run per superstep, so a master
     /// that changed in two of them is listed twice.
@@ -66,7 +64,6 @@ impl<M> NodeState<M> {
             ckpt_time: Duration::ZERO,
             recoveries: Vec::new(),
             replay_until: 0,
-            last_snapshot_iter: 0,
             dirty: Vec::new(),
             start,
             stash: Vec::new(),

@@ -237,10 +237,9 @@ where
             return StepOutcome::Failed(dead);
         }
 
-        // Apply: fold the senders' batches (from the stash + queue) in node
-        // order, this node's own partials at its own place.
+        // Apply: fold the senders' batches (from the stash + queue, in node
+        // order), this node's own partials at its own place.
         let mut before = driver::take::<Self, _>(ctx, st, driver::kind!(Gather));
-        before.sort_by_key(|&(from, _)| from);
         let after = before.split_off(before.partition_point(|&(from, _)| from < ctx.id()));
         let table = &mut scratch.acc_table;
         table.clear();

@@ -508,6 +508,55 @@ fn incremental_checkpoint_recovers_matching_results() {
     }
 }
 
+/// A node dying mid-write of its checkpoint part fails the barrier that
+/// would have committed the epoch, so the leader never writes its roster:
+/// the run rolls back to the epoch before and ends on the failure-free
+/// values. A committed epoch is N + 1 writes — a part a node, then the
+/// roster — and no other file.
+#[test]
+fn a_crash_mid_checkpoint_leaves_its_epoch_uncommitted() {
+    let g = gen::power_law(1_200, 2.0, 6, 17);
+    let nodes = 4;
+    let clean = run_min_label(&g, nodes, FtMode::None, 0, vec![]);
+    let cut = HashEdgeCut.partition(&g, nodes);
+    let dfs = Dfs::new(DfsConfig::instant());
+    let cfg = RunConfig {
+        ft: FtMode::Checkpoint {
+            interval: 2,
+            incremental: true,
+        },
+        standbys: 1,
+        ..base_cfg(nodes)
+    };
+    // Epoch 4 is written at the end of superstep 3.
+    let crash = vec![fail(1, 3, FailPoint::CkptWrite)];
+    let rep = run_edge_cut(&g, &cut, Arc::new(MinLabel), cfg, crash, dfs.clone());
+    assert_eq!(rep.values, clean.values);
+    assert_eq!(rep.recoveries.len(), 1);
+    // The survivors had passed superstep 4 when the barrier failed; the
+    // next one they pass is 3 again: they rolled back to epoch 2, not 4.
+    let iters: Vec<u64> = rep.timeline.iter().map(|&(iter, _)| iter).collect();
+    let back = iters
+        .windows(2)
+        .position(|w| w[1] <= w[0])
+        .expect("a rollback");
+    assert_eq!(iters[back..back + 2], [4, 3], "{iters:?}");
+    // Every epoch the rerun reached is committed, each directory a part a
+    // node and the roster.
+    let epochs: Vec<u64> = (1..=rep.iterations / 2).map(|e| 2 * e).collect();
+    for &e in &epochs {
+        let (_, members) = epoch::read_roster(&dfs, "ec", e).expect("committed");
+        assert_eq!(members, [0, 1, 2, 3]);
+        assert_eq!(dfs.list(&format!("ec/ckpt/{e}/")).len(), nodes + 1);
+    }
+    let files = dfs.list("ec/");
+    assert_eq!(files.len(), nodes + epochs.len() * (nodes + 1), "{files:?}");
+    // A metadata snapshot a node at load, N + 1 writes a committed epoch,
+    // and the N parts of epoch 4's first try, one of them torn, no roster.
+    let writes = dfs.stats().writes.messages as usize;
+    assert_eq!(writes, nodes + epochs.len() * (nodes + 1) + nodes);
+}
+
 #[test]
 fn incremental_snapshots_shrink_as_the_front_quiets() {
     // The whole point of §2.3's incremental snapshots: once most vertices

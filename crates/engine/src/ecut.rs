@@ -300,11 +300,6 @@ impl<V> EcLocalGraph<V> {
         self.verts.iter().filter(|v| v.is_master()).count()
     }
 
-    /// Number of local replica copies (incl. mirrors).
-    pub fn num_replicas(&self) -> usize {
-        self.verts.len() - self.num_masters()
-    }
-
     /// Recomputes [`EcLocalGraph::active_frontier`] from the `active` bits.
     ///
     /// O(|verts|); only needed after bulk mutations that bypass

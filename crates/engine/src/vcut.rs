@@ -173,11 +173,6 @@ impl<V> VcLocalGraph<V> {
         self.verts.iter().filter(|v| v.is_master()).count()
     }
 
-    /// Number of local replica copies (incl. mirrors).
-    pub fn num_replicas(&self) -> usize {
-        self.verts.len() - self.num_masters()
-    }
-
     /// Changes the role of the copy at `pos`.
     pub fn set_kind(&mut self, pos: u32, kind: CopyKind) {
         if self.verts[pos as usize].kind != kind {

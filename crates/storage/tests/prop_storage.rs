@@ -1,7 +1,7 @@
 //! Property tests: the binary codec round-trips arbitrary nested values,
 //! counts what it writes, and rejects corruption; the DFS behaves like a
-//! shared store under concurrent use; damaged epoch seals and rosters read
-//! back as errors.
+//! shared store under concurrent use; damaged epoch parts and rosters
+//! read back as errors.
 
 use proptest::prelude::*;
 
@@ -146,11 +146,12 @@ fn torn<T>(read: Result<T, EpochError>) -> bool {
 
 proptest! {
     /// A checkpoint epoch read back off the DFS is input like any other. A
-    /// part damaged after its seal, a damaged seal, and a roster damaged
-    /// before or after sealing — truncated, bit-flipped, spliced,
-    /// count-inflated — read back as an `EpochError` unless the damage left
-    /// the bytes as they were: never a panic, never a node list larger than
-    /// the bytes that name it, and never an epoch in a recovery chain.
+    /// part damaged anywhere or in its trailer alone, and a roster damaged
+    /// before or after its trailer is written — truncated, bit-flipped,
+    /// spliced, count-inflated — read back as an `EpochError` unless the
+    /// damage left the bytes as they were: never a panic, never a node list
+    /// larger than the bytes that name it, and never a damaged part in a
+    /// recovery chain.
     #[test]
     fn hostile_epoch_bytes_never_panic(
         nodes in proptest::collection::vec(any::<u32>(), 0..40),
@@ -162,21 +163,20 @@ proptest! {
 
         let path = epoch::part_path("ec", 2, 0);
         epoch::write_part(&dfs, "ec", 2, 0, part.clone());
-        let bad = damaged(part.clone(), &damage);
+        let file = dfs.read(&path).expect("written").to_vec();
+        let bad = damaged(file.clone(), &damage);
         dfs.write(&path, bad.clone());
-        prop_assert!(bad == part || torn(epoch::read_verified(&dfs, "ec", 2, 0)));
-        epoch::write_part(&dfs, "ec", 2, 0, part.clone());
-        let seal_path = epoch::seal_path(&path);
-        let seal = dfs.read(&seal_path).expect("sealed").to_vec();
-        let bad = damaged(seal.clone(), &damage);
-        dfs.write(&seal_path, bad.clone());
-        prop_assert!(bad == seal || torn(epoch::read_verified(&dfs, "ec", 2, 0)));
+        prop_assert!(bad == file || torn(epoch::read_sealed(&dfs, &path)));
+        let (body, trailer) = file.split_at(part.len());
+        let bad = [body, &damaged(trailer.to_vec(), &damage)].concat();
+        dfs.write(&path, bad.clone());
+        prop_assert!(bad == file || torn(epoch::read_sealed(&dfs, &path)));
 
         let kind = if delta { EpochKind::Delta } else { EpochKind::Full };
         epoch::write_roster(&dfs, "ec", 2, kind, &nodes);
         prop_assert_eq!(epoch::read_roster(&dfs, "ec", 2), Ok((kind, nodes.clone())));
         let roster_path = epoch::roster_path("ec", 2);
-        let roster = dfs.read(&roster_path).expect("sealed").to_vec();
+        let roster = dfs.read(&roster_path).expect("written").to_vec();
         let bad = damaged(roster.clone(), &damage);
         dfs.write(&roster_path, bad.clone());
         prop_assert!(bad == roster || torn(epoch::read_roster(&dfs, "ec", 2)));
@@ -184,10 +184,10 @@ proptest! {
         if let Ok((_, back)) = epoch::read_roster(&dfs, "ec", 2) {
             prop_assert!(back.capacity() <= bad.len(), "{} nodes from {} B", back.len(), bad.len());
         }
-        // Whatever the roster now says, node 0's part fails its seal unless
-        // the seal's damage left it whole.
+        // Whatever the roster now says, node 0's part, trailer-damaged,
+        // never enters its chain unless the damage left it whole.
         let chain = epoch::recovery_chain(&dfs, "ec", 0);
-        prop_assert!(seal == dfs.read(&seal_path).expect("written").to_vec() || chain.is_err());
+        prop_assert!(file == dfs.read(&path).expect("written").to_vec() || chain.is_err());
     }
 }
 

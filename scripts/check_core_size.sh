@@ -176,7 +176,15 @@ cd "$(dirname "$0")/.."
 #          empty where Migration can recover) and the persist hook its
 #          `FtMode` fork, now one comparison; R2 decodes the survivor's
 #          sections in one iterator chain (DESIGN.md §4.6, §4.10).
-BUDGET=3630
+#   3571 — a checkpoint epoch commits at its barrier: writing a part, the
+#          torn write and the leader's roster moved behind
+#          `ckpt::{epoch_ending, write_epoch_part, commit_epoch}`, beside
+#          the snapshot codec, so `node_main` makes two calls; the
+#          write-only `last_snapshot_iter` went, and a round takes its
+#          messages in sender order from `driver::take`, so the Rebirth
+#          newbie's and the vertex-cut apply's own sorts went (DESIGN.md
+#          §4.3, §4.5).
+BUDGET=3571
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -1782,11 +1782,11 @@ fn delta_chain_crosses_rebirth_and_migration_recoveries() {
             rec.recoveries[1].strategy, "checkpoint\u{2192}migration",
             "edge_cut={edge_cut}"
         );
-        // Pin the chain shape the fallback loaded: epoch 2 is the complete
-        // full base, epoch 4 the complete delta on top, and both rosters
+        // Pin the chain shape the fallback loaded: epoch 2 is the committed
+        // full base, epoch 4 the committed delta on top, and both rosters
         // cover the dead node whose partition the survivors reconstructed.
-        let (kind2, roster2) = epoch::read_roster(&dfs, prefix, 2).expect("epoch 2 complete");
-        let (kind4, roster4) = epoch::read_roster(&dfs, prefix, 4).expect("epoch 4 complete");
+        let (kind2, roster2) = epoch::read_roster(&dfs, prefix, 2).expect("epoch 2 committed");
+        let (kind4, roster4) = epoch::read_roster(&dfs, prefix, 4).expect("epoch 4 committed");
         assert_eq!(kind2, EpochKind::Full, "edge_cut={edge_cut}");
         assert_eq!(kind4, EpochKind::Delta, "edge_cut={edge_cut}");
         assert!(
@@ -1796,16 +1796,17 @@ fn delta_chain_crosses_rebirth_and_migration_recoveries() {
     }
 }
 
-/// A node dying mid-snapshot-write leaves a torn part behind; the epoch it
-/// belongs to must never be loaded. Recovery rolls back to the previous
-/// complete epoch and still converges exactly — with or without a standby.
+/// A node dying mid-snapshot-write leaves a torn part behind and fails the
+/// barrier, so the epoch it belongs to is never committed and never loaded.
+/// Recovery rolls back to the previous committed epoch and still converges
+/// exactly — with or without a standby.
 #[test]
 fn torn_checkpoint_epoch_is_never_loaded() {
     for edge_cut in [true, false] {
         for (standbys, want) in [(1, "checkpoint"), (0, "checkpoint\u{2192}migration")] {
             // interval 2 ⇒ epoch 4 is written during iteration 3; node 1
-            // dies mid-write, torn part ⇒ roster check keeps epoch 4
-            // incomplete forever.
+            // dies mid-write ⇒ the barrier fails and the leader writes no
+            // roster for epoch 4.
             let plans = vec![crash(1, 3, FailPoint::CkptWrite)];
             let ft = FtMode::Checkpoint {
                 interval: 2,
