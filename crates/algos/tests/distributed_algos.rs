@@ -94,25 +94,36 @@ fn pagerank_recovery_is_bit_identical_on_both_engines() {
         vec![],
         dfs(),
     );
-    for (mode, standbys) in [
-        (rep(RecoveryStrategy::Rebirth), 1),
-        (rep(RecoveryStrategy::Migration), 0),
-        (
-            FtMode::Checkpoint {
-                interval: 4,
-                incremental: false,
-            },
-            1,
-        ),
+    let ckpt = FtMode::Checkpoint {
+        interval: 4,
+        incremental: false,
+    };
+    let k2 = |recovery| FtMode::Replication {
+        tolerance: 2,
+        selfish_opt: false,
+        recovery,
+    };
+    // Two crashes in one episode rebuild each node from two survivors'
+    // batches; with no standby a checkpoint recovery grafts the partition.
+    let (one, two) = (|| vec![fail(2, 6)], || vec![fail(1, 6), fail(2, 6)]);
+    for (mode, standbys, failures, strategy) in [
+        (rep(RecoveryStrategy::Rebirth), 1, one(), "rebirth"),
+        (rep(RecoveryStrategy::Migration), 0, one(), "migration"),
+        (ckpt, 1, one(), "checkpoint"),
+        (k2(RecoveryStrategy::Rebirth), 2, two(), "rebirth"),
+        (k2(RecoveryStrategy::Migration), 0, two(), "migration"),
+        (ckpt, 0, one(), "checkpoint→migration"),
     ] {
         let r = run_edge_cut(
             &g,
             &ecut,
             Arc::clone(&prog),
             cfg(4, 15, mode, standbys),
-            vec![fail(2, 6)],
+            failures,
             dfs(),
         );
+        let episodes: Vec<_> = r.recoveries.iter().map(|ep| ep.strategy).collect();
+        assert_eq!(episodes, [strategy], "{mode:?}");
         for (got, want) in r.values.iter().zip(&clean.values) {
             assert_eq!(got.rank.to_bits(), want.rank.to_bits(), "{mode:?} diverged");
         }

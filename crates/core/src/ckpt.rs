@@ -96,10 +96,10 @@ pub(crate) fn dec_locations_into(r: &mut Reader<'_>, m: &mut Locations) -> Resul
     Ok(())
 }
 
-/// The four column totals of a full-state store, ahead of the store itself
+/// The three column totals of a full-state store, ahead of the store itself
 /// so that a decoder sizes each column once.
 pub(crate) fn enc_column_lens<S: Sink>(lens: ColumnLens, buf: &mut S) {
-    for total in [lens.in_edges, lens.in_srcs, lens.out_local, lens.out_remote] {
+    for total in [lens.in_edges, lens.out_local, lens.out_remote] {
         enc_count(total, buf);
     }
 }
@@ -110,7 +110,6 @@ pub(crate) fn enc_column_lens<S: Sink>(lens: ColumnLens, buf: &mut S) {
 pub(crate) fn dec_column_lens(r: &mut Reader<'_>) -> Result<ColumnLens, DecodeError> {
     let lens = ColumnLens {
         in_edges: dec_count(r)?,
-        in_srcs: dec_count(r)?,
         out_local: dec_count(r)?,
         out_remote: dec_count(r)?,
     };
@@ -122,8 +121,8 @@ pub(crate) fn dec_column_lens(r: &mut Reader<'_>) -> Result<ColumnLens, DecodeEr
 
 /// The location tables of `m`, then the edge lists `lists` names, each
 /// the run the engine defines for it ([`imitator_engine::Run`]): the
-/// in-edges as `(position, weight, source)` — without the weight when the
-/// message writes the one weight all of them have, `uniform`, once — then
+/// in-edges as `(weight, source)` — without the weight when the message
+/// writes the one weight all of them have, `uniform`, once — then
 /// `out_local_owner`, then `out_remote`. A list held as a run in the same
 /// layout is copied, not re-encoded.
 pub(crate) fn enc_lists<S: Sink>(
@@ -968,13 +967,37 @@ pub(crate) mod tests {
 
     /// Loader-built graphs' metadata snapshots encode to the recorded bytes,
     /// without fault tolerance and with one and two mirrors a vertex: the
-    /// items of every list, and their order, are pinned. What the graph
-    /// codec wrote for the same graphs, until a snapshot became the batch
-    /// that rebuilds its graph, stays beside them: a batch writes every
-    /// in-edge's source but a uniform weight once, and may only be smaller.
+    /// items of every list, and their order, are pinned. What the snapshots
+    /// wrote before, each a smaller one than the last, stays beside them:
+    /// while every in-edge also wrote its source's position, and what the
+    /// graph codec wrote until a snapshot became the batch that rebuilds its
+    /// graph (a batch writes every in-edge's source but a uniform weight
+    /// once).
     #[test]
     fn loader_built_graphs_encode_to_the_recorded_bytes() {
         const RECORDED: [[(usize, u64); 4]; 3] = [
+            [
+                (0x10f79, 0x05f4_d4cf_bf3d_4f0f),
+                (0x10c64, 0x8bc6_73fa_cc6f_9966),
+                (0x1181b, 0x8e3e_cbaf_c651_49d0),
+                (0x110e6, 0xde0e_61d0_34e0_3ae5),
+            ],
+            [
+                (0x1a346, 0xbae3_717d_1eb4_c0cb),
+                (0x19f7c, 0x062d_83e6_6597_d14f),
+                (0x1a673, 0xe895_fb28_5e1b_eb77),
+                (0x1a453, 0x3993_735e_5b3b_013e),
+            ],
+            [
+                (0x248ef, 0x0ede_fb0d_fafa_c828),
+                (0x24e0c, 0xf24f_0a83_2465_8fb6),
+                (0x24c12, 0x24e2_e897_ddc6_16c1),
+                (0x25203, 0xebf1_c264_16af_92e8),
+            ],
+        ];
+        /// While an in-edge wrote its source's owner-local position beside
+        /// its vertex ID, and a store announced a fourth column total.
+        const WITH_POSITIONS: [[(usize, u64); 4]; 3] = [
             [
                 (0x13c7a, 0x231d_1adf_4872_7958),
                 (0x1389c, 0xdd54_f7c6_6c76_f086),
@@ -1029,11 +1052,12 @@ pub(crate) mod tests {
                 (bytes.len(), fnv(&bytes))
             });
             assert!(encoded.eq(recorded.iter().copied()), "K = {k}");
-            let before = GRAPH_CODEC[k].iter();
-            assert!(
-                recorded.iter().zip(before).all(|(now, was)| now.0 < was.0),
-                "K = {k}: a snapshot grew"
-            );
+            for before in [&WITH_POSITIONS[k], &GRAPH_CODEC[k]] {
+                assert!(
+                    recorded.iter().zip(before).all(|(now, was)| now.0 < was.0),
+                    "K = {k}: a snapshot grew"
+                );
+            }
         }
     }
 
@@ -1104,9 +1128,8 @@ pub(crate) mod tests {
                 };
                 for e in g.edges() {
                     if e.dst == v {
-                        want.in_edges_owner
-                            .push((lg.position(e.src).unwrap(), e.weight));
-                        want.in_edge_srcs.push(e.src);
+                        let (weight, src) = (e.weight, e.src);
+                        want.in_edges.push(InEdge { weight, src });
                     }
                     if e.src == v && cut.owner(e.dst) == p {
                         want.out_local_owner.push(lg.position(e.dst).unwrap());

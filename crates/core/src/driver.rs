@@ -27,7 +27,7 @@ use imitator_storage::codec::{Decode, Encode};
 use imitator_storage::{Dfs, Extent, WriteBehind};
 
 use crate::ckpt::{self, SnapshotCodec};
-use crate::msg::{ProtoMsg, RebirthBatch, ReplicaGrant, StoreCodec, VertexSync};
+use crate::msg::{Batches, ProtoMsg, ReplicaGrant, StoreCodec, VertexSync};
 use crate::recovery::{self, Adoption, Mig, MigEnv};
 use crate::report::RunReport;
 use crate::rt::{merge_outcomes, NodeOutcome, NodeState};
@@ -216,14 +216,9 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// (the sparse engine replays it; the dense engine has none).
     fn scatter_bit(&self, lg: &Self::Graph, pos: u32) -> bool;
     fn empty_graph(&self, me: NodeId) -> Self::Graph;
-    /// Places a survivor's Rebirth batch on the newbie: every record at the
-    /// position it names, its value derived, then the store adopted.
-    fn place_reborn(
-        &self,
-        lg: &mut Self::Graph,
-        batch: RebirthBatch<Self::Value>,
-        degrees: &Degrees,
-    );
+    /// Places the batches that rebuild a node on its empty graph: every record
+    /// at the position it names, its value derived, then each store adopted.
+    fn place_reborn(&self, lg: &mut Self::Graph, batches: Batches<Self::Value>, degrees: &Degrees);
     /// The DFS files or sections recovering `dead` reloads on this node
     /// besides what survivors send (edge-ckpt files), in consumption order;
     /// the attempt reads them ahead. A newbie is the one `dead` node, reborn.

@@ -187,6 +187,10 @@ pub struct RebirthBatch<V> {
     pub lists: Vec<EdgeLists>,
 }
 
+/// The Rebirth batches that rebuild one node: its survivors', or its
+/// metadata snapshot.
+pub(crate) type Batches<V> = Vec<RebirthBatch<V>>;
+
 impl<V> RebirthBatch<V> {
     /// A batch of no copy yet, toward a cluster of `num_survivors` senders
     /// that resumes at `resume_iter`.
@@ -656,7 +660,7 @@ mod tests {
     use imitator_algos::RankValue;
     use imitator_engine::{
         build_edge_cut_graphs, build_vertex_cut_graphs, Degrees, EcVertex, FullStateBatches,
-        MasterMeta, RemoteEdge, VcVertex,
+        InEdge, MasterMeta, RemoteEdge, VcVertex,
     };
     use imitator_graph::Graph;
     use imitator_metrics::MemSize;
@@ -737,8 +741,7 @@ mod tests {
             lg.adopt_full_states(&[(&at, states, &[])]);
             lg.adopt_full_states(&[(&at, states, lists)]);
             for &pos in &at {
-                let kept = lg.full_state(pos).expect("adopted").to_meta();
-                assert!(kept.in_edges_owner.len() == kept.in_edge_srcs.len());
+                drop(lg.full_state(pos).expect("adopted").to_meta());
             }
             lg.rebuild_active_frontier();
             lg.debug_validate();
@@ -776,8 +779,12 @@ mod tests {
                 let positions: Vec<u32> = mirrors.iter().map(|&n| tag + n).collect();
                 Locations::new(tag, &nodes, &positions, &nodes)
             },
-            in_edges_owner: (0..in_edges).map(|i| (tag + i, i as f32)).collect(),
-            in_edge_srcs: (0..in_edges).map(|i| Vid::new(tag * 10 + i)).collect(),
+            in_edges: (0..in_edges)
+                .map(|i| InEdge {
+                    weight: i as f32,
+                    src: Vid::new(tag * 10 + i),
+                })
+                .collect(),
             out_local_owner: (0..tag % 3).collect(),
             out_remote: (0..tag % 4)
                 .map(|i| RemoteEdge {
@@ -791,7 +798,8 @@ mod tests {
     proptest! {
         /// A mirror batch off a socket is input like any other: truncated,
         /// bit-flipped and spliced frames of batches built from loader-built
-        /// graphs — each record carrying some of its lists — decode to `None`
+        /// graphs — each record carrying some of its lists, its in-edges
+        /// weighing what the graph says or, `uniform`, all the same — decode to `None`
         /// or to a message that holds together — never a panic, never a span
         /// past its column, never a record without its columns or its list
         /// mask, never memory out of proportion to the input.
@@ -799,6 +807,7 @@ mod tests {
         fn hostile_mirror_batch_bytes_never_panic(
             (g, (parts, k, selfish)) in (arb_graph(), arb_shape()),
             damage in proptest::collection::vec(arb_damage(), 1..4),
+            uniform in any::<bool>(),
         ) {
             let cut = HashEdgeCut.partition(&g, parts);
             let plan = plan_for(&g, &cut, k, selfish);
@@ -813,7 +822,11 @@ mod tests {
                     let carried = EdgeLists::from_bits(pos as u8 % 8).unwrap();
                     batch.vids.push(v.vid);
                     batch.last_activate.push(v.last_activate);
-                    batch.metas.push(lg.full_state(pos).unwrap().carrying(carried));
+                    let mut m = lg.full_state(pos).unwrap().to_meta();
+                    if uniform {
+                        m.in_edges.iter_mut().for_each(|edge| edge.weight = 0.5);
+                    }
+                    batch.metas.push(m.view().carrying(carried));
                     batch.lists.push(carried);
                 }
                 let msg = EcMsg::MirrorUpdate(Box::new(batch.clone()));
@@ -1031,7 +1044,7 @@ mod tests {
             |tag, metas, lists| {
                 let mut m = meta(tag, tag % 4, &[1, 3]);
                 if seed.is_multiple_of(2) {
-                    m.in_edges_owner.iter_mut().for_each(|edge| edge.1 = 0.25);
+                    m.in_edges.iter_mut().for_each(|edge| edge.weight = 0.25);
                 }
                 let carried = EdgeLists::from_bits((tag % 8) as u8).unwrap();
                 metas.push(m.view().carrying(carried));
@@ -1057,8 +1070,8 @@ mod tests {
             .enumerate()
         {
             let mut m = meta(10 + i as u32, part.len() as u32, &[2]);
-            for (edge, &w) in m.in_edges_owner.iter_mut().zip(part) {
-                edge.1 = w;
+            for (edge, &w) in m.in_edges.iter_mut().zip(part) {
+                edge.weight = w;
             }
             batch.vids.push(Vid::new(i as u32));
             batch.last_activate.push(false);
@@ -1077,8 +1090,8 @@ mod tests {
     }
 
     /// Where the edge-cut store of a two-record batch writes its weight flag:
-    /// behind four one-byte column totals and one byte of list masks.
-    const WEIGHT_FLAG: usize = 5;
+    /// behind three one-byte column totals and one byte of list masks.
+    const WEIGHT_FLAG: usize = 4;
 
     /// Both weight layouts come back to the bit: one `f32` for a batch whose
     /// in-edges all weigh the same bits — a NaN payload included — and a
@@ -1148,13 +1161,41 @@ mod tests {
         }
         // The first record carries all three lists and the second its
         // in-edges: totals one off in any column disagree with the masks.
-        for (column, &total) in states[..4].iter().enumerate() {
+        for (column, &total) in states[..3].iter().enumerate() {
             let totals = Err(DecodeError::Corrupt("column totals"));
             assert_eq!(corrupt(column, total + 1), totals, "column {column}");
         }
         // Masks that stop naming a list the totals count.
         let no_remote = mask & !EdgeLists::OUT_REMOTE.bits();
         assert!(corrupt(WEIGHT_FLAG - 1, no_remote).is_err());
+    }
+
+    /// An in-edge is its weight and its source's varint: a frame that ends
+    /// inside the first in-edge's weight, or whose first source is a varint
+    /// past `u32`, is refused where the run is read.
+    #[test]
+    fn a_mirror_batch_refuses_a_cut_weight_and_a_source_past_u32() {
+        let batch = weighted_batch(&[1.5, 2.5, 3.5, 4.5]);
+        let mut frame = Vec::new();
+        EcMsg::MirrorUpdate(Box::new(batch.clone())).encode_wire(&mut frame);
+        let mut run = Vec::new();
+        batch.metas.nth(0).in_edges.put(None, &mut run);
+        assert_eq!(
+            run.len(),
+            1 + 2 * (4 + 1),
+            "a count, then weight and source"
+        );
+        let at = frame.windows(run.len()).position(|w| w == run);
+        let at = at.expect("the first record's in-edge run is in the frame");
+        let dec = |bytes: &[u8]| EcMsg::<f64>::decode(&mut Reader::new(bytes)).err();
+        let cut = dec(&frame[..at + 3]);
+        assert!(
+            matches!(cut, Some(DecodeError::UnexpectedEof { remaining: 2, .. })),
+            "{cut:?}"
+        );
+        let mut wide = frame.clone();
+        wide.splice(at + 5..at + 6, [0xFF, 0xFF, 0xFF, 0xFF, 0x10]);
+        assert_eq!(dec(&wide), Some(DecodeError::Corrupt("varint exceeds u32")));
     }
 
     /// A vertex-cut mirror batch writes its tables and nothing else — no list
@@ -1180,29 +1221,42 @@ mod tests {
     }
 
     /// An edge-cut mirror batch — one record carrying every list, one its
-    /// in-edges alone, one of them with a value — writes the bytes it wrote
-    /// before Rebirth batches shipped their full state in the same store, in
-    /// either weight layout.
+    /// in-edges alone, one of them with a value — writes the pinned bytes in
+    /// either weight layout: a byte for each of its four in-edges' sources
+    /// and a weight each in the per-edge layout, under three column totals.
+    /// Beside them, what it wrote while an in-edge also wrote its source's
+    /// owner-local position and a store announced a fourth total: a byte
+    /// more for each.
     #[test]
-    fn an_edge_cut_mirror_batch_encodes_as_it_did() {
-        const UNIFORM: [u8; 53] = [
+    fn an_edge_cut_mirror_batch_encodes_as_pinned() {
+        const UNIFORM: [u8; 48] = [
+            6, 1, 2, 0, 2, 8, 0, 0, 0, 0, 0, 0, 224, 191, 4, 1, 2, 23, 1, 0, 0, 128, 63, 10, 1, 2,
+            12, 1, 2, 2, 100, 101, 1, 0, 2, 0, 70, 1, 71, 11, 1, 2, 13, 1, 2, 2, 110, 111,
+        ];
+        const WEIGHED: [u8; 60] = [
+            6, 1, 2, 0, 2, 8, 0, 0, 0, 0, 0, 0, 224, 191, 4, 1, 2, 23, 0, 10, 1, 2, 12, 1, 2, 2, 0,
+            0, 128, 63, 100, 0, 0, 0, 64, 101, 1, 0, 2, 0, 70, 1, 71, 11, 1, 2, 13, 1, 2, 2, 0, 0,
+            0, 63, 110, 0, 0, 0, 63, 111,
+        ];
+        const UNIFORM_WITH_POSITIONS: [u8; 53] = [
             6, 1, 2, 0, 2, 8, 0, 0, 0, 0, 0, 0, 224, 191, 4, 4, 1, 2, 23, 1, 0, 0, 128, 63, 10, 1,
             2, 12, 1, 2, 2, 10, 100, 11, 101, 1, 0, 2, 0, 70, 1, 71, 11, 1, 2, 13, 1, 2, 2, 11,
             110, 12, 111,
         ];
-        const WEIGHED: [u8; 65] = [
+        const WEIGHED_WITH_POSITIONS: [u8; 65] = [
             6, 1, 2, 0, 2, 8, 0, 0, 0, 0, 0, 0, 224, 191, 4, 4, 1, 2, 23, 0, 10, 1, 2, 12, 1, 2, 2,
             10, 0, 0, 128, 63, 100, 11, 0, 0, 0, 64, 101, 1, 0, 2, 0, 70, 1, 71, 11, 1, 2, 13, 1,
             2, 2, 11, 0, 0, 0, 63, 110, 12, 0, 0, 0, 63, 111,
         ];
-        for (weights, pinned) in [
-            (&[1.0f32; 4][..], &UNIFORM[..]),
-            (&[1.0, 2.0, 0.5, 0.5], &WEIGHED),
+        for (weights, pinned, before) in [
+            (&[1.0f32; 4][..], &UNIFORM[..], &UNIFORM_WITH_POSITIONS[..]),
+            (&[1.0, 2.0, 0.5, 0.5], &WEIGHED, &WEIGHED_WITH_POSITIONS),
         ] {
             let mut batch = weighted_batch(weights);
             batch.values.push((1, -0.5));
             let msg = EcMsg::MirrorUpdate(Box::new(batch));
             assert_eq!(roundtrip(&msg), pinned, "{weights:?}");
+            assert_eq!(before.len(), pinned.len() + 4 + 1, "{weights:?}");
         }
     }
 
@@ -1263,8 +1317,8 @@ mod tests {
         for (seed, uniform) in [(1, false), (3, true), (4, false), (6, true)] {
             let batch = rebirth_batch(13, seed, &|tag, metas, lists| {
                 let mut m = meta(tag, 4, &[1, 3]);
-                for (edge, &w) in m.in_edges_owner.iter_mut().zip(weights.iter().cycle()) {
-                    edge.1 = if uniform { weights[2] } else { w };
+                for (edge, &w) in m.in_edges.iter_mut().zip(weights.iter().cycle()) {
+                    edge.weight = if uniform { weights[2] } else { w };
                 }
                 metas.push(m.view());
                 lists.push(EdgeLists::ALL);

@@ -261,4 +261,4 @@ fn abort_fence<T: Send + 'static>(
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -86,9 +86,9 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
 /// of several partitions reconstructs and grafts them in partition order.
 /// Round 2 — promotions are applied everywhere, adopted copies whose master
 /// also died are re-pointed at the promoted location, and position-addressed
-/// consumer tables are rewritten ([`ComputeModel::migration_requests`] with
-/// an empty promotion set of our own — under checkpoint FT every adopted
-/// master arrives complete, so no replica requests are generated).
+/// consumer tables of the masters round 1 purged or grafted are rewritten
+/// ([`ComputeModel::migration_requests`], no promotion of our own: every
+/// adopted master arrives complete, so no replica requests are generated).
 /// Round 3 — replica placements are registered with their surviving
 /// masters and the leader acknowledges the episode; the closing full-sync
 /// then refreshes every (old and adopted) replica from its master's
@@ -115,11 +115,12 @@ fn ckpt_fallback<M: ComputeModel>(
         cx.phases.record("undo_capture", sw.lap());
         let snap_iter = ckpt::roll_back(cx.shared, lg, &ckpt::chain::<M>(&cx.shared.dfs, me));
         // The dead nodes are gone for good: purge them from every
-        // pre-existing master's replica tables (the adopters purge their
-        // grafted masters' tables inside `adopt_partition`).
+        // pre-existing master's tables that name one, which round 2 visits
+        // (as it visits the grafted ones, purged in `adopt_partition`).
         for pos in 0..lg.len() as u32 {
-            if lg.is_master(pos) {
+            if lg.is_master(pos) && lg.full(pos).names_any(cx.dead) {
                 lg.edit_full(pos, |tables| tables.purge_nodes(cx.dead));
+                mig.dirty_masters.insert(pos);
             }
         }
         cx.phases.record("reload", sw.lap());
@@ -215,6 +216,7 @@ fn graft_partitions<M: ComputeModel>(
         for p in &graft.promotions {
             cx.st.overlay.insert(p.vid, p.new_master);
             mig.promoted.push(p.vid);
+            mig.dirty_masters.insert(p.new_pos);
         }
         adopted.promotions.extend(graft.promotions);
         adopted.placements.extend(graft.placements);

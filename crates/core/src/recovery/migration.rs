@@ -10,12 +10,12 @@ use imitator_cluster::NodeId;
 use imitator_engine::{
     CopyKind, EdgeLists, Episode, FullState, FullStateBatches, PosSet, VertexProgram,
 };
-use imitator_graph::Vid;
+use imitator_graph::{Vid, VidMap};
 use imitator_metrics::Stopwatch;
 
 use super::rounds::{AttemptCx, MIGRATION_ROUNDS};
 use super::Attempt;
-use crate::driver::{kind, ComputeModel, ModelGraph};
+use crate::driver::{kind, ComputeModel, ModelGraph, Shared, St};
 use crate::msg::{MirrorBatch, Promotion, ProtoMsg, ReplicaGrant};
 use crate::plan::responsible_mirror;
 use crate::report::RecoveryReport;
@@ -150,6 +150,28 @@ impl<'a> MigEnv<'a> {
     pub(super) fn promoted_from(&self, node: NodeId, old_pos: u32) -> Option<&Promotion> {
         let d = self.dead.iter().position(|&d| d == node)?;
         index_get(&self.vacated[d], old_pos, self.all)
+    }
+
+    /// R2's replica requests: every vertex of `vids` without a copy on `g`,
+    /// once, by the node that masters it now, in the order first named.
+    pub(crate) fn requests<M: ComputeModel>(
+        &self,
+        g: &M::Graph,
+        shared: &Shared<M>,
+        st: &St<M>,
+        vids: impl Iterator<Item = Vid>,
+    ) -> HashMap<NodeId, Vec<Vid>> {
+        let (mut requests, mut requested) = (HashMap::new(), VidMap::default());
+        for vid in vids {
+            if g.position(vid).is_none() && requested.insert(vid, ()).is_none() {
+                let owner = st.overlay.get(&vid).copied();
+                let owner = owner.unwrap_or_else(|| NodeId::new(shared.owners[vid.index()]));
+                let live = st.alive[owner.index()] && owner != self.me;
+                debug_assert!(live, "{vid} has no live master on another node");
+                requests.entry(owner).or_insert_with(Vec::new).push(vid);
+            }
+        }
+        requests
     }
 
     /// Where the master that a position-addressed table still places at
@@ -417,14 +439,8 @@ fn promote_and_purge<M: ComputeModel>(
         };
         match g.kind(pos) {
             CopyKind::Mirror if promotes() => promo_pos.push(pos),
-            CopyKind::Master => {
-                // Purging changes the tables iff some crashed node is in them.
-                let meta = g.full(pos);
-                let names = |d| meta.replica_nodes().contains(d) || meta.mirror_nodes().contains(d);
-                if dead.iter().any(names) {
-                    purge_pos.push(pos);
-                }
-            }
+            // Purging changes the tables iff some crashed node is in them.
+            CopyKind::Master if g.full(pos).names_any(dead) => purge_pos.push(pos),
             _ => {}
         }
     }

@@ -143,9 +143,7 @@ pub(super) fn reborn<M: ComputeModel>(
 ) -> M::Graph {
     let model = &shared.model;
     let mut lg = model.empty_graph(me);
-    for batch in batches {
-        model.place_reborn(&mut lg, batch, &shared.degrees);
-    }
+    model.place_reborn(&mut lg, batches.into_iter().collect(), &shared.degrees);
     for file in files {
         model.rebirth_reload_extra(&mut lg, &file);
     }

@@ -18,6 +18,7 @@ use imitator_engine::{
 };
 use imitator_graph::{gen, Edge, Graph, Vid};
 use imitator_partition::{EdgeCutPartitioner, HashEdgeCut, RandomVertexCut, VertexCutPartitioner};
+use imitator_storage::codec::Encode;
 use imitator_storage::{Dfs, DfsConfig};
 use proptest::prelude::*;
 
@@ -271,8 +272,9 @@ fn journal_is_proportional_to_the_change_set() {
         value_column(&survivors, std::mem::size_of::<(u32, u8)>()),
         (journal(standby.report), fallback),
         encoded.sum(),
-        // Measured: 537 340 B against 1 522 791 B, 35 %.
-        (2, 5),
+        // Measured: 537 340 B against 1 284 501 B, 42 % (35 % against
+        // 1 522 791 B while an in-edge also wrote its source's position).
+        (9, 20),
     );
 
     let cut = RandomVertexCut.partition(&g, NODES);
@@ -461,6 +463,69 @@ fn a_reborn_graph_equals_the_failure_free_one() {
             assert!(got == want, "K={tolerance}: the graph of {node} differs");
         }
     }
+}
+
+/// The bits of every vertex's value in `graphs`, read off its master, by
+/// vertex.
+fn master_bits(graphs: &[(NodeId, EcLocalGraph<RankValue>)]) -> Vec<(Vid, Vec<u8>)> {
+    let masters = graphs.iter().flat_map(|(_, lg)| {
+        let pos = lg.master_positions();
+        pos.map(move |pos| (lg.vid(pos), lg.value(pos).to_bytes()))
+    });
+    let mut bits: Vec<_> = masters.collect();
+    bits.sort_unstable_by_key(|&(vid, _)| vid);
+    bits
+}
+
+/// A rebuilt node wires a master's in-edges only once it has placed every
+/// copy: a master fed from copies placed after it — at higher positions, or
+/// from a later survivor's batch — resolves each source, named by vertex,
+/// through the complete index. The lost node holds such masters, and comes
+/// back equal to itself on the Rebirth newbie (from its survivors' batches)
+/// and from its metadata snapshot (the checkpoint standby's rebuild, and the
+/// graft's before it splices the partition in); a grafted run ends on the
+/// failure-free values, bit for bit.
+#[test]
+fn a_master_fed_from_later_positions_rebuilds_on_every_path() {
+    let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let (g, prog, lost) = (graph(), PageRank::default(), NodeId::from_index(1));
+    let ft = replication(1, RecoveryStrategy::Rebirth);
+    let (cut, degrees) = (HashEdgeCut.partition(&g, NODES), Degrees::of(&g));
+    let lg = build_edge_cut_graphs(&g, &cut, &load_plan(&g, &cut, ft), &prog, &degrees).remove(1);
+    let later = |pos| lg.in_edges(pos).iter().any(|&(src, _)| src > pos);
+    assert!(
+        lg.master_positions().any(later),
+        "no master is fed from above"
+    );
+
+    let (_, golden) = pagerank_graphs(ft, 0, vec![]);
+    let crashed = || vec![crash(1, 3, FailPoint::BeforeBarrier)];
+    let (episodes, reborn) = pagerank_graphs(ft, 1, crashed());
+    assert_eq!(episodes, ["rebirth"]);
+    assert!(
+        reborn[lost.index()] == golden[lost.index()],
+        "the newbie differs"
+    );
+
+    let ckpt = FtMode::Checkpoint {
+        interval: 2,
+        incremental: false,
+    };
+    let model = EcModel {
+        prog: Arc::new(prog),
+    };
+    let shared = shared(model, &g, NODES, ckpt);
+    assert!(
+        rebuilt(&shared, &lg, lost) == initial(&shared, &lg),
+        "the snapshot's rebuild differs"
+    );
+    let (_, clean) = pagerank_graphs(ckpt, 0, vec![]);
+    let (episodes, grafted) = pagerank_graphs(ckpt, 0, crashed());
+    assert_eq!(episodes, ["checkpoint→migration"]);
+    assert!(
+        master_bits(&grafted) == master_bits(&clean),
+        "the graft's values differ"
+    );
 }
 
 /// The state a run over `g` under `ft` shares among its nodes, on a DFS of
@@ -739,7 +804,7 @@ proptest! {
             // rewiring, not always the order the survivor appended them in.
             let mut want = initial(&shared_ec, lg);
             for pos in (0..lg.len() as u32).filter(|&pos| lg.kind(pos) == CopyKind::Mirror) {
-                let named = lg.exported(pos).replica_out_local_on(*node);
+                let named: Vec<u32> = lg.exported(pos).replica_out_local_on(*node).collect();
                 want.set_out_local(pos, &named);
             }
             prop_assert!(rebuilt(&shared_ec, lg, *node) == want);
@@ -940,10 +1005,88 @@ fn round_7_refreshes_only_what_round_5_left_dirty() {
 
 /// Runs `job` with `R7_TALLY` emptied first, and takes what it tallied.
 fn tallied<T>(job: impl FnOnce() -> T) -> (T, Vec<[usize; 6]>) {
-    R7_TALLY.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    tallied_in(&R7_TALLY, job)
+}
+
+/// Per survivor per attempt that reached round 2: the masters its R2
+/// visited, and the masters it held.
+static R2_TALLY: Mutex<Vec<[usize; 2]>> = Mutex::new(Vec::new());
+
+/// Tallies one R2 into [`R2_TALLY`].
+pub(crate) fn tally_r2(visited: usize, masters: usize) {
+    R2_TALLY
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .push([visited, masters]);
+}
+
+/// Runs `job` with `tally` emptied first, and takes what it tallied.
+fn tallied_in<E, T>(tally: &Mutex<Vec<E>>, job: impl FnOnce() -> T) -> (T, Vec<E>) {
+    tally.lock().unwrap_or_else(|e| e.into_inner()).clear();
     let out = job();
-    let tally = std::mem::take(&mut *R7_TALLY.lock().unwrap_or_else(|e| e.into_inner()));
-    (out, tally)
+    let taken = std::mem::take(&mut *tally.lock().unwrap_or_else(|e| e.into_inner()));
+    (out, taken)
+}
+
+/// Masters of `lg` whose tables name `node`: those a crash of `node` makes
+/// round 1 purge.
+fn naming(lg: &EcLocalGraph<u32>, node: NodeId) -> usize {
+    let names = |&pos: &u32| lg.locations(pos).unwrap().names_any(&[node]);
+    lg.master_positions().filter(names).count()
+}
+
+/// `items`, ascending.
+fn sorted(items: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut items: Vec<usize> = items.collect();
+    items.sort_unstable();
+    items
+}
+
+/// The masters each R2 of `tally` visited, ascending: survivors tally in
+/// the order their threads run.
+fn visits(tally: &[[usize; 2]]) -> Vec<usize> {
+    sorted(tally.iter().map(|&[visited, _]| visited))
+}
+
+/// Round 2 visits the masters the crash touched and none other: on each
+/// survivor of a Migration, those round 1 promoted and those whose tables
+/// named the dead node, fewer than the masters it holds; under the
+/// checkpoint fallback, which runs no round 1, those its own purge changed
+/// and those it grafted. (A debug build also holds every master it skipped
+/// to remote out-edges that name no crashed node.)
+#[test]
+fn round_2_visits_only_the_masters_the_crash_touched() {
+    let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let (g, dead) = (graph(), NodeId::from_index(1));
+    let plan = || vec![crash(1, 3, FailPoint::BeforeBarrier)];
+    let ft = replication(1, RecoveryStrategy::Migration);
+    let (run, tally) = tallied_in(&R2_TALLY, || run_ec(&g, NODES, ft, 0, plan()));
+    let promoted = &run.report.recoveries[0].promoted;
+    let want = run.graphs.iter().map(|(node, lg)| {
+        let here = lg.master_positions();
+        let here = here.filter(|&pos| promoted.contains(&lg.vid(pos)));
+        here.count() + naming(&run.loaded[node.index()], dead)
+    });
+    assert_eq!(visits(&tally), sorted(want), "migration");
+    assert!(
+        tally.iter().all(|&[visited, masters]| visited < masters),
+        "{tally:?}"
+    );
+
+    let ckpt = FtMode::Checkpoint {
+        interval: 2,
+        incremental: false,
+    };
+    let (run, tally) = tallied_in(&R2_TALLY, || run_ec(&g, NODES, ckpt, 0, plan()));
+    assert_eq!(run.report.recoveries[0].strategy, "checkpoint→migration");
+    // The first survivor adopts the one dead partition.
+    let grafted = |node: NodeId| match node.index() {
+        0 => run.loaded[dead.index()].num_masters(),
+        _ => 0,
+    };
+    let want = (run.graphs.iter())
+        .map(|(node, _)| naming(&run.loaded[node.index()], dead) + grafted(*node));
+    assert_eq!(visits(&tally), sorted(want), "checkpoint fallback");
 }
 
 /// The in-edges round 7 must ship when `dead` crash together: those of every

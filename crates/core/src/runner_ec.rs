@@ -13,9 +13,9 @@ use std::sync::Arc;
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
     ec_commit, ec_compute, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan, FullStateBatches,
-    FullStateRef, Locations, LocationsRef, RemoteEdge, VertexProgram,
+    FullStateRef, InEdge, InEdges, Locations, LocationsRef, RemoteEdge, VertexProgram,
 };
-use imitator_graph::{Graph, Vid, VidMap};
+use imitator_graph::{Graph, Vid};
 use imitator_metrics::{MemSize, Stopwatch};
 use imitator_partition::EdgeCut;
 use imitator_storage::codec::{Decode, Encode};
@@ -23,7 +23,7 @@ use imitator_storage::Dfs;
 
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
 use crate::msg::Promotion;
-use crate::msg::{RebirthBatch, ReplicaGrant, VertexSync};
+use crate::msg::{Batches, ReplicaGrant, VertexSync};
 use crate::plan::compute_ft_plan;
 use crate::recovery::{Adoption, Mig, MigEnv};
 use crate::report::RunReport;
@@ -106,7 +106,7 @@ pub(crate) struct EcModel<P: VertexProgram> {
 #[derive(Default)]
 pub(crate) struct EcMigExtra {
     pending_wire: Vec<u32>,
-    sources: Vec<(Vid, f32)>,
+    sources: Vec<InEdge>,
     /// Per promoted master, where its sources end.
     ends: Vec<usize>,
 }
@@ -264,32 +264,43 @@ where
         EcLocalGraph::empty(me)
     }
 
-    /// A master's in-edges and consumers are its full state's owner-local
-    /// lists, a mirror's consumers its full state's `out_remote` entries for
-    /// this node; only a plain replica's consumers ship on their own.
-    fn place_reborn(&self, lg: &mut Self::Graph, batch: RebirthBatch<P::Value>, degrees: &Degrees) {
-        lg.reserve_copies(batch.records.iter().map(|r| r.vid));
-        let (states, mut consumers) = (&batch.states, &batch.consumers[..]);
-        let (mut held, mut lens) = (Vec::with_capacity(states.len()), batch.replica_lists.iter());
-        for mut r in batch.records {
-            self.prog.derive(r.vid, &mut r.value, degrees);
-            let mut copy = EcVertex::new(r.vid, r.kind, r.master_node, r.value);
-            copy.last_activate = r.last_activate;
-            if r.kind == CopyKind::Replica {
-                let n = *lens.next().expect("a list per plain replica") as usize;
-                lg.insert_at(r.pos, copy, &[], &consumers[..n]);
-                consumers = &consumers[n..];
-                continue;
+    /// Every record is placed first, a master's consumers its full state's,
+    /// a mirror's its `out_remote` entries for this node; then each master's
+    /// in-edges are read off its run, each source found through the index.
+    fn place_reborn(&self, lg: &mut Self::Graph, batches: Batches<P::Value>, degrees: &Degrees) {
+        lg.reserve_copies(batches.iter().flat_map(|b| &b.records).map(|r| r.vid));
+        let mut stores = Vec::with_capacity(batches.len());
+        for batch in batches {
+            let (mut at, mut consumers) = (Vec::new(), &batch.consumers[..]);
+            let mut lens = batch.replica_lists.iter();
+            for mut r in batch.records {
+                self.prog.derive(r.vid, &mut r.value, degrees);
+                let mut copy = EcVertex::new(r.vid, r.kind, r.master_node, r.value);
+                copy.last_activate = r.last_activate;
+                if r.kind == CopyKind::Replica {
+                    let n = *lens.next().expect("a list per plain replica") as usize;
+                    lg.insert_at(r.pos, copy, consumers[..n].iter().copied());
+                    consumers = &consumers[n..];
+                    continue;
+                }
+                let state = batch.states.nth(at.len());
+                at.push(r.pos);
+                match r.kind {
+                    CopyKind::Master => lg.insert_at(r.pos, copy, state.out_local_owner.iter()),
+                    _ => lg.insert_at(r.pos, copy, state.replica_out_local_on(lg.node)),
+                }
             }
-            let state = states.nth(held.len());
-            held.push(r.pos);
-            let (in_edges, consumers) = match r.kind {
-                CopyKind::Master => state.owner_lists(),
-                _ => (Vec::new(), state.replica_out_local_on(lg.node)),
-            };
-            lg.insert_at(r.pos, copy, &in_edges, &consumers);
+            stores.push((at, batch.states, batch.lists));
         }
-        lg.adopt_full_states(&[(&held, states, &batch.lists)]);
+        for (at, states, _) in &stores {
+            for (i, &pos) in at.iter().enumerate() {
+                if lg.verts[pos as usize].is_master() {
+                    lg.set_in_edges_by_source(pos, states.nth(i).in_edges);
+                }
+            }
+        }
+        let adopted = stores.iter().map(|(at, s, lists)| (&at[..], s, &lists[..]));
+        lg.adopt_full_states(&adopted.collect::<Vec<_>>());
     }
 
     fn validate(&self, lg: &Self::Graph) {
@@ -353,7 +364,8 @@ where
 
     /// R2: fix position-addressed consumer tables against the promotion
     /// map, then request replicas of promoted masters' missing in-edge
-    /// sources.
+    /// sources. It visits the dirty set as it finds it, the masters R1 (or
+    /// the fallback's purge and graft) touched: no other names a dead node.
     fn migration_requests(
         &self,
         lg: &mut Self::Graph,
@@ -377,11 +389,22 @@ where
             let (node, pos) = (p.new_master, p.new_pos);
             (node != me).then_some(RemoteEdge { node, pos })
         };
+        let touched: Vec<u32> = mig.dirty_masters.iter().collect();
+        let lost = |pos| {
+            lg.exported(pos)
+                .out_remote
+                .iter()
+                .any(|r| env.dead.contains(&r.node))
+        };
+        debug_assert!(
+            !lg.master_positions()
+                .any(|pos| touched.binary_search(&pos).is_err() && lost(pos)),
+            "R2 skips a master that feeds a crashed node"
+        );
+        #[cfg(test)]
+        crate::recovery::tests::tally_r2(touched.len(), lg.num_masters());
         let mut remote: Vec<RemoteEdge> = Vec::new();
-        for pos in 0..lg.verts.len() as u32 {
-            if !lg.verts[pos as usize].is_master() {
-                continue;
-            }
+        for pos in touched {
             let promoted = pending.binary_search(&pos).is_ok();
             let stored = lg.stored_full_state(pos).expect("a master has full state");
             let mut moved = promoted;
@@ -396,8 +419,7 @@ where
                 let vacated = |old| env.relocated(p.old_node, old).expect("a vacated position");
                 let old = stored.out_local_owner.iter();
                 remote.extend(old.filter_map(|old| to_remote(vacated(old))));
-                let srcs = stored.in_edges.iter().map(|e| (e.src, e.weight));
-                extra.sources.extend(srcs);
+                extra.sources.extend(stored.in_edges.iter());
                 extra.ends.push(extra.sources.len());
             }
             if (moved && lg.set_out_remote(pos, &remote)) || promoted {
@@ -405,20 +427,7 @@ where
             }
         }
         // Replica requests for missing sources.
-        let mut requests: HashMap<NodeId, Vec<Vid>> = HashMap::new();
-        let mut requested: VidMap<()> = VidMap::default();
-        for &(src, _) in &extra.sources {
-            if lg.position(src).is_none() && requested.insert(src, ()).is_none() {
-                let owner = st
-                    .overlay
-                    .get(&src)
-                    .copied()
-                    .unwrap_or_else(|| NodeId::new(shared.owners[src.index()]));
-                debug_assert!(st.alive[owner.index()], "source {src} has no live master");
-                requests.entry(owner).or_default().push(src);
-            }
-        }
-        requests
+        env.requests(lg, shared, st, extra.sources.iter().map(|edge| edge.src))
     }
 
     fn place_granted(&self, lg: &mut Self::Graph, grant: ReplicaGrant<Self::Value>) -> u32 {
@@ -435,25 +444,20 @@ where
         let extra = &mig.extra;
         let starts = std::iter::once(0).chain(extra.ends.iter().copied());
         for ((&pos, start), &end) in extra.pending_wire.iter().zip(starts).zip(&extra.ends) {
-            let mut in_edges = Vec::with_capacity(end - start);
-            for &(src, w) in &extra.sources[start..end] {
-                let spos = lg
-                    .position(src)
-                    .expect("all sources local after grant placement");
-                in_edges.push((spos, w));
-                links.push((spos, pos));
-            }
+            // Every source is local after grant placement.
+            lg.set_in_edges_by_source(pos, InEdges::Slice(&extra.sources[start..end]));
+            let in_edges = lg.in_edges(pos);
+            links.extend(in_edges.iter().map(|&(spos, _)| (spos, pos)));
             mig.edges_recovered += in_edges.len() as u64;
             // Activation replay (§5.2.3): a promoted master is active iff
             // one of its in-neighbours' last committed scatter bits says so
             // — or, when resuming at iteration 0 (no committed scatter bits
             // yet), iff the program marks it initially active.
-            let active = in_edges
+            let fed = in_edges
                 .iter()
-                .any(|&(s, _)| lg.verts[s as usize].last_activate)
-                || (resume == 0 && self.prog.initially_active(lg.verts[pos as usize].vid));
-            lg.set_in_edges(pos, &in_edges);
-            lg.set_active(pos, active);
+                .any(|&(s, _)| lg.verts[s as usize].last_activate);
+            let initial = resume == 0 && self.prog.initially_active(lg.verts[pos as usize].vid);
+            lg.set_active(pos, fed || initial);
         }
         // Extend each source's consumer list once. A master's consumer list
         // is part of the full state its mirrors hold, so it goes dirty. The
@@ -542,7 +546,7 @@ where
                         lg.verts[new_pos as usize].value = dv.value.clone();
                     } else {
                         let master = EcVertex::new(dv.vid, CopyKind::Master, me, dv.value.clone());
-                        lg.insert_at(new_pos, master, &[], &[]);
+                        lg.insert_at(new_pos, master, []);
                     }
                     out_local.sort_unstable();
                     out_local.dedup();
@@ -581,7 +585,7 @@ where
                         let mut copy =
                             EcVertex::new(dv.vid, CopyKind::Replica, master_node, dv.value.clone());
                         copy.last_activate = dv.last_activate;
-                        lg.insert_at(new_pos, copy, &in_edges, &out_local);
+                        lg.insert_at(new_pos, copy, out_local);
                         if episode.contains(&master_node) {
                             out.orphans.push(new_pos);
                         } else {

@@ -16,7 +16,7 @@ use imitator_engine::{
     vc_apply, vc_commit, vc_partial_gather, CopyKind, Degrees, FtPlan, FullStateBatches,
     FullStateRef, Locations, LocationsRef, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
 };
-use imitator_graph::{Graph, Vid, VidMap};
+use imitator_graph::{Graph, Vid};
 use imitator_metrics::{CommKind, MemSize, Stopwatch};
 use imitator_partition::VertexCut;
 use imitator_storage::codec::{Decode, Encode};
@@ -24,7 +24,7 @@ use imitator_storage::{Dfs, Extent, WriteBehind};
 
 use crate::ckpt;
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
-use crate::msg::{Promotion, ProtoMsg, RebirthBatch, ReplicaGrant, VertexSync};
+use crate::msg::{Batches, Promotion, ProtoMsg, ReplicaGrant, VertexSync};
 use crate::plan::compute_ft_plan;
 use crate::recovery::{Adoption, Mig, MigEnv};
 use crate::report::RunReport;
@@ -307,17 +307,19 @@ where
         VcLocalGraph::empty(me)
     }
 
-    fn place_reborn(&self, lg: &mut Self::Graph, batch: RebirthBatch<P::Value>, degrees: &Degrees) {
-        lg.reserve_copies(batch.records.iter().map(|r| r.vid));
-        let mut held = Vec::with_capacity(batch.states.len());
-        for mut r in batch.records {
-            self.prog.derive(r.vid, &mut r.value, degrees);
-            if r.kind != CopyKind::Replica {
-                held.push(r.pos);
+    fn place_reborn(&self, lg: &mut Self::Graph, batches: Batches<P::Value>, degrees: &Degrees) {
+        for batch in batches {
+            lg.reserve_copies(batch.records.iter().map(|r| r.vid));
+            let mut held = Vec::with_capacity(batch.states.len());
+            for mut r in batch.records {
+                self.prog.derive(r.vid, &mut r.value, degrees);
+                if r.kind != CopyKind::Replica {
+                    held.push(r.pos);
+                }
+                lg.insert_at(r.pos, VcVertex::new(r.vid, r.kind, r.master_node, r.value));
             }
-            lg.insert_at(r.pos, VcVertex::new(r.vid, r.kind, r.master_node, r.value));
+            lg.adopt_full_states(&[(&held, &batch.states, &batch.lists)]);
         }
-        lg.adopt_full_states(&[(&held, &batch.states, &batch.lists)]);
     }
 
     /// A newbie reads the crashed node's edge-ckpt file whole; a survivor its
@@ -362,27 +364,10 @@ where
         mig: &mut Mig<VcMigExtra>,
         env: &MigEnv<'_>,
     ) -> HashMap<NodeId, Vec<Vid>> {
-        let me = env.me;
         let section = |f: &Arc<Vec<u8>>| ckpt::decode_edge_ckpt(f).expect("section decodes");
-        let adopted: Vec<(Vid, Vid, f32)> = env.files.iter().flat_map(section).collect();
-        let mut requests: HashMap<NodeId, Vec<Vid>> = HashMap::new();
-        let mut requested: VidMap<()> = VidMap::default();
-        for &(s, d, _) in &adopted {
-            for vid in [s, d] {
-                if lg.position(vid).is_none() && requested.insert(vid, ()).is_none() {
-                    let owner = st
-                        .overlay
-                        .get(&vid)
-                        .copied()
-                        .unwrap_or_else(|| NodeId::new(shared.owners[vid.index()]));
-                    debug_assert!(st.alive[owner.index()], "endpoint {vid} has no live master");
-                    debug_assert_ne!(owner, me);
-                    requests.entry(owner).or_default().push(vid);
-                }
-            }
-        }
-        mig.extra.adopted = adopted;
-        requests
+        mig.extra.adopted = env.files.iter().flat_map(section).collect();
+        let ends = mig.extra.adopted.iter().flat_map(|&(s, d, _)| [s, d]);
+        env.requests(lg, shared, st, ends)
     }
 
     fn place_granted(&self, lg: &mut Self::Graph, grant: ReplicaGrant<Self::Value>) -> u32 {

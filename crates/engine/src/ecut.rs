@@ -157,6 +157,12 @@ impl<V> CopyVids for Vec<EcVertex<V>> {
     }
 }
 
+impl<V> CopyVids for &[EcVertex<V>] {
+    fn vid_at(&self, pos: u32) -> Vid {
+        self[pos as usize].vid
+    }
+}
+
 /// One node's local partition under edge-cut.
 ///
 /// Vertices live in a position-stable array: recovery reproduces a crashed
@@ -333,11 +339,11 @@ impl<V> EcLocalGraph<V> {
     }
 
     /// The full state of the copy at `pos` as it would travel to another
-    /// node — a master's owner-local lists read from its own edge lists and
-    /// its in-edge sources through them, a mirror's from the store — or
-    /// `None` for a plain replica. A master's and its mirrors' compare equal
-    /// whenever the mirrors are up to date; [`FullStateRef::to_meta`] makes
-    /// it owned.
+    /// node — a master's consumers read from its own edge list and its
+    /// in-edges' sources through its own in-edges, a mirror's from the
+    /// store — or `None` for a plain replica. A master's and its mirrors'
+    /// compare equal whenever the mirrors are up to date;
+    /// [`FullStateRef::to_meta`] makes it owned.
     pub fn full_state(&self, pos: u32) -> Option<FullStateRef<'_>> {
         let v = &self.verts[pos as usize];
         let stored = self.full.get(v.meta?);
@@ -473,6 +479,26 @@ impl<V> EcLocalGraph<V> {
         self.note_copy_span(pos, 0, before);
     }
 
+    /// Replaces the in-edges of the copy at `pos` by `in_edges`, in their
+    /// order, each source read as the position of its copy here: how a
+    /// rebuild wires a master once it has placed every copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source has no copy here.
+    pub fn set_in_edges_by_source(&mut self, pos: u32, in_edges: InEdges<'_>) {
+        let (floor, index) = (self.hot_floor()[0], &self.index);
+        let v = &mut self.verts[pos as usize];
+        let (before, vid) = (v.in_edges, v.vid);
+        let local = in_edges.iter().map(|edge| {
+            let src = index.get(edge.src);
+            let src = src.unwrap_or_else(|| panic!("{} feeds {vid} but has no copy", edge.src));
+            (src, edge.weight)
+        });
+        self.hot_in.replace(&mut v.in_edges, local, floor);
+        self.note_copy_span(pos, 0, before);
+    }
+
     /// Replaces the positions the copy at `pos` feeds.
     pub fn set_out_local(&mut self, pos: u32, consumers: &[u32]) {
         let (floor, v) = (self.hot_floor()[1], &mut self.verts[pos as usize]);
@@ -509,9 +535,9 @@ impl<V> EcLocalGraph<V> {
     /// inserts them one at a time ([`EcLocalGraph::insert_at`]): the array
     /// grows once, and the index into a dense table wherever the loader's
     /// would be one.
-    pub fn reserve_copies(&mut self, vids: impl ExactSizeIterator<Item = Vid>) {
-        let copies = vids.len();
-        if let Some(max_vid) = vids.max() {
+    pub fn reserve_copies(&mut self, vids: impl Iterator<Item = Vid>) {
+        let (copies, max_vid) = vids.fold((0, None), |(n, max), vid| (n + 1, max.max(Some(vid))));
+        if let Some(max_vid) = max_vid {
             self.verts.reserve(copies);
             self.index.reserve(max_vid, copies);
         }
@@ -558,10 +584,12 @@ impl<V> EcLocalGraph<V> {
         self.full.weights()
     }
 
-    /// Inserts `vertex` at `pos` with the edge lists `in_edges` and
-    /// `out_local`, growing the array as needed (recovery path:
-    /// position-addressed, no reindexing of existing entries). Whatever
-    /// lists `vertex` had in the graph it was taken from are not taken over.
+    /// Inserts `vertex` at `pos` feeding `out_local`, without in-edges
+    /// ([`EcLocalGraph::set_in_edges`] and
+    /// [`EcLocalGraph::set_in_edges_by_source`] give a master its own),
+    /// growing the array as needed (recovery path: position-addressed, no
+    /// reindexing of existing entries). Whatever lists `vertex` had in the
+    /// graph it was taken from are not taken over.
     ///
     /// # Panics
     ///
@@ -570,8 +598,7 @@ impl<V> EcLocalGraph<V> {
         &mut self,
         pos: u32,
         vertex: EcVertex<V>,
-        in_edges: &[(u32, f32)],
-        out_local: &[u32],
+        out_local: impl IntoIterator<Item = u32>,
     ) where
         V: Clone,
     {
@@ -593,8 +620,8 @@ impl<V> EcLocalGraph<V> {
         );
         self.index.insert(vertex.vid, pos);
         self.verts[p] = EcVertex {
-            in_edges: self.hot_in.append(in_edges.iter().copied()),
-            out_local: self.hot_out.append(out_local.iter().copied()),
+            in_edges: Span::new(self.hot_in.0.len(), 0),
+            out_local: self.hot_out.append(out_local),
             ..vertex
         };
     }
@@ -807,7 +834,10 @@ pub fn build_edge_cut_graphs<P: VertexProgram>(
         "degree table size mismatch"
     );
     let parts = cut.num_parts();
-    let layout = Layout::new(parts, plan, |v| (cut.owner(v), cut.replica_parts(v)));
+    let mut layout = Layout::new(parts, plan, |v| (cut.owner(v), cut.replica_parts(v)));
+    // A node's copy list is its graph's vertices once the first pass has
+    // laid them out, and goes before the byte columns are allocated.
+    let copies = std::mem::take(&mut layout.copies);
     let (ends, weights) = edge_ends(g, cut);
     let loader = EcLoader {
         g,
@@ -833,7 +863,7 @@ pub fn build_edge_cut_graphs<P: VertexProgram>(
         remote: &remote,
         listed: &listed,
     };
-    let counted = per_node(vec![(); parts], |p, ()| loader.count(p, &ends, bytes));
+    let counted = per_node(copies, |p, copies| loader.count(p, copies, &ends, bytes));
     drop(listed);
     let (mut graphs, masters): (Vec<_>, Vec<_>) = counted.into_iter().unzip();
     loader.fill(&mut graphs, &masters, ends, &remote);
@@ -1058,11 +1088,11 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     fn count(
         &self,
         p: usize,
+        copies: Vec<Vid>,
         ends: &[Ends],
         bytes: Bytes<'_>,
     ) -> (EcLocalGraph<P::Value>, Masters) {
         let node = NodeId::from_index(p);
-        let copies = &self.layout.copies[p];
         let here = p as u16;
         let (uniform, mirrored) = (self.weights.uniform(), self.plan.is_enabled());
 
@@ -1092,12 +1122,13 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                 vert
             })
             .collect();
+        drop(copies);
         let num_slots = mirror_slots.start;
 
         // Count the consumers each copy feeds here, and each master's
         // [`Bytes`]. All are kept by vertex, so that the scan looks no
         // position up: a position's varint is sized off the copy list
-        // ([`Layout::pos_len`]).
+        // ([`Layout::pos_len`]), an in-edge names its source by vertex.
         let mut consumers = vec![0u32; self.g.num_vertices()];
         let weight = if uniform.is_some() { 0 } else { 4 };
         let mut remote_edges = 0u32;
@@ -1105,8 +1136,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             if ends.to == here {
                 consumers[e.src.index()] += 1;
                 if mirrored {
-                    let pos = self.layout.pos_len(p, e.src) + weight;
-                    count_bytes(bytes.listed, e.dst, pos + e.src.raw().size(None));
+                    count_bytes(bytes.listed, e.dst, weight + e.src.raw().size(None));
                     if ends.from == here {
                         count_bytes(bytes.listed, e.src, self.layout.pos_len(p, e.dst));
                     }
@@ -1128,7 +1158,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         full.rows.reserve_exact(num_slots);
         full.words.0.reserve_exact(master_words + mirror_words);
         let mut blocks = Vec::with_capacity(if mirrored { num_masters } else { 0 });
-        let mut held = vec![0; self.layout.copies.len()];
+        let mut held = vec![0; self.cut.num_parts()];
         let (mut ins, mut fed, mut runs, mut remote_out_edges) = (0, 0, 0, 0u32);
         for vert in &mut verts {
             let v = vert.vid;
@@ -1258,7 +1288,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         let work = nodes.into_iter().zip(regions).collect();
         per_node(work, |p, (mut node, regions)| {
             self.fill_node(p, &mut node, remote_at);
-            self.write_blocks(p, &node, &owners[p], regions);
+            self.write_blocks(&node, &owners[p], regions);
             self.fill_node_mirrors(p, node, owners);
         });
     }
@@ -1322,19 +1352,18 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         }
     }
 
-    /// Writes the block of each of node `p`'s mirrored masters — its
-    /// in-edges and consumers encoded from `node`'s columns, its remote
-    /// out-edges copied from its own block as a slice — into `regions`, one
-    /// per node: encoded into the first mirror's, copied into the others'.
+    /// Writes the block of each of `node`'s mirrored masters — its in-edges
+    /// and consumers encoded from the node's columns, each in-edge's source
+    /// named by the vertex of the copy it reads, its remote out-edges copied
+    /// from its own block as a slice — into `regions`, one per node: encoded
+    /// into the first mirror's, copied into the others'.
     fn write_blocks(
         &self,
-        p: usize,
         node: &NodeFill<'_, P::Value>,
         owner: &OwnerTables<'_>,
         mut regions: Vec<&mut [u8]>,
     ) {
-        let uniform = self.weights.uniform();
-        let copies = &self.layout.copies[p];
+        let (uniform, copies) = (self.weights.uniform(), &*node.verts);
         let masters = node.verts.iter().filter(|vert| vert.is_master());
         let slots = (owner.heads.iter().zip(node.master_rows)).zip(&owner.masters.blocks);
         for (vert, ((head, block), &size)) in masters.zip(slots) {
@@ -1348,7 +1377,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                 locations: tables,
                 in_edges: InEdges::Local {
                     edges: &node.hot_in[vert.in_edges.range()],
-                    copies,
+                    copies: &copies,
                 },
                 out_local_owner: List::Slice(&node.hot_out[vert.out_local.range()]),
                 out_remote: List::Run(Run::new(remote, None)),
@@ -1418,6 +1447,7 @@ mod tests {
     use super::*;
     use crate::episode::Episode;
     use crate::full_state::MasterMeta;
+    use crate::runs::InEdge;
     use imitator_graph::{gen, Ragged};
     use imitator_partition::{EdgeCutPartitioner, HashEdgeCut};
 
@@ -1581,10 +1611,85 @@ mod tests {
                     Some(stored.in_edges.len())
                 };
                 let mirrored: usize = (0..lg.len() as u32).filter_map(mirrored).sum();
-                assert_eq!(lg.full_state_entries().in_srcs, mirrored, "k={k}");
+                assert_eq!(lg.full_state_entries().in_edges, mirrored, "k={k}");
             }
             let planned = plan.mirror.num_items();
             assert!(mirrors > 0 && mirrors == planned, "k={k}");
+        }
+    }
+
+    /// A loader-built mirror's in-edge run is its count, then for each
+    /// in-edge its weight — in the per-edge layout only — and its source's
+    /// varint, nothing else: on a graph of one weight and on a weighted one,
+    /// and on the first after a list of another weight spread its store to
+    /// a weight per edge.
+    #[test]
+    fn a_mirrors_in_edge_run_is_weights_and_sources() {
+        let run_of = |owner: &EcLocalGraph<u64>, v: Vid, weighed: bool| {
+            let ins = owner.in_edges(owner.position(v).unwrap());
+            let mut run = Vec::new();
+            run.put_uvarint(ins.len() as u64);
+            for &(src, weight) in ins {
+                if weighed {
+                    run.extend_from_slice(&weight.to_le_bytes());
+                }
+                run.put_uvarint(u64::from(owner.verts[src as usize].vid.raw()));
+            }
+            run
+        };
+        let in_run = |lg: &EcLocalGraph<u64>, pos: u32| {
+            let state = lg.full.get(lg.verts[pos as usize].meta.unwrap());
+            let InEdges::Run(ins) = state.in_edges else {
+                unreachable!("a store holds runs");
+            };
+            ins.bytes().to_vec()
+        };
+        let mirrors = |lg: &EcLocalGraph<u64>| -> Vec<u32> {
+            let mirror = |&pos: &u32| lg.verts[pos as usize].kind == CopyKind::Mirror;
+            (0..lg.len() as u32).filter(mirror).collect()
+        };
+        let graphs = [
+            (gen::power_law(400, 2.0, 6, 3), true),
+            (gen::road_like(400, 5), false),
+        ];
+        for (g, unweighted) in graphs {
+            let cut = HashEdgeCut.partition(&g, 3);
+            let plan = mirrored_on_first_replicas(&g, &cut, 1);
+            let degrees = Degrees::of(&g);
+            let mut lgs = build_edge_cut_graphs(&g, &cut, &plan, &Count, &degrees);
+            for lg in &lgs {
+                assert_eq!(lg.full_state_weights().uniform().is_some(), unweighted);
+                for pos in mirrors(lg) {
+                    let (v, owner) = (
+                        lg.verts[pos as usize].vid,
+                        lg.verts[pos as usize].master_node,
+                    );
+                    let want = run_of(&lgs[owner.index()], v, !unweighted);
+                    assert_eq!(in_run(lg, pos), want, "{v} on {}", lg.node);
+                }
+            }
+            if !unweighted {
+                continue;
+            }
+            // One mirror's in-edges given another weight spread the store.
+            let lg = &mut lgs[0];
+            let held = mirrors(lg);
+            let first = *held
+                .iter()
+                .find(|&&pos| !in_run(lg, pos).starts_with(&[0]))
+                .unwrap();
+            let mut other = lg.full_state(first).unwrap().to_meta();
+            other.in_edges[0].weight = 0.5;
+            lg.set_full_state(first, other.view());
+            assert_eq!(lg.full_state_weights(), Weights::PerEdge);
+            let lg = &lgs[0];
+            for &pos in held.iter().filter(|&&pos| pos != first) {
+                let (v, owner) = (
+                    lg.verts[pos as usize].vid,
+                    lg.verts[pos as usize].master_node,
+                );
+                assert_eq!(in_run(lg, pos), run_of(&lgs[owner.index()], v, true), "{v}");
+            }
         }
     }
 
@@ -1614,8 +1719,8 @@ mod tests {
         }
     }
 
-    /// A master's slot holds none of the `(position, weight)`, source and
-    /// consumer entries its own edge lists already carry or name — its
+    /// A master's slot holds none of the in-edge and consumer entries its
+    /// own edge lists already carry or name — its
     /// block's first two runs are empty — and what it exports is still the
     /// full state a mirror stores: the sources are the edge list's, in its
     /// order.
@@ -1634,7 +1739,13 @@ mod tests {
                 assert!(stored.in_edges.is_empty() && stored.out_local_owner.is_empty());
                 blocks += 2 + stored.out_remote.run().unwrap().bytes().len();
                 let state = lg.full_state(pos).unwrap();
-                assert_eq!(state.in_edges.owner_local(), lg.in_edges(pos));
+                let weights = state.in_edges.iter().map(|edge| edge.weight.to_bits());
+                let own = lg
+                    .in_edges(pos)
+                    .iter()
+                    .map(|&(src, w)| (lg.verts[src as usize].vid, w));
+                assert!(weights.eq(own.clone().map(|(_, w)| w.to_bits())));
+                assert!(state.in_edges.srcs().eq(own.map(|(src, _)| src)));
                 assert_eq!(state.out_local_owner.to_vec(), lg.out_local(pos));
                 let v = lg.verts[pos as usize].vid;
                 let srcs = g.edges().iter().filter(|e| e.dst == v).map(|e| e.src);
@@ -1647,8 +1758,12 @@ mod tests {
     fn state(tag: u32, edges: usize) -> MasterMeta {
         MasterMeta {
             locations: Locations::new(tag, &[NodeId::new(tag)], &[tag], &[]),
-            in_edges_owner: (0..edges as u32).map(|i| (tag + i, i as f32)).collect(),
-            in_edge_srcs: (0..edges as u32).map(|i| Vid::new(tag * 100 + i)).collect(),
+            in_edges: (0..edges as u32)
+                .map(|i| InEdge {
+                    weight: i as f32,
+                    src: Vid::new(tag * 100 + i),
+                })
+                .collect(),
             out_local_owner: (0..edges as u32).map(|i| tag * 10 + i).collect(),
             out_remote: (0..edges as u32)
                 .map(|i| RemoteEdge {
@@ -1673,8 +1788,7 @@ mod tests {
                     kind,
                     ..copy(pos as u32)
                 },
-                &[],
-                &[],
+                [],
             );
             lg.set_full_state(pos as u32, meta.view());
         }
@@ -1807,7 +1921,7 @@ mod tests {
     fn an_episode_writes_changed_edge_lists_at_the_tail() {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(0));
         for pos in 0..3 {
-            lg.insert_at(pos, copy(pos), &[], &[]);
+            lg.insert_at(pos, copy(pos), []);
         }
         lg.set_in_edges(0, &[(1, 0.5), (2, 1.5)]);
         lg.set_in_edges(1, &[(0, 2.5)]);
@@ -1819,7 +1933,7 @@ mod tests {
         assert_eq!(lg.edge_list_lens(), (3, 3), "in place outside an episode");
         // An empty list sitting exactly at the column's end, as the loader
         // leaves one wherever a copy without consumers falls last.
-        lg.insert_at(3, copy(3), &[], &[]);
+        lg.insert_at(3, copy(3), []);
         assert_eq!(lg.verts[3].out_local, Span::new(3, 0));
 
         let before = lg.clone();
@@ -1904,7 +2018,7 @@ mod tests {
         let mut reversed: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(9));
         for pos in 0..3 {
             let v = pristine.verts[pos].clone();
-            reversed.insert_at(pos as u32, EcVertex { meta: None, ..v }, &[], &[]);
+            reversed.insert_at(pos as u32, EcVertex { meta: None, ..v }, []);
         }
         for pos in (0..3).rev() {
             reversed.set_full_state(pos, metas[pos as usize].view());
@@ -1936,8 +2050,8 @@ mod tests {
         assert!(stored.in_edges.is_empty() && stored.out_local_owner.is_empty());
         assert_eq!(stored.out_remote.to_vec(), state(4, 9).out_remote);
         let exported = lg.full_state(0).unwrap();
-        assert_eq!(exported.in_edges.owner_local(), [(2, 0.5)]);
-        assert!(exported.in_edges.srcs().eq([lg.verts[2].vid]));
+        let src = lg.verts[2].vid;
+        assert!(exported.in_edges.iter().eq([InEdge { weight: 0.5, src }]));
         lg.debug_validate();
     }
 
@@ -1971,9 +2085,15 @@ mod tests {
     fn insert_at_reproduces_layout() {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(0));
         let mk = copy;
-        lg.insert_at(2, mk(20), &[(0, 1.0)], &[]);
-        lg.insert_at(0, mk(5), &[], &[2, 2]);
-        lg.insert_at(1, mk(11), &[], &[]);
+        lg.insert_at(2, mk(20), []);
+        lg.insert_at(0, mk(5), [2, 2]);
+        lg.insert_at(1, mk(11), []);
+        // Sources are named by vertex, found where they were placed.
+        let by_source = [InEdge {
+            weight: 1.0,
+            src: Vid::new(5),
+        }];
+        lg.set_in_edges_by_source(2, InEdges::Slice(&by_source));
         assert_eq!(
             (lg.in_edges(2), lg.out_local(0)),
             (&[(0, 1.0)][..], &[2, 2][..])
@@ -1989,7 +2109,7 @@ mod tests {
     fn insert_at_conflict_panics() {
         let mut lg: EcLocalGraph<u64> = EcLocalGraph::empty(NodeId::new(0));
         let mk = copy;
-        lg.insert_at(0, mk(1), &[], &[]);
-        lg.insert_at(0, mk(2), &[], &[]);
+        lg.insert_at(0, mk(1), []);
+        lg.insert_at(0, mk(2), []);
     }
 }

@@ -14,7 +14,7 @@
 //! snapshotting or exporting walks dense memory.
 //!
 //! Every slot's row covers a *block* of the byte column: three edge lists
-//! — the in-edges with their sources, `out_local_owner` and `out_remote` —
+//! — the in-edges by source, `out_local_owner` and `out_remote` —
 //! as runs back to back ([`crate::runs`]), exactly the bytes a message
 //! carries for a record that carries all three, an empty list its count, 0.
 //! There is one form, so the store reads, writes and checks a slot without
@@ -26,9 +26,13 @@
 //! has read the mirror's in-edges and consumers off it to rewire the master
 //! and writes the block anew as a master's. Only recovery reads a
 //! block: it decodes a run as it reads it, and finds the second and third
-//! by the counts. How an in-edge run weighs its edges is the store's
-//! [`Weights`]: a graph all of whose edges weigh the same writes that
-//! weight nowhere.
+//! by the counts. An in-edge names its source once, by vertex, the form
+//! every reader resolves it from: Migration wires a promoted master's
+//! in-edges on a node where the old owner's positions mean nothing, and a
+//! rebuild places every copy of the node before it wires a master's
+//! in-edges through its own index. How an in-edge run weighs its edges is
+//! the store's [`Weights`]: a graph all of whose edges weigh the same
+//! writes that weight nowhere.
 //!
 //! A block is never written over: writing any of a slot's lists writes its
 //! whole block anew at the byte column's tail and repoints the span (the
@@ -82,7 +86,7 @@ pub struct RemoteEdge {
 
 /// Which vertex each copy of a local graph is a copy of, by position: what a
 /// master's in-edges — `(local source position, weight)` — are read through
-/// to name their sources.
+/// to name their sources when its full state leaves the graph.
 pub trait CopyVids {
     /// The vertex the copy at `pos` is a copy of.
     ///
@@ -90,13 +94,6 @@ pub trait CopyVids {
     ///
     /// Panics if the graph holds no copy there.
     fn vid_at(&self, pos: u32) -> Vid;
-}
-
-/// A node's copies as the loaders lay them out: the vertices, by position.
-impl CopyVids for Vec<Vid> {
-    fn vid_at(&self, pos: u32) -> Vid {
-        self[pos as usize]
-    }
 }
 
 /// One of two iterators, as one.
@@ -129,10 +126,11 @@ impl<T, A: ExactSizeIterator<Item = T>, B: ExactSizeIterator<Item = T>> ExactSiz
 {
 }
 
-/// A full state's in-edges — each the owner-local position of its source,
-/// its weight and the source vertex — however they are held. Migration
-/// rebuilds a promoted master's edges on a *different* node, where the
-/// owner-local positions mean nothing, from the sources (§5.2.1).
+/// A full state's in-edges — each its weight and its source vertex —
+/// however they are held. Whoever rebuilds the master's edges from them
+/// finds each source's position on its own node: Migration on a
+/// *different* node (§5.2.1), a rebuild on the same one, once it has
+/// placed every copy.
 ///
 /// A mirror keeps them, and a message carries them, as a run. A master keeps
 /// no sources: its in-edges name local copies, and each copy names its
@@ -140,14 +138,8 @@ impl<T, A: ExactSizeIterator<Item = T>, B: ExactSizeIterator<Item = T>> ExactSiz
 /// state leaves it.
 #[derive(Clone, Copy)]
 pub enum InEdges<'a> {
-    /// As a [`MasterMeta`] holds them: the `(position, weight)` pairs and,
-    /// parallel, the sources.
-    Split {
-        /// The in-edges, `(owner-local source position, weight)`.
-        edges: &'a [(u32, f32)],
-        /// Their sources.
-        srcs: &'a [Vid],
-    },
+    /// As a [`MasterMeta`] holds them.
+    Slice(&'a [InEdge]),
     /// A master's own in-edges, whose sources are the vertices of the copies
     /// they name.
     Local {
@@ -164,7 +156,8 @@ impl<'a> InEdges<'a> {
     /// How many in-edges there are.
     pub fn len(self) -> usize {
         match self {
-            InEdges::Split { edges, .. } | InEdges::Local { edges, .. } => edges.len(),
+            InEdges::Slice(edges) => edges.len(),
+            InEdges::Local { edges, .. } => edges.len(),
             InEdges::Run(run) => run.len(),
         }
     }
@@ -176,15 +169,14 @@ impl<'a> InEdges<'a> {
 
     /// The in-edges, in the order they fold.
     pub fn iter(self) -> impl ExactSizeIterator<Item = InEdge> + Clone + 'a {
-        let edge = |(pos, weight), src| InEdge { pos, weight, src };
         match self {
-            InEdges::Split { edges, srcs } => {
-                let split = edges.iter().zip(srcs);
-                Either::Left(Either::Left(split.map(move |(&e, &src)| edge(e, src))))
-            }
+            InEdges::Slice(edges) => Either::Left(Either::Left(edges.iter().copied())),
             InEdges::Local { edges, copies } => {
-                let local = edges.iter().map(move |&e| edge(e, copies.vid_at(e.0)));
-                Either::Left(Either::Right(local))
+                let edge = move |&(pos, weight): &(u32, f32)| InEdge {
+                    weight,
+                    src: copies.vid_at(pos),
+                };
+                Either::Left(Either::Right(edges.iter().map(edge)))
             }
             InEdges::Run(run) => Either::Right(run.entries()),
         }
@@ -195,19 +187,12 @@ impl<'a> InEdges<'a> {
         self.iter().map(|edge| edge.src)
     }
 
-    /// The `(owner-local position, weight)` pairs: the in-edges as a
-    /// master's own edge list holds them.
-    pub fn owner_local(self) -> Vec<(u32, f32)> {
-        self.iter().map(|edge| (edge.pos, edge.weight)).collect()
-    }
-
     /// The layout that writes these in-edges: a uniform run's own without
     /// reading it, decoded ones' without naming their sources.
     pub fn weights(self) -> Weights {
         match self {
-            InEdges::Split { edges, .. } | InEdges::Local { edges, .. } => {
-                Weights::of(edges.iter().map(|e| e.1))
-            }
+            InEdges::Slice(edges) => Weights::of(edges.iter().map(|e| e.weight)),
+            InEdges::Local { edges, .. } => Weights::of(edges.iter().map(|e| e.1)),
             InEdges::Run(run) if run.is_empty() => Weights::Unset,
             InEdges::Run(run) => run.uniform().map_or_else(
                 || Weights::of(self.iter().map(|e| e.weight)),
@@ -233,22 +218,19 @@ impl<'a> InEdges<'a> {
                     for (src, &(pos, _)) in srcs.iter_mut().zip(chunk) {
                         *src = copies.vid_at(pos);
                     }
-                    let edge = |(&(pos, weight), src)| InEdge { pos, weight, src };
+                    let edge = |(&(_, weight), src)| InEdge { weight, src };
                     chunk.iter().zip(srcs).map(edge)
                 });
                 append_list(len, sourced, uniform, out);
             }
-            InEdges::Split { .. } => append_list(len, self.iter(), uniform, out),
+            InEdges::Slice(edges) => append_list(len, edges.iter().copied(), uniform, out),
         }
     }
 }
 
 impl Default for InEdges<'_> {
     fn default() -> Self {
-        InEdges::Split {
-            edges: &[],
-            srcs: &[],
-        }
+        InEdges::Slice(&[])
     }
 }
 
@@ -357,12 +339,9 @@ impl<T: Entry + std::fmt::Debug> std::fmt::Debug for List<'_, T> {
 pub struct MasterMeta {
     /// Where the master and its copies live.
     pub locations: Locations,
-    /// The master's in-edges in owner-local `(source position, weight)`
-    /// form (edge-cut replicates edges into the mirror's full state, §4.3).
-    pub in_edges_owner: Vec<(u32, f32)>,
-    /// Global source IDs of the in-edges (parallel to `in_edges_owner`): see
-    /// [`InEdges`].
-    pub in_edge_srcs: Vec<Vid>,
+    /// The master's in-edges, by source (edge-cut replicates edges into the
+    /// mirror's full state, §4.3): see [`InEdges`].
+    pub in_edges: Vec<InEdge>,
     /// Owner-local positions of out-neighbours mastered on the owner.
     pub out_local_owner: Vec<u32>,
     /// Out-edges whose consumer is mastered remotely; grouped by node these
@@ -375,18 +354,15 @@ impl MasterMeta {
     pub fn view(&self) -> FullStateRef<'_> {
         FullStateRef {
             locations: self.locations.view(),
-            in_edges: InEdges::Split {
-                edges: &self.in_edges_owner,
-                srcs: &self.in_edge_srcs,
-            },
+            in_edges: InEdges::Slice(&self.in_edges),
             out_local_owner: List::Slice(&self.out_local_owner),
             out_remote: List::Slice(&self.out_remote),
         }
     }
 }
 
-/// Which of an edge-cut full state's three edge lists — the in-edges with
-/// their sources, `out_local_owner`, `out_remote` — a shipped record carries,
+/// Which of an edge-cut full state's three edge lists — the in-edges by
+/// source, `out_local_owner`, `out_remote` — a shipped record carries,
 /// as three bits. A Migration refresh (§5.2) carries the lists its episode
 /// changed and the location tables always; the receiver keeps the lists it
 /// is not sent.
@@ -396,7 +372,7 @@ pub struct EdgeLists(u8);
 impl EdgeLists {
     /// The location tables alone.
     pub const NONE: EdgeLists = EdgeLists(0);
-    /// The in-edges, `(owner-local position, weight)`, and their sources.
+    /// The in-edges, by source.
     pub const IN_EDGES: EdgeLists = EdgeLists(1);
     /// `out_local_owner`.
     pub const OUT_LOCAL: EdgeLists = EdgeLists(2);
@@ -450,8 +426,7 @@ impl<'a> FullStateRef<'a> {
     pub fn to_meta(&self) -> MasterMeta {
         MasterMeta {
             locations: self.locations.to_owned(),
-            in_edges_owner: self.in_edges.owner_local(),
-            in_edge_srcs: self.in_edges.srcs().collect(),
+            in_edges: self.in_edges.iter().collect(),
             out_local_owner: self.out_local_owner.to_vec(),
             out_remote: self.out_remote.to_vec(),
         }
@@ -485,20 +460,11 @@ impl<'a> FullStateRef<'a> {
 
     /// How many entries each of the edge lists holds.
     pub fn lens(&self) -> ColumnLens {
-        let in_edges = self.in_edges.len();
         ColumnLens {
-            in_edges,
-            in_srcs: in_edges,
+            in_edges: self.in_edges.len(),
             out_local: self.out_local_owner.len(),
             out_remote: self.out_remote.len(),
         }
-    }
-
-    /// The owner-local lists, decoded — the in-edges as `(position,
-    /// weight)`, then the consumers —: what a master rebuilt from this full
-    /// state keeps as its own edge lists.
-    pub fn owner_lists(&self) -> (Vec<(u32, f32)>, Vec<u32>) {
-        (self.in_edges.owner_local(), self.out_local_owner.to_vec())
     }
 
     /// Writes the run of `list`, one of the three, as a block holds it.
@@ -512,9 +478,9 @@ impl<'a> FullStateRef<'a> {
 
     /// Owner-local positions this vertex's replica on `node` feeds
     /// (used to rebuild a replica's `out_local` during recovery).
-    pub fn replica_out_local_on(&self, node: NodeId) -> Vec<u32> {
-        let feeds = self.out_remote.iter().filter(|r| r.node == node);
-        feeds.map(|r| r.pos).collect()
+    pub fn replica_out_local_on(&self, node: NodeId) -> impl Iterator<Item = u32> + 'a {
+        let feeds = self.out_remote.iter().filter(move |r| r.node == node);
+        feeds.map(|r| r.pos)
     }
 }
 
@@ -723,10 +689,8 @@ impl Head {
 /// store — holds: what a message announces ahead of a store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColumnLens {
-    /// `(position, weight)` in-edge entries (mirrors only).
+    /// In-edges, each its weight and source (mirrors only).
     pub in_edges: usize,
-    /// In-edge source IDs (mirrors only): one per in-edge.
-    pub in_srcs: usize,
     /// Owner-local consumer positions (mirrors only).
     pub out_local: usize,
     /// Remote out-edges.
@@ -734,16 +698,15 @@ pub struct ColumnLens {
 }
 
 impl ColumnLens {
-    /// Entries in the four lists together.
+    /// Entries in the three lists together.
     pub fn total(&self) -> usize {
-        self.in_edges + self.in_srcs + self.out_local + self.out_remote
+        self.in_edges + self.out_local + self.out_remote
     }
 }
 
 impl std::ops::AddAssign for ColumnLens {
     fn add_assign(&mut self, more: ColumnLens) {
         self.in_edges += more.in_edges;
-        self.in_srcs += more.in_srcs;
         self.out_local += more.out_local;
         self.out_remote += more.out_remote;
     }
@@ -1297,8 +1260,10 @@ mod tests {
 
         let edged = MasterMeta {
             locations: a.clone(),
-            in_edges_owner: vec![(3, 0.5)],
-            in_edge_srcs: vec![Vid::new(7)],
+            in_edges: vec![InEdge {
+                weight: 0.5,
+                src: Vid::new(7),
+            }],
             ..MasterMeta::default()
         };
         store.set(SlotId::from_index(1), edged.view(), EdgeLists::ALL);
@@ -1340,8 +1305,12 @@ mod tests {
         let n = weights.len() as u32;
         MasterMeta {
             locations: tables(tag, 2),
-            in_edges_owner: (0..n).map(|i| (tag + i, weights[i as usize])).collect(),
-            in_edge_srcs: (0..n).map(|i| Vid::new(tag * 100 + i)).collect(),
+            in_edges: (0..n)
+                .map(|i| InEdge {
+                    weight: weights[i as usize],
+                    src: Vid::new(tag * 100 + i),
+                })
+                .collect(),
             out_local_owner: (0..n).map(|i| tag * 10 + i).collect(),
             out_remote: (0..n)
                 .map(|i| RemoteEdge {

@@ -112,6 +112,14 @@ impl<'a> LocationsRef<'a> {
         Nodes(&self.words[2 * self.replicas..])
     }
 
+    /// Whether the tables name one of `nodes`, as a replica's node or a
+    /// mirror's: what purging `nodes` would change.
+    pub fn names_any(self, nodes: &[NodeId]) -> bool {
+        let named =
+            |n: &NodeId| self.replica_nodes().contains(n) || self.mirror_nodes().contains(n);
+        nodes.iter().any(named)
+    }
+
     /// The recorded position of this vertex's copy on `node`.
     pub fn replica_position_on(self, node: NodeId) -> Option<u32> {
         let i = self.replica_nodes().position(node)?;

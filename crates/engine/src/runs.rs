@@ -7,9 +7,10 @@
 //! A *run* is a list's count, then its entries, every integer an LEB128
 //! varint:
 //!
-//! * an in-edge: the owner-local position of its source, its weight (an
-//!   `f32`, little-endian) unless the run's [`Weights`] write none, and its
-//!   source's vertex ID;
+//! * an in-edge: its weight (an `f32`, little-endian) unless the run's
+//!   [`Weights`] write none, then its source's vertex ID — the source named
+//!   once, by vertex: a node that rebuilds the master from the run finds
+//!   where the source sits through its own index, once every copy is placed;
 //! * a consumer (`out_local_owner`): its owner-local position;
 //! * a remote out-edge: the consumer's node, then its position there.
 //!
@@ -89,12 +90,9 @@ impl Weights {
     }
 }
 
-/// One in-edge of a full state: the owner-local position of its source, its
-/// weight and its source's vertex ID.
+/// One in-edge of a full state: its weight and its source's vertex ID.
 #[derive(Debug, Clone, Copy)]
 pub struct InEdge {
-    /// The source's position on the master's node.
-    pub pos: u32,
     /// The edge's weight.
     pub weight: f32,
     /// The source vertex.
@@ -104,20 +102,20 @@ pub struct InEdge {
 /// In-edges are equal to the bit of their weight.
 impl PartialEq for InEdge {
     fn eq(&self, other: &Self) -> bool {
-        (self.pos, self.weight.to_bits(), self.src)
-            == (other.pos, other.weight.to_bits(), other.src)
+        (self.weight.to_bits(), self.src) == (other.weight.to_bits(), other.src)
     }
 }
 
-/// Room an entry is written into: an in-edge's two varints and weight take
-/// at most 14 bytes, and a varint is stored as eight bytes of which its
-/// length count ([`write_u32`]), so the last may reach 17 bytes in.
-const ENTRY_ROOM: usize = 24;
+/// Room an entry is written into: a remote out-edge's two varints take at
+/// most 10 bytes, an in-edge's weight and varint 9, and a varint is stored
+/// as eight bytes of which its length count ([`write_u32`]), so the last
+/// may reach 13 bytes in.
+const ENTRY_ROOM: usize = 16;
 
 /// An entry of a run: written and checked against the weight a uniform
 /// layout leaves out (`uniform`), which only an in-edge reads.
 pub trait Entry: Copy {
-    /// Writes the entry at the front of `buf`, which has room for 24
+    /// Writes the entry at the front of `buf`, which has room for 16
     /// bytes, and returns how many of them count.
     fn write(self, uniform: Option<f32>, buf: &mut [u8]) -> usize;
 
@@ -189,21 +187,20 @@ impl Entry for RemoteEdge {
 
 impl Entry for InEdge {
     fn write(self, uniform: Option<f32>, buf: &mut [u8]) -> usize {
-        let mut len = write_u32(buf, self.pos);
+        let mut len = 0;
         if uniform.is_none() {
-            buf[len..len + 4].copy_from_slice(&self.weight.to_le_bytes());
-            len += 4;
+            buf[..4].copy_from_slice(&self.weight.to_le_bytes());
+            len = 4;
         }
         len + write_u32(&mut buf[len..], self.src.raw())
     }
 
     fn size(self, uniform: Option<f32>) -> usize {
         let weight = if uniform.is_none() { 4 } else { 0 };
-        varint_len(self.pos) + weight + varint_len(self.src.raw())
+        weight + varint_len(self.src.raw())
     }
 
     fn take(bytes: &mut &[u8], uniform: Option<f32>) -> Result<InEdge, DecodeError> {
-        let pos = take_u32(bytes)?;
         let weight = match uniform {
             Some(w) => w,
             None => {
@@ -214,18 +211,17 @@ impl Entry for InEdge {
             }
         };
         let src = Vid::new(take_u32(bytes)?);
-        Ok(InEdge { pos, weight, src })
+        Ok(InEdge { weight, src })
     }
 
     fn read(bytes: &mut &[u8], uniform: Option<f32>) -> InEdge {
-        let pos = read_u32(bytes);
         let weight = uniform.unwrap_or_else(|| {
             let (weight, rest) = bytes.split_first_chunk::<4>().expect(CHECKED);
             *bytes = rest;
             f32::from_le_bytes(*weight)
         });
         let src = Vid::new(read_u32(bytes));
-        InEdge { pos, weight, src }
+        InEdge { weight, src }
     }
 }
 
@@ -322,15 +318,14 @@ fn varints_end(bytes: &[u8], at: usize, n: usize) -> usize {
 
 /// How many bytes the run at the front of `bytes` takes: its count, then
 /// that many entries of `varints` varints each — and, if `weighed`, a
-/// 4-byte weight after an entry's first —, skipped without decoding one.
+/// 4-byte weight ahead of each entry's varint —, skipped without decoding
+/// one.
 fn run_len(bytes: &[u8], varints: usize, weighed: bool) -> usize {
     let mut rest = bytes;
     let n = read_u32(&mut rest) as usize;
     let at = bytes.len() - rest.len();
     if weighed {
-        (0..n).fold(at, |at, _| {
-            varints_end(bytes, varints_end(bytes, at, 1) + 4, 1)
-        })
+        (0..n).fold(at, |at, _| varints_end(bytes, at + 4, varints))
     } else {
         varints_end(bytes, at, n * varints)
     }
@@ -343,7 +338,7 @@ pub(crate) fn split_block(block: &[u8], uniform: Option<f32>) -> [Run<'_>; 3] {
     if block.is_empty() {
         return [Run::new(block, uniform); 3];
     }
-    let ins = run_len(block, 2, uniform.is_none());
+    let ins = run_len(block, 1, uniform.is_none());
     let fed = ins + run_len(&block[ins..], 1, false);
     let run = |bytes| Run::new(bytes, uniform);
     [
@@ -468,12 +463,10 @@ mod tests {
     fn a_run_reads_back_what_was_written_in_either_layout() {
         let edges = [
             InEdge {
-                pos: 300,
                 weight: 0.5,
                 src: Vid::new(70_000),
             },
             InEdge {
-                pos: 0,
                 weight: 0.5,
                 src: Vid::new(u32::MAX),
             },
@@ -506,21 +499,21 @@ mod tests {
     }
 
     /// A block splits into the runs written back to back, empty ones
-    /// included, in either layout, and no bytes split into three empty runs.
+    /// included, in either layout, and no bytes split into three empty runs:
+    /// a weight whose bytes look like a varint's continuation is skipped.
     #[test]
     fn a_block_splits_by_its_counts() {
-        let edge = |pos, weight| InEdge {
-            pos,
-            weight,
-            src: Vid::new(pos * 1000),
+        let edge = |i: u32| InEdge {
+            weight: -1.5,
+            src: Vid::new(i * 300_000),
         };
-        let ins: Vec<InEdge> = (0..40).map(|i| edge(i * 300, 0.5)).collect();
+        let ins: Vec<InEdge> = (0..40).map(edge).collect();
         let fed: Vec<u32> = (0..19).map(|i| i << (i % 29)).collect();
         let remote = [RemoteEdge {
             node: NodeId::new(3),
             pos: 1 << 30,
         }];
-        for uniform in [None, Some(0.5)] {
+        for uniform in [None, Some(-1.5)] {
             for cut in [0, 1, 40] {
                 let mut block = run_of(&ins[..cut], uniform);
                 let at = [block.len()];
@@ -558,7 +551,48 @@ mod tests {
             Some(DecodeError::Corrupt("count exceeds input"))
         );
         assert!(refused(&[2, 1, 1, 1]).is_err(), "cut short");
-        assert!(take_run::<InEdge>(&mut Reader::new(&[1, 0, 0, 0, 0]), None).is_err());
+    }
+
+    /// An in-edge is its weight, unless the layout writes none, then its
+    /// source's varint: a weight cut short, a source missing or past `u32`
+    /// are refused in either layout, and nothing else is read.
+    #[test]
+    fn take_run_refuses_an_in_edge_no_writer_writes() {
+        let taken = |bytes: &[u8], uniform| {
+            let taken = take_run::<InEdge>(&mut Reader::new(bytes), uniform);
+            taken.map(|(run, n)| (run.bytes().len(), n))
+        };
+        let past_u32 = Some(DecodeError::Corrupt("varint exceeds u32"));
+        assert_eq!(taken(&[1, 0, 0, 0x80, 0x3F, 7], None), Ok((6, 1)));
+        assert!(taken(&[1, 0, 0, 0x80], None).is_err(), "weight cut short");
+        assert!(
+            taken(&[1, 0, 0, 0x80, 0x3F], None).is_err(),
+            "source missing"
+        );
+        let wide = [1, 0, 0, 0x80, 0x3F, 0xFF, 0xFF, 0xFF, 0xFF, 0x10];
+        assert_eq!(taken(&wide, None).err(), past_u32);
+        assert_eq!(taken(&[2, 7, 0x80, 1], Some(1.0)), Ok((4, 2)));
+        let wide = [1, 0xFF, 0xFF, 0xFF, 0xFF, 0x10];
+        assert_eq!(taken(&wide, Some(1.0)).err(), past_u32);
+        assert!(taken(&[1], Some(1.0)).is_err(), "source missing");
+    }
+
+    proptest::proptest! {
+        /// Bytes no writer wrote never panic the in-edge reader in either
+        /// layout, and what it takes is a prefix of them that reads back as
+        /// as many entries as it counted.
+        #[test]
+        fn hostile_in_edge_bytes_never_panic(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+            uniform in proptest::prelude::any::<bool>(),
+        ) {
+            let uniform = uniform.then_some(0.25);
+            if let Ok((run, n)) = take_run::<InEdge>(&mut Reader::new(&bytes), uniform) {
+                let edges: Vec<InEdge> = run.entries().collect();
+                proptest::prop_assert_eq!(edges.len(), n);
+                proptest::prop_assert_eq!(run.bytes(), &bytes[..run.bytes().len()]);
+            }
+        }
     }
 
     #[test]

@@ -254,9 +254,9 @@ impl<V> VcLocalGraph<V> {
 
     /// Makes room for copies of `vids` (see
     /// [`crate::EcLocalGraph::reserve_copies`]).
-    pub fn reserve_copies(&mut self, vids: impl ExactSizeIterator<Item = Vid>) {
-        let copies = vids.len();
-        if let Some(max_vid) = vids.max() {
+    pub fn reserve_copies(&mut self, vids: impl Iterator<Item = Vid>) {
+        let (copies, max_vid) = vids.fold((0, None), |(n, max), vid| (n + 1, max.max(Some(vid))));
+        if let Some(max_vid) = max_vid {
             self.verts.reserve(copies);
             self.index.reserve(max_vid, copies);
         }

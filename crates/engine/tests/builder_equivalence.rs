@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use imitator_cluster::NodeId;
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
-    FtPlan, FullState, FullStateRef, InEdges, Locations, MasterMeta, RemoteEdge, VcEdge,
+    FtPlan, FullState, FullStateRef, InEdge, InEdges, Locations, MasterMeta, RemoteEdge, VcEdge,
     VcLocalGraph, VcVertex, VertexProgram,
 };
 use imitator_graph::{gen, Edge, Graph, PosIndex, Ragged, Vid};
@@ -168,15 +168,14 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
         let locations = reference_locations(v, owner, cut.replica_parts(v), plan, &pos_maps);
         let mirror_nodes = plan.mirrors(v);
         let master_in_edges = &in_edges[owner][master_pos as usize];
-        let in_edge_srcs: Vec<Vid> = master_in_edges
-            .iter()
-            .map(|&(src, _)| graphs[owner].verts[src as usize].vid)
-            .collect();
+        let by_source = master_in_edges.iter().map(|&(src, weight)| InEdge {
+            weight,
+            src: graphs[owner].verts[src as usize].vid,
+        });
         let out_remote = std::mem::take(&mut out_remote_by_src[i]);
         let meta = MasterMeta {
             locations,
-            in_edges_owner: master_in_edges.clone(),
-            in_edge_srcs,
+            in_edges: by_source.collect(),
             out_local_owner: out_local[owner][master_pos as usize].clone(),
             out_remote,
         };
@@ -500,7 +499,7 @@ proptest! {
                     mirrors += 1;
                 }
             }
-            prop_assert_eq!(lg.full_state_entries().in_srcs, mirrored);
+            prop_assert_eq!(lg.full_state_entries().in_edges, mirrored);
         }
         prop_assert_eq!(mirrors, k * g.num_vertices());
     }

@@ -260,7 +260,7 @@ fn rollback_leaves_no_trace_in_any_store() {
                 mirror.then(|| lg.full_state(pos).unwrap().in_edges.len())
             };
             let mirrored: usize = (0..lg.len() as u32).filter_map(mirrored).sum();
-            assert_eq!(lg.full_state_entries().in_srcs, mirrored, "k={k}");
+            assert_eq!(lg.full_state_entries().in_edges, mirrored, "k={k}");
             assert_eq!(lg.full_state_weights(), before.full_state_weights());
             // The next attempt starts where this one did, and may keep its work.
             lg.begin_episode();
@@ -545,8 +545,7 @@ fn apply(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, edit: &Edit) {
             let now = lg.full_state(pos).unwrap().to_meta();
             let pick = |list| if lists.contains(list) { &sent } else { &held };
             assert_eq!(now.locations, sent.locations);
-            assert_eq!(now.in_edges_owner, pick(EdgeLists::IN_EDGES).in_edges_owner);
-            assert_eq!(now.in_edge_srcs, pick(EdgeLists::IN_EDGES).in_edge_srcs);
+            assert_eq!(now.in_edges, pick(EdgeLists::IN_EDGES).in_edges);
             assert_eq!(
                 now.out_local_owner,
                 pick(EdgeLists::OUT_LOCAL).out_local_owner

@@ -612,7 +612,12 @@ fn refactor_goldens_are_bit_identical() {
         /// ([`CKPT_GRAPH_CODEC`]). The vertex-cut cases' `ckpt` rose when a
         /// node's edge-ckpt files became one file, a section per receiver
         /// behind a table of their lengths, which under checkpoint FT also
-        /// groups the edges by receiver ([`VC_CKPT_FILE_PER_RECEIVER`]).
+        /// groups the edges by receiver ([`VC_CKPT_FILE_PER_RECEIVER`]). The
+        /// edge-cut Rebirth and Migration cases' `rec` and the edge-cut
+        /// checkpoint cases' `ckpt` fell when an in-edge of a batch or a
+        /// snapshot stopped writing its source's owner-local position beside
+        /// its vertex ID ([`EC_REC_WITH_POSITIONS`],
+        /// [`EC_CKPT_WITH_POSITIONS`]).
         new: GoldenBytes,
     }
     /// The edge-cut checkpoint cases' `ckpt` while a master's slot stored,
@@ -623,6 +628,25 @@ fn refactor_goldens_are_bit_identical() {
         ("s1_ckpt_inc_ec", 37820),
         ("s2_ckpt_ec", 76012),
         ("s2_ckpt_inc_ec", 70808),
+    ];
+    /// The edge-cut Rebirth and Migration cases' `rec` while every in-edge a
+    /// batch carried wrote its source's owner-local position beside its
+    /// vertex ID, and a store announced a fourth column total: what `rec`
+    /// pinned now must undercut.
+    const EC_REC_WITH_POSITIONS: [(&str, u64); 4] = [
+        ("s1_rebirth_ec", 8248),
+        ("s1_migration_ec", 10620),
+        ("s2_rebirth_ec", 38172),
+        ("s2_migration_ec", 93184),
+    ];
+    /// The edge-cut checkpoint cases' `ckpt` while every in-edge of a
+    /// metadata snapshot wrote its source's position too: what `ckpt`
+    /// pinned now must undercut.
+    const EC_CKPT_WITH_POSITIONS: [(&str, u64); 4] = [
+        ("s1_ckpt_ec", 31936),
+        ("s1_ckpt_inc_ec", 29924),
+        ("s2_ckpt_ec", 61220),
+        ("s2_ckpt_inc_ec", 56016),
     ];
     /// The checkpoint cases' `ckpt` while the `{ec,vc}/meta/<node>` snapshot
     /// was the graph codec's: what the edge-cut cases' pinned now must
@@ -750,7 +774,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xCDAD83957359282D,
             old: gb(22896, 324, 16368, 0),
-            new: gb(13768, 180, 8248, 0),
+            new: gb(13768, 180, 7456, 0),
         },
         Case {
             name: "s1_rebirth_vc",
@@ -774,7 +798,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x2335D791956AA589,
             old: gb(21024, 216, 58624, 0),
-            new: gb(12648, 120, 10620, 0),
+            new: gb(12648, 120, 9792, 0),
         },
         Case {
             name: "s1_migration_vc",
@@ -798,7 +822,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xB2490C13F3538AC5,
             old: gb(22572, 0, 0, 128156),
-            new: gb(13588, 0, 0, 31936),
+            new: gb(13588, 0, 0, 30320),
         },
         Case {
             name: "s1_ckpt_vc",
@@ -822,7 +846,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0xB2490C13F3538AC5,
             old: gb(22572, 0, 0, 127036),
-            new: gb(13588, 0, 0, 29924),
+            new: gb(13588, 0, 0, 28308),
         },
         Case {
             name: "s1_ckpt_inc_vc",
@@ -846,7 +870,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x4A211DE51DB6B0DD,
             old: gb(71100, 11628, 54528, 0),
-            new: gb(42212, 6704, 38172, 0),
+            new: gb(42212, 6704, 34340, 0),
         },
         Case {
             name: "s2_rebirth_vc",
@@ -870,7 +894,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x6DF80C08CDF4009D,
             old: gb(64980, 10908, 365280, 0),
-            new: gb(39132, 6384, 93184, 0),
+            new: gb(39132, 6384, 86168, 0),
         },
         Case {
             name: "s2_migration_vc",
@@ -894,7 +918,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x7BFA561A019A6BC5,
             old: gb(66132, 0, 0, 232992),
-            new: gb(39368, 0, 0, 61220),
+            new: gb(39368, 0, 0, 58324),
         },
         Case {
             name: "s2_ckpt_vc",
@@ -918,7 +942,7 @@ fn refactor_goldens_are_bit_identical() {
             edge_cut: true,
             sem: 0x7BFA561A019A6BC5,
             old: gb(66132, 0, 0, 229840),
-            new: gb(39368, 0, 0, 56016),
+            new: gb(39368, 0, 0, 53120),
         },
         Case {
             name: "s2_ckpt_inc_vc",
@@ -993,12 +1017,22 @@ fn refactor_goldens_are_bit_identical() {
                 bytes.ckpt
             );
         }
-        if let Some(was) = was(&EC_CKPT_WITH_SOURCES) {
+        for pins in [&EC_CKPT_WITH_SOURCES, &EC_CKPT_WITH_POSITIONS] {
+            if let Some(was) = was(pins) {
+                assert!(
+                    bytes.ckpt < was,
+                    "{}: ckpt payload {} must be strictly below {was}",
+                    c.name,
+                    bytes.ckpt
+                );
+            }
+        }
+        if let Some(was) = was(&EC_REC_WITH_POSITIONS) {
             assert!(
-                bytes.ckpt < was,
-                "{}: ckpt payload {} must be strictly below {was}",
+                bytes.rec < was,
+                "{}: recovery bytes {} must be strictly below {was}",
                 c.name,
-                bytes.ckpt
+                bytes.rec
             );
         }
         // The columnar codec is only allowed to *shrink* traffic.
