@@ -457,12 +457,14 @@ fn main() {
         println!("  {name:<28} {bytes:>14} B");
     }
     // Hand-rolled JSON (no serde in the sanctioned dependency list), one
-    // entry a line. `commit` stamps the tree the numbers were measured at.
+    // entry a line. `commit` stamps the tree the numbers were measured at:
+    // `git describe --always --dirty` names the commit, and a `-dirty`
+    // suffix says the working tree differed from it.
     // Every gauge but `hb_overhead_bytes` repeats exactly and is held by the
     // blocking CI bytes step; `scripts/check_mem_budget.sh` reads the two
     // `mem_` gauges off their lines.
     let commit = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
+        .args(["describe", "--always", "--dirty"])
         .output()
         .ok()
         .filter(|o| o.status.success())

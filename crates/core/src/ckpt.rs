@@ -190,8 +190,9 @@ pub(crate) fn meta_path(prefix: &str, node: NodeId) -> String {
 /// empty graph of its own node ([`ComputeModel::place_reborn`]), as a
 /// survivor's batch goes on the wire — every copy at its own position with
 /// its kind, scatter bit, master node and value, a plain replica with its
-/// consumers, a master and a mirror with its full state and all three edge
-/// lists. What a batch does not carry, a reader takes from elsewhere: the
+/// consumers by vertex, a master and a mirror with its full state and all
+/// three edge lists. What a batch does not carry, a reader takes from
+/// elsewhere: the
 /// activity bits from the initial state and the snapshot chain, a
 /// vertex-cut node's edges from its edge-ckpt files.
 pub(crate) fn encode_meta<M: ComputeModel>(model: &M, lg: &M::Graph) -> Vec<u8> {
@@ -209,7 +210,7 @@ pub(crate) fn encode_meta<M: ComputeModel>(model: &M, lg: &M::Graph) -> Vec<u8> 
         if kind == CopyKind::Replica {
             let consumers = lg.consumers(pos);
             batch.replica_lists.push(consumers.len() as u32);
-            batch.consumers.extend_from_slice(consumers);
+            batch.consumers.extend(consumers.iter().map(|&c| lg.vid(c)));
         } else {
             held.push((pos, EdgeLists::ALL));
         }
@@ -969,13 +970,36 @@ pub(crate) mod tests {
     /// without fault tolerance and with one and two mirrors a vertex: the
     /// items of every list, and their order, are pinned. What the snapshots
     /// wrote before, each a smaller one than the last, stays beside them:
-    /// while every in-edge also wrote its source's position, and what the
+    /// while a remote out-edge named its consumer's node and position, while
+    /// every in-edge also wrote its source's position, and what the
     /// graph codec wrote until a snapshot became the batch that rebuilds its
     /// graph (a batch writes every in-edge's source but a uniform weight
     /// once).
     #[test]
     fn loader_built_graphs_encode_to_the_recorded_bytes() {
         const RECORDED: [[(usize, u64); 4]; 3] = [
+            [
+                (0xfed9, 0xc3b5_becd_9bd1_76e1),
+                (0xfc72, 0x8428_afa0_30d4_2ab7),
+                (0x10628, 0x0a42_a0b3_d4aa_22fd),
+                (0x10069, 0x2060_1801_7cd7_9484),
+            ],
+            [
+                (0x180f4, 0x040a_577f_b842_a46d),
+                (0x17ddd, 0xefcf_4d29_bc39_79ad),
+                (0x1836b, 0xaa7e_5314_27d5_0cac),
+                (0x18267, 0xfcc5_7797_a7ca_5425),
+            ],
+            [
+                (0x21681, 0x5070_99bf_da38_53d1),
+                (0x219f3, 0x4fdf_90aa_e780_7cf0),
+                (0x2183c, 0xbf65_2d4e_8c50_08f3),
+                (0x21d2b, 0xf725_e120_6ab9_429f),
+            ],
+        ];
+        /// While a remote out-edge named its consumer by node and position
+        /// there, and a plain replica's consumer by its position.
+        const WITH_CONSUMER_POSITIONS: [[(usize, u64); 4]; 3] = [
             [
                 (0x10f79, 0x05f4_d4cf_bf3d_4f0f),
                 (0x10c64, 0x8bc6_73fa_cc6f_9966),
@@ -1052,7 +1076,12 @@ pub(crate) mod tests {
                 (bytes.len(), fnv(&bytes))
             });
             assert!(encoded.eq(recorded.iter().copied()), "K = {k}");
-            for before in [&WITH_POSITIONS[k], &GRAPH_CODEC[k]] {
+            let history = [
+                &WITH_CONSUMER_POSITIONS[k],
+                &WITH_POSITIONS[k],
+                &GRAPH_CODEC[k],
+            ];
+            for before in history {
                 assert!(
                     recorded.iter().zip(before).all(|(now, was)| now.0 < was.0),
                     "K = {k}: a snapshot grew"
@@ -1134,11 +1163,7 @@ pub(crate) mod tests {
                     if e.src == v && cut.owner(e.dst) == p {
                         want.out_local_owner.push(lg.position(e.dst).unwrap());
                     } else if e.src == v {
-                        let node = NodeId::from_index(cut.owner(e.dst));
-                        want.out_remote.push(RemoteEdge {
-                            node,
-                            pos: lgs[node.index()].position(e.dst).unwrap(),
-                        });
+                        want.out_remote.push(RemoteEdge { consumer: e.dst });
                     }
                 }
                 let (mut ours, mut theirs) = (Vec::new(), Vec::new());

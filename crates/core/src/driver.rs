@@ -119,7 +119,7 @@ pub(crate) trait ModelGraph: Episode + FullStateBatches {
     fn is_master(&self, pos: u32) -> bool {
         self.kind(pos) == CopyKind::Master
     }
-    /// The local consumers of the plain replica at `pos` (vertex-cut: none).
+    /// The local consumers of the copy at `pos` (vertex-cut: none).
     fn consumers(&self, _pos: u32) -> &[u32] {
         &[]
     }
@@ -374,11 +374,6 @@ pub(crate) fn run<M: ComputeModel>(
         cluster.comm_breakdown(),
     );
     report.suspicion = cluster.coordinator().suspicion_stats();
-    if cfg!(debug_assertions) {
-        if let FtMode::Replication { tolerance, .. } = cfg.ft {
-            check_mirrors::<M>(&graphs, tolerance, &shared.plan);
-        }
-    }
     // Where each vertex's master ended up: (graph, position).
     const NO_MASTER: (u32, u32) = (u32::MAX, 0);
     let mut masters = vec![NO_MASTER; num_vertices];
@@ -387,6 +382,11 @@ pub(crate) fn run<M: ComputeModel>(
             if lg.is_master(pos) {
                 masters[lg.vid(pos).index()] = (at as u32, pos);
             }
+        }
+    }
+    if cfg!(debug_assertions) {
+        if let FtMode::Replication { tolerance, .. } = cfg.ft {
+            check_mirrors::<M>(&graphs, &masters, tolerance, &shared.plan);
         }
     }
     report.values = masters
@@ -409,14 +409,21 @@ pub(crate) fn run<M: ComputeModel>(
 /// master's full state and value. Full state is compared as each side would
 /// export it ([`ModelGraph::full_state`]): the two store it differently.
 /// Selfish masters never sync (§4.4), so their mirrors' values are stale by
-/// design and are not compared. A remote out-edge names its other end by
-/// node and position alone, so each is followed: a live master sits there and
-/// has this vertex among its in-edge sources, as its own graph tells them.
+/// design and are not compared. Every edge between masters on two nodes is
+/// named once by a remote out-edge of its source's master, and every remote
+/// out-edge that does not name such an edge names a consumer mastered beside
+/// its source, which the source's master then feeds: `masters` says where
+/// each vertex's master is, by graph and position.
 ///
 /// # Panics
 ///
 /// Panics on the first violation.
-fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usize, plan: &FtPlan) {
+fn check_mirrors<M: ComputeModel>(
+    graphs: &[(NodeId, M::Graph)],
+    masters: &[(u32, u32)],
+    tolerance: usize,
+    plan: &FtPlan,
+) {
     let live = |n: NodeId| graphs.iter().find(|(id, _)| *id == n).map(|(_, lg)| lg);
     let want = tolerance.min(graphs.len().saturating_sub(1));
     // Bit equality of what ships, and the derived rest as printed: a NaN a
@@ -424,22 +431,39 @@ fn check_mirrors<M: ComputeModel>(graphs: &[(NodeId, M::Graph)], tolerance: usiz
     let same_bits = |a: &M::Value, b: &M::Value| {
         a.to_bytes() == b.to_bytes() && format!("{a:?}") == format!("{b:?}")
     };
-    // Every in-edge of every live master as (node, position, source), sorted.
-    let mut fed: Vec<(NodeId, u32, Vid)> = Vec::new();
-    for (node, lg) in graphs {
+    // Every edge between masters on two nodes as (source, consumer): as the
+    // sources' remote out-edges name them, and as the consumers fold them.
+    let (mut named, mut folded) = (Vec::new(), Vec::new());
+    for (at, (node, lg)) in graphs.iter().enumerate() {
         for pos in (0..lg.len() as u32).filter(|&p| lg.is_master(p)) {
-            let srcs = lg.exported(pos).in_edges.srcs();
-            fed.extend(srcs.map(|src| (*node, pos, src)));
+            let (vid, state) = (lg.vid(pos), lg.exported(pos));
+            for c in state.out_remote.iter().map(|r| r.consumer) {
+                match masters[c.index()] {
+                    (there, _) if there as usize != at => named.push((vid, c)),
+                    (_, fed) => assert!(
+                        lg.consumers(pos).contains(&fed),
+                        "{vid} on {node} skips {c}"
+                    ),
+                }
+            }
+            let srcs = state
+                .in_edges
+                .srcs()
+                .filter(|s| masters[s.index()].0 as usize != at);
+            folded.extend(srcs.map(|src| (src, vid)));
         }
     }
-    fed.sort_unstable();
+    named.sort_unstable();
+    folded.sort_unstable();
+    let at = named.iter().zip(&folded).position(|(a, b)| a != b);
+    let (a, b) = at.map_or((None, None), |i| (named.get(i), folded.get(i)));
+    assert!(
+        named == folded,
+        "remote edges named {a:?} where masters fold {b:?}"
+    );
     for (node, lg) in graphs {
         for pos in (0..lg.len() as u32).filter(|&p| lg.is_master(p)) {
             let vid = lg.vid(pos);
-            for r in lg.exported(pos).out_remote.iter() {
-                let fed_there = fed.binary_search(&(r.node, r.pos, vid)).is_ok();
-                assert!(fed_there, "{vid} on {node} feeds no live master at {r:?}");
-            }
             let meta = lg.full(pos);
             let selfish = plan.selfish.get(vid.index()).copied().unwrap_or(false);
             let mirrors = meta.mirror_nodes();

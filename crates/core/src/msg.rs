@@ -161,7 +161,9 @@ pub struct Reborn<V> {
 /// copies it recovers, what each plain replica among them feeds, and the
 /// full states of the masters and mirrors among them as one store — the
 /// form a mirror batch ships full state in. A master's in-edges and
-/// consumers, and a mirror's consumers, are read from its full state.
+/// consumers, and a mirror's consumers, are read from its full state; the
+/// newbie finds every source and consumer named by vertex through its own
+/// index once it has placed every record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RebirthBatch<V> {
     /// Iteration at which the cluster resumes after recovery.
@@ -174,9 +176,10 @@ pub struct RebirthBatch<V> {
     /// How many entries of `consumers` each plain replica record has, in
     /// record order.
     pub replica_lists: Vec<u32>,
-    /// The plain replicas' consumers — positions on the newbie, its
-    /// master's `out_remote` entries for the newbie — list after list.
-    pub consumers: Vec<u32>,
+    /// The plain replicas' consumers — its master's `out_remote` entries
+    /// naming a consumer mastered on the newbie, by vertex — list after
+    /// list.
+    pub consumers: Vec<Vid>,
     /// The full states of the master and mirror records, a slot each in
     /// record order (vertex-cut: location tables only).
     pub states: FullState,
@@ -251,9 +254,9 @@ fn dec_vids(r: &mut Reader<'_>) -> Result<Vec<Vid>, DecodeError> {
 /// count; the vertex-ID and position delta columns; a four-bit column of
 /// kind (two bits) | scatter bit; each record's master node and value; the
 /// plain replicas' consumer total, their list lengths — left out when the
-/// total is 0, as in every vertex-cut batch — and the consumers, a uvarint
-/// each as a full state's `out_local_owner` (a list's positions need not
-/// ascend, nor do lists follow one another's); then the store's slot count
+/// total is 0, as in every vertex-cut batch — and the consumers' vertex
+/// IDs, a uvarint each as a full state's `out_remote` (a list's IDs need
+/// not ascend, nor do lists follow one another's); then the store's slot count
 /// and the store as the engine writes it ([`StoreCodec::enc_states`]).
 pub(crate) fn enc_batch<V: Encode, G: StoreCodec, S: Sink>(b: &RebirthBatch<V>, out: &mut S) {
     enc_u64(b.resume_iter, out);
@@ -271,7 +274,7 @@ pub(crate) fn enc_batch<V: Encode, G: StoreCodec, S: Sink>(b: &RebirthBatch<V>, 
     if !b.consumers.is_empty() {
         b.replica_lists.iter().for_each(|&n| enc_u32(n, out));
     }
-    b.consumers.iter().for_each(|&pos| enc_u32(pos, out));
+    b.consumers.iter().for_each(|&vid| enc_u32(vid.raw(), out));
     enc_count(b.states.len(), out);
     G::enc_states(&b.states, &b.lists, out);
 }
@@ -313,7 +316,8 @@ pub(crate) fn dec_batch<V: Decode, G: StoreCodec>(
     if replica_lists.iter().map(|&n| u64::from(n)).sum::<u64>() != total as u64 {
         return Err(DecodeError::Corrupt("replica list totals"));
     }
-    let consumers = (0..total).map(|_| dec_u32(r)).collect::<Result<_, _>>()?;
+    let consumers = (0..total).map(|_| dec_u32(r).map(Vid::new));
+    let consumers = consumers.collect::<Result<_, _>>()?;
     let slots = records.len() - replicas;
     if dec_count(r)? != slots {
         return Err(DecodeError::Corrupt("store slots"));
@@ -788,8 +792,7 @@ mod tests {
             out_local_owner: (0..tag % 3).collect(),
             out_remote: (0..tag % 4)
                 .map(|i| RemoteEdge {
-                    node: NodeId::new(i),
-                    pos: tag * 7 + i,
+                    consumer: Vid::new(tag * 7 + i),
                 })
                 .collect(),
         }
@@ -947,7 +950,9 @@ mod tests {
             if kind != CopyKind::Replica {
                 state(seed % 50 + i, &mut batch.states, &mut batch.lists);
             } else if seed % 2 == 1 {
-                batch.consumers.extend((0..i % 4).map(|c| c * 9 + i));
+                batch
+                    .consumers
+                    .extend((0..i % 4).map(|c| Vid::new(c * 9 + i)));
                 batch.replica_lists.push(i % 4);
             } else {
                 batch.replica_lists.push(0);
@@ -1223,17 +1228,28 @@ mod tests {
     /// An edge-cut mirror batch — one record carrying every list, one its
     /// in-edges alone, one of them with a value — writes the pinned bytes in
     /// either weight layout: a byte for each of its four in-edges' sources
-    /// and a weight each in the per-edge layout, under three column totals.
-    /// Beside them, what it wrote while an in-edge also wrote its source's
-    /// owner-local position and a store announced a fourth total: a byte
-    /// more for each.
+    /// and a weight each in the per-edge layout, a byte for each of its two
+    /// remote out-edges' consumers, under three column totals. Beside them,
+    /// what it wrote while a remote out-edge also wrote its consumer's node
+    /// (a byte more for each), and before that, while an in-edge also wrote
+    /// its source's owner-local position and a store announced a fourth
+    /// total: a byte more for each again.
     #[test]
     fn an_edge_cut_mirror_batch_encodes_as_pinned() {
-        const UNIFORM: [u8; 48] = [
+        const UNIFORM: [u8; 46] = [
+            6, 1, 2, 0, 2, 8, 0, 0, 0, 0, 0, 0, 224, 191, 4, 1, 2, 23, 1, 0, 0, 128, 63, 10, 1, 2,
+            12, 1, 2, 2, 100, 101, 1, 0, 2, 70, 71, 11, 1, 2, 13, 1, 2, 2, 110, 111,
+        ];
+        const WEIGHED: [u8; 58] = [
+            6, 1, 2, 0, 2, 8, 0, 0, 0, 0, 0, 0, 224, 191, 4, 1, 2, 23, 0, 10, 1, 2, 12, 1, 2, 2, 0,
+            0, 128, 63, 100, 0, 0, 0, 64, 101, 1, 0, 2, 70, 71, 11, 1, 2, 13, 1, 2, 2, 0, 0, 0, 63,
+            110, 0, 0, 0, 63, 111,
+        ];
+        const UNIFORM_WITH_NODES: [u8; 48] = [
             6, 1, 2, 0, 2, 8, 0, 0, 0, 0, 0, 0, 224, 191, 4, 1, 2, 23, 1, 0, 0, 128, 63, 10, 1, 2,
             12, 1, 2, 2, 100, 101, 1, 0, 2, 0, 70, 1, 71, 11, 1, 2, 13, 1, 2, 2, 110, 111,
         ];
-        const WEIGHED: [u8; 60] = [
+        const WEIGHED_WITH_NODES: [u8; 60] = [
             6, 1, 2, 0, 2, 8, 0, 0, 0, 0, 0, 0, 224, 191, 4, 1, 2, 23, 0, 10, 1, 2, 12, 1, 2, 2, 0,
             0, 128, 63, 100, 0, 0, 0, 64, 101, 1, 0, 2, 0, 70, 1, 71, 11, 1, 2, 13, 1, 2, 2, 0, 0,
             0, 63, 110, 0, 0, 0, 63, 111,
@@ -1248,15 +1264,26 @@ mod tests {
             10, 0, 0, 128, 63, 100, 11, 0, 0, 0, 64, 101, 1, 0, 2, 0, 70, 1, 71, 11, 1, 2, 13, 1,
             2, 2, 11, 0, 0, 0, 63, 110, 12, 0, 0, 0, 63, 111,
         ];
-        for (weights, pinned, before) in [
-            (&[1.0f32; 4][..], &UNIFORM[..], &UNIFORM_WITH_POSITIONS[..]),
-            (&[1.0, 2.0, 0.5, 0.5], &WEIGHED, &WEIGHED_WITH_POSITIONS),
+        for (weights, pinned, nodes, before) in [
+            (
+                &[1.0f32; 4][..],
+                &UNIFORM[..],
+                &UNIFORM_WITH_NODES[..],
+                &UNIFORM_WITH_POSITIONS[..],
+            ),
+            (
+                &[1.0, 2.0, 0.5, 0.5],
+                &WEIGHED,
+                &WEIGHED_WITH_NODES,
+                &WEIGHED_WITH_POSITIONS,
+            ),
         ] {
             let mut batch = weighted_batch(weights);
             batch.values.push((1, -0.5));
             let msg = EcMsg::MirrorUpdate(Box::new(batch));
             assert_eq!(roundtrip(&msg), pinned, "{weights:?}");
-            assert_eq!(before.len(), pinned.len() + 4 + 1, "{weights:?}");
+            assert_eq!(nodes.len(), pinned.len() + 2, "{weights:?}");
+            assert_eq!(before.len(), nodes.len() + 4 + 1, "{weights:?}");
         }
     }
 
@@ -1370,7 +1397,7 @@ mod tests {
                 record(9, 4, CopyKind::Replica, 1),
             ],
             replica_lists: vec![2, 1],
-            consumers: vec![4, 1, 7],
+            consumers: [4, 1, 7].map(Vid::new).to_vec(),
             states: FullState::default(),
             lists: Vec::new(),
         };

@@ -59,17 +59,18 @@ pub(crate) struct Mig<X> {
 /// One entry per survivor per Migration attempt that reached R7: masters
 /// the attempt touched (dirty at some point, or given a mirror), those of
 /// them R5 took out of the dirty set and R7 did not re-mark, the refresh
-/// records R7 shipped and the in-edge, `out_local` and `out_remote` entries
-/// they carried.
+/// records R7 shipped, the in-edge, `out_local` and `out_remote` entries
+/// they carried, and the `out_remote` entries of those for masters R1 did
+/// not promote.
 #[cfg(test)]
-pub(super) static R7_TALLY: std::sync::Mutex<Vec<[usize; 6]>> = std::sync::Mutex::new(Vec::new());
+pub(super) static R7_TALLY: std::sync::Mutex<Vec<[usize; 7]>> = std::sync::Mutex::new(Vec::new());
 
 /// Read-only migration context handed to model hooks, with O(1) promotion
-/// lookups: an episode's R2 asks "did I promote the master at this
-/// position?" once per local master and "where did the consumer at this
-/// vacated position go?" once per consumer link into a crashed node, so
-/// both are dense tables of indices into the promotion lists rather than
-/// scans or hashed `(node, position)` keys.
+/// lookups: an episode's R2 asks "which promotion put the master at this
+/// position here?" once per master it promoted and "where did the consumer
+/// at this vacated position go?" once per consumer such a master had beside
+/// it on the crashed node, so both are dense tables of indices into the
+/// promotion lists rather than scans or hashed `(node, position)` keys.
 pub(crate) struct MigEnv<'a> {
     /// The crashed nodes.
     pub dead: &'a [NodeId],
@@ -164,8 +165,7 @@ impl<'a> MigEnv<'a> {
         let (mut requests, mut requested) = (HashMap::new(), VidMap::default());
         for vid in vids {
             if g.position(vid).is_none() && requested.insert(vid, ()).is_none() {
-                let owner = st.overlay.get(&vid).copied();
-                let owner = owner.unwrap_or_else(|| NodeId::new(shared.owners[vid.index()]));
+                let owner = st.master_of(&shared.owners, vid);
                 let live = st.alive[owner.index()] && owner != self.me;
                 debug_assert!(live, "{vid} has no live master on another node");
                 requests.entry(owner).or_insert_with(Vec::new).push(vid);
@@ -394,8 +394,11 @@ pub(super) fn migrate<M: ComputeModel>(
             let all: Vec<_> = refreshes.iter().flatten().map(|r| (r.0, r.1)).collect();
             let shipped = lg.export_full_states(&all).0.column_lens();
             let (ins, fed, remote) = (shipped.in_edges, shipped.out_local, shipped.out_remote);
+            let kept = all.iter().filter(|r| !mig.promoted.contains(&lg.vid(r.0)));
+            let kept = lg.export_full_states(&kept.copied().collect::<Vec<_>>());
+            let (touched, kept) = (dirty.len() + spared, kept.0.column_lens().out_remote);
             let mut tally = R7_TALLY.lock().unwrap_or_else(|e| e.into_inner());
-            tally.push([dirty.len() + spared, spared, records, ins, fed, remote]);
+            tally.push([touched, spared, records, ins, fed, remote, kept]);
         }
     })?;
 

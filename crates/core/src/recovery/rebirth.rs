@@ -81,9 +81,10 @@ fn reload_scan<M: ComputeModel>(
                 held[i].push((pos, EdgeLists::ALL));
             } else {
                 batch.records.push(record(pos, rpos, CopyKind::Replica));
-                let feeds = state.out_remote.iter().filter(|r| r.node == d);
+                let feeds = state.out_remote.iter().map(|r| r.consumer);
+                let feeds = feeds.filter(|&c| cx.st.master_of(&cx.shared.owners, c) == d);
                 let before = batch.consumers.len();
-                batch.consumers.extend(feeds.map(|r| r.pos));
+                batch.consumers.extend(feeds);
                 batch
                     .replica_lists
                     .push((batch.consumers.len() - before) as u32);

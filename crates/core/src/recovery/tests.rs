@@ -411,15 +411,16 @@ fn aborted_rebirth_restores_without_a_journal() {
     }
 }
 
-/// Edge-cut PageRank over [`graph`] on four nodes: the strategies of its
+/// Edge-cut PageRank over [`graph`] on `nodes` nodes: the strategies of its
 /// recoveries, and each live node's final graph, by node.
 fn pagerank_graphs(
+    nodes: usize,
     ft: FtMode,
     standbys: usize,
     failures: Vec<FailurePlan>,
 ) -> (Vec<String>, Vec<(NodeId, EcLocalGraph<RankValue>)>) {
     let (g, prog) = (graph(), PageRank::default());
-    let cut = HashEdgeCut.partition(&g, NODES);
+    let cut = HashEdgeCut.partition(&g, nodes);
     let degrees = Degrees::of(&g);
     let plan = load_plan(&g, &cut, ft);
     let lgs = build_edge_cut_graphs(&g, &cut, &plan, &prog, &degrees);
@@ -427,7 +428,7 @@ fn pagerank_graphs(
     let model = EcModel {
         prog: Arc::new(prog),
     };
-    let cfg = config(NODES, ft, standbys);
+    let cfg = config(nodes, ft, standbys);
     let dfs = Dfs::new(DfsConfig::instant());
     let (report, mut graphs) = driver::run(
         model,
@@ -454,9 +455,9 @@ fn a_reborn_graph_equals_the_failure_free_one() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     for (tolerance, dead) in [(1, &[1][..]), (2, &[1, 2])] {
         let ft = replication(tolerance, RecoveryStrategy::Rebirth);
-        let (_, golden) = pagerank_graphs(ft, 0, vec![]);
+        let (_, golden) = pagerank_graphs(NODES, ft, 0, vec![]);
         let crashes = dead.iter().map(|&n| crash(n, 3, FailPoint::BeforeBarrier));
-        let (episodes, reborn) = pagerank_graphs(ft, dead.len(), crashes.collect());
+        let (episodes, reborn) = pagerank_graphs(NODES, ft, dead.len(), crashes.collect());
         assert_eq!(episodes, ["rebirth"], "K={tolerance}");
         assert_eq!(reborn.len(), golden.len(), "K={tolerance}");
         for ((node, got), (_, want)) in reborn.iter().zip(&golden) {
@@ -498,9 +499,9 @@ fn a_master_fed_from_later_positions_rebuilds_on_every_path() {
         "no master is fed from above"
     );
 
-    let (_, golden) = pagerank_graphs(ft, 0, vec![]);
+    let (_, golden) = pagerank_graphs(NODES, ft, 0, vec![]);
     let crashed = || vec![crash(1, 3, FailPoint::BeforeBarrier)];
-    let (episodes, reborn) = pagerank_graphs(ft, 1, crashed());
+    let (episodes, reborn) = pagerank_graphs(NODES, ft, 1, crashed());
     assert_eq!(episodes, ["rebirth"]);
     assert!(
         reborn[lost.index()] == golden[lost.index()],
@@ -519,13 +520,80 @@ fn a_master_fed_from_later_positions_rebuilds_on_every_path() {
         rebuilt(&shared, &lg, lost) == initial(&shared, &lg),
         "the snapshot's rebuild differs"
     );
-    let (_, clean) = pagerank_graphs(ckpt, 0, vec![]);
-    let (episodes, grafted) = pagerank_graphs(ckpt, 0, crashed());
+    let (_, clean) = pagerank_graphs(NODES, ckpt, 0, vec![]);
+    let (episodes, grafted) = pagerank_graphs(NODES, ckpt, 0, crashed());
     assert_eq!(episodes, ["checkpoint→migration"]);
     assert!(
         master_bits(&grafted) == master_bits(&clean),
         "the graft's values differ"
     );
+}
+
+/// The skip rule, under PageRank, on six nodes. Nodes 1 and 2 crash
+/// together, and the one standby cannot cover both, so Migration promotes
+/// some consumer C onto node 0, which masters a master M that feeds C: M's
+/// remote out-edge naming C stays, skipped, and M's own consumers serve C.
+/// Node 0 crashes later, recovered by Migration (no standby) and by Rebirth
+/// (one). Either way M's new master feeds C exactly once an edge — through
+/// its consumers if C is mastered beside it, else through one remote
+/// out-edge an edge, and Migration puts some pairs on two nodes — and every
+/// value equals the failure-free run's to the bit.
+#[test]
+fn a_consumer_promoted_beside_its_source_is_fed_once_after_that_node_crashes() {
+    let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+    let (g, n, nodes) = (graph(), NodeId::from_index(0), 6);
+    let cut = HashEdgeCut.partition(&g, nodes);
+    let ft = replication(2, RecoveryStrategy::Rebirth);
+    let crashes = |later: &[FailurePlan]| {
+        let mut plan = vec![crash(1, 2, FailPoint::BeforeBarrier)];
+        plan.push(crash(2, 2, FailPoint::BeforeBarrier));
+        plan.extend_from_slice(later);
+        plan
+    };
+    let (_, golden) = pagerank_graphs(nodes, ft, 0, vec![]);
+    let (episodes, once) = pagerank_graphs(nodes, ft, 1, crashes(&[]));
+    assert_eq!(episodes, ["rebirth→migration"]);
+    // The edges M → C, M mastered on node 0 and C loaded elsewhere, that
+    // the first episode put on node 0 beside M.
+    let beside = g.edges().iter().filter(|e| {
+        let loaded = (cut.owner(e.src), cut.owner(e.dst));
+        loaded.0 == n.index() && loaded.1 != n.index() && master_of(&once, e.dst).0 == n
+    });
+    let mut pairs: Vec<(Vid, Vid)> = beside.map(|e| (e.src, e.dst)).collect();
+    pairs.dedup();
+    assert!(
+        !pairs.is_empty(),
+        "no consumer was promoted beside its source"
+    );
+    for &(m, c) in &pairs {
+        let (_, lg, pos) = master_of(&once, m);
+        let named = lg.exported(pos).out_remote.iter().any(|r| r.consumer == c);
+        assert!(named, "{m} no longer names {c}, which it feeds");
+    }
+    let later = [crash(0, 5, FailPoint::BeforeBarrier)];
+    for (standbys, second) in [(0, "rebirth→migration"), (1, "rebirth")] {
+        let (episodes, graphs) = pagerank_graphs(nodes, ft, standbys, crashes(&later));
+        assert_eq!(episodes, ["rebirth→migration", second]);
+        assert!(master_bits(&graphs) == master_bits(&golden), "{second}");
+        let mut apart = 0;
+        for &(m, c) in &pairs {
+            let edges = g
+                .edges()
+                .iter()
+                .filter(|e| (e.src, e.dst) == (m, c))
+                .count();
+            let ((mn, mg, mpos), (cn, _, cpos)) = (master_of(&graphs, m), master_of(&graphs, c));
+            let state = mg.exported(mpos);
+            let named = state.out_remote.iter().filter(|r| r.consumer == c).count();
+            let fed = mg.out_local(mpos).iter().filter(|&&p| p == cpos).count();
+            let feeds = if mn == cn { fed } else { named };
+            assert_eq!(feeds, edges, "{second}: {m} on {mn} feeds {c} on {cn}");
+            assert!(named <= edges, "{second}: {m} names {c} {named} times");
+            assert!(mn == cn || fed == 0, "{second}: {m} feeds {c} from afar");
+            apart += usize::from(mn != cn);
+        }
+        assert_eq!(apart > 0, second != "rebirth", "pairs Migration put apart");
+    }
 }
 
 /// The state a run over `g` under `ft` shares among its nodes, on a DFS of
@@ -650,15 +718,18 @@ fn a_rebuilt_graph_drops_dead_runs() {
     let degrees = Degrees::of(&g);
     let mut lg = build_edge_cut_graphs(&g, &cut, &plan, &MinLabel, &degrees).remove(1);
     let loaded = lg.full_state_lens();
-    // Grow every mirror's remote out-edges by one: each list is a new run at
-    // its column's tail and leaves its old run behind.
+    // Grow every mirror's remote out-edges by one, naming a consumer not
+    // mastered here: each list is a new run at its column's tail and leaves
+    // its old run behind.
     let mirrors: Vec<u32> = (0..lg.len() as u32)
         .filter(|&pos| lg.kind(pos) == CopyKind::Mirror)
         .collect();
     assert!(!mirrors.is_empty());
     for &pos in &mirrors {
         let mut grown = lg.full_state(pos).unwrap().to_meta();
-        grown.out_remote.push(RemoteEdge::default());
+        grown.out_remote.push(RemoteEdge {
+            consumer: lg.vid(pos),
+        });
         lg.set_full_state(pos, grown.view());
     }
     let live = lg.live_full_state_lens();
@@ -804,8 +875,8 @@ proptest! {
             // rewiring, not always the order the survivor appended them in.
             let mut want = initial(&shared_ec, lg);
             for pos in (0..lg.len() as u32).filter(|&pos| lg.kind(pos) == CopyKind::Mirror) {
-                let named: Vec<u32> = lg.exported(pos).replica_out_local_on(*node).collect();
-                want.set_out_local(pos, &named);
+                let named = lg.exported(pos).out_remote.iter().map(|r| r.consumer);
+                want.set_out_local_by_consumer(pos, named);
             }
             prop_assert!(rebuilt(&shared_ec, lg, *node) == want);
         }
@@ -832,10 +903,10 @@ fn copies_of(graphs: &[(NodeId, EcLocalGraph<u32>)], vid: Vid) -> Vec<(NodeId, u
 }
 
 /// The master of `vid` among the final graphs: `(node, graph, position)`.
-fn master_of(
-    graphs: &[(NodeId, EcLocalGraph<u32>)],
+fn master_of<V: Clone>(
+    graphs: &[(NodeId, EcLocalGraph<V>)],
     vid: Vid,
-) -> (NodeId, &EcLocalGraph<u32>, u32) {
+) -> (NodeId, &EcLocalGraph<V>, u32) {
     graphs
         .iter()
         .find_map(|(n, lg)| {
@@ -981,8 +1052,10 @@ fn second_migration_promotes_mirrors_the_first_one_designated() {
 /// masters the episode touched minus those round 5 fully re-mirrored (and
 /// round 7 did not re-mark) — and round 5 does spare some. No in-edge
 /// travels: a master that keeps a mirror from before the episode was not
-/// promoted in it, and in-edges change only by promotion. The consumer lists
-/// the episode extended or rewrote do.
+/// promoted in it, and in-edges change only by promotion. Nor does a remote
+/// out-edge of a master round 1 did not promote: it names its consumer by
+/// vertex, wherever the crash moved it. The consumer lists the episode
+/// extended do.
 #[test]
 fn round_7_refreshes_only_what_round_5_left_dirty() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -993,10 +1066,14 @@ fn round_7_refreshes_only_what_round_5_left_dirty() {
         assert_eq!(r.recoveries.len(), 1);
         assert_eq!(tally.len(), NODES - 1, "one entry per survivor");
         let mut lists = 0;
-        for [touched, spared, records, ins, fed, remote] in tally {
+        for [touched, spared, records, ins, fed, remote, kept] in tally {
             assert!(spared > 0, "edge_cut={edge_cut}: round 5 spared nobody");
             assert_eq!(records, touched - spared, "edge_cut={edge_cut}");
             assert_eq!(ins, 0, "edge_cut={edge_cut}: round 7 shipped in-edges");
+            assert_eq!(
+                kept, 0,
+                "edge_cut={edge_cut}: an unpromoted master's remote out-edges"
+            );
             lists += fed + remote;
         }
         assert_eq!(lists > 0, edge_cut, "consumer lists shipped");
@@ -1004,7 +1081,7 @@ fn round_7_refreshes_only_what_round_5_left_dirty() {
 }
 
 /// Runs `job` with `R7_TALLY` emptied first, and takes what it tallied.
-fn tallied<T>(job: impl FnOnce() -> T) -> (T, Vec<[usize; 6]>) {
+fn tallied<T>(job: impl FnOnce() -> T) -> (T, Vec<[usize; 7]>) {
     tallied_in(&R7_TALLY, job)
 }
 
@@ -1048,12 +1125,12 @@ fn visits(tally: &[[usize; 2]]) -> Vec<usize> {
     sorted(tally.iter().map(|&[visited, _]| visited))
 }
 
-/// Round 2 visits the masters the crash touched and none other: on each
-/// survivor of a Migration, those round 1 promoted and those whose tables
-/// named the dead node, fewer than the masters it holds; under the
-/// checkpoint fallback, which runs no round 1, those its own purge changed
-/// and those it grafted. (A debug build also holds every master it skipped
-/// to remote out-edges that name no crashed node.)
+/// Round 2 visits the masters round 1 promoted and none other: on each
+/// survivor of a Migration, as many as it promoted, fewer than the masters
+/// it holds; under the checkpoint fallback, which runs no round 1, none. A
+/// master that only lost a mirror, or feeds a consumer the crash moved, keeps
+/// its block: its remote out-edges name their consumers by vertex. (A debug
+/// build holds every run's remote out-edges to the edges its masters fold.)
 #[test]
 fn round_2_visits_only_the_masters_the_crash_touched() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -1062,12 +1139,15 @@ fn round_2_visits_only_the_masters_the_crash_touched() {
     let ft = replication(1, RecoveryStrategy::Migration);
     let (run, tally) = tallied_in(&R2_TALLY, || run_ec(&g, NODES, ft, 0, plan()));
     let promoted = &run.report.recoveries[0].promoted;
-    let want = run.graphs.iter().map(|(node, lg)| {
+    let want = run.graphs.iter().map(|(_, lg)| {
         let here = lg.master_positions();
-        let here = here.filter(|&pos| promoted.contains(&lg.vid(pos)));
-        here.count() + naming(&run.loaded[node.index()], dead)
+        here.filter(|&pos| promoted.contains(&lg.vid(pos))).count()
     });
     assert_eq!(visits(&tally), sorted(want), "migration");
+    assert!(visits(&tally).iter().all(|&n| n > 0), "{tally:?}");
+    let purged = run.graphs.iter();
+    let purged = purged.map(|(node, _)| naming(&run.loaded[node.index()], dead));
+    assert!(purged.sum::<usize>() > 0, "no master lost a mirror");
     assert!(
         tally.iter().all(|&[visited, masters]| visited < masters),
         "{tally:?}"
@@ -1079,14 +1159,7 @@ fn round_2_visits_only_the_masters_the_crash_touched() {
     };
     let (run, tally) = tallied_in(&R2_TALLY, || run_ec(&g, NODES, ckpt, 0, plan()));
     assert_eq!(run.report.recoveries[0].strategy, "checkpoint→migration");
-    // The first survivor adopts the one dead partition.
-    let grafted = |node: NodeId| match node.index() {
-        0 => run.loaded[dead.index()].num_masters(),
-        _ => 0,
-    };
-    let want = (run.graphs.iter())
-        .map(|(node, _)| naming(&run.loaded[node.index()], dead) + grafted(*node));
-    assert_eq!(visits(&tally), sorted(want), "checkpoint fallback");
+    assert_eq!(visits(&tally), [0, 0, 0], "checkpoint fallback");
 }
 
 /// The in-edges round 7 must ship when `dead` crash together: those of every
@@ -1153,7 +1226,7 @@ fn a_crash_after_partial_refreshes_rolls_back_and_retries() {
     // Four survivors tallied the aborted attempt, three the retry.
     assert_eq!(tally.len(), 4 + 3);
     let (aborted, retry) = tally.split_at(4);
-    let ins = |tally: &[[usize; 6]]| tally.iter().map(|t| t[3]).sum::<usize>();
+    let ins = |tally: &[[usize; 7]]| tally.iter().map(|t| t[3]).sum::<usize>();
     let [first, both] = [vec![1], vec![1, 2]]
         .map(|dead| dead.into_iter().map(NodeId::from_index).collect::<Vec<_>>());
     assert_eq!(ins(aborted), promoted_in_edges(&run.loaded, &first));

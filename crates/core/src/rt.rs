@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use imitator_cluster::{Envelope, NodeId};
-use imitator_graph::VidMap;
+use imitator_graph::{Vid, VidMap};
 use imitator_metrics::{CommBreakdown, CommStats, PhaseTimes, Stopwatch};
 use imitator_storage::WriteBehind;
 
@@ -70,6 +70,13 @@ impl<M> NodeState<M> {
             mirror_assign: vec![0; num_nodes],
             persist: None,
         }
+    }
+
+    /// The node that masters `vid` now, as this node knows it: where
+    /// Migration last promoted it, or where the load put it (`owners`).
+    pub(crate) fn master_of(&self, owners: &[u32], vid: Vid) -> NodeId {
+        let promoted = self.overlay.get(&vid).copied();
+        promoted.unwrap_or_else(|| NodeId::new(owners[vid.index()]))
     }
 
     /// Blocks until what this node persists behind its supersteps is on the

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use imitator_cluster::{BarrierOutcome, FailurePlan, NodeId};
 use imitator_engine::{
     ec_commit, ec_compute, CopyKind, Degrees, EcLocalGraph, EcVertex, FtPlan, FullStateBatches,
-    FullStateRef, InEdge, InEdges, Locations, LocationsRef, RemoteEdge, VertexProgram,
+    FullStateRef, InEdge, InEdges, List, Locations, LocationsRef, RemoteEdge, VertexProgram,
 };
 use imitator_graph::{Graph, Vid};
 use imitator_metrics::{MemSize, Stopwatch};
@@ -101,8 +101,9 @@ pub(crate) struct EcModel<P: VertexProgram> {
 /// Migration state the generic rounds don't know about: the masters this
 /// node promoted, ascending, each keeping the block its mirror held until
 /// R2 reads it — the old owner's co-located consumers (positions on the
-/// crashed node) become remote links, and the in-edges by source are kept
-/// here, back to back, to be wired in R4 after grant placement.
+/// crashed node) become remote out-edges by vertex, and the in-edges by
+/// source are kept here, back to back, to be wired in R4 after grant
+/// placement.
 #[derive(Default)]
 pub(crate) struct EcMigExtra {
     pending_wire: Vec<u32>,
@@ -264,42 +265,48 @@ where
         EcLocalGraph::empty(me)
     }
 
-    /// Every record is placed first, a master's consumers its full state's,
-    /// a mirror's its `out_remote` entries for this node; then each master's
-    /// in-edges are read off its run, each source found through the index.
+    /// Every record is placed first, a master with its full state's
+    /// consumers; then each master's in-edges are read off its run, and each
+    /// other copy's consumers off its batch (a plain replica's) or its remote
+    /// out-edges (a mirror's), every source and consumer found through the
+    /// index, a consumer mastered elsewhere skipped.
     fn place_reborn(&self, lg: &mut Self::Graph, batches: Batches<P::Value>, degrees: &Degrees) {
         lg.reserve_copies(batches.iter().flat_map(|b| &b.records).map(|r| r.vid));
-        let mut stores = Vec::with_capacity(batches.len());
-        for batch in batches {
-            let (mut at, mut consumers) = (Vec::new(), &batch.consumers[..]);
-            let mut lens = batch.replica_lists.iter();
-            for mut r in batch.records {
+        let mut placed = Vec::with_capacity(batches.len());
+        for mut batch in batches {
+            // The positions of the records with full state, slot by slot,
+            // and of the plain replicas.
+            let (mut slots, mut replicas) = (Vec::new(), Vec::new());
+            for mut r in std::mem::take(&mut batch.records) {
                 self.prog.derive(r.vid, &mut r.value, degrees);
                 let mut copy = EcVertex::new(r.vid, r.kind, r.master_node, r.value);
                 copy.last_activate = r.last_activate;
-                if r.kind == CopyKind::Replica {
-                    let n = *lens.next().expect("a list per plain replica") as usize;
-                    lg.insert_at(r.pos, copy, consumers[..n].iter().copied());
-                    consumers = &consumers[n..];
-                    continue;
-                }
-                let state = batch.states.nth(at.len());
+                let (fed, at) = match r.kind {
+                    CopyKind::Master => (batch.states.nth(slots.len()).out_local_owner, &mut slots),
+                    CopyKind::Mirror => (List::default(), &mut slots),
+                    CopyKind::Replica => (List::default(), &mut replicas),
+                };
                 at.push(r.pos);
-                match r.kind {
-                    CopyKind::Master => lg.insert_at(r.pos, copy, state.out_local_owner.iter()),
-                    _ => lg.insert_at(r.pos, copy, state.replica_out_local_on(lg.node)),
+                lg.insert_at(r.pos, copy, fed.iter());
+            }
+            placed.push((slots, replicas, batch));
+        }
+        for (slots, replicas, batch) in &placed {
+            let mut consumers = batch.consumers.iter().copied();
+            for (&pos, &n) in replicas.iter().zip(&batch.replica_lists) {
+                lg.set_out_local_by_consumer(pos, consumers.by_ref().take(n as usize));
+            }
+            for (i, &pos) in slots.iter().enumerate() {
+                let state = batch.states.nth(i);
+                let consumers = state.out_remote.iter().map(|r| r.consumer);
+                match lg.verts[pos as usize].is_master() {
+                    true => lg.set_in_edges_by_source(pos, state.in_edges),
+                    false => lg.set_out_local_by_consumer(pos, consumers),
                 }
             }
-            stores.push((at, batch.states, batch.lists));
         }
-        for (at, states, _) in &stores {
-            for (i, &pos) in at.iter().enumerate() {
-                if lg.verts[pos as usize].is_master() {
-                    lg.set_in_edges_by_source(pos, states.nth(i).in_edges);
-                }
-            }
-        }
-        let adopted = stores.iter().map(|(at, s, lists)| (&at[..], s, &lists[..]));
+        let adopted = placed.iter();
+        let adopted = adopted.map(|(at, _, b)| (&at[..], &b.states, &b.lists[..]));
         lg.adopt_full_states(&adopted.collect::<Vec<_>>());
     }
 
@@ -362,10 +369,13 @@ where
         mig.extra.pending_wire.push(pos);
     }
 
-    /// R2: fix position-addressed consumer tables against the promotion
-    /// map, then request replicas of promoted masters' missing in-edge
-    /// sources. It visits the dirty set as it finds it, the masters R1 (or
-    /// the fallback's purge and graft) touched: no other names a dead node.
+    /// R2: each master R1 promoted here reads the block its mirror kept —
+    /// its in-edges by source, kept for R4, and the old owner's co-located
+    /// consumers, positions on the crashed node, which become entries naming
+    /// each by vertex, wherever R1 promoted it — and writes the block anew as
+    /// a master's; then replicas of the missing sources are requested. No
+    /// other block changes: a remote out-edge names its consumer by vertex,
+    /// whichever node masters it now.
     fn migration_requests(
         &self,
         lg: &mut Self::Graph,
@@ -374,57 +384,28 @@ where
         mig: &mut Mig<EcMigExtra>,
         env: &MigEnv<'_>,
     ) -> HashMap<NodeId, Vec<Vid>> {
-        let (me, extra) = (env.me, &mut mig.extra);
-        let pending = &extra.pending_wire;
-        debug_assert!(pending.is_sorted(), "promotions run in position order");
-        // Fix consumer tables. (a) out_remote entries pointing at a crashed
-        // node follow the consumer to its promotion target; entries landing
-        // on this node become local links (wired in R4). (b) A freshly
-        // promoted master's old co-located consumers (positions on the
-        // crashed node, its mirror block's second run) become remote links
-        // too, unless promoted here; its in-edges are read off the block too,
-        // which is then rewritten as a master's. Any other block is
-        // rewritten only if its remote out-edges change.
-        let to_remote = |p: &Promotion| {
-            let (node, pos) = (p.new_master, p.new_pos);
-            (node != me).then_some(RemoteEdge { node, pos })
-        };
-        let touched: Vec<u32> = mig.dirty_masters.iter().collect();
-        let lost = |pos| {
-            lg.exported(pos)
-                .out_remote
-                .iter()
-                .any(|r| env.dead.contains(&r.node))
-        };
-        debug_assert!(
-            !lg.master_positions()
-                .any(|pos| touched.binary_search(&pos).is_err() && lost(pos)),
-            "R2 skips a master that feeds a crashed node"
-        );
+        let extra = &mut mig.extra;
+        debug_assert!(extra.pending_wire.is_sorted(), "promotions ascend");
         #[cfg(test)]
-        crate::recovery::tests::tally_r2(touched.len(), lg.num_masters());
-        let mut remote: Vec<RemoteEdge> = Vec::new();
-        for pos in touched {
-            let promoted = pending.binary_search(&pos).is_ok();
+        crate::recovery::tests::tally_r2(extra.pending_wire.len(), lg.num_masters());
+        let (mut remote, mut beside) = (Vec::new(), Vec::new());
+        for &pos in &extra.pending_wire {
+            let p = env.own_promotion_at(pos);
+            let p = p.expect("pending wiring belongs to an own promotion");
             let stored = lg.stored_full_state(pos).expect("a master has full state");
-            let mut moved = promoted;
+            let vacated = |old| env.relocated(p.old_node, old).expect("a vacated position");
+            beside.clear();
+            beside.extend(stored.out_local_owner.iter().map(|old| vacated(old).vid));
             remote.clear();
-            for r in stored.out_remote.iter() {
-                let p = env.relocated(r.node, r.pos);
-                moved |= p.is_some();
-                remote.extend(p.map_or(Some(r), to_remote));
-            }
-            if let Some(p) = promoted.then(|| env.own_promotion_at(pos)) {
-                let p = p.expect("pending wiring belongs to an own promotion");
-                let vacated = |old| env.relocated(p.old_node, old).expect("a vacated position");
-                let old = stored.out_local_owner.iter();
-                remote.extend(old.filter_map(|old| to_remote(vacated(old))));
-                extra.sources.extend(stored.in_edges.iter());
-                extra.ends.push(extra.sources.len());
-            }
-            if (moved && lg.set_out_remote(pos, &remote)) || promoted {
-                mig.dirty_masters.insert(pos);
-            }
+            remote.extend(beside.iter().map(|&consumer| RemoteEdge { consumer }));
+            // An entry already naming one (promoted onto the crashed node in
+            // an earlier episode, so skipped there) goes: each is named once.
+            beside.sort_unstable();
+            let named = |r: &RemoteEdge| beside.binary_search(&r.consumer).is_ok();
+            remote.extend(stored.out_remote.iter().filter(|r| !named(r)));
+            extra.sources.extend(stored.in_edges.iter());
+            extra.ends.push(extra.sources.len());
+            lg.set_out_remote(pos, &remote);
         }
         // Replica requests for missing sources.
         env.requests(lg, shared, st, extra.sources.iter().map(|edge| edge.src))
@@ -480,9 +461,9 @@ where
     /// here-local in one pass (existing local copies keep their slot, the
     /// rest append), so every position-addressed table in the adopted state
     /// — in-edges, local consumer links, owner tables — rewrites through
-    /// one map. Remote consumer links pointing at other crashed layouts are
-    /// kept as-is; `migration_requests` rewrites them against the
-    /// cluster-wide promotion map in the next round.
+    /// one map. Remote out-edges name their consumers by vertex and are kept
+    /// as they are: one whose consumer is mastered here is skipped by every
+    /// reader.
     fn adopt_partition(
         &self,
         lg: &mut Self::Graph,
@@ -519,16 +500,6 @@ where
                     locations.set_master_pos(new_pos);
                     locations.purge_node(me);
                     locations.purge_nodes(episode);
-                    // Consumers that were remote-on-the-dead-node but live
-                    // *here* become plain local links.
-                    let mut out_remote = state.out_remote.to_vec();
-                    out_remote.retain(|r| {
-                        if r.node == me {
-                            out_local.push(r.pos);
-                            return false;
-                        }
-                        true
-                    });
                     mig.edges_recovered += in_edges.len() as u64;
                     // Values and flags go straight in: the rollback before
                     // the graft imaged them.
@@ -554,15 +525,11 @@ where
                     (v.active, v.last_activate) = (dv.active, dv.last_activate);
                     lg.set_in_edges(new_pos, &in_edges);
                     lg.set_out_local(new_pos, &out_local);
-                    // The master's own edge lists are its owner-local lists.
-                    lg.set_full_state(
-                        new_pos,
-                        FullStateRef {
-                            locations: locations.view(),
-                            out_remote: out_remote[..].into(),
-                            ..state
-                        },
-                    );
+                    // The master's own edge lists are its owner-local lists,
+                    // and the consumers its remote out-edges name that are
+                    // mastered here its replica here fed already.
+                    let locations = locations.view();
+                    lg.set_full_state(new_pos, FullStateRef { locations, ..state });
                     out.promotions.push(Promotion {
                         vid: dv.vid,
                         new_master: me,

@@ -499,6 +499,21 @@ impl<V> EcLocalGraph<V> {
         self.note_copy_span(pos, 0, before);
     }
 
+    /// Replaces the positions the copy at `pos` feeds by those of the
+    /// masters here among `consumers`, in their order, written at the
+    /// column's tail: how a rebuild wires a copy's consumers, named by
+    /// vertex in a full state's remote out-edges or a Rebirth batch, once it
+    /// has placed every copy. A consumer mastered elsewhere is skipped.
+    pub fn set_out_local_by_consumer(&mut self, pos: u32, consumers: impl Iterator<Item = Vid>) {
+        let (index, verts) = (&self.index, &self.verts);
+        let master = |at: &u32| verts[*at as usize].is_master();
+        let span = self
+            .hot_out
+            .append(consumers.filter_map(|vid| index.get(vid).filter(master)));
+        let before = std::mem::replace(&mut self.verts[pos as usize].out_local, span);
+        self.note_copy_span(pos, 1, before);
+    }
+
     /// Replaces the positions the copy at `pos` feeds.
     pub fn set_out_local(&mut self, pos: u32, consumers: &[u32]) {
         let (floor, v) = (self.hot_floor()[1], &mut self.verts[pos as usize]);
@@ -1128,7 +1143,8 @@ impl<P: VertexProgram> EcLoader<'_, P> {
         // Count the consumers each copy feeds here, and each master's
         // [`Bytes`]. All are kept by vertex, so that the scan looks no
         // position up: a position's varint is sized off the copy list
-        // ([`Layout::pos_len`]), an in-edge names its source by vertex.
+        // ([`Layout::pos_len`]), an in-edge names its source by vertex and a
+        // remote out-edge its consumer.
         let mut consumers = vec![0u32; self.g.num_vertices()];
         let weight = if uniform.is_some() { 0 } else { 4 };
         let mut remote_edges = 0u32;
@@ -1142,9 +1158,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
                     }
                 }
             } else if ends.from == here {
-                let to = usize::from(ends.to);
-                let size = (to as u32).size(None) + self.layout.pos_len(to, e.dst);
-                count_bytes(bytes.remote, e.src, size);
+                count_bytes(bytes.remote, e.src, e.dst.raw().size(None));
                 remote_edges += 1;
             }
         }
@@ -1302,7 +1316,8 @@ impl<P: VertexProgram> EcLoader<'_, P> {
     /// pass's table of them is freed. A master's remote cursor is its
     /// vertex's entry of `remote_at`, the table of [`Bytes::remote`] the
     /// first pass counted into, one for every node's thread: the scan looks
-    /// no source position up for a remote out-edge.
+    /// no position up for a remote out-edge, which names its consumer by
+    /// vertex.
     fn fill_node(&self, p: usize, node: &mut NodeFill<'_, P::Value>, remote_at: &[AtomicU32]) {
         let (at, n) = (&self.layout.pos_maps[p], node.verts.len());
         let starts = |span: fn(&EcVertex<P::Value>) -> Span| {
@@ -1327,8 +1342,7 @@ impl<P: VertexProgram> EcLoader<'_, P> {
             } else if from == p {
                 let slot = &remote_at[e.src.index()];
                 let mut cursor = slot.load(Relaxed);
-                put_varint(runs, &mut cursor, to as u32);
-                put_varint(runs, &mut cursor, self.layout.pos_maps[to].at(e.dst));
+                put_varint(runs, &mut cursor, e.dst.raw());
                 slot.store(cursor, Relaxed);
             }
         }
@@ -1535,21 +1549,15 @@ mod tests {
 
     /// A master's remote out-edges are the edges of the graph that leave it
     /// for a consumer mastered elsewhere, in edge-list order, each naming
-    /// the consumer's node and its position there.
+    /// the consumer by vertex.
     #[test]
     fn meta_positions_agree_across_nodes() {
         let g = gen::power_law(400, 2.0, 6, 11);
         let (cut, lgs) = build(&g, 4);
         let mut leaving: Vec<Vec<RemoteEdge>> = vec![Vec::new(); g.num_vertices()];
         for e in g.edges() {
-            let (from, to) = (cut.owner(e.src), cut.owner(e.dst));
-            if from != to {
-                let pos = lgs[to].position(e.dst).expect("mastered there");
-                assert!(lgs[to].verts[pos as usize].is_master());
-                leaving[e.src.index()].push(RemoteEdge {
-                    node: NodeId::from_index(to),
-                    pos,
-                });
+            if cut.owner(e.src) != cut.owner(e.dst) {
+                leaving[e.src.index()].push(RemoteEdge { consumer: e.dst });
             }
         }
         for lg in &lgs {
@@ -1767,8 +1775,7 @@ mod tests {
             out_local_owner: (0..edges as u32).map(|i| tag * 10 + i).collect(),
             out_remote: (0..edges as u32)
                 .map(|i| RemoteEdge {
-                    node: NodeId::new(i),
-                    pos: tag * 7 + i,
+                    consumer: Vid::new(tag * 7 + i),
                 })
                 .collect(),
         }

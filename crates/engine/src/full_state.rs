@@ -21,16 +21,21 @@
 //! asking whose copy it is. A mirror's block holds all three lists. A
 //! master's first two runs are empty — its owner-local lists are its own
 //! edge lists —: its third run is its remote out-edges, which every export
-//! copies as a slice and Migration rewrites. A mirror promoted to master
-//! keeps its block as it was (the promotion writes no byte) until Migration
-//! has read the mirror's in-edges and consumers off it to rewire the master
-//! and writes the block anew as a master's. Only recovery reads a
-//! block: it decodes a run as it reads it, and finds the second and third
-//! by the counts. An in-edge names its source once, by vertex, the form
+//! copies as a slice. A mirror promoted to master keeps its block as it was
+//! (the promotion writes no byte) until Migration has read the mirror's
+//! in-edges and consumers off it to rewire the master and writes the block
+//! anew as a master's; no other block is rewritten because a crash moved a
+//! consumer. Only recovery reads a block: it decodes a run as it reads it,
+//! and finds the second and third by the counts. An in-edge names its
+//! source, and a remote out-edge its consumer, once, by vertex, the form
 //! every reader resolves it from: Migration wires a promoted master's
-//! in-edges on a node where the old owner's positions mean nothing, and a
+//! in-edges on a node where the old owner's positions mean nothing, a
+//! consumer's master may move while the entry naming it stays, and a
 //! rebuild places every copy of the node before it wires a master's
-//! in-edges through its own index. How an in-edge run weighs its edges is
+//! in-edges and a copy's consumers through its own index. A remote
+//! out-edge whose consumer is mastered beside the block's master is one
+//! its master's own consumers serve: every reader skips it ([`RemoteEdge`]).
+//! How an in-edge run weighs its edges is
 //! the store's [`Weights`]: a graph all of whose edges weigh the same
 //! writes that weight nowhere.
 //!
@@ -61,7 +66,6 @@
 use std::num::NonZeroU32;
 use std::ops::Range;
 
-use imitator_cluster::NodeId;
 use imitator_graph::Vid;
 use imitator_metrics::MemSize;
 use imitator_storage::codec::Sink;
@@ -70,18 +74,20 @@ use crate::episode::StoreJournal;
 use crate::locations::{Locations, LocationsRef, Nodes, MAX_TABLE_NODES};
 use crate::runs::{append_list, split_block, Entry, InEdge, Run, Weights};
 
-/// An out-edge whose consumer (target master) lives on another node.
+/// An out-edge of a master whose consumer is mastered on another node,
+/// named by the consumer's vertex ID.
 ///
-/// The position is the target's array index on its owner — the *enhanced
-/// edge information* of §5.1.2 that makes reconstruction position-addressed
-/// and lock-free. The pair is the whole of the edge's other end: which vertex
-/// sits there is the owner's to say, and nothing that follows the edge asks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Which node masters the consumer is the cluster's to say (the ownership
+/// table and Migration's overlay of it), and where the consumer sits there
+/// that node's index: an entry stays true however often the consumer's
+/// master moves, so no recovery rewrites it because a consumer moved. An
+/// entry whose consumer is (or comes to be) mastered on the node that
+/// masters the block's vertex is served by that master's own consumers, so
+/// every reader skips it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteEdge {
-    /// The node mastering the target.
-    pub node: NodeId,
-    /// The target's array position on that node.
-    pub pos: u32,
+    /// The consumer.
+    pub consumer: Vid,
 }
 
 /// Which vertex each copy of a local graph is a copy of, by position: what a
@@ -344,8 +350,8 @@ pub struct MasterMeta {
     pub in_edges: Vec<InEdge>,
     /// Owner-local positions of out-neighbours mastered on the owner.
     pub out_local_owner: Vec<u32>,
-    /// Out-edges whose consumer is mastered remotely; grouped by node these
-    /// give each replica's local out-edge lists on that node.
+    /// Out-edges whose consumer is mastered on another node: those mastered
+    /// on a node give the consumers of this vertex's copy there.
     pub out_remote: Vec<RemoteEdge>,
 }
 
@@ -474,13 +480,6 @@ impl<'a> FullStateRef<'a> {
             EdgeLists::OUT_LOCAL => self.out_local_owner.put(out),
             _ => self.out_remote.put(out),
         }
-    }
-
-    /// Owner-local positions this vertex's replica on `node` feeds
-    /// (used to rebuild a replica's `out_local` during recovery).
-    pub fn replica_out_local_on(&self, node: NodeId) -> impl Iterator<Item = u32> + 'a {
-        let feeds = self.out_remote.iter().filter(move |r| r.node == node);
-        feeds.map(|r| r.pos)
     }
 }
 
@@ -1230,6 +1229,7 @@ impl MemSize for FullState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imitator_cluster::NodeId;
 
     /// What the slot table costs per copy: the pins `mem_bytes` rests on.
     #[test]
@@ -1314,8 +1314,7 @@ mod tests {
             out_local_owner: (0..n).map(|i| tag * 10 + i).collect(),
             out_remote: (0..n)
                 .map(|i| RemoteEdge {
-                    node: NodeId::new(i),
-                    pos: 70_000 + i,
+                    consumer: Vid::new(70_000 + i),
                 })
                 .collect(),
         }

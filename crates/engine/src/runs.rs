@@ -12,18 +12,18 @@
 //!   once, by vertex: a node that rebuilds the master from the run finds
 //!   where the source sits through its own index, once every copy is placed;
 //! * a consumer (`out_local_owner`): its owner-local position;
-//! * a remote out-edge: the consumer's node, then its position there.
+//! * a remote out-edge: its consumer's vertex ID — the consumer named
+//!   once, by vertex: whichever node masters it now finds where it sits
+//!   through its own index, so a crash that moves it rewrites no entry.
 //!
 //! An empty list is its count, 0. A mirror's three runs are one *block*:
 //! in-edges, consumers, remote out-edges, back to back — the bytes a message
 //! writes for a record that carries all three ([`split_block`] finds the
 //! second and third by the counts). Runs reach a node in messages and
 //! snapshots, so they are checked where they enter ([`take_run`]): every
-//! count against the input, every integer against `u32`, every node against
-//! the cluster's limit. What passes is stored and later read without a
-//! second check.
+//! count against the input, every integer against `u32`. What passes is
+//! stored and later read without a second check.
 
-use imitator_cluster::NodeId;
 use imitator_graph::Vid;
 use imitator_storage::codec::{DecodeError, Reader, Sink};
 
@@ -31,9 +31,6 @@ use crate::full_state::RemoteEdge;
 
 /// What reading a stored run may assume.
 const CHECKED: &str = "a stored run was checked where it entered the node";
-
-/// The most nodes a cluster has: the loaders number nodes in 16 bits.
-pub(crate) const MAX_NODES: u32 = 1 << 16;
 
 /// How a store or a message writes the weights of its in-edges.
 #[derive(Debug, Clone, Copy, Default)]
@@ -106,10 +103,10 @@ impl PartialEq for InEdge {
     }
 }
 
-/// Room an entry is written into: a remote out-edge's two varints take at
-/// most 10 bytes, an in-edge's weight and varint 9, and a varint is stored
-/// as eight bytes of which its length count ([`write_u32`]), so the last
-/// may reach 13 bytes in.
+/// Room an entry is written into: an in-edge's weight and varint take at
+/// most 9 bytes, any other entry's varint 5, and a varint is stored as
+/// eight bytes of which its length count ([`write_u32`]), so the last may
+/// reach 12 bytes in.
 const ENTRY_ROOM: usize = 16;
 
 /// An entry of a run: written and checked against the weight a uniform
@@ -156,32 +153,21 @@ impl Entry for u32 {
 
 impl Entry for RemoteEdge {
     fn write(self, _: Option<f32>, buf: &mut [u8]) -> usize {
-        let len = write_u32(buf, self.node.raw());
-        len + write_u32(&mut buf[len..], self.pos)
+        write_u32(buf, self.consumer.raw())
     }
 
     fn size(self, _: Option<f32>) -> usize {
-        varint_len(self.node.raw()) + varint_len(self.pos)
+        varint_len(self.consumer.raw())
     }
 
     fn take(bytes: &mut &[u8], _: Option<f32>) -> Result<RemoteEdge, DecodeError> {
-        let node = take_u32(bytes)?;
-        if node >= MAX_NODES {
-            return Err(DecodeError::Corrupt("node ID"));
-        }
-        let pos = take_u32(bytes)?;
-        Ok(RemoteEdge {
-            node: NodeId::new(node),
-            pos,
-        })
+        let consumer = Vid::new(take_u32(bytes)?);
+        Ok(RemoteEdge { consumer })
     }
 
     fn read(bytes: &mut &[u8], _: Option<f32>) -> RemoteEdge {
-        let node = NodeId::new(read_u32(bytes));
-        RemoteEdge {
-            node,
-            pos: read_u32(bytes),
-        }
+        let consumer = Vid::new(read_u32(bytes));
+        RemoteEdge { consumer }
     }
 }
 
@@ -510,8 +496,7 @@ mod tests {
         let ins: Vec<InEdge> = (0..40).map(edge).collect();
         let fed: Vec<u32> = (0..19).map(|i| i << (i % 29)).collect();
         let remote = [RemoteEdge {
-            node: NodeId::new(3),
-            pos: 1 << 30,
+            consumer: Vid::new(1 << 30),
         }];
         for uniform in [None, Some(-1.5)] {
             for cut in [0, 1, 40] {
@@ -530,27 +515,26 @@ mod tests {
         assert!(split_block(&[], None).iter().all(|run| run.is_empty()));
     }
 
+    /// A remote out-edge is its consumer's varint: one past `u32`, a count
+    /// past the input and a run cut short are refused.
     #[test]
     fn take_run_refuses_what_no_writer_writes() {
         let refused = |bytes: &[u8]| {
             let taken = take_run::<RemoteEdge>(&mut Reader::new(bytes), None);
             taken.map(|(_, n)| n)
         };
-        let node = |raw: u32| RemoteEdge {
-            node: NodeId::new(raw),
-            pos: 1,
+        let widest = RemoteEdge {
+            consumer: Vid::new(u32::MAX),
         };
-        assert!(refused(&run_of(&[node(MAX_NODES - 1)], None)).is_ok());
-        let wide = run_of(&[node(MAX_NODES)], None);
-        assert_eq!(refused(&wide).err(), Some(DecodeError::Corrupt("node ID")));
-        let past_u32 = [1, 0xFF, 0xFF, 0xFF, 0xFF, 0x10, 1];
+        assert_eq!(refused(&run_of(&[widest], None)), Ok(1));
+        let past_u32 = [1, 0xFF, 0xFF, 0xFF, 0xFF, 0x10];
         let err = Some(DecodeError::Corrupt("varint exceeds u32"));
         assert_eq!(refused(&past_u32).err(), err);
         assert_eq!(
             refused(&[9, 1, 1]).err(),
             Some(DecodeError::Corrupt("count exceeds input"))
         );
-        assert!(refused(&[2, 1, 1, 1]).is_err(), "cut short");
+        assert!(refused(&[2, 1]).is_err(), "cut short");
     }
 
     /// An in-edge is its weight, unless the layout writes none, then its

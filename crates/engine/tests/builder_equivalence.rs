@@ -151,14 +151,8 @@ fn reference_edge_cut_graphs<P: VertexProgram>(
     //    vertex's remote out-edges (O(|E|), not O(|V|·|E|)).
     let mut out_remote_by_src: Vec<Vec<RemoteEdge>> = vec![Vec::new(); n];
     for e in g.edges() {
-        let owner = cut.owner(e.src);
-        let consumer = cut.owner(e.dst);
-        if consumer != owner {
-            let node = NodeId::from_index(consumer);
-            out_remote_by_src[e.src.index()].push(RemoteEdge {
-                node,
-                pos: pos_maps[consumer].at(e.dst),
-            });
+        if cut.owner(e.dst) != cut.owner(e.src) {
+            out_remote_by_src[e.src.index()].push(RemoteEdge { consumer: e.dst });
         }
     }
     for i in 0..n {

@@ -111,8 +111,7 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
                     kept.in_edges.iter().map(|e| (pos, e.weight)).collect();
                 let mut remote = kept.out_remote.to_vec();
                 let moved = kept.out_local_owner.iter().map(|c| RemoteEdge {
-                    node: NodeId::new(2),
-                    pos: c,
+                    consumer: Vid::new(c),
                 });
                 remote.extend(moved);
                 lg.set_out_remote(pos, &remote);
@@ -124,11 +123,11 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
                 lg.edit_locations(pos, |tables| tables.purge_node(dead()));
                 let mut remote = lg.full_state(pos).unwrap().out_remote.to_vec();
                 remote.retain_mut(|r| {
-                    let moved = r.node == dead();
+                    let moved = r.consumer.raw() % NODES as u32 == 1;
                     if moved {
-                        (r.node, r.pos) = (NodeId::new(3), r.pos + 1);
+                        r.consumer = Vid::new(r.consumer.raw() + 1);
                     }
-                    !(moved && r.pos % 2 == 0)
+                    !(moved && r.consumer.raw() % 2 == 0)
                 });
                 changed += usize::from(lg.set_out_remote(pos, &remote));
                 lg.extend_out_local(pos, &[pos]);
@@ -556,8 +555,8 @@ fn apply(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, edit: &Edit) {
             let pos = masters[pick % masters.len()];
             let mut remote = lg.full_state(pos).unwrap().out_remote.to_vec();
             remote.retain_mut(|r| {
-                r.pos += 1;
-                r.pos % (keep + 1) != 0
+                r.consumer = Vid::new(r.consumer.raw() + 1);
+                r.consumer.raw() % (keep + 1) != 0
             });
             lg.set_out_remote(pos, &remote);
         }
@@ -565,8 +564,7 @@ fn apply(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, edit: &Edit) {
             let pos = masters[pick % masters.len()];
             let mut remote = lg.full_state(pos).unwrap().out_remote.to_vec();
             remote.extend((0..more as u32).map(|i| RemoteEdge {
-                node: NodeId::new(i % NODES as u32),
-                pos: pick as u32 % 1000 + i,
+                consumer: Vid::new(pick as u32 % 1000 + i),
             }));
             lg.set_out_remote(pos, &remote);
         }
@@ -776,8 +774,8 @@ fn migrate_survivors(lgs: &mut [EcLocalGraph<u64>]) {
                 tables.purge_node(dead());
             });
             let mut remote = lg.full_state(pos).unwrap().out_remote.to_vec();
-            for r in remote.iter_mut().filter(|r| r.node == dead()) {
-                (r.node, r.pos) = (NodeId::new(2), r.pos + 1);
+            for r in remote.iter_mut().filter(|r| r.consumer.raw() % 4 == 1) {
+                r.consumer = Vid::new(r.consumer.raw() + 1);
             }
             lg.set_out_remote(pos, &remote);
         }
@@ -868,13 +866,11 @@ fn a_promotion_writes_no_byte_and_rollback_restores_every_row() {
                 let kept = lg.stored_full_state(pos).unwrap();
                 let mut remote = kept.out_remote.to_vec();
                 let moved = kept.out_local_owner.iter().map(|c| RemoteEdge {
-                    node: NodeId::new(2),
-                    pos: c,
+                    consumer: Vid::new(c),
                 });
                 remote.extend(moved);
                 remote.push(RemoteEdge {
-                    node: NodeId::new(3),
-                    pos,
+                    consumer: Vid::new(pos),
                 });
                 assert!(lg.set_out_remote(pos, &remote));
             }
@@ -904,8 +900,7 @@ fn changed_lists_name_the_remote_run_exactly_when_it_was_rewritten() {
             let mut remote = lg.full_state(pos).unwrap().out_remote.to_vec();
             if pos % 3 == 1 {
                 remote.push(RemoteEdge {
-                    node: NodeId::new(2),
-                    pos,
+                    consumer: Vid::new(pos),
                 });
             }
             if pos % 3 != 2 {

@@ -184,7 +184,15 @@ cd "$(dirname "$0")/.."
 #          messages in sender order from `driver::take`, so the Rebirth
 #          newbie's and the vertex-cut apply's own sorts went (DESIGN.md
 #          §4.3, §4.5).
-BUDGET=3571
+#   3566 — a master's remote out-edge names its consumer by vertex: R2
+#          visits only the masters R1 promoted, so its relocation of every
+#          consumer link, its debug scan of the skipped masters and the
+#          graft's retain went; that paid for the Rebirth newbie placing a
+#          replica's and a mirror's consumers after its last record, the
+#          invariant of `check_mirrors` restated for vertex entries and the
+#          skip rule, and R7's test tally of unpromoted masters' entries
+#          (DESIGN.md §4.9).
+BUDGET=3566
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

@@ -193,11 +193,13 @@ fn replication_memory_grows_with_tolerance() {
 /// `mem_bytes` of the benchmark's `pr_ec` job (seed 3: 100k-vertex
 /// power-law graph, four nodes, PageRank values) as the loader reports it
 /// with an edge naming its other end once — a remote out-edge its consumer's
-/// node and position, a master's in-edge its source's position, a mirror's
-/// in-edge its source's vertex —, a mirror keeping its edge lists as the
-/// block they ship as, a master its remote out-edges as the run they ship
-/// as, and a slot's row one 8-byte span (47 777 886 B at K = 1 while a
-/// mirror's in-edge also named its source's position on the master's node;
+/// vertex, a master's in-edge its source's position, a mirror's in-edge its
+/// source's vertex —, a mirror keeping its edge lists as the block they ship
+/// as, a master its remote out-edges as the run they ship as, and a slot's
+/// row one 8-byte span (33 899 256 / 45 015 698 B while a remote out-edge
+/// named its consumer's node and its position there; 47 777 886 B at K = 1
+/// while a mirror's in-edge also named its source's position on the
+/// master's node;
 /// 36 779 148 / 50 655 476 B while a master kept its remote out-edges
 /// decoded, 8 B an edge; 39 179 308 / 55 410 948 B while a row was four spans;
 /// 65 052 512 B at K = 1 while a mirror kept its lists decoded, 12 B an
@@ -216,8 +218,8 @@ fn pr_ec_graph_memory_stays_below_the_recorded_value() {
     use imitator_repro::engine::{build_edge_cut_graphs, FtPlan};
     use imitator_repro::metrics::MemSize;
 
-    const RECORDED_BASE: usize = 33_899_256;
-    const RECORDED_FT: usize = 45_015_698;
+    const RECORDED_BASE: usize = 33_202_399;
+    const RECORDED_FT: usize = 43_617_380;
     let g = gen::power_law(100_000, 2.0, 10, 3);
     let cut = HashEdgeCut.partition(&g, 4);
     let degrees = Degrees::of(&g);
