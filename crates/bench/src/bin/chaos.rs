@@ -3,7 +3,7 @@
 //! Sweeps seeded failure schedules across every fail-point class the
 //! injector knows — each Migration round, the Rebirth reload /
 //! reconstruction / replay phases (survivor and reborn-newbie deaths),
-//! torn checkpoint writes, checkpoint-fallback rounds, simultaneous
+//! torn checkpoint writes, checkpoint recovery onto hosted slots, simultaneous
 //! multi-machine losses and staggered double failures *during* recovery —
 //! and asserts that every run converges **bit-identically** to a
 //! failure-free golden run of the same scenario.
@@ -113,8 +113,13 @@ enum Class {
     CkptTorn,
     /// Survivor crashes during checkpoint recovery (post-decision reload).
     CkptCascade,
-    /// Survivor crashes in the given checkpoint-fallback round (pool empty).
-    CkptFallbackRound(u8),
+    /// Pool empty, so a survivor hosts the crashed slot: a survivor that
+    /// hosts nothing crashes at the hosted attempt's reload.
+    HostedSurvivorReload,
+    /// Pool empty: the hosted newbie crashes at its reload.
+    HostedNewbieReload,
+    /// Pool empty: the host crashes at its reload, taking its newbie along.
+    HostReload,
     /// Two machines die at once during normal execution.
     Simultaneous,
     /// Two *staggered* crashes inside one recovery episode: the retry
@@ -125,7 +130,7 @@ enum Class {
 /// Order matters beyond this file: schedule `i` runs class `i % len`, and
 /// CI's blocking `chaos-recovery` shard selects the first twelve (the
 /// Migration rounds and the Rebirth phases) and classes 13 to 16 (a
-/// checkpoint standby attempt's reload and the fallback's three rounds) by
+/// checkpoint standby attempt's reload and the three hosted classes) by
 /// that index.
 fn classes() -> Vec<Class> {
     let mut v: Vec<Class> = (1..=8).map(Class::MigrationRound).collect();
@@ -137,7 +142,11 @@ fn classes() -> Vec<Class> {
         Class::CkptTorn,
         Class::CkptCascade,
     ]);
-    v.extend((1..=3).map(Class::CkptFallbackRound));
+    v.extend([
+        Class::HostedSurvivorReload,
+        Class::HostedNewbieReload,
+        Class::HostReload,
+    ]);
     v.extend([Class::Simultaneous, Class::DoubleCascade]);
     v
 }
@@ -267,15 +276,24 @@ fn build(index: usize, base_seed: u64, class: Class) -> Schedule {
                 vec![primary, crash(s, resume, FailPoint::RebirthReload)],
             )
         }
-        Class::CkptFallbackRound(r) => {
-            let s = survivor(&mut rng, &[victim]);
+        Class::HostedSurvivorReload | Class::HostedNewbieReload | Class::HostReload => {
+            // The lowest-ID survivor hosts the victim's slot. Its newbie's
+            // reload fail point keys on the epoch it rolls back to: none
+            // is committed before a crash at resume 1, epoch 2 after.
+            let host = usize::from(victim == 0);
+            let snapshot = if resume == 1 { 0 } else { 2 };
+            let (node, iteration) = match class {
+                Class::HostedSurvivorReload => (survivor(&mut rng, &[victim, host]), resume),
+                Class::HostedNewbieReload => (victim, snapshot),
+                _ => (host, resume),
+            };
             (
                 FtMode::Checkpoint {
                     interval: 2,
                     incremental: rng.below(2) == 0,
                 },
                 0,
-                vec![primary, crash(s, resume, FailPoint::MigrationRound(r))],
+                vec![primary, crash(node, iteration, FailPoint::RebirthReload)],
             )
         }
         Class::Simultaneous => {

@@ -59,9 +59,9 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// What a blocked standby thread is woken with.
+/// What the thread waiting for dispatches is woken with.
 pub(crate) enum StandbyEvent<M> {
-    /// A crashed node's identity to adopt.
+    /// A crashed node's identity for a newbie thread to adopt.
     Adopt(NodeCtx<M>),
     /// The job is over; relayed from waiter to waiter so one signal wakes
     /// the whole pool.
@@ -82,7 +82,8 @@ pub(crate) struct Fabric<M> {
     generation: AtomicU64,
     /// Receivers parked here until a thread claims its `NodeCtx`.
     parked: Mutex<Vec<Option<Receiver<Envelope<M>>>>>,
-    /// Wake-up channel for hot-standby threads (Rebirth recovery).
+    /// Wake-up channel of the thread waiting for dispatches: standbys and
+    /// hosted slots alike.
     pub(crate) standby_tx: Sender<StandbyEvent<M>>,
     pub(crate) standby_rx: Receiver<StandbyEvent<M>>,
     /// Set when the job is over; waiting standbys return `None`.
@@ -274,12 +275,13 @@ impl<M: Send + 'static> Cluster<M> {
     }
 
     /// Routes a fresh inbox to logical node `id` (whose previous owner died)
-    /// and returns the context a standby thread adopts. Also revives the
-    /// node in the coordinator, so it is expected at subsequent barriers.
+    /// and returns the context a newbie thread adopts. Also revives the
+    /// node in the coordinator, carried by `host`'s machine if given, so it
+    /// is expected at subsequent barriers.
     ///
-    /// The caller must have claimed a standby via
+    /// Without a host, the caller must have claimed a standby via
     /// [`Coordinator::claim_standby`] first.
-    pub fn adopt(&self, id: NodeId) -> NodeCtx<M> {
+    pub fn adopt(&self, id: NodeId, host: Option<NodeId>) -> NodeCtx<M> {
         let (tx, rx) = unbounded();
         {
             let mut routes = self.fabric.routes.lock();
@@ -294,33 +296,43 @@ impl<M: Send + 'static> Cluster<M> {
         // stamp frames with the slot's new epoch, so nothing addressed to
         // the dead identity can surface in the adopted inbox.
         self.transport.on_adopt(id);
-        self.coord.revive(id);
+        self.coord.revive(id, host);
         self.make_ctx(id, rx)
     }
 
     /// Claims a standby (if any remain), routes a fresh inbox to logical
-    /// node `id`, revives it, and hands the context to one thread blocked in
+    /// node `id`, revives it, and hands the context to the thread blocked in
     /// [`Cluster::wait_standby`]. Returns whether a standby was available.
     ///
     /// Called by the recovery leader (the lowest-ID survivor) when Rebirth
-    /// needs a replacement machine.
+    /// or checkpoint recovery needs a replacement machine.
     pub fn dispatch_standby(&self, id: NodeId) -> bool {
         if !self.coord.claim_standby() {
             return false;
         }
-        let ctx = self.adopt(id);
-        self.transport.standby_send(StandbyEvent::Adopt(ctx));
+        self.dispatch(id, None);
         true
     }
 
-    /// Blocks a hot-standby thread until it is assigned a crashed node's
-    /// identity, or returns `None` once the job completes (or `patience`
-    /// elapses with neither).
+    /// Like [`Cluster::dispatch_standby`] with no standby left: logical node
+    /// `id` keeps its identity on a thread survivor `host`'s machine runs,
+    /// and fails with it ([`Coordinator::mark_failed`]).
+    pub fn dispatch_hosted(&self, id: NodeId, host: NodeId) {
+        self.dispatch(id, Some(host));
+    }
+
+    fn dispatch(&self, id: NodeId, host: Option<NodeId>) {
+        let ctx = self.adopt(id, host);
+        self.transport.standby_send(StandbyEvent::Adopt(ctx));
+    }
+
+    /// Blocks until a crashed node's identity is dispatched, or returns
+    /// `None` once the job completes (or `patience` elapses with neither).
     ///
     /// Fully event-driven: the thread parks on the transport's standby
     /// channel for the whole remaining patience and is woken by
-    /// [`Cluster::dispatch_standby`] or by the shutdown signal — no poll
-    /// loop.
+    /// [`Cluster::dispatch_standby`], [`Cluster::dispatch_hosted`] or the
+    /// shutdown signal — no poll loop.
     pub fn wait_standby(&self, patience: Duration) -> Option<NodeCtx<M>> {
         if self.fabric.done.load(Ordering::Acquire) {
             return None;
@@ -336,7 +348,7 @@ impl<M: Send + 'static> Cluster<M> {
         }
     }
 
-    /// Signals waiting standby threads that the job is over.
+    /// Signals the threads waiting for a dispatch that the job is over.
     pub fn shutdown_standbys(&self) {
         self.fabric.done.store(true, Ordering::Release);
         self.transport.standby_send(StandbyEvent::Shutdown);
@@ -455,9 +467,18 @@ impl<M: Send + 'static> NodeCtx<M> {
         &self.cluster
     }
 
+    /// Whether this incarnation is out of the cluster while its thread
+    /// still runs: its slot failed (a confirmed false suspicion, or the host
+    /// it ran on), or a newer incarnation took it over. It sends nothing
+    /// more and leaves at its next barrier.
+    fn fenced(&self) -> bool {
+        let coord = &self.cluster.coord;
+        !coord.is_alive(self.id) || coord.detector().birth(self.id) != self.birth
+    }
+
     fn send_from(&self, to: NodeId, msg: M, bytes: u64, kind: CommKind) -> bool {
-        if !self.cluster.coord.is_alive(to) {
-            return false; // dropped on the wire: destination crashed
+        if !self.cluster.coord.is_alive(to) || self.fenced() {
+            return false; // dropped: the destination crashed, or this node is out
         }
         // Logical accounting happens exactly once, here — transport-level
         // retransmissions and duplicates are physical events tallied in the
@@ -556,7 +577,12 @@ impl<M: Send + 'static> NodeCtx<M> {
     /// all-reduced sum (e.g. this node's active-vertex count). While
     /// blocked, the node pumps the failure detector and keeps emitting
     /// heartbeats — a barrier waiter is alive and must look alive.
+    ///
+    /// A fenced node ([`NodeCtx::fenced`]) finds itself in the outcome.
     pub fn enter_barrier_sum(&self, value: u64) -> (BarrierOutcome, u64) {
+        if self.fenced() {
+            return (BarrierOutcome::Failed(vec![self.id]), 0);
+        }
         self.pipe.flush();
         let start = Instant::now();
         let out = self
@@ -650,7 +676,7 @@ pub(crate) mod tests {
         let outcome = a.enter_barrier();
         assert!(outcome.is_fail());
         assert!(c.coordinator().claim_standby());
-        let b2 = c.adopt(NodeId::new(1));
+        let b2 = c.adopt(NodeId::new(1), None);
         assert!(c.coordinator().is_alive(NodeId::new(1)));
         // New inbox starts empty; fresh messages flow — `a`'s cached route
         // table is stale here and must refresh via the generation bump.
@@ -659,6 +685,24 @@ pub(crate) mod tests {
         let (_a, got) = drain_after_barrier(a, &b2);
         let from = NodeId::new(0);
         assert_eq!(got, [Envelope { from, msg: 8 }]);
+    }
+
+    /// A node the coordinator failed while its thread runs — a confirmed
+    /// false suspicion, or the host it ran on gone — sends nothing more and
+    /// finds itself in its next barrier's outcome; so does one whose slot a
+    /// newer incarnation took over.
+    #[test]
+    fn a_fenced_node_sends_nothing_and_leaves_at_its_barrier() {
+        let (c, a, b) = two();
+        let (me, peer) = (NodeId::new(0), NodeId::new(1));
+        c.coordinator().mark_failed(me);
+        assert!(!a.send(peer, 1));
+        assert_eq!(a.enter_barrier(), BarrierOutcome::Failed(vec![me]));
+        let a2 = c.adopt(me, None);
+        assert!(!a.send(peer, 2), "the old incarnation is still out");
+        assert!(a2.send(peer, 3));
+        assert_eq!(b.drain(), [Envelope { from: me, msg: 3 }]);
+        assert_eq!(a.enter_barrier(), BarrierOutcome::Failed(vec![me]));
     }
 
     #[test]

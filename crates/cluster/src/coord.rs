@@ -2,7 +2,8 @@
 //!
 //! Provides epoch-numbered global barriers whose *outcome* carries failure
 //! information, membership tracking driven by the heartbeat
-//! [`FailureDetector`], and bookkeeping for standby adoption. Algorithm 1's
+//! [`FailureDetector`], and bookkeeping for standby adoption and for the
+//! slots a survivor hosts. Algorithm 1's
 //! `enter_barrier` / `leave_barrier` map directly onto
 //! [`Coordinator::barrier`]: consecutive calls are consecutive barrier
 //! instances.
@@ -63,6 +64,10 @@ struct Inner {
     unrecovered: Vec<NodeId>,
     /// Standby nodes not yet assigned.
     standbys_available: usize,
+    /// The survivor whose machine carries each slot, if not its own: a
+    /// slot recovered with no standby left runs on a thread its host
+    /// starts, and fails with it.
+    hosts: Vec<Option<NodeId>>,
 }
 
 impl Inner {
@@ -100,6 +105,24 @@ impl Inner {
         self.arrived.iter_mut().for_each(|a| *a = false);
         self.arrived_count = 0;
         true
+    }
+
+    /// Marks `node` failed: it stops being required at the current barrier
+    /// and is reported until recovered.
+    fn fail(&mut self, node: NodeId, alive_fast: &[AtomicBool]) {
+        if !self.alive[node.index()] {
+            return;
+        }
+        self.alive[node.index()] = false;
+        alive_fast[node.index()].store(false, Ordering::Release);
+        if self.arrived[node.index()] {
+            self.arrived[node.index()] = false;
+            self.arrived_count -= 1;
+        }
+        self.pending_failure = true;
+        if !self.unrecovered.contains(&node) {
+            self.unrecovered.push(node);
+        }
     }
 
     fn result_for(&self, epoch: u64) -> Option<(BarrierOutcome, u64)> {
@@ -147,6 +170,7 @@ impl Coordinator {
                 pending_failure: false,
                 unrecovered: Vec::new(),
                 standbys_available: num_standbys,
+                hosts: vec![None; num_nodes],
             }),
             cond: Condvar::new(),
             detector: Arc::new(FailureDetector::new(num_nodes, cfg, wall_clock)),
@@ -267,41 +291,45 @@ impl Coordinator {
         }
     }
 
-    /// Immediately marks `node` failed. Production paths reach it only
-    /// through [`Coordinator::pump_detector`]; a test that needs a node
-    /// dead *now* calls it directly.
+    /// Immediately marks `node` failed, and every slot its machine hosts
+    /// with it, so one barrier outcome names them all. Production paths
+    /// reach it only through [`Coordinator::pump_detector`]; a test that
+    /// needs a node dead *now* calls it directly.
     pub fn mark_failed(&self, node: NodeId) {
         let mut inner = self.inner.lock();
-        if !inner.alive[node.index()] {
-            return;
+        inner.fail(node, &self.alive_fast);
+        for slot in 0..inner.hosts.len() {
+            if inner.hosts[slot] == Some(node) {
+                inner.fail(NodeId::from_index(slot), &self.alive_fast);
+            }
         }
-        inner.alive[node.index()] = false;
-        self.alive_fast[node.index()].store(false, Ordering::Release);
-        if inner.arrived[node.index()] {
-            inner.arrived[node.index()] = false;
-            inner.arrived_count -= 1;
-        }
-        inner.pending_failure = true;
-        if !inner.unrecovered.contains(&node) {
-            inner.unrecovered.push(node);
-        }
-        if inner.try_complete() {
-            // waiters released below
-        }
+        inner.try_complete();
         self.cond.notify_all();
     }
 
-    /// Marks `node` alive again with recovered state (Rebirth: a standby
-    /// adopted its logical ID). The node is expected at subsequent barriers.
-    pub fn revive(&self, node: NodeId) {
+    /// Marks `node` alive again with recovered state: a standby (`host`
+    /// `None`) or a thread `host`'s machine runs (Rebirth, checkpoint
+    /// recovery) adopted its logical ID. A hosted slot fails with its host,
+    /// at once if the host is gone already. The node is expected at
+    /// subsequent barriers.
+    pub fn revive(&self, node: NodeId, host: Option<NodeId>) {
         let mut inner = self.inner.lock();
         assert!(!inner.alive[node.index()], "revive of live node {node}");
         inner.alive[node.index()] = true;
         self.alive_fast[node.index()].store(true, Ordering::Release);
         inner.unrecovered.retain(|&n| n != node);
+        inner.hosts[node.index()] = host;
         // New incarnation: fresh liveness, stale heartbeat evidence fenced.
         self.detector.on_revive(node);
+        if host.is_some_and(|h| !inner.alive[h.index()]) {
+            inner.fail(node, &self.alive_fast);
+        }
         self.cond.notify_all();
+    }
+
+    /// The survivor whose machine carries `slot`, if not its own.
+    pub fn host(&self, slot: NodeId) -> Option<NodeId> {
+        self.inner.lock().hosts[slot.index()]
     }
 
     /// Acknowledges that the state of `node` has been migrated to the
@@ -393,7 +421,7 @@ mod tests {
             c.barrier(NodeId::new(0)),
             BarrierOutcome::Failed(vec![NodeId::new(1)])
         );
-        c.revive(NodeId::new(1));
+        c.revive(NodeId::new(1), None);
         assert!(c.is_alive(NodeId::new(1)));
         let c2 = Arc::clone(&c);
         let t = std::thread::spawn(move || c2.barrier(NodeId::new(1)));
@@ -468,6 +496,37 @@ mod tests {
             o => panic!("unexpected {o:?}"),
         }
         assert_eq!(sum, 0, "a dead node's contribution is lost");
+    }
+
+    /// A host's failure is its slots': one outcome names them all, and a
+    /// slot revived on a standby of its own no longer falls with the host.
+    #[test]
+    fn failing_a_host_fails_its_slots_and_revive_clears_the_host() {
+        let (host, slot, other) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
+        let c = coord(3);
+        c.mark_failed(slot);
+        c.revive(slot, Some(host));
+        assert_eq!(c.host(slot), Some(host));
+        c.mark_failed(host);
+        assert!(!c.is_alive(slot));
+        assert_eq!(c.barrier(other), BarrierOutcome::Failed(vec![host, slot]));
+
+        c.revive(host, None);
+        c.revive(slot, None);
+        assert_eq!(c.host(slot), None);
+        c.mark_failed(host);
+        assert!(c.is_alive(slot));
+        let c1 = Arc::clone(&c);
+        let t = std::thread::spawn(move || c1.barrier(slot));
+        assert_eq!(c.barrier(other), BarrierOutcome::Failed(vec![host]));
+        t.join().unwrap();
+
+        // A slot revived on a host that is gone already fails at once.
+        c.revive(host, None);
+        c.mark_failed(host);
+        c.mark_failed(slot);
+        c.revive(slot, Some(host));
+        assert!(!c.is_alive(slot));
     }
 
     #[test]

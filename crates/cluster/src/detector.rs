@@ -233,6 +233,10 @@ pub struct FailureDetector {
     timeout_ticks: u64,
     fence_ticks: u64,
     slots: Mutex<Vec<Slot>>,
+    /// Lock-free mirror of every slot's `birth`, written under the `slots`
+    /// lock: a node's every send asks whether it is still the current
+    /// incarnation ([`FailureDetector::birth`]).
+    births: Box<[AtomicU64]>,
     suspected: AtomicU64,
     retracted: AtomicU64,
     confirmed: AtomicU64,
@@ -267,6 +271,7 @@ impl FailureDetector {
             timeout_ticks,
             fence_ticks: timeout_ticks.saturating_mul(u64::from(cfg.fence_multiplier.max(1))),
             slots: Mutex::new(vec![Slot::fresh(0, 0); num_nodes]),
+            births: (0..num_nodes).map(|_| AtomicU64::new(0)).collect(),
             suspected: AtomicU64::new(0),
             retracted: AtomicU64::new(0),
             confirmed: AtomicU64::new(0),
@@ -357,7 +362,7 @@ impl FailureDetector {
 
     /// The current incarnation of `node`'s slot.
     pub fn birth(&self, node: NodeId) -> u64 {
-        self.slots.lock()[node.index()].birth
+        self.births[node.index()].load(Ordering::Acquire)
     }
 
     /// Whether the incarnation `birth` of `node` has been superseded or
@@ -378,6 +383,7 @@ impl FailureDetector {
         let mut slots = self.slots.lock();
         let s = &mut slots[node.index()];
         *s = Slot::fresh(s.birth + 1, now);
+        self.births[node.index()].store(s.birth, Ordering::Release);
     }
 
     /// One detection pass. Advances suspicion (suspect → retract/confirm)

@@ -142,7 +142,7 @@ pub(crate) trait Transport<M: Send + 'static>: Send + Sync {
             .expect("standby channel lives as long as the fabric");
     }
 
-    /// Blocks a standby thread until an event arrives or `patience`
+    /// Blocks the dispatch waiter until an event arrives or `patience`
     /// elapses.
     fn standby_wait(&self, patience: Duration) -> Option<StandbyEvent<M>> {
         self.fabric().standby_rx.recv_timeout(patience).ok()
@@ -1091,7 +1091,7 @@ mod tests {
         b.die();
         assert!(a.enter_barrier().is_fail());
         assert!(c.coordinator().claim_standby());
-        let b2 = c.adopt(NodeId::new(1));
+        let b2 = c.adopt(NodeId::new(1), None);
         // The pre-crash frame must not surface in the adopted inbox even
         // if its reader thread resolves it after the adoption.
         std::thread::sleep(Duration::from_millis(50));

@@ -3,11 +3,11 @@
 //!
 //! Three kinds of DFS content:
 //!
-//! * **metadata snapshots** — one per node, written after loading (and again
-//!   by a survivor a checkpoint recovery grafted partitions onto): the
+//! * **metadata snapshots** — one per node, written after loading: the
 //!   Rebirth batch that rebuilds the node's graph ([`encode_meta`]). A
-//!   partition has this one serialisation, so a checkpoint standby rebuilds
-//!   from the DFS what a Rebirth newbie rebuilds from its survivors' batches;
+//!   partition has this one serialisation, so a checkpoint newbie — a
+//!   standby, or a thread a survivor hosts — rebuilds from the DFS what a
+//!   Rebirth newbie rebuilds from its survivors' batches;
 //! * **data snapshots** — one per node per checkpoint: the masters' mutable
 //!   state (value + activity), written inside the global barrier and
 //!   committed by the leader's roster once it is clean ([`write_epoch_part`],

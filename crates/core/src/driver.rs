@@ -28,7 +28,7 @@ use imitator_storage::{Dfs, Extent, WriteBehind};
 
 use crate::ckpt::{self, SnapshotCodec};
 use crate::msg::{Batches, ProtoMsg, ReplicaGrant, StoreCodec, VertexSync};
-use crate::recovery::{self, Adoption, Mig, MigEnv};
+use crate::recovery::{self, Mig, MigEnv};
 use crate::report::RunReport;
 use crate::rt::{merge_outcomes, NodeOutcome, NodeState};
 use crate::{FtMode, RunConfig};
@@ -154,7 +154,7 @@ pub(crate) fn no_full_state(vid: Vid, kind: CopyKind) -> ! {
 ///
 /// Hooks with defaults are genuinely optional; everything else is the
 /// model-specific remainder after unification. Reconstruction primitives
-/// (`place_reborn` .. `adopt_partition`) are composed by `recovery.rs`
+/// (`place_reborn` .. `migration_wire`) are composed by `recovery.rs`
 /// into the Rebirth / Migration / checkpoint state machines.
 pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     /// Vertex value.
@@ -260,28 +260,15 @@ pub(crate) trait ComputeModel: Send + Sync + Sized + 'static {
     fn place_granted(&self, lg: &mut Self::Graph, grant: ReplicaGrant<Self::Value>) -> u32;
     /// Migration R4: wire promoted masters' edges / adopt reloaded edges.
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<Self::MigExtra>, resume: u64);
-    /// Checkpoint-fallback recovery (no standbys left): graft a crashed
-    /// node's reconstructed partition wholesale into this survivor's graph.
-    /// Every master becomes local (a promotion); replica copies either
-    /// merge into existing local copies or are appended, reporting their
-    /// placement back to the master (or as an orphan when the master died
-    /// too).
-    fn adopt_partition(
-        &self,
-        lg: &mut Self::Graph,
-        dead_lg: Self::Graph,
-        dead: NodeId,
-        episode: &[NodeId],
-        mig: &mut Mig<Self::MigExtra>,
-    ) -> Adoption;
 }
 
 /// The graphs the live nodes hand back when a run ends, by node.
 pub(crate) type FinalGraphs<M> = Vec<(NodeId, <M as ComputeModel>::Graph)>;
 
 /// Runs `model` over pre-built local graphs on a simulated cluster: spawns
-/// one thread per node plus the configured hot standbys, joins them, and
-/// assembles the merged [`RunReport`]. Each live node's final graph comes
+/// one thread per node, and one per newbie the recovery leader dispatches —
+/// a standby, or a slot a survivor hosts —, joins them, and assembles the
+/// merged [`RunReport`]. Each live node's final graph comes
 /// back with it (tests inspect what recovery left behind).
 ///
 /// # Panics
@@ -326,11 +313,13 @@ pub(crate) fn run<M: ComputeModel>(
     );
 
     let start = Instant::now();
+    let job = Arc::new(JobOver(cluster.clone()));
     let mut handles = Vec::new();
     for (p, lg) in lgs.into_iter().enumerate() {
         let ctx = cluster.take_ctx(NodeId::from_index(p));
-        let shared = Arc::clone(&shared);
+        let (shared, job) = (Arc::clone(&shared), Arc::clone(&job));
         handles.push(std::thread::spawn(move || {
+            let _job = job;
             let mut st = NodeState::new(shared.cfg.num_nodes, Instant::now());
             if matches!(shared.cfg.ft, FtMode::Checkpoint { .. }) {
                 let sw = Stopwatch::start();
@@ -345,22 +334,38 @@ pub(crate) fn run<M: ComputeModel>(
             node_main(ctx, lg, &shared, st)
         }));
     }
-    let mut standby_handles = Vec::new();
-    for _ in 0..cfg.standbys {
-        let cluster = cluster.clone();
-        let shared = Arc::clone(&shared);
-        standby_handles.push(std::thread::spawn(move || standby_main(&cluster, &shared)));
-    }
+    // The adopter: a thread per newbie dispatched, until the last node
+    // thread has ended. A newbie joins the job while its dispatcher waits at
+    // a barrier for it, so the job cannot end in between. A run that can
+    // dispatch no newbie — no standby, and no checkpoint recovery to host
+    // one — starts no adopter.
+    let dispatches = cfg.standbys > 0 || matches!(cfg.ft, FtMode::Checkpoint { .. });
+    let adopter = dispatches.then(|| {
+        let (cluster, shared, job) = (cluster.clone(), Arc::clone(&shared), Arc::downgrade(&job));
+        std::thread::spawn(move || {
+            let mut newbies = Vec::new();
+            while let Some(ctx) = cluster.wait_standby(Duration::from_secs(600)) {
+                let (shared, Some(job)) = (Arc::clone(&shared), job.upgrade()) else {
+                    continue;
+                };
+                newbies.push(std::thread::spawn(move || {
+                    let _job = job;
+                    newbie_main(ctx, &shared)
+                }));
+            }
+            let joined = newbies.into_iter().map(|h| h.join());
+            joined.collect::<Result<Vec<_>, _>>()
+        })
+    });
+    drop(job);
 
     let mut outcomes: Vec<NodeOutcome<(NodeId, M::Graph)>> = handles
         .into_iter()
         .map(|h| h.join().expect("node thread panicked"))
         .collect();
-    cluster.shutdown_standbys();
-    for h in standby_handles {
-        if let Some(o) = h.join().expect("standby thread panicked") {
-            outcomes.push(o);
-        }
+    if let Some(adopter) = adopter {
+        let newbies = adopter.join().expect("adopter thread panicked");
+        outcomes.extend(newbies.expect("newbie thread panicked"));
     }
     // Every node thread is joined; release transport-owned sockets/threads.
     cluster.shutdown_transport();
@@ -502,28 +507,36 @@ fn check_mirrors<M: ComputeModel>(
     }
 }
 
-/// Hot-standby entry: block until the coordinator hands over a crashed
-/// identity, reconstruct its state, then run the main loop as that node.
-fn standby_main<M: ComputeModel>(
-    cluster: &Cluster<Msg<M>>,
+/// Held by every node thread, newbies included: when the last one lets go —
+/// its thread ended, or unwound — the job is over, and the adopter stops
+/// waiting for dispatches.
+struct JobOver<T: Send + 'static>(Cluster<T>);
+
+impl<T: Send + 'static> Drop for JobOver<T> {
+    fn drop(&mut self) {
+        self.0.shutdown_standbys();
+    }
+}
+
+/// A newbie's thread: reconstruct the crashed identity it was handed, then
+/// run the main loop as that node.
+fn newbie_main<M: ComputeModel>(
+    ctx: Ctx<M>,
     shared: &Arc<Shared<M>>,
-) -> Option<NodeOutcome<(NodeId, M::Graph)>> {
-    let ctx = cluster.wait_standby(Duration::from_secs(600))?;
+) -> NodeOutcome<(NodeId, M::Graph)> {
     let mut st = NodeState::new(shared.cfg.num_nodes, Instant::now());
     let reborn = match shared.cfg.ft {
         FtMode::Replication { .. } => recovery::rebirth_newbie(&ctx, shared, &mut st),
         FtMode::Checkpoint { .. } => recovery::ckpt_newbie(&ctx, shared, &mut st),
-        FtMode::None => unreachable!("standbys are never dispatched without fault tolerance"),
+        FtMode::None => unreachable!("newbies are never dispatched without fault tolerance"),
     };
     match reborn {
-        Ok(lg) => Some(node_main(ctx, lg, shared, st)),
-        Err(_) => {
-            // The attempt this newbie was dispatched for aborted, and it has
-            // no pre-episode state to restore: it unwinds like a crashed
-            // node, its dropped context closes its slot, and the next
-            // attempt takes a fresh standby. Its accounting still merges.
-            Some(NodeOutcome::from_state(None, st))
-        }
+        Ok(lg) => node_main(ctx, lg, shared, st),
+        // The attempt this newbie was dispatched for aborted, and it has no
+        // pre-episode state to restore: it unwinds like a crashed node, its
+        // dropped context closes its slot, and the next attempt dispatches a
+        // fresh newbie. Its accounting still merges.
+        Err(_) => NodeOutcome::from_state(None, st),
     }
 }
 

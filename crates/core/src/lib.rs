@@ -144,8 +144,11 @@ pub struct RunConfig {
     /// arrives before the fence confirms it; a crashed node's closed slot
     /// is confirmed one tick after it.
     pub hb_timeout: Duration,
-    /// Hot standby machines for Rebirth (and for checkpoint recovery, which
-    /// also replaces crashed machines).
+    /// Hot standby machines for Rebirth and checkpoint recovery, which
+    /// replace crashed machines. A count only: a standby's thread starts
+    /// when it is dispatched. With the pool empty, Rebirth degrades to
+    /// Migration and checkpoint recovery hosts each crashed node on a
+    /// survivor's machine.
     pub standbys: usize,
     /// Must be 0 or 1: a node is one thread, which runs its kernels, its
     /// protocol and its recovery (DESIGN.md §4.4). The field stays only

@@ -29,14 +29,15 @@
 //! idempotent: a run that aborts N times converges to bit-identical values
 //! as one that never aborted.
 //!
-//! A standby that observes a failed barrier while it is being reborn cannot
+//! A newbie that observes a failed barrier while it is being reborn cannot
 //! restore anything (it has no pre-episode state): it crashes itself and
-//! lets the next attempt dispatch a fresh standby. Consequently each aborted
-//! attempt may consume standbys, and the strategy degrades gracefully when
-//! the standby pool runs dry: Rebirth falls back to Migration onto the
-//! survivors ("rebirth→migration"), and checkpoint recovery grafts the dead
-//! partitions, rebuilt from the DFS, onto the survivors
-//! ("checkpoint→migration") — no panic, no wedged cluster.
+//! lets the next attempt dispatch a fresh one. Consequently each aborted
+//! attempt may consume standbys, and recovery carries on when the standby
+//! pool runs dry: Rebirth falls back to Migration onto the survivors
+//! ("rebirth→migration"), and checkpoint recovery rebuilds each dead slot
+//! under its own identity on a thread a survivor hosts
+//! ("checkpoint→hosted"), which fails with its host — no panic, no wedged
+//! cluster.
 //!
 //! Recovery runs on the node's protocol thread, as plain loops over its
 //! `&mut` graph: the paper's recovery is parallel across the surviving
@@ -59,7 +60,7 @@ mod migration;
 mod rebirth;
 mod rounds;
 
-pub(crate) use ckpt::{ckpt_newbie, Adoption};
+pub(crate) use ckpt::ckpt_newbie;
 pub(crate) use migration::{Mig, MigEnv};
 pub(crate) use rebirth::rebirth_newbie;
 use rounds::AttemptCx;
@@ -93,8 +94,8 @@ pub(crate) type Attempt<T> = Result<T, Abort>;
 ///
 /// The node state is copied when the episode starts. The graph undoes
 /// itself: an attempt that writes it opens an episode on it
-/// ([`Episode::begin_episode`], before its first write — Migration, a
-/// checkpoint standby attempt and the checkpoint fallback alike), from where
+/// ([`Episode::begin_episode`], before its first write — Migration and a
+/// checkpoint attempt alike), from where
 /// its stores only grow and its mutators save what they overwrite, the
 /// value column imaged whole on its first value write (`imitator_engine`'s
 /// `episode` module). [`Undo::restore`] rolls the episode back; success
@@ -239,7 +240,7 @@ fn union_into(episode: &mut Vec<NodeId>, failed: Vec<NodeId>) {
 /// Re-synchronises the survivors after an aborted attempt: discard every
 /// message belonging to it (stash and queue), then loop barriers until one
 /// completes clean. A barrier that reports further failures — including the
-/// suicide marks of standbys dispatched for the aborted attempt — unions
+/// suicide marks of newbies dispatched for the aborted attempt — unions
 /// them into the episode and tries again. All survivors observe identical
 /// barrier outcomes, so they leave the fence with identical episodes.
 /// Returns `true` when *this node* was fenced out mid-fence (its own ID in

@@ -1,50 +1,38 @@
 //! Checkpoint recovery (§2.2-2.3): every node rolls back to the newest
-//! committed snapshot epoch and the lost iterations re-run — onto hot
-//! standbys, or, with none left, onto the survivors.
+//! committed snapshot epoch and the lost iterations re-run. Every crashed
+//! slot restarts under its own identity on a newbie that rebuilds it from
+//! the DFS: a hot standby while the pool lasts, else a thread a survivor
+//! hosts, which fails with its host.
 
 use imitator_cluster::NodeId;
 use imitator_engine::Episode;
-use imitator_graph::Vid;
-use imitator_metrics::{CommKind, Stopwatch};
+use imitator_metrics::CommKind;
 use imitator_storage::codec::Encode;
-use imitator_storage::{epoch, Extent};
+use imitator_storage::Extent;
 
-use super::migration::{
-    announce_promotions, collect_promotions, register_placements, report_placements, Mig, MigEnv,
-    Placements,
-};
 use super::rebirth::reborn;
-use super::rounds::{barrier_ok, AttemptCx, MIGRATION_ROUNDS, RELOAD};
+use super::rounds::{barrier_ok, AttemptCx, RELOAD};
 use super::Attempt;
-use crate::ckpt::{self, SnapshotCodec};
+use crate::ckpt;
 use crate::driver::{collect_syncs, ComputeModel, Ctx, ModelGraph, Shared, St};
-use crate::msg::{Promotion, ProtoMsg, VertexSync};
+use crate::msg::{ProtoMsg, VertexSync};
 use crate::report::RecoveryReport;
 
-/// What grafting dead partitions onto this node produced
-/// (checkpoint-fallback recovery, [`ComputeModel::adopt_partition`]).
-#[derive(Default)]
-pub(crate) struct Adoption {
-    /// Masters this node now hosts (announced cluster-wide in round 1 of
-    /// the fallback).
-    pub promotions: Vec<Promotion>,
-    /// Adopted replica copies whose *surviving* master must learn the new
-    /// location: `(master's node, vid, local position here)`.
-    pub placements: Vec<(NodeId, Vid, u32)>,
-    /// Local positions of adopted replica copies whose master died too —
-    /// resolved against the cluster-wide promotion set in round 2.
-    pub orphans: Vec<u32>,
+/// What an episode is reported as: a hosted slot is the one difference
+/// from a machine replaced by a standby.
+fn strategy(hosted: u64) -> &'static str {
+    if hosted == 0 {
+        "checkpoint"
+    } else {
+        "checkpoint→hosted"
+    }
 }
 
 pub(super) fn ckpt_survivor<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     lg: &mut M::Graph,
 ) -> Attempt<RecoveryReport> {
-    // An exhausted standby pool grafts the dead partitions' snapshots onto
-    // the survivors instead of panicking.
-    if !cx.standbys_dispatched()? {
-        return ckpt_fallback(cx, lg);
-    }
+    let hosted = cx.newbies_dispatched()?;
 
     // Reload: every node (survivors too) rolls back to the newest committed
     // epoch — one a crash mid-checkpoint interrupted has no roster, and is
@@ -69,160 +57,9 @@ pub(super) fn ckpt_survivor<M: ComputeModel>(
         cx.st.alive[d.index()] = true;
     }
     // `replay` accumulates as the lost iterations re-run.
-    let mut report = cx.report("checkpoint");
+    let mut report = cx.report(strategy(hosted));
     report.vertices_recovered = lg.num_masters() as u64;
     Ok(report)
-}
-
-/// Checkpoint recovery without standbys: the survivors adopt the dead
-/// partitions wholesale from the DFS. Three barrier-separated graft rounds
-/// (the first three rows of the Migration table), then the usual full-sync.
-///
-/// Round 1 — every survivor rolls back to the snapshot epoch; the
-/// round-robin adopter of each dead partition rebuilds it from the DFS
-/// (exactly what a standby would have done, [`reconstruct_partition`]) and
-/// grafts it into its own graph via
-/// [`ComputeModel::adopt_partition`]; promotions are announced. An adopter
-/// of several partitions reconstructs and grafts them in partition order.
-/// Round 2 — promotions are applied everywhere, adopted copies whose master
-/// also died are re-pointed at the promoted location, and position-addressed
-/// consumer tables of the masters round 1 purged or grafted are rewritten
-/// ([`ComputeModel::migration_requests`], no promotion of our own: every
-/// adopted master arrives complete, so no replica requests are generated).
-/// Round 3 — replica placements are registered with their surviving
-/// masters and the leader acknowledges the episode; the closing full-sync
-/// then refreshes every (old and adopted) replica from its master's
-/// rolled-back value. Finally each survivor re-persists its metadata
-/// snapshot and what the model keeps beside it: its layout grew, and a
-/// *later* episode must be able to reconstruct it including the adopted
-/// positions and edges; an adopter also rewrites its part of the snapshot
-/// epoch as a full one, since until its next epoch its chain ends there and
-/// its parts before the graft name none of the adopted masters.
-fn ckpt_fallback<M: ComputeModel>(
-    cx: &mut AttemptCx<'_, M>,
-    lg: &mut M::Graph,
-) -> Attempt<RecoveryReport> {
-    let (model, me) = (&cx.shared.model, cx.me());
-    let mut mig: Mig<M::MigExtra> = Mig::default();
-    let [r1, r2, r3, ..] = &MIGRATION_ROUNDS;
-    // `undo_capture`, `reload` and `reconstruct`, booked across the rounds.
-    let mut sw = Stopwatch::start();
-
-    // ---- Round 1: roll back, graft assigned dead partitions, announce.
-    let (snap_iter, adopted) = cx.round(r1, |cx| {
-        // The rollback and the grafts rewrite the graph: journal from here on.
-        lg.begin_episode();
-        cx.phases.record("undo_capture", sw.lap());
-        let snap_iter = ckpt::roll_back(cx.shared, lg, &ckpt::chain::<M>(&cx.shared.dfs, me));
-        // The dead nodes are gone for good: purge them from every
-        // pre-existing master's tables that name one, which round 2 visits
-        // (as it visits the grafted ones, purged in `adopt_partition`).
-        for pos in 0..lg.len() as u32 {
-            if lg.is_master(pos) && lg.full(pos).names_any(cx.dead) {
-                lg.edit_full(pos, |tables| tables.purge_nodes(cx.dead));
-                mig.dirty_masters.insert(pos);
-            }
-        }
-        cx.phases.record("reload", sw.lap());
-        let adopted = graft_partitions(cx, lg, &mut mig);
-        announce_promotions(cx, &adopted.promotions);
-        (snap_iter, adopted)
-    })?;
-
-    // ---- Round 2: apply promotions, resolve orphans, rewrite consumer
-    //      tables, report replica placements to surviving masters.
-    cx.round(r2, |cx| {
-        let all_promos = collect_promotions(cx, lg, &adopted.promotions);
-        let mut placed = Placements::new();
-        for (master, vid, pos) in adopted.placements {
-            placed.entry(master).or_default().push((vid, pos));
-        }
-        // Orphans: adopted replica copies whose master died too. If a later
-        // graft of our own promoted the vertex here it is already a master;
-        // otherwise the promotions just applied point it at the promoted
-        // location, where it registers.
-        for pos in adopted
-            .orphans
-            .into_iter()
-            .filter(|&pos| !lg.is_master(pos))
-        {
-            let (vid, master) = (lg.vid(pos), lg.master_node(pos));
-            let promoted = cx.st.alive[master.index()];
-            assert!(promoted, "orphaned copy of {vid} has no promotion");
-            placed.entry(master).or_default().push((vid, pos));
-        }
-        // Rewrite position-addressed consumer tables that still point at the
-        // dead layouts. Under checkpoint FT the adopted partitions arrive
-        // complete, so the models generate no replica requests here.
-        let menv = MigEnv::new(cx.dead, me, &[], &all_promos);
-        let requests = model.migration_requests(lg, cx.shared, cx.st, &mut mig, &menv);
-        debug_assert!(
-            requests.values().all(Vec::is_empty),
-            "checkpoint fallback must not need replica grants"
-        );
-        // Adoption grafted masters whose `active` bits came straight from the
-        // snapshot; restore derived activation state before validating.
-        model.after_recovery(lg);
-        model.validate(lg);
-        report_placements(cx, placed);
-    })?;
-
-    // ---- Round 3: register placements; leader acknowledges; full-sync
-    //      refreshes every replica (its barriers close this round).
-    cx.phase(r3, |cx| {
-        register_placements(cx, lg, None);
-        cx.ack_recovered();
-        full_sync(cx, lg)?;
-        // Re-persist the metadata snapshot and the edge-ckpt files: any
-        // later rebuild of *this* node needs the adopted copies and edges.
-        // After the last abortable barrier, so an aborted attempt never
-        // leaves a revised snapshot behind.
-        ckpt::write_meta(model, &cx.shared.dfs, lg, me);
-        cx.st.persist = model.persist(lg, cx.shared);
-        if !adopted.promotions.is_empty() && snap_iter > 0 {
-            let part = lg.encode_snapshot(snap_iter, None);
-            epoch::write_part(&cx.shared.dfs, M::PREFIX, snap_iter, me.raw(), part);
-        }
-        Ok(())
-    })?;
-    cx.phases.record("reconstruct", sw.lap());
-
-    cx.st.iter = snap_iter;
-    cx.st.replay_until = cx.resume_iter;
-    cx.st.dirty.clear();
-    mig.promoted.sort_unstable();
-    // `replay` accumulates as the lost iterations re-run.
-    let mut report = cx.report("checkpoint→migration");
-    (report.vertices_recovered, report.edges_recovered) = (mig.recovered, mig.edges_recovered);
-    (report.promoted, report.contacted) = (mig.promoted, cx.others.clone());
-    Ok(report)
-}
-
-/// Round 1's grafts of the dead partitions assigned to this node
-/// (deterministically, round-robin over the survivors), each rebuilt from
-/// the DFS and grafted in turn.
-fn graft_partitions<M: ComputeModel>(
-    cx: &mut AttemptCx<'_, M>,
-    lg: &mut M::Graph,
-    mig: &mut Mig<M::MigExtra>,
-) -> Adoption {
-    let adopters = cx.survivors.iter().cycle();
-    let mine = cx.dead.iter().zip(adopters).filter(|(_, &s)| s == cx.me());
-    let mine: Vec<NodeId> = mine.map(|(&d, _)| d).collect();
-    let mut adopted = Adoption::default();
-    for d in mine {
-        let (model, dead_lg) = (&cx.shared.model, reconstruct_partition(cx.shared, d).0);
-        let graft = model.adopt_partition(lg, dead_lg, d, cx.dead, mig);
-        for p in &graft.promotions {
-            cx.st.overlay.insert(p.vid, p.new_master);
-            mig.promoted.push(p.vid);
-            mig.dirty_masters.insert(p.new_pos);
-        }
-        adopted.promotions.extend(graft.promotions);
-        adopted.placements.extend(graft.placements);
-        adopted.orphans.extend(graft.orphans);
-    }
-    adopted
 }
 
 /// Rebuilds crashed node `d`'s partition from the DFS as a Rebirth newbie
@@ -247,11 +84,13 @@ pub(super) fn reconstruct_partition<M: ComputeModel>(
     (dg, snap_iter)
 }
 
-/// A standby reconstructing a crashed identity from the DFS: a Rebirth
-/// newbie ([`super::rebirth_newbie`]) whose batch is the metadata snapshot.
+/// A newbie — a standby, or a thread a survivor hosts — reconstructing a
+/// crashed identity from the DFS: a Rebirth newbie
+/// ([`super::rebirth_newbie`]) whose batch is the metadata snapshot.
 ///
 /// Fails when the attempt aborted, which it learns at a failed barrier like
-/// every node (suicide-on-abort, as in [`super::rebirth_newbie`]).
+/// every node (suicide-on-abort, as in [`super::rebirth_newbie`]); a hosted
+/// one whose host died learns there that it died too.
 pub(crate) fn ckpt_newbie<M: ComputeModel>(
     ctx: &Ctx<M>,
     shared: &Shared<M>,
@@ -260,7 +99,7 @@ pub(crate) fn ckpt_newbie<M: ComputeModel>(
     let me = [ctx.id()];
     let cx = &mut AttemptCx::new(ctx, shared, st, &me, 0);
     // Membership barrier (the survivors' decision barrier).
-    cx.decide(0)?;
+    let hosted = cx.decide(0)?;
     let (mut lg, snap_iter) = reconstruct_partition::<M>(shared, ctx.id());
     // The newbie does not know the episode's resume iteration (that lives
     // in the survivors' state); its reload fail point keys on the snapshot
@@ -274,7 +113,7 @@ pub(crate) fn ckpt_newbie<M: ComputeModel>(
     cx.mark("reconstruct");
 
     cx.st.iter = snap_iter;
-    let mut report = cx.report("checkpoint");
+    let mut report = cx.report(strategy(hosted));
     (report.vertices_recovered, report.edges_recovered) = shared.model.graph_stats(&lg);
     cx.st.recoveries.push(report);
     Ok(lg)

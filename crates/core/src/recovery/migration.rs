@@ -1,7 +1,5 @@
 //! Migration (§5.2): the survivors take the crashed nodes' vertices over,
-//! in eight barrier-separated rounds. The promotion and placement exchanges
-//! are shared with the checkpoint fallback, which grafts whole partitions
-//! through the first three.
+//! in eight barrier-separated rounds.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,7 +28,7 @@ type Mirrors<M> = MirrorBatch<<M as ComputeModel>::Value>;
 type MirrorRecords = Vec<(u32, EdgeLists, bool)>;
 
 /// The positions of copies placed for masters elsewhere, by master's node.
-pub(super) type Placements = HashMap<NodeId, Vec<(Vid, u32)>>;
+type Placements = HashMap<NodeId, Vec<(Vid, u32)>>;
 
 /// Shared migration bookkeeping, threaded through the rounds. `extra` is
 /// the model's own state (the edge wiring the generic rounds don't know
@@ -108,10 +106,8 @@ fn index_get<'p>(table: &[u32], key: u32, promos: &'p [Promotion]) -> Option<&'p
 }
 
 impl<'a> MigEnv<'a> {
-    /// Indexes `own` (this node's R1 promotions, or none under the
-    /// checkpoint fallback) by the position they promoted, and `all` by the
-    /// crashed `(node, position)` they vacated. Positions need not arrive
-    /// sorted: adopted partitions promote into appended slots.
+    /// Indexes `own` (this node's R1 promotions) by the position they
+    /// promoted, and `all` by the crashed `(node, position)` they vacated.
     pub(crate) fn new(
         dead: &'a [NodeId],
         me: NodeId,
@@ -192,18 +188,18 @@ impl<'a> MigEnv<'a> {
 }
 
 // --------------------------------------------------------------------------
-// Exchanges shared with the checkpoint fallback
+// Exchanges between the rounds
 // --------------------------------------------------------------------------
 
 /// Announces the masters this node took over in this round.
-pub(super) fn announce_promotions<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, own: &[Promotion]) {
+fn announce_promotions<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, own: &[Promotion]) {
     cx.send_others(|_| ProtoMsg::Promote(own.to_vec()));
 }
 
 /// Collects the promotions the other survivors announced behind this node's
 /// `own` and applies them all: the overlay learns every new master, and a
 /// local copy of a vertex promoted elsewhere follows it, tables included.
-pub(super) fn collect_promotions<M: ComputeModel>(
+fn collect_promotions<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     g: &mut M::Graph,
     own: &[Promotion],
@@ -231,28 +227,23 @@ pub(super) fn collect_promotions<M: ComputeModel>(
 }
 
 /// Tells every other survivor where the copies of its masters were placed.
-pub(super) fn report_placements<M: ComputeModel>(
-    cx: &mut AttemptCx<'_, M>,
-    mut placed: Placements,
-) {
+fn report_placements<M: ComputeModel>(cx: &mut AttemptCx<'_, M>, mut placed: Placements) {
     cx.send_others(|n| ProtoMsg::ReplicaPlaced(placed.remove(&n).unwrap_or_default()));
 }
 
 /// Registers the placements the other survivors reported with the masters
 /// here, which go `dirty` — where mirrors are kept that must learn of it.
-pub(super) fn register_placements<M: ComputeModel>(
+fn register_placements<M: ComputeModel>(
     cx: &mut AttemptCx<'_, M>,
     g: &mut M::Graph,
-    mut dirty: Option<&mut PosSet>,
+    dirty: &mut PosSet,
 ) {
     for (from, placed) in cx.take(kind!(ReplicaPlaced)) {
         for (vid, pos) in placed {
             let mpos = g.position(vid).expect("placement for unknown master");
             debug_assert!(g.is_master(mpos));
             g.edit_full(mpos, |tables| tables.register_replica(from, pos));
-            if let Some(dirty) = &mut dirty {
-                dirty.insert(mpos);
-            }
+            dirty.insert(mpos);
         }
     }
 }
@@ -339,7 +330,7 @@ pub(super) fn migrate<M: ComputeModel>(
     //      mirrors are new leaves the dirty set — R7 has nothing to add for it
     //      unless a fresh replica's position, registered there, re-marks it.
     let designated = cx.round(r5, |cx| {
-        register_placements(cx, lg, Some(&mut mig.dirty_masters));
+        register_placements(cx, lg, &mut mig.dirty_masters);
         let designations = designate_mirrors(cx, lg, &mut mig);
         ship_mirror_batches(cx, lg, &designations);
         designations
@@ -376,7 +367,7 @@ pub(super) fn migrate<M: ComputeModel>(
     //      the lists its receiver lacks: none if R5 designated it, else those
     //      the episode changed (`FullStateBatches::changed_lists`).
     cx.round(r7, |cx| {
-        register_placements(cx, lg, Some(&mut mig.dirty_masters));
+        register_placements(cx, lg, &mut mig.dirty_masters);
         let dirty = std::mem::take(&mut mig.dirty_masters);
         let mut refreshes: Vec<MirrorRecords> = vec![Vec::new(); cx.shared.cfg.num_nodes];
         for pos in dirty.iter().filter(|&pos| lg.is_master(pos)) {

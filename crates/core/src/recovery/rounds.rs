@@ -25,8 +25,7 @@ use crate::report::RecoveryReport;
 /// the fail point consulted as it starts.
 pub(super) type Step = (&'static str, FailPoint);
 
-/// Migration's eight rounds (§5.2). The checkpoint fallback's three graft
-/// rounds reuse the first three rows.
+/// Migration's eight rounds (§5.2).
 pub(super) const MIGRATION_ROUNDS: [Step; 8] = [
     ("migration_round1", FailPoint::MigrationRound(1)),
     ("migration_round2", FailPoint::MigrationRound(2)),
@@ -218,6 +217,26 @@ impl<'a, M: ComputeModel> AttemptCx<'a, M> {
             }
         }
         Ok(self.decide(u64::from(covered))? != 0)
+    }
+
+    /// Checkpoint recovery's decision: the leader starts a newbie under
+    /// every crashed identity before entering the decision barrier, which
+    /// cannot complete without them — on a standby while the pool lasts,
+    /// else on a thread a survivor hosts, round-robin over the survivors
+    /// that are no hosted slots themselves. Returns how many it hosted.
+    pub(super) fn newbies_dispatched(&mut self) -> Attempt<u64> {
+        let (cluster, mut hosted) = (self.ctx.cluster(), 0);
+        if self.me() == self.st.leader() {
+            let coord = cluster.coordinator();
+            let hosts = self.survivors.iter().filter(|&&n| coord.host(n).is_none());
+            for (&d, &host) in self.dead.iter().zip(hosts.cycle()) {
+                if !cluster.dispatch_standby(d) {
+                    cluster.dispatch_hosted(d, host);
+                    hosted += 1;
+                }
+            }
+        }
+        self.decide(hosted)
     }
 
     /// The leader acknowledges the episode's crashed nodes as recovered onto

@@ -199,9 +199,9 @@ fn replication(tolerance: usize, recovery: RecoveryStrategy) -> FtMode {
 /// A recovery attempt's journal holds what it changed, not the partition.
 /// On a 20 k-vertex power-law graph a Migration's stays under a quarter of
 /// what the partition serialises to (its metadata snapshot, and a
-/// vertex-cut node's edge-ckpt files); a checkpoint standby attempt's is
-/// its value column, and the fallback's less than the snapshots. Of the
-/// five strategies, every one that writes its graph journals and books
+/// vertex-cut node's edge-ckpt files); a checkpoint attempt's is its value
+/// column, whether a standby or a survivor's thread hosts the dead slot. Of
+/// the five strategies, every one that writes its graph journals and books
 /// opening the journal under `undo_capture`; a clean Rebirth only reads its
 /// survivors' graphs and keeps nothing.
 #[test]
@@ -223,7 +223,7 @@ fn journal_is_proportional_to_the_change_set() {
         ),
         ("rebirth→migration", rebirth, 0, true),
         ("checkpoint", ckpt, 1, true),
-        ("checkpoint→migration", ckpt, 0, true),
+        ("checkpoint→hosted", ckpt, 0, true),
     ];
     for edge_cut in [true, false] {
         let golden = run(edge_cut, FtMode::None, 0, vec![]);
@@ -263,18 +263,13 @@ fn journal_is_proportional_to_the_change_set() {
     );
     let standby = run_ec(&g, NODES, ckpt, 1, plan.clone());
     let survivors: Vec<_> = standby.loaded.iter().filter(|lg| lg.node != dead).collect();
-    let encoded = survivors
-        .iter()
-        .map(|lg| ckpt::encode_meta(&model, lg).len());
-    let fallback = journal(run_ec(&g, NODES, ckpt, 0, plan.clone()).report);
     checkpoint_journals(
         "edge-cut",
         value_column(&survivors, std::mem::size_of::<(u32, u8)>()),
-        (journal(standby.report), fallback),
-        encoded.sum(),
-        // Measured: 537 340 B against 1 284 501 B, 42 % (35 % against
-        // 1 522 791 B while an in-edge also wrote its source's position).
-        (9, 20),
+        [
+            journal(standby.report),
+            journal(run_ec(&g, NODES, ckpt, 0, plan.clone()).report),
+        ],
     );
 
     let cut = RandomVertexCut.partition(&g, NODES);
@@ -297,21 +292,13 @@ fn journal_is_proportional_to_the_change_set() {
     );
     let loaded = build_vertex_cut_graphs(&g, &cut, &load_plan(&g, &cut, ckpt), &MinLabel, &degrees);
     let survivors: Vec<_> = loaded.iter().filter(|lg| lg.node != dead).collect();
-    let encoded = survivors
-        .iter()
-        .map(|lg| ckpt::encode_meta(&model, lg).len());
     checkpoint_journals(
         "vertex-cut",
         value_column(&survivors, std::mem::size_of::<u32>()),
-        (
+        [
             journal(run_vc(&g, NODES, ckpt, 1, plan.clone()).0),
             journal(run_vc(&g, NODES, ckpt, 0, plan).0),
-        ),
-        encoded.sum(),
-        // A vertex-cut snapshot holds no edges, and a copy's value weighs
-        // as much as its record there. Measured: 431 005 B against
-        // 589 682 B, 73 %.
-        (3, 4),
+        ],
     );
 }
 
@@ -328,35 +315,24 @@ fn value_column<G: ModelGraph + Clone>(survivors: &[&G], per_copy: usize) -> (us
     (image, survivors.iter().map(|&lg| idle(lg)).sum())
 }
 
-/// Holds a checkpoint recovery's journals — of a standby attempt, of the
-/// fallback — against the survivors' value column and what their metadata
-/// snapshots encode to. A standby attempt rolls every value back and writes
-/// nothing else: its journal is the value column, as large as the copy an
-/// undo once took, and the journals' fixed header. The fallback's grafts
-/// append, which costs nothing, and it rewrites the tables of every master
-/// (it purges the dead nodes): with the value column, under `share` — a
-/// fraction — of the snapshots.
-fn checkpoint_journals(
-    engine: &str,
-    (column, header): (usize, usize),
-    (standby, fallback): (usize, usize),
-    encoded: usize,
-    (num, den): (usize, usize),
-) {
-    assert!(
-        column <= standby && standby - column <= header,
-        "{engine}: standby journal {standby} B against a {column} B value column"
-    );
-    assert!(
-        0 < fallback && den * fallback < num * encoded,
-        "{engine}: fallback journal {fallback} B against {encoded} B encoded"
-    );
+/// Holds a checkpoint recovery's journals — with the dead slot on a
+/// standby, and hosted by a survivor — against the survivors' value column.
+/// A survivor rolls every value back and writes nothing else, whoever runs
+/// the newbie: its journal is the value column, as large as the copy an
+/// undo once took, and the journals' fixed header.
+fn checkpoint_journals(engine: &str, (column, header): (usize, usize), journals: [usize; 2]) {
+    for journal in journals {
+        assert!(
+            column <= journal && journal - column <= header,
+            "{engine}: journal {journal} B against a {column} B value column"
+        );
+    }
 }
 
-/// An attempt aborted at the start of any Migration round — of a
-/// Migration, or of the checkpoint fallback's first three — or at a
-/// checkpoint standby attempt's reload rolls its journal back, and the retry
-/// finishes bit-identical to the failure-free run. (In this build
+/// An attempt aborted at the start of any Migration round, or at a
+/// checkpoint attempt's reload — the dead slot on a standby or hosted by a
+/// survivor —, rolls its journal back, and the retry finishes bit-identical
+/// to the failure-free run. (In this build
 /// `Undo::restore` also holds the rolled-back graph against a clone of the
 /// pre-episode one, values by their encoding.)
 #[test]
@@ -368,11 +344,11 @@ fn abort_at_every_migration_round_rolls_back_and_retries() {
         incremental: true,
     };
     // (mode, standbys, where the second crash lands); three standbys leave
-    // the retry of an aborted standby attempt two.
-    let rounds = |ft, last| (1..=last).map(move |r| (ft, 0, FailPoint::MigrationRound(r)));
-    let cases: Vec<(FtMode, usize, FailPoint)> = rounds(migration, 8)
-        .chain(rounds(ckpt, 3))
-        .chain([(ckpt, 3, FailPoint::RebirthReload)])
+    // the retry of an aborted standby attempt two, and with none node 0
+    // hosts slot 1, so node 2 hosts nothing.
+    let rounds = (1..=8).map(|r| (migration, 0, FailPoint::MigrationRound(r)));
+    let cases: Vec<(FtMode, usize, FailPoint)> = rounds
+        .chain([3, 0].map(|standbys| (ckpt, standbys, FailPoint::RebirthReload)))
         .collect();
     for edge_cut in [true, false] {
         let golden = run(edge_cut, FtMode::None, 0, vec![]);
@@ -483,9 +459,9 @@ fn master_bits(graphs: &[(NodeId, EcLocalGraph<RankValue>)]) -> Vec<(Vid, Vec<u8
 /// from a later survivor's batch — resolves each source, named by vertex,
 /// through the complete index. The lost node holds such masters, and comes
 /// back equal to itself on the Rebirth newbie (from its survivors' batches)
-/// and from its metadata snapshot (the checkpoint standby's rebuild, and the
-/// graft's before it splices the partition in); a grafted run ends on the
-/// failure-free values, bit for bit.
+/// and from its metadata snapshot (the checkpoint newbie's rebuild, on a
+/// standby or hosted by a survivor); a hosted run ends on the failure-free
+/// values, bit for bit.
 #[test]
 fn a_master_fed_from_later_positions_rebuilds_on_every_path() {
     let _serial = CAPTURE_TESTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -521,11 +497,11 @@ fn a_master_fed_from_later_positions_rebuilds_on_every_path() {
         "the snapshot's rebuild differs"
     );
     let (_, clean) = pagerank_graphs(NODES, ckpt, 0, vec![]);
-    let (episodes, grafted) = pagerank_graphs(NODES, ckpt, 0, crashed());
-    assert_eq!(episodes, ["checkpoint→migration"]);
+    let (episodes, hosted) = pagerank_graphs(NODES, ckpt, 0, crashed());
+    assert_eq!(episodes, ["checkpoint→hosted"]);
     assert!(
-        master_bits(&grafted) == master_bits(&clean),
-        "the graft's values differ"
+        master_bits(&hosted) == master_bits(&clean),
+        "the hosted slot's values differ"
     );
 }
 
@@ -1127,8 +1103,7 @@ fn visits(tally: &[[usize; 2]]) -> Vec<usize> {
 
 /// Round 2 visits the masters round 1 promoted and none other: on each
 /// survivor of a Migration, as many as it promoted, fewer than the masters
-/// it holds; under the checkpoint fallback, which runs no round 1, none. A
-/// master that only lost a mirror, or feeds a consumer the crash moved, keeps
+/// it holds. A master that only lost a mirror, or feeds a consumer the crash moved, keeps
 /// its block: its remote out-edges name their consumers by vertex. (A debug
 /// build holds every run's remote out-edges to the edges its masters fold.)
 #[test]
@@ -1152,14 +1127,6 @@ fn round_2_visits_only_the_masters_the_crash_touched() {
         tally.iter().all(|&[visited, masters]| visited < masters),
         "{tally:?}"
     );
-
-    let ckpt = FtMode::Checkpoint {
-        interval: 2,
-        incremental: false,
-    };
-    let (run, tally) = tallied_in(&R2_TALLY, || run_ec(&g, NODES, ckpt, 0, plan()));
-    assert_eq!(run.report.recoveries[0].strategy, "checkpoint→migration");
-    assert_eq!(visits(&tally), [0, 0, 0], "checkpoint fallback");
 }
 
 /// The in-edges round 7 must ship when `dead` crash together: those of every
@@ -1333,15 +1300,12 @@ proptest! {
     /// The dense `MigEnv` tables answer exactly like the structures they
     /// replaced — a linear `find` over this node's promotions and a
     /// `HashMap<(NodeId, u32), Promotion>` over everyone's — for 1-3 crashed
-    /// nodes, for Migration (own promotions in ascending position order) and
-    /// for the checkpoint fallback (no own promotions; adopted masters land
-    /// in pre-existing *and* appended slots, in no particular order).
+    /// nodes, own promotions in ascending position order.
     #[test]
     fn indexed_promotion_lookups_match_the_naive_ones(
         num_dead in 1usize..=3,
         layout in 1u32..400,
         local in 1u32..300,
-        fallback in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let mut x = seed;
@@ -1359,10 +1323,8 @@ proptest! {
                 }
                 let new_master = survivors[(next(&mut x) % 3) as usize];
                 let slots = taken.entry(new_master).or_default();
-                // Migration promotes in place, below `local`; the fallback
-                // also appends past the adopter's pre-existing layout.
-                let span = if fallback { 2 * local } else { local };
-                let new_pos = (next(&mut x) % u64::from(span)) as u32;
+                // Migration promotes in place, below `local`.
+                let new_pos = (next(&mut x) % u64::from(local)) as u32;
                 if slots.contains(&new_pos) {
                     continue;
                 }
@@ -1376,11 +1338,8 @@ proptest! {
                 });
             }
         }
-        let mut own: Vec<Promotion> = if fallback {
-            Vec::new()
-        } else {
-            all.iter().copied().filter(|p| p.new_master == me).collect()
-        };
+        let mut own: Vec<Promotion> =
+            all.iter().copied().filter(|p| p.new_master == me).collect();
         own.sort_unstable_by_key(|p| p.new_pos);
         // Arrival order of the announcements is not position order.
         for i in (1..all.len()).rev() {
@@ -1390,7 +1349,7 @@ proptest! {
         let env = MigEnv::new(&dead, me, &own, &all);
         let by_old: HashMap<(NodeId, u32), Promotion> =
             all.iter().map(|p| ((p.old_node, p.old_pos), *p)).collect();
-        for pos in 0..2 * local + 2 {
+        for pos in 0..local + 2 {
             let naive = own.iter().find(|p| p.new_pos == pos);
             prop_assert_eq!(env.own_promotion_at(pos), naive);
         }
@@ -1425,8 +1384,6 @@ fn every_strategy_books_its_phase_keys_in_protocol_order() {
         >migration_round7 >migration_round8 -fence >after_recovery";
     const REBIRTH: &str = "<reload -fence >after_recovery <prefetch_wait* >reconstruct -replay";
     const CHECKPOINT: &str = "<undo_capture <reload -fence >reconstruct >after_recovery";
-    const FALLBACK: &str = "<undo_capture <reload -migration_round1 -migration_round2 \
-        -migration_round3 >reconstruct -fence >after_recovery";
     // What separates two stopwatches of one thread: no barrier, no I/O.
     const GAPS: Duration = Duration::from_millis(1);
 
@@ -1444,8 +1401,8 @@ fn every_strategy_books_its_phase_keys_in_protocol_order() {
         ("rebirth→migration", rebirth, 0, MIGRATION),
         ("checkpoint", ckpt(false), 1, CHECKPOINT),
         ("checkpoint", ckpt(true), 1, CHECKPOINT),
-        ("checkpoint→migration", ckpt(false), 0, FALLBACK),
-        ("checkpoint→migration", ckpt(true), 0, FALLBACK),
+        ("checkpoint→hosted", ckpt(false), 0, CHECKPOINT),
+        ("checkpoint→hosted", ckpt(true), 0, CHECKPOINT),
     ];
     for edge_cut in [true, false] {
         for (strategy, ft, standbys, keys) in cases {

@@ -14,8 +14,10 @@ use imitator_metrics::{CommBreakdown, CommStats, PhaseTimes, RecoveryCounters, S
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Strategy that actually executed: "rebirth", "migration", "checkpoint",
-    /// or a degraded form ("rebirth→migration", "checkpoint→migration") when
-    /// standby exhaustion forced a fallback onto the survivors.
+    /// or a degraded form when the standby pool could not cover the episode:
+    /// "rebirth→migration" (Migration onto the survivors), or
+    /// "checkpoint→hosted" (some dead node rebuilt on a thread a survivor
+    /// hosts).
     pub strategy: &'static str,
     /// Number of crashed nodes handled in this episode.
     pub failed_nodes: usize,

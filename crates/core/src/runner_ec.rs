@@ -22,10 +22,9 @@ use imitator_storage::codec::{Decode, Encode};
 use imitator_storage::Dfs;
 
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
-use crate::msg::Promotion;
 use crate::msg::{Batches, ReplicaGrant, VertexSync};
 use crate::plan::compute_ft_plan;
-use crate::recovery::{Adoption, Mig, MigEnv};
+use crate::recovery::{Mig, MigEnv};
 use crate::report::RunReport;
 use crate::{FtMode, RunConfig};
 
@@ -41,8 +40,8 @@ use crate::{FtMode, RunConfig};
 /// Panics if `cfg.num_nodes != cut.num_parts()`, if `cfg.threads_per_node`
 /// is above 1, or if a failure is injected with `FtMode::None`. Standby
 /// exhaustion does not panic: Rebirth degrades to Migration onto the
-/// survivors, and checkpoint recovery grafts the dead partitions' snapshots
-/// onto the survivors (§5.3).
+/// survivors, and checkpoint recovery rebuilds each dead node from its
+/// snapshots on a thread a survivor hosts (§5.3).
 pub fn run_edge_cut<P>(
     g: &Graph,
     cut: &EdgeCut,
@@ -454,118 +453,5 @@ where
                 mig.dirty_masters.insert(spos);
             }
         }
-    }
-
-    /// Checkpoint-fallback graft: splice the whole reconstructed partition
-    /// into this survivor's graph. Positions are remapped dead-local →
-    /// here-local in one pass (existing local copies keep their slot, the
-    /// rest append), so every position-addressed table in the adopted state
-    /// — in-edges, local consumer links, owner tables — rewrites through
-    /// one map. Remote out-edges name their consumers by vertex and are kept
-    /// as they are: one whose consumer is mastered here is skipped by every
-    /// reader.
-    fn adopt_partition(
-        &self,
-        lg: &mut Self::Graph,
-        dead_lg: Self::Graph,
-        dead: NodeId,
-        episode: &[NodeId],
-        mig: &mut Mig<EcMigExtra>,
-    ) -> Adoption {
-        let me = lg.node;
-        let base = lg.verts.len() as u32;
-        let mut next = base;
-        let map: Vec<u32> = dead_lg
-            .verts
-            .iter()
-            .map(|dv| {
-                lg.position(dv.vid).unwrap_or_else(|| {
-                    let p = next;
-                    next += 1;
-                    p
-                })
-            })
-            .collect();
-        let mut out = Adoption::default();
-        for (dp, dv) in dead_lg.verts.iter().enumerate() {
-            let new_pos = map[dp];
-            let in_edges = dead_lg.in_edges(dp as u32).iter();
-            let in_edges: Vec<(u32, f32)> = in_edges.map(|&(s, w)| (map[s as usize], w)).collect();
-            let out_local = dead_lg.out_local(dp as u32).iter();
-            let mut out_local: Vec<u32> = out_local.map(|&t| map[t as usize]).collect();
-            match dv.kind {
-                CopyKind::Master => {
-                    let state = dead_lg.exported(dp as u32);
-                    let mut locations = state.locations.to_owned();
-                    locations.set_master_pos(new_pos);
-                    locations.purge_node(me);
-                    locations.purge_nodes(episode);
-                    mig.edges_recovered += in_edges.len() as u64;
-                    // Values and flags go straight in: the rollback before
-                    // the graft imaged them.
-                    if new_pos < base {
-                        // Upgrade the pre-existing ghost copy in place,
-                        // keeping the consumer links it already knew about.
-                        debug_assert_eq!(
-                            lg.verts[new_pos as usize].kind,
-                            CopyKind::Replica,
-                            "checkpoint FT keeps no mirrors"
-                        );
-                        out_local.extend_from_slice(lg.out_local(new_pos));
-                        lg.set_kind(new_pos, CopyKind::Master);
-                        lg.set_master_node(new_pos, me);
-                        lg.verts[new_pos as usize].value = dv.value.clone();
-                    } else {
-                        let master = EcVertex::new(dv.vid, CopyKind::Master, me, dv.value.clone());
-                        lg.insert_at(new_pos, master, []);
-                    }
-                    out_local.sort_unstable();
-                    out_local.dedup();
-                    let v = &mut lg.verts[new_pos as usize];
-                    (v.active, v.last_activate) = (dv.active, dv.last_activate);
-                    lg.set_in_edges(new_pos, &in_edges);
-                    lg.set_out_local(new_pos, &out_local);
-                    // The master's own edge lists are its owner-local lists,
-                    // and the consumers its remote out-edges name that are
-                    // mastered here its replica here fed already.
-                    let locations = locations.view();
-                    lg.set_full_state(new_pos, FullStateRef { locations, ..state });
-                    out.promotions.push(Promotion {
-                        vid: dv.vid,
-                        new_master: me,
-                        new_pos,
-                        old_node: dead,
-                        old_pos: dp as u32,
-                    });
-                    mig.recovered += 1;
-                }
-                CopyKind::Replica => {
-                    if new_pos < base {
-                        // Already hosted here: merge the dead layout's local
-                        // consumer links into the existing copy.
-                        out_local.extend_from_slice(lg.out_local(new_pos));
-                        out_local.sort_unstable();
-                        out_local.dedup();
-                        lg.set_out_local(new_pos, &out_local);
-                    } else {
-                        let master_node = dv.master_node;
-                        let mut copy =
-                            EcVertex::new(dv.vid, CopyKind::Replica, master_node, dv.value.clone());
-                        copy.last_activate = dv.last_activate;
-                        lg.insert_at(new_pos, copy, out_local);
-                        if episode.contains(&master_node) {
-                            out.orphans.push(new_pos);
-                        } else {
-                            out.placements.push((master_node, dv.vid, new_pos));
-                        }
-                        mig.recovered += 1;
-                    }
-                }
-                CopyKind::Mirror => {
-                    unreachable!("checkpoint FT keeps no mirrors")
-                }
-            }
-        }
-        out
     }
 }

@@ -24,9 +24,9 @@ use imitator_storage::{Dfs, Extent, WriteBehind};
 
 use crate::ckpt;
 use crate::driver::{self, ComputeModel, Ctx, ModelGraph, Shared, St, StepOutcome, SyncBufs};
-use crate::msg::{Batches, Promotion, ProtoMsg, ReplicaGrant, VertexSync};
+use crate::msg::{Batches, ProtoMsg, ReplicaGrant, VertexSync};
 use crate::plan::compute_ft_plan;
-use crate::recovery::{Adoption, Mig, MigEnv};
+use crate::recovery::{Mig, MigEnv};
 use crate::report::RunReport;
 use crate::{FtMode, RunConfig};
 
@@ -40,8 +40,8 @@ use crate::{FtMode, RunConfig};
 /// Panics if `cfg.num_nodes != cut.num_parts()`, if `cfg.threads_per_node`
 /// is above 1, or if a failure is injected with `FtMode::None`. Standby
 /// exhaustion does not panic: Rebirth degrades to Migration onto the
-/// survivors, and checkpoint recovery grafts the dead partitions' snapshots
-/// onto the survivors (§5.3).
+/// survivors, and checkpoint recovery rebuilds each dead node from its
+/// snapshots on a thread a survivor hosts (§5.3).
 pub fn run_vertex_cut<P>(
     g: &Graph,
     cut: &VertexCut,
@@ -185,10 +185,10 @@ where
 
     /// With fault tolerance, this node's owned edges as its edge-ckpt file
     /// (§4.3), encoded before the first superstep and written behind it.
-    /// Migration and a checkpoint graft change which node persists which
-    /// edges (adoption) and which node receives which section (promotions
-    /// rewrote master locations): the file is rewritten whole, so the next
-    /// failure reloads a consistent set.
+    /// Migration changes which node persists which edges (adoption) and
+    /// which node receives which section (promotions rewrote master
+    /// locations): the file is rewritten whole, so the next failure reloads
+    /// a consistent set.
     fn persist(&self, lg: &Self::Graph, shared: &Shared<Self>) -> Option<WriteBehind> {
         (shared.cfg.ft != FtMode::None).then(|| ckpt::persist_edge_ckpt(lg, &shared.dfs))
     }
@@ -384,95 +384,6 @@ where
     /// pre-existing or just granted.
     fn migration_wire(&self, lg: &mut Self::Graph, mig: &mut Mig<VcMigExtra>, _resume: u64) {
         mig.edges_recovered += wire_edges(lg, std::mem::take(&mut mig.extra.adopted));
-    }
-
-    /// Checkpoint-fallback graft: splice the whole reconstructed partition
-    /// into this survivor's graph, then remap and append every edge it
-    /// owned (each edge is owned by exactly one node, so no duplicates).
-    fn adopt_partition(
-        &self,
-        lg: &mut Self::Graph,
-        dead_lg: Self::Graph,
-        dead: NodeId,
-        episode: &[NodeId],
-        mig: &mut Mig<VcMigExtra>,
-    ) -> Adoption {
-        let me = lg.node;
-        let base = lg.verts.len() as u32;
-        let mut next = base;
-        let map: Vec<u32> = dead_lg
-            .verts
-            .iter()
-            .map(|dv| {
-                lg.position(dv.vid).unwrap_or_else(|| {
-                    let p = next;
-                    next += 1;
-                    p
-                })
-            })
-            .collect();
-        let mut out = Adoption::default();
-        let mut meta = Locations::default();
-        for (dp, dv) in dead_lg.verts.iter().enumerate() {
-            let (new_pos, value) = (map[dp], || dv.value.clone());
-            match dv.kind {
-                CopyKind::Master => {
-                    meta.assign(dead_lg.full(dp as u32));
-                    meta.set_master_pos(new_pos);
-                    meta.purge_node(me);
-                    meta.purge_nodes(episode);
-                    if new_pos < base {
-                        debug_assert_eq!(
-                            lg.verts[new_pos as usize].kind,
-                            CopyKind::Replica,
-                            "checkpoint FT keeps no mirrors"
-                        );
-                        lg.set_kind(new_pos, CopyKind::Master);
-                        lg.set_master_node(new_pos, me);
-                        // The rollback before the graft imaged the value.
-                        lg.verts[new_pos as usize].value = value();
-                    } else {
-                        lg.insert_at(new_pos, VcVertex::new(dv.vid, dv.kind, me, value()));
-                    }
-                    lg.set_locations(new_pos, meta.view());
-                    out.promotions.push(Promotion {
-                        vid: dv.vid,
-                        new_master: me,
-                        new_pos,
-                        old_node: dead,
-                        old_pos: dp as u32,
-                    });
-                    mig.recovered += 1;
-                }
-                CopyKind::Replica => {
-                    if new_pos >= base {
-                        let master_node = dv.master_node;
-                        lg.insert_at(
-                            new_pos,
-                            VcVertex::new(dv.vid, dv.kind, master_node, value()),
-                        );
-                        if episode.contains(&master_node) {
-                            out.orphans.push(new_pos);
-                        } else {
-                            out.placements.push((master_node, dv.vid, new_pos));
-                        }
-                        mig.recovered += 1;
-                    }
-                }
-                CopyKind::Mirror => {
-                    unreachable!("checkpoint FT keeps no mirrors")
-                }
-            }
-        }
-        for e in &dead_lg.edges {
-            lg.edges.push(VcEdge {
-                src: map[e.src as usize],
-                dst: map[e.dst as usize],
-                weight: e.weight,
-            });
-            mig.edges_recovered += 1;
-        }
-        out
     }
 }
 

@@ -193,8 +193,9 @@ impl<V> CopyVids for &[EcVertex<V>] {
 /// recovery attempt that may have to be undone writes values and flags so
 /// once it has imaged them ([`crate::Episode::touch_values`]), the rest
 /// through the mutators (`set_kind`, `set_master_node`, `set_active`,
-/// `set_in_edges`, `set_out_local`, `extend_out_local`, `push_copy`, and
-/// everything that touches full state): while an episode is open they
+/// `set_in_edges_by_source`, `set_out_local_by_consumer`,
+/// `extend_out_local`, `push_copy`, and everything that touches full
+/// state): while an episode is open they
 /// journal what they change, and cost a branch when none is.
 #[derive(Debug, Clone)]
 pub struct EcLocalGraph<V> {
@@ -470,15 +471,6 @@ impl<V> EcLocalGraph<V> {
         }
     }
 
-    /// Replaces the in-edges of the copy at `pos`.
-    pub fn set_in_edges(&mut self, pos: u32, in_edges: &[(u32, f32)]) {
-        let (floor, v) = (self.hot_floor()[0], &mut self.verts[pos as usize]);
-        let before = v.in_edges;
-        self.hot_in
-            .replace(&mut v.in_edges, in_edges.iter().copied(), floor);
-        self.note_copy_span(pos, 0, before);
-    }
-
     /// Replaces the in-edges of the copy at `pos` by `in_edges`, in their
     /// order, each source read as the position of its copy here: how a
     /// rebuild wires a master once it has placed every copy.
@@ -511,15 +503,6 @@ impl<V> EcLocalGraph<V> {
             .hot_out
             .append(consumers.filter_map(|vid| index.get(vid).filter(master)));
         let before = std::mem::replace(&mut self.verts[pos as usize].out_local, span);
-        self.note_copy_span(pos, 1, before);
-    }
-
-    /// Replaces the positions the copy at `pos` feeds.
-    pub fn set_out_local(&mut self, pos: u32, consumers: &[u32]) {
-        let (floor, v) = (self.hot_floor()[1], &mut self.verts[pos as usize]);
-        let before = v.out_local;
-        self.hot_out
-            .replace(&mut v.out_local, consumers.iter().copied(), floor);
         self.note_copy_span(pos, 1, before);
     }
 
@@ -600,8 +583,7 @@ impl<V> EcLocalGraph<V> {
     }
 
     /// Inserts `vertex` at `pos` feeding `out_local`, without in-edges
-    /// ([`EcLocalGraph::set_in_edges`] and
-    /// [`EcLocalGraph::set_in_edges_by_source`] give a master its own),
+    /// ([`EcLocalGraph::set_in_edges_by_source`] gives a master its own),
     /// growing the array as needed (recovery path: position-addressed, no
     /// reindexing of existing entries). Whatever lists `vertex` had in the
     /// graph it was taken from are not taken over.
@@ -1818,6 +1800,20 @@ mod tests {
         EcVertex::new(Vid::new(vid), CopyKind::Master, NodeId::new(0), 0u64)
     }
 
+    /// Replaces the in-edges of the copy at `pos`, each source given by the
+    /// position of its copy.
+    fn set_in(lg: &mut EcLocalGraph<u64>, pos: u32, edges: &[(u32, f32)]) {
+        let vid = |src: u32| lg.verts[src as usize].vid;
+        let edges: Vec<InEdge> = edges
+            .iter()
+            .map(|&(src, weight)| InEdge {
+                weight,
+                src: vid(src),
+            })
+            .collect();
+        lg.set_in_edges_by_source(pos, InEdges::Slice(&edges));
+    }
+
     /// Replacing a mirror's lists (longer, shorter, equal, empty) leaves
     /// every other slot's lists bit-identical: changed lists are a new block
     /// at the tail — empty ones their counts —, equal ones are not written,
@@ -1930,13 +1926,12 @@ mod tests {
         for pos in 0..3 {
             lg.insert_at(pos, copy(pos), []);
         }
-        lg.set_in_edges(0, &[(1, 0.5), (2, 1.5)]);
-        lg.set_in_edges(1, &[(0, 2.5)]);
+        set_in(&mut lg, 0, &[(1, 0.5), (2, 1.5)]);
+        set_in(&mut lg, 1, &[(0, 2.5)]);
         for (pos, fed) in [(0, 1), (1, 0), (2, 0)] {
-            lg.set_out_local(pos, &[fed]);
+            lg.extend_out_local(pos, &[fed]);
         }
-        lg.set_in_edges(0, &[(2, 9.0)]);
-        lg.set_out_local(1, &[2]);
+        set_in(&mut lg, 0, &[(2, 9.0)]);
         assert_eq!(lg.edge_list_lens(), (3, 3), "in place outside an episode");
         // An empty list sitting exactly at the column's end, as the loader
         // leaves one wherever a copy without consumers falls last.
@@ -1949,8 +1944,7 @@ mod tests {
         };
         lg.begin_episode();
         let idle = lg.journal_bytes();
-        lg.set_in_edges(1, &[(0, 2.5)]);
-        lg.set_out_local(2, &[0]);
+        set_in(&mut lg, 1, &[(0, 2.5)]);
         lg.extend_out_local(2, &[]);
         assert_eq!(
             (lg.edge_list_lens(), lg.journal_bytes()),
@@ -1960,13 +1954,13 @@ mod tests {
 
         // A replacement that would fit its frozen run goes to the tail all
         // the same; the run the episode wrote is overwritten where it is.
-        lg.set_in_edges(0, &[(1, 4.0)]);
+        set_in(&mut lg, 0, &[(1, 4.0)]);
         assert_eq!(
             (lg.in_edges(0), lg.edge_list_lens()),
             (&[(1, 4.0)][..], (4, 3))
         );
         let one_image = lg.journal_bytes();
-        lg.set_in_edges(0, &[(0, 5.0)]);
+        set_in(&mut lg, 0, &[(0, 5.0)]);
         assert_eq!(
             (lg.in_edges(0), lg.edge_list_lens()),
             (&[(0, 5.0)][..], (4, 3))
@@ -1996,7 +1990,7 @@ mod tests {
         let journaled = lg.journal_bytes();
         let appended = lg.push_copy(copy(7));
         lg.extend_out_local(appended, &[0]);
-        lg.set_in_edges(appended, &[(2, 1.0)]);
+        set_in(&mut lg, appended, &[(2, 1.0)]);
         assert_eq!(lg.journal_bytes(), journaled);
         assert!(frozen(&lg) && lg != before && journaled > one_image);
 
@@ -2005,7 +1999,7 @@ mod tests {
         assert_eq!(lg.verts[3].out_local, Span::new(3, 0));
         assert_eq!((lg.len(), lg.position(Vid::new(7))), (4, None));
         // And in place again.
-        lg.set_in_edges(1, &[(2, 1.0)]);
+        set_in(&mut lg, 1, &[(2, 1.0)]);
         assert_eq!(lg.edge_list_lens(), (3, 3));
     }
 
@@ -2051,7 +2045,7 @@ mod tests {
         assert_eq!(exported.out_remote.to_vec(), metas[0].out_remote);
         lg.debug_validate();
 
-        lg.set_in_edges(0, &[(2, 0.5)]);
+        set_in(&mut lg, 0, &[(2, 0.5)]);
         lg.set_full_state(0, state(4, 9).view());
         let stored = lg.stored_full_state(0).unwrap();
         assert!(stored.in_edges.is_empty() && stored.out_local_owner.is_empty());

@@ -4,7 +4,7 @@
 //! A recovery attempt (§5.2, §5.3) rewrites a known part of a survivor's
 //! partition — copy kinds and master nodes, location tables, a few edge
 //! lists, and, on the checkpoint paths, every value — and appends the rest:
-//! granted replicas, fresh mirrors, grafted partitions, the full state that
+//! granted replicas, fresh mirrors, the full state that
 //! comes with them. If a barrier inside the attempt reports a further
 //! failure, the survivor must be back in its pre-attempt state before it
 //! retries (§5.3). Between [`begin_episode`](Episode::begin_episode) and

@@ -12,7 +12,7 @@
 use imitator_cluster::NodeId;
 use imitator_engine::{
     build_edge_cut_graphs, build_vertex_cut_graphs, CopyKind, Degrees, EcLocalGraph, EcVertex,
-    EdgeLists, Episode, FtPlan, FullState, FullStateBatches, FullStateRef, InEdges, List,
+    EdgeLists, Episode, FtPlan, FullState, FullStateBatches, FullStateRef, InEdge, InEdges, List,
     Locations, RemoteEdge, VcEdge, VcLocalGraph, VcVertex, VertexProgram,
 };
 use imitator_graph::{gen, Graph, Ragged, Vid};
@@ -107,15 +107,19 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
                 .expect("mirrors carry full state");
                 lg.set_active(pos, false);
                 let kept = lg.stored_full_state(pos).expect("mirrors carry full state");
-                let rewired: Vec<(u32, f32)> =
-                    kept.in_edges.iter().map(|e| (pos, e.weight)).collect();
+                let vid = lg.verts[pos as usize].vid;
+                let rewired: Vec<InEdge> = kept
+                    .in_edges
+                    .iter()
+                    .map(|e| InEdge { src: vid, ..e })
+                    .collect();
                 let mut remote = kept.out_remote.to_vec();
                 let moved = kept.out_local_owner.iter().map(|c| RemoteEdge {
                     consumer: Vid::new(c),
                 });
                 remote.extend(moved);
                 lg.set_out_remote(pos, &remote);
-                lg.set_in_edges(pos, &rewired);
+                lg.set_in_edges_by_source(pos, InEdges::Slice(&rewired));
                 lg.set_active(pos, true);
                 changed += 1;
             }
@@ -134,9 +138,10 @@ fn migrate_by_hand(lg: &mut EcLocalGraph<u64>, donor: &EcLocalGraph<u64>, n: usi
                 if pos % 3 == 0 {
                     // Replaced shorter, equal and longer: a run that predates
                     // the episode is never written over.
-                    let fed = lg.out_local(pos).to_vec();
-                    lg.set_out_local(pos, &fed[1..]);
-                    lg.set_out_local(pos, &fed);
+                    let fed = by_source(lg, lg.in_edges(pos));
+                    let shorter = &fed[fed.len().min(1)..];
+                    lg.set_in_edges_by_source(pos, InEdges::Slice(shorter));
+                    lg.set_in_edges_by_source(pos, InEdges::Slice(&fed));
                 }
                 lg.edit_locations(pos, |tables| tables.add_mirror(NodeId::new(3)));
             }
@@ -321,12 +326,21 @@ fn rollback_leaves_no_trace_in_any_store() {
     }
 }
 
-/// What a checkpoint recovery does to a survivor's edge-cut graph, through
-/// the same calls: writes every copy's value and flags after imaging them,
-/// as a rollback to a snapshot does, then upgrades a loaded replica to
+/// The in-edges `edges`, each source named by the vertex of its copy here.
+fn by_source(lg: &EcLocalGraph<u64>, edges: &[(u32, f32)]) -> Vec<InEdge> {
+    let vid = |src: u32| lg.verts[src as usize].vid;
+    let edges = edges.iter().map(|&(src, weight)| InEdge {
+        weight,
+        src: vid(src),
+    });
+    edges.collect()
+}
+
+/// Writes every copy's value and flags of an edge-cut graph after imaging
+/// them, as a rollback to a snapshot does, then upgrades a loaded replica to
 /// master in place — its header imaged with the flags just written — and
-/// appends a copy, as a graft does. The active frontier follows the flags.
-fn roll_back_and_graft_ec(lg: &mut EcLocalGraph<u64>) {
+/// appends a copy. The active frontier follows the flags.
+fn roll_back_upgrade_and_append_ec(lg: &mut EcLocalGraph<u64>) {
     let me = lg.node;
     lg.touch_values();
     for (pos, v) in lg.verts.iter_mut().enumerate() {
@@ -339,16 +353,19 @@ fn roll_back_and_graft_ec(lg: &mut EcLocalGraph<u64>) {
     let state = lg.full_state(master).unwrap().to_meta();
     lg.set_kind(replica, CopyKind::Master);
     lg.set_master_node(replica, me);
-    lg.set_in_edges(replica, &[(master, 0.5)]);
-    lg.set_out_local(replica, &[master, replica]);
+    let fed = by_source(lg, &[(master, 0.5)]);
+    lg.set_in_edges_by_source(replica, InEdges::Slice(&fed));
+    let consumers = [master, replica].map(|pos| lg.verts[pos as usize].vid);
+    lg.set_out_local_by_consumer(replica, consumers.into_iter());
     lg.set_full_state(replica, state.view());
-    let grafted = lg.push_copy(EcVertex::new(Vid::new(1 << 20), CopyKind::Master, me, 7));
-    lg.set_full_state(grafted, state.view());
+    let appended = lg.push_copy(EcVertex::new(Vid::new(1 << 20), CopyKind::Master, me, 7));
+    lg.set_full_state(appended, state.view());
     lg.rebuild_active_frontier();
 }
 
-/// [`roll_back_and_graft_ec`] on a vertex-cut graph, which keeps no flags.
-fn roll_back_and_graft_vc(lg: &mut VcLocalGraph<u64>) {
+/// [`roll_back_upgrade_and_append_ec`] on a vertex-cut graph, which keeps no
+/// flags.
+fn roll_back_upgrade_and_append_vc(lg: &mut VcLocalGraph<u64>) {
     let me = lg.node;
     lg.touch_values();
     for v in &mut lg.verts {
@@ -361,23 +378,23 @@ fn roll_back_and_graft_vc(lg: &mut VcLocalGraph<u64>) {
     lg.set_kind(replica, CopyKind::Master);
     lg.set_master_node(replica, me);
     lg.set_locations(replica, tables.view());
-    let grafted = VcVertex::new(Vid::new(1 << 20), CopyKind::Master, me, 7);
-    let grafted = lg.insert_or_position(grafted);
-    lg.set_locations(grafted, tables.view());
+    let appended = VcVertex::new(Vid::new(1 << 20), CopyKind::Master, me, 7);
+    let appended = lg.insert_or_position(appended);
+    lg.set_locations(appended, tables.view());
     lg.edges.push(VcEdge {
         src: replica,
-        dst: grafted,
+        dst: appended,
         weight: 1.0,
     });
 }
 
-/// A checkpoint recovery's episode — every value and flag written, a
-/// replica upgraded in place, a partition's copies appended — rolls back to
-/// the graph it found, active frontier and store lengths included, on
-/// loader-built graphs without mirrors (checkpoint FT keeps none) of both
-/// engines; committed, it keeps what it wrote.
+/// An episode on a graph without mirrors (checkpoint FT keeps none) — every
+/// value and flag written, as a checkpoint recovery's rollback writes them,
+/// a replica upgraded in place, a copy appended — rolls back to the graph
+/// it found, active frontier and store lengths included, on loader-built
+/// graphs of both engines; committed, it keeps what it wrote.
 #[test]
-fn a_rolled_back_value_column_and_graft_leave_no_trace() {
+fn a_rolled_back_value_column_and_appended_copies_leave_no_trace() {
     let g = graph();
     let degrees = Degrees::of(&g);
     let none = FtPlan::none(g.num_vertices());
@@ -388,14 +405,14 @@ fn a_rolled_back_value_column_and_graft_leave_no_trace() {
         lg.touch_values();
         assert_eq!(lg.journal_bytes(), 0, "{node}: no episode, no image");
         lg.begin_episode();
-        roll_back_and_graft_ec(&mut lg);
+        roll_back_upgrade_and_append_ec(&mut lg);
         let written = lg.clone();
         assert!(lg != before && lg.journal_bytes() > 0, "{node}");
         lg.rollback();
         assert!(lg == before, "{node}: graph differs");
         assert_eq!(ec_lens(&lg), ec_lens(&before), "{node}: stores");
         lg.begin_episode();
-        roll_back_and_graft_ec(&mut lg);
+        roll_back_upgrade_and_append_ec(&mut lg);
         lg.commit();
         assert!(lg == written, "{node}: a commit keeps the writes");
     }
@@ -404,14 +421,14 @@ fn a_rolled_back_value_column_and_graft_leave_no_trace() {
         let node = before.node;
         let mut lg = before.clone();
         lg.begin_episode();
-        roll_back_and_graft_vc(&mut lg);
+        roll_back_upgrade_and_append_vc(&mut lg);
         let written = lg.clone();
         assert!(lg != before && lg.journal_bytes() > 0, "{node}");
         lg.rollback();
         assert!(lg == before, "{node}: graph differs");
         assert_eq!(vc_lens(&lg), vc_lens(&before), "{node}: stores");
         lg.begin_episode();
-        roll_back_and_graft_vc(&mut lg);
+        roll_back_upgrade_and_append_vc(&mut lg);
         lg.commit();
         assert!(lg == written, "{node}: a commit keeps the writes");
     }

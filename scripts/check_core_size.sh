@@ -192,7 +192,17 @@ cd "$(dirname "$0")/.."
 #          invariant of `check_mirrors` restated for vertex entries and the
 #          skip rule, and R7's test tally of unpromoted masters' entries
 #          (DESIGN.md §4.9).
-BUDGET=3566
+#   3226 — a slot outlives its machine: with no standby left, checkpoint
+#          recovery starts each dead slot's newbie under its own ID on a
+#          thread a survivor hosts (the coordinator fails a host's slots
+#          with it), so the graft went — `ckpt_fallback`,
+#          `graft_partitions`, `Adoption`, `ComputeModel::adopt_partition`
+#          and both runners' bodies, the adopter's re-persisted snapshot and
+#          rewritten epoch part, and the fallback's share of Migration's
+#          exchanges; that paid for the leader's hosted dispatch and the
+#          driver's adopter thread, which starts every newbie on demand,
+#          in a run that can dispatch one (DESIGN.md §4.3).
+BUDGET=3226
 files=(crates/core/src/runner_ec.rs crates/core/src/runner_vc.rs
     crates/core/src/driver.rs crates/core/src/recovery.rs)
 for f in crates/core/src/recovery/*.rs; do

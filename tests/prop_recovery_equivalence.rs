@@ -1357,8 +1357,11 @@ proptest! {
         (s, incremental) in (arb_nested(), any::<bool>())
     ) {
         // Checkpoint recovery reuses RebirthReload for the post-decision
-        // crash and MigrationRound(1..=3) for the fallback rounds; torn
-        // snapshot writes (CkptWrite) are driven by the primary selector.
+        // crash, of any survivor or of the host of a slot: with the pool
+        // empty the lowest-ID survivor hosts the victim's, and takes it
+        // along when it crashes there or one superstep after the episode.
+        // Torn snapshot writes (CkptWrite) are driven by the primary
+        // selector.
         let (victim, iter, _) = s.primary;
         let resume = resume_iter(s.primary);
         let mut plans_v = vec![FailurePlan {
@@ -1374,14 +1377,16 @@ proptest! {
                 FailPoint::AfterBarrier
             },
         }];
+        let host = usize::from(victim == 0);
+        let (node, iteration, point) = match s.point_sel % 4 {
+            0 | 2 => (s.second, resume, FailPoint::RebirthReload),
+            1 => (host, resume, FailPoint::RebirthReload),
+            _ => (host, resume + 1, FailPoint::BeforeBarrier),
+        };
         plans_v.push(FailurePlan {
-            node: NodeId::from_index(s.second),
-            iteration: resume,
-            point: if s.point_sel % 2 == 0 {
-                FailPoint::RebirthReload
-            } else {
-                FailPoint::MigrationRound(1 + s.point_sel % 3)
-            },
+            node: NodeId::from_index(node),
+            iteration,
+            point,
         });
         let cut = RandomVertexCut.partition(&s.graph, s.nodes);
         let clean = run_vertex_cut(
@@ -1604,11 +1609,10 @@ fn rebirth_degrades_after_abort_consumes_standbys() {
     }
 }
 
-/// Checkpoint recovery without standbys falls back to replica-free
-/// migration: survivors adopt the dead partitions straight from the
-/// snapshot chain.
+/// Checkpoint recovery without standbys rebuilds the dead slot under its
+/// own identity, from its snapshot chain, on a thread a survivor hosts.
 #[test]
-fn checkpoint_degrades_to_migration_when_standbys_exhausted() {
+fn checkpoint_hosts_the_dead_slot_when_standbys_exhausted() {
     for edge_cut in [true, false] {
         for incremental in [false, true] {
             let plans = vec![crash(1, 2, FailPoint::BeforeBarrier)];
@@ -1624,18 +1628,17 @@ fn checkpoint_degrades_to_migration_when_standbys_exhausted() {
             assert_eq!(rec.recoveries.len(), 1);
             let ep = &rec.recoveries[0];
             assert_eq!(
-                ep.strategy, "checkpoint\u{2192}migration",
+                ep.strategy, "checkpoint\u{2192}hosted",
                 "edge_cut={edge_cut} incremental={incremental}"
             );
         }
     }
 }
 
-/// Two machines lost at once with an empty standby pool: the fallback must
-/// adopt both partitions and resolve replicas whose master died alongside
-/// them (orphans).
+/// Two machines lost at once with an empty standby pool: each slot comes
+/// back on a thread of its own, hosted by a different survivor.
 #[test]
-fn checkpoint_fallback_handles_double_failure() {
+fn checkpoint_hosts_both_slots_of_a_double_failure() {
     for edge_cut in [true, false] {
         for incremental in [false, true] {
             let plans = vec![
@@ -1653,7 +1656,7 @@ fn checkpoint_fallback_handles_double_failure() {
             );
             assert_eq!(rec.recoveries.len(), 1);
             let ep = &rec.recoveries[0];
-            assert_eq!(ep.strategy, "checkpoint\u{2192}migration");
+            assert_eq!(ep.strategy, "checkpoint\u{2192}hosted");
             assert_eq!(
                 ep.failed_nodes, 2,
                 "edge_cut={edge_cut} incremental={incremental}"
@@ -1693,14 +1696,13 @@ impl VertexProgram for WrappingSum {
     }
 }
 
-/// A partition the checkpoint fallback grafted survives its adopter's
-/// crash before the next epoch: node 1 crashes, node 0 adopts its partition
-/// and crashes one superstep later, and the adopter of both must restore
-/// node 1's masters at the snapshot epoch, not at their initial values. A
-/// full-mode chain ends at epoch 3, an incremental one at delta epoch 6 on
-/// the full base 3.
+/// A hosted slot dies with its host before the next epoch: node 1 crashes,
+/// node 0 hosts its slot and crashes one superstep later, and the second
+/// episode must recover both slots, node 1's masters at the snapshot epoch
+/// its chain ends at, not at their initial values. A full-mode chain ends
+/// at epoch 3, an incremental one at delta epoch 6 on the full base 3.
 #[test]
-fn checkpoint_fallback_survives_its_adopters_crash() {
+fn a_hosted_slot_dies_with_its_host() {
     let graph = lcg_graph(120, 400, 1);
     let nodes = 4;
     let cfg = |ft| RunConfig {
@@ -1734,19 +1736,20 @@ fn checkpoint_fallback_survives_its_adopters_crash() {
             let clean = run(FtMode::None, vec![]);
             let rec = run(ft, plans);
             let strategies: Vec<&str> = rec.recoveries.iter().map(|r| r.strategy).collect();
-            assert_eq!(strategies, ["checkpoint\u{2192}migration"; 2], "{case}");
+            assert_eq!(strategies, ["checkpoint\u{2192}hosted"; 2], "{case}");
+            assert_eq!(rec.recoveries[1].failed_nodes, 2, "{case}");
             assert!(rec.values == clean.values, "{case}");
         }
     }
 }
 
 /// A second crash during checkpoint recovery: with spare standbys the
-/// restarted episode stays on the standby path; with a drained pool it
-/// degrades to the migration fallback.
+/// restarted episode stays on the standby path; with a drained pool a
+/// survivor hosts the slot the standbys no longer cover.
 #[test]
 fn checkpoint_cascade_restarts_or_degrades() {
     for edge_cut in [true, false] {
-        for (standbys, want) in [(3, "checkpoint"), (2, "checkpoint\u{2192}migration")] {
+        for (standbys, want) in [(3, "checkpoint"), (2, "checkpoint\u{2192}hosted")] {
             let plans = vec![
                 crash(1, 2, FailPoint::BeforeBarrier),
                 crash(2, 2, FailPoint::RebirthReload),
@@ -1771,10 +1774,10 @@ fn checkpoint_cascade_restarts_or_degrades() {
 /// 6=Delta… The first crash (iteration 2) is handled on the standby path
 /// (the rebirth-style "checkpoint" strategy) from the bare full epoch 2;
 /// delta epoch 4 is then written by the post-recovery membership onto that
-/// same base; the second crash (iteration 4) finds the standby pool drained
-/// and degrades to the migration fallback, which must ground itself on the
-/// full epoch written *before* the first episode plus the delta written
-/// *after* it — and still converge bit-identically.
+/// same base; the second crash (iteration 4) finds the standby pool drained,
+/// and the newbie a survivor hosts must ground the slot on the full epoch
+/// written *before* the first episode plus the delta written *after* it —
+/// and still converge bit-identically.
 #[test]
 fn delta_chain_crosses_rebirth_and_migration_recoveries() {
     use imitator_repro::storage::{epoch, EpochKind};
@@ -1843,12 +1846,12 @@ fn delta_chain_crosses_rebirth_and_migration_recoveries() {
             "edge_cut={edge_cut}"
         );
         assert_eq!(
-            rec.recoveries[1].strategy, "checkpoint\u{2192}migration",
+            rec.recoveries[1].strategy, "checkpoint\u{2192}hosted",
             "edge_cut={edge_cut}"
         );
-        // Pin the chain shape the fallback loaded: epoch 2 is the committed
-        // full base, epoch 4 the committed delta on top, and both rosters
-        // cover the dead node whose partition the survivors reconstructed.
+        // Pin the chain shape the hosted newbie loaded: epoch 2 is the
+        // committed full base, epoch 4 the committed delta on top, and both
+        // rosters cover the dead node it rebuilt.
         let (kind2, roster2) = epoch::read_roster(&dfs, prefix, 2).expect("epoch 2 committed");
         let (kind4, roster4) = epoch::read_roster(&dfs, prefix, 4).expect("epoch 4 committed");
         assert_eq!(kind2, EpochKind::Full, "edge_cut={edge_cut}");
@@ -1867,7 +1870,7 @@ fn delta_chain_crosses_rebirth_and_migration_recoveries() {
 #[test]
 fn torn_checkpoint_epoch_is_never_loaded() {
     for edge_cut in [true, false] {
-        for (standbys, want) in [(1, "checkpoint"), (0, "checkpoint\u{2192}migration")] {
+        for (standbys, want) in [(1, "checkpoint"), (0, "checkpoint\u{2192}hosted")] {
             // interval 2 ⇒ epoch 4 is written during iteration 3; node 1
             // dies mid-write ⇒ the barrier fails and the leader writes no
             // roster for epoch 4.

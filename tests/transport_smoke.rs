@@ -174,10 +174,9 @@ fn value_bits(r: &RunReport<RankValue>) -> Vec<(u64, u64)> {
 /// the DFS. Each recovery strategy on each engine, with one crash, must land
 /// on the same ranks *and* shares over TCP as over the channel, bit for bit,
 /// and account the same bytes to the byte; and on the failure-free run's
-/// bits, except vertex-cut Migration and vertex-cut checkpoint recovery with
-/// no standby left, which regroup edges across nodes so that their gather
-/// sums reassociate (`distributed_algos.rs` holds Migration to f64
-/// rounding). TCP really decodes, so a site that forgot to derive shows up
+/// bits, except vertex-cut Migration, which regroups edges across nodes so
+/// that their gather sums reassociate (`distributed_algos.rs` holds it to
+/// f64 rounding). TCP really decodes, so a site that forgot to derive shows up
 /// there as NaN; an in-process transport moves values whole, and debug
 /// builds check that the share derived is the share shipped.
 #[test]
@@ -194,7 +193,7 @@ fn pagerank_recovers_bit_identical_on_every_transport() {
     };
     // (name, mode, standbys, crash iteration). A checkpoint recovery before
     // the first epoch runs on the initial values alone; one with no standby
-    // left grafts the crashed partition onto a survivor.
+    // left rebuilds the crashed slot on a thread a survivor hosts.
     let strategies = [
         ("Rebirth", replication(RecoveryStrategy::Rebirth), 1, 5),
         ("Migration", replication(RecoveryStrategy::Migration), 0, 5),
@@ -229,9 +228,8 @@ fn pagerank_recovers_bit_identical_on_every_transport() {
                 value_bits(&tcp) == value_bits(&channel),
                 "{engine} {name}: TCP is not the channel run"
             );
-            let regrouped = ["Migration", "checkpoint with no standby left"].contains(&name);
             assert!(
-                value_bits(&channel) == want || (!edge_cut && regrouped),
+                value_bits(&channel) == want || (!edge_cut && name == "Migration"),
                 "{engine} {name} is not the failure-free run"
             );
             assert_eq!(tcp.comm.bytes, channel.comm.bytes, "{engine} {name}");
